@@ -60,6 +60,9 @@ type ClientPool struct {
 	topo *Topology
 	reg  *keys.Registry
 	cks  map[uint64]*keys.ClientKey
+	// gateways[g] lists the members of group g that expose a gateway address:
+	// the only ones a fresh request may be routed to.
+	gateways [][]int
 
 	mu     sync.Mutex
 	conns  map[keys.NodeID]*cpConn
@@ -121,6 +124,12 @@ func DialClients(cfg ClientPoolConfig) (*ClientPool, error) {
 	}
 	for id := cfg.First; id < cfg.First+cfg.Count; id++ {
 		p.cks[id] = cks[id-1]
+	}
+	p.gateways = make([][]int, len(topo.Groups))
+	for _, na := range topo.Nodes {
+		if na.Gateway != "" {
+			p.gateways[na.Group] = append(p.gateways[na.Group], na.Index)
+		}
 	}
 	return p, nil
 }
@@ -346,15 +355,16 @@ func (c *Client) Submit(payload []byte) (gateway.Result, error) {
 
 // deliver mirrors the submission policy of the simulated hub: fresh
 // requests go to one rotated member (it forwards to its leader);
-// retransmissions broadcast to the whole group.
+// retransmissions broadcast to the whole group. The rotation runs over the
+// members that expose a gateway — a member without one cannot take the
+// request, and the client would sit out the whole attempt timeout.
 func (c *Client) deliver(g int, txn types.Transaction, broadcast bool) {
-	size := c.p.topo.Groups[g]
-	lo, hi := 0, size
-	if !broadcast {
-		lo = int((c.key.ID + c.nonce) % uint64(size))
-		hi = lo + 1
+	gws := c.p.gateways[g]
+	if !broadcast && len(gws) > 0 {
+		k := (c.key.ID + c.nonce) % uint64(len(gws))
+		gws = gws[k : k+1]
 	}
-	for j := lo; j < hi; j++ {
-		c.p.send(keys.NodeID{Group: g, Index: j % size}, txn)
+	for _, j := range gws {
+		c.p.send(keys.NodeID{Group: g, Index: j}, txn)
 	}
 }

@@ -138,3 +138,52 @@ func TestTCPGatewayClientEndToEnd(t *testing.T) {
 		trailAgree(t, sts[0], sts[i])
 	}
 }
+
+// TestClientRoutesToGatewayMembers pins the submission rotation to members
+// that can take the request: with a gateway on one member per group, a fresh
+// request rotated onto a gateway-less member used to vanish in ClientPool.send
+// and the client sat out the whole attempt timeout before resubmitting. Every
+// Submit must certify on its first attempt, well inside one timeout.
+func TestClientRoutesToGatewayMembers(t *testing.T) {
+	if testing.Short() {
+		t.Skip("multi-second wall-clock test")
+	}
+	topo := gatewayTopology(t, 4)
+	for i := range topo.Nodes {
+		if topo.Nodes[i].Index != 0 {
+			topo.Nodes[i].Gateway = ""
+		}
+	}
+	for _, na := range topo.Nodes {
+		n := startTestNode(t, topo, na.Group, na.Index, false)
+		defer n.Stop(0)
+	}
+	const timeout = 2 * time.Second
+	pool, err := DialClients(ClientPoolConfig{Topology: topo, First: 1, Count: 4, Timeout: timeout})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pool.Close()
+	for id := uint64(1); id <= 4; id++ {
+		cl, err := pool.Client(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		gen, err := workload.New(topo.Workload, topo.Seed+int64(id))
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Consecutive nonces walk the rotation over every member index.
+		for k := 0; k < 4; k++ {
+			began := time.Now()
+			res, err := cl.Submit(gen.Next(id).Payload)
+			if err != nil {
+				t.Fatalf("client %d request %d: %v", id, k, err)
+			}
+			if took := time.Since(began); res.Attempts != 1 || took > timeout/2 {
+				t.Fatalf("client %d request %d: %d attempts in %v (attempt timeout %v)",
+					id, k, res.Attempts, took, timeout)
+			}
+		}
+	}
+}

@@ -140,7 +140,7 @@ type Record struct {
 	// View fences the record to the meta view of the leader that emitted it.
 	// Receivers track the highest view seen per origin stream and drop
 	// records from older views: after a meta view change re-emits a record
-	// (restampScan), a surviving in-flight copy from the deposed leader can
+	// (restampTask), a surviving in-flight copy from the deposed leader can
 	// no longer certify with a conflicting stamp — every node drops it
 	// identically, since per-origin record streams are FIFO.
 	View uint64

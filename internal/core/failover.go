@@ -83,18 +83,6 @@ func (n *Node) sortedDeadGroups() []int {
 	return sortedIntKeys(n.deadGroups)
 }
 
-// failoverQueued reports whether a failover record of this kind for group g
-// is already queued locally awaiting meta certification, so the scans do not
-// queue duplicates within one flush interval.
-func (n *Node) failoverQueued(kind, g int) bool {
-	for _, r := range n.pendingRecs {
-		if r.Kind == kind && r.Stream == g {
-			return true
-		}
-	}
-	return false
-}
-
 // keepaliveScan (meta leader only) keeps the group's certified stream audibly
 // alive while the group has nothing to say. The failover protocol equates
 // stream silence with death, which is only sound if a live group never falls
@@ -138,12 +126,10 @@ func (n *Node) suspectScan(now time.Duration) {
 		}
 		silent := now-n.lastSeen(g) > n.cfg.SuspectTimeout
 		switch {
-		case silent && !n.ownSuspects[g] && !n.failoverQueued(cluster.RecSuspect, g):
-			n.ctx.Metrics.Inc("suspects-emitted")
-			n.emitRecord(cluster.Record{Kind: cluster.RecSuspect, Stream: g, TS: n.streamCursor(g)})
-		case !silent && n.ownSuspects[g] && !n.failoverQueued(cluster.RecRevoke, g):
-			n.ctx.Metrics.Inc("revokes-emitted")
-			n.emitRecord(cluster.Record{Kind: cluster.RecRevoke, Stream: g})
+		case silent && !n.ownSuspects[g]:
+			n.emitOnce(cluster.Record{Kind: cluster.RecSuspect, Stream: g, TS: n.streamCursor(g)}, "suspects-emitted")
+		case !silent && n.ownSuspects[g]:
+			n.emitOnce(cluster.Record{Kind: cluster.RecRevoke, Stream: g}, "revokes-emitted")
 		}
 	}
 }
@@ -182,8 +168,7 @@ func (n *Node) deathScan(now time.Duration) {
 	}
 	emitted := 0
 	for g := 0; g < n.ng; g++ {
-		if !eligible[g] || n.effectiveSuccessor(g, eligible) != n.g ||
-			n.failoverQueued(cluster.RecDead, g) {
+		if !eligible[g] || n.effectiveSuccessor(g, eligible) != n.g {
 			continue
 		}
 		cut := n.streamCursor(g)
@@ -192,9 +177,9 @@ func (n *Node) deathScan(now time.Duration) {
 				cut = c
 			}
 		}
-		n.ctx.Metrics.Inc("deaths-emitted")
-		n.emitRecord(cluster.Record{Kind: cluster.RecDead, Stream: g, TS: cut})
-		emitted++
+		if n.emitOnce(cluster.Record{Kind: cluster.RecDead, Stream: g, TS: cut}, "deaths-emitted") {
+			emitted++
+		}
 	}
 	if emitted > 1 {
 		n.ctx.Metrics.Inc("death-batches")
@@ -310,7 +295,7 @@ func (n *Node) applyGroupCut(g int, cut uint64) {
 		n.ctx.Metrics.Inc("fenced-batches")
 	}
 	if len(in.buffered) == 0 && in.next >= cut {
-		in.gapSince, in.repairAttempts, in.nextRepairAt = 0, 0, 0
+		in.setGap(0)
 	}
 }
 

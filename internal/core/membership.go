@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"massbft/internal/cluster"
-	"massbft/internal/keys"
 	"massbft/internal/types"
 )
 
@@ -107,37 +106,7 @@ func (n *Node) startStandbyBootstrap() {
 	n.rejoinAttempts = 0
 	n.rejoinBuf = nil
 	n.armTicks()
-	n.sendBootstrapReq()
-}
-
-// sendBootstrapReq asks an active-group node for the state transfer, rotating
-// deterministically over groups first, then member indexes, until a
-// checkpoint installs.
-func (n *Node) sendBootstrapReq() {
-	if !n.rejoining || !n.selfStandby {
-		return
-	}
-	var act []int
-	for g := 0; g < n.ng; g++ {
-		if g != n.g && !n.deadGroups[g] {
-			act = append(act, g)
-		}
-	}
-	if len(act) == 0 {
-		return
-	}
-	a := n.rejoinAttempts
-	n.rejoinAttempts++
-	g := act[a%len(act)]
-	peer := keys.NodeID{Group: g, Index: (a / len(act)) % n.cfg.GroupSizes[g]}
-	req := &cluster.RejoinReq{Have: n.ledger.Height()}
-	n.ctx.Net.SendPriority(peer, req, req.WireSize())
-	gen := n.tickGen
-	n.ctx.Net.After(n.cfg.RejoinTimeout, func() {
-		if n.tickGen == gen && n.rejoining {
-			n.sendBootstrapReq()
-		}
-	})
+	n.sendTransferReq()
 }
 
 // membershipScan is the meta-leader half of the membership protocol, driven
@@ -154,11 +123,8 @@ func (n *Node) membershipScan(now time.Duration) {
 		// bootstrapped (the leader cannot speak for followers' installs, but
 		// certifying the attestation itself requires a quorum of members to
 		// be up and voting on the meta instance).
-		if !n.selfStandby && !n.rejoining &&
-			!n.hasVote(n.joinVotes, n.g, n.g) &&
-			!n.failoverQueued(cluster.RecGroupJoin, n.g) {
-			n.ctx.Metrics.Inc("join-ready-emitted")
-			n.emitRecord(cluster.Record{Kind: cluster.RecGroupJoin, Stream: n.g})
+		if !n.selfStandby && !n.rejoining && !n.hasVote(n.joinVotes, n.g, n.g) {
+			n.emitOnce(cluster.Record{Kind: cluster.RecGroupJoin, Stream: n.g}, "join-ready-emitted")
 		}
 		return
 	}
@@ -167,11 +133,9 @@ func (n *Node) membershipScan(now time.Duration) {
 			delete(n.wantJoin, t)
 			continue
 		}
-		if n.hasVote(n.joinVotes, t, n.g) || n.failoverQueued(cluster.RecGroupJoin, t) {
-			continue
+		if !n.hasVote(n.joinVotes, t, n.g) {
+			n.emitOnce(cluster.Record{Kind: cluster.RecGroupJoin, Stream: t}, "join-votes-emitted")
 		}
-		n.ctx.Metrics.Inc("join-votes-emitted")
-		n.emitRecord(cluster.Record{Kind: cluster.RecGroupJoin, Stream: t})
 	}
 	for _, t := range sortedIntKeys(n.wantLeave) {
 		if t == n.g || n.deadGroups[t] || n.departed[t] {
@@ -180,11 +144,9 @@ func (n *Node) membershipScan(now time.Duration) {
 			}
 			continue
 		}
-		if n.hasVote(n.leaveVotes, t, n.g) || n.failoverQueued(cluster.RecGroupLeave, t) {
-			continue
+		if !n.hasVote(n.leaveVotes, t, n.g) {
+			n.emitOnce(cluster.Record{Kind: cluster.RecGroupLeave, Stream: t, TS: n.streamCursor(t)}, "leave-votes-emitted")
 		}
-		n.ctx.Metrics.Inc("leave-votes-emitted")
-		n.emitRecord(cluster.Record{Kind: cluster.RecGroupLeave, Stream: t, TS: n.streamCursor(t)})
 	}
 	// Own group's farewell: once a quorum of the other groups' leave votes
 	// stands, certify the group's last-ever record and go silent. `leaving`
@@ -195,9 +157,7 @@ func (n *Node) membershipScan(now time.Duration) {
 	if !n.leaving &&
 		n.voteCount(n.leaveVotes, n.g) >= n.groupQuorum() &&
 		!n.hasVote(n.leaveVotes, n.g, n.g) &&
-		!n.failoverQueued(cluster.RecGroupLeave, n.g) {
-		n.ctx.Metrics.Inc("farewells-emitted")
-		n.emitRecord(cluster.Record{Kind: cluster.RecGroupLeave, Stream: n.g})
+		n.emitOnce(cluster.Record{Kind: cluster.RecGroupLeave, Stream: n.g}, "farewells-emitted") {
 		n.leaving = true
 	}
 	n.epochScan()
@@ -216,8 +176,7 @@ func (n *Node) epochScan() {
 	for _, t := range sortedIntKeys(n.standbyGroups) {
 		if n.successor(t) != n.g ||
 			n.voteCount(n.joinVotes, t) < n.groupQuorum() ||
-			!n.hasVote(n.joinVotes, t, t) ||
-			n.failoverQueued(cluster.RecEpoch, t) {
+			!n.hasVote(n.joinVotes, t, t) {
 			continue
 		}
 		// Join boundary: one past the highest own-group commit this leader
@@ -230,38 +189,36 @@ func (n *Node) epochScan() {
 		if n.ownCommitHi > s {
 			s = n.ownCommitHi
 		}
-		s++
-		n.ctx.Metrics.Inc("epochs-emitted")
-		n.emitRecord(cluster.Record{
-			Kind:   cluster.RecEpoch,
-			Stream: t,
-			Entry:  types.EntryID{GID: int(cluster.ReconfigJoin), Seq: n.epoch + 1},
-			TS:     s,
-		})
-		n.epochEmitted = n.epoch + 1
-		return
+		if n.emitEpoch(t, cluster.ReconfigJoin, s+1) {
+			return
+		}
 	}
 	for _, t := range sortedVoteTargets(n.leaveVotes) {
 		if t == n.g || n.standbyGroups[t] || n.departed[t] || n.deadGroups[t] ||
 			n.successor(t) != n.g ||
 			n.voteCount(n.leaveVotes, t) < n.groupQuorum() ||
-			!n.hasVote(n.leaveVotes, t, t) ||
-			n.failoverQueued(cluster.RecEpoch, t) {
+			!n.hasVote(n.leaveVotes, t, t) {
 			continue
 		}
 		// The farewell (leaveVotes[t][t]) has been processed, so our cursor
 		// for t's stream sits exactly past the end of everything t's own
 		// members processed: the cut every node can agree on.
-		n.ctx.Metrics.Inc("epochs-emitted")
-		n.emitRecord(cluster.Record{
-			Kind:   cluster.RecEpoch,
-			Stream: t,
-			Entry:  types.EntryID{GID: int(cluster.ReconfigLeave), Seq: n.epoch + 1},
-			TS:     n.streamCursor(t),
-		})
-		n.epochEmitted = n.epoch + 1
-		return
+		if n.emitEpoch(t, cluster.ReconfigLeave, n.streamCursor(t)) {
+			return
+		}
 	}
+}
+
+// emitEpoch queues the next epoch's switch for target t unless it is already
+// pending, and reports whether it did.
+func (n *Node) emitEpoch(t int, op byte, ts uint64) bool {
+	rec := cluster.Record{Kind: cluster.RecEpoch, Stream: t, TS: ts,
+		Entry: types.EntryID{GID: int(op), Seq: n.epoch + 1}}
+	if !n.emitOnce(rec, "epochs-emitted") {
+		return false
+	}
+	n.epochEmitted = n.epoch + 1
+	return true
 }
 
 // onJoinRecord ingests a certified join approval for standby group
@@ -399,11 +356,8 @@ func (n *Node) activateJoined(s uint64) {
 	n.lastProposeAt = n.now()
 	n.ctx.Metrics.Inc("groups-joined")
 	for _, id := range n.sortedEntryIDs() {
-		st := n.entries[id]
-		if id.GID == n.g || !st.content || st.executed {
-			continue
-		}
-		if id.Seq <= n.executedSeqOf(id.GID) {
+		st := n.live(id)
+		if st == nil || id.GID == n.g || !st.content {
 			continue
 		}
 		switch {

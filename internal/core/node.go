@@ -31,8 +31,8 @@ import (
 	"massbft/internal/pbft"
 	"massbft/internal/plan"
 	"massbft/internal/replication"
-	"massbft/internal/transport"
 	"massbft/internal/statedb"
+	"massbft/internal/transport"
 	"massbft/internal/types"
 )
 
@@ -64,25 +64,12 @@ type entrySt struct {
 	// to hold the entry.
 	firstStampAt time.Duration
 	stampedBy    int
-	// fetchAttempts / nextFetchAt drive the Lemma V.1 fetch retry with
-	// exponential backoff, rotating target group and node per attempt.
-	fetchAttempts int
-	nextFetchAt   time.Duration
-	// firstChunkAt is when the first chunk arrived (repair-timer base);
-	// repairAttempts / nextRepairAt drive the chunk-gap NACK backoff.
-	firstChunkAt   time.Duration
-	repairAttempts int
-	nextRepairAt   time.Duration
+	// firstChunkAt is when the first chunk arrived (chunk-repair evidence).
+	firstChunkAt time.Duration
 	// stampedStreams records which group clocks have stamped this entry.
 	stampedStreams map[int]bool
-	// restampAttempts / nextRestampAt drive the leader's record re-emission
-	// (recovery from records lost to view-change no-op fills).
-	restampAttempts int
-	nextRestampAt   time.Duration
-	// rebroadcastAttempts / nextRebroadcastAt drive the sender-side entry
-	// re-broadcast (recovery from replication copies lost to a partition).
-	rebroadcastAttempts int
-	nextRebroadcastAt   time.Duration
+	// The retry clocks of the four per-entry recovery tasks (recovery.go).
+	fetch, repair, restamp, rebroadcast retry
 }
 
 type streamIn struct {
@@ -93,11 +80,17 @@ type streamIn struct {
 	// stream (repairable gap) from a dead group (takeover/skip territory).
 	lastArrival time.Duration
 	// gapSince is when the cursor first stalled at gapAt with later batches
-	// buffered behind it; repairAttempts/nextRepairAt drive the NACK backoff.
-	gapSince       time.Duration
-	gapAt          uint64
-	repairAttempts int
-	nextRepairAt   time.Duration
+	// buffered behind it (zero: no gap); repair is the NACK's retry clock.
+	gapSince time.Duration
+	gapAt    uint64
+	repair   retry
+}
+
+// setGap records that the cursor stalled at since (zero clears the gap) and
+// restarts the NACK clock.
+func (in *streamIn) setGap(since time.Duration) {
+	in.gapSince, in.gapAt = since, in.next
+	in.repair.reset()
 }
 
 // Node is one protocol participant (exported only through cluster.Node).
@@ -159,7 +152,7 @@ type Node struct {
 
 	// streamView is the per-origin view fence: the highest Record.View
 	// processed on each group's record stream. Records from older meta views
-	// are dropped — a re-emitted record (restampScan after a view change)
+	// are dropped — a re-emitted record (restampTask after a view change)
 	// supersedes any surviving in-flight copy from the deposed leader, and
 	// every node drops the stale copy identically because streams are FIFO.
 	streamView map[int]uint64
@@ -185,11 +178,8 @@ type Node struct {
 	// the keepalive scan emits a RecKeepalive when it idles too long.
 	lastOwnStream time.Duration
 	// lastForeignStamp is the last time a foreign group's stamp landed on one
-	// of our own entries; lastBulkFrom[g] the last time bulk replication data
-	// (a chunk batch or a full entry) arrived from origin g. The recovery
-	// scans read them as path-progress evidence: while the WAN is
-	// demonstrably delivering, retransmission collapses to the single oldest
-	// entry (recovery.go) instead of re-sending a whole stalled tail.
+	// of our own entries; lastBulkFrom[g] the last time a chunk arrived from
+	// origin g: the path-progress evidence of the progress gate (retry.go).
 	lastForeignStamp time.Duration
 	lastBulkFrom     map[int]time.Duration
 	// takeoverSent marks (stream, entry) stamps this node emitted on behalf
@@ -258,7 +248,7 @@ type Node struct {
 	// archive retains recently executed entries (content + certificate) so
 	// this node can still serve Lemma V.1 fetches and chunk-repair NACKs
 	// after execution garbage-collects the live entry state. Bounded to
-	// archiveRetain sequence numbers per group.
+	// partitionHorizon sequence numbers per group.
 	archive map[types.EntryID]*archived
 
 	// Checkpointed rejoin state. tickGen invalidates periodic timers across a
@@ -282,21 +272,6 @@ type archived struct {
 	entry *types.Entry
 	cert  *keys.Certificate
 }
-
-// archiveRetain bounds how many executed sequence numbers per group stay
-// servable. Like batchLogRetain, the window is a partition tolerance horizon,
-// not a single-loss buffer: a receiver severed from an origin misses the
-// origin's entire entry stream for the partition's duration, and must fetch
-// the missed suffix (Lemma V.1, with per-entry exponential backoff) after the
-// heal. Every live node evicts in lockstep — execution is totally ordered —
-// so an entry aged out of ALL archives before the laggard's fetch lands is
-// unservable forever and wedges the laggard's execution permanently (its
-// same-group peers are equally behind, so checkpointed rejoin cannot rescue
-// it). Retention therefore has to cover the longest ride-out partition plus
-// the post-heal fetch backlog drain, at the per-group commit ceiling
-// (~100-200 entries/s in the chaos configs), matching batchLogRetain's
-// horizon rather than the old 512 (≈4 s, which a 4 s partition overran).
-const archiveRetain = 2048
 
 func newNode(ctx *cluster.NodeCtx) *Node {
 	n := &Node{
@@ -448,14 +423,14 @@ func (n *Node) armTicks() {
 	if n.cfg.ViewChangeTimeout > 0 {
 		n.everyAfter(n.cfg.ViewChangeTimeout, n.cfg.ViewChangeTimeout, n.livenessTick)
 	}
-	if n.cfg.RepairTimeout > 0 {
-		n.everyAfter(n.cfg.RepairTimeout, n.cfg.RepairTimeout/2, n.repairTick)
-	} else if n.cfg.TakeoverTimeout > 0 {
-		// No repair cadence configured: the Lemma V.1 entry-fetch scan
-		// (normally driven by repairTick) must still run somewhere.
-		n.everyAfter(n.cfg.TakeoverTimeout, n.cfg.TakeoverTimeout/2, func() {
-			n.fetchMissing(n.now())
-		})
+	// The receiver-side entry walk runs on the repair cadence when one is
+	// configured, else on the takeover cadence (Lemma V.1 fetch only).
+	cadence := n.cfg.RepairTimeout
+	if cadence == 0 {
+		cadence = n.cfg.TakeoverTimeout
+	}
+	if cadence > 0 {
+		n.everyAfter(cadence, cadence/2, n.repairTick)
 	}
 	if n.cfg.CheckpointInterval > 0 {
 		n.everyAfter(n.cfg.CheckpointInterval, n.cfg.CheckpointInterval, n.checkpointTick)
@@ -502,7 +477,7 @@ func (n *Node) onLocalViewChange(view uint64) {
 }
 
 // onMetaViewChange notes meta progress. Records the old leader died holding
-// (queued but uncertified) are re-emitted by the new leader's restampScan
+// (queued but uncertified) are re-emitted by the new leader's restampTask
 // after a patience window — the delay lets the old view's in-flight slots
 // certify first, so the re-emission's clamped stamp value (stampTS) observes
 // them and the group's stream stays monotonic. Re-emissions carry the new

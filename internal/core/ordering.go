@@ -125,15 +125,14 @@ func (n *Node) onMetaBatch(from keys.NodeID, b *cluster.MetaBatch) {
 	// Gap bookkeeping: batches buffered past the cursor mean an earlier batch
 	// was lost in flight; the repair tick NACKs gaps older than RepairTimeout.
 	if len(in.buffered) == 0 {
-		in.gapSince, in.repairAttempts, in.nextRepairAt = 0, 0, 0
+		in.setGap(0)
 	} else if in.gapSince == 0 || in.gapAt != in.next {
-		in.gapSince, in.gapAt = n.now(), in.next
-		in.repairAttempts, in.nextRepairAt = 0, 0
+		in.setGap(n.now())
 	}
 }
 
 // logBatch retains a certified batch for serving stream-gap NACKs, bounded to
-// batchLogRetain sequence numbers per origin.
+// partitionHorizon sequence numbers per origin.
 func (n *Node) logBatch(b *cluster.MetaBatch) {
 	log := n.batchLog[b.FromGroup]
 	if log == nil {
@@ -144,23 +143,14 @@ func (n *Node) logBatch(b *cluster.MetaBatch) {
 		return
 	}
 	log[b.Seq] = b
-	if b.Seq >= batchLogRetain {
-		delete(log, b.Seq-batchLogRetain)
+	if b.Seq >= partitionHorizon {
+		delete(log, b.Seq-partitionHorizon)
 	}
 }
 
-// batchLogRetain bounds the per-origin batch log; gaps older than the window
-// fall back to state transfer (checkpointed rejoin). The window doubles as the
-// partition tolerance horizon: a severed receiver must page the whole missed
-// suffix of an active origin's stream through StreamFetch after the heal, so
-// retention has to cover the batches emitted during the longest partition the
-// failover machinery is meant to ride out (several seconds at the ~200
-// batches/s flush ceiling), not just single lost messages.
-const batchLogRetain = 2048
-
 // processRecords applies certified records from the given origin group,
 // dropping records fenced to a meta view older than the stream's highest: a
-// re-emitted stamp (restampScan) carries the new leader's view, and a
+// re-emitted stamp (restampTask) carries the new leader's view, and a
 // surviving in-flight copy from the deposed leader must not certify with a
 // conflicting value after it. Per-origin streams are FIFO and meta slots
 // commit in order, so a deposed leader's records that did certify (lower
@@ -228,7 +218,7 @@ func (n *Node) onTSRecord(origin int, rec cluster.Record) {
 				// never fires.
 				n.ctx.Metrics.Inc("ts-conflicts")
 			} else {
-				// Same-stream supersession: a re-emitted stamp (restampScan)
+				// Same-stream supersession: a re-emitted stamp (restampTask)
 				// whose clock drifted past the original's in-flight copy, both
 				// certifying in one view. First delivery wins, identically on
 				// every node — records of one origin form a single FIFO stream.
@@ -337,7 +327,7 @@ func (n *Node) noteAccept(group int, id types.EntryID) {
 		// mode. Marking it locally here would let this group execute — and
 		// GC — the entry while the record is still in flight; a meta view
 		// change could then destroy the only copy with nobody left to
-		// re-emit it (restampScan only scans live entries), wedging every
+		// re-emit it (restampTask only walks live entries), wedging every
 		// other group's round cursor forever.
 		n.noteOwnCommit(id.Seq)
 		n.emitRecord(cluster.Record{Kind: cluster.RecCommit, Stream: n.g, Entry: id})
@@ -450,9 +440,10 @@ func (n *Node) takeoverTick() {
 		// failover scans until the certified join activates it.
 		return
 	}
-	n.restampScan(now)
+	ids := n.sortedEntryIDs()
+	n.runTask(&restampTask, ids, now)
 	n.proposalRepairScan(now)
-	n.rebroadcastScan(now)
+	n.runTask(&rebroadcastTask, ids, now)
 	n.keepaliveScan(now)
 	if now < n.cfg.TakeoverTimeout*5 {
 		return // give every group time to start speaking
@@ -491,24 +482,7 @@ func (n *Node) takeoverTick() {
 		if n.successor(s) != n.g || n.streamCursor(s) < n.deadCut[s] {
 			continue
 		}
-		sent := n.takeoverSent[s]
-		if sent == nil {
-			sent = make(map[types.EntryID]bool)
-			n.takeoverSent[s] = sent
-		}
-		frozen := n.lastStreamTS[s]
-		for _, id := range n.sortedEntryIDs() {
-			st := n.entries[id]
-			if id.GID == s || st.executed || sent[id] || st.stampedStreams[s] {
-				continue
-			}
-			if id.Seq <= n.executedSeqOf(id.GID) {
-				continue
-			}
-			sent[id] = true
-			n.ctx.Metrics.Inc("takeover-stamps")
-			n.emitRecord(cluster.Record{Kind: cluster.RecTS, Stream: s, Entry: id, TS: frozen})
-		}
+		n.runTask(n.takeoverStampTask(s), ids, now)
 	}
 }
 
@@ -564,12 +538,16 @@ func (n *Node) execute(id types.EntryID) {
 	for s := range n.takeoverSent {
 		delete(n.takeoverSent[s], id)
 	}
-	// Keep the executed entry servable for straggler recovery, bounded per
-	// group; seqs execute in order, so evicting (seq - archiveRetain) keeps
-	// the window tight without a scan.
+	n.archiveEntry(id, st)
+}
+
+// archiveEntry keeps an executed entry servable for straggler recovery,
+// bounded per group; seqs execute in order, so evicting (seq -
+// partitionHorizon) keeps the window tight without a scan.
+func (n *Node) archiveEntry(id types.EntryID, st *entrySt) {
 	n.archive[id] = &archived{entry: st.entry, cert: st.cert}
-	if id.Seq > archiveRetain {
-		delete(n.archive, types.EntryID{GID: id.GID, Seq: id.Seq - archiveRetain})
+	if id.Seq > partitionHorizon {
+		delete(n.archive, types.EntryID{GID: id.GID, Seq: id.Seq - partitionHorizon})
 	}
 }
 

@@ -24,38 +24,101 @@ func (n *Node) sortedEntryIDs() []types.EntryID {
 	return ids
 }
 
-// Progress-gated retransmission. The per-entry backoffs in the scans below
-// assume the round trip is shorter than their caps — which congestion breaks:
-// with multi-second NIC queues, every retry fires long before the copy it
-// retransmits could possibly have arrived, so the whole stalled tail (a full
-// pipeline window per group) is re-sent as bulk traffic that queues behind
-// the congestion delaying it. That positive feedback loop collapses a run:
-// backlogs grow without bound, the group clocks freeze behind seconds-late
-// stamps, and the failover layer eventually suspects the idle (but alive)
-// streams. The scans therefore distinguish SLOW from DEAD by observed
-// progress: while the relevant traffic is demonstrably still arriving
-// (chunks from the origin, foreign stamps on own entries), retransmission
-// collapses to the single oldest entry per scan — the only one the
-// contiguous clock and executor can block on — and the in-flight copies are
-// left to drain. Only when progress stops for a patience window (a genuine
-// partition, crash, or total loss burst) does the full unbounded sweep run,
-// exactly as it did before this gate existed.
-
-// backoff returns base << min(attempt, 4): exponential, capped at 16x.
-func backoff(base time.Duration, attempt int) time.Duration {
-	if attempt > 4 {
-		attempt = 4
+// The per-entry recovery table: each row is one path, applied to the tick's
+// entry walk by runTask (retry.go). DESIGN.md §6 prints the same rows.
+var (
+	// chunkRepairTask NACKs the missing chunk indexes of entries whose chunk
+	// buckets stalled below n_data past RepairTimeout (encoded replication
+	// only): one rotating LAN peer (which may have rebuilt the entry from a
+	// different chunk subset) and one rotating sender-group node per attempt.
+	// Gate: chunks from this origin still arriving means the stalled buckets'
+	// remainders are mostly queued behind them, not lost.
+	chunkRepairTask = recoveryTask{
+		counter:  "repair-reqs",
+		on:       func(n *Node) bool { return n.collector != nil },
+		clock:    func(st *entrySt) *retry { return &st.repair },
+		armed:    (*Node).chunkRepairArmed,
+		progress: (*Node).lastBulk,
+		fire:     (*Node).chunkRepairFire,
 	}
-	return base << uint(attempt)
-}
+
+	// fetchTask requests content for entries that some group stamped (so some
+	// group provably holds them, Lemma V.1) but that never completed here.
+	// Each attempt rotates the target group and node, so a crashed fetch
+	// target or a lost reply only delays — never strands — the entry. Gate:
+	// while chunks from the origin still arrive, the tail's missing copies are
+	// in flight behind them; fetching would add duplicate full-entry replies.
+	fetchTask = recoveryTask{
+		counter:  "fetch-retries",
+		clock:    func(st *entrySt) *retry { return &st.fetch },
+		armed:    (*Node).fetchArmed,
+		progress: (*Node).lastBulk,
+		fire:     (*Node).fetchFire,
+	}
+
+	// restampTask is the meta leader's record-loss safety net. A queued
+	// record can miss certification entirely — a LAN drop stalls its PBFT
+	// slot, the view change fills the slot with a no-op, and no later event
+	// re-emits it. The ordering layer then wedges: a VTS head with one
+	// permanently-inferred element can never prove precedence (Algorithm 2's
+	// prec), and in round mode a lost accept or commit stalls the round
+	// forever. The task re-queues the expected record for any entry still
+	// lacking it after a patience window.
+	//
+	// Re-emission is safe: records certify on a single FIFO stream per group,
+	// so if both an original and a re-emission certify, every node sees them
+	// in the same order and the orderer's first-delivery-wins rule resolves
+	// them identically everywhere. Across view changes the Record.View fence
+	// (processRecords) additionally guarantees a deposed leader's surviving
+	// copy cannot certify after a new leader's re-emission raised the
+	// stream's view — the patience window here paces re-emission, it is not
+	// load-bearing for correctness.
+	restampTask = recoveryTask{
+		counter: "record-retries",
+		on:      func(n *Node) bool { return n.meta.IsLeader() },
+		clock:   func(st *entrySt) *retry { return &st.restamp },
+		armed:   (*Node).restampArmed,
+		fire:    (*Node).restampFire,
+	}
+
+	// rebroadcastTask re-sends own-group entries whose replication copies
+	// were swallowed by the WAN — the scenario the per-message loss paths
+	// above cannot cure. Chunks are sent exactly once at local commit; under
+	// probabilistic loss some copy always lands and the receiver-side NACKs
+	// (chunk repair, Lemma V.1 fetch) recover the rest. A full partition is
+	// different: every copy of every chunk dies in flight, no foreign node
+	// ever learns the entry exists, so no receiver-side path can trigger.
+	// Without a sender-side retry the group wedges permanently once its
+	// pipeline fills — and, after the partition heals, its clock stream can
+	// never revive, turning a healed partition into a certified group death.
+	// The meta leader therefore re-sends a full entry copy (the §IV-A slow
+	// path; correctness over bandwidth on a rare path) to every group whose
+	// stamp is still missing after a patience window. Gate: foreign stamps
+	// still landing on our entries prove the WAN paths are delivering — the
+	// unstamped tail's chunks are in flight or curable by the receivers'
+	// NACKs. A genuine partition (no stamps at all for a patience window)
+	// gets the full sweep, which is what refills every receiver group
+	// promptly after a heal.
+	rebroadcastTask = recoveryTask{
+		counter:  "entry-rebroadcasts",
+		on:       func(n *Node) bool { return n.meta.IsLeader() },
+		clock:    func(st *entrySt) *retry { return &st.rebroadcast },
+		armed:    (*Node).rebroadcastArmed,
+		progress: func(n *Node, _ int) time.Duration { return n.lastForeignStamp },
+		fire:     (*Node).rebroadcastFire,
+	}
+)
+
+// lastBulk is the receiver-side progress evidence: the last chunk arrival
+// from the origin group.
+func (n *Node) lastBulk(origin int) time.Duration { return n.lastBulkFrom[origin] }
 
 // proposalSt retains an own proposal until its seq certifies locally, so the
 // proposer can re-issue it if a view change destroys the slot.
 type proposalSt struct {
-	enc      []byte
-	at       time.Duration
-	attempts int
-	nextAt   time.Duration
+	enc   []byte
+	at    time.Duration
+	retry retry
 }
 
 // proposalRepairScan re-proposes own entries whose seq never certified
@@ -69,12 +132,9 @@ func (n *Node) proposalRepairScan(now time.Duration) {
 	if len(n.proposed) == 0 {
 		return
 	}
-	patience := n.cfg.ViewChangeTimeout
+	patience := n.cfg.ViewChangeTimeout // the takeover tick implies TakeoverTimeout > 0
 	if n.cfg.TakeoverTimeout > patience {
 		patience = n.cfg.TakeoverTimeout
-	}
-	if patience == 0 {
-		return
 	}
 	seqs := make([]uint64, 0, len(n.proposed))
 	for s := range n.proposed {
@@ -92,11 +152,10 @@ func (n *Node) proposalRepairScan(now time.Duration) {
 			delete(n.proposed, s)
 			continue
 		}
-		if now-p.at < patience || now < p.nextAt {
+		if !p.retry.ready(now, p.at, patience) {
 			continue
 		}
-		p.attempts++
-		p.nextAt = now + backoff(patience, p.attempts)
+		p.retry.next(now, 2*patience)
 		n.ctx.Metrics.Inc("proposal-retries")
 		if n.local.IsLeader() {
 			_ = n.local.Propose(p.enc)
@@ -127,72 +186,49 @@ func (n *Node) onProposalFwd(from keys.NodeID, m *cluster.ProposalFwd) {
 	_ = n.local.Propose(m.Payload)
 }
 
-// fetchMissing requests content for entries that some group stamped (so some
-// group provably holds them, Lemma V.1) but that never completed here. Each
-// attempt rotates the target group and node with exponential backoff, so a
-// crashed fetch target or a lost reply only delays — never strands — the
-// entry. The local leader retries first; followers hold back 3x longer so a
-// healthy leader path does not trigger a group-wide fetch storm.
+// fetchArmed arms on the first foreign stamp without local content. The local
+// leader retries first; followers hold back 3x longer so a healthy leader
+// path does not trigger a group-wide fetch storm.
 //
 // Globally committed entries are the exception to the hold-back: the commit
 // certifies that a majority of groups holds the content and the ordering
 // pipeline is about to block on it, so a copy still missing at commit time
 // is overdue, not merely slow — those fetch on the repair cadence, leaders
 // and followers alike.
-func (n *Node) fetchMissing(now time.Duration) {
-	patience := n.cfg.TakeoverTimeout
+func (n *Node) fetchArmed(_ types.EntryID, st *entrySt) (since, patience, base time.Duration) {
+	if st.content {
+		return 0, 0, 0
+	}
+	if (st.committed || st.commitSeen) && n.cfg.RepairTimeout > 0 {
+		return st.firstStampAt, n.cfg.RepairTimeout, n.cfg.RepairTimeout
+	}
+	patience = n.cfg.TakeoverTimeout
 	if !n.local.IsLeader() {
 		patience *= 3
 	}
-	budget := make(map[int]int)
-	for _, id := range n.sortedEntryIDs() {
-		st := n.entries[id]
-		if st.content || st.firstStampAt == 0 || st.executed {
-			continue
-		}
-		if id.Seq <= n.executedSeqOf(id.GID) {
-			continue
-		}
-		pat, base := patience, n.cfg.TakeoverTimeout
-		if (st.committed || st.commitSeen) && n.cfg.RepairTimeout > 0 {
-			pat, base = n.cfg.RepairTimeout, n.cfg.RepairTimeout
-		}
-		if now-st.firstStampAt < pat || now < st.nextFetchAt {
-			continue
-		}
-		// Progress gate (see the comment atop this file), checked after the
-		// time gates so a skipped entry keeps its backoff state untouched:
-		// while chunk traffic from this origin is still arriving, the tail's
-		// missing copies are overwhelmingly in flight behind it — fetch only
-		// the oldest per scan and let the pipe drain instead of stuffing it
-		// with duplicate full-entry replies.
-		if lb := n.lastBulkFrom[id.GID]; lb != 0 && now-lb < pat && budget[id.GID] >= 1 {
-			continue
-		}
-		budget[id.GID]++
-		attempt := st.fetchAttempts
-		st.fetchAttempts++
-		st.nextFetchAt = now + backoff(base, attempt)
-		target := n.fetchTarget(id, st, attempt)
-		if target == n.id {
-			continue
-		}
-		req := &cluster.EntryFetch{Entry: id}
-		n.ctx.Net.SendPriority(target, req, req.WireSize())
-		if attempt > 0 {
-			n.ctx.Metrics.Inc("fetch-retries")
-		}
-	}
+	return st.firstStampAt, patience, n.cfg.TakeoverTimeout
 }
 
-// fetchTarget picks the fetch destination for one attempt: candidate groups
-// are every group known (or presumed) to hold the entry — this node's own
-// group first (a converged LAN peer serves in a LAN round trip over a link
-// that is both faster and far more reliable than the WAN), then the stamping
-// group, every group whose clock stream stamped it, and the entry's own
-// origin group. Attempts walk groups first, then node indexes within each
-// group.
-func (n *Node) fetchTarget(id types.EntryID, st *entrySt, attempt int) keys.NodeID {
+func (n *Node) fetchFire(now time.Duration, id types.EntryID, st *entrySt, base time.Duration) int {
+	attempt := st.fetch.next(now, base)
+	target, ok := n.remotePeer(n.fetchGroups(id, st), attempt)
+	if !ok {
+		return 0
+	}
+	req := &cluster.EntryFetch{Entry: id}
+	n.ctx.Net.SendPriority(target, req, req.WireSize())
+	if attempt == 0 {
+		return 0 // a first fetch is not a retry
+	}
+	return 1
+}
+
+// fetchGroups lists the groups known (or presumed) to hold the entry, in
+// fetch order: this node's own group first (a converged LAN peer serves in a
+// LAN round trip over a link that is both faster and far more reliable than
+// the WAN), then the stamping group, every group whose clock stream stamped
+// it, and the entry's own origin group.
+func (n *Node) fetchGroups(id types.EntryID, st *entrySt) []int {
 	seen := map[int]bool{st.stampedBy: true, id.GID: true}
 	for s := range st.stampedStreams {
 		if s >= 0 && s < n.ng {
@@ -206,32 +242,25 @@ func (n *Node) fetchTarget(id types.EntryID, st *entrySt, attempt int) keys.Node
 		cands = append(cands, g)
 	}
 	sort.Ints(cands[1:])
-	g := cands[attempt%len(cands)]
-	// Requester-offset rotation: spread concurrent fetchers over the serving
-	// group's members (and their uplinks) rather than hammering member 0.
-	idx := (n.id.Index + attempt/len(cands)) % n.cfg.GroupSizes[g]
-	target := keys.NodeID{Group: g, Index: idx}
-	if target == n.id {
-		target.Index = (idx + 1) % n.cfg.GroupSizes[g]
-	}
-	return target
+	return cands
 }
 
-// repairTick drives the lossy-network NACK paths: chunk-gap repair for
-// stalled Collector buckets (encoded replication only), stream-gap repair for
-// stalled record-stream cursors, and certified slot catch-up for stalled PBFT
-// delivery cursors (all presets).
+// repairTick drives the receiver-side recovery paths: chunk-gap repair for
+// stalled Collector buckets, stream-gap repair for stalled record-stream
+// cursors, certified slot catch-up for stalled PBFT delivery cursors, and the
+// Lemma V.1 entry fetch — here and not on the takeover tick because a
+// committed entry's missing content must be curable faster than the coarse
+// takeover period, or it loses the race against run/drain ends. With no
+// repair cadence configured (armTicks) only the fetch is armed.
 func (n *Node) repairTick() {
 	now := n.now()
-	if n.collector != nil {
-		n.chunkRepairScan(now)
+	ids := n.sortedEntryIDs()
+	if n.cfg.RepairTimeout > 0 {
+		n.runTask(&chunkRepairTask, ids, now)
+		n.streamRepairScan(now)
+		n.slotRepairScan(now)
 	}
-	n.streamRepairScan(now)
-	n.slotRepairScan(now)
-	// Entry fetch lives on the repair cadence (not the takeover tick): a
-	// committed entry's missing content must be curable faster than the
-	// coarse takeover period, or it loses the race against run/drain ends.
-	n.fetchMissing(now)
+	n.runTask(&fetchTask, ids, now)
 }
 
 // pbftWatch tracks one PBFT instance's delivery cursor between repair ticks.
@@ -264,67 +293,43 @@ func (n *Node) instanceRepair(in *pbft.Instance, w *pbftWatch, now time.Duration
 	n.ctx.Metrics.Inc("slot-catchups")
 }
 
-// chunkRepairScan scans for entries whose chunk buckets stalled below n_data
-// past RepairTimeout and NACKs the missing chunk indexes: one rotating LAN
-// peer (which may have rebuilt the entry from a different chunk subset) and
-// one rotating sender-group node are asked per attempt, with exponential
-// backoff.
-func (n *Node) chunkRepairScan(now time.Duration) {
-	budget := make(map[int]int)
-	for _, id := range n.sortedEntryIDs() {
-		st := n.entries[id]
-		if st.content || st.executed || st.firstChunkAt == 0 || id.GID == n.g {
-			continue
-		}
-		if id.Seq <= n.executedSeqOf(id.GID) {
-			continue
-		}
-		if now-st.firstChunkAt < n.cfg.RepairTimeout || now < st.nextRepairAt {
-			continue
-		}
-		_, missing, ok := n.collector.Missing(id)
-		if !ok || len(missing) == 0 {
-			continue
-		}
-		// Progress gate: chunks from this origin still arriving means the
-		// stalled buckets' remainders are mostly queued behind them, not
-		// lost — NACK only the oldest per scan. (Backoff state untouched, so
-		// the next scan retries oldest-first.)
-		if lb := n.lastBulkFrom[id.GID]; lb != 0 &&
-			now-lb < n.cfg.RepairTimeout && budget[id.GID] >= 1 {
-			continue
-		}
-		budget[id.GID]++
-		attempt := st.repairAttempts
-		st.repairAttempts++
-		st.nextRepairAt = now + backoff(n.cfg.RepairTimeout, attempt)
-		req := &cluster.ChunkRepairReq{Entry: id, Missing: missing}
-		// One LAN peer: it may hold (or have rebuilt) chunks we lost.
-		if gs := n.cfg.GroupSizes[n.g]; gs > 1 {
-			peer := keys.NodeID{Group: n.g, Index: (n.id.Index + 1 + attempt) % gs}
-			if peer == n.id {
-				peer.Index = (peer.Index + 1) % gs
-			}
-			n.ctx.Net.SendPriority(peer, req, req.WireSize())
-			n.ctx.Metrics.Inc("repair-reqs")
-		}
-		// One alternate sender-group node (rotated, so a crashed or
-		// partitioned sender is skipped on the next attempt). The rotation
-		// starts at the requester's own index so concurrent requesters spread
-		// over the sender group's uplinks instead of all hitting member 0 —
-		// which is also the leader, whose uplink is the busiest link there is.
-		sender := keys.NodeID{Group: id.GID,
-			Index: (n.id.Index + attempt) % n.cfg.GroupSizes[id.GID]}
-		n.ctx.Net.SendPriority(sender, req, req.WireSize())
-		n.ctx.Metrics.Inc("repair-reqs")
+func (n *Node) chunkRepairArmed(id types.EntryID, st *entrySt) (since, patience, base time.Duration) {
+	if st.content || id.GID == n.g || st.firstChunkAt == 0 {
+		return 0, 0, 0
 	}
+	if _, missing, ok := n.collector.Missing(id); !ok || len(missing) == 0 {
+		return 0, 0, 0
+	}
+	return st.firstChunkAt, n.cfg.RepairTimeout, n.cfg.RepairTimeout
+}
+
+func (n *Node) chunkRepairFire(now time.Duration, id types.EntryID, st *entrySt, base time.Duration) int {
+	_, missing, _ := n.collector.Missing(id)
+	req := &cluster.ChunkRepairReq{Entry: id, Missing: missing}
+	return n.nack(req, st.repair.next(now, base), []int{id.GID})
+}
+
+// nack sends a repair request to one rotating LAN peer — it may hold (or have
+// rebuilt) what we lost — and to one rotating member of the given groups, so
+// a crashed or partitioned server is skipped on the next attempt. It returns
+// how many requests went out.
+func (n *Node) nack(req interface{ WireSize() int }, attempt int, groups []int) int {
+	sent := 0
+	if peer, ok := n.lanPeer(attempt); ok {
+		n.ctx.Net.SendPriority(peer, req, req.WireSize())
+		sent++
+	}
+	if peer, ok := n.remotePeer(groups, attempt); ok {
+		n.ctx.Net.SendPriority(peer, req, req.WireSize())
+		sent++
+	}
+	return sent
 }
 
 // streamRepairScan NACKs record-stream gaps older than RepairTimeout: the
 // cursor is stalled with later batches buffered behind it, so an in-flight
-// MetaBatch was lost (batches are broadcast once, unacknowledged). One
-// rotating LAN peer and one rotating origin-group node are asked to
-// retransmit from the cursor, with exponential backoff.
+// MetaBatch was lost (batches are broadcast once, unacknowledged). The
+// retransmission from the cursor is requested with exponential backoff.
 func (n *Node) streamRepairScan(now time.Duration) {
 	for g := 0; g < n.ng; g++ {
 		in := n.streams[g]
@@ -337,29 +342,12 @@ func (n *Node) streamRepairScan(now time.Duration) {
 		// later batches arrive — and the dead origin sends nothing). The cut
 		// acts as a virtual later batch: arm the gap so the fetch below runs.
 		if in.gapSince == 0 && n.deadGroups[g] && in.next < n.deadCut[g] {
-			in.gapSince, in.gapAt = now, in.next
-			in.repairAttempts, in.nextRepairAt = 0, 0
+			in.setGap(now)
 		}
-		if in.gapSince == 0 {
+		if in.gapSince == 0 || !in.repair.ready(now, in.gapSince, n.cfg.RepairTimeout) {
 			continue
 		}
-		if now-in.gapSince < n.cfg.RepairTimeout || now < in.nextRepairAt {
-			continue
-		}
-		attempt := in.repairAttempts
-		in.repairAttempts++
-		in.nextRepairAt = now + backoff(n.cfg.RepairTimeout, attempt)
-		req := &cluster.StreamFetch{Origin: g, From: in.next}
-		if gs := n.cfg.GroupSizes[n.g]; gs > 1 {
-			peer := keys.NodeID{Group: n.g, Index: (n.id.Index + 1 + attempt) % gs}
-			if peer == n.id {
-				peer.Index = (peer.Index + 1) % gs
-			}
-			n.ctx.Net.SendPriority(peer, req, req.WireSize())
-			n.ctx.Metrics.Inc("stream-repair-reqs")
-		}
-		src := keys.NodeID{Group: g,
-			Index: (n.id.Index + attempt) % n.cfg.GroupSizes[g]}
+		from := []int{g}
 		if n.deadGroups[g] {
 			// The origin is dead; rotate over live foreign groups instead —
 			// every group logged the batches it relayed (batchLog), and the
@@ -371,179 +359,132 @@ func (n *Node) streamRepairScan(now time.Duration) {
 				}
 			}
 			if len(live) > 0 {
-				lg := live[attempt%len(live)]
-				src = keys.NodeID{Group: lg, Index: (attempt / len(live)) % n.cfg.GroupSizes[lg]}
+				from = live
 			}
 		}
-		n.ctx.Net.SendPriority(src, req, req.WireSize())
-		n.ctx.Metrics.Inc("stream-repair-reqs")
+		req := &cluster.StreamFetch{Origin: g, From: in.next}
+		sent := n.nack(req, in.repair.next(now, n.cfg.RepairTimeout), from)
+		n.ctx.Metrics.Add("stream-repair-reqs", int64(sent))
 	}
 }
 
-// restampScan is the meta leader's record-loss safety net. A queued record
-// can miss certification entirely — a LAN drop stalls its PBFT slot, the view
-// change fills the slot with a no-op, and no later event re-emits it. The
-// ordering layer then wedges: a VTS head with one permanently-inferred element
-// can never prove precedence (Algorithm 2's prec), and in round mode a lost
-// accept or commit stalls the round forever. The scan re-queues the expected
-// record for any entry still lacking it after a patience window.
-//
-// Re-emission is safe: records certify on a single FIFO stream per group, so
-// if both an original and a re-emission certify, every node sees them in the
-// same order and the orderer's first-delivery-wins rule resolves them
-// identically everywhere. Across view changes the Record.View fence
-// (processRecords) additionally guarantees a deposed leader's surviving copy
-// cannot certify after a new leader's re-emission raised the stream's view —
-// the patience window here paces re-emission, it is not load-bearing for
-// correctness.
-func (n *Node) restampScan(now time.Duration) {
-	if !n.meta.IsLeader() {
-		return
+// restampArmed arms once the entry has been known here (content or a foreign
+// stamp) for a takeover window; re-emissions back off from twice that.
+func (n *Node) restampArmed(_ types.EntryID, st *entrySt) (since, patience, base time.Duration) {
+	since = st.contentAt
+	if st.firstStampAt > since {
+		since = st.firstStampAt
 	}
-	// Skip records already queued locally (awaiting flush or restored after a
-	// failed propose) — those are not lost, just not certified yet.
-	type recKey struct {
-		kind   int
-		stream int
-		id     types.EntryID
+	return since, n.cfg.TakeoverTimeout, 2 * n.cfg.TakeoverTimeout
+}
+
+func (n *Node) restampFire(now time.Duration, id types.EntryID, st *entrySt, base time.Duration) int {
+	rec, ok := n.expectedRecord(id, st)
+	if !ok || n.recordQueued(rec) {
+		return 0
 	}
-	queued := make(map[recKey]bool, len(n.pendingRecs))
-	for _, r := range n.pendingRecs {
-		queued[recKey{r.Kind, r.Stream, r.Entry}] = true
-	}
-	patience := n.cfg.TakeoverTimeout
-	quorum := (n.ng-1)/2 + 1
+	st.restamp.next(now, base)
+	n.emitRecord(rec)
+	return 1
+}
+
+// expectedRecord returns the record of this group that the entry should have
+// seen certified by now and has not, if any.
+func (n *Node) expectedRecord(id types.EntryID, st *entrySt) (cluster.Record, bool) {
 	async := n.opts.Ordering == cluster.OrderAsync
-	requeue := func(st *entrySt, rec cluster.Record) {
-		if queued[recKey{rec.Kind, rec.Stream, rec.Entry}] {
-			return
+	overlap := async && n.opts.OverlapVTS
+	stamped := st.stampedStreams[n.g]
+	switch {
+	case id.GID == n.g && overlap:
+		// Own entries: the self stamp's VALUE never needs recovery — its
+		// assignment is preset deterministically (vts[g] = seq) on every
+		// node. But in overlap mode the certified record itself doubles as
+		// clock gossip: it is what raises other groups' inference bounds
+		// for our stream. advanceClock emits it exactly once, at the
+		// instant the clock walks past the entry, so if a meta view change
+		// destroys that slot (or leadership moves mid-walk, with the new
+		// leader's clock already advanced) the stream's visible clock pins
+		// forever and every remote orderer head wedges on the stale bound.
+		// Re-emission is exact — the assignment is TS == seq.
+		if id.Seq <= n.clk && !stamped {
+			return cluster.Record{Kind: cluster.RecTS, Stream: n.g, Entry: id, TS: id.Seq}, true
 		}
-		st.restampAttempts++
-		st.nextRestampAt = now + backoff(patience, st.restampAttempts)
-		n.emitRecord(rec)
-		n.ctx.Metrics.Inc("record-retries")
-	}
-	for _, id := range n.sortedEntryIDs() {
-		st := n.entries[id]
-		if st.executed || id.Seq <= n.executedSeqOf(id.GID) || now < st.nextRestampAt {
-			continue
+	case id.GID == n.g:
+		// Serial and round modes: local committed flips only when our own
+		// commit record certifies in our own stream, so its absence past
+		// patience means the record was lost (e.g. a meta view change
+		// destroyed the slot); re-emit under backoff until it certifies.
+		if (async || n.opts.GlobalConsensus) && st.commitSeen && !st.committed {
+			return cluster.Record{Kind: cluster.RecCommit, Stream: n.g, Entry: id}, true
 		}
-		born := st.contentAt
-		if st.firstStampAt > born {
-			born = st.firstStampAt
+	case overlap:
+		// Our stamp doubles as our accept; until it certifies
+		// (stampedStreams[n.g] via our own stream) the origin may be stuck
+		// short of quorum and every orderer head short of our element.
+		if !stamped && (st.content || len(st.stamps) >= (n.ng-1)/2+1) {
+			st.tsSent = true
+			return cluster.Record{Kind: cluster.RecTS, Stream: n.g, Entry: id, TS: n.stampTS()}, true
 		}
-		if born == 0 || now-born < patience {
-			continue
+	case async || n.opts.GlobalConsensus:
+		if st.content && !st.committed {
+			return cluster.Record{Kind: cluster.RecAccept, Stream: n.g, Entry: id}, true
 		}
-		if id.GID == n.g {
-			// Own entries: the self stamp's VALUE never needs recovery — its
-			// assignment is preset deterministically (vts[g] = seq) on every
-			// node. But in overlap mode the certified record itself doubles as
-			// clock gossip: it is what raises other groups' inference bounds
-			// for our stream. advanceClock emits it exactly once, at the
-			// instant the clock walks past the entry, so if a meta view change
-			// destroys that slot (or leadership moves mid-walk, with the new
-			// leader's clock already advanced) the stream's visible clock pins
-			// forever and every remote orderer head wedges on the stale bound.
-			// Re-emission is exact — the assignment is TS == seq.
-			if async && n.opts.OverlapVTS && id.Seq <= n.clk && !st.stampedStreams[n.g] {
-				requeue(st, cluster.Record{Kind: cluster.RecTS, Stream: n.g, Entry: id, TS: id.Seq})
-			}
-			if async && !n.opts.OverlapVTS && st.commitSeen && !st.committed {
-				// Serial mode: local committed flips only when our own commit
-				// record certifies, so its absence means the record was lost.
-				requeue(st, cluster.Record{Kind: cluster.RecCommit, Stream: n.g, Entry: id})
-			}
-			if !async && n.opts.GlobalConsensus && st.commitSeen && !st.committed {
-				// Round mode: committed flips only at certification in our
-				// own stream, so its absence past patience means the commit
-				// record was lost (e.g. a meta view change destroyed the
-				// slot); re-emit under backoff until it certifies.
-				requeue(st, cluster.Record{Kind: cluster.RecCommit, Stream: n.g, Entry: id})
-			}
-			continue
-		}
-		switch {
-		case async && n.opts.OverlapVTS:
-			// Our stamp doubles as our accept; until it certifies
-			// (stampedStreams[n.g] via our own stream) the origin may be stuck
-			// short of quorum and every orderer head short of our element.
-			if !st.stampedStreams[n.g] && (st.content || len(st.stamps) >= quorum) {
-				st.tsSent = true
-				requeue(st, cluster.Record{Kind: cluster.RecTS, Stream: n.g, Entry: id, TS: n.stampTS()})
-			}
-		case async:
-			if st.content && !st.committed {
-				requeue(st, cluster.Record{Kind: cluster.RecAccept, Stream: n.g, Entry: id})
-			} else if st.committed && !st.stampedStreams[n.g] {
-				st.tsSent = true
-				requeue(st, cluster.Record{Kind: cluster.RecTS, Stream: n.g, Entry: id, TS: n.stampTS()})
-			}
-		case n.opts.GlobalConsensus:
-			if st.content && !st.committed {
-				requeue(st, cluster.Record{Kind: cluster.RecAccept, Stream: n.g, Entry: id})
-			}
+		if async && st.committed && !stamped {
+			st.tsSent = true
+			return cluster.Record{Kind: cluster.RecTS, Stream: n.g, Entry: id, TS: n.stampTS()}, true
 		}
 	}
+	return cluster.Record{}, false
 }
 
-// rebroadcastScan re-sends own-group entries whose replication copies were
-// swallowed by the WAN — the scenario the per-message loss paths above cannot
-// cure. Chunks are sent exactly once at local commit; under probabilistic loss
-// some copy always lands and the receiver-side NACKs (chunk repair, Lemma V.1
-// fetch) recover the rest. A full partition is different: every copy of every
-// chunk dies in flight, no foreign node ever learns the entry exists, so no
-// receiver-side path can trigger. Without a sender-side retry the group wedges
-// permanently once its pipeline fills — and, after the partition heals, its
-// clock stream can never revive, turning a healed partition into a certified
-// group death. The meta leader therefore re-sends a full entry copy (the §IV-A
-// slow path; correctness over bandwidth on a rare path) to every group whose
-// stamp is still missing after a patience window.
-func (n *Node) rebroadcastScan(now time.Duration) {
-	if !n.meta.IsLeader() {
-		return
+// rebroadcastArmed arms on own entries that hold content but no stamp quorum
+// two takeover windows after local certification.
+func (n *Node) rebroadcastArmed(id types.EntryID, st *entrySt) (since, patience, base time.Duration) {
+	if id.GID != n.g || !st.content || st.committed || st.commitSeen ||
+		len(st.stamps) >= (n.ng-1)/2+1 {
+		return 0, 0, 0
 	}
-	patience := 2 * n.cfg.TakeoverTimeout
-	if patience == 0 {
-		return
+	return st.contentAt, 2 * n.cfg.TakeoverTimeout, 4 * n.cfg.TakeoverTimeout
+}
+
+func (n *Node) rebroadcastFire(now time.Duration, _ types.EntryID, st *entrySt, base time.Duration) int {
+	st.rebroadcast.next(now, base)
+	msg := &cluster.EntryWAN{E: &replication.EntryMsg{Entry: st.entry, Cert: st.cert}}
+	for r := 0; r < n.ng; r++ {
+		if r == n.g || st.stamps[r] || n.deadGroups[r] {
+			continue
+		}
+		copies := n.ctx.Reg.Faulty(r) + 1
+		for j := 0; j < copies && j < n.cfg.GroupSizes[r]; j++ {
+			n.ctx.Net.Send(keys.NodeID{Group: r, Index: j}, msg, msg.WireSize())
+		}
 	}
-	quorum := (n.ng-1)/2 + 1
-	sent := 0
-	for _, id := range n.sortedEntryIDs() {
-		st := n.entries[id]
-		if id.GID != n.g || !st.content || st.executed || st.committed || st.commitSeen {
-			continue
-		}
-		if id.Seq <= n.executedSeqOf(n.g) || len(st.stamps) >= quorum {
-			continue
-		}
-		if now-st.contentAt < patience || now < st.nextRebroadcastAt {
-			continue
-		}
-		// Progress gate: foreign stamps still landing on our entries prove
-		// the WAN paths are delivering — the unstamped tail's chunks are in
-		// flight or curable by the receivers' NACKs, and a full-entry re-send
-		// would only deepen the congestion delaying them. Keep the oldest
-		// entry's rebroadcast as the liveness safety net; a genuine partition
-		// (no stamps at all for a patience window) gets the full sweep, which
-		// is what refills every receiver group promptly after a heal.
-		if n.lastForeignStamp != 0 && now-n.lastForeignStamp < patience && sent >= 1 {
-			break // oldest-first; the tail rides the next tick
-		}
-		sent++
-		st.rebroadcastAttempts++
-		st.nextRebroadcastAt = now + backoff(patience, st.rebroadcastAttempts)
-		msg := &cluster.EntryWAN{E: &replication.EntryMsg{Entry: st.entry, Cert: st.cert}}
-		for r := 0; r < n.ng; r++ {
-			if r == n.g || st.stamps[r] || n.deadGroups[r] {
-				continue
+	return 1
+}
+
+// takeoverStampTask is the table row for certified-dead stream s: the
+// successor's meta leader assigns the dead group's frozen clock value to
+// every live entry on its behalf (§V-C), once per entry (takeoverSent).
+func (n *Node) takeoverStampTask(s int) *recoveryTask {
+	sent := n.takeoverSent[s]
+	if sent == nil {
+		sent = make(map[types.EntryID]bool)
+		n.takeoverSent[s] = sent
+	}
+	frozen := n.lastStreamTS[s]
+	return &recoveryTask{
+		counter: "takeover-stamps",
+		armed: func(_ *Node, id types.EntryID, st *entrySt) (since, _, _ time.Duration) {
+			if id.GID == s || sent[id] || st.stampedStreams[s] {
+				return 0, 0, 0
 			}
-			copies := n.ctx.Reg.Faulty(r) + 1
-			for j := 0; j < copies && j < n.cfg.GroupSizes[r]; j++ {
-				n.ctx.Net.Send(keys.NodeID{Group: r, Index: j}, msg, msg.WireSize())
-			}
-		}
-		n.ctx.Metrics.Inc("entry-rebroadcasts")
+			return 1, 0, 0 // armed by the certified death itself
+		},
+		fire: func(n *Node, _ time.Duration, id types.EntryID, _ *entrySt, _ time.Duration) int {
+			sent[id] = true
+			n.emitRecord(cluster.Record{Kind: cluster.RecTS, Stream: s, Entry: id, TS: frozen})
+			return 1
+		},
 	}
 }
 

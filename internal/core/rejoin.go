@@ -77,8 +77,8 @@ func (n *Node) foldCheckpoint(have uint64) *cluster.Checkpoint {
 		ck.Round, ck.Skipped = n.rounds.Export()
 	}
 	for _, id := range n.sortedEntryIDs() {
-		st := n.entries[id]
-		if st.executed || id.Seq <= n.executedSeqOf(id.GID) {
+		st := n.live(id)
+		if st == nil {
 			continue
 		}
 		pe := cluster.PendingEntry{
@@ -132,19 +132,29 @@ func (n *Node) Rejoin() {
 	n.rejoinAttempts = 0
 	n.rejoinBuf = nil
 	n.armTicks()
-	n.sendRejoinReq()
+	n.sendTransferReq()
 }
 
-// sendRejoinReq asks the next group peer (rotating per attempt) for a state
-// transfer, and re-fires until a checkpoint installs.
-func (n *Node) sendRejoinReq() {
+// sendTransferReq asks the next peer (rotating per attempt) for a state
+// transfer, and re-fires every RejoinTimeout until a checkpoint installs. A
+// crashed node asks its own group's peers; a cold standby node has none that
+// hold state and asks the active groups across the WAN (membership.go).
+func (n *Node) sendTransferReq() {
 	if !n.rejoining {
 		return
 	}
-	gs := n.cfg.GroupSizes[n.g]
-	peer := keys.NodeID{Group: n.g, Index: (n.id.Index + 1 + n.rejoinAttempts) % gs}
-	if peer == n.id {
-		peer.Index = (peer.Index + 1) % gs
+	peer, _ := n.lanPeer(n.rejoinAttempts)
+	if n.selfStandby {
+		var active []int
+		for g := 0; g < n.ng; g++ {
+			if g != n.g && !n.deadGroups[g] {
+				active = append(active, g)
+			}
+		}
+		if len(active) == 0 {
+			return
+		}
+		peer, _ = n.remotePeer(active, n.rejoinAttempts)
 	}
 	n.rejoinAttempts++
 	req := &cluster.RejoinReq{Have: n.ledger.Height()}
@@ -152,7 +162,7 @@ func (n *Node) sendRejoinReq() {
 	gen := n.tickGen
 	n.ctx.Net.After(n.cfg.RejoinTimeout, func() {
 		if n.tickGen == gen && n.rejoining {
-			n.sendRejoinReq()
+			n.sendTransferReq()
 		}
 	})
 }

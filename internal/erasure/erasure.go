@@ -187,18 +187,6 @@ func (e *Encoder) parityInto(i int, data [][]byte, dst []byte) {
 // with zeros to a multiple of the shard size; callers must remember the
 // original length to undo the padding (see Join).
 func (e *Encoder) Split(data []byte) ([][]byte, error) {
-	return e.split(data, 1)
-}
-
-// SplitParallel is Split with parity generation fanned out over up to
-// workers goroutines. Parity rows are disjoint outputs, so the result is
-// bit-identical to the serial path regardless of scheduling; workers <= 1
-// degenerates to Split.
-func (e *Encoder) SplitParallel(data []byte, workers int) ([][]byte, error) {
-	return e.split(data, workers)
-}
-
-func (e *Encoder) split(data []byte, workers int) ([][]byte, error) {
 	if len(data) == 0 {
 		return nil, errors.New("erasure: empty data")
 	}
@@ -213,26 +201,9 @@ func (e *Encoder) split(data []byte, workers int) ([][]byte, error) {
 	}
 	// Parity shards: rows dataShards..total-1 of the matrix times data.
 	dataView := shards[:e.dataShards]
-	if workers > e.parityShards {
-		workers = e.parityShards
+	for i := e.dataShards; i < e.total; i++ {
+		e.parityInto(i, dataView, shards[i])
 	}
-	if workers <= 1 {
-		for i := e.dataShards; i < e.total; i++ {
-			e.parityInto(i, dataView, shards[i])
-		}
-		return shards, nil
-	}
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := e.dataShards + w; i < e.total; i += workers {
-				e.parityInto(i, dataView, shards[i])
-			}
-		}(w)
-	}
-	wg.Wait()
 	return shards, nil
 }
 
@@ -322,7 +293,7 @@ func rowInto(row []byte, srcs [][]byte, dst []byte) {
 // Present shards are trusted to be correct — callers verify chunk integrity
 // separately (Merkle proofs in MassBFT, §IV-C).
 func (e *Encoder) Reconstruct(shards [][]byte) error {
-	return e.reconstruct(shards, true, 1)
+	return e.reconstruct(shards, true)
 }
 
 // ReconstructData fills in only the missing data shards, skipping the parity
@@ -330,16 +301,10 @@ func (e *Encoder) Reconstruct(shards [][]byte) error {
 // data shards immediately after, so regenerating the missing parity rows
 // (over half the total rows at the paper geometry) is pure waste.
 func (e *Encoder) ReconstructData(shards [][]byte) error {
-	return e.reconstruct(shards, false, 1)
+	return e.reconstruct(shards, false)
 }
 
-// ReconstructParallel is Reconstruct with the per-row solves fanned out over
-// up to workers goroutines; output is bit-identical to the serial path.
-func (e *Encoder) ReconstructParallel(shards [][]byte, workers int) error {
-	return e.reconstruct(shards, true, workers)
-}
-
-func (e *Encoder) reconstruct(shards [][]byte, withParity bool, workers int) error {
+func (e *Encoder) reconstruct(shards [][]byte, withParity bool) error {
 	if len(shards) != e.total {
 		return fmt.Errorf("erasure: got %d shards, want %d", len(shards), e.total)
 	}
@@ -380,58 +345,25 @@ func (e *Encoder) reconstruct(shards [][]byte, withParity bool, workers int) err
 		for c, p := range present {
 			srcs[c] = shards[p]
 		}
-		solve := func(r int) {
+		for _, r := range missingData {
 			buf := make([]byte, size)
 			rowInto(inv.Row(r), srcs, buf)
 			shards[r] = buf
 		}
-		runRows(missingData, workers, solve)
 	}
 	if !withParity {
 		return nil
 	}
 	// Recompute any missing parity from the (now complete) data shards.
-	var missingParity []int
+	dataView := shards[:e.dataShards]
 	for i := e.dataShards; i < e.total; i++ {
 		if shards[i] == nil {
-			missingParity = append(missingParity, i)
-		}
-	}
-	if len(missingParity) > 0 {
-		dataView := shards[:e.dataShards]
-		runRows(missingParity, workers, func(i int) {
 			buf := make([]byte, size)
 			e.parityInto(i, dataView, buf)
 			shards[i] = buf
-		})
+		}
 	}
 	return nil
-}
-
-// runRows invokes fn for every row index, fanning out over up to workers
-// goroutines. Rows are disjoint outputs, so any schedule yields identical
-// results.
-func runRows(rows []int, workers int, fn func(int)) {
-	if workers > len(rows) {
-		workers = len(rows)
-	}
-	if workers <= 1 {
-		for _, r := range rows {
-			fn(r)
-		}
-		return
-	}
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := w; i < len(rows); i += workers {
-				fn(rows[i])
-			}
-		}(w)
-	}
-	wg.Wait()
 }
 
 // Verify checks that the parity shards are consistent with the data shards.

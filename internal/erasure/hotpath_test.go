@@ -100,48 +100,6 @@ func TestReconstructMatchesRef(t *testing.T) {
 	}
 }
 
-// TestParallelBitIdentical asserts the parallel encode/reconstruct paths are
-// bit-identical to the serial ones for several worker counts.
-func TestParallelBitIdentical(t *testing.T) {
-	rng := rand.New(rand.NewSource(13))
-	e, err := New(paperData, paperParity)
-	if err != nil {
-		t.Fatal(err)
-	}
-	data := randPayload(rng, 40009)
-	serial, err := e.Split(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, workers := range []int{0, 1, 2, 3, 8, 64} {
-		par, err := e.SplitParallel(data, workers)
-		if err != nil {
-			t.Fatal(err)
-		}
-		assertShardsEqual(t, serial, par, "SplitParallel", [2]int{paperData, paperParity}, workers)
-	}
-
-	lossy := func() [][]byte {
-		s := make([][]byte, len(serial))
-		copy(s, serial)
-		for _, d := range []int{0, 3, 5, 6, 14, 20, 27} {
-			s[d] = nil
-		}
-		return s
-	}
-	want := lossy()
-	if err := e.Reconstruct(want); err != nil {
-		t.Fatal(err)
-	}
-	for _, workers := range []int{2, 5, 16} {
-		got := lossy()
-		if err := e.ReconstructParallel(got, workers); err != nil {
-			t.Fatal(err)
-		}
-		assertShardsEqual(t, want, got, "ReconstructParallel", [2]int{paperData, paperParity}, workers)
-	}
-}
-
 // TestCachedEncoderSharedAndConcurrent checks the geometry cache returns one
 // shared encoder and that concurrent Split/Reconstruct through it agree with
 // the serial result (the decode-matrix cache is internally locked).
@@ -252,21 +210,6 @@ func BenchmarkSplitRef(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := RefSplit(paperData, paperParity, data); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkSplitParallel(b *testing.B) {
-	data := benchData(benchPayload)
-	e, err := Cached(paperData, paperParity)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.SetBytes(benchPayload)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := e.SplitParallel(data, 4); err != nil {
 			b.Fatal(err)
 		}
 	}

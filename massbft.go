@@ -415,10 +415,13 @@ func (c *Cluster) RecoverNode(at time.Duration, group, index int) {
 	c.inner.ScheduleNodeRecover(at, keys.NodeID{Group: group, Index: index})
 }
 
-// Counter reads one internal diagnostic counter (e.g. "net-dropped",
-// "chunk-repairs", "fetch-retries", "state-transfers"); zero for unknown
-// names. Useful to confirm that fault injection and recovery actually
-// engaged during a run.
+// Counter reads one internal diagnostic counter; zero for unknown names.
+// Useful to confirm that fault injection and recovery actually engaged
+// during a run: "net-dropped" and "net-duplicated" from the fault layer, and
+// one counter per recovery path of DESIGN.md §6 — "repair-reqs" (chunk
+// repair; massbft-demo prints it as chunk-repairs), "fetch-retries",
+// "stream-repair-reqs", "record-retries", "entry-rebroadcasts",
+// "proposal-retries", "takeover-stamps", "slot-catchups", "state-transfers".
 func (c *Cluster) Counter(name string) int64 {
 	return c.inner.Metrics.Counter(name)
 }

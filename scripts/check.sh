@@ -4,8 +4,8 @@
 # surface. Run from the repository root.
 #
 # Usage: scripts/check.sh [preset]
-#   (default)        full pipeline: vet, build, tests, race shard, trace smoke,
-#                    node smoke
+#   (default)        full pipeline: vet, build, tests, bench-module vet + short
+#                    tests, race shard, trace smoke, node smoke
 #   partition-chaos  just the partition/failover chaos suite — the full WAN
 #                    partition schedules plus the reduced schedule under
 #                    -race -short — for iterating on failover changes without
@@ -101,6 +101,11 @@ go build ./...
 
 echo "== go test"
 go test ./... -timeout 900s
+
+# bench/ is a module of its own that tier-1 never builds: vet it and run its
+# short tests so a rename in internal/... cannot rot the ledger silently.
+echo "== bench module (vet + short tests)"
+go -C bench vet . && go -C bench test -short .
 
 # The core shard includes TestPartitionFailoverReduced and the reduced
 # membership join/leave schedules: WAN partition failover and certified
