@@ -65,10 +65,22 @@ func (a *customAdapter) Next(client uint64) types.Transaction {
 	}
 }
 
-// Executor implements workload.Workload.
+// Executor implements workload.Workload: the application's map-returning
+// Execute runs against the footprint as a plain snapshot, and the read and
+// write sets it declares are then recorded.
 func (a *customAdapter) Executor() aria.Executor {
-	return func(snap aria.Snapshot, tx *types.Transaction) ([]string, map[string][]byte, bool, error) {
-		return a.cw.Execute(snap, tx.Payload)
+	return func(fp *aria.Footprint, tx *types.Transaction) (bool, error) {
+		reads, writes, abort, err := a.cw.Execute(fp, tx.Payload)
+		if err != nil || abort {
+			return abort, err
+		}
+		for _, k := range reads {
+			fp.Read(k)
+		}
+		for k, v := range writes {
+			fp.Write(k, v)
+		}
+		return false, nil
 	}
 }
 

@@ -18,25 +18,28 @@
 // Because every phase is a deterministic function of (state, batch), all
 // correct nodes applying the same ordered entries converge to identical
 // states — asserted in tests via statedb.Hash.
+//
+// The batch's bookkeeping lives in one Footprint the engine owns and reuses:
+// each key is interned once per batch into a slot, reservations are two
+// slot-indexed arrays, and the committed writes go to the store in one call.
+// Nothing is allocated per transaction except the key strings the executor
+// builds and one copy of every committed value.
 package aria
 
 import (
 	"fmt"
+	"math"
 
 	"massbft/internal/statedb"
 	"massbft/internal/types"
 )
 
-// Snapshot is the read view a transaction executes against.
-type Snapshot interface {
-	Get(key string) ([]byte, bool)
-}
-
-// Executor runs one transaction's logic against a snapshot, returning its
-// read set, buffered write set (nil value = delete), and whether the
-// transaction logic itself aborted (e.g. TPC-C 1% rollback). Errors indicate
-// malformed payloads and count as logic aborts.
-type Executor func(snap Snapshot, tx *types.Transaction) (reads []string, writes map[string][]byte, abort bool, err error)
+// Executor runs one transaction's logic against the batch-start snapshot
+// through fp — Read returns a key's value and records the read, Write buffers
+// a write — and reports whether the transaction's own logic aborted (e.g. an
+// overdraft), in which case whatever it recorded is discarded. An error means
+// a malformed payload and fails the whole batch.
+type Executor func(fp *Footprint, tx *types.Transaction) (abort bool, err error)
 
 // Result summarizes one batch execution.
 type Result struct {
@@ -49,99 +52,202 @@ type Result struct {
 	LogicAborted int
 }
 
-// Engine executes batches against a Store.
+// noTxn marks a slot no transaction has reserved; it compares above every
+// transaction index, so "reserved by an earlier transaction" is one <.
+const noTxn = math.MaxInt32
+
+// Footprint is what the transactions of one batch read and wrote. An
+// Executor sees it as the snapshot it reads and the buffer it writes to.
+type Footprint struct {
+	snap statedb.Reader
+
+	// Keys are interned per batch: slot[key] indexes keys, minW and minR,
+	// where minW[s] (minR[s]) is the smallest index of a transaction that
+	// writes (reads) keys[s], or noTxn.
+	slot       map[string]int32
+	keys       []string
+	minW, minR []int32
+
+	// ops holds every transaction's reads and writes in call order; txns[i]
+	// says where transaction i's end. vals backs the written values.
+	ops  []op
+	txns []txnEnd
+	vals []byte
+
+	// The committed writes, handed to the store in one call.
+	applyKeys []string
+	applyVals [][]byte
+}
+
+type op struct {
+	slot  int32
+	write bool
+	del   bool  // a write of nil: delete the key
+	off   int32 // the written value is vals[off : off+n]
+	n     int32
+}
+
+type txnEnd struct {
+	ops   int32 // transaction i's ops are ops[txns[i-1].ops:txns[i].ops]
+	abort bool  // its own logic aborted
+}
+
+// Get returns key's value in the batch-start snapshot without recording a
+// read: for executors that declare their read set themselves (the public
+// CustomWorkload adapter). Shipped workloads use Read.
+func (fp *Footprint) Get(key string) ([]byte, bool) { return fp.snap.Get(key) }
+
+// Read returns key's value in the batch-start snapshot and adds key to the
+// transaction's read set.
+func (fp *Footprint) Read(key string) ([]byte, bool) {
+	fp.ops = append(fp.ops, op{slot: fp.intern(key)})
+	return fp.snap.Get(key)
+}
+
+// Write buffers a write of val under key; a nil val deletes the key. val is
+// copied before Write returns, so the caller may pass a slice of the
+// transaction payload or of a buffer it reuses.
+func (fp *Footprint) Write(key string, val []byte) {
+	fp.ops = append(fp.ops, op{
+		slot: fp.intern(key), write: true, del: val == nil,
+		off: int32(len(fp.vals)), n: int32(len(val)),
+	})
+	fp.vals = append(fp.vals, val...)
+}
+
+func (fp *Footprint) intern(key string) int32 {
+	s, ok := fp.slot[key]
+	if !ok {
+		s = int32(len(fp.keys))
+		fp.slot[key] = s
+		fp.keys = append(fp.keys, key)
+		fp.minW = append(fp.minW, noTxn)
+		fp.minR = append(fp.minR, noTxn)
+	}
+	return s
+}
+
+func (fp *Footprint) reset() {
+	clear(fp.slot)
+	clear(fp.keys) // drop the strings; the store holds the ones it needs
+	fp.keys, fp.minW, fp.minR = fp.keys[:0], fp.minW[:0], fp.minR[:0]
+	fp.ops, fp.txns, fp.vals = fp.ops[:0], fp.txns[:0], fp.vals[:0]
+}
+
+// Engine executes batches against a Store. ExecuteBatch reuses the engine's
+// Footprint, so one engine runs one batch at a time.
 type Engine struct {
 	db   *statedb.Store
 	exec Executor
+	fp   Footprint
 }
 
 // NewEngine creates an engine over db with the given transaction logic.
 func NewEngine(db *statedb.Store, exec Executor) *Engine {
-	return &Engine{db: db, exec: exec}
+	return &Engine{db: db, exec: exec, fp: Footprint{slot: make(map[string]int32)}}
 }
 
 // DB returns the underlying store.
 func (e *Engine) DB() *statedb.Store { return e.db }
 
-type txnFootprint struct {
-	reads  []string
-	writes map[string][]byte
-	abort  bool
-}
-
 // ExecuteBatch runs one batch deterministically and applies the committed
 // writes.
 func (e *Engine) ExecuteBatch(txns []types.Transaction) (Result, error) {
 	var res Result
-	foot := make([]txnFootprint, len(txns))
+	fp := &e.fp
+	fp.reset()
 
-	// Phase 1: execute all against the batch-start snapshot.
-	for i := range txns {
-		reads, writes, abort, err := e.exec(e.db, &txns[i])
-		if err != nil {
-			return res, fmt.Errorf("aria: txn %d: %w", i, err)
-		}
-		foot[i] = txnFootprint{reads: reads, writes: writes, abort: abort}
-		if abort {
-			res.LogicAborted++
-		}
+	// Phases 1 and 2, one store read lock for both: execute every
+	// transaction against the batch-start snapshot and let it reserve its
+	// keys. Transactions run in index order, so the first to reserve a slot
+	// is the smallest index.
+	var err error
+	e.db.View(func(snap statedb.Reader) {
+		fp.snap = snap
+		res.LogicAborted, err = e.run(txns)
+	})
+	fp.snap = statedb.Reader{}
+	if err != nil {
+		return Result{}, err
 	}
 
-	// Phase 2: reservations — smallest index wins.
-	writeRes := make(map[string]int)
-	readRes := make(map[string]int)
-	for i := range foot {
-		if foot[i].abort {
+	// Phase 3: commit decisions. A committed transaction is the smallest
+	// writer of every key it writes (no WAW), so each key has at most one
+	// committed writer per batch and the writes need no merging.
+	fp.applyKeys, fp.applyVals = fp.applyKeys[:0], fp.applyVals[:0]
+	start := int32(0)
+	for i, t := range fp.txns {
+		ops := fp.ops[start:t.ops]
+		start = t.ops
+		if t.abort {
 			continue
 		}
-		for k := range foot[i].writes {
-			if w, ok := writeRes[k]; !ok || i < w {
-				writeRes[k] = i
-			}
-		}
-		for _, k := range foot[i].reads {
-			if r, ok := readRes[k]; !ok || i < r {
-				readRes[k] = i
-			}
-		}
-	}
-
-	// Phase 3: commit decisions and apply.
-	pending := make(map[string][]byte)
-	for i := range foot {
-		if foot[i].abort {
-			continue
-		}
-		waw, raw, war := false, false, false
-		for k := range foot[i].writes {
-			if w := writeRes[k]; w < i {
-				waw = true
-				break
-			}
-		}
-		if !waw {
-			for _, k := range foot[i].reads {
-				if w, ok := writeRes[k]; ok && w < i {
-					raw = true
-					break
-				}
-			}
-			for k := range foot[i].writes {
-				if r, ok := readRes[k]; ok && r < i {
-					war = true
-					break
-				}
-			}
-		}
-		if waw || (raw && war) {
+		if fp.conflicts(int32(i), ops) {
 			res.Aborted = append(res.Aborted, i)
 			continue
 		}
-		for k, v := range foot[i].writes {
-			pending[k] = v
+		for _, o := range ops {
+			if !o.write {
+				continue
+			}
+			// Each stored value is its own allocation: a 100-byte value must
+			// not keep a whole batch arena (or an entry buffer) reachable.
+			var v []byte
+			if !o.del {
+				v = make([]byte, o.n)
+				copy(v, fp.vals[o.off:])
+			}
+			fp.applyKeys = append(fp.applyKeys, fp.keys[o.slot])
+			fp.applyVals = append(fp.applyVals, v)
 		}
 		res.Committed++
 	}
-	e.db.ApplyBatch(pending)
+	e.db.Apply(fp.applyKeys, fp.applyVals)
 	return res, nil
+}
+
+// run executes txns in order against fp.snap, leaving every surviving
+// transaction's ops and reservations in fp.
+func (e *Engine) run(txns []types.Transaction) (logicAborted int, err error) {
+	fp := &e.fp
+	for i := range txns {
+		start := len(fp.ops)
+		abort, xerr := e.exec(fp, &txns[i])
+		if xerr != nil {
+			return 0, fmt.Errorf("aria: txn %d: %w", i, xerr)
+		}
+		if abort {
+			fp.ops = fp.ops[:start]
+			logicAborted++
+		}
+		for _, o := range fp.ops[start:] {
+			first := fp.minR
+			if o.write {
+				first = fp.minW
+			}
+			if first[o.slot] == noTxn {
+				first[o.slot] = int32(i)
+			}
+		}
+		fp.txns = append(fp.txns, txnEnd{ops: int32(len(fp.ops)), abort: abort})
+	}
+	return logicAborted, nil
+}
+
+// conflicts applies Aria's commit rule to transaction i: it must abort on a
+// WAW hazard, or on a RAW and a WAR hazard together.
+func (fp *Footprint) conflicts(i int32, ops []op) bool {
+	raw, war := false, false
+	for _, o := range ops {
+		earlierWriter := fp.minW[o.slot] < i
+		switch {
+		case !o.write:
+			raw = raw || earlierWriter
+		case earlierWriter:
+			return true // WAW
+		default:
+			war = war || fp.minR[o.slot] < i
+		}
+	}
+	return raw && war
 }

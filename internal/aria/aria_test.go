@@ -1,22 +1,137 @@
-package aria
+package aria_test
 
 import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"math/rand"
+	"reflect"
 	"testing"
 
+	"massbft/internal/aria"
 	"massbft/internal/statedb"
 	"massbft/internal/types"
+	"massbft/internal/workload"
 )
+
+// snapshot is the read view a mapExecutor executes against.
+type snapshot interface {
+	Get(key string) ([]byte, bool)
+}
+
+// mapExecutor is the executor signature the engine had before footprints:
+// it returns the transaction's read set, buffered write set (nil value =
+// delete) and whether its own logic aborted. The public CustomWorkload still
+// has this shape; adapt is what its adapter does.
+type mapExecutor func(snap snapshot, tx *types.Transaction) (reads []string, writes map[string][]byte, abort bool, err error)
+
+func adapt(exec mapExecutor) aria.Executor {
+	return func(fp *aria.Footprint, tx *types.Transaction) (bool, error) {
+		reads, writes, abort, err := exec(fp, tx)
+		if err != nil || abort {
+			return abort, err
+		}
+		for _, k := range reads {
+			fp.Read(k)
+		}
+		for k, v := range writes {
+			fp.Write(k, v)
+		}
+		return false, nil
+	}
+}
+
+// oracleExecuteBatch is the engine's previous ExecuteBatch, kept verbatim as
+// the reference the slot-based one is compared against: per-transaction
+// footprint maps, per-batch reservation maps, a pending map applied at the
+// end.
+func oracleExecuteBatch(db *statedb.Store, exec mapExecutor, txns []types.Transaction) (aria.Result, error) {
+	type txnFootprint struct {
+		reads  []string
+		writes map[string][]byte
+		abort  bool
+	}
+	var res aria.Result
+	foot := make([]txnFootprint, len(txns))
+
+	// Phase 1: execute all against the batch-start snapshot.
+	for i := range txns {
+		reads, writes, abort, err := exec(db, &txns[i])
+		if err != nil {
+			return res, fmt.Errorf("aria: txn %d: %w", i, err)
+		}
+		foot[i] = txnFootprint{reads: reads, writes: writes, abort: abort}
+		if abort {
+			res.LogicAborted++
+		}
+	}
+
+	// Phase 2: reservations — smallest index wins.
+	writeRes := make(map[string]int)
+	readRes := make(map[string]int)
+	for i := range foot {
+		if foot[i].abort {
+			continue
+		}
+		for k := range foot[i].writes {
+			if w, ok := writeRes[k]; !ok || i < w {
+				writeRes[k] = i
+			}
+		}
+		for _, k := range foot[i].reads {
+			if r, ok := readRes[k]; !ok || i < r {
+				readRes[k] = i
+			}
+		}
+	}
+
+	// Phase 3: commit decisions and apply.
+	pending := make(map[string][]byte)
+	for i := range foot {
+		if foot[i].abort {
+			continue
+		}
+		waw, raw, war := false, false, false
+		for k := range foot[i].writes {
+			if w := writeRes[k]; w < i {
+				waw = true
+				break
+			}
+		}
+		if !waw {
+			for _, k := range foot[i].reads {
+				if w, ok := writeRes[k]; ok && w < i {
+					raw = true
+					break
+				}
+			}
+			for k := range foot[i].writes {
+				if r, ok := readRes[k]; ok && r < i {
+					war = true
+					break
+				}
+			}
+		}
+		if waw || (raw && war) {
+			res.Aborted = append(res.Aborted, i)
+			continue
+		}
+		for k, v := range foot[i].writes {
+			pending[k] = v
+		}
+		res.Committed++
+	}
+	db.ApplyBatch(pending)
+	return res, nil
+}
 
 // kvExec is a tiny test transaction language:
 //
 //	payload = op(1B) | key | 0x00 | value
 //	op 'r': read key; op 'w': write key=value; op 't': transfer-style
 //	read-modify-write (read key, write key=value); op 'a': logic abort.
-func kvExec(snap Snapshot, tx *types.Transaction) ([]string, map[string][]byte, bool, error) {
+func kvExec(snap snapshot, tx *types.Transaction) ([]string, map[string][]byte, bool, error) {
 	if len(tx.Payload) == 0 {
 		return nil, nil, false, errors.New("empty payload")
 	}
@@ -52,7 +167,7 @@ func tx(op byte, key, value string) types.Transaction {
 }
 
 func TestDisjointWritesAllCommit(t *testing.T) {
-	e := NewEngine(statedb.New(), kvExec)
+	e := aria.NewEngine(statedb.New(), adapt(kvExec))
 	res, err := e.ExecuteBatch([]types.Transaction{
 		tx('w', "a", "1"), tx('w', "b", "2"), tx('w', "c", "3"),
 	})
@@ -68,7 +183,7 @@ func TestDisjointWritesAllCommit(t *testing.T) {
 }
 
 func TestWAWOnlyFirstWriterCommits(t *testing.T) {
-	e := NewEngine(statedb.New(), kvExec)
+	e := aria.NewEngine(statedb.New(), adapt(kvExec))
 	res, err := e.ExecuteBatch([]types.Transaction{
 		tx('w', "k", "first"), tx('w', "k", "second"), tx('w', "k", "third"),
 	})
@@ -86,7 +201,7 @@ func TestWAWOnlyFirstWriterCommits(t *testing.T) {
 func TestRAWWithoutWARCommits(t *testing.T) {
 	// T0 writes k; T1 reads k (RAW) but writes nothing — Aria reorders T1
 	// before T0, so both commit.
-	e := NewEngine(statedb.New(), kvExec)
+	e := aria.NewEngine(statedb.New(), adapt(kvExec))
 	res, err := e.ExecuteBatch([]types.Transaction{tx('w', "k", "v"), tx('r', "k", "")})
 	if err != nil {
 		t.Fatal(err)
@@ -102,7 +217,7 @@ func TestRAWPlusWARAborts(t *testing.T) {
 	// write). Build: T0 reads m and writes k... Let's make it direct:
 	// T0: r m, w k. T1: r k, w m. T1 has RAW on k (T0 writes k) and WAR on
 	// m (T0 reads m) -> abort. T0 has no RAW (m unwritten by smaller) -> commit.
-	custom := func(snap Snapshot, tx *types.Transaction) ([]string, map[string][]byte, bool, error) {
+	custom := func(snap snapshot, tx *types.Transaction) ([]string, map[string][]byte, bool, error) {
 		switch tx.Client {
 		case 0:
 			return []string{"m"}, map[string][]byte{"k": []byte("0")}, false, nil
@@ -111,7 +226,7 @@ func TestRAWPlusWARAborts(t *testing.T) {
 		}
 		return nil, nil, false, errors.New("bad")
 	}
-	e2 := NewEngine(statedb.New(), custom)
+	e2 := aria.NewEngine(statedb.New(), adapt(custom))
 	res, err := e2.ExecuteBatch([]types.Transaction{{Client: 0}, {Client: 1}})
 	if err != nil {
 		t.Fatal(err)
@@ -124,7 +239,7 @@ func TestRAWPlusWARAborts(t *testing.T) {
 func TestReadModifyWriteHotspotAborts(t *testing.T) {
 	// The paper's TPC-C Payment hotspot: many RMWs on one key in one batch;
 	// exactly one commits (WAW for the rest).
-	e := NewEngine(statedb.New(), kvExec)
+	e := aria.NewEngine(statedb.New(), adapt(kvExec))
 	batch := make([]types.Transaction, 10)
 	for i := range batch {
 		batch[i] = tx('t', "hot", "v")
@@ -139,7 +254,7 @@ func TestReadModifyWriteHotspotAborts(t *testing.T) {
 }
 
 func TestLogicAbortNotRetried(t *testing.T) {
-	e := NewEngine(statedb.New(), kvExec)
+	e := aria.NewEngine(statedb.New(), adapt(kvExec))
 	res, err := e.ExecuteBatch([]types.Transaction{tx('a', "", ""), tx('w', "a", "1")})
 	if err != nil {
 		t.Fatal(err)
@@ -150,7 +265,7 @@ func TestLogicAbortNotRetried(t *testing.T) {
 }
 
 func TestMalformedPayloadErrors(t *testing.T) {
-	e := NewEngine(statedb.New(), kvExec)
+	e := aria.NewEngine(statedb.New(), adapt(kvExec))
 	if _, err := e.ExecuteBatch([]types.Transaction{{Payload: nil}}); err == nil {
 		t.Fatal("malformed payload did not error")
 	}
@@ -162,7 +277,7 @@ func TestSnapshotIsolationWithinBatch(t *testing.T) {
 	db := statedb.New()
 	db.Put("k", []byte("old"))
 	var seen []byte
-	custom := func(snap Snapshot, tx *types.Transaction) ([]string, map[string][]byte, bool, error) {
+	custom := func(snap snapshot, tx *types.Transaction) ([]string, map[string][]byte, bool, error) {
 		switch tx.Client {
 		case 0:
 			return nil, map[string][]byte{"k": []byte("new")}, false, nil
@@ -173,7 +288,7 @@ func TestSnapshotIsolationWithinBatch(t *testing.T) {
 		}
 		return nil, nil, false, errors.New("bad")
 	}
-	e := NewEngine(db, custom)
+	e := aria.NewEngine(db, adapt(custom))
 	if _, err := e.ExecuteBatch([]types.Transaction{{Client: 0}, {Client: 1}}); err != nil {
 		t.Fatal(err)
 	}
@@ -206,8 +321,8 @@ func TestDeterminism(t *testing.T) {
 	}
 	for trial := 0; trial < 20; trial++ {
 		batch := mkBatch()
-		e1 := NewEngine(statedb.New(), kvExec)
-		e2 := NewEngine(statedb.New(), kvExec)
+		e1 := aria.NewEngine(statedb.New(), adapt(kvExec))
+		e2 := aria.NewEngine(statedb.New(), adapt(kvExec))
 		r1, err1 := e1.ExecuteBatch(batch)
 		r2, err2 := e2.ExecuteBatch(batch)
 		if err1 != nil || err2 != nil {
@@ -229,11 +344,141 @@ func BenchmarkExecuteBatch200(b *testing.B) {
 		key := string(rune('a' + rng.Intn(1000)%26))
 		batch[i] = tx('t', key+string(rune('0'+rng.Intn(10))), "value")
 	}
-	e := NewEngine(statedb.New(), kvExec)
+	e := aria.NewEngine(statedb.New(), adapt(kvExec))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := e.ExecuteBatch(batch); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// progExec is a map-returning executor over a small key space whose payload
+// is a program of (op, key) byte pairs: 'r' read, 'w' write the nonce, 'd'
+// delete (a nil write), 'a' logic abort. Programs repeat reads, read and
+// write one key, and write a key twice.
+func progExec(snap snapshot, tx *types.Transaction) ([]string, map[string][]byte, bool, error) {
+	p := tx.Payload
+	if len(p)%2 != 0 {
+		return nil, nil, false, errors.New("odd program")
+	}
+	var reads []string
+	var writes map[string][]byte
+	for i := 0; i < len(p); i += 2 {
+		key := string(p[i+1 : i+2])
+		switch p[i] {
+		case 'r':
+			snap.Get(key)
+			reads = append(reads, key)
+		case 'w', 'd':
+			if writes == nil {
+				writes = make(map[string][]byte)
+			}
+			var v []byte
+			if p[i] == 'w' {
+				v = binary.BigEndian.AppendUint64(nil, tx.Nonce)
+			}
+			writes[key] = v
+		case 'a':
+			return reads, writes, true, nil
+		default:
+			return nil, nil, false, errors.New("unknown op")
+		}
+	}
+	return reads, writes, false, nil
+}
+
+func progBatch(rng *rand.Rand, n int) []types.Transaction {
+	batch := make([]types.Transaction, n)
+	for i := range batch {
+		var p []byte
+		for ops := rng.Intn(5); ops >= 0; ops-- {
+			op := "rrrwwwda"[rng.Intn(8)]
+			if op == 'a' && rng.Intn(4) != 0 {
+				op = 'r'
+			}
+			p = append(p, op, byte('a'+rng.Intn(12)))
+		}
+		batch[i] = types.Transaction{Nonce: rng.Uint64(), Payload: p}
+	}
+	return batch
+}
+
+// TestDifferentialAgainstMapOracle runs the same random batches through
+// ExecuteBatch and through the map-based implementation it replaced, from
+// equal states, and requires equal results and equal state hashes after every
+// batch: the four shipped workloads over key spaces small enough to conflict
+// heavily, and a map-returning executor with repeated reads, reads and writes
+// of one key, deletes and logic aborts.
+func TestDifferentialAgainstMapOracle(t *testing.T) {
+	type subject struct {
+		name   string
+		exec   aria.Executor
+		oracle mapExecutor
+		next   func(rng *rand.Rand, n int) []types.Transaction
+	}
+	subjects := []subject{{name: "prog", exec: adapt(progExec), oracle: progExec, next: progBatch}}
+	for _, w := range []workload.Workload{
+		workload.NewYCSB('a', 300, 7), workload.NewYCSB('b', 300, 7),
+		workload.NewSmallBank(40, 7), workload.NewTPCC(2, 7),
+	} {
+		w, exec := w, w.Executor()
+		subjects = append(subjects, subject{
+			name: w.Name(),
+			exec: exec,
+			oracle: func(snap snapshot, tx *types.Transaction) ([]string, map[string][]byte, bool, error) {
+				return aria.Record(exec, snap.(*statedb.Store), tx)
+			},
+			next: func(_ *rand.Rand, n int) []types.Transaction {
+				batch := make([]types.Transaction, n)
+				for i := range batch {
+					batch[i] = w.Next(uint64(i))
+				}
+				return batch
+			},
+		})
+	}
+	for _, s := range subjects {
+		rng := rand.New(rand.NewSource(99))
+		got, want := statedb.New(), statedb.New()
+		eng := aria.NewEngine(got, s.exec)
+		for b := 0; b < 30; b++ {
+			batch := s.next(rng, 1+rng.Intn(300))
+			gr, gerr := eng.ExecuteBatch(batch)
+			wr, werr := oracleExecuteBatch(want, s.oracle, batch)
+			if gerr != nil || werr != nil {
+				t.Fatalf("%s batch %d: %v / %v", s.name, b, gerr, werr)
+			}
+			if !reflect.DeepEqual(gr, wr) {
+				t.Fatalf("%s batch %d: result %+v, oracle %+v", s.name, b, gr, wr)
+			}
+			if got.Hash() != want.Hash() {
+				t.Fatalf("%s batch %d: state diverges from the oracle's", s.name, b)
+			}
+		}
+		if got.Len() == 0 {
+			t.Fatalf("%s: nothing was stored", s.name)
+		}
+	}
+}
+
+// TestExecuteBatchAllocCeiling keeps a warm 400-transaction ycsb-a batch
+// under two allocations per transaction (the key string, and a copy of each
+// committed value); the map-based engine took 3.6.
+func TestExecuteBatchAllocCeiling(t *testing.T) {
+	w := workload.NewYCSB('a', workload.DefaultYCSBRows, 1)
+	batch := make([]types.Transaction, 400)
+	for i := range batch {
+		batch[i] = w.Next(uint64(i))
+	}
+	e := aria.NewEngine(statedb.New(), w.Executor())
+	run := func() {
+		if _, err := e.ExecuteBatch(batch); err != nil {
+			t.Fatal(err)
+		}
+	}
+	run() // size the engine's scratch
+	if perTxn := testing.AllocsPerRun(20, run) / float64(len(batch)); perTxn > 2.0 {
+		t.Fatalf("%.2f allocations per transaction, want <= 2.0", perTxn)
 	}
 }

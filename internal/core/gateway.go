@@ -54,11 +54,12 @@ func (n *Node) validateProposal(payload []byte) bool {
 	if gw == nil {
 		return true
 	}
-	e, err := types.DecodeEntry(payload)
-	if err != nil || e.ID.GID != n.g {
+	e := n.localEntry(payload)
+	if e == nil {
 		return false
 	}
 	if gw.VerifyTxns(e.Txns) {
+		n.rememberDecoded(payload, e)
 		return true
 	}
 	n.ctx.Metrics.Inc("gateway-proposal-reject")

@@ -150,6 +150,13 @@ type Node struct {
 	// window (or forwards to the new local leader).
 	proposed map[uint64]*proposalSt
 
+	// localDecoded holds, by entry seq, the decoded form of local-consensus
+	// payloads this node has already paid to produce — its own proposals
+	// (batchTick built the entry) and, in gateway mode, what
+	// validateProposal decoded to check client signatures — until
+	// onLocalCommit delivers the payload (localEntry).
+	localDecoded map[uint64]decodedPayload
+
 	// streamView is the per-origin view fence: the highest Record.View
 	// processed on each group's record stream. Records from older meta views
 	// are dropped — a re-emitted record (restampTask after a view change)
@@ -283,6 +290,7 @@ func newNode(ctx *cluster.NodeCtx) *Node {
 		ng:           len(ctx.Cfg.GroupSizes),
 		entries:      make(map[types.EntryID]*entrySt),
 		proposed:     make(map[uint64]*proposalSt),
+		localDecoded: make(map[uint64]decodedPayload),
 		streams:      make(map[int]*streamIn),
 		streamView:   make(map[int]uint64),
 		batchLog:     make(map[int]map[uint64]*cluster.MetaBatch),
@@ -576,11 +584,11 @@ func (n *Node) chargePrePrepare(pp *pbft.PrePrepare) {
 	if len(pp.Payload) == 0 {
 		return
 	}
-	e, err := types.DecodeEntry(pp.Payload)
+	_, txns, err := types.PeekEntry(pp.Payload)
 	if err != nil {
 		return
 	}
-	n.charge(time.Duration(len(e.Txns)) * n.cfg.Cost.SigVerifyPerTxn)
+	n.charge(time.Duration(txns) * n.cfg.Cost.SigVerifyPerTxn)
 }
 
 func (n *Node) st(id types.EntryID) *entrySt {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"time"
 
 	"massbft/internal/cluster"
@@ -91,9 +92,11 @@ func (n *Node) batchTick() {
 	// Registered before Propose so the tracing phase hook (which fires
 	// synchronously on the leader's own pre-prepare) sees the entry as ours.
 	n.proposed[e.ID.Seq] = &proposalSt{enc: enc, at: now}
+	n.rememberDecoded(enc, e)
 	if err := n.local.Propose(enc); err != nil {
 		// Lost leadership between the check and the call; retry next tick.
 		delete(n.proposed, e.ID.Seq)
+		delete(n.localDecoded, e.ID.Seq)
 		n.nextSeq--
 		n.inFlight--
 		if len(gwTxns) > 0 {
@@ -104,6 +107,11 @@ func (n *Node) batchTick() {
 		}
 		return
 	}
+	// Counted once the proposal stands, so the undo path above needs no
+	// decrement. Re-proposals after a view change (proposalRepairScan) are
+	// the same entry and are not counted again.
+	n.ctx.Metrics.Inc("entries-proposed")
+	n.ctx.Metrics.Add("txns-proposed", int64(len(e.Txns)))
 	if n.ctx.Trace != nil {
 		// The entry's trace ID is its EntryID, born here; the propose span is
 		// the instant anchor every later span hangs off.
@@ -153,9 +161,14 @@ func (n *Node) onLocalCommit(slot uint64, payload []byte, cert *keys.Certificate
 	if payload == nil {
 		return // view-change no-op filler
 	}
-	e, err := types.DecodeEntry(payload)
-	if err != nil || e.ID.GID != n.g {
+	e := n.localEntry(payload)
+	if e == nil {
 		return
+	}
+	for seq := range n.localDecoded {
+		if seq <= e.ID.Seq {
+			delete(n.localDecoded, seq) // delivered, or overtaken and never to be
+		}
 	}
 	_, mine := n.proposed[e.ID.Seq]
 	delete(n.proposed, e.ID.Seq)
@@ -204,6 +217,44 @@ func (n *Node) onLocalCommit(slot uint64, payload []byte, cert *keys.Certificate
 	}
 }
 
+// decodedPayload is one localDecoded record: an entry and the bytes it
+// decodes from.
+type decodedPayload struct {
+	payload []byte
+	entry   *types.Entry
+}
+
+// maxLocalDecoded bounds localDecoded: pre-prepares whose seq never delivers
+// (a Byzantine leader can sign any number) must not grow it. Beyond the bound
+// a payload is simply decoded again at delivery.
+const maxLocalDecoded = 64
+
+func (n *Node) rememberDecoded(payload []byte, e *types.Entry) {
+	if len(n.localDecoded) < maxLocalDecoded {
+		n.localDecoded[e.ID.Seq] = decodedPayload{payload: payload, entry: e}
+	}
+}
+
+// localEntry returns the decoded form of a local-consensus payload, or nil if
+// it is not an entry of this group. A node decodes a payload it holds at most
+// once: a remembered decode of the same bytes is reused (PBFT hands the
+// pre-prepare's slice through to delivery, so the comparison is a pointer
+// check), and decoded entries are read-only, so sharing one is safe.
+func (n *Node) localEntry(payload []byte) *types.Entry {
+	hdr, _, err := types.PeekEntry(payload)
+	if err != nil || hdr.ID.GID != n.g {
+		return nil
+	}
+	if d, ok := n.localDecoded[hdr.ID.Seq]; ok && bytes.Equal(d.payload, payload) {
+		return d.entry
+	}
+	e, err := types.DecodeEntry(payload)
+	if err != nil {
+		return nil
+	}
+	return e
+}
+
 // replicate transmits the entry to every other group using the configured
 // strategy (§IV). mine marks the original proposer, which owns the entry's
 // origin-side trace spans.
@@ -222,13 +273,17 @@ func (n *Node) replicate(e *types.Entry, cert *keys.Certificate, enc []byte, min
 // every node sends its Algorithm-1 chunk assignment to each receiver group.
 func (n *Node) replicateEncoded(e *types.Entry, cert *keys.Certificate, enc []byte, mine bool) {
 	byz := n.ctx.Faults.IsByzantine(n.id, n.now())
-	src := enc
+	// enc is the payload local consensus certified, so its digest is the
+	// certificate's.
+	src, digest := enc, cert.Digest
 	id := e.ID
 	if byz {
 		// Byzantine senders encode a tampered entry instead (§VI-E); the
 		// honest certificate is replayed with it.
 		src = n.tamper(e)
+		digest = keys.Hash(src)
 	}
+	bytesOf := func() []byte { return src }
 	encStart := n.now()
 	var encCost time.Duration
 	for r := 0; r < n.ng; r++ {
@@ -236,7 +291,7 @@ func (n *Node) replicateEncoded(e *types.Entry, cert *keys.Certificate, enc []by
 			continue
 		}
 		p := n.sendPlan(r)
-		encd := n.encodeCached(src, p)
+		encd := n.encodeCached(digest, p, bytesOf)
 		if encd == nil {
 			continue
 		}
@@ -272,17 +327,19 @@ func (n *Node) tamper(e *types.Entry) []byte {
 	return evil.Encode()
 }
 
-// encodeCached returns the deterministic encoding of enc under plan p. The
-// result is memoized cluster-wide (every correct node derives the identical
-// encoding; see replication.RebuildCache for the rationale) while the CPU
-// cost is charged by the caller per node.
-func (n *Node) encodeCached(enc []byte, p *plan.Plan) *replication.Encoded {
-	d := keys.Hash(enc)
+// encodeCached returns the deterministic encoding under plan p of the entry
+// bytes whose digest is d; enc produces those bytes and is called on a miss
+// only, so a caller holding a validated certificate pays neither the hash nor
+// (holding only the decoded entry) the re-encode on a hit. The result is
+// memoized cluster-wide (every correct node derives the identical encoding;
+// see replication.RebuildCache for the rationale) while the CPU cost is
+// charged by the caller per node.
+func (n *Node) encodeCached(d keys.Digest, p *plan.Plan, enc func() []byte) *replication.Encoded {
 	key := string(d[:]) + "/" + p.String()
 	if cached, ok := n.ctx.EncodeCache[key]; ok {
 		return cached
 	}
-	encd, err := replication.Encode(enc, p)
+	encd, err := replication.Encode(enc(), p)
 	if err != nil {
 		return nil
 	}

@@ -5,6 +5,7 @@ import (
 
 	"massbft/internal/cluster"
 	"massbft/internal/keys"
+	"massbft/internal/plan"
 	"massbft/internal/replication"
 	"massbft/internal/trace"
 	"massbft/internal/types"
@@ -138,7 +139,7 @@ func (n *Node) tamperedBatch(b *replication.ChunkBatch) *replication.ChunkBatch 
 	if p == nil {
 		return nil
 	}
-	encd := n.encodeCached(n.tamper(st.entry), p)
+	encd := n.encodeTampered(st.entry, p)
 	if encd == nil {
 		return nil
 	}
@@ -155,6 +156,12 @@ func (n *Node) tamperedBatch(b *replication.ChunkBatch) *replication.ChunkBatch 
 	}
 	evil.Indices = proof.Indices
 	return &evil
+}
+
+// encodeTampered is the encoding under p of the tampered version of e.
+func (n *Node) encodeTampered(e *types.Entry, p *plan.Plan) *replication.Encoded {
+	evil := n.tamper(e)
+	return n.encodeCached(keys.Hash(evil), p, func() []byte { return evil })
 }
 
 // forwardChunk re-broadcasts a WAN-received chunk to the LAN peers (§IV-B).
@@ -185,7 +192,7 @@ func (n *Node) tamperedChunk(c *replication.ChunkMsg) *replication.ChunkMsg {
 	if p == nil {
 		return nil
 	}
-	encd := n.encodeCached(n.tamper(st.entry), p)
+	encd := n.encodeTampered(st.entry, p)
 	if encd == nil || c.Index >= len(encd.Shards) {
 		return nil
 	}

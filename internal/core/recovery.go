@@ -176,7 +176,7 @@ func (n *Node) onProposalFwd(from keys.NodeID, m *cluster.ProposalFwd) {
 	if from.Group != n.g || from == n.id || !n.local.IsLeader() {
 		return
 	}
-	e, err := types.DecodeEntry(m.Payload)
+	e, _, err := types.PeekEntry(m.Payload)
 	if err != nil || e.ID.GID != n.g || e.ID.Seq <= n.executedSeqOf(n.g) {
 		return
 	}
@@ -554,7 +554,9 @@ func (n *Node) onChunkRepairReq(from keys.NodeID, m *cluster.ChunkRepairReq) {
 		return
 	}
 	sort.Ints(idx)
-	encd := n.encodeCached(entry.Encode(), p)
+	// The content was validated against cert when this node took it in, so
+	// cert.Digest is the digest of entry's encoding.
+	encd := n.encodeCached(cert.Digest, p, entry.Encode)
 	if encd == nil {
 		return
 	}

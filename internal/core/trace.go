@@ -14,8 +14,7 @@ import (
 
 // localPhaseTrace returns the pbft phase hook that turns this node's own
 // local proposals' phase transitions into pbft-preprepare/prepare/commit
-// spans; nil when tracing is off (the hook decodes the payload per phase
-// event, a cost only traced runs should pay).
+// spans; nil when tracing is off.
 func (n *Node) localPhaseTrace() func(slot uint64, phase string, payload []byte) {
 	if n.ctx.Trace == nil {
 		return nil
@@ -26,7 +25,7 @@ func (n *Node) localPhaseTrace() func(slot uint64, phase string, payload []byte)
 		if len(payload) == 0 {
 			return
 		}
-		e, err := types.DecodeEntry(payload)
+		e, _, err := types.PeekEntry(payload)
 		if err != nil || e.ID.GID != n.g {
 			return
 		}

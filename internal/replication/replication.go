@@ -177,6 +177,10 @@ type RebuildCache struct {
 
 type cacheOutcome struct {
 	entry *types.Entry // nil when the chunks did not decode to a valid entry
+	// digest is keys.Hash of the bytes entry was decoded from — the entry's
+	// digest, the encoding being canonical — taken once here so collectors
+	// sharing the outcome neither re-encode nor re-hash it.
+	digest keys.Digest
 }
 
 // NewRebuildCache creates an empty cache.
@@ -254,7 +258,7 @@ type entryState struct {
 	// pending caches a bucket's successfully decoded entry while no candidate
 	// certificate validates yet, so retries triggered by later certificate
 	// arrivals skip the decode.
-	pending map[bucketKey]*types.Entry
+	pending map[bucketKey]*cacheOutcome
 }
 
 func newEntryState() *entryState {
@@ -262,7 +266,7 @@ func newEntryState() *entryState {
 		banned:  make(map[int]bool),
 		buckets: make(map[bucketKey]map[int][]byte),
 		certs:   make(map[bucketKey][]*keys.Certificate),
-		pending: make(map[bucketKey]*types.Entry),
+		pending: make(map[bucketKey]*cacheOutcome),
 	}
 }
 
@@ -380,17 +384,14 @@ func (c *Collector) AddChunk(m *ChunkMsg) (bool, error) {
 // later chunk (or a duplicate from an honest sender) can supply it.
 func (c *Collector) tryRebuild(id types.EntryID, st *entryState, bk bucketKey, p *plan.Plan, trigger *keys.Certificate) {
 	bucket := st.buckets[bk]
-	entry := st.pending[bk]
-	if entry == nil && c.cache != nil {
-		if out, ok := c.cache.m[bk]; ok {
-			if out.entry == nil || out.entry.ID != id {
-				c.banBucketNotify(id, st, bk)
-				return
-			}
-			entry = out.entry
+	out := st.pending[bk]
+	if out == nil && c.cache != nil {
+		if out = c.cache.m[bk]; out != nil && (out.entry == nil || out.entry.ID != id) {
+			c.banBucketNotify(id, st, bk)
+			return
 		}
 	}
-	if entry == nil {
+	if out == nil {
 		enc, err := erasure.Cached(p.Data, p.Parity)
 		if err != nil {
 			return
@@ -410,15 +411,16 @@ func (c *Collector) tryRebuild(id types.EntryID, st *entryState, bk bucketKey, p
 			c.rebuildFailed(id, st, bk)
 			return
 		}
-		entry, err = types.DecodeEntry(entryEnc)
+		entry, err := types.DecodeEntry(entryEnc)
 		if err != nil || entry.ID != id {
 			c.rebuildFailed(id, st, bk)
 			return
 		}
+		out = &cacheOutcome{entry: entry, digest: keys.Hash(entryEnc)}
 	}
 	// The rebuilt entry must be covered by a quorum certificate from the
 	// sender group: 2f+1 valid signatures over its digest.
-	cert, digestMatched := c.pickValidCert(id, st, bk, entry, trigger)
+	cert, digestMatched := c.pickValidCert(id, st, bk, out.digest, trigger)
 	if cert == nil {
 		if !digestMatched {
 			// No candidate certificate even claims a quorum over these
@@ -431,25 +433,24 @@ func (c *Collector) tryRebuild(id types.EntryID, st *entryState, bk bucketKey, p
 		// signatures do not check out — consistent with honest chunks whose
 		// certificate copy was mangled in transit or by a Byzantine sender.
 		// Keep the decoded entry and wait for a clean certificate copy.
-		st.pending[bk] = entry
+		st.pending[bk] = out
 		return
 	}
 	if c.cache != nil {
-		c.cache.put(bk, &cacheOutcome{entry: entry})
+		c.cache.put(bk, out)
 	}
 	st.delivered = true
 	st.buckets, st.certs, st.pending = nil, nil, nil // free chunk memory
 	c.rebuilds++
-	c.onRebuilt(id.GID, Rebuilt{Entry: entry, Cert: cert})
+	c.onRebuilt(id.GID, Rebuilt{Entry: out.entry, Cert: cert})
 }
 
-// pickValidCert returns the first certificate that proves the rebuilt entry,
-// plus whether any candidate at least claimed the entry's digest. The
+// pickValidCert returns the first certificate that proves the rebuilt entry
+// (digest d), plus whether any candidate at least claimed that digest. The
 // triggering chunk's certificate is tried first (it is what the pre-overhaul
 // path validated exclusively); attempts beyond it fall back to the other
 // candidates observed on the bucket and are counted as cert retries.
-func (c *Collector) pickValidCert(id types.EntryID, st *entryState, bk bucketKey, entry *types.Entry, trigger *keys.Certificate) (*keys.Certificate, bool) {
-	d := entry.Digest()
+func (c *Collector) pickValidCert(id types.EntryID, st *entryState, bk bucketKey, d keys.Digest, trigger *keys.Certificate) (*keys.Certificate, bool) {
 	attempts := 0
 	try := func(cert *keys.Certificate) bool {
 		if cert.Group != id.GID || cert.Digest != d {

@@ -11,12 +11,18 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"maps"
 	"sort"
 	"sync"
 )
 
 // Store is a thread-safe in-memory key-value store. The zero value is not
 // usable; call New.
+//
+// Values are immutable once stored: whoever hands a slice to Put, Apply or
+// ApplyBatch gives it up, and nobody writes into a slice obtained from Get or
+// a Reader. That is what lets Clone and Restore share value slices between
+// stores instead of copying them.
 type Store struct {
 	mu   sync.RWMutex
 	data map[string][]byte
@@ -27,13 +33,31 @@ func New() *Store {
 	return &Store{data: make(map[string][]byte)}
 }
 
-// Get returns the value for key and whether it exists. The returned slice
-// must not be modified.
+// Get returns the value for key and whether it exists.
 func (s *Store) Get(key string) ([]byte, bool) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	v, ok := s.data[key]
 	return v, ok
+}
+
+// Reader is a read-locked view of a Store, valid only inside the View call
+// that produced it.
+type Reader struct{ s *Store }
+
+// Get returns the value for key and whether it exists.
+func (r Reader) Get(key string) ([]byte, bool) {
+	v, ok := r.s.data[key]
+	return v, ok
+}
+
+// View runs fn over a consistent view of the store, holding the read lock
+// once for the whole call instead of once per Get. fn must not write to the
+// store.
+func (s *Store) View(fn func(Reader)) {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	fn(Reader{s})
 }
 
 // Put stores value under key. The store takes ownership of value.
@@ -55,6 +79,20 @@ func (s *Store) Len() int {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	return len(s.data)
+}
+
+// Apply installs vals[i] under keys[i] for every i, atomically and in order.
+// A nil value deletes.
+func (s *Store) Apply(keys []string, vals [][]byte) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for i, k := range keys {
+		if v := vals[i]; v == nil {
+			delete(s.data, k)
+		} else {
+			s.data[k] = v
+		}
+	}
 }
 
 // ApplyBatch installs a set of writes atomically. A nil value deletes.
@@ -97,31 +135,28 @@ func (s *Store) Hash() [32]byte {
 	return out
 }
 
-// Clone returns a deep copy (used to fork identical initial states for every
-// node in tests and benchmarks).
+// Clone returns an independent store with the same contents: its own map,
+// sharing the (immutable) value slices. Checkpoint folds and tests that fork
+// identical initial states use it.
 func (s *Store) Clone() *Store {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	c := New()
-	for k, v := range s.data {
-		c.data[k] = append([]byte(nil), v...)
-	}
-	return c
+	return &Store{data: s.copyData()}
 }
 
-// Restore replaces this store's contents with a deep copy of from; the
-// receiver pointer stays valid, so holders (e.g. an execution engine) see the
-// transferred state without rewiring. Used by checkpointed node rejoin.
+// Restore replaces this store's contents with from's, sharing value slices
+// as Clone does; the receiver pointer stays valid, so holders (e.g. an
+// execution engine) see the transferred state without rewiring. Used by
+// checkpointed node rejoin.
 func (s *Store) Restore(from *Store) {
-	from.mu.RLock()
-	data := make(map[string][]byte, len(from.data))
-	for k, v := range from.data {
-		data[k] = append([]byte(nil), v...)
-	}
-	from.mu.RUnlock()
+	data := from.copyData()
 	s.mu.Lock()
 	s.data = data
 	s.mu.Unlock()
+}
+
+func (s *Store) copyData() map[string][]byte {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	return maps.Clone(s.data)
 }
 
 // ByteSize returns the summed length of all keys and values — the transfer

@@ -45,6 +45,25 @@ func TestApplyBatchWithDeletes(t *testing.T) {
 	}
 }
 
+func TestApplyInOrderAndViewSeesIt(t *testing.T) {
+	s := New()
+	s.Put("drop", []byte("d"))
+	s.Apply([]string{"drop", "k", "k"}, [][]byte{nil, []byte("1"), []byte("2")})
+	s.View(func(r Reader) {
+		if _, ok := r.Get("drop"); ok {
+			t.Error("nil value did not delete")
+		}
+		if v, ok := r.Get("k"); !ok || !bytes.Equal(v, []byte("2")) {
+			t.Errorf("k = %q, want the later write", v)
+		}
+	})
+	want := New()
+	want.ApplyBatch(map[string][]byte{"k": []byte("2")})
+	if s.Hash() != want.Hash() {
+		t.Fatal("Apply and ApplyBatch disagree")
+	}
+}
+
 func TestHashDeterministicAndOrderIndependent(t *testing.T) {
 	a, b := New(), New()
 	a.Put("x", []byte("1"))
@@ -77,8 +96,30 @@ func TestClone(t *testing.T) {
 		t.Fatal("clone hash differs")
 	}
 	c.Put("a", []byte("2"))
-	if v, _ := s.Get("a"); !bytes.Equal(v, []byte("1")) {
-		t.Fatal("clone aliases original")
+	c.Put("b", []byte("3"))
+	s.Delete("a")
+	if v, _ := c.Get("a"); !bytes.Equal(v, []byte("2")) || s.Len() != 0 || c.Len() != 2 {
+		t.Fatal("clone and original share a map")
+	}
+}
+
+// TestCloneAndRestoreShareValues: values are immutable, so a snapshot costs
+// one map copy, not one allocation per value.
+func TestCloneAndRestoreShareValues(t *testing.T) {
+	s := New()
+	v := []byte("value")
+	s.Put("a", v)
+	r := New()
+	r.Put("stale", []byte("x"))
+	r.Restore(s)
+	for name, got := range map[string]*Store{"Clone": s.Clone(), "Restore": r} {
+		gv, ok := got.Get("a")
+		if !ok || &gv[0] != &v[0] {
+			t.Fatalf("%s copied the value instead of sharing it", name)
+		}
+		if got.Len() != 1 || got.Hash() != s.Hash() {
+			t.Fatalf("%s: contents differ", name)
+		}
 	}
 }
 

@@ -146,7 +146,11 @@ type Network struct {
 	mu      sync.Mutex
 	handler transport.Handler
 	sups    map[keys.NodeID]*supervisor
-	closed  bool
+	// timers holds the After timers not yet fired, so that Close can stop
+	// them: a pending timer keeps its callback — and through it the whole
+	// hosted node — reachable until it would have fired.
+	timers map[*time.Timer]struct{}
+	closed bool
 
 	box  *mailbox
 	done chan struct{}
@@ -165,12 +169,13 @@ func New(cfg Config) (*Network, error) {
 		return nil, fmt.Errorf("tcp: listen %s: %w", cfg.Listen, err)
 	}
 	n := &Network{
-		cfg:   cfg,
-		ls:    ls,
-		start: time.Now(),
-		sups:  make(map[keys.NodeID]*supervisor),
-		box:   newMailbox(),
-		done:  make(chan struct{}),
+		cfg:    cfg,
+		ls:     ls,
+		start:  time.Now(),
+		sups:   make(map[keys.NodeID]*supervisor),
+		timers: make(map[*time.Timer]struct{}),
+		box:    newMailbox(),
+		done:   make(chan struct{}),
 	}
 	n.wg.Add(2)
 	go n.acceptLoop()
@@ -240,6 +245,10 @@ func (n *Network) Close() error {
 	for _, s := range n.sups {
 		sups = append(sups, s)
 	}
+	for t := range n.timers {
+		t.Stop()
+	}
+	n.timers = nil
 	n.mu.Unlock()
 
 	for _, s := range sups {
@@ -305,13 +314,23 @@ func (e *endpoint) SendPriority(to keys.NodeID, payload any, size int) {
 // After runs fn on the node event loop once d of wall time has elapsed.
 func (e *endpoint) After(d time.Duration, fn func()) {
 	nw := e.nw()
-	time.AfterFunc(d, func() {
+	nw.mu.Lock()
+	defer nw.mu.Unlock()
+	if nw.closed {
+		return
+	}
+	var t *time.Timer
+	t = time.AfterFunc(d, func() {
+		nw.mu.Lock() // also orders this read of t after its assignment below
+		delete(nw.timers, t)
+		nw.mu.Unlock()
 		select {
 		case <-nw.done:
 		default:
 			nw.post(fn)
 		}
 	})
+	nw.timers[t] = struct{}{}
 }
 
 // Now is wall time elapsed since the fabric started.

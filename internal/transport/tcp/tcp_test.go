@@ -225,6 +225,39 @@ func TestQueueDropAndTimers(t *testing.T) {
 	}
 }
 
+// TestCloseStopsPendingTimers: a fired timer leaves the pending set, and
+// Close stops the ones still pending, so a stopped node is not kept
+// reachable (through its tick callbacks) until they would have fired.
+func TestCloseStopsPendingTimers(t *testing.T) {
+	a := keys.NodeID{Group: 0, Index: 0}
+	na, err := New(fastConfig(a, freeAddrs(t, 1)[0], nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ep := na.Endpoint(a)
+	pending := func() int {
+		na.mu.Lock()
+		defer na.mu.Unlock()
+		return len(na.timers)
+	}
+	fired := make(chan struct{})
+	ep.After(time.Millisecond, func() { close(fired) })
+	late := make(chan struct{})
+	ep.After(150*time.Millisecond, func() { close(late) })
+	<-fired
+	waitFor(t, time.Second, "the fired timer to leave the pending set", func() bool { return pending() == 1 })
+	na.Close()
+	ep.After(time.Millisecond, func() { t.Error("a timer armed after Close ran") })
+	if pending() != 0 {
+		t.Fatalf("%d timers pending after Close", pending())
+	}
+	select {
+	case <-late:
+		t.Fatal("a timer pending at Close still ran")
+	case <-time.After(300 * time.Millisecond):
+	}
+}
+
 // TestPriorityLaneNeverDropsUnderBulkSaturation pins the gateway-reply
 // delivery guarantee: client replies travel the priority lane, so a bulk
 // lane saturated with replication traffic must shed ONLY bulk frames — and

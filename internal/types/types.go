@@ -4,6 +4,13 @@
 // deterministic binary encodings. Digests are computed over the canonical
 // encoding so every correct node derives identical digests for identical
 // entries.
+//
+// Ownership: a decoded Entry or Transaction aliases the buffer it was decoded
+// from (Payload and Sig are sub-slices of it) and is read-only from then on,
+// as is the buffer. Every decode source — a PBFT payload, erasure.Join
+// output, a wire-frame copy — is a buffer nobody rewrites; code that wants a
+// variant of an entry (the Byzantine tamper paths) copies the struct and
+// replaces slices, never writes through them.
 package types
 
 import (
@@ -45,7 +52,8 @@ func (t *Transaction) AppendEncode(buf []byte) []byte {
 }
 
 // DecodeTransaction decodes one transaction from buf, returning the remaining
-// bytes.
+// bytes. Payload and Sig alias buf (capacity-clipped, so an append to either
+// reallocates instead of overwriting buf).
 func DecodeTransaction(buf []byte) (Transaction, []byte, error) {
 	var t Transaction
 	if len(buf) < 20 {
@@ -58,14 +66,14 @@ func DecodeTransaction(buf []byte) (Transaction, []byte, error) {
 	if len(buf) < plen+4 {
 		return t, nil, fmt.Errorf("types: short transaction payload")
 	}
-	t.Payload = append([]byte(nil), buf[:plen]...)
+	t.Payload = buf[:plen:plen]
 	buf = buf[plen:]
 	slen := int(binary.BigEndian.Uint32(buf))
 	buf = buf[4:]
 	if len(buf) < slen {
 		return t, nil, fmt.Errorf("types: short transaction signature")
 	}
-	t.Sig = append([]byte(nil), buf[:slen]...)
+	t.Sig = buf[:slen:slen]
 	return t, buf[slen:], nil
 }
 
@@ -101,7 +109,7 @@ type Entry struct {
 
 // WireSize returns the serialized size of the entry in bytes.
 func (e *Entry) WireSize() int {
-	n := 4 + 8 + 8 + 8 + 4
+	n := entryHeader
 	for i := range e.Txns {
 		n += e.Txns[i].WireSize()
 	}
@@ -122,24 +130,42 @@ func (e *Entry) Encode() []byte {
 	return buf
 }
 
-// DecodeEntry decodes an entry from its canonical encoding.
-func DecodeEntry(buf []byte) (*Entry, error) {
-	if len(buf) < 32 {
-		return nil, fmt.Errorf("types: short entry header (%d bytes)", len(buf))
+// entryHeader is the fixed prefix of an encoded entry.
+const entryHeader = 4 + 8 + 8 + 8 + 4
+
+// PeekEntry reads an encoded entry's header — the entry with no transactions
+// decoded — and its transaction count. It is what a caller that needs only
+// the ID, the propose time or the batch size pays instead of DecodeEntry; the
+// count is bounded the way DecodeEntry bounds it, but the transactions are
+// not walked, so a nil error does not mean buf decodes.
+func PeekEntry(buf []byte) (hdr Entry, txns int, err error) {
+	if len(buf) < entryHeader {
+		return hdr, 0, fmt.Errorf("types: short entry header (%d bytes)", len(buf))
 	}
-	e := &Entry{}
-	e.ID.GID = int(binary.BigEndian.Uint32(buf))
-	e.ID.Seq = binary.BigEndian.Uint64(buf[4:])
-	e.Term = binary.BigEndian.Uint64(buf[12:])
-	e.CommitIndex = binary.BigEndian.Uint64(buf[20:])
-	n := int(binary.BigEndian.Uint32(buf[28:]))
-	buf = buf[32:]
+	hdr.ID.GID = int(binary.BigEndian.Uint32(buf))
+	hdr.ID.Seq = binary.BigEndian.Uint64(buf[4:])
+	hdr.Term = binary.BigEndian.Uint64(buf[12:])
+	hdr.CommitIndex = binary.BigEndian.Uint64(buf[20:])
+	txns = int(binary.BigEndian.Uint32(buf[28:]))
 	// Each transaction needs at least 20 header bytes: an attacker-supplied
 	// count larger than that bound cannot be honest, and must not drive a
 	// huge preallocation.
-	if n > len(buf)/20 {
-		return nil, fmt.Errorf("types: transaction count %d exceeds payload", n)
+	if txns > (len(buf)-entryHeader)/20 {
+		return hdr, 0, fmt.Errorf("types: transaction count %d exceeds payload", txns)
 	}
+	return hdr, txns, nil
+}
+
+// DecodeEntry decodes an entry from its canonical encoding. The result
+// aliases buf (see the package comment): two allocations, whatever the
+// transaction count.
+func DecodeEntry(buf []byte) (*Entry, error) {
+	hdr, n, err := PeekEntry(buf)
+	if err != nil {
+		return nil, err
+	}
+	e := &hdr
+	buf = buf[entryHeader:]
 	e.Txns = make([]Transaction, 0, n)
 	for i := 0; i < n; i++ {
 		t, rest, err := DecodeTransaction(buf)
@@ -155,5 +181,8 @@ func DecodeEntry(buf []byte) (*Entry, error) {
 	return e, nil
 }
 
-// Digest computes the entry's digest over its canonical encoding.
+// Digest computes the entry's digest over its canonical encoding. The
+// encoding is canonical both ways (DecodeEntry accepts exactly the bytes
+// Encode produces), so a caller holding the bytes an entry was decoded from
+// takes keys.Hash of those and skips the re-encode.
 func (e *Entry) Digest() keys.Digest { return keys.Hash(e.Encode()) }

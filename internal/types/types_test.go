@@ -134,3 +134,39 @@ func TestPropertyEncodeDecode(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestDecodeEntryAllocCeiling keeps DecodeEntry at a fixed number of
+// allocations (the entry and its transaction slice; payloads and signatures
+// alias the input), whatever the transaction count.
+func TestDecodeEntryAllocCeiling(t *testing.T) {
+	e := &Entry{ID: EntryID{GID: 1, Seq: 2}}
+	for i := 0; i < 400; i++ {
+		e.Txns = append(e.Txns, Transaction{Client: uint64(i), Payload: make([]byte, 110), Sig: make([]byte, 64)})
+	}
+	enc := e.Encode()
+	allocs := testing.AllocsPerRun(20, func() {
+		if _, err := DecodeEntry(enc); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 3 {
+		t.Fatalf("DecodeEntry of 400 transactions: %.0f allocations, want <= 3", allocs)
+	}
+}
+
+// TestDecodedSlicesAreCapacityClipped: appending to a decoded payload must
+// reallocate, not overwrite the bytes that follow it in the shared buffer.
+func TestDecodedSlicesAreCapacityClipped(t *testing.T) {
+	e := &Entry{Txns: []Transaction{{Payload: []byte("ab"), Sig: []byte("cd")}, {Payload: []byte("ef")}}}
+	enc := e.Encode()
+	want := append([]byte(nil), enc...)
+	got, err := DecodeEntry(enc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_ = append(got.Txns[0].Payload, 0xff)
+	_ = append(got.Txns[0].Sig, 0xff)
+	if !bytes.Equal(enc, want) {
+		t.Fatal("append to a decoded slice wrote into the source buffer")
+	}
+}

@@ -46,8 +46,8 @@ func (s *SmallBank) Name() string { return "smallbank" }
 // Load implements Workload (accounts are lazily initialized).
 func (s *SmallBank) Load(db *statedb.Store) {}
 
-func checkingKey(acct uint64) string { return fmt.Sprintf("sb:c:%d", acct) }
-func savingsKey(acct uint64) string  { return fmt.Sprintf("sb:s:%d", acct) }
+func checkingKey(acct uint64) string { return key("sb:c:", acct) }
+func savingsKey(acct uint64) string  { return key("sb:s:", acct) }
 
 // Next implements Workload. Payload: op(1) | acct1(8) | acct2(8) | amount(8).
 func (s *SmallBank) Next(client uint64) types.Transaction {
@@ -74,72 +74,66 @@ func (s *SmallBank) Next(client uint64) types.Transaction {
 // Executor implements Workload. Balances follow the standard SmallBank
 // semantics; overdrafts abort (logic abort, not a conflict).
 func (s *SmallBank) Executor() aria.Executor {
-	return func(snap aria.Snapshot, tx *types.Transaction) ([]string, map[string][]byte, bool, error) {
+	return func(fp *aria.Footprint, tx *types.Transaction) (bool, error) {
 		p := tx.Payload
 		if len(p) != 25 {
-			return nil, nil, false, fmt.Errorf("smallbank: bad payload size %d", len(p))
+			return false, fmt.Errorf("smallbank: bad payload size %d", len(p))
 		}
 		op := p[0]
 		a1 := getU64(p[1:])
 		a2 := getU64(p[9:])
 		amount := int64(getU64(p[17:]))
-
-		bal := func(key string) int64 {
-			v, ok := snap.Get(key)
-			return i64of(v, ok, initialBalance)
-		}
+		bal := func(key string) int64 { return readI64(fp, key, initialBalance) }
 
 		switch op {
 		case sbBalance:
-			reads := []string{checkingKey(a1), savingsKey(a1)}
-			_ = bal(reads[0]) + bal(reads[1])
-			return reads, nil, false, nil
+			_ = bal(checkingKey(a1)) + bal(savingsKey(a1))
+			return false, nil
 
 		case sbDepositChecking:
 			k := checkingKey(a1)
-			return []string{k}, map[string][]byte{k: i64val(bal(k) + amount)}, false, nil
+			writeI64(fp, k, bal(k)+amount)
+			return false, nil
 
 		case sbTransactSavings:
 			k := savingsKey(a1)
 			nb := bal(k) + amount
 			if nb < 0 {
-				return []string{k}, nil, true, nil
+				return true, nil
 			}
-			return []string{k}, map[string][]byte{k: i64val(nb)}, false, nil
+			writeI64(fp, k, nb)
+			return false, nil
 
 		case sbAmalgamate:
 			// Move all of a1's funds into a2's checking.
 			kc1, ks1, kc2 := checkingKey(a1), savingsKey(a1), checkingKey(a2)
 			total := bal(kc1) + bal(ks1)
-			return []string{kc1, ks1, kc2}, map[string][]byte{
-				kc1: i64val(0),
-				ks1: i64val(0),
-				kc2: i64val(bal(kc2) + total),
-			}, false, nil
+			writeI64(fp, kc1, 0)
+			writeI64(fp, ks1, 0)
+			writeI64(fp, kc2, bal(kc2)+total)
+			return false, nil
 
 		case sbSendPayment:
 			kc1, kc2 := checkingKey(a1), checkingKey(a2)
 			b1 := bal(kc1)
 			if b1 < amount {
-				return []string{kc1, kc2}, nil, true, nil
+				return true, nil
 			}
-			return []string{kc1, kc2}, map[string][]byte{
-				kc1: i64val(b1 - amount),
-				kc2: i64val(bal(kc2) + amount),
-			}, false, nil
+			writeI64(fp, kc1, b1-amount)
+			writeI64(fp, kc2, bal(kc2)+amount)
+			return false, nil
 
 		case sbWriteCheck:
 			kc, ks := checkingKey(a1), savingsKey(a1)
-			total := bal(kc) + bal(ks)
+			bc := bal(kc)
 			fee := int64(0)
-			if total < amount {
+			if bc+bal(ks) < amount {
 				fee = 1 // overdraft penalty per SmallBank spec
 			}
-			return []string{kc, ks}, map[string][]byte{
-				kc: i64val(bal(kc) - amount - fee),
-			}, false, nil
+			writeI64(fp, kc, bc-amount-fee)
+			return false, nil
 		}
-		return nil, nil, false, fmt.Errorf("smallbank: unknown op %d", op)
+		return false, fmt.Errorf("smallbank: unknown op %d", op)
 	}
 }
 

@@ -48,12 +48,12 @@ func (t *TPCC) Name() string { return "tpcc" }
 // balances and YTDs as 0, next order IDs as 1).
 func (t *TPCC) Load(db *statedb.Store) {}
 
-func whKey(w uint64) string           { return fmt.Sprintf("tp:w:%d", w) }
-func distKey(w, d uint64) string      { return fmt.Sprintf("tp:d:%d:%d", w, d) }
-func distNextOKey(w, d uint64) string { return fmt.Sprintf("tp:no:%d:%d", w, d) }
-func custKey(w, d, c uint64) string   { return fmt.Sprintf("tp:c:%d:%d:%d", w, d, c) }
-func stockKey(w, i uint64) string     { return fmt.Sprintf("tp:s:%d:%d", w, i) }
-func orderKey(w, d, o uint64) string  { return fmt.Sprintf("tp:o:%d:%d:%d", w, d, o) }
+func whKey(w uint64) string           { return key("tp:w:", w) }
+func distKey(w, d uint64) string      { return key("tp:d:", w, d) }
+func distNextOKey(w, d uint64) string { return key("tp:no:", w, d) }
+func custKey(w, d, c uint64) string   { return key("tp:c:", w, d, c) }
+func stockKey(w, i uint64) string     { return key("tp:s:", w, i) }
+func orderKey(w, d, o uint64) string  { return key("tp:o:", w, d, o) }
 
 // Next implements Workload.
 //
@@ -96,59 +96,49 @@ func (t *TPCC) Next(client uint64) types.Transaction {
 
 // Executor implements Workload.
 func (t *TPCC) Executor() aria.Executor {
-	return func(snap aria.Snapshot, tx *types.Transaction) ([]string, map[string][]byte, bool, error) {
+	return func(fp *aria.Footprint, tx *types.Transaction) (bool, error) {
 		p := tx.Payload
 		if len(p) < 26 {
-			return nil, nil, false, fmt.Errorf("tpcc: short payload (%d bytes)", len(p))
+			return false, fmt.Errorf("tpcc: short payload (%d bytes)", len(p))
 		}
 		w := getU64(p[1:])
 		d := getU64(p[9:])
 		c := getU64(p[17:])
-		get := func(key string, def int64) int64 {
-			v, ok := snap.Get(key)
-			return i64of(v, ok, def)
-		}
 		switch p[0] {
 		case tpccNewOrder:
 			n := int(p[25])
 			if len(p) != 26+n*9 {
-				return nil, nil, false, fmt.Errorf("tpcc: bad neworder size %d for %d lines", len(p), n)
+				return false, fmt.Errorf("tpcc: bad neworder size %d for %d lines", len(p), n)
 			}
 			noKey := distNextOKey(w, d)
-			oid := uint64(get(noKey, 1))
-			reads := []string{noKey}
-			writes := map[string][]byte{noKey: i64val(int64(oid) + 1)}
+			oid := uint64(readI64(fp, noKey, 1))
+			writeI64(fp, noKey, int64(oid)+1)
 			off := 26
 			for i := 0; i < n; i++ {
 				item := getU64(p[off:])
 				qty := int64(p[off+8])
 				off += 9
 				sk := stockKey(w, item)
-				q := get(sk, 100)
-				q -= qty
+				q := readI64(fp, sk, 100) - qty
 				if q < 10 {
 					q += 91
 				}
-				reads = append(reads, sk)
-				writes[sk] = i64val(q)
+				writeI64(fp, sk, q)
 			}
-			writes[orderKey(w, d, oid)] = i64val(int64(c))
-			return reads, writes, false, nil
+			writeI64(fp, orderKey(w, d, oid), int64(c))
+			return false, nil
 
 		case tpccPayment:
 			if len(p) != 33 {
-				return nil, nil, false, fmt.Errorf("tpcc: bad payment size %d", len(p))
+				return false, fmt.Errorf("tpcc: bad payment size %d", len(p))
 			}
 			amount := int64(getU64(p[25:]))
 			wk, dk, ck := whKey(w), distKey(w, d), custKey(w, d, c)
-			reads := []string{wk, dk, ck}
-			writes := map[string][]byte{
-				wk: i64val(get(wk, 0) + amount), // warehouse YTD — hotspot
-				dk: i64val(get(dk, 0) + amount), // district YTD
-				ck: i64val(get(ck, 0) - amount), // customer balance
-			}
-			return reads, writes, false, nil
+			writeI64(fp, wk, readI64(fp, wk, 0)+amount) // warehouse YTD — hotspot
+			writeI64(fp, dk, readI64(fp, dk, 0)+amount) // district YTD
+			writeI64(fp, ck, readI64(fp, ck, 0)-amount) // customer balance
+			return false, nil
 		}
-		return nil, nil, false, fmt.Errorf("tpcc: unknown op %#x", p[0])
+		return false, fmt.Errorf("tpcc: unknown op %#x", p[0])
 	}
 }

@@ -15,6 +15,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math/rand"
+	"strconv"
 
 	"massbft/internal/aria"
 	"massbft/internal/statedb"
@@ -68,11 +69,31 @@ func dummySig(rng *rand.Rand) []byte {
 func putU64(b []byte, v uint64) { binary.BigEndian.PutUint64(b, v) }
 func getU64(b []byte) uint64    { return binary.BigEndian.Uint64(b) }
 
-// i64val encodes an int64 as a statedb value.
-func i64val(v int64) []byte {
-	b := make([]byte, 8)
-	binary.BigEndian.PutUint64(b, uint64(v))
-	return b
+// key builds a storage key: prefix followed by the decimal ids joined by
+// ':'. One allocation (the string); the executors call it per key touched.
+func key(prefix string, ids ...uint64) string {
+	var buf [80]byte // the longest key, "tp:c:" plus three 20-digit ids, is 67
+	k := append(buf[:0], prefix...)
+	for i, id := range ids {
+		if i > 0 {
+			k = append(k, ':')
+		}
+		k = strconv.AppendUint(k, id, 10)
+	}
+	return string(k)
+}
+
+// readI64 reads key through fp as an int64, def when it is missing.
+func readI64(fp *aria.Footprint, key string, def int64) int64 {
+	v, ok := fp.Read(key)
+	return i64of(v, ok, def)
+}
+
+// writeI64 buffers a write of v under key.
+func writeI64(fp *aria.Footprint, key string, v int64) {
+	var b [8]byte
+	binary.BigEndian.PutUint64(b[:], uint64(v))
+	fp.Write(key, b[:])
 }
 
 // i64of decodes a statedb value as int64, with a default when missing.

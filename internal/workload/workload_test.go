@@ -1,6 +1,9 @@
 package workload
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"math"
 	"math/rand"
 	"testing"
@@ -36,6 +39,25 @@ func TestGeneratorsDeterministic(t *testing.T) {
 			}
 		}
 	}
+}
+
+// i64val encodes an int64 as a statedb value.
+func i64val(v int64) []byte {
+	b := make([]byte, 8)
+	putU64(b, uint64(v))
+	return b
+}
+
+// exec1 runs one transaction alone against db. A batch of one has no
+// conflicts, so whatever the executor wrote is in db afterwards.
+func exec1(exec aria.Executor, db *statedb.Store, payload []byte) (aria.Result, error) {
+	return aria.NewEngine(db, exec).ExecuteBatch([]types.Transaction{{Payload: payload}})
+}
+
+// dbI64 reads key from db as an int64, def when it is missing.
+func dbI64(db *statedb.Store, key string, def int64) int64 {
+	v, ok := db.Get(key)
+	return i64of(v, ok, def)
 }
 
 func runBatch(t *testing.T, w Workload, n int) (*aria.Engine, aria.Result) {
@@ -146,17 +168,17 @@ func TestYCSBReadAfterWrite(t *testing.T) {
 
 func TestYCSBMalformedPayloads(t *testing.T) {
 	exec := NewYCSB('a', 10, 1).Executor()
-	if _, _, _, err := exec(statedb.New(), &types.Transaction{Payload: []byte{ycsbOpRead}}); err == nil {
+	if _, err := exec1(exec, statedb.New(), []byte{ycsbOpRead}); err == nil {
 		t.Fatal("short payload accepted")
 	}
 	bad := make([]byte, 11)
 	bad[0] = ycsbOpWrite
-	if _, _, _, err := exec(statedb.New(), &types.Transaction{Payload: bad}); err == nil {
+	if _, err := exec1(exec, statedb.New(), bad); err == nil {
 		t.Fatal("bad write size accepted")
 	}
 	bad = make([]byte, 10)
 	bad[0] = 0x7F
-	if _, _, _, err := exec(statedb.New(), &types.Transaction{Payload: bad}); err == nil {
+	if _, err := exec1(exec, statedb.New(), bad); err == nil {
 		t.Fatal("unknown op accepted")
 	}
 }
@@ -211,11 +233,11 @@ func TestSmallBankOverdraftAborts(t *testing.T) {
 	putU64(p[1:], 1)
 	putU64(p[9:], 2)
 	putU64(p[17:], 100) // more than balance 5
-	_, writes, abort, err := exec(db, &types.Transaction{Payload: p})
+	res, err := exec1(exec, db, p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !abort || writes != nil {
+	if res.LogicAborted != 1 || dbI64(db, checkingKey(1), 0) != 5 || db.Len() != 1 {
 		t.Fatal("overdraft payment did not abort")
 	}
 }
@@ -227,11 +249,10 @@ func TestSmallBankLazyInitialBalance(t *testing.T) {
 	p[0] = sbDepositChecking
 	putU64(p[1:], 7)
 	putU64(p[17:], 50)
-	_, writes, _, err := exec(db, &types.Transaction{Payload: p})
-	if err != nil {
+	if _, err := exec1(exec, db, p); err != nil {
 		t.Fatal(err)
 	}
-	if got := i64of(writes[checkingKey(7)], true, 0); got != initialBalance+50 {
+	if got := dbI64(db, checkingKey(7), 0); got != initialBalance+50 {
 		t.Fatalf("deposit on lazy account = %d, want %d", got, initialBalance+50)
 	}
 }
@@ -274,11 +295,10 @@ func TestTPCCStockRestock(t *testing.T) {
 	p[25] = 1
 	putU64(p[26:], 9)
 	p[34] = 5 // 12-5=7 < 10 → +91 = 98
-	_, writes, _, err := exec(db, &types.Transaction{Payload: p})
-	if err != nil {
+	if _, err := exec1(exec, db, p); err != nil {
 		t.Fatal(err)
 	}
-	if got := i64of(writes[stockKey(0, 9)], true, 0); got != 98 {
+	if got := dbI64(db, stockKey(0, 9), 0); got != 98 {
 		t.Fatalf("restocked qty = %d, want 98", got)
 	}
 }
@@ -395,17 +415,14 @@ func TestSmallBankSendPaymentMovesMoney(t *testing.T) {
 	putU64(p[1:], 1)
 	putU64(p[9:], 2)
 	putU64(p[17:], 200)
-	reads, writes, abort, err := exec(db, &types.Transaction{Payload: p})
-	if err != nil || abort {
-		t.Fatalf("err=%v abort=%v", err, abort)
+	res, err := exec1(exec, db, p)
+	if err != nil || res.Committed != 1 {
+		t.Fatalf("err=%v res=%+v", err, res)
 	}
-	if len(reads) != 2 {
-		t.Fatalf("reads %v", reads)
-	}
-	if got := i64of(writes[checkingKey(1)], true, 0); got != 300 {
+	if got := dbI64(db, checkingKey(1), 0); got != 300 {
 		t.Fatalf("sender balance %d", got)
 	}
-	if got := i64of(writes[checkingKey(2)], true, 0); got != 300 {
+	if got := dbI64(db, checkingKey(2), 0); got != 300 {
 		t.Fatalf("receiver balance %d", got)
 	}
 }
@@ -420,14 +437,14 @@ func TestSmallBankAmalgamate(t *testing.T) {
 	p[0] = sbAmalgamate
 	putU64(p[1:], 3)
 	putU64(p[9:], 4)
-	_, writes, abort, err := exec(db, &types.Transaction{Payload: p})
-	if err != nil || abort {
-		t.Fatalf("err=%v abort=%v", err, abort)
+	res, err := exec1(exec, db, p)
+	if err != nil || res.Committed != 1 {
+		t.Fatalf("err=%v res=%+v", err, res)
 	}
-	if i64of(writes[checkingKey(3)], true, -1) != 0 || i64of(writes[savingsKey(3)], true, -1) != 0 {
+	if dbI64(db, checkingKey(3), -1) != 0 || dbI64(db, savingsKey(3), -1) != 0 {
 		t.Fatal("source accounts not emptied")
 	}
-	if got := i64of(writes[checkingKey(4)], true, 0); got != 105 {
+	if got := dbI64(db, checkingKey(4), 0); got != 105 {
 		t.Fatalf("destination %d, want 105", got)
 	}
 }
@@ -441,17 +458,17 @@ func TestTPCCPaymentUpdatesYTDAndBalance(t *testing.T) {
 	putU64(p[9:], 3)
 	putU64(p[17:], 5)
 	putU64(p[25:], 1000)
-	reads, writes, abort, err := exec(db, &types.Transaction{Payload: p})
-	if err != nil || abort {
-		t.Fatalf("err=%v abort=%v", err, abort)
+	res, err := exec1(exec, db, p)
+	if err != nil || res.Committed != 1 {
+		t.Fatalf("err=%v res=%+v", err, res)
 	}
-	if len(reads) != 3 || len(writes) != 3 {
-		t.Fatalf("footprint: %d reads %d writes", len(reads), len(writes))
+	if db.Len() != 3 {
+		t.Fatalf("footprint: %d keys written, want 3", db.Len())
 	}
-	if i64of(writes[whKey(2)], true, 0) != 1000 {
-		t.Fatal("warehouse YTD wrong")
+	if dbI64(db, whKey(2), 0) != 1000 || dbI64(db, distKey(2, 3), 0) != 1000 {
+		t.Fatal("warehouse or district YTD wrong")
 	}
-	if i64of(writes[custKey(2, 3, 5)], true, 0) != -1000 {
+	if dbI64(db, custKey(2, 3, 5), 0) != -1000 {
 		t.Fatal("customer balance wrong")
 	}
 }
@@ -459,35 +476,119 @@ func TestTPCCPaymentUpdatesYTDAndBalance(t *testing.T) {
 func TestTPCCMalformedPayloads(t *testing.T) {
 	exec := NewTPCC(4, 1).Executor()
 	db := statedb.New()
-	if _, _, _, err := exec(db, &types.Transaction{Payload: []byte{tpccNewOrder}}); err == nil {
+	if _, err := exec1(exec, db, []byte{tpccNewOrder}); err == nil {
 		t.Fatal("short payload accepted")
 	}
 	p := make([]byte, 33)
 	p[0] = 0x77
-	if _, _, _, err := exec(db, &types.Transaction{Payload: p}); err == nil {
+	if _, err := exec1(exec, db, p); err == nil {
 		t.Fatal("unknown op accepted")
 	}
 	bad := make([]byte, 26)
 	bad[0] = tpccNewOrder
 	bad[25] = 9 // claims 9 lines, none present
-	if _, _, _, err := exec(db, &types.Transaction{Payload: bad}); err == nil {
+	if _, err := exec1(exec, db, bad); err == nil {
 		t.Fatal("bad neworder size accepted")
 	}
 	short := make([]byte, 30)
 	short[0] = tpccPayment
-	if _, _, _, err := exec(db, &types.Transaction{Payload: short}); err == nil {
+	if _, err := exec1(exec, db, short); err == nil {
 		t.Fatal("bad payment size accepted")
 	}
 }
 
 func TestSmallBankMalformedPayload(t *testing.T) {
 	exec := NewSmallBank(10, 1).Executor()
-	if _, _, _, err := exec(statedb.New(), &types.Transaction{Payload: []byte{1, 2}}); err == nil {
+	if _, err := exec1(exec, statedb.New(), []byte{1, 2}); err == nil {
 		t.Fatal("short payload accepted")
 	}
 	p := make([]byte, 25)
 	p[0] = 0x60
-	if _, _, _, err := exec(statedb.New(), &types.Transaction{Payload: p}); err == nil {
+	if _, err := exec1(exec, statedb.New(), p); err == nil {
 		t.Fatal("unknown op accepted")
+	}
+}
+
+// executorFingerprint folds five conflict-rich 200-transaction batches'
+// results and state hashes into one digest.
+func executorFingerprint(t *testing.T, w Workload) string {
+	t.Helper()
+	db := statedb.New()
+	w.Load(db)
+	e := aria.NewEngine(db, w.Executor())
+	h := sha256.New()
+	for b := 0; b < 5; b++ {
+		batch := make([]types.Transaction, 200)
+		for i := range batch {
+			batch[i] = w.Next(uint64(i))
+		}
+		res, err := e.ExecuteBatch(batch)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var n [8]byte
+		for _, v := range append([]int{res.Committed, res.LogicAborted, len(res.Aborted)}, res.Aborted...) {
+			binary.BigEndian.PutUint64(n[:], uint64(v))
+			h.Write(n[:])
+		}
+		sh := db.Hash()
+		h.Write(sh[:])
+	}
+	return hex.EncodeToString(h.Sum(nil))[:16]
+}
+
+// TestExecutorFingerprints pins what the shipped executors read, write and
+// abort: the constants were captured from the map-returning executors (and
+// fmt.Sprintf keys) that preceded the footprint-writing ones, over key spaces
+// small enough that every hazard kind occurs.
+func TestExecutorFingerprints(t *testing.T) {
+	for _, tc := range []struct {
+		w    Workload
+		want string
+	}{
+		{NewYCSB('a', 1000, 21), "eae617b44d05eb93"},
+		{NewYCSB('b', 1000, 21), "f1249c9633a69316"},
+		{NewSmallBank(100, 21), "9b40f79862d1366a"},
+		{NewTPCC(4, 21), "fbc3d82edce54a4c"},
+	} {
+		if got := executorFingerprint(t, tc.w); got != tc.want {
+			t.Errorf("%s: fingerprint %s, want %s", tc.w.Name(), got, tc.want)
+		}
+	}
+}
+
+// TestExecutorsNeverWriteIntoStoredValues holds the shipped executors to the
+// store's contract — a slice obtained from the store is never written to —
+// which is what lets statedb.Clone and Restore share value slices: a clone
+// must keep its contents while the original executes batches that read and
+// overwrite the values the two share.
+func TestExecutorsNeverWriteIntoStoredValues(t *testing.T) {
+	for _, w := range []Workload{NewYCSB('a', 200, 5), NewYCSB('b', 200, 5), NewSmallBank(50, 5), NewTPCC(2, 5)} {
+		db := statedb.New()
+		e := aria.NewEngine(db, w.Executor())
+		run := func(batches int) {
+			for b := 0; b < batches; b++ {
+				batch := make([]types.Transaction, 200)
+				for i := range batch {
+					batch[i] = w.Next(uint64(i))
+				}
+				if _, err := e.ExecuteBatch(batch); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		run(3)
+		snap := db.Clone()
+		if snap.Len() == 0 {
+			t.Fatalf("%s: nothing stored", w.Name())
+		}
+		before := snap.Hash()
+		run(5)
+		if db.Hash() == before {
+			t.Fatalf("%s: five batches changed nothing", w.Name())
+		}
+		if snap.Hash() != before {
+			t.Fatalf("%s: executing on the original changed its clone: an executor wrote into a stored value", w.Name())
+		}
 	}
 }

@@ -50,9 +50,7 @@ func (y *YCSB) Name() string { return "ycsb-" + string(y.mix) }
 func (y *YCSB) Load(db *statedb.Store) {}
 
 // ycsbKey is the storage key of one column of one row.
-func ycsbKey(row uint64, col byte) string {
-	return fmt.Sprintf("y:%d:%d", row, col)
-}
+func ycsbKey(row uint64, col byte) string { return key("y:", row, uint64(col)) }
 
 // Next implements Workload.
 func (y *YCSB) Next(client uint64) types.Transaction {
@@ -85,24 +83,23 @@ func (y *YCSB) Next(client uint64) types.Transaction {
 
 // Executor implements Workload.
 func (y *YCSB) Executor() aria.Executor {
-	return func(snap aria.Snapshot, tx *types.Transaction) ([]string, map[string][]byte, bool, error) {
+	return func(fp *aria.Footprint, tx *types.Transaction) (bool, error) {
 		p := tx.Payload
 		if len(p) < 10 {
-			return nil, nil, false, fmt.Errorf("ycsb: short payload (%d bytes)", len(p))
+			return false, fmt.Errorf("ycsb: short payload (%d bytes)", len(p))
 		}
-		row := getU64(p[1:])
-		col := p[9]
-		key := ycsbKey(row, col)
+		key := ycsbKey(getU64(p[1:]), p[9])
 		switch p[0] {
 		case ycsbOpRead:
-			snap.Get(key)
-			return []string{key}, nil, false, nil
+			fp.Read(key)
+			return false, nil
 		case ycsbOpWrite:
 			if len(p) != 10+ycsbColumnSize {
-				return nil, nil, false, fmt.Errorf("ycsb: bad write payload size %d", len(p))
+				return false, fmt.Errorf("ycsb: bad write payload size %d", len(p))
 			}
-			return nil, map[string][]byte{key: append([]byte(nil), p[10:]...)}, false, nil
+			fp.Write(key, p[10:])
+			return false, nil
 		}
-		return nil, nil, false, fmt.Errorf("ycsb: unknown op %#x", p[0])
+		return false, fmt.Errorf("ycsb: unknown op %#x", p[0])
 	}
 }

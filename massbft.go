@@ -422,6 +422,9 @@ func (c *Cluster) RecoverNode(at time.Duration, group, index int) {
 // repair; massbft-demo prints it as chunk-repairs), "fetch-retries",
 // "stream-repair-reqs", "record-retries", "entry-rebroadcasts",
 // "proposal-retries", "takeover-stamps", "slot-catchups", "state-transfers".
+// "entries-proposed" and "txns-proposed" count what the group leaders handed
+// to local consensus (heartbeat entries included, re-proposals not), the
+// denominator for "how much of what was proposed executed".
 func (c *Cluster) Counter(name string) int64 {
 	return c.inner.Metrics.Counter(name)
 }

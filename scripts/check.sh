@@ -31,6 +31,12 @@
 #                    seed range, each run drained to a classified verdict
 #                    (converged / wedged / forked); any forked verdict fails —
 #                    for iterating on recovery/retransmission changes
+#   equal-seed [ref] the equal-seed gate for host-only changes — the three
+#                    simulated ledger workloads at seed 1 on `ref` (default
+#                    HEAD, i.e. the uncommitted work against its base) and on
+#                    this tree; commit_tps, both latencies, net_bytes_per_txn
+#                    and the operation counts must be equal to the last digit
+#                    (scripts/equal-seed.sh takes a seed and a run length too)
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -86,9 +92,13 @@ divergence-sweep)
   echo "OK"
   exit 0
   ;;
+equal-seed)
+  bash scripts/equal-seed.sh "${2:-HEAD}"
+  exit 0
+  ;;
 full) ;;
 *)
-  echo "unknown preset: $preset (want: full, partition-chaos, membership-chaos, node-smoke, gateway-smoke, scale-smoke, divergence-sweep)" >&2
+  echo "unknown preset: $preset (want: full, partition-chaos, membership-chaos, node-smoke, gateway-smoke, scale-smoke, divergence-sweep, equal-seed)" >&2
   exit 2
   ;;
 esac
