@@ -237,9 +237,11 @@ type Config struct {
 	// an alternate sender-group node; zero disables chunk repair.
 	RepairTimeout time.Duration
 
-	// CheckpointInterval is how often nodes fold a rejoin checkpoint (ledger
-	// height + state + orderer clocks); zero disables periodic checkpoints
-	// (a rejoining node still gets a fresh fold on demand).
+	// CheckpointInterval is how often nodes fold their rolling checkpoint
+	// (ledger height + orderer clocks + consensus state by value, the state
+	// store as a statedb.Snapshot view: O(keys written since the last tick));
+	// zero disables periodic checkpoints (a rejoining node still gets a fresh
+	// fold, with a copy of the state, on demand).
 	CheckpointInterval time.Duration
 	// RejoinTimeout is how long a recovering node waits for a state-transfer
 	// response before retrying another group peer; defaults to

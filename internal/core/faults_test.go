@@ -267,6 +267,42 @@ func TestBaselineGroupCrashRoundSkip(t *testing.T) {
 	}
 }
 
+// TestRollingCheckpointIsAViewOfTheFold: the periodic fold holds the state as
+// a copy-on-write view, so what a node's rolling checkpoint describes is the
+// store as of its last tick — recorded here through the tick hook — and not
+// the live store, which kept executing until the run stopped well after it.
+func TestRollingCheckpointIsAViewOfTheFold(t *testing.T) {
+	cfg := smallCfg()
+	cfg.GroupSizes = []int{4, 4}
+	cfg.RunFor = 1500 * time.Millisecond
+	cfg.CheckpointInterval = 400 * time.Millisecond // last tick at 1.2 s
+	c, err := cluster.New(cfg, NewNode)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := c.Nodes[keys.NodeID{Group: 1, Index: 2}].(*Node)
+	var atFold [][32]byte
+	n.checkpointHook = func() { atFold = append(atFold, n.DB().Hash()) }
+	c.Run()
+	delta, ticks := c.Metrics.Counter("checkpoint-delta-keys"), c.Metrics.Counter("checkpoints")
+	if len(atFold) != 3 || ticks == 0 {
+		t.Fatalf("%d ticks on the node, checkpoints = %d; want 3 and > 0", len(atFold), ticks)
+	}
+	if n.latestCheckpoint == nil || n.latestCheckpoint.State != nil {
+		t.Fatal("the rolling checkpoint carries a state copy (or is missing); it should carry none")
+	}
+	last := atFold[len(atFold)-1]
+	if live := n.DB().Hash(); live == last {
+		t.Fatal("nothing executed after the last tick; the test shows nothing")
+	}
+	if got := n.latestState.Store().Hash(); got != last {
+		t.Fatal("the rolling checkpoint's view is not the state as of its fold")
+	}
+	if delta == 0 || delta >= ticks*int64(n.DB().Len()) {
+		t.Fatalf("checkpoint-delta-keys = %d over %d ticks of a %d-key store", delta, ticks, n.DB().Len())
+	}
+}
+
 // TestNodeRejoinViaStateTransfer crashes a follower node mid-run and revives
 // it. The emulator discards every timer that fired while the node was down,
 // so a revived node is inert unless the checkpointed-rejoin path re-arms its

@@ -15,21 +15,33 @@ import (
 // is in flight; overflow is dropped (the protocols tolerate message loss).
 const rejoinBufMax = 8192
 
-// checkpointTick periodically folds this node's full state into a checkpoint
-// (CheckpointInterval). Rejoin serving always folds fresh, but the periodic
-// fold models the persisted snapshot a real deployment would restart from and
-// keeps the fold path exercised on every node.
+// checkpointTick periodically folds this node's full state into its rolling
+// checkpoint (CheckpointInterval): everything but the state store by value,
+// the store as a copy-on-write view, so a tick costs what was written since
+// the previous one and nothing here may walk the whole store. Rejoin serving
+// always folds fresh, but the periodic fold models the persisted snapshot a
+// real deployment would restart from (the view is what it would write out
+// while execution continues) and keeps the fold path exercised on every node.
 func (n *Node) checkpointTick() {
+	if n.latestState != nil {
+		n.ctx.Metrics.Add("checkpoint-delta-keys", int64(n.latestState.Delta()))
+	}
 	n.latestCheckpoint = n.foldCheckpoint(n.ledger.Height())
+	n.latestState = n.ctx.Engine.DB().Snapshot() // closes the previous tick's view
 	n.ctx.Metrics.Inc("checkpoints")
+	if n.checkpointHook != nil {
+		n.checkpointHook()
+	}
 }
 
 // foldCheckpoint snapshots the node at a virtual instant: the ledger suffix
-// above `have`, the state store, group clock, both PBFT instances (with
-// in-flight slots and their collected votes), the ordering machinery, stream
-// cursors (with still-buffered out-of-order batches), and every pending
-// entry. The simulation is single-threaded, so the fold is atomic by
-// construction.
+// above `have`, group clock, both PBFT instances (with in-flight slots and
+// their collected votes), the ordering machinery, stream cursors (with
+// still-buffered out-of-order batches), and every pending entry — everything
+// but the state store, which the caller attaches in the same step: a copy in
+// State for a checkpoint that leaves the node (onRejoinReq), a view beside it
+// for the node's own (checkpointTick). The simulation is single-threaded, so
+// the fold is atomic by construction.
 func (n *Node) foldCheckpoint(have uint64) *cluster.Checkpoint {
 	if have > n.ledger.Height() {
 		have = n.ledger.Height()
@@ -37,7 +49,6 @@ func (n *Node) foldCheckpoint(have uint64) *cluster.Checkpoint {
 	ck := &cluster.Checkpoint{
 		Height:      n.ledger.Height(),
 		Blocks:      n.ledger.Suffix(have),
-		State:       n.ctx.Engine.DB().Clone(),
 		StateRoll:   n.stateRoll,
 		Clk:         n.clk,
 		NextSeq:     n.nextSeq,
@@ -182,6 +193,9 @@ func (n *Node) onRejoinReq(from keys.NodeID, m *cluster.RejoinReq) {
 		return
 	}
 	resp := &cluster.RejoinResp{C: n.foldCheckpoint(m.Have)}
+	// What leaves the node may be dropped, duplicated or delayed on the way:
+	// it is a copy, never a view.
+	resp.C.State = n.ctx.Engine.DB().Clone()
 	if from.Group != n.g {
 		// Our own stream has no streamIn, so the fold leaves StreamNext for
 		// this group at zero — but a bootstrapping node has never processed
@@ -203,8 +217,8 @@ func (n *Node) onRejoinReq(from keys.NodeID, m *cluster.RejoinReq) {
 // way, but nothing group-scoped crosses the boundary — the server's PBFT
 // instances, group clock, and proposer cursor belong to its group, not ours.
 func (n *Node) onRejoinResp(from keys.NodeID, resp *cluster.RejoinResp) {
-	if !n.rejoining || resp.C == nil {
-		return
+	if !n.rejoining || resp.C == nil || resp.C.State == nil {
+		return // the wire allows a checkpoint without a state; an install needs one
 	}
 	bootstrap := n.selfStandby
 	if bootstrap == (from.Group == n.g) {
@@ -232,8 +246,10 @@ func (n *Node) onRejoinResp(from keys.NodeID, resp *cluster.RejoinResp) {
 	}
 	n.charge(time.Duration(ck.WireSize()) * n.cfg.Cost.RebuildPerByte)
 
-	// Executed prefix.
+	// Executed prefix. Restore closes this node's own checkpoint view: the
+	// state it described is gone.
 	n.ctx.Engine.DB().Restore(ck.State)
+	n.latestCheckpoint, n.latestState = nil, nil
 	n.stateRoll = ck.StateRoll
 	n.execCount = ck.ExecCount
 	n.commitCount = ck.CommitCount

@@ -1,8 +1,10 @@
 // Package statedb is the in-memory hash-table state store the paper's
 // prototype uses to hold database state (§VI "Implementation"). It offers a
-// point-lookup/update interface for the Aria executor plus a deterministic
+// point-lookup/update interface for the Aria executor, a deterministic
 // digest so tests can assert that every node converged to an identical
-// state.
+// state, and an O(1) copy-on-write Snapshot — a read-only view "as of now"
+// whose cost is paid by the writes that follow it, which is what a periodic
+// checkpoint holds (snapshot.go).
 package statedb
 
 import (
@@ -26,6 +28,13 @@ import (
 type Store struct {
 	mu   sync.RWMutex
 	data map[string][]byte
+
+	// snap is the open Snapshot, nil when there is none; before holds what
+	// each key written since snap was taken held at that moment. The map
+	// outlives the snapshots (cleared, not reallocated, when one closes), and
+	// is empty whenever snap is nil.
+	snap   *Snapshot
+	before map[string]image
 }
 
 // New returns an empty store.
@@ -60,10 +69,15 @@ func (s *Store) View(fn func(Reader)) {
 	fn(Reader{s})
 }
 
-// Put stores value under key. The store takes ownership of value.
+// Put stores value under key. The store takes ownership of value. A nil
+// value is stored as a present, empty value (unlike Apply and ApplyBatch,
+// where nil deletes).
 func (s *Store) Put(key string, value []byte) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	if s.snap != nil {
+		s.remember(key)
+	}
 	s.data[key] = value
 }
 
@@ -71,6 +85,9 @@ func (s *Store) Put(key string, value []byte) {
 func (s *Store) Delete(key string) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	if s.snap != nil {
+		s.remember(key)
+	}
 	delete(s.data, key)
 }
 
@@ -86,6 +103,11 @@ func (s *Store) Len() int {
 func (s *Store) Apply(keys []string, vals [][]byte) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	if s.snap != nil {
+		for _, k := range keys {
+			s.remember(k)
+		}
+	}
 	for i, k := range keys {
 		if v := vals[i]; v == nil {
 			delete(s.data, k)
@@ -99,6 +121,11 @@ func (s *Store) Apply(keys []string, vals [][]byte) {
 func (s *Store) ApplyBatch(writes map[string][]byte) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	if s.snap != nil {
+		for k := range writes {
+			s.remember(k)
+		}
+	}
 	for k, v := range writes {
 		if v == nil {
 			delete(s.data, k)
@@ -136,19 +163,22 @@ func (s *Store) Hash() [32]byte {
 }
 
 // Clone returns an independent store with the same contents: its own map,
-// sharing the (immutable) value slices. Checkpoint folds and tests that fork
-// identical initial states use it.
+// sharing the (immutable) value slices — an O(keys) copy. A checkpoint that
+// leaves the node (state transfer) and tests that fork identical initial
+// states use it; a checkpoint the node keeps takes a Snapshot instead.
 func (s *Store) Clone() *Store {
 	return &Store{data: s.copyData()}
 }
 
 // Restore replaces this store's contents with from's, sharing value slices
 // as Clone does; the receiver pointer stays valid, so holders (e.g. an
-// execution engine) see the transferred state without rewiring. Used by
-// checkpointed node rejoin.
+// execution engine) see the transferred state without rewiring. It closes
+// the open Snapshot, if any: the installed state is not the one the view
+// described. Used by checkpointed node rejoin.
 func (s *Store) Restore(from *Store) {
 	data := from.copyData()
 	s.mu.Lock()
+	s.closeSnapshot()
 	s.data = data
 	s.mu.Unlock()
 }
@@ -211,7 +241,10 @@ func (s *Store) Save(w io.Writer) error {
 	return bw.Flush()
 }
 
-// Load reads a snapshot written by Save.
+// Load reads a snapshot written by Save. The input is untrusted (a state
+// transfer is decoded before any handler decides whether the node asked for
+// it): memory is allocated as bytes arrive, never on the say-so of a length
+// field, and keys must be strictly ascending, which is what Save writes.
 func Load(r io.Reader) (*Store, error) {
 	br := bufio.NewReader(r)
 	head := make([]byte, 8)
@@ -227,6 +260,7 @@ func Load(r io.Reader) (*Store, error) {
 	}
 	n := int(binary.BigEndian.Uint32(lenBuf[:]))
 	s := New()
+	prev := ""
 	for i := 0; i < n; i++ {
 		if _, err := io.ReadFull(br, lenBuf[:]); err != nil {
 			return nil, fmt.Errorf("statedb: record %d key length: %w", i, err)
@@ -235,10 +269,15 @@ func Load(r io.Reader) (*Store, error) {
 		if klen > 1<<20 {
 			return nil, fmt.Errorf("statedb: record %d key length %d implausible", i, klen)
 		}
-		key := make([]byte, klen)
-		if _, err := io.ReadFull(br, key); err != nil {
+		kb, err := readBytes(br, klen)
+		if err != nil {
 			return nil, fmt.Errorf("statedb: record %d key: %w", i, err)
 		}
+		key := string(kb)
+		if i > 0 && key <= prev {
+			return nil, fmt.Errorf("statedb: record %d key %q not above the one before", i, key)
+		}
+		prev = key
 		if _, err := io.ReadFull(br, lenBuf[:]); err != nil {
 			return nil, fmt.Errorf("statedb: record %d value length: %w", i, err)
 		}
@@ -246,11 +285,33 @@ func Load(r io.Reader) (*Store, error) {
 		if vlen > 1<<28 {
 			return nil, fmt.Errorf("statedb: record %d value length %d implausible", i, vlen)
 		}
-		val := make([]byte, vlen)
-		if _, err := io.ReadFull(br, val); err != nil {
+		val, err := readBytes(br, vlen)
+		if err != nil {
 			return nil, fmt.Errorf("statedb: record %d value: %w", i, err)
 		}
-		s.data[string(key)] = val
+		s.data[key] = val
 	}
 	return s, nil
 }
+
+// readBytes reads exactly n bytes. Up to loadChunk it allocates at once;
+// beyond that the slice doubles as bytes arrive, so a declared length never
+// costs more than about twice the input that backs it.
+func readBytes(br *bufio.Reader, n int) ([]byte, error) {
+	b := make([]byte, min(n, loadChunk))
+	if _, err := io.ReadFull(br, b); err != nil {
+		return nil, err
+	}
+	for len(b) < n {
+		have := len(b)
+		b = append(b, make([]byte, min(have, n-have))...)
+		if _, err := io.ReadFull(br, b[have:]); err != nil {
+			return nil, err
+		}
+	}
+	return b, nil
+}
+
+// loadChunk is the most Load allocates for one field before any of its bytes
+// have arrived.
+const loadChunk = 4096

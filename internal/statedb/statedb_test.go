@@ -2,6 +2,9 @@ package statedb
 
 import (
 	"bytes"
+	"encoding/binary"
+	"fmt"
+	"runtime"
 	"testing"
 )
 
@@ -158,4 +161,105 @@ func TestLoadRejectsGarbage(t *testing.T) {
 	if _, err := Load(bytes.NewReader(data)); err == nil {
 		t.Fatal("truncated record set accepted")
 	}
+
+	// A 30-byte frame declaring a 256 MiB value: rejected, and without
+	// allocating on the say-so of the length field.
+	huge := snapshotBytes(rec{"k", nil})
+	huge = append(huge[:len(huge)-4], 0x10, 0, 0, 0, 'x')
+	var err error
+	if _, n := allocated(func() { _, err = Load(bytes.NewReader(huge)) }); err == nil || n > 1<<20 {
+		t.Fatalf("%d-byte input declaring a 256 MiB value: err = %v after allocating %d bytes", len(huge), err, n)
+	}
+	hugeKey := append(snapshotBytes()[:8], 0, 0, 0, 1, 0, 0x10, 0, 0, 'x')
+	if _, n := allocated(func() { _, err = Load(bytes.NewReader(hugeKey)) }); err == nil || n > 1<<19 {
+		t.Fatalf("input declaring a 1 MiB key: err = %v after allocating %d bytes", err, n)
+	}
+	// A value longer than one allocation step still loads whole.
+	big := bytes.Repeat([]byte{7}, 3*loadChunk+5)
+	if got, err := Load(bytes.NewReader(snapshotBytes(rec{"big", big}))); err != nil {
+		t.Fatal(err)
+	} else if v, _ := got.Get("big"); !bytes.Equal(v, big) {
+		t.Fatal("a multi-chunk value did not load whole")
+	}
+
+	// Save writes strictly ascending keys; anything else is not a snapshot
+	// (a duplicate used to overwrite silently, so the declared count was not
+	// what was loaded).
+	for name, recs := range map[string][]rec{
+		"duplicate key": {{"a", []byte("1")}, {"a", []byte("2")}},
+		"unsorted keys": {{"b", []byte("1")}, {"a", []byte("2")}},
+	} {
+		if _, err := Load(bytes.NewReader(snapshotBytes(recs...))); err == nil {
+			t.Fatalf("%s accepted", name)
+		}
+	}
+}
+
+type rec struct {
+	k string
+	v []byte
+}
+
+// snapshotBytes encodes records in the order given, as Save would if that
+// were its order.
+func snapshotBytes(recs ...rec) []byte {
+	b := []byte("massdb1\x00")
+	b = binary.BigEndian.AppendUint32(b, uint32(len(recs)))
+	for _, r := range recs {
+		b = binary.BigEndian.AppendUint32(b, uint32(len(r.k)))
+		b = append(b, r.k...)
+		b = binary.BigEndian.AppendUint32(b, uint32(len(r.v)))
+		b = append(b, r.v...)
+	}
+	return b
+}
+
+// allocated is the heap fn allocates, in objects and in bytes (nothing else
+// runs in these tests, so the process-wide counters are fn's).
+func allocated(fn func()) (objects, size uint64) {
+	var a, b runtime.MemStats
+	runtime.ReadMemStats(&a)
+	fn()
+	runtime.ReadMemStats(&b)
+	return b.Mallocs - a.Mallocs, b.TotalAlloc - a.TotalAlloc
+}
+
+// FuzzLoad checks the snapshot decoder on untrusted bytes: it never panics,
+// never allocates more than a small multiple of its input, and whatever loads
+// re-saves to the identical bytes (so the encoding is canonical: one byte
+// string per store content).
+func FuzzLoad(f *testing.F) {
+	s := New()
+	for _, n := range []int{0, 1, 40} {
+		for i := s.Len(); i < n; i++ {
+			s.Put(fmt.Sprintf("user%04d", i), bytes.Repeat([]byte{byte(i)}, i%7))
+		}
+		var buf bytes.Buffer
+		if err := s.Save(&buf); err != nil {
+			f.Fatal(err)
+		}
+		f.Add(buf.Bytes())
+	}
+	f.Add(snapshotBytes(rec{"a", nil}, rec{"a", nil}))
+	f.Add(append(snapshotBytes(rec{"k", nil})[:17], 0x10, 0, 0, 0))
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var got *Store
+		var err error
+		// Per record, 9 bytes of input can cost a key, a value and a table
+		// slot; 64 KiB covers the reader's buffer and the first chunk.
+		if _, n := allocated(func() { got, err = Load(bytes.NewReader(data)) }); n > 64<<10+32*uint64(len(data)) {
+			t.Fatalf("loading %d bytes allocated %d", len(data), n)
+		}
+		if err != nil {
+			return
+		}
+		var buf bytes.Buffer
+		if err := got.Save(&buf); err != nil {
+			t.Fatal(err)
+		}
+		if out := buf.Bytes(); len(out) > len(data) || !bytes.Equal(out, data[:len(out)]) {
+			t.Fatalf("a loaded snapshot re-saved to different bytes")
+		}
+	})
 }

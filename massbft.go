@@ -159,10 +159,12 @@ type Config struct {
 	// RepairTimeout arms the recovery scans (chunk-gap repair, entry fetch
 	// retry with peer rotation, stream-gap repair); zero disables them.
 	RepairTimeout time.Duration
-	// CheckpointInterval is how often nodes fold a rejoin checkpoint
-	// (ledger height + state + orderer clocks); zero disables periodic
-	// checkpoints, though a rejoining node still gets a fresh fold on
-	// demand.
+	// CheckpointInterval is how often nodes fold their rolling checkpoint:
+	// ledger height, orderer clocks and consensus state by value, the state
+	// store as a copy-on-write view, so a tick costs what was written since
+	// the previous one, not the size of the state. Zero disables periodic
+	// checkpoints, though a rejoining node still gets a fresh fold (with a
+	// copy of the state) on demand.
 	CheckpointInterval time.Duration
 	// RejoinTimeout bounds one state-transfer attempt of a recovering node
 	// before it retries another group peer.
@@ -422,6 +424,11 @@ func (c *Cluster) RecoverNode(at time.Duration, group, index int) {
 // repair; massbft-demo prints it as chunk-repairs), "fetch-retries",
 // "stream-repair-reqs", "record-retries", "entry-rebroadcasts",
 // "proposal-retries", "takeover-stamps", "slot-catchups", "state-transfers".
+// "rejoin-served" counts the state transfers peers answered, "checkpoints"
+// the periodic folds (Config.CheckpointInterval, summed over nodes) and
+// "checkpoint-delta-keys" the distinct keys written under the view each fold
+// replaced — their quotient is what one fold cost, against a state of
+// (*statedb.Store).Len() keys that it no longer copies.
 // "entries-proposed" and "txns-proposed" count what the group leaders handed
 // to local consensus (heartbeat entries included, re-proposals not), the
 // denominator for "how much of what was proposed executed".
