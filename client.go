@@ -9,10 +9,15 @@ package massbft
 // group (which forwards to its local leader), and wait for f+1 signed
 // replies from distinct group nodes matching on (GID, Height, Result) — the
 // certificate that at least one honest node executed the request at that
-// position. On timeout the client rotates to the next group and broadcasts
-// (retransmissions need every reachable member: cached dedup-window replies
-// come only from nodes that saw the request). Per-client nonces plus each
-// gateway's dedup window make the retries idempotent.
+// position. A reply is the node's execution receipt for the whole entry (one
+// signature over a Merkle root of the entry's client transactions) plus this
+// request's path; the pool's clients check receipt signatures through one
+// shared memo (keys.Registry.VerifyMemo), so an entry costs the process f+1
+// verifications however many of its clients the entry served. On timeout the
+// client rotates to the next group and broadcasts (retransmissions need
+// every reachable member: cached dedup-window replies come only from nodes
+// that saw the request). Per-client nonces plus each gateway's dedup window
+// make the retries idempotent.
 
 import (
 	"encoding/binary"
@@ -58,7 +63,7 @@ type ClientPoolConfig struct {
 type ClientPool struct {
 	cfg  ClientPoolConfig
 	topo *Topology
-	reg  *keys.Registry
+	reg  *keys.Registry // its receipt-signature memo is shared by every Client
 	cks  map[uint64]*keys.ClientKey
 	// gateways[g] lists the members of group g that expose a gateway address:
 	// the only ones a fresh request may be routed to.
@@ -153,7 +158,7 @@ func (p *ClientPool) Client(id uint64) (*Client, error) {
 			Client:      id,
 			Groups:      len(p.topo.Groups),
 			Faulty:      p.reg.Faulty,
-			Verify:      p.reg.Verify,
+			Verify:      p.reg.VerifyMemo,
 			Timeout:     p.cfg.Timeout,
 			ExpBackoff:  true,
 			MaxAttempts: p.cfg.MaxAttempts,
@@ -261,11 +266,7 @@ func (p *ClientPool) readLoop(id keys.NodeID, cc *cpConn) {
 			continue
 		}
 		select {
-		case inbox <- gateway.Reply{
-			Client: rep.Client, Nonce: rep.Nonce, Status: rep.Status,
-			GID: rep.GID, Height: rep.Height, Result: rep.Result,
-			Signer: rep.Sig.Signer, Sig: rep.Sig.Sig,
-		}:
+		case inbox <- rep.Reply():
 		default: // slow client: shed — the certificate needs only f+1
 		}
 	}

@@ -32,18 +32,9 @@ func (c *Cluster) attachGateway(ctx *NodeCtx, kp *keys.KeyPair) {
 		RateBurst:     gw.RateBurst,
 		Clients:       c.ClientReg,
 		Metrics:       c.Metrics,
-		Reply: func(client, nonce uint64, cached bool, height uint64, result []byte) {
-			status := ReplyOK
-			if cached {
-				status = ReplyDup
-			}
-			rep := &ClientReply{
-				Client: client, Nonce: nonce, Status: status,
-				GID: id.Group, Height: height, Result: result,
-			}
-			rep.Sig = keys.Signature{Signer: id, Sig: kp.Sign(rep.SignedMessage())}
+		Reply: func(rc *gateway.Receipt) {
 			if ctx.ReplyOut != nil {
-				ctx.ReplyOut(rep)
+				SignReplies(id, kp.Sign, rc, ctx.ReplyOut)
 			}
 		},
 	})
@@ -121,7 +112,7 @@ func (c *Cluster) StartClients(n int) *ClientHub {
 				Client:     ck.ID,
 				Groups:     ng,
 				Faulty:     c.Reg.Faulty,
-				Verify:     c.Reg.Verify,
+				Verify:     c.Reg.VerifyMemo,
 				Timeout:    c.Cfg.Gateway.ReplyTimeout + jitter,
 				ExpBackoff: true,
 				Down:       down,
@@ -221,18 +212,16 @@ func (h *ClientHub) deliver(sc *simClient, g int, broadcast bool) {
 	}
 }
 
-// onReply feeds one node's signed reply into the owning client's requester;
-// on an f+1 certificate the client immediately issues its next request.
+// onReply feeds one node's reply into the owning client's requester; on an
+// f+1 certificate the client immediately issues its next request. All the
+// hub's clients check receipt signatures through the cluster registry's one
+// memo, so an entry costs the hub f+1 verifications, not f+1 per client.
 func (h *ClientHub) onReply(rep *ClientReply) {
 	sc := h.byID[rep.Client]
 	if sc == nil {
 		return
 	}
-	done, _ := sc.req.OnReply(gateway.Reply{
-		Client: rep.Client, Nonce: rep.Nonce, Status: rep.Status,
-		GID: rep.GID, Height: rep.Height, Result: rep.Result,
-		Signer: rep.Sig.Signer, Sig: rep.Sig.Sig,
-	}, h.now())
+	done, _ := sc.req.OnReply(rep.Reply(), h.now())
 	if done {
 		h.Committed++
 		h.c.Metrics.Inc("client-committed")

@@ -3,8 +3,10 @@ package cluster
 import (
 	"encoding/binary"
 
+	"massbft/internal/gateway"
 	"massbft/internal/keys"
 	"massbft/internal/ledger"
+	"massbft/internal/merkle"
 	"massbft/internal/order"
 	"massbft/internal/pbft"
 	"massbft/internal/replication"
@@ -454,12 +456,18 @@ const (
 	ReplyDup byte = 2
 )
 
-// ClientReply is one node's signed execution receipt for a client request.
-// Every node of the entry's origin group emits one after executing; a client
+// ClientReply is one node's answer to one client transaction: the node's
+// execution receipt for the whole entry plus this transaction's place in it.
+// Every node of the entry's origin group sends one after executing; a client
 // accepts a result once it holds f+1 replies from distinct group nodes that
-// match on (Client, Nonce, Status, GID, Height, Result) — enough to include
-// at least one honest node. Sig covers keys.ClientReplyMessage over exactly
-// those fields.
+// match on (GID, Height, Result) — enough to include at least one honest
+// node. Sig covers keys.ReceiptMessage(Status, GID, Height, Result, root,
+// Leaves) and is the same bytes in every reply the node sends for the
+// entry; root is not carried — the client computes it from its own (Client,
+// Nonce) as leaf Index of a Leaves-leaf tree and the sibling Path (exactly
+// merkle.Depth(Leaves) hashes), so a reply that proves someone else's
+// transaction yields a root the signature does not cover. A ReplyDup answer
+// is a receipt over a one-leaf tree: Leaves 1, Index 0, no Path.
 type ClientReply struct {
 	Client uint64
 	Nonce  uint64
@@ -467,15 +475,51 @@ type ClientReply struct {
 	GID    int
 	Height uint64
 	Result []byte
+	Leaves int
+	Index  int
+	Path   [][merkle.HashSize]byte
 	Sig    keys.Signature
 }
 
-// SignedMessage returns the byte string Sig covers.
-func (m *ClientReply) SignedMessage() []byte {
-	return keys.ClientReplyMessage(m.Client, m.Nonce, m.Status, m.GID, m.Height, m.Result)
+// Reply is m as the client's gateway.Requester takes it.
+func (m *ClientReply) Reply() gateway.Reply {
+	return gateway.Reply{
+		Client: m.Client, Nonce: m.Nonce, Status: m.Status,
+		GID: m.GID, Height: m.Height, Result: m.Result,
+		Leaves: m.Leaves, Index: m.Index, Path: m.Path,
+		Signer: m.Sig.Signer, Sig: m.Sig.Sig,
+	}
 }
+
+// MaxReceiptLeaves bounds ClientReply.Leaves on the wire: 2^20 client
+// transactions in one entry (a 20-hash path), far above any MaxBatch a frame
+// can carry.
+const MaxReceiptLeaves = 1 << 20
 
 // WireSize returns the serialized size in bytes.
 func (m *ClientReply) WireSize() int {
-	return 1 + 8 + 8 + 1 + 4 + 8 + 4 + len(m.Result) + 8 + 4 + len(m.Sig.Sig)
+	return 1 + 8 + 8 + 1 + 4 + 8 + 4 + len(m.Result) + 4 + 4 + merkle.HashSize*len(m.Path) + 8 + 4 + len(m.Sig.Sig)
+}
+
+// SignReplies is the one place a node turns an executed entry (or a
+// dedup-window answer) into replies, on either fabric: one signature over
+// the receipt, then one ClientReply per addressee, in the receipt's order,
+// all sharing that signature. sign is the node's KeyPair.Sign.
+func SignReplies(id keys.NodeID, sign func(msg []byte) []byte, rc *gateway.Receipt, out func(*ClientReply)) {
+	leaves := rc.Tree.LeafCount()
+	sig := keys.Signature{
+		Signer: id,
+		Sig:    sign(keys.ReceiptMessage(nil, rc.Status, id.Group, rc.Height, rc.Result, rc.Tree.Root(), leaves)),
+	}
+	for _, to := range rc.To {
+		proof, err := rc.Tree.Prove(to.Index)
+		if err != nil {
+			panic(err) // the gateway indexes addressees into its own tree
+		}
+		out(&ClientReply{
+			Client: to.Client, Nonce: to.Nonce, Status: rc.Status,
+			GID: id.Group, Height: rc.Height, Result: rc.Result,
+			Leaves: leaves, Index: to.Index, Path: proof.Siblings, Sig: sig,
+		})
+	}
 }

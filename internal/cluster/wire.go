@@ -188,6 +188,11 @@ func EncodeEnvelope(payload any) ([]byte, error) {
 		w.u32(uint32(m.GID))
 		w.u64(m.Height)
 		w.bytes(m.Result)
+		w.u32(uint32(m.Leaves))
+		w.u32(uint32(m.Index))
+		for _, h := range m.Path {
+			w.hash32(h)
+		}
 		w.sig(m.Sig)
 	case *ReconfigureMsg:
 		w.u8(envReconfigure)
@@ -246,15 +251,17 @@ func DecodeEnvelope(buf []byte) (any, error) {
 		m.Txn.Sig = r.bytes()
 		out = m
 	case envClientReply:
-		out = &ClientReply{
+		m := &ClientReply{
 			Client: r.u64(),
 			Nonce:  r.u64(),
 			Status: r.u8(),
 			GID:    int(r.u32()),
 			Height: r.u64(),
 			Result: r.bytes(),
-			Sig:    r.sig(),
 		}
+		m.Leaves, m.Index, m.Path = r.receiptPath()
+		m.Sig = r.sig()
+		out = m
 	case envReconfigure:
 		out = &ReconfigureMsg{Op: r.u8(), Group: int(r.u32())}
 	default:
@@ -783,6 +790,33 @@ func (r *wireReader) siblings() [][merkle.HashSize]byte {
 		v[i] = r.hash32()
 	}
 	return v
+}
+
+// receiptPath reads a ClientReply's place in its receipt tree. The path has
+// no length of its own on the wire: it is exactly merkle.Depth(leaves)
+// hashes, and leaves is bounded, so what gets allocated is at most 20 hashes
+// that are checked to be there.
+func (r *wireReader) receiptPath() (leaves, index int, path [][merkle.HashSize]byte) {
+	nl, ni := r.u32(), r.u32()
+	if r.err != nil {
+		return 0, 0, nil
+	}
+	if nl < 1 || nl > MaxReceiptLeaves || ni >= nl {
+		r.err = errors.New("cluster: receipt leaf count or index out of range")
+		return 0, 0, nil
+	}
+	depth := merkle.Depth(int(nl))
+	if depth*merkle.HashSize > len(r.b) {
+		r.fail("receipt path")
+		return 0, 0, nil
+	}
+	if depth > 0 {
+		path = make([][merkle.HashSize]byte, depth)
+		for i := range path {
+			path[i] = r.hash32()
+		}
+	}
+	return int(nl), int(ni), path
 }
 
 func (r *wireReader) pbftMsg() pbft.Msg {

@@ -169,7 +169,14 @@ func wireFixtures() map[string]any {
 		}},
 		"ClientReply": &ClientReply{
 			Client: 9, Nonce: 4, Status: ReplyOK, GID: 1, Height: 12,
-			Result: []byte("ok"), Sig: sig(1, 2, "rs"),
+			Result: []byte("ok"), Leaves: 5, Index: 2,
+			Path: [][merkle.HashSize]byte{{0xa1}, {0xa2}, {0xa3}},
+			Sig:  sig(1, 2, "rs"),
+		},
+		// A dedup-window answer: a receipt over a one-leaf tree, no path.
+		"ClientReply.Dup": &ClientReply{
+			Client: 9, Nonce: 4, Status: ReplyDup, GID: 1, Height: 12,
+			Result: []byte("ok"), Leaves: 1, Sig: sig(1, 3, "rd"),
 		},
 		"Reconfigure": &ReconfigureMsg{Op: ReconfigJoin, Group: 3},
 		// The membership record kinds travel inside ordinary MetaBatches;
@@ -248,6 +255,49 @@ func TestEnvelopeTruncation(t *testing.T) {
 	}
 }
 
+// TestClientReplyHostileReceipt: the receipt fields of a ClientReply decode
+// strictly — 1 ≤ leaves ≤ MaxReceiptLeaves, index < leaves, and exactly
+// merkle.Depth(leaves) path hashes, checked to be present before the path is
+// allocated — so a hostile leaf count cannot make the decoder allocate.
+func TestClientReplyHostileReceipt(t *testing.T) {
+	base := wireFixtures()["ClientReply"].(*ClientReply)
+	mut := func(f func(m *ClientReply)) []byte {
+		m := *base
+		f(&m)
+		enc, err := EncodeEnvelope(&m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return enc
+	}
+	for name, enc := range map[string][]byte{
+		"leaves 0":            mut(func(m *ClientReply) { m.Leaves, m.Index, m.Path = 0, 0, nil }),
+		"leaves past bound":   mut(func(m *ClientReply) { m.Leaves = MaxReceiptLeaves + 1 }),
+		"leaves 2^32-1":       mut(func(m *ClientReply) { m.Leaves = 1<<32 - 1 }),
+		"index equals leaves": mut(func(m *ClientReply) { m.Index = m.Leaves }),
+		"path too short":      mut(func(m *ClientReply) { m.Path = m.Path[:2] }),
+		"path too long":       mut(func(m *ClientReply) { m.Path = append(m.Path[:3:3], m.Path[0]) }),
+		"deep tree, no path":  mut(func(m *ClientReply) { m.Leaves, m.Path = MaxReceiptLeaves, nil }),
+	} {
+		if _, err := DecodeEnvelope(enc); err == nil {
+			t.Errorf("%s: decoded", name)
+		}
+	}
+	// The bound itself is legal.
+	ok := mut(func(m *ClientReply) {
+		m.Leaves, m.Index = MaxReceiptLeaves, MaxReceiptLeaves-1
+		m.Path = make([][merkle.HashSize]byte, merkle.Depth(MaxReceiptLeaves))
+	})
+	if _, err := DecodeEnvelope(ok); err != nil {
+		t.Errorf("leaves at the bound: %v", err)
+	}
+	// A rejected count allocates nothing to speak of.
+	hostile := mut(func(m *ClientReply) { m.Leaves = 1<<32 - 1 })
+	if n := testing.AllocsPerRun(20, func() { DecodeEnvelope(hostile) }); n > 6 {
+		t.Errorf("rejecting a hostile leaf count allocates %v times", n)
+	}
+}
+
 // TestEnvelopeUnknownKinds: unknown envelope and pbft kinds error cleanly.
 func TestEnvelopeUnknownKinds(t *testing.T) {
 	if _, err := DecodeEnvelope(nil); err == nil {
@@ -283,8 +333,13 @@ var goldenEnvelopes = map[string]string{
 		"00000002000000000000000273300000000200000001000000027331",
 	"ClientRequest": "100000000000000009000000000000000400000007707574206b2076" +
 		"00000006636c69736967",
-	"ClientReply": "11000000000000000900000000000000040100000001000000000000000c" +
-		"000000026f6b0000000100000002000000027273",
+	"ClientReply": "11000000000000000900000000000000040100000001000000000000000c0000" +
+		"00026f6b0000000500000002a100000000000000000000000000000000000000" +
+		"000000000000000000000000a200000000000000000000000000000000000000" +
+		"000000000000000000000000a300000000000000000000000000000000000000" +
+		"0000000000000000000000000000000100000002000000027273",
+	"ClientReply.Dup": "11000000000000000900000000000000040200000001000000000000000c0000" +
+		"00026f6b00000001000000000000000100000003000000027264",
 	"Reconfigure": "120100000003",
 	"MetaBatch.Membership": "0900000000000000000000000800000067000000030600000003000000000000" +
 		"0000000000000000000000000000000000000000000007000000020000000000" +

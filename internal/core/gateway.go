@@ -2,7 +2,6 @@ package core
 
 import (
 	"massbft/internal/cluster"
-	"massbft/internal/gateway"
 	"massbft/internal/keys"
 	"massbft/internal/types"
 )
@@ -70,26 +69,15 @@ func (n *Node) validateProposal(payload []byte) bool {
 // gateway. Every node records every entry's transactions in its dedup
 // window — the window is effectively global, so a client resubmission to ANY
 // group is absorbed with a cached reply instead of re-executing — while the
-// fresh signed ReplyOK receipts come only from the entry's origin group
-// (f+1 of them form the client's certificate). Height and Result derive
-// from the node's ledger, which every correct node reproduces bit-for-bit,
-// so honest replies always match.
+// fresh ReplyOK receipt, one signature for the whole entry, comes only from
+// the nodes of the entry's origin group (f+1 of them form a client's
+// certificate). Height and Result derive from the node's ledger, which every
+// correct node reproduces bit-for-bit, so honest replies always match.
 func (n *Node) noteExecuted(id types.EntryID, e *types.Entry) {
 	gw := n.ctx.Gateway
 	if gw == nil || len(e.Txns) == 0 {
 		return
 	}
-	height := n.ledger.Height()
 	head := n.ledger.Head()
-	origin := id.GID == n.g
-	for i := range e.Txns {
-		t := &e.Txns[i]
-		if t.Client == 0 {
-			continue // direct-injection transaction: no reply routing
-		}
-		gw.Executed(gateway.Exec{
-			Client: t.Client, Nonce: t.Nonce,
-			Height: height, Result: head[:8],
-		}, origin)
-	}
+	gw.Executed(e.Txns, n.ledger.Height(), head[:8], id.GID == n.g)
 }

@@ -7,7 +7,7 @@
 //	                                                                  │
 //	     proposer batchTick ◀── TakeBatch (flush on max-batch/max-wait)┘
 //	                                                                  │
-//	client ◀──f+1 signed ClientReply── execute ──MarkExecuted─────────┘
+//	client ◀──f+1 signed receipts── execute ──Executed────────────────┘
 //
 // Intake verifies Ed25519 client signatures — inline on the owning event
 // loop (deterministic, the simnet path) or through an order-preserving
@@ -15,7 +15,10 @@
 // retransmitted requests never pay the signature check twice. Per-client
 // sequence numbers with a bounded dedup window make retries idempotent:
 // a duplicate of an executed request re-sends the cached reply without
-// re-executing; a duplicate of an in-flight request is absorbed. Admission
+// re-executing; a duplicate of an in-flight request is absorbed. Replies are
+// execution receipts (receipt.go): an origin-group node signs once per
+// executed entry, over a Merkle root of the entry's (client, nonce) pairs,
+// and each client checks its own path and that one signature. Admission
 // control is explicit: a bounded intake queue rejects with ErrOverloaded and
 // per-client token buckets reject with ErrRateLimited, so overload degrades
 // into fast rejections instead of unbounded queue growth.
@@ -76,9 +79,11 @@ type Config struct {
 	VerifyBatch int
 	// Clients authenticates request signatures.
 	Clients *keys.ClientRegistry
-	// Reply emits a reply toward the client; the owner signs and routes it.
-	// cached=true marks a dedup-window hit (the original execution's result).
-	Reply func(client, nonce uint64, cached bool, height uint64, result []byte)
+	// Reply emits one receipt — an executed entry's, or a dedup-window
+	// answer's — toward the clients it names; the owner signs it once and
+	// routes one reply per addressee. The receipt is only valid during the
+	// call.
+	Reply func(rc *Receipt)
 	// Deliver posts fn onto the owning event loop. Required when
 	// VerifyParallel > 0; unused otherwise.
 	Deliver func(fn func())
@@ -86,10 +91,10 @@ type Config struct {
 	Metrics *metrics.Collector
 }
 
-// execResult is one remembered execution inside the dedup window.
-type execResult struct {
-	height uint64
-	result []byte
+// execSlot is one remembered execution inside the dedup window.
+type execSlot struct {
+	nonce, height uint64
+	result        []byte
 }
 
 // clientState tracks one client's sequencing, dedup window, and token bucket.
@@ -97,9 +102,15 @@ type clientState struct {
 	// pending holds nonces accepted into the pipeline (queued or already cut
 	// into a proposal) but not yet executed.
 	pending map[uint64]struct{}
-	// exec is the bounded executed window; order is its FIFO eviction ring.
-	exec  map[uint64]execResult
-	order []uint64
+	// window is the bounded executed window: it grows to Config.DedupWindow
+	// slots and is a ring from then on, next being the oldest slot, the one
+	// the next execution overwrites (0 while the window is still growing).
+	// highest is the largest nonce ever executed: a client counts upwards, so
+	// a nonce above it — every fresh execution — is known absent without a
+	// scan.
+	window  []execSlot
+	next    int
+	highest uint64
 	// token bucket
 	tokens float64
 	last   time.Time
@@ -132,6 +143,7 @@ type Gateway struct {
 	clients  map[uint64]*clientState
 	memo     map[memoKey]bool
 	ver      *verifier
+	rcpt     receiptScratch
 }
 
 const (
@@ -196,7 +208,6 @@ func (g *Gateway) client(id uint64) *clientState {
 	if cs == nil {
 		cs = &clientState{
 			pending: make(map[uint64]struct{}),
-			exec:    make(map[uint64]execResult),
 			tokens:  float64(g.cfg.RateBurst),
 		}
 		g.clients[id] = cs
@@ -408,54 +419,88 @@ type Exec struct {
 	Result        []byte
 }
 
+// lookup returns the window slot remembering nonce, newest first (a retry
+// asks for the client's latest request).
+func (cs *clientState) lookup(nonce uint64) *execSlot {
+	if nonce > cs.highest {
+		return nil
+	}
+	for i, at := 0, cs.next; i < len(cs.window); i++ {
+		if at--; at < 0 {
+			at = len(cs.window) - 1
+		}
+		if cs.window[at].nonce == nonce {
+			return &cs.window[at]
+		}
+	}
+	return nil
+}
+
 // ServeCached re-sends the cached reply when (client, nonce) sits inside the
 // executed dedup window, reporting whether it hit. Any group member can
 // serve it — every node's window fills at execution — which is how a
-// retransmitted request collects f+1 ReplyDup certificates without
+// retransmitted request collects f+1 StatusDup receipts without
 // re-executing.
 func (g *Gateway) ServeCached(client, nonce uint64) bool {
 	cs := g.clients[client]
 	if cs == nil {
 		return false
 	}
-	res, ok := cs.exec[nonce]
-	if !ok {
+	slot := cs.lookup(nonce)
+	if slot == nil {
 		return false
 	}
 	g.inc("gateway-dedup-cached")
 	if g.cfg.Reply != nil {
-		g.cfg.Reply(client, nonce, true, res.height, res.result)
+		g.rcpt.begin()
+		g.rcpt.add(client, nonce, true)
+		g.cfg.Reply(g.rcpt.receipt(StatusDup, slot.height, slot.result))
 	}
 	return true
 }
 
-// Executed records one executed client transaction; when this is its first
-// execution and origin is set (the entry belongs to this node's own group),
-// the fresh ReplyOK is emitted through Config.Reply.
-func (g *Gateway) Executed(e Exec, origin bool) (fresh bool) {
-	fresh = g.MarkExecuted(e)
-	if fresh && origin && g.cfg.Reply != nil {
-		g.cfg.Reply(e.Client, e.Nonce, false, e.Height, e.Result)
+// Executed records one executed entry's client transactions (Client == 0
+// marks direct injection: no client, no reply) in the dedup window. Every
+// node calls it for every entry, so any of them can answer a retry; on a
+// node of the entry's own group (origin) it also emits the entry's receipt
+// through Config.Reply, addressed to the transactions this node executed for
+// the first time, in entry order.
+func (g *Gateway) Executed(txns []types.Transaction, height uint64, result []byte, origin bool) {
+	reply := origin && g.cfg.Reply != nil
+	if reply {
+		g.rcpt.begin()
 	}
-	return fresh
+	for i := range txns {
+		t := &txns[i]
+		if t.Client == 0 {
+			continue
+		}
+		fresh := g.MarkExecuted(Exec{Client: t.Client, Nonce: t.Nonce, Height: height, Result: result})
+		if reply {
+			g.rcpt.add(t.Client, t.Nonce, fresh)
+		}
+	}
+	if reply && len(g.rcpt.to) > 0 {
+		g.cfg.Reply(g.rcpt.receipt(StatusOK, height, result))
+	}
 }
 
 // MarkExecuted records an execution in the dedup window and reports whether
-// this was the first time (fresh=true → the owner emits a ReplyOK). Called on
-// every origin-group node when an entry executes, so any of them can serve
-// the cached reply to a retry.
+// this was the first time.
 func (g *Gateway) MarkExecuted(e Exec) (fresh bool) {
 	cs := g.client(e.Client)
 	delete(cs.pending, e.Nonce)
-	if _, ok := cs.exec[e.Nonce]; ok {
+	if cs.lookup(e.Nonce) != nil {
 		return false
 	}
-	cs.exec[e.Nonce] = execResult{height: e.Height, result: e.Result}
-	cs.order = append(cs.order, e.Nonce)
-	for len(cs.order) > g.cfg.DedupWindow {
-		delete(cs.exec, cs.order[0])
-		cs.order = cs.order[1:]
+	slot := execSlot{nonce: e.Nonce, height: e.Height, result: e.Result}
+	if len(cs.window) < g.cfg.DedupWindow {
+		cs.window = append(cs.window, slot)
+	} else {
+		cs.window[cs.next] = slot
+		cs.next = (cs.next + 1) % len(cs.window)
 	}
+	cs.highest = max(cs.highest, e.Nonce)
 	g.inc("gateway-executed")
 	return true
 }

@@ -37,8 +37,10 @@ func newEnv(t *testing.T, mut func(*Config)) *testEnv {
 		MaxWait:  20 * time.Millisecond,
 		Clients:  reg,
 		Metrics:  metrics.NewCollector(),
-		Reply: func(client, nonce uint64, cached bool, height uint64, result []byte) {
-			env.replies = append(env.replies, replyRec{client, nonce, cached, height})
+		Reply: func(rc *Receipt) {
+			for _, to := range rc.To {
+				env.replies = append(env.replies, replyRec{to.Client, to.Nonce, rc.Status == StatusDup, rc.Height})
+			}
 		},
 	}
 	if mut != nil {
@@ -168,6 +170,45 @@ func TestDedupWindowEviction(t *testing.T) {
 	}
 	if len(env.replies) != 1 || env.replies[0].nonce != 3 {
 		t.Fatalf("replies = %+v", env.replies)
+	}
+}
+
+// TestDedupWindowRing: the window is a ring that evicts in execution order,
+// whatever order the nonces come in (the highest-nonce shortcut must not
+// answer for a nonce that was evicted or never executed).
+func TestDedupWindowRing(t *testing.T) {
+	env := newEnv(t, func(c *Config) { c.DedupWindow = 3 })
+	g := env.gw
+	for i, nonce := range []uint64{10, 5, 7, 6, 12} {
+		if !g.MarkExecuted(Exec{Client: 1, Nonce: nonce, Height: uint64(i + 1)}) {
+			t.Fatalf("nonce %d not fresh", nonce)
+		}
+	}
+	// Executed order 10 5 7 6 12, window 3: 10 and 5 are gone.
+	for nonce, want := range map[uint64]bool{10: false, 5: false, 7: true, 6: true, 12: true, 8: false, 13: false, 0: false} {
+		if got := g.ServeCached(1, nonce); got != want {
+			t.Errorf("nonce %d cached = %v, want %v", nonce, got, want)
+		}
+	}
+	if len(env.replies) != 3 {
+		t.Fatalf("replies = %+v", env.replies)
+	}
+	for _, r := range env.replies {
+		if want := map[uint64]uint64{7: 3, 6: 4, 12: 5}[r.nonce]; !r.cached || r.height != want {
+			t.Errorf("reply %+v, want cached at height %d", r, want)
+		}
+	}
+	if g.MarkExecuted(Exec{Client: 1, Nonce: 6, Height: 9}) {
+		t.Fatal("a nonce inside the window reported fresh")
+	}
+	if !g.MarkExecuted(Exec{Client: 1, Nonce: 10, Height: 9}) {
+		t.Fatal("an evicted nonce did not report fresh")
+	}
+	if n := g.cfg.Metrics.Counter("gateway-executed"); n != 6 {
+		t.Fatalf("gateway-executed = %d, want 6", n)
+	}
+	if n := g.cfg.Metrics.Counter("gateway-dedup-cached"); n != 3 {
+		t.Fatalf("gateway-dedup-cached = %d, want 3", n)
 	}
 }
 
@@ -428,7 +469,7 @@ func TestRequesterCertificate(t *testing.T) {
 	r := NewRequester(RequesterConfig{
 		Client: 3, Groups: 2,
 		Faulty:  reg.Faulty,
-		Verify:  reg.Verify,
+		Verify:  reg.VerifyMemo,
 		Timeout: 100 * time.Millisecond,
 	})
 	g := r.Begin(9, at(0))
@@ -436,13 +477,15 @@ func TestRequesterCertificate(t *testing.T) {
 		t.Fatalf("initial group = %d", g)
 	}
 
+	// An OK reply is the request's leaf in a five-transaction entry's
+	// receipt; a Dup reply is a one-leaf receipt of its own.
+	entry := []Addressee{{Client: 1, Nonce: 4}, {Client: 2, Nonce: 8}, {Client: 3, Nonce: 9}, {Client: 5, Nonce: 1}, {Client: 7, Nonce: 2}}
 	mk := func(node *keys.KeyPair, status byte, height uint64, result string) Reply {
-		rep := Reply{
-			Client: 3, Nonce: 9, Status: status, GID: node.ID.Group,
-			Height: height, Result: []byte(result), Signer: node.ID,
+		leaves := entry
+		if status == StatusDup {
+			leaves = entry[2:3]
 		}
-		rep.Sig = node.Sign(keys.ClientReplyMessage(rep.Client, rep.Nonce, rep.Status, rep.GID, rep.Height, rep.Result))
-		return rep
+		return replyFor(t, signedReceipt(t, node, status, height, result, leaves), 3, 9)
 	}
 	grp := pairs[g]
 
@@ -452,6 +495,7 @@ func TestRequesterCertificate(t *testing.T) {
 	}
 	// Bad signature ignored.
 	bad := mk(grp[1], StatusOK, 5, "ok")
+	bad.Sig = append([]byte(nil), bad.Sig...)
 	bad.Sig[0] ^= 0xff
 	if done, _ := r.OnReply(bad, at(2)); done {
 		t.Fatal("certified via bad signature")
@@ -484,7 +528,7 @@ func TestRequesterResubmission(t *testing.T) {
 	}
 	r := NewRequester(RequesterConfig{
 		Client: 1, Groups: 3,
-		Faulty: reg.Faulty, Verify: reg.Verify,
+		Faulty: reg.Faulty, Verify: reg.VerifyMemo,
 		Timeout: 100 * time.Millisecond, MaxAttempts: 3,
 	})
 	g0 := r.Begin(1, at(0))

@@ -1,22 +1,26 @@
 package gateway
 
 import (
-	"crypto/sha256"
-	"encoding/binary"
+	"bytes"
 	"time"
 
 	"massbft/internal/keys"
+	"massbft/internal/merkle"
 )
 
-// Reply is a transport-neutral view of one node's signed execution receipt
-// (the cluster layer's ClientReply). Sig covers
-// keys.ClientReplyMessage(Client, Nonce, Status, GID, Height, Result).
+// Reply is a transport-neutral view of one node's answer to one client
+// transaction (the cluster layer's ClientReply): the node's receipt
+// signature plus this transaction's place in the receipt's tree. Sig covers
+// keys.ReceiptMessage(Status, GID, Height, Result, root, Leaves) where root
+// is what Path commits (Client, Nonce) to as leaf Index of Leaves.
 type Reply struct {
 	Client, Nonce uint64
 	Status        byte
 	GID           int
 	Height        uint64
 	Result        []byte
+	Leaves, Index int
+	Path          [][merkle.HashSize]byte
 	Signer        keys.NodeID
 	Sig           []byte
 }
@@ -36,7 +40,9 @@ type RequesterConfig struct {
 	Groups int
 	// Faulty returns f for a group (keys.Registry.Faulty).
 	Faulty func(group int) int
-	// Verify checks a node's reply signature (keys.Registry.Verify).
+	// Verify checks a node's receipt signature. A client process passes
+	// keys.Registry.VerifyMemo of the one registry all its clients share: an
+	// entry's clients all check the same (signer, message, signature).
 	Verify func(signer keys.NodeID, msg, sig []byte) bool
 	// Timeout is how long one attempt waits for f+1 matching replies before
 	// resubmitting to another group.
@@ -77,25 +83,51 @@ type Result struct {
 // client from its receive loop.
 //
 // Acceptance rule: f+1 replies from DISTINCT nodes of one group, each with a
-// valid signature, matching on (GID, Height, Result) — with status OK or Dup
-// (a cached-window reply attests the same execution). f+1 guarantees at
-// least one honest node vouches for the result. On Timeout without a
-// certificate the requester rotates to the next group (at-least-once across
-// groups: the new group's dedup window has never seen the nonce, so the
-// request may execute again — see DESIGN.md §10).
+// valid signature over a root its path commits this request to, matching on
+// (GID, Height, Result) — with status OK or Dup (a cached-window reply
+// attests the same execution, over a one-leaf tree of its own, so roots are
+// not compared). f+1 guarantees at least one honest node vouches for the
+// result. On Timeout without a certificate the requester rotates to the next
+// group (at-least-once across groups: the new group's dedup window has never
+// seen the nonce, so the request may execute again — see DESIGN.md §10).
 type Requester struct {
 	cfg RequesterConfig
 
+	active   bool
 	nonce    uint64
 	group    int // current attempt's target group
 	attempts int
 	deadline time.Time
 
-	// votes maps a match key (hash of GID/Height/Result) to the distinct
-	// signers attesting it.
-	votes map[[32]byte]map[keys.NodeID]bool
-	// repOf remembers one representative reply per match key.
-	repOf map[[32]byte]Reply
+	// cands[:ncand] are the outcomes attested so far; the slice, its signer
+	// lists and msg are kept from request to request, so a request allocates
+	// nothing once they have grown.
+	cands []candidate
+	ncand int
+	msg   []byte
+}
+
+// candidate is one (GID, Height, Result) with the distinct signers attesting
+// it. status is the first attesting reply's.
+type candidate struct {
+	status  byte
+	gid     int
+	height  uint64
+	result  []byte
+	signers []keys.NodeID
+}
+
+func (c *candidate) matches(rep *Reply) bool {
+	return c.gid == rep.GID && c.height == rep.Height && bytes.Equal(c.result, rep.Result)
+}
+
+func (c *candidate) signed(id keys.NodeID) bool {
+	for _, s := range c.signers {
+		if s == id {
+			return true
+		}
+	}
+	return false
 }
 
 // NewRequester builds an idle requester.
@@ -114,8 +146,7 @@ func (r *Requester) Begin(nonce uint64, now time.Time) (group int) {
 	r.attempts = 1
 	r.group = r.nextUp(int((r.cfg.Client + nonce) % uint64(r.cfg.Groups)))
 	r.deadline = now.Add(r.cfg.Timeout)
-	r.votes = make(map[[32]byte]map[keys.NodeID]bool)
-	r.repOf = make(map[[32]byte]Reply)
+	r.active, r.ncand = true, 0
 	return r.group
 }
 
@@ -134,28 +165,15 @@ func (r *Requester) nextUp(g int) int {
 	return g
 }
 
-// matchKey collapses the fields a reply certificate must agree on. Status is
-// normalized (OK and Dup attest the same execution), so a mix of fresh and
-// cached replies still certifies.
-func matchKey(rep *Reply) [32]byte {
-	h := sha256.New()
-	var b [8]byte
-	binary.BigEndian.PutUint32(b[:4], uint32(rep.GID))
-	h.Write(b[:4])
-	binary.BigEndian.PutUint64(b[:], rep.Height)
-	h.Write(b[:])
-	h.Write(rep.Result)
-	var k [32]byte
-	h.Sum(k[:0])
-	return k
-}
-
 // OnReply feeds one received reply. Returns done=true with the certified
 // result once f+1 matching valid replies from distinct nodes of one group
-// have arrived. Replies for other nonces, with bad signatures, from signers
-// outside the claimed group, or with unknown statuses are ignored.
+// have arrived. Replies for other nonces, from signers outside the claimed
+// group, with unknown statuses, with a path that cannot belong to a tree of
+// the stated size, or with a signature that does not cover the root that
+// path commits this request to, are ignored. The signature is checked last:
+// a reply from a signer already counted costs no cryptography.
 func (r *Requester) OnReply(rep Reply, now time.Time) (done bool, res Result) {
-	if rep.Client != r.cfg.Client || rep.Nonce != r.nonce || r.votes == nil {
+	if !r.active || rep.Client != r.cfg.Client || rep.Nonce != r.nonce {
 		return false, Result{}
 	}
 	if rep.Status != StatusOK && rep.Status != StatusDup {
@@ -164,25 +182,45 @@ func (r *Requester) OnReply(rep Reply, now time.Time) (done bool, res Result) {
 	if rep.Signer.Group != rep.GID {
 		return false, Result{}
 	}
-	msg := keys.ClientReplyMessage(rep.Client, rep.Nonce, rep.Status, rep.GID, rep.Height, rep.Result)
-	if !r.cfg.Verify(rep.Signer, msg, rep.Sig) {
+	var c *candidate
+	for i := 0; i < r.ncand; i++ {
+		if r.cands[i].matches(&rep) {
+			c = &r.cands[i]
+			break
+		}
+	}
+	if c != nil && c.signed(rep.Signer) {
 		return false, Result{}
 	}
-	k := matchKey(&rep)
-	set := r.votes[k]
-	if set == nil {
-		set = make(map[keys.NodeID]bool)
-		r.votes[k] = set
-		r.repOf[k] = rep
+	// The leaf is this request's own (client, nonce), never the reply's say-so.
+	var buf [leafSize]byte
+	leaf := appendLeaf(buf[:0], r.cfg.Client, r.nonce)
+	root, ok := merkle.ProofRoot(rep.Leaves, merkle.Proof{Index: rep.Index, Siblings: rep.Path}, leaf)
+	if !ok {
+		return false, Result{}
 	}
-	set[rep.Signer] = true
-	if len(set) >= r.cfg.Faulty(rep.GID)+1 {
-		win := r.repOf[k]
-		res = Result{
-			Status: win.Status, GID: win.GID, Height: win.Height,
-			Result: win.Result, Replies: len(set), Attempts: r.attempts,
+	r.msg = keys.ReceiptMessage(r.msg[:0], rep.Status, rep.GID, rep.Height, rep.Result, root, rep.Leaves)
+	if !r.cfg.Verify(rep.Signer, r.msg, rep.Sig) {
+		return false, Result{}
+	}
+	if c == nil {
+		if r.ncand == len(r.cands) {
+			r.cands = append(r.cands, candidate{})
 		}
-		r.votes, r.repOf = nil, nil // idle until the next Begin
+		c = &r.cands[r.ncand]
+		r.ncand++
+		*c = candidate{
+			status: rep.Status, gid: rep.GID, height: rep.Height,
+			result: rep.Result, signers: c.signers[:0],
+		}
+	}
+	c.signers = append(c.signers, rep.Signer)
+	if len(c.signers) >= r.cfg.Faulty(rep.GID)+1 {
+		res = Result{
+			Status: c.status, GID: c.gid, Height: c.height,
+			Result: c.result, Replies: len(c.signers), Attempts: r.attempts,
+		}
+		r.active = false // idle until the next Begin
 		return true, res
 	}
 	return false, Result{}
@@ -193,11 +231,11 @@ func (r *Requester) OnReply(rep Reply, now time.Time) (done bool, res Result) {
 // MaxAttempts is exhausted it reports gaveUp=true and goes idle. Collected
 // votes survive rotation — late replies from a previous group still count.
 func (r *Requester) OnTick(now time.Time) (resubmit bool, group int, gaveUp bool) {
-	if r.votes == nil || now.Before(r.deadline) {
+	if !r.active || now.Before(r.deadline) {
 		return false, 0, false
 	}
 	if r.attempts >= r.cfg.MaxAttempts {
-		r.votes, r.repOf = nil, nil
+		r.active = false
 		return false, 0, true
 	}
 	r.attempts++
@@ -219,7 +257,7 @@ func (r *Requester) OnTick(now time.Time) (resubmit bool, group int, gaveUp bool
 }
 
 // Active reports whether a request is awaiting its certificate.
-func (r *Requester) Active() bool { return r.votes != nil }
+func (r *Requester) Active() bool { return r.active }
 
 // Group returns the current attempt's target group.
 func (r *Requester) Group() int { return r.group }

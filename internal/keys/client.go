@@ -105,18 +105,20 @@ func ClientRequestMessage(client, nonce uint64, payload []byte) []byte {
 	return msg
 }
 
-// ClientReplyMessage is the byte string a node's reply signature covers: a
-// domain tag plus every field a reply certificate must agree on. f+1 matching
-// signatures over this message from distinct nodes of one group prove at
-// least one honest node executed the request with this result at this height.
-func ClientReplyMessage(client, nonce uint64, status byte, gid int, height uint64, result []byte) []byte {
-	msg := make([]byte, 0, 4+16+1+4+8+len(result))
-	msg = append(msg, 'c', 'r', 'e', 'p')
-	msg = binary.BigEndian.AppendUint64(msg, client)
-	msg = binary.BigEndian.AppendUint64(msg, nonce)
-	msg = append(msg, status)
-	msg = binary.BigEndian.AppendUint32(msg, uint32(gid))
-	msg = binary.BigEndian.AppendUint64(msg, height)
-	msg = append(msg, result...)
-	return msg
+// ReceiptMessage appends to dst the byte string a node's execution-receipt
+// signature covers: a domain tag plus (status, group, height, leaves, root,
+// result). root commits to the (client, nonce) pairs of the leaves client
+// transactions the entry carried, in entry order, so one signature answers
+// every client of the entry: each proves its own pair under root and learns
+// that this node executed it at this height with this result. leaves is
+// bound because a Merkle path is only meaningful for a stated tree size.
+// result comes last — everything before it has a fixed width. The append
+// form lets a verifier that checks thousands of these reuse one buffer.
+func ReceiptMessage(dst []byte, status byte, gid int, height uint64, result []byte, root [32]byte, leaves int) []byte {
+	dst = append(dst, 'c', 'r', 'c', 't', status)
+	dst = binary.BigEndian.AppendUint32(dst, uint32(gid))
+	dst = binary.BigEndian.AppendUint64(dst, height)
+	dst = binary.BigEndian.AppendUint32(dst, uint32(leaves))
+	dst = append(dst, root[:]...)
+	return append(dst, result...)
 }

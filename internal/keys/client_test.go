@@ -60,10 +60,10 @@ func TestClientRegistryVerify(t *testing.T) {
 	if reg.Verify(1, msg, tampered) {
 		t.Fatal("tampered signature verified")
 	}
-	// Domain separation: a request message never verifies as a reply.
-	rep := ClientReplyMessage(1, 4, 1, 0, 9, []byte("payload"))
+	// Domain separation: a request message never verifies as a receipt.
+	rep := ReceiptMessage(nil, 1, 0, 9, []byte("payload"), [32]byte{}, 1)
 	if reg.Verify(1, rep, sig) {
-		t.Fatal("request signature verified over reply message")
+		t.Fatal("request signature verified over receipt message")
 	}
 	reg.SetTrustAll(true)
 	if !reg.Verify(1, msg, make([]byte, 64)) {

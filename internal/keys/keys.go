@@ -72,6 +72,13 @@ type Registry struct {
 	certCacheLimit int
 	certHits       uint64
 	certMisses     uint64
+
+	// Signature verification memo behind VerifyMemo, same rule: content-keyed,
+	// failures included, dropped and restarted at sigCacheLimit entries.
+	sigMu     sync.Mutex
+	sigCache  map[sigCacheKey]bool
+	sigHits   uint64
+	sigMisses uint64
 }
 
 // certCacheLimitDefault bounds the memo to roughly 4096 * ~56 bytes of keys
@@ -168,6 +175,59 @@ func (r *Registry) Verify(id NodeID, msg, sig []byte) bool {
 		return len(sig) == ed25519.SignatureSize
 	}
 	return ed25519.Verify(pub, msg, sig)
+}
+
+// sigCacheLimit bounds the signature memo (~80-byte keys).
+const sigCacheLimit = 4096
+
+// sigCacheKey identifies one signature check by content: the claimed signer
+// and hashes of the exact message and signature bytes, so a different
+// message or a different signature never hits a cached verdict.
+type sigCacheKey struct {
+	signer  NodeID
+	msgHash Digest
+	sigHash Digest
+}
+
+// VerifyMemo is Verify behind a bounded memo, for a caller that is handed
+// the same signed message many times: a client process receives one
+// execution receipt once per transaction the entry carried and pays for its
+// signature once. The verdict is a pure function of (id, msg, sig) and the
+// registry's immutable keys, so every client of a process can share one
+// registry's memo; a Byzantine node replaying a bad signature pays one check
+// too, because failures are remembered. Trust-all mode bypasses it, as it
+// does the certificate memo. Safe for concurrent use.
+func (r *Registry) VerifyMemo(id NodeID, msg, sig []byte) bool {
+	if r.trustAll {
+		return r.Verify(id, msg, sig)
+	}
+	key := sigCacheKey{signer: id, msgHash: Hash(msg), sigHash: Hash(sig)}
+	r.sigMu.Lock()
+	if ok, hit := r.sigCache[key]; hit {
+		r.sigHits++
+		r.sigMu.Unlock()
+		return ok
+	}
+	r.sigMisses++
+	r.sigMu.Unlock()
+
+	ok := r.Verify(id, msg, sig)
+
+	r.sigMu.Lock()
+	if r.sigCache == nil || len(r.sigCache) >= sigCacheLimit {
+		r.sigCache = make(map[sigCacheKey]bool, sigCacheLimit/4)
+	}
+	r.sigCache[key] = ok
+	r.sigMu.Unlock()
+	return ok
+}
+
+// SigCacheStats returns how many VerifyMemo calls the memo answered and how
+// many ran the signature check.
+func (r *Registry) SigCacheStats() (hits, misses uint64) {
+	r.sigMu.Lock()
+	defer r.sigMu.Unlock()
+	return r.sigHits, r.sigMisses
 }
 
 // GroupSize returns the number of nodes in group g, or 0 if g is unknown.

@@ -305,6 +305,59 @@ func TestCertificateMemoTrustAllBypass(t *testing.T) {
 	}
 }
 
+// TestVerifyMemo: the signature memo answers by exact (signer, message,
+// signature), remembers failures, stays within its constant bound, and is
+// bypassed under trust-all.
+func TestVerifyMemo(t *testing.T) {
+	pairs, reg := genTestCluster(t)
+	kp := pairs[0][1]
+	msg := []byte("receipt")
+	sig := kp.Sign(msg)
+	for i := 0; i < 3; i++ {
+		if !reg.VerifyMemo(kp.ID, msg, sig) {
+			t.Fatal("valid signature rejected")
+		}
+	}
+	if hits, misses := reg.SigCacheStats(); hits != 2 || misses != 1 {
+		t.Fatalf("valid: hits=%d misses=%d, want 2/1", hits, misses)
+	}
+	// None of these may read the cached ok: each is its own content.
+	bad := append([]byte(nil), sig...)
+	bad[3] ^= 1
+	for i, c := range []struct {
+		id       NodeID
+		msg, sig []byte
+	}{
+		{kp.ID, msg, bad},
+		{kp.ID, []byte("receipt2"), sig},
+		{pairs[0][2].ID, msg, sig},
+	} {
+		for pass := 0; pass < 2; pass++ {
+			if reg.VerifyMemo(c.id, c.msg, c.sig) {
+				t.Fatalf("case %d pass %d verified", i, pass)
+			}
+		}
+	}
+	if hits, misses := reg.SigCacheStats(); hits != 5 || misses != 4 {
+		t.Fatalf("after failures: hits=%d misses=%d, want 5/4", hits, misses)
+	}
+	for i := 0; i < sigCacheLimit+10; i++ {
+		reg.VerifyMemo(kp.ID, []byte{byte(i), byte(i >> 8)}, sig)
+		if n := len(reg.sigCache); n > sigCacheLimit {
+			t.Fatalf("memo grew to %d entries, limit %d", n, sigCacheLimit)
+		}
+	}
+
+	_, trusting := genTestCluster(t)
+	trusting.SetTrustAll(true)
+	if !trusting.VerifyMemo(kp.ID, msg, make([]byte, 64)) {
+		t.Fatal("trust-all rejected a 64-byte signature")
+	}
+	if hits, misses := trusting.SigCacheStats(); hits != 0 || misses != 0 {
+		t.Fatalf("trust-all touched the memo: hits=%d misses=%d", hits, misses)
+	}
+}
+
 func BenchmarkVerifyCertificateUncached(b *testing.B) {
 	pairs, reg, _ := GenerateCluster([]int{7}, 1)
 	d := Hash([]byte("payload"))

@@ -110,7 +110,7 @@ func (t *Tree) Prove(index int) (Proof, error) {
 	if index < 0 || index >= t.leafCount {
 		return Proof{}, fmt.Errorf("merkle: index %d out of range [0,%d)", index, t.leafCount)
 	}
-	p := Proof{Index: index}
+	p := Proof{Index: index, Siblings: make([][HashSize]byte, 0, len(t.levels)-1)}
 	i := index
 	for lvl := 0; lvl < len(t.levels)-1; lvl++ {
 		nodes := t.levels[lvl]
@@ -129,11 +129,22 @@ func (t *Tree) Prove(index int) (Proof, error) {
 // know n_total from the transfer plan) so the verifier can reject proofs of
 // the wrong depth.
 func Verify(root Root, leafCount int, proof Proof, data []byte) bool {
+	got, ok := ProofRoot(leafCount, proof, data)
+	return ok && got == root
+}
+
+// ProofRoot returns the root that proof commits data to, as the leaf at
+// proof.Index of a tree with leafCount leaves: Verify for a caller who holds
+// no root of its own but a signature over one (the gateway's execution
+// receipts). ok is false when the proof cannot belong to such a tree — index
+// out of range, wrong depth, or an odd-promotion sibling that is not the
+// node's own hash.
+func ProofRoot(leafCount int, proof Proof, data []byte) (root Root, ok bool) {
 	if proof.Index < 0 || proof.Index >= leafCount || leafCount <= 0 {
-		return false
+		return Root{}, false
 	}
-	if len(proof.Siblings) != depth(leafCount) {
-		return false
+	if len(proof.Siblings) != Depth(leafCount) {
+		return Root{}, false
 	}
 	h := LeafHash(proof.Index, data)
 	i := proof.Index
@@ -144,7 +155,7 @@ func Verify(root Root, leafCount int, proof Proof, data []byte) bool {
 			if i+1 >= width {
 				// Odd promotion: sibling must equal our own hash.
 				if sib != h {
-					return false
+					return Root{}, false
 				}
 				h = interiorHash(h, h)
 			} else {
@@ -156,10 +167,12 @@ func Verify(root Root, leafCount int, proof Proof, data []byte) bool {
 		i /= 2
 		width = (width + 1) / 2
 	}
-	return Root(h) == root
+	return Root(h), true
 }
 
-func depth(leafCount int) int {
+// Depth returns the number of siblings in a proof for a tree of leafCount
+// leaves.
+func Depth(leafCount int) int {
 	d := 0
 	for w := leafCount; w > 1; w = (w + 1) / 2 {
 		d++
@@ -170,5 +183,5 @@ func depth(leafCount int) int {
 // ProofSize returns the serialized size in bytes of a proof for a tree of
 // leafCount leaves; used by the traffic accounting in the bench harness.
 func ProofSize(leafCount int) int {
-	return 8 + depth(leafCount)*HashSize
+	return 8 + Depth(leafCount)*HashSize
 }

@@ -1,6 +1,8 @@
 package merkle
 
 import (
+	"bytes"
+	"encoding/hex"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -180,6 +182,68 @@ func TestProofSize(t *testing.T) {
 		if got := ProofSize(n); got != want {
 			t.Fatalf("ProofSize(%d) = %d, want %d", n, got, want)
 		}
+	}
+}
+
+// TestRootPinned pins the hashing (leaf prefix and index binding, interior
+// prefix, odd promotion): signed receipts and chunk roots on the wire depend
+// on it.
+func TestRootPinned(t *testing.T) {
+	var leaves [][]byte
+	for i := 0; i < 5; i++ {
+		leaves = append(leaves, bytes.Repeat([]byte{byte(i + 1)}, 16+40*i))
+	}
+	tr, err := NewTree(leaves)
+	if err != nil {
+		t.Fatal(err)
+	}
+	root := tr.Root()
+	const want = "2550c3e47d4a82c537e3a26c7e5c90de1db046eb931f23aefa5092252f8b1704"
+	if got := hex.EncodeToString(root[:]); got != want {
+		t.Fatalf("root = %s, want %s", got, want)
+	}
+}
+
+// TestProofRoot checks the root-from-proof form against the tree's root for
+// every leaf, that it refuses what Verify refuses, and that a 16-byte leaf
+// (the gateway's receipt leaf) costs no allocation.
+func TestProofRoot(t *testing.T) {
+	for _, n := range []int{1, 2, 3, 5, 8, 13, 208} {
+		leaves := makeLeaves(n, 16, int64(n))
+		tr, _ := NewTree(leaves)
+		for i := range leaves {
+			p, _ := tr.Prove(i)
+			got, ok := ProofRoot(n, p, leaves[i])
+			if !ok || got != tr.Root() {
+				t.Fatalf("n=%d leaf %d: ProofRoot = %v, %v", n, i, got, ok)
+			}
+			if other, ok := ProofRoot(n, p, leaves[(i+1)%n]); n > 1 && ok && other == tr.Root() {
+				t.Fatalf("n=%d leaf %d: another leaf's data reached the root", n, i)
+			}
+		}
+	}
+	leaves := makeLeaves(5, 16, 1)
+	tr, _ := NewTree(leaves)
+	p, _ := tr.Prove(4)
+	if _, ok := ProofRoot(9, p, leaves[4]); ok {
+		t.Fatal("accepted a leaf count of another depth")
+	}
+	bad := Proof{Index: 4, Siblings: append([][HashSize]byte(nil), p.Siblings...)}
+	bad.Siblings[0][0] ^= 1
+	if _, ok := ProofRoot(5, bad, leaves[4]); ok {
+		t.Fatal("accepted an odd-promotion sibling that is not the node's own hash")
+	}
+	if _, ok := ProofRoot(5, Proof{Index: 5, Siblings: p.Siblings}, leaves[4]); ok {
+		t.Fatal("accepted an index past the leaf count")
+	}
+	if _, ok := ProofRoot(5, Proof{Index: 4, Siblings: p.Siblings[:2]}, leaves[4]); ok {
+		t.Fatal("accepted a short path")
+	}
+	if _, ok := ProofRoot(0, Proof{}, leaves[4]); ok {
+		t.Fatal("accepted an empty tree")
+	}
+	if n := testing.AllocsPerRun(100, func() { ProofRoot(5, p, leaves[4]) }); n != 0 {
+		t.Fatalf("ProofRoot allocates %v per call", n)
 	}
 }
 

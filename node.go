@@ -420,30 +420,9 @@ func StartNode(nc NodeConfig) (*ProcNode, error) {
 			Clients:        creg,
 			Metrics:        col,
 			Deliver:        func(fn func()) { n.ep.After(0, fn) },
-			Reply: func(client, nonce uint64, cached bool, height uint64, result []byte) {
-				status := cluster.ReplyOK
-				if cached {
-					status = cluster.ReplyDup
-				}
-				rep := &cluster.ClientReply{
-					Client: client, Nonce: nonce, Status: status,
-					GID: id.Group, Height: height, Result: result,
-				}
-				rep.Sig = keys.Signature{Signer: id, Sig: kp.Sign(rep.SignedMessage())}
-				if n.gws == nil {
-					return
-				}
-				enc, err := cluster.EncodeEnvelope(rep)
-				if err != nil {
-					return
-				}
-				frame := transport.AppendFrame(make([]byte, 0, 12+len(enc)), 0, enc)
-				if n.gws.reply(client, frame) {
-					col.Inc("gateway-reply-sent")
-				} else {
-					// No live connection (or a saturated one) for this client
-					// here: drop — f+1 OTHER group members also reply.
-					col.Inc("gateway-reply-unrouted")
+			Reply: func(rc *gateway.Receipt) {
+				if n.gws != nil {
+					cluster.SignReplies(id, kp.Sign, rc, n.sendReply)
 				}
 			},
 		})
@@ -489,6 +468,22 @@ func StartNode(nc NodeConfig) (*ProcNode, error) {
 		return nil, fmt.Errorf("massbft: node %v failed to start", id)
 	}
 	return n, nil
+}
+
+// sendReply frames one reply and hands it to the gateway server.
+func (n *ProcNode) sendReply(rep *cluster.ClientReply) {
+	enc, err := cluster.EncodeEnvelope(rep)
+	if err != nil {
+		return
+	}
+	frame := transport.AppendFrame(make([]byte, 0, 12+len(enc)), 0, enc)
+	if n.gws.reply(rep.Client, frame) {
+		n.col.Inc("gateway-reply-sent")
+	} else {
+		// No live connection (or a saturated one) for this client
+		// here: drop — f+1 OTHER group members also reply.
+		n.col.Inc("gateway-reply-unrouted")
+	}
 }
 
 // TransportStats snapshots the TCP backend's health counters.

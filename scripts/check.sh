@@ -121,8 +121,8 @@ go -C bench vet . && go -C bench test -short .
 # membership join/leave schedules: WAN partition failover and certified
 # epoch reconfiguration both run under the race detector on every pass
 # (the full schedules skip in -short).
-echo "== go test -race -short (simnet, replication, core, pbft, trace, erasure, gf256, keys, statedb, aria)"
-go test -race -short -timeout 600s ./internal/simnet/ ./internal/replication/ ./internal/core/ ./internal/pbft/ ./internal/trace/ ./internal/erasure/ ./internal/gf256/ ./internal/keys/ ./internal/statedb/ ./internal/aria/
+echo "== go test -race -short (simnet, replication, core, pbft, trace, erasure, gf256, keys, statedb, aria, gateway, merkle)"
+go test -race -short -timeout 600s ./internal/simnet/ ./internal/replication/ ./internal/core/ ./internal/pbft/ ./internal/trace/ ./internal/erasure/ ./internal/gf256/ ./internal/keys/ ./internal/statedb/ ./internal/aria/ ./internal/gateway/ ./internal/merkle/
 
 echo "== bench smoke (hot-path + simnet harnesses, baseline validation)"
 go run ./scripts/validate-bench BENCH_hotpath.json
