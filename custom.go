@@ -2,6 +2,7 @@ package massbft
 
 import (
 	"math/rand"
+	"sort"
 
 	"massbft/internal/aria"
 	"massbft/internal/cluster"
@@ -67,18 +68,25 @@ func (a *customAdapter) Next(client uint64) types.Transaction {
 
 // Executor implements workload.Workload: the application's map-returning
 // Execute runs against the footprint as a plain snapshot, and the read and
-// write sets it declares are then recorded.
+// write sets it declares are then recorded — the writes in sorted key order,
+// so that every node meets the keys of an entry in the same order.
 func (a *customAdapter) Executor() aria.Executor {
 	return func(fp *aria.Footprint, tx *types.Transaction) (bool, error) {
 		reads, writes, abort, err := a.cw.Execute(fp, tx.Payload)
 		if err != nil || abort {
 			return abort, err
 		}
+		var buf [64]byte // the footprint copies what it keeps of a key
 		for _, k := range reads {
-			fp.Read(k)
+			fp.Read(append(buf[:0], k...))
 		}
-		for k, v := range writes {
-			fp.Write(k, v)
+		order := make([]string, 0, len(writes))
+		for k := range writes {
+			order = append(order, k)
+		}
+		sort.Strings(order)
+		for _, k := range order {
+			fp.Write(append(buf[:0], k...), writes[k])
 		}
 		return false, nil
 	}

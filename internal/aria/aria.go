@@ -19,11 +19,16 @@
 // correct nodes applying the same ordered entries converge to identical
 // states — asserted in tests via statedb.Hash.
 //
-// The batch's bookkeeping lives in one Footprint the engine owns and reuses:
-// each key is interned once per batch into a slot, reservations are two
-// slot-indexed arrays, and the committed writes go to the store in one call.
-// Nothing is allocated per transaction except the key strings the executor
-// builds and one copy of every committed value.
+// The batch's bookkeeping lives in one Footprint the engine owns and reuses.
+// An executor formats a key into a buffer of its own and the footprint looks
+// it up in the store's key table — the only time the key is hashed. The
+// record found carries the key's slot in this batch (statedb.Record.Slot),
+// reservations are one slot-indexed array, and the committed writes go back
+// to the store by record id in one call. Keys the store has never held get
+// their slots from a small table of the footprint's own, filed under the
+// hash already computed, and enter the store only if a write to them
+// commits. Nothing is allocated per transaction except one copy of every
+// committed value.
 package aria
 
 import (
@@ -61,12 +66,11 @@ const noTxn = math.MaxInt32
 type Footprint struct {
 	snap statedb.Reader
 
-	// Keys are interned per batch: slot[key] indexes keys, minW and minR,
-	// where minW[s] (minR[s]) is the smallest index of a transaction that
-	// writes (reads) keys[s], or noTxn.
-	slot       map[string]int32
-	keys       []string
-	minW, minR []int32
+	// Every key a batch touches gets a slot, in order of first touch. A key
+	// the store has a record for remembers its slot there; fresh holds the
+	// others, for this batch only.
+	slots []slot
+	fresh statedb.Table
 
 	// ops holds every transaction's reads and writes in call order; txns[i]
 	// says where transaction i's end. vals backs the written values.
@@ -74,13 +78,25 @@ type Footprint struct {
 	txns []txnEnd
 	vals []byte
 
-	// The committed writes, handed to the store in one call.
-	applyKeys []string
+	// The committed writes, handed to the store in one call, and the indexes
+	// of the conflict-aborted transactions, copied out at their final size.
+	applyIDs  []int32
 	applyVals [][]byte
+	aborted   []int
+}
+
+// slot is one key's reservations in the batch: minW (minR) is the smallest
+// index of a transaction that writes (reads) it, or noTxn. id is the key's
+// record in the store, or ^i for record i of Footprint.fresh; it is also what
+// tells a record's Slot mark, which outlives the batch that set it, from a
+// live one: the mark counts only if the slot it names names the record back.
+type slot struct {
+	id         int32
+	minW, minR int32
 }
 
 type op struct {
-	slot  int32
+	slot  uint32
 	write bool
 	del   bool  // a write of nil: delete the key
 	off   int32 // the written value is vals[off : off+n]
@@ -98,39 +114,54 @@ type txnEnd struct {
 func (fp *Footprint) Get(key string) ([]byte, bool) { return fp.snap.Get(key) }
 
 // Read returns key's value in the batch-start snapshot and adds key to the
-// transaction's read set.
-func (fp *Footprint) Read(key string) ([]byte, bool) {
-	fp.ops = append(fp.ops, op{slot: fp.intern(key)})
-	return fp.snap.Get(key)
+// transaction's read set. key is the caller's to reuse once Read returns.
+func (fp *Footprint) Read(key []byte) ([]byte, bool) {
+	s, val, ok := fp.touch(key)
+	fp.ops = append(fp.ops, op{slot: s})
+	return val, ok
 }
 
-// Write buffers a write of val under key; a nil val deletes the key. val is
-// copied before Write returns, so the caller may pass a slice of the
+// Write buffers a write of val under key; a nil val deletes the key. key and
+// val are copied before Write returns, so the caller may pass a slice of the
 // transaction payload or of a buffer it reuses.
-func (fp *Footprint) Write(key string, val []byte) {
+func (fp *Footprint) Write(key, val []byte) {
+	s, _, _ := fp.touch(key)
 	fp.ops = append(fp.ops, op{
-		slot: fp.intern(key), write: true, del: val == nil,
+		slot: s, write: true, del: val == nil,
 		off: int32(len(fp.vals)), n: int32(len(val)),
 	})
 	fp.vals = append(fp.vals, val...)
 }
 
-func (fp *Footprint) intern(key string) int32 {
-	s, ok := fp.slot[key]
-	if !ok {
-		s = int32(len(fp.keys))
-		fp.slot[key] = s
-		fp.keys = append(fp.keys, key)
-		fp.minW = append(fp.minW, noTxn)
-		fp.minR = append(fp.minR, noTxn)
+// touch finds key — one hash, one probe of the store's table — and returns
+// its slot in this batch, giving it one on first touch, with its value in
+// the batch-start snapshot.
+func (fp *Footprint) touch(key []byte) (s uint32, val []byte, ok bool) {
+	h := statedb.HashKey(key)
+	id := fp.snap.Find(key, h)
+	var rec *statedb.Record
+	if id >= 0 {
+		rec = fp.snap.Record(id)
+		val, ok = rec.Value()
+	} else {
+		// Reading a key must not make the store hold it.
+		i := fp.fresh.Find(key, h)
+		if i < 0 {
+			i = fp.fresh.Insert(key, h)
+		}
+		rec, id = fp.fresh.Record(i), ^i
 	}
-	return s
+	if s = rec.Slot; int(s) >= len(fp.slots) || fp.slots[s].id != id {
+		s = uint32(len(fp.slots))
+		rec.Slot = s
+		fp.slots = append(fp.slots, slot{id: id, minW: noTxn, minR: noTxn})
+	}
+	return s, val, ok
 }
 
 func (fp *Footprint) reset() {
-	clear(fp.slot)
-	clear(fp.keys) // drop the strings; the store holds the ones it needs
-	fp.keys, fp.minW, fp.minR = fp.keys[:0], fp.minW[:0], fp.minR[:0]
+	fp.fresh.Reset()
+	fp.slots = fp.slots[:0]
 	fp.ops, fp.txns, fp.vals = fp.ops[:0], fp.txns[:0], fp.vals[:0]
 }
 
@@ -144,7 +175,7 @@ type Engine struct {
 
 // NewEngine creates an engine over db with the given transaction logic.
 func NewEngine(db *statedb.Store, exec Executor) *Engine {
-	return &Engine{db: db, exec: exec, fp: Footprint{slot: make(map[string]int32)}}
+	return &Engine{db: db, exec: exec}
 }
 
 // DB returns the underlying store.
@@ -174,7 +205,7 @@ func (e *Engine) ExecuteBatch(txns []types.Transaction) (Result, error) {
 	// Phase 3: commit decisions. A committed transaction is the smallest
 	// writer of every key it writes (no WAW), so each key has at most one
 	// committed writer per batch and the writes need no merging.
-	fp.applyKeys, fp.applyVals = fp.applyKeys[:0], fp.applyVals[:0]
+	fp.applyIDs, fp.applyVals, fp.aborted = fp.applyIDs[:0], fp.applyVals[:0], fp.aborted[:0]
 	start := int32(0)
 	for i, t := range fp.txns {
 		ops := fp.ops[start:t.ops]
@@ -183,7 +214,7 @@ func (e *Engine) ExecuteBatch(txns []types.Transaction) (Result, error) {
 			continue
 		}
 		if fp.conflicts(int32(i), ops) {
-			res.Aborted = append(res.Aborted, i)
+			fp.aborted = append(fp.aborted, i)
 			continue
 		}
 		for _, o := range ops {
@@ -197,12 +228,15 @@ func (e *Engine) ExecuteBatch(txns []types.Transaction) (Result, error) {
 				v = make([]byte, o.n)
 				copy(v, fp.vals[o.off:])
 			}
-			fp.applyKeys = append(fp.applyKeys, fp.keys[o.slot])
+			fp.applyIDs = append(fp.applyIDs, fp.slots[o.slot].id)
 			fp.applyVals = append(fp.applyVals, v)
 		}
 		res.Committed++
 	}
-	e.db.Apply(fp.applyKeys, fp.applyVals)
+	e.db.Commit(fp.applyIDs, fp.applyVals, &fp.fresh)
+	if len(fp.aborted) > 0 {
+		res.Aborted = append([]int(nil), fp.aborted...)
+	}
 	return res, nil
 }
 
@@ -221,12 +255,12 @@ func (e *Engine) run(txns []types.Transaction) (logicAborted int, err error) {
 			logicAborted++
 		}
 		for _, o := range fp.ops[start:] {
-			first := fp.minR
+			first := &fp.slots[o.slot].minR
 			if o.write {
-				first = fp.minW
+				first = &fp.slots[o.slot].minW
 			}
-			if first[o.slot] == noTxn {
-				first[o.slot] = int32(i)
+			if *first == noTxn {
+				*first = int32(i)
 			}
 		}
 		fp.txns = append(fp.txns, txnEnd{ops: int32(len(fp.ops)), abort: abort})
@@ -239,14 +273,14 @@ func (e *Engine) run(txns []types.Transaction) (logicAborted int, err error) {
 func (fp *Footprint) conflicts(i int32, ops []op) bool {
 	raw, war := false, false
 	for _, o := range ops {
-		earlierWriter := fp.minW[o.slot] < i
+		earlierWriter := fp.slots[o.slot].minW < i
 		switch {
 		case !o.write:
 			raw = raw || earlierWriter
 		case earlierWriter:
 			return true // WAW
 		default:
-			war = war || fp.minR[o.slot] < i
+			war = war || fp.slots[o.slot].minR < i
 		}
 	}
 	return raw && war

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"sync"
 	"testing"
 
 	"massbft/internal/aria"
@@ -33,10 +34,10 @@ func adapt(exec mapExecutor) aria.Executor {
 			return abort, err
 		}
 		for _, k := range reads {
-			fp.Read(k)
+			fp.Read([]byte(k))
 		}
 		for k, v := range writes {
-			fp.Write(k, v)
+			fp.Write([]byte(k), v)
 		}
 		return false, nil
 	}
@@ -462,23 +463,124 @@ func TestDifferentialAgainstMapOracle(t *testing.T) {
 	}
 }
 
-// TestExecuteBatchAllocCeiling keeps a warm 400-transaction ycsb-a batch
-// under two allocations per transaction (the key string, and a copy of each
-// committed value); the map-based engine took 3.6.
-func TestExecuteBatchAllocCeiling(t *testing.T) {
-	w := workload.NewYCSB('a', workload.DefaultYCSBRows, 1)
-	batch := make([]types.Transaction, 400)
-	for i := range batch {
-		batch[i] = w.Next(uint64(i))
+// TestRestoreMidRun: a node that rejoins installs a donor's state under an
+// engine that has run batches of its own, so whatever per-batch marks the
+// donor's records carried, and whatever its own records carried before, must
+// mean nothing to the batch that follows: both nodes execute it alike.
+func TestRestoreMidRun(t *testing.T) {
+	w := workload.NewYCSB('a', 300, 5) // few rows: every batch re-touches and conflicts on stored keys
+	exec := w.Executor()
+	next := func() []types.Transaction {
+		batch := make([]types.Transaction, 200)
+		for i := range batch {
+			batch[i] = w.Next(uint64(i))
+		}
+		return batch
 	}
-	e := aria.NewEngine(statedb.New(), w.Executor())
-	run := func() {
-		if _, err := e.ExecuteBatch(batch); err != nil {
+	donor := aria.NewEngine(statedb.New(), exec)
+	rejoiner := aria.NewEngine(statedb.New(), exec)
+	for b := 0; b < 6; b++ { // the same number of batches each, over different keys in a different order
+		if _, err := donor.ExecuteBatch(next()); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := rejoiner.ExecuteBatch(next()); err != nil {
 			t.Fatal(err)
 		}
 	}
-	run() // size the engine's scratch
-	if perTxn := testing.AllocsPerRun(20, run) / float64(len(batch)); perTxn > 2.0 {
-		t.Fatalf("%.2f allocations per transaction, want <= 2.0", perTxn)
+	if donor.DB().Hash() == rejoiner.DB().Hash() {
+		t.Fatal("the two nodes did not diverge before the transfer")
+	}
+	rejoiner.DB().Restore(donor.DB().Clone()) // what onRejoinReq ships and onRejoinResp installs
+	for b := 0; b < 3; b++ {
+		batch := next()
+		want, err := donor.ExecuteBatch(batch)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := rejoiner.ExecuteBatch(batch)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) || len(want.Aborted) == 0 {
+			t.Fatalf("batch %d after the transfer: rejoiner %+v, donor %+v", b, got, want)
+		}
+		if donor.DB().Hash() != rejoiner.DB().Hash() {
+			t.Fatalf("batch %d after the transfer: states differ", b)
+		}
+	}
+}
+
+// TestReadersWhileExecuting is what ProcNode.Status does over TCP: other
+// goroutines call Get, Hash and a snapshot's Get while the node's own
+// goroutine executes batches — which writes the per-batch marks into the
+// store's records under the read lock those readers also hold. Run with
+// -race.
+func TestReadersWhileExecuting(t *testing.T) {
+	w := workload.NewYCSB('a', 500, 9)
+	e := aria.NewEngine(statedb.New(), w.Executor())
+	db := e.DB()
+	batch := func() []types.Transaction {
+		b := make([]types.Transaction, 100)
+		for i := range b {
+			b[i] = w.Next(uint64(i))
+		}
+		return b
+	}
+	if _, err := e.ExecuteBatch(batch()); err != nil {
+		t.Fatal(err)
+	}
+	sn := db.Snapshot() // stays open: the writes below pay for its before-images
+	want := db.Hash()
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for _, read := range []func(k string){
+		func(k string) { db.Get(k) },
+		func(k string) { sn.Get(k) },
+		func(string) { db.Hash() },
+		func(string) { db.Clone() },
+	} {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; ; i++ {
+				select {
+				case <-stop:
+					return
+				default:
+					read(fmt.Sprintf("y:%d:%d", i%500, i%10))
+				}
+			}
+		}()
+	}
+	for b := 0; b < 60; b++ {
+		if _, err := e.ExecuteBatch(batch()); err != nil {
+			t.Error(err)
+			break
+		}
+	}
+	close(stop)
+	wg.Wait()
+	if sn.Store().Hash() != want {
+		t.Fatal("the snapshot moved while batches executed")
+	}
+}
+
+// BenchmarkExecuteYCSB is the shape of the ledger's aria.txn_ns_ycsb_a drive:
+// 300 entries of 400 transactions cycled over one store.
+func BenchmarkExecuteYCSB(b *testing.B) {
+	w := workload.NewYCSB('a', workload.DefaultYCSBRows, 1)
+	pool := make([][]types.Transaction, 300)
+	for i := range pool {
+		for k := 0; k < 400; k++ {
+			pool[i] = append(pool[i], w.Next(uint64(k%64+1)))
+		}
+	}
+	e := aria.NewEngine(statedb.New(), w.Executor())
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := e.ExecuteBatch(pool[i%len(pool)]); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

@@ -122,6 +122,9 @@ func New(cfg Config, factory Factory) (*Cluster, error) {
 		return nil, err
 	}
 	reg.SetTrustAll(cfg.TrustAll)
+	if cfg.TrustAll {
+		keys.ModelSigning(pairs)
+	}
 	var latFn func(a, b int) simnet.Time
 	if lat := cfg.WANLatency; lat != nil {
 		latFn = func(a, b int) simnet.Time { return lat(a, b) }

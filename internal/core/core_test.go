@@ -77,7 +77,39 @@ func TestMassBFTEndToEnd(t *testing.T) {
 	if m.AvgLatency() == 0 {
 		t.Fatal("no latency recorded")
 	}
+	if c.Pairs[0][0].Signed() == 0 {
+		t.Fatal("a real-crypto run signed nothing")
+	}
 	assertConsistency(t, c, nil)
+}
+
+// TestModelledCryptoSignsNothing: a trust-all cluster checks no node
+// signature beyond its length, so its key pairs produce none — while a
+// registry that does verify turns their tags down.
+func TestModelledCryptoSignsNothing(t *testing.T) {
+	cfg := smallCfg()
+	cfg.RunFor = time.Second
+	c := runCluster(t, cfg)
+	if c.Metrics.Committed() == 0 {
+		t.Fatalf("no transactions committed: %s", c.Metrics.Summary())
+	}
+	assertConsistency(t, c, nil)
+	for _, group := range c.Pairs {
+		for _, kp := range group {
+			if n := kp.Signed(); n != 0 {
+				t.Fatalf("%v produced %d Ed25519 signatures in a trust-all run", kp.ID, n)
+			}
+		}
+	}
+	kp, msg := c.Pairs[1][2], []byte("a pre-prepare")
+	tag := kp.Sign(msg)
+	_, verifying, err := keys.GenerateCluster(cfg.GroupSizes, cfg.Seed) // the same public keys, checked for real
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !c.Reg.Verify(kp.ID, msg, tag) || verifying.Verify(kp.ID, msg, tag) {
+		t.Fatal("a modelled tag must pass the trust-all registry and fail a verifying one")
+	}
 }
 
 func TestMassBFTAllNodesExecuteSameOrder(t *testing.T) {

@@ -14,6 +14,7 @@ import (
 	"math/rand"
 	"sort"
 	"sync"
+	"sync/atomic"
 )
 
 // NodeID identifies node j in group i, matching the paper's N_{i,j} notation.
@@ -38,10 +39,45 @@ type KeyPair struct {
 	ID      NodeID
 	Public  ed25519.PublicKey
 	Private ed25519.PrivateKey
+
+	modelled bool
+	signed   atomic.Uint64
 }
 
-// Sign signs msg with the node's private key.
-func (kp *KeyPair) Sign(msg []byte) []byte { return ed25519.Sign(kp.Private, msg) }
+// Sign signs msg with the node's private key. A pair switched to modelled
+// signing returns a signature-sized tag instead (see ModelSigning).
+func (kp *KeyPair) Sign(msg []byte) []byte {
+	if kp.modelled {
+		tag := make([]byte, ed25519.SignatureSize)
+		h := sha256.Sum256(msg)
+		copy(tag, h[:])
+		binary.BigEndian.PutUint32(tag[32:], uint32(kp.ID.Group))
+		binary.BigEndian.PutUint32(tag[36:], uint32(kp.ID.Index))
+		return tag
+	}
+	kp.signed.Add(1)
+	return ed25519.Sign(kp.Private, msg)
+}
+
+// Signed returns how many Ed25519 signatures the pair has produced: a passive
+// counter, so that a run that models its crypto can be shown to have signed
+// nothing.
+func (kp *KeyPair) Signed() uint64 { return kp.signed.Load() }
+
+// ModelSigning is the signing half of Registry.SetTrustAll, for the key pairs
+// of a cluster whose registries all trust: a signature nobody checks beyond
+// its length need not be computed, so Sign returns a deterministic 64-byte
+// tag (the message hash and the signer) and runs no Ed25519. Like
+// verification under trust-all it costs the host next to nothing, and the
+// virtual CPU model is where the cost of signing would be charged. A registry
+// that does verify rejects the tag.
+func ModelSigning(pairs [][]*KeyPair) {
+	for _, group := range pairs {
+		for _, kp := range group {
+			kp.modelled = true
+		}
+	}
+}
 
 // Registry maps node IDs to public keys. The key material is immutable after
 // construction (trustAll is set once before a run); the certificate memo

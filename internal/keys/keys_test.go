@@ -1,6 +1,7 @@
 package keys
 
 import (
+	"bytes"
 	"testing"
 )
 
@@ -213,6 +214,41 @@ func TestTrustAllMode(t *testing.T) {
 		t.Fatal("disabling trust-all did not restore real verification")
 	}
 	_ = pairs
+}
+
+// TestModelSigning: a modelled pair returns a signature-sized tag, the same
+// for the same message and signer and different otherwise, without signing;
+// trust-all registries take it and a verifying one does not.
+func TestModelSigning(t *testing.T) {
+	pairs, reg := genTestCluster(t)
+	real := pairs[0][0].Sign([]byte("m"))
+	if !reg.Verify(pairs[0][0].ID, []byte("m"), real) || pairs[0][0].Signed() != 1 {
+		t.Fatal("a fresh pair must sign with Ed25519 and count it")
+	}
+	ModelSigning(pairs)
+	kp := pairs[0][1]
+	tag := kp.Sign([]byte("m"))
+	if len(tag) != 64 || bytes.Equal(tag, real) || kp.Signed() != 0 || pairs[0][0].Signed() != 1 {
+		t.Fatalf("modelled Sign: %d-byte tag, %d signatures counted", len(tag), kp.Signed())
+	}
+	if !bytes.Equal(tag, kp.Sign([]byte("m"))) || bytes.Equal(tag, kp.Sign([]byte("n"))) ||
+		bytes.Equal(tag, pairs[0][2].Sign([]byte("m"))) {
+		t.Fatal("a tag must be a function of exactly the message and the signer")
+	}
+	if reg.Verify(kp.ID, []byte("m"), tag) {
+		t.Fatal("a verifying registry accepted a modelled tag")
+	}
+	cert := &Certificate{Group: 0, Digest: Hash([]byte("entry"))}
+	for _, p := range pairs[0][:reg.QuorumSize(0)] {
+		cert.Sigs = append(cert.Sigs, SignCertificate(p, 0, cert.Digest))
+	}
+	if err := reg.VerifyCertificate(cert); err == nil {
+		t.Fatal("a verifying registry accepted a certificate of modelled tags")
+	}
+	reg.SetTrustAll(true)
+	if !reg.Verify(kp.ID, []byte("m"), tag) || reg.VerifyCertificate(cert) != nil {
+		t.Fatal("a trust-all registry rejected modelled tags")
+	}
 }
 
 // TestCertificateMemoization checks that repeated verifications of the same

@@ -1,7 +1,5 @@
 package statedb
 
-import "maps"
-
 // Snapshot is a read-only view of a Store as it was when Snapshot() was
 // called. Taking one copies nothing: while it is open, every mutator first
 // records the before-image (old value, or "absent") of each key it touches
@@ -21,23 +19,20 @@ type Snapshot struct {
 	s *Store
 }
 
-// image is what a key held when the open snapshot was taken. Presence is
+// image is what record id held when the open snapshot was taken. Presence is
 // recorded apart from the value: Put(k, nil) stores a present, empty value.
 type image struct {
+	id      int32
 	val     []byte
 	present bool
 }
 
 // Snapshot closes the open snapshot, if any, and returns a view of the store
-// as of now. It allocates the handle and nothing else once the store's
-// before-image map exists.
+// as of now. It allocates the handle and nothing else.
 func (s *Store) Snapshot() *Snapshot {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.closeSnapshot()
-	if s.before == nil {
-		s.before = make(map[string]image)
-	}
 	s.snap = &Snapshot{s: s}
 	return s.snap
 }
@@ -46,18 +41,29 @@ func (s *Store) Snapshot() *Snapshot {
 func (s *Store) closeSnapshot() {
 	if s.snap != nil {
 		s.snap = nil
-		clear(s.before)
+		clear(s.before) // let go of the values
+		s.before = s.before[:0]
 	}
 }
 
-// remember records key's before-image unless this snapshot already has one.
-// Caller holds s.mu for writing and has checked that a snapshot is open.
-func (s *Store) remember(key string) {
-	if _, seen := s.before[key]; seen {
-		return
+// imageOf returns the open snapshot's before-image of record id, nil if it
+// has none. A record's mark is only a hint — it may be left over from a
+// closed snapshot — so it counts only if the image it points at points back.
+func (s *Store) imageOf(id int32, r *Record) *image {
+	if i := int(r.image); i < len(s.before) && s.before[i].id == id {
+		return &s.before[i]
 	}
-	v, ok := s.data[key]
-	s.before[key] = image{val: v, present: ok}
+	return nil
+}
+
+// remember records the before-image of record id (r) unless this snapshot
+// already has one. Caller holds s.mu for writing and has checked that a
+// snapshot is open.
+func (s *Store) remember(id int32, r *Record) {
+	if s.imageOf(id, r) == nil {
+		r.image = uint32(len(s.before))
+		s.before = append(s.before, image{id: id, val: r.val, present: r.present})
+	}
 }
 
 // mustBeOpen panics unless sn is its store's open snapshot. Caller holds the
@@ -75,11 +81,15 @@ func (sn *Snapshot) Get(key string) ([]byte, bool) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	sn.mustBeOpen()
-	if img, ok := s.before[key]; ok {
+	id, _ := s.t.findString(key)
+	if id < 0 {
+		return nil, false // never held, so not held then
+	}
+	r := s.t.Record(id)
+	if img := s.imageOf(id, r); img != nil {
 		return img.val, img.present
 	}
-	v, ok := s.data[key]
-	return v, ok
+	return r.Value()
 }
 
 // Delta returns how many before-images the snapshot holds: the number of
@@ -100,15 +110,11 @@ func (sn *Snapshot) Store() *Store {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	sn.mustBeOpen()
-	data := maps.Clone(s.data)
-	for k, img := range s.before {
-		if img.present {
-			data[k] = img.val
-		} else {
-			delete(data, k)
-		}
+	m := &Store{t: s.t.clone(), live: s.live}
+	for _, img := range s.before {
+		m.set(img.id, img.val, img.present)
 	}
-	return &Store{data: data}
+	return m
 }
 
 // Release closes the snapshot; the store's mutators go back to recording

@@ -5,49 +5,60 @@
 // state, and an O(1) copy-on-write Snapshot — a read-only view "as of now"
 // whose cost is paid by the writes that follow it, which is what a periodic
 // checkpoint holds (snapshot.go).
+//
+// The hash table is the store's own (table.go): keys are hashed once, get a
+// dense node-local id at first sight, and sit inline in fixed-size records
+// beside their value, so the executor's per-batch reservations and a
+// snapshot's before-images are reached through the record the lookup already
+// touched, and committed writes come back by id. Ids, hashes and record
+// layout depend on the order a node happened to see keys in; nothing
+// observable does — Hash, Save, ByteSize and state transfer are defined over
+// sorted keys.
 package statedb
 
 import (
 	"bufio"
+	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
 	"io"
-	"maps"
-	"sort"
+	"slices"
 	"sync"
 )
 
 // Store is a thread-safe in-memory key-value store. The zero value is not
 // usable; call New.
 //
-// Values are immutable once stored: whoever hands a slice to Put, Apply or
-// ApplyBatch gives it up, and nobody writes into a slice obtained from Get or
-// a Reader. That is what lets Clone and Restore share value slices between
-// stores instead of copying them.
+// Values are immutable once stored: whoever hands a slice to Put, Apply,
+// ApplyBatch or Commit gives it up, and nobody writes into a slice obtained
+// from Get or a Reader. That is what lets Clone and Restore share value
+// slices between stores instead of copying them. Keys are the opposite: a
+// key belongs to the caller, and the store copies it the first time it
+// stores something under it.
 type Store struct {
 	mu   sync.RWMutex
-	data map[string][]byte
+	t    Table
+	live int // records that are present: Len()
 
 	// snap is the open Snapshot, nil when there is none; before holds what
-	// each key written since snap was taken held at that moment. The map
-	// outlives the snapshots (cleared, not reallocated, when one closes), and
-	// is empty whenever snap is nil.
+	// each record written since snap was taken held at that moment, found
+	// through Record.image. The slice outlives the snapshots (emptied, not
+	// reallocated, when one closes), and is empty whenever snap is nil.
 	snap   *Snapshot
-	before map[string]image
+	before []image
 }
 
 // New returns an empty store.
 func New() *Store {
-	return &Store{data: make(map[string][]byte)}
+	return &Store{}
 }
 
 // Get returns the value for key and whether it exists.
 func (s *Store) Get(key string) ([]byte, bool) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	v, ok := s.data[key]
-	return v, ok
+	return Reader{s}.Get(key)
 }
 
 // Reader is a read-locked view of a Store, valid only inside the View call
@@ -56,9 +67,23 @@ type Reader struct{ s *Store }
 
 // Get returns the value for key and whether it exists.
 func (r Reader) Get(key string) ([]byte, bool) {
-	v, ok := r.s.data[key]
-	return v, ok
+	if id, _ := r.s.t.findString(key); id >= 0 {
+		return r.s.t.Record(id).Value()
+	}
+	return nil, false
 }
+
+// Find returns the id of key's record, or -1 if the store has never held
+// key; h is HashKey(key). A record outlives the key's deletion, so ask
+// Record(id).Value() whether the key is present. The id names the record
+// until the store's contents are replaced (Restore).
+func (r Reader) Find(key []byte, h uint32) int32 { return r.s.t.Find(key, h) }
+
+// Record returns the record of an id Find returned.
+func (r Reader) Record(id int32) *Record { return r.s.t.Record(id) }
+
+// Key returns the key of an id Find returned; the bytes are the store's.
+func (r Reader) Key(id int32) []byte { return r.s.t.Key(id) }
 
 // View runs fn over a consistent view of the store, holding the read lock
 // once for the whole call instead of once per Get. fn must not write to the
@@ -75,27 +100,21 @@ func (s *Store) View(fn func(Reader)) {
 func (s *Store) Put(key string, value []byte) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.snap != nil {
-		s.remember(key)
-	}
-	s.data[key] = value
+	s.write(key, value, true)
 }
 
 // Delete removes key.
 func (s *Store) Delete(key string) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.snap != nil {
-		s.remember(key)
-	}
-	delete(s.data, key)
+	s.write(key, nil, false)
 }
 
 // Len returns the number of keys.
 func (s *Store) Len() int {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	return len(s.data)
+	return s.live
 }
 
 // Apply installs vals[i] under keys[i] for every i, atomically and in order.
@@ -103,17 +122,8 @@ func (s *Store) Len() int {
 func (s *Store) Apply(keys []string, vals [][]byte) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.snap != nil {
-		for _, k := range keys {
-			s.remember(k)
-		}
-	}
 	for i, k := range keys {
-		if v := vals[i]; v == nil {
-			delete(s.data, k)
-		} else {
-			s.data[k] = v
-		}
+		s.write(k, vals[i], vals[i] != nil)
 	}
 }
 
@@ -121,18 +131,79 @@ func (s *Store) Apply(keys []string, vals [][]byte) {
 func (s *Store) ApplyBatch(writes map[string][]byte) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.snap != nil {
-		for k := range writes {
-			s.remember(k)
-		}
-	}
 	for k, v := range writes {
-		if v == nil {
-			delete(s.data, k)
+		s.write(k, v, v != nil)
+	}
+}
+
+// Commit is Apply for the executor, which has looked every key up already:
+// it installs vals[i] in the record ids[i] for every i, atomically and in
+// order, a nil value deleting. An id is what Reader.Find returned, or ^i for
+// record i of fresh, the executor's table of keys Find did not know; such a
+// key enters the store — with the hash fresh filed it under — when its first
+// non-nil value is committed, and not before.
+func (s *Store) Commit(ids []int32, vals [][]byte, fresh *Table) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for i, id := range ids {
+		v := vals[i]
+		if id < 0 {
+			fr := fresh.Record(^id)
+			if fr.image == 0 {
+				if v == nil {
+					continue
+				}
+				fr.image = uint32(s.t.Insert(fresh.Key(^id), fr.hash)) + 1
+			}
+			id = int32(fr.image - 1)
+		}
+		s.set(id, v, v != nil)
+	}
+}
+
+// write sets key to (val, present). Caller holds s.mu for writing.
+func (s *Store) write(key string, val []byte, present bool) {
+	id, h := s.t.findString(key)
+	if id < 0 {
+		if !present {
+			return
+		}
+		id = s.t.Insert([]byte(key), h)
+	}
+	s.set(id, val, present)
+}
+
+// set is the one place a record's value changes: it keeps the open
+// snapshot's before-image and the live count. Caller holds s.mu for writing.
+func (s *Store) set(id int32, val []byte, present bool) {
+	r := s.t.Record(id)
+	if !present && !r.present {
+		return // deleting what is not there writes nothing, record or no record
+	}
+	if s.snap != nil {
+		s.remember(id, r)
+	}
+	if present != r.present {
+		if present {
+			s.live++
 		} else {
-			s.data[k] = v
+			s.live--
 		}
 	}
+	r.val, r.present = val, present
+}
+
+// sorted returns the ids of the present keys in ascending key order, the
+// order Hash and Save are defined over. Caller holds s.mu.
+func (s *Store) sorted() []int32 {
+	ids := make([]int32, 0, s.live)
+	for id := int32(0); int(id) < s.t.n; id++ {
+		if s.t.Record(id).present {
+			ids = append(ids, id)
+		}
+	}
+	slices.SortFunc(ids, func(a, b int32) int { return bytes.Compare(s.t.Key(a), s.t.Key(b)) })
+	return ids
 }
 
 // Hash returns a deterministic digest of the full state: the SHA-256 over
@@ -141,18 +212,13 @@ func (s *Store) ApplyBatch(writes map[string][]byte) {
 func (s *Store) Hash() [32]byte {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	keys := make([]string, 0, len(s.data))
-	for k := range s.data {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
 	h := sha256.New()
 	var lenBuf [4]byte
-	for _, k := range keys {
+	for _, id := range s.sorted() {
+		k, v := s.t.Key(id), s.t.Record(id).val
 		binary.BigEndian.PutUint32(lenBuf[:], uint32(len(k)))
 		h.Write(lenBuf[:])
-		h.Write([]byte(k))
-		v := s.data[k]
+		h.Write(k)
 		binary.BigEndian.PutUint32(lenBuf[:], uint32(len(v)))
 		h.Write(lenBuf[:])
 		h.Write(v)
@@ -162,12 +228,14 @@ func (s *Store) Hash() [32]byte {
 	return out
 }
 
-// Clone returns an independent store with the same contents: its own map,
+// Clone returns an independent store with the same contents: its own table,
 // sharing the (immutable) value slices — an O(keys) copy. A checkpoint that
 // leaves the node (state transfer) and tests that fork identical initial
 // states use it; a checkpoint the node keeps takes a Snapshot instead.
 func (s *Store) Clone() *Store {
-	return &Store{data: s.copyData()}
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	return &Store{t: s.t.clone(), live: s.live}
 }
 
 // Restore replaces this store's contents with from's, sharing value slices
@@ -176,17 +244,11 @@ func (s *Store) Clone() *Store {
 // the open Snapshot, if any: the installed state is not the one the view
 // described. Used by checkpointed node rejoin.
 func (s *Store) Restore(from *Store) {
-	data := from.copyData()
+	c := from.Clone()
 	s.mu.Lock()
 	s.closeSnapshot()
-	s.data = data
+	s.t, s.live = c.t, c.live
 	s.mu.Unlock()
-}
-
-func (s *Store) copyData() map[string][]byte {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return maps.Clone(s.data)
 }
 
 // ByteSize returns the summed length of all keys and values — the transfer
@@ -195,8 +257,10 @@ func (s *Store) ByteSize() int {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	n := 0
-	for k, v := range s.data {
-		n += len(k) + len(v)
+	for id := int32(0); int(id) < s.t.n; id++ {
+		if r := s.t.Record(id); r.present {
+			n += len(s.t.Key(id)) + len(r.val)
+		}
 	}
 	return n
 }
@@ -211,31 +275,21 @@ func (s *Store) Save(w io.Writer) error {
 	if _, err := bw.WriteString("massdb1\x00"); err != nil {
 		return fmt.Errorf("statedb: writing header: %w", err)
 	}
-	keys := make([]string, 0, len(s.data))
-	for k := range s.data {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
+	ids := s.sorted()
 	var lenBuf [4]byte
-	binary.BigEndian.PutUint32(lenBuf[:], uint32(len(keys)))
+	binary.BigEndian.PutUint32(lenBuf[:], uint32(len(ids)))
 	if _, err := bw.Write(lenBuf[:]); err != nil {
 		return err
 	}
-	for _, k := range keys {
-		binary.BigEndian.PutUint32(lenBuf[:], uint32(len(k)))
-		if _, err := bw.Write(lenBuf[:]); err != nil {
-			return err
-		}
-		if _, err := bw.WriteString(k); err != nil {
-			return err
-		}
-		v := s.data[k]
-		binary.BigEndian.PutUint32(lenBuf[:], uint32(len(v)))
-		if _, err := bw.Write(lenBuf[:]); err != nil {
-			return err
-		}
-		if _, err := bw.Write(v); err != nil {
-			return err
+	for _, id := range ids {
+		for _, field := range [2][]byte{s.t.Key(id), s.t.Record(id).val} {
+			binary.BigEndian.PutUint32(lenBuf[:], uint32(len(field)))
+			if _, err := bw.Write(lenBuf[:]); err != nil {
+				return err
+			}
+			if _, err := bw.Write(field); err != nil {
+				return err
+			}
 		}
 	}
 	return bw.Flush()
@@ -260,7 +314,7 @@ func Load(r io.Reader) (*Store, error) {
 	}
 	n := int(binary.BigEndian.Uint32(lenBuf[:]))
 	s := New()
-	prev := ""
+	var prev []byte
 	for i := 0; i < n; i++ {
 		if _, err := io.ReadFull(br, lenBuf[:]); err != nil {
 			return nil, fmt.Errorf("statedb: record %d key length: %w", i, err)
@@ -269,12 +323,11 @@ func Load(r io.Reader) (*Store, error) {
 		if klen > 1<<20 {
 			return nil, fmt.Errorf("statedb: record %d key length %d implausible", i, klen)
 		}
-		kb, err := readBytes(br, klen)
+		key, err := readBytes(br, klen)
 		if err != nil {
 			return nil, fmt.Errorf("statedb: record %d key: %w", i, err)
 		}
-		key := string(kb)
-		if i > 0 && key <= prev {
+		if i > 0 && bytes.Compare(key, prev) <= 0 {
 			return nil, fmt.Errorf("statedb: record %d key %q not above the one before", i, key)
 		}
 		prev = key
@@ -289,7 +342,7 @@ func Load(r io.Reader) (*Store, error) {
 		if err != nil {
 			return nil, fmt.Errorf("statedb: record %d value: %w", i, err)
 		}
-		s.data[key] = val
+		s.set(s.t.Insert(key, HashKey(key)), val, true) // ascending, so not in the table
 	}
 	return s, nil
 }

@@ -46,8 +46,8 @@ func (s *SmallBank) Name() string { return "smallbank" }
 // Load implements Workload (accounts are lazily initialized).
 func (s *SmallBank) Load(db *statedb.Store) {}
 
-func checkingKey(acct uint64) string { return key("sb:c:", acct) }
-func savingsKey(acct uint64) string  { return key("sb:s:", acct) }
+func checkingKey(acct uint64) storeKey { return key("sb:c:", acct) }
+func savingsKey(acct uint64) storeKey  { return key("sb:s:", acct) }
 
 // Next implements Workload. Payload: op(1) | acct1(8) | acct2(8) | amount(8).
 func (s *SmallBank) Next(client uint64) types.Transaction {
@@ -83,7 +83,7 @@ func (s *SmallBank) Executor() aria.Executor {
 		a1 := getU64(p[1:])
 		a2 := getU64(p[9:])
 		amount := int64(getU64(p[17:]))
-		bal := func(key string) int64 { return readI64(fp, key, initialBalance) }
+		bal := func(key storeKey) int64 { return readI64(fp, &key, initialBalance) }
 
 		switch op {
 		case sbBalance:
@@ -92,7 +92,7 @@ func (s *SmallBank) Executor() aria.Executor {
 
 		case sbDepositChecking:
 			k := checkingKey(a1)
-			writeI64(fp, k, bal(k)+amount)
+			writeI64(fp, &k, bal(k)+amount)
 			return false, nil
 
 		case sbTransactSavings:
@@ -101,16 +101,16 @@ func (s *SmallBank) Executor() aria.Executor {
 			if nb < 0 {
 				return true, nil
 			}
-			writeI64(fp, k, nb)
+			writeI64(fp, &k, nb)
 			return false, nil
 
 		case sbAmalgamate:
 			// Move all of a1's funds into a2's checking.
 			kc1, ks1, kc2 := checkingKey(a1), savingsKey(a1), checkingKey(a2)
 			total := bal(kc1) + bal(ks1)
-			writeI64(fp, kc1, 0)
-			writeI64(fp, ks1, 0)
-			writeI64(fp, kc2, bal(kc2)+total)
+			writeI64(fp, &kc1, 0)
+			writeI64(fp, &ks1, 0)
+			writeI64(fp, &kc2, bal(kc2)+total)
 			return false, nil
 
 		case sbSendPayment:
@@ -119,8 +119,8 @@ func (s *SmallBank) Executor() aria.Executor {
 			if b1 < amount {
 				return true, nil
 			}
-			writeI64(fp, kc1, b1-amount)
-			writeI64(fp, kc2, bal(kc2)+amount)
+			writeI64(fp, &kc1, b1-amount)
+			writeI64(fp, &kc2, bal(kc2)+amount)
 			return false, nil
 
 		case sbWriteCheck:
@@ -130,7 +130,7 @@ func (s *SmallBank) Executor() aria.Executor {
 			if bc+bal(ks) < amount {
 				fee = 1 // overdraft penalty per SmallBank spec
 			}
-			writeI64(fp, kc, bc-amount-fee)
+			writeI64(fp, &kc, bc-amount-fee)
 			return false, nil
 		}
 		return false, fmt.Errorf("smallbank: unknown op %d", op)
@@ -144,8 +144,8 @@ func (s *SmallBank) Executor() aria.Executor {
 func TotalBalance(db *statedb.Store, touched []uint64) int64 {
 	var sum int64
 	for _, a := range touched {
-		vc, okc := db.Get(checkingKey(a))
-		vs, oks := db.Get(savingsKey(a))
+		vc, okc := db.Get(checkingKey(a).String())
+		vs, oks := db.Get(savingsKey(a).String())
 		sum += i64of(vc, okc, initialBalance) + i64of(vs, oks, initialBalance)
 	}
 	return sum

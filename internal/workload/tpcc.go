@@ -48,12 +48,12 @@ func (t *TPCC) Name() string { return "tpcc" }
 // balances and YTDs as 0, next order IDs as 1).
 func (t *TPCC) Load(db *statedb.Store) {}
 
-func whKey(w uint64) string           { return key("tp:w:", w) }
-func distKey(w, d uint64) string      { return key("tp:d:", w, d) }
-func distNextOKey(w, d uint64) string { return key("tp:no:", w, d) }
-func custKey(w, d, c uint64) string   { return key("tp:c:", w, d, c) }
-func stockKey(w, i uint64) string     { return key("tp:s:", w, i) }
-func orderKey(w, d, o uint64) string  { return key("tp:o:", w, d, o) }
+func whKey(w uint64) storeKey           { return key("tp:w:", w) }
+func distKey(w, d uint64) storeKey      { return key("tp:d:", w, d) }
+func distNextOKey(w, d uint64) storeKey { return key("tp:no:", w, d) }
+func custKey(w, d, c uint64) storeKey   { return key("tp:c:", w, d, c) }
+func stockKey(w, i uint64) storeKey     { return key("tp:s:", w, i) }
+func orderKey(w, d, o uint64) storeKey  { return key("tp:o:", w, d, o) }
 
 // Next implements Workload.
 //
@@ -111,21 +111,22 @@ func (t *TPCC) Executor() aria.Executor {
 				return false, fmt.Errorf("tpcc: bad neworder size %d for %d lines", len(p), n)
 			}
 			noKey := distNextOKey(w, d)
-			oid := uint64(readI64(fp, noKey, 1))
-			writeI64(fp, noKey, int64(oid)+1)
+			oid := uint64(readI64(fp, &noKey, 1))
+			writeI64(fp, &noKey, int64(oid)+1)
 			off := 26
 			for i := 0; i < n; i++ {
 				item := getU64(p[off:])
 				qty := int64(p[off+8])
 				off += 9
 				sk := stockKey(w, item)
-				q := readI64(fp, sk, 100) - qty
+				q := readI64(fp, &sk, 100) - qty
 				if q < 10 {
 					q += 91
 				}
-				writeI64(fp, sk, q)
+				writeI64(fp, &sk, q)
 			}
-			writeI64(fp, orderKey(w, d, oid), int64(c))
+			ok := orderKey(w, d, oid)
+			writeI64(fp, &ok, int64(c))
 			return false, nil
 
 		case tpccPayment:
@@ -134,9 +135,9 @@ func (t *TPCC) Executor() aria.Executor {
 			}
 			amount := int64(getU64(p[25:]))
 			wk, dk, ck := whKey(w), distKey(w, d), custKey(w, d, c)
-			writeI64(fp, wk, readI64(fp, wk, 0)+amount) // warehouse YTD — hotspot
-			writeI64(fp, dk, readI64(fp, dk, 0)+amount) // district YTD
-			writeI64(fp, ck, readI64(fp, ck, 0)-amount) // customer balance
+			writeI64(fp, &wk, readI64(fp, &wk, 0)+amount) // warehouse YTD — hotspot
+			writeI64(fp, &dk, readI64(fp, &dk, 0)+amount) // district YTD
+			writeI64(fp, &ck, readI64(fp, &ck, 0)-amount) // customer balance
 			return false, nil
 		}
 		return false, fmt.Errorf("tpcc: unknown op %#x", p[0])

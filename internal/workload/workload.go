@@ -69,31 +69,44 @@ func dummySig(rng *rand.Rand) []byte {
 func putU64(b []byte, v uint64) { binary.BigEndian.PutUint64(b, v) }
 func getU64(b []byte) uint64    { return binary.BigEndian.Uint64(b) }
 
-// key builds a storage key: prefix followed by the decimal ids joined by
-// ':'. One allocation (the string); the executors call it per key touched.
-func key(prefix string, ids ...uint64) string {
-	var buf [80]byte // the longest key, "tp:c:" plus three 20-digit ids, is 67
-	k := append(buf[:0], prefix...)
-	for i, id := range ids {
-		if i > 0 {
-			k = append(k, ':')
-		}
-		k = strconv.AppendUint(k, id, 10)
-	}
-	return string(k)
+// storeKey is a storage key where the executor formatted it: a value on the
+// executor's stack, never a heap string. The store copies the bytes the first
+// time it stores something under them.
+type storeKey struct {
+	n int
+	b [80]byte // the longest key, "tp:c:" plus three 20-digit ids, is 67
 }
 
+// key builds a storage key: prefix followed by the decimal ids joined by
+// ':'. The executors call it per key touched.
+func key(prefix string, ids ...uint64) (k storeKey) {
+	b := append(k.b[:0], prefix...)
+	for i, id := range ids {
+		if i > 0 {
+			b = append(b, ':')
+		}
+		b = strconv.AppendUint(b, id, 10)
+	}
+	k.n = len(b)
+	return k
+}
+
+func (k *storeKey) bytes() []byte { return k.b[:k.n] }
+
+// String is the form the store's string-keyed methods take.
+func (k storeKey) String() string { return string(k.b[:k.n]) }
+
 // readI64 reads key through fp as an int64, def when it is missing.
-func readI64(fp *aria.Footprint, key string, def int64) int64 {
-	v, ok := fp.Read(key)
+func readI64(fp *aria.Footprint, key *storeKey, def int64) int64 {
+	v, ok := fp.Read(key.bytes())
 	return i64of(v, ok, def)
 }
 
 // writeI64 buffers a write of v under key.
-func writeI64(fp *aria.Footprint, key string, v int64) {
+func writeI64(fp *aria.Footprint, key *storeKey, v int64) {
 	var b [8]byte
 	binary.BigEndian.PutUint64(b[:], uint64(v))
-	fp.Write(key, b[:])
+	fp.Write(key.bytes(), b[:])
 }
 
 // i64of decodes a statedb value as int64, with a default when missing.

@@ -152,7 +152,7 @@ func TestYCSBReadAfterWrite(t *testing.T) {
 	if _, err := e.ExecuteBatch([]types.Transaction{{Payload: wp}}); err != nil {
 		t.Fatal(err)
 	}
-	v, ok := db.Get(ycsbKey(42, 3))
+	v, ok := db.Get(ycsbKey(42, 3).String())
 	if !ok || len(v) != ycsbColumnSize || v[0] != 0xAB {
 		t.Fatal("ycsb write not visible")
 	}
@@ -227,7 +227,7 @@ func TestSmallBankMoneyConservation(t *testing.T) {
 func TestSmallBankOverdraftAborts(t *testing.T) {
 	exec := NewSmallBank(10, 1).Executor()
 	db := statedb.New()
-	db.Put(checkingKey(1), i64val(5))
+	db.Put(checkingKey(1).String(), i64val(5))
 	p := make([]byte, 25)
 	p[0] = sbSendPayment
 	putU64(p[1:], 1)
@@ -237,7 +237,7 @@ func TestSmallBankOverdraftAborts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.LogicAborted != 1 || dbI64(db, checkingKey(1), 0) != 5 || db.Len() != 1 {
+	if res.LogicAborted != 1 || dbI64(db, checkingKey(1).String(), 0) != 5 || db.Len() != 1 {
 		t.Fatal("overdraft payment did not abort")
 	}
 }
@@ -252,7 +252,7 @@ func TestSmallBankLazyInitialBalance(t *testing.T) {
 	if _, err := exec1(exec, db, p); err != nil {
 		t.Fatal(err)
 	}
-	if got := dbI64(db, checkingKey(7), 0); got != initialBalance+50 {
+	if got := dbI64(db, checkingKey(7).String(), 0); got != initialBalance+50 {
 		t.Fatalf("deposit on lazy account = %d, want %d", got, initialBalance+50)
 	}
 }
@@ -272,14 +272,14 @@ func TestTPCCNewOrderAdvancesOrderID(t *testing.T) {
 	if _, err := e.ExecuteBatch([]types.Transaction{{Payload: p}}); err != nil {
 		t.Fatal(err)
 	}
-	v, ok := db.Get(distNextOKey(1, 2))
+	v, ok := db.Get(distNextOKey(1, 2).String())
 	if got := i64of(v, ok, 1); got != 2 {
 		t.Fatalf("next order id = %d, want 2", got)
 	}
-	if _, ok := db.Get(orderKey(1, 2, 1)); !ok {
+	if _, ok := db.Get(orderKey(1, 2, 1).String()); !ok {
 		t.Fatal("order record missing")
 	}
-	v, ok = db.Get(stockKey(1, 55))
+	v, ok = db.Get(stockKey(1, 55).String())
 	if got := i64of(v, ok, 100); got != 95 {
 		t.Fatalf("stock = %d, want 95", got)
 	}
@@ -288,7 +288,7 @@ func TestTPCCNewOrderAdvancesOrderID(t *testing.T) {
 func TestTPCCStockRestock(t *testing.T) {
 	w := NewTPCC(4, 2)
 	db := statedb.New()
-	db.Put(stockKey(0, 9), i64val(12))
+	db.Put(stockKey(0, 9).String(), i64val(12))
 	exec := w.Executor()
 	p := make([]byte, 26+9)
 	p[0] = tpccNewOrder
@@ -298,7 +298,7 @@ func TestTPCCStockRestock(t *testing.T) {
 	if _, err := exec1(exec, db, p); err != nil {
 		t.Fatal(err)
 	}
-	if got := dbI64(db, stockKey(0, 9), 0); got != 98 {
+	if got := dbI64(db, stockKey(0, 9).String(), 0); got != 98 {
 		t.Fatalf("restocked qty = %d, want 98", got)
 	}
 }
@@ -408,8 +408,8 @@ func TestSmallBankPayloadShape(t *testing.T) {
 func TestSmallBankSendPaymentMovesMoney(t *testing.T) {
 	exec := NewSmallBank(10, 1).Executor()
 	db := statedb.New()
-	db.Put(checkingKey(1), i64val(500))
-	db.Put(checkingKey(2), i64val(100))
+	db.Put(checkingKey(1).String(), i64val(500))
+	db.Put(checkingKey(2).String(), i64val(100))
 	p := make([]byte, 25)
 	p[0] = sbSendPayment
 	putU64(p[1:], 1)
@@ -419,10 +419,10 @@ func TestSmallBankSendPaymentMovesMoney(t *testing.T) {
 	if err != nil || res.Committed != 1 {
 		t.Fatalf("err=%v res=%+v", err, res)
 	}
-	if got := dbI64(db, checkingKey(1), 0); got != 300 {
+	if got := dbI64(db, checkingKey(1).String(), 0); got != 300 {
 		t.Fatalf("sender balance %d", got)
 	}
-	if got := dbI64(db, checkingKey(2), 0); got != 300 {
+	if got := dbI64(db, checkingKey(2).String(), 0); got != 300 {
 		t.Fatalf("receiver balance %d", got)
 	}
 }
@@ -430,9 +430,9 @@ func TestSmallBankSendPaymentMovesMoney(t *testing.T) {
 func TestSmallBankAmalgamate(t *testing.T) {
 	exec := NewSmallBank(10, 1).Executor()
 	db := statedb.New()
-	db.Put(checkingKey(3), i64val(70))
-	db.Put(savingsKey(3), i64val(30))
-	db.Put(checkingKey(4), i64val(5))
+	db.Put(checkingKey(3).String(), i64val(70))
+	db.Put(savingsKey(3).String(), i64val(30))
+	db.Put(checkingKey(4).String(), i64val(5))
 	p := make([]byte, 25)
 	p[0] = sbAmalgamate
 	putU64(p[1:], 3)
@@ -441,10 +441,10 @@ func TestSmallBankAmalgamate(t *testing.T) {
 	if err != nil || res.Committed != 1 {
 		t.Fatalf("err=%v res=%+v", err, res)
 	}
-	if dbI64(db, checkingKey(3), -1) != 0 || dbI64(db, savingsKey(3), -1) != 0 {
+	if dbI64(db, checkingKey(3).String(), -1) != 0 || dbI64(db, savingsKey(3).String(), -1) != 0 {
 		t.Fatal("source accounts not emptied")
 	}
-	if got := dbI64(db, checkingKey(4), 0); got != 105 {
+	if got := dbI64(db, checkingKey(4).String(), 0); got != 105 {
 		t.Fatalf("destination %d, want 105", got)
 	}
 }
@@ -465,10 +465,10 @@ func TestTPCCPaymentUpdatesYTDAndBalance(t *testing.T) {
 	if db.Len() != 3 {
 		t.Fatalf("footprint: %d keys written, want 3", db.Len())
 	}
-	if dbI64(db, whKey(2), 0) != 1000 || dbI64(db, distKey(2, 3), 0) != 1000 {
+	if dbI64(db, whKey(2).String(), 0) != 1000 || dbI64(db, distKey(2, 3).String(), 0) != 1000 {
 		t.Fatal("warehouse or district YTD wrong")
 	}
-	if dbI64(db, custKey(2, 3, 5), 0) != -1000 {
+	if dbI64(db, custKey(2, 3, 5).String(), 0) != -1000 {
 		t.Fatal("customer balance wrong")
 	}
 }

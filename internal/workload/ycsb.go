@@ -50,7 +50,7 @@ func (y *YCSB) Name() string { return "ycsb-" + string(y.mix) }
 func (y *YCSB) Load(db *statedb.Store) {}
 
 // ycsbKey is the storage key of one column of one row.
-func ycsbKey(row uint64, col byte) string { return key("y:", row, uint64(col)) }
+func ycsbKey(row uint64, col byte) storeKey { return key("y:", row, uint64(col)) }
 
 // Next implements Workload.
 func (y *YCSB) Next(client uint64) types.Transaction {
@@ -91,13 +91,13 @@ func (y *YCSB) Executor() aria.Executor {
 		key := ycsbKey(getU64(p[1:]), p[9])
 		switch p[0] {
 		case ycsbOpRead:
-			fp.Read(key)
+			fp.Read(key.bytes())
 			return false, nil
 		case ycsbOpWrite:
 			if len(p) != 10+ycsbColumnSize {
 				return false, fmt.Errorf("ycsb: bad write payload size %d", len(p))
 			}
-			fp.Write(key, p[10:])
+			fp.Write(key.bytes(), p[10:])
 			return false, nil
 		}
 		return false, fmt.Errorf("ycsb: unknown op %#x", p[0])

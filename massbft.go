@@ -428,7 +428,9 @@ func (c *Cluster) RecoverNode(at time.Duration, group, index int) {
 // the periodic folds (Config.CheckpointInterval, summed over nodes) and
 // "checkpoint-delta-keys" the distinct keys written under the view each fold
 // replaced — their quotient is what one fold cost, against a state of
-// (*statedb.Store).Len() keys that it no longer copies.
+// (*statedb.Store).Len() keys that it no longer copies (Len counts the keys
+// that are present; a deleted key keeps its record in the store's table, and
+// its node-local id, but is not counted).
 // "entries-proposed" and "txns-proposed" count what the group leaders handed
 // to local consensus (heartbeat entries included, re-proposals not), the
 // denominator for "how much of what was proposed executed".

@@ -124,6 +124,11 @@ go -C bench vet . && go -C bench test -short .
 echo "== go test -race -short (simnet, replication, core, pbft, trace, erasure, gf256, keys, statedb, aria, gateway, merkle)"
 go test -race -short -timeout 600s ./internal/simnet/ ./internal/replication/ ./internal/core/ ./internal/pbft/ ./internal/trace/ ./internal/erasure/ ./internal/gf256/ ./internal/keys/ ./internal/statedb/ ./internal/aria/ ./internal/gateway/ ./internal/merkle/
 
+# The state store against a map[string][]byte model: every mutator and every
+# way a store is copied, compared on everything observable after each step.
+echo "== fuzz smoke (statedb key table against a map model, 15 s)"
+go test -run '^$' -fuzz FuzzStoreAgainstMap -fuzztime 15s ./internal/statedb/
+
 echo "== bench smoke (hot-path + simnet harnesses, baseline validation)"
 go run ./scripts/validate-bench BENCH_hotpath.json
 go run ./scripts/validate-simnet BENCH_simnet.json
