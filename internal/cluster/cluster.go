@@ -93,11 +93,11 @@ type Cluster struct {
 	// Transport is the seam the nodes are actually wired through.
 	Net       *simnet.Network
 	Transport transport.Network
-	Reg     *keys.Registry
-	Pairs   [][]*keys.KeyPair
-	Nodes   map[keys.NodeID]Node
-	Metrics *metrics.Collector
-	Faults  *FaultPlan
+	Reg       *keys.Registry
+	Pairs     [][]*keys.KeyPair
+	Nodes     map[keys.NodeID]Node
+	Metrics   *metrics.Collector
+	Faults    *FaultPlan
 	// Trace is the span recorder shared with every node; nil unless
 	// Cfg.TraceEnabled.
 	Trace *trace.Recorder

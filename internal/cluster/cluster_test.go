@@ -167,7 +167,7 @@ type stubNode struct {
 	ctx     *NodeCtx
 }
 
-func (s *stubNode) Start()                                         { s.started++ }
+func (s *stubNode) Start()                            { s.started++ }
 func (s *stubNode) HandleMessage(m transport.Message) {}
 
 func TestClusterWiring(t *testing.T) {

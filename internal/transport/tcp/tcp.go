@@ -129,11 +129,11 @@ type Stats struct {
 }
 
 type stats struct {
-	connects, reconnects, dialFailures, sendTimeouts  atomic.Uint64
-	queueDropBulk, queueDropPrio                      atomic.Uint64
-	heartbeatMisses, bytesOut, bytesIn                atomic.Uint64
-	encodeErrors, decodeErrors, recvErrors            atomic.Uint64
-	dropsByKind                                       [256]atomic.Uint64
+	connects, reconnects, dialFailures, sendTimeouts atomic.Uint64
+	queueDropBulk, queueDropPrio                     atomic.Uint64
+	heartbeatMisses, bytesOut, bytesIn               atomic.Uint64
+	encodeErrors, decodeErrors, recvErrors           atomic.Uint64
+	dropsByKind                                      [256]atomic.Uint64
 }
 
 // Network implements transport.Network for one process-hosted node.
@@ -198,7 +198,7 @@ func (n *Network) Stats() Stats {
 		}
 	}
 	return Stats{
-		DropsByKind: byKind,
+		DropsByKind:     byKind,
 		Connects:        n.st.connects.Load(),
 		Reconnects:      n.st.reconnects.Load(),
 		DialFailures:    n.st.dialFailures.Load(),

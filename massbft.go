@@ -264,26 +264,26 @@ func NewCluster(cfg Config) (*Cluster, error) {
 		}
 	}
 	inner := cluster.Config{
-		GroupSizes:        cfg.Groups,
-		Opts:              opts,
-		Workload:          cfg.Workload,
-		Seed:              cfg.Seed,
-		WANLatency:        lat,
-		Topology:          topo,
-		LANLatency:        cfg.LANLatency,
-		WANBandwidth:      cfg.WANBandwidth,
-		LANBandwidth:      cfg.LANBandwidth,
-		BatchTimeout:      cfg.BatchTimeout,
-		MaxBatch:          cfg.MaxBatch,
-		PipelineDepth:     cfg.PipelineDepth,
-		GroupRate:         cfg.GroupRate,
-		TrustAll:          !cfg.RealCrypto,
+		GroupSizes:    cfg.Groups,
+		Opts:          opts,
+		Workload:      cfg.Workload,
+		Seed:          cfg.Seed,
+		WANLatency:    lat,
+		Topology:      topo,
+		LANLatency:    cfg.LANLatency,
+		WANBandwidth:  cfg.WANBandwidth,
+		LANBandwidth:  cfg.LANBandwidth,
+		BatchTimeout:  cfg.BatchTimeout,
+		MaxBatch:      cfg.MaxBatch,
+		PipelineDepth: cfg.PipelineDepth,
+		GroupRate:     cfg.GroupRate,
+		TrustAll:      !cfg.RealCrypto,
 		Gateway: cluster.GatewayConfig{
 			Enabled:        cfg.GatewayClients > 0,
 			SimClients:     cfg.GatewayClients,
 			ResubmitJitter: cfg.ResubmitJitter,
 		},
-		StandbyGroups: cfg.StandbyGroups,
+		StandbyGroups:     cfg.StandbyGroups,
 		Warmup:            cfg.Warmup,
 		ViewChangeTimeout: cfg.ViewChangeTimeout,
 		TakeoverTimeout:   cfg.TakeoverTimeout,

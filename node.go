@@ -204,11 +204,11 @@ func (t *Topology) clusterConfig() (cluster.Config, error) {
 		RejoinTimeout:      ms(t.RejoinTimeoutMS),
 		StandbyGroups:      t.StandbyGroups,
 		Gateway: cluster.GatewayConfig{
-			Enabled:       t.Clients > 0,
-			Clients:       t.Clients,
-			QueueLimit:    t.GatewayQueue,
-			RatePerClient: t.GatewayRate,
-			RateBurst:     t.GatewayBurst,
+			Enabled:        t.Clients > 0,
+			Clients:        t.Clients,
+			QueueLimit:     t.GatewayQueue,
+			RatePerClient:  t.GatewayRate,
+			RateBurst:      t.GatewayBurst,
 			VerifyParallel: t.GatewayVerify,
 		},
 	}.WithDefaults(), nil
@@ -278,9 +278,9 @@ type TrailPoint struct {
 // NodeStatus is a consistent snapshot of a running node, sampled on its
 // event loop.
 type NodeStatus struct {
-	Group  int   `json:"group"`
-	Index  int   `json:"index"`
-	NowMS  int64 `json:"now_ms"`
+	Group  int    `json:"group"`
+	Index  int    `json:"index"`
+	NowMS  int64  `json:"now_ms"`
 	Height uint64 `json:"height"`
 	Head   string `json:"head"`
 	State  string `json:"state"`

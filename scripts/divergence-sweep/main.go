@@ -8,7 +8,7 @@
 //	go run ./scripts/divergence-sweep -seeds 1-9 -out sweep.json
 //
 // The default fault mix is the one that historically exposed the congestion
-//-collapse false-death bug (see DESIGN.md §13): 5% WAN loss, 1% LAN loss,
+// -collapse false-death bug (see DESIGN.md §13): 5% WAN loss, 1% LAN loss,
 // 1% duplication, 10% latency jitter.
 package main
 

@@ -7,12 +7,13 @@
 //     every run — the wheel scheduler and the legacy heap must agree on all
 //     of them. scripts/validate-simnet diffs this section against the
 //     committed baseline.
+//
 //   - timing: scheduler ns/op and full-simulation throughput, measured wheel
 //     vs the pre-refactor heap path (container/heap, fresh event + capturing
 //     closure per delivery, no pooling). Machine-dependent; validate-simnet
 //     only applies CI-safe floors.
 //
-//	go run ./scripts/simnet-bench -out BENCH_simnet.json
+//     go run ./scripts/simnet-bench -out BENCH_simnet.json
 package main
 
 import (
