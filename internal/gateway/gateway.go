@@ -44,10 +44,10 @@ var (
 	ErrOverloaded = errors.New("gateway: overloaded, intake queue full")
 	// ErrRateLimited: the per-client token bucket is empty.
 	ErrRateLimited = errors.New("gateway: client rate limit exceeded")
-	// ErrBadSignature: the client signature failed verification (also covers
-	// unknown client IDs). Only returned on the inline verification path;
-	// the worker pool drops bad requests asynchronously (counted as
-	// gateway-verify-fail).
+	// ErrBadSignature: the client signature failed verification, or the
+	// client ID is unknown. An unknown ID is refused on both paths; a bad
+	// signature only on the inline verification path — the worker pool drops
+	// bad requests asynchronously (counted as gateway-verify-fail).
 	ErrBadSignature = errors.New("gateway: bad client signature")
 )
 
@@ -144,6 +144,10 @@ type Gateway struct {
 	memo     map[memoKey]bool
 	ver      *verifier
 	rcpt     receiptScratch
+	// VerifyTxns scratch: the signatures of the proposal under validation
+	// and their signed messages, laid end to end.
+	batch *keys.ClientBatch
+	msgs  []byte
 }
 
 const (
@@ -172,6 +176,7 @@ func New(cfg Config) *Gateway {
 		cfg:     cfg,
 		clients: make(map[uint64]*clientState),
 		memo:    make(map[memoKey]bool),
+		batch:   cfg.Clients.NewBatch(),
 	}
 	if cfg.VerifyParallel > 0 {
 		check := func(txn types.Transaction, msg []byte) bool {
@@ -223,6 +228,12 @@ func (g *Gateway) client(id uint64) *clientState {
 // dedup-window hit (which re-sends the cached reply via Config.Reply).
 func (g *Gateway) Submit(txn types.Transaction, now time.Time) error {
 	g.inc("gateway-submitted")
+	// A request under an id the registry does not hold can only fail
+	// verification: refuse it before it costs any per-client state.
+	if !g.cfg.Clients.Known(txn.Client) {
+		g.inc("gateway-verify-fail")
+		return ErrBadSignature
+	}
 	cs := g.client(txn.Client)
 
 	// Dedup before admission: retries of executed or in-flight requests must
@@ -321,30 +332,40 @@ func memoKeyFor(txn types.Transaction, msg []byte) memoKey {
 // transactions attributed to any client and have the group certify them —
 // intake verification only binds the leader that admitted the request.
 // Direct-injection transactions (Client == 0) carry no client signature and
-// are skipped. The verification memo is consulted read-only — the proposing
-// leader verified these at intake, so it hits; followers pay the crypto —
-// but never populated, so proposal validation cannot perturb the intake
-// memo's occupancy or eviction timing.
+// are skipped.
+//
+// Every signature it cannot skip goes through one batch equation, whatever
+// their number; a failed batch is the verdict. The verification memo is
+// consulted read-only, and only for what it has accepted: the proposing
+// leader verified these at intake, so it skips them; followers pay the
+// crypto. A remembered failure does not decide anything — the signature joins
+// the batch like a miss — so the verdict is a function of the proposal alone,
+// never of what this gateway's memo happens to hold (a remembered success is
+// sound to skip: whatever intake accepts, the batch equation accepts). The
+// memo is never populated here, so proposal validation cannot perturb its
+// occupancy or eviction timing.
 func (g *Gateway) VerifyTxns(txns []types.Transaction) bool {
+	g.batch.Reset()
+	g.msgs = g.msgs[:0]
 	for i := range txns {
 		t := &txns[i]
 		if t.Client == 0 {
 			continue
 		}
-		msg := keys.ClientRequestMessage(t.Client, t.Nonce, t.Payload)
-		if len(g.memo) > 0 {
-			if ok, hit := g.memo[memoKeyFor(*t, msg)]; hit {
-				if !ok {
-					return false
-				}
-				continue
-			}
+		// A grown buffer moves; the messages already queued keep the bytes
+		// they were cut from.
+		start := len(g.msgs)
+		g.msgs = keys.AppendClientRequestMessage(g.msgs, t.Client, t.Nonce, t.Payload)
+		msg := g.msgs[start:]
+		if len(g.memo) > 0 && g.memo[memoKeyFor(*t, msg)] {
+			g.msgs = g.msgs[:start]
+			continue
 		}
-		if !g.cfg.Clients.Verify(t.Client, msg, t.Sig) {
+		if !g.batch.Add(t.Client, msg, t.Sig) {
 			return false
 		}
 	}
-	return true
+	return g.batch.Verify()
 }
 
 // memoPut records a verification verdict, bounded drop-and-restart like the

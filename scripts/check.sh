@@ -4,8 +4,9 @@
 # surface. Run from the repository root.
 #
 # Usage: scripts/check.sh [preset]
-#   (default)        full pipeline: vet, build, tests, bench-module vet + short
-#                    tests, race shard, trace smoke, node smoke
+#   (default)        full pipeline: gofmt, vet, build, tests, bench-module vet +
+#                    short tests, race shard, purego shard, fuzz smokes, trace
+#                    smoke, node smoke
 #   partition-chaos  just the partition/failover chaos suite — the full WAN
 #                    partition schedules plus the reduced schedule under
 #                    -race -short — for iterating on failover changes without
@@ -103,6 +104,14 @@ full) ;;
   ;;
 esac
 
+echo "== gofmt"
+unformatted="$(gofmt -l .)"
+if [ -n "$unformatted" ]; then
+  echo "gofmt -l . lists:" >&2
+  echo "$unformatted" >&2
+  exit 1
+fi
+
 echo "== go vet"
 go vet ./...
 
@@ -121,13 +130,23 @@ go -C bench vet . && go -C bench test -short .
 # membership join/leave schedules: WAN partition failover and certified
 # epoch reconfiguration both run under the race detector on every pass
 # (the full schedules skip in -short).
-echo "== go test -race -short (simnet, replication, core, pbft, trace, erasure, gf256, keys, statedb, aria, gateway, merkle)"
-go test -race -short -timeout 600s ./internal/simnet/ ./internal/replication/ ./internal/core/ ./internal/pbft/ ./internal/trace/ ./internal/erasure/ ./internal/gf256/ ./internal/keys/ ./internal/statedb/ ./internal/aria/ ./internal/gateway/ ./internal/merkle/
+echo "== go test -race -short (simnet, replication, core, pbft, trace, erasure, gf256, keys and its edwards25519, statedb, aria, gateway, merkle)"
+go test -race -short -timeout 600s ./internal/simnet/ ./internal/replication/ ./internal/core/ ./internal/pbft/ ./internal/trace/ ./internal/erasure/ ./internal/gf256/ ./internal/keys/... ./internal/statedb/ ./internal/aria/ ./internal/gateway/ ./internal/merkle/
+
+# The field arithmetic under internal/keys/edwards25519 has an amd64 assembly
+# path and a generic one; -tags purego runs the generic one on amd64 too.
+echo "== go test -tags purego (generic field arithmetic)"
+go test -tags purego ./internal/keys/...
 
 # The state store against a map[string][]byte model: every mutator and every
 # way a store is copied, compared on everything observable after each step.
 echo "== fuzz smoke (statedb key table against a map model, 15 s)"
 go test -run '^$' -fuzz FuzzStoreAgainstMap -fuzztime 15s ./internal/statedb/
+
+# The batch verifier against crypto/ed25519: whatever the standard library
+# accepts it accepts, and where it accepts more, a torsion component is why.
+echo "== fuzz smoke (batch signature verification against crypto/ed25519, 15 s)"
+go test -run '^$' -fuzz FuzzVerifyAgainstStdlib -fuzztime 15s ./internal/keys/edwards25519/
 
 echo "== bench smoke (hot-path + simnet harnesses, baseline validation)"
 go run ./scripts/validate-bench BENCH_hotpath.json
