@@ -187,7 +187,9 @@ func BenchmarkFig14SlowNodes(b *testing.B) {
 }
 
 // BenchmarkFig15FaultTimeline: throughput through Byzantine tampering and a
-// group crash; reports the steady rates before and after.
+// group crash; reports the steady rates before and after. The group crashed
+// at 6 s is certified dead in second 11 (SuspectTimeout = 4x TakeoverTimeout,
+// then certification) and the backlog drains in 11-12, so "after" is 13.
 func BenchmarkFig15FaultTimeline(b *testing.B) {
 	var before, after float64
 	for i := 0; i < b.N; i++ {
@@ -200,13 +202,13 @@ func BenchmarkFig15FaultTimeline(b *testing.B) {
 		}
 		c.MakeByzantine(3*time.Second, 1)
 		c.CrashGroup(6*time.Second, 0)
-		res := c.Run(10 * time.Second)
+		res := c.Run(14 * time.Second)
 		before, after = 0, 0
 		for _, p := range res.Series {
 			if p.Second == 2 {
 				before = p.Throughput
 			}
-			if p.Second == 9 {
+			if p.Second == 13 {
 				after = p.Throughput
 			}
 		}

@@ -15,33 +15,39 @@ import (
 // gateway batcher, the client requester).
 func VirtualTime(d time.Duration) time.Time { return time.Unix(0, int64(d)) }
 
-// attachGateway builds one node's client front end. Simulated clusters
-// verify inline (VerifyParallel = 0): the parallel worker pool is for the
-// real TCP deployment — pool goroutines would interleave OS scheduling into
-// the deterministic event loop.
-func (c *Cluster) attachGateway(ctx *NodeCtx, kp *keys.KeyPair) {
-	id := ctx.ID
-	gw := c.Cfg.Gateway
+// AttachGateway builds ctx's client front end from ctx.Cfg — the one gateway
+// construction site of both fabrics. verifyParallel is the signature worker
+// count (0 verifies inline, which the deterministic emulator requires) and
+// deliver posts the pool's verdicts back onto the node's event loop (nil when
+// inline). Receipts leave signed by ctx.KP through ctx.ReplyOut, which the
+// environment sets once it has somewhere to route them; until then, and for
+// direct-injection workloads, they are dropped unsigned.
+func AttachGateway(ctx *NodeCtx, clients *keys.ClientRegistry, verifyParallel int, deliver func(func())) {
+	gw := ctx.Cfg.Gateway
 	ctx.Gateway = gateway.New(gateway.Config{
-		Group:         id.Group,
-		MaxBatch:      c.Cfg.MaxBatch,
-		MaxWait:       gw.MaxWait,
-		QueueLimit:    gw.QueueLimit,
-		DedupWindow:   gw.DedupWindow,
-		RatePerClient: gw.RatePerClient,
-		RateBurst:     gw.RateBurst,
-		Clients:       c.ClientReg,
-		Metrics:       c.Metrics,
+		Group:          ctx.ID.Group,
+		MaxBatch:       ctx.Cfg.MaxBatch,
+		MaxWait:        gw.MaxWait,
+		QueueLimit:     gw.QueueLimit,
+		DedupWindow:    gw.DedupWindow,
+		RatePerClient:  gw.RatePerClient,
+		RateBurst:      gw.RateBurst,
+		VerifyParallel: verifyParallel,
+		Clients:        clients,
+		Metrics:        ctx.Metrics,
+		Deliver:        deliver,
 		Reply: func(rc *gateway.Receipt) {
 			if ctx.ReplyOut != nil {
-				SignReplies(id, kp.Sign, rc, ctx.ReplyOut)
+				SignReplies(ctx.ID, ctx.KP.Sign, rc, ctx.ReplyOut)
 			}
 		},
 	})
-	ctx.ReplyOut = func(rep *ClientReply) {
-		if c.hub != nil {
-			c.hub.onReply(rep)
-		}
+}
+
+// routeReply hands a simulated node's reply to the client hub, once one runs.
+func (c *Cluster) routeReply(rep *ClientReply) {
+	if c.hub != nil {
+		c.hub.onReply(rep)
 	}
 }
 

@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"fmt"
 	"math/rand"
 	"time"
 
@@ -114,8 +113,8 @@ type Cluster struct {
 // and one protocol node per position via factory.
 func New(cfg Config, factory Factory) (*Cluster, error) {
 	cfg = cfg.withDefaults()
-	if len(cfg.GroupSizes) == 0 {
-		return nil, fmt.Errorf("cluster: no groups configured")
+	if err := cfg.Validate(); err != nil {
+		return nil, err
 	}
 	pairs, reg, err := keys.GenerateCluster(cfg.GroupSizes, cfg.Seed)
 	if err != nil {
@@ -211,7 +210,10 @@ func New(cfg Config, factory Factory) (*Cluster, error) {
 				Trace:        c.Trace,
 			}
 			if cfg.Gateway.Enabled {
-				c.attachGateway(ctx, pairs[g][j])
+				// Inline verification: pool goroutines would interleave OS
+				// scheduling into the deterministic event loop.
+				AttachGateway(ctx, c.ClientReg, 0, nil)
+				ctx.ReplyOut = c.routeReply
 			}
 			node := factory(ctx)
 			c.Nodes[id] = node

@@ -8,6 +8,8 @@
 package cluster
 
 import (
+	"errors"
+	"fmt"
 	"time"
 
 	"massbft/internal/keys"
@@ -293,6 +295,37 @@ type Config struct {
 // group (the StandbyGroups highest-numbered groups of GroupSizes).
 func (c *Config) StandbyAtGenesis(g int) bool {
 	return c.StandbyGroups > 0 && g >= len(c.GroupSizes)-c.StandbyGroups
+}
+
+// Validate checks the group layout and what StandbyGroups requires, for both
+// fabrics: New calls it for a simulated cluster and massbft.Topology for a
+// process deployment, each prefixing the error with where the layout came
+// from. Dynamic membership rides on the failover machinery (standby groups
+// are fenced exactly like certified-dead ones until their join) and on
+// per-seq commit records (the certified join boundary is derived from the
+// commit watermark): GeoBFT has no global records at all, and Steward/ISS
+// proposal gates cannot tolerate skipped rounds.
+func (c *Config) Validate() error {
+	if len(c.GroupSizes) == 0 {
+		return errors.New("no groups configured")
+	}
+	for g, n := range c.GroupSizes {
+		if n < 1 {
+			return fmt.Errorf("group %d has invalid size %d", g, n)
+		}
+	}
+	if c.StandbyGroups > 0 {
+		if c.StandbyGroups > len(c.GroupSizes)-2 {
+			return fmt.Errorf("%d standby groups leave fewer than two active groups", c.StandbyGroups)
+		}
+		if c.TakeoverTimeout <= 0 {
+			return errors.New("standby groups require a takeover timeout > 0")
+		}
+		if !c.Opts.GlobalConsensus || c.Opts.Serial || c.Opts.EpochLength > 0 {
+			return errors.New("standby groups are not supported by this protocol (they need global consensus, concurrent proposers and no epochs)")
+		}
+	}
+	return nil
 }
 
 // SetObserver overrides the metrics observer node.

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
@@ -148,53 +149,79 @@ func TestGatewayAdmissionLoad10k(t *testing.T) {
 	assertConsistency(t, c, nil)
 }
 
-// gatewayFingerprint condenses one gateway-driven run into the values two
-// identical runs must reproduce bit-for-bit.
-type gatewayFingerprint struct {
-	committed int64
-	entries   int64
-	clientOK  int64
-	executed  int64
-	height    uint64
-	head      [6]byte
-	state     [32]byte
-}
-
-func runGatewayFingerprint(t *testing.T) gatewayFingerprint {
-	t.Helper()
-	cfg := gatewayCfg(16)
-	cfg.RunFor = 2 * time.Second
-	c, err := cluster.New(cfg, NewNode)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c.Run()
-	c.Drain(2 * time.Second)
-	obs := c.Nodes[cfg.Observer].(*Node)
-	var fp gatewayFingerprint
-	fp.committed = c.Metrics.Committed()
-	fp.entries = c.Metrics.Entries()
-	fp.clientOK = c.Hub().Committed
-	fp.executed = c.Metrics.Counter("gateway-executed")
-	fp.height = obs.Ledger().Height()
-	head := obs.Ledger().Head()
-	copy(fp.head[:], head[:6])
-	fp.state = c.StateHash(cfg.Observer)
-	return fp
-}
-
-// TestGatewayDeterministic pins the determinism contract for gateway-driven
+// TestGatewayFingerprints pins the determinism contract for gateway-driven
 // load: the whole client pipeline — signing, intake, inline verification,
-// adaptive batching, reply certificates, resubmission timers — runs on the
-// emulator event loop, so two fixed-seed runs commit a bit-identical ledger.
-func TestGatewayDeterministic(t *testing.T) {
-	a := runGatewayFingerprint(t)
-	b := runGatewayFingerprint(t)
-	if a != b {
-		t.Fatalf("gateway-driven runs diverged:\n  run1 %+v\n  run2 %+v", a, b)
-	}
-	if a.clientOK == 0 || a.height == 0 {
-		t.Fatalf("degenerate fingerprint: %+v", a)
+// admission control, adaptive batching, reply certificates, resubmission
+// timers — runs on the emulator event loop, so a fixed-seed run commits one
+// ledger on every machine. The rows are the two runs of the retired
+// BENCH_gateway.json (3x4, MassBFT, ycsb-a, seed 1, Run then Drain(2s)) with
+// its counters carried over verbatim, plus the observer's ledger height, head
+// and state hash. A host-only change reproduces every value; a change that
+// means to move admission, dedup or batching re-captures them and says so.
+func TestGatewayFingerprints(t *testing.T) {
+	steady := gatewayCfg(64) // real Ed25519 on requests and receipts, no admission pressure
+	overload := gatewayCfg(2000)
+	overload.TrustAll = true // modeled-cost crypto: admission is the point here
+	overload.RunFor = 2 * time.Second
+	overload.Gateway.QueueLimit = 512
+
+	for _, tc := range []struct {
+		name        string
+		cfg         cluster.Config
+		counters    map[string]int64
+		committed   int64 // certified at the clients
+		resubmits   int64
+		gaveUp      int64
+		height      uint64
+		head, state string
+	}{
+		{
+			name: "steady", cfg: steady,
+			counters:  map[string]int64{"gateway-verified": 2748, "gateway-executed": 32976},
+			committed: 2748,
+			height:    184,
+			head:      "e7e417ccc392f849ca9443ae2ae0d8c05a0e6a8318010bf081a741a962bc99c7",
+			state:     "f1f09c0ae1b3ccc6f83cb58c1c6d3c14ac73e95f8170e528940561ad818d36aa",
+		},
+		{
+			name: "overload", cfg: overload,
+			counters: map[string]int64{
+				"gateway-rejected-overload": 2928,
+				"gateway-queue-peak":        512,
+				"gateway-dedup-cached":      476,
+			},
+			committed: 13147, resubmits: 1689, gaveUp: 0,
+			height: 676,
+			head:   "662e0b01fc16430fce2ec41e7bb2991290f7c2012534a4ec7e07fbaf8dc5e793",
+			state:  "d250e9c12326d4b380865ca5768b519efb0506ff980836d276db07db7d0d329e",
+		},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c, err := cluster.New(tc.cfg, NewNode)
+			if err != nil {
+				t.Fatal(err)
+			}
+			c.Run()
+			c.Drain(2 * time.Second)
+			hub := c.Hub()
+			if hub.Committed != tc.committed || hub.Resubmits != tc.resubmits || hub.GaveUp != tc.gaveUp {
+				t.Errorf("clients: committed %d resubmits %d gave-up %d, want %d %d %d",
+					hub.Committed, hub.Resubmits, hub.GaveUp, tc.committed, tc.resubmits, tc.gaveUp)
+			}
+			for name, want := range tc.counters {
+				if got := c.Metrics.Counter(name); got != want {
+					t.Errorf("%s = %d, want %d", name, got, want)
+				}
+			}
+			led := c.Nodes[c.Cfg.Observer].(*Node).Ledger()
+			head, state := led.Head(), c.StateHash(c.Cfg.Observer)
+			if led.Height() != tc.height || fmt.Sprintf("%x", head[:]) != tc.head ||
+				fmt.Sprintf("%x", state[:]) != tc.state {
+				t.Errorf("observer ledger: height %d head %x state %x, want %d %s %s",
+					led.Height(), head[:], state[:], tc.height, tc.head, tc.state)
+			}
+			assertConsistency(t, c, nil)
+		})
 	}
 }
 

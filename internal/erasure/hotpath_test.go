@@ -177,8 +177,7 @@ func assertShardsEqual(t *testing.T, want, got [][]byte, op string, g [2]int, id
 // operations as the replication layer performs them at the paper geometry
 // (28 shards from group sizes 7/4): encoder acquisition plus encode, and
 // encoder acquisition plus data rebuild plus join. The *Ref variants are the
-// pre-overhaul equivalents of exactly those operations; scripts/bench
-// records both sides in BENCH_hotpath.json.
+// pre-overhaul equivalents of exactly those operations (ref_test.go).
 
 // benchPayload approximates one consensus batch: ~40 smallbank transactions
 // (25 bytes each) at the demo configuration's MaxBatch of 50.

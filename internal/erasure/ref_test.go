@@ -7,14 +7,20 @@ import (
 	"massbft/internal/gf256"
 )
 
-// This file preserves the pre-overhaul codec paths verbatim. They are the
-// baseline the hot-path benchmarks report speedups against and the oracle the
-// equivalence tests pin the fast paths to. Both reproduce the full
+// The pre-overhaul codec paths: the oracle the equivalence tests pin the fast
+// paths to and the baseline of the *Ref benchmarks. Both pay the full
 // per-entry cost the replication layer used to pay: a fresh systematic
-// matrix per call (New), byte-at-a-time log/exp kernels, per-shard
+// matrix per call (New), byte-at-a-time log/exp arithmetic, per-shard
 // allocations, and — for reconstruction — a fresh Gauss-Jordan inversion
 // plus a recompute of every missing parity row whether or not the caller
 // needs it.
+
+// refMulAdd is dst[i] ^= c*src[i], one gf256.Mul (log/exp) per byte.
+func refMulAdd(c byte, src, dst []byte) {
+	for i, s := range src {
+		dst[i] ^= gf256.Mul(c, s)
+	}
+}
 
 // RefSplit encodes data at the given geometry exactly like the
 // pre-overhaul per-entry encode path.
@@ -39,7 +45,7 @@ func RefSplit(dataShards, parityShards int, data []byte) ([][]byte, error) {
 		shards[i] = make([]byte, size)
 		row := e.matrix.Row(i)
 		for j := 0; j < e.dataShards; j++ {
-			gf256.RefMulAddSlice(row[j], shards[j], shards[i])
+			refMulAdd(row[j], shards[j], shards[i])
 		}
 	}
 	return shards, nil
@@ -91,7 +97,7 @@ func RefReconstruct(dataShards, parityShards int, shards [][]byte) error {
 			data[r] = make([]byte, size)
 			row := inv.Row(r)
 			for c := 0; c < e.dataShards; c++ {
-				gf256.RefMulAddSlice(row[c], shards[present[c]], data[r])
+				refMulAdd(row[c], shards[present[c]], data[r])
 			}
 		}
 		for i := 0; i < e.dataShards; i++ {
@@ -107,7 +113,7 @@ func RefReconstruct(dataShards, parityShards int, shards [][]byte) error {
 		shards[i] = make([]byte, size)
 		row := e.matrix.Row(i)
 		for j := 0; j < e.dataShards; j++ {
-			gf256.RefMulAddSlice(row[j], shards[j], shards[i])
+			refMulAdd(row[j], shards[j], shards[i])
 		}
 	}
 	return nil

@@ -10,9 +10,8 @@
 // the codec hot path: they use a full 256x256 product table so each byte
 // costs one table load instead of two dependent log/exp loads plus a zero
 // branch, and the loops are 8-wide unrolled with capped subslices so the
-// compiler drops per-element bounds checks. The original log/exp kernels are
-// retained as RefMulSlice/RefMulAddSlice: they are the correctness reference
-// for differential tests and the pre-overhaul baseline for benchmarks.
+// compiler drops per-element bounds checks. The original byte-at-a-time
+// log/exp kernels live in kernels_test.go as the differential-test oracle.
 package gf256
 
 // Polynomial is the primitive polynomial generating the field, without the
@@ -207,39 +206,5 @@ func MulAdd2Slice(c1 byte, s1 []byte, c2 byte, s2 []byte, dst []byte) {
 	}
 	for i := n; i < len(dst); i++ {
 		dst[i] ^= m1[s1[i]] ^ m2[s2[i]]
-	}
-}
-
-// RefMulSlice is the original byte-at-a-time log/exp MulSlice. It is the
-// correctness reference the table kernels are differentially tested against
-// and the pre-overhaul baseline the benchmarks report speedups over.
-func RefMulSlice(c byte, src, dst []byte) {
-	if c == 0 {
-		for i := range dst {
-			dst[i] = 0
-		}
-		return
-	}
-	lc := int(logTable[c])
-	for i, s := range src {
-		if s == 0 {
-			dst[i] = 0
-		} else {
-			dst[i] = expTable[lc+int(logTable[s])]
-		}
-	}
-}
-
-// RefMulAddSlice is the original byte-at-a-time log/exp MulAddSlice; see
-// RefMulSlice.
-func RefMulAddSlice(c byte, src, dst []byte) {
-	if c == 0 {
-		return
-	}
-	lc := int(logTable[c])
-	for i, s := range src {
-		if s != 0 {
-			dst[i] ^= expTable[lc+int(logTable[s])]
-		}
 	}
 }

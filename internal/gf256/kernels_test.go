@@ -17,6 +17,39 @@ func randBuf(rng *rand.Rand, n int) []byte {
 	return b
 }
 
+// RefMulSlice is the original byte-at-a-time log/exp MulSlice: the
+// correctness reference the table kernels are differentially tested against.
+func RefMulSlice(c byte, src, dst []byte) {
+	if c == 0 {
+		for i := range dst {
+			dst[i] = 0
+		}
+		return
+	}
+	lc := int(logTable[c])
+	for i, s := range src {
+		if s == 0 {
+			dst[i] = 0
+		} else {
+			dst[i] = expTable[lc+int(logTable[s])]
+		}
+	}
+}
+
+// RefMulAddSlice is the original byte-at-a-time log/exp MulAddSlice; see
+// RefMulSlice.
+func RefMulAddSlice(c byte, src, dst []byte) {
+	if c == 0 {
+		return
+	}
+	lc := int(logTable[c])
+	for i, s := range src {
+		if s != 0 {
+			dst[i] ^= expTable[lc+int(logTable[s])]
+		}
+	}
+}
+
 // Odd lengths exercise the unrolled body plus every possible tail length.
 var kernelLens = []int{0, 1, 3, 5, 7, 8, 9, 15, 17, 31, 63, 64, 65, 255, 1021, 4099}
 

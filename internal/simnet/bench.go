@@ -6,11 +6,9 @@ package simnet
 // stream, and returns an FNV-1a checksum over the popped (at, seq) sequence.
 //
 // The checksum makes the drive double as a determinism oracle — the wheel
-// and the legacy heap must return the identical value for identical inputs —
-// while the caller times the call to get scheduler throughput. The legacy
-// path allocates a fresh event per push, replicating the pre-refactor
-// per-send allocation; the wheel path recycles one free list like the run
-// loop does.
+// and the reference heap (legacy) must return the identical value for
+// identical inputs — while the caller times the call to get scheduler
+// throughput. Events recycle through one free list like the run loop's.
 //
 // The offset distribution mirrors live traffic: mostly sub-tick and LAN/WAN
 // scale delays with an occasional far timer, so the wheel exercises its
@@ -28,17 +26,7 @@ func SchedulerDrive(legacy bool, resident, ops int, seed int64) uint64 {
 		seq  uint64
 		free *event
 	)
-	var sink uint64
 	alloc := func() *event {
-		if legacy {
-			// Replicate the pre-refactor per-delivery cost faithfully: a fresh
-			// event struct AND a capturing closure — the old scheduler carried
-			// every delivery as push(&event{fn: func() { dst.deliver(msg) }}).
-			// The wheel path has neither: deliveries ride inline in pooled
-			// events.
-			s := seq
-			return &event{fn: func() { sink += s }}
-		}
 		if e := free; e != nil {
 			free = e.next
 			e.next = nil
@@ -79,16 +67,9 @@ func SchedulerDrive(legacy bool, resident, ops int, seed int64) uint64 {
 		now = e.at
 		sum = (sum ^ uint64(e.at)) * fnvPrime
 		sum = (sum ^ e.seq) * fnvPrime
-		if legacy {
-			e.fn() // the pre-refactor run loop dispatched through the closure
-		} else {
-			*e = event{next: free}
-			free = e
-		}
+		*e = event{next: free}
+		free = e
 		push()
-	}
-	if sum == 0 {
-		return sink // unreachable for FNV streams; keeps the closures live
 	}
 	return sum
 }

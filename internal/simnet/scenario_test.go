@@ -8,8 +8,9 @@ import (
 // TestScaleScenario10kNodes drives a full giant-topology schedule — 50
 // regions × 200 nodes = 10,000 nodes on a globe RTT matrix with bandwidth
 // tiers, uniform traffic, a flash-crowd burst, and overlapping crash waves —
-// and checks the run completes and is bit-for-bit deterministic (same seed →
-// same event count, delivery count, and WAN byte total).
+// and checks the run completes and is bit-for-bit deterministic: the event
+// count, delivery count and WAN byte total are the values every run on every
+// machine has produced since the scheduler rework (DESIGN.md §12).
 func TestScaleScenario10kNodes(t *testing.T) {
 	if testing.Short() {
 		t.Skip("10k-node scenario in -short mode")
@@ -43,6 +44,9 @@ func TestScaleScenario10kNodes(t *testing.T) {
 	if ev1 < 100_000 {
 		t.Fatalf("only %d events processed — not a scale run", ev1)
 	}
+	if ev1 != 149845 || del1 != 89874 || wb1 != 173638656 {
+		t.Fatalf("10k-node run (%d,%d,%d) != pinned (149845,89874,173638656)", ev1, del1, wb1)
+	}
 	ev2, del2, wb2 := run()
 	if ev1 != ev2 || del1 != del2 || wb1 != wb2 {
 		t.Fatalf("10k-node run not deterministic: (%d,%d,%d) vs (%d,%d,%d)", ev1, del1, wb1, ev2, del2, wb2)
@@ -59,7 +63,10 @@ func TestScaleScenarioWheelMatchesHeap(t *testing.T) {
 		for i := range sizes {
 			sizes[i] = 8
 		}
-		nw := New(Config{GroupSizes: sizes, Topology: topo, Seed: 5, Jitter: 0.05, LegacyHeap: legacy})
+		nw := New(Config{GroupSizes: sizes, Topology: topo, Seed: 5, Jitter: 0.05})
+		if legacy {
+			nw.sched = &heapSched{}
+		}
 		nw.SetFaults(FaultConfig{WANDrop: 0.02, WANDup: 0.02, Jitter: 0.1})
 		stats := DriveUniformTraffic(nw, 50*time.Millisecond, 2048, 96, 800*time.Millisecond)
 		ScheduleFlashCrowd(nw, 300*time.Millisecond, 50*time.Millisecond, 2, 512, 3)
@@ -71,5 +78,37 @@ func TestScaleScenarioWheelMatchesHeap(t *testing.T) {
 	e2, d2, w2 := run(true)
 	if e1 != e2 || d1 != d2 || w1 != w2 {
 		t.Fatalf("wheel (%d,%d,%d) != legacy heap (%d,%d,%d)", e1, d1, w1, e2, d2, w2)
+	}
+	if e1 != 4828 || d1 != 3067 || w1 != 3052544 {
+		t.Fatalf("oracle scenario (%d,%d,%d) != pinned (4828,3067,3052544)", e1, d1, w1)
+	}
+}
+
+// TestSchedulerDriveChecksums pins the FNV-1a checksum SchedulerDrive folds
+// over the popped (at, seq) sequence at three resident populations: a changed
+// tie-break or a mis-cascaded slot moves it. The heap is asked only at the
+// smallest — TestWheelVsHeapDifferential proves pop-order equivalence.
+func TestSchedulerDriveChecksums(t *testing.T) {
+	if testing.Short() {
+		t.Skip("8M single-threaded queue operations in -short mode")
+	}
+	const ops, seed = 2_000_000, 42
+	for _, c := range []struct {
+		resident int
+		want     uint64
+		heap     bool // ask the reference heap too
+	}{
+		{20_000, 0x941387c761df6f60, true},
+		{100_000, 0x7fbb2f06beddf664, false},
+		{400_000, 0xa0934761392a0570, false}, // the heap here costs 3 s and adds nothing
+	} {
+		if got := SchedulerDrive(false, c.resident, ops, seed); got != c.want {
+			t.Errorf("wheel, resident %d: checksum %016x, want %016x", c.resident, got, c.want)
+		}
+		if c.heap {
+			if got := SchedulerDrive(true, c.resident, ops, seed); got != c.want {
+				t.Errorf("heap, resident %d: checksum %016x, want %016x", c.resident, got, c.want)
+			}
+		}
 	}
 }

@@ -14,8 +14,7 @@
 //
 // The event queue is a hierarchical indexed timer wheel (see wheel.go) with
 // pooled event objects and a dense group-indexed node table, sized for
-// O(10k)-node topologies; Config.LegacyHeap selects the original binary
-// heap, kept as the determinism oracle and benchmark baseline.
+// O(10k)-node topologies.
 package simnet
 
 import (
@@ -77,11 +76,6 @@ type Config struct {
 	// WAN latencies are multiplied by UnstableFactor (partial synchrony).
 	GST            Time
 	UnstableFactor float64
-	// LegacyHeap selects the pre-refactor binary-heap scheduler with
-	// per-event allocation. It is kept as the determinism oracle (both
-	// schedulers must produce bit-identical runs) and as the baseline the
-	// scale benchmark measures the timer wheel against.
-	LegacyHeap bool
 }
 
 // Defaults used when Config fields are zero.
@@ -190,7 +184,7 @@ type Network struct {
 	now Time
 	seq uint64
 	// sched is the (at, seq)-ordered event queue: a hierarchical timer
-	// wheel, or the legacy binary heap when cfg.LegacyHeap is set.
+	// wheel (tests swap in heapSched, the reference order, right after New).
 	sched scheduler
 	// groups is the dense node table, indexed [group][index]. Slices, not a
 	// map: O(1) lookup without hashing, and — load-bearing for determinism —
@@ -200,7 +194,6 @@ type Network struct {
 	faults *faultState
 	probe  SendProbe
 
-	legacy     bool
 	freeEvents *event
 
 	crashDropped int64
@@ -228,14 +221,9 @@ func New(cfg Config) *Network {
 		cfg.UnstableFactor = 10
 	}
 	nw := &Network{
-		cfg:    cfg,
-		rng:    rand.New(rand.NewSource(cfg.Seed)),
-		legacy: cfg.LegacyHeap,
-	}
-	if cfg.LegacyHeap {
-		nw.sched = &heapSched{}
-	} else {
-		nw.sched = &timerWheel{}
+		cfg:   cfg,
+		rng:   rand.New(rand.NewSource(cfg.Seed)),
+		sched: &timerWheel{},
 	}
 	nw.groups = make([][]*Node, len(cfg.GroupSizes))
 	for g, n := range cfg.GroupSizes {
@@ -297,6 +285,9 @@ func (nw *Network) SetHandler(id keys.NodeID, h Handler) {
 // one node; used by the Fig 14 heterogeneous-bandwidth experiment.
 func (nw *Network) SetNodeBandwidth(id keys.NodeID, bytesPerSec float64) {
 	n := nw.Node(id)
+	if n == nil {
+		panic(fmt.Sprintf("simnet: unknown node %v", id))
+	}
 	n.wanUp.bandwidth = bytesPerSec
 	n.wanDown.bandwidth = bytesPerSec
 }

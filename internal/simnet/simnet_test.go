@@ -255,6 +255,14 @@ func TestSetNodeBandwidth(t *testing.T) {
 	if len(r.got) != 1 || r.at[0] < time.Second {
 		t.Fatalf("slow node delivered at %v", r.at)
 	}
+	// A position outside the layout is a caller bug, named as SetHandler
+	// names it (twoGroups builds groups of two).
+	defer func() {
+		if got, want := recover(), "simnet: unknown node N0,2"; got != want {
+			t.Fatalf("out-of-layout SetNodeBandwidth: recovered %v, want %q", got, want)
+		}
+	}()
+	nw.SetNodeBandwidth(nid(0, 2), 1000)
 }
 
 func TestLoopbackDelivery(t *testing.T) {

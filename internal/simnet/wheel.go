@@ -17,9 +17,8 @@ import (
 //     O(log n) sift chains of cache misses, a wheel does two shifts and a
 //     mask.
 //   - heapSched: the original container/heap binary heap, kept verbatim as
-//     the determinism oracle (any correct (at, seq) queue must pop the
-//     identical sequence) and as the baseline the scale benchmark measures
-//     the wheel against.
+//     the determinism oracle of the tests (any correct (at, seq) queue must
+//     pop the identical sequence).
 //
 // Determinism argument: both structures implement the same strict total
 // order. The wheel never compares events beyond (at, seq) — slot residency
@@ -54,8 +53,7 @@ type event struct {
 	next *event  // intrusive link: wheel slot lists and the free list
 }
 
-// eventHeap is a binary min-heap over (at, seq); used by the legacy
-// scheduler and by the wheel's imminent and overflow sets.
+// eventHeap is a binary min-heap over (at, seq): heapSched's queue.
 type eventHeap []*event
 
 func (h eventHeap) Len() int { return len(h) }
@@ -142,7 +140,7 @@ func evLess(a, b *event) bool {
 // comparisons — container/heap routes every compare through an interface
 // call, which at millions of scheduler ops per second is the dominant
 // constant. Used for the wheel's imminent and overflow sets; heapSched keeps
-// container/heap verbatim as the pre-refactor baseline.
+// container/heap verbatim as the reference.
 type evHeap []*event
 
 func (h *evHeap) push(e *event) {
@@ -327,13 +325,8 @@ func (w *timerWheel) pop() *event {
 
 // --- event pool ---
 
-// The pool recycles event structs through an intrusive free list. In legacy
-// (oracle/baseline) mode the network allocates fresh events instead,
-// replicating the pre-refactor per-event allocation cost.
+// The pool recycles event structs through an intrusive free list.
 func (nw *Network) allocEvent() *event {
-	if nw.legacy {
-		return &event{}
-	}
 	if e := nw.freeEvents; e != nil {
 		nw.freeEvents = e.next
 		e.next = nil
@@ -343,9 +336,6 @@ func (nw *Network) allocEvent() *event {
 }
 
 func (nw *Network) freeEvent(e *event) {
-	if nw.legacy {
-		return
-	}
 	*e = event{next: nw.freeEvents}
 	nw.freeEvents = e
 }

@@ -214,14 +214,6 @@ type Cluster struct {
 
 // NewCluster validates cfg and wires the deployment.
 func NewCluster(cfg Config) (*Cluster, error) {
-	if len(cfg.Groups) == 0 {
-		return nil, fmt.Errorf("massbft: Config.Groups must list at least one group")
-	}
-	for g, n := range cfg.Groups {
-		if n < 1 {
-			return nil, fmt.Errorf("massbft: group %d has invalid size %d", g, n)
-		}
-	}
 	switch cfg.Transport {
 	case "", TransportSim:
 	case TransportTCP:
@@ -236,28 +228,13 @@ func NewCluster(cfg Config) (*Cluster, error) {
 	if cfg.SerialVTS {
 		opts.OverlapVTS = false
 	}
-	if cfg.StandbyGroups > 0 {
-		// Dynamic membership rides on the failover machinery (standby groups
-		// are fenced exactly like certified-dead ones until their join) and
-		// on per-seq commit records (the certified join boundary is derived
-		// from the commit watermark). GeoBFT has no global records at all,
-		// and Steward/ISS proposal gates cannot tolerate skipped rounds.
-		if cfg.StandbyGroups > len(cfg.Groups)-2 {
-			return nil, fmt.Errorf("massbft: StandbyGroups=%d leaves fewer than two active groups", cfg.StandbyGroups)
-		}
-		if cfg.TakeoverTimeout <= 0 {
-			return nil, fmt.Errorf("massbft: StandbyGroups requires TakeoverTimeout > 0")
-		}
-		if !opts.GlobalConsensus || opts.Serial || opts.EpochLength > 0 {
-			return nil, fmt.Errorf("massbft: StandbyGroups is not supported by protocol %q", cfg.Protocol)
-		}
-	}
 	var lat func(i, j int) time.Duration
 	if cfg.Latency != nil {
 		lat = func(i, j int) time.Duration { return cfg.Latency(i, j) }
 	}
 	var topo *simnet.Topology
-	if cfg.Globe && cfg.Latency == nil {
+	// An empty layout is cluster.New's to reject; a globe of zero regions panics.
+	if cfg.Globe && cfg.Latency == nil && len(cfg.Groups) > 0 {
 		topo = simnet.GlobeTopology(len(cfg.Groups), cfg.Seed)
 		if cfg.WANBandwidth == 0 {
 			topo.BandwidthTiers(1e9/8, 100e6/8, 20e6/8)
@@ -302,9 +279,11 @@ func NewCluster(cfg Config) (*Cluster, error) {
 	if cfg.Custom != nil {
 		registerCustom(&inner, cfg.Custom, cfg.Seed)
 	}
+	// cluster.New validates the group layout and the StandbyGroups rules
+	// (cluster.Config.Validate, shared with Topology).
 	c, err := cluster.New(inner, core.NewNode)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("massbft: %w", err)
 	}
 	return &Cluster{inner: c, tracePath: cfg.TracePath}, nil
 }
@@ -439,7 +418,8 @@ func (c *Cluster) Counter(name string) int64 {
 }
 
 // SetNodeBandwidth overrides one node's WAN bandwidth (bytes/second), the
-// Fig 14 heterogeneous-bandwidth experiment.
+// Fig 14 heterogeneous-bandwidth experiment. It panics ("simnet: unknown
+// node Ng,i") for a position outside Config.Groups.
 func (c *Cluster) SetNodeBandwidth(group, index int, bytesPerSec float64) {
 	c.inner.Net.SetNodeBandwidth(keys.NodeID{Group: group, Index: index}, bytesPerSec)
 }

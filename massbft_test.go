@@ -38,6 +38,43 @@ func TestNewClusterValidation(t *testing.T) {
 	}
 }
 
+// TestLayoutValidationBothFabrics: the group-layout and StandbyGroups rules
+// are one cluster.Config.Validate, so the simulator's NewCluster and the
+// process deployment's Topology reject the same layouts with the same words.
+func TestLayoutValidationBothFabrics(t *testing.T) {
+	for _, tc := range []struct {
+		name     string
+		groups   []int
+		standby  int
+		takeover time.Duration
+		protocol Protocol
+		ok       bool
+	}{
+		{name: "no groups"},
+		{name: "zero-size group", groups: []int{4, 0}},
+		{name: "standby leaves one active group", groups: []int{4, 4}, standby: 1, takeover: time.Second},
+		{name: "standby without takeover timeout", groups: []int{4, 4, 4}, standby: 1},
+		{name: "standby under geobft", groups: []int{4, 4, 4}, standby: 1, takeover: time.Second, protocol: ProtocolGeoBFT},
+		{name: "two active groups and a standby", groups: []int{4, 4, 4}, standby: 1, takeover: time.Second, ok: true},
+	} {
+		_, simErr := NewCluster(Config{Groups: tc.groups, StandbyGroups: tc.standby,
+			TakeoverTimeout: tc.takeover, Protocol: tc.protocol})
+		_, topoErr := (&Topology{Groups: tc.groups, StandbyGroups: tc.standby,
+			TakeoverTimeoutMS: int(tc.takeover / time.Millisecond), Protocol: tc.protocol}).clusterConfig()
+		if tc.ok {
+			if simErr != nil || topoErr != nil {
+				t.Errorf("%s: rejected: NewCluster %v, Topology %v", tc.name, simErr, topoErr)
+			}
+			continue
+		}
+		if simErr == nil || topoErr == nil {
+			t.Errorf("%s: accepted: NewCluster %v, Topology %v", tc.name, simErr, topoErr)
+		} else if simErr.Error() != "massbft: "+topoErr.Error() {
+			t.Errorf("%s: NewCluster says %q, Topology %q", tc.name, simErr, topoErr)
+		}
+	}
+}
+
 func TestPublicAPIQuickstart(t *testing.T) {
 	c, err := NewCluster(quickCfg())
 	if err != nil {

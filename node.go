@@ -123,15 +123,14 @@ func LoadTopology(path string) (*Topology, error) {
 	return &t, nil
 }
 
+// validate checks the layout and protocol rules (cluster.Config.Validate,
+// through clusterConfig), then that Nodes covers exactly the layout.
 func (t *Topology) validate() error {
-	if len(t.Groups) == 0 {
-		return fmt.Errorf("no groups")
+	if _, err := t.clusterConfig(); err != nil {
+		return err
 	}
 	want := 0
-	for g, n := range t.Groups {
-		if n < 1 {
-			return fmt.Errorf("group %d has invalid size %d", g, n)
-		}
+	for _, n := range t.Groups {
 		want += n
 	}
 	seen := make(map[keys.NodeID]bool, len(t.Nodes))
@@ -165,28 +164,14 @@ func (t *Topology) addr(id keys.NodeID) (string, bool) {
 }
 
 // clusterConfig translates the topology into the internal protocol config,
-// with defaults applied.
+// validated and with defaults applied.
 func (t *Topology) clusterConfig() (cluster.Config, error) {
 	opts, err := t.Protocol.options(0)
 	if err != nil {
 		return cluster.Config{}, err
 	}
-	if t.StandbyGroups > 0 {
-		// Mirrors NewCluster's simulator-side validation: membership
-		// certification needs the failover machinery and the full MassBFT
-		// pipeline (global consensus, concurrent streams, no ISS epochs).
-		if t.StandbyGroups > len(t.Groups)-2 {
-			return cluster.Config{}, fmt.Errorf("standby_groups %d leaves fewer than two active groups", t.StandbyGroups)
-		}
-		if t.TakeoverTimeoutMS <= 0 {
-			return cluster.Config{}, fmt.Errorf("standby_groups requires takeover_timeout_ms > 0")
-		}
-		if !opts.GlobalConsensus || opts.Serial || opts.EpochLength > 0 {
-			return cluster.Config{}, fmt.Errorf("standby_groups is not supported by protocol %q", t.Protocol)
-		}
-	}
 	ms := func(v int) time.Duration { return time.Duration(v) * time.Millisecond }
-	return cluster.Config{
+	cfg := cluster.Config{
 		GroupSizes:         t.Groups,
 		Opts:               opts,
 		Workload:           t.Workload,
@@ -211,7 +196,8 @@ func (t *Topology) clusterConfig() (cluster.Config, error) {
 			RateBurst:      t.GatewayBurst,
 			VerifyParallel: t.GatewayVerify,
 		},
-	}.WithDefaults(), nil
+	}.WithDefaults()
+	return cfg, cfg.Validate()
 }
 
 // NodeConfig configures one process-hosted node.
@@ -377,10 +363,9 @@ func StartNode(nc NodeConfig) (*ProcNode, error) {
 	col.SetWindow(0, 1<<62) // real deployments measure everything
 
 	n := &ProcNode{id: id, tcpn: tcpn, fab: fab, cfg: &cfg, col: col, logf: nc.Logf}
-	kp := pairs[id.Group][id.Index]
 	ctx := &cluster.NodeCtx{
 		ID:      id,
-		KP:      kp,
+		KP:      pairs[id.Group][id.Index],
 		Cfg:     &cfg,
 		Reg:     reg,
 		Net:     fab.Endpoint(id),
@@ -408,24 +393,7 @@ func StartNode(nc NodeConfig) (*ProcNode, error) {
 			// the deterministic emulator must verify inline.
 			vp = 4
 		}
-		ctx.Gateway = gateway.New(gateway.Config{
-			Group:          id.Group,
-			MaxBatch:       cfg.MaxBatch,
-			MaxWait:        cfg.Gateway.MaxWait,
-			QueueLimit:     cfg.Gateway.QueueLimit,
-			DedupWindow:    cfg.Gateway.DedupWindow,
-			RatePerClient:  cfg.Gateway.RatePerClient,
-			RateBurst:      cfg.Gateway.RateBurst,
-			VerifyParallel: vp,
-			Clients:        creg,
-			Metrics:        col,
-			Deliver:        func(fn func()) { n.ep.After(0, fn) },
-			Reply: func(rc *gateway.Receipt) {
-				if n.gws != nil {
-					cluster.SignReplies(id, kp.Sign, rc, n.sendReply)
-				}
-			},
-		})
+		cluster.AttachGateway(ctx, creg, vp, func(fn func()) { n.ep.After(0, fn) })
 	}
 	n.gw = ctx.Gateway
 	n.ep = ctx.Net
@@ -447,6 +415,7 @@ func StartNode(nc NodeConfig) (*ProcNode, error) {
 				return nil, fmt.Errorf("massbft: gateway listen %s: %w", gwAddr, err)
 			}
 			n.gws = gws
+			ctx.ReplyOut = n.sendReply
 		}
 	}
 	// Start (and optionally rejoin) on the node's event loop so protocol

@@ -1,36 +1,44 @@
 #!/usr/bin/env python3
-"""Refresh EXPERIMENTS.md figure blocks from bench_figures.txt.
+"""Refresh EXPERIMENTS.md's figure blocks from massbft-bench output on stdin.
 
-Unlike fill_experiments.py (placeholder-based, first pass), this replaces
-already-inserted fenced blocks with the latest section text, and fills any
-remaining MEAS_* placeholders. Idempotent; run after every bench update.
+    go run ./cmd/massbft-bench -quick -fig all | python3 scripts/refresh_experiments.py
+
+Run from the repository root. Each "=== Figure <id>: ... ===" section read
+replaces the fenced block of EXPERIMENTS.md that starts with the same figure's
+header line; figures absent from the input keep their block, so one figure
+can be refreshed alone (-fig 13a). Idempotent.
 """
 import re
+import sys
 
-from fill_experiments import FIGS, sections  # noqa: E402
+
+def sections(raw):
+    out = {}
+    cur, buf = None, []
+    for line in raw.splitlines():
+        m = re.match(r"=== Figure ([^:]+):", line)
+        if m:
+            if cur:
+                out[cur] = "\n".join(buf).strip()
+            cur, buf = m.group(1).strip(), [line]
+        elif cur:
+            buf.append(line)
+    if cur:
+        out[cur] = "\n".join(buf).strip()
+    return out
 
 
 def main():
-    raw = open("bench_figures.txt").read()
-    secs = sections(raw)
+    secs = sections(sys.stdin.read())
+    if not secs:
+        sys.exit("no '=== Figure' section on stdin")
     doc = open("EXPERIMENTS.md").read()
-
-    for placeholder, fig in FIGS.items():
-        if fig not in secs:
-            continue
-        block = "```\n" + secs[fig] + "\n```"
-        if placeholder in doc:
-            doc = doc.replace(placeholder, block)
-            continue
-        # Replace the existing fenced block that starts with this figure's
-        # header line.
+    for fig, text in secs.items():
         pat = re.compile(r"```\n=== Figure " + re.escape(fig) + r":.*?```", re.S)
-        doc, n = pat.subn(block, doc, count=1)
+        doc, n = pat.subn(lambda _: "```\n" + text + "\n```", doc, count=1)
         if n == 0:
-            print(f"warning: no block found for figure {fig}")
+            print(f"warning: EXPERIMENTS.md has no block for figure {fig}", file=sys.stderr)
     open("EXPERIMENTS.md", "w").write(doc)
-    left = re.findall(r"MEAS_FIG\w+", doc)
-    print("remaining placeholders:", left or "none")
 
 
 if __name__ == "__main__":

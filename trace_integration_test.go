@@ -64,6 +64,11 @@ func TestTraceExportAndCriticalPath(t *testing.T) {
 	if len(spans) != res.Trace.Spans {
 		t.Fatalf("file holds %d spans, recorder had %d", len(spans), res.Trace.Spans)
 	}
+	for _, s := range spans {
+		if s.End < s.Start {
+			t.Fatalf("re-read span %s of entry %v ends before it starts", s.Stage, s.Entry)
+		}
+	}
 
 	// Re-run the analysis on the round-tripped spans: every entry's partition
 	// must be gapless (segments nest in the window and sum to the e2e latency
