@@ -109,26 +109,25 @@ func DialClients(cfg ClientPoolConfig) (*ClientPool, error) {
 	if cfg.Timeout <= 0 {
 		cfg.Timeout = time.Second
 	}
-	cks, _, err := keys.GenerateClients(topo.Clients, topo.Seed)
+	ccfg, err := topo.clusterConfig()
 	if err != nil {
 		return nil, err
 	}
-	_, reg, err := keys.GenerateCluster(topo.Groups, topo.Seed)
+	ids, err := cluster.NewIdentities(&ccfg)
 	if err != nil {
 		return nil, err
 	}
-	reg.SetTrustAll(!topo.RealCrypto)
 	p := &ClientPool{
 		cfg:   cfg,
 		topo:  topo,
-		reg:   reg,
+		reg:   ids.Reg,
 		cks:   make(map[uint64]*keys.ClientKey, cfg.Count),
 		conns: make(map[keys.NodeID]*cpConn),
 		inbox: make(map[uint64]chan gateway.Reply),
 		done:  make(chan struct{}),
 	}
 	for id := cfg.First; id < cfg.First+cfg.Count; id++ {
-		p.cks[id] = cks[id-1]
+		p.cks[id] = ids.ClientKeys[id-1]
 	}
 	p.gateways = make([][]int, len(topo.Groups))
 	for _, na := range topo.Nodes {

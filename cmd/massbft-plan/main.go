@@ -13,7 +13,6 @@ import (
 	"os"
 
 	"massbft/internal/plan"
-	"massbft/internal/replication"
 )
 
 func main() {
@@ -35,8 +34,7 @@ func main() {
 	fmt.Printf("  per sender     nc1      = %d chunks\n", p.PerSender)
 	fmt.Printf("  per receiver   nc2      = %d chunks\n", p.PerReceiver)
 	fmt.Printf("  redundancy              = %.2f entry copies over WAN\n", p.Redundancy())
-	plain := len(replication.BijectiveSenders(*n1, *n2))
-	fmt.Printf("  plain bijective (SIV-A) = %d entry copies\n", plain)
+	fmt.Printf("  plain bijective (SIV-A) = %d entry copies\n", plan.BijectiveCopies(*n1, *n2))
 	if *verbose {
 		fmt.Println("\nchunk  sender  receiver")
 		for _, tr := range p.Transfers {

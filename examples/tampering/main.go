@@ -72,28 +72,17 @@ func main() {
 	// Byzantine senders (node 3 of the sender group plus colluding
 	// receivers) flood 13 tampered chunks — exactly n_data, enough to
 	// trigger an optimistic rebuild.
-	fed := 0
-	for i := 0; i < 4 && fed < p.Data; i++ {
-		msgs, _, _ := evilEnc.Messages(i, entry.ID, cert)
-		for k := range msgs {
-			if fed >= p.Data {
-				break
-			}
-			collector.AddChunk(&msgs[k])
-			fed++
-		}
+	for c := 0; c < p.Data; c++ {
+		collector.AddBatch(oneChunk(evilEnc, c, entry.ID, cert))
 	}
 	fmt.Printf("after %d tampered chunks: delivered=%d (rebuild attempted and REJECTED)\n",
-		fed, len(delivered))
+		p.Data, len(delivered))
 	fmt.Printf("banned chunk IDs: %v\n\n", bannedIDs)
 
 	// Honest nodes transmit their chunks; despite the banned IDs, enough
 	// unbanned honest chunks remain (28 total - 13 banned = 15 >= 13).
-	for i := 0; i < 4; i++ {
-		msgs, _, _ := honest.Messages(i, entry.ID, cert)
-		for k := range msgs {
-			collector.AddChunk(&msgs[k]) // banned/duplicate errors expected
-		}
+	for c := 0; c < p.Total; c++ {
+		collector.AddBatch(oneChunk(honest, c, entry.ID, cert)) // banned/delivered errors expected
 	}
 	if len(delivered) != 1 {
 		log.Fatalf("honest entry not delivered (got %d deliveries)", len(delivered))
@@ -106,4 +95,14 @@ func main() {
 	fmt.Printf("honest entry rebuilt and certificate-validated: %q...\n", got.Txns[0].Payload)
 	fmt.Printf("collector stats: %d rebuilds, %d failed attempts, %d rejected chunks\n",
 		rebuilds, failures, rejected)
+}
+
+// oneChunk is chunk c of an encoding as it travels: a ChunkBatch of one
+// index, whose multiproof is the chunk's sibling path.
+func oneChunk(e *replication.Encoded, c int, id types.EntryID, cert *keys.Certificate) *replication.ChunkBatch {
+	b, err := e.Batch([]int{c}, id, cert)
+	if err != nil {
+		log.Fatal(err)
+	}
+	return &b
 }

@@ -27,9 +27,8 @@ func AttachGateway(ctx *NodeCtx, clients *keys.ClientRegistry, verifyParallel in
 	ctx.Gateway = gateway.New(gateway.Config{
 		Group:          ctx.ID.Group,
 		MaxBatch:       ctx.Cfg.MaxBatch,
-		MaxWait:        gw.MaxWait,
+		MaxWait:        ctx.Cfg.BatchTimeout,
 		QueueLimit:     gw.QueueLimit,
-		DedupWindow:    gw.DedupWindow,
 		RatePerClient:  gw.RatePerClient,
 		RateBurst:      gw.RateBurst,
 		VerifyParallel: verifyParallel,
@@ -94,9 +93,18 @@ func (c *Cluster) StartClients(n int) *ClientHub {
 	if n > len(c.ClientKeys) {
 		n = len(c.ClientKeys)
 	}
-	gen := c.Cfg.Gateway.hubWorkload(&c.Cfg)
+	// The payload source is the configured workload under a seed distinct
+	// from every group generator, so client-driven payloads never replay a
+	// group's synthetic stream.
+	gen, err := c.Cfg.newWorkload(len(c.Cfg.GroupSizes), c.Cfg.Seed+777777)
+	if err != nil {
+		panic(err) // New already built this workload once per group
+	}
 	h := &ClientHub{c: c, gen: gen, byID: make(map[uint64]*simClient)}
 	ng := len(c.Cfg.GroupSizes)
+	// How long a client waits for its f+1 reply certificate before
+	// resubmitting to the next group.
+	replyTimeout := 25 * c.Cfg.BatchTimeout
 	// Certified-down oracle for submission rotation: the observer node's
 	// membership view stands in for the gossip a real client library would
 	// keep. When no group is dead, departed, or standby the oracle never
@@ -111,7 +119,7 @@ func (c *Cluster) StartClients(n int) *ClientHub {
 		// exponential attempt backoff: with thousands of clients a shared
 		// fixed timeout re-synchronizes every rejected client into retry
 		// waves that all land on one leader in the same instant.
-		jitter := time.Duration(ck.ID%101) * c.Cfg.Gateway.ReplyTimeout / 200
+		jitter := time.Duration(ck.ID%101) * replyTimeout / 200
 		sc := &simClient{
 			key: ck,
 			req: gateway.NewRequester(gateway.RequesterConfig{
@@ -119,7 +127,7 @@ func (c *Cluster) StartClients(n int) *ClientHub {
 				Groups:     ng,
 				Faulty:     c.Reg.Faulty,
 				Verify:     c.Reg.VerifyMemo,
-				Timeout:    c.Cfg.Gateway.ReplyTimeout + jitter,
+				Timeout:    replyTimeout + jitter,
 				ExpBackoff: true,
 				Down:       down,
 				Jitter:     c.Cfg.Gateway.ResubmitJitter,
@@ -130,10 +138,7 @@ func (c *Cluster) StartClients(n int) *ClientHub {
 		off := time.Duration(i) * 2 * c.Cfg.BatchTimeout / time.Duration(n)
 		c.Net.Schedule(c.Net.Now()+off, func() { h.submitNew(sc) })
 	}
-	interval := c.Cfg.Gateway.ReplyTimeout / 2
-	if interval <= 0 {
-		interval = c.Cfg.BatchTimeout
-	}
+	interval := replyTimeout / 2
 	var tick func()
 	tick = func() {
 		if h.stopped {
@@ -145,20 +150,6 @@ func (c *Cluster) StartClients(n int) *ClientHub {
 	c.Net.Schedule(c.Net.Now()+interval, tick)
 	c.hub = h
 	return h
-}
-
-// hubWorkload builds the payload source for simulated clients: the
-// configured workload under a seed distinct from every group generator, so
-// client-driven payloads never replay a group's synthetic stream.
-func (gw *GatewayConfig) hubWorkload(cfg *Config) workload.Workload {
-	if cfg.WorkloadFactory != nil {
-		return cfg.WorkloadFactory(len(cfg.GroupSizes), cfg.Seed+777777)
-	}
-	gen, err := workload.New(cfg.Workload, cfg.Seed+777777)
-	if err != nil {
-		panic(err) // cfg.Workload was already validated by Cluster.New
-	}
-	return gen
 }
 
 // Hub returns the running client hub, nil before StartClients.

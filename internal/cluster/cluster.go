@@ -85,6 +85,56 @@ type NodeCtx struct {
 	ReplyOut func(*ClientReply)
 }
 
+// Identities is the key material every process of a deployment — a simulated
+// cluster, a massbft-node, a client pool — derives from the shared Config
+// alone. Trust is applied here so that signers and verifiers cannot disagree:
+// under TrustAll both registries skip the cryptographic check and the node
+// pairs sign with modelled tags (keys.ModelSigning), which a registry that
+// does verify would reject.
+type Identities struct {
+	Pairs [][]*keys.KeyPair
+	Reg   *keys.Registry
+	// ClientKeys / ClientReg hold the registered client identities
+	// (GenerateClients(Gateway.Clients, Seed)); nil unless Gateway.Enabled.
+	ClientKeys []*keys.ClientKey
+	ClientReg  *keys.ClientRegistry
+}
+
+// NewIdentities derives cfg's identities; cfg carries its defaults.
+func NewIdentities(cfg *Config) (*Identities, error) {
+	pairs, reg, err := keys.GenerateCluster(cfg.GroupSizes, cfg.Seed)
+	if err != nil {
+		return nil, err
+	}
+	reg.SetTrustAll(cfg.TrustAll)
+	if cfg.TrustAll {
+		keys.ModelSigning(pairs)
+	}
+	ids := &Identities{Pairs: pairs, Reg: reg}
+	if cfg.Gateway.Enabled {
+		ids.ClientKeys, ids.ClientReg, err = keys.GenerateClients(cfg.Gateway.Clients, cfg.Seed)
+		if err != nil {
+			return nil, err
+		}
+		ids.ClientReg.SetTrustAll(cfg.TrustAll)
+	}
+	return ids, nil
+}
+
+// newWorkload builds one generator+executor: the application's factory when
+// set, else the built-in named by Workload.
+func (c *Config) newWorkload(group int, seed int64) (workload.Workload, error) {
+	if c.WorkloadFactory != nil {
+		return c.WorkloadFactory(group, seed), nil
+	}
+	return workload.New(c.Workload, seed)
+}
+
+// GroupWorkload builds group g's generator, seeded the same on both fabrics.
+func (c *Config) GroupWorkload(g int) (workload.Workload, error) {
+	return c.newWorkload(g, c.Seed+int64(g)*1000)
+}
+
 // Cluster is a fully wired experiment.
 type Cluster struct {
 	Cfg Config
@@ -92,18 +142,14 @@ type Cluster struct {
 	// Transport is the seam the nodes are actually wired through.
 	Net       *simnet.Network
 	Transport transport.Network
-	Reg       *keys.Registry
-	Pairs     [][]*keys.KeyPair
-	Nodes     map[keys.NodeID]Node
-	Metrics   *metrics.Collector
-	Faults    *FaultPlan
+	// Reg and Pairs, and ClientKeys and ClientReg under Cfg.Gateway.Enabled.
+	*Identities
+	Nodes   map[keys.NodeID]Node
+	Metrics *metrics.Collector
+	Faults  *FaultPlan
 	// Trace is the span recorder shared with every node; nil unless
 	// Cfg.TraceEnabled.
 	Trace *trace.Recorder
-	// ClientKeys / ClientReg hold the registered client identities when
-	// Cfg.Gateway.Enabled (GenerateClients(Cfg.Gateway.Clients, Cfg.Seed)).
-	ClientKeys []*keys.ClientKey
-	ClientReg  *keys.ClientRegistry
 
 	hub     *ClientHub
 	started bool
@@ -116,13 +162,9 @@ func New(cfg Config, factory Factory) (*Cluster, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	pairs, reg, err := keys.GenerateCluster(cfg.GroupSizes, cfg.Seed)
+	ids, err := NewIdentities(&cfg)
 	if err != nil {
 		return nil, err
-	}
-	reg.SetTrustAll(cfg.TrustAll)
-	if cfg.TrustAll {
-		keys.ModelSigning(pairs)
 	}
 	var latFn func(a, b int) simnet.Time
 	if lat := cfg.WANLatency; lat != nil {
@@ -136,17 +178,14 @@ func New(cfg Config, factory Factory) (*Cluster, error) {
 		WANBandwidth:   cfg.WANBandwidth,
 		LANBandwidth:   cfg.LANBandwidth,
 		Seed:           cfg.Seed,
-		Jitter:         cfg.Jitter,
 		GST:            cfg.GST,
 		UnstableFactor: cfg.UnstableFactor,
 	})
-	if cfg.WANDropRate > 0 || cfg.WANDupRate > 0 || cfg.LANDropRate > 0 ||
-		cfg.LANDupRate > 0 || cfg.FaultJitter > 0 {
+	if cfg.WANDropRate > 0 || cfg.WANDupRate > 0 || cfg.LANDropRate > 0 || cfg.FaultJitter > 0 {
 		nw.SetFaults(simnet.FaultConfig{
 			WANDrop: cfg.WANDropRate,
 			WANDup:  cfg.WANDupRate,
 			LANDrop: cfg.LANDropRate,
-			LANDup:  cfg.LANDupRate,
 			Jitter:  cfg.FaultJitter,
 		})
 	}
@@ -154,14 +193,13 @@ func New(cfg Config, factory Factory) (*Cluster, error) {
 	col.SetWindow(cfg.Warmup, cfg.RunFor-cfg.Warmup/2)
 
 	c := &Cluster{
-		Cfg:       cfg,
-		Net:       nw,
-		Transport: transport.NewSimNetwork(nw),
-		Reg:       reg,
-		Pairs:     pairs,
-		Nodes:     make(map[keys.NodeID]Node),
-		Metrics:   col,
-		Faults:    &FaultPlan{ByzantineNodes: make(map[keys.NodeID]bool)},
+		Cfg:        cfg,
+		Net:        nw,
+		Transport:  transport.NewSimNetwork(nw),
+		Identities: ids,
+		Nodes:      make(map[keys.NodeID]Node),
+		Metrics:    col,
+		Faults:     &FaultPlan{ByzantineNodes: make(map[keys.NodeID]bool)},
 	}
 	encodeCache := make(map[string]*replication.Encoded)
 	rebuildCache := replication.NewRebuildCache()
@@ -169,25 +207,11 @@ func New(cfg Config, factory Factory) (*Cluster, error) {
 		c.Trace = trace.NewRecorder()
 		nw.SetSendProbe(c.sendProbe)
 	}
-	if cfg.Gateway.Enabled {
-		cks, creg, err := keys.GenerateClients(cfg.Gateway.Clients, cfg.Seed)
-		if err != nil {
-			return nil, err
-		}
-		creg.SetTrustAll(cfg.TrustAll)
-		c.ClientKeys, c.ClientReg = cks, creg
-	}
 
 	for g, n := range cfg.GroupSizes {
-		var gen workload.Workload
-		if cfg.WorkloadFactory != nil {
-			gen = cfg.WorkloadFactory(g, cfg.Seed+int64(g)*1000)
-		} else {
-			var err error
-			gen, err = workload.New(cfg.Workload, cfg.Seed+int64(g)*1000)
-			if err != nil {
-				return nil, err
-			}
+		gen, err := cfg.GroupWorkload(g)
+		if err != nil {
+			return nil, err
 		}
 		exec := gen.Executor()
 		for j := 0; j < n; j++ {
@@ -196,9 +220,9 @@ func New(cfg Config, factory Factory) (*Cluster, error) {
 			gen.Load(db)
 			ctx := &NodeCtx{
 				ID:           id,
-				KP:           pairs[g][j],
+				KP:           ids.Pairs[g][j],
 				Cfg:          &c.Cfg,
-				Reg:          reg,
+				Reg:          ids.Reg,
 				Net:          c.Transport.Endpoint(id),
 				Gen:          gen,
 				Engine:       aria.NewEngine(db, exec),
@@ -235,8 +259,6 @@ func (c *Cluster) sendProbe(s simnet.ProbeSample) {
 	var id types.EntryID
 	var stage string
 	switch p := s.Payload.(type) {
-	case *replication.ChunkMsg:
-		id, stage = p.Entry, trace.StageWANChunk
 	case *replication.ChunkBatch:
 		id, stage = p.Entry, trace.StageWANChunk
 	case *EntryWAN:

@@ -142,19 +142,14 @@ type GatewayConfig struct {
 	// SimClients > 0 makes the simulated cluster drive that many closed-loop
 	// clients through the gateway (ClientHub).
 	SimClients int
-	// MaxWait is the batcher's latency bound; 0 means BatchTimeout.
-	MaxWait time.Duration
-	// QueueLimit / DedupWindow / RatePerClient / RateBurst / VerifyParallel
-	// map to gateway.Config; zeros take the gateway defaults. Simulated
-	// clusters force VerifyParallel to 0 (inline) for determinism.
+	// QueueLimit / RatePerClient / RateBurst / VerifyParallel map to
+	// gateway.Config; zeros take the gateway defaults. Simulated clusters
+	// force VerifyParallel to 0 (inline) for determinism. The batcher's
+	// latency bound is BatchTimeout.
 	QueueLimit     int
-	DedupWindow    int
 	RatePerClient  float64
 	RateBurst      int
 	VerifyParallel int
-	// ReplyTimeout is how long a client waits for its f+1 reply certificate
-	// before resubmitting to the next group; 0 means 25x BatchTimeout.
-	ReplyTimeout time.Duration
 	// ResubmitJitter spreads resubmission deadlines by a deterministic
 	// per-(client, nonce, attempt) fraction of the timeout (up to +25%), so
 	// the mass retry wave after a group loss does not retransmit in
@@ -181,7 +176,6 @@ type Config struct {
 	LANLatency   time.Duration
 	WANBandwidth float64
 	LANBandwidth float64
-	Jitter       float64
 	// Topology, when set, supplies the inter-group latency matrix and
 	// per-group bandwidth tiers from a materialized geometry (e.g.
 	// simnet.GlobeTopology for 50+-region scale runs) instead of a callback.
@@ -251,13 +245,12 @@ type Config struct {
 	RejoinTimeout time.Duration
 
 	// Fault injection (deterministic, seeded from Seed): per-message WAN/LAN
-	// drop and duplicate probabilities plus extra latency jitter applied by
-	// the simnet fault layer. All zero disables the layer entirely, keeping
+	// drop and WAN duplicate probabilities plus extra latency jitter applied
+	// by the simnet fault layer. All zero disables the layer entirely, keeping
 	// fault-free runs bit-identical to earlier seeds.
 	WANDropRate float64
 	WANDupRate  float64
 	LANDropRate float64
-	LANDupRate  float64
 	FaultJitter float64
 
 	// ViewChangeTimeout enables local PBFT view changes: replicas vote to
@@ -383,19 +376,11 @@ func (c Config) withDefaults() Config {
 	if !c.observerSet {
 		c.Observer = keys.NodeID{Group: len(c.GroupSizes) - 1, Index: 0}
 	}
-	if c.Gateway.Enabled {
-		if c.Gateway.MaxWait == 0 {
-			c.Gateway.MaxWait = c.BatchTimeout
-		}
-		if c.Gateway.ReplyTimeout == 0 {
-			c.Gateway.ReplyTimeout = 25 * c.BatchTimeout
-		}
-		if c.Gateway.Clients == 0 {
-			if c.Gateway.SimClients > 0 {
-				c.Gateway.Clients = c.Gateway.SimClients
-			} else {
-				c.Gateway.Clients = 16
-			}
+	if c.Gateway.Enabled && c.Gateway.Clients == 0 {
+		if c.Gateway.SimClients > 0 {
+			c.Gateway.Clients = c.Gateway.SimClients
+		} else {
+			c.Gateway.Clients = 16
 		}
 	}
 	return c

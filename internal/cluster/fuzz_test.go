@@ -39,6 +39,9 @@ func FuzzEnvelopeRoundTrip(f *testing.F) {
 		}
 		f.Add(enc)
 	}
+	for _, enc := range retiredEnvelopes() {
+		f.Add(enc)
+	}
 	f.Add([]byte{})
 	f.Add([]byte{envRejoinResp, 1})
 	f.Fuzz(func(t *testing.T, data []byte) {

@@ -32,16 +32,8 @@ type MetaMsg struct {
 // WireSize returns the serialized size in bytes.
 func (m *MetaMsg) WireSize() int { return 1 + m.M.WireSize() }
 
-// ChunkFwd is the LAN re-broadcast of a WAN-received chunk (§IV-B "exchange
-// their received chunks").
-type ChunkFwd struct {
-	C *replication.ChunkMsg
-}
-
-// WireSize returns the serialized size in bytes.
-func (m *ChunkFwd) WireSize() int { return 1 + m.C.WireSize() }
-
-// BatchFwd is the LAN re-broadcast of a WAN-received chunk batch.
+// BatchFwd is the LAN re-broadcast of a WAN-received chunk batch (§IV-B
+// "exchange their received chunks").
 type BatchFwd struct {
 	B *replication.ChunkBatch
 }

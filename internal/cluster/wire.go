@@ -44,11 +44,11 @@ import (
 )
 
 // Envelope kind bytes. Stable wire contract: never renumber, only append.
+// 3 and 4 carried the single-chunk form ChunkBatch replaced; they are retired,
+// never reused, and decode as ErrEnvelopeKind.
 const (
 	envLocalMsg       = 1
 	envMetaMsg        = 2
-	envChunkMsg       = 3
-	envChunkFwd       = 4
 	envChunkBatch     = 5
 	envBatchFwd       = 6
 	envEntryWAN       = 7
@@ -70,8 +70,6 @@ const (
 var envelopeKindNames = map[byte]string{
 	envLocalMsg:       "local-msg",
 	envMetaMsg:        "meta-msg",
-	envChunkMsg:       "chunk",
-	envChunkFwd:       "chunk-fwd",
 	envChunkBatch:     "chunk-batch",
 	envBatchFwd:       "batch-fwd",
 	envEntryWAN:       "entry-wan",
@@ -131,12 +129,6 @@ func EncodeEnvelope(payload any) ([]byte, error) {
 		if err := w.pbftMsg(m.M); err != nil {
 			return nil, err
 		}
-	case *replication.ChunkMsg:
-		w.u8(envChunkMsg)
-		w.chunkMsg(m)
-	case *ChunkFwd:
-		w.u8(envChunkFwd)
-		w.chunkMsg(m.C)
 	case *replication.ChunkBatch:
 		w.u8(envChunkBatch)
 		w.chunkBatch(m)
@@ -217,10 +209,6 @@ func DecodeEnvelope(buf []byte) (any, error) {
 		out = &LocalMsg{M: r.pbftMsg()}
 	case envMetaMsg:
 		out = &MetaMsg{M: r.pbftMsg()}
-	case envChunkMsg:
-		out = r.chunkMsg()
-	case envChunkFwd:
-		out = &ChunkFwd{C: r.chunkMsg()}
 	case envChunkBatch:
 		out = r.chunkBatch()
 	case envBatchFwd:
@@ -414,19 +402,6 @@ func (w *wireWriter) prePrepare(p *pbft.PrePrepare) {
 	w.hash32(p.Digest)
 	w.bytes(p.Payload)
 	w.sig(p.Sig)
-}
-
-func (w *wireWriter) chunkMsg(m *replication.ChunkMsg) {
-	w.entryID(m.Entry)
-	w.hash32(m.Root)
-	w.u32(uint32(m.Total))
-	w.u32(uint32(m.Data))
-	w.u32(uint32(m.DataLen))
-	w.u32(uint32(m.Index))
-	w.u32(uint32(m.Proof.Index))
-	w.siblings(m.Proof.Siblings)
-	w.bytes(m.Chunk)
-	w.cert(m.Cert)
 }
 
 func (w *wireWriter) chunkBatch(m *replication.ChunkBatch) {
@@ -885,22 +860,6 @@ func (r *wireReader) prePrepare() *pbft.PrePrepare {
 		View: r.u64(), Slot: r.u64(), Digest: r.hash32(),
 		Payload: r.bytes(), Sig: r.sig(),
 	}
-}
-
-func (r *wireReader) chunkMsg() *replication.ChunkMsg {
-	m := &replication.ChunkMsg{
-		Entry:   r.entryID(),
-		Root:    r.hash32(),
-		Total:   int(r.u32()),
-		Data:    int(r.u32()),
-		DataLen: int(r.u32()),
-		Index:   int(r.u32()),
-	}
-	m.Proof.Index = int(r.u32())
-	m.Proof.Siblings = r.siblings()
-	m.Chunk = r.bytes()
-	m.Cert = r.cert()
-	return m
 }
 
 func (r *wireReader) chunkBatch() *replication.ChunkBatch {

@@ -3,6 +3,8 @@ package cluster
 import (
 	"bytes"
 	"encoding/hex"
+	"errors"
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -37,17 +39,6 @@ func wireFixtures() map[string]any {
 	}
 	pp := &pbft.PrePrepare{
 		View: 2, Slot: 11, Digest: [32]byte{0xaa}, Payload: []byte("prop"), Sig: sig(0, 1, "pp"),
-	}
-	chunk := &replication.ChunkMsg{
-		Entry:   types.EntryID{GID: 0, Seq: 12},
-		Root:    [32]byte{0xcc},
-		Total:   6,
-		Data:    4,
-		DataLen: 100,
-		Index:   3,
-		Proof:   merkle.Proof{Index: 3, Siblings: [][32]byte{{0x01}, {0x02}}},
-		Chunk:   []byte("chunkdata"),
-		Cert:    cert,
 	}
 	batch := &replication.ChunkBatch{
 		Entry:   types.EntryID{GID: 1, Seq: 13},
@@ -149,8 +140,6 @@ func wireFixtures() map[string]any {
 				{Slot: 6, Payload: nil, Cert: nil},
 			},
 		}},
-		"ChunkMsg":   chunk,
-		"ChunkFwd":   &ChunkFwd{C: chunk},
 		"ChunkBatch": batch,
 		"BatchFwd":   &BatchFwd{B: batch},
 		"EntryWAN":   &EntryWAN{E: &replication.EntryMsg{Entry: entry, Cert: cert}},
@@ -303,14 +292,46 @@ func TestEnvelopeUnknownKinds(t *testing.T) {
 	if _, err := DecodeEnvelope(nil); err == nil {
 		t.Fatal("empty envelope accepted")
 	}
-	if _, err := DecodeEnvelope([]byte{0xff}); err == nil {
-		t.Fatal("unknown envelope kind accepted")
+	if _, err := DecodeEnvelope([]byte{0xff}); !errors.Is(err, ErrEnvelopeKind) {
+		t.Fatalf("unknown envelope kind: %v, want ErrEnvelopeKind", err)
+	}
+	for name, enc := range retiredEnvelopes() {
+		if _, err := DecodeEnvelope(enc); !errors.Is(err, ErrEnvelopeKind) {
+			t.Fatalf("retired %s: %v, want ErrEnvelopeKind", name, err)
+		}
+		if kn := EnvelopeKindName(enc[0]); kn != fmt.Sprintf("kind-%d", enc[0]) {
+			t.Fatalf("retired %s still named %q", name, kn)
+		}
 	}
 	if _, err := DecodeEnvelope([]byte{envLocalMsg, 0xff}); err == nil {
 		t.Fatal("unknown pbft kind accepted")
 	}
 	if _, err := EncodeEnvelope("not a wire type"); err == nil {
 		t.Fatal("encoded a non-wire type")
+	}
+}
+
+// retiredEnvelopes returns a once-valid encoding of each retired envelope
+// kind — 3, a single chunk over WAN, and 4, its LAN re-broadcast, both
+// replaced by ChunkBatch / BatchFwd — captured from the last codec that had
+// them. A peer still sending one must get ErrEnvelopeKind, not a misparse.
+func retiredEnvelopes() map[string][]byte {
+	// entry id, root, total, data, data length, index, proof index, two
+	// siblings, the chunk, the certificate.
+	const bodyHex = "00000000000000000000000ccc00000000000000000000000000000000000000" +
+		"0000000000000000000000000000000600000004000000640000000300000003" +
+		"0000000201000000000000000000000000000000000000000000000000000000" +
+		"0000000002000000000000000000000000000000000000000000000000000000" +
+		"00000000000000096368756e6b64617461010000000201020300000000000000" +
+		"0000000000000000000000000000000000000000000000000002000000020000" +
+		"00000000000273300000000200000001000000027331"
+	body, err := hex.DecodeString(bodyHex)
+	if err != nil {
+		panic(err)
+	}
+	return map[string][]byte{
+		"kind 3": append([]byte{3}, body...),
+		"kind 4": append([]byte{4}, body...),
 	}
 }
 
@@ -347,6 +368,21 @@ var goldenEnvelopes = map[string]string{
 		"0000000000000003000000000000001500000000000000000100000002010203" +
 		"0000000000000000000000000000000000000000000000000000000000000000" +
 		"0200000002000000000000000273300000000200000001000000027331",
+	// The two highest-volume kinds on the wire.
+	"ChunkBatch": "0500000001000000000000000ddd000000000000000000000000000000000000" +
+		"0000000000000000000000000000000006000000040000005a00000002000000" +
+		"0000000002000000020000000000000002000000010300000000000000000000" +
+		"0000000000000000000000000000000000000000000000000200000002633000" +
+		"0000026332010000000201020300000000000000000000000000000000000000" +
+		"0000000000000000000000000002000000020000000000000002733000000002" +
+		"00000001000000027331",
+	"BatchFwd": "0600000001000000000000000ddd000000000000000000000000000000000000" +
+		"0000000000000000000000000000000006000000040000005a00000002000000" +
+		"0000000002000000020000000000000002000000010300000000000000000000" +
+		"0000000000000000000000000000000000000000000000000200000002633000" +
+		"0000026332010000000201020300000000000000000000000000000000000000" +
+		"0000000000000000000000000002000000020000000000000002733000000002" +
+		"00000001000000027331",
 }
 
 // TestEnvelopeKindNames: every fixture's first encoded byte maps to a stable
@@ -368,10 +404,13 @@ func TestEnvelopeKindNames(t *testing.T) {
 	if want := EnvelopeKindName(0xfe); want != "kind-254" {
 		t.Errorf("unknown kind name = %q", want)
 	}
-	for _, want := range []string{"client-request", "client-reply", "meta-batch"} {
+	for _, want := range envelopeKindNames {
 		if !seen[want] {
 			t.Errorf("no fixture exercised kind %q", want)
 		}
+	}
+	if len(seen) != 16 {
+		t.Errorf("fixtures exercise %d envelope kinds, the wire contract has 16", len(seen))
 	}
 }
 

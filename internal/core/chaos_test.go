@@ -168,6 +168,7 @@ func chaosConverged(c *cluster.Cluster) bool {
 
 // TestChaosMassBFT runs the flagship preset through the full chaos schedule.
 func TestChaosMassBFT(t *testing.T) {
+	t.Parallel()
 	if testing.Short() {
 		t.Skip("heavy integration test")
 	}
@@ -178,6 +179,7 @@ func TestChaosMassBFT(t *testing.T) {
 // schedule: the recovery machinery (stream repair, entry fetch, rejoin) is
 // protocol-agnostic and must hold there too.
 func TestChaosBaseline(t *testing.T) {
+	t.Parallel()
 	if testing.Short() {
 		t.Skip("heavy integration test")
 	}
@@ -280,6 +282,7 @@ func assertLiveSafety(t *testing.T, c *cluster.Cluster, skip map[int]bool) {
 // service, certify zero deaths and zero takeover stamps, and retract the
 // suspicions after the heal.
 func TestPartitionHealBeforeQuorumAsymmetric(t *testing.T) {
+	t.Parallel()
 	if testing.Short() {
 		t.Skip("heavy integration test")
 	}
@@ -320,6 +323,7 @@ func TestPartitionHealBeforeQuorumAsymmetric(t *testing.T) {
 // stream. The quorum never assembles, no death certifies, and the suspected
 // group returns to service with the suspicion retracted.
 func TestPartitionHealBeforeQuorumSymmetric(t *testing.T) {
+	t.Parallel()
 	if testing.Short() {
 		t.Skip("heavy integration test")
 	}
@@ -365,6 +369,7 @@ func TestPartitionHealBeforeQuorumSymmetric(t *testing.T) {
 // successor's takeover stamps release the ordering backlog, and the live
 // groups converge to identical prefixes.
 func TestPartitionChaosFailover(t *testing.T) {
+	t.Parallel()
 	if testing.Short() {
 		t.Skip("heavy integration test")
 	}
@@ -428,6 +433,7 @@ func TestPartitionChaosFailover(t *testing.T) {
 // both deaths in a single suspicion window and the survivors drain both
 // backlogs.
 func TestSimultaneousGroupDeathsCertifyTogether(t *testing.T) {
+	t.Parallel()
 	cfg := cluster.Config{
 		GroupSizes:         []int{3, 3, 3, 3},
 		Opts:               cluster.PresetMassBFT(),
@@ -504,6 +510,7 @@ func TestSimultaneousGroupDeathsCertifyTogether(t *testing.T) {
 // on the same post-join membership, and no fork or conflicting stamp may
 // certify anywhere.
 func TestMembershipCrashOverlapEpochSwitch(t *testing.T) {
+	t.Parallel()
 	if testing.Short() {
 		t.Skip("heavy integration test")
 	}
@@ -580,6 +587,7 @@ func TestMembershipCrashOverlapEpochSwitch(t *testing.T) {
 // survivors during the silence window, and after the heal exactly one
 // certified GroupDead(2) skip decision forms.
 func TestPartitionFailoverReduced(t *testing.T) {
+	t.Parallel()
 	cfg := cluster.Config{
 		GroupSizes:         []int{3, 3, 3},
 		Opts:               cluster.PresetBaseline(),

@@ -69,6 +69,7 @@ func assertConsistency(t *testing.T, c *cluster.Cluster, skipGroups map[int]bool
 }
 
 func TestMassBFTEndToEnd(t *testing.T) {
+	t.Parallel()
 	c := runCluster(t, realCryptoCfg())
 	m := c.Metrics
 	if m.Committed() == 0 {
@@ -87,6 +88,7 @@ func TestMassBFTEndToEnd(t *testing.T) {
 // signature beyond its length, so its key pairs produce none — while a
 // registry that does verify turns their tags down.
 func TestModelledCryptoSignsNothing(t *testing.T) {
+	t.Parallel()
 	cfg := smallCfg()
 	cfg.RunFor = time.Second
 	c := runCluster(t, cfg)
@@ -113,6 +115,7 @@ func TestModelledCryptoSignsNothing(t *testing.T) {
 }
 
 func TestMassBFTAllNodesExecuteSameOrder(t *testing.T) {
+	t.Parallel()
 	if testing.Short() {
 		t.Skip("heavy integration test")
 	}
@@ -130,6 +133,7 @@ func TestMassBFTAllNodesExecuteSameOrder(t *testing.T) {
 }
 
 func TestBaselineEndToEnd(t *testing.T) {
+	t.Parallel()
 	cfg := smallCfg()
 	cfg.Opts = cluster.PresetBaseline()
 	c := runCluster(t, cfg)
@@ -140,6 +144,7 @@ func TestBaselineEndToEnd(t *testing.T) {
 }
 
 func TestGeoBFTEndToEnd(t *testing.T) {
+	t.Parallel()
 	cfg := smallCfg()
 	cfg.Opts = cluster.PresetGeoBFT()
 	c := runCluster(t, cfg)
@@ -150,6 +155,7 @@ func TestGeoBFTEndToEnd(t *testing.T) {
 }
 
 func TestStewardEndToEnd(t *testing.T) {
+	t.Parallel()
 	cfg := smallCfg()
 	cfg.Opts = cluster.PresetSteward()
 	c := runCluster(t, cfg)
@@ -160,6 +166,7 @@ func TestStewardEndToEnd(t *testing.T) {
 }
 
 func TestISSEndToEnd(t *testing.T) {
+	t.Parallel()
 	cfg := smallCfg()
 	cfg.Opts = cluster.PresetISS(100 * time.Millisecond)
 	c := runCluster(t, cfg)
@@ -170,6 +177,7 @@ func TestISSEndToEnd(t *testing.T) {
 }
 
 func TestBRAndEBREndToEnd(t *testing.T) {
+	t.Parallel()
 	if testing.Short() {
 		t.Skip("heavy integration test")
 	}
@@ -185,6 +193,7 @@ func TestBRAndEBREndToEnd(t *testing.T) {
 }
 
 func TestMassBFTHeterogeneousGroupSizes(t *testing.T) {
+	t.Parallel()
 	if testing.Short() {
 		t.Skip("heavy integration test")
 	}
@@ -198,6 +207,7 @@ func TestMassBFTHeterogeneousGroupSizes(t *testing.T) {
 }
 
 func TestSerialVTSMode(t *testing.T) {
+	t.Parallel()
 	if testing.Short() {
 		t.Skip("heavy integration test")
 	}
@@ -213,6 +223,7 @@ func TestSerialVTSMode(t *testing.T) {
 }
 
 func TestWorldwideLatencyMatrix(t *testing.T) {
+	t.Parallel()
 	if testing.Short() {
 		t.Skip("heavy integration test")
 	}
@@ -232,6 +243,7 @@ func TestWorldwideLatencyMatrix(t *testing.T) {
 }
 
 func TestSingleGroupCluster(t *testing.T) {
+	t.Parallel()
 	// Degenerate deployment: one group, no WAN replication at all. The
 	// protocol must still batch, locally certify, order, and execute.
 	cfg := smallCfg()
@@ -244,6 +256,7 @@ func TestSingleGroupCluster(t *testing.T) {
 }
 
 func TestRateLimitedGroups(t *testing.T) {
+	t.Parallel()
 	// Offered-load throttling: committed throughput must track the offer,
 	// not saturation.
 	cfg := smallCfg()

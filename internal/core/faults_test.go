@@ -17,6 +17,7 @@ import (
 // unaffected (correct nodes blacklist the tamperers after the first failed
 // rebuild) and no tampered transaction may reach the state.
 func TestByzantineChunkTampering(t *testing.T) {
+	t.Parallel()
 	cfg := realCryptoCfg()
 	cfg.RunFor = 4 * time.Second
 	c, err := cluster.New(cfg, NewNode)
@@ -52,6 +53,7 @@ func TestByzantineChunkTampering(t *testing.T) {
 // center dies; after the takeover timeout another group assigns timestamps
 // from the crashed group's frozen clock and execution resumes.
 func TestGroupCrashTakeover(t *testing.T) {
+	t.Parallel()
 	if testing.Short() {
 		t.Skip("heavy integration test")
 	}
@@ -108,6 +110,7 @@ func TestGroupCrashTakeover(t *testing.T) {
 // bottleneck, MassBFT's spread-out chunk replication beats Baseline's
 // leader-only copies by a wide margin (Fig 8).
 func TestMassBFTOutperformsBaselineUnderLeaderBottleneck(t *testing.T) {
+	t.Parallel()
 	if testing.Short() {
 		t.Skip("heavy integration test")
 	}
@@ -144,6 +147,7 @@ func TestMassBFTOutperformsBaselineUnderLeaderBottleneck(t *testing.T) {
 // TestEncodedReplicationSavesWANTraffic checks the Fig 10 effect: per-entry
 // WAN bytes under MassBFT are well below Baseline's f+1 full copies.
 func TestEncodedReplicationSavesWANTraffic(t *testing.T) {
+	t.Parallel()
 	run := func(opts cluster.Options) float64 {
 		cfg := cluster.Config{
 			GroupSizes:   []int{7, 7, 7},
@@ -175,6 +179,7 @@ func TestEncodedReplicationSavesWANTraffic(t *testing.T) {
 // group); the local view change must elect a new leader that resumes
 // proposing.
 func TestLocalLeaderCrashViewChange(t *testing.T) {
+	t.Parallel()
 	if testing.Short() {
 		t.Skip("heavy integration test")
 	}
@@ -210,6 +215,7 @@ func TestLocalLeaderCrashViewChange(t *testing.T) {
 // (WAN latencies x10 before GST, §III-A): progress may be slow before GST
 // but must be normal after.
 func TestPartialSynchronyUnstableStart(t *testing.T) {
+	t.Parallel()
 	if testing.Short() {
 		t.Skip("heavy integration test")
 	}
@@ -243,6 +249,7 @@ func TestPartialSynchronyUnstableStart(t *testing.T) {
 // crash: peers time out and skip the crashed group's round slots so the
 // remaining groups keep executing.
 func TestBaselineGroupCrashRoundSkip(t *testing.T) {
+	t.Parallel()
 	if testing.Short() {
 		t.Skip("heavy integration test")
 	}
@@ -272,6 +279,7 @@ func TestBaselineGroupCrashRoundSkip(t *testing.T) {
 // store as of its last tick — recorded here through the tick hook — and not
 // the live store, which kept executing until the run stopped well after it.
 func TestRollingCheckpointIsAViewOfTheFold(t *testing.T) {
+	t.Parallel()
 	cfg := smallCfg()
 	cfg.GroupSizes = []int{4, 4}
 	cfg.RunFor = 1500 * time.Millisecond
@@ -309,6 +317,7 @@ func TestRollingCheckpointIsAViewOfTheFold(t *testing.T) {
 // tick loops and installs a peer's state transfer. The recovered node must
 // converge to the exact cluster state — same state hash, same sealed ledger.
 func TestNodeRejoinViaStateTransfer(t *testing.T) {
+	t.Parallel()
 	if testing.Short() {
 		t.Skip("heavy integration test")
 	}
@@ -364,6 +373,7 @@ func TestNodeRejoinViaStateTransfer(t *testing.T) {
 // rotate to another holder (e.g. group 1, which rebuilt the entries) so the
 // starved group still converges.
 func TestFetchRetryRecoversFromCrashedTarget(t *testing.T) {
+	t.Parallel()
 	if testing.Short() {
 		t.Skip("heavy integration test")
 	}
@@ -378,14 +388,8 @@ func TestFetchRetryRecoversFromCrashedTarget(t *testing.T) {
 	// Drop every chunk addressed to group 2 by group 0's nodes.
 	for j := 0; j < cfg.GroupSizes[0]; j++ {
 		c.Net.SetOutboundFilter(keys.NodeID{Group: 0, Index: j}, func(m *simnet.Message) bool {
-			if m.To.Group != 2 {
-				return true
-			}
-			switch m.Payload.(type) {
-			case *replication.ChunkBatch, *replication.ChunkMsg:
-				return false
-			}
-			return true
+			_, chunks := m.Payload.(*replication.ChunkBatch)
+			return m.To.Group != 2 || !chunks
 		})
 	}
 	// Crash the only target the single-shot implementation ever asked.
@@ -433,6 +437,7 @@ func TestFetchRetryRecoversFromCrashedTarget(t *testing.T) {
 // leaves the sender in differing versions — wire equivocation, surfaced via
 // net-equivocated.
 func TestByzantineSenderBatchRejection(t *testing.T) {
+	t.Parallel()
 	cfg := smallCfg()
 	cfg.Seed = 31
 	cfg.RunFor = 4 * time.Second
@@ -474,6 +479,7 @@ func TestByzantineSenderBatchRejection(t *testing.T) {
 // the rejection (rejoin-badsuffix), rotate to an honest peer, and still
 // converge to the group's exact ledger.
 func TestRejoinRejectsCorruptSuffix(t *testing.T) {
+	t.Parallel()
 	if testing.Short() {
 		t.Skip("heavy integration test")
 	}
@@ -541,6 +547,7 @@ func TestRejoinRejectsCorruptSuffix(t *testing.T) {
 // drops the whole group's map), so after a takeover run nothing executed
 // may linger in the bookkeeping.
 func TestTakeoverBookkeepingGC(t *testing.T) {
+	t.Parallel()
 	if testing.Short() {
 		t.Skip("heavy integration test")
 	}
@@ -591,6 +598,7 @@ func TestTakeoverBookkeepingGC(t *testing.T) {
 // diverges. Before the fix the triggering certificate's failure banned the
 // bucket wholesale, discarding honest chunks.
 func TestByzantineCertMangling(t *testing.T) {
+	t.Parallel()
 	cfg := realCryptoCfg()
 	cfg.RunFor = 4 * time.Second
 	c, err := cluster.New(cfg, NewNode)

@@ -28,6 +28,7 @@ func gatewayCfg(n int) cluster.Config {
 // signed intake → adaptive batching → consensus → execution → f+1 signed
 // reply certificates, with real Ed25519 on both client and node signatures.
 func TestGatewayEndToEnd(t *testing.T) {
+	t.Parallel()
 	cfg := gatewayCfg(24)
 	c, err := cluster.New(cfg, NewNode)
 	if err != nil {
@@ -66,6 +67,7 @@ func TestGatewayEndToEnd(t *testing.T) {
 // dedup window fills at execution, so the total gateway-executed count
 // equals (unique requests) x (total nodes).
 func TestGatewayDedupExactlyOnceCluster(t *testing.T) {
+	t.Parallel()
 	cfg := gatewayCfg(0)
 	cfg.Gateway.SimClients = 0
 	cfg.Gateway.Clients = 4
@@ -120,6 +122,7 @@ func TestGatewayDedupExactlyOnceCluster(t *testing.T) {
 // resubmission, and the run must neither deadlock nor grow queues without
 // bound.
 func TestGatewayAdmissionLoad10k(t *testing.T) {
+	t.Parallel()
 	if testing.Short() {
 		t.Skip("heavy integration test")
 	}
@@ -159,6 +162,7 @@ func TestGatewayAdmissionLoad10k(t *testing.T) {
 // and state hash. A host-only change reproduces every value; a change that
 // means to move admission, dedup or batching re-captures them and says so.
 func TestGatewayFingerprints(t *testing.T) {
+	t.Parallel()
 	steady := gatewayCfg(64) // real Ed25519 on requests and receipts, no admission pressure
 	overload := gatewayCfg(2000)
 	overload.TrustAll = true // modeled-cost crypto: admission is the point here
@@ -230,6 +234,7 @@ func TestGatewayFingerprints(t *testing.T) {
 // and resubmitting to the next group (at-least-once across groups), while
 // requests already executed keep their f+1 certificates valid.
 func TestGatewayGroupCrashConvergence(t *testing.T) {
+	t.Parallel()
 	if testing.Short() {
 		t.Skip("heavy integration test")
 	}

@@ -69,6 +69,7 @@ func assertEpochEverywhere(t *testing.T, c *cluster.Cluster, want uint64, wantAc
 // group bootstraps via cross-group checkpoint transfer, an epoch switch
 // certifies, and afterwards group 2 proposes and executes like any member.
 func TestMembershipJoinReduced(t *testing.T) {
+	t.Parallel()
 	cfg := membershipCfg([]int{3, 3, 3}, 1, 61)
 	cfg.RunFor = 4 * time.Second
 	c, err := cluster.New(cfg, NewNode)
@@ -110,6 +111,7 @@ func TestMembershipJoinReduced(t *testing.T) {
 // departed group fenced like a certified-dead one — but out of the quorum
 // denominator. Reduced schedule, always runs (membership-chaos CI shard).
 func TestMembershipLeaveReduced(t *testing.T) {
+	t.Parallel()
 	cfg := membershipCfg([]int{3, 3, 3}, 0, 62)
 	cfg.RunFor = 4 * time.Second
 	c, err := cluster.New(cfg, NewNode)
@@ -208,6 +210,7 @@ func runMembershipSchedule(t *testing.T) (*cluster.Cluster, membershipFingerprin
 // agree on the final epoch and member set, and the whole schedule must be
 // bit-identical across reruns (the second run is TestMembershipDeterministic).
 func TestMembershipJoinLeaveUnderLoad(t *testing.T) {
+	t.Parallel()
 	if testing.Short() {
 		t.Skip("heavy integration test")
 	}
@@ -255,6 +258,7 @@ func TestMembershipJoinLeaveUnderLoad(t *testing.T) {
 // bootstrap transfer, vote quorums, epoch cuts, resubmission jitter — runs
 // entirely on the emulator event loop and adds no nondeterminism.
 func TestMembershipDeterministic(t *testing.T) {
+	t.Parallel()
 	if testing.Short() {
 		t.Skip("heavy integration test")
 	}

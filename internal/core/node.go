@@ -36,9 +36,9 @@ import (
 	"massbft/internal/types"
 )
 
-// NewNode constructs a protocol node; use as the cluster.Factory.
+// NewNode is New as a cluster.Factory.
 func NewNode(ctx *cluster.NodeCtx) cluster.Node {
-	return newNode(ctx)
+	return New(ctx)
 }
 
 type entrySt struct {
@@ -285,7 +285,8 @@ type archived struct {
 	cert  *keys.Certificate
 }
 
-func newNode(ctx *cluster.NodeCtx) *Node {
+// New constructs a protocol node wired to ctx.
+func New(ctx *cluster.NodeCtx) *Node {
 	n := &Node{
 		ctx:          ctx,
 		cfg:          ctx.Cfg,
@@ -536,10 +537,6 @@ func (n *Node) HandleMessage(msg transport.Message) {
 		n.local.Handle(msg.From, m.M)
 	case *cluster.MetaMsg:
 		n.meta.Handle(msg.From, m.M)
-	case *replication.ChunkMsg:
-		n.onChunk(msg.From, m, true)
-	case *cluster.ChunkFwd:
-		n.onChunk(msg.From, m.C, false)
 	case *replication.ChunkBatch:
 		n.onChunkBatch(msg.From, m, true)
 	case *cluster.BatchFwd:
@@ -560,12 +557,6 @@ func (n *Node) HandleMessage(msg transport.Message) {
 		n.onProposalFwd(msg.From, m)
 	case *cluster.ClientRequest:
 		n.onClientRequest(msg.From, m)
-	case *cluster.ClientReply:
-		// A reply relayed through this node (TCP gateway routing): hand it
-		// to the environment's client-facing exit if one is wired.
-		if n.ctx.ReplyOut != nil {
-			n.ctx.ReplyOut(m)
-		}
 	case *cluster.ReconfigureMsg:
 		n.onReconfigure(m)
 	case *cluster.RejoinReq:

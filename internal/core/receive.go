@@ -13,16 +13,20 @@ import (
 
 // replicateBijective is the plain bijective approach of §IV-A (the BR
 // ablation): f1+f2+1 sender nodes each transmit a complete entry copy to a
-// distinct receiver node.
+// distinct receiver node, or plan.Bijective's partitioned plan when either
+// group is smaller than that.
 func (n *Node) replicateBijective(e *types.Entry, cert *keys.Certificate) {
 	msg := &cluster.EntryWAN{E: &replication.EntryMsg{Entry: e, Cert: cert}}
 	for r := 0; r < n.ng; r++ {
 		if r == n.g {
 			continue
 		}
-		for _, pair := range replication.BijectiveSenders(n.cfg.GroupSizes[n.g], n.cfg.GroupSizes[r]) {
-			if pair[0] == n.id.Index {
-				n.ctx.Net.Send(keys.NodeID{Group: r, Index: pair[1]}, msg, msg.WireSize())
+		// No error: Config.Validate rejected non-positive sizes, and every
+		// positive pair has a plan (each sender to every receiver is one).
+		pairs, _ := plan.Bijective(n.cfg.GroupSizes[n.g], n.cfg.GroupSizes[r])
+		for _, tr := range pairs {
+			if tr.Sender == n.id.Index {
+				n.ctx.Net.Send(keys.NodeID{Group: r, Index: tr.Receiver}, msg, msg.WireSize())
 			}
 		}
 	}
@@ -44,37 +48,6 @@ func (n *Node) replicateOneWay(e *types.Entry, cert *keys.Certificate) {
 		for j := 0; j < copies && j < n.cfg.GroupSizes[r]; j++ {
 			n.ctx.Net.Send(keys.NodeID{Group: r, Index: j}, msg, msg.WireSize())
 		}
-	}
-}
-
-// onChunk ingests one erasure-coded chunk, either from WAN (fromRemote) or
-// re-broadcast over LAN by a group peer.
-func (n *Node) onChunk(from keys.NodeID, c *replication.ChunkMsg, fromRemote bool) {
-	if n.collector == nil || n.blacklist[from] {
-		return
-	}
-	// Late chunks for already-executed entries must not resurrect state.
-	if c.Entry.Seq <= n.executedSeqOf(c.Entry.GID) {
-		return
-	}
-	n.noteChunkArrival(c.Entry)
-	n.traceChunkArrival(c.Entry)
-	// Byzantine receivers substitute their own tampered chunks when
-	// re-broadcasting (§VI-E): handled in forwardChunk below.
-	senders := n.chunkFrom[c.Entry]
-	if senders == nil {
-		senders = make(map[int]keys.NodeID)
-		n.chunkFrom[c.Entry] = senders
-	}
-	if _, seen := senders[c.Index]; !seen {
-		senders[c.Index] = from
-	}
-	fwd, err := n.collector.AddChunk(c)
-	if err != nil {
-		return
-	}
-	if fwd && fromRemote {
-		n.forwardChunk(c)
 	}
 }
 
@@ -143,18 +116,12 @@ func (n *Node) tamperedBatch(b *replication.ChunkBatch) *replication.ChunkBatch 
 	if encd == nil {
 		return nil
 	}
-	proof, err := encd.Tree.ProveMulti(b.Indices)
+	evil, err := encd.Batch(b.Indices, b.Entry, b.Cert)
 	if err != nil {
 		return nil
 	}
-	evil := *b
-	evil.Root = encd.Tree.Root()
-	evil.Proof = proof
-	evil.Chunks = make([][]byte, len(proof.Indices))
-	for k, idx := range proof.Indices {
-		evil.Chunks[k] = encd.Shards[idx]
-	}
-	evil.Indices = proof.Indices
+	// It claims the honest entry's length, not the tampered encoding's own.
+	evil.DataLen = b.DataLen
 	return &evil
 }
 
@@ -162,49 +129,6 @@ func (n *Node) tamperedBatch(b *replication.ChunkBatch) *replication.ChunkBatch 
 func (n *Node) encodeTampered(e *types.Entry, p *plan.Plan) *replication.Encoded {
 	evil := n.tamper(e)
 	return n.encodeCached(keys.Hash(evil), p, func() []byte { return evil })
-}
-
-// forwardChunk re-broadcasts a WAN-received chunk to the LAN peers (§IV-B).
-// A Byzantine receiver broadcasts the matching chunk of its tampered entry
-// instead.
-func (n *Node) forwardChunk(c *replication.ChunkMsg) {
-	out := c
-	if n.ctx.Faults.IsByzantine(n.id, n.now()) {
-		if evil := n.tamperedChunk(c); evil != nil {
-			out = evil
-		}
-	}
-	env := &cluster.ChunkFwd{C: out}
-	n.broadcastLocal(env)
-}
-
-// tamperedChunk produces the same-index chunk of the tampered version of the
-// entry, if this node can derive it (it needs the entry content, which a
-// Byzantine receiver of a foreign entry does not have until rebuild; in that
-// case it simply drops the honest chunk, which the parity budget already
-// covers).
-func (n *Node) tamperedChunk(c *replication.ChunkMsg) *replication.ChunkMsg {
-	st := n.entries[c.Entry]
-	if st == nil || st.entry == nil {
-		return nil
-	}
-	p := n.recvPlan(c.Entry.GID)
-	if p == nil {
-		return nil
-	}
-	encd := n.encodeTampered(st.entry, p)
-	if encd == nil || c.Index >= len(encd.Shards) {
-		return nil
-	}
-	proof, err := encd.Tree.Prove(c.Index)
-	if err != nil {
-		return nil
-	}
-	evil := *c
-	evil.Root = encd.Tree.Root()
-	evil.Proof = proof
-	evil.Chunk = encd.Shards[c.Index]
-	return &evil
 }
 
 // onRebuilt fires when the collector delivers a rebuilt, certificate-valid

@@ -560,33 +560,18 @@ func (n *Node) onChunkRepairReq(from keys.NodeID, m *cluster.ChunkRepairReq) {
 	if encd == nil {
 		return
 	}
-	proof, err := encd.Tree.ProveMulti(idx)
+	batch, err := encd.Batch(idx, m.Entry, cert)
 	if err != nil {
 		return
-	}
-	chunks := make([][]byte, len(proof.Indices))
-	for k, ci := range proof.Indices {
-		chunks[k] = encd.Shards[ci]
-	}
-	batch := &replication.ChunkBatch{
-		Entry:   m.Entry,
-		Root:    encd.Tree.Root(),
-		Total:   p.Total,
-		Data:    p.Data,
-		DataLen: encd.DataLen,
-		Indices: proof.Indices,
-		Proof:   proof,
-		Chunks:  chunks,
-		Cert:    cert,
 	}
 	if from.Group == n.g {
 		// LAN reply: wrap as a forward so the requester does not re-broadcast
 		// chunks its peers already have.
-		env := &cluster.BatchFwd{B: batch}
+		env := &cluster.BatchFwd{B: &batch}
 		n.ctx.Net.Send(from, env, env.WireSize())
 	} else {
 		// WAN reply: a plain batch, which the requester re-shares over LAN.
-		n.ctx.Net.Send(from, batch, batch.WireSize())
+		n.ctx.Net.Send(from, &batch, batch.WireSize())
 	}
 	n.ctx.Metrics.Inc("repair-served")
 }

@@ -12,6 +12,7 @@ import (
 const ms = time.Millisecond
 
 func TestBackoffLadder(t *testing.T) {
+	t.Parallel()
 	for attempt, want := range []time.Duration{100 * ms, 200 * ms, 400 * ms, 800 * ms, 1600 * ms, 1600 * ms, 1600 * ms} {
 		if got := backoff(100*ms, attempt); got != want {
 			t.Errorf("backoff(100ms, %d) = %v, want %v", attempt, got, want)
@@ -20,6 +21,7 @@ func TestBackoffLadder(t *testing.T) {
 }
 
 func TestRetryClock(t *testing.T) {
+	t.Parallel()
 	const since, patience, base = 1000 * ms, 300 * ms, 100 * ms
 	var r retry
 	steps := []struct {
@@ -69,6 +71,7 @@ func bareNode(sizes []int, id keys.NodeID) *Node {
 }
 
 func TestLANRotation(t *testing.T) {
+	t.Parallel()
 	for size := 1; size <= 7; size++ {
 		for own := 0; own < size; own++ {
 			n := bareNode([]int{size}, keys.NodeID{Group: 0, Index: own})
@@ -96,6 +99,7 @@ func TestLANRotation(t *testing.T) {
 }
 
 func TestRemoteRotation(t *testing.T) {
+	t.Parallel()
 	for size := 1; size <= 7; size++ {
 		for own := 0; own < 7; own++ {
 			// Requester in group 0 (always 7 members), servers in groups 1 and 2.
@@ -137,6 +141,7 @@ func TestRemoteRotation(t *testing.T) {
 }
 
 func TestProgressGate(t *testing.T) {
+	t.Parallel()
 	const now, window = 10 * time.Second, 400 * ms
 	cases := []struct {
 		name     string
@@ -159,6 +164,7 @@ func TestProgressGate(t *testing.T) {
 }
 
 func TestRecordQueuedMatchesKindStreamEntry(t *testing.T) {
+	t.Parallel()
 	id := types.EntryID{GID: 1, Seq: 9}
 	n := &Node{pendingRecs: []cluster.Record{{Kind: cluster.RecTS, Stream: 2, Entry: id, TS: 5}}}
 	for _, c := range []struct {
@@ -177,6 +183,7 @@ func TestRecordQueuedMatchesKindStreamEntry(t *testing.T) {
 }
 
 func TestPartitionHorizonBoundsArchiveAndBatchLog(t *testing.T) {
+	t.Parallel()
 	n := bareNode([]int{4, 4}, keys.NodeID{})
 	const extra = 100
 	for s := uint64(0); s < partitionHorizon+extra; s++ {

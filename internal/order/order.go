@@ -306,13 +306,6 @@ func lessID(a, b types.EntryID) bool {
 // for observability and tests.
 func (o *Orderer) PendingHead(g int) types.EntryID { return o.heads[g].id }
 
-// HeadState exposes one head's ordering knowledge (VTS values, which are
-// assigned vs inferred, and readiness) for diagnostics and tests.
-func (o *Orderer) HeadState(g int) (id types.EntryID, vts []uint64, set []bool, ready bool) {
-	h := o.heads[g]
-	return h.id, append([]uint64(nil), h.vts...), append([]bool(nil), h.set...), o.ready[h.id]
-}
-
 // --- Static total order (Lemma V.4) over complete VTSs ---
 
 // CompareVTS compares two complete vector timestamps element-wise

@@ -22,6 +22,19 @@ func TestBijectivePlainRegime(t *testing.T) {
 		seenS[tr.Sender] = true
 		seenR[tr.Receiver] = true
 	}
+	// Equal groups pair node i with node i, 2f+1 times, in that order: what
+	// every BR run in the tree (all equal-sized) sends.
+	for n, want := range map[int]int{3: 1, 4: 3, 7: 5, 16: 11} {
+		trs, _ := Bijective(n, n)
+		if len(trs) != want {
+			t.Fatalf("%d->%d: %d pairs, want %d", n, n, len(trs), want)
+		}
+		for i, tr := range trs {
+			if tr != (BijectiveTransfer{Sender: i, Receiver: i}) {
+				t.Fatalf("%d->%d: pair %d is %+v", n, n, i, tr)
+			}
+		}
+	}
 }
 
 func TestBijectivePartitionedRegime(t *testing.T) {
@@ -118,6 +131,74 @@ func TestBijectiveAdversarialGreedy(t *testing.T) {
 				t.Fatalf("%d->%d: greedy adversary disconnects the plan (%d transfers)",
 					n1, n2, len(trs))
 			}
+		}
+	}
+}
+
+// defeated reports whether some choice of f1 silent senders and f2 deaf
+// receivers leaves no transfer between a correct sender and a correct
+// receiver: the exhaustive adversary, every subset pair tried.
+func defeated(n1, n2 int, trs []BijectiveTransfer) bool {
+	found := false
+	eachSubset(n1, Faulty(n1), func(badS map[int]bool) {
+		eachSubset(n2, Faulty(n2), func(badR map[int]bool) {
+			for _, tr := range trs {
+				if !badS[tr.Sender] && !badR[tr.Receiver] {
+					return
+				}
+			}
+			found = true
+		})
+	})
+	return found
+}
+
+// eachSubset calls fn with every k-element subset of [0, n).
+func eachSubset(n, k int, fn func(map[int]bool)) {
+	set := make(map[int]bool, k)
+	var rec func(from int)
+	rec = func(from int) {
+		if len(set) == k {
+			fn(set)
+			return
+		}
+		for i := from; i < n; i++ {
+			set[i] = true
+			rec(i + 1)
+			delete(set, i)
+		}
+	}
+	rec(0)
+}
+
+// TestBijectiveSurvivesExhaustiveAdversary covers the unequal shapes where
+// one group is smaller than f1+f2+1, against every adversary rather than a
+// sampled or greedy one. The control is the pairing BR used to run, which
+// wrapped receivers modulo n2 instead of partitioning: four copies 4→13 land
+// on receivers 0-3 and f2 = 4 deaf receivers swallow them all.
+func TestBijectiveSurvivesExhaustiveAdversary(t *testing.T) {
+	wrapped := func(n1, n2 int) []BijectiveTransfer {
+		var out []BijectiveTransfer
+		for i := 0; i < Faulty(n1)+Faulty(n2)+1 && i < n1; i++ {
+			out = append(out, BijectiveTransfer{Sender: i, Receiver: i % n2})
+		}
+		return out
+	}
+	for _, tc := range []struct{ n1, n2, copies int }{
+		{4, 13, 8}, {13, 4, 13}, {4, 10, 8}, {10, 4, 10}, {7, 16, 14}, {16, 7, 16},
+	} {
+		trs, err := Bijective(tc.n1, tc.n2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(trs) != tc.copies {
+			t.Errorf("%d->%d: %d copies, want %d", tc.n1, tc.n2, len(trs), tc.copies)
+		}
+		if defeated(tc.n1, tc.n2, trs) {
+			t.Errorf("%d->%d: an adversary disconnects the plan", tc.n1, tc.n2)
+		}
+		if !defeated(tc.n1, tc.n2, wrapped(tc.n1, tc.n2)) {
+			t.Errorf("%d->%d: the adversary misses the wrapped pairing's hole", tc.n1, tc.n2)
 		}
 	}
 }

@@ -49,8 +49,8 @@ func TestDuplicateBatchDelivery(t *testing.T) {
 		t.Fatalf("delivered %d times under duplicated delivery, want 1", len(got))
 	}
 	// Post-delivery chunks report ErrDelivered.
-	msgs, _, _ := f.encoded.Messages(0, f.entry.ID, f.cert)
-	if _, err := c.AddChunk(&msgs[0]); err != ErrDelivered {
+	msgs := f.singles(t, f.encoded, 0, f.cert)
+	if _, err := c.AddBatch(&msgs[0]); err != ErrDelivered {
 		t.Fatalf("post-delivery chunk: %v, want ErrDelivered", err)
 	}
 }
@@ -63,13 +63,13 @@ func TestChunkAfterBucketBanned(t *testing.T) {
 
 	// Fill the evil bucket to n_data: the rebuild attempt fails certificate
 	// validation and bans every chunk ID in the bucket.
-	var evilMsgs []ChunkMsg
+	var evilMsgs []ChunkBatch
 	for i := 0; i < 4; i++ {
-		msgs, _, _ := evil.Messages(i, f.entry.ID, f.cert)
+		msgs := f.singles(t, evil, i, f.cert)
 		evilMsgs = append(evilMsgs, msgs...)
 	}
 	for k := 0; k < f.plan.Data; k++ {
-		if _, err := c.AddChunk(&evilMsgs[k]); err != nil {
+		if _, err := c.AddBatch(&evilMsgs[k]); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -78,23 +78,34 @@ func TestChunkAfterBucketBanned(t *testing.T) {
 	}
 	// A late chunk for a banned ID is refused — even an HONEST one: the ban
 	// is by chunk ID, which is the price of the §IV-C DoS defense.
-	bannedID := evilMsgs[0].Index
-	var honest *ChunkMsg
+	bannedID := evilMsgs[0].Indices[0]
+	var honest *ChunkBatch
 	for i := 0; i < 4 && honest == nil; i++ {
-		msgs, _, _ := f.encoded.Messages(i, f.entry.ID, f.cert)
+		msgs := f.singles(t, f.encoded, i, f.cert)
 		for k := range msgs {
-			if msgs[k].Index == bannedID {
+			if msgs[k].Indices[0] == bannedID {
 				honest = &msgs[k]
 				break
 			}
 		}
 	}
 	_, _, rejectedBefore := c.Stats()
-	if _, err := c.AddChunk(honest); err != ErrBannedChunk {
+	if _, err := c.AddBatch(honest); err != ErrBannedChunk {
 		t.Fatalf("chunk after ban: %v, want ErrBannedChunk", err)
 	}
 	if _, _, rejected := c.Stats(); rejected != rejectedBefore+1 {
 		t.Fatal("rejected counter did not advance")
+	}
+	// So is a batch of nothing but banned IDs, each one counted.
+	allBanned, err := f.encoded.Batch([]int{bannedID, evilMsgs[1].Indices[0]}, f.entry.ID, f.cert)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.AddBatch(&allBanned); err != ErrBannedChunk {
+		t.Fatalf("all-banned batch: %v, want ErrBannedChunk", err)
+	}
+	if _, _, rejected := c.Stats(); rejected != rejectedBefore+3 {
+		t.Fatal("rejected counter did not count both banned chunks")
 	}
 	// A batch overlapping banned IDs silently skips them but keeps fresh ones.
 	batches, _, _ := f.encoded.Batches(0, f.entry.ID, f.cert)
@@ -123,10 +134,10 @@ func TestInterleavedConflictingRoots(t *testing.T) {
 	if evil.Tree.Root() == f.encoded.Tree.Root() {
 		t.Fatal("fixture: roots must differ")
 	}
-	var honestMsgs, evilMsgs []ChunkMsg
+	var honestMsgs, evilMsgs []ChunkBatch
 	for i := 0; i < 4; i++ {
-		hm, _, _ := f.encoded.Messages(i, f.entry.ID, f.cert)
-		em, _, _ := evil.Messages(i, f.entry.ID, f.cert)
+		hm := f.singles(t, f.encoded, i, f.cert)
+		em := f.singles(t, evil, i, f.cert)
 		honestMsgs = append(honestMsgs, hm...)
 		evilMsgs = append(evilMsgs, em...)
 	}
@@ -135,9 +146,9 @@ func TestInterleavedConflictingRoots(t *testing.T) {
 	// banned IDs). Errors are expected once the ban kicks in.
 	for k := range honestMsgs {
 		if k < f.plan.Data {
-			c.AddChunk(&evilMsgs[k])
+			c.AddBatch(&evilMsgs[k])
 		}
-		c.AddChunk(&honestMsgs[k])
+		c.AddBatch(&honestMsgs[k])
 	}
 	if len(got) != 1 {
 		t.Fatalf("delivered %d, want exactly 1", len(got))
@@ -175,11 +186,11 @@ func TestMissingPartialAndDelivered(t *testing.T) {
 	f := newFixture(t, 4, 7, 20)
 	var got []Rebuilt
 	c := collectorFor(f, &got)
-	msgs, _, _ := f.encoded.Messages(0, f.entry.ID, f.cert)
+	msgs := f.singles(t, f.encoded, 0, f.cert)
 	have := map[int]bool{}
 	for k := range msgs {
-		c.AddChunk(&msgs[k])
-		have[msgs[k].Index] = true
+		c.AddBatch(&msgs[k])
+		have[msgs[k].Indices[0]] = true
 	}
 	root, missing, ok := c.Missing(f.entry.ID)
 	if !ok || root != f.encoded.Tree.Root() {
@@ -198,9 +209,9 @@ func TestMissingPartialAndDelivered(t *testing.T) {
 	}
 	// After delivery there is nothing to repair.
 	for i := 1; i < 4; i++ {
-		ms, _, _ := f.encoded.Messages(i, f.entry.ID, f.cert)
+		ms := f.singles(t, f.encoded, i, f.cert)
 		for k := range ms {
-			c.AddChunk(&ms[k])
+			c.AddBatch(&ms[k])
 		}
 	}
 	if len(got) != 1 {
@@ -217,11 +228,11 @@ func TestMissingPrefersLargestBucket(t *testing.T) {
 	c := collectorFor(f, &got)
 	evil := evilEncoding(t, f)
 	// One evil chunk, several honest chunks (below n_data so no ban yet).
-	em, _, _ := evil.Messages(0, f.entry.ID, f.cert)
-	c.AddChunk(&em[0])
-	hm, _, _ := f.encoded.Messages(0, f.entry.ID, f.cert)
+	em := f.singles(t, evil, 0, f.cert)
+	c.AddBatch(&em[0])
+	hm := f.singles(t, f.encoded, 0, f.cert)
 	for k := 0; k < 3; k++ {
-		c.AddChunk(&hm[k])
+		c.AddBatch(&hm[k])
 	}
 	root, _, ok := c.Missing(f.entry.ID)
 	if !ok || root != f.encoded.Tree.Root() {

@@ -5,8 +5,9 @@
 // group holds the entry. Each node deterministically erasure-codes the
 // entry's canonical encoding into n_total chunks per Algorithm 1 (package
 // plan), builds a Merkle tree over the chunks, and transmits only its
-// assigned chunks — each with a Merkle proof and the entry's PBFT
-// certificate — to its assigned peers in the receiver group.
+// assigned chunks — one ChunkBatch per assigned peer in the receiver group,
+// carrying that peer's chunks, one Merkle multiproof for them and the entry's
+// PBFT certificate.
 //
 // Receiver side: a Collector groups arriving chunks into buckets keyed by
 // (Merkle root, claimed data length) — chunks whose proof does not verify
@@ -28,6 +29,7 @@ import (
 	"crypto/ed25519"
 	"errors"
 	"fmt"
+	"slices"
 
 	"massbft/internal/erasure"
 	"massbft/internal/keys"
@@ -36,37 +38,41 @@ import (
 	"massbft/internal/types"
 )
 
-// ChunkMsg is one erasure-coded chunk in flight from a sender-group node to a
-// receiver-group node, or re-broadcast over LAN inside the receiver group.
-type ChunkMsg struct {
-	// Entry identifies the entry the chunk belongs to.
+// ChunkBatch is the one form a chunk travels in, over WAN from a sender-group
+// node and re-broadcast over LAN inside the receiver group: every chunk one
+// sender ships to one receiver for one entry, authenticated by a single
+// compact Merkle multiproof ([42]). A batch of one index is the single-chunk
+// case, its multiproof the plain sibling path.
+type ChunkBatch struct {
+	// Entry identifies the entry the chunks belong to.
 	Entry types.EntryID
-	// Root is the Merkle root committing to the full chunk set; it is the
-	// bucket key at receivers.
+	// Root is the Merkle root committing to the full chunk set; with DataLen
+	// it is the bucket key at receivers.
 	Root merkle.Root
 	// Total and Data are the plan's n_total and n_data; receivers derive
 	// them independently but carry them for validation.
 	Total, Data int
 	// DataLen is the byte length of the encoded entry before padding.
 	DataLen int
-	// Index is the chunk ID c in the transfer plan.
-	Index int
-	// Proof is the Merkle proof that Chunk is leaf Index under Root.
-	Proof merkle.Proof
-	// Chunk is the shard payload.
-	Chunk []byte
+	// Indices are the chunk IDs in the transfer plan, strictly increasing and
+	// equal to Proof.Indices; Chunks is parallel.
+	Indices []int
+	Proof   merkle.MultiProof
+	Chunks  [][]byte
 	// Cert is the entry's local-PBFT certificate, used to validate the
 	// rebuilt entry.
 	Cert *keys.Certificate
 }
 
-// WireSize returns the serialized size in bytes, matching the paper's traffic
-// accounting: chunk + Merkle proof + certificate + fixed metadata.
-func (m *ChunkMsg) WireSize() int {
-	n := 12 /*entry id*/ + merkle.HashSize + 4 + 4 + 4 + 4 + len(m.Chunk)
-	n += 8 + len(m.Proof.Siblings)*merkle.HashSize
-	if m.Cert != nil {
-		n += m.Cert.Size()
+// WireSize returns the serialized size in bytes.
+func (b *ChunkBatch) WireSize() int {
+	n := 12 + merkle.HashSize + 4 + 4 + 4
+	n += b.Proof.WireSize()
+	for _, c := range b.Chunks {
+		n += 4 + 4 + len(c)
+	}
+	if b.Cert != nil {
+		n += b.Cert.Size()
 	}
 	return n
 }
@@ -102,35 +108,57 @@ func Encode(entryEnc []byte, p *plan.Plan) (*Encoded, error) {
 	return &Encoded{Plan: p, Shards: shards, Tree: tree, DataLen: len(entryEnc)}, nil
 }
 
-// Messages builds the ChunkMsgs that sender node i must transmit, paired with
-// the receiver node index for each. The certificate is attached to every
-// chunk (the receiver needs it no matter which chunks arrive first).
-func (e *Encoded) Messages(senderIndex int, id types.EntryID, cert *keys.Certificate) ([]ChunkMsg, []int, error) {
+// Batches builds the per-receiver ChunkBatch messages sender node i must
+// transmit; the second return value holds the receiver index of each batch.
+func (e *Encoded) Batches(senderIndex int, id types.EntryID, cert *keys.Certificate) ([]ChunkBatch, []int, error) {
 	transfers := e.Plan.SenderTransfers(senderIndex)
 	if transfers == nil {
 		return nil, nil, fmt.Errorf("replication: sender index %d out of range", senderIndex)
 	}
-	msgs := make([]ChunkMsg, 0, len(transfers))
-	receivers := make([]int, 0, len(transfers))
+	byReceiver := make(map[int][]int)
+	order := make([]int, 0, 4)
 	for _, tr := range transfers {
-		proof, err := e.Tree.Prove(tr.Chunk)
+		if _, ok := byReceiver[tr.Receiver]; !ok {
+			order = append(order, tr.Receiver)
+		}
+		byReceiver[tr.Receiver] = append(byReceiver[tr.Receiver], tr.Chunk)
+	}
+	batches := make([]ChunkBatch, 0, len(order))
+	receivers := make([]int, 0, len(order))
+	for _, recv := range order {
+		b, err := e.Batch(byReceiver[recv], id, cert)
 		if err != nil {
 			return nil, nil, err
 		}
-		msgs = append(msgs, ChunkMsg{
-			Entry:   id,
-			Root:    e.Tree.Root(),
-			Total:   e.Plan.Total,
-			Data:    e.Plan.Data,
-			DataLen: e.DataLen,
-			Index:   tr.Chunk,
-			Proof:   proof,
-			Chunk:   e.Shards[tr.Chunk],
-			Cert:    cert,
-		})
-		receivers = append(receivers, tr.Receiver)
+		batches = append(batches, b)
+		receivers = append(receivers, recv)
 	}
-	return msgs, receivers, nil
+	return batches, receivers, nil
+}
+
+// Batch is the ChunkBatch carrying chunks idx (in any order) of the encoding
+// under one multiproof: what Batches cuts per receiver, and what answers a
+// repair request for exactly the chunks a receiver lacks.
+func (e *Encoded) Batch(idx []int, id types.EntryID, cert *keys.Certificate) (ChunkBatch, error) {
+	proof, err := e.Tree.ProveMulti(idx)
+	if err != nil {
+		return ChunkBatch{}, err
+	}
+	chunks := make([][]byte, len(proof.Indices))
+	for k, c := range proof.Indices {
+		chunks[k] = e.Shards[c]
+	}
+	return ChunkBatch{
+		Entry:   id,
+		Root:    e.Tree.Root(),
+		Total:   e.Plan.Total,
+		Data:    e.Plan.Data,
+		DataLen: e.DataLen,
+		Indices: proof.Indices,
+		Proof:   proof,
+		Chunks:  chunks,
+		Cert:    cert,
+	}, nil
 }
 
 // Rebuilt is a successfully rebuilt and certificate-validated entry.
@@ -139,8 +167,8 @@ type Rebuilt struct {
 	Cert  *keys.Certificate
 }
 
-// Collector errors (returned from AddChunk for observability; callers
-// typically just drop the chunk).
+// Collector errors (returned from AddBatch for observability; callers
+// typically just drop the batch).
 var (
 	ErrBadProof      = errors.New("replication: chunk Merkle proof invalid")
 	ErrBannedChunk   = errors.New("replication: chunk ID banned after failed rebuild")
@@ -314,66 +342,82 @@ func NewCollector(reg *keys.Registry, planFor func(senderGroup int) *plan.Plan, 
 	}
 }
 
-// AddChunk ingests one chunk. It returns (forward, err): forward is true when
-// the chunk was fresh and valid, meaning a node that received it over WAN
-// should re-broadcast it to its LAN peers (§IV-B "exchange their received
-// chunks").
-func (c *Collector) AddChunk(m *ChunkMsg) (bool, error) {
-	p := c.planFor(m.Entry.GID)
+// AddBatch ingests a chunk batch: one multiproof verification covers all
+// chunks, then each chunk joins its bucket. It returns (forward, err): forward
+// is true when the batch was valid and brought a fresh chunk, meaning a node
+// that received it over WAN should re-broadcast it to its LAN peers (§IV-B
+// "exchange their received chunks"). A batch that brought nothing is
+// ErrBannedChunk when every index is banned, ErrDuplicate otherwise.
+func (c *Collector) AddBatch(b *ChunkBatch) (bool, error) {
+	p := c.planFor(b.Entry.GID)
 	if p == nil {
-		c.rejectedChunks++
+		c.rejectedChunks += len(b.Indices)
 		return false, ErrBadGeometry
 	}
-	if m.Total != p.Total || m.Data != p.Data {
-		c.rejectedChunks++
+	if b.Total != p.Total || b.Data != p.Data {
+		c.rejectedChunks += len(b.Indices)
 		return false, ErrWrongPlanSize
 	}
-	if m.Index < 0 || m.Index >= p.Total {
+	if b.Cert == nil {
+		c.rejectedChunks += len(b.Indices)
+		return false, ErrMissingCert
+	}
+	if len(b.Indices) == 0 || len(b.Indices) != len(b.Chunks) {
 		c.rejectedChunks++
 		return false, ErrBadGeometry
 	}
-	if m.Cert == nil {
-		c.rejectedChunks++
-		return false, ErrMissingCert
+	for _, idx := range b.Indices {
+		if idx < 0 || idx >= p.Total {
+			c.rejectedChunks += len(b.Indices)
+			return false, ErrBadGeometry
+		}
 	}
-	st := c.entries[m.Entry]
+	st := c.entries[b.Entry]
 	if st == nil {
 		st = newEntryState()
-		c.entries[m.Entry] = st
+		c.entries[b.Entry] = st
 	}
 	if st.delivered {
 		return false, ErrDelivered
 	}
-	if st.banned[m.Index] {
-		c.rejectedChunks++
-		return false, ErrBannedChunk
-	}
-	// A chunk must prove membership under its claimed root; garbage that
-	// does not even verify against its own root is dropped immediately.
-	if m.Proof.Index != m.Index || !merkle.Verify(m.Root, m.Total, m.Proof, m.Chunk) {
-		c.rejectedChunks++
+	// The chunks must prove membership under the claimed root at the very
+	// indices they will be bucketed under; garbage that does not even verify
+	// against its own root is dropped immediately.
+	if !slices.Equal(b.Indices, b.Proof.Indices) || !merkle.VerifyMulti(b.Root, b.Total, b.Proof, b.Chunks) {
+		c.rejectedChunks += len(b.Indices)
 		return false, ErrBadProof
 	}
-	bk := bucketKey{root: m.Root, dataLen: m.DataLen}
+	bk := bucketKey{root: b.Root, dataLen: b.DataLen}
 	bucket := st.buckets[bk]
 	if bucket == nil {
 		bucket = make(map[int][]byte)
 		st.buckets[bk] = bucket
 	}
-	newCert := st.addCandidateCert(bk, m.Cert)
-	if _, dup := bucket[m.Index]; dup {
-		// The chunk is stale but its certificate may be the one a
-		// cert-stalled full bucket has been waiting for.
-		if newCert && len(bucket) >= p.Data {
-			c.tryRebuild(m.Entry, st, bk, p, m.Cert)
+	newCert := st.addCandidateCert(bk, b.Cert)
+	fresh, banned := false, 0
+	for k, idx := range b.Indices {
+		if st.banned[idx] {
+			c.rejectedChunks++
+			banned++
+			continue
 		}
+		if _, dup := bucket[idx]; dup {
+			continue
+		}
+		bucket[idx] = b.Chunks[k]
+		fresh = true
+	}
+	if (fresh || newCert) && len(bucket) >= p.Data && !st.delivered {
+		c.tryRebuild(b.Entry, st, bk, p, b.Cert)
+	}
+	switch {
+	case fresh:
+		return true, nil
+	case banned == len(b.Indices):
+		return false, ErrBannedChunk
+	default:
 		return false, ErrDuplicate
 	}
-	bucket[m.Index] = m.Chunk
-	if len(bucket) >= p.Data {
-		c.tryRebuild(m.Entry, st, bk, p, m.Cert)
-	}
-	return true, nil
 }
 
 // tryRebuild attempts to decode the bucket and deliver the entry. The decode
@@ -632,162 +676,6 @@ func ValidateEntryMsg(reg *keys.Registry, m *EntryMsg) error {
 	return reg.VerifyCertificate(m.Cert)
 }
 
-// BijectiveSenders returns the sender/receiver pairing of the plain
-// bijective approach (§IV-A): f1+f2+1 nodes of the sender group each send a
-// complete copy to a distinct node of the receiver group. It returns pairs
-// (senderIndex, receiverIndex). When the receiver group is smaller than
-// f1+f2+1 the pairing wraps around receiver indices.
-func BijectiveSenders(n1, n2 int) [][2]int {
-	k := plan.Faulty(n1) + plan.Faulty(n2) + 1
-	if k > n1 {
-		k = n1
-	}
-	pairs := make([][2]int, 0, k)
-	for i := 0; i < k; i++ {
-		pairs = append(pairs, [2]int{i, i % n2})
-	}
-	return pairs
-}
-
 // SignatureWire is the wire size of one signature with signer ID, used for
 // traffic accounting of accept/commit messages.
 const SignatureWire = ed25519.SignatureSize + 8
-
-// ChunkBatch carries every chunk one sender ships to one receiver for one
-// entry, authenticated by a single compact Merkle multiproof ([42]); cheaper
-// on the wire and in messages than len(Indices) separate ChunkMsgs.
-type ChunkBatch struct {
-	Entry   types.EntryID
-	Root    merkle.Root
-	Total   int
-	Data    int
-	DataLen int
-	// Indices are the chunk IDs, strictly increasing; Chunks is parallel.
-	Indices []int
-	Proof   merkle.MultiProof
-	Chunks  [][]byte
-	Cert    *keys.Certificate
-}
-
-// WireSize returns the serialized size in bytes.
-func (b *ChunkBatch) WireSize() int {
-	n := 12 + merkle.HashSize + 4 + 4 + 4
-	n += b.Proof.WireSize()
-	for _, c := range b.Chunks {
-		n += 4 + 4 + len(c)
-	}
-	if b.Cert != nil {
-		n += b.Cert.Size()
-	}
-	return n
-}
-
-// Batches builds the per-receiver ChunkBatch messages sender node i must
-// transmit; the second return value holds the receiver index of each batch.
-func (e *Encoded) Batches(senderIndex int, id types.EntryID, cert *keys.Certificate) ([]ChunkBatch, []int, error) {
-	transfers := e.Plan.SenderTransfers(senderIndex)
-	if transfers == nil {
-		return nil, nil, fmt.Errorf("replication: sender index %d out of range", senderIndex)
-	}
-	byReceiver := make(map[int][]int)
-	order := make([]int, 0, 4)
-	for _, tr := range transfers {
-		if _, ok := byReceiver[tr.Receiver]; !ok {
-			order = append(order, tr.Receiver)
-		}
-		byReceiver[tr.Receiver] = append(byReceiver[tr.Receiver], tr.Chunk)
-	}
-	batches := make([]ChunkBatch, 0, len(order))
-	receivers := make([]int, 0, len(order))
-	for _, recv := range order {
-		idx := byReceiver[recv]
-		proof, err := e.Tree.ProveMulti(idx)
-		if err != nil {
-			return nil, nil, err
-		}
-		chunks := make([][]byte, len(proof.Indices))
-		for k, c := range proof.Indices {
-			chunks[k] = e.Shards[c]
-		}
-		batches = append(batches, ChunkBatch{
-			Entry:   id,
-			Root:    e.Tree.Root(),
-			Total:   e.Plan.Total,
-			Data:    e.Plan.Data,
-			DataLen: e.DataLen,
-			Indices: proof.Indices,
-			Proof:   proof,
-			Chunks:  chunks,
-			Cert:    cert,
-		})
-		receivers = append(receivers, recv)
-	}
-	return batches, receivers, nil
-}
-
-// AddBatch ingests a chunk batch: one multiproof verification covers all
-// chunks, then each chunk joins its bucket as usual. It returns whether the
-// batch was fresh and valid (the caller re-broadcasts it over LAN).
-func (c *Collector) AddBatch(b *ChunkBatch) (bool, error) {
-	p := c.planFor(b.Entry.GID)
-	if p == nil {
-		c.rejectedChunks += len(b.Indices)
-		return false, ErrBadGeometry
-	}
-	if b.Total != p.Total || b.Data != p.Data {
-		c.rejectedChunks += len(b.Indices)
-		return false, ErrWrongPlanSize
-	}
-	if b.Cert == nil {
-		c.rejectedChunks += len(b.Indices)
-		return false, ErrMissingCert
-	}
-	if len(b.Indices) == 0 || len(b.Indices) != len(b.Chunks) {
-		c.rejectedChunks++
-		return false, ErrBadGeometry
-	}
-	for _, idx := range b.Indices {
-		if idx < 0 || idx >= p.Total {
-			c.rejectedChunks += len(b.Indices)
-			return false, ErrBadGeometry
-		}
-	}
-	st := c.entries[b.Entry]
-	if st == nil {
-		st = newEntryState()
-		c.entries[b.Entry] = st
-	}
-	if st.delivered {
-		return false, ErrDelivered
-	}
-	if !merkle.VerifyMulti(b.Root, b.Total, b.Proof, b.Chunks) {
-		c.rejectedChunks += len(b.Indices)
-		return false, ErrBadProof
-	}
-	bk := bucketKey{root: b.Root, dataLen: b.DataLen}
-	bucket := st.buckets[bk]
-	if bucket == nil {
-		bucket = make(map[int][]byte)
-		st.buckets[bk] = bucket
-	}
-	newCert := st.addCandidateCert(bk, b.Cert)
-	fresh := false
-	for k, idx := range b.Indices {
-		if st.banned[idx] {
-			c.rejectedChunks++
-			continue
-		}
-		if _, dup := bucket[idx]; dup {
-			continue
-		}
-		bucket[idx] = b.Chunks[k]
-		fresh = true
-	}
-	if (fresh || newCert) && len(bucket) >= p.Data && !st.delivered {
-		c.tryRebuild(b.Entry, st, bk, p, b.Cert)
-	}
-	if !fresh {
-		return false, ErrDuplicate
-	}
-	return true, nil
-}

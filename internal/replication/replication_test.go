@@ -60,6 +60,22 @@ func collectorFor(f *fixture, got *[]Rebuilt) *Collector {
 		func(sg int, r Rebuilt) { *got = append(*got, r) })
 }
 
+// singles cuts a sender's Algorithm-1 assignment under enc into one-index
+// batches, in plan order: the single-chunk case of the one chunk form, each
+// multiproof the chunk's plain sibling path.
+func (f *fixture) singles(t *testing.T, enc *Encoded, sender int, cert *keys.Certificate) []ChunkBatch {
+	t.Helper()
+	var out []ChunkBatch
+	for _, tr := range enc.Plan.SenderTransfers(sender) {
+		b, err := enc.Batch([]int{tr.Chunk}, f.entry.ID, cert)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out = append(out, b)
+	}
+	return out
+}
+
 func TestEncodeDeterministicAcrossNodes(t *testing.T) {
 	f := newFixture(t, 4, 7, 20)
 	enc2, err := Encode(f.entry.Encode(), f.plan)
@@ -71,46 +87,14 @@ func TestEncodeDeterministicAcrossNodes(t *testing.T) {
 	}
 }
 
-func TestMessagesCoverAssignedTransfers(t *testing.T) {
-	f := newFixture(t, 4, 7, 20)
-	seen := make(map[int]bool)
-	for i := 0; i < 4; i++ {
-		msgs, recvs, err := f.encoded.Messages(i, f.entry.ID, f.cert)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(msgs) != f.plan.PerSender || len(recvs) != len(msgs) {
-			t.Fatalf("sender %d: %d msgs", i, len(msgs))
-		}
-		for k, m := range msgs {
-			if seen[m.Index] {
-				t.Fatalf("chunk %d sent twice", m.Index)
-			}
-			seen[m.Index] = true
-			if want := f.plan.Transfers[m.Index].Receiver; recvs[k] != want {
-				t.Fatalf("chunk %d routed to %d, want %d", m.Index, recvs[k], want)
-			}
-			if m.WireSize() <= len(m.Chunk) {
-				t.Fatal("wire size must exceed raw chunk size")
-			}
-		}
-	}
-	if len(seen) != f.plan.Total {
-		t.Fatalf("covered %d chunks, want %d", len(seen), f.plan.Total)
-	}
-	if _, _, err := f.encoded.Messages(4, f.entry.ID, f.cert); err == nil {
-		t.Fatal("out-of-range sender accepted")
-	}
-}
-
 func TestRebuildHappyPathAllChunks(t *testing.T) {
 	f := newFixture(t, 4, 7, 20)
 	var got []Rebuilt
 	c := collectorFor(f, &got)
 	for i := 0; i < 4; i++ {
-		msgs, _, _ := f.encoded.Messages(i, f.entry.ID, f.cert)
+		msgs := f.singles(t, f.encoded, i, f.cert)
 		for k := range msgs {
-			if _, err := c.AddChunk(&msgs[k]); err != nil && err != ErrDelivered {
+			if _, err := c.AddBatch(&msgs[k]); err != nil && err != ErrDelivered {
 				t.Fatal(err)
 			}
 		}
@@ -130,16 +114,16 @@ func TestRebuildFromExactlyDataChunks(t *testing.T) {
 	f := newFixture(t, 4, 7, 20)
 	var got []Rebuilt
 	c := collectorFor(f, &got)
-	var all []ChunkMsg
+	var all []ChunkBatch
 	for i := 0; i < 4; i++ {
-		msgs, _, _ := f.encoded.Messages(i, f.entry.ID, f.cert)
+		msgs := f.singles(t, f.encoded, i, f.cert)
 		all = append(all, msgs...)
 	}
 	// Worst case: only n_data arbitrary chunks survive.
 	rng := rand.New(rand.NewSource(3))
 	rng.Shuffle(len(all), func(i, j int) { all[i], all[j] = all[j], all[i] })
 	for k := 0; k < f.plan.Data; k++ {
-		if _, err := c.AddChunk(&all[k]); err != nil {
+		if _, err := c.AddBatch(&all[k]); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -152,9 +136,9 @@ func TestNoRebuildBelowDataThreshold(t *testing.T) {
 	f := newFixture(t, 4, 7, 20)
 	var got []Rebuilt
 	c := collectorFor(f, &got)
-	msgs, _, _ := f.encoded.Messages(0, f.entry.ID, f.cert)
+	msgs := f.singles(t, f.encoded, 0, f.cert)
 	for k := range msgs { // only 7 chunks < 13 needed
-		if _, err := c.AddChunk(&msgs[k]); err != nil {
+		if _, err := c.AddBatch(&msgs[k]); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -182,12 +166,12 @@ func TestTamperedChunksGoToSeparateBucketAndEntryStillRebuilds(t *testing.T) {
 	// attacker replays it) to trigger a rebuild attempt.
 	evilFed := 0
 	for i := 0; i < 4 && evilFed < f.plan.Data; i++ {
-		msgs, _, _ := evilEnc.Messages(i, f.entry.ID, f.cert)
+		msgs := f.singles(t, evilEnc, i, f.cert)
 		for k := range msgs {
 			if evilFed >= f.plan.Data {
 				break
 			}
-			if _, err := c.AddChunk(&msgs[k]); err != nil {
+			if _, err := c.AddBatch(&msgs[k]); err != nil {
 				t.Fatal(err)
 			}
 			evilFed++
@@ -205,9 +189,9 @@ func TestTamperedChunksGoToSeparateBucketAndEntryStillRebuilds(t *testing.T) {
 	// with *unbanned* IDs. Here all 28 honest chunks arrive; at least
 	// 28-13 = 15 >= 13 unbanned remain.
 	for i := 0; i < 4; i++ {
-		msgs, _, _ := f.encoded.Messages(i, f.entry.ID, f.cert)
+		msgs := f.singles(t, f.encoded, i, f.cert)
 		for k := range msgs {
-			c.AddChunk(&msgs[k]) // banned/duplicate errors are expected
+			c.AddBatch(&msgs[k]) // banned/duplicate errors are expected
 		}
 	}
 	if len(got) != 1 {
@@ -219,11 +203,11 @@ func TestGarbageChunkRejected(t *testing.T) {
 	f := newFixture(t, 4, 7, 20)
 	var got []Rebuilt
 	c := collectorFor(f, &got)
-	msgs, _, _ := f.encoded.Messages(0, f.entry.ID, f.cert)
+	msgs := f.singles(t, f.encoded, 0, f.cert)
 	bad := msgs[0]
-	bad.Chunk = append([]byte(nil), bad.Chunk...)
-	bad.Chunk[0] ^= 1 // proof no longer matches
-	if _, err := c.AddChunk(&bad); err != ErrBadProof {
+	bad.Chunks = [][]byte{append([]byte(nil), bad.Chunks[0]...)}
+	bad.Chunks[0][0] ^= 1 // proof no longer matches
+	if _, err := c.AddBatch(&bad); err != ErrBadProof {
 		t.Fatalf("got %v, want ErrBadProof", err)
 	}
 	_, _, rejected := c.Stats()
@@ -236,26 +220,26 @@ func TestWrongGeometryRejected(t *testing.T) {
 	f := newFixture(t, 4, 7, 20)
 	var got []Rebuilt
 	c := collectorFor(f, &got)
-	msgs, _, _ := f.encoded.Messages(0, f.entry.ID, f.cert)
+	msgs := f.singles(t, f.encoded, 0, f.cert)
 
 	m := msgs[0]
 	m.Total = 99
-	if _, err := c.AddChunk(&m); err != ErrWrongPlanSize {
+	if _, err := c.AddBatch(&m); err != ErrWrongPlanSize {
 		t.Fatalf("got %v, want ErrWrongPlanSize", err)
 	}
 	m = msgs[0]
-	m.Index = -1
-	if _, err := c.AddChunk(&m); err != ErrBadGeometry {
+	m.Indices = []int{-1}
+	if _, err := c.AddBatch(&m); err != ErrBadGeometry {
 		t.Fatalf("got %v, want ErrBadGeometry", err)
 	}
 	m = msgs[0]
 	m.Cert = nil
-	if _, err := c.AddChunk(&m); err != ErrMissingCert {
+	if _, err := c.AddBatch(&m); err != ErrMissingCert {
 		t.Fatalf("got %v, want ErrMissingCert", err)
 	}
 	m = msgs[0]
 	m.Entry.GID = 1 // no plan for sender group 1 in this fixture
-	if _, err := c.AddChunk(&m); err != ErrBadGeometry {
+	if _, err := c.AddBatch(&m); err != ErrBadGeometry {
 		t.Fatalf("got %v, want ErrBadGeometry", err)
 	}
 }
@@ -264,11 +248,11 @@ func TestDuplicateChunk(t *testing.T) {
 	f := newFixture(t, 4, 7, 20)
 	var got []Rebuilt
 	c := collectorFor(f, &got)
-	msgs, _, _ := f.encoded.Messages(0, f.entry.ID, f.cert)
-	if _, err := c.AddChunk(&msgs[0]); err != nil {
+	msgs := f.singles(t, f.encoded, 0, f.cert)
+	if _, err := c.AddBatch(&msgs[0]); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.AddChunk(&msgs[0]); err != ErrDuplicate {
+	if _, err := c.AddBatch(&msgs[0]); err != ErrDuplicate {
 		t.Fatalf("got %v, want ErrDuplicate", err)
 	}
 }
@@ -277,14 +261,14 @@ func TestForgetDropsState(t *testing.T) {
 	f := newFixture(t, 4, 7, 20)
 	var got []Rebuilt
 	c := collectorFor(f, &got)
-	msgs, _, _ := f.encoded.Messages(0, f.entry.ID, f.cert)
-	c.AddChunk(&msgs[0])
+	msgs := f.singles(t, f.encoded, 0, f.cert)
+	c.AddBatch(&msgs[0])
 	c.Forget(f.entry.ID)
 	if c.Delivered(f.entry.ID) {
 		t.Fatal("Delivered true after Forget")
 	}
 	// Chunk can be re-added fresh.
-	if fwd, err := c.AddChunk(&msgs[0]); err != nil || !fwd {
+	if fwd, err := c.AddBatch(&msgs[0]); err != nil || !fwd {
 		t.Fatalf("re-add after Forget: fwd=%v err=%v", fwd, err)
 	}
 }
@@ -302,12 +286,12 @@ func TestForgedCertificateRejectedAtRebuild(t *testing.T) {
 	}
 	var fed int
 	for i := 0; i < 4 && fed < f.plan.Data; i++ {
-		msgs, _, _ := f.encoded.Messages(i, f.entry.ID, badCert)
+		msgs := f.singles(t, f.encoded, i, badCert)
 		for k := range msgs {
 			if fed >= f.plan.Data {
 				break
 			}
-			c.AddChunk(&msgs[k])
+			c.AddBatch(&msgs[k])
 			fed++
 		}
 	}
@@ -321,9 +305,9 @@ func TestEqualGroupSizes7(t *testing.T) {
 	var got []Rebuilt
 	c := collectorFor(f, &got)
 	for i := 0; i < 7; i++ {
-		msgs, _, _ := f.encoded.Messages(i, f.entry.ID, f.cert)
+		msgs := f.singles(t, f.encoded, i, f.cert)
 		for k := range msgs {
-			if _, err := c.AddChunk(&msgs[k]); err != nil && err != ErrDelivered {
+			if _, err := c.AddBatch(&msgs[k]); err != nil && err != ErrDelivered {
 				t.Fatal(err)
 			}
 		}
@@ -357,29 +341,6 @@ func TestValidateEntryMsg(t *testing.T) {
 	}
 }
 
-func TestBijectiveSenders(t *testing.T) {
-	// 4→7 per Fig 5a: f1+f2+1 = 1+2+1 = 4 senders.
-	pairs := BijectiveSenders(4, 7)
-	if len(pairs) != 4 {
-		t.Fatalf("got %d pairs, want 4", len(pairs))
-	}
-	seenRecv := make(map[int]bool)
-	for _, pr := range pairs {
-		if pr[0] < 0 || pr[0] >= 4 || pr[1] < 0 || pr[1] >= 7 {
-			t.Fatalf("bad pair %v", pr)
-		}
-		if seenRecv[pr[1]] {
-			t.Fatal("receiver reused while distinct receivers available")
-		}
-		seenRecv[pr[1]] = true
-	}
-	// 7→4: f1+f2+1 = 2+1+1 = 4 senders wrap over 4 receivers.
-	pairs = BijectiveSenders(7, 4)
-	if len(pairs) != 4 {
-		t.Fatalf("got %d pairs, want 4", len(pairs))
-	}
-}
-
 func BenchmarkEncodeEntry40KB(b *testing.B) {
 	p, _ := plan.New(7, 7)
 	data := make([]byte, 40*1024)
@@ -409,6 +370,7 @@ func TestBatchesCoverTransfersAndRebuild(t *testing.T) {
 		for k := range batches {
 			b := &batches[k]
 			// A sender's batch to one receiver matches the plan rows.
+			raw := 0
 			for j, idx := range b.Indices {
 				tr := f.plan.Transfers[idx]
 				if tr.Sender != i || tr.Receiver != recvs[k] {
@@ -418,7 +380,10 @@ func TestBatchesCoverTransfersAndRebuild(t *testing.T) {
 					t.Fatalf("chunk %d in two batches", idx)
 				}
 				seen[idx] = true
-				_ = j
+				raw += len(b.Chunks[j])
+			}
+			if b.WireSize() <= raw {
+				t.Fatal("wire size must exceed raw chunk size")
 			}
 			if _, err := c.AddBatch(b); err != nil && err != ErrDelivered {
 				t.Fatal(err)
@@ -428,27 +393,11 @@ func TestBatchesCoverTransfersAndRebuild(t *testing.T) {
 	if len(seen) != f.plan.Total {
 		t.Fatalf("batches covered %d chunks, want %d", len(seen), f.plan.Total)
 	}
+	if _, _, err := f.encoded.Batches(4, f.entry.ID, f.cert); err == nil {
+		t.Fatal("out-of-range sender accepted")
+	}
 	if len(got) != 1 || got[0].Entry.Digest() != f.entry.Digest() {
 		t.Fatalf("rebuild via batches failed: %d delivered", len(got))
-	}
-}
-
-func TestBatchesCheaperThanSingles(t *testing.T) {
-	f := newFixture(t, 7, 4, 50) // 4 chunks per receiver: real batching
-	batches, _, err := f.encoded.Batches(0, f.entry.ID, f.cert)
-	if err != nil {
-		t.Fatal(err)
-	}
-	msgs, _, _ := f.encoded.Messages(0, f.entry.ID, f.cert)
-	var batchBytes, singleBytes int
-	for k := range batches {
-		batchBytes += batches[k].WireSize()
-	}
-	for k := range msgs {
-		singleBytes += msgs[k].WireSize()
-	}
-	if batchBytes >= singleBytes {
-		t.Fatalf("batches %d B not cheaper than singles %d B", batchBytes, singleBytes)
 	}
 }
 
@@ -479,6 +428,14 @@ func TestAddBatchRejectsTampering(t *testing.T) {
 	if _, err := c.AddBatch(&bad); err != ErrBadGeometry {
 		t.Fatalf("got %v, want ErrBadGeometry", err)
 	}
+	// Honest chunks and a proof that verifies, bucketed under other indices
+	// than the proof speaks for: they would poison the honest root's bucket.
+	bad = good
+	bad.Indices = append([]int(nil), good.Indices...)
+	bad.Indices[len(bad.Indices)-1]++
+	if _, err := c.AddBatch(&bad); err != ErrBadProof {
+		t.Fatalf("indices disagreeing with the proof: got %v, want ErrBadProof", err)
+	}
 	if _, err := c.AddBatch(&good); err != nil {
 		t.Fatalf("honest batch rejected after attacks: %v", err)
 	}
@@ -496,16 +453,13 @@ func TestTriggeringChunkWithMangledCertDoesNotBanHonestBucket(t *testing.T) {
 	var got []Rebuilt
 	c := collectorFor(f, &got)
 
-	var msgs []ChunkMsg
+	var msgs []ChunkBatch
 	for i := 0; i < 4; i++ {
-		ms, _, err := f.encoded.Messages(i, f.entry.ID, f.cert)
-		if err != nil {
-			t.Fatal(err)
-		}
+		ms := f.singles(t, f.encoded, i, f.cert)
 		msgs = append(msgs, ms...)
 	}
 	for k := 0; k < f.plan.Data-1; k++ {
-		if _, err := c.AddChunk(&msgs[k]); err != nil {
+		if _, err := c.AddBatch(&msgs[k]); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -516,7 +470,7 @@ func TestTriggeringChunkWithMangledCertDoesNotBanHonestBucket(t *testing.T) {
 	mangled.Sigs[0].Sig[0] ^= 0xff
 	trigger := msgs[f.plan.Data-1]
 	trigger.Cert = &mangled
-	if _, err := c.AddChunk(&trigger); err != nil {
+	if _, err := c.AddBatch(&trigger); err != nil {
 		t.Fatal(err)
 	}
 
@@ -553,16 +507,13 @@ func TestMangledCertOnlyBucketDeliversOnceValidCertArrives(t *testing.T) {
 	mangled.Sigs[0].Sig = append([]byte(nil), f.cert.Sigs[0].Sig...)
 	mangled.Sigs[0].Sig[0] ^= 0xff
 
-	var msgs []ChunkMsg
+	var msgs []ChunkBatch
 	for i := 0; i < 4; i++ {
-		ms, _, err := f.encoded.Messages(i, f.entry.ID, &mangled)
-		if err != nil {
-			t.Fatal(err)
-		}
+		ms := f.singles(t, f.encoded, i, &mangled)
 		msgs = append(msgs, ms...)
 	}
 	for k := 0; k < f.plan.Data; k++ {
-		if _, err := c.AddChunk(&msgs[k]); err != nil {
+		if _, err := c.AddBatch(&msgs[k]); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -576,7 +527,7 @@ func TestMangledCertOnlyBucketDeliversOnceValidCertArrives(t *testing.T) {
 
 	honest := msgs[0]
 	honest.Cert = f.cert
-	if _, err := c.AddChunk(&honest); err != ErrDuplicate {
+	if _, err := c.AddBatch(&honest); err != ErrDuplicate {
 		t.Fatalf("got %v, want ErrDuplicate", err)
 	}
 	if len(got) != 1 {
@@ -597,23 +548,20 @@ func TestDataLenDisagreementBucketsSeparately(t *testing.T) {
 	var got []Rebuilt
 	c := collectorFor(f, &got)
 
-	var msgs []ChunkMsg
+	var msgs []ChunkBatch
 	for i := 0; i < 4; i++ {
-		ms, _, err := f.encoded.Messages(i, f.entry.ID, f.cert)
-		if err != nil {
-			t.Fatal(err)
-		}
+		ms := f.singles(t, f.encoded, i, f.cert)
 		msgs = append(msgs, ms...)
 	}
 
 	// Byzantine copy arrives first and would fix the bucket's DataLen.
 	liar := msgs[0]
 	liar.DataLen = msgs[0].DataLen - 7
-	if _, err := c.AddChunk(&liar); err != nil {
+	if _, err := c.AddBatch(&liar); err != nil {
 		t.Fatal(err)
 	}
 	for k := 0; k < f.plan.Data; k++ {
-		if _, err := c.AddChunk(&msgs[k]); err != nil {
+		if _, err := c.AddBatch(&msgs[k]); err != nil {
 			t.Fatal(err)
 		}
 	}

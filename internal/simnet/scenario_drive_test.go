@@ -12,24 +12,6 @@ import (
 // schedule or a flash crowd onto a run does not perturb its base latency
 // stream.
 
-// scenarioRNG is a splitmix64 stream for scenario-level choices.
-type scenarioRNG struct{ s uint64 }
-
-func newScenarioRNG(seed int64) *scenarioRNG {
-	return &scenarioRNG{s: uint64(seed) ^ 0x9e3779b97f4a7c15}
-}
-
-func (r *scenarioRNG) next() uint64 {
-	r.s += 0x9e3779b97f4a7c15
-	z := r.s
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return z ^ (z >> 31)
-}
-
-// intn returns a value in [0, n).
-func (r *scenarioRNG) intn(n int) int { return int(r.next() % uint64(n)) }
-
 // durn returns a duration in [0, d).
 func (r *scenarioRNG) durn(d Time) Time {
 	if d <= 0 {

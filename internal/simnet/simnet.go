@@ -96,10 +96,6 @@ type iface struct {
 	bytes     int64   // total bytes through this interface
 }
 
-func (f *iface) transmit(now Time, size int) (done Time) {
-	return f.transmitLane(now, size, false)
-}
-
 func (f *iface) transmitLane(now Time, size int, priority bool) (done Time) {
 	tx := Time(float64(size) / f.bandwidth * float64(time.Second))
 	f.bytes += int64(size)
@@ -139,9 +135,6 @@ type Node struct {
 	// outbound, when non-nil, may tamper with or drop (return false)
 	// outgoing messages; used to model Byzantine senders.
 	outbound func(msg *Message) bool
-
-	// Stats
-	msgsSent, msgsRecv int64
 }
 
 // ProbeSample describes one delivered message copy for the tracing layer:
@@ -501,7 +494,6 @@ func (n *Node) send(to keys.NodeID, payload any, size int, priority bool) {
 		return
 	}
 	nw := n.nw
-	n.msgsSent++
 	if to == n.ID {
 		// Loopback: deliver after a minimal delay without touching NICs.
 		nw.pushDeliver(nw.now+time.Microsecond, n, msg)
@@ -608,7 +600,6 @@ func (n *Node) deliver(msg Message) {
 	if n.crashed || n.handler == nil {
 		return
 	}
-	n.msgsRecv++
 	n.handler.HandleMessage(n, msg)
 }
 
@@ -633,12 +624,6 @@ func (n *Node) Charge(d Time) {
 
 // Crashed reports whether the node is currently crashed.
 func (n *Node) Crashed() bool { return n.crashed }
-
-// MsgsSent returns the number of messages this node has sent.
-func (n *Node) MsgsSent() int64 { return n.msgsSent }
-
-// MsgsRecv returns the number of messages this node has received.
-func (n *Node) MsgsRecv() int64 { return n.msgsRecv }
 
 // Backlogs returns how far in the future each interface's bulk lane is
 // booked (uplink, downlink, LAN up, LAN down) — queue-depth diagnostics.

@@ -9,21 +9,13 @@ import (
 // Topology is a materialized network geometry: a dense one-way latency
 // matrix between regions (groups) and per-group WAN bandwidth tiers. For
 // paper-sized runs a latency callback is fine; a 50+-region matrix probed
-// on every one of millions of sends wants a flat slice lookup, and a
-// scenario sweep wants to derive dozens of variants (crash a coast, slow a
-// tier, stretch one link) from one giant base config without copying
-// O(regions²) state per variant.
-//
-// Fork gives that: the child shares the parent's backing slices and either
-// side copies a slice only when it first writes it (copy-on-write). A
-// Topology is not safe for concurrent use — like the rest of the emulator
-// it lives on one goroutine.
+// on every one of millions of sends wants a flat slice lookup. A Topology is
+// not safe for concurrent use — like the rest of the emulator it lives on
+// one goroutine.
 type Topology struct {
 	regions int
 	lat     []Time    // regions×regions one-way latency, row-major
 	groupBW []float64 // per-group per-node WAN bandwidth (bytes/s); 0 = network default
-
-	latShared, bwShared bool
 }
 
 // NewTopology creates a topology with every inter-region latency set to
@@ -47,18 +39,6 @@ func NewTopology(regions int) *Topology {
 	return t
 }
 
-// Regions returns the number of regions (groups) the topology describes.
-func (t *Topology) Regions() int { return t.regions }
-
-// Fork returns a scenario variant sharing this topology's backing arrays.
-// Writes on either side copy the written matrix first, so forking a
-// 10k-node geometry is O(1) until a variant actually diverges.
-func (t *Topology) Fork() *Topology {
-	t.latShared, t.bwShared = true, true
-	cp := *t
-	return &cp
-}
-
 // Latency returns the one-way latency from region i to region j. Out-of-
 // range regions fall back to the default WAN latency (mirrors the callback
 // models, which return a constant for unknown pairs).
@@ -74,18 +54,7 @@ func (t *Topology) SetLatency(i, j int, d Time) {
 	if i < 0 || j < 0 || i >= t.regions || j >= t.regions {
 		panic(fmt.Sprintf("simnet: SetLatency(%d,%d) outside %d regions", i, j, t.regions))
 	}
-	if t.latShared {
-		t.lat = append([]Time(nil), t.lat...)
-		t.latShared = false
-	}
 	t.lat[i*t.regions+j] = d
-}
-
-// SetLinkRTT sets a symmetric link: one-way latency rtt/2 in both
-// directions.
-func (t *Topology) SetLinkRTT(i, j int, rtt Time) {
-	t.SetLatency(i, j, rtt/2)
-	t.SetLatency(j, i, rtt/2)
 }
 
 // GroupBandwidth returns the per-node WAN bandwidth of group g in bytes/s;
@@ -102,10 +71,6 @@ func (t *Topology) GroupBandwidth(g int) float64 {
 func (t *Topology) SetGroupBandwidth(g int, bytesPerSec float64) {
 	if g < 0 || g >= t.regions {
 		panic(fmt.Sprintf("simnet: SetGroupBandwidth(%d) outside %d regions", g, t.regions))
-	}
-	if t.bwShared {
-		t.groupBW = append([]float64(nil), t.groupBW...)
-		t.bwShared = false
 	}
 	t.groupBW[g] = bytesPerSec
 }

@@ -9,10 +9,7 @@
 //   - the real TCP backend (internal/transport/tcp) — per-peer supervised
 //     connections with reconnect/backoff, bounded queues, heartbeats, and a
 //     length-framed, checksummed wire format — used by cmd/massbft-node to
-//     run a cluster as N OS processes;
-//   - the FaultInjector wrapper (fault.go), which applies seeded
-//     drop/delay/corrupt faults to any inner Network so the chaos philosophy
-//     of the simnet fault layer carries over to the real stack.
+//     run a cluster as N OS processes.
 //
 // The seam deliberately mirrors the discrete-event programming model the
 // protocol was built on: each node is single-threaded, all of its message

@@ -10,9 +10,7 @@ import (
 	"massbft/internal/core"
 	"massbft/internal/forensics"
 	"massbft/internal/keys"
-	"massbft/internal/ledger"
 	"massbft/internal/simnet"
-	"massbft/internal/statedb"
 	"massbft/internal/trace"
 )
 
@@ -95,12 +93,6 @@ type Config struct {
 	Custom CustomWorkload
 	// Seed drives all randomness; equal seeds give bit-identical runs.
 	Seed int64
-	// Transport selects the message fabric. NewCluster runs on the
-	// deterministic in-process emulator (TransportSim, the default — the
-	// only fabric where Run's virtual time is meaningful). To run over
-	// real sockets (TransportTCP), deploy one process per node with
-	// StartNode or cmd/massbft-node instead.
-	Transport TransportKind
 
 	// Latency is the WAN latency model (default Nationwide). WANBandwidth
 	// and LANBandwidth are per-node bytes/second.
@@ -171,13 +163,12 @@ type Config struct {
 	RejoinTimeout time.Duration
 
 	// Fault injection (deterministic, seeded from Seed): per-message WAN
-	// and LAN drop/duplicate probabilities plus extra latency jitter,
-	// applied by the network fault layer. All zero disables the layer
-	// entirely, keeping fault-free runs bit-identical across versions.
+	// and LAN drop and WAN duplicate probabilities plus extra latency
+	// jitter, applied by the network fault layer. All zero disables the
+	// layer entirely, keeping fault-free runs bit-identical across versions.
 	WANDropRate float64
 	WANDupRate  float64
 	LANDropRate float64
-	LANDupRate  float64
 	FaultJitter float64
 
 	// StandbyGroups marks the highest-numbered groups of Groups as
@@ -212,15 +203,11 @@ type Cluster struct {
 	traceErr  error
 }
 
-// NewCluster validates cfg and wires the deployment.
+// NewCluster validates cfg and wires the deployment on the deterministic
+// in-process emulator, the only fabric where Run's virtual time is
+// meaningful. To run over real sockets, deploy one process per node with
+// StartNode or cmd/massbft-node instead.
 func NewCluster(cfg Config) (*Cluster, error) {
-	switch cfg.Transport {
-	case "", TransportSim:
-	case TransportTCP:
-		return nil, fmt.Errorf("massbft: TransportTCP runs one process per node — use StartNode (or cmd/massbft-node), not NewCluster")
-	default:
-		return nil, fmt.Errorf("massbft: unknown transport %q", cfg.Transport)
-	}
 	opts, err := cfg.Protocol.options(cfg.EpochLength)
 	if err != nil {
 		return nil, err
@@ -272,7 +259,6 @@ func NewCluster(cfg Config) (*Cluster, error) {
 		WANDropRate:        cfg.WANDropRate,
 		WANDupRate:         cfg.WANDupRate,
 		LANDropRate:        cfg.LANDropRate,
-		LANDupRate:         cfg.LANDupRate,
 		FaultJitter:        cfg.FaultJitter,
 		TraceEnabled:       cfg.TracePath != "",
 	}
@@ -375,12 +361,14 @@ func (c *Cluster) Reconfigure(at time.Duration, op byte, group int) {
 // counter (number of certified reconfigurations applied) and the sorted
 // member groups of the current epoch.
 func (c *Cluster) Epoch() (uint64, []int) {
-	if n, ok := c.inner.Nodes[c.inner.Cfg.Observer].(interface {
-		EpochInfo() (uint64, []int)
-	}); ok {
-		return n.EpochInfo()
-	}
-	return 0, nil
+	obs := c.inner.Cfg.Observer
+	return c.node(obs.Group, obs.Index).EpochInfo()
+}
+
+// node returns the protocol node at a position, nil outside Config.Groups.
+func (c *Cluster) node(group, index int) *core.Node {
+	n, _ := c.inner.Nodes[keys.NodeID{Group: group, Index: index}].(*core.Node)
+	return n
 }
 
 // CrashNode kills a single node at virtual time `at`.
@@ -443,13 +431,9 @@ type LedgerInfo struct {
 // the hash-chained ledger — to the given writers, e.g. for restart or
 // state transfer to a lagging peer.
 func (c *Cluster) Checkpoint(group, index int, state, chain io.Writer) error {
-	id := keys.NodeID{Group: group, Index: index}
-	n, ok := c.inner.Nodes[id].(interface {
-		DB() *statedb.Store
-		Ledger() *ledger.Ledger
-	})
-	if !ok {
-		return fmt.Errorf("massbft: node %v has no checkpointable state", id)
+	n := c.node(group, index)
+	if n == nil {
+		return fmt.Errorf("massbft: no node at group %d index %d", group, index)
 	}
 	if err := n.DB().Save(state); err != nil {
 		return err
@@ -591,15 +575,12 @@ func convertReport(rep forensics.Report) AgreementReport {
 // Ledger returns one node's ledger head; use it to assert that replicas
 // sealed the same chain of executed entries.
 func (c *Cluster) Ledger(group, index int) LedgerInfo {
-	type ledgered interface {
-		Ledger() *ledger.Ledger
+	n := c.node(group, index)
+	if n == nil {
+		return LedgerInfo{}
 	}
-	n := c.inner.Nodes[keys.NodeID{Group: group, Index: index}]
-	if ln, ok := n.(ledgered); ok {
-		l := ln.Ledger()
-		return LedgerInfo{Height: l.Height(), Head: l.Head()}
-	}
-	return LedgerInfo{}
+	l := n.Ledger()
+	return LedgerInfo{Height: l.Height(), Head: l.Head()}
 }
 
 func (c *Cluster) result() Result {

@@ -20,27 +20,11 @@ import (
 	"massbft/internal/core"
 	"massbft/internal/gateway"
 	"massbft/internal/keys"
-	"massbft/internal/ledger"
 	"massbft/internal/metrics"
 	"massbft/internal/replication"
 	"massbft/internal/statedb"
 	"massbft/internal/transport"
 	"massbft/internal/transport/tcp"
-	"massbft/internal/workload"
-)
-
-// TransportKind selects the message fabric.
-type TransportKind string
-
-const (
-	// TransportSim is the deterministic in-process emulator: virtual time,
-	// bit-identical runs, whole cluster in one process. NewCluster's
-	// default and only option — Run(d) advances virtual time, which has no
-	// meaning over real sockets.
-	TransportSim TransportKind = "sim"
-	// TransportTCP runs over real sockets, one OS process per node; wired
-	// by StartNode / cmd/massbft-node, not NewCluster.
-	TransportTCP TransportKind = "tcp"
 )
 
 // NodeAddr binds one cluster position to a dialable address.
@@ -215,9 +199,6 @@ type NodeConfig struct {
 	// GatewayListen overrides the client gateway listen address (defaults
 	// to the topology's Gateway address for this node).
 	GatewayListen string
-	// Faults, when non-nil, wraps the TCP fabric in the seeded
-	// transport.FaultInjector (chaos testing on real sockets).
-	Faults *transport.FaultConfig
 	// Logf receives transport lifecycle events (nil = silent).
 	Logf func(format string, args ...any)
 }
@@ -226,9 +207,8 @@ type NodeConfig struct {
 type ProcNode struct {
 	id   keys.NodeID
 	tcpn *tcp.Network
-	fab  transport.Network // tcpn, possibly wrapped by a FaultInjector
 	ep   transport.Endpoint
-	node cluster.Node
+	node *core.Node
 	cfg  *cluster.Config
 	col  *metrics.Collector
 	gw   *gateway.Gateway // client front end, nil unless configured
@@ -318,11 +298,14 @@ func StartNode(nc NodeConfig) (*ProcNode, error) {
 	if err != nil {
 		return nil, err
 	}
-	pairs, reg, err := keys.GenerateCluster(topo.Groups, topo.Seed)
+	ids, err := cluster.NewIdentities(&cfg)
 	if err != nil {
 		return nil, err
 	}
-	reg.SetTrustAll(cfg.TrustAll)
+	gen, err := cfg.GroupWorkload(id.Group)
+	if err != nil {
+		return nil, err
+	}
 
 	peers := make(map[keys.NodeID]string, len(topo.Nodes))
 	for _, na := range topo.Nodes {
@@ -343,32 +326,19 @@ func StartNode(nc NodeConfig) (*ProcNode, error) {
 	if err != nil {
 		return nil, err
 	}
-	var fab transport.Network = tcpn
-	if nc.Faults != nil {
-		fc := *nc.Faults
-		if fc.Encode == nil {
-			fc.Encode, fc.Decode = cluster.EncodeEnvelope, cluster.DecodeEnvelope
-		}
-		fab = transport.NewFaultInjector(tcpn, fc)
-	}
 
-	gen, err := workload.New(cfg.Workload, topo.Seed+int64(id.Group)*1000)
-	if err != nil {
-		tcpn.Close()
-		return nil, err
-	}
 	db := statedb.New()
 	gen.Load(db)
 	col := metrics.NewCollector()
 	col.SetWindow(0, 1<<62) // real deployments measure everything
 
-	n := &ProcNode{id: id, tcpn: tcpn, fab: fab, cfg: &cfg, col: col, logf: nc.Logf}
+	n := &ProcNode{id: id, tcpn: tcpn, cfg: &cfg, col: col, logf: nc.Logf}
 	ctx := &cluster.NodeCtx{
 		ID:      id,
-		KP:      pairs[id.Group][id.Index],
+		KP:      ids.Pairs[id.Group][id.Index],
 		Cfg:     &cfg,
-		Reg:     reg,
-		Net:     fab.Endpoint(id),
+		Reg:     ids.Reg,
+		Net:     tcpn.Endpoint(id),
 		Gen:     gen,
 		Engine:  aria.NewEngine(db, gen.Executor()),
 		Metrics: col,
@@ -379,26 +349,18 @@ func StartNode(nc NodeConfig) (*ProcNode, error) {
 		Faults:       &cluster.FaultPlan{ByzantineNodes: make(map[keys.NodeID]bool)},
 	}
 	if cfg.Gateway.Enabled {
-		// Client front end: every process derives the identical client
-		// registry from the shared seed, mirroring node key generation.
-		_, creg, err := keys.GenerateClients(cfg.Gateway.Clients, topo.Seed)
-		if err != nil {
-			tcpn.Close()
-			return nil, err
-		}
-		creg.SetTrustAll(cfg.TrustAll)
 		vp := cfg.Gateway.VerifyParallel
 		if vp == 0 {
 			// Real processes default to the parallel verification pool; only
 			// the deterministic emulator must verify inline.
 			vp = 4
 		}
-		cluster.AttachGateway(ctx, creg, vp, func(fn func()) { n.ep.After(0, fn) })
+		cluster.AttachGateway(ctx, ids.ClientReg, vp, func(fn func()) { n.ep.After(0, fn) })
 	}
 	n.gw = ctx.Gateway
 	n.ep = ctx.Net
-	n.node = core.NewNode(ctx)
-	fab.SetHandler(id, n.node)
+	n.node = core.New(ctx)
+	tcpn.SetHandler(id, n.node)
 	if ctx.Gateway != nil {
 		gwAddr := nc.GatewayListen
 		if gwAddr == "" {
@@ -424,9 +386,7 @@ func StartNode(nc NodeConfig) (*ProcNode, error) {
 	n.ep.After(0, func() {
 		n.node.Start()
 		if nc.Rejoin {
-			if r, ok := n.node.(cluster.Rejoiner); ok {
-				r.Rejoin()
-			}
+			n.node.Rejoin()
 		}
 		close(started)
 	})
@@ -510,10 +470,6 @@ func (n *ProcNode) NoteAgreement(sum AgreementSummary) {
 // Status samples the node's protocol state on its event loop (so the
 // snapshot is internally consistent) plus the transport counters.
 func (n *ProcNode) Status() (NodeStatus, error) {
-	type chained interface {
-		DB() *statedb.Store
-		Ledger() *ledger.Ledger
-	}
 	ch := make(chan NodeStatus, 1)
 	ts := n.tcpn.Stats()
 	n.ep.After(0, func() {
@@ -541,30 +497,26 @@ func (n *ProcNode) Status() (NodeStatus, error) {
 			Counters:  n.col.Counters(),
 			Agreement: n.agreement,
 		}
-		if ei, ok := n.node.(interface{ EpochInfo() (uint64, []int) }); ok {
-			st.Epoch, st.Active = ei.EpochInfo()
+		st.Epoch, st.Active = n.node.EpochInfo()
+		l := n.node.Ledger()
+		st.Height = l.Height()
+		head := l.Head()
+		st.Head = fmt.Sprintf("%x", head[:])
+		state := n.node.DB().Hash()
+		st.State = fmt.Sprintf("%x", state[:])
+		// Last 32 block hashes: enough overlap for prefix-agreement
+		// checks between nodes at slightly different heights.
+		from := uint64(1)
+		if st.Height > 32 {
+			from = st.Height - 31
 		}
-		if cn, ok := n.node.(chained); ok {
-			l := cn.Ledger()
-			st.Height = l.Height()
-			head := l.Head()
-			st.Head = fmt.Sprintf("%x", head[:])
-			state := cn.DB().Hash()
-			st.State = fmt.Sprintf("%x", state[:])
-			// Last 32 block hashes: enough overlap for prefix-agreement
-			// checks between nodes at slightly different heights.
-			from := uint64(1)
-			if st.Height > 32 {
-				from = st.Height - 31
+		for h := from; h <= st.Height; h++ {
+			b := l.Block(h)
+			if b == nil {
+				continue
 			}
-			for h := from; h <= st.Height; h++ {
-				b := l.Block(h)
-				if b == nil {
-					continue
-				}
-				bh := b.Hash()
-				st.Trail = append(st.Trail, TrailPoint{Height: h, Hash: fmt.Sprintf("%x", bh[:])})
-			}
+			bh := b.Hash()
+			st.Trail = append(st.Trail, TrailPoint{Height: h, Hash: fmt.Sprintf("%x", bh[:])})
 		}
 		ch <- st
 	})
@@ -596,7 +548,7 @@ func (n *ProcNode) Stop(drain time.Duration) error {
 	if n.gws != nil {
 		n.gws.close()
 	}
-	err := n.fab.Close()
+	err := n.tcpn.Close()
 	// Stop the gateway's verification workers only after the fabric is down:
 	// until then the event loop can still feed forwarded client requests into
 	// the pool, and closing first would panic the submit. Post-close worker

@@ -6,7 +6,7 @@
 # Usage: scripts/check.sh [preset]
 #   (default)        full pipeline: gofmt, vet, build, tests, bench-module vet +
 #                    short tests, race shard, purego shard, fuzz smokes, demo
-#                    -trace smoke, node smokes
+#                    -trace smoke, tampering example, node smokes
 #   partition-chaos  just the partition/failover chaos suite — the full WAN
 #                    partition schedules plus the reduced schedule under
 #                    -race -short — for iterating on failover changes without
@@ -127,11 +127,19 @@ go test -run '^$' -fuzz FuzzStoreAgainstMap -fuzztime 15s ./internal/statedb/
 echo "== fuzz smoke (batch signature verification against crypto/ed25519, 15 s)"
 go test -run '^$' -fuzz FuzzVerifyAgainstStdlib -fuzztime 15s ./internal/keys/edwards25519/
 
+# The decoder every TCP frame goes through: no input may panic it, and what it
+# accepts re-encodes to the same bytes.
+echo "== fuzz smoke (wire envelope decoder, 15 s)"
+go test -run '^$' -fuzz FuzzEnvelopeRoundTrip -fuzztime 15s ./internal/cluster/
+
 echo "== demo -trace smoke (the CLI flag end to end; the file's content is tier-1's)"
 tracefile="$(mktemp)"
 go run ./cmd/massbft-demo -groups 2 -nodes 3 -duration 3s -trace "$tracefile" >/dev/null
 test -s "$tracefile"
 rm -f "$tracefile"
+
+echo "== tampering example (the collector API outside internal/core, end to end)"
+go run ./examples/tampering >/dev/null
 
 echo "== node smoke (4 massbft-node processes over loopback TCP, kill + rejoin)"
 bash scripts/node_smoke.sh
