@@ -94,7 +94,7 @@ func DialClients(cfg ClientPoolConfig) (*ClientPool, error) {
 		return nil, fmt.Errorf("massbft: %w", err)
 	}
 	if topo.Clients <= 0 {
-		return nil, fmt.Errorf("massbft: topology registers no clients (set \"clients\")")
+		return nil, fmt.Errorf("massbft: %s", noClients)
 	}
 	if cfg.First == 0 {
 		cfg.First = 1
@@ -159,7 +159,6 @@ func (p *ClientPool) Client(id uint64) (*Client, error) {
 			Faulty:      p.reg.Faulty,
 			Verify:      p.reg.VerifyMemo,
 			Timeout:     p.cfg.Timeout,
-			ExpBackoff:  true,
 			MaxAttempts: p.cfg.MaxAttempts,
 		}),
 	}, nil
@@ -353,15 +352,14 @@ func (c *Client) Submit(payload []byte) (gateway.Result, error) {
 	}
 }
 
-// deliver mirrors the submission policy of the simulated hub: fresh
-// requests go to one rotated member (it forwards to its leader);
-// retransmissions broadcast to the whole group. The rotation runs over the
-// members that expose a gateway — a member without one cannot take the
-// request, and the client would sit out the whole attempt timeout.
+// deliver submits txn to group g: the first attempt to a single member,
+// retransmissions to the whole group (gateway.FirstTarget). The rotation runs
+// over the members that expose a gateway — a member without one cannot take
+// the request, and the client would sit out the whole attempt timeout.
 func (c *Client) deliver(g int, txn types.Transaction, broadcast bool) {
 	gws := c.p.gateways[g]
 	if !broadcast && len(gws) > 0 {
-		k := (c.key.ID + c.nonce) % uint64(len(gws))
+		k := gateway.FirstTarget(c.key.ID, c.nonce, len(gws))
 		gws = gws[k : k+1]
 	}
 	for _, j := range gws {

@@ -1,50 +1,45 @@
 package massbft
 
 import (
-	"net"
+	"fmt"
 	"sync"
 	"testing"
 	"time"
 
+	"massbft/internal/keys"
+	"massbft/internal/types"
 	"massbft/internal/workload"
 )
 
-// gatewayTopology is a 2-group x 2-node loopback cluster with client
+// gatewayTopology is a loopback cluster of the given group sizes with client
 // gateways on every node and a registered client identity set.
-func gatewayTopology(t *testing.T, clients int) *Topology {
+func gatewayTopology(t *testing.T, clients int, groups ...int) *Topology {
 	t.Helper()
-	topo := testTopology(t)
+	topo := testTopology(t, groups...)
 	topo.Clients = clients
 	topo.GroupRate = nil // gateway mode: load comes from clients, not leaders
-	gws := make([]string, len(topo.Nodes))
-	ls := make([]net.Listener, len(topo.Nodes))
-	for i := range gws {
-		l, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		ls[i] = l
-		gws[i] = l.Addr().String()
-	}
-	for _, l := range ls {
-		l.Close()
-	}
-	for i := range topo.Nodes {
-		topo.Nodes[i].Gateway = gws[i]
+	for i, a := range freeAddrs(t, len(topo.Nodes)) {
+		topo.Nodes[i].Gateway = a
 	}
 	return topo
 }
 
 // TestTCPGatewayClientEndToEnd drives real closed-loop clients over TCP
 // through the full external-client protocol: framed gateway connections,
-// Ed25519 request intake through the parallel verification pool, leader
-// forwarding, consensus, execution, and f+1 signed reply certificates
-// collected by the public ClientPool/Client API.
+// Ed25519 request intake on the leader's event loop, leader forwarding,
+// consensus, execution, and f+1 signed reply certificates collected by the
+// public ClientPool/Client API — over 2-node groups and over an f = 1 quorum.
 func TestTCPGatewayClientEndToEnd(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-second wall-clock test")
 	}
-	topo := gatewayTopology(t, 16)
+	for _, groups := range [][]int{{2, 2}, {4, 4}} {
+		t.Run(fmt.Sprint(groups), func(t *testing.T) { tcpGatewayEndToEnd(t, groups) })
+	}
+}
+
+func tcpGatewayEndToEnd(t *testing.T, groups []int) {
+	topo := gatewayTopology(t, 16, groups...)
 	topo.RealCrypto = true // the whole point: authenticated intake for real
 	nodes := make([]*ProcNode, 0, len(topo.Nodes))
 	for _, na := range topo.Nodes {
@@ -66,6 +61,16 @@ func TestTCPGatewayClientEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer pool.Close()
+
+	// A tampered request reaches the leader first: it is refused at intake,
+	// counted, and (checked after the load) never proposed.
+	bad := types.Transaction{Client: 1, Nonce: 1 << 20, Payload: []byte("tampered")}
+	bad.Sig = pool.cks[1].Sign(keys.ClientRequestMessage(bad.Client, bad.Nonce, bad.Payload))
+	bad.Sig[0] ^= 0xff
+	pool.send(keys.NodeID{Group: 0, Index: 0}, bad)
+	waitStatus(t, nodes[0], 5*time.Second, "the tampered request to be refused", func(s NodeStatus) bool {
+		return s.Counters["gateway-verify-fail"] == 1
+	})
 
 	const perClient = 3
 	var (
@@ -118,12 +123,17 @@ func TestTCPGatewayClientEndToEnd(t *testing.T) {
 		t.Fatalf("committed %d of %d requests", committed, 8*perClient)
 	}
 
-	// The gateway pipeline's counters must show the real path was taken.
+	// The gateway pipeline's counters must show the real path was taken, and
+	// that nothing but the clients' own requests was ever executed: the
+	// tampered one, submitted before them all, would have been cut first.
 	st := waitStatus(t, nodes[0], 5*time.Second, "gateway counters", func(s NodeStatus) bool {
-		return s.Counters["gateway-verified"] > 0 && s.Counters["gateway-executed"] > 0
+		return s.Counters["gateway-verified"] > 0 && s.Counters["gateway-executed"] >= 8*perClient
 	})
 	if st.Counters["gateway-reply-sent"] == 0 {
 		t.Fatalf("node (0,0) never routed a reply to a client connection: %v", st.Counters)
+	}
+	if st.Counters["gateway-executed"] != 8*perClient || st.Counters["gateway-verify-fail"] != 1 {
+		t.Fatalf("tampered request not refused exactly once and kept out of the ledger: %v", st.Counters)
 	}
 	// Ledger prefix agreement across groups still holds under client load.
 	var sts []NodeStatus
@@ -148,7 +158,7 @@ func TestClientRoutesToGatewayMembers(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-second wall-clock test")
 	}
-	topo := gatewayTopology(t, 4)
+	topo := gatewayTopology(t, 4, 2, 2)
 	for i := range topo.Nodes {
 		if topo.Nodes[i].Index != 0 {
 			topo.Nodes[i].Gateway = ""

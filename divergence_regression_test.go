@@ -64,6 +64,42 @@ func TestCombinedFaultSeedsConverge(t *testing.T) {
 	}
 }
 
+// TestPartitionWANHealsAndConverges drives the public partition call: one WAN
+// link (groups 0 and 2) is cut for three seconds. Each side certifies a
+// suspicion of the other — so the cut was felt — but one link gives a victim
+// one suspecter, short of the quorum a death needs, and after the heal every
+// node must drain to one ledger.
+func TestPartitionWANHealsAndConverges(t *testing.T) {
+	if testing.Short() {
+		t.Skip("heavy integration test")
+	}
+	c, err := NewCluster(Config{
+		Groups:             []int{4, 4, 4},
+		Workload:           "ycsb-a",
+		Seed:               6,
+		Warmup:             500 * time.Millisecond,
+		ViewChangeTimeout:  400 * time.Millisecond,
+		TakeoverTimeout:    400 * time.Millisecond,
+		RepairTimeout:      150 * time.Millisecond,
+		CheckpointInterval: 500 * time.Millisecond,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.PartitionWAN(time.Second, 4*time.Second, 0, 2)
+	c.Run(6 * time.Second)
+	rep := c.DrainToAgreement(500*time.Millisecond, 12*time.Second)
+	if rep.Verdict != AgreementConverged {
+		t.Fatalf("agreement: %v", rep)
+	}
+	if c.Counter("group-suspects") == 0 {
+		t.Fatal("a three-second partition raised no certified suspicion")
+	}
+	if d := c.Counter("group-deaths"); d != 0 {
+		t.Fatalf("certified %d group deaths with every group alive", d)
+	}
+}
+
 // TestDrainToAgreementFaultFree exercises the public forensics API on a
 // clean run: the report must converge quickly, carry a full node census,
 // and leave the divergence counters untouched.

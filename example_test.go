@@ -58,3 +58,20 @@ func ExampleCluster_faultTimeline() {
 		fmt.Println(p.Second, p.Throughput)
 	}
 }
+
+// Elastic membership: a standby group joins and an active one leaves mid-run,
+// each behind a certified epoch cut (README "Elastic membership" is this code).
+func ExampleCluster_Reconfigure() {
+	c, err := massbft.NewCluster(massbft.Config{
+		Groups: []int{4, 4, 4, 4}, StandbyGroups: 1, // group 3 starts standby
+		TakeoverTimeout: 200 * time.Millisecond, // keeps standby streams live
+	})
+	if err != nil {
+		panic(err)
+	}
+	c.Reconfigure(2*time.Second, massbft.ReconfigJoin, 3)  // scale out mid-run
+	c.Reconfigure(6*time.Second, massbft.ReconfigLeave, 2) // drain + remove
+	c.Run(10 * time.Second)
+	fmt.Println(c.Epoch())
+	// Output: 2 [0 1 3]
+}

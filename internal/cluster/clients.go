@@ -16,25 +16,21 @@ import (
 func VirtualTime(d time.Duration) time.Time { return time.Unix(0, int64(d)) }
 
 // AttachGateway builds ctx's client front end from ctx.Cfg — the one gateway
-// construction site of both fabrics. verifyParallel is the signature worker
-// count (0 verifies inline, which the deterministic emulator requires) and
-// deliver posts the pool's verdicts back onto the node's event loop (nil when
-// inline). Receipts leave signed by ctx.KP through ctx.ReplyOut, which the
-// environment sets once it has somewhere to route them; until then, and for
-// direct-injection workloads, they are dropped unsigned.
-func AttachGateway(ctx *NodeCtx, clients *keys.ClientRegistry, verifyParallel int, deliver func(func())) {
+// construction site of both fabrics. Receipts leave signed by ctx.KP through
+// ctx.ReplyOut, which the environment sets once it has somewhere to route
+// them; until then, and for direct-injection workloads, they are dropped
+// unsigned.
+func AttachGateway(ctx *NodeCtx, clients *keys.ClientRegistry) {
 	gw := ctx.Cfg.Gateway
 	ctx.Gateway = gateway.New(gateway.Config{
-		Group:          ctx.ID.Group,
-		MaxBatch:       ctx.Cfg.MaxBatch,
-		MaxWait:        ctx.Cfg.BatchTimeout,
-		QueueLimit:     gw.QueueLimit,
-		RatePerClient:  gw.RatePerClient,
-		RateBurst:      gw.RateBurst,
-		VerifyParallel: verifyParallel,
-		Clients:        clients,
-		Metrics:        ctx.Metrics,
-		Deliver:        deliver,
+		Group:         ctx.ID.Group,
+		MaxBatch:      ctx.Cfg.MaxBatch,
+		MaxWait:       ctx.Cfg.BatchTimeout,
+		QueueLimit:    gw.QueueLimit,
+		RatePerClient: gw.RatePerClient,
+		RateBurst:     gw.RateBurst,
+		Clients:       clients,
+		Metrics:       ctx.Metrics,
 		Reply: func(rc *gateway.Receipt) {
 			if ctx.ReplyOut != nil {
 				SignReplies(ctx.ID, ctx.KP.Sign, rc, ctx.ReplyOut)
@@ -123,14 +119,13 @@ func (c *Cluster) StartClients(n int) *ClientHub {
 		sc := &simClient{
 			key: ck,
 			req: gateway.NewRequester(gateway.RequesterConfig{
-				Client:     ck.ID,
-				Groups:     ng,
-				Faulty:     c.Reg.Faulty,
-				Verify:     c.Reg.VerifyMemo,
-				Timeout:    replyTimeout + jitter,
-				ExpBackoff: true,
-				Down:       down,
-				Jitter:     c.Cfg.Gateway.ResubmitJitter,
+				Client:  ck.ID,
+				Groups:  ng,
+				Faulty:  c.Reg.Faulty,
+				Verify:  c.Reg.VerifyMemo,
+				Timeout: replyTimeout + jitter,
+				Down:    down,
+				Jitter:  c.Cfg.Gateway.ResubmitJitter,
 			}),
 		}
 		h.clients = append(h.clients, sc)
@@ -172,16 +167,12 @@ func (h *ClientHub) submitNew(sc *simClient) {
 	h.deliver(sc, g, false)
 }
 
-// deliver submits the client's current request to group g. The first
-// attempt goes to a single member (rotated by client and nonce) which
-// forwards to its leader — the classic PBFT client optimization, keeping
-// steady-state traffic linear. Retransmissions broadcast to the whole group:
-// a retry needs f+1 members answering (fresh replies come from execution on
-// every member regardless of entry point, but cached dedup-window replies
-// come only from members that saw the request). Copies arrive after LAN
-// latency plus a deterministic per-client microsecond skew that keeps
-// thousands of simultaneous clients from landing on one node in a single
-// burst; copies to crashed nodes are dropped, like a refused connection.
+// deliver submits the client's current request to group g: the first attempt
+// to a single member, retransmissions to the whole group
+// (gateway.FirstTarget). Copies arrive after LAN latency plus a deterministic
+// per-client microsecond skew that keeps thousands of simultaneous clients
+// from landing on one node in a single burst; copies to crashed nodes are
+// dropped, like a refused connection.
 func (h *ClientHub) deliver(sc *simClient, g int, broadcast bool) {
 	if g < 0 || g >= len(h.c.Cfg.GroupSizes) {
 		return
@@ -191,7 +182,7 @@ func (h *ClientHub) deliver(sc *simClient, g int, broadcast bool) {
 	size := h.c.Cfg.GroupSizes[g]
 	lo, hi := 0, size
 	if !broadcast {
-		lo = int((sc.key.ID + sc.nonce) % uint64(size))
+		lo = gateway.FirstTarget(sc.key.ID, sc.nonce, size)
 		hi = lo + 1
 	}
 	skew := time.Duration((sc.key.ID*131+sc.nonce*31)%1024) * time.Microsecond

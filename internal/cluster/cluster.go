@@ -234,9 +234,7 @@ func New(cfg Config, factory Factory) (*Cluster, error) {
 				Trace:        c.Trace,
 			}
 			if cfg.Gateway.Enabled {
-				// Inline verification: pool goroutines would interleave OS
-				// scheduling into the deterministic event loop.
-				AttachGateway(ctx, c.ClientReg, 0, nil)
+				AttachGateway(ctx, c.ClientReg)
 				ctx.ReplyOut = c.routeReply
 			}
 			node := factory(ctx)

@@ -142,14 +142,11 @@ type GatewayConfig struct {
 	// SimClients > 0 makes the simulated cluster drive that many closed-loop
 	// clients through the gateway (ClientHub).
 	SimClients int
-	// QueueLimit / RatePerClient / RateBurst / VerifyParallel map to
-	// gateway.Config; zeros take the gateway defaults. Simulated clusters
-	// force VerifyParallel to 0 (inline) for determinism. The batcher's
-	// latency bound is BatchTimeout.
-	QueueLimit     int
-	RatePerClient  float64
-	RateBurst      int
-	VerifyParallel int
+	// QueueLimit / RatePerClient / RateBurst map to gateway.Config; zeros
+	// take the gateway defaults. The batcher's latency bound is BatchTimeout.
+	QueueLimit    int
+	RatePerClient float64
+	RateBurst     int
 	// ResubmitJitter spreads resubmission deadlines by a deterministic
 	// per-(client, nonce, attempt) fraction of the timeout (up to +25%), so
 	// the mass retry wave after a group loss does not retransmit in

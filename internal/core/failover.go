@@ -1,7 +1,6 @@
 package core
 
 import (
-	"sort"
 	"time"
 
 	"massbft/internal/cluster"
@@ -75,12 +74,6 @@ func (n *Node) successor(g int) int {
 		}
 	}
 	return -1
-}
-
-// sortedDeadGroups returns the certified-dead groups in ascending order
-// (takeover iteration must be deterministic).
-func (n *Node) sortedDeadGroups() []int {
-	return sortedIntKeys(n.deadGroups)
 }
 
 // keepaliveScan (meta leader only) keeps the group's certified stream audibly
@@ -324,30 +317,25 @@ func (n *Node) skipDeadRounds(s int) {
 // suspicion table and death cuts are protocol state a rejoining node cannot
 // re-derive — they came from certified streams it already consumed).
 func (n *Node) foldFailover(ck *cluster.Checkpoint) {
-	for _, g := range sortedIntKeys(n.deadGroups) {
+	for _, g := range sortedKeys(n.deadGroups) {
 		ck.DeadGroups = append(ck.DeadGroups, g)
 		ck.DeadCuts = append(ck.DeadCuts, n.deadCut[g])
 	}
-	sg := make([]int, 0, len(n.suspecters))
-	for g := range n.suspecters {
-		sg = append(sg, g)
-	}
-	sort.Ints(sg)
-	for _, g := range sg {
-		for _, o := range sortedMapKeys(n.suspecters[g]) {
+	for _, g := range sortedKeys(n.suspecters) {
+		for _, o := range sortedKeys(n.suspecters[g]) {
 			ck.Suspects = append(ck.Suspects, cluster.SuspectEdge{
 				Suspected: g, Origin: o, Cursor: n.suspecters[g][o],
 			})
 		}
 	}
-	ck.OwnSuspects = sortedIntKeys(n.ownSuspects)
+	ck.OwnSuspects = sortedKeys(n.ownSuspects)
 
 	// Membership state (DESIGN.md §11): like deaths and cuts, it was decided
 	// by certified records the restoring node already consumed.
 	ck.Epoch = n.epoch
-	ck.Standby = sortedIntKeys(n.standbyGroups)
-	ck.Departed = sortedIntKeys(n.departed)
-	for _, g := range sortedMapKeys(n.joinStart) {
+	ck.Standby = sortedKeys(n.standbyGroups)
+	ck.Departed = sortedKeys(n.departed)
+	for _, g := range sortedKeys(n.joinStart) {
 		ck.JoinStartGroups = append(ck.JoinStartGroups, g)
 		ck.JoinStartSeqs = append(ck.JoinStartSeqs, n.joinStart[g])
 	}
@@ -360,13 +348,8 @@ func (n *Node) foldFailover(ck *cluster.Checkpoint) {
 // SuspectEdge records (Suspected = target, Origin = approver).
 func foldVotes(votes map[int]map[int]bool) []cluster.SuspectEdge {
 	var out []cluster.SuspectEdge
-	tg := make([]int, 0, len(votes))
-	for t := range votes {
-		tg = append(tg, t)
-	}
-	sort.Ints(tg)
-	for _, t := range tg {
-		for _, o := range sortedIntKeys(votes[t]) {
+	for _, t := range sortedKeys(votes) {
+		for _, o := range sortedKeys(votes[t]) {
 			out = append(out, cluster.SuspectEdge{Suspected: t, Origin: o})
 		}
 	}
@@ -446,15 +429,4 @@ func (n *Node) restoreFailover(ck *cluster.Checkpoint) {
 			n.ownSuspects[g] = true
 		}
 	}
-}
-
-// sortedMapKeys returns a map's int keys in ascending order (checkpoint
-// folds must be deterministic).
-func sortedMapKeys(m map[int]uint64) []int {
-	out := make([]int, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Ints(out)
-	return out
 }

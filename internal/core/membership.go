@@ -1,7 +1,6 @@
 package core
 
 import (
-	"sort"
 	"time"
 
 	"massbft/internal/cluster"
@@ -128,7 +127,7 @@ func (n *Node) membershipScan(now time.Duration) {
 		}
 		return
 	}
-	for _, t := range sortedIntKeys(n.wantJoin) {
+	for _, t := range sortedKeys(n.wantJoin) {
 		if !n.standbyGroups[t] {
 			delete(n.wantJoin, t)
 			continue
@@ -137,7 +136,7 @@ func (n *Node) membershipScan(now time.Duration) {
 			n.emitOnce(cluster.Record{Kind: cluster.RecGroupJoin, Stream: t}, "join-votes-emitted")
 		}
 	}
-	for _, t := range sortedIntKeys(n.wantLeave) {
+	for _, t := range sortedKeys(n.wantLeave) {
 		if t == n.g || n.deadGroups[t] || n.departed[t] {
 			if t != n.g {
 				delete(n.wantLeave, t)
@@ -173,7 +172,7 @@ func (n *Node) epochScan() {
 	if n.epochEmitted == n.epoch+1 {
 		return
 	}
-	for _, t := range sortedIntKeys(n.standbyGroups) {
+	for _, t := range sortedKeys(n.standbyGroups) {
 		if n.successor(t) != n.g ||
 			n.voteCount(n.joinVotes, t) < n.groupQuorum() ||
 			!n.hasVote(n.joinVotes, t, t) {
@@ -193,7 +192,7 @@ func (n *Node) epochScan() {
 			return
 		}
 	}
-	for _, t := range sortedVoteTargets(n.leaveVotes) {
+	for _, t := range sortedKeys(n.leaveVotes) {
 		if t == n.g || n.standbyGroups[t] || n.departed[t] || n.deadGroups[t] ||
 			n.successor(t) != n.g ||
 			n.voteCount(n.leaveVotes, t) < n.groupQuorum() ||
@@ -424,21 +423,9 @@ func (n *Node) maybeSkipStandbyRounds() {
 	if n.rounds == nil || len(n.standbyGroups) == 0 || n.standbyGroups[n.g] {
 		return
 	}
-	for _, s := range sortedIntKeys(n.standbyGroups) {
+	for _, s := range sortedKeys(n.standbyGroups) {
 		n.skipStandbyRounds(s)
 	}
-}
-
-func sortedVoteTargets(votes map[int]map[int]bool) []int {
-	if len(votes) == 0 {
-		return nil
-	}
-	out := make([]int, 0, len(votes))
-	for t := range votes {
-		out = append(out, t)
-	}
-	sort.Ints(out)
-	return out
 }
 
 func (n *Node) hasVote(votes map[int]map[int]bool, target, origin int) bool {

@@ -450,7 +450,7 @@ func (n *Node) takeoverTick() {
 	}
 	n.suspectScan(now)
 	n.deathScan(now)
-	dead := n.sortedDeadGroups()
+	dead := sortedKeys(n.deadGroups)
 	if len(dead) == 0 {
 		return
 	}

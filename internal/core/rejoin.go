@@ -95,8 +95,8 @@ func (n *Node) foldCheckpoint(have uint64) *cluster.Checkpoint {
 		pe := cluster.PendingEntry{
 			ID:         id,
 			StampedBy:  st.stampedBy,
-			Streams:    sortedIntKeys(st.stampedStreams),
-			Stamps:     sortedIntKeys(st.stamps),
+			Streams:    sortedKeys(st.stampedStreams),
+			Stamps:     sortedKeys(st.stamps),
 			Committed:  st.committed,
 			CommitSeen: st.commitSeen,
 		}
@@ -437,9 +437,9 @@ func (n *Node) verifySuffix(ck *cluster.Checkpoint) bool {
 	return h == ck.Height && roll == ck.StateRoll
 }
 
-// sortedIntKeys returns the keys of a set in ascending order (checkpoint
-// folds must be deterministic).
-func sortedIntKeys(m map[int]bool) []int {
+// sortedKeys returns a map's keys in ascending order: checkpoint folds,
+// takeover and vote scans must iterate deterministically.
+func sortedKeys[V any](m map[int]V) []int {
 	if len(m) == 0 {
 		return nil
 	}

@@ -9,10 +9,9 @@
 //	                                                                  │
 //	client ◀──f+1 signed receipts── execute ──Executed────────────────┘
 //
-// Intake verifies Ed25519 client signatures — inline on the owning event
-// loop (deterministic, the simnet path) or through an order-preserving
-// parallel worker pool (the TCP path) — with a bounded content-keyed memo so
-// retransmitted requests never pay the signature check twice. Per-client
+// Intake verifies Ed25519 client signatures inline on the owning event loop,
+// on both fabrics, with a bounded content-keyed memo so retransmitted
+// requests never pay the signature check twice. Per-client
 // sequence numbers with a bounded dedup window make retries idempotent:
 // a duplicate of an executed request re-sends the cached reply without
 // re-executing; a duplicate of an in-flight request is absorbed. Replies are
@@ -24,8 +23,7 @@
 // into fast rejections instead of unbounded queue growth.
 //
 // A Gateway is NOT safe for concurrent use: every method must run on the
-// owning node's event loop. The only concurrency inside is the verification
-// worker pool, which re-enters the loop through Config.Deliver.
+// owning node's event loop. It starts no goroutine of its own.
 package gateway
 
 import (
@@ -39,15 +37,13 @@ import (
 
 // Admission and verification errors returned by Submit.
 var (
-	// ErrOverloaded: the bounded intake queue (queued + in verification) is
-	// full. The client should back off and retry, possibly to another node.
+	// ErrOverloaded: the bounded intake queue is full. The client should
+	// back off and retry, possibly to another node.
 	ErrOverloaded = errors.New("gateway: overloaded, intake queue full")
 	// ErrRateLimited: the per-client token bucket is empty.
 	ErrRateLimited = errors.New("gateway: client rate limit exceeded")
 	// ErrBadSignature: the client signature failed verification, or the
-	// client ID is unknown. An unknown ID is refused on both paths; a bad
-	// signature only on the inline verification path — the worker pool drops
-	// bad requests asynchronously (counted as gateway-verify-fail).
+	// client ID is unknown (both counted as gateway-verify-fail).
 	ErrBadSignature = errors.New("gateway: bad client signature")
 )
 
@@ -61,8 +57,7 @@ type Config struct {
 	// MaxWait is the latency bound: TakeBatch flushes a partial batch once
 	// the oldest pending request has waited this long.
 	MaxWait time.Duration
-	// QueueLimit bounds the verified FIFO plus requests in verification.
-	// 0 means 4096.
+	// QueueLimit bounds the verified FIFO. 0 means 4096.
 	QueueLimit int
 	// DedupWindow is the per-client count of executed requests remembered
 	// for idempotent retries. 0 means 64.
@@ -72,11 +67,6 @@ type Config struct {
 	RatePerClient float64
 	// RateBurst is the bucket capacity; 0 means 16 (when rate limiting is on).
 	RateBurst int
-	// VerifyParallel is the verification worker count; 0 verifies inline on
-	// the caller (required for deterministic simnet runs).
-	VerifyParallel int
-	// VerifyBatch is the max signatures one worker grabs per round; 0 means 32.
-	VerifyBatch int
 	// Clients authenticates request signatures.
 	Clients *keys.ClientRegistry
 	// Reply emits one receipt — an executed entry's, or a dedup-window
@@ -84,9 +74,6 @@ type Config struct {
 	// routes one reply per addressee. The receipt is only valid during the
 	// call.
 	Reply func(rc *Receipt)
-	// Deliver posts fn onto the owning event loop. Required when
-	// VerifyParallel > 0; unused otherwise.
-	Deliver func(fn func())
 	// Metrics receives gateway-* counters; may be nil.
 	Metrics *metrics.Collector
 }
@@ -137,13 +124,11 @@ type queued struct {
 // Gateway is one node's client front end. See the package comment for the
 // threading contract.
 type Gateway struct {
-	cfg      Config
-	q        []queued
-	inVerify int
-	clients  map[uint64]*clientState
-	memo     map[memoKey]bool
-	ver      *verifier
-	rcpt     receiptScratch
+	cfg     Config
+	q       []queued
+	clients map[uint64]*clientState
+	memo    map[memoKey]bool
+	rcpt    receiptScratch
 	// VerifyTxns scratch: the signatures of the proposal under validation
 	// and their signed messages, laid end to end.
 	batch *keys.ClientBatch
@@ -154,11 +139,10 @@ const (
 	defaultQueueLimit  = 4096
 	defaultDedupWindow = 64
 	defaultRateBurst   = 16
-	defaultVerifyBatch = 32
 	memoLimit          = 4096
 )
 
-// New builds a Gateway. Call Close when done if VerifyParallel > 0.
+// New builds a Gateway.
 func New(cfg Config) *Gateway {
 	if cfg.QueueLimit <= 0 {
 		cfg.QueueLimit = defaultQueueLimit
@@ -169,30 +153,11 @@ func New(cfg Config) *Gateway {
 	if cfg.RateBurst <= 0 {
 		cfg.RateBurst = defaultRateBurst
 	}
-	if cfg.VerifyBatch <= 0 {
-		cfg.VerifyBatch = defaultVerifyBatch
-	}
-	g := &Gateway{
+	return &Gateway{
 		cfg:     cfg,
 		clients: make(map[uint64]*clientState),
 		memo:    make(map[memoKey]bool),
 		batch:   cfg.Clients.NewBatch(),
-	}
-	if cfg.VerifyParallel > 0 {
-		check := func(txn types.Transaction, msg []byte) bool {
-			// ClientRegistry is immutable after construction, so workers can
-			// verify without coordination.
-			return cfg.Clients.Verify(txn.Client, msg, txn.Sig)
-		}
-		g.ver = newVerifier(cfg.VerifyParallel, cfg.VerifyBatch, cfg.QueueLimit, check, g.onVerified)
-	}
-	return g
-}
-
-// Close stops the verification pool (no-op on the inline path).
-func (g *Gateway) Close() {
-	if g.ver != nil {
-		g.ver.close()
 	}
 }
 
@@ -223,9 +188,9 @@ func (g *Gateway) client(id uint64) *clientState {
 // Submit runs intake for one raw client request: dedup, admission control,
 // signature verification, enqueue. Must run on the owning event loop.
 //
-// Returns nil when the request was absorbed — freshly enqueued, handed to
-// the verification pool, a duplicate of an in-flight request, or a
-// dedup-window hit (which re-sends the cached reply via Config.Reply).
+// Returns nil when the request was absorbed — freshly enqueued, a duplicate
+// of an in-flight request, or a dedup-window hit (which re-sends the cached
+// reply via Config.Reply).
 func (g *Gateway) Submit(txn types.Transaction, now time.Time) error {
 	g.inc("gateway-submitted")
 	// A request under an id the registry does not hold can only fail
@@ -262,8 +227,8 @@ func (g *Gateway) Submit(txn types.Transaction, now time.Time) error {
 		cs.tokens--
 	}
 
-	// Bounded intake: queued plus in-verification.
-	if len(g.q)+g.inVerify >= g.cfg.QueueLimit {
+	// Bounded intake.
+	if len(g.q) >= g.cfg.QueueLimit {
 		g.inc("gateway-rejected-overload")
 		return ErrOverloaded
 	}
@@ -281,15 +246,6 @@ func (g *Gateway) Submit(txn types.Transaction, now time.Time) error {
 		return nil
 	}
 
-	if g.ver != nil {
-		// Parallel path: reserve a slot, verify off-loop, re-enter through
-		// Deliver in submission order.
-		g.inVerify++
-		g.ver.submit(verifyJob{txn: txn, at: now, msg: msg})
-		return nil
-	}
-
-	// Inline path (deterministic).
 	ok := g.cfg.Clients.Verify(txn.Client, msg, txn.Sig)
 	g.memoPut(key, ok)
 	if !ok {
@@ -299,22 +255,6 @@ func (g *Gateway) Submit(txn types.Transaction, now time.Time) error {
 	g.inc("gateway-verified")
 	g.enqueue(txn, now)
 	return nil
-}
-
-// onVerified is the worker pool's completion callback. It runs on a pool
-// goroutine in submission order; hop onto the event loop before touching
-// gateway state.
-func (g *Gateway) onVerified(job verifyJob, ok bool) {
-	g.cfg.Deliver(func() {
-		g.inVerify--
-		g.memoPut(memoKeyFor(job.txn, job.msg), ok)
-		if !ok {
-			g.inc("gateway-verify-fail")
-			return
-		}
-		g.inc("gateway-verified")
-		g.enqueue(job.txn, job.at)
-	})
 }
 
 // memoKeyFor builds the memo key binding a request's full signed content:

@@ -1,7 +1,6 @@
 package gateway
 
 import (
-	"crypto/rand"
 	"testing"
 	"time"
 
@@ -47,7 +46,6 @@ func newEnv(t *testing.T, mut func(*Config)) *testEnv {
 		mut(&cfg)
 	}
 	env.gw = New(cfg)
-	t.Cleanup(env.gw.Close)
 	return env
 }
 
@@ -391,76 +389,6 @@ func clientsOf(txns []types.Transaction) []uint64 {
 	return out
 }
 
-// TestParallelVerifyPreservesOrder: the worker pool must enqueue verified
-// requests in submission order, and accept/reject exactly the same requests
-// as the inline path.
-func TestParallelVerifyPreservesOrder(t *testing.T) {
-	cks, reg, err := keys.GenerateClients(4, 42)
-	if err != nil {
-		t.Fatal(err)
-	}
-	const n = 200
-	txns := make([]types.Transaction, n)
-	for i := range txns {
-		ck := cks[i%len(cks)]
-		txns[i] = req(ck, uint64(i/len(cks)+1), "p")
-		if i%7 == 3 { // sprinkle tampered signatures
-			txns[i].Sig = append([]byte(nil), txns[i].Sig...)
-			txns[i].Sig[0] ^= 0xff
-		}
-	}
-
-	run := func(parallel int) []uint64 {
-		loop := make(chan func(), 4*n)
-		cfg := Config{
-			Group: 0, MaxBatch: n, MaxWait: time.Millisecond,
-			QueueLimit: 2 * n, VerifyParallel: parallel, VerifyBatch: 8,
-			Clients: reg,
-			Deliver: func(fn func()) { loop <- fn },
-		}
-		g := New(cfg)
-		defer g.Close()
-		for i, tx := range txns {
-			if err := g.Submit(tx, at(i)); err != nil && err != ErrBadSignature {
-				t.Fatalf("submit %d: %v", i, err)
-			}
-		}
-		if parallel > 0 {
-			// Drain the pool: wait until every in-flight job has posted.
-			deadline := time.After(5 * time.Second)
-			for g.inVerify > 0 || len(loop) > 0 {
-				select {
-				case fn := <-loop:
-					fn()
-				case <-deadline:
-					t.Fatal("verification pool stalled")
-				default:
-				}
-			}
-		}
-		out := g.TakeBatch(at(n+1), n, true)
-		order := make([]uint64, len(out))
-		for i, tx := range out {
-			order[i] = tx.Client<<32 | tx.Nonce
-		}
-		return order
-	}
-
-	inline := run(0)
-	par := run(4)
-	if len(inline) != len(par) {
-		t.Fatalf("inline accepted %d, parallel %d", len(inline), len(par))
-	}
-	for i := range inline {
-		if inline[i] != par[i] {
-			t.Fatalf("order diverged at %d: inline %x parallel %x", i, inline[i], par[i])
-		}
-	}
-	if len(inline) == n {
-		t.Fatal("no tampered request was rejected — test is vacuous")
-	}
-}
-
 func TestRequesterCertificate(t *testing.T) {
 	pairs, reg, err := keys.GenerateCluster([]int{4, 4}, 7)
 	if err != nil {
@@ -542,11 +470,15 @@ func TestRequesterResubmission(t *testing.T) {
 	if g1 != (g0+1)%3 {
 		t.Fatalf("rotation: %d -> %d", g0, g1)
 	}
-	if re, _, _ := r.OnTick(at(150)); re {
-		t.Fatal("double resubmission within one timeout")
+	// Back-off doubles: the second attempt waits 200 ms, the third 400 ms.
+	if re, _, _ := r.OnTick(at(299)); re {
+		t.Fatal("resubmitted before the doubled deadline")
 	}
-	r.OnTick(at(200)) // attempt 3
-	_, _, gave = r.OnTick(at(300))
+	r.OnTick(at(300)) // attempt 3
+	if _, _, gave = r.OnTick(at(699)); gave {
+		t.Fatal("gave up before the third attempt's deadline")
+	}
+	_, _, gave = r.OnTick(at(700))
 	if !gave {
 		t.Fatal("no give-up after MaxAttempts")
 	}
@@ -574,9 +506,10 @@ func TestRequesterDownOracle(t *testing.T) {
 	if g := r.Begin(1, at(0)); g != 3 {
 		t.Fatalf("Begin targeted %d, want the first up group 3", g)
 	}
-	// Rotation wraps 3 -> 0 -> 1, then skips the dead 2 straight to 3.
+	// Rotation wraps 3 -> 0 -> 1, then skips the dead 2 straight to 3; the
+	// deadlines are 100 ms, then 200 and 400 ms later.
 	for i, want := range []int{0, 1, 3} {
-		re, g, gave := r.OnTick(at((i + 1) * 100))
+		re, g, gave := r.OnTick(at([]int{100, 300, 700}[i]))
 		if !re || gave {
 			t.Fatalf("rotation %d did not resubmit", i)
 		}
@@ -598,7 +531,7 @@ func TestRequesterDownOracle(t *testing.T) {
 }
 
 // TestRequesterJitter pins the resubmission jitter: the stretched wait stays
-// within [Timeout, 1.25*Timeout), is nonzero for this (client, nonce), and is
+// within [wait, 1.25*wait), is nonzero for this (client, nonce), and is
 // a pure function of (client, nonce, attempt) — two identical requesters
 // remain in lockstep, which the simulation determinism tests depend on.
 func TestRequesterJitter(t *testing.T) {
@@ -627,61 +560,18 @@ func TestRequesterJitter(t *testing.T) {
 		t.Fatal("no resubmission at the base deadline")
 	}
 	b.OnTick(at(100))
-	// The second attempt's wait is jittered: for (client 1, nonce 1,
+	// The second attempt's 200 ms wait is jittered: for (client 1, nonce 1,
 	// attempt 2) the hash lands at +152/1024, so the deadline falls in
-	// (214ms, 215ms] — after the base 200ms, before the +25% cap 225ms.
-	if re, _, _ := a.OnTick(at(214)); re {
+	// (329ms, 330ms] — after the base 300ms, before the +25% cap 350ms.
+	if re, _, _ := a.OnTick(at(329)); re {
 		t.Fatal("jitter did not stretch the wait")
 	}
-	re, ga, _ := a.OnTick(at(215))
+	re, ga, _ := a.OnTick(at(330))
 	if !re {
 		t.Fatal("jittered deadline overshot the +25% bound")
 	}
-	reB, gb, _ := b.OnTick(at(215))
+	reB, gb, _ := b.OnTick(at(330))
 	if !reB || ga != gb {
 		t.Fatalf("identical requesters diverged under jitter: %d vs %d", ga, gb)
-	}
-}
-
-// TestVerifierChurn exercises the pool under concurrent load with random
-// payload sizes to shake out reorder-buffer races (run with -race).
-func TestVerifierChurn(t *testing.T) {
-	cks, reg, err := keys.GenerateClients(2, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var order []uint64
-	done := make(chan struct{})
-	const n = 500
-	v := newVerifier(8, 4, n,
-		func(txn types.Transaction, msg []byte) bool {
-			return reg.Verify(txn.Client, msg, txn.Sig)
-		},
-		func(j verifyJob, ok bool) {
-			order = append(order, j.seq) // serialized by the reorder lock
-			if len(order) == n {
-				close(done)
-			}
-		})
-	for i := 0; i < n; i++ {
-		payload := make([]byte, 1+i%97)
-		rand.Read(payload)
-		ck := cks[i%2]
-		msg := keys.ClientRequestMessage(ck.ID, uint64(i), payload)
-		v.submit(verifyJob{
-			txn: types.Transaction{Client: ck.ID, Nonce: uint64(i), Payload: payload, Sig: ck.Sign(msg)},
-			msg: msg,
-		})
-	}
-	select {
-	case <-done:
-	case <-time.After(10 * time.Second):
-		t.Fatal("verifier stalled")
-	}
-	v.close()
-	for i, s := range order {
-		if s != uint64(i) {
-			t.Fatalf("emission order broken at %d: seq %d", i, s)
-		}
 	}
 }

@@ -44,13 +44,11 @@ type RequesterConfig struct {
 	// keys.Registry.VerifyMemo of the one registry all its clients share: an
 	// entry's clients all check the same (signer, message, signature).
 	Verify func(signer keys.NodeID, msg, sig []byte) bool
-	// Timeout is how long one attempt waits for f+1 matching replies before
-	// resubmitting to another group.
+	// Timeout is how long the first attempt waits for f+1 matching replies
+	// before resubmitting to another group. Each resubmission doubles the
+	// wait (capped at 8x Timeout), so an overloaded cluster sees retry
+	// pressure decay instead of synchronized retry waves.
 	Timeout time.Duration
-	// ExpBackoff doubles the attempt timeout per resubmission (capped at
-	// 8x Timeout), so an overloaded cluster sees retry pressure decay
-	// instead of synchronized retry waves.
-	ExpBackoff bool
 	// MaxAttempts bounds submission attempts per request; 0 means 2×Groups.
 	MaxAttempts int
 	// Down, when set, reports groups certified unable to answer (dead,
@@ -138,13 +136,22 @@ func NewRequester(cfg RequesterConfig) *Requester {
 	return &Requester{cfg: cfg}
 }
 
+// FirstTarget is the submission policy both fabrics' clients share: a
+// request's first attempt goes to choice (client+nonce) mod n — of the n
+// groups, then of the target group's n members, which forwards to its leader
+// (the classic PBFT client optimization: steady-state traffic stays linear) —
+// so load spreads and a retry of the same nonce starts from the same place.
+// Retransmissions broadcast to the whole group: a retry needs f+1 members
+// answering, and while fresh replies come from execution on every member,
+// cached dedup-window replies come only from members that saw the request.
+func FirstTarget(client, nonce uint64, n int) int { return int((client + nonce) % uint64(n)) }
+
 // Begin starts a new request attempt sequence for nonce and returns the
-// group to submit to (derived from client and nonce so load spreads, stable
-// across retries of the same nonce).
+// group to submit to.
 func (r *Requester) Begin(nonce uint64, now time.Time) (group int) {
 	r.nonce = nonce
 	r.attempts = 1
-	r.group = r.nextUp(int((r.cfg.Client + nonce) % uint64(r.cfg.Groups)))
+	r.group = r.nextUp(FirstTarget(r.cfg.Client, nonce, r.cfg.Groups))
 	r.deadline = now.Add(r.cfg.Timeout)
 	r.active, r.ncand = true, 0
 	return r.group
@@ -240,14 +247,7 @@ func (r *Requester) OnTick(now time.Time) (resubmit bool, group int, gaveUp bool
 	}
 	r.attempts++
 	r.group = r.nextUp((r.group + 1) % r.cfg.Groups)
-	wait := r.cfg.Timeout
-	if r.cfg.ExpBackoff {
-		shift := r.attempts - 1
-		if shift > 3 {
-			shift = 3
-		}
-		wait <<= uint(shift)
-	}
+	wait := r.cfg.Timeout << min(r.attempts-1, 3)
 	if r.cfg.Jitter {
 		h := r.cfg.Client*2654435761 + r.nonce*40503 + uint64(r.attempts)*9176
 		wait += wait * time.Duration(h%256) / 1024

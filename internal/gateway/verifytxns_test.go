@@ -26,29 +26,22 @@ func proposal(t testing.TB, n, clients int) (*keys.ClientRegistry, []*keys.Clien
 }
 
 // TestSubmitUnknownClientCreatesNoState: a stream of requests under made-up
-// client ids fails verification without growing the per-client table, on the
-// inline path and on the pool path alike.
+// client ids fails verification without growing the per-client table.
 func TestSubmitUnknownClientCreatesNoState(t *testing.T) {
-	for _, parallel := range []int{0, 2} {
-		env := newEnv(t, func(c *Config) {
-			c.VerifyParallel = parallel
-			c.Deliver = func(fn func()) { fn() }
-		})
-		g := env.gw
-		for i := 0; i < 10000; i++ {
-			txn := types.Transaction{Client: 1000 + uint64(i), Nonce: 1, Payload: []byte("x"), Sig: make([]byte, 64)}
-			if err := g.Submit(txn, at(i)); err != ErrBadSignature {
-				t.Fatalf("parallel=%d: unknown client %d: err = %v, want ErrBadSignature", parallel, txn.Client, err)
-			}
+	g := newEnv(t, nil).gw
+	for i := 0; i < 10000; i++ {
+		txn := types.Transaction{Client: 1000 + uint64(i), Nonce: 1, Payload: []byte("x"), Sig: make([]byte, 64)}
+		if err := g.Submit(txn, at(i)); err != ErrBadSignature {
+			t.Fatalf("unknown client %d: err = %v, want ErrBadSignature", txn.Client, err)
 		}
-		if n := len(g.clients); n != 0 {
-			t.Fatalf("parallel=%d: %d client states created for unknown ids", parallel, n)
-		}
-		m := g.cfg.Metrics
-		if m.Counter("gateway-submitted") != 10000 || m.Counter("gateway-verify-fail") != 10000 || len(g.memo) != 0 || g.inVerify != 0 {
-			t.Fatalf("parallel=%d: submitted %d, verify-fail %d, memo %d, in verification %d", parallel,
-				m.Counter("gateway-submitted"), m.Counter("gateway-verify-fail"), len(g.memo), g.inVerify)
-		}
+	}
+	if n := len(g.clients); n != 0 {
+		t.Fatalf("%d client states created for unknown ids", n)
+	}
+	m := g.cfg.Metrics
+	if m.Counter("gateway-submitted") != 10000 || m.Counter("gateway-verify-fail") != 10000 || len(g.memo) != 0 {
+		t.Fatalf("submitted %d, verify-fail %d, memo %d",
+			m.Counter("gateway-submitted"), m.Counter("gateway-verify-fail"), len(g.memo))
 	}
 }
 

@@ -56,8 +56,8 @@ type Config struct {
 	// When nil, Topology (if set) or DefaultWANLatency is used.
 	WANLatency func(fromGroup, toGroup int) Time
 	// Topology, when set, supplies the inter-group latency matrix and
-	// per-group bandwidth tiers from a materialized (copy-on-write) geometry
-	// instead of a callback; WANLatency takes precedence when both are set.
+	// per-group bandwidth tiers from a materialized geometry instead of a
+	// callback; WANLatency takes precedence when both are set.
 	Topology *Topology
 	// LANLatency is the one-way latency inside a data center.
 	LANLatency Time

@@ -41,6 +41,8 @@ func TestNewClusterValidation(t *testing.T) {
 // TestLayoutValidationBothFabrics: the group-layout and StandbyGroups rules
 // are one cluster.Config.Validate, so the simulator's NewCluster and the
 // process deployment's Topology reject the same layouts with the same words.
+// The rules about addresses have no simulated counterpart (addrs rows): there
+// LoadTopology's validate, StartNode and DialClients say the same words.
 func TestLayoutValidationBothFabrics(t *testing.T) {
 	for _, tc := range []struct {
 		name     string
@@ -48,6 +50,7 @@ func TestLayoutValidationBothFabrics(t *testing.T) {
 		standby  int
 		takeover time.Duration
 		protocol Protocol
+		addrs    func(*Topology) // edits a full address list; the row is Topology-only
 		ok       bool
 	}{
 		{name: "no groups"},
@@ -56,11 +59,35 @@ func TestLayoutValidationBothFabrics(t *testing.T) {
 		{name: "standby without takeover timeout", groups: []int{4, 4, 4}, standby: 1},
 		{name: "standby under geobft", groups: []int{4, 4, 4}, standby: 1, takeover: time.Second, protocol: ProtocolGeoBFT},
 		{name: "two active groups and a standby", groups: []int{4, 4, 4}, standby: 1, takeover: time.Second, ok: true},
+		{name: "gateway addresses and clients", groups: []int{2, 2}, ok: true,
+			addrs: func(tp *Topology) { tp.Clients, tp.Nodes[0].Gateway = 4, "h:9" }},
+		{name: "gateway address without clients", groups: []int{2, 2},
+			addrs: func(tp *Topology) { tp.Nodes[0].Gateway = "h:9" }},
+		{name: "one address as addr and gateway", groups: []int{2, 2},
+			addrs: func(tp *Topology) { tp.Clients, tp.Nodes[3].Gateway = 4, tp.Nodes[0].Addr }},
 	} {
 		_, simErr := NewCluster(Config{Groups: tc.groups, StandbyGroups: tc.standby,
 			TakeoverTimeout: tc.takeover, Protocol: tc.protocol})
-		_, topoErr := (&Topology{Groups: tc.groups, StandbyGroups: tc.standby,
-			TakeoverTimeoutMS: int(tc.takeover / time.Millisecond), Protocol: tc.protocol}).clusterConfig()
+		topo := &Topology{Groups: tc.groups, StandbyGroups: tc.standby,
+			TakeoverTimeoutMS: int(tc.takeover / time.Millisecond), Protocol: tc.protocol}
+		_, topoErr := topo.clusterConfig()
+		if tc.addrs != nil {
+			for g, size := range tc.groups {
+				for i := 0; i < size; i++ {
+					topo.Nodes = append(topo.Nodes, NodeAddr{Group: g, Index: i, Addr: fmt.Sprintf("h:%d", len(topo.Nodes))})
+				}
+			}
+			tc.addrs(topo)
+			topoErr = topo.validate()
+			if !tc.ok && topoErr != nil {
+				_, startErr := StartNode(NodeConfig{Topology: topo})
+				_, dialErr := DialClients(ClientPoolConfig{Topology: topo})
+				if startErr == nil || dialErr == nil || startErr.Error() != dialErr.Error() {
+					t.Errorf("%s: StartNode says %q, DialClients %q", tc.name, startErr, dialErr)
+				}
+				simErr = startErr // the simulator has no addresses to get wrong
+			}
+		}
 		if tc.ok {
 			if simErr != nil || topoErr != nil {
 				t.Errorf("%s: rejected: NewCluster %v, Topology %v", tc.name, simErr, topoErr)

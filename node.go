@@ -18,7 +18,6 @@ import (
 	"massbft/internal/aria"
 	"massbft/internal/cluster"
 	"massbft/internal/core"
-	"massbft/internal/gateway"
 	"massbft/internal/keys"
 	"massbft/internal/metrics"
 	"massbft/internal/replication"
@@ -77,10 +76,6 @@ type Topology struct {
 	GatewayQueue int     `json:"gateway_queue,omitempty"`
 	GatewayRate  float64 `json:"gateway_rate,omitempty"`
 	GatewayBurst int     `json:"gateway_burst,omitempty"`
-	// GatewayVerify is the signature-verification worker count per node
-	// (0 = 4). Real processes want the parallel pool; the deterministic
-	// emulator is the only place inline verification is mandatory.
-	GatewayVerify int `json:"gateway_verify,omitempty"`
 
 	// StandbyGroups marks the highest-numbered groups as provisioned
 	// standbys: their processes run and answer bootstrap traffic but hold no
@@ -108,7 +103,9 @@ func LoadTopology(path string) (*Topology, error) {
 }
 
 // validate checks the layout and protocol rules (cluster.Config.Validate,
-// through clusterConfig), then that Nodes covers exactly the layout.
+// through clusterConfig), then that Nodes covers exactly the layout, binds no
+// address twice, and names gateway addresses only beside registered clients
+// (without them no listener opens and the leaders self-generate load).
 func (t *Topology) validate() error {
 	if _, err := t.clusterConfig(); err != nil {
 		return err
@@ -118,6 +115,7 @@ func (t *Topology) validate() error {
 		want += n
 	}
 	seen := make(map[keys.NodeID]bool, len(t.Nodes))
+	bound := make(map[string]bool, 2*len(t.Nodes))
 	for _, na := range t.Nodes {
 		id := keys.NodeID{Group: na.Group, Index: na.Index}
 		if na.Group < 0 || na.Group >= len(t.Groups) || na.Index < 0 || na.Index >= t.Groups[na.Group] {
@@ -130,12 +128,28 @@ func (t *Topology) validate() error {
 			return fmt.Errorf("node %v listed twice", id)
 		}
 		seen[id] = true
+		if na.Gateway != "" && t.Clients <= 0 {
+			return fmt.Errorf("node %v names a gateway address but the %s", id, noClients)
+		}
+		for _, a := range []string{na.Addr, na.Gateway} {
+			if a == "" {
+				continue
+			}
+			if bound[a] {
+				return fmt.Errorf("address %s listed twice", a)
+			}
+			bound[a] = true
+		}
 	}
 	if len(seen) != want {
 		return fmt.Errorf("topology lists %d node addresses, layout needs %d", len(seen), want)
 	}
 	return nil
 }
+
+// noClients is what validate and DialClients say of a topology whose
+// "clients" is unset.
+const noClients = `topology registers no clients (set "clients")`
 
 // addr returns the dial address of a node.
 func (t *Topology) addr(id keys.NodeID) (string, bool) {
@@ -173,12 +187,11 @@ func (t *Topology) clusterConfig() (cluster.Config, error) {
 		RejoinTimeout:      ms(t.RejoinTimeoutMS),
 		StandbyGroups:      t.StandbyGroups,
 		Gateway: cluster.GatewayConfig{
-			Enabled:        t.Clients > 0,
-			Clients:        t.Clients,
-			QueueLimit:     t.GatewayQueue,
-			RatePerClient:  t.GatewayRate,
-			RateBurst:      t.GatewayBurst,
-			VerifyParallel: t.GatewayVerify,
+			Enabled:       t.Clients > 0,
+			Clients:       t.Clients,
+			QueueLimit:    t.GatewayQueue,
+			RatePerClient: t.GatewayRate,
+			RateBurst:     t.GatewayBurst,
 		},
 	}.WithDefaults()
 	return cfg, cfg.Validate()
@@ -211,8 +224,7 @@ type ProcNode struct {
 	node *core.Node
 	cfg  *cluster.Config
 	col  *metrics.Collector
-	gw   *gateway.Gateway // client front end, nil unless configured
-	gws  *gwServer        // client-facing gateway listener, nil unless configured
+	gws  *gwServer // client-facing gateway listener, nil unless configured
 	logf func(format string, args ...any)
 	// agreement is the latest NoteAgreement verdict (event-loop confined,
 	// like the collector).
@@ -349,15 +361,8 @@ func StartNode(nc NodeConfig) (*ProcNode, error) {
 		Faults:       &cluster.FaultPlan{ByzantineNodes: make(map[keys.NodeID]bool)},
 	}
 	if cfg.Gateway.Enabled {
-		vp := cfg.Gateway.VerifyParallel
-		if vp == 0 {
-			// Real processes default to the parallel verification pool; only
-			// the deterministic emulator must verify inline.
-			vp = 4
-		}
-		cluster.AttachGateway(ctx, ids.ClientReg, vp, func(fn func()) { n.ep.After(0, fn) })
+		cluster.AttachGateway(ctx, ids.ClientReg)
 	}
-	n.gw = ctx.Gateway
 	n.ep = ctx.Net
 	n.node = core.New(ctx)
 	tcpn.SetHandler(id, n.node)
@@ -380,23 +385,34 @@ func StartNode(nc NodeConfig) (*ProcNode, error) {
 			ctx.ReplyOut = n.sendReply
 		}
 	}
-	// Start (and optionally rejoin) on the node's event loop so protocol
-	// state is never touched from this goroutine.
-	started := make(chan struct{})
-	n.ep.After(0, func() {
+	started := n.onLoop(func() {
 		n.node.Start()
 		if nc.Rejoin {
 			n.node.Rejoin()
 		}
-		close(started)
 	})
-	select {
-	case <-started:
-	case <-time.After(5 * time.Second):
+	if !started {
 		tcpn.Close()
 		return nil, fmt.Errorf("massbft: node %v failed to start", id)
 	}
 	return n, nil
+}
+
+// onLoop runs fn on the node's event loop — protocol state and the collector
+// are confined to it, never touched from a caller's goroutine — and reports
+// whether it ran within five seconds.
+func (n *ProcNode) onLoop(fn func()) bool {
+	done := make(chan struct{})
+	n.ep.After(0, func() {
+		fn()
+		close(done)
+	})
+	select {
+	case <-done:
+		return true
+	case <-time.After(5 * time.Second):
+		return false
+	}
 }
 
 // sendReply frames one reply and hands it to the gateway server.
@@ -470,9 +486,9 @@ func (n *ProcNode) NoteAgreement(sum AgreementSummary) {
 // Status samples the node's protocol state on its event loop (so the
 // snapshot is internally consistent) plus the transport counters.
 func (n *ProcNode) Status() (NodeStatus, error) {
-	ch := make(chan NodeStatus, 1)
 	ts := n.tcpn.Stats()
-	n.ep.After(0, func() {
+	var st NodeStatus
+	ok := n.onLoop(func() {
 		// Fold the transport counters into the node's metrics collector
 		// (on its loop — the collector is not goroutine-safe) so they show
 		// up next to the protocol's recovery counters.
@@ -488,7 +504,7 @@ func (n *ProcNode) Status() (NodeStatus, error) {
 		for k, v := range ts.DropsByKind {
 			n.col.Set("transport-drop-"+cluster.EnvelopeKindName(k), int64(v))
 		}
-		st := NodeStatus{
+		st = NodeStatus{
 			Group: n.id.Group, Index: n.id.Index,
 			NowMS:     int64(n.ep.Now() / time.Millisecond),
 			Committed: n.col.Committed(),
@@ -518,44 +534,23 @@ func (n *ProcNode) Status() (NodeStatus, error) {
 			bh := b.Hash()
 			st.Trail = append(st.Trail, TrailPoint{Height: h, Hash: fmt.Sprintf("%x", bh[:])})
 		}
-		ch <- st
 	})
-	select {
-	case st := <-ch:
-		st.Transport = ts
-		return st, nil
-	case <-time.After(5 * time.Second):
+	if !ok {
 		return NodeStatus{}, fmt.Errorf("massbft: node %v event loop unresponsive", n.id)
 	}
+	st.Transport = ts
+	return st, nil
 }
 
 // Stop drains the node: client load stops (leaders switch to heartbeats),
 // the drain window lets in-flight work settle, then the transport flushes
 // its queues and shuts down.
 func (n *ProcNode) Stop(drain time.Duration) error {
-	done := make(chan struct{})
-	n.ep.After(0, func() {
-		n.cfg.Draining = true
-		close(done)
-	})
-	select {
-	case <-done:
-		if drain > 0 {
-			time.Sleep(drain)
-		}
-	case <-time.After(5 * time.Second):
+	if n.onLoop(func() { n.cfg.Draining = true }) && drain > 0 {
+		time.Sleep(drain)
 	}
 	if n.gws != nil {
 		n.gws.close()
 	}
-	err := n.tcpn.Close()
-	// Stop the gateway's verification workers only after the fabric is down:
-	// until then the event loop can still feed forwarded client requests into
-	// the pool, and closing first would panic the submit. Post-close worker
-	// completions re-enter through Endpoint.After, which drops them once the
-	// fabric is closed.
-	if n.gw != nil {
-		n.gw.Close()
-	}
-	return err
+	return n.tcpn.Close()
 }

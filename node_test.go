@@ -7,41 +7,49 @@ import (
 	"time"
 )
 
-// testTopology builds a 2-group x 2-node loopback topology on freshly
+// testTopology builds a loopback topology of the given group sizes on freshly
 // reserved ports, tuned small so the cluster commits quickly without
 // saturating a CI machine.
-func testTopology(t *testing.T) *Topology {
+func testTopology(t *testing.T, groups ...int) *Topology {
 	t.Helper()
-	addrs := make([]string, 4)
-	ls := make([]net.Listener, 4)
+	var nodes []NodeAddr
+	rate := make([]float64, len(groups))
+	for g, size := range groups {
+		rate[g] = 200
+		for i := 0; i < size; i++ {
+			nodes = append(nodes, NodeAddr{Group: g, Index: i})
+		}
+	}
+	for i, a := range freeAddrs(t, len(nodes)) {
+		nodes[i].Addr = a
+	}
+	return &Topology{
+		Groups:               groups,
+		Seed:                 7,
+		Nodes:                nodes,
+		Workload:             "ycsb-a",
+		BatchTimeoutMS:       50,
+		MaxBatch:             20,
+		GroupRate:            rate,
+		RepairTimeoutMS:      200,
+		CheckpointIntervalMS: 300,
+		RejoinTimeoutMS:      1000,
+	}
+}
+
+// freeAddrs returns n distinct loopback addresses that were free a moment ago.
+func freeAddrs(t *testing.T, n int) []string {
+	t.Helper()
+	addrs := make([]string, n)
 	for i := range addrs {
 		l, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {
 			t.Fatal(err)
 		}
-		ls[i] = l
+		defer l.Close()
 		addrs[i] = l.Addr().String()
 	}
-	for _, l := range ls {
-		l.Close()
-	}
-	return &Topology{
-		Groups: []int{2, 2},
-		Seed:   7,
-		Nodes: []NodeAddr{
-			{Group: 0, Index: 0, Addr: addrs[0]},
-			{Group: 0, Index: 1, Addr: addrs[1]},
-			{Group: 1, Index: 0, Addr: addrs[2]},
-			{Group: 1, Index: 1, Addr: addrs[3]},
-		},
-		Workload:             "ycsb-a",
-		BatchTimeoutMS:       50,
-		MaxBatch:             20,
-		GroupRate:            []float64{200, 200},
-		RepairTimeoutMS:      200,
-		CheckpointIntervalMS: 300,
-		RejoinTimeoutMS:      1000,
-	}
+	return addrs
 }
 
 func startTestNode(t *testing.T, topo *Topology, g, i int, rejoin bool) *ProcNode {
@@ -104,7 +112,7 @@ func TestTCPClusterEndToEnd(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-second wall-clock test")
 	}
-	topo := testTopology(t)
+	topo := testTopology(t, 2, 2)
 	nodes := make(map[[2]int]*ProcNode, 4)
 	for _, na := range topo.Nodes {
 		nodes[[2]int{na.Group, na.Index}] = startTestNode(t, topo, na.Group, na.Index, false)

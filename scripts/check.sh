@@ -1,12 +1,14 @@
 #!/usr/bin/env bash
-# Local mirror of the CI pipeline: vet, build, full tests, then a
-# short-mode race shard over the packages with the hottest concurrency
-# surface. Run from the repository root.
+# The CI pipeline's command lines, each in this one file: the workflow's jobs
+# call the presets below. Run from the repository root.
 #
 # Usage: scripts/check.sh [preset]
-#   (default)        full pipeline: gofmt, vet, build, tests, bench-module vet +
-#                    short tests, race shard, purego shard, fuzz smokes, demo
-#                    -trace smoke, tampering example, node smokes
+#   (default)        full pipeline: tier1, then race, then the three node smokes
+#   tier1            gofmt, vet, build, tests, bench-module vet + short tests,
+#                    demo -trace smoke, tampering example (CI: build-and-test)
+#   race             short-mode race shard over the packages with the hottest
+#                    concurrency surface, purego shard, the three fuzz smokes
+#                    (CI: race-short)
 #   partition-chaos  just the partition/failover chaos suite — the full WAN
 #                    partition schedules plus the reduced schedule under
 #                    -race -short — for iterating on failover changes without
@@ -38,6 +40,68 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 preset="${1:-full}"
+
+tier1() {
+  echo "== gofmt"
+  unformatted="$(gofmt -l .)"
+  if [ -n "$unformatted" ]; then
+    echo "gofmt -l . lists:" >&2
+    echo "$unformatted" >&2
+    exit 1
+  fi
+
+  echo "== go vet"
+  go vet ./...
+
+  echo "== go build"
+  go build ./...
+
+  echo "== go test"
+  go test ./... -timeout 900s
+
+  # bench/ is a module of its own that tier-1 never builds: vet it and run its
+  # short tests so a rename in internal/... cannot rot the ledger silently.
+  echo "== bench module (vet + short tests)"
+  go -C bench vet . && go -C bench test -short .
+
+  echo "== demo -trace smoke (the CLI flag end to end; the file's content is tier-1's)"
+  tracefile="$(mktemp)"
+  go run ./cmd/massbft-demo -groups 2 -nodes 3 -duration 3s -trace "$tracefile" >/dev/null
+  test -s "$tracefile"
+  rm -f "$tracefile"
+
+  echo "== tampering example (the collector API outside internal/core, end to end)"
+  go run ./examples/tampering >/dev/null
+}
+
+race() {
+  # The core shard includes TestPartitionFailoverReduced and the reduced
+  # membership join/leave schedules: WAN partition failover and certified
+  # epoch reconfiguration both run under the race detector on every pass
+  # (the full schedules skip in -short).
+  echo "== go test -race -short (simnet, replication, core, pbft, trace, erasure, gf256, keys and its edwards25519, statedb, aria, gateway, merkle)"
+  go test -race -short -timeout 600s ./internal/simnet/ ./internal/replication/ ./internal/core/ ./internal/pbft/ ./internal/trace/ ./internal/erasure/ ./internal/gf256/ ./internal/keys/... ./internal/statedb/ ./internal/aria/ ./internal/gateway/ ./internal/merkle/
+
+  # The field arithmetic under internal/keys/edwards25519 has an amd64 assembly
+  # path and a generic one; -tags purego runs the generic one on amd64 too.
+  echo "== go test -tags purego (generic field arithmetic)"
+  go test -tags purego ./internal/keys/...
+
+  # The state store against a map[string][]byte model: every mutator and every
+  # way a store is copied, compared on everything observable after each step.
+  echo "== fuzz smoke (statedb key table against a map model, 15 s)"
+  go test -run '^$' -fuzz FuzzStoreAgainstMap -fuzztime 15s ./internal/statedb/
+
+  # The batch verifier against crypto/ed25519: whatever the standard library
+  # accepts it accepts, and where it accepts more, a torsion component is why.
+  echo "== fuzz smoke (batch signature verification against crypto/ed25519, 15 s)"
+  go test -run '^$' -fuzz FuzzVerifyAgainstStdlib -fuzztime 15s ./internal/keys/edwards25519/
+
+  # The decoder every TCP frame goes through: no input may panic it, and what it
+  # accepts re-encodes to the same bytes.
+  echo "== fuzz smoke (wire envelope decoder, 15 s)"
+  go test -run '^$' -fuzz FuzzEnvelopeRoundTrip -fuzztime 15s ./internal/cluster/
+}
 
 case "$preset" in
 partition-chaos)
@@ -76,70 +140,25 @@ equal-seed)
   bash scripts/equal-seed.sh "${2:-HEAD}"
   exit 0
   ;;
+tier1)
+  tier1
+  echo "OK"
+  exit 0
+  ;;
+race)
+  race
+  echo "OK"
+  exit 0
+  ;;
 full) ;;
 *)
-  echo "unknown preset: $preset (want: full, partition-chaos, membership-chaos, node-smoke, gateway-smoke, divergence-sweep, equal-seed)" >&2
+  echo "unknown preset: $preset (want: full, tier1, race, partition-chaos, membership-chaos, node-smoke, gateway-smoke, divergence-sweep, equal-seed)" >&2
   exit 2
   ;;
 esac
 
-echo "== gofmt"
-unformatted="$(gofmt -l .)"
-if [ -n "$unformatted" ]; then
-  echo "gofmt -l . lists:" >&2
-  echo "$unformatted" >&2
-  exit 1
-fi
-
-echo "== go vet"
-go vet ./...
-
-echo "== go build"
-go build ./...
-
-echo "== go test"
-go test ./... -timeout 900s
-
-# bench/ is a module of its own that tier-1 never builds: vet it and run its
-# short tests so a rename in internal/... cannot rot the ledger silently.
-echo "== bench module (vet + short tests)"
-go -C bench vet . && go -C bench test -short .
-
-# The core shard includes TestPartitionFailoverReduced and the reduced
-# membership join/leave schedules: WAN partition failover and certified
-# epoch reconfiguration both run under the race detector on every pass
-# (the full schedules skip in -short).
-echo "== go test -race -short (simnet, replication, core, pbft, trace, erasure, gf256, keys and its edwards25519, statedb, aria, gateway, merkle)"
-go test -race -short -timeout 600s ./internal/simnet/ ./internal/replication/ ./internal/core/ ./internal/pbft/ ./internal/trace/ ./internal/erasure/ ./internal/gf256/ ./internal/keys/... ./internal/statedb/ ./internal/aria/ ./internal/gateway/ ./internal/merkle/
-
-# The field arithmetic under internal/keys/edwards25519 has an amd64 assembly
-# path and a generic one; -tags purego runs the generic one on amd64 too.
-echo "== go test -tags purego (generic field arithmetic)"
-go test -tags purego ./internal/keys/...
-
-# The state store against a map[string][]byte model: every mutator and every
-# way a store is copied, compared on everything observable after each step.
-echo "== fuzz smoke (statedb key table against a map model, 15 s)"
-go test -run '^$' -fuzz FuzzStoreAgainstMap -fuzztime 15s ./internal/statedb/
-
-# The batch verifier against crypto/ed25519: whatever the standard library
-# accepts it accepts, and where it accepts more, a torsion component is why.
-echo "== fuzz smoke (batch signature verification against crypto/ed25519, 15 s)"
-go test -run '^$' -fuzz FuzzVerifyAgainstStdlib -fuzztime 15s ./internal/keys/edwards25519/
-
-# The decoder every TCP frame goes through: no input may panic it, and what it
-# accepts re-encodes to the same bytes.
-echo "== fuzz smoke (wire envelope decoder, 15 s)"
-go test -run '^$' -fuzz FuzzEnvelopeRoundTrip -fuzztime 15s ./internal/cluster/
-
-echo "== demo -trace smoke (the CLI flag end to end; the file's content is tier-1's)"
-tracefile="$(mktemp)"
-go run ./cmd/massbft-demo -groups 2 -nodes 3 -duration 3s -trace "$tracefile" >/dev/null
-test -s "$tracefile"
-rm -f "$tracefile"
-
-echo "== tampering example (the collector API outside internal/core, end to end)"
-go run ./examples/tampering >/dev/null
+tier1
+race
 
 echo "== node smoke (4 massbft-node processes over loopback TCP, kill + rejoin)"
 bash scripts/node_smoke.sh
