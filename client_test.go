@@ -18,15 +18,18 @@ func gatewayTopology(t *testing.T, clients int, groups ...int) *Topology {
 	topo := testTopology(t, groups...)
 	topo.Clients = clients
 	topo.GroupRate = nil // gateway mode: load comes from clients, not leaders
-	for i, a := range freeAddrs(t, len(topo.Nodes)) {
-		topo.Nodes[i].Gateway = a
+	// Both address sets from one reservation: a second one could hand back a
+	// port the first has just released.
+	addrs := freeAddrs(t, 2*len(topo.Nodes))
+	for i := range topo.Nodes {
+		topo.Nodes[i].Addr, topo.Nodes[i].Gateway = addrs[i], addrs[len(topo.Nodes)+i]
 	}
 	return topo
 }
 
 // TestTCPGatewayClientEndToEnd drives real closed-loop clients over TCP
 // through the full external-client protocol: framed gateway connections,
-// Ed25519 request intake on the leader's event loop, leader forwarding,
+// Ed25519 verification at the leader's cut, leader forwarding,
 // consensus, execution, and f+1 signed reply certificates collected by the
 // public ClientPool/Client API — over 2-node groups and over an f = 1 quorum.
 func TestTCPGatewayClientEndToEnd(t *testing.T) {
@@ -62,7 +65,7 @@ func tcpGatewayEndToEnd(t *testing.T, groups []int) {
 	}
 	defer pool.Close()
 
-	// A tampered request reaches the leader first: it is refused at intake,
+	// A tampered request reaches the leader first: it is evicted at the cut,
 	// counted, and (checked after the load) never proposed.
 	bad := types.Transaction{Client: 1, Nonce: 1 << 20, Payload: []byte("tampered")}
 	bad.Sig = pool.cks[1].Sign(keys.ClientRequestMessage(bad.Client, bad.Nonce, bad.Payload))

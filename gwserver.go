@@ -24,13 +24,17 @@ package massbft
 // connections the newest that has actually carried a request from that
 // client wins, falling back to the newest registration (so a reconnecting
 // client supersedes its dead connection). A squatter registering a foreign
-// range it never uses therefore cannot shadow the real client's connection;
-// and because replies are only meaningful as part of an f+1 certificate
-// from distinct nodes, a connection that does capture or blackhole replies
-// at this node degrades it to one lost group member, which the client's
-// timeout-driven resubmission already covers. A reply to a client with no
-// live connection here is dropped and counted — other group members hold
-// connections too, and f+1 of them suffice for the client's certificate.
+// range it never uses therefore cannot shadow the real client's connection.
+// A connection that sends a request does: readLoop marks the client as
+// carried before any signature is checked (the leader checks at its cut; a
+// follower forwards unchecked), so one request forged under X's ID captures
+// X's receipts at this node. Replies only count in an f+1 certificate from
+// distinct nodes, so that costs X one group member here — but a forger who
+// connects to every member does the same at each, and capturing 2f+1 of a
+// group's 3f+1 leaves X no certificate from it (a Byzantine-client target,
+// ROADMAP item 4(c); not fixed). A reply to a client with no live connection
+// here is dropped and counted — other group members hold connections too,
+// and f+1 of them suffice for the client's certificate.
 
 import (
 	"encoding/binary"

@@ -190,10 +190,25 @@ func TestLocalLeaderCrashViewChange(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c.Net.Schedule(2*time.Second, func() { c.Net.Crash(keys.NodeID{Group: 0, Index: 0}) })
+	// The view-change timer is armed from the start, so the two fault-free
+	// seconds before the crash are the control: no view installs there.
+	viewChanges := func() int64 {
+		return c.Metrics.Counter("local-view-changes") + c.Metrics.Counter("meta-view-changes")
+	}
+	var beforeCrash int64 = -1
+	c.Net.Schedule(2*time.Second, func() {
+		beforeCrash = viewChanges()
+		c.Net.Crash(keys.NodeID{Group: 0, Index: 0})
+	})
 	c.Run()
 	if c.Metrics.Committed() == 0 {
 		t.Fatalf("no progress: %s", c.Metrics.Summary())
+	}
+	if beforeCrash != 0 {
+		t.Fatalf("%d view changes installed before any fault", beforeCrash)
+	}
+	if n := c.Metrics.Counter("local-view-changes"); n < 1 {
+		t.Fatalf("local-view-changes = %d after the local leader crashed", n)
 	}
 	// Note: without a local view-change timeout configured the group simply
 	// stops proposing but others continue; the stronger property (new

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"bytes"
+
 	"massbft/internal/cluster"
 	"massbft/internal/keys"
 	"massbft/internal/types"
@@ -39,15 +41,15 @@ func (n *Node) onClientRequest(from keys.NodeID, m *cluster.ClientRequest) {
 
 // validateProposal vets a local pre-prepare before this replica votes on it
 // (pbft.Config.Validate): every embedded client transaction must carry a
-// valid client signature over its own content. Intake verification at the
-// leader's gateway only constrains the leader that admitted the request — a
-// Byzantine leader could otherwise fabricate transactions attributed to any
-// client and have them certified with honest votes, then answered with valid
-// f+1 reply certificates. Re-checking here means a forged batch can never
-// gather the 2f+1 local commit shares its certificate needs. The per-txn
-// cost is the signature verification the paper already models as the
+// valid client signature over its own content. The leader's cut only binds
+// that leader — a Byzantine one could otherwise fabricate transactions
+// attributed to any client, have them certified with honest votes and
+// answered with valid f+1 reply certificates; re-checked here, a forged
+// batch never gathers the 2f+1 local commit shares its certificate needs.
+// The per-txn cost is the signature verification the paper models as the
 // dominant local-consensus cost (chargePrePrepare). Direct-injection runs
-// (no gateway) carry no client signatures and skip the check.
+// (no gateway) carry no client signatures and skip the check. The leader
+// accepts its own pre-prepare, cut from checked signatures, by its bytes.
 func (n *Node) validateProposal(payload []byte) bool {
 	gw := n.ctx.Gateway
 	if gw == nil {
@@ -57,7 +59,7 @@ func (n *Node) validateProposal(payload []byte) bool {
 	if e == nil {
 		return false
 	}
-	if gw.VerifyTxns(e.Txns) {
+	if p := n.proposed[e.ID.Seq]; p != nil && bytes.Equal(p.enc, payload) || gw.VerifyTxns(e.Txns) {
 		n.rememberDecoded(payload, e)
 		return true
 	}

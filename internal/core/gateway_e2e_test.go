@@ -116,6 +116,73 @@ func TestGatewayDedupExactlyOnceCluster(t *testing.T) {
 	assertConsistency(t, c, nil)
 }
 
+// forgeFirst is a group leader behind a forger who sees every client request
+// on its way and gets a forged copy of it — same client, nonce and payload, a
+// corrupted signature — to the leader first.
+type forgeFirst struct {
+	*Node
+	forged *int64
+}
+
+func (f forgeFirst) HandleMessage(msg transport.Message) {
+	if m, ok := msg.Payload.(*cluster.ClientRequest); ok {
+		txn := m.Txn
+		txn.Sig = append([]byte(nil), txn.Sig...)
+		txn.Sig[40] ^= 4
+		req := &cluster.ClientRequest{Txn: txn}
+		f.Node.HandleMessage(transport.Message{From: msg.From, To: msg.To, Payload: req, Size: req.WireSize()})
+		*f.forged++
+	}
+	f.Node.HandleMessage(msg)
+}
+
+// TestGatewayForgedFirstCopiesCluster: verifying at the cut must not let a
+// forgery squat an honest request's nonce. With a forged copy of every
+// request reaching its leader just before the genuine one, every forgery is
+// evicted at the cut, every genuine request executes exactly once, and no
+// client has to time out and resubmit.
+func TestGatewayForgedFirstCopiesCluster(t *testing.T) {
+	t.Parallel()
+	cfg := gatewayCfg(24)
+	c, err := cluster.New(cfg, NewNode)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var forged int64
+	leaders := map[keys.NodeID]cluster.Node{}
+	for g := range cfg.GroupSizes {
+		id := keys.NodeID{Group: g, Index: 0}
+		leaders[id] = c.Nodes[id]
+		f := forgeFirst{Node: c.Nodes[id].(*Node), forged: &forged}
+		c.Nodes[id] = f
+		c.Transport.SetHandler(id, f)
+	}
+	c.Run()
+	c.Drain(2 * time.Second)
+	for id, n := range leaders {
+		c.Nodes[id] = n
+	}
+
+	hub, m := c.Hub(), c.Metrics
+	totalNodes := int64(0)
+	for _, n := range cfg.GroupSizes {
+		totalNodes += int64(n)
+	}
+	if hub.Committed == 0 || forged == 0 {
+		t.Fatalf("committed %d requests behind %d forgeries: %s", hub.Committed, forged, m.Summary())
+	}
+	if hub.Resubmits != 0 || hub.GaveUp != 0 {
+		t.Fatalf("forgeries delayed clients: %d resubmits, %d gave up", hub.Resubmits, hub.GaveUp)
+	}
+	if got := m.Counter("gateway-verify-fail"); got != forged {
+		t.Fatalf("gateway-verify-fail = %d, want one per forgery (%d)", got, forged)
+	}
+	if got := m.Counter("gateway-executed"); got != hub.Committed*totalNodes {
+		t.Fatalf("gateway-executed = %d, want %d requests x %d nodes", got, hub.Committed, totalNodes)
+	}
+	assertConsistency(t, c, nil)
+}
+
 // TestGatewayAdmissionLoad10k floods the cluster with 10,000 closed-loop
 // clients against a small intake queue: admission control must engage
 // (explicit overload rejections), clients must converge through timeout

@@ -486,6 +486,7 @@ func (n *Node) livenessTick() {
 // onLocalViewChange resets proposer bookkeeping when local leadership moves;
 // the new leader continues the group sequence from what it has delivered.
 func (n *Node) onLocalViewChange(view uint64) {
+	n.ctx.Metrics.Inc("local-view-changes")
 	n.inFlight = 0
 	n.lastLocalProgress = n.now()
 }
@@ -498,6 +499,7 @@ func (n *Node) onLocalViewChange(view uint64) {
 // view in Record.View, fencing out any stale copy of the original still in
 // flight (see processRecords).
 func (n *Node) onMetaViewChange(view uint64) {
+	n.ctx.Metrics.Inc("meta-view-changes")
 	n.lastMetaProgress = n.now()
 }
 

@@ -3,30 +3,31 @@
 //
 // The pipeline (DESIGN.md §10):
 //
-//	client ──ClientRequest──▶ intake ──verify──▶ dedup/admission ──▶ FIFO
+//	client ──ClientRequest──▶ intake ──▶ FIFO ──▶ cut (verify) ──▶ proposer
+//	                    (dedup, admission)     TakeBatch: max-batch/max-wait
 //	                                                                  │
-//	     proposer batchTick ◀── TakeBatch (flush on max-batch/max-wait)┘
-//	                                                                  │
-//	client ◀──f+1 signed receipts── execute ──Executed────────────────┘
+//	client ◀──f+1 signed receipts── execute ◀──Executed───────────────┘
 //
-// Intake verifies Ed25519 client signatures inline on the owning event loop,
-// on both fabrics, with a bounded content-keyed memo so retransmitted
-// requests never pay the signature check twice. Per-client
-// sequence numbers with a bounded dedup window make retries idempotent:
-// a duplicate of an executed request re-sends the cached reply without
-// re-executing; a duplicate of an in-flight request is absorbed. Replies are
-// execution receipts (receipt.go): an origin-group node signs once per
-// executed entry, over a Merkle root of the entry's (client, nonce) pairs,
-// and each client checks its own path and that one signature. Admission
-// control is explicit: a bounded intake queue rejects with ErrOverloaded and
-// per-client token buckets reject with ErrRateLimited, so overload degrades
-// into fast rejections instead of unbounded queue growth.
+// Intake only keeps the books; the cut verifies. TakeBatch puts the Ed25519
+// client signatures of the requests it is about to propose through one batch
+// equation — the one every follower checks the proposal with (VerifyTxns) —
+// and evicts what fails. Per-client sequence numbers with a bounded dedup
+// window make retries idempotent: a duplicate of an executed request
+// re-sends the cached reply without re-executing; a duplicate of an
+// in-flight request is absorbed. Replies are execution receipts
+// (receipt.go): an origin-group node signs once per executed entry, over a
+// Merkle root of the entry's (client, nonce) pairs, and each client checks
+// its own path and that one signature. Admission control is explicit: a
+// bounded intake queue rejects with ErrOverloaded and per-client token
+// buckets reject with ErrRateLimited, so overload degrades into fast
+// rejections instead of unbounded queue growth.
 //
 // A Gateway is NOT safe for concurrent use: every method must run on the
 // owning node's event loop. It starts no goroutine of its own.
 package gateway
 
 import (
+	"bytes"
 	"errors"
 	"time"
 
@@ -35,15 +36,15 @@ import (
 	"massbft/internal/types"
 )
 
-// Admission and verification errors returned by Submit.
+// Admission errors returned by Submit.
 var (
 	// ErrOverloaded: the bounded intake queue is full. The client should
 	// back off and retry, possibly to another node.
 	ErrOverloaded = errors.New("gateway: overloaded, intake queue full")
 	// ErrRateLimited: the per-client token bucket is empty.
 	ErrRateLimited = errors.New("gateway: client rate limit exceeded")
-	// ErrBadSignature: the client signature failed verification, or the
-	// client ID is unknown (both counted as gateway-verify-fail).
+	// ErrBadSignature: the client ID is unknown (gateway-verify-fail, as is a
+	// bad signature under a known ID, which the cut evicts).
 	ErrBadSignature = errors.New("gateway: bad client signature")
 )
 
@@ -57,7 +58,7 @@ type Config struct {
 	// MaxWait is the latency bound: TakeBatch flushes a partial batch once
 	// the oldest pending request has waited this long.
 	MaxWait time.Duration
-	// QueueLimit bounds the verified FIFO. 0 means 4096.
+	// QueueLimit bounds the intake FIFO. 0 means 4096.
 	QueueLimit int
 	// DedupWindow is the per-client count of executed requests remembered
 	// for idempotent retries. 0 means 64.
@@ -88,7 +89,7 @@ type execSlot struct {
 type clientState struct {
 	// pending holds nonces accepted into the pipeline (queued or already cut
 	// into a proposal) but not yet executed.
-	pending map[uint64]struct{}
+	pending map[uint64]inflight
 	// window is the bounded executed window: it grows to Config.DedupWindow
 	// slots and is a ring from then on, next being the oldest slot, the one
 	// the next execution overwrites (0 while the window is still growing).
@@ -103,22 +104,26 @@ type clientState struct {
 	last   time.Time
 }
 
-// memoKey identifies a verified request by content, mirroring the
-// certificate memo: same client, nonce, signed message (which covers the
-// payload), and signature — a tampered retransmission never hits a cached
-// verdict. Binding the message hash matters: keying on the signature alone
-// would let a captured signature replay with a different payload once its
-// nonce ages out of the dedup window, turning a cached ok verdict into an
-// unverified forgery.
-type memoKey struct {
-	client, nonce    uint64
-	msgHash, sigHash keys.Digest
+// inflight is one pending nonce of a client. payload and sig are its first
+// queued copy: a copy with the same bytes is a retransmission, absorbed; one
+// with other bytes queues as a rival until a cut takes a copy (cut), so a
+// forgery that arrives first cannot squat an honest request's nonce. queued
+// counts the copies no cut has checked; executed marks a taken copy that
+// executed while others queued, the entry going with the last of them.
+type inflight struct {
+	payload, sig  []byte
+	queued        int
+	cut, executed bool
 }
 
-// queued is one verified request waiting for the batcher.
+// queued is one request waiting for the batcher. taken: an earlier cut
+// verified and took it (PushFront returns only such). For the others, the
+// current cut's signed message and verdict.
 type queued struct {
-	txn types.Transaction
-	at  time.Time
+	txn       types.Transaction
+	at        time.Time
+	taken, ok bool
+	msg       []byte
 }
 
 // Gateway is one node's client front end. See the package comment for the
@@ -127,19 +132,18 @@ type Gateway struct {
 	cfg     Config
 	q       []queued
 	clients map[uint64]*clientState
-	memo    map[memoKey]bool
 	rcpt    receiptScratch
-	// VerifyTxns scratch: the signatures of the proposal under validation
-	// and their signed messages, laid end to end.
-	batch *keys.ClientBatch
-	msgs  []byte
+	// Verification scratch for a cut or a proposal: the signatures and their
+	// signed messages, laid end to end.
+	batch  *keys.ClientBatch
+	msgs   []byte
+	single bool // a cut's equation failed: check alone until a cut is clean
 }
 
 const (
 	defaultQueueLimit  = 4096
 	defaultDedupWindow = 64
 	defaultRateBurst   = 16
-	memoLimit          = 4096
 )
 
 // New builds a Gateway.
@@ -156,7 +160,6 @@ func New(cfg Config) *Gateway {
 	return &Gateway{
 		cfg:     cfg,
 		clients: make(map[uint64]*clientState),
-		memo:    make(map[memoKey]bool),
 		batch:   cfg.Clients.NewBatch(),
 	}
 }
@@ -177,7 +180,7 @@ func (g *Gateway) client(id uint64) *clientState {
 	cs := g.clients[id]
 	if cs == nil {
 		cs = &clientState{
-			pending: make(map[uint64]struct{}),
+			pending: make(map[uint64]inflight),
 			tokens:  float64(g.cfg.RateBurst),
 		}
 		g.clients[id] = cs
@@ -186,7 +189,8 @@ func (g *Gateway) client(id uint64) *clientState {
 }
 
 // Submit runs intake for one raw client request: dedup, admission control,
-// signature verification, enqueue. Must run on the owning event loop.
+// enqueue. The signature is checked when TakeBatch cuts the request. Must run
+// on the owning event loop.
 //
 // Returns nil when the request was absorbed — freshly enqueued, a duplicate
 // of an in-flight request, or a dedup-window hit (which re-sends the cached
@@ -202,11 +206,13 @@ func (g *Gateway) Submit(txn types.Transaction, now time.Time) error {
 	cs := g.client(txn.Client)
 
 	// Dedup before admission: retries of executed or in-flight requests must
-	// not consume queue space or tokens.
+	// not consume queue space or tokens. Ed25519 signing is deterministic, so
+	// an honest retransmission repeats the first copy's bytes.
 	if g.ServeCached(txn.Client, txn.Nonce) {
 		return nil
 	}
-	if _, ok := cs.pending[txn.Nonce]; ok {
+	p, ok := cs.pending[txn.Nonce]
+	if ok && (p.cut || bytes.Equal(p.sig, txn.Sig) && bytes.Equal(p.payload, txn.Payload)) {
 		g.inc("gateway-dup-pending")
 		return nil
 	}
@@ -233,142 +239,147 @@ func (g *Gateway) Submit(txn types.Transaction, now time.Time) error {
 		return ErrOverloaded
 	}
 
-	// Signature memo: a retransmission of the exact same signed request
-	// skips the crypto entirely.
-	msg := keys.ClientRequestMessage(txn.Client, txn.Nonce, txn.Payload)
-	key := memoKeyFor(txn, msg)
-	if ok, hit := g.memo[key]; hit {
-		g.inc("gateway-memo-hit")
-		if !ok {
-			return ErrBadSignature
-		}
-		g.enqueue(txn, now)
-		return nil
-	}
-
-	ok := g.cfg.Clients.Verify(txn.Client, msg, txn.Sig)
-	g.memoPut(key, ok)
 	if !ok {
-		g.inc("gateway-verify-fail")
-		return ErrBadSignature
+		p = inflight{payload: txn.Payload, sig: txn.Sig}
 	}
-	g.inc("gateway-verified")
-	g.enqueue(txn, now)
+	p.queued++
+	cs.pending[txn.Nonce] = p
+	g.q = append(g.q, queued{txn: txn, at: now})
+	g.inc("gateway-enqueued")
+	if g.cfg.Metrics != nil && int64(len(g.q)) > g.cfg.Metrics.Counter("gateway-queue-peak") {
+		g.cfg.Metrics.Set("gateway-queue-peak", int64(len(g.q)))
+	}
 	return nil
-}
-
-// memoKeyFor builds the memo key binding a request's full signed content:
-// msg must be keys.ClientRequestMessage(txn.Client, txn.Nonce, txn.Payload).
-func memoKeyFor(txn types.Transaction, msg []byte) memoKey {
-	return memoKey{
-		client: txn.Client, nonce: txn.Nonce,
-		msgHash: keys.Hash(msg), sigHash: keys.Hash(txn.Sig),
-	}
 }
 
 // VerifyTxns authenticates the client signatures embedded in a proposed
 // batch. Replicas call it on local pre-prepare receipt (DESIGN.md §10):
 // without this re-check, a Byzantine local leader could fabricate
 // transactions attributed to any client and have the group certify them —
-// intake verification only binds the leader that admitted the request.
-// Direct-injection transactions (Client == 0) carry no client signature and
-// are skipped.
+// the cut's check only binds the leader that made it. Direct-injection
+// transactions (Client == 0) carry no client signature and are skipped.
 //
-// Every signature it cannot skip goes through one batch equation, whatever
-// their number; a failed batch is the verdict. The verification memo is
-// consulted read-only, and only for what it has accepted: the proposing
-// leader verified these at intake, so it skips them; followers pay the
-// crypto. A remembered failure does not decide anything — the signature joins
-// the batch like a miss — so the verdict is a function of the proposal alone,
-// never of what this gateway's memo happens to hold (a remembered success is
-// sound to skip: whatever intake accepts, the batch equation accepts). The
-// memo is never populated here, so proposal validation cannot perturb its
-// occupancy or eviction timing.
+// Every other signature goes through one batch equation, whatever their
+// number — the equation TakeBatch checks a cut with — and a failed batch is
+// the verdict, a function of the proposal alone.
 func (g *Gateway) VerifyTxns(txns []types.Transaction) bool {
 	g.batch.Reset()
 	g.msgs = g.msgs[:0]
 	for i := range txns {
-		t := &txns[i]
-		if t.Client == 0 {
-			continue
-		}
-		// A grown buffer moves; the messages already queued keep the bytes
-		// they were cut from.
-		start := len(g.msgs)
-		g.msgs = keys.AppendClientRequestMessage(g.msgs, t.Client, t.Nonce, t.Payload)
-		msg := g.msgs[start:]
-		if len(g.memo) > 0 && g.memo[memoKeyFor(*t, msg)] {
-			g.msgs = g.msgs[:start]
-			continue
-		}
-		if !g.batch.Add(t.Client, msg, t.Sig) {
-			return false
+		if t := &txns[i]; t.Client != 0 {
+			if _, ok := g.stage(t); !ok {
+				return false
+			}
 		}
 	}
 	return g.batch.Verify()
 }
 
-// memoPut records a verification verdict, bounded drop-and-restart like the
-// certificate memo.
-func (g *Gateway) memoPut(key memoKey, ok bool) {
-	if len(g.memo) >= memoLimit {
-		g.memo = make(map[memoKey]bool, memoLimit/4)
-	}
-	g.memo[key] = ok
+// stage lays t's signed message into the arena (a grown arena moves; queued
+// messages keep their bytes) and adds its signature to the batch.
+func (g *Gateway) stage(t *types.Transaction) ([]byte, bool) {
+	start := len(g.msgs)
+	g.msgs = keys.AppendClientRequestMessage(g.msgs, t.Client, t.Nonce, t.Payload)
+	msg := g.msgs[start:]
+	return msg, g.batch.Add(t.Client, msg, t.Sig)
 }
 
-func (g *Gateway) enqueue(txn types.Transaction, at time.Time) {
-	g.client(txn.Client).pending[txn.Nonce] = struct{}{}
-	g.q = append(g.q, queued{txn: txn, at: at})
-	g.inc("gateway-enqueued")
-	if g.cfg.Metrics != nil && int64(len(g.q)) > g.cfg.Metrics.Counter("gateway-queue-peak") {
-		g.cfg.Metrics.Set("gateway-queue-peak", int64(len(g.q)))
-	}
-}
-
-// Pending returns the number of verified requests awaiting a batch.
+// Pending returns the number of requests awaiting a batch.
 func (g *Gateway) Pending() int { return len(g.q) }
 
-// TakeBatch cuts up to max requests for a proposal under the latency/size
-// dual bound: it returns a batch when max (or Config.MaxBatch, whichever is
-// smaller) requests are pending, when the oldest pending request has waited
-// MaxWait, or when force is set (draining); otherwise it holds the partial
-// batch back and returns nil.
-func (g *Gateway) TakeBatch(now time.Time, max int, force bool) []types.Transaction {
+// TakeBatch cuts up to size requests for a proposal under the latency/size
+// dual bound: it cuts when size (or Config.MaxBatch, whichever is smaller)
+// requests are pending, when the oldest pending request has waited MaxWait,
+// or when force is set (draining); otherwise it holds the partial batch back
+// and returns nil. It returns the cut's requests whose signatures verify,
+// one copy of a nonce: bad ones are evicted (gateway-verify-fail), copies of
+// a nonce already taken dropped (gateway-dup-pending).
+func (g *Gateway) TakeBatch(now time.Time, size int, force bool) []types.Transaction {
 	if len(g.q) == 0 {
 		return nil
 	}
-	if g.cfg.MaxBatch > 0 && max > g.cfg.MaxBatch {
-		max = g.cfg.MaxBatch
+	if g.cfg.MaxBatch > 0 && size > g.cfg.MaxBatch {
+		size = g.cfg.MaxBatch
 	}
-	if max <= 0 {
-		max = len(g.q)
+	if size <= 0 {
+		size = len(g.q)
 	}
-	if !force && len(g.q) < max && now.Sub(g.q[0].at) < g.cfg.MaxWait {
+	if !force && len(g.q) < size && now.Sub(g.q[0].at) < g.cfg.MaxWait {
 		return nil
 	}
-	n := len(g.q)
-	if n > max {
-		n = max
+	cut := g.q[:min(len(g.q), size)]
+	g.verifyCut(cut)
+	out := make([]types.Transaction, 0, len(cut))
+	for i := range cut {
+		q := &cut[i]
+		if q.taken {
+			out = append(out, q.txn)
+			continue
+		}
+		// The entry is absent when the nonce executed elsewhere while this
+		// copy queued; the copy is then proposed like any other.
+		cs := g.clients[q.txn.Client]
+		p := cs.pending[q.txn.Nonce]
+		p.queued = max(p.queued-1, 0)
+		switch {
+		case p.cut:
+			g.inc("gateway-dup-pending")
+		case q.ok:
+			p.cut = true
+			g.inc("gateway-verified")
+			out = append(out, q.txn)
+		default:
+			g.inc("gateway-verify-fail")
+		}
+		if p.queued == 0 && (!p.cut || p.executed) {
+			delete(cs.pending, q.txn.Nonce)
+		} else {
+			cs.pending[q.txn.Nonce] = p
+		}
 	}
-	out := make([]types.Transaction, n)
-	for i := 0; i < n; i++ {
-		out[i] = g.q[i].txn
-	}
-	g.q = append(g.q[:0], g.q[n:]...)
-	g.add("gateway-proposed", int64(n))
+	g.q = append(g.q[:0], g.q[len(cut):]...)
+	g.add("gateway-proposed", int64(len(out)))
 	return out
 }
 
-// PushFront returns txns to the head of the queue after a failed proposal so
-// they are retried in order rather than lost.
+// verifyCut sets ok on each request of cut no earlier cut took: one batch
+// equation for all (DESIGN.md §10). A failed equation does not name the
+// culprit, so each is then checked alone — a one-signature batch, the same
+// equation — as in every later cut until one comes back clean: a poisoned
+// cut of n costs n + n, and under a flood a request costs one single check.
+func (g *Gateway) verifyCut(cut []queued) {
+	g.batch.Reset()
+	g.msgs = g.msgs[:0]
+	for i := range cut {
+		if q := &cut[i]; !q.taken {
+			q.msg, q.ok = g.stage(&q.txn)
+		}
+	}
+	if !g.single && g.batch.Verify() {
+		return
+	}
+	clean := true
+	for i := range cut {
+		if q := &cut[i]; !q.taken && q.ok {
+			g.batch.Reset()
+			g.batch.Add(q.txn.Client, q.msg, q.txn.Sig) // accepted above
+			q.ok = g.batch.Verify()
+			clean = clean && q.ok
+		}
+	}
+	g.single = !clean
+}
+
+// PushFront returns txns, which TakeBatch cut, to the head of the queue after
+// a failed proposal so they are retried in order rather than lost, and not
+// verified a second time.
 func (g *Gateway) PushFront(txns []types.Transaction, at time.Time) {
 	if len(txns) == 0 {
 		return
 	}
 	head := make([]queued, 0, len(txns)+len(g.q))
 	for _, t := range txns {
-		head = append(head, queued{txn: t, at: at})
+		head = append(head, queued{txn: t, at: at, taken: true})
 	}
 	g.q = append(head, g.q...)
 }
@@ -450,7 +461,12 @@ func (g *Gateway) Executed(txns []types.Transaction, height uint64, result []byt
 // this was the first time.
 func (g *Gateway) MarkExecuted(e Exec) (fresh bool) {
 	cs := g.client(e.Client)
-	delete(cs.pending, e.Nonce)
+	if p := cs.pending[e.Nonce]; p.cut && p.queued > 0 {
+		p.executed = true // copies still queued: the cut drops them
+		cs.pending[e.Nonce] = p
+	} else {
+		delete(cs.pending, e.Nonce)
+	}
 	if cs.lookup(e.Nonce) != nil {
 		return false
 	}

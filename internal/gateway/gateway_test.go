@@ -57,34 +57,42 @@ func req(ck *keys.ClientKey, nonce uint64, payload string) types.Transaction {
 
 func at(ms int) time.Time { return time.Unix(0, int64(ms)*int64(time.Millisecond)) }
 
-func TestIntakeVerifyAndMemo(t *testing.T) {
+// TestIntakeVerifyAtCut: intake queues what it cannot refuse by bookkeeping
+// alone, and the cut lets through only what verifies. An unknown client is
+// the one thing Submit refuses as a bad signature.
+func TestIntakeVerifyAtCut(t *testing.T) {
 	env := newEnv(t, nil)
 	g := env.gw
+	m := g.cfg.Metrics
 
 	good := req(env.cks[0], 1, "v1")
-	if err := g.Submit(good, at(0)); err != nil {
-		t.Fatalf("good request rejected: %v", err)
-	}
-	if g.Pending() != 1 {
-		t.Fatalf("pending = %d, want 1", g.Pending())
-	}
-
 	bad := req(env.cks[1], 1, "v1")
 	bad.Sig[0] ^= 0xff
-	if err := g.Submit(bad, at(0)); err != ErrBadSignature {
-		t.Fatalf("tampered request: err = %v, want ErrBadSignature", err)
+	for _, txn := range []types.Transaction{good, bad, bad} {
+		if err := g.Submit(txn, at(0)); err != nil {
+			t.Fatalf("client %d: %v", txn.Client, err)
+		}
 	}
-	// Retransmission of the same bad request hits the failure memo.
-	if err := g.Submit(bad, at(1)); err != ErrBadSignature {
-		t.Fatalf("memoized bad request: err = %v", err)
+	// The retransmitted bad request repeats the queued copy's bytes: absorbed.
+	if g.Pending() != 2 || m.Counter("gateway-dup-pending") != 1 || m.Counter("gateway-verified") != 0 {
+		t.Fatalf("pending %d, dup-pending %d, verified %d; want 2, 1, 0",
+			g.Pending(), m.Counter("gateway-dup-pending"), m.Counter("gateway-verified"))
 	}
-	// Unknown client fails verification too.
+	cut := g.TakeBatch(at(1), 10, true)
+	if len(cut) != 1 || cut[0].Client != good.Client {
+		t.Fatalf("cut %v, want the good request alone", clientsOf(cut))
+	}
+	if m.Counter("gateway-verified") != 1 || m.Counter("gateway-verify-fail") != 1 || m.Counter("gateway-proposed") != 1 {
+		t.Fatalf("verified %d, verify-fail %d, proposed %d; want 1 each",
+			m.Counter("gateway-verified"), m.Counter("gateway-verify-fail"), m.Counter("gateway-proposed"))
+	}
+	// The evicted request holds no nonce: a genuine one under it queues.
+	if err := g.Submit(req(env.cks[1], 1, "v1"), at(2)); err != nil || g.Pending() != 1 {
+		t.Fatalf("genuine request after an evicted forgery: err %v, pending %d", err, g.Pending())
+	}
 	unknown := types.Transaction{Client: 999, Nonce: 1, Payload: []byte("x"), Sig: make([]byte, 64)}
-	if err := g.Submit(unknown, at(1)); err != ErrBadSignature {
+	if err := g.Submit(unknown, at(3)); err != ErrBadSignature {
 		t.Fatalf("unknown client: err = %v", err)
-	}
-	if hits := g.cfg.Metrics.Counter("gateway-memo-hit"); hits != 1 {
-		t.Fatalf("memo hits = %d, want 1", hits)
 	}
 }
 
@@ -210,12 +218,11 @@ func TestDedupWindowRing(t *testing.T) {
 	}
 }
 
-// TestMemoForgedPayloadReplayRejected pins the memo key binding the full
-// signed message: a captured signature replayed with a DIFFERENT payload —
-// after the original nonce aged out of the dedup window, so dedup no longer
-// absorbs it — must fail verification instead of riding the cached ok
-// verdict of the genuine request into the queue.
-func TestMemoForgedPayloadReplayRejected(t *testing.T) {
+// TestForgedPayloadReplayRejected: a captured signature replayed with a
+// DIFFERENT payload — after the original nonce aged out of the dedup window,
+// so dedup no longer absorbs it — is checked over the message it arrived
+// with, fails at the cut and never reaches a proposal.
+func TestForgedPayloadReplayRejected(t *testing.T) {
 	env := newEnv(t, func(c *Config) { c.DedupWindow = 1 })
 	g := env.gw
 	ck := env.cks[0]
@@ -236,19 +243,22 @@ func TestMemoForgedPayloadReplayRejected(t *testing.T) {
 	// Replay the genuine signature over a forged payload.
 	forged := genuine
 	forged.Payload = []byte("pay mallory 1000000")
-	if err := g.Submit(forged, at(2)); err != ErrBadSignature {
-		t.Fatalf("forged replay: err = %v, want ErrBadSignature", err)
+	if err := g.Submit(forged, at(2)); err != nil {
+		t.Fatal(err)
 	}
-	if g.Pending() != 0 {
-		t.Fatal("forged transaction entered the queue")
+	if cut := g.TakeBatch(at(2), 10, true); len(cut) != 0 {
+		t.Fatalf("forged replay cut into a proposal: %+v", cut)
 	}
-	// The genuine bytes still hit the memo and re-enter (at-least-once
-	// beyond the window, by design).
+	if n := g.cfg.Metrics.Counter("gateway-verify-fail"); n != 1 {
+		t.Fatalf("gateway-verify-fail = %d, want 1", n)
+	}
+	// The genuine bytes re-enter and are cut (at-least-once beyond the
+	// window, by design).
 	if err := g.Submit(genuine, at(3)); err != nil {
 		t.Fatal(err)
 	}
-	if g.Pending() != 1 {
-		t.Fatal("genuine retransmission not re-admitted")
+	if cut := g.TakeBatch(at(3), 10, true); len(cut) != 1 || string(cut[0].Payload) != "pay alice 1" {
+		t.Fatalf("genuine retransmission not cut: %+v", cut)
 	}
 }
 
@@ -275,19 +285,15 @@ func TestVerifyTxnsAuthenticatesBatch(t *testing.T) {
 		t.Fatal("fabricated transaction accepted")
 	}
 
-	// Same content, tampered payload, genuine signature: rejected even when
-	// the genuine request sits in the memo.
+	// Same content, tampered payload, genuine signature.
 	genuine := req(env.cks[4], 5, "v1")
-	if err := g.Submit(genuine, at(0)); err != nil {
-		t.Fatal(err)
-	}
 	tampered := genuine
 	tampered.Payload = []byte("v2")
 	if g.VerifyTxns([]types.Transaction{tampered}) {
 		t.Fatal("tampered payload accepted")
 	}
 	if !g.VerifyTxns([]types.Transaction{genuine}) {
-		t.Fatal("genuine memoized transaction rejected")
+		t.Fatal("genuine transaction rejected")
 	}
 }
 

@@ -258,6 +258,3 @@ func (r *Requester) OnTick(now time.Time) (resubmit bool, group int, gaveUp bool
 
 // Active reports whether a request is awaiting its certificate.
 func (r *Requester) Active() bool { return r.active }
-
-// Group returns the current attempt's target group.
-func (r *Requester) Group() int { return r.group }

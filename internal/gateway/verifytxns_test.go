@@ -3,10 +3,8 @@ package gateway
 import (
 	"fmt"
 	"testing"
-	"time"
 
 	"massbft/internal/keys"
-	"massbft/internal/metrics"
 	"massbft/internal/types"
 )
 
@@ -39,9 +37,9 @@ func TestSubmitUnknownClientCreatesNoState(t *testing.T) {
 		t.Fatalf("%d client states created for unknown ids", n)
 	}
 	m := g.cfg.Metrics
-	if m.Counter("gateway-submitted") != 10000 || m.Counter("gateway-verify-fail") != 10000 || len(g.memo) != 0 {
-		t.Fatalf("submitted %d, verify-fail %d, memo %d",
-			m.Counter("gateway-submitted"), m.Counter("gateway-verify-fail"), len(g.memo))
+	if m.Counter("gateway-submitted") != 10000 || m.Counter("gateway-verify-fail") != 10000 || g.Pending() != 0 {
+		t.Fatalf("submitted %d, verify-fail %d, queued %d",
+			m.Counter("gateway-submitted"), m.Counter("gateway-verify-fail"), g.Pending())
 	}
 }
 
@@ -84,56 +82,11 @@ func TestVerifyTxnsForgeries(t *testing.T) {
 	}
 }
 
-// TestVerdictIgnoresMemo: a replica's vote on a proposal is a function of the
-// proposal. Gateways whose memos hold nothing, a success for every entry, a
-// (wrong) failure for a valid entry and a failure for the forged entry all
-// return the same verdict, for a valid proposal and for a forged one.
-func TestVerdictIgnoresMemo(t *testing.T) {
-	reg, cks, valid := proposal(t, 12, 16)
-	forged := append([]types.Transaction(nil), valid...)
-	forged[5].Payload = []byte("theirs")
-
-	put := func(g *Gateway, txn types.Transaction, ok bool) {
-		g.memoPut(memoKeyFor(txn, keys.ClientRequestMessage(txn.Client, txn.Nonce, txn.Payload)), ok)
-	}
-	memos := map[string]func(g *Gateway){
-		"empty": func(g *Gateway) {},
-		"every valid entry remembered as accepted": func(g *Gateway) {
-			for _, txn := range valid {
-				put(g, txn, true)
-			}
-		},
-		"an unrelated entry":                   func(g *Gateway) { put(g, req(cks[3], 77, "x"), false) },
-		"a valid entry remembered as rejected": func(g *Gateway) { put(g, valid[2], false) },
-		"the forged entry remembered as rejected": func(g *Gateway) {
-			put(g, forged[5], false)
-			put(g, valid[0], true)
-		},
-	}
-	for name, fill := range memos {
-		g := New(Config{Clients: reg, Metrics: metrics.NewCollector()})
-		fill(g)
-		held := len(g.memo)
-		for round := 0; round < 2; round++ {
-			if !g.VerifyTxns(valid) {
-				t.Errorf("memo %q: valid proposal rejected", name)
-			}
-			if g.VerifyTxns(forged) {
-				t.Errorf("memo %q: forged proposal accepted", name)
-			}
-		}
-		if len(g.memo) != held {
-			t.Errorf("memo %q: validation changed the memo's occupancy, %d to %d", name, held, len(g.memo))
-		}
-	}
-}
-
 // TestVerifyTxnsCostCeilings pins what the batch path costs a replica: no
 // allocation in steady state at 1, 4 and 209 transactions, each signature
 // through the batch equation once (which decodes one point per signature,
 // edwards25519.TestVerifyBatchCostCeilings, and no key twice,
-// keys.TestClientBatch), and no curve work at all for a transaction the memo
-// remembers as accepted.
+// keys.TestClientBatch), and no curve work at all under trust-all.
 func TestVerifyTxnsCostCeilings(t *testing.T) {
 	for _, n := range []int{1, 4, 209} {
 		reg, _, txns := proposal(t, n, 256)
@@ -160,24 +113,10 @@ func TestVerifyTxnsCostCeilings(t *testing.T) {
 		}
 	}
 
-	// The leader's view: everything was verified at intake.
-	reg, _, txns := proposal(t, 32, 32)
-	g := New(Config{Clients: reg, QueueLimit: 64, MaxWait: time.Second})
-	for _, txn := range txns {
-		if err := g.Submit(txn, at(0)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if !g.VerifyTxns(txns) || g.batch.Verified() != 0 {
-		t.Fatalf("%d remembered transactions went through the batch equation, want 0", g.batch.Verified())
-	}
-	if allocs := testing.AllocsPerRun(3, func() { g.VerifyTxns(txns) }); allocs != 0 {
-		t.Errorf("VerifyTxns over remembered transactions allocates %.0f objects", allocs)
-	}
-
 	// Trust-all: a known-client and length check, no curve work.
+	reg, _, txns := proposal(t, 32, 32)
 	reg.SetTrustAll(true)
-	g = New(Config{Clients: reg})
+	g := New(Config{Clients: reg})
 	if !g.VerifyTxns(txns) || g.batch.Verified() != 0 {
 		t.Fatal("trust-all did curve work")
 	}

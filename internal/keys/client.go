@@ -46,22 +46,8 @@ func GenerateClients(n int, seed int64) ([]*ClientKey, *ClientRegistry, error) {
 	return cks, reg, nil
 }
 
-// ClientKeyFor re-derives the key pair of a single client ID (1-based) from
-// the shared seed. Client processes use it so a load generator does not need
-// to materialize the full registry to sign as one client.
-func ClientKeyFor(id uint64, n int, seed int64) (*ClientKey, error) {
-	if id == 0 || id > uint64(n) {
-		return nil, fmt.Errorf("keys: client id %d outside registry of %d", id, n)
-	}
-	cks, _, err := GenerateClients(n, seed)
-	if err != nil {
-		return nil, err
-	}
-	return cks[id-1], nil
-}
-
 // ClientRegistry maps client IDs to public keys so gateways can authenticate
-// request intake. What it answers is immutable after construction apart from
+// client requests. What it answers is immutable after construction apart from
 // the trustAll toggle, which is set once before a run (benchmark mode,
 // mirroring Registry.SetTrustAll); what it caches for batch verification —
 // each client's decoded key, filled in by the first batch that needs it
@@ -111,18 +97,6 @@ func (r *ClientRegistry) client(id uint64) *clientPub {
 // Known reports whether the registry holds a key for client id.
 func (r *ClientRegistry) Known(id uint64) bool { return r.client(id) != nil }
 
-// Verify reports whether sig is a valid signature by client id over msg.
-func (r *ClientRegistry) Verify(id uint64, msg, sig []byte) bool {
-	c := r.client(id)
-	if c == nil {
-		return false
-	}
-	if r.trustAll {
-		return len(sig) == ed25519.SignatureSize
-	}
-	return ed25519.Verify(c.pub, msg, sig)
-}
-
 // decoded returns the client's key as a curve point, decoding it on first
 // use; nil when the key does not encode a point.
 func (c *clientPub) decoded() *edwards25519.Point {
@@ -137,14 +111,16 @@ func (c *clientPub) decoded() *edwards25519.Point {
 	return p
 }
 
-// ClientBatch checks the client signatures of one proposed batch in a single
-// curve equation (edwards25519.VerifyBatch): Reset, Add each signature, then
-// Verify. It keeps its list between batches and borrows the verifier's
-// scratch from its registry, so a node that validates proposal after
-// proposal allocates nothing in steady state. Not safe for concurrent use.
+// ClientBatch checks client signatures — a leader's cut, a follower's
+// proposal — in a single curve equation (edwards25519.VerifyBatch): Reset,
+// Add each signature, then Verify. It keeps its list between batches and
+// borrows the verifier's scratch from its registry, so a node that checks
+// batch after batch allocates nothing in steady state. Not safe for
+// concurrent use.
 //
-// The verdict is RFC 8032's cofactored one (DESIGN.md §10), which every
-// signature ClientRegistry.Verify accepts satisfies.
+// The verdict is RFC 8032's cofactored one (DESIGN.md §10), whatever the
+// batch size: a one-signature batch is the single check, and every signature
+// crypto/ed25519 accepts satisfies it.
 type ClientBatch struct {
 	reg      *ClientRegistry
 	sigs     []edwards25519.Signature
@@ -163,8 +139,8 @@ func (b *ClientBatch) Reset() {
 // Add queues sig as client id's signature over msg, which must stay
 // unchanged until Verify. It reports false — the batch can only fail — for
 // a client the registry does not hold, a signature of the wrong length, or a
-// registered key that is not a curve point. Under SetTrustAll that check is
-// all there is, as in ClientRegistry.Verify.
+// registered key that is not a curve point. Under SetTrustAll the known
+// client and the length are all there is to check.
 func (b *ClientBatch) Add(id uint64, msg, sig []byte) bool {
 	c := b.reg.client(id)
 	if c == nil || len(sig) != ed25519.SignatureSize {
@@ -217,7 +193,7 @@ func (b *ClientBatch) Verified() uint64 { return b.verified }
 // ClientRequestMessage is the byte string a client request signature covers:
 // a domain tag plus (client, nonce, payload). Binding the client ID and nonce
 // into the signed message makes replay under a different identity or sequence
-// number detectable at intake.
+// number detectable wherever the signature is checked.
 func ClientRequestMessage(client, nonce uint64, payload []byte) []byte {
 	return AppendClientRequestMessage(make([]byte, 0, 4+16+len(payload)), client, nonce, payload)
 }

@@ -97,10 +97,17 @@ type signer struct {
 
 func newSigner(t testing.TB, rng *rand.Rand) *signer {
 	t.Helper()
-	pub, priv, err := ed25519.GenerateKey(rng)
+	_, priv, err := ed25519.GenerateKey(rng)
 	if err != nil {
 		t.Fatal(err)
 	}
+	return signerFor(t, priv)
+}
+
+// signerFor holds priv as integers.
+func signerFor(t testing.TB, priv ed25519.PrivateKey) *signer {
+	t.Helper()
+	pub := priv.Public().(ed25519.PublicKey)
 	h := sha512.Sum512(priv.Seed())
 	h[0] &= 248
 	h[31] &= 63

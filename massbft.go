@@ -401,6 +401,8 @@ func (c *Cluster) RecoverNode(at time.Duration, group, index int) {
 // "entries-proposed" and "txns-proposed" count what the group leaders handed
 // to local consensus (heartbeat entries included, re-proposals not), the
 // denominator for "how much of what was proposed executed".
+// "local-view-changes" and "meta-view-changes" count the PBFT views the local
+// and the meta instance installed, once per node per view.
 func (c *Cluster) Counter(name string) int64 {
 	return c.inner.Metrics.Counter(name)
 }

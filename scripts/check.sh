@@ -7,7 +7,7 @@
 #   tier1            gofmt, vet, build, tests, bench-module vet + short tests,
 #                    demo -trace smoke, tampering example (CI: build-and-test)
 #   race             short-mode race shard over the packages with the hottest
-#                    concurrency surface, purego shard, the three fuzz smokes
+#                    concurrency surface, purego shard, the four fuzz smokes
 #                    (CI: race-short)
 #   partition-chaos  just the partition/failover chaos suite — the full WAN
 #                    partition schedules plus the reduced schedule under
@@ -96,6 +96,11 @@ race() {
   # accepts it accepts, and where it accepts more, a torsion component is why.
   echo "== fuzz smoke (batch signature verification against crypto/ed25519, 15 s)"
   go test -run '^$' -fuzz FuzzVerifyAgainstStdlib -fuzztime 15s ./internal/keys/edwards25519/
+
+  # The leader's intake and cut against a model: no bad signature and no nonce
+  # twice in a cut, every genuine request cut once, the batch/single cost bounds.
+  echo "== fuzz smoke (gateway intake and cut against a model, 15 s)"
+  go test -run '^$' -fuzz FuzzIntakeCut -fuzztime 15s ./internal/gateway/
 
   # The decoder every TCP frame goes through: no input may panic it, and what it
   # accepts re-encodes to the same bytes.
