@@ -17,6 +17,7 @@ import (
 // fingerprints in the same change; if it fails after a transport change,
 // the seam leaked into the simulation — fix the transport.
 func TestTransportSeamBitIdentical(t *testing.T) {
+	t.Parallel()
 	if testing.Short() {
 		t.Skip("multi-second simulation")
 	}
@@ -70,6 +71,7 @@ func TestTransportSeamBitIdentical(t *testing.T) {
 	for _, tc := range cases {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
+			t.Parallel()
 			c, err := NewCluster(tc.cfg)
 			if err != nil {
 				t.Fatal(err)

@@ -42,12 +42,14 @@ func combinedFaultCluster(t *testing.T, seed int64) *Cluster {
 // laggard stranded beyond every archive window. They must now drain to full
 // convergence, with zero certified group deaths.
 func TestCombinedFaultSeedsConverge(t *testing.T) {
+	t.Parallel()
 	if testing.Short() {
 		t.Skip("heavy integration test")
 	}
 	for _, seed := range []int64{4, 5} {
 		seed := seed
 		t.Run(map[int64]string{4: "seed4", 5: "seed5"}[seed], func(t *testing.T) {
+			t.Parallel()
 			c := combinedFaultCluster(t, seed)
 			c.Run(10 * time.Second)
 			rep := c.DrainToAgreement(500*time.Millisecond, 12*time.Second)
@@ -70,6 +72,7 @@ func TestCombinedFaultSeedsConverge(t *testing.T) {
 // one suspecter, short of the quorum a death needs, and after the heal every
 // node must drain to one ledger.
 func TestPartitionWANHealsAndConverges(t *testing.T) {
+	t.Parallel()
 	if testing.Short() {
 		t.Skip("heavy integration test")
 	}
@@ -104,6 +107,7 @@ func TestPartitionWANHealsAndConverges(t *testing.T) {
 // clean run: the report must converge quickly, carry a full node census,
 // and leave the divergence counters untouched.
 func TestDrainToAgreementFaultFree(t *testing.T) {
+	t.Parallel()
 	c, err := NewCluster(Config{
 		Groups:   []int{3, 3},
 		Workload: "ycsb-a",
@@ -139,6 +143,7 @@ func TestDrainToAgreementFaultFree(t *testing.T) {
 // semantics: a crashed node appears in the report as !Live and is never
 // judged, so the survivors still classify as converged.
 func TestAgreementReportSeesCrashedNodes(t *testing.T) {
+	t.Parallel()
 	if testing.Short() {
 		t.Skip("heavy integration test")
 	}

@@ -67,11 +67,12 @@ type NodeCtx struct {
 	// throughput/latency into it (all correct nodes execute identically).
 	Metrics    *metrics.Collector
 	IsObserver bool
-	// EncodeCache and RebuildCache are cluster-wide memo tables for the
-	// deterministic erasure transforms (CPU is charged per node regardless).
-	EncodeCache  map[string]*replication.Encoded
-	RebuildCache *replication.RebuildCache
-	Faults       *FaultPlan
+	// EncodeMemo and RebuildMemo are the process's memos of the deterministic
+	// erasure transforms of entries in flight (CPU is charged per node
+	// regardless).
+	EncodeMemo  *replication.EncodeMemo
+	RebuildMemo *replication.RebuildMemo
+	Faults      *FaultPlan
 	// Trace is the cluster-wide span recorder; nil when tracing is off (all
 	// recorder methods are nil-safe no-ops, so nodes record unconditionally).
 	Trace *trace.Recorder
@@ -83,6 +84,16 @@ type NodeCtx struct {
 	// environment sets it (the sim ClientHub, or a TCP gateway server); nil
 	// drops replies (direct-injection workloads produce none).
 	ReplyOut func(*ClientReply)
+}
+
+// NewMemos returns the erasure memos for the nodes of one process. Each holds
+// one value per entry the leaders may have unexecuted — PipelineDepth per
+// group — so the bound grows with the cluster: a fixed one sized for three
+// groups decoded each bucket seven times over at fifty (DESIGN §8). The
+// memory is made at the first use.
+func NewMemos(cfg *Config) (*replication.EncodeMemo, *replication.RebuildMemo) {
+	inFlight := len(cfg.GroupSizes) * cfg.PipelineDepth
+	return replication.NewEncodeMemo(inFlight), replication.NewRebuildMemo(inFlight)
 }
 
 // Identities is the key material every process of a deployment — a simulated
@@ -201,8 +212,7 @@ func New(cfg Config, factory Factory) (*Cluster, error) {
 		Metrics:    col,
 		Faults:     &FaultPlan{ByzantineNodes: make(map[keys.NodeID]bool)},
 	}
-	encodeCache := make(map[string]*replication.Encoded)
-	rebuildCache := replication.NewRebuildCache()
+	encodeMemo, rebuildMemo := NewMemos(&cfg)
 	if cfg.TraceEnabled {
 		c.Trace = trace.NewRecorder()
 		nw.SetSendProbe(c.sendProbe)
@@ -219,19 +229,19 @@ func New(cfg Config, factory Factory) (*Cluster, error) {
 			db := statedb.New()
 			gen.Load(db)
 			ctx := &NodeCtx{
-				ID:           id,
-				KP:           ids.Pairs[g][j],
-				Cfg:          &c.Cfg,
-				Reg:          ids.Reg,
-				Net:          c.Transport.Endpoint(id),
-				Gen:          gen,
-				Engine:       aria.NewEngine(db, exec),
-				Metrics:      col,
-				IsObserver:   id == cfg.Observer,
-				EncodeCache:  encodeCache,
-				RebuildCache: rebuildCache,
-				Faults:       c.Faults,
-				Trace:        c.Trace,
+				ID:          id,
+				KP:          ids.Pairs[g][j],
+				Cfg:         &c.Cfg,
+				Reg:         ids.Reg,
+				Net:         c.Transport.Endpoint(id),
+				Gen:         gen,
+				Engine:      aria.NewEngine(db, exec),
+				Metrics:     col,
+				IsObserver:  id == cfg.Observer,
+				EncodeMemo:  encodeMemo,
+				RebuildMemo: rebuildMemo,
+				Faults:      c.Faults,
+				Trace:       c.Trace,
 			}
 			if cfg.Gateway.Enabled {
 				AttachGateway(ctx, c.ClientReg)

@@ -10,6 +10,7 @@ import (
 	"massbft/internal/ledger"
 	"massbft/internal/replication"
 	"massbft/internal/simnet"
+	"massbft/internal/types"
 )
 
 // TestByzantineChunkTampering reproduces §VI-E "Node Failures": f Byzantine
@@ -550,6 +551,81 @@ func TestRejoinRejectsCorruptSuffix(t *testing.T) {
 	}
 	if err := rec.Verify(); err != nil {
 		t.Fatalf("recovered ledger integrity: %v", err)
+	}
+}
+
+// TestRejoinRejectsForgedPendingEntry: the pending entries of a checkpoint
+// are not on the ledger suffix verifySuffix checks, so each one that carries
+// content must be certified the way a fetched copy is. The victim's first
+// rejoin target (1,3) serves every checkpoint with the last value byte of one
+// write flipped in each pending entry, the certificates left as they were.
+// Installed, those entries would execute on the victim alone; it must reject
+// the whole checkpoint (rejoin-badpending), rotate to an honest peer, and end
+// in the group's state.
+func TestRejoinRejectsForgedPendingEntry(t *testing.T) {
+	t.Parallel()
+	if testing.Short() {
+		t.Skip("heavy integration test")
+	}
+	cfg := realCryptoCfg()
+	cfg.RunFor = 4500 * time.Millisecond
+	cfg.TakeoverTimeout = 300 * time.Millisecond
+	cfg.RepairTimeout = 300 * time.Millisecond
+	cfg.CheckpointInterval = 500 * time.Millisecond
+	c, err := cluster.New(cfg, NewNode)
+	if err != nil {
+		t.Fatal(err)
+	}
+	victim := keys.NodeID{Group: 1, Index: 2}
+	evil := keys.NodeID{Group: 1, Index: 3}
+	forged := 0
+	c.Net.SetByzantineSender(evil, simnet.ByzantineSender{
+		CorruptRate: 1.0,
+		Corrupt: func(p any, _ *rand.Rand) any {
+			resp, ok := p.(*cluster.RejoinResp)
+			if !ok || resp.C == nil {
+				return nil
+			}
+			// Deep-copy down to the payload being flipped: the originals are
+			// the serving node's live entries.
+			cp := *resp
+			ck := *resp.C
+			cp.C = &ck
+			ck.Pending = append([]cluster.PendingEntry(nil), resp.C.Pending...)
+			for i, pe := range ck.Pending {
+				if pe.Entry == nil {
+					continue
+				}
+				e := *pe.Entry
+				e.Txns = append([]types.Transaction(nil), e.Txns...)
+				for k := range e.Txns {
+					if len(e.Txns[k].Payload) > 10 { // a YCSB write: op, row, column, value
+						pl := append([]byte(nil), e.Txns[k].Payload...)
+						pl[len(pl)-1] ^= 0xff
+						e.Txns[k].Payload = pl
+						ck.Pending[i].Entry = &e
+						forged++
+						break
+					}
+				}
+			}
+			return &cp
+		},
+	})
+	c.ScheduleNodeCrash(2*time.Second, victim)
+	c.ScheduleNodeRecover(3500*time.Millisecond, victim)
+	c.Run()
+	c.Drain(3 * time.Second)
+	m := c.Metrics
+	if forged == 0 {
+		t.Fatalf("no pending entry was forged — test exercised nothing: %s", m.Summary())
+	}
+	assertConsistency(t, c, nil)
+	if m.Counter("rejoin-badpending") == 0 {
+		t.Fatalf("forged pending entries were never rejected: %s", m.Summary())
+	}
+	if m.Counter("state-transfers") == 0 {
+		t.Fatalf("victim never installed an honest state transfer: %s", m.Summary())
 	}
 }
 

@@ -42,7 +42,10 @@ func NewNode(ctx *cluster.NodeCtx) cluster.Node {
 }
 
 type entrySt struct {
-	entry     *types.Entry
+	entry *types.Entry
+	// enc is the encoding cert certifies, set with entry at every install
+	// from bytes the node already holds; it is what execution archives.
+	enc       []byte
 	cert      *keys.Certificate
 	content   bool
 	contentAt time.Duration
@@ -252,11 +255,16 @@ type Node struct {
 	// dropping late records).
 	executedSeq []uint64
 
-	// archive retains recently executed entries (content + certificate) so
-	// this node can still serve Lemma V.1 fetches and chunk-repair NACKs
-	// after execution garbage-collects the live entry state. Bounded to
-	// partitionHorizon sequence numbers per group.
+	// archive retains recently executed entries (certified bytes +
+	// certificate) so this node can still serve Lemma V.1 fetches and
+	// chunk-repair NACKs after execution garbage-collects the live entry
+	// state. Bounded to partitionHorizon sequence numbers per group.
 	archive map[types.EntryID]*archived
+
+	// plans memoizes the Algorithm-1 plan per (sender size, receiver size),
+	// filled on first use: group sizes never change at run time (standby
+	// groups are provisioned).
+	plans map[[2]int]*plan.Plan
 
 	// Checkpointed rejoin state. tickGen invalidates periodic timers across a
 	// rejoin (timers that fire while a node is crashed are discarded by the
@@ -279,10 +287,10 @@ type Node struct {
 }
 
 // archived is the post-execution remnant of an entry kept for recovery
-// serving.
+// serving: the bytes it was certified in, never a decoded copy.
 type archived struct {
-	entry *types.Entry
-	cert  *keys.Certificate
+	enc  []byte
+	cert *keys.Certificate
 }
 
 // New constructs a protocol node wired to ctx.
@@ -375,13 +383,19 @@ func New(ctx *cluster.NodeCtx) *Node {
 	} else {
 		n.rounds = order.NewRoundOrderer(n.ng, n.execute)
 	}
-	if n.opts.Replication == cluster.ReplEncoded {
-		n.collector = replication.NewCollector(ctx.Reg, n.recvPlan, n.onRebuilt)
-		n.collector.SetCache(ctx.RebuildCache)
-		n.collector.SetOnFailure(n.onRebuildFailure)
-		n.collector.SetMetricsHook(n.ctx.Metrics.Inc)
-	}
+	n.newCollector()
 	return n
+}
+
+// newCollector starts the chunk collector afresh (encoded replication only).
+func (n *Node) newCollector() {
+	if n.opts.Replication != cluster.ReplEncoded {
+		return
+	}
+	n.collector = replication.NewCollector(n.ctx.Reg, n.recvPlan, n.onRebuilt)
+	n.collector.SetMemo(n.ctx.RebuildMemo)
+	n.collector.SetOnFailure(n.onRebuildFailure)
+	n.collector.SetMetricsHook(n.ctx.Metrics.Inc)
 }
 
 // DB exposes the node's state store for consistency checks.
@@ -393,7 +407,7 @@ func (n *Node) Ledger() *ledger.Ledger { return n.ledger }
 // sendPlan returns the Algorithm-1 plan for sending from this node's group
 // to group r.
 func (n *Node) sendPlan(r int) *plan.Plan {
-	p, err := plan.New(n.cfg.GroupSizes[n.g], n.cfg.GroupSizes[r])
+	p, err := n.groupPlan(n.cfg.GroupSizes[n.g], n.cfg.GroupSizes[r])
 	if err != nil {
 		panic(fmt.Sprintf("core: plan %d->%d: %v", n.g, r, err))
 	}
@@ -405,11 +419,25 @@ func (n *Node) recvPlan(s int) *plan.Plan {
 	if s < 0 || s >= n.ng || s == n.g {
 		return nil
 	}
-	p, err := plan.New(n.cfg.GroupSizes[s], n.cfg.GroupSizes[n.g])
-	if err != nil {
-		return nil
-	}
+	p, _ := n.groupPlan(n.cfg.GroupSizes[s], n.cfg.GroupSizes[n.g])
 	return p
+}
+
+// groupPlan returns the memoized plan from a group of n1 nodes to one of n2.
+func (n *Node) groupPlan(n1, n2 int) (*plan.Plan, error) {
+	key := [2]int{n1, n2}
+	if p, ok := n.plans[key]; ok {
+		return p, nil
+	}
+	p, err := plan.New(n1, n2)
+	if err != nil {
+		return nil, err
+	}
+	if n.plans == nil {
+		n.plans = make(map[[2]int]*plan.Plan)
+	}
+	n.plans[key] = p
+	return p, nil
 }
 
 // Start implements cluster.Node.

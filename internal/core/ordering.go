@@ -397,24 +397,30 @@ func (n *Node) onCommitRecord(origin int, rec cluster.Record) {
 
 // onEntryFetch serves a full entry copy to a node that learned of the entry
 // through a timestamp but never obtained its content (Lemma V.1). Executed
-// entries are served from the archive — execution GCs live entry state.
+// entries are served from the archive — execution GCs live entry state — so
+// the copy is decoded here, once per fetch: a straggler's request is rare.
 func (n *Node) onEntryFetch(from keys.NodeID, m *cluster.EntryFetch) {
-	e, cert, ok := n.entryContent(m.Entry)
+	enc, cert, ok := n.entryContent(m.Entry)
 	if !ok {
+		return
+	}
+	e, err := types.DecodeEntry(enc)
+	if err != nil {
 		return
 	}
 	env := &cluster.EntryWAN{E: &replication.EntryMsg{Entry: e, Cert: cert}}
 	n.ctx.Net.Send(from, env, env.WireSize())
 }
 
-// entryContent returns the entry body and certificate if this node still
-// holds them, checking live state first, then the post-execution archive.
-func (n *Node) entryContent(id types.EntryID) (*types.Entry, *keys.Certificate, bool) {
-	if st := n.entries[id]; st != nil && st.content && st.entry != nil {
-		return st.entry, st.cert, true
+// entryContent returns the certified bytes of an entry and their certificate
+// if this node still holds them, checking live state first, then the
+// post-execution archive.
+func (n *Node) entryContent(id types.EntryID) ([]byte, *keys.Certificate, bool) {
+	if st := n.entries[id]; st != nil && st.content {
+		return st.enc, st.cert, true
 	}
-	if a := n.archive[id]; a != nil && a.entry != nil {
-		return a.entry, a.cert, true
+	if a := n.archive[id]; a != nil {
+		return a.enc, a.cert, true
 	}
 	return nil, nil, false
 }
@@ -541,11 +547,13 @@ func (n *Node) execute(id types.EntryID) {
 	n.archiveEntry(id, st)
 }
 
-// archiveEntry keeps an executed entry servable for straggler recovery,
-// bounded per group; seqs execute in order, so evicting (seq -
-// partitionHorizon) keeps the window tight without a scan.
+// archiveEntry keeps an executed entry servable for straggler recovery as
+// the bytes it was certified in — the decoded copy, and the transactions a
+// leader generated, become garbage here — bounded per group; seqs execute in
+// order, so evicting (seq - partitionHorizon) keeps the window tight without
+// a scan.
 func (n *Node) archiveEntry(id types.EntryID, st *entrySt) {
-	n.archive[id] = &archived{entry: st.entry, cert: st.cert}
+	n.archive[id] = &archived{enc: st.enc, cert: st.cert}
 	if id.Seq > partitionHorizon {
 		delete(n.archive, types.EntryID{GID: id.GID, Seq: id.Seq - partitionHorizon})
 	}

@@ -176,7 +176,7 @@ func (n *Node) onLocalCommit(slot uint64, payload []byte, cert *keys.Certificate
 	if st.content {
 		return // re-proposal certified twice; the first delivery did the work
 	}
-	st.entry, st.cert = e, cert
+	st.entry, st.enc, st.cert = e, payload, cert
 	st.content = true
 	st.contentAt = n.now()
 	// Our own group now holds the entry; route through noteAccept so the
@@ -283,7 +283,6 @@ func (n *Node) replicateEncoded(e *types.Entry, cert *keys.Certificate, enc []by
 		src = n.tamper(e)
 		digest = keys.Hash(src)
 	}
-	bytesOf := func() []byte { return src }
 	encStart := n.now()
 	var encCost time.Duration
 	for r := 0; r < n.ng; r++ {
@@ -291,7 +290,7 @@ func (n *Node) replicateEncoded(e *types.Entry, cert *keys.Certificate, enc []by
 			continue
 		}
 		p := n.sendPlan(r)
-		encd := n.encodeCached(digest, p, bytesOf)
+		encd := n.encodeCached(digest, p, src)
 		if encd == nil {
 			continue
 		}
@@ -327,32 +326,21 @@ func (n *Node) tamper(e *types.Entry) []byte {
 	return evil.Encode()
 }
 
-// encodeCached returns the deterministic encoding under plan p of the entry
-// bytes whose digest is d; enc produces those bytes and is called on a miss
-// only, so a caller holding a validated certificate pays neither the hash nor
-// (holding only the decoded entry) the re-encode on a hit. The result is
-// memoized cluster-wide (every correct node derives the identical encoding;
-// see replication.RebuildCache for the rationale) while the CPU cost is
-// charged by the caller per node.
-func (n *Node) encodeCached(d keys.Digest, p *plan.Plan, enc func() []byte) *replication.Encoded {
-	key := string(d[:]) + "/" + p.String()
-	if cached, ok := n.ctx.EncodeCache[key]; ok {
+// encodeCached returns the deterministic encoding under plan p of enc, the
+// entry bytes whose digest is d, so a caller holding a validated certificate
+// pays no hash. The result is memoized process-wide while the entry is in
+// flight (every correct node derives the identical encoding; see
+// replication.Memo) while the CPU cost is charged by the caller per node.
+func (n *Node) encodeCached(d keys.Digest, p *plan.Plan, enc []byte) *replication.Encoded {
+	key := replication.EncodeKey{Digest: d, Sender: p.SenderNodes, Receiver: p.ReceiverNodes}
+	if cached, ok := n.ctx.EncodeMemo.Get(key); ok {
 		return cached
 	}
-	encd, err := replication.Encode(enc(), p)
+	n.ctx.Metrics.Inc("encode-memo-misses")
+	encd, err := replication.Encode(enc, p)
 	if err != nil {
 		return nil
 	}
-	// Bound the memo table: entries are re-derivable, and long benchmark
-	// runs must not accumulate every encoding ever produced.
-	if len(n.ctx.EncodeCache) >= 512 {
-		for k := range n.ctx.EncodeCache {
-			delete(n.ctx.EncodeCache, k)
-			if len(n.ctx.EncodeCache) < 256 {
-				break
-			}
-		}
-	}
-	n.ctx.EncodeCache[key] = encd
+	n.ctx.EncodeMemo.Put(key, encd)
 	return encd
 }

@@ -112,7 +112,8 @@ func (n *Node) tamperedBatch(b *replication.ChunkBatch) *replication.ChunkBatch 
 	if p == nil {
 		return nil
 	}
-	encd := n.encodeTampered(st.entry, p)
+	evilEnc := n.tamper(st.entry)
+	encd := n.encodeCached(keys.Hash(evilEnc), p, evilEnc)
 	if encd == nil {
 		return nil
 	}
@@ -123,12 +124,6 @@ func (n *Node) tamperedBatch(b *replication.ChunkBatch) *replication.ChunkBatch 
 	// It claims the honest entry's length, not the tampered encoding's own.
 	evil.DataLen = b.DataLen
 	return &evil
-}
-
-// encodeTampered is the encoding under p of the tampered version of e.
-func (n *Node) encodeTampered(e *types.Entry, p *plan.Plan) *replication.Encoded {
-	evil := n.tamper(e)
-	return n.encodeCached(keys.Hash(evil), p, func() []byte { return evil })
 }
 
 // onRebuilt fires when the collector delivers a rebuilt, certificate-valid
@@ -148,7 +143,7 @@ func (n *Node) onRebuilt(senderGroup int, r replication.Rebuilt) {
 			Start: now, End: now + cost, Bytes: int64(r.Entry.WireSize()),
 		})
 	}
-	n.onContent(r.Entry, r.Cert)
+	n.onContent(r.Entry, r.Enc, r.Cert)
 }
 
 // onRebuildFailure blacklists the peers that supplied the fake bucket's
@@ -179,7 +174,8 @@ func (n *Node) onEntryCopy(m *replication.EntryMsg, fromRemote bool) {
 		return
 	}
 	n.charge(time.Duration(len(m.Entry.Txns)) * time.Microsecond / 2) // copy/validate overhead
-	if err := replication.ValidateEntryMsg(n.ctx.Reg, m); err != nil {
+	enc, err := replication.ValidateEntryMsg(n.ctx.Reg, m)
+	if err != nil {
 		return
 	}
 	if fromRemote {
@@ -187,17 +183,17 @@ func (n *Node) onEntryCopy(m *replication.EntryMsg, fromRemote bool) {
 		env := &cluster.EntryFwd{E: m}
 		n.broadcastLocal(env)
 	}
-	n.onContent(m.Entry, m.Cert)
+	n.onContent(m.Entry, enc, m.Cert)
 }
 
 // onContent runs once per foreign entry when its content becomes available
-// and validated on this node.
-func (n *Node) onContent(e *types.Entry, cert *keys.Certificate) {
+// and validated on this node; enc is the encoding cert certifies.
+func (n *Node) onContent(e *types.Entry, enc []byte, cert *keys.Certificate) {
 	st := n.st(e.ID)
 	if st.content {
 		return
 	}
-	st.entry, st.cert = e, cert
+	st.entry, st.enc, st.cert = e, enc, cert
 	st.content = true
 	st.contentAt = n.now()
 	// Own-group entries arriving here were fetched after a lost local slot:

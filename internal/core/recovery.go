@@ -523,7 +523,7 @@ const streamFetchBurst = 64
 // and prove exactly the requested indexes. Nodes without the content stay
 // silent; the requester's backoff rotates to another.
 func (n *Node) onChunkRepairReq(from keys.NodeID, m *cluster.ChunkRepairReq) {
-	entry, cert, ok := n.entryContent(m.Entry)
+	enc, cert, ok := n.entryContent(m.Entry)
 	if !ok || len(m.Missing) == 0 {
 		return
 	}
@@ -555,8 +555,8 @@ func (n *Node) onChunkRepairReq(from keys.NodeID, m *cluster.ChunkRepairReq) {
 	}
 	sort.Ints(idx)
 	// The content was validated against cert when this node took it in, so
-	// cert.Digest is the digest of entry's encoding.
-	encd := n.encodeCached(cert.Digest, p, entry.Encode)
+	// cert.Digest is the digest of enc.
+	encd := n.encodeCached(cert.Digest, p, enc)
 	if encd == nil {
 		return
 	}

@@ -236,6 +236,14 @@ func (n *Node) onRejoinResp(from keys.NodeID, resp *cluster.RejoinResp) {
 		n.ctx.Metrics.Inc("rejoin-badsuffix")
 		return // reject; the retry timer rotates to another peer
 	}
+	// The pending entries are not on the chain: each carried content must be
+	// certified the way a fetched copy is, or the serving peer could have us
+	// execute an entry its group never certified.
+	encs, ok := n.validatePending(ck)
+	if !ok {
+		n.ctx.Metrics.Inc("rejoin-badpending")
+		return
+	}
 	for _, b := range ck.Blocks {
 		if b.Height <= n.ledger.Height() {
 			continue
@@ -273,12 +281,7 @@ func (n *Node) onRejoinResp(from keys.NodeID, resp *cluster.RejoinResp) {
 	n.entries = make(map[types.EntryID]*entrySt)
 	n.chunkFrom = make(map[types.EntryID]map[int]keys.NodeID)
 	n.takeoverSent = make(map[int]map[types.EntryID]bool)
-	if n.opts.Replication == cluster.ReplEncoded {
-		n.collector = replication.NewCollector(n.ctx.Reg, n.recvPlan, n.onRebuilt)
-		n.collector.SetCache(n.ctx.RebuildCache)
-		n.collector.SetOnFailure(n.onRebuildFailure)
-		n.collector.SetMetricsHook(n.ctx.Metrics.Inc)
-	}
+	n.newCollector()
 
 	// Stream cursors; arrival times reset to now so takeover detection starts
 	// a fresh silence window.
@@ -322,7 +325,7 @@ func (n *Node) onRejoinResp(from keys.NodeID, resp *cluster.RejoinResp) {
 
 	// Pending entries. Entries without content get a backdated stamp time so
 	// the Lemma V.1 fetch path kicks in on the next takeover tick.
-	for _, pe := range ck.Pending {
+	for i, pe := range ck.Pending {
 		if pe.ID.Seq <= n.executedSeqOf(pe.ID.GID) {
 			continue
 		}
@@ -342,7 +345,7 @@ func (n *Node) onRejoinResp(from keys.NodeID, resp *cluster.RejoinResp) {
 		}
 		st.tsSent = st.stampedStreams[n.g]
 		if pe.Entry != nil {
-			st.entry, st.cert = pe.Entry, pe.Cert
+			st.entry, st.enc, st.cert = pe.Entry, encs[i], pe.Cert
 			st.content = true
 			st.contentAt = now
 			if n.orderer != nil {
@@ -435,6 +438,25 @@ func (n *Node) verifySuffix(ck *cluster.Checkpoint) bool {
 		prev = b.Hash()
 	}
 	return h == ck.Height && roll == ck.StateRoll
+}
+
+// validatePending checks every pending entry of an offered checkpoint that
+// carries content against its certificate (replication.ValidateEntryMsg) and
+// its pending ID, returning the certified encodings parallel to ck.Pending
+// (nil where there is no content).
+func (n *Node) validatePending(ck *cluster.Checkpoint) ([][]byte, bool) {
+	encs := make([][]byte, len(ck.Pending))
+	for i, pe := range ck.Pending {
+		if pe.Entry == nil {
+			continue
+		}
+		enc, err := replication.ValidateEntryMsg(n.ctx.Reg, &replication.EntryMsg{Entry: pe.Entry, Cert: pe.Cert})
+		if err != nil || pe.Entry.ID != pe.ID {
+			return nil, false
+		}
+		encs[i] = enc
+	}
+	return encs, true
 }
 
 // sortedKeys returns a map's keys in ascending order: checkpoint folds,

@@ -537,6 +537,9 @@ func (in *Instance) logDelivered(cs CommittedSlot) {
 	}
 }
 
+// Retained returns how many delivered slots the catch-up log holds.
+func (in *Instance) Retained() int { return len(in.delivered) }
+
 const (
 	// catchupRetain bounds the per-instance delivered-slot log.
 	catchupRetain = 512

@@ -161,9 +161,11 @@ func (e *Encoded) Batch(idx []int, id types.EntryID, cert *keys.Certificate) (Ch
 	}, nil
 }
 
-// Rebuilt is a successfully rebuilt and certificate-validated entry.
+// Rebuilt is a successfully rebuilt and certificate-validated entry. Enc is
+// the encoding it was decoded from, whose digest Cert certifies.
 type Rebuilt struct {
 	Entry *types.Entry
+	Enc   []byte
 	Cert  *keys.Certificate
 }
 
@@ -190,42 +192,17 @@ type bucketKey struct {
 	dataLen int
 }
 
-// RebuildCache memoizes rebuild outcomes by bucket key across collectors.
-// It is a simulation-scale optimization: the root commits to the exact chunk
-// set, so any n_data-subset decode at the same claimed length yields the same
-// bytes on every node — re-running the matrix inversion per node would
-// measure the host CPU, which the cost model charges instead. A cached entry
-// means the bucket decoded and certificate-validated at some collector; nil
-// means its chunks are known bad. Certificate validity for delivery is still
-// re-checked per collector against its own candidate set (cheap: package
-// keys memoizes certificate verification).
-type RebuildCache struct {
-	m map[bucketKey]*cacheOutcome
-}
-
-type cacheOutcome struct {
+// outcome is one RebuildMemo value: a bucket's decode verdict. The
+// collectors sharing it neither re-decode, re-encode nor re-hash the entry.
+// Certificate validity for delivery is still checked per collector against
+// its own candidate set (cheap: package keys memoizes certificate
+// verification).
+type outcome struct {
 	entry *types.Entry // nil when the chunks did not decode to a valid entry
-	// digest is keys.Hash of the bytes entry was decoded from — the entry's
-	// digest, the encoding being canonical — taken once here so collectors
-	// sharing the outcome neither re-encode nor re-hash it.
+	// enc is the Join output entry was decoded from (entry aliases it), and
+	// digest its keys.Hash — the entry's digest, the encoding being canonical.
+	enc    []byte
 	digest keys.Digest
-}
-
-// NewRebuildCache creates an empty cache.
-func NewRebuildCache() *RebuildCache { return &RebuildCache{m: make(map[bucketKey]*cacheOutcome)} }
-
-// put inserts an outcome, evicting arbitrary entries once the table exceeds
-// its bound (outcomes are re-derivable from chunks).
-func (rc *RebuildCache) put(bk bucketKey, out *cacheOutcome) {
-	if len(rc.m) >= 2048 {
-		for k := range rc.m {
-			delete(rc.m, k)
-			if len(rc.m) < 1024 {
-				break
-			}
-		}
-	}
-	rc.m[bk] = out
 }
 
 // Collector reassembles entries from chunks at one receiver-group node.
@@ -245,8 +222,8 @@ type Collector struct {
 	// hosting node's metrics convention) for events worth surfacing outside
 	// the Stats accessors, e.g. certificate-validation retries.
 	onMetric func(name string)
-	// cache, when set, shares rebuild outcomes across nodes.
-	cache *RebuildCache
+	// memo, when set, shares rebuild outcomes across nodes.
+	memo *RebuildMemo
 
 	entries map[types.EntryID]*entryState
 
@@ -254,8 +231,8 @@ type Collector struct {
 	rebuilds, failedRebuilds, rejectedChunks, certRetries int
 }
 
-// SetCache installs a shared rebuild cache (see RebuildCache).
-func (c *Collector) SetCache(rc *RebuildCache) { c.cache = rc }
+// SetMemo installs a shared rebuild memo (see RebuildMemo).
+func (c *Collector) SetMemo(m *RebuildMemo) { c.memo = m }
 
 // SetOnFailure installs the failed-rebuild notification callback.
 func (c *Collector) SetOnFailure(fn func(id types.EntryID, chunkIDs []int)) { c.onFailure = fn }
@@ -286,7 +263,7 @@ type entryState struct {
 	// pending caches a bucket's successfully decoded entry while no candidate
 	// certificate validates yet, so retries triggered by later certificate
 	// arrivals skip the decode.
-	pending map[bucketKey]*cacheOutcome
+	pending map[bucketKey]*outcome
 }
 
 func newEntryState() *entryState {
@@ -294,7 +271,7 @@ func newEntryState() *entryState {
 		banned:  make(map[int]bool),
 		buckets: make(map[bucketKey]map[int][]byte),
 		certs:   make(map[bucketKey][]*keys.Certificate),
-		pending: make(map[bucketKey]*cacheOutcome),
+		pending: make(map[bucketKey]*outcome),
 	}
 }
 
@@ -429,8 +406,11 @@ func (c *Collector) AddBatch(b *ChunkBatch) (bool, error) {
 func (c *Collector) tryRebuild(id types.EntryID, st *entryState, bk bucketKey, p *plan.Plan, trigger *keys.Certificate) {
 	bucket := st.buckets[bk]
 	out := st.pending[bk]
-	if out == nil && c.cache != nil {
-		if out = c.cache.m[bk]; out != nil && (out.entry == nil || out.entry.ID != id) {
+	if out == nil && c.memo != nil {
+		var hit bool
+		if out, hit = c.memo.Get(bk); !hit {
+			c.metric("rebuild-memo-misses")
+		} else if out.entry == nil || out.entry.ID != id {
 			c.banBucketNotify(id, st, bk)
 			return
 		}
@@ -460,7 +440,7 @@ func (c *Collector) tryRebuild(id types.EntryID, st *entryState, bk bucketKey, p
 			c.rebuildFailed(id, st, bk)
 			return
 		}
-		out = &cacheOutcome{entry: entry, digest: keys.Hash(entryEnc)}
+		out = &outcome{entry: entry, enc: entryEnc, digest: keys.Hash(entryEnc)}
 	}
 	// The rebuilt entry must be covered by a quorum certificate from the
 	// sender group: 2f+1 valid signatures over its digest.
@@ -480,13 +460,13 @@ func (c *Collector) tryRebuild(id types.EntryID, st *entryState, bk bucketKey, p
 		st.pending[bk] = out
 		return
 	}
-	if c.cache != nil {
-		c.cache.put(bk, out)
+	if c.memo != nil {
+		c.memo.Put(bk, out)
 	}
 	st.delivered = true
 	st.buckets, st.certs, st.pending = nil, nil, nil // free chunk memory
 	c.rebuilds++
-	c.onRebuilt(id.GID, Rebuilt{Entry: out.entry, Cert: cert})
+	c.onRebuilt(id.GID, Rebuilt{Entry: out.entry, Enc: out.enc, Cert: cert})
 }
 
 // pickValidCert returns the first certificate that proves the rebuilt entry
@@ -521,10 +501,10 @@ func (c *Collector) pickValidCert(id types.EntryID, st *entryState, bk bucketKey
 	return nil, attempts > 0
 }
 
-// rebuildFailed records a bad-decode outcome in the cache and bans the bucket.
+// rebuildFailed records a bad-decode outcome in the memo and bans the bucket.
 func (c *Collector) rebuildFailed(id types.EntryID, st *entryState, bk bucketKey) {
-	if c.cache != nil {
-		c.cache.put(bk, &cacheOutcome{})
+	if c.memo != nil {
+		c.memo.Put(bk, &outcome{})
 	}
 	c.banBucketNotify(id, st, bk)
 }
@@ -633,6 +613,9 @@ func (c *Collector) Delivered(id types.EntryID) bool {
 // Forget drops all state for an entry (called after execution).
 func (c *Collector) Forget(id types.EntryID) { delete(c.entries, id) }
 
+// Len returns how many entries the collector holds state for.
+func (c *Collector) Len() int { return len(c.entries) }
+
 // Stats returns (successful rebuilds, failed rebuild attempts, rejected
 // chunks) for observability and tests.
 func (c *Collector) Stats() (rebuilds, failed, rejected int) {
@@ -662,18 +645,24 @@ func (m *EntryMsg) WireSize() int {
 	return n
 }
 
-// ValidateEntryMsg checks a complete entry copy against its certificate.
-func ValidateEntryMsg(reg *keys.Registry, m *EntryMsg) error {
+// ValidateEntryMsg checks a complete entry copy against its certificate and
+// returns the entry's encoding, which the check has to build to hash it: the
+// bytes the certificate covers.
+func ValidateEntryMsg(reg *keys.Registry, m *EntryMsg) ([]byte, error) {
 	if m.Entry == nil || m.Cert == nil {
-		return errors.New("replication: incomplete entry message")
+		return nil, errors.New("replication: incomplete entry message")
 	}
 	if m.Cert.Group != m.Entry.ID.GID {
-		return errors.New("replication: certificate group mismatch")
+		return nil, errors.New("replication: certificate group mismatch")
 	}
-	if m.Entry.Digest() != m.Cert.Digest {
-		return errors.New("replication: entry digest does not match certificate")
+	enc := m.Entry.Encode()
+	if keys.Hash(enc) != m.Cert.Digest {
+		return nil, errors.New("replication: entry digest does not match certificate")
 	}
-	return reg.VerifyCertificate(m.Cert)
+	if err := reg.VerifyCertificate(m.Cert); err != nil {
+		return nil, err
+	}
+	return enc, nil
 }
 
 // SignatureWire is the wire size of one signature with signer ID, used for

@@ -1,6 +1,7 @@
 package replication
 
 import (
+	"bytes"
 	"math/rand"
 	"testing"
 
@@ -104,6 +105,9 @@ func TestRebuildHappyPathAllChunks(t *testing.T) {
 	}
 	if got[0].Entry.Digest() != f.entry.Digest() {
 		t.Fatal("rebuilt entry differs")
+	}
+	if keys.Hash(got[0].Enc) != f.cert.Digest {
+		t.Fatal("Rebuilt.Enc is not the certified encoding")
 	}
 	if !c.Delivered(f.entry.ID) {
 		t.Fatal("Delivered() false after delivery")
@@ -320,20 +324,24 @@ func TestEqualGroupSizes7(t *testing.T) {
 func TestValidateEntryMsg(t *testing.T) {
 	f := newFixture(t, 4, 7, 5)
 	m := &EntryMsg{Entry: f.entry, Cert: f.cert}
-	if err := ValidateEntryMsg(f.reg, m); err != nil {
+	enc, err := ValidateEntryMsg(f.reg, m)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := ValidateEntryMsg(f.reg, &EntryMsg{Entry: f.entry}); err == nil {
+	if !bytes.Equal(enc, f.entry.Encode()) {
+		t.Fatal("ValidateEntryMsg returned bytes other than the certified encoding")
+	}
+	if _, err := ValidateEntryMsg(f.reg, &EntryMsg{Entry: f.entry}); err == nil {
 		t.Fatal("nil cert accepted")
 	}
 	evil := *f.entry
 	evil.Term = 999
-	if err := ValidateEntryMsg(f.reg, &EntryMsg{Entry: &evil, Cert: f.cert}); err == nil {
+	if _, err := ValidateEntryMsg(f.reg, &EntryMsg{Entry: &evil, Cert: f.cert}); err == nil {
 		t.Fatal("tampered entry accepted")
 	}
 	wrongGroup := *f.cert
 	wrongGroup.Group = 1
-	if err := ValidateEntryMsg(f.reg, &EntryMsg{Entry: f.entry, Cert: &wrongGroup}); err == nil {
+	if _, err := ValidateEntryMsg(f.reg, &EntryMsg{Entry: f.entry, Cert: &wrongGroup}); err == nil {
 		t.Fatal("wrong-group cert accepted")
 	}
 	if m.WireSize() <= f.entry.WireSize() {

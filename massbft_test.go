@@ -103,6 +103,7 @@ func TestLayoutValidationBothFabrics(t *testing.T) {
 }
 
 func TestPublicAPIQuickstart(t *testing.T) {
+	t.Parallel()
 	c, err := NewCluster(quickCfg())
 	if err != nil {
 		t.Fatal(err)
@@ -131,6 +132,7 @@ func TestPublicAPIQuickstart(t *testing.T) {
 }
 
 func TestAllProtocolsThroughPublicAPI(t *testing.T) {
+	t.Parallel()
 	for _, p := range Protocols() {
 		cfg := quickCfg()
 		cfg.Protocol = p
@@ -146,6 +148,7 @@ func TestAllProtocolsThroughPublicAPI(t *testing.T) {
 }
 
 func TestIncrementalRun(t *testing.T) {
+	t.Parallel()
 	c, err := NewCluster(quickCfg())
 	if err != nil {
 		t.Fatal(err)
@@ -158,6 +161,7 @@ func TestIncrementalRun(t *testing.T) {
 }
 
 func TestDeterministicRuns(t *testing.T) {
+	t.Parallel()
 	run := func() Result {
 		c, err := NewCluster(quickCfg())
 		if err != nil {
@@ -202,6 +206,7 @@ func (w *counterWorkload) Execute(s Snapshot, payload []byte) ([]string, map[str
 }
 
 func TestCustomWorkload(t *testing.T) {
+	t.Parallel()
 	cfg := quickCfg()
 	cfg.Workload = ""
 	cfg.Custom = &counterWorkload{counters: 64}
@@ -223,6 +228,7 @@ func TestCustomWorkload(t *testing.T) {
 }
 
 func TestFaultInjectionThroughPublicAPI(t *testing.T) {
+	t.Parallel()
 	cfg := quickCfg()
 	cfg.TakeoverTimeout = 300 * time.Millisecond
 	c, err := NewCluster(cfg)
@@ -255,6 +261,7 @@ func TestLatencyModels(t *testing.T) {
 }
 
 func TestLedgerAgreement(t *testing.T) {
+	t.Parallel()
 	c, err := NewCluster(quickCfg())
 	if err != nil {
 		t.Fatal(err)
@@ -277,6 +284,7 @@ func TestLedgerAgreement(t *testing.T) {
 }
 
 func TestCheckpoint(t *testing.T) {
+	t.Parallel()
 	c, err := NewCluster(quickCfg())
 	if err != nil {
 		t.Fatal(err)

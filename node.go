@@ -20,7 +20,6 @@ import (
 	"massbft/internal/core"
 	"massbft/internal/keys"
 	"massbft/internal/metrics"
-	"massbft/internal/replication"
 	"massbft/internal/statedb"
 	"massbft/internal/transport"
 	"massbft/internal/transport/tcp"
@@ -345,6 +344,7 @@ func StartNode(nc NodeConfig) (*ProcNode, error) {
 	col.SetWindow(0, 1<<62) // real deployments measure everything
 
 	n := &ProcNode{id: id, tcpn: tcpn, cfg: &cfg, col: col, logf: nc.Logf}
+	encodeMemo, rebuildMemo := cluster.NewMemos(&cfg)
 	ctx := &cluster.NodeCtx{
 		ID:      id,
 		KP:      ids.Pairs[id.Group][id.Index],
@@ -355,10 +355,10 @@ func StartNode(nc NodeConfig) (*ProcNode, error) {
 		Engine:  aria.NewEngine(db, gen.Executor()),
 		Metrics: col,
 		// Every process observes itself: the collector is process-local.
-		IsObserver:   true,
-		EncodeCache:  make(map[string]*replication.Encoded),
-		RebuildCache: replication.NewRebuildCache(),
-		Faults:       &cluster.FaultPlan{ByzantineNodes: make(map[keys.NodeID]bool)},
+		IsObserver:  true,
+		EncodeMemo:  encodeMemo,
+		RebuildMemo: rebuildMemo,
+		Faults:      &cluster.FaultPlan{ByzantineNodes: make(map[keys.NodeID]bool)},
 	}
 	if cfg.Gateway.Enabled {
 		cluster.AttachGateway(ctx, ids.ClientReg)

@@ -31,6 +31,7 @@ func traceTestConfig(tracePath string) Config {
 }
 
 func TestTraceExportAndCriticalPath(t *testing.T) {
+	t.Parallel()
 	path := filepath.Join(t.TempDir(), "trace.json")
 	c, err := NewCluster(traceTestConfig(path))
 	if err != nil {
@@ -123,6 +124,7 @@ func TestTraceExportAndCriticalPath(t *testing.T) {
 // commits exactly what the untraced run commits — same ledger heads, same
 // state hashes, same counts on every node.
 func TestTracingIsPassive(t *testing.T) {
+	t.Parallel()
 	run := func(tracePath string) (*Cluster, Result) {
 		c, err := NewCluster(traceTestConfig(tracePath))
 		if err != nil {
