@@ -19,22 +19,19 @@ package massbft
 //
 // Replies are routed by client ID through the registered ranges. The hello
 // range is an unauthenticated routing claim, so it is bounded (lo < hi,
-// width ≤ gwMaxHelloRange — a connection cannot register [0, 2^64) and
-// capture every client's reply routing here), and among covering
-// connections the newest that has actually carried a request from that
-// client wins, falling back to the newest registration (so a reconnecting
-// client supersedes its dead connection). A squatter registering a foreign
-// range it never uses therefore cannot shadow the real client's connection.
-// A connection that sends a request does: readLoop marks the client as
-// carried before any signature is checked (the leader checks at its cut; a
-// follower forwards unchecked), so one request forged under X's ID captures
-// X's receipts at this node. Replies only count in an f+1 certificate from
-// distinct nodes, so that costs X one group member here — but a forger who
-// connects to every member does the same at each, and capturing 2f+1 of a
-// group's 3f+1 leaves X no certificate from it (a Byzantine-client target,
-// ROADMAP item 4(c); not fixed). A reply to a client with no live connection
-// here is dropped and counted — other group members hold connections too,
-// and f+1 of them suffice for the client's certificate.
+// width ≤ gwMaxHelloRange — a connection cannot register [0, 2^64)). A
+// reply goes to every covering connection that has carried a request from
+// that client, and only if none has, to the newest covering registration
+// (so a reconnecting client is reached before its first retransmission).
+// A squatter registering a foreign range it never uses therefore cannot
+// shadow the real client's connection. A connection that sends a request
+// under X's ID joins X's carriers whether or not the signature is X's —
+// readLoop marks it before any check (the leader checks at its cut; a
+// follower forwards unchecked) — but that only adds a copy: replies are
+// public, signed results, and X's own connection keeps receiving them
+// (TestGatewayForgedRequestCannotCaptureReplies). A reply that reaches no
+// live connection here is dropped and counted — other group members hold
+// connections too, and f+1 of them suffice for the client's certificate.
 
 import (
 	"encoding/binary"
@@ -241,38 +238,37 @@ func (s *gwServer) writeLoop(gc *gwConn) {
 	}
 }
 
-// reply routes one framed ClientReply to the client's live connection:
-// newest connection that has carried a request from this client, else the
-// newest whose hello range covers it — a registration alone must not shadow
-// the connection the client actually submits on. Called on the node event
-// loop; never blocks — a saturated or absent connection drops the reply
-// (false), which the metrics layer counts.
+// reply sends one framed ClientReply to every live connection that has
+// carried a request from this client, else to the newest whose hello range
+// covers it — a registration alone must not shadow the connection the client
+// actually submits on. Called on the node event loop; never blocks — a
+// saturated connection misses the reply, and one that reaches no connection
+// (false) is counted by the metrics layer.
 func (s *gwServer) reply(client uint64, frame []byte) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	var fallback *gwConn
-	target := (*gwConn)(nil)
-	for i := len(s.conns) - 1; i >= 0; i-- {
-		gc := s.conns[i]
+	var newest *gwConn
+	carried, sent := false, false
+	for _, gc := range s.conns {
 		if client < gc.lo || client >= gc.hi {
 			continue
 		}
+		newest = gc
 		if gc.sawClient(client) {
-			target = gc
-			break
-		}
-		if fallback == nil {
-			fallback = gc
+			carried = true
+			sent = gc.offer(frame) || sent
 		}
 	}
-	if target == nil {
-		target = fallback
+	if !carried && newest != nil {
+		sent = newest.offer(frame)
 	}
-	if target == nil {
-		return false
-	}
+	return sent
+}
+
+// offer queues frame for the writer unless the queue is full.
+func (gc *gwConn) offer(frame []byte) bool {
 	select {
-	case target.out <- frame:
+	case gc.out <- frame:
 		return true
 	default:
 		return false

@@ -177,7 +177,7 @@ func TestTorsionAgreement(t *testing.T) {
 
 	cofactorlessRejects := 0
 	for ti, tp := range torsionPoints(t) {
-		neg := new(Point).Negate(tp)
+		neg := new(Point).negate(tp)
 		msg, msg2 := []byte(fmt.Sprintf("torsion %d", ti)), []byte(fmt.Sprintf("partner %d", ti))
 		for _, onKey := range []bool{false, true} {
 			var one, partner Signature

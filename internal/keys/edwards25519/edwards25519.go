@@ -5,15 +5,17 @@
 // Package edwards25519 is a variable-time edwards25519 for one job: checking
 // many Ed25519 signatures in one curve equation (VerifyBatch, batch.go).
 //
-// This file, scalar.go and scalar_fiat.go are the subset of the Go
-// distribution's crypto/internal/fips140/edwards25519 (go1.24, licence in
-// LICENSE) that verification needs: point decoding, addition, doubling and
-// equality, and arithmetic modulo the group order. The constant-time selects
-// and tables, clamping and the single-scalar multiplications are left out,
-// and decoding builds its temporaries on the stack. What the distribution
-// does not ship is new: strict RFC 8032 decoding (SetCanonicalBytes), the
-// multi-scalar multiplication (multiscalar.go) and the batch verifier.
-// Nothing here is constant time: do not use it on secrets.
+// This file and scalar.go are the subset of the Go distribution's
+// crypto/internal/fips140/edwards25519 (go1.24, licence in LICENSE) that
+// verification needs: point decoding, addition and doubling, and a scalar's
+// canonical bytes and their recoding. The constant-time selects and tables,
+// clamping, the single-scalar multiplications and the Montgomery arithmetic
+// modulo the group order are left out: the verifier's few scalar operations
+// per signature are on public values and run in math/big (batch.go). What
+// the distribution does not ship is new: strict RFC 8032 decoding
+// (setCanonicalBytes), the multi-scalar multiplication (multiscalar.go) and
+// the batch verifier. Nothing here is constant time: do not use it on
+// secrets.
 package edwards25519
 
 import (
@@ -90,35 +92,13 @@ var generator, _ = new(Point).SetBytes([]byte{
 
 // Assignments.
 
-// Set sets v = u, and returns v.
-func (v *Point) Set(u *Point) *Point {
+// set sets v = u, and returns v.
+func (v *Point) set(u *Point) *Point {
 	*v = *u
 	return v
 }
 
 // Encoding.
-
-// Bytes returns the canonical 32-byte encoding of v, according to RFC 8032,
-// Section 5.1.2.
-func (v *Point) Bytes() []byte {
-	// This function is outlined to make the allocations inline in the caller
-	// rather than happen on the heap.
-	var buf [32]byte
-	return v.bytes(&buf)
-}
-
-func (v *Point) bytes(buf *[32]byte) []byte {
-	checkInitialized(v)
-
-	var zInv, x, y field.Element
-	zInv.Invert(&v.z)       // zInv = 1 / Z
-	x.Multiply(&v.x, &zInv) // x = X / Z
-	y.Multiply(&v.y, &zInv) // y = Y / Z
-
-	out := copyFieldElement(buf, &y)
-	out[31] |= byte(x.IsNegative() << 7)
-	return out
-}
 
 var (
 	feZero = new(field.Element)
@@ -176,12 +156,12 @@ func (v *Point) SetBytes(x []byte) (*Point, error) {
 	return v, nil
 }
 
-// SetCanonicalBytes is SetBytes under the decoding rule of RFC 8032, Section
+// setCanonicalBytes is SetBytes under the decoding rule of RFC 8032, Section
 // 5.1.3: it also rejects the non-canonical encodings, a y-coordinate that is
 // not reduced and a set sign bit on x = 0. No point has two encodings it
 // accepts, which is what lets a verifier that decodes R agree with one that
 // compares R's bytes.
-func (v *Point) SetCanonicalBytes(x []byte) (*Point, error) {
+func (v *Point) setCanonicalBytes(x []byte) (*Point, error) {
 	if len(x) != 32 {
 		return nil, errors.New("edwards25519: invalid point encoding length")
 	}
@@ -206,12 +186,7 @@ func (v *Point) SetCanonicalBytes(x []byte) (*Point, error) {
 	if x[31]>>7 == 1 && p.x.Equal(feZero) == 1 {
 		return nil, errors.New("edwards25519: non-canonical point encoding")
 	}
-	return v.Set(&p), nil
-}
-
-func copyFieldElement(buf *[32]byte, v *field.Element) []byte {
-	copy(buf[:], v.Bytes())
-	return buf[:]
+	return v.set(&p), nil
 }
 
 // Conversions.
@@ -281,19 +256,11 @@ func (v *affineCached) FromP3(p *Point) *affineCached {
 
 // (Re)addition and subtraction.
 
-// Add sets v = p + q, and returns v.
-func (v *Point) Add(p, q *Point) *Point {
+// add sets v = p + q, and returns v.
+func (v *Point) add(p, q *Point) *Point {
 	checkInitialized(p, q)
 	qCached := new(projCached).FromP3(q)
 	result := new(projP1xP1).Add(p, qCached)
-	return v.fromP1xP1(result)
-}
-
-// Subtract sets v = p - q, and returns v.
-func (v *Point) Subtract(p, q *Point) *Point {
-	checkInitialized(p, q)
-	qCached := new(projCached).FromP3(q)
-	result := new(projP1xP1).Sub(p, qCached)
 	return v.fromP1xP1(result)
 }
 
@@ -397,25 +364,12 @@ func (v *projP1xP1) Double(p *projP2) *projP1xP1 {
 
 // Negation.
 
-// Negate sets v = -p, and returns v.
-func (v *Point) Negate(p *Point) *Point {
+// negate sets v = -p, and returns v.
+func (v *Point) negate(p *Point) *Point {
 	checkInitialized(p)
 	v.x.Negate(&p.x)
 	v.y.Set(&p.y)
 	v.z.Set(&p.z)
 	v.t.Negate(&p.t)
 	return v
-}
-
-// Equal returns 1 if v is equivalent to u, and 0 otherwise.
-func (v *Point) Equal(u *Point) int {
-	checkInitialized(v, u)
-
-	var t1, t2, t3, t4 field.Element
-	t1.Multiply(&v.x, &u.z)
-	t2.Multiply(&u.x, &v.z)
-	t3.Multiply(&v.y, &u.z)
-	t4.Multiply(&u.y, &v.z)
-
-	return t1.Equal(&t2) & t3.Equal(&t4)
 }

@@ -74,18 +74,18 @@ func TestGroupLaw(t *testing.T) {
 		if err != nil || q.Equal(p) != 1 || !bytes.Equal(q.Bytes(), enc) {
 			t.Fatalf("encoding round trip of %x", enc)
 		}
-		if _, err := new(Point).SetCanonicalBytes(enc); err != nil {
+		if _, err := new(Point).setCanonicalBytes(enc); err != nil {
 			t.Fatalf("canonical encoding %x rejected: %v", enc, err)
 		}
-		neg := new(Point).Negate(p)
-		if !isIdentityRef(new(Point).Add(p, neg)) || !isIdentityRef(new(Point).Subtract(p, p)) {
+		neg := new(Point).negate(p)
+		if !isIdentityRef(new(Point).add(p, neg)) || !isIdentityRef(new(Point).Subtract(p, p)) {
 			t.Fatalf("p - p != O for %x", enc)
 		}
-		dbl := new(Point).Add(p, p)
+		dbl := new(Point).add(p, p)
 		if dbl.Equal(mulBig(big.NewInt(2), p)) != 1 {
 			t.Fatalf("doubling of %x", enc)
 		}
-		eight := new(Point).Set(p)
+		eight := new(Point).set(p)
 		if eight.mulByCofactor().Equal(mulBig(big.NewInt(8), p)) != 1 {
 			t.Fatalf("[8] of %x", enc)
 		}
@@ -93,7 +93,7 @@ func TestGroupLaw(t *testing.T) {
 			t.Fatalf("isIdentity of [8]%x", enc)
 		}
 		for _, q := range ps {
-			pq, qp := new(Point).Add(p, q), new(Point).Add(q, p)
+			pq, qp := new(Point).add(p, q), new(Point).add(q, p)
 			if pq.Equal(qp) != 1 {
 				t.Fatal("addition does not commute")
 			}
@@ -102,7 +102,7 @@ func TestGroupLaw(t *testing.T) {
 			}
 			var ac affineCached
 			var sum projP1xP1
-			if new(Point).fromP1xP1(sum.AddAffine(p, ac.FromP3(pq))).Equal(new(Point).Add(p, pq)) != 1 {
+			if new(Point).fromP1xP1(sum.AddAffine(p, ac.FromP3(pq))).Equal(new(Point).add(p, pq)) != 1 {
 				t.Fatal("mixed addition of a projective point disagrees with Add")
 			}
 			if new(Point).fromP1xP1(sum.SubAffine(p, ac.FromP3(q))).Equal(new(Point).Subtract(p, q)) != 1 {
@@ -114,7 +114,7 @@ func TestGroupLaw(t *testing.T) {
 
 // TestNonCanonicalEncodings pins the two decoders apart on exactly the
 // encodings RFC 8032 forbids: SetBytes takes them as crypto/ed25519 takes a
-// public key, SetCanonicalBytes refuses them.
+// public key, setCanonicalBytes refuses them.
 func TestNonCanonicalEncodings(t *testing.T) {
 	unhex := func(s string) []byte {
 		b, err := hex.DecodeString(s)
@@ -136,23 +136,23 @@ func TestNonCanonicalEncodings(t *testing.T) {
 		if _, err := new(Point).SetBytes(enc); err != nil {
 			t.Errorf("%s: SetBytes rejected it: %v", tc.name, err)
 		}
-		if _, err := new(Point).SetCanonicalBytes(enc); err == nil {
-			t.Errorf("%s: SetCanonicalBytes accepted it", tc.name)
+		if _, err := new(Point).setCanonicalBytes(enc); err == nil {
+			t.Errorf("%s: setCanonicalBytes accepted it", tc.name)
 		}
 	}
 	// Every unreduced y — p + 0 .. p + 18 — is refused whether or not it is on
 	// the curve; p - 1 is canonical.
 	for d := int64(0); d < 19; d++ {
 		y := new(big.Int).Add(new(big.Int).Sub(new(big.Int).Lsh(big.NewInt(1), 255), big.NewInt(19)), big.NewInt(d))
-		if _, err := new(Point).SetCanonicalBytes(le(y, 32)); err == nil {
+		if _, err := new(Point).setCanonicalBytes(le(y, 32)); err == nil {
 			t.Errorf("y = p + %d accepted", d)
 		}
 	}
-	if _, err := new(Point).SetCanonicalBytes(unhex("ecffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff7f")); err != nil {
+	if _, err := new(Point).setCanonicalBytes(unhex("ecffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff7f")); err != nil {
 		t.Errorf("y = p - 1 (the point of order 2) refused: %v", err)
 	}
 	for _, n := range []int{0, 31, 33} {
-		if _, err := new(Point).SetCanonicalBytes(make([]byte, n)); err == nil {
+		if _, err := new(Point).setCanonicalBytes(make([]byte, n)); err == nil {
 			t.Errorf("%d-byte encoding accepted", n)
 		}
 	}

@@ -3,6 +3,7 @@ package edwards25519
 import (
 	"bytes"
 	"crypto/ed25519"
+	"math/big"
 	"math/rand"
 	"testing"
 )
@@ -32,6 +33,20 @@ func FuzzVerifyAgainstStdlib(f *testing.F) {
 	f.Add([]byte{}, []byte("any"), uint8(4), uint16(0), append(append([]byte{1}, make([]byte, 30)...), 0x80))
 	for i := 0; i < 16; i++ {
 		f.Add([]byte("torsion"), []byte("m"), uint8(5+i), uint16(0), []byte{})
+	}
+	// s replaced by L - 1 (canonical, so the equation decides), L and
+	// 2^256 - 1 (both refused by the s < L check): the patch turns the honest
+	// s of the all-zero seed's signature into each.
+	honestS := ed25519.Sign(ed25519.NewKeyFromSeed(make([]byte, 32)), []byte("m"))[32:]
+	for _, s := range []*big.Int{
+		new(big.Int).Sub(bigL, big.NewInt(1)), bigL,
+		new(big.Int).Sub(new(big.Int).Lsh(big.NewInt(1), 256), big.NewInt(1)),
+	} {
+		patch := le(s, 32)
+		for i := range patch {
+			patch[i] ^= honestS[i]
+		}
+		f.Add([]byte{}, []byte("m"), uint8(1), uint16(32), patch)
 	}
 
 	f.Fuzz(func(t *testing.T, seed, msg []byte, mode uint8, at uint16, patch []byte) {
@@ -87,7 +102,7 @@ func FuzzVerifyAgainstStdlib(f *testing.F) {
 			t.Fatalf("crypto/ed25519 accepts what the cofactored rule rejects (pub %x msg %x sig %x)", pub, msg, sig)
 		}
 		if one && !std {
-			r, err := new(Point).SetCanonicalBytes(sig[:32])
+			r, err := new(Point).setCanonicalBytes(sig[:32])
 			if err != nil {
 				t.Fatalf("accepted an R that does not decode: %x", sig[:32])
 			}

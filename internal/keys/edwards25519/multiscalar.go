@@ -33,7 +33,7 @@ const strausMax = 96
 
 // mult sets v = Σ scalars[i]·points[i] and returns v. The slices must have
 // equal length; none of the points may be v.
-func (m *multiScalar) mult(v *Point, scalars []Scalar, points []Point) *Point {
+func (m *multiScalar) mult(v *Point, scalars []scalar, points []Point) *Point {
 	if len(scalars) != len(points) {
 		panic("edwards25519: multiScalar.mult called with mismatched lengths")
 	}
@@ -43,7 +43,7 @@ func (m *multiScalar) mult(v *Point, scalars []Scalar, points []Point) *Point {
 	return m.pippenger(v, scalars, points, pippengerWindow(len(points)))
 }
 
-func (m *multiScalar) straus(v *Point, scalars []Scalar, points []Point) *Point {
+func (m *multiScalar) straus(v *Point, scalars []scalar, points []Point) *Point {
 	n := len(points)
 	if cap(m.nafs) < n {
 		m.nafs = make([][256]int8, n)
@@ -65,7 +65,7 @@ func (m *multiScalar) straus(v *Point, scalars []Scalar, points []Point) *Point 
 		// Odd multiples: table[k] = (2k+1)P.
 		t := &tables[i]
 		t[0].FromP3(&points[i])
-		p2.Add(&points[i], &points[i])
+		p2.add(&points[i], &points[i])
 		for k := 1; k < 8; k++ {
 			v.fromP1xP1(sum.Add(&p2, &t[k-1]))
 			t[k].FromP3(v)
@@ -106,7 +106,7 @@ func pippengerWindow(n int) uint {
 // windows is the number of radix-2^c digits of a reduced scalar (253 bits).
 func windows(c uint) int { return (253 + int(c) - 1) / int(c) }
 
-func (m *multiScalar) pippenger(v *Point, scalars []Scalar, points []Point, c uint) *Point {
+func (m *multiScalar) pippenger(v *Point, scalars []scalar, points []Point, c uint) *Point {
 	n, nw := len(points), windows(c)
 	if cap(m.affine) < n {
 		m.affine = make([]affineCached, n)
@@ -127,7 +127,7 @@ func (m *multiScalar) pippenger(v *Point, scalars []Scalar, points []Point, c ui
 	}
 
 	// Horner over the windows, most significant first: v = v·2^c + window sum.
-	v.Set(identity)
+	v.set(identity)
 	var acc projP2
 	var sum projP1xP1
 	var running, window Point
@@ -158,7 +158,7 @@ func (m *multiScalar) pippenger(v *Point, scalars []Scalar, points []Point, c ui
 			case d > 0:
 				*b = points[i]
 			default:
-				b.Negate(&points[i])
+				b.negate(&points[i])
 			}
 			if !filled[k] {
 				filled[k], top = true, max(top, k)
@@ -166,15 +166,15 @@ func (m *multiScalar) pippenger(v *Point, scalars []Scalar, points []Point, c ui
 		}
 
 		// Σ (b+1)·bucket[b] as the sum of the running suffix sums.
-		running.Set(identity)
-		window.Set(identity)
+		running.set(identity)
+		window.set(identity)
 		for b := top; b >= 0; b-- {
 			if filled[b] {
-				running.Add(&running, &bucket[b])
+				running.add(&running, &bucket[b])
 			}
-			window.Add(&window, &running)
+			window.add(&window, &running)
 		}
-		v.Add(v, &window)
+		v.add(v, &window)
 	}
 	return v
 }
@@ -183,12 +183,10 @@ func (m *multiScalar) pippenger(v *Point, scalars []Scalar, points []Point, c ui
 // to out[0], out[stride], ...: windows(c) digits in [-2^(c-1), 2^(c-1)), the
 // last one taking the final carry as it is (it fits for 3 <= c <= 8, because a
 // reduced scalar has 253 bits and c does not divide 253).
-func (s *Scalar) signedDigits(c uint, out []int8, stride int) {
-	var buf [32]byte
-	s.bytes(&buf)
+func (s *scalar) signedDigits(c uint, out []int8, stride int) {
 	var limbs [5]uint64
 	for i := 0; i < 4; i++ {
-		limbs[i] = binary.LittleEndian.Uint64(buf[i*8:])
+		limbs[i] = binary.LittleEndian.Uint64(s[i*8:])
 	}
 	nw := windows(c)
 	radix, mask := uint64(1)<<c, uint64(1)<<c-1

@@ -10,12 +10,12 @@ import (
 // msCase builds n (scalar, point) pairs: decoded points with and without
 // torsion, some projective (sums), the identity, repeats, and scalars that are
 // full-width, 128-bit, zero, one and L - 1.
-func msCase(t testing.TB, n int, rng *rand.Rand) ([]Scalar, []Point, []*big.Int) {
+func msCase(t testing.TB, n int, rng *rand.Rand) ([]scalar, []Point, []*big.Int) {
 	t.Helper()
 	pool := randomPoints(8, "multiscalar")
-	pool = append(pool, generator, identity, new(Point).Add(pool[0], pool[1]), new(Point).Add(generator, generator))
+	pool = append(pool, generator, identity, new(Point).add(pool[0], pool[1]), new(Point).add(generator, generator))
 	one := big.NewInt(1)
-	scalars, points, ks := make([]Scalar, n), make([]Point, n), make([]*big.Int, n)
+	scalars, points, ks := make([]scalar, n), make([]Point, n), make([]*big.Int, n)
 	for i := range points {
 		points[i] = *pool[rng.Intn(len(pool))]
 		switch rng.Intn(8) {
@@ -36,9 +36,9 @@ func msCase(t testing.TB, n int, rng *rand.Rand) ([]Scalar, []Point, []*big.Int)
 }
 
 func naiveSum(ks []*big.Int, points []Point) *Point {
-	sum := new(Point).Set(identity)
+	sum := new(Point).set(identity)
 	for i := range points {
-		sum.Add(sum, mulBig(ks[i], &points[i]))
+		sum.add(sum, mulBig(ks[i], &points[i]))
 	}
 	return sum
 }
@@ -78,7 +78,7 @@ func TestMultiScalarDegenerate(t *testing.T) {
 	var m multiScalar
 	p := randomPoints(1, "degenerate")[0]
 	for _, n := range []int{1, 5, strausMax + 5} {
-		scalars, points := make([]Scalar, n), make([]Point, n)
+		scalars, points := make([]scalar, n), make([]Point, n)
 		for i := range points {
 			points[i] = *p
 		}
@@ -96,7 +96,7 @@ func TestMultiScalarDegenerate(t *testing.T) {
 	}
 	// k·P + (L - k)·P = O.
 	k := big.NewInt(123456789)
-	scalars := []Scalar{*setScalar(t, k), *setScalar(t, new(big.Int).Sub(bigL, k))}
+	scalars := []scalar{*setScalar(t, k), *setScalar(t, new(big.Int).Sub(bigL, k))}
 	points := []Point{*generator, *generator}
 	var got Point
 	if !m.straus(&got, scalars, points).isIdentity() || !m.pippenger(&got, scalars, points, 5).isIdentity() {
@@ -117,18 +117,18 @@ func TestPippengerWindowGrows(t *testing.T) {
 
 // batchShaped builds the input VerifyBatch hands to mult for n signatures:
 // n+1 full-width scalars, n 128-bit ones, all points freshly decoded.
-func batchShaped(n int) ([]Scalar, []Point) {
+func batchShaped(n int) ([]scalar, []Point) {
 	rng := rand.New(rand.NewSource(int64(n)))
 	pool := randomPoints(64, "bench")
-	scalars, points := make([]Scalar, 2*n+1), make([]Point, 2*n+1)
-	var buf [64]byte
+	scalars, points := make([]scalar, 2*n+1), make([]Point, 2*n+1)
+	var buf [16]byte
 	for i := range points {
 		points[i] = *pool[rng.Intn(len(pool))]
-		rng.Read(buf[:])
 		if i > n {
-			scalars[i].setShortBytes(buf[:16])
+			rng.Read(buf[:])
+			scalars[i].setShortBytes(buf[:])
 		} else {
-			scalars[i].SetUniformBytes(buf[:])
+			copy(scalars[i][:], le(new(big.Int).Rand(rng, bigL), 32))
 		}
 	}
 	return scalars, points

@@ -6,11 +6,14 @@ import (
 	"math/big"
 	"math/rand"
 	"testing"
+
+	"massbft/internal/keys/edwards25519/field"
 )
 
 // The references the tests compare against share nothing with the code under
 // test beyond point addition and decoding: scalars are math/big integers and
-// multiplication is plain double-and-add.
+// multiplication is plain double-and-add. Encoding, subtraction and equality
+// of points serve only the references, so they live here.
 
 var bigL, _ = new(big.Int).SetString("7237005577332262213973186563042994240857116359379907606001950938285454250989", 10)
 
@@ -33,15 +36,53 @@ func fromLE(b []byte) *big.Int {
 	return new(big.Int).SetBytes(r)
 }
 
+// Bytes returns the canonical 32-byte encoding of v, according to RFC 8032,
+// Section 5.1.2.
+//
+// Bytes, Subtract and Equal are the Go distribution's (licence in LICENSE).
+func (v *Point) Bytes() []byte {
+	checkInitialized(v)
+
+	var zInv, x, y field.Element
+	zInv.Invert(&v.z)       // zInv = 1 / Z
+	x.Multiply(&v.x, &zInv) // x = X / Z
+	y.Multiply(&v.y, &zInv) // y = Y / Z
+
+	out := y.Bytes()
+	out[31] |= byte(x.IsNegative() << 7)
+	return out
+}
+
+// Subtract sets v = p - q, and returns v.
+func (v *Point) Subtract(p, q *Point) *Point {
+	checkInitialized(p, q)
+	qCached := new(projCached).FromP3(q)
+	result := new(projP1xP1).Sub(p, qCached)
+	return v.fromP1xP1(result)
+}
+
+// Equal returns 1 if v is equivalent to u, and 0 otherwise.
+func (v *Point) Equal(u *Point) int {
+	checkInitialized(v, u)
+
+	var t1, t2, t3, t4 field.Element
+	t1.Multiply(&v.x, &u.z)
+	t2.Multiply(&u.x, &v.z)
+	t3.Multiply(&v.y, &u.z)
+	t4.Multiply(&u.y, &v.z)
+
+	return t1.Equal(&t2) & t3.Equal(&t4)
+}
+
 // mulBig returns [k]p for any non-negative integer k, reduced or not — so
 // [L]p, which tells a point of the prime-order subgroup from one with a
 // torsion component, is computable.
 func mulBig(k *big.Int, p *Point) *Point {
-	acc := new(Point).Set(identity)
+	acc := new(Point).set(identity)
 	for i := k.BitLen() - 1; i >= 0; i-- {
-		acc.Add(acc, acc)
+		acc.add(acc, acc)
 		if k.Bit(i) == 1 {
-			acc.Add(acc, p)
+			acc.add(acc, p)
 		}
 	}
 	return acc
@@ -72,7 +113,7 @@ func verifyOne(pub, msg, sig []byte) bool {
 	if err != nil {
 		return false
 	}
-	r, err := new(Point).SetCanonicalBytes(sig[:32])
+	r, err := new(Point).setCanonicalBytes(sig[:32])
 	if err != nil {
 		return false
 	}
@@ -133,11 +174,11 @@ func (sg *signer) signWith(msg []byte, tr, ta *Point) (pub, sig []byte) {
 	r.Mod(r, bigL)
 	rp := mulBig(r, generator)
 	if tr != nil {
-		rp.Add(rp, tr)
+		rp.add(rp, tr)
 	}
 	pub = sg.pub
 	if ta != nil {
-		pub = new(Point).Add(sg.point, ta).Bytes()
+		pub = new(Point).add(sg.point, ta).Bytes()
 	}
 	k := challenge(rp.Bytes(), pub, msg)
 	s := k.Mul(k, sg.a)

@@ -9,151 +9,40 @@ import (
 	"errors"
 )
 
-// A Scalar is an integer modulo
+// A scalar is an integer modulo
 //
-//	l = 2^252 + 27742317777372353535851937790883648493
+//	l = 2^252 + 27742317777372353535851937790883648493,
 //
-// which is the prime order of the edwards25519 group.
-//
-// This type works similarly to math/big.Int, and all arguments and
-// receivers are allowed to alias.
+// the prime order of the edwards25519 group, held as its canonical 32-byte
+// little-endian encoding. The multiplications read the bytes
+// (nonAdjacentForm, signedDigits); the verifier does its arithmetic modulo l
+// in math/big (batch.go), on public values only.
 //
 // The zero value is a valid zero element.
-type Scalar struct {
-	// s is the scalar in the Montgomery domain, in the format of the
-	// fiat-crypto implementation.
-	s fiatScalarMontgomeryDomainFieldElement
-}
+type scalar [32]byte
 
-// The field implementation in scalar_fiat.go is generated by the fiat-crypto
-// project (https://github.com/mit-plv/fiat-crypto) at version v0.0.9 (23d2dbc)
-// from a formally verified model.
-//
-// fiat-crypto code comes under the following license.
-//
-//     Copyright (c) 2015-2020 The fiat-crypto Authors. All rights reserved.
-//
-//     Redistribution and use in source and binary forms, with or without
-//     modification, are permitted provided that the following conditions are
-//     met:
-//
-//         1. Redistributions of source code must retain the above copyright
-//         notice, this list of conditions and the following disclaimer.
-//
-//     THIS SOFTWARE IS PROVIDED BY the fiat-crypto authors "AS IS"
-//     AND ANY EXPRESS OR IMPLIED WARRANTIES, INCLUDING, BUT NOT LIMITED TO,
-//     THE IMPLIED WARRANTIES OF MERCHANTABILITY AND FITNESS FOR A PARTICULAR
-//     PURPOSE ARE DISCLAIMED. IN NO EVENT SHALL Berkeley Software Design,
-//     Inc. BE LIABLE FOR ANY DIRECT, INDIRECT, INCIDENTAL, SPECIAL,
-//     EXEMPLARY, OR CONSEQUENTIAL DAMAGES (INCLUDING, BUT NOT LIMITED TO,
-//     PROCUREMENT OF SUBSTITUTE GOODS OR SERVICES; LOSS OF USE, DATA, OR
-//     PROFITS; OR BUSINESS INTERRUPTION) HOWEVER CAUSED AND ON ANY THEORY OF
-//     LIABILITY, WHETHER IN CONTRACT, STRICT LIABILITY, OR TORT (INCLUDING
-//     NEGLIGENCE OR OTHERWISE) ARISING IN ANY WAY OUT OF THE USE OF THIS
-//     SOFTWARE, EVEN IF ADVISED OF THE POSSIBILITY OF SUCH DAMAGE.
-//
-
-// MultiplyAdd sets s = x * y + z mod l, and returns s. It is equivalent to
-// using Multiply and then Add.
-func (s *Scalar) MultiplyAdd(x, y, z *Scalar) *Scalar {
-	// Make a copy of z in case it aliases s.
-	zCopy := new(Scalar).Set(z)
-	return s.Multiply(x, y).Add(s, zCopy)
-}
-
-// Add sets s = x + y mod l, and returns s.
-func (s *Scalar) Add(x, y *Scalar) *Scalar {
-	// s = 1 * x + y mod l
-	fiatScalarAdd(&s.s, &x.s, &y.s)
-	return s
-}
-
-// Negate sets s = -x mod l, and returns s.
-func (s *Scalar) Negate(x *Scalar) *Scalar {
-	// s = -1 * x + 0 mod l
-	fiatScalarOpp(&s.s, &x.s)
-	return s
-}
-
-// Multiply sets s = x * y mod l, and returns s.
-func (s *Scalar) Multiply(x, y *Scalar) *Scalar {
-	// s = x * y + 0 mod l
-	fiatScalarMul(&s.s, &x.s, &y.s)
-	return s
-}
-
-// Set sets s = x, and returns s.
-func (s *Scalar) Set(x *Scalar) *Scalar {
-	*s = *x
-	return s
-}
-
-// SetUniformBytes sets s = x mod l, where x is a 64-byte little-endian integer.
-// If x is not of the right length, SetUniformBytes returns nil and an error,
-// and the receiver is unchanged.
-//
-// SetUniformBytes can be used to set s to a uniformly distributed value given
-// 64 uniformly distributed random bytes.
-func (s *Scalar) SetUniformBytes(x []byte) (*Scalar, error) {
-	if len(x) != 64 {
-		return nil, errors.New("edwards25519: invalid SetUniformBytes input length")
-	}
-
-	// We have a value x of 512 bits, but our fiatScalarFromBytes function
-	// expects an input lower than l, which is a little over 252 bits.
-	//
-	// Instead of writing a reduction function that operates on wider inputs, we
-	// can interpret x as the sum of three shorter values a, b, and c.
-	//
-	//    x = a + b * 2^168 + c * 2^336  mod l
-	//
-	// We then precompute 2^168 and 2^336 modulo l, and perform the reduction
-	// with two multiplications and two additions.
-
-	s.setShortBytes(x[:21])
-	t := new(Scalar).setShortBytes(x[21:42])
-	s.Add(s, t.Multiply(t, scalarTwo168))
-	t.setShortBytes(x[42:])
-	s.Add(s, t.Multiply(t, scalarTwo336))
-
-	return s, nil
-}
-
-// scalarTwo168 and scalarTwo336 are 2^168 and 2^336 modulo l, encoded as a
-// fiatScalarMontgomeryDomainFieldElement, which is a little-endian 4-limb value
-// in the 2^256 Montgomery domain.
-var scalarTwo168 = &Scalar{s: [4]uint64{0x5b8ab432eac74798, 0x38afddd6de59d5d7,
-	0xa2c131b399411b7c, 0x6329a7ed9ce5a30}}
-var scalarTwo336 = &Scalar{s: [4]uint64{0xbd3d108e2b35ecc5, 0x5c3a3718bdf9c90b,
-	0x63aa97a331b4f2ee, 0x3d217f5be65cb5c}}
-
-// setShortBytes sets s = x mod l, where x is a little-endian integer shorter
-// than 32 bytes.
-func (s *Scalar) setShortBytes(x []byte) *Scalar {
+// setShortBytes sets s = x, where x is a little-endian integer shorter than
+// 32 bytes, and returns s.
+func (s *scalar) setShortBytes(x []byte) *scalar {
 	if len(x) >= 32 {
 		panic("edwards25519: internal error: setShortBytes called with a long string")
 	}
-	var buf [32]byte
-	copy(buf[:], x)
-	fiatScalarFromBytes((*[4]uint64)(&s.s), &buf)
-	fiatScalarToMontgomery(&s.s, (*fiatScalarNonMontgomeryDomainFieldElement)(&s.s))
+	*s = scalar{}
+	copy(s[:], x)
 	return s
 }
 
-// SetCanonicalBytes sets s = x, where x is a 32-byte little-endian encoding of
-// s, and returns s. If x is not a canonical encoding of s, SetCanonicalBytes
+// setCanonicalBytes sets s = x, where x is a 32-byte little-endian encoding of
+// s, and returns s. If x is not a canonical encoding of s, setCanonicalBytes
 // returns nil and an error, and the receiver is unchanged.
-func (s *Scalar) SetCanonicalBytes(x []byte) (*Scalar, error) {
+func (s *scalar) setCanonicalBytes(x []byte) (*scalar, error) {
 	if len(x) != 32 {
 		return nil, errors.New("invalid scalar length")
 	}
 	if !isReduced(x) {
 		return nil, errors.New("invalid scalar encoding")
 	}
-
-	fiatScalarFromBytes((*[4]uint64)(&s.s), (*[32]byte)(x))
-	fiatScalarToMontgomery(&s.s, (*fiatScalarNonMontgomeryDomainFieldElement)(&s.s))
-
+	copy(s[:], x)
 	return s, nil
 }
 
@@ -178,30 +67,14 @@ func isReduced(s []byte) bool {
 	return true
 }
 
-// Bytes returns the canonical 32-byte little-endian encoding of s.
-func (s *Scalar) Bytes() []byte {
-	// This function is outlined to make the allocations inline in the caller
-	// rather than happen on the heap.
-	var encoded [32]byte
-	return s.bytes(&encoded)
-}
-
-func (s *Scalar) bytes(out *[32]byte) []byte {
-	var ss fiatScalarNonMontgomeryDomainFieldElement
-	fiatScalarFromMontgomery(&ss, &s.s)
-	fiatScalarToBytes(out, (*[4]uint64)(&ss))
-	return out[:]
-}
-
 // nonAdjacentForm computes a width-w non-adjacent form for this scalar.
 //
 // w must be between 2 and 8, or nonAdjacentForm will panic.
-func (s *Scalar) nonAdjacentForm(w uint) [256]int8 {
+func (s *scalar) nonAdjacentForm(w uint) [256]int8 {
 	// This implementation is adapted from the one
 	// in curve25519-dalek and is documented there:
 	// https://github.com/dalek-cryptography/curve25519-dalek/blob/f630041af28e9a405255f98a8a93adca18e4315b/src/scalar.rs#L800-L871
-	b := s.Bytes()
-	if b[31] > 127 {
+	if s[31] > 127 {
 		panic("scalar has high bit set illegally")
 	}
 	if w < 2 {
@@ -214,7 +87,7 @@ func (s *Scalar) nonAdjacentForm(w uint) [256]int8 {
 	var digits [5]uint64
 
 	for i := 0; i < 4; i++ {
-		digits[i] = binary.LittleEndian.Uint64(b[i*8:])
+		digits[i] = binary.LittleEndian.Uint64(s[i*8:])
 	}
 
 	width := uint64(1 << w)

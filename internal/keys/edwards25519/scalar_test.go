@@ -6,7 +6,7 @@ import (
 	"testing"
 )
 
-func scalarBig(s *Scalar) *big.Int { return fromLE(s.Bytes()) }
+func scalarBig(s *scalar) *big.Int { return fromLE(s[:]) }
 
 // scalarInputs returns the edge values below L — 0, 1, 2^128 - 1, 2^252, L - 1
 // — and random ones.
@@ -26,49 +26,18 @@ func scalarInputs(rng *rand.Rand, random int) []*big.Int {
 	return xs
 }
 
-func setScalar(t testing.TB, x *big.Int) *Scalar {
+func setScalar(t testing.TB, x *big.Int) *scalar {
 	t.Helper()
-	s, err := new(Scalar).SetCanonicalBytes(le(x, 32))
+	s, err := new(scalar).setCanonicalBytes(le(x, 32))
 	if err != nil {
-		t.Fatalf("SetCanonicalBytes(%v): %v", x, err)
+		t.Fatalf("setCanonicalBytes(%v): %v", x, err)
 	}
 	return s
 }
 
-// TestScalarAgainstBig compares the arithmetic modulo L with math/big.
-func TestScalarAgainstBig(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	xs := scalarInputs(rng, 30)
-	modL := func(x *big.Int) *big.Int { return x.Mod(x, bigL) }
-	for _, x := range xs {
-		a := setScalar(t, x)
-		if scalarBig(a).Cmp(x) != 0 {
-			t.Fatalf("round trip of %v", x)
-		}
-		if got := scalarBig(new(Scalar).Negate(a)); got.Cmp(modL(new(big.Int).Neg(x))) != 0 {
-			t.Fatalf("-%v = %v", x, got)
-		}
-		for _, y := range xs {
-			b := setScalar(t, y)
-			if got := scalarBig(new(Scalar).Add(a, b)); got.Cmp(modL(new(big.Int).Add(x, y))) != 0 {
-				t.Fatalf("%v + %v = %v", x, y, got)
-			}
-			if got := scalarBig(new(Scalar).Multiply(a, b)); got.Cmp(modL(new(big.Int).Mul(x, y))) != 0 {
-				t.Fatalf("%v * %v = %v", x, y, got)
-			}
-			// MultiplyAdd with the accumulator aliased, as VerifyBatch calls it.
-			acc := setScalar(t, xs[len(xs)-1])
-			want := modL(new(big.Int).Add(new(big.Int).Mul(x, y), xs[len(xs)-1]))
-			if got := scalarBig(acc.MultiplyAdd(a, b, acc)); got.Cmp(want) != 0 {
-				t.Fatalf("%v * %v + c = %v", x, y, got)
-			}
-		}
-	}
-}
-
-// TestScalarDecoding covers the three ways bytes become a scalar: canonical
-// 32 bytes (L and above refused — the malleability check), 64 uniform bytes
-// reduced, and a short coefficient.
+// TestScalarDecoding covers the two ways bytes become a scalar: canonical 32
+// bytes (L and above refused — the malleability check) and a short
+// coefficient.
 func TestScalarDecoding(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	one := big.NewInt(1)
@@ -77,37 +46,51 @@ func TestScalarDecoding(t *testing.T) {
 		new(big.Int).Add(bigL, bigL),
 		new(big.Int).Sub(new(big.Int).Lsh(one, 256), one),
 	} {
-		if _, err := new(Scalar).SetCanonicalBytes(le(x, 32)); err == nil {
-			t.Errorf("SetCanonicalBytes accepted %v >= L", x)
+		if _, err := new(scalar).setCanonicalBytes(le(x, 32)); err == nil {
+			t.Errorf("setCanonicalBytes accepted %v >= L", x)
 		}
 	}
-	if _, err := new(Scalar).SetCanonicalBytes(make([]byte, 31)); err == nil {
+	if _, err := new(scalar).setCanonicalBytes(make([]byte, 31)); err == nil {
 		t.Error("31-byte scalar accepted")
 	}
 
-	wide := []*big.Int{
-		big.NewInt(0), new(big.Int).Set(bigL), new(big.Int).Sub(bigL, one),
-		new(big.Int).Sub(new(big.Int).Lsh(one, 512), one), new(big.Int).Lsh(one, 511),
-	}
-	for i := 0; i < 50; i++ {
-		wide = append(wide, new(big.Int).Rand(rng, new(big.Int).Lsh(one, 512)))
-	}
-	for _, x := range wide {
-		s, err := new(Scalar).SetUniformBytes(le(x, 64))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if want := new(big.Int).Mod(x, bigL); scalarBig(s).Cmp(want) != 0 {
-			t.Fatalf("SetUniformBytes(%v) = %v, want %v", x, scalarBig(s), want)
-		}
-	}
-	if _, err := new(Scalar).SetUniformBytes(make([]byte, 63)); err == nil {
-		t.Error("63 uniform bytes accepted")
-	}
-
 	for _, x := range []*big.Int{big.NewInt(0), one, new(big.Int).Sub(new(big.Int).Lsh(one, 128), one), new(big.Int).Rand(rng, new(big.Int).Lsh(one, 128))} {
-		if got := scalarBig(new(Scalar).setShortBytes(le(x, 16))); got.Cmp(x) != 0 {
+		if got := scalarBig(new(scalar).setShortBytes(le(x, 16))); got.Cmp(x) != 0 {
 			t.Fatalf("setShortBytes(%v) = %v", x, got)
+		}
+	}
+}
+
+// TestReduceModL checks the verifier's arithmetic modulo L against
+// big.Int.Mod at the edges of what it reduces: products z_i·k_i up to
+// 2^640 - 1 (L and 2^640 - 1 among those whose Barrett quotient is one
+// short) and the negated accumulator, whose negative values take the L - r
+// fix-up. The result is read back with fromLE, so a reversed byte order
+// fails too, and setLE must read back what le wrote.
+func TestReduceModL(t *testing.T) {
+	rng := rand.New(rand.NewSource(4))
+	one := big.NewInt(1)
+	top := new(big.Int).Lsh(one, 640)
+	xs := []*big.Int{
+		big.NewInt(0), new(big.Int).Sub(bigL, one), new(big.Int).Set(bigL),
+		new(big.Int).Add(bigL, one), new(big.Int).Sub(top, one),
+		big.NewInt(-1), new(big.Int).Neg(bigL), new(big.Int).Neg(new(big.Int).Add(bigL, one)),
+	}
+	for i := 0; i < 20; i++ {
+		x := new(big.Int).Rand(rng, top)
+		xs = append(xs, x, new(big.Int).Neg(x))
+	}
+	var v BatchVerifier
+	for _, x := range xs {
+		var s scalar
+		v.reduce(&s, new(big.Int).Set(x))
+		if got, want := fromLE(s[:]), new(big.Int).Mod(x, bigL); got.Cmp(want) != 0 {
+			t.Errorf("%v mod L = %v, want %v", x, got, want)
+		}
+		if x.Sign() >= 0 && x.BitLen() <= 512 {
+			if got := v.setLE(new(big.Int), le(x, 64)); got.Cmp(x) != 0 {
+				t.Errorf("setLE(le(%v)) = %v", x, got)
+			}
 		}
 	}
 }
@@ -153,29 +136,5 @@ func TestScalarDigits(t *testing.T) {
 				}
 			}
 		}
-	}
-}
-
-// TestScalarOpsDoNotAllocate: the per-signature scalar work of VerifyBatch
-// stays on the stack.
-func TestScalarOpsDoNotAllocate(t *testing.T) {
-	var a, b, acc Scalar
-	wide := make([]byte, 64)
-	wide[5], wide[60] = 7, 9
-	canon := le(new(big.Int).Sub(bigL, big.NewInt(1)), 32)
-	digits := make([]int8, windows(6))
-	n := testing.AllocsPerRun(100, func() {
-		a.SetUniformBytes(wide)
-		b.SetCanonicalBytes(canon)
-		acc.setShortBytes(wide[:16])
-		acc.MultiplyAdd(&a, &b, &acc)
-		a.Multiply(&a, &b)
-		a.Negate(&a)
-		naf := a.nonAdjacentForm(5)
-		a.signedDigits(6, digits, 1)
-		digits[0] += naf[0]
-	})
-	if n != 0 {
-		t.Fatalf("scalar arithmetic allocates %.0f objects", n)
 	}
 }

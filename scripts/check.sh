@@ -36,6 +36,9 @@
 #                    this tree; commit_tps, both latencies, net_bytes_per_txn
 #                    and the operation counts must be equal to the last digit
 #                    (scripts/equal-seed.sh takes a seed and a run length too)
+#   size             the non-test Go line count outside bench/ (generated
+#                    files included) and the five largest packages: the
+#                    number ROADMAP and CHANGES.md quote
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -108,7 +111,21 @@ race() {
   go test -run '^$' -fuzz FuzzEnvelopeRoundTrip -fuzztime 15s ./internal/cluster/
 }
 
+size() {
+  find . -path ./bench -prune -o -name '*.go' ! -name '*_test.go' -print0 |
+    xargs -0 wc -l | awk '$2 != "total" {
+      dir = $2; sub(/\/[^\/]*$/, "", dir); pkg[dir] += $1; sum += $1
+    } END {
+      printf "non-test Go outside bench/: %d lines\nlargest packages:\n", sum
+      for (dir in pkg) printf "%7d %s\n", pkg[dir], dir | "sort -rn | head -5"
+    }'
+}
+
 case "$preset" in
+size)
+  size
+  exit 0
+  ;;
 partition-chaos)
   echo "== partition chaos (full schedules)"
   go test -timeout 600s -run 'TestPartition|TestChaos' -v ./internal/core/
@@ -157,7 +174,7 @@ race)
   ;;
 full) ;;
 *)
-  echo "unknown preset: $preset (want: full, tier1, race, partition-chaos, membership-chaos, node-smoke, gateway-smoke, divergence-sweep, equal-seed)" >&2
+  echo "unknown preset: $preset (want: full, tier1, race, partition-chaos, membership-chaos, node-smoke, gateway-smoke, divergence-sweep, equal-seed, size)" >&2
   exit 2
   ;;
 esac
