@@ -317,33 +317,29 @@ type Checkpoint struct {
 
 	Pending []PendingEntry
 
-	// Failover state (quorum-witnessed group death): DeadGroups/DeadCuts are
-	// the certified-dead groups and their stream cut positions (parallel
-	// slices); Suspects the standing (unrevoked) suspicion edges; OwnSuspects
-	// the groups the folding node's own group currently suspects — derived
-	// from the own certified stream, so it must survive a rejoin for leader
-	// changes to preserve suspicion/revocation duties.
+	// The folding node's group table (DESIGN.md §6), by ascending group:
+	// DeadGroups/DeadCuts every non-member group and its stream cut
+	// (parallel slices), Standby/Departed those of them that are not dead;
+	// Suspects the standing suspicion edges; OwnSuspects the groups the
+	// folding node's own group currently suspects — derived from the own
+	// certified stream, so it must survive a rejoin for leader changes to
+	// preserve suspicion/revocation duties.
 	DeadGroups  []int
 	DeadCuts    []uint64
 	Suspects    []SuspectEdge
 	OwnSuspects []int
 
 	// Membership state (certified epoch reconfiguration, DESIGN.md §11):
-	// Epoch counts certified RecEpoch switches; Standby lists groups
-	// provisioned but not yet joined; Departed groups removed by a leave cut
-	// (their fence position rides in DeadGroups/DeadCuts); JoinStart* map a
-	// joined group to its first proposable seq (parallel slices — rounds
-	// below it are skipped cluster-wide). JoinVotes/LeaveVotes are the
-	// standing certified approvals of an in-flight membership op, reusing
-	// the SuspectEdge shape: Suspected = target, Origin = approving group,
+	// Epoch counts certified RecEpoch switches; a joined group's boundary
+	// rides in Ord or Skipped. JoinVotes/LeaveVotes are the standing
+	// certified approvals of an in-flight membership op, reusing the
+	// SuspectEdge shape: Suspected = target, Origin = approving group,
 	// Cursor = the approver's target-stream cursor (leave votes only).
-	Epoch           uint64
-	Standby         []int
-	Departed        []int
-	JoinStartGroups []int
-	JoinStartSeqs   []uint64
-	JoinVotes       []SuspectEdge
-	LeaveVotes      []SuspectEdge
+	Epoch      uint64
+	Standby    []int
+	Departed   []int
+	JoinVotes  []SuspectEdge
+	LeaveVotes []SuspectEdge
 	// CommitHi[g] is the highest own-entry commit seq certified in group g's
 	// stream as processed by the folding node — the watermark bounding both
 	// pre-join round skips and the join boundary a coordinator may certify,
@@ -373,7 +369,7 @@ func (c *Checkpoint) WireSize() int {
 		n += c.Pending[i].WireSize()
 	}
 	n += 12*len(c.DeadGroups) + 16*len(c.Suspects) + 4*len(c.OwnSuspects)
-	n += 8 + 4*len(c.Standby) + 4*len(c.Departed) + 12*len(c.JoinStartGroups)
+	n += 8 + 4*len(c.Standby) + 4*len(c.Departed)
 	n += 16*len(c.JoinVotes) + 16*len(c.LeaveVotes) + 8*len(c.CommitHi)
 	return n
 }

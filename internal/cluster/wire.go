@@ -530,8 +530,6 @@ func (w *wireWriter) checkpointOpt(c *Checkpoint) error {
 	w.u64(c.Epoch)
 	w.intSlice(c.Standby)
 	w.intSlice(c.Departed)
-	w.intSlice(c.JoinStartGroups)
-	w.u64Slice(c.JoinStartSeqs)
 	w.suspectEdges(c.JoinVotes)
 	w.suspectEdges(c.LeaveVotes)
 	w.u64Slice(c.CommitHi)
@@ -1031,8 +1029,6 @@ func (r *wireReader) checkpointOpt() *Checkpoint {
 	c.Epoch = r.u64()
 	c.Standby = r.intSlice()
 	c.Departed = r.intSlice()
-	c.JoinStartGroups = r.intSlice()
-	c.JoinStartSeqs = r.u64Slice()
 	c.JoinVotes = r.suspectEdges()
 	c.LeaveVotes = r.suspectEdges()
 	c.CommitHi = r.u64Slice()

@@ -100,18 +100,16 @@ func wireFixtures() map[string]any {
 			ID: entry.ID, Entry: entry, Cert: cert, StampedBy: 1,
 			Streams: []int{0, 1}, Stamps: []int{1}, Committed: true, CommitSeen: false,
 		}},
-		DeadGroups:      []int{3},
-		DeadCuts:        []uint64{17},
-		Suspects:        []SuspectEdge{{Suspected: 3, Origin: 0, Cursor: 6}},
-		OwnSuspects:     []int{3},
-		Epoch:           2,
-		Standby:         []int{3},
-		Departed:        []int{2},
-		JoinStartGroups: []int{1},
-		JoinStartSeqs:   []uint64{21},
-		JoinVotes:       []SuspectEdge{{Suspected: 3, Origin: 0}},
-		LeaveVotes:      []SuspectEdge{{Suspected: 2, Origin: 1}, {Suspected: 2, Origin: 2}},
-		CommitHi:        []uint64{20, 19},
+		DeadGroups:  []int{3},
+		DeadCuts:    []uint64{17},
+		Suspects:    []SuspectEdge{{Suspected: 3, Origin: 0, Cursor: 6}},
+		OwnSuspects: []int{3},
+		Epoch:       2,
+		Standby:     []int{3},
+		Departed:    []int{2},
+		JoinVotes:   []SuspectEdge{{Suspected: 3, Origin: 0}},
+		LeaveVotes:  []SuspectEdge{{Suspected: 2, Origin: 1}, {Suspected: 2, Origin: 2}},
+		CommitHi:    []uint64{20, 19},
 	}
 
 	return map[string]any{
@@ -347,6 +345,40 @@ var goldenEnvelopes = map[string]string{
 	"StreamFetch":         "0c000000010000000000000009",
 	"ProposalFwd":         "0d00000003667764",
 	"RejoinReq":           "0e0000000000000005",
+	// The largest envelope: every checkpoint field, the state store included.
+	"RejoinResp": "0f01000000000000000500000001000000000000000510000000000000000000" +
+		"0000000000000000000000000000000000000000000000000000000000000000" +
+		"0004110000000000000000000000000000000000000000000000000000000000" +
+		"0000000000070000000112000000000000000000000000000000000000000000" +
+		"0000000000000000000001000000276d61737364623100000000020000000561" +
+		"6c70686100000001310000000462657461000000013213000000000000000000" +
+		"00000000000000000000000000000000000000000000000000000000002c0000" +
+		"00000000000a0000000200000000000000040000000000000003000000000000" +
+		"0008000000000000000900000002000000000000002c00000000000000290000" +
+		"0002000000000000000500000000000000040000000100000001000000000000" +
+		"0003000000460000000200000000010000000100000000000000050000000000" +
+		"00002a0000000000000001020000000000000000000000000000000900000000" +
+		"0000002800000000000000020100000002010203000000000000000000000000" +
+		"0000000000000000000000000000000000000000020000000200000000000000" +
+		"0273300000000200000001000000027331000000020000000000000000000000" +
+		"00000000010000000000000001000000000000000c0000000100000000000000" +
+		"0b14000000000000000000000000000000000000000000000000000000000000" +
+		"0000000006736c6f74706c000000020000000000000001000000000000000200" +
+		"000001000000000000000100000002636d010000000000000002000000000000" +
+		"0006000000000100000002000000000000000400000000000000030000000100" +
+		"000001000000000000000500000002000000000000002a000000000000000000" +
+		"0000020100000000000000000300000001000000010000000000000002000000" +
+		"0100000001000000000000000701000000440000000100000000000000070000" +
+		"0000000000030000000000000006000000010000000000000009000000000000" +
+		"000400000007707574206b207600000005747873696701000000020102030000" +
+		"0000000000000000000000000000000000000000000000000000000000000200" +
+		"0000020000000000000002733000000002000000010000000273310000000100" +
+		"0000020000000000000001000000010000000101000000000100000003000000" +
+		"0100000000000000110000000100000003000000000000000000000006000000" +
+		"0100000003000000000000000200000001000000030000000100000002000000" +
+		"0100000003000000000000000000000000000000020000000200000001000000" +
+		"0000000000000000020000000200000000000000000000000200000000000000" +
+		"140000000000000013",
 	"MetaBatch": "0900000001000000000000000300000046000000020000000001000000010000" +
 		"000000000005000000000000002a000000000000000102000000000000000000" +
 		"0000000000000900000000000000280000000000000002010000000201020300" +

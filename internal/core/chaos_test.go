@@ -422,6 +422,7 @@ func TestPartitionChaosFailover(t *testing.T) {
 		}
 	}
 	assertLiveSafety(t, c, skip)
+	assertCensus(t, c, "3f89844d1e4579f5")
 }
 
 // TestSimultaneousGroupDeathsCertifyTogether kills groups 0 and 1 at the same
@@ -498,6 +499,7 @@ func TestSimultaneousGroupDeathsCertifyTogether(t *testing.T) {
 		}
 	}
 	assertLiveSafety(t, c, skip)
+	assertCensus(t, c, "af72b1c0db696f19")
 }
 
 // TestMembershipCrashOverlapEpochSwitch is the crash-overlap acceptance

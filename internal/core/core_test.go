@@ -1,6 +1,9 @@
 package core
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"testing"
 	"time"
 
@@ -65,6 +68,49 @@ func assertConsistency(t *testing.T, c *cluster.Cluster, skipGroups map[int]bool
 				t.Fatalf("node N%d,%d state diverges", g, j)
 			}
 		}
+	}
+}
+
+// census hashes every node's end state — ledger height and head, state hash,
+// certified membership view (EpochInfo) and executed seqs per group — in
+// (group, index) order, as a short hex digest. It pins a schedule's outcome
+// across refactors: two runs of the same code agreeing says nothing about a
+// change that moves the outcome deterministically.
+func census(c *cluster.Cluster) string {
+	h := sha256.New()
+	var b [8]byte
+	u64 := func(v uint64) {
+		binary.BigEndian.PutUint64(b[:], v)
+		h.Write(b[:])
+	}
+	for g, size := range c.Cfg.GroupSizes {
+		for j := 0; j < size; j++ {
+			id := keys.NodeID{Group: g, Index: j}
+			n := c.Nodes[id].(*Node)
+			u64(n.Ledger().Height())
+			head := n.Ledger().Head()
+			h.Write(head[:])
+			state := c.StateHash(id)
+			h.Write(state[:])
+			epoch, members := n.EpochInfo()
+			u64(epoch)
+			u64(uint64(len(members)))
+			for _, m := range members {
+				u64(uint64(m))
+			}
+			for _, s := range n.ExecutedSeqs() {
+				u64(s)
+			}
+		}
+	}
+	return hex.EncodeToString(h.Sum(nil)[:8])
+}
+
+// assertCensus fails unless the cluster's census equals want.
+func assertCensus(t *testing.T, c *cluster.Cluster, want string) {
+	t.Helper()
+	if got := census(c); got != want {
+		t.Fatalf("census %s, want %s: %s", got, want, c.Metrics.Summary())
 	}
 }
 

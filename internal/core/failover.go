@@ -15,15 +15,11 @@ import (
 // standing suspicions from a Byzantine quorum of groups — certifies the
 // GroupDead decision that unlocks the async takeover stamps and the
 // round-mode skips. Every transition travels as a certified record on a
-// per-group FIFO stream, so the whole state machine replays identically on
-// every node (and across rejoins, via the checkpoint fold).
-//
-// State machine per suspected group G, as seen by any node:
-//
-//	live --silence > SuspectTimeout--> suspected(origin)   [RecSuspect]
-//	suspected --stream revives-------> live                [RecRevoke]
-//	suspected --quorum of origins----> dead(cut)           [RecDead, successor only]
-//	dead: absorbing — batches of G at seq >= cut are fenced, never processed.
+// per-group FIFO stream and changes one row of the node's group table
+// (groupSt; DESIGN.md §6 tabulates each state), so the whole state machine
+// replays identically on every node (and across rejoins, via the
+// checkpoint fold). Suspicions and revocations edit a member's row;
+// RecDead replaces it with a dead one.
 //
 // The death cut is a position in G's FIFO batch stream: the maximum of every
 // collected suspicion cursor and the successor's own cursor. All nodes
@@ -50,13 +46,17 @@ func (n *Node) streamCursor(g int) uint64 {
 	return 0
 }
 
-// memberCount is the number of groups that are members of the current epoch:
-// everything except standby groups (never admitted) and departed groups
-// (removed by a certified leave cut). Certified-dead groups that were neither
-// still count — a crash does not shrink the quorum denominator, exactly as
-// before dynamic membership existed.
+// memberCount is the number of groups in the current epoch: member and dead
+// rows. A crash does not shrink the quorum denominator; a standby or departed
+// group is not in it.
 func (n *Node) memberCount() int {
-	return n.ng - len(n.standbyGroups) - len(n.departed)
+	c := 0
+	for g := range n.groups {
+		if n.inEpoch(g) {
+			c++
+		}
+	}
+	return c
 }
 
 // groupQuorum is the Byzantine quorum over the current epoch's member groups —
@@ -64,12 +64,12 @@ func (n *Node) memberCount() int {
 func (n *Node) groupQuorum() int { return (n.memberCount()-1)/2 + 1 }
 
 // successor returns the designated successor for group g: the lowest-numbered
-// group other than g that is not itself certified dead. While the live
-// majority of the cluster is connected this is unique, which is what makes
-// the GroupDead decision single-writer.
+// group other than g that is not itself absent. While the live majority of
+// the cluster is connected this is unique, which is what makes the GroupDead
+// decision single-writer.
 func (n *Node) successor(g int) int {
 	for h := 0; h < n.ng; h++ {
-		if h != g && !n.deadGroups[h] {
+		if h != g && !n.absent(h) {
 			return h
 		}
 	}
@@ -106,22 +106,22 @@ func (n *Node) keepaliveScan(now time.Duration) {
 // a certified GroupSuspect when another group's stream has been silent past
 // SuspectTimeout, and a certified GroupRevoke withdrawing it if the stream
 // revives before a death quorum forms. The standing-suspicion state
-// (ownSuspects) is derived from the group's certified stream on every
-// member, so a leader change preserves suspicions and the new leader keeps
-// the revocation duty.
+// (ownSuspect) is derived from the group's certified stream on every member,
+// so a leader change preserves suspicions and the new leader keeps the
+// revocation duty.
 func (n *Node) suspectScan(now time.Duration) {
 	if !n.meta.IsLeader() {
 		return
 	}
 	for g := 0; g < n.ng; g++ {
-		if g == n.g || n.deadGroups[g] {
+		if g == n.g || n.absent(g) {
 			continue
 		}
 		silent := now-n.lastSeen(g) > n.cfg.SuspectTimeout
 		switch {
-		case silent && !n.ownSuspects[g]:
+		case silent && !n.groups[g].ownSuspect:
 			n.emitOnce(cluster.Record{Kind: cluster.RecSuspect, Stream: g, TS: n.streamCursor(g)}, "suspects-emitted")
-		case !silent && n.ownSuspects[g]:
+		case !silent && n.groups[g].ownSuspect:
 			n.emitOnce(cluster.Record{Kind: cluster.RecRevoke, Stream: g}, "revokes-emitted")
 		}
 	}
@@ -148,10 +148,10 @@ func (n *Node) deathScan(now time.Duration) {
 	}
 	eligible := make(map[int]bool)
 	for g := 0; g < n.ng; g++ {
-		if g == n.g || n.deadGroups[g] {
+		if g == n.g || n.absent(g) {
 			continue
 		}
-		if len(n.suspecters[g]) < n.groupQuorum() {
+		if len(n.groups[g].suspecters) < n.groupQuorum() {
 			continue
 		}
 		if now-n.lastSeen(g) <= n.cfg.SuspectTimeout {
@@ -165,7 +165,7 @@ func (n *Node) deathScan(now time.Duration) {
 			continue
 		}
 		cut := n.streamCursor(g)
-		for _, c := range n.suspecters[g] {
+		for _, c := range n.groups[g].suspecters {
 			if c > cut {
 				cut = c
 			}
@@ -179,12 +179,12 @@ func (n *Node) deathScan(now time.Duration) {
 	}
 }
 
-// effectiveSuccessor is successor() evaluated against the certified-dead set
-// extended by the groups found death-eligible in the current scan: the lowest
-// group, other than g, that is neither certified dead nor about to be.
+// effectiveSuccessor is successor() evaluated against the absent set extended
+// by the groups found death-eligible in the current scan: the lowest group,
+// other than g, that is neither absent nor about to be.
 func (n *Node) effectiveSuccessor(g int, eligible map[int]bool) int {
 	for h := 0; h < n.ng; h++ {
-		if h != g && !n.deadGroups[h] && !eligible[h] {
+		if h != g && !n.absent(h) && !eligible[h] {
 			return h
 		}
 	}
@@ -195,22 +195,21 @@ func (n *Node) effectiveSuccessor(g int, eligible map[int]bool) int {
 // rec.Stream's stream is silent, carrying origin's cursor for it in TS.
 func (n *Node) onSuspectRecord(origin int, rec cluster.Record) {
 	g := rec.Stream
-	if g < 0 || g >= n.ng || g == origin || n.deadGroups[g] {
+	if g < 0 || g >= n.ng || g == origin || n.absent(g) {
 		return
 	}
-	sus := n.suspecters[g]
-	if sus == nil {
-		sus = make(map[int]uint64)
-		n.suspecters[g] = sus
+	row := &n.groups[g]
+	if row.suspecters == nil {
+		row.suspecters = make(map[int]uint64)
 	}
-	if cur, ok := sus[origin]; !ok || rec.TS > cur {
+	if cur, ok := row.suspecters[origin]; !ok || rec.TS > cur {
 		if !ok {
 			n.ctx.Metrics.Inc("group-suspects")
 		}
-		sus[origin] = rec.TS
+		row.suspecters[origin] = rec.TS
 	}
 	if origin == n.g {
-		n.ownSuspects[g] = true
+		row.ownSuspect = true
 	}
 }
 
@@ -221,17 +220,16 @@ func (n *Node) onSuspectRecord(origin int, rec cluster.Record) {
 // discards the suspicion.
 func (n *Node) onRevokeRecord(origin int, rec cluster.Record) {
 	g := rec.Stream
-	if g < 0 || g >= n.ng || g == origin || n.deadGroups[g] {
+	if g < 0 || g >= n.ng || g == origin || n.absent(g) {
 		return
 	}
-	if sus := n.suspecters[g]; sus != nil {
-		if _, ok := sus[origin]; ok {
-			delete(sus, origin)
-			n.ctx.Metrics.Inc("group-revokes")
-		}
+	row := &n.groups[g]
+	if _, ok := row.suspecters[origin]; ok {
+		delete(row.suspecters, origin)
+		n.ctx.Metrics.Inc("group-revokes")
 	}
 	if origin == n.g {
-		delete(n.ownSuspects, g)
+		row.ownSuspect = false
 	}
 }
 
@@ -245,31 +243,23 @@ func (n *Node) onDeadRecord(origin int, rec cluster.Record) {
 	if g < 0 || g >= n.ng || g == origin {
 		return
 	}
-	if n.deadGroups[g] {
+	if n.absent(g) {
 		n.ctx.Metrics.Inc("dead-dupes")
 		return
 	}
-	n.applyGroupCut(g, rec.TS)
+	n.applyGroupCut(g, dead, rec.TS)
 	n.ctx.Metrics.Inc("group-deaths")
 }
 
-// applyGroupCut removes group g from the live set with its stream cut at
-// `cut` — the shared mechanics of a certified death (onDeadRecord) and a
-// certified leave (onEpochRecord): record the cut, drop the suspicion
-// bookkeeping, halt our own group if it is the one removed, and fence the
-// unprocessable tail of its batch stream.
-func (n *Node) applyGroupCut(g int, cut uint64) {
-	n.deadGroups[g] = true
-	n.deadCut[g] = cut
-	delete(n.suspecters, g)
-	delete(n.ownSuspects, g)
-	delete(n.takeoverSent, g)
+// applyGroupCut moves group g to state (dead or departed) with its stream cut
+// at `cut` — the shared mechanics of a certified death (onDeadRecord) and a
+// certified leave (onEpochRecord) — and fences the unprocessable tail of its
+// batch stream. If g is our own group, removed(n.g) now halts proposing and
+// record emission so the group cannot extend a fork past the certified cut;
+// members keep serving fetches for the agreed prefix.
+func (n *Node) applyGroupCut(g int, state groupState, cut uint64) {
+	n.groups[g] = groupSt{state: state, cut: cut}
 	if g == n.g {
-		// Our own group was removed — declared dead on the losing side of a
-		// partition, or departed by a certified leave. Halt proposing and
-		// record emission so this group cannot extend a fork past the
-		// certified cut; members keep serving fetches for the agreed prefix.
-		n.selfDead = true
 		return
 	}
 	in := n.streams[g]
@@ -317,28 +307,29 @@ func (n *Node) skipDeadRounds(s int) {
 // suspicion table and death cuts are protocol state a rejoining node cannot
 // re-derive — they came from certified streams it already consumed).
 func (n *Node) foldFailover(ck *cluster.Checkpoint) {
-	for _, g := range sortedKeys(n.deadGroups) {
-		ck.DeadGroups = append(ck.DeadGroups, g)
-		ck.DeadCuts = append(ck.DeadCuts, n.deadCut[g])
-	}
-	for _, g := range sortedKeys(n.suspecters) {
-		for _, o := range sortedKeys(n.suspecters[g]) {
+	for g, row := range n.groups {
+		if row.state != member {
+			ck.DeadGroups = append(ck.DeadGroups, g)
+			ck.DeadCuts = append(ck.DeadCuts, row.cut)
+		}
+		switch row.state {
+		case standby:
+			ck.Standby = append(ck.Standby, g)
+		case departed:
+			ck.Departed = append(ck.Departed, g)
+		}
+		for _, o := range sortedKeys(row.suspecters) {
 			ck.Suspects = append(ck.Suspects, cluster.SuspectEdge{
-				Suspected: g, Origin: o, Cursor: n.suspecters[g][o],
+				Suspected: g, Origin: o, Cursor: row.suspecters[o],
 			})
 		}
+		if row.ownSuspect {
+			ck.OwnSuspects = append(ck.OwnSuspects, g)
+		}
 	}
-	ck.OwnSuspects = sortedKeys(n.ownSuspects)
-
 	// Membership state (DESIGN.md §11): like deaths and cuts, it was decided
 	// by certified records the restoring node already consumed.
 	ck.Epoch = n.epoch
-	ck.Standby = sortedKeys(n.standbyGroups)
-	ck.Departed = sortedKeys(n.departed)
-	for _, g := range sortedKeys(n.joinStart) {
-		ck.JoinStartGroups = append(ck.JoinStartGroups, g)
-		ck.JoinStartSeqs = append(ck.JoinStartSeqs, n.joinStart[g])
-	}
 	ck.JoinVotes = foldVotes(n.joinVotes)
 	ck.LeaveVotes = foldVotes(n.leaveVotes)
 	ck.CommitHi = append([]uint64(nil), n.commitHi...)
@@ -371,28 +362,29 @@ func restoreVotes(edges []cluster.SuspectEdge) map[int]map[int]bool {
 }
 
 // restoreFailover installs a checkpoint's failover and membership state
-// wholesale.
+// wholesale, as fresh rows (validGroups has checked the tables).
 func (n *Node) restoreFailover(ck *cluster.Checkpoint) {
-	n.deadGroups = make(map[int]bool)
-	n.deadCut = make(map[int]uint64)
-	n.suspecters = make(map[int]map[int]uint64)
-	n.ownSuspects = make(map[int]bool)
-	n.selfDead = false
-	n.epoch = ck.Epoch
-	n.standbyGroups = make(map[int]bool)
+	n.groups = make([]groupSt, n.ng)
+	for i, g := range ck.DeadGroups {
+		n.groups[g] = groupSt{state: dead, cut: ck.DeadCuts[i]}
+	}
 	for _, g := range ck.Standby {
-		n.standbyGroups[g] = true
+		n.groups[g] = groupSt{state: standby}
 	}
-	n.departed = make(map[int]bool)
 	for _, g := range ck.Departed {
-		n.departed[g] = true
+		n.groups[g].state = departed
 	}
-	n.joinStart = make(map[int]uint64)
-	for i, g := range ck.JoinStartGroups {
-		if i < len(ck.JoinStartSeqs) {
-			n.joinStart[g] = ck.JoinStartSeqs[i]
+	for _, e := range ck.Suspects {
+		row := &n.groups[e.Suspected]
+		if row.suspecters == nil {
+			row.suspecters = make(map[int]uint64)
 		}
+		row.suspecters[e.Origin] = e.Cursor
 	}
+	for _, g := range ck.OwnSuspects {
+		n.groups[g].ownSuspect = true
+	}
+	n.epoch = ck.Epoch
 	n.joinVotes = restoreVotes(ck.JoinVotes)
 	n.leaveVotes = restoreVotes(ck.LeaveVotes)
 	n.commitHi = make([]uint64, n.ng)
@@ -402,31 +394,41 @@ func (n *Node) restoreFailover(ck *cluster.Checkpoint) {
 	n.wantJoin = make(map[int]bool)
 	n.wantLeave = make(map[int]bool)
 	n.leaving = false
-	for i, g := range ck.DeadGroups {
-		n.deadGroups[g] = true
-		if i < len(ck.DeadCuts) {
-			n.deadCut[g] = ck.DeadCuts[i]
+}
+
+// validGroups checks an offered checkpoint's group tables before anything
+// installs, as an honest fold writes them: ids in range, one cut per
+// non-member group, standby and departed groups among those, each group in
+// one state, and suspicions only of members, by another group (a vote's
+// origin may be its target: the readiness attestation or the farewell).
+func (n *Node) validGroups(ck *cluster.Checkpoint) bool {
+	in := func(g int) bool { return g >= 0 && g < n.ng }
+	state := make([]groupState, n.ng)
+	mark := func(groups []int, from, to groupState) bool {
+		for _, g := range groups {
+			if !in(g) || state[g] != from {
+				return false
+			}
+			state[g] = to
 		}
-		// A standby own group is seeded in deadGroups but is not halted —
-		// it is waiting to join, not declared dead.
-		if g == n.g && !n.standbyGroups[g] {
-			n.selfDead = true
-		}
+		return true
 	}
-	for _, e := range ck.Suspects {
-		if n.deadGroups[e.Suspected] {
-			continue
-		}
-		sus := n.suspecters[e.Suspected]
-		if sus == nil {
-			sus = make(map[int]uint64)
-			n.suspecters[e.Suspected] = sus
-		}
-		sus[e.Origin] = e.Cursor
+	if len(ck.DeadCuts) != len(ck.DeadGroups) || !mark(ck.DeadGroups, member, dead) ||
+		!mark(ck.Standby, dead, standby) || !mark(ck.Departed, dead, departed) {
+		return false
 	}
 	for _, g := range ck.OwnSuspects {
-		if !n.deadGroups[g] {
-			n.ownSuspects[g] = true
+		if !in(g) || state[g] != member {
+			return false
 		}
 	}
+	for i, edges := range [][]cluster.SuspectEdge{ck.Suspects, ck.JoinVotes, ck.LeaveVotes} {
+		for _, e := range edges {
+			if !in(e.Suspected) || !in(e.Origin) ||
+				i == 0 && (e.Origin == e.Suspected || state[e.Suspected] != member) {
+				return false
+			}
+		}
+	}
+	return true
 }

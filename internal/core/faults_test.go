@@ -104,6 +104,7 @@ func TestGroupCrashTakeover(t *testing.T) {
 			}
 		}
 	}
+	assertCensus(t, c, "666cc916905c66a9")
 }
 
 // TestMassBFTOutperformsBaselineUnderLeaderBottleneck checks the paper's
@@ -288,6 +289,7 @@ func TestBaselineGroupCrashRoundSkip(t *testing.T) {
 	if after == 0 {
 		t.Fatalf("round ordering never skipped the crashed group: %s", c.Metrics.Summary())
 	}
+	assertCensus(t, c, "1ce6761f3adb69a3")
 }
 
 // TestRollingCheckpointIsAViewOfTheFold: the periodic fold holds the state as
@@ -629,14 +631,73 @@ func TestRejoinRejectsForgedPendingEntry(t *testing.T) {
 	}
 }
 
+// TestRejoinRejectsForgedGroupTable: a checkpoint's group table decides the
+// quorum denominator, so it is checked before anything installs. The victim's
+// first rejoin target (1,3) serves every checkpoint with two out-of-range
+// departed groups added; installed, they would cut the victim's member count
+// from 3 to 1 and make a single standing suspicion a death quorum. The victim
+// must refuse the checkpoint (rejoin-badgroups), install an honest peer's,
+// and end in the group's state with the honest count.
+func TestRejoinRejectsForgedGroupTable(t *testing.T) {
+	t.Parallel()
+	if testing.Short() {
+		t.Skip("heavy integration test")
+	}
+	cfg := smallCfg()
+	cfg.RunFor = 4500 * time.Millisecond
+	cfg.TakeoverTimeout = 300 * time.Millisecond
+	cfg.RepairTimeout = 300 * time.Millisecond
+	cfg.CheckpointInterval = 500 * time.Millisecond
+	c, err := cluster.New(cfg, NewNode)
+	if err != nil {
+		t.Fatal(err)
+	}
+	victim := keys.NodeID{Group: 1, Index: 2}
+	evil := keys.NodeID{Group: 1, Index: 3}
+	forged := 0
+	c.Net.SetByzantineSender(evil, simnet.ByzantineSender{
+		CorruptRate: 1.0,
+		Corrupt: func(p any, _ *rand.Rand) any {
+			resp, ok := p.(*cluster.RejoinResp)
+			if !ok || resp.C == nil {
+				return nil
+			}
+			cp := *resp
+			ck := *resp.C
+			cp.C = &ck
+			ck.Departed = append(append([]int(nil), resp.C.Departed...), 5, 6)
+			forged++
+			return &cp
+		},
+	})
+	c.ScheduleNodeCrash(2*time.Second, victim)
+	c.ScheduleNodeRecover(3500*time.Millisecond, victim)
+	c.Run()
+	c.Drain(3 * time.Second)
+	m := c.Metrics
+	if forged == 0 {
+		t.Fatalf("no checkpoint was forged — test exercised nothing: %s", m.Summary())
+	}
+	assertConsistency(t, c, nil)
+	if got := c.Nodes[victim].(*Node).memberCount(); got != 3 {
+		t.Fatalf("victim counts %d member groups, want 3: %s", got, m.Summary())
+	}
+	if m.Counter("rejoin-badgroups") == 0 {
+		t.Fatalf("forged group tables were never rejected: %s", m.Summary())
+	}
+	if m.Counter("state-transfers") == 0 {
+		t.Fatalf("victim never installed an honest state transfer: %s", m.Summary())
+	}
+}
+
 // TestTakeoverBookkeepingGC is the regression test for takeoverSent
 // garbage collection. During a group-death takeover, successors stamp the
 // dead group's committed tail on its behalf and remember each emitted stamp
 // so retries stay idempotent — but before the GC, those maps retained every
 // stamped entry for the life of the process. Now execute() drops an entry
-// from all takeoverSent maps the moment it executes (and a certified revoke
-// drops the whole group's map), so after a takeover run nothing executed
-// may linger in the bookkeeping.
+// from every group row's takeoverSent the moment it executes (and a fresh
+// row at a death cut or a join drops the whole map), so after a takeover
+// run nothing executed may linger in the bookkeeping.
 func TestTakeoverBookkeepingGC(t *testing.T) {
 	t.Parallel()
 	if testing.Short() {
@@ -665,8 +726,8 @@ func TestTakeoverBookkeepingGC(t *testing.T) {
 			continue // the crashed group's state is frozen mid-flight
 		}
 		n := raw.(*Node)
-		for stream, sent := range n.takeoverSent {
-			for eid := range sent {
+		for stream, row := range n.groups {
+			for eid := range row.takeoverSent {
 				checked++
 				if eid.Seq <= n.executedSeqOf(eid.GID) {
 					t.Fatalf("node %v: executed entry %v lingers in takeoverSent[%d] (executed watermark %d)",

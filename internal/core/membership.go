@@ -8,49 +8,35 @@ import (
 )
 
 // This file implements certified dynamic membership (DESIGN.md §11): epoch
-// reconfiguration — admitting a provisioned standby group or removing an
-// active one — driven through the same certified quorum machinery as the
-// PR 3 failover protocol. No node-local decision changes the member set;
-// every transition is a certified record on a per-group FIFO stream, so the
-// whole state machine replays identically on every node.
+// reconfiguration — admitting a provisioned standby group or removing a
+// member — as transitions of the group table (groupSt; DESIGN.md §6
+// tabulates each state), driven through the same certified quorum machinery
+// as failover. No node-local decision changes the member set; every
+// transition is a certified record on a per-group FIFO stream, so it
+// replays identically on every node.
 //
-// Join, as seen by any node (target group B, coordinator = successor(B)):
+// Join (target B, coordinator = successor(B)): each member group certifies
+// a RecGroupJoin vote; B bootstraps through a cross-group rejoin and
+// certifies its own RecGroupJoin (origin == B, the readiness attestation);
+// at a vote quorum plus readiness the coordinator certifies RecEpoch with
+// TS = S, and B's row becomes member. B proposes its first entry at S+1,
+// and every node skips B's rounds (or re-seats B's orderer head) up to S
+// when it processes the RecEpoch. S is sound because the coordinator
+// computes it from its own stream: no commit of the coordinator's group
+// with seq >= S can precede the RecEpoch in its FIFO stream, and the
+// pre-join standby round skips are bounded by the certified commit
+// watermark (standbySkipBound), which that FIFO property keeps at or below
+// S.
 //
-//	standby --admin trigger------------> voting            [RecGroupJoin from
-//	                                                        each active group]
-//	B itself --bootstrap via rejoin----> ready             [RecGroupJoin with
-//	                                                        origin == B: the
-//	                                                        readiness attestation]
-//	quorum + ready --coordinator-------> joined(epoch+1)   [RecEpoch, TS = S]
-//
-// The RecEpoch's TS carries the join boundary S: B proposes its first entry
-// at seq S+1, and every node skips B's rounds (or re-seats B's orderer head)
-// up to S at the moment it processes the RecEpoch — the same cluster-wide
-// cut discipline as a death cut, in the other direction. S is sound because
-// the coordinator computes it from its own stream: no commit of the
-// coordinator's group with seq >= S can precede the RecEpoch in its FIFO
-// stream, and the pre-join standby round skips are bounded by the certified
-// commit watermark (standbySkipBound), which that FIFO property keeps at or
-// below S.
-//
-// Leave (target group L):
-//
-//	active --admin trigger-------------> voting            [RecGroupLeave from
-//	                                                        each other group]
-//	L itself --quorum observed---------> farewell          [RecGroupLeave with
-//	                                                        origin == L: its
-//	                                                        last-ever record]
-//	farewell + quorum --coordinator----> departed(epoch+1) [RecEpoch, TS = cut]
-//
-// The farewell solves the divergence an abrupt cut would cause: a group's
-// own members process their own batches without the onMetaBatch fence, so
-// the cut must land exactly where L's stream actually ends. L stops emitting
-// the moment its farewell is queued; the coordinator only certifies the
-// RecEpoch after processing the farewell, so its cursor — the cut — covers
-// precisely the prefix every L member also processed. Afterwards L is fenced
-// exactly like a certified-dead group (applyGroupCut), its rounds are
-// skipped / its clock frozen by the existing takeover machinery, and its
-// members halt (selfDead) while still serving fetches for the agreed prefix.
+// Leave (target L): the other groups certify RecGroupLeave votes; at a
+// quorum L certifies its farewell (RecGroupLeave with origin == L, its
+// last-ever record) and goes silent; the coordinator, having processed the
+// farewell, certifies RecEpoch with TS = its cursor for L, and L's row
+// becomes departed at that cut. The farewell solves the divergence an
+// abrupt cut would cause: a group's own members process their own batches
+// without the onMetaBatch fence, so the cut must land exactly where L's
+// stream actually ends — the coordinator's cursor covers precisely the
+// prefix every L member also processed.
 //
 // Trust model: like RecDead, a RecEpoch is taken at face value from the
 // legitimate coordinator (receivers cannot re-check the vote quorum — their
@@ -71,7 +57,7 @@ func (n *Node) onReconfigure(m *cluster.ReconfigureMsg) {
 	}
 	switch m.Op {
 	case cluster.ReconfigJoin:
-		if !n.standbyGroups[g] {
+		if n.groups[g].state != standby {
 			return
 		}
 		if g == n.g {
@@ -83,7 +69,7 @@ func (n *Node) onReconfigure(m *cluster.ReconfigureMsg) {
 		}
 		n.wantJoin[g] = true
 	case cluster.ReconfigLeave:
-		if n.standbyGroups[g] || n.departed[g] || n.deadGroups[g] {
+		if n.absent(g) {
 			return // not a member, or the failover machinery owns it
 		}
 		if n.memberCount() < 3 {
@@ -116,7 +102,7 @@ func (n *Node) membershipScan(now time.Duration) {
 	if !n.meta.IsLeader() {
 		return
 	}
-	if n.standbyGroups[n.g] {
+	if n.groups[n.g].state == standby {
 		// Pre-join, this group's only record is the readiness attestation:
 		// certified proof that every consensus-relevant piece of state was
 		// bootstrapped (the leader cannot speak for followers' installs, but
@@ -128,7 +114,7 @@ func (n *Node) membershipScan(now time.Duration) {
 		return
 	}
 	for _, t := range sortedKeys(n.wantJoin) {
-		if !n.standbyGroups[t] {
+		if n.groups[t].state != standby {
 			delete(n.wantJoin, t)
 			continue
 		}
@@ -137,7 +123,7 @@ func (n *Node) membershipScan(now time.Duration) {
 		}
 	}
 	for _, t := range sortedKeys(n.wantLeave) {
-		if t == n.g || n.deadGroups[t] || n.departed[t] {
+		if t == n.g || n.absent(t) {
 			if t != n.g {
 				delete(n.wantLeave, t)
 			}
@@ -172,8 +158,8 @@ func (n *Node) epochScan() {
 	if n.epochEmitted == n.epoch+1 {
 		return
 	}
-	for _, t := range sortedKeys(n.standbyGroups) {
-		if n.successor(t) != n.g ||
+	for t, row := range n.groups {
+		if row.state != standby || n.successor(t) != n.g ||
 			n.voteCount(n.joinVotes, t) < n.groupQuorum() ||
 			!n.hasVote(n.joinVotes, t, t) {
 			continue
@@ -193,8 +179,7 @@ func (n *Node) epochScan() {
 		}
 	}
 	for _, t := range sortedKeys(n.leaveVotes) {
-		if t == n.g || n.standbyGroups[t] || n.departed[t] || n.deadGroups[t] ||
-			n.successor(t) != n.g ||
+		if t == n.g || n.absent(t) || n.successor(t) != n.g ||
 			n.voteCount(n.leaveVotes, t) < n.groupQuorum() ||
 			!n.hasVote(n.leaveVotes, t, t) {
 			continue
@@ -226,10 +211,10 @@ func (n *Node) emitEpoch(t int, op byte, ts uint64) bool {
 // group's leader emits its own vote.
 func (n *Node) onJoinRecord(origin int, rec cluster.Record) {
 	t := rec.Stream
-	if t < 0 || t >= n.ng || !n.standbyGroups[t] {
+	if t < 0 || t >= n.ng || n.groups[t].state != standby {
 		return
 	}
-	if origin != t && n.standbyGroups[origin] {
+	if origin != t && n.groups[origin].state == standby {
 		return // standby groups have no vote (processRecords fences this)
 	}
 	votes := n.joinVotes[t]
@@ -250,7 +235,7 @@ func (n *Node) onJoinRecord(origin int, rec cluster.Record) {
 // rec.Stream. origin == target is the group's farewell — its last record.
 func (n *Node) onLeaveRecord(origin int, rec cluster.Record) {
 	t := rec.Stream
-	if t < 0 || t >= n.ng || n.standbyGroups[t] || n.departed[t] || n.deadGroups[t] {
+	if t < 0 || t >= n.ng || n.absent(t) {
 		return
 	}
 	votes := n.leaveVotes[t]
@@ -276,7 +261,7 @@ func (n *Node) onLeaveRecord(origin int, rec cluster.Record) {
 }
 
 // onEpochRecord applies a certified epoch switch. Legitimacy is positional:
-// only the current coordinator (successor of the target under the dead set
+// only the current coordinator (successor of the target under the group table
 // as of this stream position — identical on every node) may move the epoch,
 // and only with the next epoch number, so duplicates and re-emissions after
 // meta view changes are inert.
@@ -295,15 +280,18 @@ func (n *Node) onEpochRecord(origin int, rec cluster.Record) {
 	}
 	switch byte(rec.Entry.GID) {
 	case cluster.ReconfigJoin:
-		if !n.standbyGroups[t] {
+		if n.groups[t].state != standby {
 			return
 		}
 		n.applyJoin(t, rec.TS)
 	case cluster.ReconfigLeave:
-		if n.standbyGroups[t] || n.departed[t] || n.deadGroups[t] {
+		if n.absent(t) {
 			return
 		}
-		n.applyLeave(t, rec.TS)
+		// From here on t is fenced, skipped and frozen like a dead group,
+		// but it no longer counts in the quorum denominator.
+		n.applyGroupCut(t, departed, rec.TS)
+		n.ctx.Metrics.Inc("groups-departed")
 	default:
 		return
 	}
@@ -319,11 +307,7 @@ func (n *Node) onEpochRecord(origin int, rec cluster.Record) {
 // s+1, and this node advances its ordering cursor for t past the void seqs
 // that will never exist.
 func (n *Node) applyJoin(t int, s uint64) {
-	delete(n.standbyGroups, t)
-	delete(n.deadGroups, t)
-	delete(n.deadCut, t)
-	delete(n.takeoverSent, t)
-	n.joinStart[t] = s + 1
+	n.groups[t] = groupSt{state: member}
 	if n.orderer != nil {
 		// The async head for t is parked on a seq in the void prefix; jump
 		// it to (t, s+1) or it can never be proven minimal and the drain
@@ -373,27 +357,18 @@ func (n *Node) activateJoined(s uint64) {
 	}
 }
 
-// applyLeave removes active group t behind the certified cut: from here on
-// it is fenced, skipped, and frozen exactly like a certified-dead group —
-// but it no longer counts in the quorum denominator.
-func (n *Node) applyLeave(t int, cut uint64) {
-	n.departed[t] = true
-	n.applyGroupCut(t, cut)
-	n.ctx.Metrics.Inc("groups-departed")
-}
-
 // standbySkipBound returns the highest round a standby group's slot may be
 // skipped for before its certified join: one past the minimum certified
-// own-commit watermark across the live groups. Any future coordinator is
-// live now (the dead set only grows), and pre-RecEpoch this node's watermark
+// own-commit watermark across the member groups. Any future coordinator is
+// a member now (the dead set only grows), and pre-RecEpoch this node's watermark
 // for it cannot exceed the join boundary the RecEpoch will carry minus one
 // (FIFO stream prefix) — so no round the joining group will own is ever
 // pre-skipped.
 func (n *Node) standbySkipBound() uint64 {
 	bound := ^uint64(0)
 	for g := 0; g < n.ng; g++ {
-		if n.deadGroups[g] {
-			continue // standby and departed groups are also in deadGroups
+		if n.absent(g) {
+			continue
 		}
 		if n.commitHi[g] < bound {
 			bound = n.commitHi[g]
@@ -420,11 +395,13 @@ func (n *Node) skipStandbyRounds(s int) {
 // watermark between takeover ticks (called from onCommitRecord; the tick
 // cadence alone would throttle round progress to the failover cadence).
 func (n *Node) maybeSkipStandbyRounds() {
-	if n.rounds == nil || len(n.standbyGroups) == 0 || n.standbyGroups[n.g] {
+	if n.rounds == nil || n.groups[n.g].state == standby {
 		return
 	}
-	for _, s := range sortedKeys(n.standbyGroups) {
-		n.skipStandbyRounds(s)
+	for s, row := range n.groups {
+		if row.state == standby {
+			n.skipStandbyRounds(s)
+		}
 	}
 }
 
@@ -438,7 +415,7 @@ func (n *Node) hasVote(votes map[int]map[int]bool, target, origin int) bool {
 func (n *Node) voteCount(votes map[int]map[int]bool, target int) int {
 	c := 0
 	for o := range votes[target] {
-		if o != target && !n.standbyGroups[o] && !n.departed[o] {
+		if o != target && n.inEpoch(o) {
 			c++
 		}
 	}
@@ -451,7 +428,7 @@ func (n *Node) voteCount(votes map[int]map[int]bool, target int) int {
 func (n *Node) EpochInfo() (uint64, []int) {
 	var members []int
 	for g := 0; g < n.ng; g++ {
-		if !n.standbyGroups[g] && !n.departed[g] {
+		if n.inEpoch(g) {
 			members = append(members, g)
 		}
 	}
@@ -465,5 +442,5 @@ func (n *Node) GroupDown(g int) bool {
 	if g < 0 || g >= n.ng {
 		return true
 	}
-	return n.deadGroups[g]
+	return n.absent(g)
 }

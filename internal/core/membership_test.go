@@ -64,7 +64,7 @@ func assertEpochEverywhere(t *testing.T, c *cluster.Cluster, want uint64, wantAc
 }
 
 // TestMembershipJoinReduced certifies a standby group's join on a reduced
-// schedule fast enough for the -race membership-chaos CI shard: group 2
+// schedule fast enough for the -race -short CI shard: group 2
 // starts provisioned-but-inactive, the admin trigger lands at 800ms, the
 // group bootstraps via cross-group checkpoint transfer, an epoch switch
 // certifies, and afterwards group 2 proposes and executes like any member.
@@ -109,7 +109,7 @@ func TestMembershipJoinReduced(t *testing.T) {
 // certified farewell and goes silent, the coordinator certifies the epoch cut
 // exactly at the farewell, and the survivors keep committing with the
 // departed group fenced like a certified-dead one — but out of the quorum
-// denominator. Reduced schedule, always runs (membership-chaos CI shard).
+// denominator. Reduced schedule, always runs (the -race -short CI shard).
 func TestMembershipLeaveReduced(t *testing.T) {
 	t.Parallel()
 	cfg := membershipCfg([]int{3, 3, 3}, 0, 62)
@@ -262,7 +262,7 @@ func TestMembershipDeterministic(t *testing.T) {
 	if testing.Short() {
 		t.Skip("heavy integration test")
 	}
-	_, a := runMembershipSchedule(t)
+	c, a := runMembershipSchedule(t)
 	_, b := runMembershipSchedule(t)
 	if a != b {
 		t.Fatalf("membership runs diverged:\n  run1 %+v\n  run2 %+v", a, b)
@@ -270,4 +270,5 @@ func TestMembershipDeterministic(t *testing.T) {
 	if a.clientOK == 0 || a.height == 0 || a.epoch != 2 {
 		t.Fatalf("degenerate fingerprint: %+v", a)
 	}
+	assertCensus(t, c, "61becf2ab6854af2")
 }

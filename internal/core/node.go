@@ -192,45 +192,24 @@ type Node struct {
 	// origin g: the path-progress evidence of the progress gate (retry.go).
 	lastForeignStamp time.Duration
 	lastBulkFrom     map[int]time.Duration
-	// takeoverSent marks (stream, entry) stamps this node emitted on behalf
-	// of a certified-dead group; entries are GC'd at execution and the whole
-	// per-group map is reset when a death certifies (failover.go).
-	takeoverSent map[int]map[types.EntryID]bool
 
-	// Quorum-witnessed failover state (failover.go). suspecters[g] maps a
-	// suspected group to the origin groups holding standing certified
-	// suspicions, each with the stream cursor it attested; ownSuspects marks
-	// the groups our own group's certified stream currently suspects (derived
-	// from the stream, so it survives meta leader changes); deadGroups and
-	// deadCut record certified deaths and their stream cut positions;
-	// selfDead halts a group that was itself declared dead.
-	suspecters  map[int]map[int]uint64
-	ownSuspects map[int]bool
-	deadGroups  map[int]bool
-	deadCut     map[int]uint64
-	selfDead    bool
+	// groups is this node's certified view of every group, one row each
+	// (DESIGN.md §6's group-state table).
+	groups []groupSt
 
-	// Certified epoch reconfiguration state (membership.go, DESIGN.md §11).
-	// standbyGroups marks provisioned-but-unjoined groups — they are also in
-	// deadGroups, so the whole failover machinery (frozen takeover stamps,
-	// skips, successor choice) treats them as absent until a certified join.
-	// departed groups were removed by a certified leave cut (their fence
-	// rides in deadGroups/deadCut). joinStart[g] is the first seq a joined
-	// group proposes; epoch counts certified RecEpoch switches. joinVotes and
-	// leaveVotes hold the standing certified approvals per target group
-	// (target -> approving origins; origin == target is the readiness
-	// attestation / farewell). commitHi[g] is the highest own-entry commit
-	// seq processed from g's stream — the watermark that bounds pre-join
-	// round skips; ownCommitHi additionally counts commits queued but not
-	// yet certified (the coordinator's join-boundary source). wantJoin /
-	// wantLeave are node-local admin intents awaiting this group's certified
-	// vote. selfStandby keeps a cold standby node deaf; leaving halts this
-	// group's stream right after its farewell record; epochEmitted dedups
-	// the coordinator leader's RecEpoch emission per epoch number.
+	// Certified epoch reconfiguration (membership.go, DESIGN.md §11). epoch
+	// counts certified RecEpoch switches. joinVotes and leaveVotes hold the
+	// standing certified approvals per target group (target -> approving
+	// origins; origin == target is the readiness attestation / farewell).
+	// commitHi[g] is the highest own-entry commit seq processed from g's
+	// stream — the watermark that bounds pre-join round skips; ownCommitHi
+	// additionally counts commits queued but not yet certified (the
+	// coordinator's join-boundary source). wantJoin / wantLeave are
+	// node-local admin intents awaiting this group's certified vote.
+	// selfStandby keeps a cold standby node deaf; leaving halts this group's
+	// stream right after its farewell record; epochEmitted dedups the
+	// coordinator leader's RecEpoch emission per epoch number.
 	epoch         uint64
-	standbyGroups map[int]bool
-	departed      map[int]bool
-	joinStart     map[int]uint64
 	joinVotes     map[int]map[int]bool
 	leaveVotes    map[int]map[int]bool
 	commitHi      []uint64
@@ -286,6 +265,44 @@ type Node struct {
 	checkpointHook   func()
 }
 
+// groupState is where a group stands in this node's certified view.
+type groupState uint8
+
+const (
+	member   groupState = iota // in the epoch and live
+	standby                    // provisioned, not yet joined
+	dead                       // certified dead at cut; still counts in quorums
+	departed                   // removed by a certified leave at cut
+)
+
+// groupSt is one row of the group table. Only a certified record changes a
+// row, and every transition assigns a fresh one, dropping the suspicion and
+// takeover bookkeeping of the old state.
+type groupSt struct {
+	state groupState
+	cut   uint64 // where a dead or departed group's stream ends
+	// suspecters maps each origin group holding a standing certified
+	// suspicion of this group to the stream cursor it attested; ownSuspect
+	// marks that our own group's stream is one of them.
+	suspecters map[int]uint64
+	ownSuspect bool
+	// takeoverSent marks the stamps this node emitted on the absent group's
+	// behalf; entries are dropped at execution.
+	takeoverSent map[types.EntryID]bool
+}
+
+// absent reports whether group g is anything but a live member: its clock is
+// frozen, its rounds skipped, and it is never a successor.
+func (n *Node) absent(g int) bool { return n.groups[g].state != member }
+
+// removed reports whether group g's stream was cut by a certified death or
+// leave: batches at or past the cut are fenced.
+func (n *Node) removed(g int) bool { return n.groups[g].state == dead || n.groups[g].state == departed }
+
+// inEpoch reports whether group g counts in the quorum denominator: death
+// does not change membership.
+func (n *Node) inEpoch(g int) bool { return n.groups[g].state == member || n.groups[g].state == dead }
+
 // archived is the post-execution remnant of an entry kept for recovery
 // serving: the bytes it was certified in, never a decoded copy.
 type archived struct {
@@ -311,41 +328,26 @@ func New(ctx *cluster.NodeCtx) *Node {
 		lastStreamTS: make(map[int]uint64),
 		lastStreamAt: make(map[int]time.Duration),
 		lastBulkFrom: make(map[int]time.Duration),
-		takeoverSent: make(map[int]map[types.EntryID]bool),
-		suspecters:   make(map[int]map[int]uint64),
-		ownSuspects:  make(map[int]bool),
-		deadGroups:   make(map[int]bool),
-		deadCut:      make(map[int]uint64),
 		blacklist:    make(map[keys.NodeID]bool),
 		chunkFrom:    make(map[types.EntryID]map[int]keys.NodeID),
 		archive:      make(map[types.EntryID]*archived),
 		nextSeq:      1,
 		ledger:       ledger.New(),
-
-		standbyGroups: make(map[int]bool),
-		departed:      make(map[int]bool),
-		joinStart:     make(map[int]uint64),
-		joinVotes:     make(map[int]map[int]bool),
-		leaveVotes:    make(map[int]map[int]bool),
-		wantJoin:      make(map[int]bool),
-		wantLeave:     make(map[int]bool),
+		joinVotes:    make(map[int]map[int]bool),
+		leaveVotes:   make(map[int]map[int]bool),
+		wantJoin:     make(map[int]bool),
+		wantLeave:    make(map[int]bool),
 	}
 	n.commitHi = make([]uint64, n.ng)
-	for g := 0; g < n.ng; g++ {
-		if !n.cfg.StandbyAtGenesis(g) {
-			continue
-		}
-		// A standby group is provisioned (keys, endpoints, stream slot) but
-		// absent: seeding it as dead with cut 0 makes the existing failover
-		// machinery fence its stream, freeze its clock at 0, and skip its
-		// rounds until a certified RecEpoch join revives it.
-		n.standbyGroups[g] = true
-		n.deadGroups[g] = true
-		n.deadCut[g] = 0
-		if g == n.g {
-			n.selfStandby = true
+	// A standby group is provisioned (keys, endpoints, stream slot) but
+	// absent until a certified RecEpoch join.
+	n.groups = make([]groupSt, n.ng)
+	for g := range n.groups {
+		if n.cfg.StandbyAtGenesis(g) {
+			n.groups[g].state = standby
 		}
 	}
+	n.selfStandby = n.groups[n.g].state == standby
 	for j := 0; j < ctx.Cfg.GroupSizes[n.g]; j++ {
 		n.members = append(n.members, keys.NodeID{Group: n.g, Index: j})
 	}

@@ -17,7 +17,7 @@ import (
 // only); records reach the whole group certified and in a deterministic
 // order, then fan out to other groups as MetaBatch messages.
 func (n *Node) flushTick() {
-	if n.selfDead {
+	if n.removed(n.g) {
 		// A certified-dead group must not extend its stream past the cut:
 		// receivers would fence the batch anyway, but our own members would
 		// process it (own-group records skip the fence) and diverge.
@@ -81,16 +81,14 @@ func (n *Node) onMetaBatch(from keys.NodeID, b *cluster.MetaBatch) {
 		n.ctx.Metrics.Inc("batch-cert-rejected")
 		return
 	}
-	// Fence: a certified-dead group's stream is cut at deadCut. Batches at or
+	// Fence: a dead or departed group's stream ends at its cut. Batches at or
 	// past the cut never process (and are not liveness evidence) — a
 	// partition-side revival racing the death decision cannot extend the
-	// stream the takeover stamps already froze. Standby groups are seeded
-	// dead with cut 0 but their stream must still flow: the only record a
-	// standby origin can land is its join readiness attestation
-	// (processRecords drops everything else), and fencing it would deadlock
-	// the join.
-	if n.deadGroups[b.FromGroup] && !n.standbyGroups[b.FromGroup] &&
-		b.Seq >= n.deadCut[b.FromGroup] {
+	// stream the takeover stamps already froze. A standby group's stream
+	// still flows: the only record a standby origin can land is its join
+	// readiness attestation (processRecords drops everything else), and
+	// fencing it would deadlock the join.
+	if n.removed(b.FromGroup) && b.Seq >= n.groups[b.FromGroup].cut {
 		n.ctx.Metrics.Inc("fenced-batches")
 		return
 	}
@@ -169,7 +167,7 @@ func (n *Node) processRecords(origin int, recs []cluster.Record) {
 		// A standby group has no say in consensus until its certified join:
 		// the only record admitted from a standby origin is its own readiness
 		// attestation.
-		if n.standbyGroups[origin] &&
+		if n.groups[origin].state == standby &&
 			!(rec.Kind == cluster.RecGroupJoin && rec.Stream == origin) {
 			n.ctx.Metrics.Inc("standby-fenced-records")
 			continue
@@ -434,13 +432,13 @@ func (n *Node) entryContent(id types.EntryID) ([]byte, *keys.Certificate, bool) 
 // decision can form, so the old split-brain fork cannot occur.
 func (n *Node) takeoverTick() {
 	now := n.now()
-	if n.selfDead {
-		// A certified-dead group halts: no re-proposal, no re-emission, no
+	if n.removed(n.g) {
+		// A dead or departed group halts: no re-proposal, no re-emission, no
 		// suspicion. Members keep serving fetches for the agreed prefix.
 		return
 	}
 	n.membershipScan(now)
-	if n.standbyGroups[n.g] {
+	if n.groups[n.g].state == standby {
 		// A standby group's only duty pre-join is the readiness attestation
 		// the membership scan just handled; it runs none of the recovery or
 		// failover scans until the certified join activates it.
@@ -456,36 +454,32 @@ func (n *Node) takeoverTick() {
 	}
 	n.suspectScan(now)
 	n.deathScan(now)
-	dead := sortedKeys(n.deadGroups)
-	if len(dead) == 0 {
-		return
-	}
 	if n.rounds != nil {
-		// Round mode: skip a certified-dead group's uncommitted round slots —
-		// but only once this node holds the group's full agreed prefix
-		// [0, cut), so the committed set (and therefore the skip set) is
-		// identical on every node. A standby group's rounds are instead
-		// skipped up to the certified-commit watermark, which the eventual
-		// join boundary can never undercut (skipStandbyRounds).
-		for _, s := range dead {
-			if n.standbyGroups[s] {
+		// Round mode: skip a removed group's uncommitted round slots — but
+		// only once this node holds the group's full agreed prefix [0, cut),
+		// so the committed set (and therefore the skip set) is identical on
+		// every node. A standby group's rounds are instead skipped up to the
+		// certified-commit watermark, which the eventual join boundary can
+		// never undercut (skipStandbyRounds).
+		for s, row := range n.groups {
+			switch {
+			case row.state == standby:
 				n.skipStandbyRounds(s)
-				continue
-			}
-			if n.streamCursor(s) >= n.deadCut[s] {
+			case n.removed(s) && n.streamCursor(s) >= row.cut:
 				n.skipDeadRounds(s)
 			}
 		}
 		return
 	}
-	// Async mode: the successor's meta leader assigns the dead group's frozen
-	// clock value to entries on its behalf (§V-C), gated on the same agreed
-	// prefix so the frozen value is identical wherever leadership sits.
+	// Async mode: the successor's meta leader assigns an absent group's
+	// frozen clock value to entries on its behalf (§V-C), gated on the same
+	// agreed prefix so the frozen value is identical wherever leadership
+	// sits. A standby group's clock is frozen at 0 with cut 0.
 	if !n.meta.IsLeader() {
 		return
 	}
-	for _, s := range dead {
-		if n.successor(s) != n.g || n.streamCursor(s) < n.deadCut[s] {
+	for s, row := range n.groups {
+		if !n.absent(s) || n.successor(s) != n.g || n.streamCursor(s) < row.cut {
 			continue
 		}
 		n.runTask(n.takeoverStampTask(s), ids, now)
@@ -540,9 +534,9 @@ func (n *Node) execute(id types.EntryID) {
 	delete(n.chunkFrom, id)
 	delete(n.entries, id)
 	// An executed entry can never be re-stamped — drop it from the takeover
-	// bookkeeping too, or the per-stream maps grow for the whole run.
-	for s := range n.takeoverSent {
-		delete(n.takeoverSent[s], id)
+	// bookkeeping too, or the per-group maps grow for the whole run.
+	for g := range n.groups {
+		delete(n.groups[g].takeoverSent, id)
 	}
 	n.archiveEntry(id, st)
 }

@@ -18,10 +18,9 @@ func (n *Node) batchTick() {
 	now := n.now()
 	dt := now - n.lastTick
 	n.lastTick = now
-	if n.selfDead || n.standbyGroups[n.g] || n.leaving {
-		// A certified-dead group stops proposing (see onDeadRecord); so does
-		// a standby group awaiting its certified join, and a leaving group
-		// past its farewell record (membership.go).
+	if n.absent(n.g) || n.leaving {
+		// A dead, departed or standby group does not propose, nor does a
+		// leaving group past its farewell record (membership.go).
 		return
 	}
 	// Rate-limited groups accumulate client transactions continuously

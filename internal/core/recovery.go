@@ -341,20 +341,20 @@ func (n *Node) streamRepairScan(now time.Duration) {
 		// nothing buffered has no ordinary gap trigger (gaps arm only when
 		// later batches arrive — and the dead origin sends nothing). The cut
 		// acts as a virtual later batch: arm the gap so the fetch below runs.
-		if in.gapSince == 0 && n.deadGroups[g] && in.next < n.deadCut[g] {
+		if in.gapSince == 0 && n.removed(g) && in.next < n.groups[g].cut {
 			in.setGap(now)
 		}
 		if in.gapSince == 0 || !in.repair.ready(now, in.gapSince, n.cfg.RepairTimeout) {
 			continue
 		}
 		from := []int{g}
-		if n.deadGroups[g] {
-			// The origin is dead; rotate over live foreign groups instead —
+		if n.absent(g) {
+			// The origin is absent; rotate over live foreign groups instead —
 			// every group logged the batches it relayed (batchLog), and the
 			// quorum cursors prove the prefix exists somewhere live.
 			var live []int
 			for h := 0; h < n.ng; h++ {
-				if h != n.g && h != g && !n.deadGroups[h] {
+				if h != n.g && h != g && !n.absent(h) {
 					live = append(live, h)
 				}
 			}
@@ -451,7 +451,7 @@ func (n *Node) rebroadcastFire(now time.Duration, _ types.EntryID, st *entrySt, 
 	st.rebroadcast.next(now, base)
 	msg := &cluster.EntryWAN{E: &replication.EntryMsg{Entry: st.entry, Cert: st.cert}}
 	for r := 0; r < n.ng; r++ {
-		if r == n.g || st.stamps[r] || n.deadGroups[r] {
+		if r == n.g || st.stamps[r] || n.absent(r) {
 			continue
 		}
 		copies := n.ctx.Reg.Faulty(r) + 1
@@ -462,15 +462,15 @@ func (n *Node) rebroadcastFire(now time.Duration, _ types.EntryID, st *entrySt, 
 	return 1
 }
 
-// takeoverStampTask is the table row for certified-dead stream s: the
-// successor's meta leader assigns the dead group's frozen clock value to
-// every live entry on its behalf (§V-C), once per entry (takeoverSent).
+// takeoverStampTask is the table row for absent stream s: the successor's
+// meta leader assigns the group's frozen clock value to every live entry on
+// its behalf (§V-C), once per entry (takeoverSent).
 func (n *Node) takeoverStampTask(s int) *recoveryTask {
-	sent := n.takeoverSent[s]
-	if sent == nil {
-		sent = make(map[types.EntryID]bool)
-		n.takeoverSent[s] = sent
+	row := &n.groups[s]
+	if row.takeoverSent == nil {
+		row.takeoverSent = make(map[types.EntryID]bool)
 	}
+	sent := row.takeoverSent
 	frozen := n.lastStreamTS[s]
 	return &recoveryTask{
 		counter: "takeover-stamps",

@@ -158,7 +158,7 @@ func (n *Node) sendTransferReq() {
 	if n.selfStandby {
 		var active []int
 		for g := 0; g < n.ng; g++ {
-			if g != n.g && !n.deadGroups[g] {
+			if g != n.g && !n.absent(g) {
 				active = append(active, g)
 			}
 		}
@@ -183,13 +183,13 @@ func (n *Node) sendTransferReq() {
 // verifies the suffix against its own certified chain before installing
 // (see verifySuffix) — serving honestly is not load-bearing for safety.
 func (n *Node) onRejoinReq(from keys.NodeID, m *cluster.RejoinReq) {
-	if from == n.id || n.standbyGroups[n.g] {
+	if from == n.id || n.groups[n.g].state == standby {
 		return
 	}
 	// Cross-group requests are served only for a standby group's bootstrap;
 	// an active group's members always recover from their own LAN peers.
 	if from.Group != n.g &&
-		(from.Group < 0 || from.Group >= n.ng || !n.standbyGroups[from.Group]) {
+		(from.Group < 0 || from.Group >= n.ng || n.groups[from.Group].state != standby) {
 		return
 	}
 	resp := &cluster.RejoinResp{C: n.foldCheckpoint(m.Have)}
@@ -239,6 +239,11 @@ func (n *Node) onRejoinResp(from keys.NodeID, resp *cluster.RejoinResp) {
 	// The pending entries are not on the chain: each carried content must be
 	// certified the way a fetched copy is, or the serving peer could have us
 	// execute an entry its group never certified.
+	// The group tables decide quorums: a forged one would skew them.
+	if !n.validGroups(ck) {
+		n.ctx.Metrics.Inc("rejoin-badgroups")
+		return
+	}
 	encs, ok := n.validatePending(ck)
 	if !ok {
 		n.ctx.Metrics.Inc("rejoin-badpending")
@@ -280,7 +285,6 @@ func (n *Node) onRejoinResp(from keys.NodeID, resp *cluster.RejoinResp) {
 	// In-flight entry state starts over from the checkpoint's pending set.
 	n.entries = make(map[types.EntryID]*entrySt)
 	n.chunkFrom = make(map[types.EntryID]map[int]keys.NodeID)
-	n.takeoverSent = make(map[int]map[types.EntryID]bool)
 	n.newCollector()
 
 	// Stream cursors; arrival times reset to now so takeover detection starts
@@ -307,7 +311,7 @@ func (n *Node) onRejoinResp(from keys.NodeID, resp *cluster.RejoinResp) {
 			n.streams[g] = &streamIn{next: ck.StreamNext[g], buffered: make(map[uint64]*cluster.MetaBatch)}
 		}
 	}
-	// Failover state machine (suspicions, certified deaths and their cuts).
+	// Group table, as fresh rows: no takeover bookkeeping survives.
 	// lastStreamAt was just reset to now, so the rejoined node re-observes a
 	// fresh silence window before it suspects anyone itself.
 	n.restoreFailover(ck)

@@ -32,7 +32,7 @@ import (
 const (
 	frameMagic0  = 'M'
 	frameMagic1  = 'B'
-	FrameVersion = 1
+	FrameVersion = 2
 	frameHeader  = 12
 
 	// MaxFrameSize bounds a single payload. Checkpoints dominate frame

@@ -403,9 +403,11 @@ func (c *Cluster) RecoverNode(at time.Duration, group, index int) {
 // denominator for "how much of what was proposed executed".
 // "local-view-changes" and "meta-view-changes" count the PBFT views the local
 // and the meta instance installed, once per node per view.
-// "rejoin-badsuffix" and "rejoin-badpending" count offered checkpoints a
-// rejoining node refused: a ledger suffix that does not chain to its own, or
-// a pending entry its certificate does not cover.
+// "rejoin-badsuffix", "rejoin-badpending" and "rejoin-badgroups" count
+// offered checkpoints a rejoining node refused: a ledger suffix that does not
+// chain to its own, a pending entry its certificate does not cover, or a
+// group table with an id out of range, a cut list that does not match, or a
+// group in two states.
 // "encode-memo-misses" and "rebuild-memo-misses" count the erasure encodings
 // and bucket decodes the cluster's shared memos did not already hold: with
 // nothing lost, one per (entry, transfer plan) and one per bucket.

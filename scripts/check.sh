@@ -9,14 +9,12 @@
 #   race             short-mode race shard over the packages with the hottest
 #                    concurrency surface, purego shard, the four fuzz smokes
 #                    (CI: race-short)
-#   partition-chaos  just the partition/failover chaos suite — the full WAN
-#                    partition schedules plus the reduced schedule under
-#                    -race -short — for iterating on failover changes without
-#                    the full-suite wait
-#   membership-chaos just the certified dynamic-membership suite — the full
-#                    join/leave/crash-overlap schedules plus the reduced
-#                    join and leave schedules under -race -short — for
-#                    iterating on epoch-reconfiguration changes
+#   groups           just the group-state suite (DESIGN.md §6's table:
+#                    failover and membership) — the full crash, partition,
+#                    simultaneous-death, join/leave/crash-overlap and forged
+#                    group-table schedules, then the reduced ones under
+#                    -race -short — for iterating on group-state changes
+#                    without the full-suite wait
 #   node-smoke       just the multi-process TCP smoke test — a 4-node loopback
 #                    cluster of massbft-node OS processes with a kill/rejoin
 #                    round trip — for iterating on transport changes
@@ -126,19 +124,11 @@ size)
   size
   exit 0
   ;;
-partition-chaos)
-  echo "== partition chaos (full schedules)"
-  go test -timeout 600s -run 'TestPartition|TestChaos' -v ./internal/core/
-  echo "== partition chaos, reduced schedule (-race -short)"
-  go test -race -short -timeout 300s -run 'TestPartitionFailoverReduced' -v ./internal/core/
-  echo "OK"
-  exit 0
-  ;;
-membership-chaos)
-  echo "== membership chaos (full schedules: join+leave under load, determinism, crash overlap)"
-  go test -timeout 600s -run 'TestMembership' -v ./internal/core/
-  echo "== membership, reduced join/leave schedules (-race -short)"
-  go test -race -short -timeout 300s -run 'TestMembershipJoinReduced|TestMembershipLeaveReduced' -v ./internal/core/
+groups)
+  echo "== group-state suite (full schedules)"
+  go test -timeout 600s -run 'TestGroup|TestBaselineGroupCrash|TestSimultaneousGroupDeaths|TestPartition|TestChaos|TestMembership|TestTakeoverBookkeeping|TestRejoinRejectsForgedGroupTable|TestValidGroups' -v ./internal/core/
+  echo "== group-state suite, reduced schedules (-race -short)"
+  go test -race -short -timeout 300s -run 'TestPartitionFailoverReduced|TestSimultaneousGroupDeaths|TestMembershipJoinReduced|TestMembershipLeaveReduced|TestGroupTable|TestValidGroups' -v ./internal/core/
   echo "OK"
   exit 0
   ;;
@@ -174,7 +164,7 @@ race)
   ;;
 full) ;;
 *)
-  echo "unknown preset: $preset (want: full, tier1, race, partition-chaos, membership-chaos, node-smoke, gateway-smoke, divergence-sweep, equal-seed, size)" >&2
+  echo "unknown preset: $preset (want: full, tier1, race, groups, node-smoke, gateway-smoke, divergence-sweep, equal-seed, size)" >&2
   exit 2
   ;;
 esac
