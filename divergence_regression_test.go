@@ -1,6 +1,7 @@
 package massbft
 
 import (
+	"fmt"
 	"testing"
 	"time"
 )
@@ -14,7 +15,15 @@ import (
 // suspicions, and a false GroupDead wedged the run.
 func combinedFaultCluster(t *testing.T, seed int64) *Cluster {
 	t.Helper()
-	c, err := NewCluster(Config{
+	c, err := NewCluster(combinedFaultConfig(seed))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c
+}
+
+func combinedFaultConfig(seed int64) Config {
+	return Config{
 		Groups:             []int{4, 4, 4},
 		Workload:           "ycsb-a",
 		Seed:               seed,
@@ -27,11 +36,7 @@ func combinedFaultCluster(t *testing.T, seed int64) *Cluster {
 		TakeoverTimeout:    400 * time.Millisecond,
 		RepairTimeout:      150 * time.Millisecond,
 		CheckpointInterval: 500 * time.Millisecond,
-	})
-	if err != nil {
-		t.Fatal(err)
 	}
-	return c
 }
 
 // TestCombinedFaultSeedsConverge pins formerly-failing seeds of the
@@ -61,6 +66,58 @@ func TestCombinedFaultSeedsConverge(t *testing.T) {
 			}
 			if c.Counter("forked-detected") != 0 {
 				t.Fatalf("forked-detected = %d", c.Counter("forked-detected"))
+			}
+		})
+	}
+}
+
+// TestFalseDeathForkSeeds pins a known safety bug (ROADMAP item 1): under the
+// combined-fault preset, throttled to 2000 txn/s per group, with one follower
+// of every group crashed at 5 s and recovered at 10 s, a live group is
+// certified dead and the ledger forks. No group ever crashes, so every death
+// here is false. The pinned values are the fork's height and the counters
+// that lead to it; the fix for item 1 turns both seeds into converged with
+// zero deaths, and changes this test with it.
+func TestFalseDeathForkSeeds(t *testing.T) {
+	t.Parallel()
+	if testing.Short() {
+		t.Skip("heavy integration test")
+	}
+	for _, tc := range []struct {
+		seed                              int64
+		height                            uint64
+		deaths, localChanges, metaChanges int64
+	}{
+		{seed: 3, height: 174, deaths: 9, localChanges: 55, metaChanges: 31},
+		{seed: 4, height: 206, deaths: 9, localChanges: 41, metaChanges: 42},
+	} {
+		tc := tc
+		t.Run(fmt.Sprintf("seed%d", tc.seed), func(t *testing.T) {
+			t.Parallel()
+			cfg := combinedFaultConfig(tc.seed)
+			cfg.GroupRate = []float64{2000, 2000, 2000}
+			c, err := NewCluster(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for g := 0; g < 3; g++ {
+				c.CrashNode(5*time.Second, g, 1)
+				c.RecoverNode(10*time.Second, g, 1)
+			}
+			c.Run(time.Second)
+			c.Run(19 * time.Second)
+			rep := c.DrainToAgreement(500*time.Millisecond, 12*time.Second)
+			if rep.Verdict != AgreementForked || rep.FirstDivergentHeight != tc.height {
+				t.Fatalf("want forked at %d, got: %v", tc.height, rep)
+			}
+			for name, want := range map[string]int64{
+				"group-deaths":       tc.deaths,
+				"local-view-changes": tc.localChanges,
+				"meta-view-changes":  tc.metaChanges,
+			} {
+				if got := c.Counter(name); got != want {
+					t.Errorf("%s = %d, want %d", name, got, want)
+				}
 			}
 		})
 	}

@@ -320,14 +320,11 @@ type Checkpoint struct {
 	// The folding node's group table (DESIGN.md §6), by ascending group:
 	// DeadGroups/DeadCuts every non-member group and its stream cut
 	// (parallel slices), Standby/Departed those of them that are not dead;
-	// Suspects the standing suspicion edges; OwnSuspects the groups the
-	// folding node's own group currently suspects — derived from the own
-	// certified stream, so it must survive a rejoin for leader changes to
-	// preserve suspicion/revocation duties.
-	DeadGroups  []int
-	DeadCuts    []uint64
-	Suspects    []SuspectEdge
-	OwnSuspects []int
+	// Suspects the standing suspicion edges (the folding node's own group
+	// suspects g exactly where an edge's Origin is that group).
+	DeadGroups []int
+	DeadCuts   []uint64
+	Suspects   []SuspectEdge
 
 	// Membership state (certified epoch reconfiguration, DESIGN.md §11):
 	// Epoch counts certified RecEpoch switches; a joined group's boundary
@@ -368,7 +365,7 @@ func (c *Checkpoint) WireSize() int {
 	for i := range c.Pending {
 		n += c.Pending[i].WireSize()
 	}
-	n += 12*len(c.DeadGroups) + 16*len(c.Suspects) + 4*len(c.OwnSuspects)
+	n += 12*len(c.DeadGroups) + 16*len(c.Suspects)
 	n += 8 + 4*len(c.Standby) + 4*len(c.Departed)
 	n += 16*len(c.JoinVotes) + 16*len(c.LeaveVotes) + 8*len(c.CommitHi)
 	return n

@@ -526,7 +526,6 @@ func (w *wireWriter) checkpointOpt(c *Checkpoint) error {
 		w.u32(uint32(s.Origin))
 		w.u64(s.Cursor)
 	}
-	w.intSlice(c.OwnSuspects)
 	w.u64(c.Epoch)
 	w.intSlice(c.Standby)
 	w.intSlice(c.Departed)
@@ -1025,7 +1024,6 @@ func (r *wireReader) checkpointOpt() *Checkpoint {
 			Suspected: int(r.u32()), Origin: int(r.u32()), Cursor: r.u64(),
 		})
 	}
-	c.OwnSuspects = r.intSlice()
 	c.Epoch = r.u64()
 	c.Standby = r.intSlice()
 	c.Departed = r.intSlice()

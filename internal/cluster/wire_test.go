@@ -100,16 +100,15 @@ func wireFixtures() map[string]any {
 			ID: entry.ID, Entry: entry, Cert: cert, StampedBy: 1,
 			Streams: []int{0, 1}, Stamps: []int{1}, Committed: true, CommitSeen: false,
 		}},
-		DeadGroups:  []int{3},
-		DeadCuts:    []uint64{17},
-		Suspects:    []SuspectEdge{{Suspected: 3, Origin: 0, Cursor: 6}},
-		OwnSuspects: []int{3},
-		Epoch:       2,
-		Standby:     []int{3},
-		Departed:    []int{2},
-		JoinVotes:   []SuspectEdge{{Suspected: 3, Origin: 0}},
-		LeaveVotes:  []SuspectEdge{{Suspected: 2, Origin: 1}, {Suspected: 2, Origin: 2}},
-		CommitHi:    []uint64{20, 19},
+		DeadGroups: []int{3},
+		DeadCuts:   []uint64{17},
+		Suspects:   []SuspectEdge{{Suspected: 3, Origin: 0, Cursor: 6}},
+		Epoch:      2,
+		Standby:    []int{3},
+		Departed:   []int{2},
+		JoinVotes:  []SuspectEdge{{Suspected: 3, Origin: 0}},
+		LeaveVotes: []SuspectEdge{{Suspected: 2, Origin: 1}, {Suspected: 2, Origin: 2}},
+		CommitHi:   []uint64{20, 19},
 	}
 
 	return map[string]any{
@@ -375,10 +374,10 @@ var goldenEnvelopes = map[string]string{
 		"0000020000000000000002733000000002000000010000000273310000000100" +
 		"0000020000000000000001000000010000000101000000000100000003000000" +
 		"0100000000000000110000000100000003000000000000000000000006000000" +
-		"0100000003000000000000000200000001000000030000000100000002000000" +
-		"0100000003000000000000000000000000000000020000000200000001000000" +
-		"0000000000000000020000000200000000000000000000000200000000000000" +
-		"140000000000000013",
+		"0000000002000000010000000300000001000000020000000100000003000000" +
+		"0000000000000000000000000200000002000000010000000000000000000000" +
+		"0200000002000000000000000000000002000000000000001400000000000000" +
+		"13",
 	"MetaBatch": "0900000001000000000000000300000046000000020000000001000000010000" +
 		"000000000005000000000000002a000000000000000102000000000000000000" +
 		"0000000000000900000000000000280000000000000002010000000201020300" +

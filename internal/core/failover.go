@@ -7,19 +7,19 @@ import (
 	"massbft/internal/types"
 )
 
-// This file implements the quorum-witnessed failover protocol that replaces
-// the §V-C node-local liveness verdicts. A group's silence is no longer acted
-// on unilaterally: the observing group certifies a GroupSuspect attestation
-// into its own meta stream, the suspected group's revival is withdrawn with a
-// certified GroupRevoke, and only the designated successor — after collecting
-// standing suspicions from a Byzantine quorum of groups — certifies the
-// GroupDead decision that unlocks the async takeover stamps and the
-// round-mode skips. Every transition travels as a certified record on a
-// per-group FIFO stream and changes one row of the node's group table
-// (groupSt; DESIGN.md §6 tabulates each state), so the whole state machine
-// replays identically on every node (and across rejoins, via the
-// checkpoint fold). Suspicions and revocations edit a member's row;
-// RecDead replaces it with a dead one.
+// This file implements the node side of the quorum-witnessed failover
+// protocol that replaces the §V-C node-local liveness verdicts. A group's
+// silence is no longer acted on unilaterally: the observing group certifies a
+// GroupSuspect attestation into its own meta stream, the suspected group's
+// revival is withdrawn with a certified GroupRevoke, and only the designated
+// successor — after collecting standing suspicions from a Byzantine quorum of
+// groups — certifies the GroupDead decision that unlocks the async takeover
+// stamps and the round-mode skips. Every transition travels as a certified
+// record on a per-group FIFO stream and is consumed by the group table's step
+// (groups.go; DESIGN.md §6), so the state machine replays identically on
+// every node (and across rejoins, via the checkpoint fold). What stays here
+// touches the rest of the node: the leader-gated scans that feed the table's
+// emitters, the effects step asks for, and the round skips.
 //
 // The death cut is a position in G's FIFO batch stream: the maximum of every
 // collected suspicion cursor and the successor's own cursor. All nodes
@@ -44,36 +44,6 @@ func (n *Node) streamCursor(g int) uint64 {
 		return in.next
 	}
 	return 0
-}
-
-// memberCount is the number of groups in the current epoch: member and dead
-// rows. A crash does not shrink the quorum denominator; a standby or departed
-// group is not in it.
-func (n *Node) memberCount() int {
-	c := 0
-	for g := range n.groups {
-		if n.inEpoch(g) {
-			c++
-		}
-	}
-	return c
-}
-
-// groupQuorum is the Byzantine quorum over the current epoch's member groups —
-// the same majority the accept/commit phases use.
-func (n *Node) groupQuorum() int { return (n.memberCount()-1)/2 + 1 }
-
-// successor returns the designated successor for group g: the lowest-numbered
-// group other than g that is not itself absent. While the live majority of
-// the cluster is connected this is unique, which is what makes the GroupDead
-// decision single-writer.
-func (n *Node) successor(g int) int {
-	for h := 0; h < n.ng; h++ {
-		if h != g && !n.absent(h) {
-			return h
-		}
-	}
-	return -1
 }
 
 // keepaliveScan (meta leader only) keeps the group's certified stream audibly
@@ -102,75 +72,36 @@ func (n *Node) keepaliveScan(now time.Duration) {
 	n.emitRecord(cluster.Record{Kind: cluster.RecKeepalive, Stream: n.g})
 }
 
-// suspectScan emits (meta leader only) the suspicion half of the protocol:
-// a certified GroupSuspect when another group's stream has been silent past
-// SuspectTimeout, and a certified GroupRevoke withdrawing it if the stream
-// revives before a death quorum forms. The standing-suspicion state
-// (ownSuspect) is derived from the group's certified stream on every member,
-// so a leader change preserves suspicions and the new leader keeps the
-// revocation duty.
+// silentFor returns the silence oracle of the failover emitters: a stream is
+// silent once it has shown no liveness evidence for SuspectTimeout.
+func (n *Node) silentFor(now time.Duration) func(int) bool {
+	return func(g int) bool { return now-n.lastSeen(g) > n.cfg.SuspectTimeout }
+}
+
+// suspectScan certifies (meta leader only) the table's suspicions and
+// revocations (groupTable.suspicions).
 func (n *Node) suspectScan(now time.Duration) {
 	if !n.meta.IsLeader() {
 		return
 	}
-	for g := 0; g < n.ng; g++ {
-		if g == n.g || n.absent(g) {
-			continue
+	for _, rec := range n.groups.suspicions(n.silentFor(now), n.streamCursor) {
+		counter := "suspects-emitted"
+		if rec.Kind == cluster.RecRevoke {
+			counter = "revokes-emitted"
 		}
-		silent := now-n.lastSeen(g) > n.cfg.SuspectTimeout
-		switch {
-		case silent && !n.groups[g].ownSuspect:
-			n.emitOnce(cluster.Record{Kind: cluster.RecSuspect, Stream: g, TS: n.streamCursor(g)}, "suspects-emitted")
-		case !silent && n.groups[g].ownSuspect:
-			n.emitOnce(cluster.Record{Kind: cluster.RecRevoke, Stream: g}, "revokes-emitted")
-		}
+		n.emitOnce(rec, counter)
 	}
 }
 
-// deathScan emits (successor's meta leader only) the decision half: once a
-// Byzantine quorum of groups holds standing certified suspicions for g, the
-// successor certifies GroupDead(g) with the cut — the highest cursor any
-// suspecter attested, raised to the successor's own. Local silence is
-// re-checked at emission time, so a revival observed after the quorum formed
-// aborts the death here instead of racing the revocations over the WAN.
-//
-// The scan batches its evidence: it first collects every group that is
-// death-eligible right now (quorum of standing suspicions and still silent),
-// then resolves successors against that whole set. Groups that are eligible
-// in the same scan do not count as successors for each other, so
-// simultaneous deaths certify in a single suspicion window instead of
-// serializing — and two groups whose naive successors are each other (e.g.
-// groups 0 and 1 dying together, successor(0)=1, successor(1)=0) do not
-// deadlock waiting for the other's death to certify first.
+// deathScan certifies (meta leader only) the deaths this group is the
+// successor for (groupTable.deaths); more than one in a scan is a batch.
 func (n *Node) deathScan(now time.Duration) {
 	if !n.meta.IsLeader() {
 		return
 	}
-	eligible := make(map[int]bool)
-	for g := 0; g < n.ng; g++ {
-		if g == n.g || n.absent(g) {
-			continue
-		}
-		if len(n.groups[g].suspecters) < n.groupQuorum() {
-			continue
-		}
-		if now-n.lastSeen(g) <= n.cfg.SuspectTimeout {
-			continue
-		}
-		eligible[g] = true
-	}
 	emitted := 0
-	for g := 0; g < n.ng; g++ {
-		if !eligible[g] || n.effectiveSuccessor(g, eligible) != n.g {
-			continue
-		}
-		cut := n.streamCursor(g)
-		for _, c := range n.groups[g].suspecters {
-			if c > cut {
-				cut = c
-			}
-		}
-		if n.emitOnce(cluster.Record{Kind: cluster.RecDead, Stream: g, TS: cut}, "deaths-emitted") {
+	for _, rec := range n.groups.deaths(n.silentFor(now), n.streamCursor) {
+		if n.emitOnce(rec, "deaths-emitted") {
 			emitted++
 		}
 	}
@@ -179,103 +110,47 @@ func (n *Node) deathScan(now time.Duration) {
 	}
 }
 
-// effectiveSuccessor is successor() evaluated against the absent set extended
-// by the groups found death-eligible in the current scan: the lowest group,
-// other than g, that is neither absent nor about to be.
-func (n *Node) effectiveSuccessor(g int, eligible map[int]bool) int {
-	for h := 0; h < n.ng; h++ {
-		if h != g && !n.absent(h) && !eligible[h] {
-			return h
-		}
+// apply carries out what a step of the group table asks of the node.
+func (n *Node) apply(e effect) {
+	for _, c := range e.counters {
+		n.ctx.Metrics.Inc(c)
 	}
-	return -1
-}
-
-// onSuspectRecord ingests a certified GroupSuspect: origin attests that group
-// rec.Stream's stream is silent, carrying origin's cursor for it in TS.
-func (n *Node) onSuspectRecord(origin int, rec cluster.Record) {
-	g := rec.Stream
-	if g < 0 || g >= n.ng || g == origin || n.absent(g) {
-		return
+	if e.fence && e.g != n.g {
+		// Our own group needs no fence: removed(n.g) now halts proposing and
+		// record emission so the group cannot extend a fork past the
+		// certified cut; members keep serving fetches for the agreed prefix.
+		n.fenceStream(e.g, e.at)
 	}
-	row := &n.groups[g]
-	if row.suspecters == nil {
-		row.suspecters = make(map[int]uint64)
+	if e.admit {
+		n.admit(e.g, e.at)
 	}
-	if cur, ok := row.suspecters[origin]; !ok || rec.TS > cur {
-		if !ok {
-			n.ctx.Metrics.Inc("group-suspects")
-		}
-		row.suspecters[origin] = rec.TS
+	switch e.second {
+	case cluster.ReconfigJoin:
+		n.wantJoin[e.g] = true
+	case cluster.ReconfigLeave:
+		n.wantLeave[e.g] = true
 	}
-	if origin == n.g {
-		row.ownSuspect = true
+	if e.leaving {
+		n.leaving = true
+	}
+	if e.settled {
+		delete(n.wantJoin, e.g)
+		delete(n.wantLeave, e.g)
 	}
 }
 
-// onRevokeRecord withdraws origin's standing suspicion for rec.Stream: the
-// suspected group produced certified output again before a quorum formed.
-// Revocations travel on the same certified streams as suspicions, so a
-// receiver that cannot see the revival directly (asymmetric partition) still
-// discards the suspicion.
-func (n *Node) onRevokeRecord(origin int, rec cluster.Record) {
-	g := rec.Stream
-	if g < 0 || g >= n.ng || g == origin || n.absent(g) {
-		return
-	}
-	row := &n.groups[g]
-	if _, ok := row.suspecters[origin]; ok {
-		delete(row.suspecters, origin)
-		n.ctx.Metrics.Inc("group-revokes")
-	}
-	if origin == n.g {
-		row.ownSuspect = false
-	}
-}
-
-// onDeadRecord applies a certified group death. Exactly one death decision
-// can take effect per group: the successor rule makes the emitting group
-// unique, and a successor's own re-emission (after a meta view change) races
-// only itself on its single FIFO stream, so the first record processed wins
-// identically on every node; later ones count as dead-dupes.
-func (n *Node) onDeadRecord(origin int, rec cluster.Record) {
-	g := rec.Stream
-	if g < 0 || g >= n.ng || g == origin {
-		return
-	}
-	if n.absent(g) {
-		n.ctx.Metrics.Inc("dead-dupes")
-		return
-	}
-	n.applyGroupCut(g, dead, rec.TS)
-	n.ctx.Metrics.Inc("group-deaths")
-}
-
-// applyGroupCut moves group g to state (dead or departed) with its stream cut
-// at `cut` — the shared mechanics of a certified death (onDeadRecord) and a
-// certified leave (onEpochRecord) — and fences the unprocessable tail of its
-// batch stream. If g is our own group, removed(n.g) now halts proposing and
-// record emission so the group cannot extend a fork past the certified cut;
-// members keep serving fetches for the agreed prefix.
-func (n *Node) applyGroupCut(g int, state groupState, cut uint64) {
-	n.groups[g] = groupSt{state: state, cut: cut}
-	if g == n.g {
-		return
-	}
+// fenceStream drops group g's buffered batches at or past its cut: they will
+// never process.
+func (n *Node) fenceStream(g int, cut uint64) {
 	in := n.streams[g]
 	if in == nil {
 		return
 	}
-	// Fence buffered batches at or past the cut — they will never process.
-	seqs := make([]uint64, 0, len(in.buffered))
 	for s := range in.buffered {
 		if s >= cut {
-			seqs = append(seqs, s)
+			delete(in.buffered, s)
+			n.ctx.Metrics.Inc("fenced-batches")
 		}
-	}
-	for _, s := range seqs {
-		delete(in.buffered, s)
-		n.ctx.Metrics.Inc("fenced-batches")
 	}
 	if len(in.buffered) == 0 && in.next >= cut {
 		in.setGap(0)
@@ -303,90 +178,17 @@ func (n *Node) skipDeadRounds(s int) {
 	}
 }
 
-// foldFailover snapshots the failover state machine into a checkpoint (the
-// suspicion table and death cuts are protocol state a rejoining node cannot
-// re-derive — they came from certified streams it already consumed).
+// foldFailover snapshots the group table and the certified commit
+// watermarks into a checkpoint.
 func (n *Node) foldFailover(ck *cluster.Checkpoint) {
-	for g, row := range n.groups {
-		if row.state != member {
-			ck.DeadGroups = append(ck.DeadGroups, g)
-			ck.DeadCuts = append(ck.DeadCuts, row.cut)
-		}
-		switch row.state {
-		case standby:
-			ck.Standby = append(ck.Standby, g)
-		case departed:
-			ck.Departed = append(ck.Departed, g)
-		}
-		for _, o := range sortedKeys(row.suspecters) {
-			ck.Suspects = append(ck.Suspects, cluster.SuspectEdge{
-				Suspected: g, Origin: o, Cursor: row.suspecters[o],
-			})
-		}
-		if row.ownSuspect {
-			ck.OwnSuspects = append(ck.OwnSuspects, g)
-		}
-	}
-	// Membership state (DESIGN.md §11): like deaths and cuts, it was decided
-	// by certified records the restoring node already consumed.
-	ck.Epoch = n.epoch
-	ck.JoinVotes = foldVotes(n.joinVotes)
-	ck.LeaveVotes = foldVotes(n.leaveVotes)
+	n.groups.fold(ck)
 	ck.CommitHi = append([]uint64(nil), n.commitHi...)
 }
 
-// foldVotes flattens a standing membership-approval table into deterministic
-// SuspectEdge records (Suspected = target, Origin = approver).
-func foldVotes(votes map[int]map[int]bool) []cluster.SuspectEdge {
-	var out []cluster.SuspectEdge
-	for _, t := range sortedKeys(votes) {
-		for _, o := range sortedKeys(votes[t]) {
-			out = append(out, cluster.SuspectEdge{Suspected: t, Origin: o})
-		}
-	}
-	return out
-}
-
-// restoreVotes rebuilds a membership-approval table from its folded edges.
-func restoreVotes(edges []cluster.SuspectEdge) map[int]map[int]bool {
-	votes := make(map[int]map[int]bool)
-	for _, e := range edges {
-		v := votes[e.Suspected]
-		if v == nil {
-			v = make(map[int]bool)
-			votes[e.Suspected] = v
-		}
-		v[e.Origin] = true
-	}
-	return votes
-}
-
-// restoreFailover installs a checkpoint's failover and membership state
-// wholesale, as fresh rows (validGroups has checked the tables).
+// restoreFailover installs a checkpoint's group table wholesale (valid has
+// checked it) and starts the node-local membership state over.
 func (n *Node) restoreFailover(ck *cluster.Checkpoint) {
-	n.groups = make([]groupSt, n.ng)
-	for i, g := range ck.DeadGroups {
-		n.groups[g] = groupSt{state: dead, cut: ck.DeadCuts[i]}
-	}
-	for _, g := range ck.Standby {
-		n.groups[g] = groupSt{state: standby}
-	}
-	for _, g := range ck.Departed {
-		n.groups[g].state = departed
-	}
-	for _, e := range ck.Suspects {
-		row := &n.groups[e.Suspected]
-		if row.suspecters == nil {
-			row.suspecters = make(map[int]uint64)
-		}
-		row.suspecters[e.Origin] = e.Cursor
-	}
-	for _, g := range ck.OwnSuspects {
-		n.groups[g].ownSuspect = true
-	}
-	n.epoch = ck.Epoch
-	n.joinVotes = restoreVotes(ck.JoinVotes)
-	n.leaveVotes = restoreVotes(ck.LeaveVotes)
+	n.groups.restore(ck)
 	n.commitHi = make([]uint64, n.ng)
 	copy(n.commitHi, ck.CommitHi)
 	n.ownCommitHi = 0
@@ -394,41 +196,4 @@ func (n *Node) restoreFailover(ck *cluster.Checkpoint) {
 	n.wantJoin = make(map[int]bool)
 	n.wantLeave = make(map[int]bool)
 	n.leaving = false
-}
-
-// validGroups checks an offered checkpoint's group tables before anything
-// installs, as an honest fold writes them: ids in range, one cut per
-// non-member group, standby and departed groups among those, each group in
-// one state, and suspicions only of members, by another group (a vote's
-// origin may be its target: the readiness attestation or the farewell).
-func (n *Node) validGroups(ck *cluster.Checkpoint) bool {
-	in := func(g int) bool { return g >= 0 && g < n.ng }
-	state := make([]groupState, n.ng)
-	mark := func(groups []int, from, to groupState) bool {
-		for _, g := range groups {
-			if !in(g) || state[g] != from {
-				return false
-			}
-			state[g] = to
-		}
-		return true
-	}
-	if len(ck.DeadCuts) != len(ck.DeadGroups) || !mark(ck.DeadGroups, member, dead) ||
-		!mark(ck.Standby, dead, standby) || !mark(ck.Departed, dead, departed) {
-		return false
-	}
-	for _, g := range ck.OwnSuspects {
-		if !in(g) || state[g] != member {
-			return false
-		}
-	}
-	for i, edges := range [][]cluster.SuspectEdge{ck.Suspects, ck.JoinVotes, ck.LeaveVotes} {
-		for _, e := range edges {
-			if !in(e.Suspected) || !in(e.Origin) ||
-				i == 0 && (e.Origin == e.Suspected || state[e.Suspected] != member) {
-				return false
-			}
-		}
-	}
-	return true
 }

@@ -679,7 +679,7 @@ func TestRejoinRejectsForgedGroupTable(t *testing.T) {
 		t.Fatalf("no checkpoint was forged — test exercised nothing: %s", m.Summary())
 	}
 	assertConsistency(t, c, nil)
-	if got := c.Nodes[victim].(*Node).memberCount(); got != 3 {
+	if got := len(c.Nodes[victim].(*Node).groups.members()); got != 3 {
 		t.Fatalf("victim counts %d member groups, want 3: %s", got, m.Summary())
 	}
 	if m.Counter("rejoin-badgroups") == 0 {
@@ -726,7 +726,7 @@ func TestTakeoverBookkeepingGC(t *testing.T) {
 			continue // the crashed group's state is frozen mid-flight
 		}
 		n := raw.(*Node)
-		for stream, row := range n.groups {
+		for stream, row := range n.groups.rows {
 			for eid := range row.takeoverSent {
 				checked++
 				if eid.Seq <= n.executedSeqOf(eid.GID) {

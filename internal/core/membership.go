@@ -7,13 +7,16 @@ import (
 	"massbft/internal/types"
 )
 
-// This file implements certified dynamic membership (DESIGN.md §11): epoch
-// reconfiguration — admitting a provisioned standby group or removing a
-// member — as transitions of the group table (groupSt; DESIGN.md §6
-// tabulates each state), driven through the same certified quorum machinery
-// as failover. No node-local decision changes the member set; every
-// transition is a certified record on a per-group FIFO stream, so it
-// replays identically on every node.
+// This file implements the node side of certified dynamic membership
+// (DESIGN.md §11): epoch reconfiguration — admitting a provisioned standby
+// group or removing a member — as transitions of the group table (groups.go;
+// DESIGN.md §6 tabulates each state and the votes), driven through the same
+// certified quorum machinery as failover. No node-local decision changes the
+// member set; every transition is a certified record on a per-group FIFO
+// stream that the table's step consumes, so it replays identically on every
+// node. What stays here reads the rest of the node: the admin intents, the
+// leader-gated vote and epoch scans (which read the commit watermarks), the
+// join activation and the standby round skips.
 //
 // Join (target B, coordinator = successor(B)): each member group certifies
 // a RecGroupJoin vote; B bootstraps through a cross-group rejoin and
@@ -57,7 +60,7 @@ func (n *Node) onReconfigure(m *cluster.ReconfigureMsg) {
 	}
 	switch m.Op {
 	case cluster.ReconfigJoin:
-		if n.groups[g].state != standby {
+		if n.groups.rows[g].state != standby {
 			return
 		}
 		if g == n.g {
@@ -69,10 +72,10 @@ func (n *Node) onReconfigure(m *cluster.ReconfigureMsg) {
 		}
 		n.wantJoin[g] = true
 	case cluster.ReconfigLeave:
-		if n.absent(g) {
+		if n.groups.absent(g) {
 			return // not a member, or the failover machinery owns it
 		}
-		if n.memberCount() < 3 {
+		if len(n.groups.members()) < 3 {
 			return // never shrink below two member groups
 		}
 		n.wantLeave[g] = true
@@ -102,34 +105,35 @@ func (n *Node) membershipScan(now time.Duration) {
 	if !n.meta.IsLeader() {
 		return
 	}
-	if n.groups[n.g].state == standby {
+	own := &n.groups.rows[n.g]
+	if own.state == standby {
 		// Pre-join, this group's only record is the readiness attestation:
 		// certified proof that every consensus-relevant piece of state was
 		// bootstrapped (the leader cannot speak for followers' installs, but
 		// certifying the attestation itself requires a quorum of members to
 		// be up and voting on the meta instance).
-		if !n.selfStandby && !n.rejoining && !n.hasVote(n.joinVotes, n.g, n.g) {
+		if !n.selfStandby && !n.rejoining && !own.votes[n.g] {
 			n.emitOnce(cluster.Record{Kind: cluster.RecGroupJoin, Stream: n.g}, "join-ready-emitted")
 		}
 		return
 	}
 	for _, t := range sortedKeys(n.wantJoin) {
-		if n.groups[t].state != standby {
+		if n.groups.rows[t].state != standby {
 			delete(n.wantJoin, t)
 			continue
 		}
-		if !n.hasVote(n.joinVotes, t, n.g) {
+		if !n.groups.rows[t].votes[n.g] {
 			n.emitOnce(cluster.Record{Kind: cluster.RecGroupJoin, Stream: t}, "join-votes-emitted")
 		}
 	}
 	for _, t := range sortedKeys(n.wantLeave) {
-		if t == n.g || n.absent(t) {
+		if t == n.g || n.groups.absent(t) {
 			if t != n.g {
 				delete(n.wantLeave, t)
 			}
 			continue
 		}
-		if !n.hasVote(n.leaveVotes, t, n.g) {
+		if !n.groups.rows[t].votes[n.g] {
 			n.emitOnce(cluster.Record{Kind: cluster.RecGroupLeave, Stream: t, TS: n.streamCursor(t)}, "leave-votes-emitted")
 		}
 	}
@@ -140,8 +144,7 @@ func (n *Node) membershipScan(now time.Duration) {
 	// meta view change that destroys the uncertified farewell promotes a
 	// follower with leaving still false, which re-emits here.
 	if !n.leaving &&
-		n.voteCount(n.leaveVotes, n.g) >= n.groupQuorum() &&
-		!n.hasVote(n.leaveVotes, n.g, n.g) &&
+		n.groups.voteCount(n.g) >= n.groups.quorum() && !own.votes[n.g] &&
 		n.emitOnce(cluster.Record{Kind: cluster.RecGroupLeave, Stream: n.g}, "farewells-emitted") {
 		n.leaving = true
 	}
@@ -155,13 +158,15 @@ func (n *Node) membershipScan(now time.Duration) {
 // whichever record lands first on the coordinator's FIFO stream wins
 // identically everywhere and the loser is re-certified under the next epoch.
 func (n *Node) epochScan() {
-	if n.epochEmitted == n.epoch+1 {
+	tbl := &n.groups
+	if n.epochEmitted == tbl.epoch+1 {
 		return
 	}
-	for t, row := range n.groups {
-		if row.state != standby || n.successor(t) != n.g ||
-			n.voteCount(n.joinVotes, t) < n.groupQuorum() ||
-			!n.hasVote(n.joinVotes, t, t) {
+	ready := func(t int) bool {
+		return tbl.successor(t, nil) == n.g && tbl.voteCount(t) >= tbl.quorum() && tbl.rows[t].votes[t]
+	}
+	for t, row := range tbl.rows {
+		if row.state != standby || !ready(t) {
 			continue
 		}
 		// Join boundary: one past the highest own-group commit this leader
@@ -178,15 +183,13 @@ func (n *Node) epochScan() {
 			return
 		}
 	}
-	for _, t := range sortedKeys(n.leaveVotes) {
-		if t == n.g || n.absent(t) || n.successor(t) != n.g ||
-			n.voteCount(n.leaveVotes, t) < n.groupQuorum() ||
-			!n.hasVote(n.leaveVotes, t, t) {
+	for t, row := range tbl.rows {
+		if t == n.g || row.state != member || !ready(t) {
 			continue
 		}
-		// The farewell (leaveVotes[t][t]) has been processed, so our cursor
-		// for t's stream sits exactly past the end of everything t's own
-		// members processed: the cut every node can agree on.
+		// The farewell (t's own vote) has been processed, so our cursor for
+		// t's stream sits exactly past the end of everything t's own members
+		// processed: the cut every node can agree on.
 		if n.emitEpoch(t, cluster.ReconfigLeave, n.streamCursor(t)) {
 			return
 		}
@@ -197,117 +200,18 @@ func (n *Node) epochScan() {
 // pending, and reports whether it did.
 func (n *Node) emitEpoch(t int, op byte, ts uint64) bool {
 	rec := cluster.Record{Kind: cluster.RecEpoch, Stream: t, TS: ts,
-		Entry: types.EntryID{GID: int(op), Seq: n.epoch + 1}}
+		Entry: types.EntryID{GID: int(op), Seq: n.groups.epoch + 1}}
 	if !n.emitOnce(rec, "epochs-emitted") {
 		return false
 	}
-	n.epochEmitted = n.epoch + 1
+	n.epochEmitted = n.groups.epoch + 1
 	return true
 }
 
-// onJoinRecord ingests a certified join approval for standby group
-// rec.Stream. origin == target is the readiness attestation; any other
-// origin is one vote of the quorum, and seconds the op locally so this
-// group's leader emits its own vote.
-func (n *Node) onJoinRecord(origin int, rec cluster.Record) {
-	t := rec.Stream
-	if t < 0 || t >= n.ng || n.groups[t].state != standby {
-		return
-	}
-	if origin != t && n.groups[origin].state == standby {
-		return // standby groups have no vote (processRecords fences this)
-	}
-	votes := n.joinVotes[t]
-	if votes == nil {
-		votes = make(map[int]bool)
-		n.joinVotes[t] = votes
-	}
-	if !votes[origin] {
-		votes[origin] = true
-		n.ctx.Metrics.Inc("join-votes")
-	}
-	if origin != t && t != n.g {
-		n.wantJoin[t] = true // second the op
-	}
-}
-
-// onLeaveRecord ingests a certified leave approval for active group
-// rec.Stream. origin == target is the group's farewell — its last record.
-func (n *Node) onLeaveRecord(origin int, rec cluster.Record) {
-	t := rec.Stream
-	if t < 0 || t >= n.ng || n.absent(t) {
-		return
-	}
-	votes := n.leaveVotes[t]
-	if votes == nil {
-		votes = make(map[int]bool)
-		n.leaveVotes[t] = votes
-	}
-	if !votes[origin] {
-		votes[origin] = true
-		n.ctx.Metrics.Inc("leave-votes")
-	}
-	if origin == t {
-		if t == n.g {
-			// Our group's farewell certified: every member goes silent so
-			// the stream ends here, exactly where the cut will land.
-			n.leaving = true
-		}
-		return
-	}
-	if t != n.g {
-		n.wantLeave[t] = true // second the op
-	}
-}
-
-// onEpochRecord applies a certified epoch switch. Legitimacy is positional:
-// only the current coordinator (successor of the target under the group table
-// as of this stream position — identical on every node) may move the epoch,
-// and only with the next epoch number, so duplicates and re-emissions after
-// meta view changes are inert.
-func (n *Node) onEpochRecord(origin int, rec cluster.Record) {
-	t := rec.Stream
-	if t < 0 || t >= n.ng || origin == t {
-		return
-	}
-	if rec.Entry.Seq != n.epoch+1 {
-		n.ctx.Metrics.Inc("epoch-dupes")
-		return
-	}
-	if origin != n.successor(t) {
-		n.ctx.Metrics.Inc("epoch-bad-origin")
-		return
-	}
-	switch byte(rec.Entry.GID) {
-	case cluster.ReconfigJoin:
-		if n.groups[t].state != standby {
-			return
-		}
-		n.applyJoin(t, rec.TS)
-	case cluster.ReconfigLeave:
-		if n.absent(t) {
-			return
-		}
-		// From here on t is fenced, skipped and frozen like a dead group,
-		// but it no longer counts in the quorum denominator.
-		n.applyGroupCut(t, departed, rec.TS)
-		n.ctx.Metrics.Inc("groups-departed")
-	default:
-		return
-	}
-	n.epoch++
-	delete(n.wantJoin, t)
-	delete(n.wantLeave, t)
-	delete(n.joinVotes, t)
-	delete(n.leaveVotes, t)
-	n.ctx.Metrics.Inc("epoch-switches")
-}
-
-// applyJoin admits standby group t with join boundary s: t proposes from
-// s+1, and this node advances its ordering cursor for t past the void seqs
-// that will never exist.
-func (n *Node) applyJoin(t int, s uint64) {
-	n.groups[t] = groupSt{state: member}
+// admit carries out a certified join of group t with boundary s: t proposes
+// from s+1, and this node advances its ordering cursor for t past the void
+// seqs that will never exist.
+func (n *Node) admit(t int, s uint64) {
 	if n.orderer != nil {
 		// The async head for t is parked on a seq in the void prefix; jump
 		// it to (t, s+1) or it can never be proven minimal and the drain
@@ -367,7 +271,7 @@ func (n *Node) activateJoined(s uint64) {
 func (n *Node) standbySkipBound() uint64 {
 	bound := ^uint64(0)
 	for g := 0; g < n.ng; g++ {
-		if n.absent(g) {
+		if n.groups.absent(g) {
 			continue
 		}
 		if n.commitHi[g] < bound {
@@ -395,45 +299,20 @@ func (n *Node) skipStandbyRounds(s int) {
 // watermark between takeover ticks (called from onCommitRecord; the tick
 // cadence alone would throttle round progress to the failover cadence).
 func (n *Node) maybeSkipStandbyRounds() {
-	if n.rounds == nil || n.groups[n.g].state == standby {
+	if n.rounds == nil || n.groups.rows[n.g].state == standby {
 		return
 	}
-	for s, row := range n.groups {
+	for s, row := range n.groups.rows {
 		if row.state == standby {
 			n.skipStandbyRounds(s)
 		}
 	}
 }
 
-func (n *Node) hasVote(votes map[int]map[int]bool, target, origin int) bool {
-	return votes[target] != nil && votes[target][origin]
-}
-
-// voteCount counts standing approvals for target from groups other than the
-// target itself, restricted to current members (a departed approver's vote
-// must not count toward a later quorum).
-func (n *Node) voteCount(votes map[int]map[int]bool, target int) int {
-	c := 0
-	for o := range votes[target] {
-		if o != target && n.inEpoch(o) {
-			c++
-		}
-	}
-	return c
-}
-
 // EpochInfo reports the node's certified membership view: the epoch counter
 // and the sorted member groups of the current epoch (certified-dead members
 // included — death does not change membership).
-func (n *Node) EpochInfo() (uint64, []int) {
-	var members []int
-	for g := 0; g < n.ng; g++ {
-		if n.inEpoch(g) {
-			members = append(members, g)
-		}
-	}
-	return n.epoch, members
-}
+func (n *Node) EpochInfo() (uint64, []int) { return n.groups.epoch, n.groups.members() }
 
 // GroupDown reports whether group g is certified unable to answer clients —
 // dead, departed, or still standby. The gateway requester uses it to skip
@@ -442,5 +321,5 @@ func (n *Node) GroupDown(g int) bool {
 	if g < 0 || g >= n.ng {
 		return true
 	}
-	return n.absent(g)
+	return n.groups.absent(g)
 }

@@ -193,14 +193,12 @@ type Node struct {
 	lastForeignStamp time.Duration
 	lastBulkFrom     map[int]time.Duration
 
-	// groups is this node's certified view of every group, one row each
-	// (DESIGN.md §6's group-state table).
-	groups []groupSt
+	// groups is this node's certified view of every group, one row each,
+	// with the epoch and the standing votes (groups.go; DESIGN.md §6). Only
+	// its step and restore change it.
+	groups groupTable
 
-	// Certified epoch reconfiguration (membership.go, DESIGN.md §11). epoch
-	// counts certified RecEpoch switches. joinVotes and leaveVotes hold the
-	// standing certified approvals per target group (target -> approving
-	// origins; origin == target is the readiness attestation / farewell).
+	// Node-local membership state (membership.go, DESIGN.md §11).
 	// commitHi[g] is the highest own-entry commit seq processed from g's
 	// stream — the watermark that bounds pre-join round skips; ownCommitHi
 	// additionally counts commits queued but not yet certified (the
@@ -209,9 +207,6 @@ type Node struct {
 	// selfStandby keeps a cold standby node deaf; leaving halts this group's
 	// stream right after its farewell record; epochEmitted dedups the
 	// coordinator leader's RecEpoch emission per epoch number.
-	epoch         uint64
-	joinVotes     map[int]map[int]bool
-	leaveVotes    map[int]map[int]bool
 	commitHi      []uint64
 	ownCommitHi   uint64
 	wantJoin      map[int]bool
@@ -265,44 +260,6 @@ type Node struct {
 	checkpointHook   func()
 }
 
-// groupState is where a group stands in this node's certified view.
-type groupState uint8
-
-const (
-	member   groupState = iota // in the epoch and live
-	standby                    // provisioned, not yet joined
-	dead                       // certified dead at cut; still counts in quorums
-	departed                   // removed by a certified leave at cut
-)
-
-// groupSt is one row of the group table. Only a certified record changes a
-// row, and every transition assigns a fresh one, dropping the suspicion and
-// takeover bookkeeping of the old state.
-type groupSt struct {
-	state groupState
-	cut   uint64 // where a dead or departed group's stream ends
-	// suspecters maps each origin group holding a standing certified
-	// suspicion of this group to the stream cursor it attested; ownSuspect
-	// marks that our own group's stream is one of them.
-	suspecters map[int]uint64
-	ownSuspect bool
-	// takeoverSent marks the stamps this node emitted on the absent group's
-	// behalf; entries are dropped at execution.
-	takeoverSent map[types.EntryID]bool
-}
-
-// absent reports whether group g is anything but a live member: its clock is
-// frozen, its rounds skipped, and it is never a successor.
-func (n *Node) absent(g int) bool { return n.groups[g].state != member }
-
-// removed reports whether group g's stream was cut by a certified death or
-// leave: batches at or past the cut are fenced.
-func (n *Node) removed(g int) bool { return n.groups[g].state == dead || n.groups[g].state == departed }
-
-// inEpoch reports whether group g counts in the quorum denominator: death
-// does not change membership.
-func (n *Node) inEpoch(g int) bool { return n.groups[g].state == member || n.groups[g].state == dead }
-
 // archived is the post-execution remnant of an entry kept for recovery
 // serving: the bytes it was certified in, never a decoded copy.
 type archived struct {
@@ -333,21 +290,14 @@ func New(ctx *cluster.NodeCtx) *Node {
 		archive:      make(map[types.EntryID]*archived),
 		nextSeq:      1,
 		ledger:       ledger.New(),
-		joinVotes:    make(map[int]map[int]bool),
-		leaveVotes:   make(map[int]map[int]bool),
 		wantJoin:     make(map[int]bool),
 		wantLeave:    make(map[int]bool),
 	}
 	n.commitHi = make([]uint64, n.ng)
 	// A standby group is provisioned (keys, endpoints, stream slot) but
 	// absent until a certified RecEpoch join.
-	n.groups = make([]groupSt, n.ng)
-	for g := range n.groups {
-		if n.cfg.StandbyAtGenesis(g) {
-			n.groups[g].state = standby
-		}
-	}
-	n.selfStandby = n.groups[n.g].state == standby
+	n.groups = newGroupTable(n.g, n.ng, n.cfg.StandbyAtGenesis)
+	n.selfStandby = n.groups.rows[n.g].state == standby
 	for j := 0; j < ctx.Cfg.GroupSizes[n.g]; j++ {
 		n.members = append(n.members, keys.NodeID{Group: n.g, Index: j})
 	}

@@ -17,7 +17,7 @@ import (
 // only); records reach the whole group certified and in a deterministic
 // order, then fan out to other groups as MetaBatch messages.
 func (n *Node) flushTick() {
-	if n.removed(n.g) {
+	if n.groups.removed(n.g) {
 		// A certified-dead group must not extend its stream past the cut:
 		// receivers would fence the batch anyway, but our own members would
 		// process it (own-group records skip the fence) and diverge.
@@ -88,7 +88,7 @@ func (n *Node) onMetaBatch(from keys.NodeID, b *cluster.MetaBatch) {
 	// still flows: the only record a standby origin can land is its join
 	// readiness attestation (processRecords drops everything else), and
 	// fencing it would deadlock the join.
-	if n.removed(b.FromGroup) && b.Seq >= n.groups[b.FromGroup].cut {
+	if n.groups.removed(b.FromGroup) && b.Seq >= n.groups.rows[b.FromGroup].cut {
 		n.ctx.Metrics.Inc("fenced-batches")
 		return
 	}
@@ -167,7 +167,7 @@ func (n *Node) processRecords(origin int, recs []cluster.Record) {
 		// A standby group has no say in consensus until its certified join:
 		// the only record admitted from a standby origin is its own readiness
 		// attestation.
-		if n.groups[origin].state == standby &&
+		if n.groups.rows[origin].state == standby &&
 			!(rec.Kind == cluster.RecGroupJoin && rec.Stream == origin) {
 			n.ctx.Metrics.Inc("standby-fenced-records")
 			continue
@@ -179,18 +179,9 @@ func (n *Node) processRecords(origin int, recs []cluster.Record) {
 			n.onAcceptRecord(origin, rec)
 		case cluster.RecCommit:
 			n.onCommitRecord(origin, rec)
-		case cluster.RecSuspect:
-			n.onSuspectRecord(origin, rec)
-		case cluster.RecRevoke:
-			n.onRevokeRecord(origin, rec)
-		case cluster.RecDead:
-			n.onDeadRecord(origin, rec)
-		case cluster.RecGroupJoin:
-			n.onJoinRecord(origin, rec)
-		case cluster.RecGroupLeave:
-			n.onLeaveRecord(origin, rec)
-		case cluster.RecEpoch:
-			n.onEpochRecord(origin, rec)
+		case cluster.RecSuspect, cluster.RecRevoke, cluster.RecDead,
+			cluster.RecGroupJoin, cluster.RecGroupLeave, cluster.RecEpoch:
+			n.apply(n.groups.step(origin, rec))
 		case cluster.RecKeepalive:
 			// Liveness beacon: the batch arrival already refreshed
 			// lastStreamAt[origin] above; the record carries nothing else.
@@ -260,7 +251,7 @@ func (n *Node) onTSRecord(origin int, rec cluster.Record) {
 	// congested downlink cannot stall the ordering of other groups.
 	if n.opts.Ordering == cluster.OrderAsync && n.opts.OverlapVTS &&
 		rec.Entry.GID != n.g && !st.content {
-		quorum := n.groupQuorum()
+		quorum := n.groups.quorum()
 		if len(st.stamps) >= quorum {
 			n.emitStamp(rec.Entry)
 		}
@@ -299,7 +290,7 @@ func (n *Node) noteAccept(group int, id types.EntryID) {
 	}
 	st := n.st(id)
 	st.stamps[group] = true
-	quorum := n.groupQuorum()
+	quorum := n.groups.quorum()
 	if len(st.stamps) < quorum || st.commitSeen {
 		return
 	}
@@ -432,13 +423,13 @@ func (n *Node) entryContent(id types.EntryID) ([]byte, *keys.Certificate, bool) 
 // decision can form, so the old split-brain fork cannot occur.
 func (n *Node) takeoverTick() {
 	now := n.now()
-	if n.removed(n.g) {
+	if n.groups.removed(n.g) {
 		// A dead or departed group halts: no re-proposal, no re-emission, no
 		// suspicion. Members keep serving fetches for the agreed prefix.
 		return
 	}
 	n.membershipScan(now)
-	if n.groups[n.g].state == standby {
+	if n.groups.rows[n.g].state == standby {
 		// A standby group's only duty pre-join is the readiness attestation
 		// the membership scan just handled; it runs none of the recovery or
 		// failover scans until the certified join activates it.
@@ -461,11 +452,11 @@ func (n *Node) takeoverTick() {
 		// every node. A standby group's rounds are instead skipped up to the
 		// certified-commit watermark, which the eventual join boundary can
 		// never undercut (skipStandbyRounds).
-		for s, row := range n.groups {
+		for s, row := range n.groups.rows {
 			switch {
 			case row.state == standby:
 				n.skipStandbyRounds(s)
-			case n.removed(s) && n.streamCursor(s) >= row.cut:
+			case n.groups.removed(s) && n.streamCursor(s) >= row.cut:
 				n.skipDeadRounds(s)
 			}
 		}
@@ -478,8 +469,8 @@ func (n *Node) takeoverTick() {
 	if !n.meta.IsLeader() {
 		return
 	}
-	for s, row := range n.groups {
-		if !n.absent(s) || n.successor(s) != n.g || n.streamCursor(s) < row.cut {
+	for s, row := range n.groups.rows {
+		if !n.groups.absent(s) || n.groups.successor(s, nil) != n.g || n.streamCursor(s) < row.cut {
 			continue
 		}
 		n.runTask(n.takeoverStampTask(s), ids, now)
@@ -535,8 +526,8 @@ func (n *Node) execute(id types.EntryID) {
 	delete(n.entries, id)
 	// An executed entry can never be re-stamped — drop it from the takeover
 	// bookkeeping too, or the per-group maps grow for the whole run.
-	for g := range n.groups {
-		delete(n.groups[g].takeoverSent, id)
+	for g := range n.groups.rows {
+		delete(n.groups.rows[g].takeoverSent, id)
 	}
 	n.archiveEntry(id, st)
 }

@@ -18,7 +18,7 @@ func (n *Node) batchTick() {
 	now := n.now()
 	dt := now - n.lastTick
 	n.lastTick = now
-	if n.absent(n.g) || n.leaving {
+	if n.groups.absent(n.g) || n.leaving {
 		// A dead, departed or standby group does not propose, nor does a
 		// leaving group past its farewell record (membership.go).
 		return

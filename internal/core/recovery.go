@@ -341,20 +341,20 @@ func (n *Node) streamRepairScan(now time.Duration) {
 		// nothing buffered has no ordinary gap trigger (gaps arm only when
 		// later batches arrive — and the dead origin sends nothing). The cut
 		// acts as a virtual later batch: arm the gap so the fetch below runs.
-		if in.gapSince == 0 && n.removed(g) && in.next < n.groups[g].cut {
+		if in.gapSince == 0 && n.groups.removed(g) && in.next < n.groups.rows[g].cut {
 			in.setGap(now)
 		}
 		if in.gapSince == 0 || !in.repair.ready(now, in.gapSince, n.cfg.RepairTimeout) {
 			continue
 		}
 		from := []int{g}
-		if n.absent(g) {
+		if n.groups.absent(g) {
 			// The origin is absent; rotate over live foreign groups instead —
 			// every group logged the batches it relayed (batchLog), and the
 			// quorum cursors prove the prefix exists somewhere live.
 			var live []int
 			for h := 0; h < n.ng; h++ {
-				if h != n.g && h != g && !n.absent(h) {
+				if h != n.g && h != g && !n.groups.absent(h) {
 					live = append(live, h)
 				}
 			}
@@ -421,7 +421,7 @@ func (n *Node) expectedRecord(id types.EntryID, st *entrySt) (cluster.Record, bo
 		// Our stamp doubles as our accept; until it certifies
 		// (stampedStreams[n.g] via our own stream) the origin may be stuck
 		// short of quorum and every orderer head short of our element.
-		if !stamped && (st.content || len(st.stamps) >= (n.ng-1)/2+1) {
+		if !stamped && (st.content || len(st.stamps) >= n.groups.quorum()) {
 			st.tsSent = true
 			return cluster.Record{Kind: cluster.RecTS, Stream: n.g, Entry: id, TS: n.stampTS()}, true
 		}
@@ -441,7 +441,7 @@ func (n *Node) expectedRecord(id types.EntryID, st *entrySt) (cluster.Record, bo
 // two takeover windows after local certification.
 func (n *Node) rebroadcastArmed(id types.EntryID, st *entrySt) (since, patience, base time.Duration) {
 	if id.GID != n.g || !st.content || st.committed || st.commitSeen ||
-		len(st.stamps) >= (n.ng-1)/2+1 {
+		len(st.stamps) >= n.groups.quorum() {
 		return 0, 0, 0
 	}
 	return st.contentAt, 2 * n.cfg.TakeoverTimeout, 4 * n.cfg.TakeoverTimeout
@@ -451,7 +451,7 @@ func (n *Node) rebroadcastFire(now time.Duration, _ types.EntryID, st *entrySt, 
 	st.rebroadcast.next(now, base)
 	msg := &cluster.EntryWAN{E: &replication.EntryMsg{Entry: st.entry, Cert: st.cert}}
 	for r := 0; r < n.ng; r++ {
-		if r == n.g || st.stamps[r] || n.absent(r) {
+		if r == n.g || st.stamps[r] || n.groups.absent(r) {
 			continue
 		}
 		copies := n.ctx.Reg.Faulty(r) + 1
@@ -466,7 +466,7 @@ func (n *Node) rebroadcastFire(now time.Duration, _ types.EntryID, st *entrySt, 
 // meta leader assigns the group's frozen clock value to every live entry on
 // its behalf (§V-C), once per entry (takeoverSent).
 func (n *Node) takeoverStampTask(s int) *recoveryTask {
-	row := &n.groups[s]
+	row := &n.groups.rows[s]
 	if row.takeoverSent == nil {
 		row.takeoverSent = make(map[types.EntryID]bool)
 	}

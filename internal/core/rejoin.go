@@ -158,7 +158,7 @@ func (n *Node) sendTransferReq() {
 	if n.selfStandby {
 		var active []int
 		for g := 0; g < n.ng; g++ {
-			if g != n.g && !n.absent(g) {
+			if g != n.g && !n.groups.absent(g) {
 				active = append(active, g)
 			}
 		}
@@ -183,13 +183,13 @@ func (n *Node) sendTransferReq() {
 // verifies the suffix against its own certified chain before installing
 // (see verifySuffix) — serving honestly is not load-bearing for safety.
 func (n *Node) onRejoinReq(from keys.NodeID, m *cluster.RejoinReq) {
-	if from == n.id || n.groups[n.g].state == standby {
+	if from == n.id || n.groups.rows[n.g].state == standby {
 		return
 	}
 	// Cross-group requests are served only for a standby group's bootstrap;
 	// an active group's members always recover from their own LAN peers.
 	if from.Group != n.g &&
-		(from.Group < 0 || from.Group >= n.ng || n.groups[from.Group].state != standby) {
+		(from.Group < 0 || from.Group >= n.ng || n.groups.rows[from.Group].state != standby) {
 		return
 	}
 	resp := &cluster.RejoinResp{C: n.foldCheckpoint(m.Have)}
@@ -240,7 +240,7 @@ func (n *Node) onRejoinResp(from keys.NodeID, resp *cluster.RejoinResp) {
 	// certified the way a fetched copy is, or the serving peer could have us
 	// execute an entry its group never certified.
 	// The group tables decide quorums: a forged one would skew them.
-	if !n.validGroups(ck) {
+	if !n.groups.valid(ck) {
 		n.ctx.Metrics.Inc("rejoin-badgroups")
 		return
 	}

@@ -12,9 +12,12 @@
 #   groups           just the group-state suite (DESIGN.md §6's table:
 #                    failover and membership) — the full crash, partition,
 #                    simultaneous-death, join/leave/crash-overlap and forged
-#                    group-table schedules, then the reduced ones under
-#                    -race -short — for iterating on group-state changes
-#                    without the full-suite wait
+#                    group-table schedules and the root package's pinned
+#                    false-death fork seeds, then under -race -short the
+#                    reduced ones, the unit tests of step and the
+#                    interleaving explorer (TestGroupTableExplore) — for
+#                    iterating on group-state changes without the
+#                    full-suite wait
 #   node-smoke       just the multi-process TCP smoke test — a 4-node loopback
 #                    cluster of massbft-node OS processes with a kill/rejoin
 #                    round trip — for iterating on transport changes
@@ -126,9 +129,10 @@ size)
   ;;
 groups)
   echo "== group-state suite (full schedules)"
-  go test -timeout 600s -run 'TestGroup|TestBaselineGroupCrash|TestSimultaneousGroupDeaths|TestPartition|TestChaos|TestMembership|TestTakeoverBookkeeping|TestRejoinRejectsForgedGroupTable|TestValidGroups' -v ./internal/core/
-  echo "== group-state suite, reduced schedules (-race -short)"
-  go test -race -short -timeout 300s -run 'TestPartitionFailoverReduced|TestSimultaneousGroupDeaths|TestMembershipJoinReduced|TestMembershipLeaveReduced|TestGroupTable|TestValidGroups' -v ./internal/core/
+  go test -timeout 600s -run 'TestGroup|TestBaselineGroupCrash|TestSimultaneousGroupDeaths|TestPartition|TestChaos|TestMembership|TestTakeoverBookkeeping|TestRejoinRejectsForgedGroupTable|TestValidGroups|TestStandbyBootstrap' -v ./internal/core/
+  go test -timeout 300s -run 'TestFalseDeathForkSeeds' -v .
+  echo "== group-state suite, reduced schedules and the explorer (-race -short)"
+  go test -race -short -timeout 300s -run 'TestPartitionFailoverReduced|TestSimultaneousGroupDeaths|TestMembershipJoinReduced|TestMembershipLeaveReduced|TestGroupTableFoldRestore|TestGroupTableStep|TestGroupTableExplore|TestGroupQuorum|TestValidGroups|TestStandbyBootstrap' -v ./internal/core/
   echo "OK"
   exit 0
   ;;
