@@ -27,24 +27,8 @@ import (
 // committed — and therefore the async frozen-clock value and the round-mode
 // skip/await decision per round — is identical cluster-wide.
 
-// lastSeen returns the latest liveness evidence for group g's record stream:
-// the last in-order record processing, or any out-of-order batch arrival
-// (a lossy-but-alive stream is repaired, not suspected).
-func (n *Node) lastSeen(g int) time.Duration {
-	last := n.lastStreamAt[g]
-	if in := n.streams[g]; in != nil && in.lastArrival > last {
-		last = in.lastArrival
-	}
-	return last
-}
-
 // streamCursor returns this node's next-expected MetaBatch seq for group g.
-func (n *Node) streamCursor(g int) uint64 {
-	if in := n.streams[g]; in != nil {
-		return in.next
-	}
-	return 0
-}
+func (n *Node) streamCursor(g int) uint64 { return n.streams[g].next }
 
 // keepaliveScan (meta leader only) keeps the group's certified stream audibly
 // alive while the group has nothing to say. The failover protocol equates
@@ -75,7 +59,7 @@ func (n *Node) keepaliveScan(now time.Duration) {
 // silentFor returns the silence oracle of the failover emitters: a stream is
 // silent once it has shown no liveness evidence for SuspectTimeout.
 func (n *Node) silentFor(now time.Duration) func(int) bool {
-	return func(g int) bool { return now-n.lastSeen(g) > n.cfg.SuspectTimeout }
+	return func(g int) bool { return now-n.streams[g].heard > n.cfg.SuspectTimeout }
 }
 
 // suspectScan certifies (meta leader only) the table's suspicions and
@@ -122,6 +106,9 @@ func (n *Node) apply(e effect) {
 		n.fenceStream(e.g, e.at)
 	}
 	if e.admit {
+		// A join is the only transition out of an absent state: the stamps
+		// sent on the group's behalf while it was absent are done with.
+		clear(n.streams[e.g].takeoverSent)
 		n.admit(e.g, e.at)
 	}
 	switch e.second {
@@ -142,10 +129,7 @@ func (n *Node) apply(e effect) {
 // fenceStream drops group g's buffered batches at or past its cut: they will
 // never process.
 func (n *Node) fenceStream(g int, cut uint64) {
-	in := n.streams[g]
-	if in == nil {
-		return
-	}
+	in := &n.streams[g]
 	for s := range in.buffered {
 		if s >= cut {
 			delete(in.buffered, s)
@@ -167,7 +151,7 @@ func (n *Node) fenceStream(g int, cut uint64) {
 func (n *Node) skipDeadRounds(s int) {
 	base := n.rounds.Round()
 	for r := base; r < base+512; r++ {
-		if r <= n.executedSeqOf(s) {
+		if r <= n.streams[s].executed {
 			continue
 		}
 		id := types.EntryID{GID: s, Seq: r}
@@ -178,19 +162,10 @@ func (n *Node) skipDeadRounds(s int) {
 	}
 }
 
-// foldFailover snapshots the group table and the certified commit
-// watermarks into a checkpoint.
-func (n *Node) foldFailover(ck *cluster.Checkpoint) {
-	n.groups.fold(ck)
-	ck.CommitHi = append([]uint64(nil), n.commitHi...)
-}
-
 // restoreFailover installs a checkpoint's group table wholesale (valid has
 // checked it) and starts the node-local membership state over.
 func (n *Node) restoreFailover(ck *cluster.Checkpoint) {
 	n.groups.restore(ck)
-	n.commitHi = make([]uint64, n.ng)
-	copy(n.commitHi, ck.CommitHi)
 	n.ownCommitHi = 0
 	n.epochEmitted = 0
 	n.wantJoin = make(map[int]bool)

@@ -695,9 +695,9 @@ func TestRejoinRejectsForgedGroupTable(t *testing.T) {
 // dead group's committed tail on its behalf and remember each emitted stamp
 // so retries stay idempotent — but before the GC, those maps retained every
 // stamped entry for the life of the process. Now execute() drops an entry
-// from every group row's takeoverSent the moment it executes (and a fresh
-// row at a death cut or a join drops the whole map), so after a takeover
-// run nothing executed may linger in the bookkeeping.
+// from every origin row's takeoverSent the moment it executes (and a join
+// clears the joined group's set), so after a takeover run nothing executed
+// may linger in the bookkeeping.
 func TestTakeoverBookkeepingGC(t *testing.T) {
 	t.Parallel()
 	if testing.Short() {
@@ -726,12 +726,12 @@ func TestTakeoverBookkeepingGC(t *testing.T) {
 			continue // the crashed group's state is frozen mid-flight
 		}
 		n := raw.(*Node)
-		for stream, row := range n.groups.rows {
+		for stream, row := range n.streams {
 			for eid := range row.takeoverSent {
 				checked++
-				if eid.Seq <= n.executedSeqOf(eid.GID) {
+				if eid.Seq <= n.streams[eid.GID].executed {
 					t.Fatalf("node %v: executed entry %v lingers in takeoverSent[%d] (executed watermark %d)",
-						id, eid, stream, n.executedSeqOf(eid.GID))
+						id, eid, stream, n.streams[eid.GID].executed)
 				}
 			}
 		}

@@ -1,9 +1,6 @@
 package core
 
-import (
-	"massbft/internal/cluster"
-	"massbft/internal/types"
-)
+import "massbft/internal/cluster"
 
 // This file holds a node's certified view of every group (DESIGN.md §6, "The
 // group table") and the one function that changes it. step consumes a
@@ -25,9 +22,9 @@ const (
 	departed                   // removed by a certified leave at cut
 )
 
-// groupSt is one row of the group table. Every transition assigns a fresh
-// row, dropping the suspicions, votes and takeover bookkeeping of the old
-// state.
+// groupSt is one row of the group table: certified state only. Every
+// transition assigns a fresh row, dropping the suspicions and votes of the
+// old state.
 type groupSt struct {
 	state groupState
 	cut   uint64 // where a dead or departed group's stream ends
@@ -39,10 +36,6 @@ type groupSt struct {
 	// An origin equal to the row's own group is the readiness attestation or
 	// the farewell.
 	votes map[int]bool
-	// takeoverSent marks the stamps this node emitted on the absent group's
-	// behalf; entries are dropped at execution. It is node bookkeeping, not
-	// certified state: step never reads it.
-	takeoverSent map[types.EntryID]bool
 }
 
 // groupTable is one node's row per group, seen from group self, and the

@@ -42,8 +42,8 @@ func throughWire(t *testing.T, fold func(*cluster.Checkpoint)) *cluster.Checkpoi
 // TestGroupTableFoldRestore: a table whose own group is in each of the four
 // states, beside foreign groups in every state with standing suspicions and
 // votes, folds into a checkpoint, goes through the wire codec, and restores:
-// the rows come back identical, minus the takeover bookkeeping a fresh row
-// drops, and every question asked of the table gets the same answer.
+// the rows come back identical, and every question asked of the table gets
+// the same answer.
 func TestGroupTableFoldRestore(t *testing.T) {
 	t.Parallel()
 	for _, own := range []groupState{member, standby, dead, departed} {
@@ -58,11 +58,10 @@ func TestGroupTableFoldRestore(t *testing.T) {
 			ownRow,
 			{state: member, suspecters: map[int]uint64{0: 5, 2: 7}, votes: map[int]bool{2: true}},
 			{state: standby, votes: map[int]bool{1: true, 2: true}},
-			{state: dead, cut: 9, takeoverSent: map[types.EntryID]bool{{GID: 1, Seq: 3}: true}},
+			{state: dead, cut: 9},
 			{state: departed, cut: 4},
 		}}
 		want := append([]groupSt(nil), tbl.rows...)
-		want[3].takeoverSent = nil
 		answers := groupAnswers(&tbl)
 
 		got := throughWire(t, tbl.fold)
@@ -218,7 +217,7 @@ func TestStandbyBootstrapSuspectsForItself(t *testing.T) {
 	server := c.Nodes[keys.NodeID{Group: 0, Index: 0}].(*Node)
 	joiner := c.Nodes[keys.NodeID{Group: 2, Index: 0}].(*Node)
 	server.apply(server.groups.step(0, cluster.Record{Kind: cluster.RecSuspect, Stream: 1, TS: 5}))
-	ck := throughWire(t, server.foldFailover)
+	ck := throughWire(t, server.groups.fold)
 	if !joiner.groups.valid(ck) {
 		t.Fatal("the server's fold fails validation")
 	}
@@ -243,8 +242,9 @@ func TestStandbyBootstrapSuspectsForItself(t *testing.T) {
 func TestGroupQuorumIsOverEpochMembers(t *testing.T) {
 	t.Parallel()
 	n := &Node{g: 0, ng: 5, opts: cluster.PresetMassBFT(),
-		cfg:    &cluster.Config{TakeoverTimeout: time.Second},
-		groups: groupTable{rows: []groupSt{{}, {}, {}, {state: standby}, {state: standby}}},
+		cfg:     &cluster.Config{TakeoverTimeout: time.Second},
+		groups:  groupTable{rows: []groupSt{{}, {}, {}, {state: standby}, {state: standby}}},
+		streams: make([]streamSt, 5),
 	}
 	if q := n.groups.quorum(); q != 2 {
 		t.Fatalf("quorum %d, want 2", q)

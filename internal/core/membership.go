@@ -55,7 +55,7 @@ import (
 // did not ask for — the same power any single group's leader already has).
 func (n *Node) onReconfigure(m *cluster.ReconfigureMsg) {
 	g := m.Group
-	if g < 0 || g >= n.ng {
+	if !n.inLayout(g) {
 		return
 	}
 	switch m.Op {
@@ -175,7 +175,7 @@ func (n *Node) epochScan() {
 		// exactly what makes the pre-join standby skips (bounded by the
 		// certified commit watermark) and the joined group's first proposal
 		// at S+1 agree on every node.
-		s := n.commitHi[n.g]
+		s := n.streams[n.g].commitHi
 		if n.ownCommitHi > s {
 			s = n.ownCommitHi
 		}
@@ -274,8 +274,8 @@ func (n *Node) standbySkipBound() uint64 {
 		if n.groups.absent(g) {
 			continue
 		}
-		if n.commitHi[g] < bound {
-			bound = n.commitHi[g]
+		if n.streams[g].commitHi < bound {
+			bound = n.streams[g].commitHi
 		}
 	}
 	if bound == ^uint64(0) {
@@ -318,8 +318,5 @@ func (n *Node) EpochInfo() (uint64, []int) { return n.groups.epoch, n.groups.mem
 // dead, departed, or still standby. The gateway requester uses it to skip
 // hopeless resubmission targets.
 func (n *Node) GroupDown(g int) bool {
-	if g < 0 || g >= n.ng {
-		return true
-	}
-	return n.groups.absent(g)
+	return !n.inLayout(g) || n.groups.absent(g)
 }

@@ -75,25 +75,64 @@ type entrySt struct {
 	fetch, repair, restamp, rebroadcast retry
 }
 
-type streamIn struct {
+// streamSt is this node's view of one origin group's certified record
+// stream — one row per group, our own included (DESIGN.md §6, "The origin
+// row"). Our own row's cursor stays at zero: own batches arrive through
+// onMetaCommit, never onMetaBatch.
+type streamSt struct {
+	// next is the next-expected MetaBatch seq; buffered holds the batches that
+	// arrived past it.
 	next     uint64
 	buffered map[uint64]*cluster.MetaBatch
-	// lastArrival is when any valid batch of this stream last arrived, even
-	// out of order — liveness evidence that distinguishes a lossy-but-alive
-	// stream (repairable gap) from a dead group (takeover/skip territory).
-	lastArrival time.Duration
 	// gapSince is when the cursor first stalled at gapAt with later batches
 	// buffered behind it (zero: no gap); repair is the NACK's retry clock.
 	gapSince time.Duration
 	gapAt    uint64
 	repair   retry
+	// log retains recently seen certified batches for serving stream-gap
+	// NACKs, bounded to partitionHorizon seqs.
+	log map[uint64]*cluster.MetaBatch
+	// view is the view fence: the highest Record.View processed on the
+	// stream. Records from older meta views are dropped — a re-emitted record
+	// (restampTask after a view change) supersedes any surviving in-flight
+	// copy from the deposed leader, and every node drops the stale copy
+	// identically because streams are FIFO.
+	view uint64
+	// ts is the highest value stamped on this group's clock, by any origin:
+	// the value a takeover freezes.
+	ts uint64
+	// heard is the stream's last liveness evidence: a valid batch arrived,
+	// even out of order (a lossy-but-alive stream is repaired, not suspected),
+	// or its records were processed.
+	heard time.Duration
+	// bulkAt is when a chunk of this group's entries last arrived: the
+	// receiver-side progress evidence of the progress gate (retry.go).
+	bulkAt time.Duration
+	// commitHi is the highest own-entry commit seq processed from the stream
+	// — the watermark that bounds pre-join round skips (membership.go).
+	commitHi uint64
+	// executed is the highest executed seq of the group's entries: late
+	// records for entries at or below it are dropped, not resurrected.
+	executed uint64
+	// takeoverSent marks the stamps this node emitted on the absent group's
+	// behalf; entries are dropped at execution and the set at a join.
+	takeoverSent map[types.EntryID]bool
+}
+
+// newStream returns an origin row that has seen nothing.
+func newStream() streamSt {
+	return streamSt{
+		buffered:     make(map[uint64]*cluster.MetaBatch),
+		log:          make(map[uint64]*cluster.MetaBatch),
+		takeoverSent: make(map[types.EntryID]bool),
+	}
 }
 
 // setGap records that the cursor stalled at since (zero clears the gap) and
 // restarts the NACK clock.
-func (in *streamIn) setGap(since time.Duration) {
-	in.gapSince, in.gapAt = since, in.next
-	in.repair.reset()
+func (s *streamSt) setGap(since time.Duration) {
+	s.gapSince, s.gapAt = since, s.next
+	s.repair.reset()
 }
 
 // Node is one protocol participant (exported only through cluster.Node).
@@ -160,13 +199,6 @@ type Node struct {
 	// onLocalCommit delivers the payload (localEntry).
 	localDecoded map[uint64]decodedPayload
 
-	// streamView is the per-origin view fence: the highest Record.View
-	// processed on each group's record stream. Records from older meta views
-	// are dropped — a re-emitted record (restampTask after a view change)
-	// supersedes any surviving in-flight copy from the deposed leader, and
-	// every node drops the stale copy identically because streams are FIFO.
-	streamView map[int]uint64
-
 	// Tracing bookkeeping (populated only when ctx.Trace is enabled; purely
 	// passive). tracePhase holds the previous local-PBFT phase timestamp per
 	// own proposed entry; traceFirstChunk the first-chunk arrival time per
@@ -175,23 +207,17 @@ type Node struct {
 	tracePhase      map[types.EntryID]time.Duration
 	traceFirstChunk map[types.EntryID]time.Duration
 
-	// Incoming record streams, FIFO per origin group.
-	streams map[int]*streamIn
-	// batchLog retains recently seen certified MetaBatches per origin (own
-	// group included) for serving stream-gap NACKs; bounded per origin.
-	batchLog map[int]map[uint64]*cluster.MetaBatch
-	// lastStreamTS/lastStreamAt track each group clock stream for takeover.
-	lastStreamTS map[int]uint64
-	lastStreamAt map[int]time.Duration
+	// streams is this node's view of every origin's record stream, one row
+	// per group.
+	streams []streamSt
 	// lastOwnStream is the last time our own group's stream visibly extended
 	// (a certified own batch, or a queued keepalive awaiting certification);
 	// the keepalive scan emits a RecKeepalive when it idles too long.
 	lastOwnStream time.Duration
 	// lastForeignStamp is the last time a foreign group's stamp landed on one
-	// of our own entries; lastBulkFrom[g] the last time a chunk arrived from
-	// origin g: the path-progress evidence of the progress gate (retry.go).
+	// of our own entries: the sender-side progress evidence of the progress
+	// gate (retry.go).
 	lastForeignStamp time.Duration
-	lastBulkFrom     map[int]time.Duration
 
 	// groups is this node's certified view of every group, one row each,
 	// with the epoch and the standing votes (groups.go; DESIGN.md §6). Only
@@ -199,15 +225,13 @@ type Node struct {
 	groups groupTable
 
 	// Node-local membership state (membership.go, DESIGN.md §11).
-	// commitHi[g] is the highest own-entry commit seq processed from g's
-	// stream — the watermark that bounds pre-join round skips; ownCommitHi
-	// additionally counts commits queued but not yet certified (the
-	// coordinator's join-boundary source). wantJoin / wantLeave are
+	// ownCommitHi is the highest own-entry commit seq queued, certified or
+	// not (our own row's commitHi counts the certified ones): the
+	// coordinator's join-boundary source. wantJoin / wantLeave are
 	// node-local admin intents awaiting this group's certified vote.
 	// selfStandby keeps a cold standby node deaf; leaving halts this group's
 	// stream right after its farewell record; epochEmitted dedups the
 	// coordinator leader's RecEpoch emission per epoch number.
-	commitHi      []uint64
 	ownCommitHi   uint64
 	wantJoin      map[int]bool
 	wantLeave     map[int]bool
@@ -225,9 +249,6 @@ type Node struct {
 	// globally committed entries (Serial gate).
 	execCount   int
 	commitCount int
-	// executedSeq[g] is the highest executed seq per group (watermark for
-	// dropping late records).
-	executedSeq []uint64
 
 	// archive retains recently executed entries (certified bytes +
 	// certificate) so this node can still serve Lemma V.1 fetches and
@@ -279,12 +300,7 @@ func New(ctx *cluster.NodeCtx) *Node {
 		entries:      make(map[types.EntryID]*entrySt),
 		proposed:     make(map[uint64]*proposalSt),
 		localDecoded: make(map[uint64]decodedPayload),
-		streams:      make(map[int]*streamIn),
-		streamView:   make(map[int]uint64),
-		batchLog:     make(map[int]map[uint64]*cluster.MetaBatch),
-		lastStreamTS: make(map[int]uint64),
-		lastStreamAt: make(map[int]time.Duration),
-		lastBulkFrom: make(map[int]time.Duration),
+		streams:      make([]streamSt, len(ctx.Cfg.GroupSizes)),
 		blacklist:    make(map[keys.NodeID]bool),
 		chunkFrom:    make(map[types.EntryID]map[int]keys.NodeID),
 		archive:      make(map[types.EntryID]*archived),
@@ -293,7 +309,9 @@ func New(ctx *cluster.NodeCtx) *Node {
 		wantJoin:     make(map[int]bool),
 		wantLeave:    make(map[int]bool),
 	}
-	n.commitHi = make([]uint64, n.ng)
+	for g := range n.streams {
+		n.streams[g] = newStream()
+	}
 	// A standby group is provisioned (keys, endpoints, stream slot) but
 	// absent until a certified RecEpoch join.
 	n.groups = newGroupTable(n.g, n.ng, n.cfg.StandbyAtGenesis)
@@ -368,12 +386,17 @@ func (n *Node) sendPlan(r int) *plan.Plan {
 
 // recvPlan returns the plan for entries arriving from sender group s.
 func (n *Node) recvPlan(s int) *plan.Plan {
-	if s < 0 || s >= n.ng || s == n.g {
+	if !n.inLayout(s) || s == n.g {
 		return nil
 	}
 	p, _ := n.groupPlan(n.cfg.GroupSizes[s], n.cfg.GroupSizes[n.g])
 	return p
 }
+
+// inLayout reports whether g names a group of the layout. Every payload that
+// names a group or an entry is checked with it before any origin row is
+// indexed: the wire carries a group as a u32 no one else has checked.
+func (n *Node) inLayout(g int) bool { return g >= 0 && g < n.ng }
 
 // groupPlan returns the memoized plan from a group of n1 nodes to one of n2.
 func (n *Node) groupPlan(n1, n2 int) (*plan.Plan, error) {
@@ -615,6 +638,8 @@ func (n *Node) sendToReceivers(payload interface{ WireSize() int }) {
 // per-group progress for tests and diagnostics.
 func (n *Node) ExecutedSeqs() []uint64 {
 	out := make([]uint64, n.ng)
-	copy(out, n.executedSeq)
+	for g, row := range n.streams {
+		out[g] = row.executed
+	}
 	return out
 }

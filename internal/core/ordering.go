@@ -67,7 +67,7 @@ func (n *Node) onMetaCommit(slot uint64, payload []byte, cert *keys.Certificate)
 // are processed strictly in per-origin sequence order so each group-clock
 // stream stays FIFO — the property the orderer's inference relies on.
 func (n *Node) onMetaBatch(from keys.NodeID, b *cluster.MetaBatch) {
-	if b.FromGroup == n.g || b.FromGroup < 0 || b.FromGroup >= n.ng {
+	if b.FromGroup == n.g || !n.inLayout(b.FromGroup) {
 		return
 	}
 	// Validate the certificate binds these records to the origin group.
@@ -92,12 +92,8 @@ func (n *Node) onMetaBatch(from keys.NodeID, b *cluster.MetaBatch) {
 		n.ctx.Metrics.Inc("fenced-batches")
 		return
 	}
-	in := n.streams[b.FromGroup]
-	if in == nil {
-		in = &streamIn{buffered: make(map[uint64]*cluster.MetaBatch)}
-		n.streams[b.FromGroup] = in
-	}
-	in.lastArrival = n.now()
+	in := &n.streams[b.FromGroup]
+	in.heard = n.now()
 	if b.Seq < in.next {
 		return // duplicate
 	}
@@ -132,11 +128,7 @@ func (n *Node) onMetaBatch(from keys.NodeID, b *cluster.MetaBatch) {
 // logBatch retains a certified batch for serving stream-gap NACKs, bounded to
 // partitionHorizon sequence numbers per origin.
 func (n *Node) logBatch(b *cluster.MetaBatch) {
-	log := n.batchLog[b.FromGroup]
-	if log == nil {
-		log = make(map[uint64]*cluster.MetaBatch)
-		n.batchLog[b.FromGroup] = log
-	}
+	log := n.streams[b.FromGroup].log
 	if _, ok := log[b.Seq]; ok {
 		return
 	}
@@ -153,16 +145,22 @@ func (n *Node) logBatch(b *cluster.MetaBatch) {
 // conflicting value after it. Per-origin streams are FIFO and meta slots
 // commit in order, so a deposed leader's records that did certify (lower
 // slots) always process before the new leader raises the fence — the drop
-// only hits genuinely superseded duplicates, identically on every node.
+// only hits genuinely superseded duplicates, identically on every node. A
+// record naming a group outside the layout is dropped whole: every group a
+// record names indexes an origin row (a RecEpoch's Entry.GID is its op).
 func (n *Node) processRecords(origin int, recs []cluster.Record) {
-	n.lastStreamAt[origin] = n.now()
+	in := &n.streams[origin]
+	in.heard = n.now()
 	for _, rec := range recs {
-		if rec.View < n.streamView[origin] {
+		if !n.inLayout(rec.Stream) || rec.Kind != cluster.RecEpoch && !n.inLayout(rec.Entry.GID) {
+			continue
+		}
+		if rec.View < in.view {
 			n.ctx.Metrics.Inc("stale-view-records")
 			continue
 		}
-		if rec.View > n.streamView[origin] {
-			n.streamView[origin] = rec.View
+		if rec.View > in.view {
+			in.view = rec.View
 		}
 		// A standby group has no say in consensus until its certified join:
 		// the only record admitted from a standby origin is its own readiness
@@ -183,18 +181,15 @@ func (n *Node) processRecords(origin int, recs []cluster.Record) {
 			cluster.RecGroupJoin, cluster.RecGroupLeave, cluster.RecEpoch:
 			n.apply(n.groups.step(origin, rec))
 		case cluster.RecKeepalive:
-			// Liveness beacon: the batch arrival already refreshed
-			// lastStreamAt[origin] above; the record carries nothing else.
+			// Liveness beacon: the batch arrival already refreshed the
+			// row's heard above; the record carries nothing else.
 		}
 	}
 }
 
 func (n *Node) onTSRecord(origin int, rec cluster.Record) {
-	if rec.Stream < 0 || rec.Stream >= n.ng {
-		return
-	}
-	if rec.TS > n.lastStreamTS[rec.Stream] {
-		n.lastStreamTS[rec.Stream] = rec.TS
+	if row := &n.streams[rec.Stream]; rec.TS > row.ts {
+		row.ts = rec.TS
 	}
 	if n.orderer != nil {
 		if err := n.orderer.OnTimestamp(rec.Stream, rec.TS, rec.Entry); err != nil {
@@ -221,7 +216,7 @@ func (n *Node) onTSRecord(origin int, rec cluster.Record) {
 		n.lastForeignStamp = n.now()
 		n.noteAccept(origin, rec.Entry)
 	}
-	if rec.Entry.Seq <= n.executedSeqOf(rec.Entry.GID) {
+	if rec.Entry.Seq <= n.streams[rec.Entry.GID].executed {
 		return
 	}
 	st := n.st(rec.Entry)
@@ -270,7 +265,7 @@ func (n *Node) onAcceptRecord(origin int, rec cluster.Record) {
 // still lacks the content. In round mode this is the only fetch trigger —
 // there are no timestamp records.
 func (n *Node) noteHolder(origin int, id types.EntryID) {
-	if id.GID == n.g || origin == n.g || id.Seq <= n.executedSeqOf(id.GID) {
+	if id.GID == n.g || origin == n.g || id.Seq <= n.streams[id.GID].executed {
 		return
 	}
 	st := n.st(id)
@@ -285,7 +280,7 @@ func (n *Node) noteHolder(origin int, id types.EntryID) {
 // consensus: the clock advances (§V-A) and, in round/serial modes, the meta
 // leader announces the commit.
 func (n *Node) noteAccept(group int, id types.EntryID) {
-	if id.Seq <= n.executedSeqOf(id.GID) {
+	if id.Seq <= n.streams[id.GID].executed {
 		return
 	}
 	st := n.st(id)
@@ -324,10 +319,11 @@ func (n *Node) noteAccept(group int, id types.EntryID) {
 }
 
 // noteOwnCommit raises the highest own-entry commit seq this group has queued
-// for its stream. Together with commitHi (the certified watermark, tracked in
-// onCommitRecord) it bounds the join boundary a coordinator certifies into a
-// RecEpoch: no commit with a seq at or past the boundary can precede the
-// RecEpoch in the coordinator's FIFO stream (membership.go).
+// for its stream. Together with our own row's commitHi (the certified
+// watermark, tracked in onCommitRecord) it bounds the join boundary a
+// coordinator certifies into a RecEpoch: no commit with a seq at or past the
+// boundary can precede the RecEpoch in the coordinator's FIFO stream
+// (membership.go).
 func (n *Node) noteOwnCommit(seq uint64) {
 	if seq > n.ownCommitHi {
 		n.ownCommitHi = seq
@@ -358,14 +354,14 @@ func (n *Node) advanceClock() {
 // onCommitRecord finalizes an entry that achieved global consensus.
 func (n *Node) onCommitRecord(origin int, rec cluster.Record) {
 	n.noteHolder(origin, rec.Entry)
-	if rec.Entry.GID == origin && rec.Entry.Seq > n.commitHi[origin] {
+	if row := &n.streams[origin]; rec.Entry.GID == origin && rec.Entry.Seq > row.commitHi {
 		// Highest own-entry commit certified in origin's own stream: the
 		// FIFO watermark that bounds how far a standby group's rounds may be
 		// pre-skipped before its certified join (membership.go).
-		n.commitHi[origin] = rec.Entry.Seq
+		row.commitHi = rec.Entry.Seq
 		n.maybeSkipStandbyRounds()
 	}
-	if rec.Entry.Seq <= n.executedSeqOf(rec.Entry.GID) {
+	if rec.Entry.Seq <= n.streams[rec.Entry.GID].executed {
 		return
 	}
 	st := n.st(rec.Entry)
@@ -490,7 +486,9 @@ func (n *Node) execute(id types.EntryID) {
 	}
 	n.charge(time.Duration(len(st.entry.Txns)) * n.cfg.Cost.ExecPerTxn)
 	n.execCount++
-	n.setExecutedSeq(id)
+	if row := &n.streams[id.GID]; id.Seq > row.executed {
+		row.executed = id.Seq
+	}
 	// Seal the executed entry into the node's ledger copy (§VI: a single,
 	// globally ordered ledger), folding the outcome into the rolling digest.
 	// Empty heartbeat entries carry no payload and are not sealed.
@@ -526,8 +524,8 @@ func (n *Node) execute(id types.EntryID) {
 	delete(n.entries, id)
 	// An executed entry can never be re-stamped — drop it from the takeover
 	// bookkeeping too, or the per-group maps grow for the whole run.
-	for g := range n.groups.rows {
-		delete(n.groups.rows[g].takeoverSent, id)
+	for _, row := range n.streams {
+		delete(row.takeoverSent, id)
 	}
 	n.archiveEntry(id, st)
 }
@@ -579,22 +577,4 @@ func rollForward(roll [32]byte, d keys.Digest, committed, aborted uint32) [32]by
 	var out [32]byte
 	h.Sum(out[:0])
 	return out
-}
-
-// executedSeq watermarks let late records for already-executed entries be
-// dropped instead of resurrecting state.
-func (n *Node) executedSeqOf(g int) uint64 {
-	if n.executedSeq == nil {
-		return 0
-	}
-	return n.executedSeq[g]
-}
-
-func (n *Node) setExecutedSeq(id types.EntryID) {
-	if n.executedSeq == nil {
-		n.executedSeq = make([]uint64, n.ng)
-	}
-	if id.Seq > n.executedSeq[id.GID] {
-		n.executedSeq[id.GID] = id.Seq
-	}
 }

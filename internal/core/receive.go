@@ -54,26 +54,47 @@ func (n *Node) replicateOneWay(e *types.Entry, cert *keys.Certificate) {
 // onChunkBatch ingests a multiproof-authenticated chunk batch, either from
 // WAN (fromRemote) or re-broadcast over LAN by a group peer.
 func (n *Node) onChunkBatch(from keys.NodeID, b *replication.ChunkBatch, fromRemote bool) {
-	if n.collector == nil || n.blacklist[from] {
+	if n.collector == nil || n.blacklist[from] || !n.inLayout(b.Entry.GID) ||
+		b.Entry.Seq <= n.streams[b.Entry.GID].executed {
 		return
 	}
-	if b.Entry.Seq <= n.executedSeqOf(b.Entry.GID) {
-		return
-	}
+	_, known := n.entries[b.Entry]
+	_, traced := n.traceFirstChunk[b.Entry]
 	n.noteChunkArrival(b.Entry)
 	n.traceChunkArrival(b.Entry)
+	// The senders are recorded before AddBatch: a rebuild it triggers reads
+	// them to blacklist a fake bucket's suppliers.
 	senders := n.chunkFrom[b.Entry]
 	if senders == nil {
 		senders = make(map[int]keys.NodeID)
 		n.chunkFrom[b.Entry] = senders
 	}
+	var buf [16]int // room for a batch's new indexes without a heap allocation
+	added := buf[:0]
 	for _, idx := range b.Indices {
 		if _, seen := senders[idx]; !seen {
 			senders[idx] = from
+			added = append(added, idx)
 		}
 	}
 	fwd, err := n.collector.AddBatch(b)
 	if err != nil {
+		// A rejected batch leaves no per-entry state behind, or forged
+		// frames would grow it for good. A rejected batch can still have
+		// completed a rebuild (a new certificate on a full bucket): the
+		// content it delivered stays.
+		for _, idx := range added {
+			delete(senders, idx)
+		}
+		if len(senders) == 0 {
+			delete(n.chunkFrom, b.Entry)
+		}
+		if st := n.entries[b.Entry]; !known && st != nil && !st.content {
+			delete(n.entries, b.Entry)
+		}
+		if !traced {
+			delete(n.traceFirstChunk, b.Entry)
+		}
 		return
 	}
 	if fwd && fromRemote {
@@ -91,7 +112,7 @@ func (n *Node) onChunkBatch(from keys.NodeID, b *replication.ChunkBatch, fromRem
 // noteChunkArrival timestamps the first chunk of a foreign entry; the repair
 // timer measures bucket stall from this point.
 func (n *Node) noteChunkArrival(id types.EntryID) {
-	n.lastBulkFrom[id.GID] = n.now()
+	n.streams[id.GID].bulkAt = n.now()
 	if n.cfg.RepairTimeout <= 0 {
 		return
 	}
@@ -163,14 +184,14 @@ func (n *Node) onRebuildFailure(id types.EntryID, chunkIDs []int) {
 // missed because its local PBFT slot was lost (catch-up serves recent slots
 // only; older ones arrive here via the Lemma V.1 fetch path).
 func (n *Node) onEntryCopy(m *replication.EntryMsg, fromRemote bool) {
-	if m.Entry == nil {
+	if m.Entry == nil || !n.inLayout(m.Entry.ID.GID) {
 		return
 	}
-	if m.Entry.ID.Seq <= n.executedSeqOf(m.Entry.ID.GID) {
+	if m.Entry.ID.Seq <= n.streams[m.Entry.ID.GID].executed {
 		return // late copy of an executed entry must not resurrect state
 	}
-	st := n.st(m.Entry.ID)
-	if st.content {
+	// No entry state before the copy validates: onContent creates it.
+	if st := n.entries[m.Entry.ID]; st != nil && st.content {
 		return
 	}
 	n.charge(time.Duration(len(m.Entry.Txns)) * time.Microsecond / 2) // copy/validate overhead
@@ -279,7 +300,7 @@ func (n *Node) emitStamp(id types.EntryID) {
 // on every node, so a late, low self stamp record cannot lower anything.
 func (n *Node) stampTS() uint64 {
 	ts := n.clk
-	if hw := n.lastStreamTS[n.g]; hw > ts {
+	if hw := n.streams[n.g].ts; hw > ts {
 		ts = hw
 	}
 	if n.hiQueuedTS > ts {

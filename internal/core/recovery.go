@@ -38,7 +38,7 @@ var (
 		on:       func(n *Node) bool { return n.collector != nil },
 		clock:    func(st *entrySt) *retry { return &st.repair },
 		armed:    (*Node).chunkRepairArmed,
-		progress: (*Node).lastBulk,
+		progress: func(n *Node, g int) time.Duration { return n.streams[g].bulkAt },
 		fire:     (*Node).chunkRepairFire,
 	}
 
@@ -52,7 +52,7 @@ var (
 		counter:  "fetch-retries",
 		clock:    func(st *entrySt) *retry { return &st.fetch },
 		armed:    (*Node).fetchArmed,
-		progress: (*Node).lastBulk,
+		progress: func(n *Node, g int) time.Duration { return n.streams[g].bulkAt },
 		fire:     (*Node).fetchFire,
 	}
 
@@ -109,10 +109,6 @@ var (
 	}
 )
 
-// lastBulk is the receiver-side progress evidence: the last chunk arrival
-// from the origin group.
-func (n *Node) lastBulk(origin int) time.Duration { return n.lastBulkFrom[origin] }
-
 // proposalSt retains an own proposal until its seq certifies locally, so the
 // proposer can re-issue it if a view change destroys the slot.
 type proposalSt struct {
@@ -144,7 +140,7 @@ func (n *Node) proposalRepairScan(now time.Duration) {
 	for _, s := range seqs {
 		p := n.proposed[s]
 		id := types.EntryID{GID: n.g, Seq: s}
-		if s <= n.executedSeqOf(n.g) {
+		if s <= n.streams[n.g].executed {
 			delete(n.proposed, s)
 			continue
 		}
@@ -177,7 +173,7 @@ func (n *Node) onProposalFwd(from keys.NodeID, m *cluster.ProposalFwd) {
 		return
 	}
 	e, _, err := types.PeekEntry(m.Payload)
-	if err != nil || e.ID.GID != n.g || e.ID.Seq <= n.executedSeqOf(n.g) {
+	if err != nil || e.ID.GID != n.g || e.ID.Seq <= n.streams[n.g].executed {
 		return
 	}
 	if st := n.entries[e.ID]; st != nil && st.content {
@@ -231,7 +227,7 @@ func (n *Node) fetchFire(now time.Duration, id types.EntryID, st *entrySt, base 
 func (n *Node) fetchGroups(id types.EntryID, st *entrySt) []int {
 	seen := map[int]bool{st.stampedBy: true, id.GID: true}
 	for s := range st.stampedStreams {
-		if s >= 0 && s < n.ng {
+		if n.inLayout(s) {
 			seen[s] = true
 		}
 	}
@@ -331,10 +327,10 @@ func (n *Node) nack(req interface{ WireSize() int }, attempt int, groups []int) 
 // MetaBatch was lost (batches are broadcast once, unacknowledged). The
 // retransmission from the cursor is requested with exponential backoff.
 func (n *Node) streamRepairScan(now time.Duration) {
-	for g := 0; g < n.ng; g++ {
-		in := n.streams[g]
-		if in == nil {
-			continue
+	for g := range n.streams {
+		in := &n.streams[g]
+		if g == n.g {
+			continue // own batches arrive through onMetaCommit: no cursor, no gap
 		}
 		// Dead-cut catch-up: a certified death obliges every node to process
 		// the dead group's full prefix [0, cut), but a node behind the cut with
@@ -350,7 +346,7 @@ func (n *Node) streamRepairScan(now time.Duration) {
 		from := []int{g}
 		if n.groups.absent(g) {
 			// The origin is absent; rotate over live foreign groups instead —
-			// every group logged the batches it relayed (batchLog), and the
+			// every group logged the batches it relayed (the row's log), and the
 			// quorum cursors prove the prefix exists somewhere live.
 			var live []int
 			for h := 0; h < n.ng; h++ {
@@ -464,14 +460,9 @@ func (n *Node) rebroadcastFire(now time.Duration, _ types.EntryID, st *entrySt, 
 
 // takeoverStampTask is the table row for absent stream s: the successor's
 // meta leader assigns the group's frozen clock value to every live entry on
-// its behalf (§V-C), once per entry (takeoverSent).
+// its behalf (§V-C), once per entry (the origin row's takeoverSent).
 func (n *Node) takeoverStampTask(s int) *recoveryTask {
-	row := &n.groups.rows[s]
-	if row.takeoverSent == nil {
-		row.takeoverSent = make(map[types.EntryID]bool)
-	}
-	sent := row.takeoverSent
-	frozen := n.lastStreamTS[s]
+	sent, frozen := n.streams[s].takeoverSent, n.streams[s].ts
 	return &recoveryTask{
 		counter: "takeover-stamps",
 		armed: func(_ *Node, id types.EntryID, st *entrySt) (since, _, _ time.Duration) {
@@ -492,10 +483,10 @@ func (n *Node) takeoverStampTask(s int) *recoveryTask {
 // requested cursor, as a bounded burst. Batches carry their own group
 // certificates, so any holder — origin member or fellow receiver — can serve.
 func (n *Node) onStreamFetch(from keys.NodeID, m *cluster.StreamFetch) {
-	if m.Origin < 0 || m.Origin >= n.ng {
+	if !n.inLayout(m.Origin) {
 		return
 	}
-	log := n.batchLog[m.Origin]
+	log := n.streams[m.Origin].log
 	if len(log) == 0 {
 		return
 	}

@@ -57,18 +57,12 @@ func (n *Node) foldCheckpoint(have uint64) *cluster.Checkpoint {
 		StreamTS:    make([]uint64, n.ng),
 		StreamNext:  make([]uint64, n.ng),
 		StreamView:  make([]uint64, n.ng),
+		CommitHi:    make([]uint64, n.ng),
+		ExecutedSeq: make([]uint64, n.ng),
 	}
-	if n.executedSeq != nil {
-		ck.ExecutedSeq = append([]uint64(nil), n.executedSeq...)
-	}
-	for g := 0; g < n.ng; g++ {
-		ck.StreamTS[g] = n.lastStreamTS[g]
-		ck.StreamView[g] = n.streamView[g]
-		in := n.streams[g]
-		if in == nil {
-			continue
-		}
-		ck.StreamNext[g] = in.next
+	for g, in := range n.streams {
+		ck.StreamTS[g], ck.StreamNext[g], ck.StreamView[g] = in.ts, in.next, in.view
+		ck.CommitHi[g], ck.ExecutedSeq[g] = in.commitHi, in.executed
 		// Out-of-order batches were broadcast exactly once; fold them so the
 		// restoring node does not lose them forever.
 		seqs := make([]uint64, 0, len(in.buffered))
@@ -105,7 +99,7 @@ func (n *Node) foldCheckpoint(have uint64) *cluster.Checkpoint {
 		}
 		ck.Pending = append(ck.Pending, pe)
 	}
-	n.foldFailover(ck)
+	n.groups.fold(ck)
 	return ck
 }
 
@@ -189,7 +183,7 @@ func (n *Node) onRejoinReq(from keys.NodeID, m *cluster.RejoinReq) {
 	// Cross-group requests are served only for a standby group's bootstrap;
 	// an active group's members always recover from their own LAN peers.
 	if from.Group != n.g &&
-		(from.Group < 0 || from.Group >= n.ng || n.groups.rows[from.Group].state != standby) {
+		(!n.inLayout(from.Group) || n.groups.rows[from.Group].state != standby) {
 		return
 	}
 	resp := &cluster.RejoinResp{C: n.foldCheckpoint(m.Have)}
@@ -197,11 +191,12 @@ func (n *Node) onRejoinReq(from keys.NodeID, m *cluster.RejoinReq) {
 	// it is a copy, never a view.
 	resp.C.State = n.ctx.Engine.DB().Clone()
 	if from.Group != n.g {
-		// Our own stream has no streamIn, so the fold leaves StreamNext for
-		// this group at zero — but a bootstrapping node has never processed
-		// any of our batches and must resume our stream exactly where the
-		// folded state left it: the meta delivery cursor (MetaBatch.Seq is
-		// the meta slot). Same-group requesters ignore this slot.
+		// Our own row's cursor stays at zero, and so does the fold's
+		// StreamNext for this group — but a bootstrapping node has never
+		// processed any of our batches and must resume our stream exactly
+		// where the folded state left it: the meta delivery cursor
+		// (MetaBatch.Seq is the meta slot). Same-group requesters ignore this
+		// slot.
 		resp.C.StreamNext[n.g] = resp.C.MetaSlot
 	}
 	n.ctx.Net.Send(from, resp, resp.WireSize())
@@ -266,8 +261,6 @@ func (n *Node) onRejoinResp(from keys.NodeID, resp *cluster.RejoinResp) {
 	n.stateRoll = ck.StateRoll
 	n.execCount = ck.ExecCount
 	n.commitCount = ck.CommitCount
-	n.executedSeq = make([]uint64, n.ng)
-	copy(n.executedSeq, ck.ExecutedSeq)
 
 	// Proposer state. A bootstrapping standby keeps its own zeroed group
 	// clock and proposal cursor: the checkpoint's are the serving group's,
@@ -287,33 +280,25 @@ func (n *Node) onRejoinResp(from keys.NodeID, resp *cluster.RejoinResp) {
 	n.chunkFrom = make(map[types.EntryID]map[int]keys.NodeID)
 	n.newCollector()
 
-	// Stream cursors; arrival times reset to now so takeover detection starts
-	// a fresh silence window.
+	// Origin rows, from the checkpoint or empty; heard is now, so the rejoined
+	// node re-observes a fresh silence window before it suspects anyone
+	// itself. Our own cursor stays at zero; bulkAt is this node's own
+	// observation and survives.
 	now := n.now()
-	n.streams = make(map[int]*streamIn)
-	n.batchLog = make(map[int]map[uint64]*cluster.MetaBatch)
-	n.lastStreamTS = make(map[int]uint64)
-	n.lastStreamAt = make(map[int]time.Duration)
-	n.streamView = make(map[int]uint64)
 	if n.tracePhase != nil {
 		n.tracePhase = make(map[types.EntryID]time.Duration)
 		n.traceFirstChunk = make(map[types.EntryID]time.Duration)
 	}
-	for g := 0; g < n.ng; g++ {
-		if g < len(ck.StreamTS) {
-			n.lastStreamTS[g] = ck.StreamTS[g]
+	for g := range n.streams {
+		row := newStream()
+		row.ts, row.view = at(ck.StreamTS, g), at(ck.StreamView, g)
+		row.commitHi, row.executed = at(ck.CommitHi, g), at(ck.ExecutedSeq, g)
+		if g != n.g {
+			row.next = at(ck.StreamNext, g)
 		}
-		if g < len(ck.StreamView) {
-			n.streamView[g] = ck.StreamView[g]
-		}
-		n.lastStreamAt[g] = now
-		if g != n.g && g < len(ck.StreamNext) {
-			n.streams[g] = &streamIn{next: ck.StreamNext[g], buffered: make(map[uint64]*cluster.MetaBatch)}
-		}
+		row.heard, row.bulkAt = now, n.streams[g].bulkAt
+		n.streams[g] = row
 	}
-	// Group table, as fresh rows: no takeover bookkeeping survives.
-	// lastStreamAt was just reset to now, so the rejoined node re-observes a
-	// fresh silence window before it suspects anyone itself.
 	n.restoreFailover(ck)
 
 	// Ordering machinery.
@@ -330,7 +315,7 @@ func (n *Node) onRejoinResp(from keys.NodeID, resp *cluster.RejoinResp) {
 	// Pending entries. Entries without content get a backdated stamp time so
 	// the Lemma V.1 fetch path kicks in on the next takeover tick.
 	for i, pe := range ck.Pending {
-		if pe.ID.Seq <= n.executedSeqOf(pe.ID.GID) {
+		if pe.ID.Seq <= n.streams[pe.ID.GID].executed {
 			continue
 		}
 		st := n.st(pe.ID)
@@ -444,13 +429,17 @@ func (n *Node) verifySuffix(ck *cluster.Checkpoint) bool {
 	return h == ck.Height && roll == ck.StateRoll
 }
 
-// validatePending checks every pending entry of an offered checkpoint that
-// carries content against its certificate (replication.ValidateEntryMsg) and
-// its pending ID, returning the certified encodings parallel to ck.Pending
-// (nil where there is no content).
+// validatePending checks that every pending entry of an offered checkpoint
+// names groups of the layout and, if it carries content, checks the content
+// against its certificate (replication.ValidateEntryMsg) and its pending ID,
+// returning the certified encodings parallel to ck.Pending (nil where there
+// is no content).
 func (n *Node) validatePending(ck *cluster.Checkpoint) ([][]byte, bool) {
 	encs := make([][]byte, len(ck.Pending))
 	for i, pe := range ck.Pending {
+		if !n.inLayout(pe.ID.GID) || !n.inLayout(pe.StampedBy) {
+			return nil, false
+		}
 		if pe.Entry == nil {
 			continue
 		}
@@ -461,6 +450,15 @@ func (n *Node) validatePending(ck *cluster.Checkpoint) ([][]byte, bool) {
 		encs[i] = enc
 	}
 	return encs, true
+}
+
+// at returns s[g], or zero past the end of s: an offered checkpoint's
+// per-group slices are as long as its sender made them.
+func at(s []uint64, g int) uint64 {
+	if g < len(s) {
+		return s[g]
+	}
+	return 0
 }
 
 // sortedKeys returns a map's keys in ascending order: checkpoint folds,

@@ -60,9 +60,9 @@ func TestRetentionIsBounded(t *testing.T) {
 		if got, max := len(n.archive), n.ng*partitionHorizon; got > max {
 			t.Errorf("%v: archive holds %d entries, bound %d", id, got, max)
 		}
-		for g, log := range n.batchLog {
-			if len(log) > partitionHorizon {
-				t.Errorf("%v: batchLog[%d] holds %d batches, bound %d", id, g, len(log), partitionHorizon)
+		for g, row := range n.streams {
+			if len(row.log) > partitionHorizon {
+				t.Errorf("%v: the log of stream %d holds %d batches, bound %d", id, g, len(row.log), partitionHorizon)
 			}
 		}
 		if l, mt := n.local.Retained(), n.meta.Retained(); l > 512 || mt > 512 {
@@ -80,10 +80,10 @@ func TestRetentionIsBounded(t *testing.T) {
 	n := c.Nodes[keys.NodeID{}].(*Node)
 
 	// An executed entry of another group, well inside the archive window.
-	if n.executedSeqOf(1) <= partitionHorizon {
-		t.Fatalf("group 1 executed %d entries here, not past partitionHorizon %d", n.executedSeqOf(1), partitionHorizon)
+	if n.streams[1].executed <= partitionHorizon {
+		t.Fatalf("group 1 executed %d entries here, not past partitionHorizon %d", n.streams[1].executed, partitionHorizon)
 	}
-	id := types.EntryID{GID: 1, Seq: n.executedSeqOf(1) - 100}
+	id := types.EntryID{GID: 1, Seq: n.streams[1].executed - 100}
 	if n.entries[id] != nil || n.archive[id] == nil {
 		t.Fatalf("%v is not an archived executed entry", id)
 	}
@@ -133,7 +133,7 @@ func TestMemosRemoveEveryDuplicate(t *testing.T) {
 	// hi returns the highest seq of group g that node n holds or executed;
 	// seqs certify in order here, so it counts the entries of g it received.
 	hi := func(n *Node, g int) uint64 {
-		h := n.executedSeqOf(g)
+		h := n.streams[g].executed
 		for id, st := range n.entries {
 			if id.GID == g && st.content && id.Seq > h {
 				h = id.Seq

@@ -170,7 +170,7 @@ type recoveryTask struct {
 // to every task.
 func (n *Node) live(id types.EntryID) *entrySt {
 	st := n.entries[id]
-	if st == nil || st.executed || id.Seq <= n.executedSeqOf(id.GID) {
+	if st == nil || st.executed || id.Seq <= n.streams[id.GID].executed {
 		return nil
 	}
 	return st

@@ -60,14 +60,18 @@ func TestRetryClock(t *testing.T) {
 // bareNode is a Node with just enough state for the rotation and retention
 // helpers: no simulator, no PBFT instances.
 func bareNode(sizes []int, id keys.NodeID) *Node {
-	return &Node{
-		cfg:      &cluster.Config{GroupSizes: sizes},
-		id:       id,
-		g:        id.Group,
-		ng:       len(sizes),
-		batchLog: make(map[int]map[uint64]*cluster.MetaBatch),
-		archive:  make(map[types.EntryID]*archived),
+	n := &Node{
+		cfg:     &cluster.Config{GroupSizes: sizes},
+		id:      id,
+		g:       id.Group,
+		ng:      len(sizes),
+		streams: make([]streamSt, len(sizes)),
+		archive: make(map[types.EntryID]*archived),
 	}
+	for g := range n.streams {
+		n.streams[g] = newStream()
+	}
+	return n
 }
 
 func TestLANRotation(t *testing.T) {
@@ -190,18 +194,18 @@ func TestPartitionHorizonBoundsArchiveAndBatchLog(t *testing.T) {
 		n.logBatch(&cluster.MetaBatch{FromGroup: 1, Seq: s})
 		n.archiveEntry(types.EntryID{GID: 1, Seq: s + 1}, &entrySt{})
 	}
-	if got := len(n.batchLog[1]); got != partitionHorizon {
-		t.Errorf("batchLog holds %d batches, want partitionHorizon = %d", got, partitionHorizon)
+	if got := len(n.streams[1].log); got != partitionHorizon {
+		t.Errorf("the log holds %d batches, want partitionHorizon = %d", got, partitionHorizon)
 	}
 	if got := len(n.archive); got != partitionHorizon {
 		t.Errorf("archive holds %d entries, want partitionHorizon = %d", got, partitionHorizon)
 	}
 	// The newest window survives, the oldest is evicted, in both.
-	if _, ok := n.batchLog[1][extra-1]; ok {
-		t.Error("batchLog kept a batch older than the horizon")
+	if _, ok := n.streams[1].log[extra-1]; ok {
+		t.Error("the log kept a batch older than the horizon")
 	}
-	if _, ok := n.batchLog[1][partitionHorizon+extra-1]; !ok {
-		t.Error("batchLog lost its newest batch")
+	if _, ok := n.streams[1].log[partitionHorizon+extra-1]; !ok {
+		t.Error("the log lost its newest batch")
 	}
 	if n.archive[types.EntryID{GID: 1, Seq: extra}] != nil {
 		t.Error("archive kept an entry older than the horizon")

@@ -7,7 +7,7 @@
 #   tier1            gofmt, vet, build, tests, bench-module vet + short tests,
 #                    demo -trace smoke, tampering example (CI: build-and-test)
 #   race             short-mode race shard over the packages with the hottest
-#                    concurrency surface, purego shard, the four fuzz smokes
+#                    concurrency surface, purego shard, the five fuzz smokes
 #                    (CI: race-short)
 #   groups           just the group-state suite (DESIGN.md §6's table:
 #                    failover and membership) — the full crash, partition,
@@ -110,6 +110,11 @@ race() {
   # accepts re-encodes to the same bytes.
   echo "== fuzz smoke (wire envelope decoder, 15 s)"
   go test -run '^$' -fuzz FuzzEnvelopeRoundTrip -fuzztime 15s ./internal/cluster/
+
+  # What the decoder accepts, delivered to a fresh node: no frame may panic it,
+  # whatever group or entry it names.
+  echo "== fuzz smoke (node intake of decoded envelopes, 15 s)"
+  go test -run '^$' -fuzz FuzzNodeIntake -fuzztime 15s ./internal/core/
 }
 
 size() {
