@@ -13,7 +13,9 @@ import (
 
 // Snapshot is the read view a custom transaction executes against.
 type Snapshot interface {
-	// Get returns the value stored under key, if any.
+	// Get returns the value stored under key, if any. The bytes are
+	// read-only: every store of the process holds the same slice, so a write
+	// into them would change the state of other nodes too.
 	Get(key string) ([]byte, bool)
 }
 

@@ -28,16 +28,39 @@
 // their slots from a small table of the footprint's own, filed under the
 // hash already computed, and enter the store only if a write to them
 // commits. Nothing is allocated per transaction except one copy of every
-// committed value.
+// committed value — one per process, not one per store: the engines of a
+// process share a ValueMemo, and an engine that commits bytes another engine
+// stored moments before stores the same slice.
 package aria
 
 import (
+	"bytes"
 	"fmt"
+	"hash/maphash"
 	"math"
 
+	"massbft/internal/fifo"
 	"massbft/internal/statedb"
 	"massbft/internal/types"
 )
+
+// ValueMemo holds the newest committed values by content, for the engines of
+// one process to store one copy of each: in a simulated cluster every node
+// commits the same values within a pipeline of each other. A value found
+// under its hash is handed out only if its bytes are equal, so a collision
+// costs a copy, never a wrong value. Like the stores' values, what it holds
+// is read-only. Not safe for concurrent use: the engines sharing one take
+// turns on one goroutine.
+type ValueMemo = fifo.Memo[uint64, []byte]
+
+// NewValueMemo returns a process's shared value memo holding up to max values.
+func NewValueMemo(max int) *ValueMemo { return fifo.NewMemo[uint64, []byte](max) }
+
+// valueSeed seeds the value hash; like the key table's, it is drawn per
+// process and never observable.
+var valueSeed = maphash.MakeSeed()
+
+func hashValue(v []byte) uint64 { return maphash.Bytes(valueSeed, v) }
 
 // Executor runs one transaction's logic against the batch-start snapshot
 // through fp — Read returns a key's value and records the read, Write buffers
@@ -110,11 +133,13 @@ type txnEnd struct {
 
 // Get returns key's value in the batch-start snapshot without recording a
 // read: for executors that declare their read set themselves (the public
-// CustomWorkload adapter). Shipped workloads use Read.
+// CustomWorkload adapter). Shipped workloads use Read. The value is
+// read-only: it is shared with every store of the process.
 func (fp *Footprint) Get(key string) ([]byte, bool) { return fp.snap.Get(key) }
 
 // Read returns key's value in the batch-start snapshot and adds key to the
-// transaction's read set. key is the caller's to reuse once Read returns.
+// transaction's read set. key is the caller's to reuse once Read returns; the
+// value is read-only, as Get's is.
 func (fp *Footprint) Read(key []byte) ([]byte, bool) {
 	s, val, ok := fp.touch(key)
 	fp.ops = append(fp.ops, op{slot: s})
@@ -168,6 +193,11 @@ func (fp *Footprint) reset() {
 // Engine executes batches against a Store. ExecuteBatch reuses the engine's
 // Footprint, so one engine runs one batch at a time.
 type Engine struct {
+	// Values, when set, is the process's value memo: a committed value equal
+	// to one it holds is stored as that slice. Without one, every committed
+	// value is a copy of its own.
+	Values *ValueMemo
+
 	db   *statedb.Store
 	exec Executor
 	fp   Footprint
@@ -221,12 +251,9 @@ func (e *Engine) ExecuteBatch(txns []types.Transaction) (Result, error) {
 			if !o.write {
 				continue
 			}
-			// Each stored value is its own allocation: a 100-byte value must
-			// not keep a whole batch arena (or an entry buffer) reachable.
 			var v []byte
 			if !o.del {
-				v = make([]byte, o.n)
-				copy(v, fp.vals[o.off:])
+				v = e.store(fp.vals[o.off : o.off+o.n])
 			}
 			fp.applyIDs = append(fp.applyIDs, fp.slots[o.slot].id)
 			fp.applyVals = append(fp.applyVals, v)
@@ -238,6 +265,23 @@ func (e *Engine) ExecuteBatch(txns []types.Transaction) (Result, error) {
 		res.Aborted = append([]int(nil), fp.aborted...)
 	}
 	return res, nil
+}
+
+// store returns the slice a committed value b is stored as. Each is an
+// allocation of its own, never a slice of the batch arena (or an entry
+// buffer), which a 100-byte value must not keep reachable; with a memo it
+// is the process's one copy of those bytes.
+func (e *Engine) store(b []byte) []byte {
+	if e.Values == nil {
+		return append(make([]byte, 0, len(b)), b...)
+	}
+	h := hashValue(b)
+	if v, ok := e.Values.Get(h); ok && bytes.Equal(v, b) {
+		return v
+	}
+	v := append(make([]byte, 0, len(b)), b...)
+	e.Values.Put(h, v)
+	return v
 }
 
 // run executes txns in order against fp.snap, leaving every surviving

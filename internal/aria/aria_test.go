@@ -510,6 +510,75 @@ func TestRestoreMidRun(t *testing.T) {
 	}
 }
 
+// TestEnginesShareOneCopyOfEachValue is what the nodes of a simulated cluster
+// do: two engines on one value memo execute the same batch over equal states,
+// and the second stores the first's slices — no value of its own, however
+// often it runs the batch — and reaches the same state. A memo entry whose
+// bytes differ from the value looked up is never handed out.
+func TestEnginesShareOneCopyOfEachValue(t *testing.T) {
+	w := workload.NewYCSB('a', 300, 3)
+	batch := make([]types.Transaction, 200)
+	for i := range batch {
+		batch[i] = w.Next(uint64(i))
+	}
+	memo := aria.NewValueMemo(1 << 12)
+	first, second := aria.NewEngine(statedb.New(), w.Executor()), aria.NewEngine(statedb.New(), w.Executor())
+	first.Values, second.Values = memo, memo
+	want, err := first.ExecuteBatch(batch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := second.ExecuteBatch(batch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) || len(want.Aborted) == 0 {
+		t.Fatalf("second engine %+v, first %+v (the batch must abort some)", got, want)
+	}
+	if first.DB().Hash() != second.DB().Hash() {
+		t.Fatal("the two stores differ")
+	}
+	shared := 0
+	for _, tx := range batch {
+		if tx.Payload[0] != 0x02 {
+			continue
+		}
+		key := fmt.Sprintf("y:%d:%d", binary.BigEndian.Uint64(tx.Payload[1:]), tx.Payload[9])
+		v1, ok1 := first.DB().Get(key)
+		v2, ok2 := second.DB().Get(key)
+		if !ok1 || !ok2 || &v1[0] != &v2[0] {
+			t.Fatalf("%s: the second store does not hold the first store's slice", key)
+		}
+		shared++
+	}
+	if shared == 0 || memo.Len() == 0 {
+		t.Fatalf("%d values shared, memo holds %d", shared, memo.Len())
+	}
+	// Every value the batch commits is in the memo: the only allocation left
+	// is the result's list of aborted transactions.
+	if n := testing.AllocsPerRun(10, func() { second.ExecuteBatch(batch) }); n != 1 {
+		t.Errorf("%v allocations per batch on a shared memo, want exactly 1 (Result.Aborted)", n)
+	}
+
+	// Other bytes planted under the value's hash: the engine stores a copy of
+	// its own, and the memo keeps that in the planted entry's place.
+	planted := []byte("other")
+	memo = aria.NewValueMemo(4)
+	memo.Put(aria.HashValue([]byte("value")), planted)
+	e := aria.NewEngine(statedb.New(), adapt(kvExec))
+	e.Values = memo
+	if _, err := e.ExecuteBatch([]types.Transaction{tx('w', "k", "value")}); err != nil {
+		t.Fatal(err)
+	}
+	v, _ := e.DB().Get("k")
+	if string(v) != "value" || &v[0] == &planted[0] || string(planted) != "other" {
+		t.Fatalf("stored %q from a memo entry holding other bytes (now %q)", v, planted)
+	}
+	if m, _ := memo.Get(aria.HashValue(v)); memo.Len() != 1 || &m[0] != &v[0] {
+		t.Fatal("the memo did not replace the planted entry with the stored copy")
+	}
+}
+
 // TestReadersWhileExecuting is what ProcNode.Status does over TCP: other
 // goroutines call Get, Hash and a snapshot's Get while the node's own
 // goroutine executes batches — which writes the per-batch marks into the

@@ -41,3 +41,6 @@ func (fp *Footprint) key(s uint32) string {
 		return string(fp.snap.Key(id))
 	}
 }
+
+// HashValue is the hash a ValueMemo files v under.
+func HashValue(v []byte) uint64 { return hashValue(v) }

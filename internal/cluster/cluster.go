@@ -61,7 +61,8 @@ type NodeCtx struct {
 	// Gen is the group-shared transaction generator (only the current group
 	// leader pulls from it).
 	Gen workload.Workload
-	// Engine executes ordered entries against this node's own state copy.
+	// Engine executes ordered entries against this node's own state copy,
+	// whose values it shares with the process's other stores (Engine.Values).
 	Engine *aria.Engine
 	// Metrics is the shared collector; only the observer node records
 	// throughput/latency into it (all correct nodes execute identically).
@@ -86,14 +87,17 @@ type NodeCtx struct {
 	ReplyOut func(*ClientReply)
 }
 
-// NewMemos returns the erasure memos for the nodes of one process. Each holds
-// one value per entry the leaders may have unexecuted — PipelineDepth per
-// group — so the bound grows with the cluster: a fixed one sized for three
-// groups decoded each bucket seven times over at fifty (DESIGN §8). The
-// memory is made at the first use.
-func NewMemos(cfg *Config) (*replication.EncodeMemo, *replication.RebuildMemo) {
+// NewMemos returns the memos the nodes of one process share: the erasure
+// memos, each holding one value per entry the leaders may have unexecuted —
+// PipelineDepth per group — and the value memo, one value per transaction of
+// those entries. So the bounds grow with the cluster: a fixed one sized for
+// three groups decoded each bucket seven times over at fifty (DESIGN §8).
+// Each grows to its bound as it fills, so a process that writes little pays
+// little.
+func NewMemos(cfg *Config) (*replication.EncodeMemo, *replication.RebuildMemo, *aria.ValueMemo) {
 	inFlight := len(cfg.GroupSizes) * cfg.PipelineDepth
-	return replication.NewEncodeMemo(inFlight), replication.NewRebuildMemo(inFlight)
+	return replication.NewEncodeMemo(inFlight), replication.NewRebuildMemo(inFlight),
+		aria.NewValueMemo(inFlight * cfg.MaxBatch)
 }
 
 // Identities is the key material every process of a deployment — a simulated
@@ -212,7 +216,7 @@ func New(cfg Config, factory Factory) (*Cluster, error) {
 		Metrics:    col,
 		Faults:     &FaultPlan{ByzantineNodes: make(map[keys.NodeID]bool)},
 	}
-	encodeMemo, rebuildMemo := NewMemos(&cfg)
+	encodeMemo, rebuildMemo, values := NewMemos(&cfg)
 	if cfg.TraceEnabled {
 		c.Trace = trace.NewRecorder()
 		nw.SetSendProbe(c.sendProbe)
@@ -228,6 +232,8 @@ func New(cfg Config, factory Factory) (*Cluster, error) {
 			id := keys.NodeID{Group: g, Index: j}
 			db := statedb.New()
 			gen.Load(db)
+			engine := aria.NewEngine(db, exec)
+			engine.Values = values
 			ctx := &NodeCtx{
 				ID:          id,
 				KP:          ids.Pairs[g][j],
@@ -235,7 +241,7 @@ func New(cfg Config, factory Factory) (*Cluster, error) {
 				Reg:         ids.Reg,
 				Net:         c.Transport.Endpoint(id),
 				Gen:         gen,
-				Engine:      aria.NewEngine(db, exec),
+				Engine:      engine,
 				Metrics:     col,
 				IsObserver:  id == cfg.Observer,
 				EncodeMemo:  encodeMemo,

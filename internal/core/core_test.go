@@ -4,6 +4,8 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
+	"fmt"
+	"sync"
 	"testing"
 	"time"
 
@@ -175,6 +177,51 @@ func TestMassBFTAllNodesExecuteSameOrder(t *testing.T) {
 	hb := b.StateHash(keys.NodeID{Group: 0, Index: 0})
 	if ha != hb {
 		t.Fatal("same seed produced different final states")
+	}
+}
+
+// TestParallelClustersShareNoMemo: the root package runs simulated clusters
+// in parallel, so what the nodes of one share — the erasure memos and the
+// value memo — is made per cluster, never per process. Two clusters run on
+// two goroutines end where a serial run after them ends; scripts/check.sh
+// race runs this under -race, where a memo shared across clusters is a data
+// race. The parallel pair runs first: after a serial run, a shared memo
+// would already hold every value and the pair would only read it.
+func TestParallelClustersShareNoMemo(t *testing.T) {
+	t.Parallel()
+	cfg := smallCfg()
+	cfg.RunFor = time.Second
+	run := func() (string, error) {
+		c, err := cluster.New(cfg, NewNode)
+		if err != nil {
+			return "", err
+		}
+		c.Run()
+		c.Drain(2 * time.Second)
+		if c.Metrics.Committed() == 0 {
+			return "", fmt.Errorf("no transactions committed: %s", c.Metrics.Summary())
+		}
+		return census(c), nil
+	}
+	var got [2]string
+	var errs [2]error
+	var wg sync.WaitGroup
+	for i := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[i], errs[i] = run()
+		}()
+	}
+	wg.Wait()
+	want, err := run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range got {
+		if errs[i] != nil || got[i] != want {
+			t.Errorf("cluster %d of two run in parallel: census %s (%v), serial run %s", i, got[i], errs[i], want)
+		}
 	}
 }
 

@@ -79,6 +79,18 @@ func TestRetentionIsBounded(t *testing.T) {
 	}
 	n := c.Nodes[keys.NodeID{}].(*Node)
 
+	// One value memo for the cluster, within its bound: a value per
+	// transaction of every entry the leaders may have unexecuted.
+	values := n.ctx.Engine.Values
+	for id, nd := range c.Nodes {
+		if nd.(*Node).ctx.Engine.Values != values {
+			t.Errorf("%v: the engine does not share the cluster's value memo", id)
+		}
+	}
+	if got, max := values.Len(), len(c.Cfg.GroupSizes)*c.Cfg.PipelineDepth*c.Cfg.MaxBatch; got == 0 || got > max {
+		t.Errorf("the value memo holds %d values, bound %d", got, max)
+	}
+
 	// An executed entry of another group, well inside the archive window.
 	if n.streams[1].executed <= partitionHorizon {
 		t.Fatalf("group 1 executed %d entries here, not past partitionHorizon %d", n.streams[1].executed, partitionHorizon)

@@ -15,7 +15,10 @@ import (
 // in allocations and in counted work, never in time: on a warm store an
 // executed transaction hashes and probes once per key access, the commit
 // phase looks nothing up, and the only allocations are the one copy of each
-// committed value and the batch's Result.Aborted.
+// committed value the process's value memo does not hold yet and the batch's
+// Result.Aborted. A run on a fresh memo copies every distinct value it
+// commits, and the memo grows to hold them; a second node's run on the memo
+// the first one filled copies none.
 func TestExecuteCostCeilings(t *testing.T) {
 	run := func(t *testing.T, e *aria.Engine, batch []types.Transaction) aria.Result {
 		t.Helper()
@@ -37,6 +40,7 @@ func TestExecuteCostCeilings(t *testing.T) {
 		}
 		db := statedb.New()
 		e := aria.NewEngine(db, w.Executor())
+		e.Values = aria.NewValueMemo(1 << 15) // holds every value of the pool
 		for _, b := range pool {
 			run(t, e, b)
 		}
@@ -78,10 +82,27 @@ func TestExecuteCostCeilings(t *testing.T) {
 			t.Errorf("reading never-stored keys grew the store: Len %d → %d, records %d → %d", size, db.Len(), records, db.Records())
 		}
 
-		// Zero per read and per aborted write; one per committed write; one
-		// per batch, the result's list of aborted transactions.
-		if got := testing.AllocsPerRun(20, func() { run(t, e, batch) }); got != float64(committedWrites+1) {
-			t.Errorf("%v allocations per batch, want exactly the %d committed values and Result.Aborted", got, committedWrites)
+		// Zero per read and per aborted write; one per committed write, whose
+		// random 100 bytes a fresh memo does not hold, and the memo's growth
+		// to hold them; one per batch, the result's list of aborted
+		// transactions.
+		shared := e.Values
+		growth := memoGrowth(committedWrites)
+		if got := allocsOnFreshMemos(e, 20, func() { run(t, e, batch) }); got != float64(committedWrites+1)+growth {
+			t.Errorf("%v allocations per batch, want exactly the %d committed values, the memo's %v to hold them and Result.Aborted",
+				got, committedWrites, growth)
+		}
+
+		// A second node executes the same batches on the memo the first one
+		// filled: the memo holds every value it commits, so the result's list
+		// is all it allocates.
+		second := aria.NewEngine(statedb.New(), w.Executor())
+		second.Values = shared
+		for _, b := range pool {
+			run(t, second, b)
+		}
+		if got := testing.AllocsPerRun(20, func() { run(t, second, batch) }); got != 1 {
+			t.Errorf("%v allocations per batch on a shared memo, want exactly 1: Result.Aborted", got)
 		}
 	})
 
@@ -100,11 +121,12 @@ func TestExecuteCostCeilings(t *testing.T) {
 		}
 	})
 
-	// smallbank and tpcc: the batch allocates its committed values, its
-	// Result.Aborted and nothing else — exactly, on keys the store holds; NewOrder stores a new
-	// order key per run, so there the table's own growth is allowed for. The
-	// out-of-line batch uses ids long enough that its district and customer
-	// keys (46 and 67 bytes) are held outside their records.
+	// smallbank and tpcc: on a fresh memo the batch allocates its distinct
+	// committed values, the memo's growth to hold them, its Result.Aborted
+	// and nothing else — exactly, on keys the store holds; NewOrder stores a
+	// new order key per run, so there the table's own growth is allowed for.
+	// The out-of-line batch uses ids long enough that its district and
+	// customer keys (46 and 67 bytes) are held outside their records.
 	big := func(v uint64) uint64 { return 1<<63 + v }
 	payment := func(w, d, c uint64) types.Transaction {
 		p := make([]byte, 33)
@@ -152,36 +174,72 @@ func TestExecuteCostCeilings(t *testing.T) {
 				})
 			}
 			before := values(db)
+			e.Values = freshMemos(1)[0]
 			res := run(t, e, tc.batch)
 			after := values(db)
-			written := len(after) - len(before) // new keys
-			for id, v := range before {
-				if after[id] != v {
-					written++
+			stored := make(map[*byte]bool) // the values the run allocated
+			for id, v := range after {
+				if v != nil && (id >= len(before) || before[id] != v) {
+					stored[v] = true
 				}
 			}
-			if written == 0 {
+			if len(stored) == 0 {
 				t.Fatal("nothing was committed")
 			}
+			want := float64(len(stored)) + memoGrowth(len(stored))
 			if len(res.Aborted) > 0 {
-				written++ // not a value: the result's list of aborted transactions
+				want++ // not a value: the result's list of aborted transactions
 			}
-			got := testing.AllocsPerRun(10, func() { run(t, e, tc.batch) })
+			got := allocsOnFreshMemos(e, 10, func() { run(t, e, tc.batch) })
 			if tc.newKeys {
-				if got > float64(written)+2 {
-					t.Errorf("%v allocations per batch, want at most %d (new keys allowed two for the table)", got, written+2)
+				if got > want+2 {
+					t.Errorf("%v allocations per batch, want at most %v (new keys allowed two for the table)", got, want+2)
 				}
-			} else if got != float64(written) || db.Records() != len(after) {
-				t.Errorf("%v allocations per batch, want exactly %d (records %d → %d)",
-					got, written, len(after), db.Records())
+			} else if got != want || db.Records() != len(after) {
+				t.Errorf("%v allocations per batch, want exactly %v: %d values and the memo's growth (records %d → %d)",
+					got, want, len(stored), len(after), db.Records())
 			}
 		})
 	}
 }
 
+// allocsOnFreshMemos is testing.AllocsPerRun(runs, fn) with a fresh value
+// memo handed to e before every call of fn.
+func allocsOnFreshMemos(e *aria.Engine, runs int, fn func()) float64 {
+	memos := freshMemos(runs + 1) // AllocsPerRun calls fn once more, to warm up
+	return testing.AllocsPerRun(runs, func() {
+		e.Values, memos = memos[0], memos[1:]
+		fn()
+	})
+}
+
+// freshMemos returns n empty value memos.
+func freshMemos(n int) []*aria.ValueMemo {
+	memos := make([]*aria.ValueMemo, n)
+	for i := range memos {
+		memos[i] = aria.NewValueMemo(1 << 12)
+	}
+	return memos
+}
+
+// memoGrowth is what a fresh value memo allocates to hold n values, measured
+// alone: its table and its eviction ring grow as they fill, in steps that
+// for the few hundred values of a batch depend on n alone.
+func memoGrowth(n int) float64 {
+	memos := freshMemos(11)
+	return testing.AllocsPerRun(10, func() {
+		m := memos[0]
+		memos = memos[1:]
+		for k := 0; k < n; k++ {
+			m.Put(uint64(k), nil)
+		}
+	})
+}
+
 // values returns where each record's value starts, by id: a committed write
-// installs a fresh allocation, so a run's committed writes are the entries
-// that moved.
+// installs a fresh allocation, or on a fresh memo the one its equal bytes got
+// earlier in the batch, so a run's committed values are the entries that
+// moved, counted once per allocation.
 func values(db *statedb.Store) []*byte {
 	out := make([]*byte, db.Records())
 	db.View(func(r statedb.Reader) {

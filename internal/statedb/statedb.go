@@ -33,7 +33,9 @@ import (
 // Values are immutable once stored: whoever hands a slice to Put, Apply,
 // ApplyBatch or Commit gives it up, and nobody writes into a slice obtained
 // from Get or a Reader. That is what lets Clone and Restore share value
-// slices between stores instead of copying them. Keys are the opposite: a
+// slices between stores instead of copying them, and the executor store one
+// copy of a value for every store of the process (aria.ValueMemo): the bytes
+// Get returns may be held by other nodes' stores too. Keys are the opposite: a
 // key belongs to the caller, and the store copies it the first time it
 // stores something under it.
 type Store struct {

@@ -559,28 +559,36 @@ func TestExecutorFingerprints(t *testing.T) {
 
 // TestExecutorsNeverWriteIntoStoredValues holds the shipped executors to the
 // store's contract — a slice obtained from the store is never written to —
-// which is what lets statedb.Clone and Restore share value slices: a clone
-// must keep its contents while the original executes batches that read and
-// overwrite the values the two share.
+// which is what lets statedb.Clone and Restore share value slices, and the
+// engines of a process share one copy of each value through their memo: a
+// clone must keep its contents while the original, and a second store whose
+// engine shares the original's memo, execute batches that read and overwrite
+// the values they all share.
 func TestExecutorsNeverWriteIntoStoredValues(t *testing.T) {
 	for _, w := range []Workload{NewYCSB('a', 200, 5), NewYCSB('b', 200, 5), NewSmallBank(50, 5), NewTPCC(2, 5)} {
-		db := statedb.New()
-		e := aria.NewEngine(db, w.Executor())
+		db, other := statedb.New(), statedb.New()
+		memo := aria.NewValueMemo(1 << 12)
+		engines := []*aria.Engine{aria.NewEngine(db, w.Executor()), aria.NewEngine(other, w.Executor())}
+		for _, e := range engines {
+			e.Values = memo
+		}
 		run := func(batches int) {
 			for b := 0; b < batches; b++ {
 				batch := make([]types.Transaction, 200)
 				for i := range batch {
 					batch[i] = w.Next(uint64(i))
 				}
-				if _, err := e.ExecuteBatch(batch); err != nil {
-					t.Fatal(err)
+				for _, e := range engines {
+					if _, err := e.ExecuteBatch(batch); err != nil {
+						t.Fatal(err)
+					}
 				}
 			}
 		}
 		run(3)
 		snap := db.Clone()
-		if snap.Len() == 0 {
-			t.Fatalf("%s: nothing stored", w.Name())
+		if snap.Len() == 0 || memo.Len() == 0 {
+			t.Fatalf("%s: nothing stored (%d keys, %d memoized values)", w.Name(), snap.Len(), memo.Len())
 		}
 		before := snap.Hash()
 		run(5)
@@ -589,6 +597,9 @@ func TestExecutorsNeverWriteIntoStoredValues(t *testing.T) {
 		}
 		if snap.Hash() != before {
 			t.Fatalf("%s: executing on the original changed its clone: an executor wrote into a stored value", w.Name())
+		}
+		if other.Hash() != db.Hash() {
+			t.Fatalf("%s: two stores that executed the same batches differ", w.Name())
 		}
 	}
 }

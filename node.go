@@ -344,7 +344,9 @@ func StartNode(nc NodeConfig) (*ProcNode, error) {
 	col.SetWindow(0, 1<<62) // real deployments measure everything
 
 	n := &ProcNode{id: id, tcpn: tcpn, cfg: &cfg, col: col, logf: nc.Logf}
-	encodeMemo, rebuildMemo := cluster.NewMemos(&cfg)
+	encodeMemo, rebuildMemo, values := cluster.NewMemos(&cfg)
+	engine := aria.NewEngine(db, gen.Executor())
+	engine.Values = values
 	ctx := &cluster.NodeCtx{
 		ID:      id,
 		KP:      ids.Pairs[id.Group][id.Index],
@@ -352,7 +354,7 @@ func StartNode(nc NodeConfig) (*ProcNode, error) {
 		Reg:     ids.Reg,
 		Net:     tcpn.Endpoint(id),
 		Gen:     gen,
-		Engine:  aria.NewEngine(db, gen.Executor()),
+		Engine:  engine,
 		Metrics: col,
 		// Every process observes itself: the collector is process-local.
 		IsObserver:  true,
