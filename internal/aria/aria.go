@@ -21,13 +21,14 @@
 //
 // The batch's bookkeeping lives in one Footprint the engine owns and reuses.
 // An executor formats a key into a buffer of its own and the footprint looks
-// it up in the store's key table — the only time the key is hashed. The
-// record found carries the key's slot in this batch (statedb.Record.Slot),
+// it up in the key index the stores of the process share — the only time the
+// key is hashed — and then in the store's own records. The record found
+// carries the key's slot in this batch (statedb.Record.Slot),
 // reservations are one slot-indexed array, and the committed writes go back
-// to the store by record id in one call. Keys the store has never held get
-// their slots from a small table of the footprint's own, filed under the
-// hash already computed, and enter the store only if a write to them
-// commits. Nothing is allocated per transaction except one copy of every
+// to the store by record id in one call. Keys the store has never held —
+// whether or not another store of the process filed them — get their slots
+// from a small table of the footprint's own, filed under the hash already
+// computed, and enter the store only if a write to them commits. Nothing is allocated per transaction except one copy of every
 // committed value — one per process, not one per store: the engines of a
 // process share a ValueMemo, and an engine that commits bytes another engine
 // stored moments before stores the same slice.
@@ -158,7 +159,7 @@ func (fp *Footprint) Write(key, val []byte) {
 	fp.vals = append(fp.vals, val...)
 }
 
-// touch finds key — one hash, one probe of the store's table — and returns
+// touch finds key — one hash, one probe of the store's index — and returns
 // its slot in this batch, giving it one on first touch, with its value in
 // the batch-start snapshot.
 func (fp *Footprint) touch(key []byte) (s uint32, val []byte, ok bool) {

@@ -634,6 +634,78 @@ func TestReadersWhileExecuting(t *testing.T) {
 	}
 }
 
+// TestCloneEncodedWhileIndexGrows is what onRejoinReq does on a process
+// fabric: a clone of the node's store is encoded off the event loop while
+// the node goes on executing. The clone shares the process's key index, and
+// here the store and a sibling on the same index commit keys it has never
+// held, so the index grows under the goroutine that Saves and Hashes the
+// clone. Run with -race.
+func TestCloneEncodedWhileIndexGrows(t *testing.T) {
+	w := workload.NewYCSB('a', workload.DefaultYCSBRows, 5)
+	batches := make([][]types.Transaction, 40)
+	for i := range batches {
+		for k := 0; k < 200; k++ {
+			batches[i] = append(batches[i], w.Next(uint64(k)))
+		}
+	}
+	ix := statedb.NewIndex()
+	e := aria.NewEngine(statedb.NewOn(ix), w.Executor())
+	sibling := aria.NewEngine(statedb.NewOn(ix), w.Executor())
+	for _, eng := range []*aria.Engine{e, sibling} {
+		if _, err := eng.ExecuteBatch(batches[0]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	clone := e.DB().Clone()
+	var want bytes.Buffer
+	if err := clone.Save(&want); err != nil {
+		t.Fatal(err)
+	}
+	wantHash, filed := clone.Hash(), ix.Len()
+
+	stop := make(chan struct{})
+	done := make(chan error)
+	go func() {
+		for {
+			select {
+			case <-stop:
+				close(done)
+				return
+			default:
+			}
+			var got bytes.Buffer
+			if err := clone.Save(&got); err != nil {
+				done <- err
+				return
+			}
+			if !bytes.Equal(got.Bytes(), want.Bytes()) || clone.Hash() != wantHash {
+				done <- errors.New("the clone's encoding changed while its index grew")
+				return
+			}
+		}
+	}()
+	for _, b := range batches[1:] {
+		for _, eng := range []*aria.Engine{e, sibling} {
+			if _, err := eng.ExecuteBatch(b); err != nil {
+				t.Error(err)
+			}
+		}
+	}
+	close(stop)
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	if ix.Len() < 4*filed {
+		t.Fatalf("the index grew from %d to %d keys: not through two doublings", filed, ix.Len())
+	}
+	if err := ix.Verify(); err != nil {
+		t.Fatal(err)
+	}
+	if e.DB().Hash() != sibling.DB().Hash() {
+		t.Fatal("two engines on one index executed the same batches into different states")
+	}
+}
+
 // BenchmarkExecuteYCSB is the shape of the ledger's aria.txn_ns_ycsb_a drive:
 // 300 entries of 400 transactions cycled over one store.
 func BenchmarkExecuteYCSB(b *testing.B) {

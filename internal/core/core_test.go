@@ -11,6 +11,7 @@ import (
 
 	"massbft/internal/cluster"
 	"massbft/internal/keys"
+	"massbft/internal/statedb"
 )
 
 // smallCfg is a 3-groups-of-4 cluster with fast virtual timings so tests
@@ -181,40 +182,48 @@ func TestMassBFTAllNodesExecuteSameOrder(t *testing.T) {
 }
 
 // TestParallelClustersShareNoMemo: the root package runs simulated clusters
-// in parallel, so what the nodes of one share — the erasure memos and the
-// value memo — is made per cluster, never per process. Two clusters run on
-// two goroutines end where a serial run after them ends; scripts/check.sh
-// race runs this under -race, where a memo shared across clusters is a data
-// race. The parallel pair runs first: after a serial run, a shared memo
-// would already hold every value and the pair would only read it.
+// in parallel, so what the nodes of one share — the erasure memos, the value
+// memo and the key index — is made per cluster, never per process. Two
+// clusters run on two goroutines end where a serial run after them ends;
+// scripts/check.sh race runs this under -race, where a memo shared across
+// clusters is a data race. The parallel pair runs first: after a serial run,
+// a shared memo would already hold every value and the pair would only read
+// it. Within a cluster, every node's store is on the cluster's one index.
 func TestParallelClustersShareNoMemo(t *testing.T) {
 	t.Parallel()
 	cfg := smallCfg()
 	cfg.RunFor = time.Second
-	run := func() (string, error) {
+	run := func() (string, *statedb.Index, error) {
 		c, err := cluster.New(cfg, NewNode)
 		if err != nil {
-			return "", err
+			return "", nil, err
 		}
 		c.Run()
 		c.Drain(2 * time.Second)
 		if c.Metrics.Committed() == 0 {
-			return "", fmt.Errorf("no transactions committed: %s", c.Metrics.Summary())
+			return "", nil, fmt.Errorf("no transactions committed: %s", c.Metrics.Summary())
 		}
-		return census(c), nil
+		ix := c.Nodes[keys.NodeID{}].(*Node).ctx.Engine.DB().Index()
+		for id, nd := range c.Nodes {
+			if nd.(*Node).ctx.Engine.DB().Index() != ix {
+				return "", nil, fmt.Errorf("%v: the store is not on the cluster's key index", id)
+			}
+		}
+		return census(c), ix, nil
 	}
 	var got [2]string
+	var ixs [2]*statedb.Index
 	var errs [2]error
 	var wg sync.WaitGroup
 	for i := range got {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			got[i], errs[i] = run()
+			got[i], ixs[i], errs[i] = run()
 		}()
 	}
 	wg.Wait()
-	want, err := run()
+	want, ix, err := run()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -222,6 +231,9 @@ func TestParallelClustersShareNoMemo(t *testing.T) {
 		if errs[i] != nil || got[i] != want {
 			t.Errorf("cluster %d of two run in parallel: census %s (%v), serial run %s", i, got[i], errs[i], want)
 		}
+	}
+	if ixs[0] == ixs[1] || ixs[0] == ix || ixs[1] == ix {
+		t.Error("two clusters' stores share a key index")
 	}
 }
 

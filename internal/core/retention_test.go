@@ -91,6 +91,22 @@ func TestRetentionIsBounded(t *testing.T) {
 		t.Errorf("the value memo holds %d values, bound %d", got, max)
 	}
 
+	// One key index for the cluster, each key filed once, and no store
+	// keeping a record for an id the index never gave out.
+	ix := n.ctx.Engine.DB().Index()
+	for id, nd := range c.Nodes {
+		db := nd.(*Node).ctx.Engine.DB()
+		if db.Index() != ix {
+			t.Errorf("%v: the store is not on the cluster's key index", id)
+		}
+		if db.Records() > ix.Len() {
+			t.Errorf("%v: the store keeps %d records for an index of %d keys", id, db.Records(), ix.Len())
+		}
+	}
+	if err := ix.Verify(); err != nil {
+		t.Error(err)
+	}
+
 	// An executed entry of another group, well inside the archive window.
 	if n.streams[1].executed <= partitionHorizon {
 		t.Fatalf("group 1 executed %d entries here, not past partitionHorizon %d", n.streams[1].executed, partitionHorizon)

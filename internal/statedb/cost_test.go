@@ -11,7 +11,7 @@ import (
 	"massbft/internal/workload"
 )
 
-// TestExecuteCostCeilings pins what the store-owned key table was bought for,
+// TestExecuteCostCeilings pins what the key index and records were bought for,
 // in allocations and in counted work, never in time: on a warm store an
 // executed transaction hashes and probes once per key access, the commit
 // phase looks nothing up, and the only allocations are the one copy of each
@@ -70,7 +70,7 @@ func TestExecuteCostCeilings(t *testing.T) {
 		}
 
 		size, records := db.Len(), db.Records()
-		hashes, probes := statedb.CountWork(func() { run(t, e, batch) })
+		hashes, probes, _ := statedb.CountWork(func() { run(t, e, batch) })
 		if hashes != len(batch) {
 			t.Errorf("%d keys hashed for %d key accesses, want one each (none in the commit phase)", hashes, len(batch))
 		}
@@ -106,12 +106,47 @@ func TestExecuteCostCeilings(t *testing.T) {
 		}
 	})
 
+	// The engines of a process execute the same batches against stores on
+	// one index: each key is filed once, by the first store to commit a write
+	// to it, and each engine hashes once per key access as it does alone.
+	t.Run("shared index", func(t *testing.T) {
+		w := workload.NewYCSB('a', workload.DefaultYCSBRows, 2)
+		batch := make([]types.Transaction, 400)
+		for k := range batch {
+			batch[k] = w.Next(uint64(k%64 + 1))
+		}
+		const n = 4
+		ix := statedb.NewIndex()
+		dbs := make([]*statedb.Store, n)
+		hashes, _, inserts := statedb.CountWork(func() {
+			for i := range dbs {
+				dbs[i] = statedb.NewOn(ix)
+				run(t, aria.NewEngine(dbs[i], w.Executor()), batch)
+			}
+		})
+		written := dbs[0].Len() // ycsb writes no nil value: every written key is present
+		if written == 0 || ix.Len() != written {
+			t.Fatalf("%d keys written, %d in the index", written, ix.Len())
+		}
+		if inserts != written {
+			t.Errorf("%d index inserts for %d engines writing the same %d new keys, want one per key", inserts, n, written)
+		}
+		if hashes != n*len(batch) {
+			t.Errorf("%d keys hashed for %d engines of %d key accesses, want one per access", hashes, n, len(batch))
+		}
+		for i, db := range dbs {
+			if db.Hash() != dbs[0].Hash() || db.Records() > ix.Len() {
+				t.Errorf("store %d: a different state, or %d records for an index of %d keys", i, db.Records(), ix.Len())
+			}
+		}
+	})
+
 	// Growth moves slots by the hash they carry: filling a store through
 	// many doublings hashes each key once, at its Put.
 	t.Run("doubling", func(t *testing.T) {
 		db := statedb.New()
 		const n = 5000
-		hashes, _ := statedb.CountWork(func() {
+		hashes, _, _ := statedb.CountWork(func() {
 			for i := 0; i < n; i++ {
 				db.Put(fmt.Sprintf("user%06d", i), []byte{1})
 			}

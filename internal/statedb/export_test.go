@@ -1,20 +1,14 @@
 package statedb
 
-// CountWork runs fn and returns how many keys it hashed and how many table
-// probes (Find calls, on any Table) it made. Not for concurrent use.
-func CountWork(fn func()) (hashes, probes int) {
-	counts = new(struct{ hashes, probes int })
+// CountWork runs fn and returns how many keys it hashed, how many key-table
+// probes (on any index or Table) it made, and how many keys it filed in an
+// Index. Not for concurrent use.
+func CountWork(fn func()) (hashes, probes, inserts int) {
+	counts = new(struct{ hashes, probes, inserts int })
 	defer func() { counts = nil }()
 	fn()
-	return counts.hashes, counts.probes
+	return counts.hashes, counts.probes, counts.inserts
 }
 
-// Records returns how many records the store's table holds, present or not.
-func (s *Store) Records() int {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.t.n
-}
-
-// InlineKey is the longest key a record holds itself.
+// InlineKey is the longest key an index holds in its key record.
 const InlineKey = inlineKey

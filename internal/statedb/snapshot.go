@@ -81,11 +81,11 @@ func (sn *Snapshot) Get(key string) ([]byte, bool) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	sn.mustBeOpen()
-	id, _ := s.t.findString(key)
+	id, _ := s.findString(key)
 	if id < 0 {
 		return nil, false // never held, so not held then
 	}
-	r := s.t.Record(id)
+	r := s.recs.at(id)
 	if img := s.imageOf(id, r); img != nil {
 		return img.val, img.present
 	}
@@ -102,15 +102,15 @@ func (sn *Snapshot) Delta() int {
 	return len(s.before)
 }
 
-// Store materialises the snapshot as an independent store (sharing value
-// slices, as Clone does): the O(keys) copy, for whoever must serialise or
+// Store materialises the snapshot as an independent store on the same index
+// (sharing value slices, as Clone does): the O(records) copy, for whoever must serialise or
 // ship the state. The snapshot stays open.
 func (sn *Snapshot) Store() *Store {
 	s := sn.s
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	sn.mustBeOpen()
-	m := &Store{t: s.t.clone(), live: s.live}
+	m := &Store{ix: s.ix, recs: s.recs.clone(), live: s.live}
 	for _, img := range s.before {
 		m.set(img.id, img.val, img.present)
 	}
