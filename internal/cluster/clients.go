@@ -15,30 +15,6 @@ import (
 // gateway batcher, the client requester).
 func VirtualTime(d time.Duration) time.Time { return time.Unix(0, int64(d)) }
 
-// AttachGateway builds ctx's client front end from ctx.Cfg — the one gateway
-// construction site of both fabrics. Receipts leave signed by ctx.KP through
-// ctx.ReplyOut, which the environment sets once it has somewhere to route
-// them; until then, and for direct-injection workloads, they are dropped
-// unsigned.
-func AttachGateway(ctx *NodeCtx, clients *keys.ClientRegistry) {
-	gw := ctx.Cfg.Gateway
-	ctx.Gateway = gateway.New(gateway.Config{
-		Group:         ctx.ID.Group,
-		MaxBatch:      ctx.Cfg.MaxBatch,
-		MaxWait:       ctx.Cfg.BatchTimeout,
-		QueueLimit:    gw.QueueLimit,
-		RatePerClient: gw.RatePerClient,
-		RateBurst:     gw.RateBurst,
-		Clients:       clients,
-		Metrics:       ctx.Metrics,
-		Reply: func(rc *gateway.Receipt) {
-			if ctx.ReplyOut != nil {
-				SignReplies(ctx.ID, ctx.KP.Sign, rc, ctx.ReplyOut)
-			}
-		},
-	})
-}
-
 // routeReply hands a simulated node's reply to the client hub, once one runs.
 func (c *Cluster) routeReply(rep *ClientReply) {
 	if c.hub != nil {
@@ -58,13 +34,6 @@ type ClientHub struct {
 	clients []*simClient
 	byID    map[uint64]*simClient
 	stopped bool
-
-	// Committed counts certified requests; Resubmits cross-group retries;
-	// GaveUp requests abandoned after MaxAttempts. Mirrored into the metrics
-	// collector as client-* counters.
-	Committed int64
-	Resubmits int64
-	GaveUp    int64
 }
 
 type simClient struct {
@@ -211,8 +180,7 @@ func (h *ClientHub) onReply(rep *ClientReply) {
 	}
 	done, _ := sc.req.OnReply(rep.Reply(), h.now())
 	if done {
-		h.Committed++
-		h.c.Metrics.Inc("client-committed")
+		h.c.Metrics.ClientCommitted++
 		h.submitNew(sc)
 	}
 }
@@ -232,13 +200,11 @@ func (h *ClientHub) tick() {
 		}
 		resubmit, g, gaveUp := sc.req.OnTick(now)
 		if resubmit {
-			h.Resubmits++
-			h.c.Metrics.Inc("client-resubmitted")
+			h.c.Metrics.ClientResubmitted++
 			h.deliver(sc, g, true)
 		}
 		if gaveUp {
-			h.GaveUp++
-			h.c.Metrics.Inc("client-gaveup")
+			h.c.Metrics.ClientGaveup++
 			h.submitNew(sc)
 		}
 	}

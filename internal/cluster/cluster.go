@@ -48,12 +48,12 @@ func (f *FaultPlan) IsByzantine(id keys.NodeID, now time.Duration) bool {
 	return f.ByzantineNodes[id]
 }
 
-// NodeCtx is everything a protocol node needs from its environment.
+// NodeCtx is everything a protocol node needs from its environment: the
+// parts its process shares, and its own.
 type NodeCtx struct {
-	ID  keys.NodeID
-	KP  *keys.KeyPair
-	Cfg *Config
-	Reg *keys.Registry
+	*Process
+	ID keys.NodeID
+	KP *keys.KeyPair
 	// Net is this node's handle on the message fabric: the emulator in
 	// simulated clusters (Cluster wires transport.SimNetwork), the TCP
 	// backend in real multi-process deployments (massbft.StartNode).
@@ -65,19 +65,9 @@ type NodeCtx struct {
 	// whose values and key index it shares with the process's other stores
 	// (Engine.Values, statedb.Store.Index).
 	Engine *aria.Engine
-	// Metrics is the shared collector; only the observer node records
-	// throughput/latency into it (all correct nodes execute identically).
-	Metrics    *metrics.Collector
+	// IsObserver marks the node that records throughput and latency into
+	// Metrics (all correct nodes execute identically).
 	IsObserver bool
-	// EncodeMemo and RebuildMemo are the process's memos of the deterministic
-	// erasure transforms of entries in flight (CPU is charged per node
-	// regardless).
-	EncodeMemo  *replication.EncodeMemo
-	RebuildMemo *replication.RebuildMemo
-	Faults      *FaultPlan
-	// Trace is the cluster-wide span recorder; nil when tracing is off (all
-	// recorder methods are nil-safe no-ops, so nodes record unconditionally).
-	Trace *trace.Recorder
 	// Gateway is this node's client front end; nil unless Cfg.Gateway.Enabled.
 	// The proposer pulls batches from it and the execution path reports
 	// executed client transactions back into its dedup window.
@@ -88,17 +78,70 @@ type NodeCtx struct {
 	ReplyOut func(*ClientReply)
 }
 
-// NewMemos returns the memos the nodes of one process share: the erasure
-// memos, each holding one value per entry the leaders may have unexecuted —
-// PipelineDepth per group — and the value memo, one value per transaction of
-// those entries. So the bounds grow with the cluster: a fixed one sized for
-// three groups decoded each bucket seven times over at fifty (DESIGN §8).
-// Each grows to its bound as it fills, so a process that writes little pays
-// little.
-func NewMemos(cfg *Config) (*replication.EncodeMemo, *replication.RebuildMemo, *aria.ValueMemo) {
+// Process is what the nodes one process runs share: every node of a
+// simulated cluster, or a massbft-node's one.
+type Process struct {
+	Cfg Config
+	// Reg and Pairs, and ClientKeys and ClientReg under Cfg.Gateway.Enabled.
+	*Identities
+	// Metrics is the process's collector; every node counts into it.
+	Metrics *metrics.Collector
+	Faults  *FaultPlan
+	// Trace is the span recorder; nil when tracing is off (all recorder
+	// methods are nil-safe no-ops, so nodes record unconditionally).
+	Trace *trace.Recorder
+	// EncodeMemo and RebuildMemo memoize the deterministic erasure
+	// transforms of the entries in flight, one value per entry the leaders
+	// may have unexecuted (PipelineDepth per group; CPU is still charged per
+	// node), and values one value per transaction of those entries: bounds
+	// that grow with the cluster, where a fixed one sized for three groups
+	// decoded each bucket seven times over at fifty (DESIGN §8). Each grows
+	// to its bound as it fills. index files the keys of every store.
+	EncodeMemo  *replication.EncodeMemo
+	RebuildMemo *replication.RebuildMemo
+	values      *aria.ValueMemo
+	index       *statedb.Index
+}
+
+// NewProcess returns a process's shared parts: an empty fault plan, a fresh
+// key index and fresh memos.
+func NewProcess(cfg Config, ids *Identities, col *metrics.Collector) *Process {
 	inFlight := len(cfg.GroupSizes) * cfg.PipelineDepth
-	return replication.NewEncodeMemo(inFlight), replication.NewRebuildMemo(inFlight),
-		aria.NewValueMemo(inFlight * cfg.MaxBatch)
+	return &Process{
+		Cfg: cfg, Identities: ids, Metrics: col,
+		Faults:      &FaultPlan{ByzantineNodes: make(map[keys.NodeID]bool)},
+		EncodeMemo:  replication.NewEncodeMemo(inFlight),
+		RebuildMemo: replication.NewRebuildMemo(inFlight),
+		values:      aria.NewValueMemo(inFlight * cfg.MaxBatch),
+		index:       statedb.NewIndex(),
+	}
+}
+
+// NodeCtx builds node id's context on the process: a store on the process's
+// index loaded by gen, an engine over it on the value memo, and under
+// Cfg.Gateway.Enabled the node's gateway — the one gateway construction site
+// of both fabrics. Receipts leave signed by the node's key through ReplyOut,
+// which the caller sets once it has somewhere to route them; until then, and
+// for direct-injection workloads, they are dropped unsigned.
+func (p *Process) NodeCtx(id keys.NodeID, net transport.Endpoint, gen workload.Workload, observer bool) *NodeCtx {
+	db := statedb.NewOn(p.index)
+	gen.Load(db)
+	ctx := &NodeCtx{Process: p, ID: id, KP: p.Pairs[id.Group][id.Index], Net: net, Gen: gen,
+		Engine: aria.NewEngine(db, gen.Executor()), IsObserver: observer}
+	ctx.Engine.Values = p.values
+	if gw := p.Cfg.Gateway; gw.Enabled {
+		ctx.Gateway = gateway.New(gateway.Config{
+			Group: id.Group, MaxBatch: p.Cfg.MaxBatch, MaxWait: p.Cfg.BatchTimeout,
+			QueueLimit: gw.QueueLimit, RatePerClient: gw.RatePerClient, RateBurst: gw.RateBurst,
+			Clients: p.ClientReg, Counts: &p.Metrics.Counts,
+			Reply: func(rc *gateway.Receipt) {
+				if ctx.ReplyOut != nil {
+					SignReplies(id, ctx.KP.Sign, rc, ctx.ReplyOut)
+				}
+			},
+		})
+	}
+	return ctx
 }
 
 // Identities is the key material every process of a deployment — a simulated
@@ -151,21 +194,15 @@ func (c *Config) GroupWorkload(g int) (workload.Workload, error) {
 	return c.newWorkload(g, c.Seed+int64(g)*1000)
 }
 
-// Cluster is a fully wired experiment.
+// Cluster is a fully wired experiment: one process whose Trace is set under
+// Cfg.TraceEnabled.
 type Cluster struct {
-	Cfg Config
+	*Process
 	// Net is the underlying emulator (fault scheduling, traffic accounting);
 	// Transport is the seam the nodes are actually wired through.
 	Net       *simnet.Network
 	Transport transport.Network
-	// Reg and Pairs, and ClientKeys and ClientReg under Cfg.Gateway.Enabled.
-	*Identities
-	Nodes   map[keys.NodeID]Node
-	Metrics *metrics.Collector
-	Faults  *FaultPlan
-	// Trace is the span recorder shared with every node; nil unless
-	// Cfg.TraceEnabled.
-	Trace *trace.Recorder
+	Nodes     map[keys.NodeID]Node
 
 	hub     *ClientHub
 	started bool
@@ -209,16 +246,11 @@ func New(cfg Config, factory Factory) (*Cluster, error) {
 	col.SetWindow(cfg.Warmup, cfg.RunFor-cfg.Warmup/2)
 
 	c := &Cluster{
-		Cfg:        cfg,
-		Net:        nw,
-		Transport:  transport.NewSimNetwork(nw),
-		Identities: ids,
-		Nodes:      make(map[keys.NodeID]Node),
-		Metrics:    col,
-		Faults:     &FaultPlan{ByzantineNodes: make(map[keys.NodeID]bool)},
+		Process:   NewProcess(cfg, ids, col),
+		Net:       nw,
+		Transport: transport.NewSimNetwork(nw),
+		Nodes:     make(map[keys.NodeID]Node),
 	}
-	encodeMemo, rebuildMemo, values := NewMemos(&cfg)
-	index := statedb.NewIndex() // every node's store files its keys here
 	if cfg.TraceEnabled {
 		c.Trace = trace.NewRecorder()
 		nw.SetSendProbe(c.sendProbe)
@@ -229,32 +261,10 @@ func New(cfg Config, factory Factory) (*Cluster, error) {
 		if err != nil {
 			return nil, err
 		}
-		exec := gen.Executor()
 		for j := 0; j < n; j++ {
 			id := keys.NodeID{Group: g, Index: j}
-			db := statedb.NewOn(index)
-			gen.Load(db)
-			engine := aria.NewEngine(db, exec)
-			engine.Values = values
-			ctx := &NodeCtx{
-				ID:          id,
-				KP:          ids.Pairs[g][j],
-				Cfg:         &c.Cfg,
-				Reg:         ids.Reg,
-				Net:         c.Transport.Endpoint(id),
-				Gen:         gen,
-				Engine:      engine,
-				Metrics:     col,
-				IsObserver:  id == cfg.Observer,
-				EncodeMemo:  encodeMemo,
-				RebuildMemo: rebuildMemo,
-				Faults:      c.Faults,
-				Trace:       c.Trace,
-			}
-			if cfg.Gateway.Enabled {
-				AttachGateway(ctx, c.ClientReg)
-				ctx.ReplyOut = c.routeReply
-			}
+			ctx := c.NodeCtx(id, c.Transport.Endpoint(id), gen, id == cfg.Observer)
+			ctx.ReplyOut = c.routeReply
 			node := factory(ctx)
 			c.Nodes[id] = node
 			c.Transport.SetHandler(id, node)
@@ -422,15 +432,9 @@ func (c *Cluster) RunUntil(t time.Duration) {
 	c.Net.Run(t)
 	// Surface the fault layer's totals as metrics counters so Summary()
 	// shows them next to the protocol's recovery counters.
-	if dropped, dup, pd := c.Net.FaultStats(); dropped+dup+pd > 0 {
-		c.Metrics.Set("net-dropped", dropped)
-		c.Metrics.Set("net-duplicated", dup)
-		c.Metrics.Set("net-partition-dropped", pd)
-	}
-	if corrupted, equiv := c.Net.ByzantineStats(); corrupted+equiv > 0 {
-		c.Metrics.Set("net-corrupted", corrupted)
-		c.Metrics.Set("net-equivocated", equiv)
-	}
+	m := &c.Metrics.Counts
+	m.NetDropped, m.NetDuplicated, m.NetPartitionDropped = c.Net.FaultStats()
+	m.NetCorrupted, m.NetEquivocated = c.Net.ByzantineStats()
 }
 
 // Drain stops client load and advances the simulation by d: leaders switch
@@ -493,11 +497,11 @@ func (c *Cluster) AgreementReport(deadGroups map[int]bool) forensics.Report {
 	rep := forensics.Classify(nls)
 	switch rep.Verdict {
 	case forensics.Forked:
-		c.Metrics.Inc("forked-detected")
-		c.Metrics.Set("agreement-first-div-height", int64(rep.FirstDivergentHeight))
+		c.Metrics.ForkedDetected++
+		c.Metrics.AgreementFirstDivHeight = int64(rep.FirstDivergentHeight)
 	case forensics.Wedged:
-		c.Metrics.Inc("wedged-detected")
-		c.Metrics.Set("agreement-first-div-height", int64(rep.FirstDivergentHeight))
+		c.Metrics.WedgedDetected++
+		c.Metrics.AgreementFirstDivHeight = int64(rep.FirstDivergentHeight)
 	}
 	return rep
 }

@@ -326,7 +326,7 @@ func (c *Config) SetObserver(id keys.NodeID) {
 
 // WithDefaults returns the config with every unset knob at its default.
 // Cluster.New applies it automatically; exported for multi-process wiring
-// (massbft.StartNode), which builds a single NodeCtx without a Cluster.
+// (massbft.StartNode), which builds a one-node Process without a Cluster.
 func (c Config) WithDefaults() Config { return c.withDefaults() }
 
 // withDefaults fills zero fields.

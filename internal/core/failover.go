@@ -52,7 +52,7 @@ func (n *Node) keepaliveScan(now time.Duration) {
 	// Stamp at queue time, not certification: if the meta instance is slow the
 	// scan must not queue a fresh beacon every tick while one is in flight.
 	n.lastOwnStream = now
-	n.ctx.Metrics.Inc("keepalives-emitted")
+	n.ctx.Metrics.KeepalivesEmitted++
 	n.emitRecord(cluster.Record{Kind: cluster.RecKeepalive, Stream: n.g})
 }
 
@@ -69,11 +69,7 @@ func (n *Node) suspectScan(now time.Duration) {
 		return
 	}
 	for _, rec := range n.groups.suspicions(n.silentFor(now), n.streamCursor) {
-		counter := "suspects-emitted"
-		if rec.Kind == cluster.RecRevoke {
-			counter = "revokes-emitted"
-		}
-		n.emitOnce(rec, counter)
+		n.emitOnce(rec)
 	}
 }
 
@@ -85,20 +81,17 @@ func (n *Node) deathScan(now time.Duration) {
 	}
 	emitted := 0
 	for _, rec := range n.groups.deaths(n.silentFor(now), n.streamCursor) {
-		if n.emitOnce(rec, "deaths-emitted") {
+		if n.emitOnce(rec) {
 			emitted++
 		}
 	}
 	if emitted > 1 {
-		n.ctx.Metrics.Inc("death-batches")
+		n.ctx.Metrics.DeathBatches++
 	}
 }
 
 // apply carries out what a step of the group table asks of the node.
 func (n *Node) apply(e effect) {
-	for _, c := range e.counters {
-		n.ctx.Metrics.Inc(c)
-	}
 	if e.fence && e.g != n.g {
 		// Our own group needs no fence: removed(n.g) now halts proposing and
 		// record emission so the group cannot extend a fork past the
@@ -133,7 +126,7 @@ func (n *Node) fenceStream(g int, cut uint64) {
 	for s := range in.buffered {
 		if s >= cut {
 			delete(in.buffered, s)
-			n.ctx.Metrics.Inc("fenced-batches")
+			n.ctx.Metrics.FencedBatches++
 		}
 	}
 	if len(in.buffered) == 0 && in.next >= cut {

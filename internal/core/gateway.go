@@ -63,7 +63,7 @@ func (n *Node) validateProposal(payload []byte) bool {
 		n.rememberDecoded(payload, e)
 		return true
 	}
-	n.ctx.Metrics.Inc("gateway-proposal-reject")
+	n.ctx.Metrics.GatewayProposalReject++
 	return false
 }
 

@@ -37,11 +37,10 @@ func TestGatewayEndToEnd(t *testing.T) {
 	c.Run()
 	c.Drain(2 * time.Second)
 
-	hub := c.Hub()
-	if hub == nil {
+	if c.Hub() == nil {
 		t.Fatal("client hub never started")
 	}
-	if hub.Committed == 0 {
+	if c.Metrics.ClientCommitted == 0 {
 		t.Fatalf("no client request earned a reply certificate: %s", c.Metrics.Summary())
 	}
 	m := c.Metrics
@@ -163,22 +162,22 @@ func TestGatewayForgedFirstCopiesCluster(t *testing.T) {
 		c.Nodes[id] = n
 	}
 
-	hub, m := c.Hub(), c.Metrics
+	m := c.Metrics
 	totalNodes := int64(0)
 	for _, n := range cfg.GroupSizes {
 		totalNodes += int64(n)
 	}
-	if hub.Committed == 0 || forged == 0 {
-		t.Fatalf("committed %d requests behind %d forgeries: %s", hub.Committed, forged, m.Summary())
+	if m.ClientCommitted == 0 || forged == 0 {
+		t.Fatalf("committed %d requests behind %d forgeries: %s", m.ClientCommitted, forged, m.Summary())
 	}
-	if hub.Resubmits != 0 || hub.GaveUp != 0 {
-		t.Fatalf("forgeries delayed clients: %d resubmits, %d gave up", hub.Resubmits, hub.GaveUp)
+	if m.ClientResubmitted != 0 || m.ClientGaveup != 0 {
+		t.Fatalf("forgeries delayed clients: %d resubmits, %d gave up", m.ClientResubmitted, m.ClientGaveup)
 	}
 	if got := m.Counter("gateway-verify-fail"); got != forged {
 		t.Fatalf("gateway-verify-fail = %d, want one per forgery (%d)", got, forged)
 	}
-	if got := m.Counter("gateway-executed"); got != hub.Committed*totalNodes {
-		t.Fatalf("gateway-executed = %d, want %d requests x %d nodes", got, hub.Committed, totalNodes)
+	if got := m.Counter("gateway-executed"); got != m.ClientCommitted*totalNodes {
+		t.Fatalf("gateway-executed = %d, want %d requests x %d nodes", got, m.ClientCommitted, totalNodes)
 	}
 	assertConsistency(t, c, nil)
 }
@@ -205,10 +204,9 @@ func TestGatewayAdmissionLoad10k(t *testing.T) {
 	c.Run()
 	c.Drain(2 * time.Second)
 
-	hub := c.Hub()
 	m := c.Metrics
-	if hub.Committed < 1000 {
-		t.Fatalf("only %d of 10k clients' requests certified under load: %s", hub.Committed, m.Summary())
+	if m.ClientCommitted < 1000 {
+		t.Fatalf("only %d of 10k clients' requests certified under load: %s", m.ClientCommitted, m.Summary())
 	}
 	if m.Counter("gateway-rejected-overload") == 0 {
 		t.Fatalf("10k clients against a 512 queue never tripped admission control: %s", m.Summary())
@@ -274,10 +272,10 @@ func TestGatewayFingerprints(t *testing.T) {
 			}
 			c.Run()
 			c.Drain(2 * time.Second)
-			hub := c.Hub()
-			if hub.Committed != tc.committed || hub.Resubmits != tc.resubmits || hub.GaveUp != tc.gaveUp {
+			hub := c.Metrics
+			if hub.ClientCommitted != tc.committed || hub.ClientResubmitted != tc.resubmits || hub.ClientGaveup != tc.gaveUp {
 				t.Errorf("clients: committed %d resubmits %d gave-up %d, want %d %d %d",
-					hub.Committed, hub.Resubmits, hub.GaveUp, tc.committed, tc.resubmits, tc.gaveUp)
+					hub.ClientCommitted, hub.ClientResubmitted, hub.ClientGaveup, tc.committed, tc.resubmits, tc.gaveUp)
 			}
 			for name, want := range tc.counters {
 				if got := c.Metrics.Counter(name); got != want {
@@ -313,20 +311,20 @@ func TestGatewayGroupCrashConvergence(t *testing.T) {
 		t.Fatal(err)
 	}
 	var beforeCrash int64
-	c.Net.Schedule(2*time.Second, func() { beforeCrash = c.Hub().Committed })
+	c.Net.Schedule(2*time.Second, func() { beforeCrash = c.Metrics.ClientCommitted })
 	c.ScheduleGroupCrash(2*time.Second, 0)
 	c.Run()
 	c.Drain(2 * time.Second)
 
-	hub := c.Hub()
+	hub := c.Metrics
 	if beforeCrash == 0 {
 		t.Fatalf("no client certificates before the crash: %s", c.Metrics.Summary())
 	}
-	if hub.Committed <= beforeCrash {
+	if hub.ClientCommitted <= beforeCrash {
 		t.Fatalf("clients stopped converging after group 0 died (%d before, %d total): %s",
-			beforeCrash, hub.Committed, c.Metrics.Summary())
+			beforeCrash, hub.ClientCommitted, c.Metrics.Summary())
 	}
-	if hub.Resubmits == 0 {
+	if hub.ClientResubmitted == 0 {
 		t.Fatal("no client ever resubmitted to another group")
 	}
 	assertConsistency(t, c, map[int]bool{0: true})

@@ -1,16 +1,19 @@
 package core
 
-import "massbft/internal/cluster"
+import (
+	"massbft/internal/cluster"
+	"massbft/internal/metrics"
+)
 
 // This file holds a node's certified view of every group (DESIGN.md §6, "The
 // group table") and the one function that changes it. step consumes a
-// certified failover or membership record and returns the effect the node
-// must carry out; it reads nothing but the table and the record — no clock,
-// stream, orderer or metric — so the table is a pure function of the records
-// consumed, which is what lets every node replay it identically and lets a
-// test explore it without a cluster. restore installs a checkpoint's table
-// wholesale; nothing else assigns a row's state, cut, suspecters or votes, or
-// the epoch.
+// certified failover or membership record, counts its transitions and returns
+// the effect the node must carry out; it reads nothing but the table and the
+// record — no clock, stream, orderer or metric — so the table is a pure
+// function of the records consumed, which is what lets every node replay it
+// identically and lets a test explore it without a cluster. restore installs
+// a checkpoint's table wholesale; nothing else assigns a row's state, cut,
+// suspecters or votes, or the epoch.
 
 // groupState is where a group stands in this node's certified view.
 type groupState uint8
@@ -123,20 +126,17 @@ func (t *groupTable) voteCount(g int) int {
 
 // effect is what a step asks of the node beyond the table.
 type effect struct {
-	g        int    // the record's target group
-	at       uint64 // g's stream cut (fence) or join boundary (admit)
-	fence    bool   // g's stream was cut at `at`
-	admit    bool   // g joined with boundary `at`
-	second   byte   // cluster.ReconfigJoin or ReconfigLeave: second that op on g
-	leaving  bool   // our own group's farewell certified
-	settled  bool   // the epoch moved for g: its node-local intents are done
-	counters []string
+	g       int    // the record's target group
+	at      uint64 // g's stream cut (fence) or join boundary (admit)
+	fence   bool   // g's stream was cut at `at`
+	admit   bool   // g joined with boundary `at`
+	second  byte   // cluster.ReconfigJoin or ReconfigLeave: second that op on g
+	leaving bool   // our own group's farewell certified
+	settled bool   // the epoch moved for g: its node-local intents are done
 }
 
-func (e *effect) count(name string) { e.counters = append(e.counters, name) }
-
 // step consumes one certified failover or membership record from origin's
-// stream. The transitions (DESIGN.md §6 tabulates them):
+// stream and counts into c. The transitions (DESIGN.md §6 tabulates them):
 //
 //   - RecSuspect: origin attests g silent at cursor TS (kept at its highest);
 //   - RecRevoke: origin withdraws its suspicion — g spoke again;
@@ -148,7 +148,7 @@ func (e *effect) count(name string) { e.counters = append(e.counters, name) }
 //   - RecGroupJoin / RecGroupLeave: a vote on a standby / member group;
 //   - RecEpoch: the coordinator (g's successor as of this stream position)
 //     admits or removes g, once per epoch number.
-func (t *groupTable) step(origin int, rec cluster.Record) (e effect) {
+func (t *groupTable) step(origin int, rec cluster.Record, c *metrics.Counts) (e effect) {
 	g := rec.Stream
 	if g < 0 || g >= len(t.rows) {
 		return e
@@ -162,7 +162,7 @@ func (t *groupTable) step(origin int, rec cluster.Record) (e effect) {
 		}
 		cur, ok := row.suspecters[origin]
 		if !ok {
-			e.count("group-suspects")
+			c.GroupSuspects++
 		}
 		if !ok || rec.TS > cur {
 			if row.suspecters == nil {
@@ -176,25 +176,25 @@ func (t *groupTable) step(origin int, rec cluster.Record) (e effect) {
 		}
 		if _, ok := row.suspecters[origin]; ok {
 			delete(row.suspecters, origin)
-			e.count("group-revokes")
+			c.GroupRevokes++
 		}
 	case cluster.RecDead:
 		if g == origin {
 			return e
 		}
 		if t.absent(g) {
-			e.count("dead-dupes")
+			c.DeadDupes++
 			return e
 		}
 		*row = groupSt{state: dead, cut: rec.TS}
 		e.fence, e.at = true, rec.TS
-		e.count("group-deaths")
+		c.GroupDeaths++
 	case cluster.RecGroupJoin:
 		// Standby groups have no vote, only their own readiness attestation.
 		if row.state != standby || origin != g && t.rows[origin].state == standby {
 			return e
 		}
-		t.vote(g, origin, "join-votes", &e)
+		t.vote(g, origin, &c.JoinVotes)
 		if origin != g && g != t.self {
 			e.second = cluster.ReconfigJoin
 		}
@@ -202,7 +202,7 @@ func (t *groupTable) step(origin int, rec cluster.Record) (e effect) {
 		if t.absent(g) {
 			return e
 		}
-		t.vote(g, origin, "leave-votes", &e)
+		t.vote(g, origin, &c.LeaveVotes)
 		switch {
 		case origin == g:
 			// The farewell: our own group goes silent so the stream ends here,
@@ -216,11 +216,11 @@ func (t *groupTable) step(origin int, rec cluster.Record) (e effect) {
 			return e
 		}
 		if rec.Entry.Seq != t.epoch+1 {
-			e.count("epoch-dupes")
+			c.EpochDupes++
 			return e
 		}
 		if origin != t.successor(g, nil) {
-			e.count("epoch-bad-origin")
+			c.EpochBadOrigin++
 			return e
 		}
 		switch {
@@ -232,19 +232,19 @@ func (t *groupTable) step(origin int, rec cluster.Record) (e effect) {
 			// but it no longer counts in the quorum denominator.
 			*row = groupSt{state: departed, cut: rec.TS}
 			e.fence, e.at = true, rec.TS
-			e.count("groups-departed")
+			c.GroupsDeparted++
 		default:
 			return e
 		}
 		t.epoch++
 		e.settled = true
-		e.count("epoch-switches")
+		c.EpochSwitches++
 	}
 	return e
 }
 
-// vote records origin's standing vote on g.
-func (t *groupTable) vote(g, origin int, counter string, e *effect) {
+// vote records origin's standing vote on g, counting a new one.
+func (t *groupTable) vote(g, origin int, counter *int64) {
 	row := &t.rows[g]
 	if row.votes[origin] {
 		return
@@ -253,7 +253,7 @@ func (t *groupTable) vote(g, origin int, counter string, e *effect) {
 		row.votes = make(map[int]bool)
 	}
 	row.votes[origin] = true
-	e.count(counter)
+	*counter++
 }
 
 // suspicions is the suspicion half of the failover emitters: a RecSuspect

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"massbft/internal/cluster"
+	"massbft/internal/metrics"
 )
 
 // The group-table explorer: a model of n groups, each holding one groupTable
@@ -225,7 +226,8 @@ func consume(t *groupTable, o int, rec cluster.Record) (effect, bool) {
 	switch rec.Kind {
 	case cluster.RecSuspect, cluster.RecRevoke, cluster.RecDead,
 		cluster.RecGroupJoin, cluster.RecGroupLeave, cluster.RecEpoch:
-		return t.step(o, rec), true
+		var scratch metrics.Counts
+		return t.step(o, rec, &scratch), true
 	}
 	return effect{}, false
 }
@@ -478,7 +480,8 @@ func TestGroupTableExplore(t *testing.T) {
 	}, {
 		// The successor crashes with its death record in flight: the next
 		// successor certifies the same death again, a second writer — (ii)
-		// fails today (ROADMAP item 4).
+		// fails today (ROADMAP: "The group table's other two
+		// counterexamples").
 		name: "successor-crash", groups: 4, crashable: []int{0, 1}, join: -1, leave: -1,
 		streamCap: 4, expect: []string{"ii"},
 	}, {
@@ -491,7 +494,8 @@ func TestGroupTableExplore(t *testing.T) {
 		// table that applies group 0's death before group 0's RecEpoch,
 		// which lies below the cut, refuses the epoch as not from the
 		// successor, while a table that read them the other way round
-		// admitted the group — (i) fails today (ROADMAP item 4).
+		// admitted the group — (i) fails today (ROADMAP: "The group
+		// table's other two counterexamples").
 		name: "join-coordinator-crash", groups: 4, standby: []int{3}, crashable: []int{0},
 		join: 3, leave: -1, streamCap: 4, expect: []string{"i"},
 	}, {

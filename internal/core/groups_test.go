@@ -8,6 +8,7 @@ import (
 
 	"massbft/internal/cluster"
 	"massbft/internal/keys"
+	"massbft/internal/metrics"
 	"massbft/internal/statedb"
 	"massbft/internal/types"
 )
@@ -129,8 +130,8 @@ func TestValidGroupsRejectsForgedTables(t *testing.T) {
 }
 
 // TestGroupTableStep drives step one record at a time against each of its
-// guards: a guarded record leaves the table as it was and asks the node for
-// nothing but the counters listed, and the same record from a legitimate
+// guards: a guarded record leaves the table as it was and counts nothing but
+// the counters listed, and the same record from a legitimate
 // origin does change the table, so a guard that went missing shows here even
 // where no honest emitter can reach it.
 func TestGroupTableStep(t *testing.T) {
@@ -155,48 +156,49 @@ func TestGroupTableStep(t *testing.T) {
 			Entry: types.EntryID{GID: int(op), Seq: seq}}
 	}
 	for _, tc := range []struct {
-		name     string
-		origin   int
-		rec      cluster.Record
-		changes  bool
-		counters []string
+		name    string
+		origin  int
+		rec     cluster.Record
+		changes bool
+		counts  metrics.Counts
 	}{
-		{"suspect: out of range", 0, rec(cluster.RecSuspect, 4, 1), false, nil},
-		{"suspect: a group of itself", 0, rec(cluster.RecSuspect, 0, 1), false, nil},
-		{"suspect: an absent group", 0, rec(cluster.RecSuspect, 2, 9), false, nil},
-		{"suspect: legitimate", 1, rec(cluster.RecSuspect, 0, 6), true, []string{}},
-		{"revoke: a group of itself", 1, rec(cluster.RecRevoke, 1, 0), false, nil},
-		{"revoke: an absent group", 1, rec(cluster.RecRevoke, 2, 0), false, nil},
-		{"revoke: legitimate", 1, rec(cluster.RecRevoke, 0, 0), true, []string{"group-revokes"}},
-		{"dead: a group of itself", 0, rec(cluster.RecDead, 0, 5), false, nil},
-		{"dead: already absent", 0, rec(cluster.RecDead, 2, 9), false, []string{"dead-dupes"}},
-		{"dead: legitimate", 1, rec(cluster.RecDead, 0, 5), true, []string{"group-deaths"}},
-		{"join: on a member", 0, rec(cluster.RecGroupJoin, 1, 0), false, nil},
-		{"join: readiness attestation", 3, rec(cluster.RecGroupJoin, 3, 0), true, []string{"join-votes"}},
-		{"join: legitimate", 1, rec(cluster.RecGroupJoin, 3, 0), true, []string{"join-votes"}},
-		{"leave: on an absent group", 0, rec(cluster.RecGroupLeave, 2, 0), false, nil},
-		{"leave: legitimate", 0, rec(cluster.RecGroupLeave, 1, 0), true, []string{"leave-votes"}},
-		{"epoch: by its own target", 3, epoch(cluster.ReconfigJoin, 3, 3), false, nil},
-		{"epoch: stale number", 0, epoch(cluster.ReconfigJoin, 3, 2), false, []string{"epoch-dupes"}},
-		{"epoch: not the successor", 1, epoch(cluster.ReconfigJoin, 3, 3), false, []string{"epoch-bad-origin"}},
-		{"epoch: join of a member", 0, epoch(cluster.ReconfigJoin, 1, 3), false, nil},
-		{"epoch: leave of an absent group", 0, epoch(cluster.ReconfigLeave, 3, 3), false, nil},
-		{"epoch: legitimate join", 0, epoch(cluster.ReconfigJoin, 3, 3), true, []string{"epoch-switches"}},
-		{"epoch: legitimate leave", 0, epoch(cluster.ReconfigLeave, 1, 3), true, []string{"groups-departed", "epoch-switches"}},
+		{"suspect: out of range", 0, rec(cluster.RecSuspect, 4, 1), false, metrics.Counts{}},
+		{"suspect: a group of itself", 0, rec(cluster.RecSuspect, 0, 1), false, metrics.Counts{}},
+		{"suspect: an absent group", 0, rec(cluster.RecSuspect, 2, 9), false, metrics.Counts{}},
+		{"suspect: legitimate", 1, rec(cluster.RecSuspect, 0, 6), true, metrics.Counts{}},
+		{"revoke: a group of itself", 1, rec(cluster.RecRevoke, 1, 0), false, metrics.Counts{}},
+		{"revoke: an absent group", 1, rec(cluster.RecRevoke, 2, 0), false, metrics.Counts{}},
+		{"revoke: legitimate", 1, rec(cluster.RecRevoke, 0, 0), true, metrics.Counts{GroupRevokes: 1}},
+		{"dead: a group of itself", 0, rec(cluster.RecDead, 0, 5), false, metrics.Counts{}},
+		{"dead: already absent", 0, rec(cluster.RecDead, 2, 9), false, metrics.Counts{DeadDupes: 1}},
+		{"dead: legitimate", 1, rec(cluster.RecDead, 0, 5), true, metrics.Counts{GroupDeaths: 1}},
+		{"join: on a member", 0, rec(cluster.RecGroupJoin, 1, 0), false, metrics.Counts{}},
+		{"join: readiness attestation", 3, rec(cluster.RecGroupJoin, 3, 0), true, metrics.Counts{JoinVotes: 1}},
+		{"join: legitimate", 1, rec(cluster.RecGroupJoin, 3, 0), true, metrics.Counts{JoinVotes: 1}},
+		{"leave: on an absent group", 0, rec(cluster.RecGroupLeave, 2, 0), false, metrics.Counts{}},
+		{"leave: legitimate", 0, rec(cluster.RecGroupLeave, 1, 0), true, metrics.Counts{LeaveVotes: 1}},
+		{"epoch: by its own target", 3, epoch(cluster.ReconfigJoin, 3, 3), false, metrics.Counts{}},
+		{"epoch: stale number", 0, epoch(cluster.ReconfigJoin, 3, 2), false, metrics.Counts{EpochDupes: 1}},
+		{"epoch: not the successor", 1, epoch(cluster.ReconfigJoin, 3, 3), false, metrics.Counts{EpochBadOrigin: 1}},
+		{"epoch: join of a member", 0, epoch(cluster.ReconfigJoin, 1, 3), false, metrics.Counts{}},
+		{"epoch: leave of an absent group", 0, epoch(cluster.ReconfigLeave, 3, 3), false, metrics.Counts{}},
+		{"epoch: legitimate join", 0, epoch(cluster.ReconfigJoin, 3, 3), true, metrics.Counts{EpochSwitches: 1}},
+		{"epoch: legitimate leave", 0, epoch(cluster.ReconfigLeave, 1, 3), true, metrics.Counts{GroupsDeparted: 1, EpochSwitches: 1}},
 	} {
 		tbl := base()
-		e := tbl.step(tc.origin, tc.rec)
+		var counts metrics.Counts
+		tbl.step(tc.origin, tc.rec, &counts)
 		if changed := !reflect.DeepEqual(tbl, base()); changed != tc.changes {
 			t.Errorf("%s: table changed = %v\n  %+v", tc.name, changed, tbl.rows)
 		}
-		if len(e.counters) != len(tc.counters) || len(tc.counters) > 0 && !reflect.DeepEqual(e.counters, tc.counters) {
-			t.Errorf("%s: counters %v, want %v", tc.name, e.counters, tc.counters)
+		if counts != tc.counts {
+			t.Errorf("%s: counts %+v, want %+v", tc.name, counts, tc.counts)
 		}
 	}
 	// A standby origin votes on nothing but its own join.
 	tbl := base()
 	tbl.rows[2] = groupSt{state: standby}
-	if tbl.step(2, cluster.Record{Kind: cluster.RecGroupJoin, Stream: 3}); tbl.rows[3].votes[2] {
+	if tbl.step(2, cluster.Record{Kind: cluster.RecGroupJoin, Stream: 3}, new(metrics.Counts)); tbl.rows[3].votes[2] {
 		t.Error("join: a standby group's vote on another counted")
 	}
 }
@@ -216,14 +218,14 @@ func TestStandbyBootstrapSuspectsForItself(t *testing.T) {
 	}
 	server := c.Nodes[keys.NodeID{Group: 0, Index: 0}].(*Node)
 	joiner := c.Nodes[keys.NodeID{Group: 2, Index: 0}].(*Node)
-	server.apply(server.groups.step(0, cluster.Record{Kind: cluster.RecSuspect, Stream: 1, TS: 5}))
+	server.apply(server.groups.step(0, cluster.Record{Kind: cluster.RecSuspect, Stream: 1, TS: 5}, &c.Metrics.Counts))
 	ck := throughWire(t, server.groups.fold)
 	if !joiner.groups.valid(ck) {
 		t.Fatal("the server's fold fails validation")
 	}
 	joiner.restoreFailover(ck)
 	joiner.apply(joiner.groups.step(0, cluster.Record{Kind: cluster.RecEpoch, Stream: 2,
-		Entry: types.EntryID{GID: int(cluster.ReconfigJoin), Seq: 1}}))
+		Entry: types.EntryID{GID: int(cluster.ReconfigJoin), Seq: 1}}, &c.Metrics.Counts))
 	if joiner.groups.absent(2) {
 		t.Fatal("the join did not certify")
 	}

@@ -89,7 +89,7 @@ func (n *Node) onReconfigure(m *cluster.ReconfigureMsg) {
 // Only after every member installs does the group's meta leader certify the
 // readiness attestation that lets the join quorum complete.
 func (n *Node) startStandbyBootstrap() {
-	n.ctx.Metrics.Inc("standby-bootstraps")
+	n.ctx.Metrics.StandbyBootstraps++
 	n.rejoining = true
 	n.rejoinAttempts = 0
 	n.rejoinBuf = nil
@@ -113,7 +113,7 @@ func (n *Node) membershipScan(now time.Duration) {
 		// certifying the attestation itself requires a quorum of members to
 		// be up and voting on the meta instance).
 		if !n.selfStandby && !n.rejoining && !own.votes[n.g] {
-			n.emitOnce(cluster.Record{Kind: cluster.RecGroupJoin, Stream: n.g}, "join-ready-emitted")
+			n.emitOnce(cluster.Record{Kind: cluster.RecGroupJoin, Stream: n.g})
 		}
 		return
 	}
@@ -123,7 +123,7 @@ func (n *Node) membershipScan(now time.Duration) {
 			continue
 		}
 		if !n.groups.rows[t].votes[n.g] {
-			n.emitOnce(cluster.Record{Kind: cluster.RecGroupJoin, Stream: t}, "join-votes-emitted")
+			n.emitOnce(cluster.Record{Kind: cluster.RecGroupJoin, Stream: t})
 		}
 	}
 	for _, t := range sortedKeys(n.wantLeave) {
@@ -134,7 +134,7 @@ func (n *Node) membershipScan(now time.Duration) {
 			continue
 		}
 		if !n.groups.rows[t].votes[n.g] {
-			n.emitOnce(cluster.Record{Kind: cluster.RecGroupLeave, Stream: t, TS: n.streamCursor(t)}, "leave-votes-emitted")
+			n.emitOnce(cluster.Record{Kind: cluster.RecGroupLeave, Stream: t, TS: n.streamCursor(t)})
 		}
 	}
 	// Own group's farewell: once a quorum of the other groups' leave votes
@@ -145,7 +145,7 @@ func (n *Node) membershipScan(now time.Duration) {
 	// follower with leaving still false, which re-emits here.
 	if !n.leaving &&
 		n.groups.voteCount(n.g) >= n.groups.quorum() && !own.votes[n.g] &&
-		n.emitOnce(cluster.Record{Kind: cluster.RecGroupLeave, Stream: n.g}, "farewells-emitted") {
+		n.emitOnce(cluster.Record{Kind: cluster.RecGroupLeave, Stream: n.g}) {
 		n.leaving = true
 	}
 	n.epochScan()
@@ -201,7 +201,7 @@ func (n *Node) epochScan() {
 func (n *Node) emitEpoch(t int, op byte, ts uint64) bool {
 	rec := cluster.Record{Kind: cluster.RecEpoch, Stream: t, TS: ts,
 		Entry: types.EntryID{GID: int(op), Seq: n.groups.epoch + 1}}
-	if !n.emitOnce(rec, "epochs-emitted") {
+	if !n.emitOnce(rec) {
 		return false
 	}
 	n.epochEmitted = n.groups.epoch + 1
@@ -241,7 +241,7 @@ func (n *Node) activateJoined(s uint64) {
 		n.nextSeq = s + 1
 	}
 	n.lastProposeAt = n.now()
-	n.ctx.Metrics.Inc("groups-joined")
+	n.ctx.Metrics.GroupsJoined++
 	for _, id := range n.sortedEntryIDs() {
 		st := n.live(id)
 		if st == nil || id.GID == n.g || !st.content {

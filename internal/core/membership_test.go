@@ -193,9 +193,9 @@ func runMembershipSchedule(t *testing.T) (*cluster.Cluster, membershipFingerprin
 	fp.epoch, _ = obs.EpochInfo()
 	fp.switches = c.Metrics.Counter("epoch-switches")
 	fp.committed = c.Metrics.Committed()
-	fp.clientOK = c.Hub().Committed
-	fp.resubmits = c.Hub().Resubmits
-	fp.gaveUp = c.Hub().GaveUp
+	fp.clientOK = c.Metrics.ClientCommitted
+	fp.resubmits = c.Metrics.ClientResubmitted
+	fp.gaveUp = c.Metrics.ClientGaveup
 	fp.height = obs.Ledger().Height()
 	head := obs.Ledger().Head()
 	copy(fp.head[:], head[:6])

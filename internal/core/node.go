@@ -292,7 +292,7 @@ type archived struct {
 func New(ctx *cluster.NodeCtx) *Node {
 	n := &Node{
 		ctx:          ctx,
-		cfg:          ctx.Cfg,
+		cfg:          &ctx.Cfg,
 		opts:         ctx.Cfg.Opts,
 		id:           ctx.ID,
 		g:            ctx.ID.Group,
@@ -365,7 +365,7 @@ func (n *Node) newCollector() {
 	n.collector = replication.NewCollector(n.ctx.Reg, n.recvPlan, n.onRebuilt)
 	n.collector.SetMemo(n.ctx.RebuildMemo)
 	n.collector.SetOnFailure(n.onRebuildFailure)
-	n.collector.SetMetricsHook(n.ctx.Metrics.Inc)
+	n.collector.SetCounts(&n.ctx.Metrics.Counts)
 }
 
 // DB exposes the node's state store for consistency checks.
@@ -489,7 +489,7 @@ func (n *Node) livenessTick() {
 // onLocalViewChange resets proposer bookkeeping when local leadership moves;
 // the new leader continues the group sequence from what it has delivered.
 func (n *Node) onLocalViewChange(view uint64) {
-	n.ctx.Metrics.Inc("local-view-changes")
+	n.ctx.Metrics.LocalViewChanges++
 	n.inFlight = 0
 	n.lastLocalProgress = n.now()
 }
@@ -502,7 +502,7 @@ func (n *Node) onLocalViewChange(view uint64) {
 // view in Record.View, fencing out any stale copy of the original still in
 // flight (see processRecords).
 func (n *Node) onMetaViewChange(view uint64) {
-	n.ctx.Metrics.Inc("meta-view-changes")
+	n.ctx.Metrics.MetaViewChanges++
 	n.lastMetaProgress = n.now()
 }
 

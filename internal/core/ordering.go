@@ -78,7 +78,7 @@ func (n *Node) onMetaBatch(from keys.NodeID, b *cluster.MetaBatch) {
 	if b.Cert == nil || b.Cert.Group != b.FromGroup ||
 		b.Cert.Digest != keys.Hash(payload) ||
 		n.ctx.Reg.VerifyCertificate(b.Cert) != nil {
-		n.ctx.Metrics.Inc("batch-cert-rejected")
+		n.ctx.Metrics.BatchCertRejected++
 		return
 	}
 	// Fence: a dead or departed group's stream ends at its cut. Batches at or
@@ -89,7 +89,7 @@ func (n *Node) onMetaBatch(from keys.NodeID, b *cluster.MetaBatch) {
 	// readiness attestation (processRecords drops everything else), and
 	// fencing it would deadlock the join.
 	if n.groups.removed(b.FromGroup) && b.Seq >= n.groups.rows[b.FromGroup].cut {
-		n.ctx.Metrics.Inc("fenced-batches")
+		n.ctx.Metrics.FencedBatches++
 		return
 	}
 	in := &n.streams[b.FromGroup]
@@ -156,7 +156,7 @@ func (n *Node) processRecords(origin int, recs []cluster.Record) {
 			continue
 		}
 		if rec.View < in.view {
-			n.ctx.Metrics.Inc("stale-view-records")
+			n.ctx.Metrics.StaleViewRecords++
 			continue
 		}
 		if rec.View > in.view {
@@ -167,7 +167,7 @@ func (n *Node) processRecords(origin int, recs []cluster.Record) {
 		// attestation.
 		if n.groups.rows[origin].state == standby &&
 			!(rec.Kind == cluster.RecGroupJoin && rec.Stream == origin) {
-			n.ctx.Metrics.Inc("standby-fenced-records")
+			n.ctx.Metrics.StandbyFencedRecords++
 			continue
 		}
 		switch rec.Kind {
@@ -179,7 +179,7 @@ func (n *Node) processRecords(origin int, recs []cluster.Record) {
 			n.onCommitRecord(origin, rec)
 		case cluster.RecSuspect, cluster.RecRevoke, cluster.RecDead,
 			cluster.RecGroupJoin, cluster.RecGroupLeave, cluster.RecEpoch:
-			n.apply(n.groups.step(origin, rec))
+			n.apply(n.groups.step(origin, rec, &n.ctx.Metrics.Counts))
 		case cluster.RecKeepalive:
 			// Liveness beacon: the batch arrival already refreshed the
 			// row's heard above; the record carries nothing else.
@@ -200,13 +200,13 @@ func (n *Node) onTSRecord(origin int, rec cluster.Record) {
 				// failover exists to prevent. The owner's own post-cut records
 				// are fenced at the batch layer, so under correct gating this
 				// never fires.
-				n.ctx.Metrics.Inc("ts-conflicts")
+				n.ctx.Metrics.TsConflicts++
 			} else {
 				// Same-stream supersession: a re-emitted stamp (restampTask)
 				// whose clock drifted past the original's in-flight copy, both
 				// certifying in one view. First delivery wins, identically on
 				// every node — records of one origin form a single FIFO stream.
-				n.ctx.Metrics.Inc("ts-reemits")
+				n.ctx.Metrics.TsReemits++
 			}
 		}
 	}

@@ -109,8 +109,8 @@ func (n *Node) batchTick() {
 	// Counted once the proposal stands, so the undo path above needs no
 	// decrement. Re-proposals after a view change (proposalRepairScan) are
 	// the same entry and are not counted again.
-	n.ctx.Metrics.Inc("entries-proposed")
-	n.ctx.Metrics.Add("txns-proposed", int64(len(e.Txns)))
+	n.ctx.Metrics.EntriesProposed++
+	n.ctx.Metrics.TxnsProposed += int64(len(e.Txns))
 	if n.ctx.Trace != nil {
 		// The entry's trace ID is its EntryID, born here; the propose span is
 		// the instant anchor every later span hangs off.
@@ -335,7 +335,7 @@ func (n *Node) encodeCached(d keys.Digest, p *plan.Plan, enc []byte) *replicatio
 	if cached, ok := n.ctx.EncodeMemo.Get(key); ok {
 		return cached
 	}
-	n.ctx.Metrics.Inc("encode-memo-misses")
+	n.ctx.Metrics.EncodeMemoMisses++
 	encd, err := replication.Encode(enc, p)
 	if err != nil {
 		return nil

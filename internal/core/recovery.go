@@ -6,6 +6,7 @@ import (
 
 	"massbft/internal/cluster"
 	"massbft/internal/keys"
+	"massbft/internal/metrics"
 	"massbft/internal/pbft"
 	"massbft/internal/plan"
 	"massbft/internal/replication"
@@ -34,7 +35,7 @@ var (
 	// Gate: chunks from this origin still arriving means the stalled buckets'
 	// remainders are mostly queued behind them, not lost.
 	chunkRepairTask = recoveryTask{
-		counter:  "repair-reqs",
+		counter:  func(c *metrics.Counts) *int64 { return &c.RepairReqs },
 		on:       func(n *Node) bool { return n.collector != nil },
 		clock:    func(st *entrySt) *retry { return &st.repair },
 		armed:    (*Node).chunkRepairArmed,
@@ -49,7 +50,7 @@ var (
 	// while chunks from the origin still arrive, the tail's missing copies are
 	// in flight behind them; fetching would add duplicate full-entry replies.
 	fetchTask = recoveryTask{
-		counter:  "fetch-retries",
+		counter:  func(c *metrics.Counts) *int64 { return &c.FetchRetries },
 		clock:    func(st *entrySt) *retry { return &st.fetch },
 		armed:    (*Node).fetchArmed,
 		progress: func(n *Node, g int) time.Duration { return n.streams[g].bulkAt },
@@ -74,7 +75,7 @@ var (
 	// stream's view — the patience window here paces re-emission, it is not
 	// load-bearing for correctness.
 	restampTask = recoveryTask{
-		counter: "record-retries",
+		counter: func(c *metrics.Counts) *int64 { return &c.RecordRetries },
 		on:      func(n *Node) bool { return n.meta.IsLeader() },
 		clock:   func(st *entrySt) *retry { return &st.restamp },
 		armed:   (*Node).restampArmed,
@@ -100,7 +101,7 @@ var (
 	// gets the full sweep, which is what refills every receiver group
 	// promptly after a heal.
 	rebroadcastTask = recoveryTask{
-		counter:  "entry-rebroadcasts",
+		counter:  func(c *metrics.Counts) *int64 { return &c.EntryRebroadcasts },
 		on:       func(n *Node) bool { return n.meta.IsLeader() },
 		clock:    func(st *entrySt) *retry { return &st.rebroadcast },
 		armed:    (*Node).rebroadcastArmed,
@@ -152,7 +153,7 @@ func (n *Node) proposalRepairScan(now time.Duration) {
 			continue
 		}
 		p.retry.next(now, 2*patience)
-		n.ctx.Metrics.Inc("proposal-retries")
+		n.ctx.Metrics.ProposalRetries++
 		if n.local.IsLeader() {
 			_ = n.local.Propose(p.enc)
 			continue
@@ -286,7 +287,7 @@ func (n *Node) instanceRepair(in *pbft.Instance, w *pbftWatch, now time.Duration
 	}
 	w.since = now // one request per stalled RepairTimeout window
 	in.Catchup()
-	n.ctx.Metrics.Inc("slot-catchups")
+	n.ctx.Metrics.SlotCatchups++
 }
 
 func (n *Node) chunkRepairArmed(id types.EntryID, st *entrySt) (since, patience, base time.Duration) {
@@ -360,7 +361,7 @@ func (n *Node) streamRepairScan(now time.Duration) {
 		}
 		req := &cluster.StreamFetch{Origin: g, From: in.next}
 		sent := n.nack(req, in.repair.next(now, n.cfg.RepairTimeout), from)
-		n.ctx.Metrics.Add("stream-repair-reqs", int64(sent))
+		n.ctx.Metrics.StreamRepairReqs += int64(sent)
 	}
 }
 
@@ -464,7 +465,7 @@ func (n *Node) rebroadcastFire(now time.Duration, _ types.EntryID, st *entrySt, 
 func (n *Node) takeoverStampTask(s int) *recoveryTask {
 	sent, frozen := n.streams[s].takeoverSent, n.streams[s].ts
 	return &recoveryTask{
-		counter: "takeover-stamps",
+		counter: func(c *metrics.Counts) *int64 { return &c.TakeoverStamps },
 		armed: func(_ *Node, id types.EntryID, st *entrySt) (since, _, _ time.Duration) {
 			if id.GID == s || sent[id] || st.stampedStreams[s] {
 				return 0, 0, 0
@@ -500,7 +501,7 @@ func (n *Node) onStreamFetch(from keys.NodeID, m *cluster.StreamFetch) {
 		served = true
 	}
 	if served {
-		n.ctx.Metrics.Inc("stream-repair-served")
+		n.ctx.Metrics.StreamRepairServed++
 	}
 }
 
@@ -564,5 +565,5 @@ func (n *Node) onChunkRepairReq(from keys.NodeID, m *cluster.ChunkRepairReq) {
 		// WAN reply: a plain batch, which the requester re-shares over LAN.
 		n.ctx.Net.Send(from, &batch, batch.WireSize())
 	}
-	n.ctx.Metrics.Inc("repair-served")
+	n.ctx.Metrics.RepairServed++
 }

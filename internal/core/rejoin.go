@@ -24,11 +24,11 @@ const rejoinBufMax = 8192
 // while execution continues) and keeps the fold path exercised on every node.
 func (n *Node) checkpointTick() {
 	if n.latestState != nil {
-		n.ctx.Metrics.Add("checkpoint-delta-keys", int64(n.latestState.Delta()))
+		n.ctx.Metrics.CheckpointDeltaKeys += int64(n.latestState.Delta())
 	}
 	n.latestCheckpoint = n.foldCheckpoint(n.ledger.Height())
 	n.latestState = n.ctx.Engine.DB().Snapshot() // closes the previous tick's view
-	n.ctx.Metrics.Inc("checkpoints")
+	n.ctx.Metrics.Checkpoints++
 	if n.checkpointHook != nil {
 		n.checkpointHook()
 	}
@@ -200,7 +200,7 @@ func (n *Node) onRejoinReq(from keys.NodeID, m *cluster.RejoinReq) {
 		resp.C.StreamNext[n.g] = resp.C.MetaSlot
 	}
 	n.ctx.Net.Send(from, resp, resp.WireSize())
-	n.ctx.Metrics.Inc("rejoin-served")
+	n.ctx.Metrics.RejoinServed++
 }
 
 // onRejoinResp installs a received checkpoint wholesale and resumes normal
@@ -228,7 +228,7 @@ func (n *Node) onRejoinResp(from keys.NodeID, resp *cluster.RejoinResp) {
 	// extended ledger behind when a later block fails, poisoning the next
 	// transfer attempt.
 	if !n.verifySuffix(ck) {
-		n.ctx.Metrics.Inc("rejoin-badsuffix")
+		n.ctx.Metrics.RejoinBadsuffix++
 		return // reject; the retry timer rotates to another peer
 	}
 	// The pending entries are not on the chain: each carried content must be
@@ -236,12 +236,12 @@ func (n *Node) onRejoinResp(from keys.NodeID, resp *cluster.RejoinResp) {
 	// execute an entry its group never certified.
 	// The group tables decide quorums: a forged one would skew them.
 	if !n.groups.valid(ck) {
-		n.ctx.Metrics.Inc("rejoin-badgroups")
+		n.ctx.Metrics.RejoinBadgroups++
 		return
 	}
 	encs, ok := n.validatePending(ck)
 	if !ok {
-		n.ctx.Metrics.Inc("rejoin-badpending")
+		n.ctx.Metrics.RejoinBadpending++
 		return
 	}
 	for _, b := range ck.Blocks {
@@ -361,11 +361,11 @@ func (n *Node) onRejoinResp(from keys.NodeID, resp *cluster.RejoinResp) {
 		n.meta.Install(ck.MetaView, ck.MetaSlot, ck.MetaSlots)
 	} else {
 		n.selfStandby = false
-		n.ctx.Metrics.Inc("standby-bootstrapped")
+		n.ctx.Metrics.StandbyBootstrapped++
 	}
 
 	n.rejoining = false
-	n.ctx.Metrics.Inc("state-transfers")
+	n.ctx.Metrics.StateTransfers++
 	// Replay the peer's still-buffered out-of-order batches, then whatever
 	// consensus traffic arrived during the transfer.
 	for _, b := range ck.Batches {

@@ -5,6 +5,7 @@ import (
 
 	"massbft/internal/cluster"
 	"massbft/internal/keys"
+	"massbft/internal/metrics"
 	"massbft/internal/types"
 )
 
@@ -120,12 +121,31 @@ func (n *Node) recordQueued(rec cluster.Record) bool {
 }
 
 // emitOnce queues rec unless an equal one is already pending, counting the
-// emission; it reports whether it queued.
-func (n *Node) emitOnce(rec cluster.Record, counter string) bool {
+// emission by the record's kind and whether it names our own group; it
+// reports whether it queued.
+func (n *Node) emitOnce(rec cluster.Record) bool {
 	if n.recordQueued(rec) {
 		return false
 	}
-	n.ctx.Metrics.Inc(counter)
+	c, own := &n.ctx.Metrics.Counts, rec.Stream == n.g
+	switch {
+	case rec.Kind == cluster.RecSuspect:
+		c.SuspectsEmitted++
+	case rec.Kind == cluster.RecRevoke:
+		c.RevokesEmitted++
+	case rec.Kind == cluster.RecDead:
+		c.DeathsEmitted++
+	case rec.Kind == cluster.RecGroupJoin && own:
+		c.JoinReadyEmitted++
+	case rec.Kind == cluster.RecGroupJoin:
+		c.JoinVotesEmitted++
+	case rec.Kind == cluster.RecGroupLeave && own:
+		c.FarewellsEmitted++
+	case rec.Kind == cluster.RecGroupLeave:
+		c.LeaveVotesEmitted++
+	case rec.Kind == cluster.RecEpoch:
+		c.EpochsEmitted++
+	}
 	n.emitRecord(rec)
 	return true
 }
@@ -150,9 +170,9 @@ const partitionHorizon = 2048
 
 // recoveryTask is one row of the per-entry recovery table (recovery.go).
 type recoveryTask struct {
-	counter string                // metric that fire's result is added to
-	on      func(n *Node) bool    // role/configuration gate (nil: every node)
-	clock   func(*entrySt) *retry // the row's clock (nil: fires once per entry)
+	counter func(*metrics.Counts) *int64 // the counter fire's result is added to
+	on      func(n *Node) bool           // role/configuration gate (nil: every node)
+	clock   func(*entrySt) *retry        // the row's clock (nil: fires once per entry)
 	// armed returns when the row's arming evidence appeared on the entry
 	// (zero: not armed), the patience before the first attempt — also the
 	// progress-gate window — and the backoff base.
@@ -197,8 +217,6 @@ func (n *Node) runTask(t *recoveryTask, ids []types.EntryID, now time.Duration) 
 		if t.progress != nil && !g.admit(id.GID, t.progress(n, id.GID), now, patience) {
 			continue
 		}
-		if k := t.fire(n, now, id, st, base); k > 0 {
-			n.ctx.Metrics.Add(t.counter, int64(k))
-		}
+		*t.counter(&n.ctx.Metrics.Counts) += int64(t.fire(n, now, id, st, base))
 	}
 }

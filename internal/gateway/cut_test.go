@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"massbft/internal/keys"
-	"massbft/internal/metrics"
 	"massbft/internal/types"
 )
 
@@ -17,15 +16,6 @@ func forge(txn types.Transaction) types.Transaction {
 	txn.Sig = append([]byte(nil), txn.Sig...)
 	txn.Sig[40] ^= 4
 	return txn
-}
-
-// counters reads the gateway's counters named in order.
-func counters(g *Gateway, names ...string) []int64 {
-	out := make([]int64, len(names))
-	for i, n := range names {
-		out[i] = g.cfg.Metrics.Counter(n)
-	}
-	return out
 }
 
 // TestForgedThenGenuine: a forged copy of (client, nonce) that reaches
@@ -46,7 +36,8 @@ func TestForgedThenGenuine(t *testing.T) {
 	if len(cut) != 1 || !bytes.Equal(cut[0].Sig, genuine.Sig) {
 		t.Fatalf("cut %+v, want the genuine request once", cut)
 	}
-	got := counters(g, "gateway-verify-fail", "gateway-verified", "gateway-dup-pending")
+	c := g.cfg.Counts
+	got := []int64{c.GatewayVerifyFail, c.GatewayVerified, c.GatewayDupPending}
 	if fmt.Sprint(got) != "[1 1 1]" {
 		t.Fatalf("verify-fail, verified, dup-pending = %v, want [1 1 1]", got)
 	}
@@ -79,7 +70,8 @@ func TestGenuineThenForged(t *testing.T) {
 	if n := g.batch.Verified() - before; n != 4 {
 		t.Fatalf("%d signatures verified, want 2 + 2", n)
 	}
-	got := counters(g, "gateway-verified", "gateway-dup-pending", "gateway-verify-fail")
+	c := g.cfg.Counts
+	got := []int64{c.GatewayVerified, c.GatewayDupPending, c.GatewayVerifyFail}
 	if fmt.Sprint(got) != "[1 1 0]" {
 		t.Fatalf("verified, dup-pending, verify-fail = %v, want [1 1 0]", got)
 	}
@@ -97,8 +89,8 @@ func TestExactRetransmission(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if g.Pending() != 1 || g.cfg.Metrics.Counter("gateway-dup-pending") != 2 {
-		t.Fatalf("pending %d, dup-pending %d; want 1, 2", g.Pending(), g.cfg.Metrics.Counter("gateway-dup-pending"))
+	if g.Pending() != 1 || g.cfg.Counts.GatewayDupPending != 2 {
+		t.Fatalf("pending %d, dup-pending %d; want 1, 2", g.Pending(), g.cfg.Counts.GatewayDupPending)
 	}
 	if cut := g.TakeBatch(at(5), 10, true); len(cut) != 1 || g.batch.Verified() != 1 {
 		t.Fatalf("cut %d requests for %d signatures, want 1 and 1", len(cut), g.batch.Verified())
@@ -137,7 +129,8 @@ func TestRivalsAcrossTwoCuts(t *testing.T) {
 	if third := g.TakeBatch(at(3), 2, true); len(third) != 0 {
 		t.Fatalf("the executed nonce was cut again: %+v", third)
 	}
-	got := counters(g, "gateway-verify-fail", "gateway-verified", "gateway-dup-pending", "gateway-executed")
+	c := g.cfg.Counts
+	got := []int64{c.GatewayVerifyFail, c.GatewayVerified, c.GatewayDupPending, c.GatewayExecuted}
 	if fmt.Sprint(got) != "[1 2 2 1]" {
 		t.Fatalf("verify-fail, verified, dup-pending, executed = %v, want [1 2 2 1]", got)
 	}
@@ -254,7 +247,7 @@ func FuzzIntakeCut(f *testing.F) {
 			ops = ops[:128]
 		}
 		g := New(Config{MaxBatch: 4, MaxWait: 3 * time.Millisecond, QueueLimit: 1 << 16, DedupWindow: 1 << 10,
-			Clients: reg, Metrics: metrics.NewCollector()})
+			Clients: reg})
 
 		// The model: its own queue, the pending nonces, the executed ones.
 		type entry struct {

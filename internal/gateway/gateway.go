@@ -75,8 +75,9 @@ type Config struct {
 	// routes one reply per addressee. The receipt is only valid during the
 	// call.
 	Reply func(rc *Receipt)
-	// Metrics receives gateway-* counters; may be nil.
-	Metrics *metrics.Collector
+	// Counts receives the gateway-* counters; nil gives the gateway counts
+	// of its own.
+	Counts *metrics.Counts
 }
 
 // execSlot is one remembered execution inside the dedup window.
@@ -157,22 +158,13 @@ func New(cfg Config) *Gateway {
 	if cfg.RateBurst <= 0 {
 		cfg.RateBurst = defaultRateBurst
 	}
+	if cfg.Counts == nil {
+		cfg.Counts = new(metrics.Counts)
+	}
 	return &Gateway{
 		cfg:     cfg,
 		clients: make(map[uint64]*clientState),
 		batch:   cfg.Clients.NewBatch(),
-	}
-}
-
-func (g *Gateway) inc(name string) {
-	if g.cfg.Metrics != nil {
-		g.cfg.Metrics.Inc(name)
-	}
-}
-
-func (g *Gateway) add(name string, v int64) {
-	if g.cfg.Metrics != nil {
-		g.cfg.Metrics.Add(name, v)
 	}
 }
 
@@ -196,11 +188,11 @@ func (g *Gateway) client(id uint64) *clientState {
 // of an in-flight request, or a dedup-window hit (which re-sends the cached
 // reply via Config.Reply).
 func (g *Gateway) Submit(txn types.Transaction, now time.Time) error {
-	g.inc("gateway-submitted")
+	g.cfg.Counts.GatewaySubmitted++
 	// A request under an id the registry does not hold can only fail
 	// verification: refuse it before it costs any per-client state.
 	if !g.cfg.Clients.Known(txn.Client) {
-		g.inc("gateway-verify-fail")
+		g.cfg.Counts.GatewayVerifyFail++
 		return ErrBadSignature
 	}
 	cs := g.client(txn.Client)
@@ -213,7 +205,7 @@ func (g *Gateway) Submit(txn types.Transaction, now time.Time) error {
 	}
 	p, ok := cs.pending[txn.Nonce]
 	if ok && (p.cut || bytes.Equal(p.sig, txn.Sig) && bytes.Equal(p.payload, txn.Payload)) {
-		g.inc("gateway-dup-pending")
+		g.cfg.Counts.GatewayDupPending++
 		return nil
 	}
 
@@ -227,7 +219,7 @@ func (g *Gateway) Submit(txn types.Transaction, now time.Time) error {
 		}
 		cs.last = now
 		if cs.tokens < 1 {
-			g.inc("gateway-rejected-rate")
+			g.cfg.Counts.GatewayRejectedRate++
 			return ErrRateLimited
 		}
 		cs.tokens--
@@ -235,7 +227,7 @@ func (g *Gateway) Submit(txn types.Transaction, now time.Time) error {
 
 	// Bounded intake.
 	if len(g.q) >= g.cfg.QueueLimit {
-		g.inc("gateway-rejected-overload")
+		g.cfg.Counts.GatewayRejectedOverload++
 		return ErrOverloaded
 	}
 
@@ -245,10 +237,8 @@ func (g *Gateway) Submit(txn types.Transaction, now time.Time) error {
 	p.queued++
 	cs.pending[txn.Nonce] = p
 	g.q = append(g.q, queued{txn: txn, at: now})
-	g.inc("gateway-enqueued")
-	if g.cfg.Metrics != nil && int64(len(g.q)) > g.cfg.Metrics.Counter("gateway-queue-peak") {
-		g.cfg.Metrics.Set("gateway-queue-peak", int64(len(g.q)))
-	}
+	g.cfg.Counts.GatewayEnqueued++
+	g.cfg.Counts.GatewayQueuePeak = max(g.cfg.Counts.GatewayQueuePeak, int64(len(g.q)))
 	return nil
 }
 
@@ -323,13 +313,13 @@ func (g *Gateway) TakeBatch(now time.Time, size int, force bool) []types.Transac
 		p.queued = max(p.queued-1, 0)
 		switch {
 		case p.cut:
-			g.inc("gateway-dup-pending")
+			g.cfg.Counts.GatewayDupPending++
 		case q.ok:
 			p.cut = true
-			g.inc("gateway-verified")
+			g.cfg.Counts.GatewayVerified++
 			out = append(out, q.txn)
 		default:
-			g.inc("gateway-verify-fail")
+			g.cfg.Counts.GatewayVerifyFail++
 		}
 		if p.queued == 0 && (!p.cut || p.executed) {
 			delete(cs.pending, q.txn.Nonce)
@@ -338,7 +328,7 @@ func (g *Gateway) TakeBatch(now time.Time, size int, force bool) []types.Transac
 		}
 	}
 	g.q = append(g.q[:0], g.q[len(cut):]...)
-	g.add("gateway-proposed", int64(len(out)))
+	g.cfg.Counts.GatewayProposed += int64(len(out))
 	return out
 }
 
@@ -422,7 +412,7 @@ func (g *Gateway) ServeCached(client, nonce uint64) bool {
 	if slot == nil {
 		return false
 	}
-	g.inc("gateway-dedup-cached")
+	g.cfg.Counts.GatewayDedupCached++
 	if g.cfg.Reply != nil {
 		g.rcpt.begin()
 		g.rcpt.add(client, nonce, true)
@@ -478,6 +468,6 @@ func (g *Gateway) MarkExecuted(e Exec) (fresh bool) {
 		cs.next = (cs.next + 1) % len(cs.window)
 	}
 	cs.highest = max(cs.highest, e.Nonce)
-	g.inc("gateway-executed")
+	g.cfg.Counts.GatewayExecuted++
 	return true
 }

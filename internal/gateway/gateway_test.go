@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"massbft/internal/keys"
-	"massbft/internal/metrics"
 	"massbft/internal/types"
 )
 
@@ -35,7 +34,6 @@ func newEnv(t *testing.T, mut func(*Config)) *testEnv {
 		MaxBatch: 4,
 		MaxWait:  20 * time.Millisecond,
 		Clients:  reg,
-		Metrics:  metrics.NewCollector(),
 		Reply: func(rc *Receipt) {
 			for _, to := range rc.To {
 				env.replies = append(env.replies, replyRec{to.Client, to.Nonce, rc.Status == StatusDup, rc.Height})
@@ -63,7 +61,7 @@ func at(ms int) time.Time { return time.Unix(0, int64(ms)*int64(time.Millisecond
 func TestIntakeVerifyAtCut(t *testing.T) {
 	env := newEnv(t, nil)
 	g := env.gw
-	m := g.cfg.Metrics
+	m := g.cfg.Counts
 
 	good := req(env.cks[0], 1, "v1")
 	bad := req(env.cks[1], 1, "v1")
@@ -74,17 +72,17 @@ func TestIntakeVerifyAtCut(t *testing.T) {
 		}
 	}
 	// The retransmitted bad request repeats the queued copy's bytes: absorbed.
-	if g.Pending() != 2 || m.Counter("gateway-dup-pending") != 1 || m.Counter("gateway-verified") != 0 {
+	if g.Pending() != 2 || m.GatewayDupPending != 1 || m.GatewayVerified != 0 {
 		t.Fatalf("pending %d, dup-pending %d, verified %d; want 2, 1, 0",
-			g.Pending(), m.Counter("gateway-dup-pending"), m.Counter("gateway-verified"))
+			g.Pending(), m.GatewayDupPending, m.GatewayVerified)
 	}
 	cut := g.TakeBatch(at(1), 10, true)
 	if len(cut) != 1 || cut[0].Client != good.Client {
 		t.Fatalf("cut %v, want the good request alone", clientsOf(cut))
 	}
-	if m.Counter("gateway-verified") != 1 || m.Counter("gateway-verify-fail") != 1 || m.Counter("gateway-proposed") != 1 {
+	if m.GatewayVerified != 1 || m.GatewayVerifyFail != 1 || m.GatewayProposed != 1 {
 		t.Fatalf("verified %d, verify-fail %d, proposed %d; want 1 each",
-			m.Counter("gateway-verified"), m.Counter("gateway-verify-fail"), m.Counter("gateway-proposed"))
+			m.GatewayVerified, m.GatewayVerifyFail, m.GatewayProposed)
 	}
 	// The evicted request holds no nonce: a genuine one under it queues.
 	if err := g.Submit(req(env.cks[1], 1, "v1"), at(2)); err != nil || g.Pending() != 1 {
@@ -145,7 +143,7 @@ func TestDedupExactlyOnce(t *testing.T) {
 	if len(env.replies) != 1 || !env.replies[0].cached || env.replies[0].height != 5 {
 		t.Fatalf("cached reply = %+v, want one cached reply at height 5", env.replies)
 	}
-	if n := g.cfg.Metrics.Counter("gateway-proposed"); n != 1 {
+	if n := g.cfg.Counts.GatewayProposed; n != 1 {
 		t.Fatalf("gateway-proposed = %d, want 1 (exactly once)", n)
 	}
 }
@@ -210,10 +208,10 @@ func TestDedupWindowRing(t *testing.T) {
 	if !g.MarkExecuted(Exec{Client: 1, Nonce: 10, Height: 9}) {
 		t.Fatal("an evicted nonce did not report fresh")
 	}
-	if n := g.cfg.Metrics.Counter("gateway-executed"); n != 6 {
+	if n := g.cfg.Counts.GatewayExecuted; n != 6 {
 		t.Fatalf("gateway-executed = %d, want 6", n)
 	}
-	if n := g.cfg.Metrics.Counter("gateway-dedup-cached"); n != 3 {
+	if n := g.cfg.Counts.GatewayDedupCached; n != 3 {
 		t.Fatalf("gateway-dedup-cached = %d, want 3", n)
 	}
 }
@@ -249,7 +247,7 @@ func TestForgedPayloadReplayRejected(t *testing.T) {
 	if cut := g.TakeBatch(at(2), 10, true); len(cut) != 0 {
 		t.Fatalf("forged replay cut into a proposal: %+v", cut)
 	}
-	if n := g.cfg.Metrics.Counter("gateway-verify-fail"); n != 1 {
+	if n := g.cfg.Counts.GatewayVerifyFail; n != 1 {
 		t.Fatalf("gateway-verify-fail = %d, want 1", n)
 	}
 	// The genuine bytes re-enter and are cut (at-least-once beyond the

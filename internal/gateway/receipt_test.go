@@ -7,7 +7,6 @@ import (
 
 	"massbft/internal/keys"
 	"massbft/internal/merkle"
-	"massbft/internal/metrics"
 	"massbft/internal/types"
 )
 
@@ -300,7 +299,7 @@ func TestReceiptCostCeilings(t *testing.T) {
 	// One Reply call per executed entry, none on a foreign group's entry or
 	// on a re-execution.
 	receipts, answered := 0, 0
-	g := New(Config{Metrics: metrics.NewCollector(), Reply: func(rc *Receipt) {
+	g := New(Config{Reply: func(rc *Receipt) {
 		receipts++
 		answered += len(rc.To)
 		if rc.Tree.LeafCount() != clients {

@@ -36,10 +36,10 @@ func TestSubmitUnknownClientCreatesNoState(t *testing.T) {
 	if n := len(g.clients); n != 0 {
 		t.Fatalf("%d client states created for unknown ids", n)
 	}
-	m := g.cfg.Metrics
-	if m.Counter("gateway-submitted") != 10000 || m.Counter("gateway-verify-fail") != 10000 || g.Pending() != 0 {
+	m := g.cfg.Counts
+	if m.GatewaySubmitted != 10000 || m.GatewayVerifyFail != 10000 || g.Pending() != 0 {
 		t.Fatalf("submitted %d, verify-fail %d, queued %d",
-			m.Counter("gateway-submitted"), m.Counter("gateway-verify-fail"), g.Pending())
+			m.GatewaySubmitted, m.GatewayVerifyFail, g.Pending())
 	}
 }
 

@@ -61,8 +61,8 @@ func TestCutAgreesWithVote(t *testing.T) {
 			{"in a clean cut", append([]types.Transaction{tx}, clean...), 0},
 			{"in a poisoned cut", append(append([]types.Transaction{forged}, clean...), tx), 1},
 		} {
-			m := metrics.NewCollector()
-			g := gateway.New(gateway.Config{Clients: reg, Metrics: m})
+			m := new(metrics.Counts)
+			g := gateway.New(gateway.Config{Clients: reg, Counts: m})
 			for _, r := range c.reqs {
 				if err := g.Submit(r, time.Time{}); err != nil {
 					t.Fatal(err)
@@ -73,9 +73,9 @@ func TestCutAgreesWithVote(t *testing.T) {
 			for _, r := range cut {
 				taken = taken || r.Client == tx.Client && bytes.Equal(r.Sig, tx.Sig)
 			}
-			if taken != vote || len(cut) != len(c.reqs)-int(c.fails) || m.Counter("gateway-verify-fail") != c.fails {
+			if taken != vote || len(cut) != len(c.reqs)-int(c.fails) || m.GatewayVerifyFail != c.fails {
 				t.Fatalf("T%d %s: cut %d of %d requests (torsion one taken: %v, vote %v), %d evicted",
-					ti, c.name, len(cut), len(c.reqs), taken, vote, m.Counter("gateway-verify-fail"))
+					ti, c.name, len(cut), len(c.reqs), taken, vote, m.GatewayVerifyFail)
 			}
 			if !g.VerifyTxns(cut) {
 				t.Fatalf("T%d %s: the follower rule rejects the leader's cut", ti, c.name)

@@ -8,13 +8,114 @@ package metrics
 import (
 	"fmt"
 	"math"
+	"reflect"
+	"regexp"
 	"sort"
+	"strings"
 	"time"
 )
+
+// Counts declares each event counter once, as an int64 field that producers
+// increment, so a misspelled counter does not compile. A counter's name —
+// Collector.Counter's argument, a key of Counters() and of a node's status
+// file — is its field name in kebab case: RepairReqs is "repair-reqs". The
+// nodes of a simulated cluster count into one Counts.
+type Counts struct {
+	// The fault layer's totals, sampled from simnet after each Run:
+	// messages dropped, duplicated and dropped by a partition, and payloads
+	// corrupted and equivocated by a Byzantine sender.
+	NetDropped, NetDuplicated, NetPartitionDropped, NetCorrupted, NetEquivocated int64
+	// Agreement verdicts (Cluster.AgreementReport, ProcNode.NoteAgreement)
+	// and the height of the last one's first divergent block.
+	ForkedDetected, WedgedDetected, AgreementFirstDivHeight int64
+	// One per recovery path of DESIGN.md §6: chunk repair (RepairReqs,
+	// which massbft-demo prints as chunk-repairs), entry fetch, stream
+	// repair, record re-emission, entry rebroadcast, proposal repair,
+	// takeover stamps, PBFT slot catch-up and installed state transfers.
+	RepairReqs, FetchRetries, StreamRepairReqs, RecordRetries, EntryRebroadcasts int64
+	ProposalRetries, TakeoverStamps, SlotCatchups, StateTransfers                int64
+	// The serving side: chunk repairs, stream fetches and state transfers
+	// answered.
+	RepairServed, StreamRepairServed, RejoinServed int64
+	// The periodic checkpoint folds (Config.CheckpointInterval, summed over
+	// nodes) and the distinct keys written under the view each fold replaced:
+	// their quotient is what one fold cost, against a state of Store.Len()
+	// keys that it no longer copies.
+	Checkpoints, CheckpointDeltaKeys int64
+	// Offered checkpoints a rejoining node refused: a ledger suffix that does
+	// not chain to its own, a pending entry its certificate does not cover,
+	// or a group table with an id out of range, a cut list that does not
+	// match, or a group in two states.
+	RejoinBadsuffix, RejoinBadpending, RejoinBadgroups int64
+	// What the group leaders handed to local consensus (heartbeat entries
+	// included, re-proposals not): the denominator for how much of what was
+	// proposed executed.
+	EntriesProposed, TxnsProposed int64
+	// The PBFT views the local and the meta instance installed, once per
+	// node per view.
+	LocalViewChanges, MetaViewChanges int64
+	// The erasure encodings and bucket decodes the process's memos did not
+	// already hold: with nothing lost, one per (entry, transfer plan) and
+	// one per bucket.
+	EncodeMemoMisses, RebuildMemoMisses int64
+	// Rebuilt buckets whose first certificate failed validation and a later
+	// candidate was tried.
+	CertRetries int64
+	// Record intake (processRecords): meta batches whose certificate failed,
+	// batches dropped past a certified cut, records below their stream's
+	// view fence, and a standby origin's records other than its readiness.
+	BatchCertRejected, FencedBatches, StaleViewRecords, StandbyFencedRecords int64
+	// Stamps the orderer refused: one certified on another group's stream
+	// (a takeover stamp racing the live owner: a fork), and a re-emission
+	// superseded on its own stream.
+	TsConflicts, TsReemits int64
+	// Failover records queued by the meta leaders, and the scans that queued
+	// more than one death.
+	KeepalivesEmitted, SuspectsEmitted, RevokesEmitted, DeathsEmitted, DeathBatches int64
+	// Membership records queued: a standby group's readiness attestation,
+	// votes to join or leave, a leaving group's farewell, and epoch switches.
+	JoinReadyEmitted, JoinVotesEmitted, LeaveVotesEmitted, FarewellsEmitted, EpochsEmitted int64
+	// Group-table transitions (groupTable.step): new suspicions and
+	// withdrawn ones, deaths and repeated deaths, new join and leave votes,
+	// epoch records refused as stale or not from the successor, and epoch
+	// switches, departures among them.
+	GroupSuspects, GroupRevokes, GroupDeaths, DeadDupes                              int64
+	JoinVotes, LeaveVotes, EpochDupes, EpochBadOrigin, EpochSwitches, GroupsDeparted int64
+	// A standby node's state transfer started and installed, and a joined
+	// group's activation.
+	StandbyBootstraps, StandbyBootstrapped, GroupsJoined int64
+	// The gateway's intake (DESIGN.md §10): requests submitted, failing
+	// verification, duplicates of pending ones, refused by the rate limit
+	// or a full queue, enqueued, and the queue's peak length.
+	GatewaySubmitted, GatewayVerifyFail, GatewayDupPending, GatewayRejectedRate int64
+	GatewayRejectedOverload, GatewayEnqueued, GatewayQueuePeak                  int64
+	// Its cut and execution: requests verified and proposed, dedup-window
+	// answers, executions reported, proposals followers refused, and replies
+	// a massbft-node routed to a connection or found none for.
+	GatewayVerified, GatewayProposed, GatewayDedupCached, GatewayExecuted int64
+	GatewayProposalReject, GatewayReplySent, GatewayReplyUnrouted         int64
+	// The simulated clients: requests accepted on f+1 receipts, resent to
+	// another group, and given up.
+	ClientCommitted, ClientResubmitted, ClientGaveup int64
+}
+
+// counterNames holds each Counts field's name, in field order, and
+// counterField the reverse.
+var counterNames, counterField = func() ([]string, map[string]int) {
+	t, wordStart := reflect.TypeOf(Counts{}), regexp.MustCompile(`\B[A-Z]`)
+	names, field := make([]string, t.NumField()), make(map[string]int, t.NumField())
+	for i := range names {
+		names[i] = strings.ToLower(wordStart.ReplaceAllString(t.Field(i).Name, "-$0"))
+		field[names[i]] = i
+	}
+	return names, field
+}()
 
 // Collector accumulates measurements for one run. It is single-threaded
 // (driven by the simulation event loop).
 type Collector struct {
+	Counts
+
 	start, end time.Duration
 
 	committedTxns int64
@@ -32,10 +133,6 @@ type Collector struct {
 	seriesTxns map[int]int64
 	seriesLat  map[int]time.Duration
 	seriesLatN map[int]int64
-
-	// counters holds named event counts (fault and recovery events: chunks
-	// dropped, repair NACKs, fetch retries, checkpoints, state transfers).
-	counters map[string]int64
 }
 
 // NewCollector creates an empty collector.
@@ -46,28 +143,26 @@ func NewCollector() *Collector {
 		seriesTxns: make(map[int]int64),
 		seriesLat:  make(map[int]time.Duration),
 		seriesLatN: make(map[int]int64),
-		counters:   make(map[string]int64),
 	}
 }
 
-// Inc increments a named event counter by one.
-func (c *Collector) Inc(name string) { c.counters[name]++ }
+// Counter returns the counter of that name (zero for a name Counts does not
+// declare).
+func (c *Collector) Counter(name string) int64 {
+	if i, ok := counterField[name]; ok {
+		return reflect.ValueOf(&c.Counts).Elem().Field(i).Int()
+	}
+	return 0
+}
 
-// Add increments a named event counter by d.
-func (c *Collector) Add(name string, d int64) { c.counters[name] += d }
-
-// Set overwrites a named counter (used for values sampled from elsewhere,
-// e.g. the network fault layer's drop totals).
-func (c *Collector) Set(name string, v int64) { c.counters[name] = v }
-
-// Counter returns a named counter's current value (zero if never touched).
-func (c *Collector) Counter(name string) int64 { return c.counters[name] }
-
-// Counters returns a copy of all named counters.
+// Counters returns every non-zero counter by name.
 func (c *Collector) Counters() map[string]int64 {
-	out := make(map[string]int64, len(c.counters))
-	for k, v := range c.counters {
-		out[k] = v
+	v := reflect.ValueOf(&c.Counts).Elem()
+	out := make(map[string]int64)
+	for i, name := range counterNames {
+		if n := v.Field(i).Int(); n != 0 {
+			out[name] = n
+		}
 	}
 	return out
 }
@@ -221,15 +316,14 @@ func (c *Collector) Summary() string {
 	s := fmt.Sprintf("throughput=%.0f tps latency(avg)=%v p50=%v entries=%d abortRate=%.3f",
 		c.Throughput(), c.AvgLatency().Round(time.Millisecond),
 		c.PercentileLatency(50).Round(time.Millisecond), c.entries, c.AbortRate())
-	names := make([]string, 0, len(c.counters))
-	for name, v := range c.counters {
-		if v != 0 {
-			names = append(names, name)
-		}
+	counters := c.Counters()
+	names := make([]string, 0, len(counters))
+	for name := range counters {
+		names = append(names, name)
 	}
 	sort.Strings(names)
 	for _, name := range names {
-		s += fmt.Sprintf(" %s=%d", name, c.counters[name])
+		s += fmt.Sprintf(" %s=%d", name, counters[name])
 	}
 	return s
 }

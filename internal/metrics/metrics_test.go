@@ -1,6 +1,9 @@
 package metrics
 
 import (
+	"reflect"
+	"regexp"
+	"strings"
 	"testing"
 	"time"
 )
@@ -154,5 +157,42 @@ func TestSummaryNonEmpty(t *testing.T) {
 	c := NewCollector()
 	if c.Summary() == "" {
 		t.Fatal("empty summary")
+	}
+}
+
+// TestCounterNames: each Counts field derives a distinct kebab-case name, and
+// Counter and Counters read the field of that name; Counters leaves out what
+// is zero and Counter reads zero for an undeclared name.
+func TestCounterNames(t *testing.T) {
+	kebab := regexp.MustCompile(`^[a-z]+(-[a-z]+)*$`)
+	c := NewCollector()
+	v := reflect.ValueOf(&c.Counts).Elem()
+	if len(counterNames) != v.NumField() || len(counterField) != v.NumField() {
+		t.Fatalf("%d fields, %d names, %d distinct", v.NumField(), len(counterNames), len(counterField))
+	}
+	for i, name := range counterNames {
+		if !kebab.MatchString(name) {
+			t.Errorf("field %s is named %q", v.Type().Field(i).Name, name)
+		}
+		v.Field(i).SetInt(int64(i + 1))
+	}
+	all := c.Counters()
+	for i, name := range counterNames {
+		if c.Counter(name) != int64(i+1) || all[name] != int64(i+1) {
+			t.Errorf("%s: Counter %d, Counters %d, field %d", name, c.Counter(name), all[name], i+1)
+		}
+	}
+	if len(all) != len(counterNames) {
+		t.Errorf("Counters holds %d names, want %d", len(all), len(counterNames))
+	}
+	c.Counts = Counts{RepairReqs: 3, RejoinBadsuffix: 1}
+	if got := c.Counters(); len(got) != 2 || got["repair-reqs"] != 3 || got["rejoin-badsuffix"] != 1 {
+		t.Errorf("Counters = %v", got)
+	}
+	if c.Counter("repair-req") != 0 {
+		t.Error("an undeclared name reads non-zero")
+	}
+	if s := c.Summary(); !strings.HasSuffix(s, " rejoin-badsuffix=1 repair-reqs=3") {
+		t.Errorf("Summary = %q", s)
 	}
 }

@@ -34,6 +34,7 @@ import (
 	"massbft/internal/erasure"
 	"massbft/internal/keys"
 	"massbft/internal/merkle"
+	"massbft/internal/metrics"
 	"massbft/internal/plan"
 	"massbft/internal/types"
 )
@@ -218,17 +219,15 @@ type Collector struct {
 	// onFailure, when set, is notified with the chunk IDs of a bucket that
 	// failed validation, letting the node blacklist their senders (§VI-E).
 	onFailure func(id types.EntryID, chunkIDs []int)
-	// onMetric, when set, receives named counter increments (kebab-case, the
-	// hosting node's metrics convention) for events worth surfacing outside
-	// the Stats accessors, e.g. certificate-validation retries.
-	onMetric func(name string)
+	// counts receives the memo misses and certificate retries (never nil).
+	counts *metrics.Counts
 	// memo, when set, shares rebuild outcomes across nodes.
 	memo *RebuildMemo
 
 	entries map[types.EntryID]*entryState
 
 	// Stats
-	rebuilds, failedRebuilds, rejectedChunks, certRetries int
+	rebuilds, failedRebuilds, rejectedChunks int
 }
 
 // SetMemo installs a shared rebuild memo (see RebuildMemo).
@@ -237,14 +236,8 @@ func (c *Collector) SetMemo(m *RebuildMemo) { c.memo = m }
 // SetOnFailure installs the failed-rebuild notification callback.
 func (c *Collector) SetOnFailure(fn func(id types.EntryID, chunkIDs []int)) { c.onFailure = fn }
 
-// SetMetricsHook installs the named-counter callback (see onMetric).
-func (c *Collector) SetMetricsHook(fn func(name string)) { c.onMetric = fn }
-
-func (c *Collector) metric(name string) {
-	if c.onMetric != nil {
-		c.onMetric(name)
-	}
-}
+// SetCounts makes the collector count into m instead of counts of its own.
+func (c *Collector) SetCounts(m *metrics.Counts) { c.counts = m }
 
 // maxCandidateCerts bounds the distinct certificates remembered per bucket.
 // One honest certificate exists per entry, so the bound only limits how many
@@ -315,6 +308,7 @@ func NewCollector(reg *keys.Registry, planFor func(senderGroup int) *plan.Plan, 
 		registry:  reg,
 		planFor:   planFor,
 		onRebuilt: onRebuilt,
+		counts:    new(metrics.Counts),
 		entries:   make(map[types.EntryID]*entryState),
 	}
 }
@@ -409,7 +403,7 @@ func (c *Collector) tryRebuild(id types.EntryID, st *entryState, bk bucketKey, p
 	if out == nil && c.memo != nil {
 		var hit bool
 		if out, hit = c.memo.Get(bk); !hit {
-			c.metric("rebuild-memo-misses")
+			c.counts.RebuildMemoMisses++
 		} else if out.entry == nil || out.entry.ID != id {
 			c.banBucketNotify(id, st, bk)
 			return
@@ -482,8 +476,7 @@ func (c *Collector) pickValidCert(id types.EntryID, st *entryState, bk bucketKey
 		}
 		attempts++
 		if attempts > 1 {
-			c.certRetries++
-			c.metric("cert-retries")
+			c.counts.CertRetries++
 		}
 		return c.registry.VerifyCertificate(cert) == nil
 	}
@@ -621,11 +614,6 @@ func (c *Collector) Len() int { return len(c.entries) }
 func (c *Collector) Stats() (rebuilds, failed, rejected int) {
 	return c.rebuilds, c.failedRebuilds, c.rejectedChunks
 }
-
-// CertRetries returns how many times rebuild validation had to move past the
-// first candidate certificate (i.e. some sender shipped a certificate that
-// did not validate for an otherwise sound bucket).
-func (c *Collector) CertRetries() int { return c.certRetries }
 
 // --- Plain (non-encoded) replication strategies used by baselines ---
 

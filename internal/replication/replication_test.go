@@ -491,7 +491,7 @@ func TestTriggeringChunkWithMangledCertDoesNotBanHonestBucket(t *testing.T) {
 	if err := f.reg.VerifyCertificate(got[0].Cert); err != nil {
 		t.Fatalf("delivered with invalid certificate: %v", err)
 	}
-	if c.CertRetries() == 0 {
+	if c.counts.CertRetries == 0 {
 		t.Fatal("cert retry not counted")
 	}
 	_, failed, _ := c.Stats()

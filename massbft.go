@@ -384,33 +384,11 @@ func (c *Cluster) RecoverNode(at time.Duration, group, index int) {
 	c.inner.ScheduleNodeRecover(at, keys.NodeID{Group: group, Index: index})
 }
 
-// Counter reads one internal diagnostic counter; zero for unknown names.
-// Useful to confirm that fault injection and recovery actually engaged
-// during a run: "net-dropped" and "net-duplicated" from the fault layer, and
-// one counter per recovery path of DESIGN.md §6 — "repair-reqs" (chunk
-// repair; massbft-demo prints it as chunk-repairs), "fetch-retries",
-// "stream-repair-reqs", "record-retries", "entry-rebroadcasts",
-// "proposal-retries", "takeover-stamps", "slot-catchups", "state-transfers".
-// "rejoin-served" counts the state transfers peers answered, "checkpoints"
-// the periodic folds (Config.CheckpointInterval, summed over nodes) and
-// "checkpoint-delta-keys" the distinct keys written under the view each fold
-// replaced — their quotient is what one fold cost, against a state of
-// (*statedb.Store).Len() keys that it no longer copies (Len counts the keys
-// that are present; a deleted key keeps its record in the store's table, and
-// its node-local id, but is not counted).
-// "entries-proposed" and "txns-proposed" count what the group leaders handed
-// to local consensus (heartbeat entries included, re-proposals not), the
-// denominator for "how much of what was proposed executed".
-// "local-view-changes" and "meta-view-changes" count the PBFT views the local
-// and the meta instance installed, once per node per view.
-// "rejoin-badsuffix", "rejoin-badpending" and "rejoin-badgroups" count
-// offered checkpoints a rejoining node refused: a ledger suffix that does not
-// chain to its own, a pending entry its certificate does not cover, or a
-// group table with an id out of range, a cut list that does not match, or a
-// group in two states.
-// "encode-memo-misses" and "rebuild-memo-misses" count the erasure encodings
-// and bucket decodes the cluster's shared memos did not already hold: with
-// nothing lost, one per (entry, transfer plan) and one per bucket.
+// Counter reads one internal diagnostic counter by name, such as
+// "state-transfers" or "net-dropped"; zero for unknown names. Useful to
+// confirm that fault injection and recovery actually engaged during a run.
+// The fields of internal/metrics.Counts declare every name and say what it
+// counts.
 func (c *Cluster) Counter(name string) int64 {
 	return c.inner.Metrics.Counter(name)
 }
@@ -613,11 +591,9 @@ func (c *Cluster) result() Result {
 		WANBytesTotal:   c.inner.Net.WANBytes(-1),
 		Stages:          m.StageBreakdown(),
 		Series:          series,
-	}
-	if hub := c.inner.Hub(); hub != nil {
-		res.ClientCommitted = hub.Committed
-		res.ClientResubmits = hub.Resubmits
-		res.ClientGaveUp = hub.GaveUp
+		ClientCommitted: m.ClientCommitted,
+		ClientResubmits: m.ClientResubmitted,
+		ClientGaveUp:    m.ClientGaveup,
 	}
 	if c.inner.Trace != nil {
 		rep := trace.Analyze(c.inner.Trace.Spans(), c.inner.Cfg.Observer)

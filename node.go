@@ -15,12 +15,10 @@ import (
 	"os"
 	"time"
 
-	"massbft/internal/aria"
 	"massbft/internal/cluster"
 	"massbft/internal/core"
 	"massbft/internal/keys"
 	"massbft/internal/metrics"
-	"massbft/internal/statedb"
 	"massbft/internal/transport"
 	"massbft/internal/transport/tcp"
 )
@@ -338,33 +336,13 @@ func StartNode(nc NodeConfig) (*ProcNode, error) {
 		return nil, err
 	}
 
-	db := statedb.New()
-	gen.Load(db)
 	col := metrics.NewCollector()
 	col.SetWindow(0, 1<<62) // real deployments measure everything
 
-	n := &ProcNode{id: id, tcpn: tcpn, cfg: &cfg, col: col, logf: nc.Logf}
-	encodeMemo, rebuildMemo, values := cluster.NewMemos(&cfg)
-	engine := aria.NewEngine(db, gen.Executor())
-	engine.Values = values
-	ctx := &cluster.NodeCtx{
-		ID:      id,
-		KP:      ids.Pairs[id.Group][id.Index],
-		Cfg:     &cfg,
-		Reg:     ids.Reg,
-		Net:     tcpn.Endpoint(id),
-		Gen:     gen,
-		Engine:  engine,
-		Metrics: col,
-		// Every process observes itself: the collector is process-local.
-		IsObserver:  true,
-		EncodeMemo:  encodeMemo,
-		RebuildMemo: rebuildMemo,
-		Faults:      &cluster.FaultPlan{ByzantineNodes: make(map[keys.NodeID]bool)},
-	}
-	if cfg.Gateway.Enabled {
-		cluster.AttachGateway(ctx, ids.ClientReg)
-	}
+	// Every process observes itself: the collector is process-local.
+	p := cluster.NewProcess(cfg, ids, col)
+	ctx := p.NodeCtx(id, tcpn.Endpoint(id), gen, true)
+	n := &ProcNode{id: id, tcpn: tcpn, cfg: &p.Cfg, col: col, logf: nc.Logf}
 	n.ep = ctx.Net
 	n.node = core.New(ctx)
 	tcpn.SetHandler(id, n.node)
@@ -425,11 +403,11 @@ func (n *ProcNode) sendReply(rep *cluster.ClientReply) {
 	}
 	frame := transport.AppendFrame(make([]byte, 0, 12+len(enc)), 0, enc)
 	if n.gws.reply(rep.Client, frame) {
-		n.col.Inc("gateway-reply-sent")
+		n.col.GatewayReplySent++
 	} else {
 		// No live connection (or a saturated one) for this client
 		// here: drop — f+1 OTHER group members also reply.
-		n.col.Inc("gateway-reply-unrouted")
+		n.col.GatewayReplyUnrouted++
 	}
 }
 
@@ -472,15 +450,12 @@ func (n *ProcNode) Reconfigure(op byte, group int) {
 func (n *ProcNode) NoteAgreement(sum AgreementSummary) {
 	n.ep.After(0, func() {
 		n.agreement = &sum
+		n.col.AgreementFirstDivHeight = int64(sum.FirstDivergentHeight) // 0 when converged
 		switch sum.Verdict {
 		case AgreementForked:
-			n.col.Inc("forked-detected")
-			n.col.Set("agreement-first-div-height", int64(sum.FirstDivergentHeight))
+			n.col.ForkedDetected++
 		case AgreementWedged:
-			n.col.Inc("wedged-detected")
-			n.col.Set("agreement-first-div-height", int64(sum.FirstDivergentHeight))
-		default:
-			n.col.Set("agreement-first-div-height", 0)
+			n.col.WedgedDetected++
 		}
 	})
 }
@@ -491,21 +466,6 @@ func (n *ProcNode) Status() (NodeStatus, error) {
 	ts := n.tcpn.Stats()
 	var st NodeStatus
 	ok := n.onLoop(func() {
-		// Fold the transport counters into the node's metrics collector
-		// (on its loop — the collector is not goroutine-safe) so they show
-		// up next to the protocol's recovery counters.
-		n.col.Set("transport-connects", int64(ts.Connects))
-		n.col.Set("transport-reconnects", int64(ts.Reconnects))
-		n.col.Set("transport-dial-failures", int64(ts.DialFailures))
-		n.col.Set("transport-send-timeouts", int64(ts.SendTimeouts))
-		n.col.Set("transport-queue-drop-bulk", int64(ts.QueueDropBulk))
-		n.col.Set("transport-queue-drop-prio", int64(ts.QueueDropPrio))
-		n.col.Set("transport-heartbeat-misses", int64(ts.HeartbeatMisses))
-		n.col.Set("transport-bytes-out", int64(ts.BytesOut))
-		n.col.Set("transport-bytes-in", int64(ts.BytesIn))
-		for k, v := range ts.DropsByKind {
-			n.col.Set("transport-drop-"+cluster.EnvelopeKindName(k), int64(v))
-		}
 		st = NodeStatus{
 			Group: n.id.Group, Index: n.id.Index,
 			NowMS:     int64(n.ep.Now() / time.Millisecond),
@@ -514,6 +474,15 @@ func (n *ProcNode) Status() (NodeStatus, error) {
 			Entries:   n.col.Entries(),
 			Counters:  n.col.Counters(),
 			Agreement: n.agreement,
+		}
+		for name, v := range map[string]uint64{"connects": ts.Connects, "reconnects": ts.Reconnects,
+			"dial-failures": ts.DialFailures, "send-timeouts": ts.SendTimeouts, "queue-drop-bulk": ts.QueueDropBulk,
+			"queue-drop-prio": ts.QueueDropPrio, "heartbeat-misses": ts.HeartbeatMisses,
+			"bytes-out": ts.BytesOut, "bytes-in": ts.BytesIn} {
+			st.Counters["transport-"+name] = int64(v)
+		}
+		for k, v := range ts.DropsByKind {
+			st.Counters["transport-drop-"+cluster.EnvelopeKindName(k)] = int64(v)
 		}
 		st.Epoch, st.Active = n.node.EpochInfo()
 		l := n.node.Ledger()

@@ -37,9 +37,12 @@
 #                    this tree; commit_tps, both latencies, net_bytes_per_txn
 #                    and the operation counts must be equal to the last digit
 #                    (scripts/equal-seed.sh takes a seed and a run length too)
-#   size             the non-test Go line count outside bench/ (generated
+#   size [ref]       the non-test Go line count outside bench/ (generated
 #                    files included) and the five largest packages: the
-#                    number ROADMAP and CHANGES.md quote
+#                    number ROADMAP and CHANGES.md quote; with a ref, also
+#                    the count at ref (its committed files) and the
+#                    difference (CI prints it against the merge base; not a
+#                    gate)
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -117,19 +120,33 @@ race() {
   go test -run '^$' -fuzz FuzzNodeIntake -fuzztime 15s ./internal/core/
 }
 
-size() {
+# The line count of every non-test Go file outside bench/ under the current
+# directory, one "<lines> <file>" per line.
+golines() {
   find . -path ./bench -prune -o -name '*.go' ! -name '*_test.go' -print0 |
-    xargs -0 wc -l | awk '$2 != "total" {
+    xargs -0 wc -l | awk '$2 != "total"'
+}
+
+size() {
+  golines | awk '{
       dir = $2; sub(/\/[^\/]*$/, "", dir); pkg[dir] += $1; sum += $1
     } END {
       printf "non-test Go outside bench/: %d lines\nlargest packages:\n", sum
       for (dir in pkg) printf "%7d %s\n", pkg[dir], dir | "sort -rn | head -5"
     }'
+  [ -n "${1:-}" ] || return 0
+  local here there tmp
+  here="$(golines | awk '{ sum += $1 } END { print sum + 0 }')"
+  tmp="$(mktemp -d)"
+  git archive "$1" | tar -x -C "$tmp"
+  there="$(cd "$tmp" && golines | awk '{ sum += $1 } END { print sum + 0 }')"
+  rm -rf "$tmp"
+  printf "at %s: %d lines; this tree: %+d\n" "$1" "$there" "$((here - there))"
 }
 
 case "$preset" in
 size)
-  size
+  size "${2:-}"
   exit 0
   ;;
 groups)
