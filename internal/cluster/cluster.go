@@ -95,8 +95,14 @@ type Process struct {
 	// may have unexecuted (PipelineDepth per group; CPU is still charged per
 	// node), and values one value per transaction of those entries: bounds
 	// that grow with the cluster, where a fixed one sized for three groups
-	// decoded each bucket seven times over at fifty (DESIGN §8). Each grows
-	// to its bound as it fills. index files the keys of every store.
+	// decoded each bucket seven times over at fifty (DESIGN §8). The sender
+	// group seeds RebuildMemo with an entry's certified payload as it encodes
+	// it, so the rebuilds of all receivers return that one buffer. A seed must
+	// outlive the WAN transfer to the last receiver, which its leader does not
+	// wait for, so RebuildMemo holds two pipelines: at one, a seed evicted
+	// early costs a decode and a put that evicts the next seed, and 7×7
+	// decoded three entries in four. Each grows to its bound as it fills.
+	// index files the keys of every store.
 	EncodeMemo  *replication.EncodeMemo
 	RebuildMemo *replication.RebuildMemo
 	values      *aria.ValueMemo
@@ -111,7 +117,7 @@ func NewProcess(cfg Config, ids *Identities, col *metrics.Collector) *Process {
 		Cfg: cfg, Identities: ids, Metrics: col,
 		Faults:      &FaultPlan{ByzantineNodes: make(map[keys.NodeID]bool)},
 		EncodeMemo:  replication.NewEncodeMemo(inFlight),
-		RebuildMemo: replication.NewRebuildMemo(inFlight),
+		RebuildMemo: replication.NewRebuildMemo(2 * inFlight),
 		values:      aria.NewValueMemo(inFlight * cfg.MaxBatch),
 		index:       statedb.NewIndex(),
 	}

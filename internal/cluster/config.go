@@ -287,14 +287,15 @@ func (c *Config) StandbyAtGenesis(g int) bool {
 	return c.StandbyGroups > 0 && g >= len(c.GroupSizes)-c.StandbyGroups
 }
 
-// Validate checks the group layout and what StandbyGroups requires, for both
-// fabrics: New calls it for a simulated cluster and massbft.Topology for a
-// process deployment, each prefixing the error with where the layout came
-// from. Dynamic membership rides on the failover machinery (standby groups
-// are fenced exactly like certified-dead ones until their join) and on
-// per-seq commit records (the certified join boundary is derived from the
-// commit watermark): GeoBFT has no global records at all, and Steward/ISS
-// proposal gates cannot tolerate skipped rounds.
+// Validate checks the group layout, the proposer's bounds and what
+// StandbyGroups requires, for both fabrics: New calls it for a simulated
+// cluster and massbft.Topology for a process deployment, each prefixing the
+// error with where the layout came from. Dynamic membership rides on the
+// failover machinery (standby groups are fenced exactly like certified-dead
+// ones until their join) and on per-seq commit records (the certified join
+// boundary is derived from the commit watermark): GeoBFT has no global
+// records at all, and Steward/ISS proposal gates cannot tolerate skipped
+// rounds.
 func (c *Config) Validate() error {
 	if len(c.GroupSizes) == 0 {
 		return errors.New("no groups configured")
@@ -303,6 +304,14 @@ func (c *Config) Validate() error {
 		if n < 1 {
 			return fmt.Errorf("group %d has invalid size %d", g, n)
 		}
+	}
+	// Zero means the default (withDefaults); a negative bound would size the
+	// process's memos (NewProcess) below nothing and let no entry propose.
+	if c.MaxBatch < 0 {
+		return fmt.Errorf("invalid MaxBatch %d", c.MaxBatch)
+	}
+	if c.PipelineDepth < 0 {
+		return fmt.Errorf("invalid PipelineDepth %d", c.PipelineDepth)
 	}
 	if c.StandbyGroups > 0 {
 		if c.StandbyGroups > len(c.GroupSizes)-2 {

@@ -293,6 +293,15 @@ func (n *Node) replicateEncoded(e *types.Entry, cert *keys.Certificate, enc []by
 		if encd == nil {
 			continue
 		}
+		if !byz && !mine {
+			// Every receiver bucket under this encoding's root decodes to
+			// exactly the certified payload: hand the receivers the entry
+			// and the payload instead of one decode and one copy. A
+			// follower's entry is decoded from the payload; the proposer's
+			// holds the transactions it built, which the memo would keep
+			// alive past execution, so it leaves the seed to a follower.
+			replication.Seed(n.ctx.RebuildMemo, encd, e, enc, digest)
+		}
 		n.charge(time.Duration(len(src)) * n.cfg.Cost.EncodePerByte)
 		encCost += time.Duration(len(src)) * n.cfg.Cost.EncodePerByte
 		batches, recvs, err := encd.Batches(n.id.Index, id, cert)

@@ -153,8 +153,10 @@ func TestRetentionIsBounded(t *testing.T) {
 }
 
 // TestMemosRemoveEveryDuplicate: in a fault-free run, each certified entry is
-// encoded once (the three 4-node groups share one plan) and each bucket
-// decoded once cluster-wide — what the memos exist for, at their FIFO sizes.
+// encoded once (the three 4-node groups share one plan) and decoded nowhere —
+// the sender group seeds the rebuild memo with the certified payload — so the
+// archive of every node holds that one buffer per entry: what the memos exist
+// for, at their FIFO sizes.
 func TestMemosRemoveEveryDuplicate(t *testing.T) {
 	t.Parallel()
 	c := runCluster(t, smallCfg())
@@ -185,8 +187,28 @@ func TestMemosRemoveEveryDuplicate(t *testing.T) {
 		rebuilt += foreign
 	}
 	enc, reb := c.Metrics.Counter("encode-memo-misses"), c.Metrics.Counter("rebuild-memo-misses")
-	if certified == 0 || enc != int64(certified) || reb != int64(rebuilt) {
-		t.Fatalf("encode-memo-misses %d for %d certified entries, rebuild-memo-misses %d for %d rebuilt",
+	if certified == 0 || rebuilt == 0 || enc != int64(certified) || reb != 0 {
+		t.Fatalf("encode-memo-misses %d for %d certified entries, rebuild-memo-misses %d for %d rebuilt (want none)",
 			enc, certified, reb, rebuilt)
+	}
+	// The entries every node archived: each is one buffer cluster-wide.
+	ref := c.Nodes[keys.NodeID{}].(*Node)
+	shared := make(map[int]int)
+	for id, a := range ref.archive {
+		all := true
+		for nid, nd := range c.Nodes {
+			b := nd.(*Node).archive[id]
+			if b == nil {
+				all = false
+			} else if &b.enc[0] != &a.enc[0] {
+				t.Fatalf("%v archived %v in a buffer of its own", nid, id)
+			}
+		}
+		if all {
+			shared[id.GID]++
+		}
+	}
+	if len(shared) != len(c.Cfg.GroupSizes) {
+		t.Fatalf("entries archived on every node, by group: %v", shared)
 	}
 }

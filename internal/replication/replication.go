@@ -193,15 +193,17 @@ type bucketKey struct {
 	dataLen int
 }
 
-// outcome is one RebuildMemo value: a bucket's decode verdict. The
-// collectors sharing it neither re-decode, re-encode nor re-hash the entry.
-// Certificate validity for delivery is still checked per collector against
-// its own candidate set (cheap: package keys memoizes certificate
-// verification).
+// outcome is one RebuildMemo value: a bucket's decode verdict, recorded by
+// the first collector to decode the bucket or seeded by the honest sender that
+// encoded it (Seed). The collectors sharing it neither re-decode, re-encode
+// nor re-hash the entry. The entry ID and certificate validity for delivery
+// are still checked per collector, the certificate against its own candidate
+// set (cheap: package keys memoizes certificate verification).
 type outcome struct {
 	entry *types.Entry // nil when the chunks did not decode to a valid entry
-	// enc is the Join output entry was decoded from (entry aliases it), and
-	// digest its keys.Hash — the entry's digest, the encoding being canonical.
+	// enc is the entry's canonical encoding — the Join output it was decoded
+	// from (entry aliases it), or the sender's certified payload when seeded —
+	// and digest its keys.Hash, the entry's digest.
 	enc    []byte
 	digest keys.Digest
 }
@@ -333,7 +335,7 @@ func (c *Collector) AddBatch(b *ChunkBatch) (bool, error) {
 		c.rejectedChunks += len(b.Indices)
 		return false, ErrMissingCert
 	}
-	if len(b.Indices) == 0 || len(b.Indices) != len(b.Chunks) {
+	if len(b.Indices) == 0 || len(b.Indices) != len(b.Chunks) || b.DataLen < 0 {
 		c.rejectedChunks++
 		return false, ErrBadGeometry
 	}
@@ -398,43 +400,26 @@ func (c *Collector) AddBatch(b *ChunkBatch) (bool, error) {
 // — the data is proven sound, only the quorum proof is still missing, and a
 // later chunk (or a duplicate from an honest sender) can supply it.
 func (c *Collector) tryRebuild(id types.EntryID, st *entryState, bk bucketKey, p *plan.Plan, trigger *keys.Certificate) {
-	bucket := st.buckets[bk]
 	out := st.pending[bk]
 	if out == nil && c.memo != nil {
 		var hit bool
 		if out, hit = c.memo.Get(bk); !hit {
 			c.counts.RebuildMemoMisses++
-		} else if out.entry == nil || out.entry.ID != id {
-			c.banBucketNotify(id, st, bk)
-			return
 		}
 	}
 	if out == nil {
-		enc, err := erasure.Cached(p.Data, p.Parity)
-		if err != nil {
-			return
+		out = decode(st.buckets[bk], bk.dataLen, p)
+		// The memo records what the chunks decode to, whichever entry this
+		// collector expected and whatever certificates it holds: those are
+		// its own to judge, and a verdict about them must not reach the
+		// collectors sharing the memo.
+		if c.memo != nil {
+			c.memo.Put(bk, out)
 		}
-		shards := make([][]byte, p.Total)
-		for idx, chunk := range bucket {
-			shards[idx] = chunk
-		}
-		// Only the data shards are needed to join the entry; skip the parity
-		// recompute the full Reconstruct would do.
-		if err := enc.ReconstructData(shards); err != nil {
-			c.rebuildFailed(id, st, bk)
-			return
-		}
-		entryEnc, err := enc.Join(shards, bk.dataLen)
-		if err != nil {
-			c.rebuildFailed(id, st, bk)
-			return
-		}
-		entry, err := types.DecodeEntry(entryEnc)
-		if err != nil || entry.ID != id {
-			c.rebuildFailed(id, st, bk)
-			return
-		}
-		out = &outcome{entry: entry, enc: entryEnc, digest: keys.Hash(entryEnc)}
+	}
+	if out.entry == nil || out.entry.ID != id {
+		c.banBucketNotify(id, st, bk)
+		return
 	}
 	// The rebuilt entry must be covered by a quorum certificate from the
 	// sender group: 2f+1 valid signatures over its digest.
@@ -444,7 +429,7 @@ func (c *Collector) tryRebuild(id types.EntryID, st *entryState, bk bucketKey, p
 			// No candidate certificate even claims a quorum over these
 			// bytes: the bucket is fabricated content replaying some other
 			// entry's certificate. Ban it (§VI-E).
-			c.rebuildFailed(id, st, bk)
+			c.banBucketNotify(id, st, bk)
 			return
 		}
 		// Some sender claims a quorum over exactly this content but its
@@ -454,13 +439,37 @@ func (c *Collector) tryRebuild(id types.EntryID, st *entryState, bk bucketKey, p
 		st.pending[bk] = out
 		return
 	}
-	if c.memo != nil {
-		c.memo.Put(bk, out)
-	}
 	st.delivered = true
 	st.buckets, st.certs, st.pending = nil, nil, nil // free chunk memory
 	c.rebuilds++
 	c.onRebuilt(id.GID, Rebuilt{Entry: out.entry, Enc: out.enc, Cert: cert})
+}
+
+// decode rebuilds the entry from a bucket's chunks (at least p.Data of them),
+// returning an outcome with no entry when they do not decode to one.
+func decode(bucket map[int][]byte, dataLen int, p *plan.Plan) *outcome {
+	enc, err := erasure.Cached(p.Data, p.Parity)
+	if err != nil {
+		return &outcome{}
+	}
+	shards := make([][]byte, p.Total)
+	for idx, chunk := range bucket {
+		shards[idx] = chunk
+	}
+	// Only the data shards are needed to join the entry; skip the parity
+	// recompute the full Reconstruct would do.
+	if err := enc.ReconstructData(shards); err != nil {
+		return &outcome{}
+	}
+	entryEnc, err := enc.Join(shards, dataLen)
+	if err != nil {
+		return &outcome{}
+	}
+	entry, err := types.DecodeEntry(entryEnc)
+	if err != nil {
+		return &outcome{}
+	}
+	return &outcome{entry: entry, enc: entryEnc, digest: keys.Hash(entryEnc)}
 }
 
 // pickValidCert returns the first certificate that proves the rebuilt entry
@@ -492,14 +501,6 @@ func (c *Collector) pickValidCert(id types.EntryID, st *entryState, bk bucketKey
 		}
 	}
 	return nil, attempts > 0
-}
-
-// rebuildFailed records a bad-decode outcome in the memo and bans the bucket.
-func (c *Collector) rebuildFailed(id types.EntryID, st *entryState, bk bucketKey) {
-	if c.memo != nil {
-		c.memo.Put(bk, &outcome{})
-	}
-	c.banBucketNotify(id, st, bk)
 }
 
 // banBucketNotify bans the bucket and fires the failure callback.

@@ -236,6 +236,13 @@ func TestWrongGeometryRejected(t *testing.T) {
 	if _, err := c.AddBatch(&m); err != ErrBadGeometry {
 		t.Fatalf("got %v, want ErrBadGeometry", err)
 	}
+	// A negative length would reach the join of the chunks it fills a
+	// bucket with; no wire frame carries one, but a simulated sender can.
+	m = msgs[0]
+	m.DataLen = -1
+	if _, err := c.AddBatch(&m); err != ErrBadGeometry {
+		t.Fatalf("got %v, want ErrBadGeometry", err)
+	}
 	m = msgs[0]
 	m.Cert = nil
 	if _, err := c.AddBatch(&m); err != ErrMissingCert {

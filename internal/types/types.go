@@ -8,9 +8,11 @@
 // Ownership: a decoded Entry or Transaction aliases the buffer it was decoded
 // from (Payload and Sig are sub-slices of it) and is read-only from then on,
 // as is the buffer. Every decode source — a PBFT payload, erasure.Join
-// output, a wire-frame copy — is a buffer nobody rewrites; code that wants a
-// variant of an entry (the Byzantine tamper paths) copies the struct and
-// replaces slices, never writes through them.
+// output, a wire-frame copy — is a buffer nobody rewrites; in a simulated
+// cluster a receiver's rebuilt entry may be one a sender decoded from its
+// PBFT payload, handed over by the sender's encode (replication.Seed). Code
+// that wants a variant of an entry (the Byzantine tamper paths) copies the
+// struct and replaces slices, never writes through them.
 package types
 
 import (

@@ -38,8 +38,8 @@ func TestNewClusterValidation(t *testing.T) {
 	}
 }
 
-// TestLayoutValidationBothFabrics: the group-layout and StandbyGroups rules
-// are one cluster.Config.Validate, so the simulator's NewCluster and the
+// TestLayoutValidationBothFabrics: the group-layout, proposer-bound and
+// StandbyGroups rules are one cluster.Config.Validate, so the simulator's NewCluster and the
 // process deployment's Topology reject the same layouts with the same words.
 // The rules about addresses have no simulated counterpart (addrs rows): there
 // LoadTopology's validate, StartNode and DialClients say the same words.
@@ -50,11 +50,15 @@ func TestLayoutValidationBothFabrics(t *testing.T) {
 		standby  int
 		takeover time.Duration
 		protocol Protocol
+		maxBatch int
+		depth    int
 		addrs    func(*Topology) // edits a full address list; the row is Topology-only
 		ok       bool
 	}{
 		{name: "no groups"},
 		{name: "zero-size group", groups: []int{4, 0}},
+		{name: "negative MaxBatch", groups: []int{4, 4}, maxBatch: -5},
+		{name: "negative PipelineDepth", groups: []int{4, 4}, depth: -1},
 		{name: "standby leaves one active group", groups: []int{4, 4}, standby: 1, takeover: time.Second},
 		{name: "standby without takeover timeout", groups: []int{4, 4, 4}, standby: 1},
 		{name: "standby under geobft", groups: []int{4, 4, 4}, standby: 1, takeover: time.Second, protocol: ProtocolGeoBFT},
@@ -67,9 +71,10 @@ func TestLayoutValidationBothFabrics(t *testing.T) {
 			addrs: func(tp *Topology) { tp.Clients, tp.Nodes[3].Gateway = 4, tp.Nodes[0].Addr }},
 	} {
 		_, simErr := NewCluster(Config{Groups: tc.groups, StandbyGroups: tc.standby,
-			TakeoverTimeout: tc.takeover, Protocol: tc.protocol})
+			TakeoverTimeout: tc.takeover, Protocol: tc.protocol, MaxBatch: tc.maxBatch, PipelineDepth: tc.depth})
 		topo := &Topology{Groups: tc.groups, StandbyGroups: tc.standby,
-			TakeoverTimeoutMS: int(tc.takeover / time.Millisecond), Protocol: tc.protocol}
+			TakeoverTimeoutMS: int(tc.takeover / time.Millisecond), Protocol: tc.protocol,
+			MaxBatch: tc.maxBatch, PipelineDepth: tc.depth}
 		_, topoErr := topo.clusterConfig()
 		if tc.addrs != nil {
 			for g, size := range tc.groups {

@@ -7,7 +7,7 @@
 #   tier1            gofmt, vet, build, tests, bench-module vet + short tests,
 #                    demo -trace smoke, tampering example (CI: build-and-test)
 #   race             short-mode race shard over the packages with the hottest
-#                    concurrency surface, purego shard, the five fuzz smokes
+#                    concurrency surface, purego shard, the six fuzz smokes
 #                    (CI: race-short)
 #   groups           just the group-state suite (DESIGN.md §6's table:
 #                    failover and membership) — the full crash, partition,
@@ -118,6 +118,12 @@ race() {
   # whatever group or entry it names.
   echo "== fuzz smoke (node intake of decoded envelopes, 15 s)"
   go test -run '^$' -fuzz FuzzNodeIntake -fuzztime 15s ./internal/core/
+
+  # A collector on a rebuild memo the honest sender seeded against one that
+  # decodes: honest, flipped, lying-length and dropped batches all get the
+  # same verdicts, and the same delivered bytes.
+  echo "== fuzz smoke (seeded collector against a decoding one, 15 s)"
+  go test -run '^$' -fuzz FuzzSeededCollector -fuzztime 15s ./internal/replication/
 }
 
 # The line count of every non-test Go file outside bench/ under the current
