@@ -102,6 +102,7 @@ type Process struct {
 	// wait for, so RebuildMemo holds two pipelines: at one, a seed evicted
 	// early costs a decode and a put that evicts the next seed, and 7×7
 	// decoded three entries in four. Each grows to its bound as it fills.
+	// A one-node process (massbft-node) has no RebuildMemo: nil is none.
 	// index files the keys of every store.
 	EncodeMemo  *replication.EncodeMemo
 	RebuildMemo *replication.RebuildMemo

@@ -93,6 +93,7 @@ type Registry struct {
 	// running real Ed25519 for millions of simulated verifications would
 	// measure the host, not the protocol. Correctness tests leave it off.
 	trustAll bool
+	verified atomic.Uint64
 
 	// Certificate verification memo. The same quorum certificate is verified
 	// many times per entry along the hot path (the collector checks it per
@@ -210,8 +211,14 @@ func (r *Registry) Verify(id NodeID, msg, sig []byte) bool {
 	if r.trustAll {
 		return len(sig) == ed25519.SignatureSize
 	}
+	r.verified.Add(1)
 	return ed25519.Verify(pub, msg, sig)
 }
+
+// Verified returns how many Ed25519 checks Verify has run: a passive counter,
+// the verifying half of KeyPair.Signed. Trust-all length checks, unknown
+// signers and memo hits (VerifyMemo, VerifyCertificate) run none.
+func (r *Registry) Verified() uint64 { return r.verified.Load() }
 
 // sigCacheLimit bounds the signature memo (~80-byte keys).
 const sigCacheLimit = 4096

@@ -394,6 +394,35 @@ func TestVerifyMemo(t *testing.T) {
 	}
 }
 
+// TestVerifiedCountsChecksRun: Verified counts the Ed25519 checks run, failed
+// ones included, and nothing a memo or trust-all answers.
+func TestVerifiedCountsChecksRun(t *testing.T) {
+	pairs, reg := genTestCluster(t)
+	kp := pairs[0][1]
+	msg := []byte("m")
+	sig := kp.Sign(msg)
+	reg.Verify(kp.ID, msg, sig)
+	reg.Verify(kp.ID, []byte("other"), sig)
+	reg.Verify(NodeID{Group: 5, Index: 5}, msg, sig) // unknown signer: no check
+	if got := reg.Verified(); got != 2 {
+		t.Fatalf("two checks and an unknown signer counted %d, want 2", got)
+	}
+	reg.VerifyMemo(kp.ID, msg, sig)
+	reg.VerifyMemo(kp.ID, msg, sig)
+	cert := buildCert(pairs, 0, Hash(msg), []int{0, 1, 2})
+	reg.VerifyCertificate(cert)
+	reg.VerifyCertificate(cert)
+	if got := reg.Verified(); got != 2+1+3 {
+		t.Fatalf("after two memoized lookups of each kind: %d, want 6", got)
+	}
+	reg.SetTrustAll(true)
+	reg.Verify(kp.ID, msg, sig)
+	reg.VerifyCertificate(cert)
+	if got := reg.Verified(); got != 6 {
+		t.Fatalf("trust-all checks counted: %d, want 6", got)
+	}
+}
+
 func BenchmarkVerifyCertificateUncached(b *testing.B) {
 	pairs, reg, _ := GenerateCluster([]int{7}, 1)
 	d := Hash([]byte("payload"))

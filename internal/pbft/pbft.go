@@ -211,10 +211,13 @@ type slotState struct {
 	digest     keys.Digest
 	payload    []byte
 	prePrepare bool
-	prepares   map[keys.NodeID]bool
-	commits    map[keys.NodeID]keys.Signature
-	committed  bool
-	delivered  bool
+	// prepares and commits hold each member's vote by the digest it names:
+	// votes may arrive before the pre-prepare, and only those for its digest
+	// count toward its quorums.
+	prepares  map[keys.NodeID]keys.Digest
+	commits   map[keys.NodeID]*Commit
+	committed bool
+	delivered bool
 }
 
 // Instance is one replica's PBFT state machine.
@@ -291,7 +294,7 @@ func (in *Instance) proposeAt(slot uint64, payload []byte) {
 		Sig:     in.sign(phaseMsg(phasePrePrepare, in.view, slot, d)),
 	}
 	in.broadcast(pp)
-	in.onPrePrepare(in.cfg.Self.ID, pp)
+	in.onPrePrepare(pp, true)
 }
 
 func (in *Instance) sign(msg []byte) keys.Signature {
@@ -331,8 +334,8 @@ func (in *Instance) slot(s uint64) *slotState {
 	st, ok := in.slots[s]
 	if !ok {
 		st = &slotState{
-			prepares: make(map[keys.NodeID]bool),
-			commits:  make(map[keys.NodeID]keys.Signature),
+			prepares: make(map[keys.NodeID]keys.Digest),
+			commits:  make(map[keys.NodeID]*Commit),
 		}
 		in.slots[s] = st
 	}
@@ -341,20 +344,30 @@ func (in *Instance) slot(s uint64) *slotState {
 
 // Handle processes a message from another replica. from must be the verified
 // transport-level sender; signatures inside the message are checked against
-// the registry regardless.
+// the registry regardless, whichever signer they name.
+//
+// Each phase transition (onPrePrepare, onPrepare, onCommit, onViewChange) is
+// one entry point that a peer's message reaches from here and this replica's
+// own reaches from the code that signed it. The call path says which — own is
+// true only on the second — never the message's Signer field. A peer's
+// message has its signature checked after the transition's cheap guards, so a
+// stale one is dropped without a check; an own message skips the check.
 func (in *Instance) Handle(from keys.NodeID, m Msg) {
 	switch msg := m.(type) {
 	case *PrePrepare:
 		in.noteView(msg.View)
-		in.onPrePrepare(from, msg)
+		if from != in.Leader(msg.View) {
+			return // only the leader may pre-prepare
+		}
+		in.onPrePrepare(msg, false)
 	case *Prepare:
 		in.noteView(msg.View)
-		in.onPrepare(msg)
+		in.onPrepare(msg, false)
 	case *Commit:
 		in.noteView(msg.View)
-		in.onCommit(msg)
+		in.onCommit(msg, false)
 	case *ViewChange:
-		in.onViewChange(msg)
+		in.onViewChange(msg, false)
 	case *NewView:
 		in.onNewView(msg)
 	case *SlotRequest:
@@ -373,7 +386,7 @@ func (in *Instance) noteView(v uint64) {
 	}
 }
 
-func (in *Instance) onPrePrepare(from keys.NodeID, pp *PrePrepare) {
+func (in *Instance) onPrePrepare(pp *PrePrepare, own bool) {
 	if pp.View != in.view || pp.Slot < in.execSlot {
 		return // stale view, or a slot already delivered (state was GC'd)
 	}
@@ -386,15 +399,14 @@ func (in *Instance) onPrePrepare(from keys.NodeID, pp *PrePrepare) {
 		// sending VIEW-CHANGE for exactly this reason).
 		return
 	}
-	if from != in.Leader(pp.View) && from != in.cfg.Self.ID {
-		return // only the leader may pre-prepare
-	}
-	if pp.Sig.Signer != in.Leader(pp.View) ||
-		!in.verify(pp.Sig, phaseMsg(phasePrePrepare, pp.View, pp.Slot, pp.Digest)) {
+	if !own && (pp.Sig.Signer != in.Leader(pp.View) ||
+		!in.verify(pp.Sig, phaseMsg(phasePrePrepare, pp.View, pp.Slot, pp.Digest))) {
 		return
 	}
 	if keys.Hash(pp.Payload) != pp.Digest {
-		return // payload does not match digest
+		// Payload does not match digest. Checked on own pre-prepares too: a
+		// new leader's re-proposal carries a payload from a peer's vote.
+		return
 	}
 	if len(pp.Payload) > 0 && in.cfg.Validate != nil && !in.cfg.Validate(pp.Payload) {
 		return // application-invalid proposal: refuse to vote
@@ -406,8 +418,8 @@ func (in *Instance) onPrePrepare(from keys.NodeID, pp *PrePrepare) {
 		// peers re-running consensus need our share — commit shares are
 		// certificate signatures over (group, digest), valid across views.
 		if st.committed && st.digest == pp.Digest {
-			if share, ok := st.commits[in.cfg.Self.ID]; ok {
-				in.broadcast(&Commit{View: in.view, Slot: pp.Slot, Digest: st.digest, Share: share})
+			if c, ok := st.commits[in.cfg.Self.ID]; ok {
+				in.broadcast(&Commit{View: in.view, Slot: pp.Slot, Digest: st.digest, Share: c.Share})
 			}
 		}
 		return
@@ -415,6 +427,16 @@ func (in *Instance) onPrePrepare(from keys.NodeID, pp *PrePrepare) {
 	st.prePrepare = true
 	st.digest = pp.Digest
 	st.payload = pp.Payload
+	for id, d := range st.prepares {
+		if d != pp.Digest {
+			delete(st.prepares, id)
+		}
+	}
+	for id, c := range st.commits {
+		if c.Digest != pp.Digest {
+			delete(st.commits, id)
+		}
+	}
 	if in.nextSlot <= pp.Slot {
 		in.nextSlot = pp.Slot + 1
 	}
@@ -432,24 +454,24 @@ func (in *Instance) onPrePrepare(from keys.NodeID, pp *PrePrepare) {
 		Sig: in.sign(phaseMsg(phasePrepare, pp.View, pp.Slot, pp.Digest)),
 	}
 	in.broadcast(p)
-	in.onPrepare(p) // count own prepare
+	in.onPrepare(p, true)
 }
 
-func (in *Instance) onPrepare(p *Prepare) {
+func (in *Instance) onPrepare(p *Prepare, own bool) {
 	if p.View != in.view || p.Slot < in.execSlot || in.cfg.SkipPrepare {
 		return
 	}
 	if in.vcTarget > in.view {
 		return // voted to leave this view (see onPrePrepare)
 	}
-	if !in.verify(p.Sig, phaseMsg(phasePrepare, p.View, p.Slot, p.Digest)) {
+	if !own && !in.verify(p.Sig, phaseMsg(phasePrepare, p.View, p.Slot, p.Digest)) {
 		return
 	}
 	st := in.slot(p.Slot)
 	if st.prePrepare && st.digest != p.Digest {
 		return
 	}
-	st.prepares[p.Sig.Signer] = true
+	st.prepares[p.Sig.Signer] = p.Digest
 	in.maybeCommitPhase(p.Slot, st)
 }
 
@@ -471,10 +493,10 @@ func (in *Instance) sendCommit(slot uint64, d keys.Digest, st *slotState) {
 	share := keys.SignCertificate(in.cfg.Self, in.group, d)
 	c := &Commit{View: in.view, Slot: slot, Digest: d, Share: share}
 	in.broadcast(c)
-	in.onCommit(c)
+	in.onCommit(c, true)
 }
 
-func (in *Instance) onCommit(c *Commit) {
+func (in *Instance) onCommit(c *Commit, own bool) {
 	if c.View != in.view || c.Slot < in.execSlot {
 		return
 	}
@@ -485,13 +507,16 @@ func (in *Instance) onCommit(c *Commit) {
 	if st.prePrepare && st.digest != c.Digest {
 		return
 	}
-	// Commit shares double as certificate signatures; verify as such.
-	probe := &keys.Certificate{Group: in.group, Digest: c.Digest, Sigs: []keys.Signature{c.Share}}
-	if err := in.cfg.Registry.VerifyCertificate(probe); err != nil &&
-		err != keys.ErrCertTooFewSigs {
-		return
+	// A peer's share doubles as a certificate signature; verify it as one,
+	// through the registry's certificate memo.
+	if !own {
+		probe := &keys.Certificate{Group: in.group, Digest: c.Digest, Sigs: []keys.Signature{c.Share}}
+		if err := in.cfg.Registry.VerifyCertificate(probe); err != nil &&
+			err != keys.ErrCertTooFewSigs {
+			return
+		}
 	}
-	st.commits[c.Share.Signer] = c.Share
+	st.commits[c.Share.Signer] = c
 	if !st.committed && st.prePrepare && len(st.commits) >= in.Quorum() {
 		st.committed = true
 		in.timerSeq++ // progress: cancel pending view-change timers
@@ -510,8 +535,8 @@ func (in *Instance) deliverReady() {
 		}
 		st.delivered = true
 		cert := &keys.Certificate{Group: in.group, Digest: st.digest}
-		for _, sig := range st.commits {
-			cert.Sigs = append(cert.Sigs, sig)
+		for _, c := range st.commits {
+			cert.Sigs = append(cert.Sigs, c.Share)
 		}
 		cert.SortSigs()
 		payload := st.payload
@@ -680,7 +705,7 @@ func (in *Instance) voteViewChange(newView uint64) {
 	vc.Sig = in.sign(viewChangeMsg(vc))
 	in.lastVC = vc
 	in.broadcast(vc)
-	in.onViewChange(vc)
+	in.onViewChange(vc, true)
 	// Escalate if this view change does not complete either.
 	if in.cfg.After != nil && in.cfg.ViewChangeTimeout > 0 {
 		seq := in.timerSeq
@@ -702,11 +727,11 @@ func viewChangeMsg(vc *ViewChange) []byte {
 	return buf
 }
 
-func (in *Instance) onViewChange(vc *ViewChange) {
+func (in *Instance) onViewChange(vc *ViewChange, own bool) {
 	if vc.NewView <= in.view {
 		return
 	}
-	if !in.verify(vc.Sig, viewChangeMsg(vc)) {
+	if !own && !in.verify(vc.Sig, viewChangeMsg(vc)) {
 		return
 	}
 	votes := in.vcVotes[vc.NewView]
@@ -769,7 +794,7 @@ func (in *Instance) installNewView(view uint64, votes map[keys.NodeID]*ViewChang
 	in.lastNewView = nv
 	in.broadcast(nv)
 	for _, pp := range nv.Reproposals {
-		in.onPrePrepare(in.cfg.Self.ID, pp)
+		in.onPrePrepare(pp, true)
 	}
 }
 
@@ -787,7 +812,7 @@ func (in *Instance) onNewView(nv *NewView) {
 	in.enterView(nv.View)
 	in.lastNewView = nv
 	for _, pp := range nv.Reproposals {
-		in.onPrePrepare(in.Leader(nv.View), pp)
+		in.onPrePrepare(pp, false)
 	}
 }
 
@@ -849,8 +874,8 @@ func (in *Instance) Export() (view, execSlot uint64, inflight []ExportedSlot) {
 			ex.Prepares = append(ex.Prepares, id)
 		}
 		sortNodeIDs(ex.Prepares)
-		for _, sig := range st.commits {
-			ex.Commits = append(ex.Commits, sig)
+		for _, c := range st.commits {
+			ex.Commits = append(ex.Commits, c.Share)
 		}
 		sortSigs(ex.Commits)
 		inflight = append(inflight, ex)
@@ -886,10 +911,10 @@ func (in *Instance) Install(view, execSlot uint64, inflight []ExportedSlot) {
 		st.digest = ex.Digest
 		st.payload = ex.Payload
 		for _, id := range ex.Prepares {
-			st.prepares[id] = true
+			st.prepares[id] = ex.Digest
 		}
 		for _, sig := range ex.Commits {
-			st.commits[sig.Signer] = sig
+			st.commits[sig.Signer] = &Commit{View: view, Slot: ex.Slot, Digest: ex.Digest, Share: sig}
 		}
 		st.committed = ex.Committed
 		if ex.Slot+1 > in.nextSlot {
@@ -911,7 +936,7 @@ func (in *Instance) Install(view, execSlot uint64, inflight []ExportedSlot) {
 				Sig: in.sign(phaseMsg(phasePrepare, in.view, ex.Slot, ex.Digest)),
 			}
 			in.broadcast(p)
-			in.onPrepare(p)
+			in.onPrepare(p, true)
 		}
 	}
 	in.deliverReady()

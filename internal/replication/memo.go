@@ -40,8 +40,12 @@ func NewRebuildMemo(max int) *RebuildMemo { return fifo.NewMemo[bucketKey, *outc
 // between them. Only a sender holding enc as certified content may seed — d
 // must be the digest its certificate carries — never a tampered encoding or
 // bytes whose digest was not checked; each collector still verifies a
-// certificate over d itself.
+// certificate over d itself. A nil memo, a process whose one collector has
+// none to share with, takes no seed.
 func Seed(m *RebuildMemo, encd *Encoded, e *types.Entry, enc []byte, d keys.Digest) {
+	if m == nil {
+		return
+	}
 	k := bucketKey{root: encd.Tree.Root(), dataLen: encd.DataLen}
 	if _, ok := m.Get(k); !ok {
 		m.Put(k, &outcome{entry: e, enc: enc, digest: d})

@@ -89,6 +89,25 @@ func TestSeededCollectorMatchesDecoding(t *testing.T) {
 	}
 }
 
+// TestNilMemoIsNone: a process with one collector has no rebuild memo. Seed
+// takes nothing into a nil memo, and a collector on one decodes the bucket
+// itself, counting no miss.
+func TestNilMemoIsNone(t *testing.T) {
+	f := newFixture(t, 4, 7, 20)
+	Seed(nil, f.encoded, f.entry, f.entry.Encode(), f.cert.Digest)
+	var counts metrics.Counts
+	var got []Rebuilt
+	c := collectorFor(f, &got)
+	c.SetMemo(nil)
+	c.SetCounts(&counts)
+	for _, b := range f.allSingles(t, f.encoded, f.cert) {
+		c.AddBatch(&b)
+	}
+	if len(got) != 1 || keys.Hash(got[0].Enc) != f.cert.Digest || counts.RebuildMemoMisses != 0 {
+		t.Fatalf("delivered %d, misses %d; want the certified entry once and no miss", len(got), counts.RebuildMemoMisses)
+	}
+}
+
 // TestSeedNotTakenForAnotherDataLen: chunks under the seeded root that claim
 // another DataLen are another bucket: they miss the seed, decode to garbage
 // and are banned, and the seed still serves the next receiver.

@@ -223,7 +223,7 @@ type Collector struct {
 	onFailure func(id types.EntryID, chunkIDs []int)
 	// counts receives the memo misses and certificate retries (never nil).
 	counts *metrics.Counts
-	// memo, when set, shares rebuild outcomes across nodes.
+	// memo, when set, shares rebuild outcomes across nodes; nil is none.
 	memo *RebuildMemo
 
 	entries map[types.EntryID]*entryState
@@ -232,7 +232,8 @@ type Collector struct {
 	rebuilds, failedRebuilds, rejectedChunks int
 }
 
-// SetMemo installs a shared rebuild memo (see RebuildMemo).
+// SetMemo installs a shared rebuild memo (see RebuildMemo); nil leaves the
+// collector decoding every bucket itself.
 func (c *Collector) SetMemo(m *RebuildMemo) { c.memo = m }
 
 // SetOnFailure installs the failed-rebuild notification callback.

@@ -341,6 +341,9 @@ func StartNode(nc NodeConfig) (*ProcNode, error) {
 
 	// Every process observes itself: the collector is process-local.
 	p := cluster.NewProcess(cfg, ids, col)
+	// The node's collector is the process's only one: no other would ever
+	// hit a seed or a decode it memoized.
+	p.RebuildMemo = nil
 	ctx := p.NodeCtx(id, tcpn.Endpoint(id), gen, true)
 	n := &ProcNode{id: id, tcpn: tcpn, cfg: &p.Cfg, col: col, logf: nc.Logf}
 	n.ep = ctx.Net

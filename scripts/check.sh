@@ -7,7 +7,7 @@
 #   tier1            gofmt, vet, build, tests, bench-module vet + short tests,
 #                    demo -trace smoke, tampering example (CI: build-and-test)
 #   race             short-mode race shard over the packages with the hottest
-#                    concurrency surface, purego shard, the six fuzz smokes
+#                    concurrency surface, purego shard, the seven fuzz smokes
 #                    (CI: race-short)
 #   groups           just the group-state suite (DESIGN.md §6's table:
 #                    failover and membership) — the full crash, partition,
@@ -124,6 +124,12 @@ race() {
   # same verdicts, and the same delivered bytes.
   echo "== fuzz smoke (seeded collector against a decoding one, 15 s)"
   go test -run '^$' -fuzz FuzzSeededCollector -fuzztime 15s ./internal/replication/
+
+  # One real-crypto PBFT replica fed arbitrary peer messages, some naming it
+  # as signer: it never delivers a slot its certificate or digest does not
+  # cover.
+  echo "== fuzz smoke (PBFT replica intake, 15 s)"
+  go test -run '^$' -fuzz FuzzPBFTHandle -fuzztime 15s ./internal/pbft/
 }
 
 # The line count of every non-test Go file outside bench/ under the current
