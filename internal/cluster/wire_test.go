@@ -111,6 +111,36 @@ func wireFixtures() map[string]any {
 		CommitHi:   []uint64{20, 19},
 	}
 
+	// A checkpoint whose every list holds 100 zero-valued elements, the
+	// least bytes per element that each list's decode bound must admit. (A
+	// batch's records are empty, not nil: that is what they decode to.)
+	const n = 100
+	minimal := &Checkpoint{
+		Blocks:      make([]*ledger.Block, n),
+		ExecutedSeq: make([]uint64, n),
+		StreamTS:    make([]uint64, n),
+		StreamNext:  make([]uint64, n),
+		Batches:     make([]*MetaBatch, n),
+		StreamView:  make([]uint64, n),
+		LocalSlots:  make([]pbft.ExportedSlot, n),
+		MetaSlots:   make([]pbft.ExportedSlot, n),
+		Ord:         &order.State{ExecutedSeq: make([]uint64, n), Entries: make([]order.EntryVTS, n)},
+		Skipped:     make([]types.EntryID, n),
+		Pending:     make([]PendingEntry, n),
+		DeadGroups:  make([]int, n),
+		DeadCuts:    make([]uint64, n),
+		Suspects:    make([]SuspectEdge, n),
+		Standby:     make([]int, n),
+		Departed:    make([]int, n),
+		JoinVotes:   make([]SuspectEdge, n),
+		LeaveVotes:  make([]SuspectEdge, n),
+		CommitHi:    make([]uint64, n),
+	}
+	for i := range minimal.Blocks {
+		minimal.Blocks[i] = &ledger.Block{}
+		minimal.Batches[i] = &MetaBatch{Records: []Record{}}
+	}
+
 	return map[string]any{
 		"LocalMsg.PrePrepare": &LocalMsg{M: pp},
 		"LocalMsg.Prepare": &LocalMsg{M: &pbft.Prepare{
@@ -150,6 +180,9 @@ func wireFixtures() map[string]any {
 		"ProposalFwd": &ProposalFwd{Payload: []byte("fwd")},
 		"RejoinReq":   &RejoinReq{Have: 5},
 		"RejoinResp":  &RejoinResp{C: ck},
+		// The rows a rejoin checkpoint holds for foreign entries whose
+		// chunks are still being collected look like these.
+		"RejoinResp.Minimal": &RejoinResp{C: minimal},
 		"ClientRequest": &ClientRequest{Txn: types.Transaction{
 			Client: 9, Nonce: 4, Payload: []byte("put k v"), Sig: []byte("clisig"),
 		}},
@@ -459,6 +492,79 @@ func TestEnvelopeGolden(t *testing.T) {
 		got := hex.EncodeToString(enc)
 		if got != wantHex {
 			t.Errorf("%s: wire format drift:\n want %s\n  got %s", name, wantHex, got)
+		}
+	}
+}
+
+// TestMinimalCheckpointDecodes: a checkpoint holding one list of 100
+// zero-valued elements, and nothing else, decodes. A list's count is bounded
+// by its element's least encoded size, so a bound above it rejects valid
+// checkpoints once little follows the list: 128 bytes per 124-byte block and
+// 32 per 28-byte pending entry once did.
+func TestMinimalCheckpointDecodes(t *testing.T) {
+	full := reflect.ValueOf(wireFixtures()["RejoinResp.Minimal"].(*RejoinResp).C).Elem()
+	for i := 0; i < full.NumField(); i++ {
+		f := full.Type().Field(i)
+		if f.Type.Kind() != reflect.Slice && f.Name != "Ord" {
+			continue
+		}
+		one := &Checkpoint{}
+		reflect.ValueOf(one).Elem().Field(i).Set(full.Field(i))
+		enc, err := EncodeEnvelope(&RejoinResp{C: one})
+		if err != nil {
+			t.Fatalf("%s: encode: %v", f.Name, err)
+		}
+		if _, err := DecodeEnvelope(enc); err != nil {
+			t.Errorf("%s alone: %v", f.Name, err)
+		}
+	}
+}
+
+// TestEnvelopeAllocs: encoding and decoding each fixture allocate no more
+// than the pinned counts, those of the codec that spelled each layout out
+// twice. A TCP node's allocations per transaction are mostly these.
+func TestEnvelopeAllocs(t *testing.T) {
+	budget := map[string][2]float64{ // fixture: {encode, decode}
+		"BatchFwd":             {6, 14},
+		"ChunkBatch":           {6, 13},
+		"ChunkRepairReq":       {3, 2},
+		"ClientReply":          {6, 4},
+		"ClientReply.Dup":      {4, 3},
+		"ClientRequest":        {4, 3},
+		"EntryFetch":           {2, 1},
+		"EntryFwd":             {3, 7},
+		"EntryWAN":             {4, 10},
+		"LocalMsg.Commit":      {4, 3},
+		"LocalMsg.PrePrepare":  {5, 4},
+		"LocalMsg.Prepare":     {4, 3},
+		"LocalMsg.ViewChange":  {5, 5},
+		"MetaBatch":            {6, 8},
+		"MetaBatch.Membership": {6, 8},
+		"MetaMsg.NewView":      {5, 7},
+		"MetaMsg.SlotReply":    {6, 16},
+		"MetaMsg.SlotRequest":  {2, 2},
+		"ProposalFwd":          {1, 2},
+		"Reconfigure":          {1, 1},
+		"RejoinReq":            {2, 1},
+		"RejoinResp":           {16, 66},
+		"RejoinResp.Minimal":   {121, 393},
+		"StreamFetch":          {2, 1},
+	}
+	for name, msg := range wireFixtures() {
+		enc, err := EncodeEnvelope(msg)
+		if err != nil {
+			t.Fatalf("%s: encode: %v", name, err)
+		}
+		encAllocs := testing.AllocsPerRun(20, func() { EncodeEnvelope(msg) })
+		decAllocs := testing.AllocsPerRun(20, func() { DecodeEnvelope(enc) })
+		b, ok := budget[name]
+		if !ok {
+			t.Errorf("%s: no allocation budget", name)
+			continue
+		}
+		if encAllocs > b[0] || decAllocs > b[1] {
+			t.Errorf("%s: %v encode and %v decode allocations, budget %v and %v",
+				name, encAllocs, decAllocs, b[0], b[1])
 		}
 	}
 }

@@ -7,7 +7,8 @@
 #   tier1            gofmt, vet, build, tests, bench-module vet + short tests,
 #                    demo -trace smoke, tampering example (CI: build-and-test)
 #   race             short-mode race shard over the packages with the hottest
-#                    concurrency surface, purego shard, the seven fuzz smokes
+#                    concurrency surface and the TCP transport with the wire
+#                    codec it carries, purego shard, the seven fuzz smokes
 #                    (CI: race-short)
 #   groups           just the group-state suite (DESIGN.md §6's table:
 #                    failover and membership) — the full crash, partition,
@@ -86,8 +87,9 @@ race() {
   # membership join/leave schedules: WAN partition failover and certified
   # epoch reconfiguration both run under the race detector on every pass
   # (the full schedules skip in -short).
-  echo "== go test -race -short (simnet, replication, core, pbft, trace, erasure, gf256, keys and its edwards25519, statedb, aria, gateway, merkle)"
-  go test -race -short -timeout 600s ./internal/simnet/ ./internal/replication/ ./internal/core/ ./internal/pbft/ ./internal/trace/ ./internal/erasure/ ./internal/gf256/ ./internal/keys/... ./internal/statedb/ ./internal/aria/ ./internal/gateway/ ./internal/merkle/
+  # The TCP transport is the only network code with goroutines of its own.
+  echo "== go test -race -short (simnet, replication, core, pbft, trace, erasure, gf256, keys and its edwards25519, statedb, aria, gateway, merkle, cluster, transport and its tcp)"
+  go test -race -short -timeout 600s ./internal/simnet/ ./internal/replication/ ./internal/core/ ./internal/pbft/ ./internal/trace/ ./internal/erasure/ ./internal/gf256/ ./internal/keys/... ./internal/statedb/ ./internal/aria/ ./internal/gateway/ ./internal/merkle/ ./internal/cluster/ ./internal/transport/...
 
   # The field arithmetic under internal/keys/edwards25519 has an amd64 assembly
   # path and a generic one; -tags purego runs the generic one on amd64 too.

@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Multi-process smoke test over loopback TCP. Two modes:
+# Multi-process smoke test over loopback TCP. Three modes:
 #
 #   (default)  launch a 4-node cluster of massbft-node OS processes
 #              (2 groups x 2 nodes), assert that committed entries converge
@@ -23,6 +23,9 @@
 #              epoch 1 with active groups [0,1,2], and the joined group must
 #              bootstrap through checkpoint transfer and then commit entries
 #              of its own in prefix agreement with the old members.
+#
+# Every mode ends by asserting that no live node counted an envelope it
+# failed to encode or decode (transport EncodeErrors, DecodeErrors).
 #
 # Run from the repository root: scripts/node_smoke.sh [client|membership]
 set -euo pipefail
@@ -108,6 +111,17 @@ print(f"   agree: {sys.argv[1].split('-',1)[1]} vs {sys.argv[2].split('-',1)[1]}
 PY
 }
 
+# wire_clean NODE... -> asserts no listed node failed to encode or decode an
+# envelope: the one check in which separate OS processes must agree on the
+# codec's bytes.
+wire_clean() {
+  local specs=() n
+  for n in "$@"; do
+    specs+=("$n:s['transport']['DecodeErrors'] == 0 and s['transport']['EncodeErrors'] == 0")
+  done
+  wait_until 10 "no envelope encode or decode errors on $*" "${specs[@]}"
+}
+
 # ---------------------------------------------------------------------------
 # membership mode: standby group joins via the admin reconfigure trigger
 # ---------------------------------------------------------------------------
@@ -175,6 +189,7 @@ EOF
   agree 2-0 2-1
   agree 0-0 2-0
   agree 1-0 2-0
+  wire_clean 0-0 0-1 1-0 1-1 2-0 2-1
 
   echo "== node smoke (membership mode) OK"
   exit 0
@@ -260,6 +275,7 @@ PY
     "0-0:s['committed'] > 0" "0-1:s['committed'] > 0" "1-0:s['committed'] > 0"
   agree 0-0 0-1
   agree 0-0 1-0
+  wire_clean 0-0 0-1 1-0
 
   echo "== node smoke (client mode) OK"
   exit 0
@@ -338,5 +354,6 @@ wait_until 60 "a survivor reconnected (backoff loop re-established the link)" \
 wait_until 30 "agreement classifier saw no fork through the kill and rejoin" \
   "0-0:(s.get('agreement') or {}).get('verdict') in ('converged', 'wedged') and (s.get('counters') or {}).get('forked-detected', 0) == 0" \
   "1-1:(s.get('counters') or {}).get('forked-detected', 0) == 0"
+wire_clean 0-0 0-1 1-0 1-1
 
 echo "== node smoke OK"
