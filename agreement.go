@@ -1,10 +1,17 @@
 package massbft
 
 import (
+	"encoding/hex"
 	"fmt"
-	"sort"
-	"strings"
+
+	"massbft/internal/forensics"
+	"massbft/internal/keys"
+	"massbft/internal/ledger"
 )
+
+// trailWindow is how many of its latest block hashes a status snapshot
+// carries: min(height, trailWindow), ending at the node's height.
+const trailWindow = 32
 
 // AgreementSummary is the compact verdict embedded in a massbft-node status
 // file when the node is given its peers' status files (-peers-status): the
@@ -23,93 +30,83 @@ type AgreementSummary struct {
 }
 
 // ClassifyStatuses classifies agreement across massbft-node status
-// snapshots, using each node's ledger height, head, state digest, and
-// block-hash trail. It is the operator-facing counterpart of
-// Cluster.AgreementReport for process deployments, where whole ledgers are
-// not available — only the trail window (the last 32 block hashes) each
-// node publishes:
-//
-//   - any two snapshots holding different hashes at the same trailed height
-//     classify as forked (the lowest such height is reported);
-//   - differing heights with agreeing trail overlaps classify as wedged;
-//   - equal heights and heads with differing state digests classify as
-//     forked (execution divergence);
-//   - otherwise converged.
+// snapshots with the classifier Cluster.AgreementReport uses
+// (forensics.Classify). A process deployment has no whole ledgers to
+// compare, only the trail window each node publishes, so each pair of
+// snapshots is judged on the heights both trails hold: different hashes at
+// a shared height classify as forked (the lowest such height is reported),
+// differing heights as wedged, equal heights with differing state digests as
+// forked (execution divergence).
 //
 // A laggard more than a trail window behind the frontier cannot be proven
 // forked or clean from snapshots alone; it is classified wedged and left to
-// the caller to investigate (e.g. by re-checking once the gap shrinks).
-// Callers decide which snapshots are live enough to judge — a stale file
-// from a dead process should be filtered out beforehand.
+// the caller to investigate (e.g. by re-checking once the gap shrinks). A
+// snapshot whose state or trail is not what Status writes — a hash that is
+// not 64 hex digits, or a trail other than the full window ending at the
+// snapshot's height — is censused but not judged. Callers decide which
+// snapshots are live enough to judge — a stale file from a dead process
+// should be filtered out beforehand.
 func ClassifyStatuses(sts []NodeStatus) AgreementSummary {
-	sum := AgreementSummary{Verdict: AgreementConverged, Peers: len(sts)}
-	if len(sts) == 0 {
-		sum.Detail = "converged: no snapshots"
-		return sum
-	}
+	nls := make([]forensics.NodeLedger, len(sts))
 	for i, st := range sts {
-		if i == 0 || st.Height < sum.MinHeight {
-			sum.MinHeight = st.Height
-		}
-		if st.Height > sum.MaxHeight {
-			sum.MaxHeight = st.Height
-		}
+		nls[i] = evidence(st)
 	}
-
-	// Fork scan over the published trail windows: collect every (height →
-	// hash) claim and look for conflicting claims at one height.
-	claims := map[uint64]map[string]int{}
-	for _, st := range sts {
-		for _, tp := range st.Trail {
-			m := claims[tp.Height]
-			if m == nil {
-				m = map[string]int{}
-				claims[tp.Height] = m
-			}
-			m[tp.Hash]++
+	rep := forensics.Classify(nls)
+	sum := AgreementSummary{
+		Verdict:              rep.Verdict,
+		FirstDivergentHeight: rep.FirstDivergentHeight,
+		MinHeight:            rep.MinHeight,
+		MaxHeight:            rep.MaxHeight,
+		Detail:               rep.String(),
+	}
+	for _, nl := range nls {
+		if nl.Live {
+			sum.Peers++
 		}
 	}
-	heights := make([]uint64, 0, len(claims))
-	for h := range claims {
-		heights = append(heights, h)
+	for _, st := range rep.Laggards {
+		sum.Laggards = append(sum.Laggards, fmt.Sprintf("%d,%d@%d(-%d)", st.Group, st.Index, st.Height, st.Behind))
 	}
-	sort.Slice(heights, func(i, j int) bool { return heights[i] < heights[j] })
-	for _, h := range heights {
-		if len(claims[h]) > 1 {
-			sum.Verdict = AgreementForked
-			sum.FirstDivergentHeight = h
-			sum.Detail = fmt.Sprintf("forked: %d distinct blocks published at height %d", len(claims[h]), h)
-			return sum
-		}
-	}
-
-	if sum.MinHeight != sum.MaxHeight {
-		sum.Verdict = AgreementWedged
-		sum.FirstDivergentHeight = sum.MinHeight + 1
-		for _, st := range sts {
-			if st.Height < sum.MaxHeight {
-				sum.Laggards = append(sum.Laggards,
-					fmt.Sprintf("%d,%d@%d(-%d)", st.Group, st.Index, st.Height, sum.MaxHeight-st.Height))
-			}
-		}
-		sort.Strings(sum.Laggards)
-		sum.Detail = fmt.Sprintf("wedged: %d/%d nodes behind; first missing height %d (min %d < max %d); laggards: %s",
-			len(sum.Laggards), len(sts), sum.FirstDivergentHeight, sum.MinHeight, sum.MaxHeight,
-			strings.Join(sum.Laggards, " "))
-		return sum
-	}
-
-	// Equal heights, no trail conflicts: heads are part of the trail, so the
-	// chains agree — cross-check execution state.
-	states := map[string]int{}
-	for _, st := range sts {
-		states[st.State]++
-	}
-	if len(states) > 1 {
-		sum.Verdict = AgreementForked
-		sum.Detail = fmt.Sprintf("forked: identical ledgers but %d distinct state digests (execution divergence)", len(states))
-		return sum
-	}
-	sum.Detail = fmt.Sprintf("converged: %d nodes, height %d", len(sts), sum.MaxHeight)
 	return sum
+}
+
+// evidence decodes one snapshot into the classifier's evidence, live only
+// when its state and its whole trail window decode.
+func evidence(st NodeStatus) forensics.NodeLedger {
+	nl := forensics.NodeLedger{ID: keys.NodeID{Group: st.Group, Index: st.Index}, Trail: forensics.Window{Height: st.Height}}
+	state, ok := decodeHash(st.State)
+	nl.State = state
+	if !ok || uint64(len(st.Trail)) != min(st.Height, trailWindow) {
+		return nl
+	}
+	from := st.Height - uint64(len(st.Trail)) + 1
+	hashes := make([]ledger.BlockHash, len(st.Trail))
+	for i, tp := range st.Trail {
+		if hashes[i], ok = decodeHash(tp.Hash); !ok || tp.Height != from+uint64(i) {
+			return nl
+		}
+	}
+	nl.Trail.Hashes, nl.Live = hashes, true
+	return nl
+}
+
+func decodeHash(s string) (h [32]byte, ok bool) {
+	if hex.DecodedLen(len(s)) != len(h) {
+		return h, false
+	}
+	_, err := hex.Decode(h[:], []byte(s))
+	return h, err == nil
+}
+
+// setChain fills a snapshot's chain fields from a node's ledger and state
+// digest: height, head, state and the trail window.
+func (st *NodeStatus) setChain(l *ledger.Ledger, state [32]byte) {
+	st.Height = l.Height()
+	head := l.Head()
+	st.Head = hex.EncodeToString(head[:])
+	st.State = hex.EncodeToString(state[:])
+	for h := st.Height - min(st.Height, trailWindow) + 1; h <= st.Height; h++ {
+		bh := l.Block(h).Hash()
+		st.Trail = append(st.Trail, TrailPoint{Height: h, Hash: hex.EncodeToString(bh[:])})
+	}
 }

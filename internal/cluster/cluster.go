@@ -502,14 +502,7 @@ func (c *Cluster) AgreementReport(deadGroups map[int]bool) forensics.Report {
 		}
 	}
 	rep := forensics.Classify(nls)
-	switch rep.Verdict {
-	case forensics.Forked:
-		c.Metrics.ForkedDetected++
-		c.Metrics.AgreementFirstDivHeight = int64(rep.FirstDivergentHeight)
-	case forensics.Wedged:
-		c.Metrics.WedgedDetected++
-		c.Metrics.AgreementFirstDivHeight = int64(rep.FirstDivergentHeight)
-	}
+	forensics.Count(&c.Metrics.Counts, rep.Verdict, rep.FirstDivergentHeight)
 	return rep
 }
 

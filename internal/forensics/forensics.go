@@ -13,13 +13,19 @@
 //     repair, rejoin, failover) stalled or a retention window expired.
 //     Draining longer may heal a wedge; a reproducible one is a liveness bug.
 //
-// The classifier works from per-node ledger prefix walks. Hash chaining
-// makes prefix equality monotone in height (blocks equal at h imply the
-// whole prefix up to h is equal), so the first divergent height is found by
-// bisection in O(log height) block comparisons per node pair, and checking
-// consecutive pairs in height order suffices to certify the whole set: if
-// a agrees with b through a's height and b agrees with c through b's height
-// (heights ascending), then a agrees with c through a's height.
+// The classifier works from each node's evidence: its whole ledger
+// (simulator) or the window of latest block hashes its status snapshot
+// carries (process deployment). A pair of nodes is judged only on the
+// heights both hold. Hash chaining makes agreement monotone in height
+// (blocks equal at h imply the whole prefix up to h is equal), so the first
+// divergent height is found by bisection in O(log height) block comparisons
+// per node pair, and checking consecutive pairs in height order suffices to
+// certify the whole set: if a agrees with b through a's height and b agrees
+// with c through b's height (heights ascending), then a agrees with c
+// through a's height. Windows of one width keep that true: every window
+// ends at its node's height, so b's window covers whatever a's and c's
+// share, and two neighbours that do not overlap leave no farther pair that
+// does.
 package forensics
 
 import (
@@ -29,6 +35,7 @@ import (
 
 	"massbft/internal/keys"
 	"massbft/internal/ledger"
+	"massbft/internal/metrics"
 	"massbft/internal/types"
 )
 
@@ -46,30 +53,73 @@ const (
 	Forked Verdict = "forked"
 )
 
-// NodeLedger is one replica's evidence: its ledger, its post-drain state
-// digest, and whether the node is live (crashed or administratively removed
-// nodes are reported but never gate the verdict).
+// NodeLedger is one replica's evidence: its whole Ledger or, when Ledger is
+// nil, the Trail window of a status snapshot; its post-drain state digest;
+// and whether the node is live (crashed, administratively removed or
+// unreadable nodes are reported but never gate the verdict).
 type NodeLedger struct {
 	ID     keys.NodeID
 	Ledger *ledger.Ledger
+	Trail  Window
 	State  [32]byte
 	Live   bool
 }
 
+// Window is the chain evidence a status snapshot carries: the hashes of the
+// blocks at heights Height-len(Hashes)+1 through Height.
+type Window struct {
+	Height uint64
+	Hashes []ledger.BlockHash
+}
+
+func (nl NodeLedger) height() uint64 {
+	if nl.Ledger != nil {
+		return nl.Ledger.Height()
+	}
+	return nl.Trail.Height
+}
+
+// low is the lowest height the evidence holds: 1 for a whole ledger.
+func (nl NodeLedger) low() uint64 {
+	if nl.Ledger != nil {
+		return 1
+	}
+	return nl.Trail.Height - uint64(len(nl.Trail.Hashes)) + 1
+}
+
+// hash is the block hash at height h, which must lie in [low, height].
+func (nl NodeLedger) hash(h uint64) ledger.BlockHash {
+	if nl.Ledger != nil {
+		return nl.Ledger.Block(h).Hash()
+	}
+	return nl.Trail.Hashes[h-nl.low()]
+}
+
+func (nl NodeLedger) head() ledger.BlockHash {
+	if nl.Ledger != nil {
+		return nl.Ledger.Head()
+	}
+	if n := len(nl.Trail.Hashes); n > 0 {
+		return nl.Trail.Hashes[n-1]
+	}
+	return ledger.BlockHash{}
+}
+
 // NodeStatus is the per-node summary embedded in a Report.
 type NodeStatus struct {
-	ID     keys.NodeID
-	Live   bool
-	Height uint64
-	Head   ledger.BlockHash
-	State  [32]byte
+	Group, Index int
+	Live         bool
+	Height       uint64
+	Head         ledger.BlockHash
+	State        [32]byte
 	// Behind is MaxHeight - Height over live nodes (0 when at the frontier).
 	Behind uint64
 }
 
 // Branch is one side of a fork: the distinct block sealed at the first
 // divergent height, with commit provenance (which consensus entry the block
-// seals, with what effects) and the live nodes holding it.
+// seals, with what effects; known from a ledger, zero from a window) and the
+// live nodes holding it.
 type Branch struct {
 	Hash        ledger.BlockHash
 	Entry       types.EntryID
@@ -103,21 +153,21 @@ type Report struct {
 	Nodes []NodeStatus
 }
 
-// Classify walks the given ledgers and returns the agreement report. Only
-// live nodes with a ledger participate in the verdict; an empty live set is
-// vacuously Converged.
+// Classify walks the given evidence and returns the agreement report. Only
+// live nodes participate in the verdict; an empty live set is vacuously
+// Converged.
 func Classify(nodes []NodeLedger) Report {
 	rep := Report{Verdict: Converged}
 	var live []NodeLedger
 	for _, nl := range nodes {
-		if nl.Live && nl.Ledger != nil {
+		if nl.Live {
 			live = append(live, nl)
 		}
 	}
 	// Height census over live nodes first: the per-node Behind field and the
 	// wedge check both need MaxHeight.
 	for i, nl := range live {
-		h := nl.Ledger.Height()
+		h := nl.height()
 		if i == 0 || h < rep.MinHeight {
 			rep.MinHeight = h
 		}
@@ -126,11 +176,8 @@ func Classify(nodes []NodeLedger) Report {
 		}
 	}
 	for _, nl := range nodes {
-		st := NodeStatus{ID: nl.ID, Live: nl.Live, State: nl.State}
-		if nl.Ledger != nil {
-			st.Height = nl.Ledger.Height()
-			st.Head = nl.Ledger.Head()
-		}
+		st := NodeStatus{Group: nl.ID.Group, Index: nl.ID.Index, Live: nl.Live,
+			Height: nl.height(), Head: nl.head(), State: nl.State}
 		if nl.Live && st.Height < rep.MaxHeight {
 			st.Behind = rep.MaxHeight - st.Height
 		}
@@ -145,12 +192,11 @@ func Classify(nodes []NodeLedger) Report {
 	// divergent height over all pairs — the earliest safety violation is
 	// the one to root-cause; everything after it is fallout.
 	sort.SliceStable(live, func(i, j int) bool {
-		return live[i].Ledger.Height() < live[j].Ledger.Height()
+		return live[i].height() < live[j].height()
 	})
 	divergeAt := uint64(0)
 	for i := 1; i < len(live); i++ {
-		a, b := live[i-1].Ledger, live[i].Ledger
-		if h := firstDiff(a, b, a.Height()); h != 0 && (divergeAt == 0 || h < divergeAt) {
+		if h := firstDiff(live[i-1], live[i]); h != 0 && (divergeAt == 0 || h < divergeAt) {
 			divergeAt = h
 		}
 	}
@@ -200,18 +246,19 @@ func Classify(nodes []NodeLedger) Report {
 	return rep
 }
 
-// firstDiff returns the lowest height in [1, limit] where a and b sealed
-// different blocks, or 0 if their prefixes agree through limit. Prefix
-// equality is monotone under hash chaining (equal blocks at h certify equal
-// prefixes), so a binary search over block-hash comparisons suffices.
-func firstDiff(a, b *ledger.Ledger, limit uint64) uint64 {
-	if limit == 0 || blockHash(a, limit) == blockHash(b, limit) {
+// firstDiff returns the lowest height both a and b hold (a is the shorter)
+// where they sealed different blocks, or 0 if they agree on every shared
+// height. Prefix equality is monotone under hash chaining (equal blocks at h
+// certify equal prefixes), so a binary search over block-hash comparisons
+// suffices.
+func firstDiff(a, b NodeLedger) uint64 {
+	lo, hi := max(a.low(), b.low()), a.height()
+	if lo > hi || a.hash(hi) == b.hash(hi) {
 		return 0
 	}
-	lo, hi := uint64(1), limit // invariant: blocks differ at hi
-	for lo < hi {
+	for lo < hi { // invariant: blocks differ at hi
 		mid := lo + (hi-lo)/2
-		if blockHash(a, mid) == blockHash(b, mid) {
+		if a.hash(mid) == b.hash(mid) {
 			lo = mid + 1
 		} else {
 			hi = mid
@@ -220,27 +267,23 @@ func firstDiff(a, b *ledger.Ledger, limit uint64) uint64 {
 	return lo
 }
 
-func blockHash(l *ledger.Ledger, h uint64) ledger.BlockHash {
-	if b := l.Block(h); b != nil {
-		return b.Hash()
-	}
-	return ledger.BlockHash{}
-}
-
-// branchesAt groups the live nodes that reached height h by the block they
+// branchesAt groups the live nodes that hold height h by the block they
 // sealed there, capturing each branch's commit provenance.
 func branchesAt(live []NodeLedger, h uint64) []Branch {
 	byHash := map[ledger.BlockHash]*Branch{}
 	var order []ledger.BlockHash
 	for _, nl := range live {
-		b := nl.Ledger.Block(h)
-		if b == nil {
+		if h < nl.low() || h > nl.height() {
 			continue
 		}
-		hash := b.Hash()
+		hash := nl.hash(h)
 		br := byHash[hash]
 		if br == nil {
-			br = &Branch{Hash: hash, Entry: b.Entry, EntryDigest: b.EntryDigest, StateDigest: b.StateDigest}
+			br = &Branch{Hash: hash}
+			if nl.Ledger != nil {
+				b := nl.Ledger.Block(h)
+				br.Entry, br.EntryDigest, br.StateDigest = b.Entry, b.EntryDigest, b.StateDigest
+			}
 			byHash[hash] = br
 			order = append(order, hash)
 		}
@@ -271,7 +314,7 @@ func (r Report) String() string {
 	case Wedged:
 		var lag []string
 		for _, st := range r.Laggards {
-			lag = append(lag, fmt.Sprintf("N%d,%d@%d(-%d)", st.ID.Group, st.ID.Index, st.Height, st.Behind))
+			lag = append(lag, fmt.Sprintf("N%d,%d@%d(-%d)", st.Group, st.Index, st.Height, st.Behind))
 		}
 		return fmt.Sprintf("wedged: identical prefixes, %d/%d live nodes behind; first missing height %d (min %d < max %d); laggards: %s",
 			len(r.Laggards), live, r.FirstDivergentHeight, r.MinHeight, r.MaxHeight, strings.Join(lag, " "))
@@ -286,11 +329,28 @@ func (r Report) String() string {
 		}
 		var bs []string
 		for _, br := range r.Branches {
-			bs = append(bs, fmt.Sprintf("block %s sealing entry g%d/%d (%d holders)",
-				br.Hash, br.Entry.GID, br.Entry.Seq, len(br.Holders)))
+			sealing := "" // a window does not say which entry a block seals
+			if br.Entry.Seq != 0 {
+				sealing = fmt.Sprintf(" sealing entry g%d/%d", br.Entry.GID, br.Entry.Seq)
+			}
+			bs = append(bs, fmt.Sprintf("block %s%s (%d holders)", br.Hash, sealing, len(br.Holders)))
 		}
 		return fmt.Sprintf("forked: ledgers disagree at height %d: %s",
 			r.FirstDivergentHeight, strings.Join(bs, " vs "))
 	}
 	return string(r.Verdict)
+}
+
+// Count books one verdict into the counters every agreement check shares:
+// forked-detected or wedged-detected counts it, and
+// agreement-first-div-height is its first divergent height (0 when
+// converged).
+func Count(c *metrics.Counts, v Verdict, firstDiv uint64) {
+	c.AgreementFirstDivHeight = int64(firstDiv)
+	switch v {
+	case Forked:
+		c.ForkedDetected++
+	case Wedged:
+		c.WedgedDetected++
+	}
 }

@@ -6,6 +6,7 @@ import (
 
 	"massbft/internal/keys"
 	"massbft/internal/ledger"
+	"massbft/internal/metrics"
 	"massbft/internal/types"
 )
 
@@ -64,7 +65,7 @@ func TestClassifyWedged(t *testing.T) {
 	if rep.FirstDivergentHeight != 26 {
 		t.Fatalf("first missing height = %d, want 26", rep.FirstDivergentHeight)
 	}
-	if len(rep.Laggards) != 1 || rep.Laggards[0].ID.Group != 1 || rep.Laggards[0].Behind != 15 {
+	if len(rep.Laggards) != 1 || rep.Laggards[0].Group != 1 || rep.Laggards[0].Behind != 15 {
 		t.Fatalf("laggards = %+v", rep.Laggards)
 	}
 	if !strings.Contains(rep.String(), "wedged") {
@@ -164,5 +165,27 @@ func TestClassifyEmptyAndSingle(t *testing.T) {
 	rep := Classify([]NodeLedger{node(0, 0, buildLedger(5, 0, 0))})
 	if rep.Verdict != Converged || rep.MaxHeight != 5 {
 		t.Fatalf("single-node verdict = %+v", rep)
+	}
+}
+
+// Every check books its verdict the same way: each forked or wedged one is
+// counted, and the first divergent height is the latest verdict's, 0 once
+// converged.
+func TestCountBooksTheLatestVerdict(t *testing.T) {
+	var c metrics.Counts
+	for _, step := range []struct {
+		v                    Verdict
+		firstDiv             uint64
+		forked, wedged, divH int64
+	}{
+		{Wedged, 26, 0, 1, 26},
+		{Converged, 0, 0, 1, 0},
+		{Forked, 17, 1, 1, 17},
+	} {
+		Count(&c, step.v, step.firstDiv)
+		if c.ForkedDetected != step.forked || c.WedgedDetected != step.wedged || c.AgreementFirstDivHeight != step.divH {
+			t.Fatalf("after %s@%d: forked %d wedged %d first-div %d, want %d %d %d", step.v, step.firstDiv,
+				c.ForkedDetected, c.WedgedDetected, c.AgreementFirstDivHeight, step.forked, step.wedged, step.divH)
+		}
 	}
 }

@@ -166,19 +166,3 @@ func (l *Ledger) Verify() error {
 	}
 	return nil
 }
-
-// CommonPrefix returns the length of the longest common prefix of two
-// ledgers (compared by block hash); used to assert agreement across nodes
-// that may be at different heights.
-func CommonPrefix(a, b *Ledger) uint64 {
-	n := a.Height()
-	if b.Height() < n {
-		n = b.Height()
-	}
-	for h := uint64(1); h <= n; h++ {
-		if a.Block(h).Hash() != b.Block(h).Hash() {
-			return h - 1
-		}
-	}
-	return n
-}

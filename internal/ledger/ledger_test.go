@@ -112,25 +112,6 @@ func TestVerifyDetectsBadHeight(t *testing.T) {
 	}
 }
 
-func TestCommonPrefix(t *testing.T) {
-	a, b := New(), New()
-	appendN(a, 10)
-	appendN(b, 6)
-	if got := CommonPrefix(a, b); got != 6 {
-		t.Fatalf("common prefix %d, want 6", got)
-	}
-	// Divergence after height 3.
-	c := New()
-	appendN(c, 3)
-	c.Append(eid(2, 99), keys.Hash([]byte("fork")), 1, 0, [32]byte{})
-	if got := CommonPrefix(a, c); got != 3 {
-		t.Fatalf("common prefix %d, want 3", got)
-	}
-	if got := CommonPrefix(New(), a); got != 0 {
-		t.Fatalf("common prefix with empty = %d", got)
-	}
-}
-
 func TestDeterministicAcrossLedgers(t *testing.T) {
 	a, b := New(), New()
 	appendN(a, 20)

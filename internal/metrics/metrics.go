@@ -1,8 +1,7 @@
 // Package metrics collects the measurements the paper's evaluation reports:
 // committed-transaction throughput, end-to-end entry latency (average and
-// percentiles), per-stage latency breakdowns (Fig 11), per-second time
-// series (Fig 15), and WAN traffic (Fig 10). All timestamps are virtual
-// simulation time.
+// percentiles), per-second time series (Fig 15) and event counters. All
+// timestamps are virtual simulation time.
 package metrics
 
 import (
@@ -25,8 +24,9 @@ type Counts struct {
 	// messages dropped, duplicated and dropped by a partition, and payloads
 	// corrupted and equivocated by a Byzantine sender.
 	NetDropped, NetDuplicated, NetPartitionDropped, NetCorrupted, NetEquivocated int64
-	// Agreement verdicts (Cluster.AgreementReport, ProcNode.NoteAgreement)
-	// and the height of the last one's first divergent block.
+	// Agreement verdicts (Cluster.AgreementReport, ProcNode.NoteAgreement,
+	// both through forensics.Count) and the height of the last one's first
+	// divergent block (0 when converged).
 	ForkedDetected, WedgedDetected, AgreementFirstDivHeight int64
 	// One per recovery path of DESIGN.md §6: chunk repair (RepairReqs,
 	// which massbft-demo prints as chunk-repairs), entry fetch, stream
@@ -124,11 +124,6 @@ type Collector struct {
 
 	latencies []time.Duration
 
-	// stages accumulates per-stage totals for the latency breakdown.
-	stages map[string]time.Duration
-	// stageCount counts samples per stage.
-	stageCount map[string]int64
-
 	// series buckets committed txns and latency sums per second.
 	seriesTxns map[int]int64
 	seriesLat  map[int]time.Duration
@@ -138,8 +133,6 @@ type Collector struct {
 // NewCollector creates an empty collector.
 func NewCollector() *Collector {
 	return &Collector{
-		stages:     make(map[string]time.Duration),
-		stageCount: make(map[string]int64),
 		seriesTxns: make(map[int]int64),
 		seriesLat:  make(map[int]time.Duration),
 		seriesLatN: make(map[int]int64),
@@ -203,12 +196,6 @@ func (c *Collector) RecordLatency(at, lat time.Duration) {
 	c.latencies = append(c.latencies, lat)
 }
 
-// RecordStage adds one sample of a named pipeline stage (Fig 11 breakdown).
-func (c *Collector) RecordStage(name string, d time.Duration) {
-	c.stages[name] += d
-	c.stageCount[name]++
-}
-
 // Throughput returns committed transactions per second over the window.
 func (c *Collector) Throughput() float64 {
 	w := c.end - c.start
@@ -267,15 +254,6 @@ func (c *Collector) PercentileLatency(p float64) time.Duration {
 		idx = len(sorted) - 1
 	}
 	return sorted[idx]
-}
-
-// StageBreakdown returns the average duration per named stage.
-func (c *Collector) StageBreakdown() map[string]time.Duration {
-	out := make(map[string]time.Duration, len(c.stages))
-	for name, total := range c.stages {
-		out[name] = total / time.Duration(c.stageCount[name])
-	}
-	return out
 }
 
 // SeriesPoint is one second of the Fig 15 time series.

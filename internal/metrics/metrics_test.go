@@ -113,20 +113,6 @@ func TestEmptyLatency(t *testing.T) {
 	}
 }
 
-func TestStageBreakdown(t *testing.T) {
-	c := NewCollector()
-	c.RecordStage("encode", 2*time.Millisecond)
-	c.RecordStage("encode", 4*time.Millisecond)
-	c.RecordStage("rebuild", 1*time.Millisecond)
-	b := c.StageBreakdown()
-	if b["encode"] != 3*time.Millisecond {
-		t.Fatalf("encode avg = %v", b["encode"])
-	}
-	if b["rebuild"] != time.Millisecond {
-		t.Fatalf("rebuild avg = %v", b["rebuild"])
-	}
-}
-
 func TestSeries(t *testing.T) {
 	c := NewCollector()
 	c.SetWindow(0, 100*time.Second)

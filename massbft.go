@@ -430,69 +430,34 @@ func (c *Cluster) Checkpoint(group, index int, state, chain io.Writer) error {
 }
 
 // AgreementVerdict classifies end-of-run (dis)agreement across replicas.
-type AgreementVerdict string
+type AgreementVerdict = forensics.Verdict
 
 const (
 	// AgreementConverged: every live node holds an identical ledger and
 	// state digest.
-	AgreementConverged AgreementVerdict = AgreementVerdict(forensics.Converged)
+	AgreementConverged = forensics.Converged
 	// AgreementWedged: all live ledgers agree block-for-block on their
 	// common prefix, but at least one node stopped short of the longest
 	// chain — a liveness gap. Draining longer may heal it; a reproducible
 	// wedge is a recovery-path bug.
-	AgreementWedged AgreementVerdict = AgreementVerdict(forensics.Wedged)
+	AgreementWedged = forensics.Wedged
 	// AgreementForked: two live nodes sealed different blocks at the same
 	// height — a safety violation. No amount of draining can heal a fork.
-	AgreementForked AgreementVerdict = AgreementVerdict(forensics.Forked)
+	AgreementForked = forensics.Forked
 )
 
+// AgreementReport is the classified outcome of an agreement check (see
+// Cluster.AgreementReport): the verdict, the first divergent height, the
+// conflicting blocks of a fork, the laggards of a wedge and the census of
+// every node, crashed ones included. Its String renders it for logs.
+type AgreementReport = forensics.Report
+
 // NodeAgreement is one node's entry in an AgreementReport census.
-type NodeAgreement struct {
-	Group, Index int
-	// Live is false for crashed nodes; they are reported but never judged.
-	Live   bool
-	Height uint64
-	Head   [32]byte
-	State  [32]byte
-	// Behind is the gap to the tallest live ledger (0 at the frontier).
-	Behind uint64
-}
+type NodeAgreement = forensics.NodeStatus
 
 // ForkBranch is one side of a fork: the block sealed at the first divergent
-// height, its commit provenance, and the nodes holding it.
-type ForkBranch struct {
-	Hash [32]byte
-	// EntryGroup/EntrySeq identify the consensus entry the divergent block
-	// seals — the starting point for root-causing the safety violation.
-	EntryGroup int
-	EntrySeq   uint64
-	Holders    []NodeAgreement
-}
-
-// AgreementReport is the classified outcome of an agreement check (see
-// Cluster.AgreementReport).
-type AgreementReport struct {
-	Verdict AgreementVerdict
-	// FirstDivergentHeight is the lowest height at which live ledgers
-	// disagree: for Forked, the bisected height where different blocks were
-	// sealed; for Wedged, the first height missing on the shortest ledger.
-	// Zero when converged.
-	FirstDivergentHeight uint64
-	// MinHeight and MaxHeight span the live nodes' sealed heights.
-	MinHeight, MaxHeight uint64
-	// Branches holds the conflicting blocks (Forked only).
-	Branches []ForkBranch
-	// Laggards lists live nodes behind MaxHeight (Wedged only), furthest
-	// behind first.
-	Laggards []NodeAgreement
-	// Nodes is the full census, crashed nodes included.
-	Nodes []NodeAgreement
-
-	rendered string
-}
-
-// String renders the verdict as a one-paragraph summary for logs.
-func (r AgreementReport) String() string { return r.rendered }
+// height, the consensus entry it seals (Entry) and the nodes holding it.
+type ForkBranch = forensics.Branch
 
 // AgreementReport drains nothing and judges the cluster as it stands:
 // per-node ledger prefix walks classify the run as converged, wedged
@@ -503,7 +468,7 @@ func (r AgreementReport) String() string { return r.rendered }
 // "forked-detected"/"wedged-detected"/"agreement-first-div-height" counters
 // (see Counter).
 func (c *Cluster) AgreementReport() AgreementReport {
-	return convertReport(c.inner.AgreementReport(nil))
+	return c.inner.AgreementReport(nil)
 }
 
 // DrainToAgreement repeatedly drains in `step` increments (default 500ms)
@@ -525,39 +490,6 @@ func (c *Cluster) DrainToAgreement(step, budget time.Duration) AgreementReport {
 			return rep
 		}
 	}
-}
-
-func convertReport(rep forensics.Report) AgreementReport {
-	conv := func(st forensics.NodeStatus) NodeAgreement {
-		return NodeAgreement{
-			Group: st.ID.Group, Index: st.ID.Index, Live: st.Live,
-			Height: st.Height, Head: st.Head, State: st.State, Behind: st.Behind,
-		}
-	}
-	out := AgreementReport{
-		Verdict:              AgreementVerdict(rep.Verdict),
-		FirstDivergentHeight: rep.FirstDivergentHeight,
-		MinHeight:            rep.MinHeight,
-		MaxHeight:            rep.MaxHeight,
-		rendered:             rep.String(),
-	}
-	byID := map[keys.NodeID]NodeAgreement{}
-	for _, st := range rep.Nodes {
-		na := conv(st)
-		byID[st.ID] = na
-		out.Nodes = append(out.Nodes, na)
-	}
-	for _, st := range rep.Laggards {
-		out.Laggards = append(out.Laggards, conv(st))
-	}
-	for _, br := range rep.Branches {
-		fb := ForkBranch{Hash: br.Hash, EntryGroup: br.Entry.GID, EntrySeq: br.Entry.Seq}
-		for _, id := range br.Holders {
-			fb.Holders = append(fb.Holders, byID[id])
-		}
-		out.Branches = append(out.Branches, fb)
-	}
-	return out
 }
 
 // Ledger returns one node's ledger head; use it to assert that replicas
@@ -589,7 +521,6 @@ func (c *Cluster) result() Result {
 		P99Latency:      m.PercentileLatency(99),
 		WANBytesPerNode: float64(c.inner.Net.WANBytes(-1)) / float64(totalNodes(c.inner.Cfg.GroupSizes)),
 		WANBytesTotal:   c.inner.Net.WANBytes(-1),
-		Stages:          m.StageBreakdown(),
 		Series:          series,
 		ClientCommitted: m.ClientCommitted,
 		ClientResubmits: m.ClientResubmitted,
@@ -606,10 +537,8 @@ func (c *Cluster) result() Result {
 		if len(rep.Stages) > 0 {
 			tr.Dominant = rep.Stages[0].Stage
 		}
-		res.Stages = make(map[string]time.Duration, len(rep.Stages))
 		for _, s := range rep.Stages {
 			tr.Stages = append(tr.Stages, TraceStage{Stage: s.Stage, Total: s.Total, Avg: s.Avg, Share: s.Share})
-			res.Stages[s.Stage] = s.Avg
 		}
 		res.Trace = tr
 	}
@@ -640,16 +569,11 @@ type Result struct {
 	// WAN traffic accounting (Fig 10).
 	WANBytesPerNode float64
 	WANBytesTotal   int64
-	// Stages is the per-stage average latency breakdown (Fig 11), derived
-	// from the trace subsystem's critical-path analysis: each entry's
-	// end-to-end window is partitioned exactly among its pipeline stages, so
-	// the per-stage averages sum to the average end-to-end latency. Populated
-	// only when Config.TracePath enables tracing.
-	Stages map[string]time.Duration
 	// Series is the per-second throughput/latency trace (Fig 15).
 	Series []SeriesPoint
-	// Trace is the critical-path summary of the traced run; nil when tracing
-	// is off (Config.TracePath empty).
+	// Trace is the critical-path summary of the traced run, with the
+	// per-stage latency breakdown (Fig 11); nil when tracing is off
+	// (Config.TracePath empty).
 	Trace *TraceReport
 	// Client-side outcome of a gateway-driven run (Config.GatewayClients):
 	// requests that earned f+1 reply certificates, cross-group timeout
@@ -659,7 +583,9 @@ type Result struct {
 }
 
 // TraceReport summarizes the per-entry critical-path analysis of a traced
-// run, computed from the vantage of the metrics observer node.
+// run, computed from the vantage of the metrics observer node: each entry's
+// end-to-end window is partitioned exactly among its pipeline stages, so the
+// per-stage averages sum to the average end-to-end latency.
 type TraceReport struct {
 	// Entries is the number of entries whose full propose→execute path was
 	// observed; Spans the total spans recorded cluster-wide; Dropped how many

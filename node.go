@@ -17,6 +17,7 @@ import (
 
 	"massbft/internal/cluster"
 	"massbft/internal/core"
+	"massbft/internal/forensics"
 	"massbft/internal/keys"
 	"massbft/internal/metrics"
 	"massbft/internal/transport"
@@ -271,8 +272,9 @@ type NodeStatus struct {
 	Epoch  uint64 `json:"epoch"`
 	Active []int  `json:"active,omitempty"`
 
-	// Trail holds the hashes of the most recent blocks so two nodes at
-	// different heights can still be checked for prefix agreement.
+	// Trail holds the hashes of the last min(Height, 32) blocks, ascending,
+	// so two nodes at different heights can still be checked for prefix
+	// agreement (ClassifyStatuses).
 	Trail []TrailPoint `json:"trail"`
 
 	Counters  map[string]int64 `json:"counters,omitempty"`
@@ -453,13 +455,7 @@ func (n *ProcNode) Reconfigure(op byte, group int) {
 func (n *ProcNode) NoteAgreement(sum AgreementSummary) {
 	n.ep.After(0, func() {
 		n.agreement = &sum
-		n.col.AgreementFirstDivHeight = int64(sum.FirstDivergentHeight) // 0 when converged
-		switch sum.Verdict {
-		case AgreementForked:
-			n.col.ForkedDetected++
-		case AgreementWedged:
-			n.col.WedgedDetected++
-		}
+		forensics.Count(&n.col.Counts, sum.Verdict, sum.FirstDivergentHeight)
 	})
 }
 
@@ -488,26 +484,7 @@ func (n *ProcNode) Status() (NodeStatus, error) {
 			st.Counters["transport-drop-"+cluster.EnvelopeKindName(k)] = int64(v)
 		}
 		st.Epoch, st.Active = n.node.EpochInfo()
-		l := n.node.Ledger()
-		st.Height = l.Height()
-		head := l.Head()
-		st.Head = fmt.Sprintf("%x", head[:])
-		state := n.node.DB().Hash()
-		st.State = fmt.Sprintf("%x", state[:])
-		// Last 32 block hashes: enough overlap for prefix-agreement
-		// checks between nodes at slightly different heights.
-		from := uint64(1)
-		if st.Height > 32 {
-			from = st.Height - 31
-		}
-		for h := from; h <= st.Height; h++ {
-			b := l.Block(h)
-			if b == nil {
-				continue
-			}
-			bh := b.Hash()
-			st.Trail = append(st.Trail, TrailPoint{Height: h, Hash: fmt.Sprintf("%x", bh[:])})
-		}
+		st.setChain(n.node.Ledger(), n.node.DB().Hash())
 	})
 	if !ok {
 		return NodeStatus{}, fmt.Errorf("massbft: node %v event loop unresponsive", n.id)
