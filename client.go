@@ -20,6 +20,7 @@ package massbft
 // make the retries idempotent.
 
 import (
+	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -78,8 +79,9 @@ type ClientPool struct {
 
 // cpConn is one live gateway connection (client side).
 type cpConn struct {
-	c  net.Conn
-	wm sync.Mutex // serializes writes from concurrent clients
+	c   net.Conn
+	wm  sync.Mutex         // serializes writes from concurrent clients
+	out transport.FrameBuf // the request being written; guarded by wm
 }
 
 // DialClients builds a client pool. Connections are dialed lazily per
@@ -243,8 +245,9 @@ func (p *ClientPool) conn(id keys.NodeID) *cpConn {
 // readLoop demultiplexes one connection's replies into per-client inboxes.
 // Any error drops the connection; the next send redials.
 func (p *ClientPool) readLoop(id keys.NodeID, cc *cpConn) {
+	br := bufio.NewReaderSize(cc.c, transport.ReadBuffer)
 	for {
-		_, payload, err := transport.ReadFrame(cc.c)
+		_, payload, err := transport.ReadFrame(br)
 		if err != nil {
 			p.dropConn(id, cc)
 			return
@@ -288,13 +291,13 @@ func (p *ClientPool) send(id keys.NodeID, txn types.Transaction) {
 	}
 	req := &cluster.ClientRequest{Txn: txn}
 	enc, err := cluster.EncodeEnvelope(req)
-	if err != nil {
+	if err != nil || len(enc) > transport.MaxFrameSize { // the gateway would drop the connection
 		return
 	}
-	frame := transport.AppendFrame(make([]byte, 0, 12+len(enc)), 0, enc)
 	cc.wm.Lock()
+	cc.out.Add(0, enc)
 	cc.c.SetWriteDeadline(time.Now().Add(2 * time.Second))
-	_, werr := cc.c.Write(frame)
+	_, werr := cc.out.Flush(cc.c)
 	cc.wm.Unlock()
 	if werr != nil {
 		p.dropConn(id, cc)

@@ -34,6 +34,7 @@ package massbft
 // connections too, and f+1 of them suffice for the client's certificate.
 
 import (
+	"bufio"
 	"encoding/binary"
 	"errors"
 	"io"
@@ -55,7 +56,7 @@ const gwHello = 1
 const gwMaxHelloRange = 1 << 20
 
 // gwConn is one accepted client connection: its registered ID range and a
-// bounded outbound reply queue drained by a dedicated writer.
+// bounded queue of encoded replies, framed and written by a dedicated writer.
 type gwConn struct {
 	c      net.Conn
 	lo, hi uint64
@@ -160,8 +161,11 @@ func (s *gwServer) serveConn(conn net.Conn) {
 		}
 	}()
 
+	// One reader for the hello and every frame after it: requests a client
+	// wrote right behind its hello are already in its buffer.
+	br := bufio.NewReaderSize(conn, transport.ReadBuffer)
 	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
-	flags, payload, err := transport.ReadFrame(conn)
+	flags, payload, err := transport.ReadFrame(br)
 	conn.SetReadDeadline(time.Time{})
 	if err != nil || flags&transport.FlagControl == 0 || len(payload) != 17 || payload[0] != gwHello {
 		return
@@ -181,13 +185,13 @@ func (s *gwServer) serveConn(conn net.Conn) {
 
 	s.wg.Add(1)
 	go s.writeLoop(gc)
-	s.readLoop(gc)
+	s.readLoop(gc, br)
 	s.drop(gc)
 }
 
-func (s *gwServer) readLoop(gc *gwConn) {
+func (s *gwServer) readLoop(gc *gwConn, br *bufio.Reader) {
 	for {
-		flags, payload, err := transport.ReadFrame(gc.c)
+		flags, payload, err := transport.ReadFrame(br)
 		if err != nil {
 			if err != io.EOF && !errors.Is(err, net.ErrClosed) {
 				s.n.logfSafe("gateway: read: %v", err)
@@ -222,13 +226,20 @@ func (s *gwServer) readLoop(gc *gwConn) {
 	}
 }
 
+// writeLoop frames each queued reply together with those queued behind it,
+// one write per drained burst (or per transport.WriteChunk bytes of it).
 func (s *gwServer) writeLoop(gc *gwConn) {
 	defer s.wg.Done()
+	var out transport.FrameBuf
 	for {
 		select {
-		case f := <-gc.out:
+		case enc := <-gc.out:
+			full := out.Add(0, enc)
+			for !full && len(gc.out) > 0 { // this loop is the only receiver
+				full = out.Add(0, <-gc.out)
+			}
 			gc.c.SetWriteDeadline(time.Now().Add(2 * time.Second))
-			if _, err := gc.c.Write(f); err != nil {
+			if _, err := out.Flush(gc.c); err != nil {
 				gc.c.Close() // unblocks the read loop, which unregisters
 				return
 			}
@@ -238,13 +249,13 @@ func (s *gwServer) writeLoop(gc *gwConn) {
 	}
 }
 
-// reply sends one framed ClientReply to every live connection that has
+// reply sends one encoded ClientReply to every live connection that has
 // carried a request from this client, else to the newest whose hello range
 // covers it — a registration alone must not shadow the connection the client
 // actually submits on. Called on the node event loop; never blocks — a
 // saturated connection misses the reply, and one that reaches no connection
 // (false) is counted by the metrics layer.
-func (s *gwServer) reply(client uint64, frame []byte) bool {
+func (s *gwServer) reply(client uint64, enc []byte) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	var newest *gwConn
@@ -256,19 +267,19 @@ func (s *gwServer) reply(client uint64, frame []byte) bool {
 		newest = gc
 		if gc.sawClient(client) {
 			carried = true
-			sent = gc.offer(frame) || sent
+			sent = gc.offer(enc) || sent
 		}
 	}
 	if !carried && newest != nil {
-		sent = newest.offer(frame)
+		sent = newest.offer(enc)
 	}
 	return sent
 }
 
-// offer queues frame for the writer unless the queue is full.
-func (gc *gwConn) offer(frame []byte) bool {
+// offer queues an encoded reply for the writer unless the queue is full.
+func (gc *gwConn) offer(enc []byte) bool {
 	select {
-	case gc.out <- frame:
+	case gc.out <- enc:
 		return true
 	default:
 		return false

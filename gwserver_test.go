@@ -68,7 +68,7 @@ func TestGatewayHelloRangeValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	deadline := time.Now().Add(2 * time.Second)
-	for !s.reply(50, transport.AppendFrame(nil, 0, []byte{1})) {
+	for !s.reply(50, []byte{1}) {
 		if time.Now().After(deadline) {
 			t.Fatal("valid hello never registered")
 		}

@@ -26,6 +26,9 @@ package cluster
 //     the remaining input before allocation, unknown kinds and trailing
 //     bytes are errors, and no input can panic the decoder (fuzzed by
 //     FuzzEnvelopeRoundTrip).
+//   - A decoded message aliases its input: byte fields are capacity-clipped
+//     slices of it, so the caller hands over a buffer nobody writes again
+//     (ReadFrame's payload). Certificate signatures are the one copy.
 //   - Encodings are canonical: re-encoding a decoded message reproduces the
 //     input byte-for-byte. (Sole exception: a Checkpoint's embedded statedb
 //     snapshot is canonical per store *content* — sorted keys — so a
@@ -37,6 +40,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"sync"
 
 	"massbft/internal/keys"
 	"massbft/internal/ledger"
@@ -154,20 +158,34 @@ var (
 	errNonCanonical = errors.New("cluster: non-canonical bool or presence byte")
 )
 
-// EncodeEnvelope serializes any node-to-node payload. It returns an error
-// for types that are not part of the wire contract.
+// encodeScratch holds the buffers EncodeEnvelope walks into. A scratch that
+// grew past maxScratch (a checkpoint, a large chunk batch) is not kept, so
+// one rare envelope does not pin its size for the process's lifetime.
+var encodeScratch = sync.Pool{New: func() any { return new([]byte) }}
+
+const maxScratch = 64 << 10
+
+// EncodeEnvelope serializes any node-to-node payload into one buffer of
+// exactly its size. It returns an error for types that are not part of the
+// wire contract.
 func EncodeEnvelope(payload any) ([]byte, error) {
-	var c codec
-	c.b = append(c.b, 0) // the kind byte, known once the walk matched the type
+	scratch := encodeScratch.Get().(*[]byte)
+	c := codec{b: append((*scratch)[:0], 0)} // the kind byte, known once the walk matched the type
 	kind := c.message(payload)
-	if c.err != nil {
-		return nil, c.err
+	var out []byte
+	switch {
+	case c.err != nil:
+	case kind == 0:
+		c.err = fmt.Errorf("cluster: cannot encode %T as envelope", payload)
+	default:
+		c.b[0] = kind
+		out = append(make([]byte, 0, len(c.b)), c.b...)
 	}
-	if kind == 0 {
-		return nil, fmt.Errorf("cluster: cannot encode %T as envelope", payload)
+	if cap(c.b) <= maxScratch {
+		*scratch = c.b
+		encodeScratch.Put(scratch)
 	}
-	c.b[0] = kind
-	return c.b, nil
+	return out, c.err
 }
 
 // DecodeEnvelope parses bytes produced by EncodeEnvelope. Arbitrary input is
@@ -288,15 +306,16 @@ func hash[H ~[32]byte](c *codec, h *H) {
 	}
 }
 
-// bytes carries a u32 length, then the bytes. Decoding copies them out of
-// the input, and reads an empty field as nil.
+// bytes carries a u32 length, then the bytes. Decoding aliases them in the
+// input, capacity-clipped so an append to the field never writes into the
+// bytes after it, and reads an empty field as nil.
 func (c *codec) bytes(v *[]byte) {
 	n := uint32(len(*v))
 	c.u32(&n)
 	if !c.dec {
 		c.b = append(c.b, *v...)
 	} else if p := c.take(int(n), "bytes"); len(p) > 0 {
-		*v = append([]byte(nil), p...)
+		*v = p[:n:n]
 	}
 }
 
@@ -401,6 +420,28 @@ func (c *codec) cert(p **keys.Certificate) {
 	hash(c, &k.Digest)
 	for i := range list(c, &k.Sigs, leastSig) {
 		c.sig(&k.Sigs[i])
+	}
+	if c.dec {
+		ownSigs(k.Sigs)
+	}
+}
+
+// ownSigs moves decoded signatures out of the input into one buffer of their
+// own. A certificate outlives its message (the archive keeps entry
+// certificates for partitionHorizon entries per origin), and an alias would
+// keep the whole frame it arrived in, chunks and all, alive with it.
+func ownSigs(sigs []keys.Signature) {
+	n := 0
+	for _, s := range sigs {
+		n += len(s.Sig)
+	}
+	buf := make([]byte, 0, n)
+	for i, s := range sigs {
+		if len(s.Sig) > 0 {
+			at := len(buf)
+			buf = append(buf, s.Sig...)
+			sigs[i].Sig = buf[at:len(buf):len(buf)]
+		}
 	}
 }
 

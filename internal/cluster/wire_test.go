@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"reflect"
 	"testing"
+	"unsafe"
 
 	"massbft/internal/keys"
 	"massbft/internal/ledger"
@@ -521,33 +522,37 @@ func TestMinimalCheckpointDecodes(t *testing.T) {
 }
 
 // TestEnvelopeAllocs: encoding and decoding each fixture allocate no more
-// than the pinned counts, those of the codec that spelled each layout out
-// twice. A TCP node's allocations per transaction are mostly these.
+// than the pinned counts. Encode budgets are those of the codec that spelled
+// each layout out twice (the pooled scratch makes most encodes one
+// allocation, but the race detector empties pools at random). Decode budgets
+// are exact: byte fields alias the input, so what a decode allocates is the
+// message's structs and lists, and one buffer per certificate's signatures.
+// A TCP node's allocations per transaction are mostly these.
 func TestEnvelopeAllocs(t *testing.T) {
 	budget := map[string][2]float64{ // fixture: {encode, decode}
-		"BatchFwd":             {6, 14},
-		"ChunkBatch":           {6, 13},
+		"BatchFwd":             {6, 9},
+		"ChunkBatch":           {6, 8},
 		"ChunkRepairReq":       {3, 2},
-		"ClientReply":          {6, 4},
-		"ClientReply.Dup":      {4, 3},
-		"ClientRequest":        {4, 3},
+		"ClientReply":          {6, 2},
+		"ClientReply.Dup":      {4, 1},
+		"ClientRequest":        {4, 1},
 		"EntryFetch":           {2, 1},
-		"EntryFwd":             {3, 7},
-		"EntryWAN":             {4, 10},
-		"LocalMsg.Commit":      {4, 3},
-		"LocalMsg.PrePrepare":  {5, 4},
-		"LocalMsg.Prepare":     {4, 3},
-		"LocalMsg.ViewChange":  {5, 5},
-		"MetaBatch":            {6, 8},
-		"MetaBatch.Membership": {6, 8},
-		"MetaMsg.NewView":      {5, 7},
-		"MetaMsg.SlotReply":    {6, 16},
+		"EntryFwd":             {3, 5},
+		"EntryWAN":             {4, 7},
+		"LocalMsg.Commit":      {4, 2},
+		"LocalMsg.PrePrepare":  {5, 2},
+		"LocalMsg.Prepare":     {4, 2},
+		"LocalMsg.ViewChange":  {5, 3},
+		"MetaBatch":            {6, 5},
+		"MetaBatch.Membership": {6, 5},
+		"MetaMsg.NewView":      {5, 4},
+		"MetaMsg.SlotReply":    {6, 9},
 		"MetaMsg.SlotRequest":  {2, 2},
-		"ProposalFwd":          {1, 2},
+		"ProposalFwd":          {1, 1},
 		"Reconfigure":          {1, 1},
 		"RejoinReq":            {2, 1},
-		"RejoinResp":           {16, 66},
-		"RejoinResp.Minimal":   {121, 393},
+		"RejoinResp":           {16, 55},
+		"RejoinResp.Minimal":   {121, 223},
 		"StreamFetch":          {2, 1},
 	}
 	for name, msg := range wireFixtures() {
@@ -565,6 +570,70 @@ func TestEnvelopeAllocs(t *testing.T) {
 		if encAllocs > b[0] || decAllocs > b[1] {
 			t.Errorf("%s: %v encode and %v decode allocations, budget %v and %v",
 				name, encAllocs, decAllocs, b[0], b[1])
+		}
+	}
+}
+
+// TestDecodedBytesAliasTheInput: a decoded message's byte fields are
+// capacity-clipped slices of the input, so decoding copies nothing and an
+// append to one field can never overwrite the next; certificate signatures
+// alone are copied out, so an archived certificate does not keep its frame.
+func TestDecodedBytesAliasTheInput(t *testing.T) {
+	fx := wireFixtures()
+	inside := func(in, p []byte) bool {
+		lo := uintptr(unsafe.Pointer(unsafe.SliceData(in)))
+		at := uintptr(unsafe.Pointer(unsafe.SliceData(p)))
+		return at >= lo && at+uintptr(len(p)) <= lo+uintptr(len(in))
+	}
+	for _, tc := range []struct {
+		fixture string
+		fields  func(m any) (aliased [][]byte, certs []*keys.Certificate)
+	}{
+		{"ChunkBatch", func(m any) ([][]byte, []*keys.Certificate) {
+			b := m.(*replication.ChunkBatch)
+			return b.Chunks, []*keys.Certificate{b.Cert}
+		}},
+		{"ClientRequest", func(m any) ([][]byte, []*keys.Certificate) {
+			r := m.(*ClientRequest)
+			return [][]byte{r.Txn.Payload, r.Txn.Sig}, nil
+		}},
+		{"LocalMsg.PrePrepare", func(m any) ([][]byte, []*keys.Certificate) {
+			p := m.(*LocalMsg).M.(*pbft.PrePrepare)
+			return [][]byte{p.Payload, p.Sig.Sig}, nil
+		}},
+		{"MetaMsg.SlotReply", func(m any) ([][]byte, []*keys.Certificate) {
+			r := m.(*MetaMsg).M.(*pbft.SlotReply)
+			return [][]byte{r.Slots[0].Payload, r.NV.Reproposals[0].Payload}, []*keys.Certificate{r.Slots[0].Cert}
+		}},
+	} {
+		enc, err := EncodeEnvelope(fx[tc.fixture])
+		if err != nil {
+			t.Fatalf("%s: encode: %v", tc.fixture, err)
+		}
+		want := bytes.Clone(enc)
+		dec, err := DecodeEnvelope(enc)
+		if err != nil {
+			t.Fatalf("%s: decode: %v", tc.fixture, err)
+		}
+		aliased, certs := tc.fields(dec)
+		for i, f := range aliased {
+			if len(f) == 0 || !inside(enc, f) {
+				t.Errorf("%s: byte field %d is not a slice of the input", tc.fixture, i)
+			}
+			if cap(f) != len(f) {
+				t.Errorf("%s: byte field %d has capacity %d past its %d bytes", tc.fixture, i, cap(f), len(f))
+			}
+			_ = append(f, bytes.Repeat([]byte{0xff}, 64)...)
+		}
+		if !bytes.Equal(enc, want) {
+			t.Errorf("%s: appending to a decoded field changed the input", tc.fixture)
+		}
+		for _, c := range certs {
+			for _, s := range c.Sigs {
+				if inside(enc, s.Sig) {
+					t.Errorf("%s: certificate signature of %v aliases the input", tc.fixture, s.Signer)
+				}
+			}
 		}
 	}
 }

@@ -9,13 +9,15 @@ import (
 // events totally ordered by (at, seq). Two interchangeable implementations
 // exist:
 //
-//   - timerWheel: a hierarchical indexed timer wheel — O(1) amortized push
-//     and pop, independent of the number of pending events. This is what
-//     lets one machine simulate O(10k)-node topologies (Berger et al.,
-//     "Simulating BFT Protocol Implementations at Scale"): a binary heap
-//     over hundreds of thousands of outstanding timers spends its time in
-//     O(log n) sift chains of cache misses, a wheel does two shifts and a
-//     mask.
+//   - timerWheel: a hierarchical indexed timer wheel. Filing an event in a
+//     level and finding the next non-empty slot cost O(1) whatever the
+//     number pending — two shifts and a mask where a binary heap over
+//     hundreds of thousands of timers walks O(log n) sift chains of cache
+//     misses — which lets one machine simulate O(10k)-node topologies
+//     (Berger et al., "Simulating BFT Protocol Implementations at Scale").
+//     Events whose tick has been reached are ordered in the imminent heap,
+//     O(log k) in the k events due: not O(1), and k grows large when busy
+//     nodes re-push deferred events at every charge.
 //   - heapSched: the original container/heap binary heap, kept verbatim as
 //     the determinism oracle of the tests (any correct (at, seq) queue must
 //     pop the identical sequence).

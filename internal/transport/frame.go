@@ -21,6 +21,7 @@ package transport
 // identity handshake and heartbeat pings — and never reach protocol code.
 
 import (
+	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -86,9 +87,14 @@ func WriteFrame(w io.Writer, flags byte, payload []byte) error {
 // bound, and checksum. On success it returns the flags and payload. Any
 // validation failure is a permanent stream error: framing is lost, so the
 // caller must drop the connection.
+//
+// The payload is the frame's one allocation, and nothing writes to it again:
+// a decoder may alias it. Read through a *bufio.Reader, the header is
+// parsed in the reader's buffer and a connection's small frames cost one
+// read call per buffer fill rather than two per frame.
 func ReadFrame(r io.Reader) (flags byte, payload []byte, err error) {
-	var hdr [frameHeader]byte
-	if _, err = io.ReadFull(r, hdr[:]); err != nil {
+	hdr, err := readHeader(r)
+	if err != nil {
 		return 0, nil, err
 	}
 	if hdr[0] != frameMagic0 || hdr[1] != frameMagic1 {
@@ -106,16 +112,69 @@ func ReadFrame(r io.Reader) (flags byte, payload []byte, err error) {
 		return 0, nil, fmt.Errorf("%w: %d bytes", ErrFrameTooLarge, n)
 	}
 	sum := binary.BigEndian.Uint32(hdr[8:12])
+	want := crc32.Checksum(hdr[:8], castagnoli) // before the payload read reuses hdr's buffer
 	if n > 0 {
 		payload = make([]byte, n)
 		if _, err = io.ReadFull(r, payload); err != nil {
 			return 0, nil, err
 		}
 	}
-	want := crc32.Checksum(hdr[:8], castagnoli)
-	want = crc32.Update(want, castagnoli, payload)
-	if want != sum {
+	if crc32.Update(want, castagnoli, payload) != sum {
 		return 0, nil, ErrFrameChecksum
 	}
 	return flags, payload, nil
+}
+
+// readHeader reads a frame header: in place from a *bufio.Reader's buffer,
+// valid until its next read, or else into a fresh slice.
+func readHeader(r io.Reader) ([]byte, error) {
+	br, ok := r.(*bufio.Reader)
+	if !ok {
+		hdr := make([]byte, frameHeader)
+		_, err := io.ReadFull(r, hdr)
+		return hdr, err
+	}
+	hdr, err := br.Peek(frameHeader)
+	if err != nil {
+		if err == io.EOF && len(hdr) > 0 {
+			err = io.ErrUnexpectedEOF // io.ReadFull's report of a partial read
+		}
+		return nil, err
+	}
+	br.Discard(frameHeader)
+	return hdr, nil
+}
+
+// Buffer sizes of the stream fabrics' connections. A writer frames what it
+// has queued into one FrameBuf and writes it whenever it holds WriteChunk
+// bytes, and once more when the queue is empty; a reader reads through a
+// bufio.Reader of ReadBuffer bytes.
+const (
+	WriteChunk = 64 << 10
+	ReadBuffer = 16 << 10
+)
+
+// FrameBuf is one writer's reused frame buffer.
+type FrameBuf struct{ b []byte }
+
+// Add frames payload onto the buffer and reports whether it now holds
+// WriteChunk bytes, so the caller should write it before adding more.
+func (f *FrameBuf) Add(flags byte, payload []byte) (full bool) {
+	f.b = AppendFrame(f.b, flags, payload)
+	return len(f.b) >= WriteChunk
+}
+
+// Len returns the number of framed bytes not yet written.
+func (f *FrameBuf) Len() int { return len(f.b) }
+
+// Flush writes the buffer to w in one call and empties it for reuse, even
+// when the write fails. A buffer a large frame grew past twice WriteChunk is
+// let go, so one checkpoint does not pin its size.
+func (f *FrameBuf) Flush(w io.Writer) (int, error) {
+	n, err := w.Write(f.b)
+	if cap(f.b) > 2*WriteChunk {
+		f.b = nil
+	}
+	f.b = f.b[:0]
+	return n, err
 }

@@ -1,11 +1,14 @@
 package transport
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/binary"
 	"errors"
 	"io"
+	"runtime"
 	"testing"
+	"testing/iotest"
 )
 
 func TestFrameRoundTrip(t *testing.T) {
@@ -100,4 +103,72 @@ func TestFrameLimits(t *testing.T) {
 	if !errors.Is(err, ErrFrameVersion) {
 		t.Fatalf("wrong version: got %v", err)
 	}
+}
+
+// FuzzFrameStream: frames concatenated the way one coalesced write carries
+// them come back identical and in order through a buffered reader, however
+// the stream is split into reads; and arbitrary bytes read as a stream end
+// in an error, never a panic, with no read allocating past MaxFrameSize.
+func FuzzFrameStream(f *testing.F) {
+	var seed []byte
+	for i, p := range [][]byte{[]byte("one"), nil, bytes.Repeat([]byte{7}, 40)} {
+		seed = AppendFrame(seed, byte(i)&flagKnown, p)
+	}
+	f.Add(seed)
+	f.Add([]byte{0x03, 'a', 'b', 0x80, 'c'})
+	f.Add(AppendFrame(nil, FlagPriority, bytes.Repeat([]byte("x"), 100)))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		// Cut data into frames: each flags byte's upper bits say how many of
+		// the bytes after it are that frame's payload.
+		type frame struct {
+			flags   byte
+			payload []byte
+		}
+		var want []frame
+		var stream []byte
+		for rest := data; len(rest) > 0; {
+			n := min(int(rest[0]>>2), len(rest)-1)
+			fr := frame{rest[0] & flagKnown, rest[1 : 1+n]}
+			want = append(want, fr)
+			stream = AppendFrame(stream, fr.flags, fr.payload)
+			rest = rest[1+n:]
+		}
+		for _, split := range []func(io.Reader) io.Reader{iotest.OneByteReader, iotest.HalfReader} {
+			r := bufio.NewReaderSize(split(bytes.NewReader(stream)), 16) // smaller than most frames
+			for i, w := range want {
+				flags, payload, err := ReadFrame(r)
+				if err != nil {
+					t.Fatalf("frame %d of %d: %v", i, len(want), err)
+				}
+				if flags != w.flags || !bytes.Equal(payload, w.payload) {
+					t.Fatalf("frame %d: flags %#x, %q; want %#x, %q", i, flags, payload, w.flags, w.payload)
+				}
+			}
+			if _, _, err := ReadFrame(r); err != io.EOF {
+				t.Fatalf("after the last frame: %v, want io.EOF", err)
+			}
+		}
+
+		// The input itself as a stream: every frame read back re-frames to
+		// the bytes it came from, and the stream ends in an error.
+		r := bufio.NewReader(iotest.HalfReader(bytes.NewReader(data)))
+		var ms runtime.MemStats
+		for off := 0; ; {
+			runtime.ReadMemStats(&ms)
+			before := ms.TotalAlloc
+			flags, payload, err := ReadFrame(r)
+			runtime.ReadMemStats(&ms)
+			if grew := ms.TotalAlloc - before; grew > MaxFrameSize+4<<10 {
+				t.Fatalf("one read allocated %d bytes", grew)
+			}
+			if err != nil {
+				break
+			}
+			end := off + frameHeader + len(payload)
+			if !bytes.Equal(AppendFrame(nil, flags, payload), data[off:end]) {
+				t.Fatalf("frame at %d does not re-frame to its bytes", off)
+			}
+			off = end
+		}
+	})
 }

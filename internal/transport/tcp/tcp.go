@@ -7,9 +7,9 @@
 //
 //   - one event-loop goroutine per node serializes every HandleMessage call
 //     and After timer callback (protocol code stays single-threaded);
-//   - Send/SendPriority never block: payloads are encoded on the caller,
-//     framed, and pushed onto a bounded per-peer queue. A full queue drops
-//     the frame and counts it — the protocol's repair paths (chunk NACK
+//   - Send/SendPriority never block: payloads are encoded on the caller and
+//     pushed onto one of a peer's two bounded lanes. A full lane drops the
+//     envelope and counts it — the protocol's repair paths (chunk NACK
 //     repair, stream fetch, catch-up) recover lost traffic, and dropping
 //     beats stalling consensus behind a slow peer;
 //   - a connection supervisor per peer owns the dialed connection: dial with
@@ -19,14 +19,20 @@
 //     traffic uses the dialed connection only; inbound arrives on
 //     connections the listener accepts, so each direction heals
 //     independently;
-//   - the priority lane is strict: the writer drains priority frames before
-//     bulk ones, mirroring the simnet interface's two token buckets.
+//   - the priority lane is strict: the writer takes both lanes at once and
+//     frames the priority envelopes before the bulk ones, mirroring the
+//     simnet interface's two token buckets. What it took goes out framed
+//     into one reused buffer, one write per transport.WriteChunk bytes;
+//   - every accepted connection reads through one bufio.Reader, hello
+//     included, so a burst of small frames costs one read call, and each
+//     frame's payload is the one buffer its decoded message aliases.
 //
 // The codec is injected (cluster.EncodeEnvelope/DecodeEnvelope) to keep this
 // package free of protocol imports.
 package tcp
 
 import (
+	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -73,10 +79,10 @@ type Config struct {
 	HeartbeatInterval time.Duration // ping cadence on idle connections
 	HeartbeatTimeout  time.Duration // silence after which the conn is declared dead
 
-	QueueBulk int // per-peer bulk lane capacity (frames)
-	QueuePrio int // per-peer priority lane capacity (frames)
+	QueueBulk int // per-peer bulk lane capacity (messages)
+	QueuePrio int // per-peer priority lane capacity (messages)
 
-	DrainTimeout time.Duration // flush budget for queued frames on Close
+	DrainTimeout time.Duration // flush budget for queued messages on Close
 
 	// Logf, if set, receives connection lifecycle events.
 	Logf func(format string, args ...any)
@@ -233,7 +239,7 @@ func (n *Network) SetHandler(id keys.NodeID, h transport.Handler) {
 }
 
 // Close implements transport.Network: stop accepting, give each supervisor
-// its drain budget to flush queued frames, then tear everything down.
+// its drain budget to flush queued messages, then tear everything down.
 func (n *Network) Close() error {
 	n.mu.Lock()
 	if n.closed {
@@ -346,31 +352,28 @@ func (n *Network) send(to keys.NodeID, payload any, prio bool) {
 		return
 	}
 	enc, err := n.cfg.Encode(payload)
+	if err == nil && len(enc) > transport.MaxFrameSize {
+		// The receiver would refuse the frame and drop the connection,
+		// and with it every frame written in the same burst.
+		err = fmt.Errorf("%w: %d bytes", transport.ErrFrameTooLarge, len(enc))
+	}
 	if err != nil {
 		n.st.encodeErrors.Add(1)
 		n.logf("tcp: encode for %v: %v", to, err)
 		return
 	}
-	var flags byte
-	if prio {
-		flags |= transport.FlagPriority
-	}
-	frame := transport.AppendFrame(make([]byte, 0, 12+len(enc)), flags, enc)
-
 	s := n.supervisor(to)
 	if s == nil {
 		return
 	}
-	lane, dropped := s.bulk, &n.st.queueDropBulk
-	if prio {
-		lane, dropped = s.prio, &n.st.queueDropPrio
-	}
-	select {
-	case lane <- frame:
-	default:
+	if !s.enqueue(enc, prio) {
 		// Bounded-queue backpressure policy: drop, count, let the
 		// protocol's loss-recovery paths repair. Never block the node.
-		dropped.Add(1)
+		if prio {
+			n.st.queueDropPrio.Add(1)
+		} else {
+			n.st.queueDropBulk.Add(1)
+		}
 		n.st.dropsByKind[enc[0]].Add(1)
 	}
 }
@@ -394,8 +397,7 @@ func (n *Network) supervisor(to keys.NodeID) *supervisor {
 		nw:   n,
 		peer: to,
 		addr: addr,
-		prio: make(chan []byte, n.cfg.QueuePrio),
-		bulk: make(chan []byte, n.cfg.QueueBulk),
+		wake: make(chan struct{}, 1),
 		stop: make(chan struct{}),
 		rng: rand.New(rand.NewSource(n.cfg.Seed ^
 			int64(to.Group)<<32 ^ int64(to.Index)<<16 ^
@@ -413,13 +415,47 @@ type supervisor struct {
 	nw   *Network
 	peer keys.NodeID
 	addr string
-	prio chan []byte
-	bulk chan []byte
 	stop chan struct{}
 	rng  *rand.Rand
 
+	// The two lanes: encoded envelopes waiting for the writer, at most
+	// QueuePrio and QueueBulk of them. wake holds a token whenever an
+	// envelope was queued since the writer last took the lanes.
+	mu         sync.Mutex
+	prio, bulk [][]byte
+	wake       chan struct{}
+
+	// The writer's own state: the lanes' slices it emptied last, swapped
+	// back in on its next take, its frame buffer, and the drain deadline
+	// (zero until Close).
+	sparePrio, spareBulk [][]byte
+	out                  transport.FrameBuf
+	drainBy              time.Time
+
 	everConnected bool
 	lastAlive     atomic.Int64 // monotonic nanos of last pong/connect
+}
+
+// enqueue puts an encoded envelope on its lane, or reports false when the
+// lane is full.
+func (s *supervisor) enqueue(enc []byte, prio bool) bool {
+	s.mu.Lock()
+	lane, limit := &s.bulk, s.nw.cfg.QueueBulk
+	if prio {
+		lane, limit = &s.prio, s.nw.cfg.QueuePrio
+	}
+	ok := len(*lane) < limit
+	if ok {
+		*lane = append(*lane, enc)
+	}
+	s.mu.Unlock()
+	if ok {
+		select {
+		case s.wake <- struct{}{}:
+		default:
+		}
+	}
+	return ok
 }
 
 // run is the reconnect state machine: Dial -> (fail: Backoff -> Dial) ->
@@ -505,7 +541,8 @@ func (s *supervisor) serve(conn net.Conn) (stopped bool) {
 	hello = append(hello, ctlHello)
 	hello = binary.BigEndian.AppendUint32(hello, uint32(cfg.Self.Group))
 	hello = binary.BigEndian.AppendUint32(hello, uint32(cfg.Self.Index))
-	if !s.write(conn, transport.AppendFrame(nil, transport.FlagControl, hello)) {
+	s.out.Add(transport.FlagControl, hello)
+	if !s.write(conn) {
 		conn.Close()
 		return false
 	}
@@ -533,26 +570,11 @@ func (s *supervisor) serve(conn net.Conn) (stopped bool) {
 
 	hb := time.NewTicker(cfg.HeartbeatInterval)
 	defer hb.Stop()
-	ping := transport.AppendFrame(nil, transport.FlagControl, []byte{ctlPing})
 
 	for {
-		// Strict priority: exhaust the priority lane before considering
-		// bulk or housekeeping.
 		select {
-		case f := <-s.prio:
-			if !s.write(conn, f) {
-				return false
-			}
-			continue
-		default:
-		}
-		select {
-		case f := <-s.prio:
-			if !s.write(conn, f) {
-				return false
-			}
-		case f := <-s.bulk:
-			if !s.write(conn, f) {
+		case <-s.wake:
+			if !s.flush(conn) {
 				return false
 			}
 		case <-hb.C:
@@ -562,7 +584,8 @@ func (s *supervisor) serve(conn net.Conn) (stopped bool) {
 				s.nw.logf("tcp: %v heartbeat lost to %v", cfg.Self, s.peer)
 				return false
 			}
-			if !s.write(conn, ping) {
+			s.out.Add(transport.FlagControl, []byte{ctlPing})
+			if !s.write(conn) {
 				return false
 			}
 		case <-s.stop:
@@ -572,11 +595,48 @@ func (s *supervisor) serve(conn net.Conn) (stopped bool) {
 	}
 }
 
-// write sends one frame with the configured deadline. False means the
-// connection is dead.
-func (s *supervisor) write(conn net.Conn, frame []byte) bool {
-	conn.SetWriteDeadline(time.Now().Add(s.nw.cfg.SendTimeout))
-	m, err := conn.Write(frame)
+// flush takes both lanes and writes what they held: the priority envelopes
+// first, then the bulk ones, framed into the writer's buffer and written
+// whenever it fills. The lanes get back the slices the previous flush
+// emptied, so a steady flow allocates nothing here. False means the
+// connection is dead; what the flush had not written yet is lost with it,
+// as a partly written burst would be.
+func (s *supervisor) flush(conn net.Conn) bool {
+	s.mu.Lock()
+	prio, bulk := s.prio, s.bulk
+	s.prio, s.bulk = s.sparePrio, s.spareBulk
+	s.mu.Unlock()
+	ok := s.frame(conn, transport.FlagPriority, prio) && s.frame(conn, 0, bulk)
+	if ok && s.out.Len() > 0 {
+		ok = s.write(conn)
+	}
+	clear(prio) // the envelopes are garbage once written
+	clear(bulk)
+	s.sparePrio, s.spareBulk = prio[:0], bulk[:0]
+	return ok
+}
+
+// frame adds one lane's envelopes to the writer's buffer, writing it
+// whenever it fills.
+func (s *supervisor) frame(conn net.Conn, flags byte, lane [][]byte) bool {
+	for _, enc := range lane {
+		if s.out.Add(flags, enc) && !s.write(conn) {
+			return false
+		}
+	}
+	return true
+}
+
+// write sends the writer's buffer with the configured deadline, or the drain
+// deadline if that comes first, and empties it. False means the connection
+// is dead.
+func (s *supervisor) write(conn net.Conn) bool {
+	deadline := time.Now().Add(s.nw.cfg.SendTimeout)
+	if !s.drainBy.IsZero() && s.drainBy.Before(deadline) {
+		deadline = s.drainBy
+	}
+	conn.SetWriteDeadline(deadline)
+	m, err := s.out.Flush(conn)
 	s.nw.st.bytesOut.Add(uint64(m))
 	if err != nil {
 		if ne, ok := err.(net.Error); ok && ne.Timeout() {
@@ -587,29 +647,15 @@ func (s *supervisor) write(conn net.Conn, frame []byte) bool {
 	return true
 }
 
-// drain flushes whatever the queues still hold within the drain budget.
-// conn may be nil (never connected — queued frames are simply discarded).
+// drain flushes whatever the lanes still hold within the drain budget.
+// conn may be nil (never connected — queued envelopes are simply
+// discarded). Nothing is queued after Close, so one flush takes it all.
 func (s *supervisor) drain(conn net.Conn) {
 	if conn == nil {
 		return
 	}
-	deadline := time.Now().Add(s.nw.cfg.DrainTimeout)
-	for time.Now().Before(deadline) {
-		var f []byte
-		select {
-		case f = <-s.prio:
-		default:
-			select {
-			case f = <-s.prio:
-			case f = <-s.bulk:
-			default:
-				return
-			}
-		}
-		if !s.write(conn, f) {
-			return
-		}
-	}
+	s.drainBy = time.Now().Add(s.nw.cfg.DrainTimeout)
+	s.flush(conn)
 }
 
 // --- inbound: listener and per-connection readers ---
@@ -645,13 +691,14 @@ func (n *Network) serveInbound(conn net.Conn) {
 		conn.Close()
 	}()
 
-	from, ok := n.handshake(conn)
+	br := bufio.NewReaderSize(conn, transport.ReadBuffer)
+	from, ok := n.handshake(conn, br)
 	if !ok {
 		return
 	}
 	pong := transport.AppendFrame(nil, transport.FlagControl, []byte{ctlPong})
 	for {
-		flags, payload, err := transport.ReadFrame(conn)
+		flags, payload, err := transport.ReadFrame(br)
 		if err != nil {
 			if err != io.EOF && !errors.Is(err, net.ErrClosed) {
 				n.st.recvErrors.Add(1)
@@ -679,9 +726,11 @@ func (n *Network) serveInbound(conn net.Conn) {
 	}
 }
 
-func (n *Network) handshake(conn net.Conn) (keys.NodeID, bool) {
+// handshake reads the hello through br, the reader every later frame on the
+// connection comes through: frames buffered behind the hello stay in it.
+func (n *Network) handshake(conn net.Conn, br *bufio.Reader) (keys.NodeID, bool) {
 	conn.SetReadDeadline(time.Now().Add(n.cfg.DialTimeout))
-	flags, payload, err := transport.ReadFrame(conn)
+	flags, payload, err := transport.ReadFrame(br)
 	conn.SetReadDeadline(time.Time{})
 	if err != nil || flags&transport.FlagControl == 0 || len(payload) != 9 || payload[0] != ctlHello {
 		n.st.recvErrors.Add(1)

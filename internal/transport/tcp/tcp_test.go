@@ -300,3 +300,119 @@ func TestPriorityLaneNeverDropsUnderBulkSaturation(t *testing.T) {
 		t.Fatalf("per-kind breakdown charges %d drops to client replies; none happened", got)
 	}
 }
+
+// pair starts a's network with b as its only peer and returns b's address,
+// where nothing listens until listen starts b's network.
+func pair(t *testing.T, cfgA func(*Config)) (na *Network, a, b keys.NodeID, bAddr string) {
+	t.Helper()
+	addrs := freeAddrs(t, 2)
+	a, b = keys.NodeID{Group: 0, Index: 0}, keys.NodeID{Group: 0, Index: 1}
+	cfg := fastConfig(a, addrs[0], map[keys.NodeID]string{b: addrs[1]})
+	if cfgA != nil {
+		cfgA(&cfg)
+	}
+	na, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { na.Close() })
+	return na, a, b, addrs[1]
+}
+
+// listen starts b's network on addr, its handler a collector.
+func listen(t *testing.T, b, a keys.NodeID, addr, aAddr string) (*Network, *collector) {
+	t.Helper()
+	nb, err := New(fastConfig(b, addr, map[keys.NodeID]string{a: aAddr}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { nb.Close() })
+	cb := &collector{}
+	nb.SetHandler(b, cb)
+	return nb, cb
+}
+
+// TestQueuedFramesKeepLaneOrder: envelopes queued while the peer is down
+// go out in one burst once it listens, every priority envelope before every
+// bulk one and each lane in the order it was queued; and a Close with
+// envelopes still queued delivers them.
+func TestQueuedFramesKeepLaneOrder(t *testing.T) {
+	na, a, b, bAddr := pair(t, nil)
+	ep := na.Endpoint(a)
+	const n = 40
+	for i := 0; i < n; i++ {
+		ep.Send(b, []byte{'b', byte(i)}, 2)
+		ep.SendPriority(b, []byte{'p', byte(i)}, 2)
+	}
+	_, cb := listen(t, b, a, bAddr, na.Addr())
+	waitFor(t, 10*time.Second, "the queued burst", func() bool { return cb.count() == 2*n })
+	cb.mu.Lock()
+	for i, m := range cb.msgs {
+		want := []byte{'p', byte(i)}
+		if i >= n {
+			want = []byte{'b', byte(i - n)}
+		}
+		if got := m.Payload.([]byte); string(got) != string(want) {
+			cb.mu.Unlock()
+			t.Fatalf("delivery %d is %q, want %q", i, got, want)
+		}
+	}
+	cb.msgs = nil
+	cb.mu.Unlock()
+
+	for i := 0; i < n; i++ {
+		ep.Send(b, []byte{'c', byte(i)}, 2)
+	}
+	na.Close()
+	waitFor(t, 5*time.Second, "the envelopes queued at Close", func() bool { return cb.count() == n })
+	cb.mu.Lock()
+	defer cb.mu.Unlock()
+	for i, m := range cb.msgs {
+		if got := m.Payload.([]byte); got[1] != byte(i) {
+			t.Fatalf("drained delivery %d is %q", i, got)
+		}
+	}
+}
+
+// TestOversizeEnvelopeRefusedAtSend: an envelope past transport.MaxFrameSize
+// is refused by the sender and counted as an encode error. Framed, it would
+// make the receiver drop the connection, and every frame written with it.
+func TestOversizeEnvelopeRefusedAtSend(t *testing.T) {
+	na, a, b, bAddr := pair(t, nil)
+	nb, cb := listen(t, b, a, bAddr, na.Addr())
+	ep := na.Endpoint(a)
+	ep.Send(b, make([]byte, transport.MaxFrameSize+1), 0)
+	ep.Send(b, []byte("small"), 5)
+	waitFor(t, 5*time.Second, "the small envelope", func() bool { return cb.count() == 1 })
+	if st := na.Stats(); st.EncodeErrors != 1 || st.Reconnects != 0 {
+		t.Fatalf("sender: %d encode errors, %d reconnects; want 1 and 0", st.EncodeErrors, st.Reconnects)
+	}
+	if st := nb.Stats(); st.RecvErrors != 0 {
+		t.Fatalf("receiver: %d receive errors, want 0", st.RecvErrors)
+	}
+}
+
+// TestHelloAndFramesShareOneReader: a peer's hello and the frames behind it
+// can arrive in one segment; the accepted connection reads them all through
+// one buffered reader, so none is lost to the handshake.
+func TestHelloAndFramesShareOneReader(t *testing.T) {
+	na, a, b, bAddr := pair(t, nil)
+	nb, cb := listen(t, b, a, bAddr, na.Addr())
+	c, err := net.Dial("tcp", nb.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	hello := []byte{ctlHello, 0, 0, 0, byte(a.Group), 0, 0, 0, byte(a.Index)}
+	burst := transport.AppendFrame(nil, transport.FlagControl, hello)
+	for i := 0; i < 3; i++ {
+		burst = transport.AppendFrame(burst, 0, []byte{byte(i)})
+	}
+	if _, err := c.Write(burst); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, 5*time.Second, "the frames written with the hello", func() bool { return cb.count() == 3 })
+	if st := nb.Stats(); st.RecvErrors != 0 {
+		t.Fatalf("%d receive errors", st.RecvErrors)
+	}
+}

@@ -400,14 +400,15 @@ func (n *ProcNode) onLoop(fn func()) bool {
 	}
 }
 
-// sendReply frames one reply and hands it to the gateway server.
+// sendReply encodes one reply and hands it to the gateway server, whose
+// connection writers frame it. One past transport.MaxFrameSize is refused
+// here: the client would drop the connection on it.
 func (n *ProcNode) sendReply(rep *cluster.ClientReply) {
 	enc, err := cluster.EncodeEnvelope(rep)
-	if err != nil {
+	if err != nil || len(enc) > transport.MaxFrameSize {
 		return
 	}
-	frame := transport.AppendFrame(make([]byte, 0, 12+len(enc)), 0, enc)
-	if n.gws.reply(rep.Client, frame) {
+	if n.gws.reply(rep.Client, enc) {
 		n.col.GatewayReplySent++
 	} else {
 		// No live connection (or a saturated one) for this client

@@ -8,7 +8,7 @@
 #                    demo -trace smoke, tampering example (CI: build-and-test)
 #   race             short-mode race shard over the packages with the hottest
 #                    concurrency surface and the TCP transport with the wire
-#                    codec it carries, purego shard, the seven fuzz smokes
+#                    codec it carries, purego shard, the eight fuzz smokes
 #                    (CI: race-short)
 #   groups           just the group-state suite (DESIGN.md §6's table:
 #                    failover and membership) — the full crash, partition,
@@ -118,6 +118,13 @@ race() {
   # hundreds of thousands).
   echo "== fuzz smoke (wire envelope decoder, 15 s)"
   go test -run '^$' -fuzz FuzzEnvelopeRoundTrip -fuzztime 15s -fuzzminimizetime 1s ./internal/cluster/
+
+  # The framing under every TCP connection: frames coalesced into one write
+  # come back identical and in order through a buffered reader over one-byte
+  # and half reads, and arbitrary bytes end in an error, not a panic or an
+  # allocation past MaxFrameSize.
+  echo "== fuzz smoke (TCP frame stream, 15 s)"
+  go test -run '^$' -fuzz FuzzFrameStream -fuzztime 15s ./internal/transport/
 
   # What the decoder accepts, delivered to a fresh node: no frame may panic it,
   # whatever group or entry it names.
