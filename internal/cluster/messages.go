@@ -264,12 +264,62 @@ func (p *PendingEntry) WireSize() int {
 	return n
 }
 
-// SuspectEdge is one standing suspicion inside a Checkpoint: group Origin
-// holds a certified, unrevoked RecSuspect for group Suspected, with Origin's
-// stream cursor Cursor at suspicion time.
-type SuspectEdge struct {
-	Suspected, Origin int
-	Cursor            uint64
+// GroupState is where a group stands in a node's certified view (DESIGN.md
+// §6, "The group table").
+type GroupState uint8
+
+const (
+	GroupMember   GroupState = iota // in the epoch and live
+	GroupStandby                    // provisioned, not yet joined
+	GroupDead                       // certified dead at Cut; still counts in quorums
+	GroupDeparted                   // removed by a certified leave at Cut
+)
+
+// Suspicion is one standing certified suspicion of a group: group Origin
+// attested it silent at Origin's stream cursor Cursor.
+type Suspicion struct {
+	Origin int
+	Cursor uint64
+}
+
+// GroupRow is one row of a node's group table: certified state only. Both
+// lists ascend by origin, one entry per origin.
+type GroupRow struct {
+	State GroupState
+	Cut   uint64 // where a dead or departed group's stream ends
+	// Suspecters are the origin groups holding a standing certified
+	// suspicion of this group.
+	Suspecters []Suspicion
+	// Votes are the origins of the standing certified membership votes on
+	// this group: join votes on a standby row, leave votes on a member row.
+	// An origin equal to the row's own group is the readiness attestation or
+	// the farewell.
+	Votes []int
+}
+
+// CheckpointGroup is one group's part of a Checkpoint: the folding node's
+// cursors on the group's stream — next-expected MetaBatch seq, view fence
+// (highest Record.View processed), clock high-water, the highest own-entry
+// commit seq certified in it (the watermark bounding pre-join round skips
+// and the join boundary a coordinator may certify), executed seq — and the
+// group's row of its group table.
+type CheckpointGroup struct {
+	Next, View, TS, CommitHi, Executed uint64
+	Row                                GroupRow
+}
+
+// wireSize is one group's part of the transfer cost model, not its encoded
+// length: 40 bytes of cursors, 12 for a non-member's state and cut and 4 more
+// for a standby or departed one, 16 per suspicion and per vote.
+func (g *CheckpointGroup) wireSize() int {
+	n := 40 + 16*(len(g.Row.Suspecters)+len(g.Row.Votes))
+	if g.Row.State != GroupMember {
+		n += 12
+	}
+	if g.Row.State == GroupStandby || g.Row.State == GroupDeparted {
+		n += 4
+	}
+	return n
 }
 
 // Checkpoint is a fold of one node's full replicated state at a virtual
@@ -287,27 +337,15 @@ type Checkpoint struct {
 
 	Clk         uint64
 	NextSeq     uint64
-	ExecutedSeq []uint64
 	ExecCount   int
 	CommitCount int
 
-	// StreamTS / StreamNext are the per-group clock high-water marks and the
-	// per-origin next-expected MetaBatch sequence numbers. Batches carries
-	// out-of-order stream batches the folding node has buffered but not yet
-	// processed, so the restoring node does not lose them (they were
-	// broadcast exactly once).
-	StreamTS   []uint64
-	StreamNext []uint64
-	Batches    []*MetaBatch
-	// StreamView is the per-origin view fence (highest Record.View processed
-	// per stream); restoring it keeps the rejoined node dropping the same
-	// stale-view records as everyone else.
-	StreamView []uint64
+	// Batches carries out-of-order stream batches the folding node has
+	// buffered but not yet processed, so the restoring node does not lose
+	// them (they were broadcast exactly once).
+	Batches []*MetaBatch
 
-	LocalView, LocalSlot uint64
-	LocalSlots           []pbft.ExportedSlot
-	MetaView, MetaSlot   uint64
-	MetaSlots            []pbft.ExportedSlot
+	Local, Meta pbft.Snapshot
 
 	// Ord is the async (VTS) orderer snapshot; Round/Skipped the round-mode
 	// one. Exactly one is populated, matching the cluster's ordering mode.
@@ -317,31 +355,12 @@ type Checkpoint struct {
 
 	Pending []PendingEntry
 
-	// The folding node's group table (DESIGN.md §6), by ascending group:
-	// DeadGroups/DeadCuts every non-member group and its stream cut
-	// (parallel slices), Standby/Departed those of them that are not dead;
-	// Suspects the standing suspicion edges (the folding node's own group
-	// suspects g exactly where an edge's Origin is that group).
-	DeadGroups []int
-	DeadCuts   []uint64
-	Suspects   []SuspectEdge
-
-	// Membership state (certified epoch reconfiguration, DESIGN.md §11):
-	// Epoch counts certified RecEpoch switches; a joined group's boundary
-	// rides in Ord or Skipped. JoinVotes/LeaveVotes are the standing
-	// certified approvals of an in-flight membership op, reusing the
-	// SuspectEdge shape: Suspected = target, Origin = approving group,
-	// Cursor = the approver's target-stream cursor (leave votes only).
-	Epoch      uint64
-	Standby    []int
-	Departed   []int
-	JoinVotes  []SuspectEdge
-	LeaveVotes []SuspectEdge
-	// CommitHi[g] is the highest own-entry commit seq certified in group g's
-	// stream as processed by the folding node — the watermark bounding both
-	// pre-join round skips and the join boundary a coordinator may certify,
-	// so it must survive a rejoin.
-	CommitHi []uint64
+	// Groups holds one part per group of the layout, by ascending group: the
+	// folding node's stream cursors and group-table row (DESIGN.md §6).
+	// Epoch counts certified RecEpoch switches (DESIGN.md §11); a joined
+	// group's boundary rides in Ord or Skipped.
+	Groups []CheckpointGroup
+	Epoch  uint64
 }
 
 // WireSize returns the serialized size in bytes (transfer cost model).
@@ -351,12 +370,10 @@ func (c *Checkpoint) WireSize() int {
 	if c.State != nil {
 		n += c.State.ByteSize()
 	}
-	n += 8*len(c.ExecutedSeq) + 8*len(c.StreamTS) + 8*len(c.StreamNext) + 8*len(c.StreamView)
-	for i := range c.LocalSlots {
-		n += c.LocalSlots[i].WireSize()
-	}
-	for i := range c.MetaSlots {
-		n += c.MetaSlots[i].WireSize()
+	for _, snap := range []*pbft.Snapshot{&c.Local, &c.Meta} {
+		for i := range snap.Slots {
+			n += snap.Slots[i].WireSize()
+		}
 	}
 	if c.Ord != nil {
 		n += 8*len(c.Ord.ExecutedSeq) + len(c.Ord.Entries)*(12+9*len(c.Ord.ExecutedSeq))
@@ -365,10 +382,10 @@ func (c *Checkpoint) WireSize() int {
 	for i := range c.Pending {
 		n += c.Pending[i].WireSize()
 	}
-	n += 12*len(c.DeadGroups) + 16*len(c.Suspects)
-	n += 8 + 4*len(c.Standby) + 4*len(c.Departed)
-	n += 16*len(c.JoinVotes) + 16*len(c.LeaveVotes) + 8*len(c.CommitHi)
-	return n
+	for i := range c.Groups {
+		n += c.Groups[i].wireSize()
+	}
+	return n + 8
 }
 
 // RejoinReq asks a group peer for a state transfer. Have is the requester's

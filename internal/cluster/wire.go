@@ -375,7 +375,8 @@ var (
 	leastBatch      = zeroLen((*codec).metaBatch)
 	leastVTS        = zeroLen((*codec).entryVTS)
 	leastPending    = zeroLen((*codec).pending)
-	leastEdge       = zeroLen((*codec).edge)
+	leastGroup      = zeroLen((*codec).checkpointGroup)
+	leastSuspicion  = zeroLen((*codec).suspicion)
 )
 
 func zeroLen[T any](walk func(*codec, *T)) int {
@@ -726,21 +727,13 @@ func (c *codec) checkpoint(ck *Checkpoint) {
 	hash(c, &ck.StateRoll)
 	c.u64(&ck.Clk)
 	c.u64(&ck.NextSeq)
-	c.u64s(&ck.ExecutedSeq)
 	c.i64(&ck.ExecCount)
 	c.i64(&ck.CommitCount)
-	c.u64s(&ck.StreamTS)
-	c.u64s(&ck.StreamNext)
 	for i := range list(c, &ck.Batches, leastBatch) {
 		c.metaBatch(ptr(c, &ck.Batches[i]))
 	}
-	c.u64s(&ck.StreamView)
-	c.u64(&ck.LocalView)
-	c.u64(&ck.LocalSlot)
-	c.exportedSlots(&ck.LocalSlots)
-	c.u64(&ck.MetaView)
-	c.u64(&ck.MetaSlot)
-	c.exportedSlots(&ck.MetaSlots)
+	c.snapshot(&ck.Local)
+	c.snapshot(&ck.Meta)
 	if present(c, &ck.Ord) {
 		c.u64s(&ck.Ord.ExecutedSeq)
 		for i := range list(c, &ck.Ord.Entries, leastVTS) {
@@ -754,15 +747,10 @@ func (c *codec) checkpoint(ck *Checkpoint) {
 	for i := range list(c, &ck.Pending, leastPending) {
 		c.pending(&ck.Pending[i])
 	}
-	c.ints(&ck.DeadGroups)
-	c.u64s(&ck.DeadCuts)
-	c.edges(&ck.Suspects)
+	for i := range list(c, &ck.Groups, leastGroup) {
+		c.checkpointGroup(&ck.Groups[i])
+	}
 	c.u64(&ck.Epoch)
-	c.ints(&ck.Standby)
-	c.ints(&ck.Departed)
-	c.edges(&ck.JoinVotes)
-	c.edges(&ck.LeaveVotes)
-	c.u64s(&ck.CommitHi)
 }
 
 func (c *codec) block(b *ledger.Block) {
@@ -775,9 +763,11 @@ func (c *codec) block(b *ledger.Block) {
 	hash(c, &b.StateDigest)
 }
 
-func (c *codec) exportedSlots(s *[]pbft.ExportedSlot) {
-	for i := range list(c, s, leastExported) {
-		c.exportedSlot(&(*s)[i])
+func (c *codec) snapshot(s *pbft.Snapshot) {
+	c.u64(&s.View)
+	c.u64(&s.Slot)
+	for i := range list(c, &s.Slots, leastExported) {
+		c.exportedSlot(&s.Slots[i])
 	}
 }
 
@@ -813,14 +803,25 @@ func (c *codec) pending(p *PendingEntry) {
 	c.boolean(&p.CommitSeen)
 }
 
-func (c *codec) edges(s *[]SuspectEdge) {
-	for i := range list(c, s, leastEdge) {
-		c.edge(&(*s)[i])
+func (c *codec) checkpointGroup(g *CheckpointGroup) {
+	c.u64(&g.Next)
+	c.u64(&g.View)
+	c.u64(&g.TS)
+	c.u64(&g.CommitHi)
+	c.u64(&g.Executed)
+	state := byte(g.Row.State)
+	c.u8(&state)
+	if c.dec {
+		g.Row.State = GroupState(state)
 	}
+	c.u64(&g.Row.Cut)
+	for i := range list(c, &g.Row.Suspecters, leastSuspicion) {
+		c.suspicion(&g.Row.Suspecters[i])
+	}
+	c.ints(&g.Row.Votes)
 }
 
-func (c *codec) edge(e *SuspectEdge) {
-	c.i32(&e.Suspected)
-	c.i32(&e.Origin)
-	c.u64(&e.Cursor)
+func (c *codec) suspicion(s *Suspicion) {
+	c.i32(&s.Origin)
+	c.u64(&s.Cursor)
 }

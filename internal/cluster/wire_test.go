@@ -69,26 +69,18 @@ func wireFixtures() map[string]any {
 		StateRoll:   [32]byte{0x13},
 		Clk:         44,
 		NextSeq:     10,
-		ExecutedSeq: []uint64{4, 3},
 		ExecCount:   8,
 		CommitCount: 9,
-		StreamTS:    []uint64{44, 41},
-		StreamNext:  []uint64{5, 4},
 		Batches: []*MetaBatch{
 			{FromGroup: 1, Seq: 3, Records: recs, Cert: cert},
 		},
-		StreamView: []uint64{0, 1},
-		LocalView:  1,
-		LocalSlot:  12,
-		LocalSlots: []pbft.ExportedSlot{{
+		Local: pbft.Snapshot{View: 1, Slot: 12, Slots: []pbft.ExportedSlot{{
 			Slot: 11, Digest: [32]byte{0x14}, Payload: []byte("slotpl"),
 			Prepares:  []keys.NodeID{{Group: 0, Index: 1}, {Group: 0, Index: 2}},
 			Commits:   []keys.Signature{sig(0, 1, "cm")},
 			Committed: true,
-		}},
-		MetaView:  2,
-		MetaSlot:  6,
-		MetaSlots: []pbft.ExportedSlot{},
+		}}},
+		Meta: pbft.Snapshot{View: 2, Slot: 6, Slots: []pbft.ExportedSlot{}},
 		Ord: &order.State{
 			ExecutedSeq: []uint64{4, 3},
 			Entries: []order.EntryVTS{{
@@ -101,15 +93,18 @@ func wireFixtures() map[string]any {
 			ID: entry.ID, Entry: entry, Cert: cert, StampedBy: 1,
 			Streams: []int{0, 1}, Stamps: []int{1}, Committed: true, CommitSeen: false,
 		}},
-		DeadGroups: []int{3},
-		DeadCuts:   []uint64{17},
-		Suspects:   []SuspectEdge{{Suspected: 3, Origin: 0, Cursor: 6}},
-		Epoch:      2,
-		Standby:    []int{3},
-		Departed:   []int{2},
-		JoinVotes:  []SuspectEdge{{Suspected: 3, Origin: 0}},
-		LeaveVotes: []SuspectEdge{{Suspected: 2, Origin: 1}, {Suspected: 2, Origin: 2}},
-		CommitHi:   []uint64{20, 19},
+		// A row in each state: group 1 suspected by 0 and voted out by 0
+		// and by its own farewell, 3 standby with a join vote and its
+		// readiness attestation.
+		Groups: []CheckpointGroup{
+			{Next: 5, TS: 44, CommitHi: 20, Executed: 4},
+			{Next: 4, View: 1, TS: 41, CommitHi: 19, Executed: 3, Row: GroupRow{
+				Suspecters: []Suspicion{{Origin: 0, Cursor: 6}}, Votes: []int{0, 1}}},
+			{Next: 17, TS: 30, CommitHi: 12, Executed: 2, Row: GroupRow{State: GroupDeparted, Cut: 17}},
+			{Row: GroupRow{State: GroupStandby, Votes: []int{0, 3}}},
+			{Next: 9, TS: 25, Row: GroupRow{State: GroupDead, Cut: 9}},
+		},
+		Epoch: 2,
 	}
 
 	// A checkpoint whose every list holds 100 zero-valued elements, the
@@ -117,25 +112,14 @@ func wireFixtures() map[string]any {
 	// batch's records are empty, not nil: that is what they decode to.)
 	const n = 100
 	minimal := &Checkpoint{
-		Blocks:      make([]*ledger.Block, n),
-		ExecutedSeq: make([]uint64, n),
-		StreamTS:    make([]uint64, n),
-		StreamNext:  make([]uint64, n),
-		Batches:     make([]*MetaBatch, n),
-		StreamView:  make([]uint64, n),
-		LocalSlots:  make([]pbft.ExportedSlot, n),
-		MetaSlots:   make([]pbft.ExportedSlot, n),
-		Ord:         &order.State{ExecutedSeq: make([]uint64, n), Entries: make([]order.EntryVTS, n)},
-		Skipped:     make([]types.EntryID, n),
-		Pending:     make([]PendingEntry, n),
-		DeadGroups:  make([]int, n),
-		DeadCuts:    make([]uint64, n),
-		Suspects:    make([]SuspectEdge, n),
-		Standby:     make([]int, n),
-		Departed:    make([]int, n),
-		JoinVotes:   make([]SuspectEdge, n),
-		LeaveVotes:  make([]SuspectEdge, n),
-		CommitHi:    make([]uint64, n),
+		Blocks:  make([]*ledger.Block, n),
+		Batches: make([]*MetaBatch, n),
+		Local:   pbft.Snapshot{Slots: make([]pbft.ExportedSlot, n)},
+		Meta:    pbft.Snapshot{Slots: make([]pbft.ExportedSlot, n)},
+		Ord:     &order.State{ExecutedSeq: make([]uint64, n), Entries: make([]order.EntryVTS, n)},
+		Skipped: make([]types.EntryID, n),
+		Pending: make([]PendingEntry, n),
+		Groups:  make([]CheckpointGroup, n),
 	}
 	for i := range minimal.Blocks {
 		minimal.Blocks[i] = &ledger.Block{}
@@ -236,7 +220,9 @@ func TestEnvelopeRoundTrip(t *testing.T) {
 				want, got := msg.(*RejoinResp).C, dec.(*RejoinResp).C
 				if want.Height != got.Height || want.State.Hash() != got.State.Hash() ||
 					!reflect.DeepEqual(want.Pending, got.Pending) ||
-					!reflect.DeepEqual(want.Ord, got.Ord) {
+					!reflect.DeepEqual(want.Ord, got.Ord) ||
+					!reflect.DeepEqual(want.Local, got.Local) ||
+					!reflect.DeepEqual(want.Groups, got.Groups) {
 					t.Fatalf("checkpoint fields mismatch after round-trip")
 				}
 				return
@@ -386,32 +372,35 @@ var goldenEnvelopes = map[string]string{
 		"0000000000000000000001000000276d61737364623100000000020000000561" +
 		"6c70686100000001310000000462657461000000013213000000000000000000" +
 		"00000000000000000000000000000000000000000000000000000000002c0000" +
-		"00000000000a0000000200000000000000040000000000000003000000000000" +
-		"0008000000000000000900000002000000000000002c00000000000000290000" +
-		"0002000000000000000500000000000000040000000100000001000000000000" +
-		"0003000000460000000200000000010000000100000000000000050000000000" +
-		"00002a0000000000000001020000000000000000000000000000000900000000" +
-		"0000002800000000000000020100000002010203000000000000000000000000" +
-		"0000000000000000000000000000000000000000020000000200000000000000" +
-		"0273300000000200000001000000027331000000020000000000000000000000" +
-		"00000000010000000000000001000000000000000c0000000100000000000000" +
-		"0b14000000000000000000000000000000000000000000000000000000000000" +
-		"0000000006736c6f74706c000000020000000000000001000000000000000200" +
-		"000001000000000000000100000002636d010000000000000002000000000000" +
-		"0006000000000100000002000000000000000400000000000000030000000100" +
-		"000001000000000000000500000002000000000000002a000000000000000000" +
-		"0000020100000000000000000300000001000000010000000000000002000000" +
-		"0100000001000000000000000701000000440000000100000000000000070000" +
-		"0000000000030000000000000006000000010000000000000009000000000000" +
-		"000400000007707574206b207600000005747873696701000000020102030000" +
-		"0000000000000000000000000000000000000000000000000000000000000200" +
-		"0000020000000000000002733000000002000000010000000273310000000100" +
-		"0000020000000000000001000000010000000101000000000100000003000000" +
-		"0100000000000000110000000100000003000000000000000000000006000000" +
-		"0000000002000000010000000300000001000000020000000100000003000000" +
-		"0000000000000000000000000200000002000000010000000000000000000000" +
-		"0200000002000000000000000000000002000000000000001400000000000000" +
-		"13",
+		"00000000000a0000000000000008000000000000000900000001000000010000" +
+		"0000000000030000004600000002000000000100000001000000000000000500" +
+		"0000000000002a00000000000000010200000000000000000000000000000009" +
+		"0000000000000028000000000000000201000000020102030000000000000000" +
+		"0000000000000000000000000000000000000000000000000200000002000000" +
+		"0000000002733000000002000000010000000273310000000000000001000000" +
+		"000000000c00000001000000000000000b140000000000000000000000000000" +
+		"000000000000000000000000000000000000000006736c6f74706c0000000200" +
+		"0000000000000100000000000000020000000100000000000000010000000263" +
+		"6d01000000000000000200000000000000060000000001000000020000000000" +
+		"0000040000000000000003000000010000000100000000000000050000000200" +
+		"0000000000002a00000000000000000000000201000000000000000003000000" +
+		"0100000001000000000000000200000001000000010000000000000007010000" +
+		"0044000000010000000000000007000000000000000300000000000000060000" +
+		"00010000000000000009000000000000000400000007707574206b2076000000" +
+		"0574787369670100000002010203000000000000000000000000000000000000" +
+		"0000000000000000000000000000020000000200000000000000027330000000" +
+		"0200000001000000027331000000010000000200000000000000010000000100" +
+		"0000010100000000050000000000000005000000000000000000000000000000" +
+		"2c00000000000000140000000000000004000000000000000000000000000000" +
+		"0000000000000000000400000000000000010000000000000029000000000000" +
+		"0013000000000000000300000000000000000000000001000000000000000000" +
+		"0000060000000200000000000000010000000000000011000000000000000000" +
+		"0000000000001e000000000000000c0000000000000002030000000000000011" +
+		"0000000000000000000000000000000000000000000000000000000000000000" +
+		"0000000000000000000000000000000001000000000000000000000000000000" +
+		"0200000000000000030000000000000009000000000000000000000000000000" +
+		"1900000000000000000000000000000000020000000000000009000000000000" +
+		"00000000000000000002",
 	"MetaBatch": "0900000001000000000000000300000046000000020000000001000000010000" +
 		"000000000005000000000000002a000000000000000102000000000000000000" +
 		"0000000000000900000000000000280000000000000002010000000201020300" +
@@ -498,15 +487,16 @@ func TestEnvelopeGolden(t *testing.T) {
 }
 
 // TestMinimalCheckpointDecodes: a checkpoint holding one list of 100
-// zero-valued elements, and nothing else, decodes. A list's count is bounded
-// by its element's least encoded size, so a bound above it rejects valid
-// checkpoints once little follows the list: 128 bytes per 124-byte block and
-// 32 per 28-byte pending entry once did.
+// zero-valued elements (a PBFT snapshot's slots, 100 zero group rows), and
+// nothing else, decodes. A list's count is bounded by its element's least
+// encoded size, so a bound above it rejects valid checkpoints once little
+// follows the list: 128 bytes per 124-byte block and 32 per 28-byte pending
+// entry once did.
 func TestMinimalCheckpointDecodes(t *testing.T) {
 	full := reflect.ValueOf(wireFixtures()["RejoinResp.Minimal"].(*RejoinResp).C).Elem()
 	for i := 0; i < full.NumField(); i++ {
 		f := full.Type().Field(i)
-		if f.Type.Kind() != reflect.Slice && f.Name != "Ord" {
+		if f.Type.Kind() != reflect.Slice && f.Name != "Ord" && f.Name != "Local" && f.Name != "Meta" {
 			continue
 		}
 		one := &Checkpoint{}
@@ -551,8 +541,8 @@ func TestEnvelopeAllocs(t *testing.T) {
 		"ProposalFwd":          {1, 1},
 		"Reconfigure":          {1, 1},
 		"RejoinReq":            {2, 1},
-		"RejoinResp":           {16, 55},
-		"RejoinResp.Minimal":   {121, 223},
+		"RejoinResp":           {16, 47},
+		"RejoinResp.Minimal":   {121, 212},
 		"StreamFetch":          {2, 1},
 	}
 	for name, msg := range wireFixtures() {

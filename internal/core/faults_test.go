@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"time"
 
@@ -633,9 +634,9 @@ func TestRejoinRejectsForgedPendingEntry(t *testing.T) {
 
 // TestRejoinRejectsForgedGroupTable: a checkpoint's group table decides the
 // quorum denominator, so it is checked before anything installs. The victim's
-// first rejoin target (1,3) serves every checkpoint with two out-of-range
-// departed groups added; installed, they would cut the victim's member count
-// from 3 to 1 and make a single standing suspicion a death quorum. The victim
+// first rejoin target (1,3) serves every checkpoint with two departed rows
+// past the layout added; installed, they would give the victim a table of
+// five groups in a layout of three. The victim
 // must refuse the checkpoint (rejoin-badgroups), install an honest peer's,
 // and end in the group's state with the honest count.
 func TestRejoinRejectsForgedGroupTable(t *testing.T) {
@@ -665,7 +666,8 @@ func TestRejoinRejectsForgedGroupTable(t *testing.T) {
 			cp := *resp
 			ck := *resp.C
 			cp.C = &ck
-			ck.Departed = append(append([]int(nil), resp.C.Departed...), 5, 6)
+			gone := cluster.CheckpointGroup{Row: cluster.GroupRow{State: cluster.GroupDeparted}}
+			ck.Groups = append(slices.Clone(resp.C.Groups), gone, gone)
 			forged++
 			return &cp
 		},

@@ -1,6 +1,9 @@
 package core
 
 import (
+	"cmp"
+	"slices"
+
 	"massbft/internal/cluster"
 	"massbft/internal/metrics"
 )
@@ -15,47 +18,32 @@ import (
 // a checkpoint's table wholesale; nothing else assigns a row's state, cut,
 // suspecters or votes, or the epoch.
 
-// groupState is where a group stands in this node's certified view.
-type groupState uint8
-
+// A row's state: where a group stands in this node's certified view
+// (cluster.GroupState).
 const (
-	member   groupState = iota // in the epoch and live
-	standby                    // provisioned, not yet joined
-	dead                       // certified dead at cut; still counts in quorums
-	departed                   // removed by a certified leave at cut
+	member   = cluster.GroupMember
+	standby  = cluster.GroupStandby
+	dead     = cluster.GroupDead
+	departed = cluster.GroupDeparted
 )
 
-// groupSt is one row of the group table: certified state only. Every
-// transition assigns a fresh row, dropping the suspicions and votes of the
-// old state.
-type groupSt struct {
-	state groupState
-	cut   uint64 // where a dead or departed group's stream ends
-	// suspecters maps each origin group holding a standing certified
-	// suspicion of this group to the stream cursor it attested.
-	suspecters map[int]uint64
-	// votes holds the origins of the standing certified membership votes on
-	// this group: join votes on a standby row, leave votes on a member row.
-	// An origin equal to the row's own group is the readiness attestation or
-	// the farewell.
-	votes map[int]bool
-}
-
 // groupTable is one node's row per group, seen from group self, and the
-// count of certified epoch switches.
+// count of certified epoch switches. A row is certified state only, its
+// lists ascending by origin; every transition assigns a fresh row, dropping
+// the suspicions and votes of the old state.
 type groupTable struct {
 	self  int
-	rows  []groupSt
+	rows  []cluster.GroupRow
 	epoch uint64
 }
 
 // newGroupTable returns group self's table at genesis: every group a member
 // but the standby ones.
 func newGroupTable(self, n int, standbyAtGenesis func(int) bool) groupTable {
-	t := groupTable{self: self, rows: make([]groupSt, n)}
+	t := groupTable{self: self, rows: make([]cluster.GroupRow, n)}
 	for g := range t.rows {
 		if standbyAtGenesis(g) {
-			t.rows[g].state = standby
+			t.rows[g].State = standby
 		}
 	}
 	return t
@@ -63,17 +51,17 @@ func newGroupTable(self, n int, standbyAtGenesis func(int) bool) groupTable {
 
 // absent reports whether group g is anything but a live member: its clock is
 // frozen, its rounds skipped, and it is never a successor.
-func (t *groupTable) absent(g int) bool { return t.rows[g].state != member }
+func (t *groupTable) absent(g int) bool { return t.rows[g].State != member }
 
 // removed reports whether group g's stream was cut by a certified death or
 // leave: batches at or past the cut are fenced.
 func (t *groupTable) removed(g int) bool {
-	return t.rows[g].state == dead || t.rows[g].state == departed
+	return t.rows[g].State == dead || t.rows[g].State == departed
 }
 
 // inEpoch reports whether group g counts in the quorum denominator: death
 // does not change membership; a standby or departed group is not in it.
-func (t *groupTable) inEpoch(g int) bool { return t.rows[g].state == member || t.rows[g].state == dead }
+func (t *groupTable) inEpoch(g int) bool { return t.rows[g].State == member || t.rows[g].State == dead }
 
 // members returns the current epoch's groups in ascending order.
 func (t *groupTable) members() []int {
@@ -116,7 +104,7 @@ func (t *groupTable) successor(g int, except map[int]bool) int {
 // toward a later quorum).
 func (t *groupTable) voteCount(g int) int {
 	c := 0
-	for o := range t.rows[g].votes {
+	for _, o := range t.rows[g].Votes {
 		if o != g && t.inEpoch(o) {
 			c++
 		}
@@ -160,22 +148,19 @@ func (t *groupTable) step(origin int, rec cluster.Record, c *metrics.Counts) (e 
 		if g == origin || t.absent(g) {
 			return e
 		}
-		cur, ok := row.suspecters[origin]
-		if !ok {
+		switch i, ok := suspicion(row, origin); {
+		case !ok:
 			c.GroupSuspects++
-		}
-		if !ok || rec.TS > cur {
-			if row.suspecters == nil {
-				row.suspecters = make(map[int]uint64)
-			}
-			row.suspecters[origin] = rec.TS
+			row.Suspecters = slices.Insert(row.Suspecters, i, cluster.Suspicion{Origin: origin, Cursor: rec.TS})
+		case rec.TS > row.Suspecters[i].Cursor:
+			row.Suspecters[i].Cursor = rec.TS
 		}
 	case cluster.RecRevoke:
 		if g == origin || t.absent(g) {
 			return e
 		}
-		if _, ok := row.suspecters[origin]; ok {
-			delete(row.suspecters, origin)
+		if i, ok := suspicion(row, origin); ok {
+			row.Suspecters = slices.Delete(row.Suspecters, i, i+1)
 			c.GroupRevokes++
 		}
 	case cluster.RecDead:
@@ -186,12 +171,12 @@ func (t *groupTable) step(origin int, rec cluster.Record, c *metrics.Counts) (e 
 			c.DeadDupes++
 			return e
 		}
-		*row = groupSt{state: dead, cut: rec.TS}
+		*row = cluster.GroupRow{State: dead, Cut: rec.TS}
 		e.fence, e.at = true, rec.TS
 		c.GroupDeaths++
 	case cluster.RecGroupJoin:
 		// Standby groups have no vote, only their own readiness attestation.
-		if row.state != standby || origin != g && t.rows[origin].state == standby {
+		if row.State != standby || origin != g && t.rows[origin].State == standby {
 			return e
 		}
 		t.vote(g, origin, &c.JoinVotes)
@@ -224,13 +209,13 @@ func (t *groupTable) step(origin int, rec cluster.Record, c *metrics.Counts) (e 
 			return e
 		}
 		switch {
-		case byte(rec.Entry.GID) == cluster.ReconfigJoin && row.state == standby:
-			*row = groupSt{state: member}
+		case byte(rec.Entry.GID) == cluster.ReconfigJoin && row.State == standby:
+			*row = cluster.GroupRow{State: member}
 			e.admit, e.at = true, rec.TS
 		case byte(rec.Entry.GID) == cluster.ReconfigLeave && !t.absent(g):
 			// From here on g is fenced, skipped and frozen like a dead group,
 			// but it no longer counts in the quorum denominator.
-			*row = groupSt{state: departed, cut: rec.TS}
+			*row = cluster.GroupRow{State: departed, Cut: rec.TS}
 			e.fence, e.at = true, rec.TS
 			c.GroupsDeparted++
 		default:
@@ -246,14 +231,22 @@ func (t *groupTable) step(origin int, rec cluster.Record, c *metrics.Counts) (e 
 // vote records origin's standing vote on g, counting a new one.
 func (t *groupTable) vote(g, origin int, counter *int64) {
 	row := &t.rows[g]
-	if row.votes[origin] {
-		return
+	if i, ok := slices.BinarySearch(row.Votes, origin); !ok {
+		row.Votes = slices.Insert(row.Votes, i, origin)
+		*counter++
 	}
-	if row.votes == nil {
-		row.votes = make(map[int]bool)
-	}
-	row.votes[origin] = true
-	*counter++
+}
+
+// voted reports whether origin's vote on g stands.
+func (t *groupTable) voted(g, origin int) bool {
+	_, ok := slices.BinarySearch(t.rows[g].Votes, origin)
+	return ok
+}
+
+// suspicion returns where origin's suspicion stands in row's list, or where
+// it would go, and whether it stands.
+func suspicion(row *cluster.GroupRow, origin int) (int, bool) {
+	return slices.BinarySearchFunc(row.Suspecters, origin, func(s cluster.Suspicion, o int) int { return cmp.Compare(s.Origin, o) })
 }
 
 // suspicions is the suspicion half of the failover emitters: a RecSuspect
@@ -263,11 +256,11 @@ func (t *groupTable) vote(g, origin int, counter *int64) {
 // a leader change keeps it and the new leader inherits the revocation duty.
 func (t *groupTable) suspicions(silent func(int) bool, cursor func(int) uint64) []cluster.Record {
 	var out []cluster.Record
-	for g, row := range t.rows {
+	for g := range t.rows {
 		if g == t.self || t.absent(g) {
 			continue
 		}
-		_, own := row.suspecters[t.self]
+		_, own := suspicion(&t.rows[g], t.self)
 		switch s := silent(g); {
 		case s && !own:
 			out = append(out, cluster.Record{Kind: cluster.RecSuspect, Stream: g, TS: cursor(g)})
@@ -291,7 +284,7 @@ func (t *groupTable) suspicions(silent func(int) bool, cursor func(int) uint64) 
 func (t *groupTable) deaths(silent func(int) bool, cursor func(int) uint64) []cluster.Record {
 	eligible := make(map[int]bool)
 	for g, row := range t.rows {
-		if g != t.self && !t.absent(g) && len(row.suspecters) >= t.quorum() && silent(g) {
+		if g != t.self && !t.absent(g) && len(row.Suspecters) >= t.quorum() && silent(g) {
 			eligible[g] = true
 		}
 	}
@@ -301,106 +294,74 @@ func (t *groupTable) deaths(silent func(int) bool, cursor func(int) uint64) []cl
 			continue
 		}
 		cut := cursor(g)
-		for _, c := range row.suspecters {
-			if c > cut {
-				cut = c
-			}
+		for _, s := range row.Suspecters {
+			cut = max(cut, s.Cursor)
 		}
 		out = append(out, cluster.Record{Kind: cluster.RecDead, Stream: g, TS: cut})
 	}
 	return out
 }
 
-// fold writes the table into a checkpoint: it was decided by certified
-// records the restoring node already consumed and cannot re-derive.
+// fold writes the table into a checkpoint, one part per group: it was
+// decided by certified records the restoring node already consumed and
+// cannot re-derive. The caller fills in the parts' stream cursors.
 func (t *groupTable) fold(ck *cluster.Checkpoint) {
+	ck.Groups = make([]cluster.CheckpointGroup, len(t.rows))
 	for g, row := range t.rows {
-		if row.state != member {
-			ck.DeadGroups = append(ck.DeadGroups, g)
-			ck.DeadCuts = append(ck.DeadCuts, row.cut)
-		}
-		switch row.state {
-		case standby:
-			ck.Standby = append(ck.Standby, g)
-		case departed:
-			ck.Departed = append(ck.Departed, g)
-		}
-		for _, o := range sortedKeys(row.suspecters) {
-			ck.Suspects = append(ck.Suspects, cluster.SuspectEdge{Suspected: g, Origin: o, Cursor: row.suspecters[o]})
-		}
-		for _, o := range sortedKeys(row.votes) {
-			edge := cluster.SuspectEdge{Suspected: g, Origin: o}
-			if row.state == standby {
-				ck.JoinVotes = append(ck.JoinVotes, edge)
-			} else {
-				ck.LeaveVotes = append(ck.LeaveVotes, edge)
-			}
-		}
+		ck.Groups[g].Row = copyRow(row)
 	}
 	ck.Epoch = t.epoch
 }
 
-// restore installs a checkpoint's table wholesale, as fresh rows (valid has
-// checked it).
+// restore installs a checkpoint's table wholesale (valid has checked it).
 func (t *groupTable) restore(ck *cluster.Checkpoint) {
-	t.rows = make([]groupSt, len(t.rows))
-	for i, g := range ck.DeadGroups {
-		t.rows[g] = groupSt{state: dead, cut: ck.DeadCuts[i]}
-	}
-	for _, g := range ck.Standby {
-		t.rows[g] = groupSt{state: standby}
-	}
-	for _, g := range ck.Departed {
-		t.rows[g].state = departed
-	}
-	for _, e := range ck.Suspects {
-		row := &t.rows[e.Suspected]
-		if row.suspecters == nil {
-			row.suspecters = make(map[int]uint64)
-		}
-		row.suspecters[e.Origin] = e.Cursor
-	}
-	for _, edges := range [][]cluster.SuspectEdge{ck.JoinVotes, ck.LeaveVotes} {
-		for _, e := range edges {
-			row := &t.rows[e.Suspected]
-			if row.votes == nil {
-				row.votes = make(map[int]bool)
-			}
-			row.votes[e.Origin] = true
-		}
+	t.rows = make([]cluster.GroupRow, len(ck.Groups))
+	for g := range ck.Groups {
+		t.rows[g] = copyRow(ck.Groups[g].Row)
 	}
 	t.epoch = ck.Epoch
 }
 
+// copyRow returns a row that shares no list with row, an empty list nil as
+// the wire decodes it: simnet hands a checkpoint over by pointer, so a
+// table's later step must never write into a list another table or a
+// checkpoint holds.
+func copyRow(row cluster.GroupRow) cluster.GroupRow {
+	row.Suspecters = append([]cluster.Suspicion(nil), row.Suspecters...)
+	row.Votes = append([]int(nil), row.Votes...)
+	return row
+}
+
 // valid checks an offered checkpoint's table before anything installs, as
-// an honest fold writes it: ids in range, one cut per non-member group,
-// standby and departed groups among those, each group in one state,
-// suspicions only of members and by another group, join votes only on
-// standby groups and leave votes only on members (a vote's origin may be its
-// target: the readiness attestation or the farewell).
+// step and fold write it: one row per group of the layout, each in a known
+// state; a cut only on a dead or departed row; suspicions only of a member
+// and by another group, votes only on a member or a standby row (a vote's
+// origin may be its row's group: the readiness attestation or the farewell);
+// every origin in the layout, each list strictly ascending.
 func (t *groupTable) valid(ck *cluster.Checkpoint) bool {
-	in := func(g int) bool { return g >= 0 && g < len(t.rows) }
-	state := make([]groupState, len(t.rows))
-	mark := func(groups []int, from, to groupState) bool {
-		for _, g := range groups {
-			if !in(g) || state[g] != from {
-				return false
-			}
-			state[g] = to
-		}
-		return true
-	}
-	if len(ck.DeadCuts) != len(ck.DeadGroups) || !mark(ck.DeadGroups, member, dead) ||
-		!mark(ck.Standby, dead, standby) || !mark(ck.Departed, dead, departed) {
+	if len(ck.Groups) != len(t.rows) {
 		return false
 	}
-	for i, edges := range [][]cluster.SuspectEdge{ck.Suspects, ck.JoinVotes, ck.LeaveVotes} {
-		target := []groupState{member, standby, member}[i]
-		for _, e := range edges {
-			if !in(e.Suspected) || !in(e.Origin) || state[e.Suspected] != target ||
-				i == 0 && e.Origin == e.Suspected {
+	for g := range ck.Groups {
+		row := &ck.Groups[g].Row
+		live := row.State == member || row.State == standby
+		if row.State > departed || live && row.Cut != 0 ||
+			row.State != member && len(row.Suspecters) > 0 || !live && len(row.Votes) > 0 {
+			return false
+		}
+		prev := -1
+		for _, s := range row.Suspecters {
+			if s.Origin <= prev || s.Origin >= len(t.rows) || s.Origin == g {
 				return false
 			}
+			prev = s.Origin
+		}
+		prev = -1
+		for _, o := range row.Votes {
+			if o <= prev || o >= len(t.rows) {
+				return false
+			}
+			prev = o
 		}
 	}
 	return true

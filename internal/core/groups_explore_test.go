@@ -106,21 +106,9 @@ func (w *xWorld) clone() *xWorld {
 	c := *w
 	c.tables = make([]groupTable, len(w.tables))
 	for i, t := range w.tables {
-		rows := make([]groupSt, len(t.rows))
+		rows := make([]cluster.GroupRow, len(t.rows))
 		for g, row := range t.rows {
-			rows[g] = groupSt{state: row.state, cut: row.cut}
-			for o, v := range row.suspecters {
-				if rows[g].suspecters == nil {
-					rows[g].suspecters = make(map[int]uint64)
-				}
-				rows[g].suspecters[o] = v
-			}
-			for o := range row.votes {
-				if rows[g].votes == nil {
-					rows[g].votes = make(map[int]bool)
-				}
-				rows[g].votes[o] = true
-			}
+			rows[g] = copyRow(row)
 		}
 		c.tables[i] = groupTable{self: t.self, rows: rows, epoch: t.epoch}
 	}
@@ -164,30 +152,30 @@ func (w *xWorld) emissions(h int) []cluster.Record {
 	t := &w.tables[h]
 	cursor := func(g int) uint64 { return uint64(w.read[h][g]) }
 	var recs []cluster.Record
-	if t.rows[h].state == standby {
-		if w.sc.join == h && !t.rows[h].votes[h] {
+	if t.rows[h].State == standby {
+		if w.sc.join == h && !t.voted(h, h) {
 			recs = append(recs, cluster.Record{Kind: cluster.RecGroupJoin, Stream: h})
 		}
 	} else {
 		recs = append(recs, t.suspicions(w.silent, cursor)...)
 		recs = append(recs, t.deaths(w.silent, cursor)...)
-		if j := w.sc.join; j >= 0 && t.rows[j].state == standby && !t.rows[j].votes[h] {
+		if j := w.sc.join; j >= 0 && t.rows[j].State == standby && !t.voted(j, h) {
 			recs = append(recs, cluster.Record{Kind: cluster.RecGroupJoin, Stream: j})
 		}
-		if l := w.sc.leave; l >= 0 && l != h && !t.absent(l) && !t.rows[l].votes[h] {
+		if l := w.sc.leave; l >= 0 && l != h && !t.absent(l) && !t.voted(l, h) {
 			recs = append(recs, cluster.Record{Kind: cluster.RecGroupLeave, Stream: l, TS: cursor(l)})
 		}
-		if w.sc.leave == h && t.voteCount(h) >= t.quorum() && !t.rows[h].votes[h] {
+		if w.sc.leave == h && t.voteCount(h) >= t.quorum() && !t.voted(h, h) {
 			recs = append(recs, cluster.Record{Kind: cluster.RecGroupLeave, Stream: h})
 		}
 		if w.epochSent[h] != t.epoch+1 {
 			ready := func(g int) bool {
-				return g >= 0 && t.successor(g, nil) == h && t.voteCount(g) >= t.quorum() && t.rows[g].votes[g]
+				return g >= 0 && t.successor(g, nil) == h && t.voteCount(g) >= t.quorum() && t.voted(g, g)
 			}
 			switch {
-			case ready(w.sc.join) && t.rows[w.sc.join].state == standby:
+			case ready(w.sc.join) && t.rows[w.sc.join].State == standby:
 				recs = append(recs, epochRecord(w.sc.join, cluster.ReconfigJoin, cursor(h)+1, t.epoch+1))
-			case ready(w.sc.leave) && t.rows[w.sc.leave].state == member:
+			case ready(w.sc.leave) && t.rows[w.sc.leave].State == member:
 				recs = append(recs, epochRecord(w.sc.leave, cluster.ReconfigLeave, cursor(w.sc.leave), t.epoch+1))
 			}
 		}
@@ -214,13 +202,13 @@ func epochRecord(t int, op byte, ts, seq uint64) cluster.Record {
 // fenced reports whether r may not consume o's next record: past o's cut
 // in r's table (a group's own stream is never fenced).
 func fenced(t *groupTable, r, o, pos int) bool {
-	return r != o && t.removed(o) && uint64(pos) >= t.rows[o].cut
+	return r != o && t.removed(o) && uint64(pos) >= t.rows[o].Cut
 }
 
 // consume steps table t over o's record as processRecords does: a standby
 // origin's records other than its own join attestation are dropped.
 func consume(t *groupTable, o int, rec cluster.Record) (effect, bool) {
-	if t.rows[o].state == standby && !(rec.Kind == cluster.RecGroupJoin && rec.Stream == o) {
+	if t.rows[o].State == standby && !(rec.Kind == cluster.RecGroupJoin && rec.Stream == o) {
 		return effect{}, false
 	}
 	switch rec.Kind {
@@ -239,7 +227,7 @@ func (w *xWorld) actions() []xAction {
 		if len(w.emissions(h)) > 0 {
 			out = append(out, xAction{xEmit, h, 0})
 		}
-		if w.sc.work && !w.quiet(h) && w.tables[h].rows[h].state == member {
+		if w.sc.work && !w.quiet(h) && w.tables[h].rows[h].State == member {
 			out = append(out, xAction{xWork, h, 0})
 		}
 		if slices.Contains(w.sc.crashable, h) && !w.crashed[h] {
@@ -276,7 +264,7 @@ func (w *xWorld) do(x xAction) (string, string) {
 			}
 		}
 	case xWork:
-		if !w.quiet(x.a) && w.tables[x.a].rows[x.a].state == member {
+		if !w.quiet(x.a) && w.tables[x.a].rows[x.a].State == member {
 			w.stream[x.a] = append(w.stream[x.a], cluster.Record{Kind: cluster.RecKeepalive, Stream: x.a})
 		}
 	case xCrash:
@@ -324,7 +312,7 @@ func (w *xWorld) do(x xAction) (string, string) {
 func summary(t *groupTable, history []string) string {
 	var b strings.Builder
 	for g, row := range t.rows {
-		fmt.Fprintf(&b, "g%d:%d/%d ", g, row.state, row.cut)
+		fmt.Fprintf(&b, "g%d:%d/%d ", g, row.State, row.Cut)
 	}
 	fmt.Fprintf(&b, "epoch %d %v", t.epoch, history)
 	return b.String()
@@ -369,7 +357,7 @@ func (w *xWorld) agreement(r int) (string, string) {
 // the epoch.
 func agree(a, b *groupTable) bool {
 	for g := range a.rows {
-		if a.rows[g].state != b.rows[g].state || a.rows[g].cut != b.rows[g].cut {
+		if a.rows[g].State != b.rows[g].State || a.rows[g].Cut != b.rows[g].Cut {
 			return false
 		}
 	}

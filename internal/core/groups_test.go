@@ -3,12 +3,14 @@ package core
 import (
 	"fmt"
 	"reflect"
+	"slices"
 	"testing"
 	"time"
 
 	"massbft/internal/cluster"
 	"massbft/internal/keys"
 	"massbft/internal/metrics"
+	"massbft/internal/pbft"
 	"massbft/internal/statedb"
 	"massbft/internal/types"
 )
@@ -47,29 +49,29 @@ func throughWire(t *testing.T, fold func(*cluster.Checkpoint)) *cluster.Checkpoi
 // the same answer.
 func TestGroupTableFoldRestore(t *testing.T) {
 	t.Parallel()
-	for _, own := range []groupState{member, standby, dead, departed} {
-		ownRow := groupSt{state: own}
+	for _, own := range []cluster.GroupState{member, standby, dead, departed} {
+		ownRow := cluster.GroupRow{State: own}
 		switch own {
 		case member, standby:
-			ownRow.votes = map[int]bool{0: true, 1: true}
+			ownRow.Votes = []int{0, 1}
 		default:
-			ownRow.cut = 11
+			ownRow.Cut = 11
 		}
-		tbl := groupTable{self: 0, epoch: 3, rows: []groupSt{
+		tbl := groupTable{self: 0, epoch: 3, rows: []cluster.GroupRow{
 			ownRow,
-			{state: member, suspecters: map[int]uint64{0: 5, 2: 7}, votes: map[int]bool{2: true}},
-			{state: standby, votes: map[int]bool{1: true, 2: true}},
-			{state: dead, cut: 9},
-			{state: departed, cut: 4},
+			{State: member, Suspecters: []cluster.Suspicion{{Origin: 0, Cursor: 5}, {Origin: 2, Cursor: 7}}, Votes: []int{2}},
+			{State: standby, Votes: []int{1, 2}},
+			{State: dead, Cut: 9},
+			{State: departed, Cut: 4},
 		}}
-		want := append([]groupSt(nil), tbl.rows...)
+		want := slices.Clone(tbl.rows)
 		answers := groupAnswers(&tbl)
 
 		got := throughWire(t, tbl.fold)
 		if !tbl.valid(got) {
 			t.Fatalf("own %d: an honest fold fails validation: %+v", own, got)
 		}
-		back := groupTable{self: 0, rows: make([]groupSt, len(tbl.rows))}
+		back := groupTable{self: 0, rows: make([]cluster.GroupRow, len(tbl.rows))}
 		back.restore(got)
 		if !reflect.DeepEqual(back.rows, want) {
 			t.Fatalf("own %d: rows after restore\n  %+v\nwant\n  %+v", own, back.rows, want)
@@ -81,45 +83,49 @@ func TestGroupTableFoldRestore(t *testing.T) {
 }
 
 // TestValidGroupsRejectsForgedTables: each forgery a serving peer could put
-// in a checkpoint's group table is refused — out-of-range ids that would
-// inflate a count or index past the table, a self-suspicion or one of a
-// group that is not a member, a vote on a group in the wrong state, a cut
-// list that does not match, a group listed twice or in two states.
+// in a checkpoint's group table is refused — a row count that is not the
+// layout's, a state out of range, a cut on a live row, an origin out of range
+// that would inflate a count or index past the table, a list not strictly
+// ascending whose repeated origin would count twice toward a quorum, a
+// self-suspicion or one of a group that is not a member, a vote on a dead or
+// departed row.
 func TestValidGroupsRejectsForgedTables(t *testing.T) {
 	t.Parallel()
-	tbl := groupTable{rows: make([]groupSt, 5)}
+	tbl := groupTable{rows: make([]cluster.GroupRow, 5)}
 	honest := func() *cluster.Checkpoint {
-		return &cluster.Checkpoint{
-			DeadGroups: []int{2, 3, 4},
-			DeadCuts:   []uint64{0, 9, 4},
-			Standby:    []int{2},
-			Departed:   []int{4},
-			Suspects:   []cluster.SuspectEdge{{Suspected: 1, Origin: 0, Cursor: 5}},
-			JoinVotes:  []cluster.SuspectEdge{{Suspected: 2, Origin: 0}, {Suspected: 2, Origin: 2}},
-			LeaveVotes: []cluster.SuspectEdge{{Suspected: 1, Origin: 1}},
-		}
+		return &cluster.Checkpoint{Groups: []cluster.CheckpointGroup{
+			{},
+			{Row: cluster.GroupRow{Suspecters: []cluster.Suspicion{{Origin: 0, Cursor: 5}, {Origin: 2, Cursor: 3}}, Votes: []int{1}}},
+			{Row: cluster.GroupRow{State: standby, Votes: []int{0, 2}}},
+			{Row: cluster.GroupRow{State: dead, Cut: 9}},
+			{Row: cluster.GroupRow{State: departed, Cut: 4}},
+		}}
 	}
 	if !tbl.valid(honest()) {
 		t.Fatal("the honest table is refused")
 	}
+	row := func(ck *cluster.Checkpoint, g int) *cluster.GroupRow { return &ck.Groups[g].Row }
+	suspects := func(ck *cluster.Checkpoint) []cluster.Suspicion { return row(ck, 1).Suspecters }
 	for name, forge := range map[string]func(ck *cluster.Checkpoint){
-		"departed out of range":     func(ck *cluster.Checkpoint) { ck.Departed = append(ck.Departed, 5, 6) },
-		"dead group out of range":   func(ck *cluster.Checkpoint) { ck.DeadGroups[0], ck.Standby = -1, nil },
-		"departed but not dead":     func(ck *cluster.Checkpoint) { ck.Departed = []int{1} },
-		"standby but not dead":      func(ck *cluster.Checkpoint) { ck.Standby = []int{0} },
-		"standby and departed":      func(ck *cluster.Checkpoint) { ck.Standby = []int{2, 4} },
-		"standby listed twice":      func(ck *cluster.Checkpoint) { ck.Standby = []int{2, 2} },
-		"dead group listed twice":   func(ck *cluster.Checkpoint) { ck.DeadGroups[1] = 2 },
-		"cuts shorter than deaths":  func(ck *cluster.Checkpoint) { ck.DeadCuts = ck.DeadCuts[:2] },
-		"suspicion origin range":    func(ck *cluster.Checkpoint) { ck.Suspects[0].Origin = 7 },
-		"suspected out of range":    func(ck *cluster.Checkpoint) { ck.Suspects[0].Suspected = 5 },
-		"group suspects itself":     func(ck *cluster.Checkpoint) { ck.Suspects[0].Origin = 1 },
-		"suspicion of a dead group": func(ck *cluster.Checkpoint) { ck.Suspects[0].Suspected = 3 },
-		"join vote origin range":    func(ck *cluster.Checkpoint) { ck.JoinVotes[0].Origin = 5 },
-		"join vote on a member":     func(ck *cluster.Checkpoint) { ck.JoinVotes[0].Suspected = 1 },
-		"leave vote target range":   func(ck *cluster.Checkpoint) { ck.LeaveVotes[0].Suspected = -2 },
-		"leave vote on a standby":   func(ck *cluster.Checkpoint) { ck.LeaveVotes[0].Suspected = 2 },
-		"leave vote on a dead":      func(ck *cluster.Checkpoint) { ck.LeaveVotes[0].Suspected = 3 },
+		"a row short":                 func(ck *cluster.Checkpoint) { ck.Groups = ck.Groups[:4] },
+		"a row past the layout":       func(ck *cluster.Checkpoint) { ck.Groups = append(ck.Groups, ck.Groups[4]) },
+		"state out of range":          func(ck *cluster.Checkpoint) { row(ck, 0).State = departed + 1 },
+		"cut on a member":             func(ck *cluster.Checkpoint) { row(ck, 1).Cut = 3 },
+		"cut on a standby":            func(ck *cluster.Checkpoint) { row(ck, 2).Cut = 3 },
+		"suspicion origin range":      func(ck *cluster.Checkpoint) { suspects(ck)[1].Origin = 7 },
+		"suspicion origin negative":   func(ck *cluster.Checkpoint) { suspects(ck)[0].Origin = -1 },
+		"suspicion origin twice":      func(ck *cluster.Checkpoint) { suspects(ck)[1].Origin = 0 },
+		"suspicion origins unsorted":  func(ck *cluster.Checkpoint) { suspects(ck)[0], suspects(ck)[1] = suspects(ck)[1], suspects(ck)[0] },
+		"group suspects itself":       func(ck *cluster.Checkpoint) { suspects(ck)[0].Origin = 1 },
+		"suspicion of a standby":      func(ck *cluster.Checkpoint) { row(ck, 2).Suspecters = suspects(ck) },
+		"suspicion of a dead group":   func(ck *cluster.Checkpoint) { row(ck, 3).Suspecters = suspects(ck) },
+		"suspicion of a departed one": func(ck *cluster.Checkpoint) { row(ck, 4).Suspecters = suspects(ck) },
+		"vote origin range":           func(ck *cluster.Checkpoint) { row(ck, 2).Votes[1] = 5 },
+		"vote origin negative":        func(ck *cluster.Checkpoint) { row(ck, 2).Votes[0] = -1 },
+		"vote origin twice":           func(ck *cluster.Checkpoint) { row(ck, 2).Votes[1] = 0 },
+		"vote origins unsorted":       func(ck *cluster.Checkpoint) { row(ck, 2).Votes = []int{2, 0} },
+		"vote on a dead group":        func(ck *cluster.Checkpoint) { row(ck, 3).Votes = []int{1} },
+		"vote on a departed group":    func(ck *cluster.Checkpoint) { row(ck, 4).Votes = []int{1} },
 	} {
 		ck := honest()
 		forge(ck)
@@ -141,11 +147,11 @@ func TestGroupTableStep(t *testing.T) {
 	// suspicion of itself and of the dead group 2 are rows no honest step
 	// writes: they let the revocation's guards show.
 	base := func() groupTable {
-		return groupTable{self: 1, epoch: 2, rows: []groupSt{
-			{state: member, suspecters: map[int]uint64{1: 3}},
-			{state: member, suspecters: map[int]uint64{1: 1}},
-			{state: dead, cut: 4, suspecters: map[int]uint64{1: 2}},
-			{state: standby, votes: map[int]bool{0: true}},
+		return groupTable{self: 1, epoch: 2, rows: []cluster.GroupRow{
+			{State: member, Suspecters: []cluster.Suspicion{{Origin: 1, Cursor: 3}}},
+			{State: member, Suspecters: []cluster.Suspicion{{Origin: 1, Cursor: 1}}},
+			{State: dead, Cut: 4, Suspecters: []cluster.Suspicion{{Origin: 1, Cursor: 2}}},
+			{State: standby, Votes: []int{0}},
 		}}
 	}
 	rec := func(kind int, stream int, ts uint64) cluster.Record {
@@ -165,6 +171,7 @@ func TestGroupTableStep(t *testing.T) {
 		{"suspect: out of range", 0, rec(cluster.RecSuspect, 4, 1), false, metrics.Counts{}},
 		{"suspect: a group of itself", 0, rec(cluster.RecSuspect, 0, 1), false, metrics.Counts{}},
 		{"suspect: an absent group", 0, rec(cluster.RecSuspect, 2, 9), false, metrics.Counts{}},
+		{"suspect: a lower cursor", 1, rec(cluster.RecSuspect, 0, 2), false, metrics.Counts{}},
 		{"suspect: legitimate", 1, rec(cluster.RecSuspect, 0, 6), true, metrics.Counts{}},
 		{"revoke: a group of itself", 1, rec(cluster.RecRevoke, 1, 0), false, metrics.Counts{}},
 		{"revoke: an absent group", 1, rec(cluster.RecRevoke, 2, 0), false, metrics.Counts{}},
@@ -197,8 +204,8 @@ func TestGroupTableStep(t *testing.T) {
 	}
 	// A standby origin votes on nothing but its own join.
 	tbl := base()
-	tbl.rows[2] = groupSt{state: standby}
-	if tbl.step(2, cluster.Record{Kind: cluster.RecGroupJoin, Stream: 3}, new(metrics.Counts)); tbl.rows[3].votes[2] {
+	tbl.rows[2] = cluster.GroupRow{State: standby}
+	if tbl.step(2, cluster.Record{Kind: cluster.RecGroupJoin, Stream: 3}, new(metrics.Counts)); tbl.voted(3, 2) {
 		t.Error("join: a standby group's vote on another counted")
 	}
 }
@@ -236,6 +243,101 @@ func TestStandbyBootstrapSuspectsForItself(t *testing.T) {
 	}
 }
 
+// TestCheckpointInstallsAlikeOnBothFabrics: a live node's checkpoint, folded
+// while its table holds a certified death, a standing suspicion and a
+// standing leave vote, installs the same state on a fresh node of its group
+// whether it is handed over by pointer, as simnet does, or goes through the
+// wire codec, as TCP does: stream rows, table rows, epoch, both PBFT
+// instances and every answer of the table. The pointer install copies the
+// rows, and so does the fold: writing into the installed table's lists, or
+// the server's, leaves the others as they were.
+func TestCheckpointInstallsAlikeOnBothFabrics(t *testing.T) {
+	t.Parallel()
+	cfg := smallCfg()
+	cfg.TakeoverTimeout = 300 * time.Millisecond // suspicion after 1.2 s of silence
+	c, err := cluster.New(cfg, NewNode)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Group 2 dies with groups 0 and 1 suspecting it; group 0 then votes
+	// group 1 out, and suspects it once it falls silent. Neither completes:
+	// the dead group 2 can neither vote nor suspect.
+	c.ScheduleGroupCrash(time.Second, 2)
+	c.ScheduleReconfigure(3500*time.Millisecond, cluster.ReconfigLeave, 1)
+	c.ScheduleGroupCrash(4*time.Second, 1)
+	server := c.Nodes[keys.NodeID{Group: 0, Index: 1}].(*Node)
+	tbl := &server.groups
+	for at := 4 * time.Second; tbl.rows[2].State != dead || len(tbl.rows[1].Suspecters) == 0 || len(tbl.rows[1].Votes) == 0; at += 100 * time.Millisecond {
+		if at > 10*time.Second {
+			t.Fatalf("the table never held a death, a suspicion and a vote: %+v", tbl.rows)
+		}
+		c.RunUntil(at)
+	}
+	ck := server.foldCheckpoint(0)
+	ck.State = server.DB().Clone()
+	wire := throughCodec(t, &cluster.RejoinResp{C: ck}).(*cluster.RejoinResp)
+
+	install := func(resp *cluster.RejoinResp) *Node {
+		fresh, err := cluster.New(cfg, NewNode)
+		if err != nil {
+			t.Fatal(err)
+		}
+		n := fresh.Nodes[keys.NodeID{Group: 0, Index: 2}].(*Node)
+		n.ctx.Net = &recordingEndpoint{Endpoint: n.ctx.Net}
+		n.rejoining = true
+		n.onRejoinResp(server.id, resp)
+		if n.rejoining {
+			t.Fatalf("the checkpoint did not install: %s", fresh.Metrics.Summary())
+		}
+		return n
+	}
+	direct, decoded := install(&cluster.RejoinResp{C: ck}), install(wire)
+	if !reflect.DeepEqual(direct.streams, decoded.streams) {
+		t.Errorf("stream rows differ:\n  %+v\n  %+v", direct.streams, decoded.streams)
+	}
+	if !reflect.DeepEqual(direct.groups, decoded.groups) || !sameRows(decoded.groups.rows, tbl.rows) {
+		t.Errorf("tables differ:\n  direct %+v\n  wire   %+v\n  server %+v", direct.groups, decoded.groups, tbl.rows)
+	}
+	if a, b := groupAnswers(&direct.groups), groupAnswers(&decoded.groups); a != b {
+		t.Errorf("answers differ:\n  %s\n  %s", a, b)
+	}
+	for _, pair := range [][2]*pbft.Instance{{direct.local, decoded.local}, {direct.meta, decoded.meta}} {
+		if a, b := pair[0].Export(), pair[1].Export(); !reflect.DeepEqual(a, b) {
+			t.Errorf("PBFT instances differ:\n  %+v\n  %+v", a, b)
+		}
+	}
+
+	scribble := func(rows []cluster.GroupRow) {
+		for g := range rows {
+			for i := range rows[g].Suspecters {
+				rows[g].Suspecters[i].Cursor += 100
+			}
+			for i := range rows[g].Votes {
+				rows[g].Votes[i] += 100
+			}
+		}
+	}
+	scribble(direct.groups.rows)
+	for g := range tbl.rows {
+		if !sameRows(tbl.rows[g:g+1], decoded.groups.rows[g:g+1]) || !reflect.DeepEqual(ck.Groups[g].Row, decoded.groups.rows[g]) {
+			t.Errorf("writing into the installed row %d changed the server's or the checkpoint's:\n  server %+v\n  ck     %+v", g, tbl.rows[g], ck.Groups[g].Row)
+		}
+	}
+	scribble(tbl.rows)
+	for g := range ck.Groups {
+		if !reflect.DeepEqual(ck.Groups[g].Row, decoded.groups.rows[g]) {
+			t.Errorf("writing into the server's row %d changed the checkpoint's: %+v", g, ck.Groups[g].Row)
+		}
+	}
+}
+
+// sameRows compares two tables' rows, an empty list equal to a nil one.
+func sameRows(a, b []cluster.GroupRow) bool {
+	return slices.EqualFunc(a, b, func(x, y cluster.GroupRow) bool {
+		return x.State == y.State && x.Cut == y.Cut && slices.Equal(x.Suspecters, y.Suspecters) && slices.Equal(x.Votes, y.Votes)
+	})
+}
+
 // TestGroupQuorumIsOverEpochMembers: with five groups of which two are
 // standby, the epoch has three members and a majority of them is two. The
 // slow-receiver restamp and the rebroadcast gate count that majority too,
@@ -245,7 +347,7 @@ func TestGroupQuorumIsOverEpochMembers(t *testing.T) {
 	t.Parallel()
 	n := &Node{g: 0, ng: 5, opts: cluster.PresetMassBFT(),
 		cfg:     &cluster.Config{TakeoverTimeout: time.Second},
-		groups:  groupTable{rows: []groupSt{{}, {}, {}, {state: standby}, {state: standby}}},
+		groups:  groupTable{rows: []cluster.GroupRow{{}, {}, {}, {State: standby}, {State: standby}}},
 		streams: make([]streamSt, 5),
 	}
 	if q := n.groups.quorum(); q != 2 {

@@ -205,9 +205,9 @@ func TestRejoinResetsOriginRows(t *testing.T) {
 	n := c.Nodes[keys.NodeID{Group: 1, Index: 2}].(*Node)
 	ck := n.foldCheckpoint(n.ledger.Height())
 	ck.State = n.DB().Clone()
-	ck.LocalSlots, ck.MetaSlots, ck.Batches = nil, nil, nil
-	if ck.ExecutedSeq[0] == 0 || ck.StreamTS[0] == 0 || ck.StreamNext[0] == 0 {
-		t.Fatalf("the checkpoint holds empty rows: executed %v, ts %v, next %v", ck.ExecutedSeq, ck.StreamTS, ck.StreamNext)
+	ck.Local.Slots, ck.Meta.Slots, ck.Batches = nil, nil, nil
+	if part := ck.Groups[0]; part.Executed == 0 || part.TS == 0 || part.Next == 0 {
+		t.Fatalf("the checkpoint holds empty rows: %+v", part)
 	}
 	const far = 1 << 40
 	for g := range n.streams {
@@ -231,12 +231,12 @@ func TestRejoinResetsOriginRows(t *testing.T) {
 		t.Fatalf("the checkpoint did not install: %s", c.Metrics.Summary())
 	}
 	for g, row := range n.streams {
-		want := newStream()
+		want, part := newStream(), ck.Groups[g]
 		if g != n.g {
-			want.next = ck.StreamNext[g]
+			want.next = part.Next
 		}
-		want.ts, want.view = ck.StreamTS[g], ck.StreamView[g]
-		want.commitHi, want.executed = ck.CommitHi[g], ck.ExecutedSeq[g]
+		want.ts, want.view = part.TS, part.View
+		want.commitHi, want.executed = part.CommitHi, part.Executed
 		want.heard, want.bulkAt = n.now(), time.Duration(g+1)*time.Hour
 		if !reflect.DeepEqual(row, want) {
 			t.Errorf("row %d after install\n  %+v\nwant\n  %+v", g, row, want)

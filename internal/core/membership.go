@@ -60,7 +60,7 @@ func (n *Node) onReconfigure(m *cluster.ReconfigureMsg) {
 	}
 	switch m.Op {
 	case cluster.ReconfigJoin:
-		if n.groups.rows[g].state != standby {
+		if n.groups.rows[g].State != standby {
 			return
 		}
 		if g == n.g {
@@ -105,24 +105,23 @@ func (n *Node) membershipScan(now time.Duration) {
 	if !n.meta.IsLeader() {
 		return
 	}
-	own := &n.groups.rows[n.g]
-	if own.state == standby {
+	if n.groups.rows[n.g].State == standby {
 		// Pre-join, this group's only record is the readiness attestation:
 		// certified proof that every consensus-relevant piece of state was
 		// bootstrapped (the leader cannot speak for followers' installs, but
 		// certifying the attestation itself requires a quorum of members to
 		// be up and voting on the meta instance).
-		if !n.selfStandby && !n.rejoining && !own.votes[n.g] {
+		if !n.selfStandby && !n.rejoining && !n.groups.voted(n.g, n.g) {
 			n.emitOnce(cluster.Record{Kind: cluster.RecGroupJoin, Stream: n.g})
 		}
 		return
 	}
 	for _, t := range sortedKeys(n.wantJoin) {
-		if n.groups.rows[t].state != standby {
+		if n.groups.rows[t].State != standby {
 			delete(n.wantJoin, t)
 			continue
 		}
-		if !n.groups.rows[t].votes[n.g] {
+		if !n.groups.voted(t, n.g) {
 			n.emitOnce(cluster.Record{Kind: cluster.RecGroupJoin, Stream: t})
 		}
 	}
@@ -133,7 +132,7 @@ func (n *Node) membershipScan(now time.Duration) {
 			}
 			continue
 		}
-		if !n.groups.rows[t].votes[n.g] {
+		if !n.groups.voted(t, n.g) {
 			n.emitOnce(cluster.Record{Kind: cluster.RecGroupLeave, Stream: t, TS: n.streamCursor(t)})
 		}
 	}
@@ -144,7 +143,7 @@ func (n *Node) membershipScan(now time.Duration) {
 	// meta view change that destroys the uncertified farewell promotes a
 	// follower with leaving still false, which re-emits here.
 	if !n.leaving &&
-		n.groups.voteCount(n.g) >= n.groups.quorum() && !own.votes[n.g] &&
+		n.groups.voteCount(n.g) >= n.groups.quorum() && !n.groups.voted(n.g, n.g) &&
 		n.emitOnce(cluster.Record{Kind: cluster.RecGroupLeave, Stream: n.g}) {
 		n.leaving = true
 	}
@@ -163,10 +162,10 @@ func (n *Node) epochScan() {
 		return
 	}
 	ready := func(t int) bool {
-		return tbl.successor(t, nil) == n.g && tbl.voteCount(t) >= tbl.quorum() && tbl.rows[t].votes[t]
+		return tbl.successor(t, nil) == n.g && tbl.voteCount(t) >= tbl.quorum() && tbl.voted(t, t)
 	}
 	for t, row := range tbl.rows {
-		if row.state != standby || !ready(t) {
+		if row.State != standby || !ready(t) {
 			continue
 		}
 		// Join boundary: one past the highest own-group commit this leader
@@ -184,7 +183,7 @@ func (n *Node) epochScan() {
 		}
 	}
 	for t, row := range tbl.rows {
-		if t == n.g || row.state != member || !ready(t) {
+		if t == n.g || row.State != member || !ready(t) {
 			continue
 		}
 		// The farewell (t's own vote) has been processed, so our cursor for
@@ -299,11 +298,11 @@ func (n *Node) skipStandbyRounds(s int) {
 // watermark between takeover ticks (called from onCommitRecord; the tick
 // cadence alone would throttle round progress to the failover cadence).
 func (n *Node) maybeSkipStandbyRounds() {
-	if n.rounds == nil || n.groups.rows[n.g].state == standby {
+	if n.rounds == nil || n.groups.rows[n.g].State == standby {
 		return
 	}
 	for s, row := range n.groups.rows {
-		if row.state == standby {
+		if row.State == standby {
 			n.skipStandbyRounds(s)
 		}
 	}

@@ -315,7 +315,7 @@ func New(ctx *cluster.NodeCtx) *Node {
 	// A standby group is provisioned (keys, endpoints, stream slot) but
 	// absent until a certified RecEpoch join.
 	n.groups = newGroupTable(n.g, n.ng, n.cfg.StandbyAtGenesis)
-	n.selfStandby = n.groups.rows[n.g].state == standby
+	n.selfStandby = n.groups.rows[n.g].State == standby
 	for j := 0; j < ctx.Cfg.GroupSizes[n.g]; j++ {
 		n.members = append(n.members, keys.NodeID{Group: n.g, Index: j})
 	}

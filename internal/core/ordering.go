@@ -88,7 +88,7 @@ func (n *Node) onMetaBatch(from keys.NodeID, b *cluster.MetaBatch) {
 	// still flows: the only record a standby origin can land is its join
 	// readiness attestation (processRecords drops everything else), and
 	// fencing it would deadlock the join.
-	if n.groups.removed(b.FromGroup) && b.Seq >= n.groups.rows[b.FromGroup].cut {
+	if n.groups.removed(b.FromGroup) && b.Seq >= n.groups.rows[b.FromGroup].Cut {
 		n.ctx.Metrics.FencedBatches++
 		return
 	}
@@ -165,7 +165,7 @@ func (n *Node) processRecords(origin int, recs []cluster.Record) {
 		// A standby group has no say in consensus until its certified join:
 		// the only record admitted from a standby origin is its own readiness
 		// attestation.
-		if n.groups.rows[origin].state == standby &&
+		if n.groups.rows[origin].State == standby &&
 			!(rec.Kind == cluster.RecGroupJoin && rec.Stream == origin) {
 			n.ctx.Metrics.StandbyFencedRecords++
 			continue
@@ -425,7 +425,7 @@ func (n *Node) takeoverTick() {
 		return
 	}
 	n.membershipScan(now)
-	if n.groups.rows[n.g].state == standby {
+	if n.groups.rows[n.g].State == standby {
 		// A standby group's only duty pre-join is the readiness attestation
 		// the membership scan just handled; it runs none of the recovery or
 		// failover scans until the certified join activates it.
@@ -450,9 +450,9 @@ func (n *Node) takeoverTick() {
 		// never undercut (skipStandbyRounds).
 		for s, row := range n.groups.rows {
 			switch {
-			case row.state == standby:
+			case row.State == standby:
 				n.skipStandbyRounds(s)
-			case n.groups.removed(s) && n.streamCursor(s) >= row.cut:
+			case n.groups.removed(s) && n.streamCursor(s) >= row.Cut:
 				n.skipDeadRounds(s)
 			}
 		}
@@ -466,7 +466,7 @@ func (n *Node) takeoverTick() {
 		return
 	}
 	for s, row := range n.groups.rows {
-		if !n.groups.absent(s) || n.groups.successor(s, nil) != n.g || n.streamCursor(s) < row.cut {
+		if !n.groups.absent(s) || n.groups.successor(s, nil) != n.g || n.streamCursor(s) < row.Cut {
 			continue
 		}
 		n.runTask(n.takeoverStampTask(s), ids, now)

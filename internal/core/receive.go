@@ -267,7 +267,7 @@ func (n *Node) emitStamp(id types.EntryID) {
 	if !n.meta.IsLeader() {
 		return
 	}
-	if n.groups.rows[n.g].state == standby {
+	if n.groups.rows[n.g].State == standby {
 		// A standby group must not stamp — and must not mark tsSent either,
 		// or the post-join activation sweep (activateJoined) could never
 		// re-emit the stamp this drop swallowed.
@@ -316,7 +316,7 @@ func (n *Node) emitRecord(rec cluster.Record) {
 	if !n.meta.IsLeader() || n.groups.removed(n.g) {
 		return
 	}
-	if n.groups.rows[n.g].state == standby && rec.Kind != cluster.RecGroupJoin {
+	if n.groups.rows[n.g].State == standby && rec.Kind != cluster.RecGroupJoin {
 		// A standby group's only permissible record is its join readiness
 		// attestation; everything else would be fenced remotely anyway and
 		// must not burn stream positions.

@@ -338,7 +338,7 @@ func (n *Node) streamRepairScan(now time.Duration) {
 		// nothing buffered has no ordinary gap trigger (gaps arm only when
 		// later batches arrive — and the dead origin sends nothing). The cut
 		// acts as a virtual later batch: arm the gap so the fetch below runs.
-		if in.gapSince == 0 && n.groups.removed(g) && in.next < n.groups.rows[g].cut {
+		if in.gapSince == 0 && n.groups.removed(g) && in.next < n.groups.rows[g].Cut {
 			in.setGap(now)
 		}
 		if in.gapSince == 0 || !in.repair.ready(now, in.gapSince, n.cfg.RepairTimeout) {

@@ -54,15 +54,13 @@ func (n *Node) foldCheckpoint(have uint64) *cluster.Checkpoint {
 		NextSeq:     n.nextSeq,
 		ExecCount:   n.execCount,
 		CommitCount: n.commitCount,
-		StreamTS:    make([]uint64, n.ng),
-		StreamNext:  make([]uint64, n.ng),
-		StreamView:  make([]uint64, n.ng),
-		CommitHi:    make([]uint64, n.ng),
-		ExecutedSeq: make([]uint64, n.ng),
+		Local:       n.local.Export(),
+		Meta:        n.meta.Export(),
 	}
+	n.groups.fold(ck)
 	for g, in := range n.streams {
-		ck.StreamTS[g], ck.StreamNext[g], ck.StreamView[g] = in.ts, in.next, in.view
-		ck.CommitHi[g], ck.ExecutedSeq[g] = in.commitHi, in.executed
+		part := &ck.Groups[g]
+		part.Next, part.View, part.TS, part.CommitHi, part.Executed = in.next, in.view, in.ts, in.commitHi, in.executed
 		// Out-of-order batches were broadcast exactly once; fold them so the
 		// restoring node does not lose them forever.
 		seqs := make([]uint64, 0, len(in.buffered))
@@ -74,8 +72,6 @@ func (n *Node) foldCheckpoint(have uint64) *cluster.Checkpoint {
 			ck.Batches = append(ck.Batches, in.buffered[s])
 		}
 	}
-	ck.LocalView, ck.LocalSlot, ck.LocalSlots = n.local.Export()
-	ck.MetaView, ck.MetaSlot, ck.MetaSlots = n.meta.Export()
 	if n.orderer != nil {
 		ck.Ord = n.orderer.Export()
 	} else {
@@ -99,7 +95,6 @@ func (n *Node) foldCheckpoint(have uint64) *cluster.Checkpoint {
 		}
 		ck.Pending = append(ck.Pending, pe)
 	}
-	n.groups.fold(ck)
 	return ck
 }
 
@@ -177,13 +172,13 @@ func (n *Node) sendTransferReq() {
 // verifies the suffix against its own certified chain before installing
 // (see verifySuffix) — serving honestly is not load-bearing for safety.
 func (n *Node) onRejoinReq(from keys.NodeID, m *cluster.RejoinReq) {
-	if from == n.id || n.groups.rows[n.g].state == standby {
+	if from == n.id || n.groups.rows[n.g].State == standby {
 		return
 	}
 	// Cross-group requests are served only for a standby group's bootstrap;
 	// an active group's members always recover from their own LAN peers.
 	if from.Group != n.g &&
-		(!n.inLayout(from.Group) || n.groups.rows[from.Group].state != standby) {
+		(!n.inLayout(from.Group) || n.groups.rows[from.Group].State != standby) {
 		return
 	}
 	resp := &cluster.RejoinResp{C: n.foldCheckpoint(m.Have)}
@@ -191,13 +186,12 @@ func (n *Node) onRejoinReq(from keys.NodeID, m *cluster.RejoinReq) {
 	// it is a copy, never a view.
 	resp.C.State = n.ctx.Engine.DB().Clone()
 	if from.Group != n.g {
-		// Our own row's cursor stays at zero, and so does the fold's
-		// StreamNext for this group — but a bootstrapping node has never
-		// processed any of our batches and must resume our stream exactly
-		// where the folded state left it: the meta delivery cursor
-		// (MetaBatch.Seq is the meta slot). Same-group requesters ignore this
-		// slot.
-		resp.C.StreamNext[n.g] = resp.C.MetaSlot
+		// Our own row's cursor stays at zero, and so does the fold's Next
+		// for this group — but a bootstrapping node has never processed any
+		// of our batches and must resume our stream exactly where the folded
+		// state left it: the meta delivery cursor (MetaBatch.Seq is the meta
+		// slot). Same-group requesters ignore this cursor.
+		resp.C.Groups[n.g].Next = resp.C.Meta.Slot
 	}
 	n.ctx.Net.Send(from, resp, resp.WireSize())
 	n.ctx.Metrics.RejoinServed++
@@ -289,12 +283,11 @@ func (n *Node) onRejoinResp(from keys.NodeID, resp *cluster.RejoinResp) {
 		n.tracePhase = make(map[types.EntryID]time.Duration)
 		n.traceFirstChunk = make(map[types.EntryID]time.Duration)
 	}
-	for g := range n.streams {
+	for g, part := range ck.Groups {
 		row := newStream()
-		row.ts, row.view = at(ck.StreamTS, g), at(ck.StreamView, g)
-		row.commitHi, row.executed = at(ck.CommitHi, g), at(ck.ExecutedSeq, g)
+		row.ts, row.view, row.commitHi, row.executed = part.TS, part.View, part.CommitHi, part.Executed
 		if g != n.g {
-			row.next = at(ck.StreamNext, g)
+			row.next = part.Next
 		}
 		row.heard, row.bulkAt = now, n.streams[g].bulkAt
 		n.streams[g] = row
@@ -357,8 +350,8 @@ func (n *Node) onRejoinResp(from keys.NodeID, resp *cluster.RejoinResp) {
 	// A bootstrapping standby keeps its fresh genesis instances — the
 	// exported slots are the serving group's consensus, not ours.
 	if !bootstrap {
-		n.local.Install(ck.LocalView, ck.LocalSlot, ck.LocalSlots)
-		n.meta.Install(ck.MetaView, ck.MetaSlot, ck.MetaSlots)
+		n.local.Install(ck.Local)
+		n.meta.Install(ck.Meta)
 	} else {
 		n.selfStandby = false
 		n.ctx.Metrics.StandbyBootstrapped++
@@ -450,15 +443,6 @@ func (n *Node) validatePending(ck *cluster.Checkpoint) ([][]byte, bool) {
 		encs[i] = enc
 	}
 	return encs, true
-}
-
-// at returns s[g], or zero past the end of s: an offered checkpoint's
-// per-group slices are as long as its sender made them.
-func at(s []uint64, g int) uint64 {
-	if g < len(s) {
-		return s[g]
-	}
-	return 0
 }
 
 // sortedKeys returns a map's keys in ascending order: checkpoint folds,

@@ -859,11 +859,18 @@ func (s *ExportedSlot) WireSize() int {
 	return 8 + 32 + len(s.Payload) + 8*len(s.Prepares) + sigWire*len(s.Commits) + 1
 }
 
-// Export snapshots the instance for a state transfer: the current view, the
-// next slot to deliver, and every in-flight slot with the votes collected so
-// far. Slots below execSlot are already delivered and are represented by the
-// application-level checkpoint instead.
-func (in *Instance) Export() (view, execSlot uint64, inflight []ExportedSlot) {
+// Snapshot is the portable image of an instance for a state transfer: the
+// current view, the next slot to deliver, and every in-flight slot with the
+// votes collected so far. Slots below Slot are already delivered and are
+// represented by the application-level checkpoint instead.
+type Snapshot struct {
+	View, Slot uint64
+	Slots      []ExportedSlot
+}
+
+// Export snapshots the instance for a state transfer.
+func (in *Instance) Export() Snapshot {
+	var inflight []ExportedSlot
 	for s := in.execSlot; s < in.nextSlot; s++ {
 		st := in.slots[s]
 		if st == nil || !st.prePrepare {
@@ -880,17 +887,18 @@ func (in *Instance) Export() (view, execSlot uint64, inflight []ExportedSlot) {
 		sortSigs(ex.Commits)
 		inflight = append(inflight, ex)
 	}
-	return in.view, in.execSlot, inflight
+	return Snapshot{View: in.view, Slot: in.execSlot, Slots: inflight}
 }
 
-// Install resets the replica to an exported image: it jumps to the given view
-// and delivery slot (the application state up to execSlot comes from the
-// checkpoint) and seeds the in-flight slots, broadcasting this replica's own
-// votes for the uncommitted ones so it resumes participating immediately.
-// The image is trusted as-is (the checkpoint transfer trusts the serving
-// peer; a production system would cross-check it against the certified
-// ledger).
-func (in *Instance) Install(view, execSlot uint64, inflight []ExportedSlot) {
+// Install resets the replica to an exported image: it jumps to the
+// snapshot's view and delivery slot (the application state up to that slot
+// comes from the checkpoint) and seeds the in-flight slots, broadcasting this
+// replica's own votes for the uncommitted ones so it resumes participating
+// immediately. The image is trusted as-is (the checkpoint transfer trusts the
+// serving peer; a production system would cross-check it against the
+// certified ledger).
+func (in *Instance) Install(snap Snapshot) {
+	view, execSlot := snap.View, snap.Slot
 	in.view = view
 	in.execSlot = execSlot
 	in.nextSlot = execSlot
@@ -902,7 +910,7 @@ func (in *Instance) Install(view, execSlot uint64, inflight []ExportedSlot) {
 	in.delivered = make(map[uint64]CommittedSlot)
 	in.viewHint = view
 	in.catchupAttempts = 0
-	for _, ex := range inflight {
+	for _, ex := range snap.Slots {
 		if ex.Slot < execSlot {
 			continue
 		}

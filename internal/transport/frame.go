@@ -4,7 +4,7 @@ package transport
 //
 //	offset  size  field
 //	0       2     magic "MB"
-//	2       1     version (currently 3)
+//	2       1     version (currently 4)
 //	3       1     flags (bit 0: priority lane, bit 1: control frame)
 //	4       4     payload length, big-endian (bounded by MaxFrameSize)
 //	8       4     CRC-32C (Castagnoli) of bytes 0..8 plus the payload
@@ -33,7 +33,7 @@ import (
 const (
 	frameMagic0  = 'M'
 	frameMagic1  = 'B'
-	FrameVersion = 3
+	FrameVersion = 4
 	frameHeader  = 12
 
 	// MaxFrameSize bounds a single payload. Checkpoints dominate frame

@@ -175,10 +175,10 @@ size)
   ;;
 groups)
   echo "== group-state suite (full schedules)"
-  go test -timeout 600s -run 'TestGroup|TestBaselineGroupCrash|TestSimultaneousGroupDeaths|TestPartition|TestChaos|TestMembership|TestTakeoverBookkeeping|TestRejoinRejectsForgedGroupTable|TestValidGroups|TestStandbyBootstrap' -v ./internal/core/
+  go test -timeout 600s -run 'TestGroup|TestBaselineGroupCrash|TestSimultaneousGroupDeaths|TestPartition|TestChaos|TestMembership|TestTakeoverBookkeeping|TestRejoinRejectsForgedGroupTable|TestValidGroups|TestStandbyBootstrap|TestCheckpointInstallsAlikeOnBothFabrics' -v ./internal/core/
   go test -timeout 300s -run 'TestFalseDeathForkSeeds' -v .
   echo "== group-state suite, reduced schedules and the explorer (-race -short)"
-  go test -race -short -timeout 300s -run 'TestPartitionFailoverReduced|TestSimultaneousGroupDeaths|TestMembershipJoinReduced|TestMembershipLeaveReduced|TestGroupTableFoldRestore|TestGroupTableStep|TestGroupTableExplore|TestGroupQuorum|TestValidGroups|TestStandbyBootstrap' -v ./internal/core/
+  go test -race -short -timeout 300s -run 'TestPartitionFailoverReduced|TestSimultaneousGroupDeaths|TestMembershipJoinReduced|TestMembershipLeaveReduced|TestGroupTableFoldRestore|TestGroupTableStep|TestGroupTableExplore|TestGroupQuorum|TestValidGroups|TestStandbyBootstrap|TestCheckpointInstallsAlikeOnBothFabrics' -v ./internal/core/
   echo "OK"
   exit 0
   ;;
