@@ -63,9 +63,9 @@ func TestTransportSeamBitIdentical(t *testing.T) {
 		},
 		{
 			name: "massbft-faults", cfg: faulty,
-			committed: 92601, entries: 238, height: 291,
-			head:  "25641578f74ab8639a7089c7e20e8d55e70031a41236065ea71046a75fda119e",
-			state: "6068113585108581fc7c9e191841bff48e68a6cc0e4df4d145ab4c108ee2dd5b",
+			committed: 105069, entries: 270, height: 292,
+			head:  "e426f7ae72ed9a923e42518b5733ab5b081ffbf1bb499f0fbf439d1e65c7c64e",
+			state: "4a94c8a61e944f4bbcb03a8fe920c0cb8e986b6957ee7657947e2aa8867e4596",
 		},
 	}
 	for _, tc := range cases {

@@ -71,13 +71,32 @@ func TestCombinedFaultSeedsConverge(t *testing.T) {
 	}
 }
 
-// TestFalseDeathForkSeeds pins a known safety bug (ROADMAP item 1): under the
-// combined-fault preset, throttled to 2000 txn/s per group, with one follower
-// of every group crashed at 5 s and recovered at 10 s, a live group is
-// certified dead and the ledger forks. No group ever crashes, so every death
-// here is false. The pinned values are the fork's height and the counters
-// that lead to it; the fix for item 1 turns both seeds into converged with
-// zero deaths, and changes this test with it.
+// falseDeathRecipe runs ROADMAP item 1's recipe at seed: the combined-fault
+// preset throttled to 2000 txn/s per group, with one follower of every group
+// crashed at 5 s and recovered at 10 s, then drained to a verdict. No group
+// ever crashes, so every certified death in it is false.
+func falseDeathRecipe(t *testing.T, seed int64) (*Cluster, AgreementReport) {
+	t.Helper()
+	cfg := combinedFaultConfig(seed)
+	cfg.GroupRate = []float64{2000, 2000, 2000}
+	c, err := NewCluster(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for g := 0; g < 3; g++ {
+		c.CrashNode(5*time.Second, g, 1)
+		c.RecoverNode(10*time.Second, g, 1)
+	}
+	c.Run(time.Second)
+	c.Run(19 * time.Second)
+	return c, c.DrainToAgreement(500*time.Millisecond, 12*time.Second)
+}
+
+// TestFalseDeathForkSeeds pins a known safety bug (ROADMAP item 1): under
+// falseDeathRecipe a live group is certified dead and the ledger forks with
+// two entries at one height. The pinned values are the fork's height and the
+// counters that lead to it; the fix for item 1 turns these seeds into
+// converged runs with zero deaths, and changes this test with it.
 func TestFalseDeathForkSeeds(t *testing.T) {
 	t.Parallel()
 	if testing.Short() {
@@ -88,27 +107,18 @@ func TestFalseDeathForkSeeds(t *testing.T) {
 		height                            uint64
 		deaths, localChanges, metaChanges int64
 	}{
-		{seed: 3, height: 174, deaths: 9, localChanges: 55, metaChanges: 31},
-		{seed: 4, height: 206, deaths: 9, localChanges: 41, metaChanges: 42},
+		{seed: 4, height: 243, deaths: 12, localChanges: 42, metaChanges: 31},
+		{seed: 11, height: 158, deaths: 9, localChanges: 45, metaChanges: 33},
 	} {
 		tc := tc
 		t.Run(fmt.Sprintf("seed%d", tc.seed), func(t *testing.T) {
 			t.Parallel()
-			cfg := combinedFaultConfig(tc.seed)
-			cfg.GroupRate = []float64{2000, 2000, 2000}
-			c, err := NewCluster(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for g := 0; g < 3; g++ {
-				c.CrashNode(5*time.Second, g, 1)
-				c.RecoverNode(10*time.Second, g, 1)
-			}
-			c.Run(time.Second)
-			c.Run(19 * time.Second)
-			rep := c.DrainToAgreement(500*time.Millisecond, 12*time.Second)
+			c, rep := falseDeathRecipe(t, tc.seed)
 			if rep.Verdict != AgreementForked || rep.FirstDivergentHeight != tc.height {
 				t.Fatalf("want forked at %d, got: %v", tc.height, rep)
+			}
+			if len(rep.Branches) < 2 || rep.Branches[0].Entry == rep.Branches[1].Entry {
+				t.Fatalf("want two entries at height %d, got: %v", tc.height, rep)
 			}
 			for name, want := range map[string]int64{
 				"group-deaths":       tc.deaths,
@@ -120,6 +130,30 @@ func TestFalseDeathForkSeeds(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestPayloadForkSeed pins the second fork kind under falseDeathRecipe
+// (ROADMAP item 1): one stream position carries two certified payloads, and
+// the groups keep different ones. Both branches seal the same entry under two
+// digests, and no group is ever certified dead — 1(a)'s invariant (i), not
+// the false death. The fix changes this test with it.
+func TestPayloadForkSeed(t *testing.T) {
+	t.Parallel()
+	if testing.Short() {
+		t.Skip("heavy integration test")
+	}
+	const seed, height = 350, 247
+	c, rep := falseDeathRecipe(t, seed)
+	if rep.Verdict != AgreementForked || rep.FirstDivergentHeight != height {
+		t.Fatalf("want forked at %d, got: %v", height, rep)
+	}
+	if len(rep.Branches) < 2 || rep.Branches[0].Entry != rep.Branches[1].Entry ||
+		rep.Branches[0].EntryDigest == rep.Branches[1].EntryDigest {
+		t.Fatalf("want one entry under two digests at %d, got: %v", height, rep)
+	}
+	if d := c.Counter("group-deaths"); d != 0 {
+		t.Fatalf("group-deaths = %d, want 0", d)
 	}
 }
 

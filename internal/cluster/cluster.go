@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"math/rand"
 	"time"
 
 	"massbft/internal/aria"
@@ -241,14 +240,12 @@ func New(cfg Config, factory Factory) (*Cluster, error) {
 		GST:            cfg.GST,
 		UnstableFactor: cfg.UnstableFactor,
 	})
-	if cfg.WANDropRate > 0 || cfg.WANDupRate > 0 || cfg.LANDropRate > 0 || cfg.FaultJitter > 0 {
-		nw.SetFaults(simnet.FaultConfig{
-			WANDrop: cfg.WANDropRate,
-			WANDup:  cfg.WANDupRate,
-			LANDrop: cfg.LANDropRate,
-			Jitter:  cfg.FaultJitter,
-		})
-	}
+	nw.SetFaults(simnet.FaultConfig{
+		WANDrop: cfg.WANDropRate,
+		WANDup:  cfg.WANDupRate,
+		LANDrop: cfg.LANDropRate,
+		Jitter:  cfg.FaultJitter,
+	})
 	col := metrics.NewCollector()
 	col.SetWindow(cfg.Warmup, cfg.RunFor-cfg.Warmup/2)
 
@@ -386,16 +383,17 @@ func (c *Cluster) ScheduleByzantineSender(at time.Duration, id keys.NodeID, rate
 // corruptMetaBatch returns a tampered copy of a MetaBatch payload (nil for
 // other payload types, leaving them untouched). The records slice is copied
 // before one timestamp is perturbed — the original is shared with every
-// other recipient of the broadcast.
-func corruptMetaBatch(payload any, rng *rand.Rand) any {
+// other recipient of the broadcast. The draw picks the record (its low half)
+// and the bump of 1 to 7 (its high half).
+func corruptMetaBatch(payload any, draw uint64) any {
 	b, ok := payload.(*MetaBatch)
 	if !ok || len(b.Records) == 0 {
 		return nil
 	}
 	cp := *b
 	cp.Records = append([]Record(nil), b.Records...)
-	i := rng.Intn(len(cp.Records))
-	cp.Records[i].TS += 1 + uint64(rng.Intn(7))
+	i := uint32(draw) % uint32(len(cp.Records))
+	cp.Records[i].TS += 1 + (draw>>32)%7
 	return &cp
 }
 

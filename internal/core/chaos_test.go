@@ -422,7 +422,7 @@ func TestPartitionChaosFailover(t *testing.T) {
 		}
 	}
 	assertLiveSafety(t, c, skip)
-	assertCensus(t, c, "3f89844d1e4579f5")
+	assertCensus(t, c, "65cc232f883f2e3c")
 }
 
 // TestSimultaneousGroupDeathsCertifyTogether kills groups 0 and 1 at the same

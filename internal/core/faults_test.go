@@ -1,7 +1,6 @@
 package core
 
 import (
-	"math/rand"
 	"slices"
 	"testing"
 	"time"
@@ -515,7 +514,7 @@ func TestRejoinRejectsCorruptSuffix(t *testing.T) {
 	evil := keys.NodeID{Group: 1, Index: 3}
 	c.Net.SetByzantineSender(evil, simnet.ByzantineSender{
 		CorruptRate: 1.0,
-		Corrupt: func(p any, _ *rand.Rand) any {
+		Corrupt: func(p any, _ uint64) any {
 			resp, ok := p.(*cluster.RejoinResp)
 			if !ok || resp.C == nil || len(resp.C.Blocks) == 0 {
 				return nil
@@ -584,7 +583,7 @@ func TestRejoinRejectsForgedPendingEntry(t *testing.T) {
 	forged := 0
 	c.Net.SetByzantineSender(evil, simnet.ByzantineSender{
 		CorruptRate: 1.0,
-		Corrupt: func(p any, _ *rand.Rand) any {
+		Corrupt: func(p any, _ uint64) any {
 			resp, ok := p.(*cluster.RejoinResp)
 			if !ok || resp.C == nil {
 				return nil
@@ -658,7 +657,7 @@ func TestRejoinRejectsForgedGroupTable(t *testing.T) {
 	forged := 0
 	c.Net.SetByzantineSender(evil, simnet.ByzantineSender{
 		CorruptRate: 1.0,
-		Corrupt: func(p any, _ *rand.Rand) any {
+		Corrupt: func(p any, _ uint64) any {
 			resp, ok := p.(*cluster.RejoinResp)
 			if !ok || resp.C == nil {
 				return nil
@@ -762,7 +761,7 @@ func TestByzantineCertMangling(t *testing.T) {
 	evil := keys.NodeID{Group: 0, Index: 1}
 	c.Net.SetByzantineSender(evil, simnet.ByzantineSender{
 		CorruptRate: 1.0,
-		Corrupt: func(p any, _ *rand.Rand) any {
+		Corrupt: func(p any, _ uint64) any {
 			b, ok := p.(*replication.ChunkBatch)
 			if !ok || b.Cert == nil || len(b.Cert.Sigs) == 0 {
 				return nil

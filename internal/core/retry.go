@@ -198,8 +198,9 @@ func (n *Node) live(id types.EntryID) *entrySt {
 
 // runTask applies one table row to the tick's sorted entry walk, oldest first.
 // A tick sorts once and runs its rows one after another, not interleaved per
-// entry: the order of a tick's sends is the order of the simulator's fault
-// draws, and the pinned fault fingerprints reproduce only while it is stable.
+// entry: the order of a tick's sends is each uplink's queue order and each
+// link's order of fault draws, and the pinned fingerprints reproduce only
+// while it is stable.
 func (n *Node) runTask(t *recoveryTask, ids []types.EntryID, now time.Duration) {
 	if t.on != nil && !t.on(n) {
 		return

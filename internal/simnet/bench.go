@@ -75,7 +75,7 @@ func SchedulerDrive(legacy bool, resident, ops int, seed int64) uint64 {
 }
 
 // scenarioRNG is a splitmix64 stream for drive- and scenario-level choices,
-// private so that it never perturbs the network's jitter RNG.
+// private to the drive or scenario that seeds it.
 type scenarioRNG struct{ s uint64 }
 
 func newScenarioRNG(seed int64) *scenarioRNG {
@@ -83,11 +83,9 @@ func newScenarioRNG(seed int64) *scenarioRNG {
 }
 
 func (r *scenarioRNG) next() uint64 {
+	z := mix64(r.s)
 	r.s += 0x9e3779b97f4a7c15
-	z := r.s
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return z ^ (z >> 31)
+	return z
 }
 
 // intn returns a value in [0, n).

@@ -1,30 +1,140 @@
 package simnet
 
 import (
-	"math/rand"
+	"math"
 	"testing"
 	"time"
 )
 
+// TestFaultDropRate sends n messages over one WAN link, two latencies apart
+// so that no copy waits behind another on the receiver's downlink, and holds
+// each decision's rate within six standard deviations of its binomial mean:
+// drops over every message, duplicates over the survivors, and jitter past
+// half its maximum over the deliveries.
 func TestFaultDropRate(t *testing.T) {
-	nw := New(Config{GroupSizes: []int{1, 1}, Seed: 11})
-	nw.SetFaults(FaultConfig{WANDrop: 0.5})
-	var r recorder
-	nw.SetHandler(nid(1, 0), &r)
-	src := nw.Node(nid(0, 0))
-	const sends = 400
-	for i := 0; i < sends; i++ {
-		at := Time(i) * time.Millisecond
-		nw.Schedule(at, func() { src.Send(nid(1, 0), "x", 10) })
+	const base, gap = 10 * time.Millisecond, 20 * time.Millisecond
+	for _, tc := range []struct {
+		name string
+		fc   FaultConfig
+		n    int
+	}{
+		{"drop-half", FaultConfig{WANDrop: 0.5}, 400},
+		{"one-link-10k", FaultConfig{WANDrop: 0.1, WANDup: 0.05, Jitter: 0.5}, 10_000},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			nw := New(Config{GroupSizes: []int{1, 1}, WANLatency: func(a, b int) Time { return base }, Seed: 11})
+			nw.SetFaults(tc.fc)
+			arrivals := make([][]Time, tc.n)
+			nw.SetHandler(nid(1, 0), HandlerFunc(func(n *Node, m Message) {
+				i := m.Payload.(int)
+				arrivals[i] = append(arrivals[i], n.Now())
+			}))
+			src := nw.Node(nid(0, 0))
+			for i := 0; i < tc.n; i++ {
+				i := i
+				nw.Schedule(Time(i)*gap, func() { src.Send(nid(1, 0), i, 10) })
+			}
+			nw.Run(Time(tc.n)*gap + time.Second)
+			var dropped, duplicated, delivered, stretched int
+			for i, at := range arrivals {
+				if len(at) == 0 {
+					dropped++
+					continue
+				}
+				delivered++
+				if len(at) == 2 {
+					duplicated++
+				}
+				if at[0]-Time(i)*gap-base > Time(tc.fc.Jitter/2*float64(base)) {
+					stretched++
+				}
+			}
+			if d, dup, _ := nw.FaultStats(); int(d) != dropped || int(dup) != duplicated {
+				t.Fatalf("counters dropped=%d duplicated=%d, receiver saw %d and %d", d, dup, dropped, duplicated)
+			}
+			within := func(what string, got, trials int, p float64) {
+				mean := float64(trials) * p
+				if sd := math.Sqrt(mean * (1 - p)); math.Abs(float64(got)-mean) > 6*sd {
+					t.Errorf("%s %d of %d, want %.0f ± %.0f", what, got, trials, mean, 6*sd)
+				}
+			}
+			within("dropped", dropped, tc.n, tc.fc.WANDrop)
+			within("duplicated", duplicated, delivered, tc.fc.WANDup)
+			if tc.fc.Jitter > 0 {
+				within("stretched past half the jitter", stretched, delivered, 0.5)
+			}
+		})
 	}
-	nw.Run(time.Second)
-	dropped, _, _ := nw.FaultStats()
-	if int(dropped)+len(r.got) != sends {
-		t.Fatalf("dropped=%d delivered=%d, want total %d", dropped, len(r.got), sends)
+}
+
+// TestLinkDecisionsAreItsOwn runs a watched WAN link, (0,0)→(1,0), beside
+// traffic on other links, twice. The second run adds sends on other links and
+// swaps the order of same-instant sends to other receivers. Every watched
+// message must meet the same fate in both — dropped, duplicated, and the
+// arrival time of each copy — because its draws are keyed by its link and
+// its ordinal on that link alone. The other traffic shares no NIC lane with
+// the watched link ((0,0)'s other sends leave over its LAN uplink), so only
+// a draw shared across links could move it.
+func TestLinkDecisionsAreItsOwn(t *testing.T) {
+	run := func(perturb bool) [][]Time {
+		nw := New(Config{GroupSizes: []int{2, 2, 1}, Seed: 31})
+		nw.SetFaults(FaultConfig{WANDrop: 0.2, WANDup: 0.1, LANDrop: 0.1, Jitter: 0.5})
+		const n = 500
+		watched := make([][]Time, n)
+		nw.SetHandler(nid(1, 0), HandlerFunc(func(nd *Node, m Message) {
+			i := m.Payload.(int)
+			watched[i] = append(watched[i], nd.Now())
+		}))
+		a, b, c := nw.Node(nid(0, 0)), nw.Node(nid(0, 1)), nw.Node(nid(2, 0))
+		for i := 0; i < n; i++ {
+			i := i
+			nw.Schedule(Time(i)*time.Millisecond, func() {
+				sends := []func(){
+					func() { a.Send(nid(0, 1), i, 10) },
+					func() { b.Send(nid(1, 1), i, 10) },
+					func() { b.Send(nid(2, 0), i, 10) },
+					func() { c.Send(nid(1, 1), i, 10) },
+				}
+				if perturb {
+					for j := len(sends) - 1; j >= 0; j-- {
+						sends[j]()
+					}
+					if i%3 == 0 {
+						b.Send(nid(2, 0), -i, 10)
+						c.Send(nid(0, 1), -i, 10)
+					}
+					a.Send(nid(1, 0), i, 10)
+					return
+				}
+				a.Send(nid(1, 0), i, 10)
+				for _, send := range sends {
+					send()
+				}
+			})
+		}
+		nw.Run(time.Second)
+		return watched
 	}
-	// 50% loss over 400 trials: expect 200±60 delivered (>6 sigma).
-	if len(r.got) < 140 || len(r.got) > 260 {
-		t.Fatalf("delivered %d of %d at 50%% loss", len(r.got), sends)
+	base, perturbed := run(false), run(true)
+	var dropped, duplicated int
+	for i := range base {
+		if len(base[i]) != len(perturbed[i]) {
+			t.Fatalf("message %d: %d copies, %d with other links perturbed", i, len(base[i]), len(perturbed[i]))
+		}
+		for k := range base[i] {
+			if base[i][k] != perturbed[i][k] {
+				t.Fatalf("message %d copy %d: arrived at %v, at %v with other links perturbed", i, k, base[i][k], perturbed[i][k])
+			}
+		}
+		switch len(base[i]) {
+		case 0:
+			dropped++
+		case 2:
+			duplicated++
+		}
+	}
+	if dropped == 0 || duplicated == 0 {
+		t.Fatalf("watched link: %d dropped, %d duplicated; the faults did not engage", dropped, duplicated)
 	}
 }
 
@@ -128,7 +238,7 @@ func TestFaultJitterStretchesLatency(t *testing.T) {
 
 func TestFaultDeterminism(t *testing.T) {
 	run := func() ([]Time, int64) {
-		nw := New(Config{GroupSizes: []int{2, 2}, Seed: 7, Jitter: 0.1})
+		nw := New(Config{GroupSizes: []int{2, 2}, Seed: 7})
 		nw.SetFaults(FaultConfig{WANDrop: 0.3, WANDup: 0.2, Jitter: 0.5})
 		var r recorder
 		nw.SetHandler(nid(1, 0), &r)
@@ -156,14 +266,13 @@ func TestFaultDeterminism(t *testing.T) {
 	}
 }
 
-func TestFaultsDoNotPerturbBaseJitterStream(t *testing.T) {
-	// The fault layer must use its own RNG: a faulty run and a clean run with
-	// the same seed must agree on the latency of the messages that survive.
-	deliveryTimes := func(faults bool) map[int]Time {
-		nw := New(Config{GroupSizes: []int{1, 1}, Seed: 21, Jitter: 0.1})
-		if faults {
-			nw.SetFaults(FaultConfig{WANDrop: 0.5})
-		}
+// TestLossDoesNotPerturbJitter: a message's jitter is a draw of its own, so a
+// run with loss added delivers every surviving message at the time the
+// loss-free run did.
+func TestLossDoesNotPerturbJitter(t *testing.T) {
+	deliveryTimes := func(fc FaultConfig) map[int]Time {
+		nw := New(Config{GroupSizes: []int{1, 1}, Seed: 21})
+		nw.SetFaults(fc)
 		got := map[int]Time{}
 		nw.SetHandler(nid(1, 0), HandlerFunc(func(n *Node, m Message) {
 			got[m.Payload.(int)] = n.Now()
@@ -177,8 +286,8 @@ func TestFaultsDoNotPerturbBaseJitterStream(t *testing.T) {
 		nw.Run(10 * time.Second)
 		return got
 	}
-	clean := deliveryTimes(false)
-	faulty := deliveryTimes(true)
+	clean := deliveryTimes(FaultConfig{Jitter: 0.1})
+	faulty := deliveryTimes(FaultConfig{Jitter: 0.1, WANDrop: 0.5})
 	if len(faulty) == 0 || len(faulty) == len(clean) {
 		t.Fatalf("faulty run delivered %d of %d", len(faulty), len(clean))
 	}
@@ -194,14 +303,15 @@ func TestFaultsDoNotPerturbBaseJitterStream(t *testing.T) {
 // pointer to two receivers while half its outgoing copies are tampered.
 // Both counters must fire — corrupted (a copy left altered) and equivocated
 // (the same broadcast left in differing versions for different peers) — and
-// receivers must observe a mix of honest and tampered payloads. The
-// corruption stream is seeded, so a rerun reproduces identical counts.
+// receivers must observe a mix of honest and tampered payloads. Each
+// decision is a draw keyed by the seed, so a rerun reproduces identical
+// counts.
 func TestByzantineSenderCorruptsAndEquivocates(t *testing.T) {
 	run := func() (corrupted, equivocated int64, tampered, honest int) {
 		nw := New(Config{GroupSizes: []int{1, 2}, Seed: 23})
 		nw.SetByzantineSender(nid(0, 0), ByzantineSender{
 			CorruptRate: 0.5,
-			Corrupt: func(p any, rng *rand.Rand) any {
+			Corrupt: func(p any, _ uint64) any {
 				v, ok := p.(*[2]int)
 				if !ok {
 					return nil

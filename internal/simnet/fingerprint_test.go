@@ -15,13 +15,15 @@ import (
 // cluster-level TestTransportSeamBitIdentical.
 //
 // If one drifts after an intentional semantic change to the *network model*
-// (not the scheduler), re-capture it in the same change and say why. The
+// (not the scheduler), re-capture it in the same change and say why. All
+// three were re-captured when the fault decisions became per-link draws (the
+// jitter of all three is a fault draw). The
 // scenarios deliberately avoid node crashes: crash NIC/CPU-state semantics
 // were themselves a bugfix in the same PR that introduced the wheel.
 const (
-	fpDenseTraffic = "915329497d39c3ce"
-	fpFaultyWAN    = "c8a86b21408801c9"
-	fpChargeHeavy  = "3319d2eca2e1e1ea"
+	fpDenseTraffic = "913a8ebc3cf5f02e"
+	fpFaultyWAN    = "3d56354b82f7c5e4"
+	fpChargeHeavy  = "22d884cc2cc4f2a0"
 )
 
 // fpRecorder folds every delivery into an order-sensitive FNV-1a stream.
@@ -98,21 +100,23 @@ func TestSchedulerFingerprints(t *testing.T) {
 		run  func() string
 	}{
 		{"dense-traffic", fpDenseTraffic, func() string {
-			nw := New(Config{GroupSizes: groups, Seed: 11, Jitter: 0.1, GST: 200 * time.Millisecond, UnstableFactor: 5})
+			nw := New(Config{GroupSizes: groups, Seed: 11, GST: 200 * time.Millisecond, UnstableFactor: 5})
+			nw.SetFaults(FaultConfig{Jitter: 0.1})
 			rec := fpDrive(nw, groups, false)
 			nw.Run(2 * time.Second)
 			return rec.finish(nw)
 		}},
 		{"faulty-wan", fpFaultyWAN, func() string {
-			nw := New(Config{GroupSizes: groups, Seed: 23, Jitter: 0.05})
-			nw.SetFaults(FaultConfig{WANDrop: 0.1, WANDup: 0.08, LANDrop: 0.02, LANDup: 0.02, Jitter: 0.3})
+			nw := New(Config{GroupSizes: groups, Seed: 23})
+			nw.SetFaults(FaultConfig{WANDrop: 0.1, WANDup: 0.08, LANDrop: 0.02, Jitter: 0.3})
 			nw.SchedulePartition(500*time.Millisecond, time.Second, 1, 2)
 			rec := fpDrive(nw, groups, false)
 			nw.Run(2 * time.Second)
 			return rec.finish(nw)
 		}},
 		{"charge-heavy", fpChargeHeavy, func() string {
-			nw := New(Config{GroupSizes: groups, Seed: 37, Jitter: 0.2})
+			nw := New(Config{GroupSizes: groups, Seed: 37})
+			nw.SetFaults(FaultConfig{Jitter: 0.2})
 			rec := fpDrive(nw, groups, true)
 			nw.Run(2 * time.Second)
 			return rec.finish(nw)

@@ -8,9 +8,8 @@ import (
 // drivers for O(10k)-node stress runs, well past the paper's 4×7 / 10-group
 // envelope. Everything here is reproducible from (geometry seed, schedule
 // seed) alone — victim selection and arrival spreading use a private
-// splitmix64 stream, never the network's jitter RNG, so layering a crash
-// schedule or a flash crowd onto a run does not perturb its base latency
-// stream.
+// splitmix64 stream, and the network draws nothing for a fault-free run, so
+// layering a crash schedule or a flash crowd onto a run moves no random draw.
 
 // durn returns a duration in [0, d).
 func (r *scenarioRNG) durn(d Time) Time {
@@ -33,7 +32,7 @@ func BuildScaleNetwork(regions, groupSize int, seed int64) *Network {
 	for i := range sizes {
 		sizes[i] = groupSize
 	}
-	return New(Config{GroupSizes: sizes, Topology: topo, Seed: seed, Jitter: 0.05})
+	return New(Config{GroupSizes: sizes, Topology: topo, Seed: seed})
 }
 
 // TrafficStats counts what a synthetic driver delivered.

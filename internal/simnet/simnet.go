@@ -19,7 +19,6 @@ package simnet
 
 import (
 	"fmt"
-	"math/rand"
 	"time"
 
 	"massbft/internal/keys"
@@ -67,11 +66,9 @@ type Config struct {
 	WANBandwidth float64
 	// LANBandwidth is the per-node LAN bandwidth in bytes/second.
 	LANBandwidth float64
-	// Seed drives latency jitter. Runs with the same seed are identical.
+	// Seed keys every fault draw (see FaultConfig). Runs with the same seed
+	// are identical; a run without faults does not read it.
 	Seed int64
-	// Jitter is the maximum fraction of the base latency added as random
-	// jitter (e.g. 0.05 adds up to 5%). Zero disables jitter.
-	Jitter float64
 	// GST, when positive, marks a global stabilization time: before GST,
 	// WAN latencies are multiplied by UnstableFactor (partial synchrony).
 	GST            Time
@@ -173,7 +170,6 @@ type SendProbe func(ProbeSample)
 // Network is the emulator.
 type Network struct {
 	cfg Config
-	rng *rand.Rand
 	now Time
 	seq uint64
 	// sched is the (at, seq)-ordered event queue: a hierarchical timer
@@ -194,8 +190,8 @@ type Network struct {
 
 // SetSendProbe installs a passive observer of message sends (tracing).
 // Probes fire only for copies that will actually be delivered — after drop,
-// duplication, and partition sampling — so the fault layer's rng stream and
-// the event schedule are identical with and without a probe.
+// duplication, and partition decisions — and only read, so the event
+// schedule is identical with and without a probe.
 func (nw *Network) SetSendProbe(p SendProbe) { nw.probe = p }
 
 // New creates an emulated network per cfg and instantiates all nodes with a
@@ -215,8 +211,9 @@ func New(cfg Config) *Network {
 	}
 	nw := &Network{
 		cfg:   cfg,
-		rng:   rand.New(rand.NewSource(cfg.Seed)),
 		sched: &timerWheel{},
+		faults: &faultState{seed: mix64(uint64(cfg.Seed)), partitions: map[[2]int]bool{},
+			byz: map[keys.NodeID]*byzSender{}},
 	}
 	nw.groups = make([][]*Node, len(cfg.GroupSizes))
 	for g, n := range cfg.GroupSizes {
@@ -422,9 +419,6 @@ func (nw *Network) latency(from, to keys.NodeID) Time {
 	if nw.cfg.GST > 0 && nw.now < nw.cfg.GST && from.Group != to.Group {
 		base = Time(float64(base) * nw.cfg.UnstableFactor)
 	}
-	if nw.cfg.Jitter > 0 {
-		base += Time(nw.rng.Float64() * nw.cfg.Jitter * float64(base))
-	}
 	return base
 }
 
@@ -517,22 +511,18 @@ func (n *Node) send(to keys.NodeID, payload any, size int, priority bool) {
 	}
 	f := nw.faults
 	wan := to.Group != n.ID.Group
-	if f != nil && f.byz != nil {
-		f.corruptOutbound(n.ID, &msg)
-	}
-	if f != nil && wan && f.partitions[pairKey(n.ID.Group, to.Group)] {
+	l := f.next(&msg)
+	f.corruptOutbound(l, &msg)
+	if wan && f.partitions[pairKey(n.ID.Group, to.Group)] {
 		// A severed WAN link loses the message before it leaves the sender's
 		// NIC (the TCP connection is gone), so no bandwidth is charged.
 		f.partitionDropped++
 		return
 	}
-	var drop, dup bool
-	if f != nil && f.cfg.enabled() {
-		drop, dup = f.sample(wan)
-	}
-	uplink := &n.lanUp
+	drop, dup := f.sample(l, wan)
+	uplink, downlink := &n.lanUp, &dst.lanDown
 	if wan {
-		uplink = &n.wanUp
+		uplink, downlink = &n.wanUp, &dst.wanDown
 	}
 	// Queue-wait / backlog samples must be read before transmitLane books the
 	// message into the lane. Pure reads: a probed run stays bit-identical.
@@ -550,33 +540,20 @@ func (n *Node) send(to keys.NodeID, payload any, size int, priority bool) {
 		}
 	}
 	departEnd := uplink.transmitLane(nw.now, msg.Size, priority)
-	lat := nw.latency(n.ID, to)
-	if f != nil {
-		lat += f.extraJitter(lat)
-	}
 	if drop {
 		// Lost in transit: the sender paid serialization, nothing arrives.
-		// The latency draw above still happens so the base jitter stream
-		// stays aligned with a fault-free run of the same seed.
 		f.dropped++
 		return
 	}
-	arrStart := departEnd + lat
-	deliverCopy := func(arrStart Time) Time {
-		var arrEnd Time
-		if !wan {
-			arrEnd = dst.lanDown.transmitLane(arrStart, msg.Size, priority)
-		} else {
-			arrEnd = dst.wanDown.transmitLane(arrStart, msg.Size, priority)
-		}
-		nw.pushDeliver(arrEnd, dst, msg)
-		return arrEnd
-	}
-	arrEnd := deliverCopy(arrStart)
+	lat := nw.latency(n.ID, to)
+	lat += f.extraJitter(l, lat)
+	arrEnd := downlink.transmitLane(departEnd+lat, msg.Size, priority)
+	nw.pushDeliver(arrEnd, dst, msg)
 	var dupArrEnd Time
 	if dup {
 		f.duplicated++
-		dupArrEnd = deliverCopy(arrStart + f.dupDelay(lat))
+		dupArrEnd = downlink.transmitLane(departEnd+lat+f.dupDelay(lat), msg.Size, priority)
+		nw.pushDeliver(dupArrEnd, dst, msg)
 	}
 	if nw.probe != nil {
 		sample := ProbeSample{

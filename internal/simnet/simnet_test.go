@@ -180,7 +180,8 @@ func TestChargeDefersEvents(t *testing.T) {
 
 func TestDeterminism(t *testing.T) {
 	run := func() []Time {
-		nw := New(Config{GroupSizes: []int{3, 3}, Seed: 7, Jitter: 0.1})
+		nw := New(Config{GroupSizes: []int{3, 3}, Seed: 7})
+		nw.SetFaults(FaultConfig{Jitter: 0.1})
 		var r recorder
 		nw.SetHandler(nid(1, 0), &r)
 		for j := 0; j < 3; j++ {
@@ -359,7 +360,8 @@ func BenchmarkEventThroughput(b *testing.B) {
 
 func TestJitterBoundsLatency(t *testing.T) {
 	lat := func(a, b int) Time { return 10 * time.Millisecond }
-	nw := New(Config{GroupSizes: []int{1, 1}, WANLatency: lat, Seed: 3, Jitter: 0.2})
+	nw := New(Config{GroupSizes: []int{1, 1}, WANLatency: lat, Seed: 3})
+	nw.SetFaults(FaultConfig{Jitter: 0.2})
 	var r recorder
 	nw.SetHandler(nid(1, 0), &r)
 	src := nw.Node(nid(0, 0))

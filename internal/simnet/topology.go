@@ -83,16 +83,8 @@ func (t *Topology) SetGroupBandwidth(g int, bytesPerSec float64) {
 // clusters.
 func GlobeTopology(n int, seed int64) *Topology {
 	t := NewTopology(n)
-	// Deterministic splitmix64 stream — cheap, seedable, no package deps.
-	s := uint64(seed) ^ 0x9e3779b97f4a7c15
-	next := func() float64 {
-		s += 0x9e3779b97f4a7c15
-		z := s
-		z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-		z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-		z ^= z >> 31
-		return float64(z>>11) / (1 << 53)
-	}
+	rng := newScenarioRNG(seed)
+	next := func() float64 { return unit(rng.next()) }
 	type pt struct{ lat, lon float64 }
 	pts := make([]pt, n)
 	for i := range pts {

@@ -125,7 +125,7 @@ func TestEventPoolReuse(t *testing.T) {
 func TestLegacyHeapMatchesWheel(t *testing.T) {
 	groups := []int{6, 6, 6}
 	run := func(legacy bool) string {
-		nw := New(Config{GroupSizes: groups, Seed: 99, Jitter: 0.15, GST: 300 * time.Millisecond, UnstableFactor: 4})
+		nw := New(Config{GroupSizes: groups, Seed: 99, GST: 300 * time.Millisecond, UnstableFactor: 4})
 		if legacy {
 			nw.sched = &heapSched{} // New schedules nothing: the queue is still empty
 		}

@@ -32,6 +32,13 @@
 #                    seed range, each run drained to a classified verdict
 #                    (converged / wedged / forked); any forked verdict fails —
 #                    for iterating on recovery/retransmission changes
+#   recapture        just the pins that move with the simulator's fault draws
+#                    (ROADMAP item 6's re-capture rules): the simnet
+#                    scheduler fingerprints and wheel-vs-heap oracle, the
+#                    partition-chaos census, the faulty transport-seam
+#                    fingerprint and the pinned fork seeds — the list a
+#                    change to what a draw decides, or to one link's send
+#                    order, re-captures and states in CHANGES.md
 #   equal-seed [ref] the equal-seed gate for host-only changes — the three
 #                    simulated ledger workloads at seed 1 on `ref` (default
 #                    HEAD, i.e. the uncommitted work against its base) and on
@@ -88,6 +95,8 @@ race() {
   # epoch reconfiguration both run under the race detector on every pass
   # (the full schedules skip in -short).
   # The TCP transport is the only network code with goroutines of its own.
+  # simnet's shard includes TestLinkDecisionsAreItsOwn: a link's fault draws
+  # do not move when other links' sends change.
   echo "== go test -race -short (simnet, replication, core, pbft, trace, erasure, gf256, keys and its edwards25519, statedb, aria, gateway, merkle, cluster, transport and its tcp)"
   go test -race -short -timeout 600s ./internal/simnet/ ./internal/replication/ ./internal/core/ ./internal/pbft/ ./internal/trace/ ./internal/erasure/ ./internal/gf256/ ./internal/keys/... ./internal/statedb/ ./internal/aria/ ./internal/gateway/ ./internal/merkle/ ./internal/cluster/ ./internal/transport/...
 
@@ -198,6 +207,14 @@ divergence-sweep)
   echo "OK"
   exit 0
   ;;
+recapture)
+  echo "== draw-dependent pins"
+  go test -count=1 -run 'TestSchedulerFingerprints|TestScaleScenarioWheelMatchesHeap' ./internal/simnet/
+  go test -count=1 -timeout 300s -run 'TestPartitionChaosFailover' ./internal/core/
+  go test -count=1 -timeout 300s -run 'TestTransportSeamBitIdentical/massbft-faults|TestFalseDeathForkSeeds|TestPayloadForkSeed' .
+  echo "OK"
+  exit 0
+  ;;
 equal-seed)
   bash scripts/equal-seed.sh "${2:-HEAD}"
   exit 0
@@ -214,7 +231,7 @@ race)
   ;;
 full) ;;
 *)
-  echo "unknown preset: $preset (want: full, tier1, race, groups, node-smoke, gateway-smoke, divergence-sweep, equal-seed, size)" >&2
+  echo "unknown preset: $preset (want: full, tier1, race, groups, node-smoke, gateway-smoke, divergence-sweep, recapture, equal-seed, size)" >&2
   exit 2
   ;;
 esac

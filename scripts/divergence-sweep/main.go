@@ -10,6 +10,15 @@
 // The default fault mix is the one that historically exposed the congestion
 // -collapse false-death bug (see DESIGN.md §13): 5% WAN loss, 1% LAN loss,
 // 1% duplication, 10% latency jitter.
+//
+// -recipe false-death runs ROADMAP item 1's fork recipe on that mix instead:
+// 2000 txn/s per group, follower 1 of every group crashed at 5 s and
+// recovered at 10 s, Run 1 s then 19 s, a 12 s drain (it sets -duration and
+// -drain). A forked row names its kind: "order" (two entries at one height),
+// "payload" (one entry under two digests) or "execution" (one entry and one
+// digest, two states).
+//
+//	go run ./scripts/divergence-sweep -recipe false-death -seeds 1-40
 package main
 
 import (
@@ -27,23 +36,26 @@ import (
 type seedResult struct {
 	Seed                 int64  `json:"seed"`
 	Verdict              string `json:"verdict"`
+	Kind                 string `json:"kind,omitempty"`
 	FirstDivergentHeight uint64 `json:"first_divergent_height,omitempty"`
 	MinHeight            uint64 `json:"min_height"`
 	MaxHeight            uint64 `json:"max_height"`
 	Laggards             int    `json:"laggards,omitempty"`
 	Branches             int    `json:"branches,omitempty"`
+	Deaths               int64  `json:"deaths"`
 	Committed            int64  `json:"committed"`
 	Detail               string `json:"detail,omitempty"`
 }
 
 type sweepOut struct {
-	Config  map[string]any `json:"config"`
-	Results []seedResult   `json:"results"`
-	Summary map[string]int `json:"summary"`
+	Config  map[string]string `json:"config"`
+	Results []seedResult      `json:"results"`
+	Summary map[string]int    `json:"summary"`
 }
 
 func main() {
-	seeds := flag.String("seeds", "1-9", "seed range `a-b` or comma list")
+	seeds := flag.String("seeds", "1-9", "comma list of seeds and `a-b` ranges")
+	recipe := flag.String("recipe", "combined", "`combined` or false-death")
 	groups := flag.Int("groups", 3, "number of groups")
 	nodes := flag.Int("nodes", 4, "nodes per group")
 	workload := flag.String("workload", "ycsb-a", "workload")
@@ -58,27 +70,46 @@ func main() {
 	flag.Parse()
 
 	seedList, err := parseSeeds(*seeds)
+	if err == nil && *recipe != "combined" && *recipe != "false-death" {
+		err = fmt.Errorf("unknown recipe %q", *recipe)
+	}
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "divergence-sweep: %v\n", err)
 		os.Exit(2)
 	}
-
-	sweep := sweepOut{
-		Config: map[string]any{
-			"groups": *groups, "nodes": *nodes, "workload": *workload,
-			"duration_ms": duration.Milliseconds(), "drain_ms": drain.Milliseconds(),
-			"wan_drop": *wanDrop, "lan_drop": *lanDrop, "dup": *dup, "jitter": *jitter,
-		},
-		Summary: map[string]int{},
+	cfg := massbft.Config{
+		Groups:             make([]int, *groups),
+		Workload:           *workload,
+		Warmup:             time.Second,
+		WANDropRate:        *wanDrop,
+		LANDropRate:        *lanDrop,
+		WANDupRate:         *dup,
+		FaultJitter:        *jitter,
+		ViewChangeTimeout:  400 * time.Millisecond,
+		TakeoverTimeout:    400 * time.Millisecond,
+		RepairTimeout:      150 * time.Millisecond,
+		CheckpointInterval: 500 * time.Millisecond,
 	}
+	for g := range cfg.Groups {
+		cfg.Groups[g] = *nodes
+		if *recipe == "false-death" {
+			cfg.GroupRate = append(cfg.GroupRate, 2000)
+		}
+	}
+	if *recipe == "false-death" {
+		*duration, *drain = 20*time.Second, 12*time.Second
+	}
+
+	sweep := sweepOut{Config: map[string]string{}, Summary: map[string]int{}}
+	flag.VisitAll(func(f *flag.Flag) { sweep.Config[f.Name] = f.Value.String() })
 	for _, seed := range seedList {
-		r, err := runSeed(seed, *groups, *nodes, *workload, *duration, *drain,
-			*wanDrop, *lanDrop, *dup, *jitter)
+		cfg.Seed = seed
+		r, err := runSeed(cfg, *recipe == "false-death", *duration, *drain)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "divergence-sweep: seed %d: %v\n", seed, err)
 			os.Exit(1)
 		}
-		fmt.Fprintf(os.Stderr, "seed %-4d %s\n", seed, r.Detail)
+		fmt.Fprintf(os.Stderr, "seed %-4d deaths %-3d %-7s %s\n", seed, r.Deaths, r.Kind, r.Detail)
 		sweep.Results = append(sweep.Results, r)
 		sweep.Summary[r.Verdict]++
 	}
@@ -102,65 +133,68 @@ func main() {
 	}
 }
 
-func runSeed(seed int64, groups, nodes int, workload string,
-	duration, drain time.Duration, wanDrop, lanDrop, dup, jitter float64) (seedResult, error) {
-	gs := make([]int, groups)
-	for i := range gs {
-		gs[i] = nodes
-	}
-	c, err := massbft.NewCluster(massbft.Config{
-		Groups:             gs,
-		Workload:           workload,
-		Seed:               seed,
-		Warmup:             time.Second,
-		WANDropRate:        wanDrop,
-		LANDropRate:        lanDrop,
-		WANDupRate:         dup,
-		FaultJitter:        jitter,
-		ViewChangeTimeout:  400 * time.Millisecond,
-		TakeoverTimeout:    400 * time.Millisecond,
-		RepairTimeout:      150 * time.Millisecond,
-		CheckpointInterval: 500 * time.Millisecond,
-	})
+func runSeed(cfg massbft.Config, falseDeath bool, duration, drain time.Duration) (seedResult, error) {
+	c, err := massbft.NewCluster(cfg)
 	if err != nil {
 		return seedResult{}, err
+	}
+	if falseDeath {
+		for g := range cfg.Groups {
+			c.CrashNode(5*time.Second, g, 1)
+			c.RecoverNode(10*time.Second, g, 1)
+		}
+		c.Run(time.Second)
+		duration -= time.Second
 	}
 	res := c.Run(duration)
 	rep := c.DrainToAgreement(500*time.Millisecond, drain)
 	return seedResult{
-		Seed:                 seed,
+		Seed:                 cfg.Seed,
 		Verdict:              string(rep.Verdict),
+		Kind:                 forkKind(rep),
 		FirstDivergentHeight: rep.FirstDivergentHeight,
 		MinHeight:            rep.MinHeight,
 		MaxHeight:            rep.MaxHeight,
 		Laggards:             len(rep.Laggards),
 		Branches:             len(rep.Branches),
+		Deaths:               c.Counter("group-deaths"),
 		Committed:            res.Committed,
 		Detail:               rep.String(),
 	}, nil
 }
 
-// parseSeeds accepts "a-b" ranges and comma lists ("1,5,42").
+// forkKind names what a forked report's two largest branches disagree on;
+// "" for any other verdict.
+func forkKind(rep massbft.AgreementReport) string {
+	switch {
+	case rep.Verdict != massbft.AgreementForked:
+		return ""
+	case len(rep.Branches) < 2:
+		return "execution" // identical ledgers, differing state digests
+	case rep.Branches[0].Entry != rep.Branches[1].Entry:
+		return "order"
+	case rep.Branches[0].EntryDigest != rep.Branches[1].EntryDigest:
+		return "payload"
+	}
+	return "execution"
+}
+
+// parseSeeds accepts a comma list of seeds and "a-b" ranges ("1-5,42").
 func parseSeeds(s string) ([]int64, error) {
-	if a, b, ok := strings.Cut(s, "-"); ok && !strings.Contains(s, ",") {
-		lo, err1 := strconv.ParseInt(strings.TrimSpace(a), 10, 64)
-		hi, err2 := strconv.ParseInt(strings.TrimSpace(b), 10, 64)
-		if err1 != nil || err2 != nil || hi < lo {
-			return nil, fmt.Errorf("bad seed range %q", s)
+	var out []int64
+	for _, part := range strings.Split(s, ",") {
+		a, b, isRange := strings.Cut(strings.TrimSpace(part), "-")
+		lo, err := strconv.ParseInt(a, 10, 64)
+		hi := lo
+		if err == nil && isRange {
+			hi, err = strconv.ParseInt(b, 10, 64)
 		}
-		var out []int64
+		if err != nil || hi < lo {
+			return nil, fmt.Errorf("bad seed list %q", s)
+		}
 		for v := lo; v <= hi; v++ {
 			out = append(out, v)
 		}
-		return out, nil
-	}
-	var out []int64
-	for _, part := range strings.Split(s, ",") {
-		v, err := strconv.ParseInt(strings.TrimSpace(part), 10, 64)
-		if err != nil {
-			return nil, fmt.Errorf("bad seed %q", part)
-		}
-		out = append(out, v)
 	}
 	return out, nil
 }
