@@ -50,7 +50,7 @@ type ClientPoolConfig struct {
 	Topology *Topology
 	// First and Count select the logical client IDs [First, First+Count)
 	// this pool serves; IDs are 1-based and must lie within
-	// Topology.Clients. Count 0 means all registered clients.
+	// Topology.Clients. Count 0 means every registered ID from First on.
 	First, Count uint64
 	// Timeout is one attempt's reply-certificate deadline (default 1s);
 	// attempts back off exponentially from it.
@@ -101,12 +101,18 @@ func DialClients(cfg ClientPoolConfig) (*ClientPool, error) {
 	if cfg.First == 0 {
 		cfg.First = 1
 	}
-	if cfg.Count == 0 {
-		cfg.Count = uint64(topo.Clients) - cfg.First + 1
+	// The range is checked against the count of registered IDs from First
+	// on, so no First+Count can wrap past 2^64 back into the registry.
+	var left uint64
+	if n := uint64(topo.Clients); cfg.First <= n {
+		left = n - cfg.First + 1
 	}
-	if cfg.First+cfg.Count-1 > uint64(topo.Clients) {
-		return nil, fmt.Errorf("massbft: client range [%d,%d) exceeds the %d registered clients",
-			cfg.First, cfg.First+cfg.Count, topo.Clients)
+	if cfg.Count == 0 {
+		cfg.Count = left
+	}
+	if cfg.Count == 0 || cfg.Count > left {
+		return nil, fmt.Errorf("massbft: %d clients from ID %d exceed the %d registered clients",
+			cfg.Count, cfg.First, topo.Clients)
 	}
 	if cfg.Timeout <= 0 {
 		cfg.Timeout = time.Second

@@ -2,6 +2,7 @@ package massbft
 
 import (
 	"fmt"
+	"math"
 	"sync"
 	"testing"
 	"time"
@@ -198,5 +199,42 @@ func TestClientRoutesToGatewayMembers(t *testing.T) {
 					id, k, res.Attempts, took, timeout)
 			}
 		}
+	}
+}
+
+// TestDialClientsRange holds a pool's client range inside the registry,
+// including ranges whose First+Count-1 wraps past 2^64 back into it.
+func TestDialClientsRange(t *testing.T) {
+	topo := gatewayTopology(t, 5, 1)
+	for _, tc := range []struct {
+		name         string
+		first, count uint64
+		want         int // clients in the pool; -1: rejected
+	}{
+		{"all", 0, 0, 5},
+		{"middle", 2, 3, 3},
+		{"last one", 5, 0, 1},
+		{"one too many", 2, 5, -1},
+		{"first past the registry", 6, 0, -1},
+		{"count wraps back into range", 10, 0, -1},
+		{"first plus count wraps", 3, math.MaxUint64, -1},
+		{"first near 2^64", math.MaxUint64, 0, -1},
+	} {
+		pool, err := DialClients(ClientPoolConfig{Topology: topo, First: tc.first, Count: tc.count})
+		if tc.want < 0 {
+			if err == nil {
+				t.Errorf("%s: accepted a pool of %d clients", tc.name, len(pool.cks))
+				pool.Close()
+			}
+			continue
+		}
+		if err != nil {
+			t.Errorf("%s: %v", tc.name, err)
+			continue
+		}
+		if len(pool.cks) != tc.want {
+			t.Errorf("%s: %d clients, want %d", tc.name, len(pool.cks), tc.want)
+		}
+		pool.Close()
 	}
 }

@@ -7,11 +7,12 @@ import (
 )
 
 // TestTransportSeamBitIdentical pins fixed-seed cluster runs to fingerprints
-// captured BEFORE the transport seam existed (nodes wired straight into
-// simnet.Network). The transport interface indirection, the SimNetwork
-// adapter, and the handler relabeling must not perturb a single scheduling
-// decision, rng draw, or allocation: committed counts, ledger height, head
-// hash, and state hash must all match byte-for-byte.
+// of the simulated fabric. Nodes are wired to simnet.Network through the
+// transport seam itself — each node's Endpoint is its *simnet.Node, and the
+// emulator hands transport.Message to the node's transport.Handler — so a
+// change to the seam must not perturb a single scheduling decision, fault
+// draw, or allocation: committed counts, ledger height, head hash, and state
+// hash must all match byte-for-byte.
 //
 // If this fails after an intentional protocol change, re-capture the
 // fingerprints in the same change; if it fails after a transport change,

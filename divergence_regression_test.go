@@ -4,7 +4,80 @@ import (
 	"fmt"
 	"testing"
 	"time"
+
+	"massbft/internal/cluster"
+	"massbft/internal/keys"
+	"massbft/internal/replication"
+	"massbft/internal/simnet"
+	"massbft/internal/types"
 )
+
+// certWatch is a passive checker of ROADMAP item 1(a)'s first invariant: one
+// certified payload per (group, stream position). Every certified copy of an
+// entry crosses the simulated fabric in a ChunkBatch, BatchFwd, EntryWAN or
+// EntryFwd carrying the entry's ID and certificate. The watch remembers the
+// first certificate digest sent for each entry and keeps the first copy that
+// carries another one.
+type certWatch struct {
+	digest map[types.EntryID]keys.Digest
+	twice  *certTwice
+}
+
+// certTwice is one entry sent under a second certified digest: the entry,
+// when that copy left, and its link.
+type certTwice struct {
+	Entry    types.EntryID
+	At       time.Duration
+	From, To keys.NodeID
+}
+
+func (c *certTwice) String() string {
+	return fmt.Sprintf("%v certified under a second digest, sent at %v on %v->%v", c.Entry, c.At, c.From, c.To)
+}
+
+// watchCerts installs a certWatch as c's send probe, which an untraced
+// cluster leaves free. A probe only reads: the run is the one it would be.
+func watchCerts(c *Cluster) *certWatch {
+	w := &certWatch{digest: map[types.EntryID]keys.Digest{}}
+	c.inner.Net.SetSendProbe(w.observe)
+	return w
+}
+
+func (w *certWatch) observe(s simnet.ProbeSample) {
+	var id types.EntryID
+	var cert *keys.Certificate
+	switch p := s.Payload.(type) {
+	case *replication.ChunkBatch:
+		id, cert = p.Entry, p.Cert
+	case *cluster.BatchFwd:
+		id, cert = p.B.Entry, p.B.Cert
+	case *cluster.EntryWAN:
+		id, cert = p.E.Entry.ID, p.E.Cert
+	case *cluster.EntryFwd:
+		id, cert = p.E.Entry.ID, p.E.Cert
+	}
+	if cert == nil || w.twice != nil {
+		return
+	}
+	if d, seen := w.digest[id]; !seen {
+		w.digest[id] = cert.Digest
+	} else if d != cert.Digest {
+		w.twice = &certTwice{Entry: id, At: s.Enqueue, From: s.From, To: s.To}
+	}
+}
+
+// expect fails t unless the entry w saw certified twice is want ("" for
+// none, else as types.EntryID prints it).
+func (w *certWatch) expect(t *testing.T, want string) {
+	t.Helper()
+	got := ""
+	if w.twice != nil {
+		got = w.twice.Entry.String()
+	}
+	if got != want {
+		t.Errorf("certified twice: got %v, want %q", w.twice, want)
+	}
+}
 
 // combinedFaultCluster builds the demo's combined-fault preset: 5% WAN loss,
 // 1% LAN loss, 1% duplication, 10% jitter, every recovery knob armed. This
@@ -13,13 +86,13 @@ import (
 // copies overwhelmed the 20 Mbps WAN NICs, the victim group's certified
 // stream went silent behind multi-second queues, both peer groups certified
 // suspicions, and a false GroupDead wedged the run.
-func combinedFaultCluster(t *testing.T, seed int64) *Cluster {
+func combinedFaultCluster(t *testing.T, seed int64) (*Cluster, *certWatch) {
 	t.Helper()
 	c, err := NewCluster(combinedFaultConfig(seed))
 	if err != nil {
 		t.Fatal(err)
 	}
-	return c
+	return c, watchCerts(c)
 }
 
 func combinedFaultConfig(seed int64) Config {
@@ -55,7 +128,7 @@ func TestCombinedFaultSeedsConverge(t *testing.T) {
 		seed := seed
 		t.Run(map[int64]string{4: "seed4", 5: "seed5"}[seed], func(t *testing.T) {
 			t.Parallel()
-			c := combinedFaultCluster(t, seed)
+			c, w := combinedFaultCluster(t, seed)
 			c.Run(10 * time.Second)
 			rep := c.DrainToAgreement(500*time.Millisecond, 12*time.Second)
 			if rep.Verdict != AgreementConverged {
@@ -67,6 +140,7 @@ func TestCombinedFaultSeedsConverge(t *testing.T) {
 			if c.Counter("forked-detected") != 0 {
 				t.Fatalf("forked-detected = %d", c.Counter("forked-detected"))
 			}
+			w.expect(t, "")
 		})
 	}
 }
@@ -74,8 +148,9 @@ func TestCombinedFaultSeedsConverge(t *testing.T) {
 // falseDeathRecipe runs ROADMAP item 1's recipe at seed: the combined-fault
 // preset throttled to 2000 txn/s per group, with one follower of every group
 // crashed at 5 s and recovered at 10 s, then drained to a verdict. No group
-// ever crashes, so every certified death in it is false.
-func falseDeathRecipe(t *testing.T, seed int64) (*Cluster, AgreementReport) {
+// ever crashes, so every certified death in it is false. The run is watched
+// for entries certified twice.
+func falseDeathRecipe(t *testing.T, seed int64) (*Cluster, AgreementReport, *certWatch) {
 	t.Helper()
 	cfg := combinedFaultConfig(seed)
 	cfg.GroupRate = []float64{2000, 2000, 2000}
@@ -87,15 +162,17 @@ func falseDeathRecipe(t *testing.T, seed int64) (*Cluster, AgreementReport) {
 		c.CrashNode(5*time.Second, g, 1)
 		c.RecoverNode(10*time.Second, g, 1)
 	}
+	w := watchCerts(c)
 	c.Run(time.Second)
 	c.Run(19 * time.Second)
-	return c, c.DrainToAgreement(500*time.Millisecond, 12*time.Second)
+	return c, c.DrainToAgreement(500*time.Millisecond, 12*time.Second), w
 }
 
 // TestFalseDeathForkSeeds pins a known safety bug (ROADMAP item 1): under
 // falseDeathRecipe a live group is certified dead and the ledger forks with
-// two entries at one height. The pinned values are the fork's height and the
-// counters that lead to it; the fix for item 1 turns these seeds into
+// two entries at one height. The pinned values are the fork's height, the
+// counters that lead to it, and the entry certWatch sees certified twice
+// (seed 4's fork has none); the fix for item 1 turns these seeds into
 // converged runs with zero deaths, and changes this test with it.
 func TestFalseDeathForkSeeds(t *testing.T) {
 	t.Parallel()
@@ -106,14 +183,15 @@ func TestFalseDeathForkSeeds(t *testing.T) {
 		seed                              int64
 		height                            uint64
 		deaths, localChanges, metaChanges int64
+		twice                             string
 	}{
 		{seed: 4, height: 243, deaths: 12, localChanges: 42, metaChanges: 31},
-		{seed: 11, height: 158, deaths: 9, localChanges: 45, metaChanges: 33},
+		{seed: 11, height: 158, deaths: 9, localChanges: 45, metaChanges: 33, twice: "e0,73"},
 	} {
 		tc := tc
 		t.Run(fmt.Sprintf("seed%d", tc.seed), func(t *testing.T) {
 			t.Parallel()
-			c, rep := falseDeathRecipe(t, tc.seed)
+			c, rep, w := falseDeathRecipe(t, tc.seed)
 			if rep.Verdict != AgreementForked || rep.FirstDivergentHeight != tc.height {
 				t.Fatalf("want forked at %d, got: %v", tc.height, rep)
 			}
@@ -129,6 +207,7 @@ func TestFalseDeathForkSeeds(t *testing.T) {
 					t.Errorf("%s = %d, want %d", name, got, want)
 				}
 			}
+			w.expect(t, tc.twice)
 		})
 	}
 }
@@ -136,18 +215,20 @@ func TestFalseDeathForkSeeds(t *testing.T) {
 // TestPayloadForkSeed pins the second fork kind under falseDeathRecipe
 // (ROADMAP item 1): one stream position carries two certified payloads, and
 // the groups keep different ones. Both branches seal the same entry under two
-// digests, and no group is ever certified dead — 1(a)'s invariant (i), not
-// the false death. The fix changes this test with it.
+// digests, certWatch names the entry, and no group is ever certified dead —
+// 1(a)'s invariant (i), not the false death. The fix changes this test with
+// it.
 func TestPayloadForkSeed(t *testing.T) {
 	t.Parallel()
 	if testing.Short() {
 		t.Skip("heavy integration test")
 	}
 	const seed, height = 350, 247
-	c, rep := falseDeathRecipe(t, seed)
+	c, rep, w := falseDeathRecipe(t, seed)
 	if rep.Verdict != AgreementForked || rep.FirstDivergentHeight != height {
 		t.Fatalf("want forked at %d, got: %v", height, rep)
 	}
+	w.expect(t, "e1,69")
 	if len(rep.Branches) < 2 || rep.Branches[0].Entry != rep.Branches[1].Entry ||
 		rep.Branches[0].EntryDigest == rep.Branches[1].EntryDigest {
 		t.Fatalf("want one entry under two digests at %d, got: %v", height, rep)
@@ -180,6 +261,7 @@ func TestPartitionWANHealsAndConverges(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	w := watchCerts(c)
 	c.PartitionWAN(time.Second, 4*time.Second, 0, 2)
 	c.Run(6 * time.Second)
 	rep := c.DrainToAgreement(500*time.Millisecond, 12*time.Second)
@@ -192,6 +274,7 @@ func TestPartitionWANHealsAndConverges(t *testing.T) {
 	if d := c.Counter("group-deaths"); d != 0 {
 		t.Fatalf("certified %d group deaths with every group alive", d)
 	}
+	w.expect(t, "")
 }
 
 // TestDrainToAgreementFaultFree exercises the public forensics API on a

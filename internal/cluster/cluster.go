@@ -53,9 +53,9 @@ type NodeCtx struct {
 	*Process
 	ID keys.NodeID
 	KP *keys.KeyPair
-	// Net is this node's handle on the message fabric: the emulator in
-	// simulated clusters (Cluster wires transport.SimNetwork), the TCP
-	// backend in real multi-process deployments (massbft.StartNode).
+	// Net is this node's handle on the message fabric: its *simnet.Node in
+	// simulated clusters, the TCP backend in real multi-process deployments
+	// (massbft.StartNode).
 	Net transport.Endpoint
 	// Gen is the group-shared transaction generator (only the current group
 	// leader pulls from it).
@@ -67,7 +67,7 @@ type NodeCtx struct {
 	// IsObserver marks the node that records throughput and latency into
 	// Metrics (all correct nodes execute identically).
 	IsObserver bool
-	// Gateway is this node's client front end; nil unless Cfg.Gateway.Enabled.
+	// Gateway is this node's client front end; nil unless Cfg.Gateway.Enabled().
 	// The proposer pulls batches from it and the execution path reports
 	// executed client transactions back into its dedup window.
 	Gateway *gateway.Gateway
@@ -81,7 +81,7 @@ type NodeCtx struct {
 // simulated cluster, or a massbft-node's one.
 type Process struct {
 	Cfg Config
-	// Reg and Pairs, and ClientKeys and ClientReg under Cfg.Gateway.Enabled.
+	// Reg and Pairs, and ClientKeys and ClientReg under Cfg.Gateway.Enabled().
 	*Identities
 	// Metrics is the process's collector; every node counts into it.
 	Metrics *metrics.Collector
@@ -125,7 +125,7 @@ func NewProcess(cfg Config, ids *Identities, col *metrics.Collector) *Process {
 
 // NodeCtx builds node id's context on the process: a store on the process's
 // index loaded by gen, an engine over it on the value memo, and under
-// Cfg.Gateway.Enabled the node's gateway — the one gateway construction site
+// Cfg.Gateway.Enabled() the node's gateway — the one gateway construction site
 // of both fabrics. Receipts leave signed by the node's key through ReplyOut,
 // which the caller sets once it has somewhere to route them; until then, and
 // for direct-injection workloads, they are dropped unsigned.
@@ -135,7 +135,7 @@ func (p *Process) NodeCtx(id keys.NodeID, net transport.Endpoint, gen workload.W
 	ctx := &NodeCtx{Process: p, ID: id, KP: p.Pairs[id.Group][id.Index], Net: net, Gen: gen,
 		Engine: aria.NewEngine(db, gen.Executor()), IsObserver: observer}
 	ctx.Engine.Values = p.values
-	if gw := p.Cfg.Gateway; gw.Enabled {
+	if gw := p.Cfg.Gateway; gw.Enabled() {
 		ctx.Gateway = gateway.New(gateway.Config{
 			Group: id.Group, MaxBatch: p.Cfg.MaxBatch, MaxWait: p.Cfg.BatchTimeout,
 			QueueLimit: gw.QueueLimit, RatePerClient: gw.RatePerClient, RateBurst: gw.RateBurst,
@@ -160,7 +160,7 @@ type Identities struct {
 	Pairs [][]*keys.KeyPair
 	Reg   *keys.Registry
 	// ClientKeys / ClientReg hold the registered client identities
-	// (GenerateClients(Gateway.Clients, Seed)); nil unless Gateway.Enabled.
+	// (GenerateClients(Gateway.Clients, Seed)); nil unless Gateway.Enabled().
 	ClientKeys []*keys.ClientKey
 	ClientReg  *keys.ClientRegistry
 }
@@ -176,7 +176,7 @@ func NewIdentities(cfg *Config) (*Identities, error) {
 		keys.ModelSigning(pairs)
 	}
 	ids := &Identities{Pairs: pairs, Reg: reg}
-	if cfg.Gateway.Enabled {
+	if cfg.Gateway.Enabled() {
 		ids.ClientKeys, ids.ClientReg, err = keys.GenerateClients(cfg.Gateway.Clients, cfg.Seed)
 		if err != nil {
 			return nil, err
@@ -204,11 +204,10 @@ func (c *Config) GroupWorkload(g int) (workload.Workload, error) {
 // Cfg.TraceEnabled.
 type Cluster struct {
 	*Process
-	// Net is the underlying emulator (fault scheduling, traffic accounting);
-	// Transport is the seam the nodes are actually wired through.
-	Net       *simnet.Network
-	Transport transport.Network
-	Nodes     map[keys.NodeID]Node
+	// Net is the emulator the nodes are wired to: each node's Endpoint is
+	// its *simnet.Node, and it schedules faults and accounts traffic.
+	Net   *simnet.Network
+	Nodes map[keys.NodeID]Node
 
 	hub     *ClientHub
 	started bool
@@ -250,10 +249,9 @@ func New(cfg Config, factory Factory) (*Cluster, error) {
 	col.SetWindow(cfg.Warmup, cfg.RunFor-cfg.Warmup/2)
 
 	c := &Cluster{
-		Process:   NewProcess(cfg, ids, col),
-		Net:       nw,
-		Transport: transport.NewSimNetwork(nw),
-		Nodes:     make(map[keys.NodeID]Node),
+		Process: NewProcess(cfg, ids, col),
+		Net:     nw,
+		Nodes:   make(map[keys.NodeID]Node),
 	}
 	if cfg.TraceEnabled {
 		c.Trace = trace.NewRecorder()
@@ -267,11 +265,11 @@ func New(cfg Config, factory Factory) (*Cluster, error) {
 		}
 		for j := 0; j < n; j++ {
 			id := keys.NodeID{Group: g, Index: j}
-			ctx := c.NodeCtx(id, c.Transport.Endpoint(id), gen, id == cfg.Observer)
+			ctx := c.NodeCtx(id, nw.Node(id), gen, id == cfg.Observer)
 			ctx.ReplyOut = c.routeReply
 			node := factory(ctx)
 			c.Nodes[id] = node
-			c.Transport.SetHandler(id, node)
+			nw.SetHandler(id, node)
 		}
 	}
 	return c, nil
@@ -430,7 +428,7 @@ func (c *Cluster) RunUntil(t time.Duration) {
 				c.Nodes[keys.NodeID{Group: g, Index: j}].Start()
 			}
 		}
-		if c.Cfg.Gateway.Enabled && c.Cfg.Gateway.SimClients > 0 {
+		if c.Cfg.Gateway.SimClients > 0 {
 			c.StartClients(c.Cfg.Gateway.SimClients)
 		}
 	}

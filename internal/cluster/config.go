@@ -133,11 +133,8 @@ func DefaultCostModel() CostModel {
 // signed reply emission. When Enabled, leaders cut proposals from their
 // gateway queue instead of pulling from the synthetic workload generator.
 type GatewayConfig struct {
-	// Enabled switches the proposers onto the gateway intake path. Off by
-	// default so existing runs stay bit-identical.
-	Enabled bool
 	// Clients is the number of registered client identities (keyed by
-	// GenerateClients(Clients, Seed)); defaults to SimClients, else 16.
+	// GenerateClients(Clients, Seed)); defaults to SimClients.
 	Clients int
 	// SimClients > 0 makes the simulated cluster drive that many closed-loop
 	// clients through the gateway (ClientHub).
@@ -153,6 +150,10 @@ type GatewayConfig struct {
 	// lockstep. Off by default: committed bench baselines predate it.
 	ResubmitJitter bool
 }
+
+// Enabled reports whether the proposers take the gateway intake path: some
+// client is registered or simulated.
+func (g GatewayConfig) Enabled() bool { return g.Clients > 0 || g.SimClients > 0 }
 
 // Config describes one experiment run.
 type Config struct {
@@ -382,12 +383,8 @@ func (c Config) withDefaults() Config {
 	if !c.observerSet {
 		c.Observer = keys.NodeID{Group: len(c.GroupSizes) - 1, Index: 0}
 	}
-	if c.Gateway.Enabled && c.Gateway.Clients == 0 {
-		if c.Gateway.SimClients > 0 {
-			c.Gateway.Clients = c.Gateway.SimClients
-		} else {
-			c.Gateway.Clients = 16
-		}
+	if c.Gateway.Clients == 0 {
+		c.Gateway.Clients = c.Gateway.SimClients
 	}
 	return c
 }

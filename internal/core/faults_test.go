@@ -10,6 +10,7 @@ import (
 	"massbft/internal/ledger"
 	"massbft/internal/replication"
 	"massbft/internal/simnet"
+	"massbft/internal/transport"
 	"massbft/internal/types"
 )
 
@@ -405,7 +406,7 @@ func TestFetchRetryRecoversFromCrashedTarget(t *testing.T) {
 	}
 	// Drop every chunk addressed to group 2 by group 0's nodes.
 	for j := 0; j < cfg.GroupSizes[0]; j++ {
-		c.Net.SetOutboundFilter(keys.NodeID{Group: 0, Index: j}, func(m *simnet.Message) bool {
+		c.Net.SetOutboundFilter(keys.NodeID{Group: 0, Index: j}, func(m *transport.Message) bool {
 			_, chunks := m.Payload.(*replication.ChunkBatch)
 			return m.To.Group != 2 || !chunks
 		})

@@ -18,7 +18,6 @@ func gatewayCfg(n int) cluster.Config {
 	cfg := smallCfg()
 	cfg.TrustAll = false
 	cfg.Gateway = cluster.GatewayConfig{
-		Enabled:    true,
 		SimClients: n,
 	}
 	return cfg
@@ -154,7 +153,7 @@ func TestGatewayForgedFirstCopiesCluster(t *testing.T) {
 		leaders[id] = c.Nodes[id]
 		f := forgeFirst{Node: c.Nodes[id].(*Node), forged: &forged}
 		c.Nodes[id] = f
-		c.Transport.SetHandler(id, f)
+		c.Net.SetHandler(id, f)
 	}
 	c.Run()
 	c.Drain(2 * time.Second)

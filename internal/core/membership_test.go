@@ -173,7 +173,6 @@ func runMembershipSchedule(t *testing.T) (*cluster.Cluster, membershipFingerprin
 	t.Helper()
 	cfg := membershipCfg([]int{3, 3, 3, 3}, 1, 63)
 	cfg.Gateway = cluster.GatewayConfig{
-		Enabled:        true,
 		SimClients:     16,
 		ResubmitJitter: true,
 	}

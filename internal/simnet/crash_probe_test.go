@@ -3,6 +3,8 @@ package simnet
 import (
 	"testing"
 	"time"
+
+	"massbft/internal/transport"
 )
 
 // TestCrashResetsLaneAndCPUState is the regression test for the crash-state
@@ -26,9 +28,9 @@ func TestCrashResetsLaneAndCPUState(t *testing.T) {
 	run := func(load bool) Time {
 		nw := New(Config{GroupSizes: []int{2, 1}, Seed: 7, WANBandwidth: bw})
 		var probeArrive Time
-		nw.SetHandler(victim, HandlerFunc(func(n *Node, msg Message) {
+		nw.SetHandler(victim, transport.HandlerFunc(func(msg transport.Message) {
 			if msg.Size == probeSize {
-				probeArrive = n.Now()
+				probeArrive = nw.Now()
 			}
 		}))
 		loader, prober := nw.Node(nid(0, 0)), nw.Node(nid(0, 1))
@@ -86,7 +88,7 @@ func TestProbeLoopbackSample(t *testing.T) {
 	var samples []ProbeSample
 	nw.SetSendProbe(func(s ProbeSample) { samples = append(samples, s) })
 	delivered := 0
-	nw.SetHandler(nid(0, 0), HandlerFunc(func(n *Node, msg Message) { delivered++ }))
+	nw.SetHandler(nid(0, 0), transport.HandlerFunc(func(transport.Message) { delivered++ }))
 	n := nw.Node(nid(0, 0))
 	nw.Schedule(time.Millisecond, func() { n.SendPriority(n.ID, "self", 64) })
 	nw.RunAll()
@@ -117,7 +119,7 @@ func TestProbeDuplicateSample(t *testing.T) {
 	var samples []ProbeSample
 	nw.SetSendProbe(func(s ProbeSample) { samples = append(samples, s) })
 	delivered := 0
-	nw.SetHandler(nid(1, 0), HandlerFunc(func(n *Node, msg Message) { delivered++ }))
+	nw.SetHandler(nid(1, 0), transport.HandlerFunc(func(transport.Message) { delivered++ }))
 	nw.Schedule(0, func() { nw.Node(nid(0, 0)).Send(nid(1, 0), "x", 512) })
 	nw.RunAll()
 	if delivered != 2 || len(samples) != 2 {
@@ -141,7 +143,7 @@ func TestProbeDuplicateSample(t *testing.T) {
 	unprobed := New(Config{GroupSizes: []int{1, 1}, Seed: 5})
 	unprobed.SetFaults(FaultConfig{WANDup: 1.0, DupDelay: 30 * time.Millisecond})
 	var arrives []Time
-	unprobed.SetHandler(nid(1, 0), HandlerFunc(func(n *Node, msg Message) { arrives = append(arrives, n.Now()) }))
+	unprobed.SetHandler(nid(1, 0), transport.HandlerFunc(func(transport.Message) { arrives = append(arrives, unprobed.Now()) }))
 	unprobed.Schedule(0, func() { unprobed.Node(nid(0, 0)).Send(nid(1, 0), "x", 512) })
 	unprobed.RunAll()
 	if len(arrives) != 2 || arrives[0] != orig.Arrive || arrives[1] != dup.Arrive {

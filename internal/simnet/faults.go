@@ -4,6 +4,7 @@ import (
 	"time"
 
 	"massbft/internal/keys"
+	"massbft/internal/transport"
 )
 
 // FaultConfig describes the lossy-WAN fault layer (§VI-E extended):
@@ -122,7 +123,7 @@ type link struct{ key, ord uint64 }
 // then happens to it; otherwise it takes none and nothing will draw. The link
 // key packs 16 bits per coordinate (the largest topology is 50 groups of 200
 // nodes).
-func (f *faultState) next(msg *Message) link {
+func (f *faultState) next(msg *transport.Message) link {
 	if !f.cfg.enabled() && f.byz[msg.From] == nil {
 		return link{}
 	}
@@ -158,7 +159,7 @@ func mix64(z uint64) uint64 {
 // message, counting corrupted payloads and equivocations (the same broadcast
 // payload leaving in differing versions). A Byzantine sender corrupts at the
 // source, whatever the link then does to the message.
-func (f *faultState) corruptOutbound(l link, msg *Message) {
+func (f *faultState) corruptOutbound(l link, msg *transport.Message) {
 	bz := f.byz[msg.From]
 	if bz == nil {
 		return

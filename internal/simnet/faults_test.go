@@ -4,6 +4,8 @@ import (
 	"math"
 	"testing"
 	"time"
+
+	"massbft/internal/transport"
 )
 
 // TestFaultDropRate sends n messages over one WAN link, two latencies apart
@@ -25,9 +27,9 @@ func TestFaultDropRate(t *testing.T) {
 			nw := New(Config{GroupSizes: []int{1, 1}, WANLatency: func(a, b int) Time { return base }, Seed: 11})
 			nw.SetFaults(tc.fc)
 			arrivals := make([][]Time, tc.n)
-			nw.SetHandler(nid(1, 0), HandlerFunc(func(n *Node, m Message) {
+			nw.SetHandler(nid(1, 0), transport.HandlerFunc(func(m transport.Message) {
 				i := m.Payload.(int)
-				arrivals[i] = append(arrivals[i], n.Now())
+				arrivals[i] = append(arrivals[i], nw.Now())
 			}))
 			src := nw.Node(nid(0, 0))
 			for i := 0; i < tc.n; i++ {
@@ -81,9 +83,9 @@ func TestLinkDecisionsAreItsOwn(t *testing.T) {
 		nw.SetFaults(FaultConfig{WANDrop: 0.2, WANDup: 0.1, LANDrop: 0.1, Jitter: 0.5})
 		const n = 500
 		watched := make([][]Time, n)
-		nw.SetHandler(nid(1, 0), HandlerFunc(func(nd *Node, m Message) {
+		nw.SetHandler(nid(1, 0), transport.HandlerFunc(func(m transport.Message) {
 			i := m.Payload.(int)
-			watched[i] = append(watched[i], nd.Now())
+			watched[i] = append(watched[i], nw.Now())
 		}))
 		a, b, c := nw.Node(nid(0, 0)), nw.Node(nid(0, 1)), nw.Node(nid(2, 0))
 		for i := 0; i < n; i++ {
@@ -142,7 +144,7 @@ func TestFaultDuplicate(t *testing.T) {
 	nw := New(Config{GroupSizes: []int{1, 1}, Seed: 5})
 	nw.SetFaults(FaultConfig{WANDup: 1.0})
 	var r recorder
-	nw.SetHandler(nid(1, 0), &r)
+	nw.SetHandler(nid(1, 0), r.on(nw))
 	src := nw.Node(nid(0, 0))
 	nw.Schedule(0, func() { src.Send(nid(1, 0), "x", 10) })
 	nw.Run(time.Second)
@@ -161,8 +163,8 @@ func TestFaultLANDropOnlyAffectsLAN(t *testing.T) {
 	nw := New(Config{GroupSizes: []int{2, 1}, Seed: 9})
 	nw.SetFaults(FaultConfig{LANDrop: 1.0})
 	var lan, wan recorder
-	nw.SetHandler(nid(0, 1), &lan)
-	nw.SetHandler(nid(1, 0), &wan)
+	nw.SetHandler(nid(0, 1), lan.on(nw))
+	nw.SetHandler(nid(1, 0), wan.on(nw))
 	src := nw.Node(nid(0, 0))
 	nw.Schedule(0, func() {
 		src.Send(nid(0, 1), "lan", 10)
@@ -180,8 +182,8 @@ func TestFaultLANDropOnlyAffectsLAN(t *testing.T) {
 func TestPartitionAndHeal(t *testing.T) {
 	nw := New(Config{GroupSizes: []int{1, 1, 1}})
 	var r1, r2 recorder
-	nw.SetHandler(nid(1, 0), &r1)
-	nw.SetHandler(nid(2, 0), &r2)
+	nw.SetHandler(nid(1, 0), r1.on(nw))
+	nw.SetHandler(nid(2, 0), r2.on(nw))
 	src := nw.Node(nid(0, 0))
 	nw.SchedulePartition(0, 100*time.Millisecond, 0, 1)
 	nw.Schedule(10*time.Millisecond, func() {
@@ -214,7 +216,7 @@ func TestFaultJitterStretchesLatency(t *testing.T) {
 	nw := New(Config{GroupSizes: []int{1, 1}, WANLatency: lat, Seed: 4})
 	nw.SetFaults(FaultConfig{Jitter: 1.0})
 	var r recorder
-	nw.SetHandler(nid(1, 0), &r)
+	nw.SetHandler(nid(1, 0), r.on(nw))
 	src := nw.Node(nid(0, 0))
 	for i := 0; i < 30; i++ {
 		at := Time(i) * 100 * time.Millisecond
@@ -241,7 +243,7 @@ func TestFaultDeterminism(t *testing.T) {
 		nw := New(Config{GroupSizes: []int{2, 2}, Seed: 7})
 		nw.SetFaults(FaultConfig{WANDrop: 0.3, WANDup: 0.2, Jitter: 0.5})
 		var r recorder
-		nw.SetHandler(nid(1, 0), &r)
+		nw.SetHandler(nid(1, 0), r.on(nw))
 		src := nw.Node(nid(0, 0))
 		for i := 0; i < 100; i++ {
 			at := Time(i) * time.Millisecond
@@ -274,8 +276,8 @@ func TestLossDoesNotPerturbJitter(t *testing.T) {
 		nw := New(Config{GroupSizes: []int{1, 1}, Seed: 21})
 		nw.SetFaults(fc)
 		got := map[int]Time{}
-		nw.SetHandler(nid(1, 0), HandlerFunc(func(n *Node, m Message) {
-			got[m.Payload.(int)] = n.Now()
+		nw.SetHandler(nid(1, 0), transport.HandlerFunc(func(m transport.Message) {
+			got[m.Payload.(int)] = nw.Now()
 		}))
 		src := nw.Node(nid(0, 0))
 		for i := 0; i < 50; i++ {
@@ -320,8 +322,8 @@ func TestByzantineSenderCorruptsAndEquivocates(t *testing.T) {
 			},
 		})
 		var r0, r1 recorder
-		nw.SetHandler(nid(1, 0), &r0)
-		nw.SetHandler(nid(1, 1), &r1)
+		nw.SetHandler(nid(1, 0), r0.on(nw))
+		nw.SetHandler(nid(1, 1), r1.on(nw))
 		src := nw.Node(nid(0, 0))
 		const rounds = 200
 		for i := 0; i < rounds; i++ {

@@ -5,6 +5,8 @@ import (
 	"hash/fnv"
 	"testing"
 	"time"
+
+	"massbft/internal/transport"
 )
 
 // The constants below are scheduler fingerprints captured BEFORE the timer-
@@ -33,15 +35,16 @@ type fpRecorder struct {
 		Sum64() uint64
 	}
 	deliveries int64
+	nw         *Network
 }
 
-func newFPRecorder() *fpRecorder { return &fpRecorder{h: fnv.New64a()} }
+func newFPRecorder(nw *Network) *fpRecorder { return &fpRecorder{h: fnv.New64a(), nw: nw} }
 
-func (r *fpRecorder) HandleMessage(n *Node, msg Message) {
+func (r *fpRecorder) HandleMessage(msg transport.Message) {
 	r.deliveries++
 	pay, _ := msg.Payload.(int)
 	fmt.Fprintf(r.h, "%d|%d.%d>%d.%d|%d|%d;",
-		n.Now().Nanoseconds(), msg.From.Group, msg.From.Index,
+		r.nw.Now().Nanoseconds(), msg.From.Group, msg.From.Index,
 		msg.To.Group, msg.To.Index, msg.Size, pay)
 }
 
@@ -56,7 +59,7 @@ func (r *fpRecorder) finish(nw *Network) string {
 // priority control message to a LAN peer, and an occasional loopback, with
 // per-node phase offsets so the queue holds events across many ticks.
 func fpDrive(nw *Network, groups []int, charge bool) *fpRecorder {
-	rec := newFPRecorder()
+	rec := newFPRecorder(nw)
 	for g := range groups {
 		for j := 0; j < groups[g]; j++ {
 			nw.SetHandler(nid(g, j), rec)

@@ -2,6 +2,7 @@ package simnet
 
 import (
 	"massbft/internal/keys"
+	"massbft/internal/transport"
 )
 
 // This file is the giant-topology scenario layer: deterministic builders and
@@ -50,7 +51,7 @@ type TrafficStats struct {
 // Run.
 func DriveUniformTraffic(nw *Network, period Time, bulkSize, ctrlSize int, stopAt Time) *TrafficStats {
 	stats := &TrafficStats{}
-	h := HandlerFunc(func(n *Node, msg Message) { stats.Delivered++ })
+	h := transport.HandlerFunc(func(transport.Message) { stats.Delivered++ })
 	ng := nw.NumGroups()
 	for g := 0; g < ng; g++ {
 		for j := 0; j < nw.GroupSize(g); j++ {

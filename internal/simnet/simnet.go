@@ -22,30 +22,11 @@ import (
 	"time"
 
 	"massbft/internal/keys"
+	"massbft/internal/transport"
 )
 
 // Time is virtual time elapsed since the start of the run.
 type Time = time.Duration
-
-// Message is a payload in flight between two nodes. Size is the number of
-// bytes the message occupies on the wire; it drives serialization delay and
-// traffic accounting.
-type Message struct {
-	From, To keys.NodeID
-	Payload  any
-	Size     int
-}
-
-// Handler processes messages delivered to a node.
-type Handler interface {
-	HandleMessage(n *Node, msg Message)
-}
-
-// HandlerFunc adapts a function to the Handler interface.
-type HandlerFunc func(n *Node, msg Message)
-
-// HandleMessage implements Handler.
-func (f HandlerFunc) HandleMessage(n *Node, msg Message) { f(n, msg) }
 
 // Config describes the emulated environment.
 type Config struct {
@@ -117,11 +98,12 @@ func (f *iface) transmitLane(now Time, size int, priority bool) (done Time) {
 // accounting, not state, and is preserved.
 func (f *iface) reset() { f.free, f.prioFree = 0, 0 }
 
-// Node is one emulated machine.
+// Node is one emulated machine: a transport.Endpoint whose deliveries go to
+// the transport.Handler installed with SetHandler.
 type Node struct {
 	ID      keys.NodeID
 	nw      *Network
-	handler Handler
+	handler transport.Handler
 
 	wanUp, wanDown iface
 	lanUp, lanDown iface
@@ -131,7 +113,7 @@ type Node struct {
 
 	// outbound, when non-nil, may tamper with or drop (return false)
 	// outgoing messages; used to model Byzantine senders.
-	outbound func(msg *Message) bool
+	outbound func(msg *transport.Message) bool
 }
 
 // ProbeSample describes one delivered message copy for the tracing layer:
@@ -145,11 +127,10 @@ type Node struct {
 // Every delivered copy is probed: loopback sends fire a sample (Loopback
 // true, no NIC involvement, so Depart equals Enqueue), and a fault-layer
 // duplication fires a second sample for the duplicate copy (Duplicate
-// true) with that copy's own Arrive.
+// true) with that copy's own Arrive. The embedded Message is the one the
+// receiver's handler is given.
 type ProbeSample struct {
-	From, To    keys.NodeID
-	Payload     any
-	Size        int
+	transport.Message
 	WAN         bool
 	Priority    bool
 	Loopback    bool
@@ -263,7 +244,7 @@ func (nw *Network) GroupSize(g int) int {
 }
 
 // SetHandler installs the protocol handler for a node.
-func (nw *Network) SetHandler(id keys.NodeID, h Handler) {
+func (nw *Network) SetHandler(id keys.NodeID, h transport.Handler) {
 	n := nw.Node(id)
 	if n == nil {
 		panic(fmt.Sprintf("simnet: unknown node %v", id))
@@ -284,7 +265,7 @@ func (nw *Network) SetNodeBandwidth(id keys.NodeID, bytesPerSec float64) {
 
 // SetOutboundFilter installs a Byzantine sender filter on a node. The filter
 // may mutate the message (tampering) or return false to drop it.
-func (nw *Network) SetOutboundFilter(id keys.NodeID, f func(*Message) bool) {
+func (nw *Network) SetOutboundFilter(id keys.NodeID, f func(*transport.Message) bool) {
 	nw.Node(id).outbound = f
 }
 
@@ -469,7 +450,7 @@ func (n *Node) SendPriority(to keys.NodeID, payload any, size int) {
 }
 
 // pushDeliver schedules an inline delivery event (no closure allocation).
-func (nw *Network) pushDeliver(at Time, dst *Node, msg Message) {
+func (nw *Network) pushDeliver(at Time, dst *Node, msg transport.Message) {
 	e := nw.allocEvent()
 	e.at, e.node, e.kind, e.msg = at, dst, evDeliver, msg
 	nw.push(e)
@@ -479,7 +460,7 @@ func (n *Node) send(to keys.NodeID, payload any, size int, priority bool) {
 	if n.crashed {
 		return
 	}
-	msg := Message{From: n.ID, To: to, Payload: payload, Size: size}
+	msg := transport.Message{From: n.ID, To: to, Payload: payload, Size: size}
 	if n.outbound != nil && !n.outbound(&msg) {
 		return
 	}
@@ -493,8 +474,7 @@ func (n *Node) send(to keys.NodeID, payload any, size int, priority bool) {
 		nw.pushDeliver(nw.now+time.Microsecond, n, msg)
 		if nw.probe != nil {
 			nw.probe(ProbeSample{
-				From: n.ID, To: to, Payload: msg.Payload, Size: msg.Size,
-				Loopback: true, Priority: priority,
+				Message: msg, Loopback: true, Priority: priority,
 				Enqueue: nw.now, Depart: nw.now, Arrive: nw.now + time.Microsecond,
 			})
 		}
@@ -557,8 +537,7 @@ func (n *Node) send(to keys.NodeID, payload any, size int, priority bool) {
 	}
 	if nw.probe != nil {
 		sample := ProbeSample{
-			From: n.ID, To: to, Payload: msg.Payload, Size: msg.Size,
-			WAN: wan, Priority: priority,
+			Message: msg, WAN: wan, Priority: priority,
 			Enqueue: nw.now, Depart: departEnd, Arrive: arrEnd,
 			QueueWait: queueWait, Backlog: backlog, UplinkBytes: uplink.bytes,
 		}
@@ -573,11 +552,11 @@ func (n *Node) send(to keys.NodeID, payload any, size int, priority bool) {
 	}
 }
 
-func (n *Node) deliver(msg Message) {
+func (n *Node) deliver(msg transport.Message) {
 	if n.crashed || n.handler == nil {
 		return
 	}
-	n.handler.HandleMessage(n, msg)
+	n.handler.HandleMessage(msg)
 }
 
 // After schedules fn on this node after delay d of virtual time. The timer is

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"massbft/internal/keys"
+	"massbft/internal/transport"
 )
 
 func twoGroups(t *testing.T, cfg Config) *Network {
@@ -16,20 +17,23 @@ func twoGroups(t *testing.T, cfg Config) *Network {
 }
 
 type recorder struct {
-	got []Message
+	got []transport.Message
 	at  []Time
 }
 
-func (r *recorder) HandleMessage(n *Node, msg Message) {
-	r.got = append(r.got, msg)
-	r.at = append(r.at, n.Now())
+// on returns a handler that records each delivery and nw's clock at it.
+func (r *recorder) on(nw *Network) transport.Handler {
+	return transport.HandlerFunc(func(msg transport.Message) {
+		r.got = append(r.got, msg)
+		r.at = append(r.at, nw.Now())
+	})
 }
 
 func TestSendLatencyWANvsLAN(t *testing.T) {
 	nw := twoGroups(t, Config{LANLatency: time.Millisecond, WANLatency: func(a, b int) Time { return 20 * time.Millisecond }})
 	var lan, wan recorder
-	nw.SetHandler(nid(0, 1), &lan)
-	nw.SetHandler(nid(1, 0), &wan)
+	nw.SetHandler(nid(0, 1), lan.on(nw))
+	nw.SetHandler(nid(1, 0), wan.on(nw))
 	src := nw.Node(nid(0, 0))
 	nw.Schedule(0, func() {
 		src.Send(nid(0, 1), "lan", 100)
@@ -52,7 +56,7 @@ func TestBandwidthSerializationQueueing(t *testing.T) {
 	// serialization respectively before the propagation delay.
 	nw := twoGroups(t, Config{WANBandwidth: 1000, WANLatency: func(a, b int) Time { return 0 }})
 	var r recorder
-	nw.SetHandler(nid(1, 0), &r)
+	nw.SetHandler(nid(1, 0), r.on(nw))
 	src := nw.Node(nid(0, 0))
 	nw.Schedule(0, func() {
 		src.Send(nid(1, 0), 1, 500)
@@ -79,7 +83,7 @@ func TestLeaderUplinkBottleneck(t *testing.T) {
 	nw := New(Config{GroupSizes: []int{1, 3}, WANBandwidth: 1000, WANLatency: func(a, b int) Time { return 0 }})
 	var rs [3]recorder
 	for i := range rs {
-		nw.SetHandler(nid(1, i), &rs[i])
+		nw.SetHandler(nid(1, i), rs[i].on(nw))
 	}
 	src := nw.Node(nid(0, 0))
 	nw.Schedule(0, func() {
@@ -98,7 +102,7 @@ func TestCrashDropsDeliveryAndTimers(t *testing.T) {
 	nw := twoGroups(t, Config{})
 	var r recorder
 	dst := nid(1, 0)
-	nw.SetHandler(dst, &r)
+	nw.SetHandler(dst, r.on(nw))
 	src := nw.Node(nid(0, 0))
 	fired := false
 	nw.Schedule(0, func() {
@@ -119,7 +123,7 @@ func TestCrashGroupAndRecover(t *testing.T) {
 	nw := twoGroups(t, Config{})
 	var r recorder
 	dst := nid(1, 1)
-	nw.SetHandler(dst, &r)
+	nw.SetHandler(dst, r.on(nw))
 	src := nw.Node(nid(0, 0))
 	nw.Schedule(0, func() { nw.CrashGroup(1); src.Send(dst, "lost", 10) })
 	nw.Schedule(100*time.Millisecond, func() { nw.RecoverGroup(1); src.Send(dst, "ok", 10) })
@@ -132,7 +136,7 @@ func TestCrashGroupAndRecover(t *testing.T) {
 func TestCrashedSenderCannotSend(t *testing.T) {
 	nw := twoGroups(t, Config{})
 	var r recorder
-	nw.SetHandler(nid(1, 0), &r)
+	nw.SetHandler(nid(1, 0), r.on(nw))
 	src := nw.Node(nid(0, 0))
 	nw.Schedule(0, func() { nw.Crash(src.ID); src.Send(nid(1, 0), "x", 10) })
 	nw.Run(time.Second)
@@ -144,9 +148,9 @@ func TestCrashedSenderCannotSend(t *testing.T) {
 func TestOutboundFilterTamperAndDrop(t *testing.T) {
 	nw := twoGroups(t, Config{})
 	var r recorder
-	nw.SetHandler(nid(1, 0), &r)
+	nw.SetHandler(nid(1, 0), r.on(nw))
 	src := nw.Node(nid(0, 0))
-	nw.SetOutboundFilter(src.ID, func(m *Message) bool {
+	nw.SetOutboundFilter(src.ID, func(m *transport.Message) bool {
 		if m.Payload == "drop" {
 			return false
 		}
@@ -183,7 +187,7 @@ func TestDeterminism(t *testing.T) {
 		nw := New(Config{GroupSizes: []int{3, 3}, Seed: 7})
 		nw.SetFaults(FaultConfig{Jitter: 0.1})
 		var r recorder
-		nw.SetHandler(nid(1, 0), &r)
+		nw.SetHandler(nid(1, 0), r.on(nw))
 		for j := 0; j < 3; j++ {
 			src := nw.Node(nid(0, j))
 			jj := j
@@ -207,7 +211,7 @@ func TestGSTUnstablePeriod(t *testing.T) {
 	lat := func(a, b int) Time { return 10 * time.Millisecond }
 	nw := New(Config{GroupSizes: []int{1, 1}, WANLatency: lat, GST: 100 * time.Millisecond, UnstableFactor: 10})
 	var r recorder
-	nw.SetHandler(nid(1, 0), &r)
+	nw.SetHandler(nid(1, 0), r.on(nw))
 	src := nw.Node(nid(0, 0))
 	nw.Schedule(0, func() { src.Send(nid(1, 0), "pre", 10) })
 	nw.Schedule(200*time.Millisecond, func() { src.Send(nid(1, 0), "post", 10) })
@@ -249,7 +253,7 @@ func TestSetNodeBandwidth(t *testing.T) {
 	slow := nid(0, 0)
 	nw.SetNodeBandwidth(slow, 1000)
 	var r recorder
-	nw.SetHandler(nid(1, 0), &r)
+	nw.SetHandler(nid(1, 0), r.on(nw))
 	nw.Schedule(0, func() { nw.Node(slow).Send(nid(1, 0), "x", 1000) })
 	nw.Run(10 * time.Second)
 	// 1 second uplink serialization at the overridden 1000 B/s.
@@ -270,7 +274,7 @@ func TestLoopbackDelivery(t *testing.T) {
 	nw := twoGroups(t, Config{})
 	var r recorder
 	id := nid(0, 0)
-	nw.SetHandler(id, &r)
+	nw.SetHandler(id, r.on(nw))
 	nw.Schedule(0, func() { nw.Node(id).Send(id, "self", 10) })
 	nw.Run(time.Second)
 	if len(r.got) != 1 || r.got[0].Payload != "self" {
@@ -307,7 +311,7 @@ func TestPriorityLaneBypassesBulkQueue(t *testing.T) {
 	// message must not wait behind it.
 	nw := New(Config{GroupSizes: []int{1, 1}, WANBandwidth: 1000, WANLatency: func(a, b int) Time { return 0 }})
 	var r recorder
-	nw.SetHandler(nid(1, 0), &r)
+	nw.SetHandler(nid(1, 0), r.on(nw))
 	src := nw.Node(nid(0, 0))
 	nw.Schedule(0, func() {
 		src.Send(nid(1, 0), "bulk", 10000)      // 10 s serialization
@@ -349,7 +353,7 @@ func TestBacklogs(t *testing.T) {
 func BenchmarkEventThroughput(b *testing.B) {
 	nw := New(Config{GroupSizes: []int{4, 4}})
 	count := 0
-	nw.SetHandler(nid(1, 0), HandlerFunc(func(n *Node, m Message) { count++ }))
+	nw.SetHandler(nid(1, 0), transport.HandlerFunc(func(transport.Message) { count++ }))
 	src := nw.Node(nid(0, 0))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -363,7 +367,7 @@ func TestJitterBoundsLatency(t *testing.T) {
 	nw := New(Config{GroupSizes: []int{1, 1}, WANLatency: lat, Seed: 3})
 	nw.SetFaults(FaultConfig{Jitter: 0.2})
 	var r recorder
-	nw.SetHandler(nid(1, 0), &r)
+	nw.SetHandler(nid(1, 0), r.on(nw))
 	src := nw.Node(nid(0, 0))
 	for i := 0; i < 50; i++ {
 		at := Time(i) * 100 * time.Millisecond

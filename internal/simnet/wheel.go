@@ -3,6 +3,8 @@ package simnet
 import (
 	"container/heap"
 	"math/bits"
+
+	"massbft/internal/transport"
 )
 
 // The scheduler is the emulator's core data structure: a priority queue of
@@ -50,9 +52,9 @@ type event struct {
 	seq  uint64 // tie-breaker for determinism
 	node *Node  // nil for network-level events
 	kind uint8
-	fn   func()  // evFunc
-	msg  Message // evDeliver: delivered inline, no closure
-	next *event  // intrusive link: wheel slot lists and the free list
+	fn   func()            // evFunc
+	msg  transport.Message // evDeliver: delivered inline, no closure
+	next *event            // intrusive link: wheel slot lists and the free list
 }
 
 // eventHeap is a binary min-heap over (at, seq): heapSched's queue.

@@ -4,6 +4,8 @@ import (
 	"math/rand"
 	"testing"
 	"time"
+
+	"massbft/internal/transport"
 )
 
 // TestWheelVsHeapDifferential drives the timer wheel and the legacy binary
@@ -89,8 +91,8 @@ func TestWheelFarTimer(t *testing.T) {
 func TestEventPoolReuse(t *testing.T) {
 	nw := New(Config{GroupSizes: []int{2}, Seed: 1})
 	got := 0
-	nw.SetHandler(nid(0, 0), HandlerFunc(func(n *Node, msg Message) { got++ }))
-	nw.SetHandler(nid(0, 1), HandlerFunc(func(n *Node, msg Message) { got++ }))
+	nw.SetHandler(nid(0, 0), transport.HandlerFunc(func(transport.Message) { got++ }))
+	nw.SetHandler(nid(0, 1), transport.HandlerFunc(func(transport.Message) { got++ }))
 	n := nw.Node(nid(0, 0))
 	var tick func()
 	rounds := 0

@@ -1,6 +1,7 @@
-// Package tcp is the real-network transport backend: it implements
-// transport.Network over TCP with per-peer supervised connections, so a
-// MassBFT cluster can run as N OS processes on loopback or a real WAN.
+// Package tcp is the real-network transport backend: it carries the
+// transport seam (Endpoint, Handler, Message) over TCP with per-peer
+// supervised connections, so a MassBFT cluster can run as N OS processes on
+// loopback or a real WAN.
 //
 // Each process hosts exactly one protocol node. The design preserves the
 // discrete-event programming model the protocol was written against:
@@ -142,7 +143,8 @@ type stats struct {
 	dropsByKind                                      [256]atomic.Uint64
 }
 
-// Network implements transport.Network for one process-hosted node.
+// Network is the TCP fabric of one process-hosted node: its Endpoint sends,
+// and its event loop hands each received Message to the installed Handler.
 type Network struct {
 	cfg   Config
 	ls    net.Listener
@@ -220,7 +222,8 @@ func (n *Network) Stats() Stats {
 	}
 }
 
-// Endpoint implements transport.Network. Only the hosted node has one.
+// Endpoint returns the hosted node's handle on the fabric; any other ID has
+// none (nil).
 func (n *Network) Endpoint(id keys.NodeID) transport.Endpoint {
 	if id != n.cfg.Self {
 		return nil
@@ -228,7 +231,8 @@ func (n *Network) Endpoint(id keys.NodeID) transport.Endpoint {
 	return (*endpoint)(n)
 }
 
-// SetHandler implements transport.Network.
+// SetHandler installs the hosted node's message handler (other IDs are
+// ignored). Call it before traffic flows.
 func (n *Network) SetHandler(id keys.NodeID, h transport.Handler) {
 	if id != n.cfg.Self {
 		return
@@ -238,7 +242,7 @@ func (n *Network) SetHandler(id keys.NodeID, h transport.Handler) {
 	n.mu.Unlock()
 }
 
-// Close implements transport.Network: stop accepting, give each supervisor
+// Close drains and shuts the fabric down: stop accepting, give each supervisor
 // its drain budget to flush queued messages, then tear everything down.
 func (n *Network) Close() error {
 	n.mu.Lock()

@@ -1,11 +1,12 @@
 // Package transport defines the message-fabric seam between protocol nodes
-// and the network that carries their traffic. Protocol code (internal/core)
-// speaks only to the interfaces here; the concrete fabric is chosen at
-// wiring time:
+// and the network that carries their traffic: a node sends through an
+// Endpoint and is handed each delivered Message by its Handler. Protocol
+// code (internal/core) speaks only to these types, and both fabrics speak
+// them natively:
 //
-//   - the deterministic in-process emulator (internal/simnet, adapted by
-//     SimNetwork in this package) — every test and benchmark runs on it,
-//     bit-identically to the pre-seam wiring;
+//   - the deterministic in-process emulator (internal/simnet), whose
+//     *simnet.Node is an Endpoint and whose events carry a Message to the
+//     node's Handler — every simulated test and benchmark runs on it;
 //   - the real TCP backend (internal/transport/tcp) — per-peer supervised
 //     connections with reconnect/backoff, bounded queues, heartbeats, and a
 //     length-framed, checksummed wire format — used by cmd/massbft-node to
@@ -65,20 +66,4 @@ type Endpoint interface {
 	After(d time.Duration, fn func())
 	Now() time.Duration
 	Charge(d time.Duration)
-}
-
-// Network owns the endpoints living in this process and routes between them
-// and (for real backends) remote peers.
-type Network interface {
-	// Endpoint returns the handle for a locally hosted node, or nil if the
-	// node is not hosted here.
-	Endpoint(id keys.NodeID) Endpoint
-	// SetHandler installs the message handler for a locally hosted node.
-	// Must be called before traffic flows.
-	SetHandler(id keys.NodeID, h Handler)
-	// Close drains and shuts the fabric down. For real backends this stops
-	// accepting new sends, flushes what the drain budget allows, closes
-	// connections, and stops the event loops; the emulator adapter is a
-	// no-op (the test harness owns the emulator's lifecycle).
-	Close() error
 }

@@ -243,7 +243,6 @@ func NewCluster(cfg Config) (*Cluster, error) {
 		GroupRate:     cfg.GroupRate,
 		TrustAll:      !cfg.RealCrypto,
 		Gateway: cluster.GatewayConfig{
-			Enabled:        cfg.GatewayClients > 0,
 			SimClients:     cfg.GatewayClients,
 			ResubmitJitter: cfg.ResubmitJitter,
 		},

@@ -185,7 +185,6 @@ func (t *Topology) clusterConfig() (cluster.Config, error) {
 		RejoinTimeout:      ms(t.RejoinTimeoutMS),
 		StandbyGroups:      t.StandbyGroups,
 		Gateway: cluster.GatewayConfig{
-			Enabled:       t.Clients > 0,
 			Clients:       t.Clients,
 			QueueLimit:    t.GatewayQueue,
 			RatePerClient: t.GatewayRate,

@@ -36,9 +36,11 @@
 #                    (ROADMAP item 6's re-capture rules): the simnet
 #                    scheduler fingerprints and wheel-vs-heap oracle, the
 #                    partition-chaos census, the faulty transport-seam
-#                    fingerprint and the pinned fork seeds — the list a
-#                    change to what a draw decides, or to one link's send
-#                    order, re-captures and states in CHANGES.md
+#                    fingerprint and the pinned fork seeds, with the entry
+#                    each fork seed's certWatch names as certified twice
+#                    (it moves with the fork heights) — the list a change
+#                    to what a draw decides, or to one link's send order,
+#                    re-captures and states in CHANGES.md
 #   equal-seed [ref] the equal-seed gate for host-only changes — the three
 #                    simulated ledger workloads at seed 1 on `ref` (default
 #                    HEAD, i.e. the uncommitted work against its base) and on
