@@ -70,13 +70,22 @@ func (c *Cluster) StartClients(n int) *ClientHub {
 	// How long a client waits for its f+1 reply certificate before
 	// resubmitting to the next group.
 	replyTimeout := 25 * c.Cfg.BatchTimeout
-	// Certified-down oracle for submission rotation: the observer node's
-	// membership view stands in for the gossip a real client library would
-	// keep. When no group is dead, departed, or standby the oracle never
-	// fires and rotation is byte-identical to the oracle-free behavior.
-	var down func(int) bool
-	if gd, ok := c.Nodes[c.Cfg.Observer].(interface{ GroupDown(int) bool }); ok {
-		down = gd.GroupDown
+	// Certified-down oracle for submission rotation: the membership view of
+	// the first live node in (group, index) order stands in for the gossip a
+	// real client library would keep. When no group is dead, departed, or
+	// standby the oracle never fires and rotation is byte-identical to the
+	// oracle-free behavior.
+	down := func(g int) bool {
+		for gi, size := range c.Cfg.GroupSizes {
+			for j := 0; j < size; j++ {
+				id := keys.NodeID{Group: gi, Index: j}
+				if !c.Net.Node(id).Crashed() {
+					gd, ok := c.Nodes[id].(interface{ GroupDown(int) bool })
+					return ok && gd.GroupDown(g)
+				}
+			}
+		}
+		return false
 	}
 	for i := 0; i < n; i++ {
 		ck := c.ClientKeys[i]
@@ -157,7 +166,7 @@ func (h *ClientHub) deliver(sc *simClient, g int, broadcast bool) {
 	skew := time.Duration((sc.key.ID*131+sc.nonce*31)%1024) * time.Microsecond
 	for j := lo; j < hi; j++ {
 		to := keys.NodeID{Group: g, Index: j % size}
-		h.c.Net.Schedule(h.c.Net.Now()+h.c.Cfg.LANLatency+skew, func() {
+		h.c.Net.Schedule(h.c.Net.Now()+h.c.Cfg.Topology.Latency(g, g)+skew, func() {
 			if h.c.Net.Node(to).Crashed() {
 				return
 			}

@@ -224,21 +224,10 @@ func New(cfg Config, factory Factory) (*Cluster, error) {
 	if err != nil {
 		return nil, err
 	}
-	var latFn func(a, b int) simnet.Time
-	if lat := cfg.WANLatency; lat != nil {
-		latFn = func(a, b int) simnet.Time { return lat(a, b) }
+	if cfg.Topology == nil {
+		cfg.Topology = simnet.ModelTopology(len(cfg.GroupSizes), NationwideLatency)
 	}
-	nw := simnet.New(simnet.Config{
-		GroupSizes:     cfg.GroupSizes,
-		WANLatency:     latFn,
-		Topology:       cfg.Topology,
-		LANLatency:     cfg.LANLatency,
-		WANBandwidth:   cfg.WANBandwidth,
-		LANBandwidth:   cfg.LANBandwidth,
-		Seed:           cfg.Seed,
-		GST:            cfg.GST,
-		UnstableFactor: cfg.UnstableFactor,
-	})
+	nw := simnet.New(simnet.Config{GroupSizes: cfg.GroupSizes, Topology: cfg.Topology, Seed: cfg.Seed})
 	nw.SetFaults(simnet.FaultConfig{
 		WANDrop: cfg.WANDropRate,
 		WANDup:  cfg.WANDupRate,
@@ -265,7 +254,7 @@ func New(cfg Config, factory Factory) (*Cluster, error) {
 		}
 		for j := 0; j < n; j++ {
 			id := keys.NodeID{Group: g, Index: j}
-			ctx := c.NodeCtx(id, nw.Node(id), gen, id == cfg.Observer)
+			ctx := c.NodeCtx(id, nw.Node(id), gen, id == cfg.Observer())
 			ctx.ReplyOut = c.routeReply
 			node := factory(ctx)
 			c.Nodes[id] = node

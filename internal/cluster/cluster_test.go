@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"massbft/internal/keys"
+	"massbft/internal/simnet"
 	"massbft/internal/transport"
 )
 
@@ -15,20 +16,11 @@ func TestConfigDefaults(t *testing.T) {
 		d.MaxBatch != 400 || d.PipelineDepth != 16 {
 		t.Fatalf("defaults wrong: %+v", d)
 	}
-	if d.Observer != (keys.NodeID{Group: 1, Index: 0}) {
-		t.Fatalf("observer default wrong: %v", d.Observer)
+	if d.Observer() != (keys.NodeID{Group: 1, Index: 0}) {
+		t.Fatalf("observer default wrong: %v", d.Observer())
 	}
-	if d.WANLatency == nil || d.Cost == (CostModel{}) {
-		t.Fatal("latency/cost defaults missing")
-	}
-}
-
-func TestSetObserver(t *testing.T) {
-	cfg := Config{GroupSizes: []int{4, 4}}
-	cfg.SetObserver(keys.NodeID{Group: 0, Index: 2})
-	d := cfg.withDefaults()
-	if d.Observer != (keys.NodeID{Group: 0, Index: 2}) {
-		t.Fatal("explicit observer overridden")
+	if d.Cost == (CostModel{}) {
+		t.Fatal("cost default missing")
 	}
 }
 
@@ -159,6 +151,9 @@ func TestNewClusterErrors(t *testing.T) {
 	if _, err := New(Config{GroupSizes: []int{4}, Workload: "bogus"}, noop); err == nil {
 		t.Fatal("bogus workload accepted")
 	}
+	if _, err := New(Config{GroupSizes: []int{4, 4, 4}, Topology: simnet.NewTopology(2)}, noop); err == nil {
+		t.Fatal("a topology smaller than the layout accepted")
+	}
 }
 
 // stubNode lets the harness be tested without protocol logic.
@@ -195,6 +190,9 @@ func TestClusterWiring(t *testing.T) {
 	}
 	if observers != 1 {
 		t.Fatalf("%d observers, want 1", observers)
+	}
+	if got, want := c.Cfg.Topology.Latency(0, 1), NationwideLatency(0, 1); got != want {
+		t.Fatalf("default topology: latency(0,1) = %v, want the nationwide %v", got, want)
 	}
 	c.RunUntil(100 * time.Millisecond)
 	for _, n := range nodes {

@@ -167,16 +167,9 @@ type Config struct {
 	// Seed drives all randomness (keys, workload, jitter).
 	Seed int64
 
-	// Network: WANLatency(i,j) is the one-way latency between groups; nil
-	// uses Topology (when set) and otherwise NationwideLatency. Bandwidths
-	// are bytes/second per node.
-	WANLatency   func(i, j int) time.Duration
-	LANLatency   time.Duration
-	WANBandwidth float64
-	LANBandwidth float64
-	// Topology, when set, supplies the inter-group latency matrix and
-	// per-group bandwidth tiers from a materialized geometry (e.g.
-	// simnet.GlobeTopology for 50+-region scale runs) instead of a callback.
+	// Topology is the simulated network: every latency, LAN included, and
+	// each group's WAN bandwidth. It must cover every group; New makes a nil
+	// one the nationwide matrix (NationwideLatency) at the defaults.
 	Topology *simnet.Topology
 
 	// Batching: leaders cut an entry of up to MaxBatch transactions every
@@ -205,13 +198,6 @@ type Config struct {
 	// measurement window on both sides.
 	RunFor time.Duration
 	Warmup time.Duration
-
-	// Observer is the node whose executions feed the metrics collector; it
-	// defaults to node 0 of the highest-numbered group (which Fig 15's
-	// group-0 crash leaves alive).
-	Observer keys.NodeID
-	// observerSet records whether Observer was set explicitly.
-	observerSet bool
 
 	// TakeoverTimeout is how long without stream records before another
 	// group takes over a crashed group's clock (§V-C); zero disables. It is
@@ -255,12 +241,6 @@ type Config struct {
 	// replace a leader that stalls for this long. Zero disables (benchmark
 	// steady state).
 	ViewChangeTimeout time.Duration
-
-	// GST, when positive, models partial synchrony (§III-A): before this
-	// global stabilization time WAN latencies are multiplied by
-	// UnstableFactor (default 10).
-	GST            time.Duration
-	UnstableFactor float64
 
 	// WorkloadFactory, when set, overrides Workload with an
 	// application-defined generator+executor (built per group).
@@ -314,6 +294,9 @@ func (c *Config) Validate() error {
 	if c.PipelineDepth < 0 {
 		return fmt.Errorf("invalid PipelineDepth %d", c.PipelineDepth)
 	}
+	if c.Topology != nil && c.Topology.Regions() < len(c.GroupSizes) {
+		return fmt.Errorf("a topology of %d regions for %d groups", c.Topology.Regions(), len(c.GroupSizes))
+	}
 	if c.StandbyGroups > 0 {
 		if c.StandbyGroups > len(c.GroupSizes)-2 {
 			return fmt.Errorf("%d standby groups leave fewer than two active groups", c.StandbyGroups)
@@ -328,10 +311,10 @@ func (c *Config) Validate() error {
 	return nil
 }
 
-// SetObserver overrides the metrics observer node.
-func (c *Config) SetObserver(id keys.NodeID) {
-	c.Observer = id
-	c.observerSet = true
+// Observer is the node whose executions feed the metrics collector: node 0
+// of the highest-numbered group (which Fig 15's group-0 crash leaves alive).
+func (c *Config) Observer() keys.NodeID {
+	return keys.NodeID{Group: len(c.GroupSizes) - 1}
 }
 
 // WithDefaults returns the config with every unset knob at its default.
@@ -343,18 +326,6 @@ func (c Config) WithDefaults() Config { return c.withDefaults() }
 func (c Config) withDefaults() Config {
 	if c.Workload == "" {
 		c.Workload = "ycsb-a"
-	}
-	if c.WANLatency == nil && c.Topology == nil {
-		c.WANLatency = NationwideLatency
-	}
-	if c.LANLatency == 0 {
-		c.LANLatency = 200 * time.Microsecond
-	}
-	if c.WANBandwidth == 0 {
-		c.WANBandwidth = simnet.DefaultWANBandwidth
-	}
-	if c.LANBandwidth == 0 {
-		c.LANBandwidth = simnet.DefaultLANBandwidth
 	}
 	if c.BatchTimeout == 0 {
 		c.BatchTimeout = 20 * time.Millisecond
@@ -379,9 +350,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Warmup == 0 {
 		c.Warmup = 2 * time.Second
-	}
-	if !c.observerSet {
-		c.Observer = keys.NodeID{Group: len(c.GroupSizes) - 1, Index: 0}
 	}
 	if c.Gateway.Clients == 0 {
 		c.Gateway.Clients = c.Gateway.SimClients

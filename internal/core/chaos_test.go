@@ -125,7 +125,7 @@ func chaosRun(t *testing.T, opts cluster.Options, seed int64) {
 	// All faults heal by 3.8s; snapshot per-group progress at 4s, then let the
 	// cluster run its tail and drain.
 	c.RunUntil(4 * time.Second)
-	obs := c.Nodes[c.Cfg.Observer].(*Node)
+	obs := c.Nodes[c.Cfg.Observer()].(*Node)
 	mid := obs.ExecutedSeqs()
 	c.RunUntil(c.Cfg.RunFor)
 	// Drain until every node's state converges rather than to a fixed
@@ -289,7 +289,7 @@ func TestPartitionHealBeforeQuorumAsymmetric(t *testing.T) {
 	c := partitionChaos(t, cluster.PresetMassBFT(), 50)
 	c.SchedulePartition(1*time.Second, 4*time.Second, 0, 2)
 	c.RunUntil(4500 * time.Millisecond)
-	obs := c.Nodes[c.Cfg.Observer].(*Node)
+	obs := c.Nodes[c.Cfg.Observer()].(*Node)
 	mid := obs.ExecutedSeqs()
 	c.RunUntil(c.Cfg.RunFor)
 	drainLive(c, nil)
@@ -331,7 +331,7 @@ func TestPartitionHealBeforeQuorumSymmetric(t *testing.T) {
 	c.SchedulePartition(1*time.Second, 3*time.Second, 0, 2)
 	c.SchedulePartition(2200*time.Millisecond, 3*time.Second, 1, 2)
 	c.RunUntil(4 * time.Second)
-	obs := c.Nodes[c.Cfg.Observer].(*Node)
+	obs := c.Nodes[c.Cfg.Observer()].(*Node)
 	mid := obs.ExecutedSeqs()
 	c.RunUntil(c.Cfg.RunFor)
 	drainLive(c, nil)
@@ -374,9 +374,6 @@ func TestPartitionChaosFailover(t *testing.T) {
 		t.Skip("heavy integration test")
 	}
 	cfg := chaosCfg(cluster.PresetMassBFT(), 52)
-	// The default observer lives in group 2 — the group this schedule kills;
-	// progress and latency must be observed from a surviving node.
-	cfg.SetObserver(keys.NodeID{Group: 0, Index: 0})
 	c, err := cluster.New(cfg, NewNode)
 	if err != nil {
 		t.Fatal(err)
@@ -384,7 +381,9 @@ func TestPartitionChaosFailover(t *testing.T) {
 	c.ScheduleGroupCrash(1*time.Second, 2)
 	c.SchedulePartition(1200*time.Millisecond, 3500*time.Millisecond, 0, 1)
 	c.RunUntil(4500 * time.Millisecond)
-	obs := c.Nodes[c.Cfg.Observer].(*Node)
+	// The metrics observer lives in group 2 — the group this schedule kills;
+	// progress must be read from a surviving node.
+	obs := c.Nodes[keys.NodeID{Group: 0, Index: 0}].(*Node)
 	mid := obs.ExecutedSeqs()
 	c.RunUntil(c.Cfg.RunFor)
 	skip := map[int]bool{2: true}
@@ -451,8 +450,6 @@ func TestSimultaneousGroupDeathsCertifyTogether(t *testing.T) {
 		CheckpointInterval: 400 * time.Millisecond,
 		TrustAll:           true,
 	}
-	// Both dead groups must be observed from a survivor.
-	cfg.SetObserver(keys.NodeID{Group: 2, Index: 0})
 	c, err := cluster.New(cfg, NewNode)
 	if err != nil {
 		t.Fatal(err)
@@ -460,7 +457,7 @@ func TestSimultaneousGroupDeathsCertifyTogether(t *testing.T) {
 	c.ScheduleGroupCrash(800*time.Millisecond, 0)
 	c.ScheduleGroupCrash(800*time.Millisecond, 1)
 	c.RunUntil(2200 * time.Millisecond)
-	obs := c.Nodes[c.Cfg.Observer].(*Node)
+	obs := c.Nodes[keys.NodeID{Group: 2, Index: 0}].(*Node) // a survivor of both deaths
 	mid := obs.ExecutedSeqs()
 	c.RunUntil(cfg.RunFor)
 	skip := map[int]bool{0: true, 1: true}
@@ -537,7 +534,6 @@ func TestMembershipCrashOverlapEpochSwitch(t *testing.T) {
 		TrustAll:           true,
 		StandbyGroups:      1,
 	}
-	cfg.SetObserver(keys.NodeID{Group: 0, Index: 0})
 	c, err := cluster.New(cfg, NewNode)
 	if err != nil {
 		t.Fatal(err)
@@ -552,7 +548,7 @@ func TestMembershipCrashOverlapEpochSwitch(t *testing.T) {
 	c.ScheduleNodeCrash(1500*time.Millisecond, keys.NodeID{Group: 1, Index: 2})
 	c.ScheduleNodeRecover(2700*time.Millisecond, keys.NodeID{Group: 1, Index: 2})
 	c.RunUntil(3500 * time.Millisecond)
-	obs := c.Nodes[c.Cfg.Observer].(*Node)
+	obs := c.Nodes[keys.NodeID{Group: 0, Index: 0}].(*Node) // active from genesis
 	mid := obs.ExecutedSeqs()
 	c.RunUntil(cfg.RunFor)
 	drainLive(c, nil)
@@ -606,8 +602,6 @@ func TestPartitionFailoverReduced(t *testing.T) {
 		CheckpointInterval: 400 * time.Millisecond,
 		TrustAll:           true,
 	}
-	// The default observer lives in group 2, which this schedule kills.
-	cfg.SetObserver(keys.NodeID{Group: 0, Index: 0})
 	c, err := cluster.New(cfg, NewNode)
 	if err != nil {
 		t.Fatal(err)
@@ -615,7 +609,8 @@ func TestPartitionFailoverReduced(t *testing.T) {
 	c.ScheduleGroupCrash(800*time.Millisecond, 2)
 	c.SchedulePartition(1*time.Second, 2200*time.Millisecond, 0, 1)
 	c.RunUntil(2200 * time.Millisecond)
-	obs := c.Nodes[c.Cfg.Observer].(*Node)
+	// The metrics observer lives in group 2, which this schedule kills.
+	obs := c.Nodes[keys.NodeID{Group: 0, Index: 0}].(*Node)
 	mid := obs.ExecutedSeqs()
 	c.RunUntil(cfg.RunFor)
 	skip := map[int]bool{2: true}

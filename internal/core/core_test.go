@@ -11,6 +11,7 @@ import (
 
 	"massbft/internal/cluster"
 	"massbft/internal/keys"
+	"massbft/internal/simnet"
 	"massbft/internal/statedb"
 )
 
@@ -333,7 +334,7 @@ func TestWorldwideLatencyMatrix(t *testing.T) {
 		t.Skip("heavy integration test")
 	}
 	cfg := smallCfg()
-	cfg.WANLatency = cluster.WorldwideLatency
+	cfg.Topology = simnet.ModelTopology(len(cfg.GroupSizes), cluster.WorldwideLatency)
 	cfg.RunFor = 4 * time.Second
 	c := runCluster(t, cfg)
 	if c.Metrics.Committed() == 0 {

@@ -125,7 +125,6 @@ func TestMassBFTOutperformsBaselineUnderLeaderBottleneck(t *testing.T) {
 			Seed:         3,
 			MaxBatch:     400,
 			BatchTimeout: 20 * time.Millisecond,
-			WANBandwidth: 20e6 / 8, // the paper's 20 Mbps
 			RunFor:       6 * time.Second,
 			Warmup:       2 * time.Second,
 			TrustAll:     true,
@@ -230,8 +229,8 @@ func TestLocalLeaderCrashViewChange(t *testing.T) {
 }
 
 // TestPartialSynchronyUnstableStart runs MassBFT through an unstable period
-// (WAN latencies x10 before GST, §III-A): progress may be slow before GST
-// but must be normal after.
+// (WAN latencies x10 until a scheduled restore at GST, §III-A): progress may
+// be slow before GST but must be normal after.
 func TestPartialSynchronyUnstableStart(t *testing.T) {
 	t.Parallel()
 	if testing.Short() {
@@ -239,12 +238,14 @@ func TestPartialSynchronyUnstableStart(t *testing.T) {
 	}
 	cfg := smallCfg()
 	cfg.RunFor = 6 * time.Second
-	cfg.GST = 2 * time.Second
-	cfg.UnstableFactor = 10
+	const gst = 2 * time.Second
+	n := len(cfg.GroupSizes)
+	cfg.Topology = simnet.ModelTopology(n, func(i, j int) time.Duration { return 10 * cluster.NationwideLatency(i, j) })
 	c, err := cluster.New(cfg, NewNode)
 	if err != nil {
 		t.Fatal(err)
 	}
+	c.Net.Schedule(gst, func() { *cfg.Topology = *simnet.ModelTopology(n, cluster.NationwideLatency) })
 	c.Run()
 	c.Drain(2 * time.Second)
 	m := c.Metrics

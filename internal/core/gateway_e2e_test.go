@@ -281,8 +281,8 @@ func TestGatewayFingerprints(t *testing.T) {
 					t.Errorf("%s = %d, want %d", name, got, want)
 				}
 			}
-			led := c.Nodes[c.Cfg.Observer].(*Node).Ledger()
-			head, state := led.Head(), c.StateHash(c.Cfg.Observer)
+			led := c.Nodes[c.Cfg.Observer()].(*Node).Ledger()
+			head, state := led.Head(), c.StateHash(c.Cfg.Observer())
 			if led.Height() != tc.height || fmt.Sprintf("%x", head[:]) != tc.head ||
 				fmt.Sprintf("%x", state[:]) != tc.state {
 				t.Errorf("observer ledger: height %d head %x state %x, want %d %s %s",

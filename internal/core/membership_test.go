@@ -32,10 +32,12 @@ func membershipCfg(sizes []int, standby int, seed int64) cluster.Config {
 		TrustAll:           true,
 		StandbyGroups:      standby,
 	}
-	// The default observer is in the highest group — a standby here.
-	cfg.SetObserver(keys.NodeID{Group: 0, Index: 0})
 	return cfg
 }
+
+// vantage is the node the membership tests read progress from: the metrics
+// observer is in the highest group, a standby or leaving one here.
+var vantage = keys.NodeID{Group: 0, Index: 0}
 
 // assertEpochEverywhere checks that every node outside skip reports the same
 // certified epoch and member set.
@@ -94,7 +96,7 @@ func TestMembershipJoinReduced(t *testing.T) {
 		t.Fatalf("no node of the standby group activated: %s", m.Summary())
 	}
 	assertEpochEverywhere(t, c, 1, []int{0, 1, 2}, nil)
-	obs := c.Nodes[c.Cfg.Observer].(*Node)
+	obs := c.Nodes[vantage].(*Node)
 	if seqs := obs.ExecutedSeqs(); seqs[2] == 0 {
 		t.Fatalf("joined group never executed an entry of its own (%v): %s", seqs, m.Summary())
 	}
@@ -120,7 +122,7 @@ func TestMembershipLeaveReduced(t *testing.T) {
 	}
 	c.ScheduleReconfigure(800*time.Millisecond, cluster.ReconfigLeave, 2)
 	c.RunUntil(2 * time.Second)
-	obs := c.Nodes[c.Cfg.Observer].(*Node)
+	obs := c.Nodes[vantage].(*Node)
 	mid := obs.ExecutedSeqs()
 	c.RunUntil(cfg.RunFor)
 	skip := map[int]bool{2: true}
@@ -187,7 +189,7 @@ func runMembershipSchedule(t *testing.T) (*cluster.Cluster, membershipFingerprin
 	c.RunUntil(cfg.RunFor)
 	drainLive(c, map[int]bool{2: true})
 
-	obs := c.Nodes[c.Cfg.Observer].(*Node)
+	obs := c.Nodes[vantage].(*Node)
 	var fp membershipFingerprint
 	fp.epoch, _ = obs.EpochInfo()
 	fp.switches = c.Metrics.Counter("epoch-switches")
@@ -198,7 +200,7 @@ func runMembershipSchedule(t *testing.T) (*cluster.Cluster, membershipFingerprin
 	fp.height = obs.Ledger().Height()
 	head := obs.Ledger().Head()
 	copy(fp.head[:], head[:6])
-	fp.state = c.StateHash(c.Cfg.Observer)
+	fp.state = c.StateHash(vantage)
 	return c, fp
 }
 
@@ -244,7 +246,7 @@ func TestMembershipJoinLeaveUnderLoad(t *testing.T) {
 	if m.Counter("ts-conflicts") != 0 {
 		t.Fatalf("conflicting stamps certified across epoch switches: %s", m.Summary())
 	}
-	obs := c.Nodes[c.Cfg.Observer].(*Node)
+	obs := c.Nodes[vantage].(*Node)
 	if seqs := obs.ExecutedSeqs(); seqs[3] == 0 {
 		t.Fatalf("joined group never executed an entry of its own (%v): %s", seqs, m.Summary())
 	}

@@ -26,7 +26,7 @@ func TestCrashResetsLaneAndCPUState(t *testing.T) {
 	)
 	victim := nid(1, 0)
 	run := func(load bool) Time {
-		nw := New(Config{GroupSizes: []int{2, 1}, Seed: 7, WANBandwidth: bw})
+		nw := New(Config{GroupSizes: []int{2, 1}, Seed: 7, Topology: NewTopology(2).BandwidthTiers(bw)})
 		var probeArrive Time
 		nw.SetHandler(victim, transport.HandlerFunc(func(msg transport.Message) {
 			if msg.Size == probeSize {
@@ -68,7 +68,7 @@ func TestCrashResetsLaneAndCPUState(t *testing.T) {
 	}
 	// And the crash-era traffic must have been dropped at the sender, not
 	// booked onto the dark node's downlink.
-	nw := New(Config{GroupSizes: []int{2, 1}, Seed: 7, WANBandwidth: bw})
+	nw := New(Config{GroupSizes: []int{2, 1}, Seed: 7, Topology: NewTopology(2).BandwidthTiers(bw)})
 	nw.Crash(victim)
 	nw.Schedule(0, func() { nw.Node(nid(0, 0)).Send(victim, 0, loadSize) })
 	nw.Run(time.Second)

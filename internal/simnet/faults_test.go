@@ -24,7 +24,7 @@ func TestFaultDropRate(t *testing.T) {
 		{"one-link-10k", FaultConfig{WANDrop: 0.1, WANDup: 0.05, Jitter: 0.5}, 10_000},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			nw := New(Config{GroupSizes: []int{1, 1}, WANLatency: func(a, b int) Time { return base }, Seed: 11})
+			nw := New(Config{GroupSizes: []int{1, 1}, Topology: wanAt(2, base), Seed: 11})
 			nw.SetFaults(tc.fc)
 			arrivals := make([][]Time, tc.n)
 			nw.SetHandler(nid(1, 0), transport.HandlerFunc(func(m transport.Message) {
@@ -212,8 +212,7 @@ func TestPartitionAndHeal(t *testing.T) {
 }
 
 func TestFaultJitterStretchesLatency(t *testing.T) {
-	lat := func(a, b int) Time { return 10 * time.Millisecond }
-	nw := New(Config{GroupSizes: []int{1, 1}, WANLatency: lat, Seed: 4})
+	nw := New(Config{GroupSizes: []int{1, 1}, Topology: wanAt(2, 10*time.Millisecond), Seed: 4})
 	nw.SetFaults(FaultConfig{Jitter: 1.0})
 	var r recorder
 	nw.SetHandler(nid(1, 0), r.on(nw))

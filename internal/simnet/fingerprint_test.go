@@ -93,6 +93,15 @@ func fpDrive(nw *Network, groups []int, charge bool) *fpRecorder {
 	return rec
 }
 
+// stableFrom ends an unstable period at gst, the partial synchrony of
+// §III-A: a scheduled event restores every latency to NewTopology's. Called
+// before any traffic is scheduled, the restore is the first event at gst, so
+// a send at gst sees the stable network.
+func stableFrom(nw *Network, gst Time) {
+	topo := nw.cfg.Topology
+	nw.Schedule(gst, func() { *topo = *NewTopology(topo.regions) })
+}
+
 // TestSchedulerFingerprints pins the pre-refactor delivery stream of three
 // traffic mixes byte-for-byte.
 func TestSchedulerFingerprints(t *testing.T) {
@@ -103,7 +112,8 @@ func TestSchedulerFingerprints(t *testing.T) {
 		run  func() string
 	}{
 		{"dense-traffic", fpDenseTraffic, func() string {
-			nw := New(Config{GroupSizes: groups, Seed: 11, GST: 200 * time.Millisecond, UnstableFactor: 5})
+			nw := New(Config{GroupSizes: groups, Seed: 11, Topology: wanAt(len(groups), 5*DefaultWANDelay)})
+			stableFrom(nw, 200*time.Millisecond)
 			nw.SetFaults(FaultConfig{Jitter: 0.1})
 			rec := fpDrive(nw, groups, false)
 			nw.Run(2 * time.Second)

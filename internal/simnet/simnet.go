@@ -4,8 +4,9 @@
 // downlink between data centers. Protocols run as event handlers on virtual
 // time; the emulator models link latency, serialization delay (token-bucket
 // style FIFO interfaces), per-node CPU cost, node crashes, group crashes,
-// message tampering (Byzantine senders), and unstable periods before a
-// global stabilization time (partial synchrony, §III-A).
+// and message tampering (Byzantine senders). One Topology holds every
+// latency and each group's WAN bandwidth; partial synchrony (§III-A) is a
+// latency change scheduled at the global stabilization time.
 //
 // Because the emulator is single-threaded over a priority queue of events,
 // every run is bit-for-bit reproducible given the same seed — which is what
@@ -32,36 +33,20 @@ type Time = time.Duration
 type Config struct {
 	// GroupSizes[i] is the number of nodes in group i.
 	GroupSizes []int
-	// WANLatency returns the one-way latency between two distinct groups.
-	// When nil, Topology (if set) or DefaultWANLatency is used.
-	WANLatency func(fromGroup, toGroup int) Time
-	// Topology, when set, supplies the inter-group latency matrix and
-	// per-group bandwidth tiers from a materialized geometry instead of a
-	// callback; WANLatency takes precedence when both are set.
+	// Topology is the network: latencies, LAN included, and per-group WAN
+	// bandwidth. It must cover every group; nil is NewTopology(len(GroupSizes)).
 	Topology *Topology
-	// LANLatency is the one-way latency inside a data center.
-	LANLatency Time
-	// WANBandwidth is the default per-node WAN bandwidth in bytes/second
-	// (each direction). Override per node with SetNodeBandwidth, or per
-	// group with Topology bandwidth tiers.
-	WANBandwidth float64
-	// LANBandwidth is the per-node LAN bandwidth in bytes/second.
-	LANBandwidth float64
 	// Seed keys every fault draw (see FaultConfig). Runs with the same seed
 	// are identical; a run without faults does not read it.
 	Seed int64
-	// GST, when positive, marks a global stabilization time: before GST,
-	// WAN latencies are multiplied by UnstableFactor (partial synchrony).
-	GST            Time
-	UnstableFactor float64
 }
 
-// Defaults used when Config fields are zero.
+// NewTopology's values, and the per-node LAN bandwidth every node has.
 const (
-	DefaultWANLatency   = 15 * time.Millisecond // one way; ~30 ms RTT (nationwide)
-	DefaultLANLatency   = 200 * time.Microsecond
+	DefaultWANDelay     = 15 * time.Millisecond // one way; ~30 ms RTT (nationwide)
+	DefaultLANDelay     = 200 * time.Microsecond
 	DefaultWANBandwidth = 20e6 / 8 // 20 Mbps in bytes/s, the paper's NIC limit
-	DefaultLANBandwidth = 2.5e9 / 8
+	LANBandwidth        = 2.5e9 / 8
 )
 
 // iface is one direction of one network interface: a FIFO serializer for
@@ -178,17 +163,11 @@ func (nw *Network) SetSendProbe(p SendProbe) { nw.probe = p }
 // New creates an emulated network per cfg and instantiates all nodes with a
 // nil handler; call SetHandler before Run.
 func New(cfg Config) *Network {
-	if cfg.LANLatency == 0 {
-		cfg.LANLatency = DefaultLANLatency
+	if cfg.Topology == nil {
+		cfg.Topology = NewTopology(len(cfg.GroupSizes))
 	}
-	if cfg.WANBandwidth == 0 {
-		cfg.WANBandwidth = DefaultWANBandwidth
-	}
-	if cfg.LANBandwidth == 0 {
-		cfg.LANBandwidth = DefaultLANBandwidth
-	}
-	if cfg.UnstableFactor == 0 {
-		cfg.UnstableFactor = 10
+	if r := cfg.Topology.Regions(); r < len(cfg.GroupSizes) {
+		panic(fmt.Sprintf("simnet: a topology of %d regions for %d groups", r, len(cfg.GroupSizes)))
 	}
 	nw := &Network{
 		cfg:   cfg,
@@ -198,12 +177,7 @@ func New(cfg Config) *Network {
 	}
 	nw.groups = make([][]*Node, len(cfg.GroupSizes))
 	for g, n := range cfg.GroupSizes {
-		wanBW := cfg.WANBandwidth
-		if cfg.Topology != nil {
-			if bw := cfg.Topology.GroupBandwidth(g); bw > 0 {
-				wanBW = bw
-			}
-		}
+		wanBW := cfg.Topology.GroupBandwidth(g)
 		nw.groups[g] = make([]*Node, n)
 		for j := 0; j < n; j++ {
 			id := keys.NodeID{Group: g, Index: j}
@@ -212,8 +186,8 @@ func New(cfg Config) *Network {
 				nw:      nw,
 				wanUp:   iface{bandwidth: wanBW},
 				wanDown: iface{bandwidth: wanBW},
-				lanUp:   iface{bandwidth: cfg.LANBandwidth},
-				lanDown: iface{bandwidth: cfg.LANBandwidth},
+				lanUp:   iface{bandwidth: LANBandwidth},
+				lanDown: iface{bandwidth: LANBandwidth},
 			}
 		}
 	}
@@ -387,20 +361,8 @@ func (nw *Network) RunAll() int {
 func (nw *Network) Pending() int { return nw.sched.len() }
 
 func (nw *Network) latency(from, to keys.NodeID) Time {
-	var base Time
-	if from.Group == to.Group {
-		base = nw.cfg.LANLatency
-	} else if nw.cfg.WANLatency != nil {
-		base = nw.cfg.WANLatency(from.Group, to.Group)
-	} else if nw.cfg.Topology != nil {
-		base = nw.cfg.Topology.Latency(from.Group, to.Group)
-	} else {
-		base = DefaultWANLatency
-	}
-	if nw.cfg.GST > 0 && nw.now < nw.cfg.GST && from.Group != to.Group {
-		base = Time(float64(base) * nw.cfg.UnstableFactor)
-	}
-	return base
+	t := nw.cfg.Topology
+	return t.lat[from.Group*t.regions+to.Group]
 }
 
 // WANBytes returns the total bytes sent over WAN uplinks by nodes of group g

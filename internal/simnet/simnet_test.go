@@ -8,6 +8,11 @@ import (
 	"massbft/internal/transport"
 )
 
+// wanAt is a topology of n regions whose every WAN pair is d one way.
+func wanAt(n int, d Time) *Topology {
+	return ModelTopology(n, func(i, j int) Time { return d })
+}
+
 func twoGroups(t *testing.T, cfg Config) *Network {
 	t.Helper()
 	if cfg.GroupSizes == nil {
@@ -30,7 +35,9 @@ func (r *recorder) on(nw *Network) transport.Handler {
 }
 
 func TestSendLatencyWANvsLAN(t *testing.T) {
-	nw := twoGroups(t, Config{LANLatency: time.Millisecond, WANLatency: func(a, b int) Time { return 20 * time.Millisecond }})
+	topo := wanAt(2, 20*time.Millisecond)
+	topo.SetLatency(0, 0, time.Millisecond)
+	nw := twoGroups(t, Config{Topology: topo})
 	var lan, wan recorder
 	nw.SetHandler(nid(0, 1), lan.on(nw))
 	nw.SetHandler(nid(1, 0), wan.on(nw))
@@ -54,7 +61,7 @@ func TestSendLatencyWANvsLAN(t *testing.T) {
 func TestBandwidthSerializationQueueing(t *testing.T) {
 	// 1000 bytes/s uplink: two 500-byte messages take 0.5 s and 1.0 s of
 	// serialization respectively before the propagation delay.
-	nw := twoGroups(t, Config{WANBandwidth: 1000, WANLatency: func(a, b int) Time { return 0 }})
+	nw := twoGroups(t, Config{Topology: wanAt(2, 0).BandwidthTiers(1000)})
 	var r recorder
 	nw.SetHandler(nid(1, 0), r.on(nw))
 	src := nw.Node(nid(0, 0))
@@ -80,7 +87,7 @@ func TestLeaderUplinkBottleneck(t *testing.T) {
 	// One sender fanning out to f+1 receivers serializes on its own uplink;
 	// this is the paper's leader-bottleneck effect (§I). Three sends of 1000
 	// bytes at 1000 B/s finish serializing at 1,2,3 s.
-	nw := New(Config{GroupSizes: []int{1, 3}, WANBandwidth: 1000, WANLatency: func(a, b int) Time { return 0 }})
+	nw := New(Config{GroupSizes: []int{1, 3}, Topology: wanAt(2, 0).BandwidthTiers(1000)})
 	var rs [3]recorder
 	for i := range rs {
 		nw.SetHandler(nid(1, i), rs[i].on(nw))
@@ -207,25 +214,28 @@ func TestDeterminism(t *testing.T) {
 	}
 }
 
-func TestGSTUnstablePeriod(t *testing.T) {
-	lat := func(a, b int) Time { return 10 * time.Millisecond }
-	nw := New(Config{GroupSizes: []int{1, 1}, WANLatency: lat, GST: 100 * time.Millisecond, UnstableFactor: 10})
-	var r recorder
-	nw.SetHandler(nid(1, 0), r.on(nw))
+// TestScheduledLatencyChange moves a link's latency from a scheduled event,
+// the way partial synchrony lifts at GST: a copy in flight keeps the arrival
+// its send computed, and sends after the event see the new latency.
+func TestScheduledLatencyChange(t *testing.T) {
+	topo := wanAt(2, 100*time.Millisecond)
+	nw := New(Config{GroupSizes: []int{1, 2}, Topology: topo})
+	var pre, post recorder // two receivers: each downlink is a FIFO of its own
+	nw.SetHandler(nid(1, 0), pre.on(nw))
+	nw.SetHandler(nid(1, 1), post.on(nw))
 	src := nw.Node(nid(0, 0))
 	nw.Schedule(0, func() { src.Send(nid(1, 0), "pre", 10) })
-	nw.Schedule(200*time.Millisecond, func() { src.Send(nid(1, 0), "post", 10) })
+	nw.Schedule(50*time.Millisecond, func() { topo.SetLatency(0, 1, 10*time.Millisecond) })
+	nw.Schedule(60*time.Millisecond, func() { src.Send(nid(1, 1), "post", 10) })
 	nw.Run(time.Second)
-	if len(r.got) != 2 {
-		t.Fatalf("got %d", len(r.got))
+	if len(pre.got) != 1 || len(post.got) != 1 {
+		t.Fatalf("deliveries: pre=%d post=%d", len(pre.got), len(post.got))
 	}
-	preLat := r.at[0]
-	postLat := r.at[1] - 200*time.Millisecond
-	if preLat < 95*time.Millisecond {
-		t.Fatalf("pre-GST latency %v, want ~100ms (10x)", preLat)
+	if lat := post.at[0] - 60*time.Millisecond; lat < 10*time.Millisecond || lat > 11*time.Millisecond {
+		t.Fatalf("post-change latency %v, want ~10ms", lat)
 	}
-	if postLat > 15*time.Millisecond {
-		t.Fatalf("post-GST latency %v, want ~10ms", postLat)
+	if pre.at[0] < 100*time.Millisecond || pre.at[0] > 101*time.Millisecond {
+		t.Fatalf("in-flight copy arrived at %v, want ~100ms", pre.at[0])
 	}
 }
 
@@ -249,7 +259,7 @@ func TestWANByteAccounting(t *testing.T) {
 }
 
 func TestSetNodeBandwidth(t *testing.T) {
-	nw := twoGroups(t, Config{WANBandwidth: 1e6, WANLatency: func(a, b int) Time { return 0 }})
+	nw := twoGroups(t, Config{Topology: wanAt(2, 0).BandwidthTiers(1e6)})
 	slow := nid(0, 0)
 	nw.SetNodeBandwidth(slow, 1000)
 	var r recorder
@@ -309,7 +319,7 @@ func nid(g, j int) keys.NodeID { return keys.NodeID{Group: g, Index: j} }
 func TestPriorityLaneBypassesBulkQueue(t *testing.T) {
 	// A big bulk transfer books the uplink for 10 s; a priority control
 	// message must not wait behind it.
-	nw := New(Config{GroupSizes: []int{1, 1}, WANBandwidth: 1000, WANLatency: func(a, b int) Time { return 0 }})
+	nw := New(Config{GroupSizes: []int{1, 1}, Topology: wanAt(2, 0).BandwidthTiers(1000)})
 	var r recorder
 	nw.SetHandler(nid(1, 0), r.on(nw))
 	src := nw.Node(nid(0, 0))
@@ -333,7 +343,7 @@ func TestPriorityLaneBypassesBulkQueue(t *testing.T) {
 }
 
 func TestBacklogs(t *testing.T) {
-	nw := New(Config{GroupSizes: []int{1, 1}, WANBandwidth: 1000, WANLatency: func(a, b int) Time { return 0 }})
+	nw := New(Config{GroupSizes: []int{1, 1}, Topology: wanAt(2, 0).BandwidthTiers(1000)})
 	src := nw.Node(nid(0, 0))
 	nw.Schedule(0, func() { src.Send(nid(1, 0), "x", 5000) })
 	nw.Run(time.Millisecond)
@@ -363,8 +373,7 @@ func BenchmarkEventThroughput(b *testing.B) {
 }
 
 func TestJitterBoundsLatency(t *testing.T) {
-	lat := func(a, b int) Time { return 10 * time.Millisecond }
-	nw := New(Config{GroupSizes: []int{1, 1}, WANLatency: lat, Seed: 3})
+	nw := New(Config{GroupSizes: []int{1, 1}, Topology: wanAt(2, 10*time.Millisecond), Seed: 3})
 	nw.SetFaults(FaultConfig{Jitter: 0.2})
 	var r recorder
 	nw.SetHandler(nid(1, 0), r.on(nw))

@@ -6,20 +6,23 @@ import (
 	"time"
 )
 
-// Topology is a materialized network geometry: a dense one-way latency
-// matrix between regions (groups) and per-group WAN bandwidth tiers. For
-// paper-sized runs a latency callback is fine; a 50+-region matrix probed
-// on every one of millions of sends wants a flat slice lookup. A Topology is
-// not safe for concurrent use — like the rest of the emulator it lives on
-// one goroutine.
+// Topology is the simulated network: a dense one-way latency matrix between
+// regions (groups) whose diagonal holds each region's LAN latency, and each
+// group's per-node WAN bandwidth. Every send reads its latency from the
+// matrix, so a timed network change — the end of an unstable period, a
+// link slowing down — is a SetLatency from a scheduled event: it applies to
+// copies sent after the event, while copies in flight keep their arrival
+// time. A Topology is not safe for concurrent use — like the rest of the
+// emulator it lives on one goroutine.
 type Topology struct {
 	regions int
 	lat     []Time    // regions×regions one-way latency, row-major
-	groupBW []float64 // per-group per-node WAN bandwidth (bytes/s); 0 = network default
+	groupBW []float64 // per-group per-node WAN bandwidth (bytes/s)
 }
 
 // NewTopology creates a topology with every inter-region latency set to
-// DefaultWANLatency and every group on the network's default bandwidth.
+// DefaultWANDelay, every LAN at DefaultLANDelay and every group at
+// DefaultWANBandwidth.
 func NewTopology(regions int) *Topology {
 	if regions <= 0 {
 		panic(fmt.Sprintf("simnet: NewTopology(%d)", regions))
@@ -31,47 +34,61 @@ func NewTopology(regions int) *Topology {
 	}
 	for i := 0; i < regions; i++ {
 		for j := 0; j < regions; j++ {
+			t.lat[i*regions+j] = DefaultWANDelay
+		}
+		t.lat[i*regions+i] = DefaultLANDelay
+		t.groupBW[i] = DefaultWANBandwidth
+	}
+	return t
+}
+
+// ModelTopology materializes a WAN latency model: region i reaches region
+// j ≠ i in wan(i, j); LANs and bandwidths are NewTopology's.
+func ModelTopology(regions int, wan func(i, j int) Time) *Topology {
+	t := NewTopology(regions)
+	for i := 0; i < regions; i++ {
+		for j := 0; j < regions; j++ {
 			if i != j {
-				t.lat[i*regions+j] = DefaultWANLatency
+				t.SetLatency(i, j, wan(i, j))
 			}
 		}
 	}
 	return t
 }
 
-// Latency returns the one-way latency from region i to region j. Out-of-
-// range regions fall back to the default WAN latency (mirrors the callback
-// models, which return a constant for unknown pairs).
-func (t *Topology) Latency(i, j int) Time {
+// Regions returns the number of regions the topology describes.
+func (t *Topology) Regions() int { return t.regions }
+
+func (t *Topology) check(i, j int) {
 	if i < 0 || j < 0 || i >= t.regions || j >= t.regions {
-		return DefaultWANLatency
+		panic(fmt.Sprintf("simnet: regions (%d,%d) outside %d", i, j, t.regions))
 	}
+}
+
+// Latency returns the one-way latency from region i to region j; Latency(i,
+// i) is region i's LAN latency.
+func (t *Topology) Latency(i, j int) Time {
+	t.check(i, j)
 	return t.lat[i*t.regions+j]
 }
 
-// SetLatency sets the one-way latency from region i to region j.
+// SetLatency sets the one-way latency from region i to region j (i == j:
+// region i's LAN).
 func (t *Topology) SetLatency(i, j int, d Time) {
-	if i < 0 || j < 0 || i >= t.regions || j >= t.regions {
-		panic(fmt.Sprintf("simnet: SetLatency(%d,%d) outside %d regions", i, j, t.regions))
-	}
+	t.check(i, j)
 	t.lat[i*t.regions+j] = d
 }
 
-// GroupBandwidth returns the per-node WAN bandwidth of group g in bytes/s;
-// 0 means "use the network's configured default".
+// GroupBandwidth returns the per-node WAN bandwidth of group g in bytes/s.
 func (t *Topology) GroupBandwidth(g int) float64 {
-	if g < 0 || g >= t.regions {
-		return 0
-	}
+	t.check(g, g)
 	return t.groupBW[g]
 }
 
 // SetGroupBandwidth pins every node of group g to the given WAN bandwidth
 // (bytes/s, each direction) — the bandwidth-tier knob.
 func (t *Topology) SetGroupBandwidth(g int, bytesPerSec float64) {
-	if g < 0 || g >= t.regions {
-		panic(fmt.Sprintf("simnet: SetGroupBandwidth(%d) outside %d regions", g, t.regions))
-	}
+	t.check(g, g)
 	t.groupBW[g] = bytesPerSec
 }
 

@@ -127,10 +127,11 @@ func TestEventPoolReuse(t *testing.T) {
 func TestLegacyHeapMatchesWheel(t *testing.T) {
 	groups := []int{6, 6, 6}
 	run := func(legacy bool) string {
-		nw := New(Config{GroupSizes: groups, Seed: 99, GST: 300 * time.Millisecond, UnstableFactor: 4})
+		nw := New(Config{GroupSizes: groups, Seed: 99, Topology: wanAt(len(groups), 4*DefaultWANDelay)})
 		if legacy {
 			nw.sched = &heapSched{} // New schedules nothing: the queue is still empty
 		}
+		stableFrom(nw, 300*time.Millisecond)
 		nw.SetFaults(FaultConfig{WANDrop: 0.05, WANDup: 0.05, Jitter: 0.2})
 		rec := fpDrive(nw, groups, true)
 		nw.Run(1500 * time.Millisecond)

@@ -45,7 +45,7 @@ func Protocols() []Protocol {
 }
 
 // options maps a Protocol to the core node's mode switches.
-func (p Protocol) options(epoch time.Duration) (cluster.Options, error) {
+func (p Protocol) options() (cluster.Options, error) {
 	switch p {
 	case ProtocolMassBFT, "":
 		return cluster.PresetMassBFT(), nil
@@ -56,10 +56,7 @@ func (p Protocol) options(epoch time.Duration) (cluster.Options, error) {
 	case ProtocolSteward:
 		return cluster.PresetSteward(), nil
 	case ProtocolISS:
-		if epoch == 0 {
-			epoch = 100 * time.Millisecond // the paper's 0.1 s epochs
-		}
-		return cluster.PresetISS(epoch), nil
+		return cluster.PresetISS(100 * time.Millisecond), nil // the paper's 0.1 s epochs
 	case ProtocolBR:
 		return cluster.PresetBR(), nil
 	case ProtocolEBR:
@@ -94,12 +91,11 @@ type Config struct {
 	// Seed drives all randomness; equal seeds give bit-identical runs.
 	Seed int64
 
-	// Latency is the WAN latency model (default Nationwide). WANBandwidth
-	// and LANBandwidth are per-node bytes/second.
+	// Latency is the WAN latency model (default Nationwide); NewCluster
+	// reads it once per ordered pair of groups. WANBandwidth is per-node
+	// bytes/second (default 20 Mbps).
 	Latency      LatencyModel
-	LANLatency   time.Duration
 	WANBandwidth float64
-	LANBandwidth float64
 	// Globe replaces the named latency models with a procedurally generated
 	// planet-scale geometry: every group becomes a region placed on a sphere
 	// (seeded from Seed), one-way latencies follow great-circle fiber
@@ -125,8 +121,6 @@ type Config struct {
 	// instead of self-generating the synthetic workload. See Result's
 	// Client* fields for the client-side outcome.
 	GatewayClients int
-	// EpochLength applies to ProtocolISS only.
-	EpochLength time.Duration
 
 	// Warmup excludes the run's first phase from aggregate metrics.
 	Warmup time.Duration
@@ -208,23 +202,30 @@ type Cluster struct {
 // meaningful. To run over real sockets, deploy one process per node with
 // StartNode or cmd/massbft-node instead.
 func NewCluster(cfg Config) (*Cluster, error) {
-	opts, err := cfg.Protocol.options(cfg.EpochLength)
+	opts, err := cfg.Protocol.options()
 	if err != nil {
 		return nil, err
 	}
 	if cfg.SerialVTS {
 		opts.OverlapVTS = false
 	}
-	var lat func(i, j int) time.Duration
-	if cfg.Latency != nil {
-		lat = func(i, j int) time.Duration { return cfg.Latency(i, j) }
-	}
 	var topo *simnet.Topology
-	// An empty layout is cluster.New's to reject; a globe of zero regions panics.
-	if cfg.Globe && cfg.Latency == nil && len(cfg.Groups) > 0 {
-		topo = simnet.GlobeTopology(len(cfg.Groups), cfg.Seed)
-		if cfg.WANBandwidth == 0 {
-			topo.BandwidthTiers(1e9/8, 100e6/8, 20e6/8)
+	// An empty layout is cluster.New's to reject; a topology of zero regions panics.
+	if n := len(cfg.Groups); n > 0 {
+		if cfg.Globe && cfg.Latency == nil {
+			topo = simnet.GlobeTopology(n, cfg.Seed)
+			if cfg.WANBandwidth == 0 {
+				topo.BandwidthTiers(1e9/8, 100e6/8, 20e6/8)
+			}
+		} else {
+			lat := cfg.Latency
+			if lat == nil {
+				lat = Nationwide
+			}
+			topo = simnet.ModelTopology(n, lat)
+		}
+		if cfg.WANBandwidth > 0 {
+			topo.BandwidthTiers(cfg.WANBandwidth)
 		}
 	}
 	inner := cluster.Config{
@@ -232,11 +233,7 @@ func NewCluster(cfg Config) (*Cluster, error) {
 		Opts:          opts,
 		Workload:      cfg.Workload,
 		Seed:          cfg.Seed,
-		WANLatency:    lat,
 		Topology:      topo,
-		LANLatency:    cfg.LANLatency,
-		WANBandwidth:  cfg.WANBandwidth,
-		LANBandwidth:  cfg.LANBandwidth,
 		BatchTimeout:  cfg.BatchTimeout,
 		MaxBatch:      cfg.MaxBatch,
 		PipelineDepth: cfg.PipelineDepth,
@@ -360,7 +357,7 @@ func (c *Cluster) Reconfigure(at time.Duration, op byte, group int) {
 // counter (number of certified reconfigurations applied) and the sorted
 // member groups of the current epoch.
 func (c *Cluster) Epoch() (uint64, []int) {
-	obs := c.inner.Cfg.Observer
+	obs := c.inner.Cfg.Observer()
 	return c.node(obs.Group, obs.Index).EpochInfo()
 }
 
@@ -526,7 +523,7 @@ func (c *Cluster) result() Result {
 		ClientGaveUp:    m.ClientGaveup,
 	}
 	if c.inner.Trace != nil {
-		rep := trace.Analyze(c.inner.Trace.Spans(), c.inner.Cfg.Observer)
+		rep := trace.Analyze(c.inner.Trace.Spans(), c.inner.Cfg.Observer())
 		tr := &TraceReport{
 			Entries: len(rep.Entries),
 			Spans:   c.inner.Trace.Len(),

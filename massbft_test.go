@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"massbft/internal/ledger"
+	"massbft/internal/simnet"
 	"massbft/internal/statedb"
 )
 
@@ -263,6 +264,61 @@ func TestLatencyModels(t *testing.T) {
 	if Worldwide(0, 1) <= Nationwide(0, 1) {
 		t.Fatal("worldwide latency should exceed nationwide")
 	}
+	// NewCluster materializes a model into the simulator's one Topology:
+	// exact on every ordered pair, past the 7×7 nationwide table too.
+	const groups = 9
+	asym := func(i, j int) time.Duration { return time.Duration(10*i+j+1) * time.Millisecond }
+	for name, model := range map[string]LatencyModel{"nationwide": Nationwide, "worldwide": Worldwide, "asymmetric": asym} {
+		topo := clusterTopology(t, Config{Groups: make([]int, groups), Latency: model})
+		for i := 0; i < groups; i++ {
+			for j := 0; j < groups; j++ {
+				want := model(i, j)
+				if i == j {
+					want = simnet.DefaultLANDelay
+				}
+				if got := topo.Latency(i, j); got != want {
+					t.Fatalf("%s: latency(%d,%d) = %v, want %v", name, i, j, got, want)
+				}
+			}
+		}
+	}
+	if got := clusterTopology(t, Config{Groups: make([]int, groups)}).Latency(7, 8); got != 15*time.Millisecond {
+		t.Fatalf("default model past the nationwide table: %v, want 15ms", got)
+	}
+	// Per-group WAN bandwidth: Globe cycles its tiers unless WANBandwidth
+	// pins every group; the named models default to the paper's 20 Mbps.
+	for _, tc := range []struct {
+		cfg  Config
+		want []float64
+	}{
+		{Config{Globe: true}, []float64{1e9 / 8, 100e6 / 8, 20e6 / 8, 1e9 / 8}},
+		{Config{Globe: true, WANBandwidth: 40e6 / 8}, []float64{40e6 / 8, 40e6 / 8, 40e6 / 8, 40e6 / 8}},
+		{Config{}, []float64{20e6 / 8, 20e6 / 8, 20e6 / 8, 20e6 / 8}},
+		{Config{WANBandwidth: 40e6 / 8}, []float64{40e6 / 8, 40e6 / 8, 40e6 / 8, 40e6 / 8}},
+	} {
+		tc.cfg.Groups = make([]int, len(tc.want))
+		topo := clusterTopology(t, tc.cfg)
+		for g, want := range tc.want {
+			if got := topo.GroupBandwidth(g); got != want {
+				t.Fatalf("globe=%v WANBandwidth=%v: group %d at %v B/s, want %v",
+					tc.cfg.Globe, tc.cfg.WANBandwidth, g, got, want)
+			}
+		}
+	}
+}
+
+// clusterTopology returns the topology NewCluster builds for cfg, every
+// group of one node.
+func clusterTopology(t *testing.T, cfg Config) *simnet.Topology {
+	t.Helper()
+	for g := range cfg.Groups {
+		cfg.Groups[g] = 1
+	}
+	c, err := NewCluster(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c.inner.Cfg.Topology
 }
 
 func TestLedgerAgreement(t *testing.T) {

@@ -162,7 +162,7 @@ func (t *Topology) addr(id keys.NodeID) (string, bool) {
 // clusterConfig translates the topology into the internal protocol config,
 // validated and with defaults applied.
 func (t *Topology) clusterConfig() (cluster.Config, error) {
-	opts, err := t.Protocol.options(0)
+	opts, err := t.Protocol.options()
 	if err != nil {
 		return cluster.Config{}, err
 	}

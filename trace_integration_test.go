@@ -74,7 +74,7 @@ func TestTraceExportAndCriticalPath(t *testing.T) {
 	// Re-run the analysis on the round-tripped spans: every entry's partition
 	// must be gapless (segments nest in the window and sum to the e2e latency
 	// exactly, well within the 1% acceptance bound).
-	rep := trace.Analyze(spans, c.inner.Cfg.Observer)
+	rep := trace.Analyze(spans, c.inner.Cfg.Observer())
 	if len(rep.Entries) == 0 {
 		t.Fatal("no entries analyzed from exported file")
 	}
