@@ -46,7 +46,7 @@ func main() {
 		statusInt = flag.Duration("status-interval", 500*time.Millisecond, "status file refresh interval")
 		peersGlob = flag.String("peers-status", "", "glob of the peers' status files; when set, each refresh classifies cross-node agreement (converged/wedged/forked) into this node's status file and divergence counters")
 		reconf    = flag.String("reconfigure", "", "admin membership trigger, \"join:G@DELAY\" or \"leave:G@DELAY\" (e.g. join:2@5s): after DELAY, broadcast the trigger for group G from this node")
-		verbose   = flag.Bool("v", false, "log transport lifecycle events")
+		verbose   = flag.Bool("v", false, "log transport lifecycle events and state-machine transitions")
 	)
 	flag.Parse()
 	if *topoPath == "" || *group < 0 || *index < 0 {

@@ -12,7 +12,9 @@ import (
 // emulator hands transport.Message to the node's transport.Handler — so a
 // change to the seam must not perturb a single scheduling decision, fault
 // draw, or allocation: committed counts, ledger height, head hash, and state
-// hash must all match byte-for-byte.
+// hash must all match byte-for-byte. Each run carries a cutWatch: a
+// transition hook that only reads moves nothing, and no cut is applied past
+// a cursor.
 //
 // If this fails after an intentional protocol change, re-capture the
 // fingerprints in the same change; if it fails after a transport change,
@@ -77,6 +79,7 @@ func TestTransportSeamBitIdentical(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			cuts := watchCuts(c)
 			res := c.Run(3 * time.Second)
 			c.Drain(2 * time.Second)
 			li := c.Ledger(0, 0)
@@ -88,6 +91,7 @@ func TestTransportSeamBitIdentical(t *testing.T) {
 			if got != want {
 				t.Fatalf("fingerprint drift through the transport seam:\n want %s\n  got %s", want, got)
 			}
+			cuts.expect(t, "")
 		})
 	}
 }

@@ -79,6 +79,51 @@ func (w *certWatch) expect(t *testing.T, want string) {
 	}
 }
 
+// cutWatch is a passive checker of the precondition of ROADMAP item 1(a)'s
+// invariant (iii): a node outside group G that applies G's dead or depart cut
+// c holds a stream cursor for G at or below c. A cursor past c means the node
+// has already processed batches of G that every other node fences. G's own
+// members are exempt: a falsely dead group always ran past its own cut, and
+// item 1(b) decides that case. The watch counts the violations and keeps the
+// first.
+type cutWatch struct {
+	n     int
+	node  keys.NodeID
+	first Transition
+}
+
+// watchCuts installs a cutWatch as c's transition hook. The hook only reads:
+// the run is the one it would be.
+func watchCuts(c *Cluster) *cutWatch {
+	w := &cutWatch{}
+	c.WatchTransitions(func(group, index int, tr Transition) {
+		if (tr.Kind == cluster.TransDead || tr.Kind == cluster.TransDepart) && group != tr.Group && tr.Cursor > tr.At {
+			if w.n++; w.n == 1 {
+				w.node, w.first = keys.NodeID{Group: group, Index: index}, tr
+			}
+		}
+	})
+	return w
+}
+
+// verdict is "" for a silent watch, else the count and the first violation:
+// the node, the group, the cut and the node's cursor.
+func (w *cutWatch) verdict() string {
+	if w.n == 0 {
+		return ""
+	}
+	return fmt.Sprintf("%d past cut, first %v applied g%d's %v cut %d at cursor %d",
+		w.n, w.node, w.first.Group, w.first.Kind, w.first.At, w.first.Cursor)
+}
+
+// expect fails t unless w's verdict is want.
+func (w *cutWatch) expect(t *testing.T, want string) {
+	t.Helper()
+	if got := w.verdict(); got != want {
+		t.Errorf("cut watch: got %q, want %q", got, want)
+	}
+}
+
 // combinedFaultCluster builds the demo's combined-fault preset: 5% WAN loss,
 // 1% LAN loss, 1% duplication, 10% jitter, every recovery knob armed. This
 // is the exact environment that historically drove the congestion-collapse
@@ -86,13 +131,13 @@ func (w *certWatch) expect(t *testing.T, want string) {
 // copies overwhelmed the 20 Mbps WAN NICs, the victim group's certified
 // stream went silent behind multi-second queues, both peer groups certified
 // suspicions, and a false GroupDead wedged the run.
-func combinedFaultCluster(t *testing.T, seed int64) (*Cluster, *certWatch) {
+func combinedFaultCluster(t *testing.T, seed int64) (*Cluster, *certWatch, *cutWatch) {
 	t.Helper()
 	c, err := NewCluster(combinedFaultConfig(seed))
 	if err != nil {
 		t.Fatal(err)
 	}
-	return c, watchCerts(c)
+	return c, watchCerts(c), watchCuts(c)
 }
 
 func combinedFaultConfig(seed int64) Config {
@@ -128,7 +173,7 @@ func TestCombinedFaultSeedsConverge(t *testing.T) {
 		seed := seed
 		t.Run(map[int64]string{4: "seed4", 5: "seed5"}[seed], func(t *testing.T) {
 			t.Parallel()
-			c, w := combinedFaultCluster(t, seed)
+			c, w, cuts := combinedFaultCluster(t, seed)
 			c.Run(10 * time.Second)
 			rep := c.DrainToAgreement(500*time.Millisecond, 12*time.Second)
 			if rep.Verdict != AgreementConverged {
@@ -141,6 +186,7 @@ func TestCombinedFaultSeedsConverge(t *testing.T) {
 				t.Fatalf("forked-detected = %d", c.Counter("forked-detected"))
 			}
 			w.expect(t, "")
+			cuts.expect(t, "")
 		})
 	}
 }
@@ -149,8 +195,8 @@ func TestCombinedFaultSeedsConverge(t *testing.T) {
 // preset throttled to 2000 txn/s per group, with one follower of every group
 // crashed at 5 s and recovered at 10 s, then drained to a verdict. No group
 // ever crashes, so every certified death in it is false. The run is watched
-// for entries certified twice.
-func falseDeathRecipe(t *testing.T, seed int64) (*Cluster, AgreementReport, *certWatch) {
+// for entries certified twice and for cuts applied past a node's cursor.
+func falseDeathRecipe(t *testing.T, seed int64) (*Cluster, AgreementReport, *certWatch, *cutWatch) {
 	t.Helper()
 	cfg := combinedFaultConfig(seed)
 	cfg.GroupRate = []float64{2000, 2000, 2000}
@@ -162,17 +208,19 @@ func falseDeathRecipe(t *testing.T, seed int64) (*Cluster, AgreementReport, *cer
 		c.CrashNode(5*time.Second, g, 1)
 		c.RecoverNode(10*time.Second, g, 1)
 	}
-	w := watchCerts(c)
+	w, cuts := watchCerts(c), watchCuts(c)
 	c.Run(time.Second)
 	c.Run(19 * time.Second)
-	return c, c.DrainToAgreement(500*time.Millisecond, 12*time.Second), w
+	return c, c.DrainToAgreement(500*time.Millisecond, 12*time.Second), w, cuts
 }
 
 // TestFalseDeathForkSeeds pins a known safety bug (ROADMAP item 1): under
 // falseDeathRecipe a live group is certified dead and the ledger forks with
 // two entries at one height. The pinned values are the fork's height, the
-// counters that lead to it, and the entry certWatch sees certified twice
-// (seed 4's fork has none); the fix for item 1 turns these seeds into
+// counters that lead to it, the entry certWatch sees certified twice (seed
+// 4's fork has none) and cutWatch's verdict: on seed 11 a node of group 2
+// applied group 1's death 38 batches behind its own cursor, on seed 4 no
+// third party ran past a cut. The fix for item 1 turns these seeds into
 // converged runs with zero deaths, and changes this test with it.
 func TestFalseDeathForkSeeds(t *testing.T) {
 	t.Parallel()
@@ -183,15 +231,16 @@ func TestFalseDeathForkSeeds(t *testing.T) {
 		seed                              int64
 		height                            uint64
 		deaths, localChanges, metaChanges int64
-		twice                             string
+		twice, pastCut                    string
 	}{
 		{seed: 4, height: 243, deaths: 12, localChanges: 42, metaChanges: 31},
-		{seed: 11, height: 158, deaths: 9, localChanges: 45, metaChanges: 33, twice: "e0,73"},
+		{seed: 11, height: 158, deaths: 9, localChanges: 45, metaChanges: 33, twice: "e0,73",
+			pastCut: "3 past cut, first N2,0 applied g1's dead cut 157 at cursor 195"},
 	} {
 		tc := tc
 		t.Run(fmt.Sprintf("seed%d", tc.seed), func(t *testing.T) {
 			t.Parallel()
-			c, rep, w := falseDeathRecipe(t, tc.seed)
+			c, rep, w, cuts := falseDeathRecipe(t, tc.seed)
 			if rep.Verdict != AgreementForked || rep.FirstDivergentHeight != tc.height {
 				t.Fatalf("want forked at %d, got: %v", tc.height, rep)
 			}
@@ -208,6 +257,7 @@ func TestFalseDeathForkSeeds(t *testing.T) {
 				}
 			}
 			w.expect(t, tc.twice)
+			cuts.expect(t, tc.pastCut)
 		})
 	}
 }
@@ -215,20 +265,21 @@ func TestFalseDeathForkSeeds(t *testing.T) {
 // TestPayloadForkSeed pins the second fork kind under falseDeathRecipe
 // (ROADMAP item 1): one stream position carries two certified payloads, and
 // the groups keep different ones. Both branches seal the same entry under two
-// digests, certWatch names the entry, and no group is ever certified dead —
-// 1(a)'s invariant (i), not the false death. The fix changes this test with
-// it.
+// digests, certWatch names the entry, and no group is ever certified dead, so
+// cutWatch is silent — 1(a)'s invariant (i), not the false death. The fix
+// changes this test with it.
 func TestPayloadForkSeed(t *testing.T) {
 	t.Parallel()
 	if testing.Short() {
 		t.Skip("heavy integration test")
 	}
 	const seed, height = 350, 247
-	c, rep, w := falseDeathRecipe(t, seed)
+	c, rep, w, cuts := falseDeathRecipe(t, seed)
 	if rep.Verdict != AgreementForked || rep.FirstDivergentHeight != height {
 		t.Fatalf("want forked at %d, got: %v", height, rep)
 	}
 	w.expect(t, "e1,69")
+	cuts.expect(t, "")
 	if len(rep.Branches) < 2 || rep.Branches[0].Entry != rep.Branches[1].Entry ||
 		rep.Branches[0].EntryDigest == rep.Branches[1].EntryDigest {
 		t.Fatalf("want one entry under two digests at %d, got: %v", height, rep)
@@ -261,7 +312,7 @@ func TestPartitionWANHealsAndConverges(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	w := watchCerts(c)
+	w, cuts := watchCerts(c), watchCuts(c)
 	c.PartitionWAN(time.Second, 4*time.Second, 0, 2)
 	c.Run(6 * time.Second)
 	rep := c.DrainToAgreement(500*time.Millisecond, 12*time.Second)
@@ -275,6 +326,7 @@ func TestPartitionWANHealsAndConverges(t *testing.T) {
 		t.Fatalf("certified %d group deaths with every group alive", d)
 	}
 	w.expect(t, "")
+	cuts.expect(t, "")
 }
 
 // TestDrainToAgreementFaultFree exercises the public forensics API on a

@@ -194,7 +194,7 @@ func (s *gwServer) readLoop(gc *gwConn, br *bufio.Reader) {
 		flags, payload, err := transport.ReadFrame(br)
 		if err != nil {
 			if err != io.EOF && !errors.Is(err, net.ErrClosed) {
-				s.n.logfSafe("gateway: read: %v", err)
+				s.n.logf("gateway: read: %v", err)
 			}
 			return
 		}
@@ -203,7 +203,7 @@ func (s *gwServer) readLoop(gc *gwConn, br *bufio.Reader) {
 		}
 		msg, err := cluster.DecodeEnvelope(payload)
 		if err != nil {
-			s.n.logfSafe("gateway: decode: %v", err)
+			s.n.logf("gateway: decode: %v", err)
 			continue
 		}
 		req, ok := msg.(*cluster.ClientRequest)

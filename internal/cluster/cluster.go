@@ -89,6 +89,9 @@ type Process struct {
 	// Trace is the span recorder; nil when tracing is off (all recorder
 	// methods are nil-safe no-ops, so nodes record unconditionally).
 	Trace *trace.Recorder
+	// OnTransition, when non-nil, sees every transition a node of the
+	// process reports; it only reads, so a run with it is the run without.
+	OnTransition func(id keys.NodeID, tr Transition)
 	// EncodeMemo and RebuildMemo memoize the deterministic erasure
 	// transforms of the entries in flight, one value per entry the leaders
 	// may have unexecuted (PipelineDepth per group; CPU is still charged per

@@ -140,6 +140,59 @@ type Record struct {
 	View uint64
 }
 
+// Transition is one step of a node's state machines as it reaches the node's
+// sink (DESIGN.md §7): a group-table transition, a PBFT view installed or a
+// local PBFT slot's phase, the last two naming the node's own group.
+type Transition struct {
+	Kind TransitionKind
+	// Group is the row the transition is about; Origin the group whose
+	// certified record caused it.
+	Group, Origin int
+	// At is the cut (dead, depart), the join boundary (admit), the attested
+	// cursor (suspect, suspect-raised), the view or the slot; Epoch is the
+	// node's epoch with the transition applied.
+	At, Epoch uint64
+	// Cursor is, for a cut, the node's own cursor on Group as it applies it:
+	// past At, it processed batches of Group that others fence.
+	Cursor uint64
+}
+
+// TransitionKind names a Transition.
+type TransitionKind uint8
+
+// The group table's transitions, the two PBFT instances' view changes and
+// the local instance's slot phases; local-view and the phases follow
+// pbft.Event's order.
+const (
+	TransNone           TransitionKind = iota // a record that changed nothing
+	TransSuspect                              // a new standing suspicion
+	TransSuspectRaised                        // a standing suspicion's cursor raised
+	TransRevoke                               // a standing suspicion withdrawn
+	TransDead                                 // a member certified dead at cut At
+	TransDeadDupe                             // a death of a group already absent
+	TransJoinVote                             // a new join vote, or the readiness attestation
+	TransLeaveVote                            // a new leave vote by another group
+	TransFarewell                             // the leaving group's own vote
+	TransAdmit                                // a standby group joined at boundary At
+	TransDepart                               // a member left at cut At
+	TransEpochDupe                            // an epoch switch of a stale number
+	TransEpochBadOrigin                       // an epoch switch not from the coordinator
+	TransMetaView                             // the meta instance installed view At
+	TransLocalView                            // the local instance installed view At
+	TransPrePrepare                           // slot At's proposal accepted
+	TransPrepared                             // slot At's commit share sent
+	TransCommitted                            // slot At's commit quorum reached
+)
+
+var transitionNames = [...]string{"none", "suspect", "suspect-raised", "revoke", "dead", "dead-dupe",
+	"join-vote", "leave-vote", "farewell", "admit", "depart", "epoch-dupe", "epoch-bad-origin",
+	"meta-view", "local-view", "pre-prepare", "prepared", "committed"}
+
+func (k TransitionKind) String() string { return transitionNames[k] }
+
+// Phase reports whether k is a phase of a local PBFT slot.
+func (k TransitionKind) Phase() bool { return k >= TransPrePrepare }
+
 const recordWire = 1 + 4 + 12 + 8 + 8
 
 // EncodeRecords serializes records as a meta-PBFT payload.

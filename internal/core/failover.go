@@ -19,7 +19,7 @@ import (
 // (groups.go; DESIGN.md §6), so the state machine replays identically on
 // every node (and across rejoins, via the checkpoint fold). What stays here
 // touches the rest of the node: the leader-gated scans that feed the table's
-// emitters, the effects step asks for, and the round skips.
+// emitters, carrying out the transitions step makes, and the round skips.
 //
 // The death cut is a position in G's FIFO batch stream: the maximum of every
 // collected suspicion cursor and the successor's own cursor. All nodes
@@ -90,33 +90,40 @@ func (n *Node) deathScan(now time.Duration) {
 	}
 }
 
-// apply carries out what a step of the group table asks of the node.
-func (n *Node) apply(e effect) {
-	if e.fence && e.g != n.g {
-		// Our own group needs no fence: removed(n.g) now halts proposing and
-		// record emission so the group cannot extend a fork past the
-		// certified cut; members keep serving fetches for the agreed prefix.
-		n.fenceStream(e.g, e.at)
-	}
-	if e.admit {
+// apply carries out a group-table transition and hands it to the sink.
+func (n *Node) apply(tr cluster.Transition) {
+	g := tr.Group
+	switch tr.Kind {
+	case cluster.TransDead, cluster.TransDepart:
+		tr.Cursor = n.streamCursor(g)
+		if g != n.g {
+			// Our own group needs no fence: removed(n.g) now halts proposing
+			// and record emission so it cannot extend a fork past the cut;
+			// members keep serving fetches for the agreed prefix.
+			n.fenceStream(g, tr.At)
+		}
+	case cluster.TransAdmit:
 		// A join is the only transition out of an absent state: the stamps
 		// sent on the group's behalf while it was absent are done with.
-		clear(n.streams[e.g].takeoverSent)
-		n.admit(e.g, e.at)
+		clear(n.streams[g].takeoverSent)
+		n.admit(g, tr.At)
+	case cluster.TransJoinVote:
+		if tr.Origin != g && g != n.g {
+			n.wantJoin[g] = true // second the join
+		}
+	case cluster.TransLeaveVote:
+		if g != n.g {
+			n.wantLeave[g] = true
+		}
+	case cluster.TransFarewell:
+		n.leaving = n.leaving || g == n.g
 	}
-	switch e.second {
-	case cluster.ReconfigJoin:
-		n.wantJoin[e.g] = true
-	case cluster.ReconfigLeave:
-		n.wantLeave[e.g] = true
+	if tr.Kind == cluster.TransAdmit || tr.Kind == cluster.TransDepart {
+		// The epoch moved for g: its node-local intents are done.
+		delete(n.wantJoin, g)
+		delete(n.wantLeave, g)
 	}
-	if e.leaving {
-		n.leaving = true
-	}
-	if e.settled {
-		delete(n.wantJoin, e.g)
-		delete(n.wantLeave, e.g)
-	}
+	n.transition(tr, nil)
 }
 
 // fenceStream drops group g's buffered batches at or past its cut: they will

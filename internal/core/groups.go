@@ -5,14 +5,13 @@ import (
 	"slices"
 
 	"massbft/internal/cluster"
-	"massbft/internal/metrics"
 )
 
 // This file holds a node's certified view of every group (DESIGN.md §6, "The
 // group table") and the one function that changes it. step consumes a
-// certified failover or membership record, counts its transitions and returns
-// the effect the node must carry out; it reads nothing but the table and the
-// record — no clock, stream, orderer or metric — so the table is a pure
+// certified failover or membership record and returns the transition it made,
+// which the node carries out and reports; it reads nothing but the table and
+// the record — no clock, stream, orderer or metric — so the table is a pure
 // function of the records consumed, which is what lets every node replay it
 // identically and lets a test explore it without a cluster. restore installs
 // a checkpoint's table wholesale; nothing else assigns a row's state, cut,
@@ -112,19 +111,9 @@ func (t *groupTable) voteCount(g int) int {
 	return c
 }
 
-// effect is what a step asks of the node beyond the table.
-type effect struct {
-	g       int    // the record's target group
-	at      uint64 // g's stream cut (fence) or join boundary (admit)
-	fence   bool   // g's stream was cut at `at`
-	admit   bool   // g joined with boundary `at`
-	second  byte   // cluster.ReconfigJoin or ReconfigLeave: second that op on g
-	leaving bool   // our own group's farewell certified
-	settled bool   // the epoch moved for g: its node-local intents are done
-}
-
 // step consumes one certified failover or membership record from origin's
-// stream and counts into c. The transitions (DESIGN.md §6 tabulates them):
+// stream and returns the transition it made (TransNone if none). The
+// transitions (DESIGN.md §6 tabulates them):
 //
 //   - RecSuspect: origin attests g silent at cursor TS (kept at its highest);
 //   - RecRevoke: origin withdraws its suspicion — g spoke again;
@@ -136,105 +125,89 @@ type effect struct {
 //   - RecGroupJoin / RecGroupLeave: a vote on a standby / member group;
 //   - RecEpoch: the coordinator (g's successor as of this stream position)
 //     admits or removes g, once per epoch number.
-func (t *groupTable) step(origin int, rec cluster.Record, c *metrics.Counts) (e effect) {
+func (t *groupTable) step(origin int, rec cluster.Record) cluster.Transition {
 	g := rec.Stream
 	if g < 0 || g >= len(t.rows) {
-		return e
+		return cluster.Transition{}
 	}
-	e.g = g
+	tr := cluster.Transition{Group: g, Origin: origin, At: rec.TS}
 	row := &t.rows[g]
 	switch rec.Kind {
 	case cluster.RecSuspect:
 		if g == origin || t.absent(g) {
-			return e
+			break
 		}
 		switch i, ok := suspicion(row, origin); {
 		case !ok:
-			c.GroupSuspects++
+			tr.Kind = cluster.TransSuspect
 			row.Suspecters = slices.Insert(row.Suspecters, i, cluster.Suspicion{Origin: origin, Cursor: rec.TS})
 		case rec.TS > row.Suspecters[i].Cursor:
+			tr.Kind = cluster.TransSuspectRaised
 			row.Suspecters[i].Cursor = rec.TS
 		}
 	case cluster.RecRevoke:
 		if g == origin || t.absent(g) {
-			return e
+			break
 		}
 		if i, ok := suspicion(row, origin); ok {
 			row.Suspecters = slices.Delete(row.Suspecters, i, i+1)
-			c.GroupRevokes++
+			tr.Kind = cluster.TransRevoke
 		}
 	case cluster.RecDead:
-		if g == origin {
-			return e
+		switch {
+		case g == origin:
+		case t.absent(g):
+			tr.Kind = cluster.TransDeadDupe
+		default:
+			*row = cluster.GroupRow{State: dead, Cut: rec.TS}
+			tr.Kind = cluster.TransDead
 		}
-		if t.absent(g) {
-			c.DeadDupes++
-			return e
-		}
-		*row = cluster.GroupRow{State: dead, Cut: rec.TS}
-		e.fence, e.at = true, rec.TS
-		c.GroupDeaths++
 	case cluster.RecGroupJoin:
 		// Standby groups have no vote, only their own readiness attestation.
-		if row.State != standby || origin != g && t.rows[origin].State == standby {
-			return e
-		}
-		t.vote(g, origin, &c.JoinVotes)
-		if origin != g && g != t.self {
-			e.second = cluster.ReconfigJoin
+		if row.State == standby && (origin == g || t.rows[origin].State != standby) && t.vote(g, origin) {
+			tr.Kind = cluster.TransJoinVote
 		}
 	case cluster.RecGroupLeave:
-		if t.absent(g) {
-			return e
+		if t.absent(g) || !t.vote(g, origin) {
+			break
 		}
-		t.vote(g, origin, &c.LeaveVotes)
-		switch {
-		case origin == g:
-			// The farewell: our own group goes silent so the stream ends here,
+		tr.Kind = cluster.TransLeaveVote
+		if origin == g {
+			// The farewell: the group goes silent so its stream ends here,
 			// exactly where the cut will land.
-			e.leaving = g == t.self
-		case g != t.self:
-			e.second = cluster.ReconfigLeave
+			tr.Kind = cluster.TransFarewell
 		}
 	case cluster.RecEpoch:
-		if origin == g {
-			return e
-		}
-		if rec.Entry.Seq != t.epoch+1 {
-			c.EpochDupes++
-			return e
-		}
-		if origin != t.successor(g, nil) {
-			c.EpochBadOrigin++
-			return e
-		}
 		switch {
+		case origin == g:
+		case rec.Entry.Seq != t.epoch+1:
+			tr.Kind = cluster.TransEpochDupe
+		case origin != t.successor(g, nil):
+			tr.Kind = cluster.TransEpochBadOrigin
 		case byte(rec.Entry.GID) == cluster.ReconfigJoin && row.State == standby:
 			*row = cluster.GroupRow{State: member}
-			e.admit, e.at = true, rec.TS
+			tr.Kind = cluster.TransAdmit
+			t.epoch++
 		case byte(rec.Entry.GID) == cluster.ReconfigLeave && !t.absent(g):
 			// From here on g is fenced, skipped and frozen like a dead group,
 			// but it no longer counts in the quorum denominator.
 			*row = cluster.GroupRow{State: departed, Cut: rec.TS}
-			e.fence, e.at = true, rec.TS
-			c.GroupsDeparted++
-		default:
-			return e
+			tr.Kind = cluster.TransDepart
+			t.epoch++
 		}
-		t.epoch++
-		e.settled = true
-		c.EpochSwitches++
 	}
-	return e
+	tr.Epoch = t.epoch
+	return tr
 }
 
-// vote records origin's standing vote on g, counting a new one.
-func (t *groupTable) vote(g, origin int, counter *int64) {
+// vote records origin's standing vote on g and reports whether it is new.
+func (t *groupTable) vote(g, origin int) bool {
 	row := &t.rows[g]
-	if i, ok := slices.BinarySearch(row.Votes, origin); !ok {
+	i, ok := slices.BinarySearch(row.Votes, origin)
+	if !ok {
 		row.Votes = slices.Insert(row.Votes, i, origin)
-		*counter++
 	}
+	return !ok
 }
 
 // voted reports whether origin's vote on g stands.

@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"massbft/internal/cluster"
-	"massbft/internal/metrics"
 )
 
 // The group-table explorer: a model of n groups, each holding one groupTable
@@ -205,19 +204,24 @@ func fenced(t *groupTable, r, o, pos int) bool {
 	return r != o && t.removed(o) && uint64(pos) >= t.rows[o].Cut
 }
 
-// consume steps table t over o's record as processRecords does: a standby
-// origin's records other than its own join attestation are dropped.
-func consume(t *groupTable, o int, rec cluster.Record) (effect, bool) {
+// consume steps table t over o's record as processRecords does and returns
+// the transition: a standby origin's records other than its own join
+// attestation are dropped.
+func consume(t *groupTable, o int, rec cluster.Record) cluster.Transition {
 	if t.rows[o].State == standby && !(rec.Kind == cluster.RecGroupJoin && rec.Stream == o) {
-		return effect{}, false
+		return cluster.Transition{}
 	}
 	switch rec.Kind {
 	case cluster.RecSuspect, cluster.RecRevoke, cluster.RecDead,
 		cluster.RecGroupJoin, cluster.RecGroupLeave, cluster.RecEpoch:
-		var scratch metrics.Counts
-		return t.step(o, rec, &scratch), true
+		return t.step(o, rec)
 	}
-	return effect{}, false
+	return cluster.Transition{}
+}
+
+// settled reports whether tr moved the epoch.
+func settled(tr cluster.Transition) bool {
+	return tr.Kind == cluster.TransAdmit || tr.Kind == cluster.TransDepart
 }
 
 // actions lists every action that would change the world.
@@ -277,14 +281,14 @@ func (w *xWorld) do(x xAction) (string, string) {
 		rec := w.stream[o][w.read[r][o]]
 		w.read[r][o]++
 		t := &w.tables[r]
-		e, stepped := consume(t, o, rec)
-		if e.leaving {
+		tr := consume(t, o, rec)
+		if tr.Kind == cluster.TransFarewell && tr.Group == r {
 			w.leaving[r] = true
 		}
-		if e.settled {
+		if settled(tr) {
 			w.history[r] = append(w.history[r], fmt.Sprint(t.members()))
 		}
-		if stepped && e.fence && rec.Kind == cluster.RecDead {
+		if tr.Kind == cluster.TransDead {
 			d := fmt.Sprintf("writer g%d cut %d", o, rec.TS)
 			if prev, ok := w.deaths[rec.Stream]; ok && prev != d {
 				return "ii", fmt.Sprintf("g%d died twice: %s, then %s at g%d", rec.Stream, prev, d, r)
@@ -334,7 +338,7 @@ func (w *xWorld) agreement(r int) (string, string) {
 			}
 			p := 0
 			for ; p < w.read[r][o] && !fenced(&t, r, o, p); p++ {
-				if e, _ := consume(&t, o, w.stream[o][p]); e.settled {
+				if settled(consume(&t, o, w.stream[o][p])) {
 					history = append(history, fmt.Sprint(t.members()))
 				}
 			}

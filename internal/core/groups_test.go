@@ -136,19 +136,20 @@ func TestValidGroupsRejectsForgedTables(t *testing.T) {
 }
 
 // TestGroupTableStep drives step one record at a time against each of its
-// guards: a guarded record leaves the table as it was and counts nothing but
-// the counters listed, and the same record from a legitimate
-// origin does change the table, so a guard that went missing shows here even
-// where no honest emitter can reach it.
+// guards: a guarded record leaves the table as it was and makes no transition
+// but the one listed, and the same record from a legitimate origin does
+// change the table, so a guard that went missing shows here even where no
+// honest emitter can reach it.
 func TestGroupTableStep(t *testing.T) {
 	t.Parallel()
 	// Four groups seen from group 1: 0 and 1 members, 2 dead at cut 4, 3
-	// standby with one join vote; group 0 suspected by group 1. Group 1's
+	// standby with one join vote; group 0 suspected by group 1, which also
+	// votes it out. Group 1's
 	// suspicion of itself and of the dead group 2 are rows no honest step
 	// writes: they let the revocation's guards show.
 	base := func() groupTable {
 		return groupTable{self: 1, epoch: 2, rows: []cluster.GroupRow{
-			{State: member, Suspecters: []cluster.Suspicion{{Origin: 1, Cursor: 3}}},
+			{State: member, Suspecters: []cluster.Suspicion{{Origin: 1, Cursor: 3}}, Votes: []int{1}},
 			{State: member, Suspecters: []cluster.Suspicion{{Origin: 1, Cursor: 1}}},
 			{State: dead, Cut: 4, Suspecters: []cluster.Suspicion{{Origin: 1, Cursor: 2}}},
 			{State: standby, Votes: []int{0}},
@@ -166,46 +167,59 @@ func TestGroupTableStep(t *testing.T) {
 		origin  int
 		rec     cluster.Record
 		changes bool
-		counts  metrics.Counts
+		kind    cluster.TransitionKind
 	}{
-		{"suspect: out of range", 0, rec(cluster.RecSuspect, 4, 1), false, metrics.Counts{}},
-		{"suspect: a group of itself", 0, rec(cluster.RecSuspect, 0, 1), false, metrics.Counts{}},
-		{"suspect: an absent group", 0, rec(cluster.RecSuspect, 2, 9), false, metrics.Counts{}},
-		{"suspect: a lower cursor", 1, rec(cluster.RecSuspect, 0, 2), false, metrics.Counts{}},
-		{"suspect: legitimate", 1, rec(cluster.RecSuspect, 0, 6), true, metrics.Counts{}},
-		{"revoke: a group of itself", 1, rec(cluster.RecRevoke, 1, 0), false, metrics.Counts{}},
-		{"revoke: an absent group", 1, rec(cluster.RecRevoke, 2, 0), false, metrics.Counts{}},
-		{"revoke: legitimate", 1, rec(cluster.RecRevoke, 0, 0), true, metrics.Counts{GroupRevokes: 1}},
-		{"dead: a group of itself", 0, rec(cluster.RecDead, 0, 5), false, metrics.Counts{}},
-		{"dead: already absent", 0, rec(cluster.RecDead, 2, 9), false, metrics.Counts{DeadDupes: 1}},
-		{"dead: legitimate", 1, rec(cluster.RecDead, 0, 5), true, metrics.Counts{GroupDeaths: 1}},
-		{"join: on a member", 0, rec(cluster.RecGroupJoin, 1, 0), false, metrics.Counts{}},
-		{"join: readiness attestation", 3, rec(cluster.RecGroupJoin, 3, 0), true, metrics.Counts{JoinVotes: 1}},
-		{"join: legitimate", 1, rec(cluster.RecGroupJoin, 3, 0), true, metrics.Counts{JoinVotes: 1}},
-		{"leave: on an absent group", 0, rec(cluster.RecGroupLeave, 2, 0), false, metrics.Counts{}},
-		{"leave: legitimate", 0, rec(cluster.RecGroupLeave, 1, 0), true, metrics.Counts{LeaveVotes: 1}},
-		{"epoch: by its own target", 3, epoch(cluster.ReconfigJoin, 3, 3), false, metrics.Counts{}},
-		{"epoch: stale number", 0, epoch(cluster.ReconfigJoin, 3, 2), false, metrics.Counts{EpochDupes: 1}},
-		{"epoch: not the successor", 1, epoch(cluster.ReconfigJoin, 3, 3), false, metrics.Counts{EpochBadOrigin: 1}},
-		{"epoch: join of a member", 0, epoch(cluster.ReconfigJoin, 1, 3), false, metrics.Counts{}},
-		{"epoch: leave of an absent group", 0, epoch(cluster.ReconfigLeave, 3, 3), false, metrics.Counts{}},
-		{"epoch: legitimate join", 0, epoch(cluster.ReconfigJoin, 3, 3), true, metrics.Counts{EpochSwitches: 1}},
-		{"epoch: legitimate leave", 0, epoch(cluster.ReconfigLeave, 1, 3), true, metrics.Counts{GroupsDeparted: 1, EpochSwitches: 1}},
+		{"suspect: out of range", 0, rec(cluster.RecSuspect, 4, 1), false, cluster.TransNone},
+		{"suspect: a group of itself", 0, rec(cluster.RecSuspect, 0, 1), false, cluster.TransNone},
+		{"suspect: an absent group", 0, rec(cluster.RecSuspect, 2, 9), false, cluster.TransNone},
+		{"suspect: a lower cursor", 1, rec(cluster.RecSuspect, 0, 2), false, cluster.TransNone},
+		{"suspect: legitimate", 1, rec(cluster.RecSuspect, 0, 6), true, cluster.TransSuspectRaised},
+		{"suspect: a new suspicion", 0, rec(cluster.RecSuspect, 1, 2), true, cluster.TransSuspect},
+		{"revoke: a group of itself", 1, rec(cluster.RecRevoke, 1, 0), false, cluster.TransNone},
+		{"revoke: an absent group", 1, rec(cluster.RecRevoke, 2, 0), false, cluster.TransNone},
+		{"revoke: legitimate", 1, rec(cluster.RecRevoke, 0, 0), true, cluster.TransRevoke},
+		{"dead: a group of itself", 0, rec(cluster.RecDead, 0, 5), false, cluster.TransNone},
+		{"dead: already absent", 0, rec(cluster.RecDead, 2, 9), false, cluster.TransDeadDupe},
+		{"dead: legitimate", 1, rec(cluster.RecDead, 0, 5), true, cluster.TransDead},
+		{"join: on a member", 0, rec(cluster.RecGroupJoin, 1, 0), false, cluster.TransNone},
+		{"join: a repeated vote", 0, rec(cluster.RecGroupJoin, 3, 0), false, cluster.TransNone},
+		{"join: readiness attestation", 3, rec(cluster.RecGroupJoin, 3, 0), true, cluster.TransJoinVote},
+		{"join: legitimate", 1, rec(cluster.RecGroupJoin, 3, 0), true, cluster.TransJoinVote},
+		{"leave: on an absent group", 0, rec(cluster.RecGroupLeave, 2, 0), false, cluster.TransNone},
+		{"leave: a repeated vote", 1, rec(cluster.RecGroupLeave, 0, 0), false, cluster.TransNone},
+		{"leave: legitimate", 0, rec(cluster.RecGroupLeave, 1, 0), true, cluster.TransLeaveVote},
+		{"leave: the farewell", 1, rec(cluster.RecGroupLeave, 1, 0), true, cluster.TransFarewell},
+		{"epoch: by its own target", 3, epoch(cluster.ReconfigJoin, 3, 3), false, cluster.TransNone},
+		{"epoch: stale number", 0, epoch(cluster.ReconfigJoin, 3, 2), false, cluster.TransEpochDupe},
+		{"epoch: not the successor", 1, epoch(cluster.ReconfigJoin, 3, 3), false, cluster.TransEpochBadOrigin},
+		{"epoch: join of a member", 0, epoch(cluster.ReconfigJoin, 1, 3), false, cluster.TransNone},
+		{"epoch: leave of an absent group", 0, epoch(cluster.ReconfigLeave, 3, 3), false, cluster.TransNone},
+		{"epoch: legitimate join", 0, epoch(cluster.ReconfigJoin, 3, 3), true, cluster.TransAdmit},
+		{"epoch: legitimate leave", 0, epoch(cluster.ReconfigLeave, 1, 3), true, cluster.TransDepart},
 	} {
 		tbl := base()
-		var counts metrics.Counts
-		tbl.step(tc.origin, tc.rec, &counts)
+		tr := tbl.step(tc.origin, tc.rec)
 		if changed := !reflect.DeepEqual(tbl, base()); changed != tc.changes {
 			t.Errorf("%s: table changed = %v\n  %+v", tc.name, changed, tbl.rows)
 		}
-		if counts != tc.counts {
-			t.Errorf("%s: counts %+v, want %+v", tc.name, counts, tc.counts)
+		if tr.Kind != tc.kind {
+			t.Errorf("%s: transition %v, want %v", tc.name, tr.Kind, tc.kind)
+		}
+		if tr.Kind != cluster.TransNone && (tr.Group != tc.rec.Stream || tr.Origin != tc.origin || tr.At != tc.rec.TS || tr.Epoch != tbl.epoch) {
+			t.Errorf("%s: transition %v does not name the record's group, origin, TS and the table's epoch %d", tc.name, tr, tbl.epoch)
 		}
 	}
-	// A standby origin votes on nothing but its own join.
+	// The sink counts one departure as a departure and an epoch switch.
+	n := &Node{ctx: &cluster.NodeCtx{Process: &cluster.Process{Metrics: metrics.NewCollector()}}}
 	tbl := base()
+	n.transition(tbl.step(0, epoch(cluster.ReconfigLeave, 1, 3)), nil)
+	if got, want := n.ctx.Metrics.Counts, (metrics.Counts{GroupsDeparted: 1, EpochSwitches: 1}); got != want {
+		t.Errorf("a departure counts %+v, want %+v", got, want)
+	}
+	// A standby origin votes on nothing but its own join.
+	tbl = base()
 	tbl.rows[2] = cluster.GroupRow{State: standby}
-	if tbl.step(2, cluster.Record{Kind: cluster.RecGroupJoin, Stream: 3}, new(metrics.Counts)); tbl.voted(3, 2) {
+	if tbl.step(2, cluster.Record{Kind: cluster.RecGroupJoin, Stream: 3}); tbl.voted(3, 2) {
 		t.Error("join: a standby group's vote on another counted")
 	}
 }
@@ -225,14 +239,14 @@ func TestStandbyBootstrapSuspectsForItself(t *testing.T) {
 	}
 	server := c.Nodes[keys.NodeID{Group: 0, Index: 0}].(*Node)
 	joiner := c.Nodes[keys.NodeID{Group: 2, Index: 0}].(*Node)
-	server.apply(server.groups.step(0, cluster.Record{Kind: cluster.RecSuspect, Stream: 1, TS: 5}, &c.Metrics.Counts))
+	server.apply(server.groups.step(0, cluster.Record{Kind: cluster.RecSuspect, Stream: 1, TS: 5}))
 	ck := throughWire(t, server.groups.fold)
 	if !joiner.groups.valid(ck) {
 		t.Fatal("the server's fold fails validation")
 	}
 	joiner.restoreFailover(ck)
 	joiner.apply(joiner.groups.step(0, cluster.Record{Kind: cluster.RecEpoch, Stream: 2,
-		Entry: types.EntryID{GID: int(cluster.ReconfigJoin), Seq: 1}}, &c.Metrics.Counts))
+		Entry: types.EntryID{GID: int(cluster.ReconfigJoin), Seq: 1}}))
 	if joiner.groups.absent(2) {
 		t.Fatal("the join did not certify")
 	}

@@ -199,7 +199,7 @@ type Node struct {
 	// onLocalCommit delivers the payload (localEntry).
 	localDecoded map[uint64]decodedPayload
 
-	// Tracing bookkeeping (populated only when ctx.Trace is enabled; purely
+	// Tracing bookkeeping (filled only when ctx.Trace is enabled; purely
 	// passive). tracePhase holds the previous local-PBFT phase timestamp per
 	// own proposed entry; traceFirstChunk the first-chunk arrival time per
 	// foreign entry (kept separate from entrySt so tracing never changes
@@ -308,6 +308,9 @@ func New(ctx *cluster.NodeCtx) *Node {
 		ledger:       ledger.New(),
 		wantJoin:     make(map[int]bool),
 		wantLeave:    make(map[int]bool),
+
+		tracePhase:      make(map[types.EntryID]time.Duration),
+		traceFirstChunk: make(map[types.EntryID]time.Duration),
 	}
 	for g := range n.streams {
 		n.streams[g] = newStream()
@@ -331,8 +334,7 @@ func New(ctx *cluster.NodeCtx) *Node {
 		Validate:          n.validateProposal,
 		After:             ctx.Net.After,
 		ViewChangeTimeout: ctx.Cfg.ViewChangeTimeout,
-		OnViewChange:      n.onLocalViewChange,
-		Trace:             n.localPhaseTrace(),
+		Observe:           n.observeLocal,
 	})
 	n.meta = pbft.New(pbft.Config{
 		Self:        ctx.KP,
@@ -346,7 +348,7 @@ func New(ctx *cluster.NodeCtx) *Node {
 		Deliver:           n.onMetaCommit,
 		After:             ctx.Net.After,
 		ViewChangeTimeout: ctx.Cfg.ViewChangeTimeout,
-		OnViewChange:      n.onMetaViewChange,
+		Observe:           n.observeMeta,
 	})
 	if n.opts.Ordering == cluster.OrderAsync {
 		n.orderer = order.NewOrderer(n.ng, n.execute)
@@ -486,24 +488,30 @@ func (n *Node) livenessTick() {
 	}
 }
 
-// onLocalViewChange resets proposer bookkeeping when local leadership moves;
-// the new leader continues the group sequence from what it has delivered.
-func (n *Node) onLocalViewChange(view uint64) {
-	n.ctx.Metrics.LocalViewChanges++
-	n.inFlight = 0
-	n.lastLocalProgress = n.now()
+// observeLocal hands the local instance's events to the sink. A view
+// installed resets proposer bookkeeping: the new leader continues the group
+// sequence from what it has delivered.
+func (n *Node) observeLocal(ev pbft.Event, at uint64, payload []byte) {
+	if ev == pbft.ViewInstalled {
+		n.inFlight = 0
+		n.lastLocalProgress = n.now()
+	}
+	n.transition(cluster.Transition{Kind: cluster.TransLocalView + cluster.TransitionKind(ev), Group: n.g, Origin: n.g, At: at, Epoch: n.groups.epoch}, payload)
 }
 
-// onMetaViewChange notes meta progress. Records the old leader died holding
-// (queued but uncertified) are re-emitted by the new leader's restampTask
-// after a patience window — the delay lets the old view's in-flight slots
-// certify first, so the re-emission's clamped stamp value (stampTS) observes
-// them and the group's stream stays monotonic. Re-emissions carry the new
-// view in Record.View, fencing out any stale copy of the original still in
-// flight (see processRecords).
-func (n *Node) onMetaViewChange(view uint64) {
-	n.ctx.Metrics.MetaViewChanges++
-	n.lastMetaProgress = n.now()
+// observeMeta hands the meta instance's views to the sink and notes meta
+// progress; its slot phases are not reported. Records the old leader died
+// holding (queued but uncertified) are re-emitted by the new leader's
+// restampTask after a patience window — the delay lets the old view's
+// in-flight slots certify first, so the re-emission's clamped stamp value
+// (stampTS) observes them and the group's stream stays monotonic.
+// Re-emissions carry the new view in Record.View, fencing out any stale copy
+// of the original still in flight (see processRecords).
+func (n *Node) observeMeta(ev pbft.Event, view uint64, _ []byte) {
+	if ev == pbft.ViewInstalled {
+		n.lastMetaProgress = n.now()
+		n.transition(cluster.Transition{Kind: cluster.TransMetaView, Group: n.g, Origin: n.g, At: view, Epoch: n.groups.epoch}, nil)
+	}
 }
 
 // HandleMessage implements transport.Handler: the top-level demultiplexer.

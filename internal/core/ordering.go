@@ -179,7 +179,7 @@ func (n *Node) processRecords(origin int, recs []cluster.Record) {
 			n.onCommitRecord(origin, rec)
 		case cluster.RecSuspect, cluster.RecRevoke, cluster.RecDead,
 			cluster.RecGroupJoin, cluster.RecGroupLeave, cluster.RecEpoch:
-			n.apply(n.groups.step(origin, rec, &n.ctx.Metrics.Counts))
+			n.apply(n.groups.step(origin, rec))
 		case cluster.RecKeepalive:
 			// Liveness beacon: the batch arrival already refreshed the
 			// row's heard above; the record carries nothing else.

@@ -121,10 +121,11 @@ type proposalSt struct {
 // proposalRepairScan re-proposes own entries whose seq never certified
 // locally: a view change fills the old leader's in-flight slots with no-ops,
 // and a lost seq wedges the group clock forever (advanceClock is contiguous).
-// Re-proposal is idempotent — if the original slot certifies late, the
-// duplicate delivery is dropped by onLocalCommit's content guard, identically
-// on every replica. A follower proposer forwards the content to the current
-// local leader instead.
+// If the original slot certifies late, onLocalCommit's content guard drops
+// the duplicate delivery only on a member that still holds the entry's row: a
+// member whose row was retired stores and replicates a second certified
+// payload under the same entry ID (ROADMAP item 2, TestPayloadForkSeed). A
+// follower proposer forwards the content to the current local leader instead.
 func (n *Node) proposalRepairScan(now time.Duration) {
 	if len(n.proposed) == 0 {
 		return

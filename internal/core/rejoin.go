@@ -279,10 +279,8 @@ func (n *Node) onRejoinResp(from keys.NodeID, resp *cluster.RejoinResp) {
 	// itself. Our own cursor stays at zero; bulkAt is this node's own
 	// observation and survives.
 	now := n.now()
-	if n.tracePhase != nil {
-		n.tracePhase = make(map[types.EntryID]time.Duration)
-		n.traceFirstChunk = make(map[types.EntryID]time.Duration)
-	}
+	clear(n.tracePhase)
+	clear(n.traceFirstChunk)
 	for g, part := range ck.Groups {
 		row := newStream()
 		row.ts, row.view, row.commitHi, row.executed = part.TS, part.View, part.CommitHi, part.Executed

@@ -52,7 +52,7 @@ type Counts struct {
 	// proposed executed.
 	EntriesProposed, TxnsProposed int64
 	// The PBFT views the local and the meta instance installed, once per
-	// node per view.
+	// node per view (core's Node.transition).
 	LocalViewChanges, MetaViewChanges int64
 	// The erasure encodings and bucket decodes the process's memos did not
 	// already hold: with nothing lost, one per (entry, transfer plan) and
@@ -75,7 +75,7 @@ type Counts struct {
 	// Membership records queued: a standby group's readiness attestation,
 	// votes to join or leave, a leaving group's farewell, and epoch switches.
 	JoinReadyEmitted, JoinVotesEmitted, LeaveVotesEmitted, FarewellsEmitted, EpochsEmitted int64
-	// Group-table transitions (groupTable.step): new suspicions and
+	// Group-table transitions (core's Node.transition): new suspicions and
 	// withdrawn ones, deaths and repeated deaths, new join and leave votes,
 	// epoch records refused as stale or not from the successor, and epoch
 	// switches, departures among them.

@@ -198,14 +198,21 @@ type Config struct {
 	// certified past 2f+1 honest validators. Nil payloads (view-change no-op
 	// filler) bypass it. Runs on the Handle thread.
 	Validate func(payload []byte) bool
-	// OnViewChange, when non-nil, is notified after a new view installs.
-	OnViewChange func(view uint64)
-	// Trace, when non-nil, observes slot phase transitions on this replica:
-	// phase is "pre-prepare" (proposal accepted), "prepared" (commit share
-	// sent), or "committed" (quorum reached, about to deliver). Purely
-	// observational — the hook must not feed back into the protocol.
-	Trace func(slot uint64, phase string, payload []byte)
+	// Observe, when non-nil, is told of each transition on this replica: a
+	// view installed (n the view), or a phase of slot n with its payload.
+	// It must not feed back into the protocol.
+	Observe func(ev Event, n uint64, payload []byte)
 }
+
+// Event is a transition an Instance reports to Config.Observe.
+type Event uint8
+
+const (
+	ViewInstalled Event = iota // a new view installed
+	PrePrepared                // a slot's proposal accepted
+	Prepared                   // a slot's commit share sent
+	Committed                  // a slot's commit quorum reached, about to deliver
+)
 
 type slotState struct {
 	digest     keys.Digest
@@ -246,6 +253,9 @@ type Instance struct {
 
 // New creates a PBFT replica instance.
 func New(cfg Config) *Instance {
+	if cfg.Observe == nil {
+		cfg.Observe = func(Event, uint64, []byte) {}
+	}
 	n := len(cfg.Members)
 	return &Instance{
 		cfg:       cfg,
@@ -440,9 +450,7 @@ func (in *Instance) onPrePrepare(pp *PrePrepare, own bool) {
 	if in.nextSlot <= pp.Slot {
 		in.nextSlot = pp.Slot + 1
 	}
-	if in.cfg.Trace != nil {
-		in.cfg.Trace(pp.Slot, "pre-prepare", pp.Payload)
-	}
+	in.cfg.Observe(PrePrepared, pp.Slot, pp.Payload)
 	in.armProgressTimer(pp.Slot)
 
 	if in.cfg.SkipPrepare {
@@ -487,9 +495,7 @@ func (in *Instance) maybeCommitPhase(slot uint64, st *slotState) {
 }
 
 func (in *Instance) sendCommit(slot uint64, d keys.Digest, st *slotState) {
-	if in.cfg.Trace != nil {
-		in.cfg.Trace(slot, "prepared", st.payload)
-	}
+	in.cfg.Observe(Prepared, slot, st.payload)
 	share := keys.SignCertificate(in.cfg.Self, in.group, d)
 	c := &Commit{View: in.view, Slot: slot, Digest: d, Share: share}
 	in.broadcast(c)
@@ -520,9 +526,7 @@ func (in *Instance) onCommit(c *Commit, own bool) {
 	if !st.committed && st.prePrepare && len(st.commits) >= in.Quorum() {
 		st.committed = true
 		in.timerSeq++ // progress: cancel pending view-change timers
-		if in.cfg.Trace != nil {
-			in.cfg.Trace(c.Slot, "committed", st.payload)
-		}
+		in.cfg.Observe(Committed, c.Slot, st.payload)
 		in.deliverReady()
 	}
 }
@@ -762,9 +766,11 @@ func (in *Instance) installNewView(view uint64, votes map[keys.NodeID]*ViewChang
 	if view <= in.view {
 		return
 	}
-	// Union of prepared slots across votes; highest-digest-per-slot is
-	// unambiguous because a slot can only prepare one digest per view and
-	// conflicting views cannot both prepare (quorum intersection).
+	// Union of prepared slots across votes. Per slot, the vote the map
+	// iterates last wins; no digest or view is compared. That is sound only
+	// while every voter is honest, each reporting the one digest its slot
+	// prepared: one Byzantine voter reporting another payload for a slot
+	// makes the pick Go's map order (ROADMAP item 3).
 	prepared := make(map[uint64]PreparedInfo)
 	maxSlot := in.execSlot
 	for _, vc := range votes {
@@ -832,9 +838,7 @@ func (in *Instance) enterView(view uint64) {
 		}
 	}
 	delete(in.vcVotes, view)
-	if in.cfg.OnViewChange != nil {
-		in.cfg.OnViewChange(view)
-	}
+	in.cfg.Observe(ViewInstalled, view, nil)
 }
 
 // --- State transfer (checkpointed node rejoin) ---

@@ -389,6 +389,16 @@ func (c *Cluster) Counter(name string) int64 {
 	return c.inner.Metrics.Counter(name)
 }
 
+// Transition is one step of a node's state machines: a group-table
+// transition, a PBFT view installed or a local PBFT slot's phase.
+type Transition = cluster.Transition
+
+// WatchTransitions hands fn every transition each node reports, with the
+// node's group and index. fn only reads: the run is the one it would be.
+func (c *Cluster) WatchTransitions(fn func(group, index int, tr Transition)) {
+	c.inner.OnTransition = func(id keys.NodeID, tr Transition) { fn(id.Group, id.Index, tr) }
+}
+
 // SetNodeBandwidth overrides one node's WAN bandwidth (bytes/second), the
 // Fig 14 heterogeneous-bandwidth experiment. It panics ("simnet: unknown
 // node Ng,i") for a position outside Config.Groups.

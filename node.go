@@ -209,7 +209,8 @@ type NodeConfig struct {
 	// GatewayListen overrides the client gateway listen address (defaults
 	// to the topology's Gateway address for this node).
 	GatewayListen string
-	// Logf receives transport lifecycle events (nil = silent).
+	// Logf receives transport lifecycle events and the node's state-machine
+	// transitions but a slot's phases (nil = silent).
 	Logf func(format string, args ...any)
 }
 
@@ -226,13 +227,6 @@ type ProcNode struct {
 	// agreement is the latest NoteAgreement verdict (event-loop confined,
 	// like the collector).
 	agreement *AgreementSummary
-}
-
-// logfSafe logs through the configured sink, tolerating the zero value.
-func (n *ProcNode) logfSafe(format string, args ...any) {
-	if n.logf != nil {
-		n.logf(format, args...)
-	}
 }
 
 // GatewayAddr returns the bound client gateway address, "" when the node
@@ -345,8 +339,17 @@ func StartNode(nc NodeConfig) (*ProcNode, error) {
 	// The node's collector is the process's only one: no other would ever
 	// hit a seed or a decode it memoized.
 	p.RebuildMemo = nil
+	logf := nc.Logf
+	if logf == nil {
+		logf = func(string, ...any) {}
+	}
+	p.OnTransition = func(id keys.NodeID, tr cluster.Transition) {
+		if !tr.Kind.Phase() {
+			logf("massbft: %v transition %+v", id, tr)
+		}
+	}
 	ctx := p.NodeCtx(id, tcpn.Endpoint(id), gen, true)
-	n := &ProcNode{id: id, tcpn: tcpn, cfg: &p.Cfg, col: col, logf: nc.Logf}
+	n := &ProcNode{id: id, tcpn: tcpn, cfg: &p.Cfg, col: col, logf: logf}
 	n.ep = ctx.Net
 	n.node = core.New(ctx)
 	tcpn.SetHandler(id, n.node)

@@ -14,7 +14,9 @@
 #                    failover and membership) — the full crash, partition,
 #                    simultaneous-death, join/leave/crash-overlap and forged
 #                    group-table schedules and the root package's pinned
-#                    false-death fork seeds, then under -race -short the
+#                    false-death fork seeds (with cutWatch, the transition
+#                    hook that flags a cut applied behind a node's cursor,
+#                    pinned per seed), then under -race -short the
 #                    reduced ones, the unit tests of step and the
 #                    interleaving explorer (TestGroupTableExplore) — for
 #                    iterating on group-state changes without the

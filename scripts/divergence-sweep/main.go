@@ -19,6 +19,10 @@
 // digest, two states).
 //
 //	go run ./scripts/divergence-sweep -recipe false-death -seeds 1-40
+//
+// Every row counts the cuts applied past a cursor (past_cut, and the first):
+// a node outside group G applying G's dead or depart cut with its cursor on
+// G past it — ROADMAP item 1(a)'s check, as the root tests' cutWatch makes it.
 package main
 
 import (
@@ -31,6 +35,7 @@ import (
 	"time"
 
 	"massbft"
+	"massbft/internal/cluster"
 )
 
 type seedResult struct {
@@ -43,6 +48,8 @@ type seedResult struct {
 	Laggards             int    `json:"laggards,omitempty"`
 	Branches             int    `json:"branches,omitempty"`
 	Deaths               int64  `json:"deaths"`
+	PastCut              int    `json:"past_cut"`
+	FirstPastCut         string `json:"first_past_cut,omitempty"`
 	Committed            int64  `json:"committed"`
 	Detail               string `json:"detail,omitempty"`
 }
@@ -109,7 +116,7 @@ func main() {
 			fmt.Fprintf(os.Stderr, "divergence-sweep: seed %d: %v\n", seed, err)
 			os.Exit(1)
 		}
-		fmt.Fprintf(os.Stderr, "seed %-4d deaths %-3d %-7s %s\n", seed, r.Deaths, r.Kind, r.Detail)
+		fmt.Fprintf(os.Stderr, "seed %-4d deaths %-3d past-cut %-3d %-7s %s %s\n", seed, r.Deaths, r.PastCut, r.Kind, r.FirstPastCut, r.Detail)
 		sweep.Results = append(sweep.Results, r)
 		sweep.Summary[r.Verdict]++
 	}
@@ -138,6 +145,14 @@ func runSeed(cfg massbft.Config, falseDeath bool, duration, drain time.Duration)
 	if err != nil {
 		return seedResult{}, err
 	}
+	pastCut, firstPastCut := 0, ""
+	c.WatchTransitions(func(group, index int, tr massbft.Transition) {
+		if (tr.Kind == cluster.TransDead || tr.Kind == cluster.TransDepart) && group != tr.Group && tr.Cursor > tr.At {
+			if pastCut++; pastCut == 1 {
+				firstPastCut = fmt.Sprintf("N%d,%d applied g%d's %v cut %d at cursor %d", group, index, tr.Group, tr.Kind, tr.At, tr.Cursor)
+			}
+		}
+	})
 	if falseDeath {
 		for g := range cfg.Groups {
 			c.CrashNode(5*time.Second, g, 1)
@@ -158,6 +173,8 @@ func runSeed(cfg massbft.Config, falseDeath bool, duration, drain time.Duration)
 		Laggards:             len(rep.Laggards),
 		Branches:             len(rep.Branches),
 		Deaths:               c.Counter("group-deaths"),
+		PastCut:              pastCut,
+		FirstPastCut:         firstPastCut,
 		Committed:            res.Committed,
 		Detail:               rep.String(),
 	}, nil

@@ -27,10 +27,18 @@
 # Every mode ends by asserting that no live node counted an envelope it
 # failed to encode or decode (transport EncodeErrors, DecodeErrors).
 #
-# Run from the repository root: scripts/node_smoke.sh [client|membership]
+# -v passes -v to every node and prints, at the end, the state-machine
+# transitions the nodes logged (ProcNode logs each but a slot's phases).
+#
+# Run from the repository root: scripts/node_smoke.sh [-v] [client|membership]
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
+verbose=""
+if [ "${1:-}" = "-v" ]; then
+  verbose="-v"
+  shift
+fi
 mode="${1:-kill-rejoin}"
 case "$mode" in kill-rejoin | client | membership) ;; *)
   echo "unknown mode: $mode (want: kill-rejoin, client, membership)" >&2
@@ -42,6 +50,10 @@ workdir="$(mktemp -d)"
 pids=()
 cleanup() {
   for p in "${pids[@]:-}"; do kill -9 "$p" 2>/dev/null || true; done
+  if [ -n "$verbose" ]; then
+    echo "== transitions logged"
+    grep -h " transition " "$workdir"/log-*.txt || true
+  fi
   rm -rf "$workdir"
 }
 trap cleanup EXIT
@@ -55,7 +67,7 @@ start_node() { # group index extra-args...
   local g=$1 i=$2; shift 2
   "$workdir/massbft-node" -topology "$workdir/topo.json" -group "$g" -index "$i" \
     -status "$workdir/status-$g-$i.json" -status-interval 200ms \
-    -peers-status "$workdir/status-*.json" \
+    -peers-status "$workdir/status-*.json" $verbose \
     "$@" >"$workdir/log-$g-$i.txt" 2>&1 &
   pids+=($!)
   disown   # keep SIGKILL cleanup out of the job-control chatter
