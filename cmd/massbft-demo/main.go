@@ -111,6 +111,11 @@ func main() {
 		budget = 12 * time.Second
 	}
 	rep := c.DrainToAgreement(500*time.Millisecond, budget)
+	// Exported before the verdict, so that a run that forks leaves its trace.
+	if err := c.WriteTrace(); err != nil {
+		fmt.Fprintf(os.Stderr, "massbft-demo: trace export: %v\n", err)
+		os.Exit(1)
+	}
 	if rep.Verdict != massbft.AgreementConverged {
 		fmt.Fprintf(os.Stderr, "AGREEMENT FAILURE: %v\n", rep)
 		for _, n := range rep.Nodes {
@@ -131,10 +136,6 @@ func main() {
 			c.Counter("fetch-retries"), c.Counter("slot-catchups"), c.Counter("state-transfers"))
 	}
 	if *tracePath != "" {
-		if err := c.TraceError(); err != nil {
-			fmt.Fprintf(os.Stderr, "massbft-demo: trace export: %v\n", err)
-			os.Exit(1)
-		}
 		fmt.Printf("trace: wrote %s\n", *tracePath)
 	}
 }

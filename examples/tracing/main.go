@@ -31,7 +31,7 @@ func main() {
 	}
 
 	res := c.Run(5 * time.Second)
-	if err := c.TraceError(); err != nil {
+	if err := c.WriteTrace(); err != nil {
 		log.Fatalf("trace export: %v", err)
 	}
 	fmt.Printf("run: %v\n\n", res)

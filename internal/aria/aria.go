@@ -22,16 +22,18 @@
 // The batch's bookkeeping lives in one Footprint the engine owns and reuses.
 // An executor formats a key into a buffer of its own and the footprint looks
 // it up in the key index the stores of the process share — the only time the
-// key is hashed — and then in the store's own records. The record found
-// carries the key's slot in this batch (statedb.Record.Slot),
+// key is hashed — and then in the store's own records. The record's id finds
+// the key's slot in this batch in a table of the footprint's own,
 // reservations are one slot-indexed array, and the committed writes go back
 // to the store by record id in one call. Keys the store has never held —
-// whether or not another store of the process filed them — get their slots
-// from a small table of the footprint's own, filed under the hash already
-// computed, and enter the store only if a write to them commits. Nothing is allocated per transaction except one copy of every
-// committed value — one per process, not one per store: the engines of a
-// process share a ValueMemo, and an engine that commits bytes another engine
-// stored moments before stores the same slice.
+// whether or not another store of the process filed them — get their ids
+// from a small key table of the footprint's own, filed under the hash
+// already computed, and enter the store only if a write to them commits.
+// The executor writes nothing into the store until the commit. Nothing is
+// allocated per transaction except one copy of every committed value — one
+// per process, not one per store: the engines of a process share a
+// ValueMemo, and an engine that commits bytes another engine stored moments
+// before stores the same slice.
 package aria
 
 import (
@@ -90,10 +92,11 @@ const noTxn = math.MaxInt32
 type Footprint struct {
 	snap statedb.Reader
 
-	// Every key a batch touches gets a slot, in order of first touch. A key
-	// the store has a record for remembers its slot there; fresh holds the
-	// others, for this batch only.
+	// Every key a batch touches gets a slot, in order of first touch; byID
+	// finds it by the key's record id (slotOf). fresh holds the keys the
+	// store has no record for, for this batch only.
 	slots []slot
+	byID  []uint64
 	fresh statedb.Table
 
 	// ops holds every transaction's reads and writes in call order; txns[i]
@@ -111,9 +114,7 @@ type Footprint struct {
 
 // slot is one key's reservations in the batch: minW (minR) is the smallest
 // index of a transaction that writes (reads) it, or noTxn. id is the key's
-// record in the store, or ^i for record i of Footprint.fresh; it is also what
-// tells a record's Slot mark, which outlives the batch that set it, from a
-// live one: the mark counts only if the slot it names names the record back.
+// record in the store, or ^i for key i of Footprint.fresh.
 type slot struct {
 	id         int32
 	minW, minR int32
@@ -165,28 +166,56 @@ func (fp *Footprint) Write(key, val []byte) {
 func (fp *Footprint) touch(key []byte) (s uint32, val []byte, ok bool) {
 	h := statedb.HashKey(key)
 	id := fp.snap.Find(key, h)
-	var rec *statedb.Record
 	if id >= 0 {
-		rec = fp.snap.Record(id)
-		val, ok = rec.Value()
+		val, ok = fp.snap.Record(id).Value()
 	} else {
 		// Reading a key must not make the store hold it.
 		i := fp.fresh.Find(key, h)
 		if i < 0 {
 			i = fp.fresh.Insert(key, h)
 		}
-		rec, id = fp.fresh.Record(i), ^i
+		id = ^i
 	}
-	if s = rec.Slot; int(s) >= len(fp.slots) || fp.slots[s].id != id {
-		s = uint32(len(fp.slots))
-		rec.Slot = s
+	return fp.slotOf(id), val, ok
+}
+
+// slotOf returns the slot of record id, giving it the next one on first
+// touch. byID is open addressing over 8-byte cells, uint32(id)<<32 | slot+1
+// (0 is empty), kept at most half full and emptied per batch, so a lookup
+// is a multiply and, almost always, one probe of a table that stays in cache.
+func (fp *Footprint) slotOf(id int32) uint32 {
+	if 2*len(fp.slots) >= len(fp.byID) {
+		fp.byID = make([]uint64, max(minByID, 2*len(fp.byID)))
+		for s, sl := range fp.slots {
+			*fp.cell(sl.id) = uint64(uint32(sl.id))<<32 | uint64(s+1)
+		}
+	}
+	c := fp.cell(id)
+	if *c == 0 {
+		*c = uint64(uint32(id))<<32 | uint64(len(fp.slots)+1)
 		fp.slots = append(fp.slots, slot{id: id, minW: noTxn, minR: noTxn})
 	}
-	return s, val, ok
+	return uint32(*c) - 1
+}
+
+// minByID is byID's first size: room for 512 keys, a few transactions' worth.
+const minByID = 1024
+
+// cell returns the cell of byID that holds id, or the empty one it goes in.
+// The multiply scatters ids, dense in the store, over the high bits that
+// pick the home cell.
+func (fp *Footprint) cell(id int32) *uint64 {
+	mask := len(fp.byID) - 1
+	i := int(uint64(uint32(id)*0x9e3779b9) * uint64(len(fp.byID)) >> 32)
+	for fp.byID[i] != 0 && int32(fp.byID[i]>>32) != id {
+		i = (i + 1) & mask
+	}
+	return &fp.byID[i]
 }
 
 func (fp *Footprint) reset() {
 	fp.fresh.Reset()
+	clear(fp.byID)
 	fp.slots = fp.slots[:0]
 	fp.ops, fp.txns, fp.vals = fp.ops[:0], fp.txns[:0], fp.vals[:0]
 }

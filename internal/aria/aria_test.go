@@ -358,35 +358,40 @@ func BenchmarkExecuteBatch200(b *testing.B) {
 // is a program of (op, key) byte pairs: 'r' read, 'w' write the nonce, 'd'
 // delete (a nil write), 'a' logic abort. Programs repeat reads, read and
 // write one key, and write a key twice.
-func progExec(snap snapshot, tx *types.Transaction) ([]string, map[string][]byte, bool, error) {
-	p := tx.Payload
-	if len(p)%2 != 0 {
-		return nil, nil, false, errors.New("odd program")
-	}
-	var reads []string
-	var writes map[string][]byte
-	for i := 0; i < len(p); i += 2 {
-		key := string(p[i+1 : i+2])
-		switch p[i] {
-		case 'r':
-			snap.Get(key)
-			reads = append(reads, key)
-		case 'w', 'd':
-			if writes == nil {
-				writes = make(map[string][]byte)
-			}
-			var v []byte
-			if p[i] == 'w' {
-				v = binary.BigEndian.AppendUint64(nil, tx.Nonce)
-			}
-			writes[key] = v
-		case 'a':
-			return reads, writes, true, nil
-		default:
-			return nil, nil, false, errors.New("unknown op")
+var progExec = progExecN(1)
+
+// progExecN is progExec with keys of width bytes.
+func progExecN(width int) mapExecutor {
+	return func(snap snapshot, tx *types.Transaction) ([]string, map[string][]byte, bool, error) {
+		p := tx.Payload
+		if len(p)%(1+width) != 0 {
+			return nil, nil, false, errors.New("truncated program")
 		}
+		var reads []string
+		var writes map[string][]byte
+		for i := 0; i < len(p); i += 1 + width {
+			key := string(p[i+1 : i+1+width])
+			switch p[i] {
+			case 'r':
+				snap.Get(key)
+				reads = append(reads, key)
+			case 'w', 'd':
+				if writes == nil {
+					writes = make(map[string][]byte)
+				}
+				var v []byte
+				if p[i] == 'w' {
+					v = binary.BigEndian.AppendUint64(nil, tx.Nonce)
+				}
+				writes[key] = v
+			case 'a':
+				return reads, writes, true, nil
+			default:
+				return nil, nil, false, errors.New("unknown op")
+			}
+		}
+		return reads, writes, false, nil
 	}
-	return reads, writes, false, nil
 }
 
 func progBatch(rng *rand.Rand, n int) []types.Transaction {
@@ -463,9 +468,81 @@ func TestDifferentialAgainstMapOracle(t *testing.T) {
 	}
 }
 
+// wideBatch is n programs for progExecN(2) over keys 0..keys-1: reads,
+// writes and deletes, each key a repeat of one the transaction touched
+// before a third of the time and one of eight hot keys a tenth of it.
+func wideBatch(rng *rand.Rand, n, keys int) []types.Transaction {
+	batch := make([]types.Transaction, n)
+	for i := range batch {
+		var p []byte
+		for ops := rng.Intn(6); ops >= 0; ops-- {
+			k := uint16(rng.Intn(keys))
+			switch r := rng.Intn(30); {
+			case r < 10 && len(p) > 0:
+				k = binary.BigEndian.Uint16(p[3*rng.Intn(len(p)/3)+1:])
+			case r < 13:
+				k = uint16(rng.Intn(8))
+			}
+			p = binary.BigEndian.AppendUint16(append(p, "rrrwwwd"[rng.Intn(7)]), k)
+		}
+		batch[i] = types.Transaction{Nonce: rng.Uint64(), Payload: p}
+	}
+	return batch
+}
+
+// TestBatchSlotTable: the footprint finds a key's slot by the key's record
+// id, in a table of its own that starts with room for InitialSlotKeys keys.
+// Batches that outgrow it mid-batch, touch keys again within and across
+// transactions and write keys new to the store, run on two engines whose
+// stores share one index, batch by batch in turn, reach the oracle's
+// verdicts and states.
+func TestBatchSlotTable(t *testing.T) {
+	exec := progExecN(2)
+	ix := statedb.NewIndex()
+	type node struct {
+		eng  *aria.Engine
+		want *statedb.Store
+		rng  *rand.Rand
+	}
+	nodes := []node{
+		{aria.NewEngine(statedb.NewOn(ix), adapt(exec)), statedb.New(), rand.New(rand.NewSource(1))},
+		{aria.NewEngine(statedb.NewOn(ix), adapt(exec)), statedb.New(), rand.New(rand.NewSource(2))},
+	}
+	for b, size := range []struct{ txns, keys int }{{50, 100}, {800, 4000}, {300, 4000}, {800, 9000}, {20, 50}} {
+		for i, n := range nodes {
+			batch := wideBatch(n.rng, size.txns, size.keys)
+			if b == 1 {
+				distinct := map[string]bool{}
+				for _, tx := range batch {
+					for j := 1; j < len(tx.Payload); j += 3 {
+						distinct[string(tx.Payload[j:j+2])] = true
+					}
+				}
+				if len(distinct) <= aria.InitialSlotKeys {
+					t.Fatalf("batch %d touches %d keys: not past the slot table's first %d", b, len(distinct), aria.InitialSlotKeys)
+				}
+			}
+			got, err := n.eng.ExecuteBatch(batch)
+			want, werr := oracleExecuteBatch(n.want, exec, batch)
+			if err != nil || werr != nil {
+				t.Fatalf("engine %d batch %d: %v / %v", i, b, err, werr)
+			}
+			if !reflect.DeepEqual(got, want) || got.Committed == 0 {
+				t.Fatalf("engine %d batch %d: result %+v, oracle %+v", i, b, got, want)
+			}
+			if n.eng.DB().Hash() != n.want.Hash() {
+				t.Fatalf("engine %d batch %d: state diverges from the oracle's", i, b)
+			}
+		}
+	}
+	if err := ix.Verify(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestRestoreMidRun: a node that rejoins installs a donor's state under an
-// engine that has run batches of its own, so whatever per-batch marks the
-// donor's records carried, and whatever its own records carried before, must
+// engine that has run batches of its own, so whatever marks the donor's
+// records carried, and whatever the engine kept from its own batches, must
 // mean nothing to the batch that follows: both nodes execute it alike.
 func TestRestoreMidRun(t *testing.T) {
 	w := workload.NewYCSB('a', 300, 5) // few rows: every batch re-touches and conflicts on stored keys
@@ -581,9 +658,8 @@ func TestEnginesShareOneCopyOfEachValue(t *testing.T) {
 
 // TestReadersWhileExecuting is what ProcNode.Status does over TCP: other
 // goroutines call Get, Hash and a snapshot's Get while the node's own
-// goroutine executes batches — which writes the per-batch marks into the
-// store's records under the read lock those readers also hold. Run with
-// -race.
+// goroutine executes batches, under the read lock those readers also hold
+// and then the write lock of the commit. Run with -race.
 func TestReadersWhileExecuting(t *testing.T) {
 	w := workload.NewYCSB('a', 500, 9)
 	e := aria.NewEngine(statedb.New(), w.Executor())

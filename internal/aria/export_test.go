@@ -44,3 +44,7 @@ func (fp *Footprint) key(s uint32) string {
 
 // HashValue is the hash a ValueMemo files v under.
 func HashValue(v []byte) uint64 { return hashValue(v) }
+
+// InitialSlotKeys is how many keys a footprint's slot table holds before it
+// first grows.
+const InitialSlotKeys = minByID / 2

@@ -19,12 +19,13 @@ type Snapshot struct {
 	s *Store
 }
 
-// image is what record id held when the open snapshot was taken. Presence is
-// recorded apart from the value: Put(k, nil) stores a present, empty value.
+// image is what record id held when the open snapshot was taken, as the
+// record referred to it (ref): presence is kept apart from the value, since
+// Put(k, nil) stores a present, empty value.
 type image struct {
-	id      int32
-	val     []byte
-	present bool
+	p  *byte
+	n  uint32
+	id int32
 }
 
 // Snapshot closes the open snapshot, if any, and returns a view of the store
@@ -62,7 +63,7 @@ func (s *Store) imageOf(id int32, r *Record) *image {
 func (s *Store) remember(id int32, r *Record) {
 	if s.imageOf(id, r) == nil {
 		r.image = uint32(len(s.before))
-		s.before = append(s.before, image{id: id, val: r.val, present: r.present})
+		s.before = append(s.before, image{p: r.p, n: r.n, id: id})
 	}
 }
 
@@ -87,7 +88,7 @@ func (sn *Snapshot) Get(key string) ([]byte, bool) {
 	}
 	r := s.recs.at(id)
 	if img := s.imageOf(id, r); img != nil {
-		return img.val, img.present
+		return deref(img.p, img.n)
 	}
 	return r.Value()
 }
@@ -112,7 +113,8 @@ func (sn *Snapshot) Store() *Store {
 	sn.mustBeOpen()
 	m := &Store{ix: s.ix, recs: s.recs.clone(), live: s.live}
 	for _, img := range s.before {
-		m.set(img.id, img.val, img.present)
+		val, ok := deref(img.p, img.n)
+		m.set(img.id, val, ok)
 	}
 	return m
 }

@@ -9,13 +9,13 @@
 // The hash table comes in two halves (table.go). Keys are hashed once and
 // filed in an Index, which gives each a dense process-local id at first
 // sight and which the stores of one process share, so a key is copied once
-// per process however many stores hold it. Each store keeps its
-// own fixed-size Record per id: the value, and the marks that let the
-// executor's per-batch reservations and a snapshot's before-images be
-// reached through the record the lookup already touched; committed writes
-// come back by id. Ids, hashes and record layout depend on the order a
-// process happened to file keys in; nothing observable does — Hash, Save,
-// ByteSize and state transfer are defined over sorted keys.
+// per process however many stores hold it. Each store keeps its own
+// 16-byte Record per id: a reference to the value, and the mark that lets a
+// snapshot's before-image be reached through the record the lookup already
+// touched; committed writes come back by id. Ids, hashes and record layout
+// depend on the order a process happened to file keys in; nothing
+// observable does — Hash, Save, ByteSize and state transfer are defined
+// over sorted keys.
 package statedb
 
 import (
@@ -196,7 +196,7 @@ func (s *Store) ApplyBatch(writes map[string][]byte) {
 // Commit is Apply for the executor, which has looked every key up already:
 // it installs vals[i] in the record ids[i] for every i, atomically and in
 // order, a nil value deleting. An id is what Reader.Find returned, or ^i for
-// record i of fresh, the executor's table of keys Find did not know; such a
+// key i of fresh, the executor's table of keys Find did not know; such a
 // key enters the store — filed in the index under the hash fresh filed it
 // under, unless another store of the process filed it first — when its first
 // non-nil value is committed, and not before.
@@ -206,14 +206,14 @@ func (s *Store) Commit(ids []int32, vals [][]byte, fresh *Table) {
 	for i, id := range ids {
 		v := vals[i]
 		if id < 0 {
-			fr := fresh.Record(^id)
-			if fr.image == 0 {
+			f := &fresh.filed[^id]
+			if *f < 0 {
 				if v == nil {
 					continue
 				}
-				fr.image = uint32(s.file(fresh.Key(^id), fresh.k.rec(^id).hash)) + 1
+				*f = s.file(fresh.Key(^id), fresh.k.rec(^id).hash)
 			}
-			id = int32(fr.image - 1)
+			id = *f
 		}
 		s.set(id, v, v != nil)
 	}
@@ -235,20 +235,21 @@ func (s *Store) write(key string, val []byte, present bool) {
 // snapshot's before-image and the live count. Caller holds s.mu for writing.
 func (s *Store) set(id int32, val []byte, present bool) {
 	r := s.recs.at(id)
-	if !present && !r.present {
+	_, was := r.Value()
+	if !present && !was {
 		return // deleting what is not there writes nothing, record or no record
 	}
 	if s.snap != nil {
 		s.remember(id, r)
 	}
-	if present != r.present {
+	if present != was {
 		if present {
 			s.live++
 		} else {
 			s.live--
 		}
 	}
-	r.val, r.present = val, present
+	r.p, r.n = ref(val, present)
 }
 
 // each calls fn with the key and value of every present record, in
@@ -257,14 +258,15 @@ func (s *Store) set(id int32, val []byte, present bool) {
 func (s *Store) each(fn func(key, val []byte) error) error {
 	ids := make([]int32, 0, s.live)
 	for id := int32(0); int(id) < s.recs.n; id++ {
-		if s.recs.at(id).present {
+		if _, ok := s.recs.at(id).Value(); ok {
 			ids = append(ids, id)
 		}
 	}
 	k := s.ix.filed()
 	slices.SortFunc(ids, func(a, b int32) int { return bytes.Compare(k.key(a), k.key(b)) })
 	for _, id := range ids {
-		if err := fn(k.key(id), s.recs.at(id).val); err != nil {
+		val, _ := s.recs.at(id).Value()
+		if err := fn(k.key(id), val); err != nil {
 			return err
 		}
 	}
@@ -318,8 +320,8 @@ func (s *Store) Restore(from *Store) {
 	s.closeSnapshot()
 	s.recs, s.live = records{}, 0
 	for id := int32(0); int(id) < c.recs.n; id++ {
-		if r := c.recs.at(id); r.present {
-			s.set(s.file(keys.key(id), keys.rec(id).hash), r.val, true)
+		if val, ok := c.recs.at(id).Value(); ok {
+			s.set(s.file(keys.key(id), keys.rec(id).hash), val, true)
 		}
 	}
 }
@@ -332,8 +334,8 @@ func (s *Store) ByteSize() int {
 	keys := s.ix.filed()
 	n := 0
 	for id := int32(0); int(id) < s.recs.n; id++ {
-		if r := s.recs.at(id); r.present {
-			n += len(keys.key(id)) + len(r.val)
+		if val, ok := s.recs.at(id).Value(); ok {
+			n += len(keys.key(id)) + len(val)
 		}
 	}
 	return n

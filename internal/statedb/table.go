@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"hash/maphash"
 	"sync"
+	"unsafe"
 )
 
 // keyTable maps a byte-string key to a dense id, assigned the first time the
@@ -27,11 +28,14 @@ type keyTable struct {
 }
 
 const (
-	// Key records and records come in chunks of chunkSize: 16 and 20 KiB,
-	// so a store of a few keys stays small (FuzzLoad) and a store of many
-	// allocates a chunk per 512.
-	chunkBits = 9
-	chunkSize = 1 << chunkBits
+	// Key records come in chunks of 16 KiB and records in chunks of 32 KiB,
+	// so a store of a few keys stays small (FuzzLoad). A chunk of records
+	// holds pointers, so the runtime puts an 8-byte header before it unless
+	// it is a large object (32 KiB is): an 8 KiB chunk would take 9.25 KiB.
+	chunkBits    = 9
+	chunkSize    = 1 << chunkBits
+	recChunkBits = 11
+	recChunkSize = 1 << recChunkBits
 
 	// inlineKey is how many key bytes a key record holds itself; it makes a
 	// keyRec 32 bytes. Every key the shipped workloads build is shorter
@@ -231,95 +235,108 @@ func (ix *Index) file(key []byte, h uint32) int32 {
 	return ix.k.insert(key, h)
 }
 
-// Record is what a store keeps per key id: its value and presence, and two
-// marks that make per-batch and per-snapshot bookkeeping a field access
-// instead of a second table. A key that is deleted keeps its record (absent,
-// no value), ready for the next insert.
+// Record is what a store keeps per key id, in 16 bytes: a reference to the
+// key's value, which says whether the key is present, and the open
+// snapshot's before-image mark. A simulated cluster holds a record per key
+// per node, so every byte here is paid once per key per store. A key that is
+// deleted keeps its record (absent, no value), ready for the next insert.
 type Record struct {
-	val []byte
+	p *byte  // the value's first byte (ref)
+	n uint32 // len(value) | presentBit
 
-	// Slot is scratch for the one executor that runs batches over the store:
-	// where this key's reservations are in the batch in flight. Nothing in
-	// this package reads it, and no copy of a store (Clone, Restore, Load,
-	// Snapshot.Store) carries it over. The executor writes it while holding
-	// only the store's read lock, which is sound because no one else touches
-	// the word; whoever reads it must be able to tell a stale value (aria
-	// checks it against its own slot array).
-	Slot uint32
-
-	// image is the before-image mark: in a store, the index in Store.before
-	// of what the key held when the open snapshot was taken (valid only if
-	// that entry names this record); in an executor's table of new keys, the
-	// id the store's index gave the key when its first write was committed,
-	// plus one.
+	// image is the before-image mark: the index in Store.before of what the
+	// key held when the open snapshot was taken, valid only if that entry
+	// names this record.
 	image uint32
-
-	present bool
 }
 
-// Value returns the record's value and whether the key is present.
-func (r *Record) Value() ([]byte, bool) { return r.val, r.present }
+// presentBit is the bit of a value reference's length word that says the key
+// is present, so that a present, empty value and an absent key stay apart.
+const presentBit = 1 << 31
+
+// ref returns the reference a record keeps for (val, present): val's first
+// byte and its length, with presentBit set if present. deref is its inverse.
+//
+// These two helpers are the package's only unsafe code. A slice and a bool
+// take 32 bytes; a pointer and a word take 12, which is what fits a record
+// in 16. The pointer keeps val's array reachable as the slice did. The slice
+// deref rebuilds has the length val had and no spare capacity: values are
+// immutable (Store), so nothing needs the capacity, and a reader's append
+// copies instead of writing past the value.
+func ref(val []byte, present bool) (*byte, uint32) {
+	if uint64(len(val)) >= presentBit {
+		panic("statedb: value of 2 GiB or more")
+	}
+	n := uint32(len(val))
+	if present {
+		n |= presentBit
+	}
+	return unsafe.SliceData(val), n
+}
+
+func deref(p *byte, n uint32) ([]byte, bool) {
+	return unsafe.Slice(p, n&^presentBit), n&presentBit != 0
+}
+
+// Value returns the record's value and whether the key is present. The value
+// is read-only: it may be shared by every store of the process.
+func (r *Record) Value() ([]byte, bool) { return deref(r.p, r.n) }
 
 // records is a store's Records, by key id, in fixed-size chunks that never
 // move. Ids 0..n-1 have one; an id at or above n is one the store has never
 // held.
 type records struct {
-	chunks []*[chunkSize]Record
+	chunks []*[recChunkSize]Record
 	n      int
 }
 
 func (rs *records) at(id int32) *Record {
-	return &rs.chunks[id>>chunkBits][id&(chunkSize-1)]
+	return &rs.chunks[id>>recChunkBits][id&(recChunkSize-1)]
 }
 
 // cover makes ids up to id have a record, absent and unmarked.
 func (rs *records) cover(id int32) {
 	for ; rs.n <= int(id); rs.n++ {
-		if rs.n>>chunkBits == len(rs.chunks) {
-			rs.chunks = append(rs.chunks, new([chunkSize]Record))
+		if rs.n>>recChunkBits == len(rs.chunks) {
+			rs.chunks = append(rs.chunks, new([recChunkSize]Record))
 		}
 		*rs.at(int32(rs.n)) = Record{}
 	}
 }
 
 // clone returns independent records holding the same values, sharing the
-// (immutable) value slices. Marks are not copied — field by field, so that
-// the executor's Slot words, which it writes under the read lock, are not
-// even read.
+// (immutable) values: a copy of each chunk. Before-image marks come along:
+// a mark counts only if the store's open snapshot has the image it names
+// (imageOf), and a copy starts with no snapshot.
 func (rs *records) clone() records {
 	c := records{n: rs.n}
-	for left := rs.n; left > 0; left -= chunkSize {
-		src, dst := rs.chunks[len(c.chunks)], new([chunkSize]Record)
-		for j := range src[:min(chunkSize, left)] {
-			dst[j].val, dst[j].present = src[j].val, src[j].present
-		}
-		c.chunks = append(c.chunks, dst)
+	for _, src := range rs.chunks {
+		dst := *src
+		c.chunks = append(c.chunks, &dst)
 	}
 	return c
 }
 
-// Table is a private key table with a record per key: what the Aria engine
-// keeps, emptied per batch, for the keys a batch touches that its store has
-// never held. It is not synchronised. The zero value is an empty table.
+// Table is a private key table: what the Aria engine keeps, emptied per
+// batch, for the keys a batch touches that its store has never held. Beside
+// each key it keeps the id the store gave the key when its first write was
+// committed (Store.Commit). It is not synchronised. The zero value is an
+// empty table.
 type Table struct {
-	k    keyTable
-	recs records
+	k     keyTable
+	filed []int32 // by id: the key's id in the store, -1 until a write to it commits
 }
 
 // Find returns key's id, or -1 if the table has never held it. h is
 // HashKey(key).
 func (t *Table) Find(key []byte, h uint32) int32 { return t.k.find(key, h) }
 
-// Insert gives key the next id and returns it; its record starts absent and
-// unmarked. The key must not be in the table; the table copies it.
+// Insert gives key the next id and returns it. The key must not be in the
+// table; the table copies it.
 func (t *Table) Insert(key []byte, h uint32) int32 {
-	id := t.k.insert(key, h)
-	t.recs.cover(id)
-	return id
+	t.filed = append(t.filed, -1)
+	return t.k.insert(key, h)
 }
-
-// Record returns the record of an id that Find or Insert returned.
-func (t *Table) Record(id int32) *Record { return t.recs.at(id) }
 
 // Key returns id's key. The bytes belong to the table: read, don't keep.
 func (t *Table) Key(id int32) []byte { return t.k.key(id) }
@@ -332,5 +349,5 @@ func (t *Table) Reset() {
 	clear(t.k.slots)
 	clear(t.k.long)
 	t.k.long = t.k.long[:0]
-	t.k.n, t.recs.n = 0, 0
+	t.k.n, t.filed = 0, t.filed[:0]
 }

@@ -5,9 +5,11 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
+	"runtime"
 	"sort"
 	"strings"
 	"testing"
+	"unsafe"
 )
 
 // fuzzKeys is the key space FuzzStoreAgainstMap draws from: the empty key,
@@ -304,10 +306,10 @@ func TestKeyIDsAreNotObservable(t *testing.T) {
 	sameStores(t, "Clone→Restore against the source", ra, sb.Store())
 }
 
-// TestMarksDoNotSurviveACopy: the executor's Slot marks and the snapshot's
-// before-image marks describe one store's batch and one store's view. Every
-// way of copying a store — onto its own index or onto another — must leave
-// them behind.
+// TestMarksDoNotSurviveACopy: the before-image marks describe one store's
+// open snapshot. Every way of copying a store — onto its own index or onto
+// another — must leave the snapshot behind, and a mark a copy carries must
+// count for nothing, in the copy's own next snapshot as well.
 func TestMarksDoNotSurviveACopy(t *testing.T) {
 	ix := NewIndex()
 	sibling := NewOn(ix)
@@ -319,12 +321,6 @@ func TestMarksDoNotSurviveACopy(t *testing.T) {
 		s.Put(fmt.Sprintf("k%d", i), []byte{1})
 	}
 	sn := s.Snapshot()
-	s.View(func(r Reader) {
-		for i := 0; i < 600; i++ {
-			k := []byte(fmt.Sprintf("k%d", i))
-			r.Record(r.Find(k, HashKey(k))).Slot = uint32(i + 1) // what an executor does
-		}
-	})
 	for i := 0; i < 600; i++ {
 		s.Put(fmt.Sprintf("k%d", i), []byte{2}) // every record gets a before-image mark
 	}
@@ -347,11 +343,64 @@ func TestMarksDoNotSurviveACopy(t *testing.T) {
 		if c.snap != nil || len(c.before) != 0 {
 			t.Fatalf("%s: the copy has an open snapshot", name)
 		}
-		for id := int32(0); int(id) < c.recs.n; id++ {
-			if r := c.recs.at(id); r.Slot != 0 || r.image != 0 {
-				t.Fatalf("%s: record %d carries Slot %d, image %d", name, id, r.Slot, r.image)
+		want := make([][]byte, 600)
+		for i := range want {
+			want[i], _ = c.Get(fmt.Sprintf("k%d", i))
+		}
+		csn := c.Snapshot()
+		for i := 599; i >= 0; i-- { // against the order the marks were set in
+			c.Put(fmt.Sprintf("k%d", i), []byte{4})
+		}
+		for i := range want {
+			if got, ok := csn.Get(fmt.Sprintf("k%d", i)); !ok || !bytes.Equal(got, want[i]) {
+				t.Fatalf("%s: the copy's snapshot holds %q for k%d, want %q", name, got, i, want[i])
 			}
 		}
+		if csn.Delta() != 600 {
+			t.Fatalf("%s: the copy's snapshot holds %d before-images for 600 keys written", name, csn.Delta())
+		}
+		csn.Release()
+	}
+}
+
+// TestPerKeyFootprint: a simulated cluster holds a record per key per node,
+// so a byte of Record is a byte per key per store. Stores on one index that
+// write the same keys with shared values grow the heap by a 16-byte record
+// per key each, plus their chunk lists and headers.
+func TestPerKeyFootprint(t *testing.T) {
+	if size := unsafe.Sizeof(Record{}); size > 16 {
+		t.Fatalf("a Record takes %d bytes, want at most 16", size)
+	}
+	const stores, keys = 32, 4 * recChunkSize // whole chunks: no rounding inside them
+	vals := make([][]byte, 16)
+	for i := range vals {
+		vals[i] = bytes.Repeat([]byte{byte(i)}, 100)
+	}
+	ix := NewIndex()
+	filer := NewOn(ix) // files every key first: the index is not a store's cost
+	for i := 0; i < keys; i++ {
+		filer.Put(fmt.Sprintf("user%06d", i), vals[i%len(vals)])
+	}
+	heap := func() int {
+		runtime.GC()
+		var m runtime.MemStats
+		runtime.ReadMemStats(&m)
+		return int(m.HeapAlloc)
+	}
+	before := heap()
+	all := make([]*Store, stores)
+	for s := range all {
+		all[s] = NewOn(ix)
+		for i := 0; i < keys; i++ {
+			all[s].Put(fmt.Sprintf("user%06d", i), vals[i%len(vals)])
+		}
+	}
+	grown := heap() - before
+	runtime.KeepAlive(all)
+	t.Logf("%.3f bytes per key per store", float64(grown)/float64(stores*keys))
+	if perStore := 16*keys + 1024; grown > stores*perStore {
+		t.Fatalf("%d stores of %d keys grew the heap by %d bytes, %.2f per key per store; want at most %d per store",
+			stores, keys, grown, float64(grown)/float64(stores*keys), perStore)
 	}
 }
 

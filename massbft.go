@@ -181,9 +181,9 @@ type Config struct {
 	// default to keep existing benchmark runs bit-identical.
 	ResubmitJitter bool
 
-	// TracePath, when non-empty, enables per-entry lifecycle tracing and
-	// writes a Chrome trace-event JSON file (loadable in Perfetto or
-	// chrome://tracing) there after every Run. Tracing is purely passive:
+	// TracePath, when non-empty, enables per-entry lifecycle tracing;
+	// Cluster.WriteTrace writes the spans there as a Chrome trace-event JSON
+	// file (loadable in Perfetto or chrome://tracing). Tracing is purely passive:
 	// a traced run commits the bit-identical ledger and state hashes of an
 	// untraced one. See Result.Trace for the critical-path analysis.
 	TracePath string
@@ -279,31 +279,29 @@ func (c *Cluster) Run(d time.Duration) Result {
 	c.inner.Metrics.SetWindow(c.inner.Cfg.Warmup, c.ran)
 	c.inner.Cfg.RunFor = c.ran
 	c.inner.RunUntil(c.ran)
-	c.writeTrace()
 	return c.result()
 }
 
-// writeTrace exports the accumulated spans as Chrome trace-event JSON to
-// Config.TracePath, overwriting on each Run so the file always reflects the
-// whole run so far.
-func (c *Cluster) writeTrace() {
+// WriteTrace exports the spans recorded so far as Chrome trace-event JSON
+// to Config.TracePath, replacing the file; call it once, after the last Run
+// or Drain. It does nothing when tracing is off.
+func (c *Cluster) WriteTrace() error {
 	if c.tracePath == "" || c.inner.Trace == nil {
-		return
+		return nil
 	}
 	f, err := os.Create(c.tracePath)
-	if err != nil {
-		c.traceErr = err
-		return
-	}
-	err = trace.WriteChrome(f, c.inner.Trace.Spans(), c.inner.Cfg.GroupSizes)
-	if cerr := f.Close(); err == nil {
-		err = cerr
+	if err == nil {
+		err = trace.WriteChrome(f, c.inner.Trace.Spans(), c.inner.Cfg.GroupSizes)
+		if cerr := f.Close(); err == nil {
+			err = cerr
+		}
 	}
 	c.traceErr = err
+	return err
 }
 
-// TraceError reports the most recent trace-export failure (nil when tracing
-// is off or the last export succeeded).
+// TraceError reports the most recent WriteTrace failure (nil when tracing
+// is off, nothing was exported yet, or the last export succeeded).
 func (c *Cluster) TraceError() error { return c.traceErr }
 
 // Drain stops client load and runs d more virtual time so every in-flight
@@ -312,7 +310,6 @@ func (c *Cluster) TraceError() error { return c.traceErr }
 func (c *Cluster) Drain(d time.Duration) {
 	c.ran += d
 	c.inner.Drain(d)
-	c.writeTrace()
 }
 
 // CrashGroup schedules a full data-center outage at virtual time `at`.

@@ -4,7 +4,10 @@
 # seed alone, so a change that claims to leave virtual behaviour alone (an
 # allocation or CPU optimisation, a refactor) must reproduce them to the last
 # digit. This runs the three simulated workloads of the ledger at one seed on
-# a parent tree and on this tree and fails on any difference.
+# a parent tree and on this tree and fails on any difference. Beside each
+# workload it prints both sides' host numbers (memory, time and allocations
+# per transaction): one sample each, shown for a host-only change to read
+# its effect by, never gated on.
 #
 # Usage: scripts/equal-seed.sh <parent> [seed] [seconds]
 #   parent   a git ref, checked out into a temporary worktree and removed
@@ -50,6 +53,10 @@ for w in sim-sat-3x7 sim-gw-crypto-3x4 sim-faults-3x4; do
     else
       echo "  $name = $a"
     fi
+  done
+  echo "  host numbers, one sample, informational (parent -> change):"
+  for name in max_rss_mb host_us_per_txn allocs_per_txn alloc_kb_per_txn; do
+    echo "    $name  $(value "$before" "$name") -> $(value "$after" "$name")"
   done
 done
 

@@ -38,8 +38,14 @@ func TestTraceExportAndCriticalPath(t *testing.T) {
 		t.Fatal(err)
 	}
 	res := c.Run(2 * time.Second)
-	if err := c.TraceError(); err != nil {
+	if _, err := os.Stat(path); !os.IsNotExist(err) {
+		t.Fatalf("Run exported the trace (stat: %v): only WriteTrace may", err)
+	}
+	if err := c.WriteTrace(); err != nil {
 		t.Fatalf("trace export failed: %v", err)
+	}
+	if err := c.TraceError(); err != nil {
+		t.Fatalf("TraceError after a successful export: %v", err)
 	}
 	if res.Trace == nil {
 		t.Fatal("tracing enabled but Result.Trace is nil")
