@@ -34,10 +34,14 @@ func gatewayTopology(t *testing.T, clients int, groups ...int) *Topology {
 // consensus, execution, and f+1 signed reply certificates collected by the
 // public ClientPool/Client API — over 2-node groups and over an f = 1 quorum.
 func TestTCPGatewayClientEndToEnd(t *testing.T) {
+	shapes := [][]int{{2, 2}, {4, 4}}
 	if testing.Short() {
-		t.Skip("multi-second wall-clock test")
+		// The 2×2 case stays: the race shard runs it, several nodes in one
+		// OS process, where a memo made per OS process instead of per
+		// node's cluster.Process would race.
+		shapes = shapes[:1]
 	}
-	for _, groups := range [][]int{{2, 2}, {4, 4}} {
+	for _, groups := range shapes {
 		t.Run(fmt.Sprint(groups), func(t *testing.T) { tcpGatewayEndToEnd(t, groups) })
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"time"
 
 	"massbft/internal/aria"
+	"massbft/internal/fifo"
 	"massbft/internal/forensics"
 	"massbft/internal/gateway"
 	"massbft/internal/keys"
@@ -108,8 +109,21 @@ type Process struct {
 	// index files the keys of every store.
 	EncodeMemo  *replication.EncodeMemo
 	RebuildMemo *replication.RebuildMemo
-	values      *aria.ValueMemo
-	index       *statedb.Index
+	// DecodeMemo holds, by entry ID, the decoded form of the local-consensus
+	// payloads in flight, so the nodes of a group decode each entry once: its
+	// leader puts the entry it built as it proposes, and a node that finds no
+	// value for the payload it holds decodes and puts its own. A value serves
+	// only a payload equal to its own. Bounded like EncodeMemo.
+	DecodeMemo *fifo.Memo[types.EntryID, Decoded]
+	values     *aria.ValueMemo
+	index      *statedb.Index
+}
+
+// Decoded is one DecodeMemo value: an entry and the payload it decodes from.
+// Both are read-only (DESIGN §8 "Who owns the bytes").
+type Decoded struct {
+	Payload []byte
+	Entry   *types.Entry
 }
 
 // NewProcess returns a process's shared parts: an empty fault plan, a fresh
@@ -121,6 +135,7 @@ func NewProcess(cfg Config, ids *Identities, col *metrics.Collector) *Process {
 		Faults:      &FaultPlan{ByzantineNodes: make(map[keys.NodeID]bool)},
 		EncodeMemo:  replication.NewEncodeMemo(inFlight),
 		RebuildMemo: replication.NewRebuildMemo(2 * inFlight),
+		DecodeMemo:  fifo.NewMemo[types.EntryID, Decoded](inFlight),
 		values:      aria.NewValueMemo(inFlight * cfg.MaxBatch),
 		index:       statedb.NewIndex(),
 	}

@@ -60,7 +60,6 @@ func (n *Node) validateProposal(payload []byte) bool {
 		return false
 	}
 	if p := n.proposed[e.ID.Seq]; p != nil && bytes.Equal(p.enc, payload) || gw.VerifyTxns(e.Txns) {
-		n.rememberDecoded(payload, e)
 		return true
 	}
 	n.ctx.Metrics.GatewayProposalReject++

@@ -192,13 +192,6 @@ type Node struct {
 	// window (or forwards to the new local leader).
 	proposed map[uint64]*proposalSt
 
-	// localDecoded holds, by entry seq, the decoded form of local-consensus
-	// payloads this node has already paid to produce — its own proposals
-	// (batchTick built the entry) and, in gateway mode, what
-	// validateProposal decoded to check client signatures — until
-	// onLocalCommit delivers the payload (localEntry).
-	localDecoded map[uint64]decodedPayload
-
 	// Tracing bookkeeping (filled only when ctx.Trace is enabled; purely
 	// passive). tracePhase holds the previous local-PBFT phase timestamp per
 	// own proposed entry; traceFirstChunk the first-chunk arrival time per
@@ -291,23 +284,22 @@ type archived struct {
 // New constructs a protocol node wired to ctx.
 func New(ctx *cluster.NodeCtx) *Node {
 	n := &Node{
-		ctx:          ctx,
-		cfg:          &ctx.Cfg,
-		opts:         ctx.Cfg.Opts,
-		id:           ctx.ID,
-		g:            ctx.ID.Group,
-		ng:           len(ctx.Cfg.GroupSizes),
-		entries:      make(map[types.EntryID]*entrySt),
-		proposed:     make(map[uint64]*proposalSt),
-		localDecoded: make(map[uint64]decodedPayload),
-		streams:      make([]streamSt, len(ctx.Cfg.GroupSizes)),
-		blacklist:    make(map[keys.NodeID]bool),
-		chunkFrom:    make(map[types.EntryID]map[int]keys.NodeID),
-		archive:      make(map[types.EntryID]*archived),
-		nextSeq:      1,
-		ledger:       ledger.New(),
-		wantJoin:     make(map[int]bool),
-		wantLeave:    make(map[int]bool),
+		ctx:       ctx,
+		cfg:       &ctx.Cfg,
+		opts:      ctx.Cfg.Opts,
+		id:        ctx.ID,
+		g:         ctx.ID.Group,
+		ng:        len(ctx.Cfg.GroupSizes),
+		entries:   make(map[types.EntryID]*entrySt),
+		proposed:  make(map[uint64]*proposalSt),
+		streams:   make([]streamSt, len(ctx.Cfg.GroupSizes)),
+		blacklist: make(map[keys.NodeID]bool),
+		chunkFrom: make(map[types.EntryID]map[int]keys.NodeID),
+		archive:   make(map[types.EntryID]*archived),
+		nextSeq:   1,
+		ledger:    ledger.New(),
+		wantJoin:  make(map[int]bool),
+		wantLeave: make(map[int]bool),
 
 		tracePhase:      make(map[types.EntryID]time.Duration),
 		traceFirstChunk: make(map[types.EntryID]time.Duration),

@@ -78,9 +78,10 @@ func (n *Node) batchTick() {
 	}
 	if gwTxns != nil {
 		e.Txns = gwTxns
-	} else {
-		for i := 0; i < size; i++ {
-			e.Txns = append(e.Txns, n.ctx.Gen.Next(uint64(n.id.Index)))
+	} else if size > 0 {
+		e.Txns = make([]types.Transaction, size)
+		for i := range e.Txns {
+			e.Txns[i] = n.ctx.Gen.Next(uint64(n.id.Index))
 		}
 	}
 	n.nextSeq++
@@ -90,12 +91,14 @@ func (n *Node) batchTick() {
 	// slot with a no-op, and only this node can re-propose the content.
 	// Registered before Propose so the tracing phase hook (which fires
 	// synchronously on the leader's own pre-prepare) sees the entry as ours.
+	// The group's followers take this entry from the process's decode memo
+	// instead of decoding the payload (localEntry). A put that the propose
+	// below fails to follow stays harmless: a value serves only its own bytes.
 	n.proposed[e.ID.Seq] = &proposalSt{enc: enc, at: now}
-	n.rememberDecoded(enc, e)
+	n.ctx.DecodeMemo.Put(e.ID, cluster.Decoded{Payload: enc, Entry: e})
 	if err := n.local.Propose(enc); err != nil {
 		// Lost leadership between the check and the call; retry next tick.
 		delete(n.proposed, e.ID.Seq)
-		delete(n.localDecoded, e.ID.Seq)
 		n.nextSeq--
 		n.inFlight--
 		if len(gwTxns) > 0 {
@@ -164,11 +167,6 @@ func (n *Node) onLocalCommit(slot uint64, payload []byte, cert *keys.Certificate
 	if e == nil {
 		return
 	}
-	for seq := range n.localDecoded {
-		if seq <= e.ID.Seq {
-			delete(n.localDecoded, seq) // delivered, or overtaken and never to be
-		}
-	}
 	_, mine := n.proposed[e.ID.Seq]
 	delete(n.proposed, e.ID.Seq)
 	st := n.st(e.ID)
@@ -216,41 +214,26 @@ func (n *Node) onLocalCommit(slot uint64, payload []byte, cert *keys.Certificate
 	}
 }
 
-// decodedPayload is one localDecoded record: an entry and the bytes it
-// decodes from.
-type decodedPayload struct {
-	payload []byte
-	entry   *types.Entry
-}
-
-// maxLocalDecoded bounds localDecoded: pre-prepares whose seq never delivers
-// (a Byzantine leader can sign any number) must not grow it. Beyond the bound
-// a payload is simply decoded again at delivery.
-const maxLocalDecoded = 64
-
-func (n *Node) rememberDecoded(payload []byte, e *types.Entry) {
-	if len(n.localDecoded) < maxLocalDecoded {
-		n.localDecoded[e.ID.Seq] = decodedPayload{payload: payload, entry: e}
-	}
-}
-
 // localEntry returns the decoded form of a local-consensus payload, or nil if
-// it is not an entry of this group. A node decodes a payload it holds at most
-// once: a remembered decode of the same bytes is reused (PBFT hands the
-// pre-prepare's slice through to delivery, so the comparison is a pointer
-// check), and decoded entries are read-only, so sharing one is safe.
+// it is not an entry of this group. The nodes of a process decode a payload
+// at most once between them: the decode memo's entry for the ID serves when
+// its payload equals this one (in the simulator PBFT hands the leader's
+// slice through to every member, so the comparison is a pointer check), and
+// a miss decodes and puts the result. Decoded entries are read-only, so
+// sharing one is safe.
 func (n *Node) localEntry(payload []byte) *types.Entry {
 	hdr, _, err := types.PeekEntry(payload)
 	if err != nil || hdr.ID.GID != n.g {
 		return nil
 	}
-	if d, ok := n.localDecoded[hdr.ID.Seq]; ok && bytes.Equal(d.payload, payload) {
-		return d.entry
+	if d, ok := n.ctx.DecodeMemo.Get(hdr.ID); ok && bytes.Equal(d.Payload, payload) {
+		return d.Entry
 	}
 	e, err := types.DecodeEntry(payload)
 	if err != nil {
 		return nil
 	}
+	n.ctx.DecodeMemo.Put(e.ID, cluster.Decoded{Payload: payload, Entry: e})
 	return e
 }
 
@@ -296,10 +279,10 @@ func (n *Node) replicateEncoded(e *types.Entry, cert *keys.Certificate, enc []by
 		if !byz && !mine {
 			// Every receiver bucket under this encoding's root decodes to
 			// exactly the certified payload: hand the receivers the entry
-			// and the payload instead of one decode and one copy. A
-			// follower's entry is decoded from the payload; the proposer's
-			// holds the transactions it built, which the memo would keep
-			// alive past execution, so it leaves the seed to a follower.
+			// and the payload instead of one decode and one copy. The
+			// followers seed; their entry is the decode memo's, in the
+			// simulator the one the proposer built, so the proposer's own
+			// seed would add nothing.
 			replication.Seed(n.ctx.RebuildMemo, encd, e, enc, digest)
 		}
 		n.charge(time.Duration(len(src)) * n.cfg.Cost.EncodePerByte)

@@ -70,7 +70,7 @@ func TestRetentionIsBounded(t *testing.T) {
 		}
 		for name, got := range map[string]int{
 			"entries": len(n.entries), "collector": n.collector.Len(),
-			"chunkFrom": len(n.chunkFrom), "localDecoded": len(n.localDecoded),
+			"chunkFrom": len(n.chunkFrom),
 		} {
 			if got > bound {
 				t.Errorf("%v: %s holds %d, bound %d", id, name, got, bound)
@@ -89,6 +89,17 @@ func TestRetentionIsBounded(t *testing.T) {
 	}
 	if got, max := values.Len(), len(c.Cfg.GroupSizes)*c.Cfg.PipelineDepth*c.Cfg.MaxBatch; got == 0 || got > max {
 		t.Errorf("the value memo holds %d values, bound %d", got, max)
+	}
+
+	// One decode memo for the cluster, within its bound: an entry per entry
+	// the leaders may have in flight.
+	for id, nd := range c.Nodes {
+		if nd.(*Node).ctx.DecodeMemo != n.ctx.DecodeMemo {
+			t.Errorf("%v: the node does not share the cluster's decode memo", id)
+		}
+	}
+	if got, max := n.ctx.DecodeMemo.Len(), len(c.Cfg.GroupSizes)*c.Cfg.PipelineDepth; got == 0 || got > max {
+		t.Errorf("the decode memo holds %d entries, bound %d", got, max)
 	}
 
 	// One key index for the cluster, each key filed once, and no store

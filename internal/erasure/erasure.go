@@ -146,19 +146,6 @@ func (e *Encoder) ShardSize(dataLen int) int {
 	return (dataLen + e.dataShards - 1) / e.dataShards
 }
 
-// newShardSet allocates total shards of the given size backed by one
-// contiguous buffer: one allocation instead of total, which measurably cuts
-// allocator/GC time on the encode hot path. Each shard is capacity-capped so
-// appends cannot bleed into a neighbour.
-func (e *Encoder) newShardSet(size int) [][]byte {
-	backing := make([]byte, e.total*size)
-	shards := make([][]byte, e.total)
-	for i := range shards {
-		shards[i] = backing[i*size : (i+1)*size : (i+1)*size]
-	}
-	return shards
-}
-
 // parityInto computes parity row i of the encoding matrix over the data
 // shards into dst, overwriting it. Sources are consumed in pairs so each
 // destination block is read and written half as often as with one
@@ -186,18 +173,30 @@ func (e *Encoder) parityInto(i int, data [][]byte, dst []byte) {
 // Split encodes data into the full set of total shards. The message is padded
 // with zeros to a multiple of the shard size; callers must remember the
 // original length to undo the padding (see Join).
+//
+// A data shard that lies wholly inside data is a capacity-clipped sub-slice
+// of it, not a copy: only the padded last data shard, any all-padding shard
+// after it and the parity shards are allocated, in one buffer. The shards
+// alias data, so neither may be written while the other is in use.
 func (e *Encoder) Split(data []byte) ([][]byte, error) {
 	if len(data) == 0 {
 		return nil, errors.New("erasure: empty data")
 	}
 	size := e.ShardSize(len(data))
-	shards := e.newShardSet(size)
-	// Data shards: verbatim slices (copied, so shards don't alias data).
-	for i := 0; i < e.dataShards; i++ {
-		start := i * size
-		if start < len(data) {
-			copy(shards[i], data[start:])
-		}
+	full := len(data) / size // at most dataShards, as size rounds up
+	shards := make([][]byte, e.total)
+	for i := 0; i < full; i++ {
+		shards[i] = data[i*size : (i+1)*size : (i+1)*size]
+	}
+	// The rest share one buffer, each shard capacity-clipped so an append
+	// cannot bleed into a neighbour.
+	backing := make([]byte, (e.total-full)*size)
+	for i := full; i < e.total; i++ {
+		off := (i - full) * size
+		shards[i] = backing[off : off+size : off+size]
+	}
+	if full < e.dataShards {
+		copy(shards[full], data[full*size:])
 	}
 	// Parity shards: rows dataShards..total-1 of the matrix times data.
 	dataView := shards[:e.dataShards]

@@ -2,6 +2,7 @@ package erasure
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -244,6 +245,92 @@ func BenchmarkReconstruct100KB(b *testing.B) {
 		}
 		if err := enc.Reconstruct(shards); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// within reports whether s starts inside buf.
+func within(s, buf []byte) bool {
+	for j := range buf {
+		if &s[0] == &buf[j] {
+			return true
+		}
+	}
+	return false
+}
+
+// TestSplitAliasesFullDataShards: every data shard wholly inside the input
+// is the input's own bytes, capacity-clipped; the padded last one, any
+// all-padding one and the parity shards are not.
+func TestSplitAliasesFullDataShards(t *testing.T) {
+	enc, _ := New(5, 3)
+	for _, n := range []int{1, 3, 4, 25, 49, 50, 51, 1000} {
+		data := make([]byte, n)
+		rand.New(rand.NewSource(int64(n))).Read(data)
+		shards, err := enc.Split(data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		size := enc.ShardSize(n)
+		for i, s := range shards {
+			full := i < 5 && (i+1)*size <= n
+			if got := within(s, data); got != full {
+				t.Fatalf("len %d shard %d: aliases the input %v, want %v", n, i, got, full)
+			}
+			if full && (&s[0] != &data[i*size] || cap(s) != size) {
+				t.Fatalf("len %d shard %d: not data[%d:%d] clipped (cap %d)", n, i, i*size, (i+1)*size, cap(s))
+			}
+			if len(s) != size || cap(s) != size {
+				t.Fatalf("len %d shard %d: len %d cap %d, want %d", n, i, len(s), cap(s), size)
+			}
+		}
+	}
+}
+
+// TestReconstructAndJoinLeaveTheirInputs: shards a caller hands to
+// Reconstruct, ReconstructData or Join, and the message they alias, are
+// read, never written — the contract that lets chunks alias the certified
+// entry bytes.
+func TestReconstructAndJoinLeaveTheirInputs(t *testing.T) {
+	enc, _ := New(7, 5)
+	data := make([]byte, 1000)
+	rand.New(rand.NewSource(4)).Read(data)
+	orig, err := enc.Split(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sum := func(shards [][]byte) [sha256.Size]byte {
+		h := sha256.New()
+		for _, s := range shards {
+			h.Write(s)
+		}
+		var out [sha256.Size]byte
+		h.Sum(out[:0])
+		return out
+	}
+	before, dataSum := sum(orig), sha256.Sum256(data)
+	for _, lost := range [][]int{nil, {0, 3}, {2, 7, 8}, {0, 1, 2, 3, 4}} {
+		for _, withParity := range []bool{true, false} {
+			shards := append([][]byte(nil), orig...)
+			for _, i := range lost {
+				shards[i] = nil
+			}
+			var err error
+			if withParity {
+				err = enc.Reconstruct(shards)
+			} else {
+				err = enc.ReconstructData(shards)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := enc.Join(shards, len(data))
+			if err != nil || !bytes.Equal(got, data) {
+				t.Fatalf("lost %v: join %v", lost, err)
+			}
+			if sum(orig) != before || sha256.Sum256(data) != dataSum {
+				t.Fatalf("lost %v (parity %v): an input shard was written", lost, withParity)
+			}
 		}
 	}
 }

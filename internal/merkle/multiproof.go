@@ -3,7 +3,7 @@ package merkle
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // MultiProof proves the inclusion of several leaves under one root with a
@@ -32,55 +32,48 @@ func (t *Tree) ProveMulti(indices []int) (MultiProof, error) {
 	if len(indices) == 0 {
 		return MultiProof{}, errors.New("merkle: no indices")
 	}
-	want := make(map[int]bool)
 	for _, i := range indices {
 		if i < 0 || i >= t.leafCount {
 			return MultiProof{}, fmt.Errorf("merkle: index %d out of range [0,%d)", i, t.leafCount)
 		}
-		want[i] = true
 	}
-	sorted := make([]int, 0, len(want))
-	for i := range want {
-		sorted = append(sorted, i)
-	}
-	sort.Ints(sorted)
-
-	proof := MultiProof{Indices: sorted}
-	// Walk level by level: at each level, the set of known node positions is
-	// derived from the level below; any needed sibling not in the known set
-	// is emitted.
-	known := make(map[int]bool, len(want))
-	for _, i := range sorted {
-		known[i] = true
-	}
+	sorted := slices.Clone(indices)
+	slices.Sort(sorted)
+	proof := MultiProof{Indices: slices.Compact(sorted)}
+	// Walk level by level over the known positions, ascending: a node whose
+	// sibling is not known needs that sibling's hash, emitted in walk order,
+	// and each known node's parent is known at the next level.
+	pos := slices.Clone(proof.Indices)
 	for lvl := 0; lvl < len(t.levels)-1; lvl++ {
 		width := len(t.levels[lvl])
-		next := make(map[int]bool)
-		// Iterate known positions in order for deterministic output.
-		positions := make([]int, 0, len(known))
-		for p := range known {
-			positions = append(positions, p)
-		}
-		sort.Ints(positions)
-		emitted := make(map[int]bool)
-		for _, p := range positions {
-			sib := p ^ 1
-			if sib >= width {
-				sib = p // odd promotion duplicates the node
+		next := 0
+		for k := 0; k < len(pos); k++ {
+			p := pos[k]
+			switch {
+			case p^1 >= width: // odd promotion duplicates the node
+			case p%2 == 0 && k+1 < len(pos) && pos[k+1] == p+1:
+				k++ // both children known
+			default:
+				proof.Siblings = append(proof.Siblings, t.levels[lvl][p^1])
 			}
-			if !known[sib] && !emitted[sib] {
-				proof.Siblings = append(proof.Siblings, t.levels[lvl][sib])
-				emitted[sib] = true
-			}
-			next[p/2] = true
+			pos[next] = p / 2
+			next++
 		}
-		known = next
+		pos = pos[:next]
 	}
 	return proof, nil
 }
 
+// node is a tree node VerifyMulti has derived: its position in its level
+// and its hash.
+type node struct {
+	pos  int
+	hash [HashSize]byte
+}
+
 // VerifyMulti checks that the given leaves (parallel to proof.Indices) hash
-// up to root for a tree of leafCount leaves.
+// up to root for a tree of leafCount leaves. It walks the levels the way
+// ProveMulti does, over one slice it rewrites in place: one allocation.
 func VerifyMulti(root Root, leafCount int, proof MultiProof, leaves [][]byte) bool {
 	if len(proof.Indices) == 0 || len(leaves) != len(proof.Indices) || leafCount <= 0 {
 		return false
@@ -94,56 +87,35 @@ func VerifyMulti(root Root, leafCount int, proof MultiProof, leaves [][]byte) bo
 			return false
 		}
 	}
-	known := make(map[int][HashSize]byte, len(leaves))
+	level := make([]node, len(leaves))
 	for k, i := range proof.Indices {
-		known[i] = LeafHash(i, leaves[k])
+		level[k] = node{i, LeafHash(i, leaves[k])}
 	}
-	sibIdx := 0
-	width := leafCount
-	for width > 1 {
-		next := make(map[int][HashSize]byte)
-		positions := make([]int, 0, len(known))
-		for p := range known {
-			positions = append(positions, p)
-		}
-		sort.Ints(positions)
-		consumed := make(map[int]bool)
-		for _, p := range positions {
-			if consumed[p] {
-				continue
-			}
-			sib := p ^ 1
-			if sib >= width {
-				sib = p
-			}
-			var sibHash [HashSize]byte
-			if h, ok := known[sib]; ok {
-				sibHash = h
-				consumed[sib] = true
-			} else {
-				if sibIdx >= len(proof.Siblings) {
-					return false
-				}
-				sibHash = proof.Siblings[sibIdx]
-				sibIdx++
-			}
+	sibs := proof.Siblings
+	for width := leafCount; width > 1; width = (width + 1) / 2 {
+		next := 0
+		for k := 0; k < len(level); k++ {
+			p, h := level[k].pos, level[k].hash
 			var parent [HashSize]byte
 			switch {
-			case sib == p: // odd promotion
-				parent = interiorHash(known[p], known[p])
+			case p^1 >= width: // odd promotion
+				parent = interiorHash(h, h)
+			case p%2 == 0 && k+1 < len(level) && level[k+1].pos == p+1:
+				parent = interiorHash(h, level[k+1].hash)
+				k++
+			case len(sibs) == 0:
+				return false
 			case p%2 == 0:
-				parent = interiorHash(known[p], sibHash)
+				parent, sibs = interiorHash(h, sibs[0]), sibs[1:]
 			default:
-				parent = interiorHash(sibHash, known[p])
+				parent, sibs = interiorHash(sibs[0], h), sibs[1:]
 			}
-			next[p/2] = parent
+			// next <= k: the write never reaches a node not yet read.
+			level[next] = node{p / 2, parent}
+			next++
 		}
-		known = next
-		width = (width + 1) / 2
+		level = level[:next]
 	}
-	if sibIdx != len(proof.Siblings) {
-		return false // trailing, unconsumed hashes are malformed
-	}
-	rootHash, ok := known[0]
-	return ok && Root(rootHash) == root
+	// Trailing, unconsumed hashes are malformed.
+	return len(sibs) == 0 && Root(level[0].hash) == root
 }

@@ -116,23 +116,29 @@ func (e *Encoded) Batches(senderIndex int, id types.EntryID, cert *keys.Certific
 	if transfers == nil {
 		return nil, nil, fmt.Errorf("replication: sender index %d out of range", senderIndex)
 	}
-	byReceiver := make(map[int][]int)
-	order := make([]int, 0, 4)
-	for _, tr := range transfers {
-		if _, ok := byReceiver[tr.Receiver]; !ok {
-			order = append(order, tr.Receiver)
+	// Transfers come in chunk order, and Algorithm 1 gives each receiver a
+	// contiguous range of chunks, so one receiver's chunks are one run.
+	chunks, runs := make([]int, len(transfers)), 0
+	for k, tr := range transfers {
+		chunks[k] = tr.Chunk
+		if k == 0 || tr.Receiver != transfers[k-1].Receiver {
+			runs++
 		}
-		byReceiver[tr.Receiver] = append(byReceiver[tr.Receiver], tr.Chunk)
 	}
-	batches := make([]ChunkBatch, 0, len(order))
-	receivers := make([]int, 0, len(order))
-	for _, recv := range order {
-		b, err := e.Batch(byReceiver[recv], id, cert)
+	batches := make([]ChunkBatch, 0, runs)
+	receivers := make([]int, 0, runs)
+	for lo := 0; lo < len(transfers); {
+		hi := lo + 1
+		for hi < len(transfers) && transfers[hi].Receiver == transfers[lo].Receiver {
+			hi++
+		}
+		b, err := e.Batch(chunks[lo:hi], id, cert)
 		if err != nil {
 			return nil, nil, err
 		}
 		batches = append(batches, b)
-		receivers = append(receivers, recv)
+		receivers = append(receivers, transfers[lo].Receiver)
+		lo = hi
 	}
 	return batches, receivers, nil
 }

@@ -382,6 +382,13 @@ func TestBatchesCoverTransfersAndRebuild(t *testing.T) {
 		if len(batches) != len(recvs) {
 			t.Fatal("parallel slices mismatch")
 		}
+		got := make(map[int]bool)
+		for _, r := range recvs {
+			if got[r] {
+				t.Fatalf("sender %d cut two batches for receiver %d", i, r)
+			}
+			got[r] = true
+		}
 		for k := range batches {
 			b := &batches[k]
 			// A sender's batch to one receiver matches the plan rows.

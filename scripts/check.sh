@@ -8,8 +8,9 @@
 #                    demo -trace smoke, tampering example (CI: build-and-test)
 #   race             short-mode race shard over the packages with the hottest
 #                    concurrency surface and the TCP transport with the wire
-#                    codec it carries, purego shard, the eight fuzz smokes
-#                    (CI: race-short)
+#                    codec it carries, a root-package shard of several TCP
+#                    gateway nodes in one process, purego shard, the eight
+#                    fuzz smokes (CI: race-short)
 #   groups           just the group-state suite (DESIGN.md §6's table:
 #                    failover and membership) — the full crash, partition,
 #                    simultaneous-death, join/leave/crash-overlap and forged
@@ -103,6 +104,13 @@ race() {
   # do not move when other links' sends change.
   echo "== go test -race -short (simnet, replication, core, pbft, trace, erasure, gf256, keys and its edwards25519, statedb, aria, gateway, merkle, cluster, transport and its tcp)"
   go test -race -short -timeout 600s ./internal/simnet/ ./internal/replication/ ./internal/core/ ./internal/pbft/ ./internal/trace/ ./internal/erasure/ ./internal/gf256/ ./internal/keys/... ./internal/statedb/ ./internal/aria/ ./internal/gateway/ ./internal/merkle/ ./internal/cluster/ ./internal/transport/...
+
+  # Several gateway nodes, each with its own cluster.Process, in one OS
+  # process over loopback TCP (the 2x2 case of the client end-to-end test):
+  # a memo made once per OS process instead of once per cluster.Process,
+  # such as a package-level decode memo, races here.
+  echo "== go test -race -short (root package: nodes of one OS process over TCP)"
+  go test -race -short -timeout 300s -run TestTCPGatewayClientEndToEnd .
 
   # The field arithmetic under internal/keys/edwards25519 has an amd64 assembly
   # path and a generic one; -tags purego runs the generic one on amd64 too.
