@@ -28,7 +28,7 @@ func helloFrame(lo, hi uint64) []byte {
 // gwMaxHelloRange) ranges are refused by dropping the connection, while a
 // sane range registers.
 func TestGatewayHelloRangeValidation(t *testing.T) {
-	s, err := startGateway(&ProcNode{}, "127.0.0.1:0")
+	s, err := startGateway(&ProcNode{logf: func(string, ...any) {}}, "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -223,7 +223,7 @@ func TestGatewayForgedRequestCannotCaptureReplies(t *testing.T) {
 // linger on <-s.done for the server's lifetime (one leaked goroutine per
 // past client connection).
 func TestGatewayConnWatcherExits(t *testing.T) {
-	s, err := startGateway(&ProcNode{}, "127.0.0.1:0")
+	s, err := startGateway(&ProcNode{logf: func(string, ...any) {}}, "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}

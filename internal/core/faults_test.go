@@ -8,16 +8,19 @@ import (
 	"massbft/internal/cluster"
 	"massbft/internal/keys"
 	"massbft/internal/ledger"
+	"massbft/internal/merkle"
 	"massbft/internal/replication"
 	"massbft/internal/simnet"
 	"massbft/internal/transport"
 	"massbft/internal/types"
 )
 
-// TestByzantineChunkTampering reproduces §VI-E "Node Failures": f Byzantine
-// nodes per group collude to replicate a tampered entry. Throughput must be
-// unaffected (correct nodes blacklist the tamperers after the first failed
-// rebuild) and no tampered transaction may reach the state.
+// TestByzantineChunkTampering runs §VI-E "Node Failures": from t=1s, f
+// Byzantine nodes per group send and forward the tamper encoding of every
+// entry under its honest certificate. Throughput continues after the attack
+// starts and the correct nodes agree on the state. On this schedule the
+// honest buckets reach n_data first, so no rebuild fails and nobody is
+// blacklisted; TestTamperedBucketBlacklistsSupplier tests that defence.
 func TestByzantineChunkTampering(t *testing.T) {
 	t.Parallel()
 	cfg := realCryptoCfg()
@@ -49,6 +52,60 @@ func TestByzantineChunkTampering(t *testing.T) {
 	// since they follow local consensus; their only deviation is tampered
 	// chunk transmission).
 	assertConsistency(t, c, nil)
+}
+
+// TestTamperedBucketBlacklistsSupplier: §VI-E's defence at one node. Peer X
+// sends chunk batches of the tamper encoding under the honest certificate,
+// enough to fill one bucket to n_data. The rebuild fails, X is blacklisted,
+// and X's next batch, honest this time, never reaches the collector, while
+// the same batch from another peer does.
+func TestTamperedBucketBlacklistsSupplier(t *testing.T) {
+	c, err := cluster.New(realCryptoCfg(), NewNode)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := c.Nodes[keys.NodeID{Group: 1, Index: 0}].(*Node)
+	n.ctx.Net = &recordingEndpoint{Endpoint: n.ctx.Net}
+	x, y := keys.NodeID{Group: 0, Index: 1}, keys.NodeID{Group: 0, Index: 2}
+	e := &types.Entry{ID: types.EntryID{GID: 0, Seq: 1}, Txns: []types.Transaction{
+		{Client: 1, Payload: []byte("payload"), Sig: make([]byte, 64)},
+	}}
+	d := keys.Hash(e.Encode())
+	cert := &keys.Certificate{Group: 0, Digest: d}
+	for j := 0; j < c.Reg.QuorumSize(0); j++ {
+		cert.Sigs = append(cert.Sigs, keys.SignCertificate(c.Pairs[0][j], 0, d))
+	}
+	p := n.recvPlan(0)
+	batch := func(entryEnc []byte, idx int) *replication.ChunkBatch {
+		t.Helper()
+		encd, err := replication.Encode(entryEnc, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := encd.Batch([]int{idx}, e.ID, cert)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return &b
+	}
+	for idx := 0; idx < p.Data; idx++ {
+		n.onChunkBatch(x, batch(n.tamper(e), idx), true)
+	}
+	if rebuilds, failed, _ := n.collector.Stats(); rebuilds != 0 || failed != 1 {
+		t.Fatalf("after a tampered bucket of %d chunks: %d rebuilds, %d failed; want 0, 1", p.Data, rebuilds, failed)
+	}
+	if !n.blacklist[x] || len(n.blacklist) != 1 {
+		t.Fatalf("blacklist %v, want only %v", n.blacklist, x)
+	}
+	honest := batch(e.Encode(), p.Data) // an index the failed bucket did not ban
+	n.onChunkBatch(x, honest, true)
+	if root, _, _ := n.collector.Missing(e.ID); root != (merkle.Root{}) {
+		t.Fatalf("the blacklisted peer's batch reached the collector (bucket %v)", root)
+	}
+	n.onChunkBatch(y, honest, true)
+	if root, _, _ := n.collector.Missing(e.ID); root != honest.Root {
+		t.Fatalf("another peer's honest batch did not reach the collector (bucket %v)", root)
+	}
 }
 
 // TestGroupCrashTakeover reproduces §VI-E "Group Failures": a whole data

@@ -14,8 +14,8 @@ package erasure
 import (
 	"errors"
 	"fmt"
-	"sync"
 
+	"massbft/internal/fifo"
 	"massbft/internal/gf256"
 )
 
@@ -35,8 +35,7 @@ var (
 
 // Encoder encodes and reconstructs shard sets for one (dataShards,
 // parityShards) geometry. An Encoder is safe for concurrent use after
-// construction: the matrix is read-only and the decode-matrix cache is
-// guarded by an internal mutex.
+// construction: the matrix is read-only and the decode-matrix memo is locked.
 type Encoder struct {
 	dataShards   int
 	parityShards int
@@ -44,20 +43,12 @@ type Encoder struct {
 	// matrix is the total x dataShards systematic encoding matrix.
 	matrix *gf256.Matrix
 
-	// invMu guards invCache, which memoizes inverted decode submatrices
-	// keyed by the set of present rows. Reconstructing a stream of entries
-	// that lost the same shard indices (the common case: the same senders
-	// are down or banned for a while) pays the O(dataShards^3) Gauss-Jordan
-	// inversion once instead of per entry.
-	invMu    sync.Mutex
-	invCache map[string]*gf256.Matrix
+	// inverses memoizes the inverted decode submatrices of the newest 128
+	// sets of present rows. Reconstructing a stream of entries that lost the
+	// same shard indices (the same senders are down or banned for a while)
+	// pays the O(dataShards^3) Gauss-Jordan inversion once, not per entry.
+	inverses *fifo.Locked[string, *gf256.Matrix]
 }
-
-// invCacheMax bounds the per-encoder decode-matrix cache. Loss patterns are
-// combinations of shard indices, so a small bound covers the realistic churn;
-// on overflow the whole map is dropped (cheap, and keeps behaviour
-// deterministic — no LRU bookkeeping).
-const invCacheMax = 128
 
 // New returns an Encoder for the given geometry. Most callers want Cached
 // instead, which memoizes encoders per geometry and skips the systematic
@@ -80,47 +71,27 @@ func New(dataShards, parityShards int) (*Encoder, error) {
 		parityShards: parityShards,
 		total:        total,
 		matrix:       vm.Mul(topInv),
-		invCache:     make(map[string]*gf256.Matrix),
+		inverses:     fifo.NewLocked[string, *gf256.Matrix](128),
 	}, nil
 }
 
-// Geometry caches: the cluster uses a handful of transfer-plan geometries for
-// its whole lifetime, while the pre-overhaul code rebuilt (and re-inverted)
-// the systematic matrix for every encoded or rebuilt entry.
-var (
-	cacheMu  sync.RWMutex
-	encCache = make(map[[2]int]*Encoder)
-)
-
-// encCacheMax bounds the geometry cache; real clusters use only a few plan
-// geometries, so this exists purely as a leak guard for pathological callers.
-const encCacheMax = 64
+// encoders memoizes the newest 64 geometries: a cluster uses a handful of
+// transfer-plan geometries for its whole lifetime, and building one inverts
+// a Vandermonde matrix.
+var encoders = fifo.NewLocked[[2]int, *Encoder](64)
 
 // Cached returns a shared Encoder for the given geometry, constructing it on
-// first use. The returned encoder must be treated as shared state (it is);
-// that is safe because Encoder is safe for concurrent use.
+// first use. Sharing is safe because Encoder is safe for concurrent use.
 func Cached(dataShards, parityShards int) (*Encoder, error) {
 	key := [2]int{dataShards, parityShards}
-	cacheMu.RLock()
-	e := encCache[key]
-	cacheMu.RUnlock()
-	if e != nil {
+	if e, ok := encoders.Get(key); ok {
 		return e, nil
 	}
 	e, err := New(dataShards, parityShards)
-	if err != nil {
-		return nil, err
+	if err == nil {
+		encoders.Put(key, e)
 	}
-	cacheMu.Lock()
-	defer cacheMu.Unlock()
-	if prior, ok := encCache[key]; ok {
-		return prior, nil
-	}
-	if len(encCache) >= encCacheMax {
-		encCache = make(map[[2]int]*Encoder)
-	}
-	encCache[key] = e
-	return e, nil
+	return e, err
 }
 
 func identityRows(n int) []int {
@@ -247,24 +218,14 @@ func (e *Encoder) decodeMatrix(present []int) (*gf256.Matrix, error) {
 		key[i] = byte(p)
 	}
 	k := string(key)
-	e.invMu.Lock()
-	inv, ok := e.invCache[k]
-	e.invMu.Unlock()
-	if ok {
+	if inv, ok := e.inverses.Get(k); ok {
 		return inv, nil
 	}
-	sub := e.matrix.SubMatrix(present)
-	inv, err := sub.Invert()
-	if err != nil {
-		return nil, err
+	inv, err := e.matrix.SubMatrix(present).Invert()
+	if err == nil {
+		e.inverses.Put(k, inv)
 	}
-	e.invMu.Lock()
-	if len(e.invCache) >= invCacheMax {
-		e.invCache = make(map[string]*gf256.Matrix)
-	}
-	e.invCache[k] = inv
-	e.invMu.Unlock()
-	return inv, nil
+	return inv, err
 }
 
 // rowInto combines the given source shards with the coefficients in row into

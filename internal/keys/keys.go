@@ -13,8 +13,9 @@ import (
 	"fmt"
 	"math/rand"
 	"sort"
-	"sync"
 	"sync/atomic"
+
+	"massbft/internal/fifo"
 )
 
 // NodeID identifies node j in group i, matching the paper's N_{i,j} notation.
@@ -80,9 +81,8 @@ func ModelSigning(pairs [][]*KeyPair) {
 }
 
 // Registry maps node IDs to public keys. The key material is immutable after
-// construction (trustAll is set once before a run); the certificate memo
-// cache is guarded by its own mutex, so a Registry is safe for concurrent
-// use.
+// construction (trustAll is set once before a run) and the memos are locked,
+// so a Registry is safe for concurrent use.
 type Registry struct {
 	keys map[NodeID]ed25519.PublicKey
 	// groupSizes[i] is the number of nodes in group i.
@@ -95,32 +95,16 @@ type Registry struct {
 	trustAll bool
 	verified atomic.Uint64
 
-	// Certificate verification memo. The same quorum certificate is verified
-	// many times per entry along the hot path (the collector checks it per
-	// chunk batch, the orderer again per block), and each full check costs
-	// 2f+1 Ed25519 verifications. The cache maps (group, digest, hash of the
-	// signature set) to the verification outcome — including failures, which
-	// a Byzantine peer could otherwise replay to force repeated expensive
-	// re-checks. Bounded: when certCacheLimit entries are reached the map is
-	// dropped and restarted, which keeps the structure deterministic (no
-	// eviction order) and the memory footprint fixed.
-	certMu         sync.Mutex
-	certCache      map[certCacheKey]error
-	certCacheLimit int
-	certHits       uint64
-	certMisses     uint64
-
-	// Signature verification memo behind VerifyMemo, same rule: content-keyed,
-	// failures included, dropped and restarted at sigCacheLimit entries.
-	sigMu     sync.Mutex
-	sigCache  map[sigCacheKey]bool
-	sigHits   uint64
-	sigMisses uint64
+	// The verdicts of VerifyCertificate and VerifyMemo by content, failures
+	// included (a Byzantine peer replaying one pays one check), the newest
+	// memoLimit of each. The same quorum certificate is verified many times
+	// per entry (the collector per chunk batch, the orderer per block), and a
+	// full check costs 2f+1 Ed25519 verifications.
+	certs *fifo.Locked[certCacheKey, error]
+	sigs  *fifo.Locked[sigCacheKey, bool]
 }
 
-// certCacheLimitDefault bounds the memo to roughly 4096 * ~56 bytes of keys
-// plus map overhead — a few hundred KiB per registry.
-const certCacheLimitDefault = 4096
+const memoLimit = 4096 // per memo of a registry: a few hundred KiB
 
 // certCacheKey identifies a certificate by content: the claimed group, the
 // digest it covers, and a hash of the exact signature set. Two certificates
@@ -152,20 +136,11 @@ func certSigsHash(sigs []Signature) Digest {
 
 // CertCacheStats returns the number of certificate verifications served from
 // the memo cache and the number that ran the full signature check.
-func (r *Registry) CertCacheStats() (hits, misses uint64) {
-	r.certMu.Lock()
-	defer r.certMu.Unlock()
-	return r.certHits, r.certMisses
-}
+func (r *Registry) CertCacheStats() (hits, misses uint64) { return r.certs.Stats() }
 
 // ResetCertCache drops the verification memo and its counters. Benchmarks
 // use it to measure the uncached path; production code never needs it.
-func (r *Registry) ResetCertCache() {
-	r.certMu.Lock()
-	r.certCache = nil
-	r.certHits, r.certMisses = 0, 0
-	r.certMu.Unlock()
-}
+func (r *Registry) ResetCertCache() { r.certs.Reset() }
 
 // SetTrustAll toggles benchmark mode (see the field comment). Call before
 // the run starts.
@@ -182,6 +157,8 @@ func GenerateCluster(groupSizes []int, seed int64) ([][]*KeyPair, *Registry, err
 	reg := &Registry{
 		keys:       make(map[NodeID]ed25519.PublicKey),
 		groupSizes: append([]int(nil), groupSizes...),
+		certs:      fifo.NewLocked[certCacheKey, error](memoLimit),
+		sigs:       fifo.NewLocked[sigCacheKey, bool](memoLimit),
 	}
 	pairs := make([][]*KeyPair, len(groupSizes))
 	for g, n := range groupSizes {
@@ -220,9 +197,6 @@ func (r *Registry) Verify(id NodeID, msg, sig []byte) bool {
 // signers and memo hits (VerifyMemo, VerifyCertificate) run none.
 func (r *Registry) Verified() uint64 { return r.verified.Load() }
 
-// sigCacheLimit bounds the signature memo (~80-byte keys).
-const sigCacheLimit = 4096
-
 // sigCacheKey identifies one signature check by content: the claimed signer
 // and hashes of the exact message and signature bytes, so a different
 // message or a different signature never hits a cached verdict.
@@ -245,33 +219,17 @@ func (r *Registry) VerifyMemo(id NodeID, msg, sig []byte) bool {
 		return r.Verify(id, msg, sig)
 	}
 	key := sigCacheKey{signer: id, msgHash: Hash(msg), sigHash: Hash(sig)}
-	r.sigMu.Lock()
-	if ok, hit := r.sigCache[key]; hit {
-		r.sigHits++
-		r.sigMu.Unlock()
-		return ok
+	ok, hit := r.sigs.Get(key)
+	if !hit {
+		ok = r.Verify(id, msg, sig)
+		r.sigs.Put(key, ok)
 	}
-	r.sigMisses++
-	r.sigMu.Unlock()
-
-	ok := r.Verify(id, msg, sig)
-
-	r.sigMu.Lock()
-	if r.sigCache == nil || len(r.sigCache) >= sigCacheLimit {
-		r.sigCache = make(map[sigCacheKey]bool, sigCacheLimit/4)
-	}
-	r.sigCache[key] = ok
-	r.sigMu.Unlock()
 	return ok
 }
 
 // SigCacheStats returns how many VerifyMemo calls the memo answered and how
 // many ran the signature check.
-func (r *Registry) SigCacheStats() (hits, misses uint64) {
-	r.sigMu.Lock()
-	defer r.sigMu.Unlock()
-	return r.sigHits, r.sigMisses
-}
+func (r *Registry) SigCacheStats() (hits, misses uint64) { return r.sigs.Stats() }
 
 // GroupSize returns the number of nodes in group g, or 0 if g is unknown.
 func (r *Registry) GroupSize(g int) int {
@@ -352,27 +310,11 @@ func (r *Registry) VerifyCertificate(cert *Certificate) error {
 		return r.verifyCertificate(cert)
 	}
 	key := certCacheKey{group: cert.Group, digest: cert.Digest, sigsHash: certSigsHash(cert.Sigs)}
-	r.certMu.Lock()
-	if err, ok := r.certCache[key]; ok {
-		r.certHits++
-		r.certMu.Unlock()
-		return err
+	err, hit := r.certs.Get(key)
+	if !hit {
+		err = r.verifyCertificate(cert)
+		r.certs.Put(key, err)
 	}
-	r.certMisses++
-	r.certMu.Unlock()
-
-	err := r.verifyCertificate(cert)
-
-	r.certMu.Lock()
-	limit := r.certCacheLimit
-	if limit == 0 {
-		limit = certCacheLimitDefault
-	}
-	if r.certCache == nil || len(r.certCache) >= limit {
-		r.certCache = make(map[certCacheKey]error, limit/4)
-	}
-	r.certCache[key] = err
-	r.certMu.Unlock()
 	return err
 }
 

@@ -294,27 +294,26 @@ func TestCertificateMemoization(t *testing.T) {
 	}
 }
 
-// TestCertificateCacheBounded fills the memo past its limit and checks it
-// restarts instead of growing without bound, while verdicts stay correct.
+// TestCertificateCacheBounded: distinct certificates, good and bad, each miss
+// once and keep their own verdicts. The bound itself is fifo.Locked's
+// (TestLockedConcurrent); TestVerifyMemoPastBound crosses it.
 func TestCertificateCacheBounded(t *testing.T) {
 	pairs, reg := genTestCluster(t)
-	reg.certCacheLimit = 4
 	for i := 0; i < 20; i++ {
-		d := Hash([]byte{byte(i)})
-		cert := buildCert(pairs, 0, d, []int{0, 1, 2})
-		if err := reg.VerifyCertificate(cert); err != nil {
-			t.Fatal(err)
+		cert := buildCert(pairs, 0, Hash([]byte{byte(i)}), []int{0, 1, 2})
+		want := error(nil)
+		if i%2 == 1 {
+			cert.Sigs[1].Sig[0] ^= 1
+			want = ErrCertBadSig
 		}
-		reg.certMu.Lock()
-		if n := len(reg.certCache); n > 4 {
-			reg.certMu.Unlock()
-			t.Fatalf("cache grew to %d entries, limit 4", n)
+		for pass := 0; pass < 2; pass++ {
+			if err := reg.VerifyCertificate(cert); err != want {
+				t.Fatalf("cert %d pass %d: got %v, want %v", i, pass, err, want)
+			}
 		}
-		reg.certMu.Unlock()
 	}
-	_, misses := reg.CertCacheStats()
-	if misses != 20 {
-		t.Fatalf("distinct certs must all miss: misses=%d", misses)
+	if hits, misses := reg.CertCacheStats(); hits != 20 || misses != 20 {
+		t.Fatalf("hits=%d misses=%d, want 20/20", hits, misses)
 	}
 }
 
@@ -342,8 +341,7 @@ func TestCertificateMemoTrustAllBypass(t *testing.T) {
 }
 
 // TestVerifyMemo: the signature memo answers by exact (signer, message,
-// signature), remembers failures, stays within its constant bound, and is
-// bypassed under trust-all.
+// signature), remembers failures, and is bypassed under trust-all.
 func TestVerifyMemo(t *testing.T) {
 	pairs, reg := genTestCluster(t)
 	kp := pairs[0][1]
@@ -377,12 +375,6 @@ func TestVerifyMemo(t *testing.T) {
 	if hits, misses := reg.SigCacheStats(); hits != 5 || misses != 4 {
 		t.Fatalf("after failures: hits=%d misses=%d, want 5/4", hits, misses)
 	}
-	for i := 0; i < sigCacheLimit+10; i++ {
-		reg.VerifyMemo(kp.ID, []byte{byte(i), byte(i >> 8)}, sig)
-		if n := len(reg.sigCache); n > sigCacheLimit {
-			t.Fatalf("memo grew to %d entries, limit %d", n, sigCacheLimit)
-		}
-	}
 
 	_, trusting := genTestCluster(t)
 	trusting.SetTrustAll(true)
@@ -391,6 +383,44 @@ func TestVerifyMemo(t *testing.T) {
 	}
 	if hits, misses := trusting.SigCacheStats(); hits != 0 || misses != 0 {
 		t.Fatalf("trust-all touched the memo: hits=%d misses=%d", hits, misses)
+	}
+}
+
+// TestVerifyMemoPastBound: a quarter past the memo's bound, the newest
+// memoLimit verdicts still hit and the oldest has gone; every verdict, the
+// failures too, stays right.
+func TestVerifyMemoPastBound(t *testing.T) {
+	pairs, reg := genTestCluster(t)
+	kp := pairs[0][1]
+	other := kp.Sign([]byte("other"))
+	n := memoLimit + memoLimit/4
+	msgs, sigs := make([][]byte, n), make([][]byte, n)
+	for i := range msgs {
+		msgs[i], sigs[i] = []byte{'m', byte(i), byte(i >> 8)}, other
+		if i%3 == 0 {
+			sigs[i] = kp.Sign(msgs[i])
+		}
+	}
+	check := func(i int) {
+		t.Helper()
+		if got := reg.VerifyMemo(kp.ID, msgs[i], sigs[i]); got != (i%3 == 0) {
+			t.Fatalf("message %d verified %v", i, got)
+		}
+	}
+	for i := range msgs {
+		check(i)
+	}
+	checked := reg.Verified()
+	for i := n - memoLimit; i < n; i++ {
+		check(i)
+	}
+	if hits, misses := reg.SigCacheStats(); hits != memoLimit || misses != uint64(n) || reg.Verified() != checked {
+		t.Fatalf("newest %d again: hits=%d misses=%d, %d checks run; want %d/%d, 0",
+			memoLimit, hits, misses, reg.Verified()-checked, memoLimit, n)
+	}
+	check(0)
+	if _, misses := reg.SigCacheStats(); misses != uint64(n)+1 {
+		t.Fatalf("the oldest verdict still hit after %d newer ones", n-1)
 	}
 }
 
@@ -429,9 +459,7 @@ func BenchmarkVerifyCertificateUncached(b *testing.B) {
 	cert := buildCert(pairs, 0, d, []int{0, 1, 2, 3, 4})
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		reg.certMu.Lock()
-		reg.certCache = nil
-		reg.certMu.Unlock()
+		reg.ResetCertCache()
 		if err := reg.VerifyCertificate(cert); err != nil {
 			b.Fatal(err)
 		}

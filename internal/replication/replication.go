@@ -353,19 +353,19 @@ func (c *Collector) AddBatch(b *ChunkBatch) (bool, error) {
 		}
 	}
 	st := c.entries[b.Entry]
-	if st == nil {
-		st = newEntryState()
-		c.entries[b.Entry] = st
-	}
-	if st.delivered {
+	if st != nil && st.delivered {
 		return false, ErrDelivered
 	}
 	// The chunks must prove membership under the claimed root at the very
 	// indices they will be bucketed under; garbage that does not even verify
-	// against its own root is dropped immediately.
+	// against its own root is dropped immediately, and leaves no state.
 	if !slices.Equal(b.Indices, b.Proof.Indices) || !merkle.VerifyMulti(b.Root, b.Total, b.Proof, b.Chunks) {
 		c.rejectedChunks += len(b.Indices)
 		return false, ErrBadProof
+	}
+	if st == nil {
+		st = newEntryState()
+		c.entries[b.Entry] = st
 	}
 	bk := bucketKey{root: b.Root, dataLen: b.DataLen}
 	bucket := st.buckets[bk]

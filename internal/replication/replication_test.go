@@ -220,6 +220,26 @@ func TestGarbageChunkRejected(t *testing.T) {
 	}
 }
 
+// TestBadProofLeavesNoState: a batch whose proof fails makes no entry state,
+// so garbage for entries that will never execute (here 1 000 far-future
+// seqs) cannot grow the collector past what Forget ever drops.
+func TestBadProofLeavesNoState(t *testing.T) {
+	f := newFixture(t, 4, 7, 20)
+	var got []Rebuilt
+	c := collectorFor(f, &got)
+	bad := f.singles(t, f.encoded, 0, f.cert)[0]
+	bad.Chunks = [][]byte{append([]byte{1}, bad.Chunks[0]...)}
+	for i := 0; i < 1000; i++ {
+		bad.Entry.Seq = 1<<40 + uint64(i)
+		if _, err := c.AddBatch(&bad); err != ErrBadProof {
+			t.Fatalf("seq %d: got %v, want ErrBadProof", bad.Entry.Seq, err)
+		}
+	}
+	if c.Len() != 0 {
+		t.Fatalf("bad-proof batches left %d entry states, want 0", c.Len())
+	}
+}
+
 func TestWrongGeometryRejected(t *testing.T) {
 	f := newFixture(t, 4, 7, 20)
 	var got []Rebuilt

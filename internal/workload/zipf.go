@@ -4,6 +4,8 @@ import (
 	"math"
 	"math/rand"
 	"sync"
+
+	"massbft/internal/fifo"
 )
 
 // Zipfian draws from a Zipf distribution with exponent theta in (0,1), the
@@ -29,14 +31,14 @@ func NewZipfian(rng *rand.Rand, items uint64, theta float64) *Zipfian {
 	return z
 }
 
-// zetaMemo holds every zeta value computed so far. The sum is a pure
-// function of its arguments and costs one math.Pow per item — 43 ms at
-// YCSB's million rows — while a process builds a generator per group, node
-// and client over the same table.
-var zetaMemo = struct {
+// zetas memoizes the newest 8 zeta sums. A sum costs one math.Pow
+// per item — 43 ms at YCSB's million rows — while a process builds a
+// generator per group, node and client over the same table. The lock is held
+// across the sum, so generators built at once compute it once.
+var zetas = struct {
 	sync.Mutex
-	m map[zetaArgs]float64
-}{m: make(map[zetaArgs]float64)}
+	*fifo.Memo[zetaArgs, float64]
+}{Memo: fifo.NewMemo[zetaArgs, float64](8)}
 
 type zetaArgs struct {
 	n     uint64
@@ -44,17 +46,17 @@ type zetaArgs struct {
 }
 
 func zeta(n uint64, theta float64) float64 {
-	zetaMemo.Lock()
-	defer zetaMemo.Unlock()
+	zetas.Lock()
+	defer zetas.Unlock()
 	args := zetaArgs{n, theta}
-	if sum, ok := zetaMemo.m[args]; ok {
+	if sum, ok := zetas.Get(args); ok {
 		return sum
 	}
 	sum := 0.0
 	for i := uint64(1); i <= n; i++ {
 		sum += 1.0 / math.Pow(float64(i), theta)
 	}
-	zetaMemo.m[args] = sum
+	zetas.Put(args, sum)
 	return sum
 }
 

@@ -102,8 +102,9 @@ race() {
   # The TCP transport is the only network code with goroutines of its own.
   # simnet's shard includes TestLinkDecisionsAreItsOwn: a link's fault draws
   # do not move when other links' sends change.
-  echo "== go test -race -short (simnet, replication, core, pbft, trace, erasure, gf256, keys and its edwards25519, statedb, aria, gateway, merkle, cluster, transport and its tcp)"
-  go test -race -short -timeout 600s ./internal/simnet/ ./internal/replication/ ./internal/core/ ./internal/pbft/ ./internal/trace/ ./internal/erasure/ ./internal/gf256/ ./internal/keys/... ./internal/statedb/ ./internal/aria/ ./internal/gateway/ ./internal/merkle/ ./internal/cluster/ ./internal/transport/...
+  # fifo and workload hold memos that goroutines share (fifo.Locked, zeta's).
+  echo "== go test -race -short (simnet, replication, core, pbft, trace, erasure, gf256, keys and its edwards25519, statedb, aria, gateway, merkle, cluster, transport and its tcp, fifo, workload)"
+  go test -race -short -timeout 600s ./internal/simnet/ ./internal/replication/ ./internal/core/ ./internal/pbft/ ./internal/trace/ ./internal/erasure/ ./internal/gf256/ ./internal/keys/... ./internal/statedb/ ./internal/aria/ ./internal/gateway/ ./internal/merkle/ ./internal/cluster/ ./internal/transport/... ./internal/fifo/ ./internal/workload/
 
   # Several gateway nodes, each with its own cluster.Process, in one OS
   # process over loopback TCP (the 2x2 case of the client end-to-end test):
