@@ -389,7 +389,6 @@ type Checkpoint struct {
 	StateRoll [32]byte
 
 	Clk         uint64
-	NextSeq     uint64
 	ExecCount   int
 	CommitCount int
 
@@ -450,18 +449,6 @@ type RejoinReq struct {
 
 // WireSize returns the serialized size in bytes.
 func (m *RejoinReq) WireSize() int { return 1 + 8 }
-
-// ProposalFwd relays a locally-proposed entry whose slot a view change filled
-// with a no-op to the group's current local leader for re-proposal. Only the
-// original proposer still holds the content (clients are not modeled as
-// retrying), so without the relay a destroyed proposal would leave a
-// permanent seq hole and wedge the group clock.
-type ProposalFwd struct {
-	Payload []byte
-}
-
-// WireSize returns the serialized size in bytes.
-func (m *ProposalFwd) WireSize() int { return 1 + len(m.Payload) }
 
 // RejoinResp carries the checkpoint a recovering node installs.
 type RejoinResp struct {

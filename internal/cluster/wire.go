@@ -53,8 +53,9 @@ import (
 )
 
 // Envelope kind bytes. Stable wire contract: never renumber, only append.
-// 3 and 4 carried the single-chunk form ChunkBatch replaced; they are retired,
-// never reused, and decode as ErrEnvelopeKind.
+// 3 and 4 carried the single-chunk form ChunkBatch replaced, and 13 a relay of
+// a proposal a view change destroyed; they are retired, never reused, and
+// decode as ErrEnvelopeKind.
 const (
 	envLocalMsg       = 1
 	envMetaMsg        = 2
@@ -66,7 +67,6 @@ const (
 	envEntryFetch     = 10
 	envChunkRepairReq = 11
 	envStreamFetch    = 12
-	envProposalFwd    = 13
 	envRejoinReq      = 14
 	envRejoinResp     = 15
 	envClientRequest  = 16
@@ -87,7 +87,6 @@ var envelopeKindNames = map[byte]string{
 	envEntryFetch:     "entry-fetch",
 	envChunkRepairReq: "chunk-repair",
 	envStreamFetch:    "stream-fetch",
-	envProposalFwd:    "proposal-fwd",
 	envRejoinReq:      "rejoin-req",
 	envRejoinResp:     "rejoin-resp",
 	envClientRequest:  "client-request",
@@ -117,7 +116,6 @@ var envelopeNew = [...]func() any{
 	envEntryFetch:     func() any { return new(EntryFetch) },
 	envChunkRepairReq: func() any { return new(ChunkRepairReq) },
 	envStreamFetch:    func() any { return new(StreamFetch) },
-	envProposalFwd:    func() any { return new(ProposalFwd) },
 	envRejoinReq:      func() any { return new(RejoinReq) },
 	envRejoinResp:     func() any { return new(RejoinResp) },
 	envClientRequest:  func() any { return new(ClientRequest) },
@@ -484,9 +482,6 @@ func (c *codec) message(m any) byte {
 		c.i32(&m.Origin)
 		c.u64(&m.From)
 		return envStreamFetch
-	case *ProposalFwd:
-		c.bytes(&m.Payload)
-		return envProposalFwd
 	case *RejoinReq:
 		c.u64(&m.Have)
 		return envRejoinReq
@@ -726,7 +721,6 @@ func (c *codec) checkpoint(ck *Checkpoint) {
 	c.state(&ck.State)
 	hash(c, &ck.StateRoll)
 	c.u64(&ck.Clk)
-	c.u64(&ck.NextSeq)
 	c.i64(&ck.ExecCount)
 	c.i64(&ck.CommitCount)
 	for i := range list(c, &ck.Batches, leastBatch) {

@@ -68,7 +68,6 @@ func wireFixtures() map[string]any {
 		State:       st,
 		StateRoll:   [32]byte{0x13},
 		Clk:         44,
-		NextSeq:     10,
 		ExecCount:   8,
 		CommitCount: 9,
 		Batches: []*MetaBatch{
@@ -162,7 +161,6 @@ func wireFixtures() map[string]any {
 			Entry: types.EntryID{GID: 0, Seq: 12}, Missing: []int{1, 4},
 		},
 		"StreamFetch": &StreamFetch{Origin: 1, From: 9},
-		"ProposalFwd": &ProposalFwd{Payload: []byte("fwd")},
 		"RejoinReq":   &RejoinReq{Have: 5},
 		"RejoinResp":  &RejoinResp{C: ck},
 		// The rows a rejoin checkpoint holds for foreign entries whose
@@ -330,7 +328,8 @@ func TestEnvelopeUnknownKinds(t *testing.T) {
 
 // retiredEnvelopes returns a once-valid encoding of each retired envelope
 // kind — 3, a single chunk over WAN, and 4, its LAN re-broadcast, both
-// replaced by ChunkBatch / BatchFwd — captured from the last codec that had
+// replaced by ChunkBatch / BatchFwd, and 13, a proposal relayed for
+// re-proposal under its old entry ID — captured from the last codec that had
 // them. A peer still sending one must get ErrEnvelopeKind, not a misparse.
 func retiredEnvelopes() map[string][]byte {
 	// entry id, root, total, data, data length, index, proof index, two
@@ -347,8 +346,9 @@ func retiredEnvelopes() map[string][]byte {
 		panic(err)
 	}
 	return map[string][]byte{
-		"kind 3": append([]byte{3}, body...),
-		"kind 4": append([]byte{4}, body...),
+		"kind 3":  append([]byte{3}, body...),
+		"kind 4":  append([]byte{4}, body...),
+		"kind 13": {13, 0, 0, 0, 3, 'f', 'w', 'd'},
 	}
 }
 
@@ -362,7 +362,6 @@ var goldenEnvelopes = map[string]string{
 	"MetaMsg.SlotRequest": "02060000000000000004",
 	"EntryFetch":          "0a000000010000000000000007",
 	"StreamFetch":         "0c000000010000000000000009",
-	"ProposalFwd":         "0d00000003667764",
 	"RejoinReq":           "0e0000000000000005",
 	// The largest envelope: every checkpoint field, the state store included.
 	"RejoinResp": "0f01000000000000000500000001000000000000000510000000000000000000" +
@@ -372,35 +371,35 @@ var goldenEnvelopes = map[string]string{
 		"0000000000000000000001000000276d61737364623100000000020000000561" +
 		"6c70686100000001310000000462657461000000013213000000000000000000" +
 		"00000000000000000000000000000000000000000000000000000000002c0000" +
-		"00000000000a0000000000000008000000000000000900000001000000010000" +
-		"0000000000030000004600000002000000000100000001000000000000000500" +
-		"0000000000002a00000000000000010200000000000000000000000000000009" +
-		"0000000000000028000000000000000201000000020102030000000000000000" +
-		"0000000000000000000000000000000000000000000000000200000002000000" +
-		"0000000002733000000002000000010000000273310000000000000001000000" +
-		"000000000c00000001000000000000000b140000000000000000000000000000" +
-		"000000000000000000000000000000000000000006736c6f74706c0000000200" +
-		"0000000000000100000000000000020000000100000000000000010000000263" +
-		"6d01000000000000000200000000000000060000000001000000020000000000" +
-		"0000040000000000000003000000010000000100000000000000050000000200" +
-		"0000000000002a00000000000000000000000201000000000000000003000000" +
-		"0100000001000000000000000200000001000000010000000000000007010000" +
-		"0044000000010000000000000007000000000000000300000000000000060000" +
-		"00010000000000000009000000000000000400000007707574206b2076000000" +
-		"0574787369670100000002010203000000000000000000000000000000000000" +
-		"0000000000000000000000000000020000000200000000000000027330000000" +
-		"0200000001000000027331000000010000000200000000000000010000000100" +
-		"0000010100000000050000000000000005000000000000000000000000000000" +
-		"2c00000000000000140000000000000004000000000000000000000000000000" +
-		"0000000000000000000400000000000000010000000000000029000000000000" +
-		"0013000000000000000300000000000000000000000001000000000000000000" +
-		"0000060000000200000000000000010000000000000011000000000000000000" +
-		"0000000000001e000000000000000c0000000000000002030000000000000011" +
+		"0000000000080000000000000009000000010000000100000000000000030000" +
+		"0046000000020000000001000000010000000000000005000000000000002a00" +
+		"0000000000000102000000000000000000000000000000090000000000000028" +
+		"0000000000000002010000000201020300000000000000000000000000000000" +
+		"0000000000000000000000000000000002000000020000000000000002733000" +
+		"000002000000010000000273310000000000000001000000000000000c000000" +
+		"01000000000000000b1400000000000000000000000000000000000000000000" +
+		"00000000000000000000000006736c6f74706c00000002000000000000000100" +
+		"0000000000000200000001000000000000000100000002636d01000000000000" +
+		"0002000000000000000600000000010000000200000000000000040000000000" +
+		"0000030000000100000001000000000000000500000002000000000000002a00" +
+		"0000000000000000000002010000000000000000030000000100000001000000" +
+		"0000000002000000010000000100000000000000070100000044000000010000" +
+		"0000000000070000000000000003000000000000000600000001000000000000" +
+		"0009000000000000000400000007707574206b20760000000574787369670100" +
+		"0000020102030000000000000000000000000000000000000000000000000000" +
+		"0000000000000200000002000000000000000273300000000200000001000000" +
+		"0273310000000100000002000000000000000100000001000000010100000000" +
+		"0500000000000000050000000000000000000000000000002c00000000000000" +
+		"1400000000000000040000000000000000000000000000000000000000000000" +
+		"0004000000000000000100000000000000290000000000000013000000000000" +
+		"0003000000000000000000000000010000000000000000000000060000000200" +
+		"0000000000000100000000000000110000000000000000000000000000001e00" +
+		"0000000000000c00000000000000020300000000000000110000000000000000" +
 		"0000000000000000000000000000000000000000000000000000000000000000" +
-		"0000000000000000000000000000000001000000000000000000000000000000" +
-		"0200000000000000030000000000000009000000000000000000000000000000" +
-		"1900000000000000000000000000000000020000000000000009000000000000" +
-		"00000000000000000002",
+		"0000000000000000010000000000000000000000000000000200000000000000" +
+		"0300000000000000090000000000000000000000000000001900000000000000" +
+		"0000000000000000000200000000000000090000000000000000000000000000" +
+		"0002",
 	"MetaBatch": "0900000001000000000000000300000046000000020000000001000000010000" +
 		"000000000005000000000000002a000000000000000102000000000000000000" +
 		"0000000000000900000000000000280000000000000002010000000201020300" +
@@ -463,8 +462,8 @@ func TestEnvelopeKindNames(t *testing.T) {
 			t.Errorf("no fixture exercised kind %q", want)
 		}
 	}
-	if len(seen) != 16 {
-		t.Errorf("fixtures exercise %d envelope kinds, the wire contract has 16", len(seen))
+	if len(seen) != 15 {
+		t.Errorf("fixtures exercise %d envelope kinds, the wire contract has 15", len(seen))
 	}
 }
 
@@ -538,7 +537,6 @@ func TestEnvelopeAllocs(t *testing.T) {
 		"MetaMsg.NewView":      {5, 4},
 		"MetaMsg.SlotReply":    {6, 9},
 		"MetaMsg.SlotRequest":  {2, 2},
-		"ProposalFwd":          {1, 1},
 		"Reconfigure":          {1, 1},
 		"RejoinReq":            {2, 1},
 		"RejoinResp":           {16, 47},

@@ -421,7 +421,7 @@ func TestPartitionChaosFailover(t *testing.T) {
 		}
 	}
 	assertLiveSafety(t, c, skip)
-	assertCensus(t, c, "65cc232f883f2e3c")
+	assertCensus(t, c, "574d2d3d5118d6ef")
 }
 
 // TestSimultaneousGroupDeathsCertifyTogether kills groups 0 and 1 at the same

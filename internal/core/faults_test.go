@@ -1,11 +1,13 @@
 package core
 
 import (
+	"fmt"
 	"slices"
 	"testing"
 	"time"
 
 	"massbft/internal/cluster"
+	"massbft/internal/forensics"
 	"massbft/internal/keys"
 	"massbft/internal/ledger"
 	"massbft/internal/merkle"
@@ -849,4 +851,102 @@ func TestByzantineCertMangling(t *testing.T) {
 			"the Byzantine sender exercised nothing: %s", m.Summary())
 	}
 	assertConsistency(t, c, nil)
+}
+
+// TestByzantineLeaderCannotCertifyOneIDTwice: a local leader proposes one
+// entry ID at two slots, under two payloads. An entry's seq is its slot + 1,
+// so every member — the leader's own replica too — refuses the second
+// pre-prepare: no member accepts or commits that slot, no second certificate
+// for the ID exists, and every member holds the first payload.
+func TestByzantineLeaderCannotCertifyOneIDTwice(t *testing.T) {
+	t.Parallel()
+	cfg := smallCfg()
+	cfg.RunFor = time.Second
+	c, err := cluster.New(cfg, NewNode)
+	if err != nil {
+		t.Fatal(err)
+	}
+	leader := c.Nodes[keys.NodeID{Group: 0, Index: 0}].(*Node)
+	var slot uint64
+	var encs [2][]byte
+	c.Net.Schedule(500*time.Millisecond, func() {
+		slot = leader.local.NextSlot()
+		for i := range encs {
+			e := &types.Entry{ID: types.EntryID{GID: 0, Seq: slot + 1}, Term: 1,
+				Txns: []types.Transaction{leader.ctx.Gen.Next(uint64(i))}}
+			encs[i] = e.Encode()
+			if err := leader.local.Propose(encs[i]); err != nil {
+				t.Error(err)
+			}
+		}
+	})
+	var second []string
+	c.OnTransition = func(id keys.NodeID, tr cluster.Transition) {
+		if encs[1] != nil && id.Group == 0 && tr.Kind.Phase() && tr.At == slot+1 {
+			second = append(second, id.String()+" "+tr.Kind.String())
+		}
+	}
+	c.Run()
+	if encs[1] == nil {
+		t.Fatal("the double proposal never ran")
+	}
+	if len(second) > 0 {
+		t.Fatalf("the second slot of one entry ID made progress: %v", second)
+	}
+	id := types.EntryID{GID: 0, Seq: slot + 1}
+	for j := 0; j < 4; j++ {
+		n := c.Nodes[keys.NodeID{Group: 0, Index: j}].(*Node)
+		enc, cert, ok := n.entryContent(id)
+		if !ok || string(enc) != string(encs[0]) || cert.Digest != keys.Hash(encs[0]) {
+			t.Fatalf("N0,%d does not hold %v under the first payload", j, id)
+		}
+	}
+}
+
+// TestMetaBatchReplayedUnderAnotherSeq pins a known safety bug. A MetaBatch's
+// Seq is outside the bytes its certificate covers (the records only), so a
+// Byzantine member that relays group 1's stream re-labelled — each batch it
+// sends replaced by the previous one, records and certificate, under the new
+// seq — gets the replay accepted, and the receivers it reached order
+// differently from the rest: the ledger forks with no rejected certificate.
+// Putting the seq inside the certified meta payload fixes it, and changes
+// this test with it.
+func TestMetaBatchReplayedUnderAnotherSeq(t *testing.T) {
+	t.Parallel()
+	cfg := smallCfg()
+	cfg.RunFor = 2 * time.Second
+	c, err := cluster.New(cfg, NewNode)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var prev, cur *cluster.MetaBatch
+	c.Net.SetByzantineSender(keys.NodeID{Group: 1, Index: 0}, simnet.ByzantineSender{
+		CorruptRate: 1,
+		Corrupt: func(payload any, _ uint64) any {
+			b, ok := payload.(*cluster.MetaBatch)
+			if !ok || b.FromGroup != 1 {
+				return nil
+			}
+			if b != cur {
+				prev, cur = cur, b
+			}
+			if prev == nil {
+				return nil
+			}
+			return &cluster.MetaBatch{FromGroup: 1, Seq: b.Seq, Records: prev.Records, Cert: prev.Cert}
+		},
+	})
+	c.Run()
+	c.Drain(3 * time.Second)
+	rep := c.AgreementReport(nil)
+	const height = 88
+	if rep.Verdict != forensics.Forked || rep.FirstDivergentHeight != height || len(rep.Branches) < 2 {
+		t.Fatalf("want forked at %d, got: %v", height, rep)
+	}
+	if got := fmt.Sprint(rep.Branches[0].Entry, rep.Branches[1].Entry); got != "e2,30 e0,29" {
+		t.Fatalf("forked between %s, want e2,30 e0,29", got)
+	}
+	if n := c.Metrics.Counter("batch-cert-rejected"); n != 0 {
+		t.Fatalf("batch-cert-rejected = %d: the replay was caught", n)
+	}
 }

@@ -1,8 +1,6 @@
 package core
 
 import (
-	"bytes"
-
 	"massbft/internal/cluster"
 	"massbft/internal/keys"
 	"massbft/internal/types"
@@ -40,26 +38,28 @@ func (n *Node) onClientRequest(from keys.NodeID, m *cluster.ClientRequest) {
 }
 
 // validateProposal vets a local pre-prepare before this replica votes on it
-// (pbft.Config.Validate): every embedded client transaction must carry a
-// valid client signature over its own content. The leader's cut only binds
-// that leader — a Byzantine one could otherwise fabricate transactions
-// attributed to any client, have them certified with honest votes and
-// answered with valid f+1 reply certificates; re-checked here, a forged
-// batch never gathers the 2f+1 local commit shares its certificate needs.
-// The per-txn cost is the signature verification the paper models as the
-// dominant local-consensus cost (chargePrePrepare). Direct-injection runs
-// (no gateway) carry no client signatures and skip the check. The leader
+// (pbft.Config.Validate). The entry must be this group's at the slot's stream
+// position, slot + 1: a leader that puts one entry ID into two slots gets no
+// second certificate. In gateway mode every embedded client transaction must
+// also carry a valid client signature over its own content. The leader's cut
+// only binds that leader — a Byzantine one could otherwise fabricate
+// transactions attributed to any client, have them certified with honest
+// votes and answered with valid f+1 reply certificates; re-checked here, a
+// forged batch never gathers the 2f+1 local commit shares its certificate
+// needs. The per-txn cost is the signature verification the paper models as
+// the dominant local-consensus cost (chargePrePrepare). Direct-injection runs
+// (no gateway) carry no client signatures and skip that check. The leader
 // accepts its own pre-prepare, cut from checked signatures, by its bytes.
-func (n *Node) validateProposal(payload []byte) bool {
-	gw := n.ctx.Gateway
-	if gw == nil {
-		return true
-	}
-	e := n.localEntry(payload)
-	if e == nil {
+func (n *Node) validateProposal(slot uint64, payload []byte) bool {
+	hdr, _, err := types.PeekEntry(payload)
+	if err != nil || hdr.ID != (types.EntryID{GID: n.g, Seq: slot + 1}) {
 		return false
 	}
-	if p := n.proposed[e.ID.Seq]; p != nil && bytes.Equal(p.enc, payload) || gw.VerifyTxns(e.Txns) {
+	gw := n.ctx.Gateway
+	if gw == nil || n.ownProposal(slot, payload) {
+		return true
+	}
+	if e := n.localEntry(payload); e != nil && gw.VerifyTxns(e.Txns) {
 		return true
 	}
 	n.ctx.Metrics.GatewayProposalReject++

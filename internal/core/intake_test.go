@@ -8,6 +8,7 @@ import (
 
 	"massbft/internal/cluster"
 	"massbft/internal/keys"
+	"massbft/internal/pbft"
 	"massbft/internal/replication"
 	"massbft/internal/transport"
 	"massbft/internal/types"
@@ -29,7 +30,7 @@ func hostileEnvelopes(g int, ck *cluster.Checkpoint) []any {
 		&cluster.EntryFetch{Entry: id},
 		&cluster.ChunkRepairReq{Entry: id, Missing: []int{0, 1}},
 		&cluster.StreamFetch{Origin: g},
-		&cluster.ProposalFwd{Payload: entry.Encode()},
+		&cluster.LocalMsg{M: &pbft.PrePrepare{Slot: 4, Digest: keys.Hash(entry.Encode()), Payload: entry.Encode()}},
 		&cluster.ReconfigureMsg{Op: cluster.ReconfigJoin, Group: g},
 		&cluster.ReconfigureMsg{Op: cluster.ReconfigLeave, Group: g},
 	}

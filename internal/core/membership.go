@@ -231,13 +231,18 @@ func (n *Node) admit(t int, s uint64) {
 }
 
 // activateJoined turns this freshly admitted group live: adopt the join
-// boundary as the group clock, and emit the stamps/accepts the standby gate
-// swallowed for entries that arrived during the bootstrap window (only the
-// meta leader actually queues; emitStamp/emitRecord are leader-gated).
+// boundary as the group clock, start the local PBFT at slot s so the stream
+// resumes at seq s+1, and emit the stamps/accepts the standby gate swallowed
+// for entries that arrived during the bootstrap window (only the meta leader
+// actually queues; emitStamp/emitRecord are leader-gated).
 func (n *Node) activateJoined(s uint64) {
 	n.clk = s
-	if n.nextSeq < s+1 {
-		n.nextSeq = s + 1
+	if n.local.NextDeliverSlot() < s {
+		// A member that activates after its leader may already hold slots at
+		// or past s; the image carries them over.
+		snap := n.local.Export()
+		snap.Slot = s
+		n.local.Install(snap)
 	}
 	n.lastProposeAt = n.now()
 	n.ctx.Metrics.GroupsJoined++

@@ -160,7 +160,6 @@ type Node struct {
 	entries map[types.EntryID]*entrySt
 
 	// Proposer state.
-	nextSeq       uint64
 	inFlight      int
 	backlog       float64
 	lastTick      time.Duration
@@ -184,12 +183,8 @@ type Node struct {
 	// leader; stampTS clamps against it so the stream never steps backward.
 	hiQueuedTS uint64
 
-	// proposed retains this node's own local proposals until they certify. A
-	// local view change fills the old leader's in-flight slots with no-ops,
-	// silently destroying the proposed entries — and a lost seq wedges the
-	// group clock forever (advanceClock is contiguous). The original proposer
-	// is the only node holding the content, so it re-proposes after a patience
-	// window (or forwards to the new local leader).
+	// proposed holds this node's own local proposals by slot until the slot
+	// delivers (settleProposal).
 	proposed map[uint64]*proposalSt
 
 	// Tracing bookkeeping (filled only when ctx.Trace is enabled; purely
@@ -296,7 +291,6 @@ func New(ctx *cluster.NodeCtx) *Node {
 		blacklist: make(map[keys.NodeID]bool),
 		chunkFrom: make(map[types.EntryID]map[int]keys.NodeID),
 		archive:   make(map[types.EntryID]*archived),
-		nextSeq:   1,
 		ledger:    ledger.New(),
 		wantJoin:  make(map[int]bool),
 		wantLeave: make(map[int]bool),
@@ -322,8 +316,13 @@ func New(ctx *cluster.NodeCtx) *Node {
 			env := &cluster.LocalMsg{M: m}
 			ctx.Net.Send(to, env, env.WireSize())
 		},
-		Deliver:           n.onLocalCommit,
-		Validate:          n.validateProposal,
+		Deliver:  n.onLocalCommit,
+		Validate: n.validateProposal,
+		// A slot no view-change vote reports prepared certifies as the empty
+		// entry at its stream position: the stream keeps no hole.
+		Filler: func(slot uint64) []byte {
+			return (&types.Entry{ID: types.EntryID{GID: n.g, Seq: slot + 1}}).Encode()
+		},
 		After:             ctx.Net.After,
 		ViewChangeTimeout: ctx.Cfg.ViewChangeTimeout,
 		Observe:           n.observeLocal,
@@ -338,6 +337,7 @@ func New(ctx *cluster.NodeCtx) *Node {
 			ctx.Net.Send(to, env, env.WireSize())
 		},
 		Deliver:           n.onMetaCommit,
+		Filler:            func(uint64) []byte { return cluster.EncodeRecords(nil) },
 		After:             ctx.Net.After,
 		ViewChangeTimeout: ctx.Cfg.ViewChangeTimeout,
 		Observe:           n.observeMeta,
@@ -481,8 +481,8 @@ func (n *Node) livenessTick() {
 }
 
 // observeLocal hands the local instance's events to the sink. A view
-// installed resets proposer bookkeeping: the new leader continues the group
-// sequence from what it has delivered.
+// installed resets the proposer's pipeline count: the new leader proposes
+// from the instance's next slot.
 func (n *Node) observeLocal(ev pbft.Event, at uint64, payload []byte) {
 	if ev == pbft.ViewInstalled {
 		n.inFlight = 0
@@ -558,8 +558,6 @@ func (n *Node) HandleMessage(msg transport.Message) {
 		n.onChunkRepairReq(msg.From, m)
 	case *cluster.StreamFetch:
 		n.onStreamFetch(msg.From, m)
-	case *cluster.ProposalFwd:
-		n.onProposalFwd(msg.From, m)
 	case *cluster.ClientRequest:
 		n.onClientRequest(msg.From, m)
 	case *cluster.ReconfigureMsg:

@@ -43,13 +43,9 @@ func (n *Node) flushTick() {
 func (n *Node) onMetaCommit(slot uint64, payload []byte, cert *keys.Certificate) {
 	n.lastMetaProgress = n.now()
 	n.lastOwnStream = n.lastMetaProgress
-	var recs []cluster.Record
-	if payload != nil {
-		var ok bool
-		recs, ok = cluster.DecodeRecords(payload)
-		if !ok {
-			return
-		}
+	recs, ok := cluster.DecodeRecords(payload)
+	if !ok {
+		return
 	}
 	// Message flooding (§V-C "Byzantine Nodes"): the leader plus f followers
 	// broadcast the certified batch, so a crashed or stalling leader cannot
@@ -71,12 +67,8 @@ func (n *Node) onMetaBatch(from keys.NodeID, b *cluster.MetaBatch) {
 		return
 	}
 	// Validate the certificate binds these records to the origin group.
-	var payload []byte
-	if len(b.Records) > 0 {
-		payload = cluster.EncodeRecords(b.Records)
-	}
 	if b.Cert == nil || b.Cert.Group != b.FromGroup ||
-		b.Cert.Digest != keys.Hash(payload) ||
+		b.Cert.Digest != keys.Hash(cluster.EncodeRecords(b.Records)) ||
 		n.ctx.Reg.VerifyCertificate(b.Cert) != nil {
 		n.ctx.Metrics.BatchCertRejected++
 		return
@@ -433,7 +425,6 @@ func (n *Node) takeoverTick() {
 	}
 	ids := n.sortedEntryIDs()
 	n.runTask(&restampTask, ids, now)
-	n.proposalRepairScan(now)
 	n.runTask(&rebroadcastTask, ids, now)
 	n.keepaliveScan(now)
 	if now < n.cfg.TakeoverTimeout*5 {
@@ -500,7 +491,9 @@ func (n *Node) execute(id types.EntryID) {
 
 	if n.ctx.IsObserver {
 		n.ctx.Metrics.RecordExecution(now, res.Committed, len(res.Aborted))
-		n.ctx.Metrics.RecordLatency(now, now-time.Duration(st.entry.Term))
+		if st.entry.Term > 0 { // a view-change filler has no propose time
+			n.ctx.Metrics.RecordLatency(now, now-time.Duration(st.entry.Term))
+		}
 	}
 	if n.ctx.Trace != nil {
 		if st.contentAt > 0 {

@@ -72,8 +72,11 @@ func (n *Node) batchTick() {
 		n.backlog -= float64(size)
 	}
 	n.lastProposeAt = now
+	// An entry's seq is its local PBFT slot + 1: PBFT certifies one payload
+	// per slot, so one entry ID never names two payloads.
+	slot := n.local.NextSlot()
 	e := &types.Entry{
-		ID:   types.EntryID{GID: n.g, Seq: n.nextSeq},
+		ID:   types.EntryID{GID: n.g, Seq: slot + 1},
 		Term: uint64(now), // propose time, for end-to-end latency measurement
 	}
 	if gwTxns != nil {
@@ -84,34 +87,15 @@ func (n *Node) batchTick() {
 			e.Txns[i] = n.ctx.Gen.Next(uint64(n.id.Index))
 		}
 	}
-	n.nextSeq++
 	n.inFlight++
 	enc := e.Encode()
-	// Retain the proposal until its seq certifies: a view change can fill the
-	// slot with a no-op, and only this node can re-propose the content.
-	// Registered before Propose so the tracing phase hook (which fires
-	// synchronously on the leader's own pre-prepare) sees the entry as ours.
-	// The group's followers take this entry from the process's decode memo
-	// instead of decoding the payload (localEntry). A put that the propose
-	// below fails to follow stays harmless: a value serves only its own bytes.
-	n.proposed[e.ID.Seq] = &proposalSt{enc: enc, at: now}
+	// Registered before Propose, whose own pre-prepare runs validateProposal
+	// and the tracing phase hook synchronously; both read it. The group's
+	// followers take this entry from the process's decode memo instead of
+	// decoding the payload (localEntry).
+	n.proposed[slot] = &proposalSt{enc: enc, txns: e.Txns}
 	n.ctx.DecodeMemo.Put(e.ID, cluster.Decoded{Payload: enc, Entry: e})
-	if err := n.local.Propose(enc); err != nil {
-		// Lost leadership between the check and the call; retry next tick.
-		delete(n.proposed, e.ID.Seq)
-		n.nextSeq--
-		n.inFlight--
-		if len(gwTxns) > 0 {
-			// Return the cut requests to the head of the gateway queue so
-			// the new leader's forwarded copies (or our next tick) retry
-			// them in order rather than losing them.
-			n.ctx.Gateway.PushFront(gwTxns, cluster.VirtualTime(now))
-		}
-		return
-	}
-	// Counted once the proposal stands, so the undo path above needs no
-	// decrement. Re-proposals after a view change (proposalRepairScan) are
-	// the same entry and are not counted again.
+	_ = n.local.Propose(enc) // cannot fail: leadership was checked above
 	n.ctx.Metrics.EntriesProposed++
 	n.ctx.Metrics.TxnsProposed += int64(len(e.Txns))
 	if n.ctx.Trace != nil {
@@ -140,7 +124,7 @@ func (n *Node) gateOpen() bool {
 		// entry of an earlier global slot has committed. The global slot of
 		// e_{g,s} is (s-1)*ng + g. (Execution still happens per round, so
 		// the gate waits on commits, not executions.)
-		slot := int(n.nextSeq-1)*n.ng + n.g
+		slot := int(n.local.NextSlot())*n.ng + n.g
 		return n.commitCount >= slot
 	}
 	if n.opts.EpochLength > 0 {
@@ -150,7 +134,7 @@ func (n *Node) gateOpen() bool {
 		if perEpoch < 1 {
 			perEpoch = 1
 		}
-		epoch := int(n.nextSeq-1) / perEpoch
+		epoch := int(n.local.NextSlot()) / perEpoch
 		return n.execCount >= epoch*perEpoch*n.ng
 	}
 	return true
@@ -158,21 +142,14 @@ func (n *Node) gateOpen() bool {
 
 // onLocalCommit receives entries certified by the local PBFT instance: every
 // correct group member now holds (entry, certificate) and starts global
-// replication (§III-B).
+// replication (§III-B). A view-change filler is an entry like any other.
 func (n *Node) onLocalCommit(slot uint64, payload []byte, cert *keys.Certificate) {
-	if payload == nil {
-		return // view-change no-op filler
-	}
+	mine := n.settleProposal(slot, payload)
 	e := n.localEntry(payload)
-	if e == nil {
+	if e == nil || n.held(e.ID) {
 		return
 	}
-	_, mine := n.proposed[e.ID.Seq]
-	delete(n.proposed, e.ID.Seq)
 	st := n.st(e.ID)
-	if st.content {
-		return // re-proposal certified twice; the first delivery did the work
-	}
 	st.entry, st.enc, st.cert = e, payload, cert
 	st.content = true
 	st.contentAt = n.now()
@@ -185,9 +162,6 @@ func (n *Node) onLocalCommit(slot uint64, payload []byte, cert *keys.Certificate
 	// freezes every remote orderer's inference bounds.
 	n.noteAccept(n.g, e.ID)
 	n.lastLocalProgress = n.now()
-	if n.nextSeq <= e.ID.Seq {
-		n.nextSeq = e.ID.Seq + 1 // keep followers ready to take over
-	}
 
 	if mine && n.ctx.Trace != nil {
 		// Propose → local certification on the proposer: the full local PBFT
@@ -212,6 +186,57 @@ func (n *Node) onLocalCommit(slot uint64, payload []byte, cert *keys.Certificate
 		st.committed = true
 		n.maybeRoundReady(e.ID, st)
 	}
+}
+
+// proposalSt is an own proposal, kept from Propose until its slot delivers.
+type proposalSt struct {
+	enc  []byte
+	txns []types.Transaction
+}
+
+// ownProposal reports whether payload is this node's proposal for slot.
+func (n *Node) ownProposal(slot uint64, payload []byte) bool {
+	p := n.proposed[slot]
+	return p != nil && bytes.Equal(p.enc, payload)
+}
+
+// settleProposal retires this node's proposal for a delivered slot and
+// reports whether the slot delivered it. A slot that delivered other bytes —
+// a filler, or another leader's entry — lost the proposal, and its
+// transactions go back to intake to be cut again under a new seq: an entry
+// ID is never proposed twice. Gateway transactions go to the current local
+// leader, as the client copies a follower forwards do; a rate-limited
+// group's go back to the backlog; a saturated group's are dropped.
+func (n *Node) settleProposal(slot uint64, payload []byte) bool {
+	p := n.proposed[slot]
+	if p == nil {
+		return false
+	}
+	delete(n.proposed, slot)
+	if bytes.Equal(p.enc, payload) {
+		return true
+	}
+	n.ctx.Metrics.ProposalRetries++
+	switch leader := n.local.Leader(n.local.View()); {
+	case n.ctx.Gateway != nil && leader == n.id:
+		n.ctx.Gateway.PushFront(p.txns, cluster.VirtualTime(n.now()))
+	case n.ctx.Gateway != nil:
+		for _, txn := range p.txns {
+			m := &cluster.ClientRequest{Txn: txn}
+			n.ctx.Net.SendPriority(leader, m, m.WireSize())
+		}
+	case n.groupRate() > 0:
+		n.backlog += float64(len(p.txns))
+	}
+	return false
+}
+
+// held reports whether this node already holds or has executed an entry of
+// its own group: a lagging member's local delivery can trail a Lemma V.1
+// fetch or a checkpoint, which the slot's certificate then only repeats.
+func (n *Node) held(id types.EntryID) bool {
+	st := n.entries[id]
+	return st != nil && st.content || id.Seq <= n.streams[n.g].executed
 }
 
 // localEntry returns the decoded form of a local-consensus payload, or nil if

@@ -110,80 +110,6 @@ var (
 	}
 )
 
-// proposalSt retains an own proposal until its seq certifies locally, so the
-// proposer can re-issue it if a view change destroys the slot.
-type proposalSt struct {
-	enc   []byte
-	at    time.Duration
-	retry retry
-}
-
-// proposalRepairScan re-proposes own entries whose seq never certified
-// locally: a view change fills the old leader's in-flight slots with no-ops,
-// and a lost seq wedges the group clock forever (advanceClock is contiguous).
-// If the original slot certifies late, onLocalCommit's content guard drops
-// the duplicate delivery only on a member that still holds the entry's row: a
-// member whose row was retired stores and replicates a second certified
-// payload under the same entry ID (ROADMAP item 2, TestPayloadForkSeed). A
-// follower proposer forwards the content to the current local leader instead.
-func (n *Node) proposalRepairScan(now time.Duration) {
-	if len(n.proposed) == 0 {
-		return
-	}
-	patience := n.cfg.ViewChangeTimeout // the takeover tick implies TakeoverTimeout > 0
-	if n.cfg.TakeoverTimeout > patience {
-		patience = n.cfg.TakeoverTimeout
-	}
-	seqs := make([]uint64, 0, len(n.proposed))
-	for s := range n.proposed {
-		seqs = append(seqs, s)
-	}
-	sort.Slice(seqs, func(i, j int) bool { return seqs[i] < seqs[j] })
-	for _, s := range seqs {
-		p := n.proposed[s]
-		id := types.EntryID{GID: n.g, Seq: s}
-		if s <= n.streams[n.g].executed {
-			delete(n.proposed, s)
-			continue
-		}
-		if st := n.entries[id]; st != nil && st.content {
-			delete(n.proposed, s)
-			continue
-		}
-		if !p.retry.ready(now, p.at, patience) {
-			continue
-		}
-		p.retry.next(now, 2*patience)
-		n.ctx.Metrics.ProposalRetries++
-		if n.local.IsLeader() {
-			_ = n.local.Propose(p.enc)
-			continue
-		}
-		leader := n.local.Leader(n.local.View())
-		if leader == n.id {
-			continue
-		}
-		fwd := &cluster.ProposalFwd{Payload: p.enc}
-		n.ctx.Net.SendPriority(leader, fwd, fwd.WireSize())
-	}
-}
-
-// onProposalFwd re-proposes a group member's view-change-destroyed entry if
-// this node currently leads the local instance and the seq is still missing.
-func (n *Node) onProposalFwd(from keys.NodeID, m *cluster.ProposalFwd) {
-	if from.Group != n.g || from == n.id || !n.local.IsLeader() {
-		return
-	}
-	e, _, err := types.PeekEntry(m.Payload)
-	if err != nil || e.ID.GID != n.g || e.ID.Seq <= n.streams[n.g].executed {
-		return
-	}
-	if st := n.entries[e.ID]; st != nil && st.content {
-		return
-	}
-	_ = n.local.Propose(m.Payload)
-}
-
 // fetchArmed arms on the first foreign stamp without local content. The local
 // leader retries first; followers hold back 3x longer so a healthy leader
 // path does not trigger a group-wide fetch storm.

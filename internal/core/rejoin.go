@@ -1,6 +1,7 @@
 package core
 
 import (
+	"maps"
 	"sort"
 	"time"
 
@@ -51,7 +52,6 @@ func (n *Node) foldCheckpoint(have uint64) *cluster.Checkpoint {
 		Blocks:      n.ledger.Suffix(have),
 		StateRoll:   n.stateRoll,
 		Clk:         n.clk,
-		NextSeq:     n.nextSeq,
 		ExecCount:   n.execCount,
 		CommitCount: n.commitCount,
 		Local:       n.local.Export(),
@@ -257,13 +257,10 @@ func (n *Node) onRejoinResp(from keys.NodeID, resp *cluster.RejoinResp) {
 	n.commitCount = ck.CommitCount
 
 	// Proposer state. A bootstrapping standby keeps its own zeroed group
-	// clock and proposal cursor: the checkpoint's are the serving group's,
-	// and ours are assigned by the certified join boundary (activateJoined).
+	// clock: the checkpoint's is the serving group's, and ours is assigned by
+	// the certified join boundary (activateJoined).
 	if !bootstrap {
 		n.clk = ck.Clk
-		if ck.NextSeq > n.nextSeq {
-			n.nextSeq = ck.NextSeq
-		}
 	}
 	n.inFlight = 0
 	n.backlog = 0
@@ -350,6 +347,9 @@ func (n *Node) onRejoinResp(from keys.NodeID, resp *cluster.RejoinResp) {
 	if !bootstrap {
 		n.local.Install(ck.Local)
 		n.meta.Install(ck.Meta)
+		// Own proposals for the slots the image skipped have no delivery to
+		// settle them here.
+		maps.DeleteFunc(n.proposed, func(s uint64, _ *proposalSt) bool { return s < ck.Local.Slot })
 	} else {
 		n.selfStandby = false
 		n.ctx.Metrics.StandbyBootstrapped++

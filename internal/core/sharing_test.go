@@ -51,7 +51,7 @@ func TestFollowersShareTheProposersEntry(t *testing.T) {
 	}
 
 	leader, follower := node(0, 0), node(0, 1)
-	id := types.EntryID{GID: 0, Seq: leader.nextSeq - 1}
+	id := types.EntryID{GID: 0, Seq: leader.local.NextSlot()} // seq = slot + 1
 	d, ok := follower.ctx.DecodeMemo.Get(id)
 	if !ok {
 		t.Fatalf("the decode memo does not hold %v, the leader's last proposal", id)

@@ -46,7 +46,7 @@ func (n *Node) transition(tr cluster.Transition, payload []byte) {
 	case cluster.TransMetaView:
 		c.MetaViewChanges++
 	case cluster.TransPrePrepare, cluster.TransPrepared, cluster.TransCommitted:
-		n.phaseSpan(tr.Kind, payload)
+		n.phaseSpan(tr.Kind, tr.At, payload)
 	}
 	if hook := n.ctx.OnTransition; hook != nil {
 		hook(n.id, tr)
@@ -55,20 +55,14 @@ func (n *Node) transition(tr cluster.Transition, payload []byte) {
 
 // phaseSpan turns a local PBFT phase of this node's own proposal into its
 // pbft-preprepare/prepare/commit span.
-func (n *Node) phaseSpan(phase cluster.TransitionKind, payload []byte) {
-	if n.ctx.Trace == nil || len(payload) == 0 {
-		return
-	}
-	e, _, err := types.PeekEntry(payload)
-	if err != nil || e.ID.GID != n.g {
-		return
-	}
+func (n *Node) phaseSpan(phase cluster.TransitionKind, slot uint64, payload []byte) {
 	// Phase spans are recorded on the proposer only (n.proposed holds the
-	// entry from Propose until local certification delivers it), so each
-	// entry has exactly one span per PBFT phase.
-	if _, mine := n.proposed[e.ID.Seq]; !mine {
+	// entry from Propose until its slot delivers), so each entry has exactly
+	// one span per PBFT phase.
+	if n.ctx.Trace == nil || !n.ownProposal(slot, payload) {
 		return
 	}
+	e, _, _ := types.PeekEntry(payload) // our own encoding
 	now := n.now()
 	prev, seen := n.tracePhase[e.ID]
 	if !seen {

@@ -30,7 +30,8 @@ type Counts struct {
 	ForkedDetected, WedgedDetected, AgreementFirstDivHeight int64
 	// One per recovery path of DESIGN.md §6: chunk repair (RepairReqs,
 	// which massbft-demo prints as chunk-repairs), entry fetch, stream
-	// repair, record re-emission, entry rebroadcast, proposal repair,
+	// repair, record re-emission, entry rebroadcast, proposals a view change
+	// lost (ProposalRetries: their transactions went back to intake),
 	// takeover stamps, PBFT slot catch-up and installed state transfers.
 	RepairReqs, FetchRetries, StreamRepairReqs, RecordRetries, EntryRebroadcasts int64
 	ProposalRetries, TakeoverStamps, SlotCatchups, StateTransfers                int64
@@ -48,7 +49,7 @@ type Counts struct {
 	// match, or a group in two states.
 	RejoinBadsuffix, RejoinBadpending, RejoinBadgroups int64
 	// What the group leaders handed to local consensus (heartbeat entries
-	// included, re-proposals not): the denominator for how much of what was
+	// included, view-change fillers not): the denominator for how much of what was
 	// proposed executed.
 	EntriesProposed, TxnsProposed int64
 	// The PBFT views the local and the meta instance installed, once per

@@ -34,9 +34,7 @@ type Msg interface {
 	pbftMsg()
 }
 
-// PrePrepare is the leader's proposal for a slot in a view. An empty payload
-// is a no-op proposal used to fill slot gaps after a view change; Deliver
-// reports it with a nil payload and upper layers skip it.
+// PrePrepare is the leader's proposal for a slot in a view.
 type PrePrepare struct {
 	View    uint64
 	Slot    uint64
@@ -80,8 +78,8 @@ type ViewChange struct {
 }
 
 // NewView announces the new leader's installed view together with
-// re-proposals for all potentially-committed slots and no-op fillers for
-// gaps.
+// re-proposals for all potentially-committed slots and Config.Filler's
+// payload for gaps.
 type NewView struct {
 	View        uint64
 	Reproposals []*PrePrepare
@@ -178,8 +176,7 @@ type Config struct {
 	// Send transmits a message to one member (the transport models size).
 	Send func(to keys.NodeID, m Msg)
 	// Deliver is called exactly once per slot, in slot order, on every
-	// correct replica, with the committed payload (nil for no-op slots) and
-	// its quorum certificate.
+	// correct replica, with the committed payload and its quorum certificate.
 	Deliver func(slot uint64, payload []byte, cert *keys.Certificate)
 	// After schedules fn after d of virtual time; required when
 	// ViewChangeTimeout is set.
@@ -191,13 +188,18 @@ type Config struct {
 	// SkipPrepare selects the two-phase variant used for the global accept
 	// phase (§II-A): pre-prepare then commit.
 	SkipPrepare bool
-	// Validate, when non-nil, vets a non-empty proposal payload before this
+	// Validate, when non-nil, vets a proposal for its slot before this
 	// replica accepts the pre-prepare and votes on it. Returning false drops
 	// the proposal — the slot stalls and the view-change timeout removes the
 	// leader — so a Byzantine leader cannot get application-invalid content
-	// certified past 2f+1 honest validators. Nil payloads (view-change no-op
-	// filler) bypass it. Runs on the Handle thread.
-	Validate func(payload []byte) bool
+	// certified past 2f+1 honest validators. Every payload passes through
+	// it, fillers included. Runs on the Handle thread.
+	Validate func(slot uint64, payload []byte) bool
+	// Filler returns the payload a new leader proposes for a slot that no
+	// view-change vote reports prepared. It must be a pure function of the
+	// slot, so every leader fills a slot with the same bytes. Required
+	// whenever the instance can change views.
+	Filler func(slot uint64) []byte
 	// Observe, when non-nil, is told of each transition on this replica: a
 	// view installed (n the view), or a phase of slot n with its payload.
 	// It must not feed back into the protocol.
@@ -276,7 +278,7 @@ func (in *Instance) View() uint64 { return in.view }
 
 // Leader returns the leader of the given view.
 func (in *Instance) Leader(view uint64) keys.NodeID {
-	return in.cfg.Members[int(view)%in.n]
+	return in.cfg.Members[view%uint64(in.n)] // a peer's view can be any uint64
 }
 
 // IsLeader reports whether this replica leads the current view.
@@ -418,7 +420,7 @@ func (in *Instance) onPrePrepare(pp *PrePrepare, own bool) {
 		// new leader's re-proposal carries a payload from a peer's vote.
 		return
 	}
-	if len(pp.Payload) > 0 && in.cfg.Validate != nil && !in.cfg.Validate(pp.Payload) {
+	if in.cfg.Validate != nil && !in.cfg.Validate(pp.Slot, pp.Payload) {
 		return // application-invalid proposal: refuse to vote
 	}
 	st := in.slot(pp.Slot)
@@ -543,12 +545,8 @@ func (in *Instance) deliverReady() {
 			cert.Sigs = append(cert.Sigs, c.Share)
 		}
 		cert.SortSigs()
-		payload := st.payload
-		if len(payload) == 0 {
-			payload = nil // no-op filler slot
-		}
-		in.cfg.Deliver(in.execSlot, payload, cert)
-		in.logDelivered(CommittedSlot{Slot: in.execSlot, Payload: payload, Cert: cert})
+		in.cfg.Deliver(in.execSlot, st.payload, cert)
+		in.logDelivered(CommittedSlot{Slot: in.execSlot, Payload: st.payload, Cert: cert})
 		// Delivered slot state is never consulted again (the execSlot guards
 		// drop late messages for it); free it so long runs stay bounded.
 		delete(in.slots, in.execSlot)
@@ -632,18 +630,14 @@ func (in *Instance) onSlotReply(m *SlotReply) {
 		if cs.Slot != in.execSlot {
 			continue
 		}
-		payload := cs.Payload
-		if len(payload) == 0 {
-			payload = nil
-		}
 		if cs.Cert == nil || cs.Cert.Group != in.group ||
-			cs.Cert.Digest != keys.Hash(payload) ||
+			cs.Cert.Digest != keys.Hash(cs.Payload) ||
 			in.cfg.Registry.VerifyCertificate(cs.Cert) != nil {
 			continue
 		}
 		delete(in.slots, cs.Slot)
-		in.cfg.Deliver(cs.Slot, payload, cs.Cert)
-		in.logDelivered(CommittedSlot{Slot: cs.Slot, Payload: payload, Cert: cs.Cert})
+		in.cfg.Deliver(cs.Slot, cs.Payload, cs.Cert)
+		in.logDelivered(cs)
 		in.execSlot++
 		if in.nextSlot < in.execSlot {
 			in.nextSlot = in.execSlot
@@ -695,7 +689,7 @@ func (in *Instance) voteViewChange(newView uint64) {
 	// Report every prepared slot (classic PBFT P set). Committed-but-
 	// undelivered slots are included too: they anchor the new view's maxSlot
 	// so that a slot which never certified below them is re-proposed (as the
-	// surviving prepared payload, or a no-op when no voter prepared it)
+	// surviving prepared payload, or the filler when no voter prepared it)
 	// instead of being left as a permanent hole under the committed range.
 	for s := in.execSlot; s < in.nextSlot; s++ {
 		st := in.slots[s]
@@ -783,16 +777,14 @@ func (in *Instance) installNewView(view uint64, votes map[keys.NodeID]*ViewChang
 	}
 	nv := &NewView{View: view, Sig: in.sign(newViewMsg(view))}
 	for s := in.execSlot; s < maxSlot; s++ {
-		var payload []byte
-		var d keys.Digest
-		if p, ok := prepared[s]; ok {
-			payload, d = p.Payload, p.Digest
-		} else {
-			payload, d = nil, keys.Hash(nil) // no-op filler for gap slots
+		p, ok := prepared[s]
+		if !ok {
+			p.Payload = in.cfg.Filler(s)
+			p.Digest = keys.Hash(p.Payload)
 		}
 		pp := &PrePrepare{
-			View: view, Slot: s, Digest: d, Payload: payload,
-			Sig: in.sign(phaseMsg(phasePrePrepare, view, s, d)),
+			View: view, Slot: s, Digest: p.Digest, Payload: p.Payload,
+			Sig: in.sign(phaseMsg(phasePrePrepare, view, s, p.Digest)),
 		}
 		nv.Reproposals = append(nv.Reproposals, pp)
 	}
@@ -845,6 +837,9 @@ func (in *Instance) enterView(view uint64) {
 
 // NextDeliverSlot returns the next slot this replica will deliver.
 func (in *Instance) NextDeliverSlot() uint64 { return in.execSlot }
+
+// NextSlot returns the slot the next Propose on this replica takes.
+func (in *Instance) NextSlot() uint64 { return in.nextSlot }
 
 // ExportedSlot is the portable image of one undelivered slot: the proposal
 // plus every prepare/commit vote the exporting replica has collected. Shares

@@ -79,6 +79,9 @@ func (r *router) advance(d time.Duration) {
 	r.pump()
 }
 
+// filler is the groups' Config.Filler: a payload no test proposes.
+func filler(slot uint64) []byte { return []byte(fmt.Sprintf("filler-%d", slot)) }
+
 type delivered struct {
 	slot    uint64
 	payload []byte
@@ -111,6 +114,7 @@ func buildGroup(t *testing.T, n int, mutate func(id keys.NodeID, cfg *Config)) (
 			Deliver: func(slot uint64, payload []byte, cert *keys.Certificate) {
 				*log = append(*log, delivered{slot, payload, cert})
 			},
+			Filler: filler,
 		}
 		if mutate != nil {
 			mutate(members[j], &cfg)
@@ -146,11 +150,11 @@ func TestCommitHappyPath(t *testing.T) {
 // proposal their Validate hook rejects, so it never reaches quorum — the
 // application-level defense against a Byzantine leader proposing fabricated
 // content (core wires client-signature verification here). Valid proposals
-// and nil no-op payloads flow normally.
+// and fillers flow normally.
 func TestValidateHookBlocksInvalidProposal(t *testing.T) {
 	r, ins, logs, _ := buildGroup(t, 4, func(id keys.NodeID, cfg *Config) {
 		cfg.ViewChangeTimeout = 100 * time.Millisecond
-		cfg.Validate = func(payload []byte) bool { return !bytes.HasPrefix(payload, []byte("evil")) }
+		cfg.Validate = func(_ uint64, payload []byte) bool { return !bytes.HasPrefix(payload, []byte("evil")) }
 	})
 	if err := ins[0].Propose([]byte("evil-entry")); err != nil {
 		t.Fatal(err)
@@ -170,7 +174,7 @@ func TestValidateHookBlocksInvalidProposal(t *testing.T) {
 	r.pump()
 	// The protocol layer's liveness watchdog (core watches lastLocalProgress)
 	// suspects the leader; the resulting view change fills the rejected slot
-	// with a no-op and releases the pipeline.
+	// and releases the pipeline.
 	for j := 1; j < 4; j++ {
 		ins[j].SuspectLeader()
 	}
@@ -178,12 +182,88 @@ func TestValidateHookBlocksInvalidProposal(t *testing.T) {
 	for j, log := range logs {
 		var got []byte
 		for _, d := range *log {
-			if d.payload != nil {
+			if bytes.Equal(d.payload, []byte("good-entry")) {
 				got = d.payload
 			}
 		}
-		if !bytes.Equal(got, []byte("good-entry")) {
+		if got == nil {
 			t.Fatalf("node %d: valid proposal did not commit after view change (log %d entries)", j, len(*log))
+		}
+	}
+}
+
+// TestRefusedPrePrepareGathersNoPrepare: Validate sees the slot, and a
+// pre-prepare it refuses — here a payload proposed at another slot than the
+// one it names — draws no prepare from any replica, the leader included.
+func TestRefusedPrePrepareGathersNoPrepare(t *testing.T) {
+	prepares := map[uint64]int{}
+	r, ins, logs, _ := buildGroup(t, 4, func(id keys.NodeID, cfg *Config) {
+		cfg.Validate = func(slot uint64, payload []byte) bool { return string(payload) == fmt.Sprintf("e%d", slot) }
+	})
+	r.drop = func(_, _ keys.NodeID, m Msg) bool {
+		if p, ok := m.(*Prepare); ok {
+			prepares[p.Slot]++
+		}
+		return false
+	}
+	if err := ins[0].Propose([]byte("e1")); err != nil { // slot 0
+		t.Fatal(err)
+	}
+	r.pump()
+	if prepares[0] != 0 {
+		t.Fatalf("a refused pre-prepare drew %d prepares", prepares[0])
+	}
+	if err := ins[0].Propose([]byte("e1")); err != nil { // slot 1
+		t.Fatal(err)
+	}
+	r.pump()
+	if prepares[1] != 4*3 {
+		t.Fatalf("the valid pre-prepare at slot 1 drew %d prepares, want 12", prepares[1])
+	}
+	for j, log := range logs {
+		if len(*log) != 0 {
+			t.Fatalf("node %d delivered past the refused slot: %v", j, *log)
+		}
+	}
+}
+
+// TestViewChangeFillsGapWithFiller: a slot that no view-change vote reports
+// prepared delivers Config.Filler's bytes on every replica, under a quorum
+// certificate over those bytes, and the prepared slot above it delivers as
+// proposed.
+func TestViewChangeFillsGapWithFiller(t *testing.T) {
+	r, ins, logs, reg := buildGroup(t, 4, func(id keys.NodeID, cfg *Config) {
+		cfg.ViewChangeTimeout = 100 * time.Millisecond
+	})
+	leader := keys.NodeID{Group: 0, Index: 0}
+	crashed := false
+	r.drop = func(from, to keys.NodeID, m Msg) bool {
+		switch m := m.(type) {
+		case *PrePrepare:
+			return m.Slot == 0 && m.View == 0 // slot 0 never reaches a follower
+		case *Commit:
+			return m.View == 0 // slot 1 prepares but does not commit
+		}
+		return crashed && (from == leader || to == leader)
+	}
+	for _, p := range []string{"lost", "kept"} {
+		if err := ins[0].Propose([]byte(p)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	r.pump()
+	crashed = true
+	r.advance(time.Second)
+	for j := 1; j < 4; j++ {
+		log := *logs[j]
+		if len(log) != 2 || !bytes.Equal(log[0].payload, filler(0)) || !bytes.Equal(log[1].payload, []byte("kept")) {
+			t.Fatalf("node %d: want the filler then the prepared slot, got %v", j, log)
+		}
+		if log[0].slot != 0 || log[0].cert.Digest != keys.Hash(filler(0)) {
+			t.Fatalf("node %d: the filler's certificate names another digest", j)
+		}
+		if err := reg.VerifyCertificate(log[0].cert); err != nil {
+			t.Fatalf("node %d: the filler's certificate fails: %v", j, err)
 		}
 	}
 }
@@ -525,7 +605,7 @@ func TestStaleViewMessagesIgnored(t *testing.T) {
 }
 
 func TestDeliverSkipsNoOpPayload(t *testing.T) {
-	// No-op gap fillers deliver with a nil payload.
+	// An empty proposal delivers as proposed: no payload is special to PBFT.
 	r, ins, logs, _ := buildGroup(t, 4, nil)
 	if err := ins[0].Propose(nil); err != nil {
 		t.Fatal(err)

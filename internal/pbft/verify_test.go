@@ -204,6 +204,7 @@ func FuzzPBFTHandle(f *testing.F) {
 			},
 			After:             func(_ time.Duration, fn func()) { timers = append(timers, fn) },
 			ViewChangeTimeout: time.Second,
+			Filler:            filler,
 			Deliver: func(slot uint64, payload []byte, cert *keys.Certificate) {
 				if cert == nil || cert.Digest != keys.Hash(payload) {
 					t.Fatalf("slot %d delivered with a certificate over another digest", slot)

@@ -148,9 +148,8 @@ func analyzeEntry(id types.EntryID, spans []Span, observer keys.NodeID) (EntryPa
 		return EntryPath{}, false
 	}
 	if !havePropose {
-		// Repair paths can re-propose an entry without a fresh propose span;
-		// fall back to the earliest span start (== Entry.Term for the
-		// local-consensus and global-replication spans).
+		// An entry without a propose span (a view-change filler, proposed by
+		// no one) falls back to the earliest span start.
 		t0 = t1
 		for _, s := range spans {
 			if s.Start < t0 {

@@ -36,14 +36,14 @@
 #                    (converged / wedged / forked); any forked verdict fails —
 #                    for iterating on recovery/retransmission changes
 #   recapture        just the pins that move with the simulator's fault draws
-#                    (ROADMAP item 6's re-capture rules): the simnet
+#                    (ROADMAP item 10's re-capture rules): the simnet
 #                    scheduler fingerprints and wheel-vs-heap oracle, the
-#                    partition-chaos census, the faulty transport-seam
-#                    fingerprint and the pinned fork seeds, with the entry
-#                    each fork seed's certWatch names as certified twice
-#                    (it moves with the fork heights) — the list a change
-#                    to what a draw decides, or to one link's send order,
-#                    re-captures and states in CHANGES.md
+#                    partition-chaos census, the Byzantine meta-batch replay
+#                    fork, the faulty transport-seam fingerprint, the pinned
+#                    fork seeds and the fault runs that assert a silent
+#                    certWatch — the list a change to what a draw decides,
+#                    or to one link's send order, re-captures and states in
+#                    CHANGES.md
 #   equal-seed [ref] the equal-seed gate for host-only changes — the three
 #                    simulated ledger workloads at seed 1 on `ref` (default
 #                    HEAD, i.e. the uncommitted work against its base) and on
@@ -223,8 +223,8 @@ divergence-sweep)
 recapture)
   echo "== draw-dependent pins"
   go test -count=1 -run 'TestSchedulerFingerprints|TestScaleScenarioWheelMatchesHeap' ./internal/simnet/
-  go test -count=1 -timeout 300s -run 'TestPartitionChaosFailover' ./internal/core/
-  go test -count=1 -timeout 300s -run 'TestTransportSeamBitIdentical/massbft-faults|TestFalseDeathForkSeeds|TestPayloadForkSeed' .
+  go test -count=1 -timeout 300s -run 'TestPartitionChaosFailover|TestMetaBatchReplayedUnderAnotherSeq' ./internal/core/
+  go test -count=1 -timeout 300s -run 'TestTransportSeamBitIdentical/massbft-faults|TestFalseDeathForkSeeds|TestPayloadForkSeed|TestCombinedFaultSeedsConverge|TestPartitionWANHealsAndConverges' .
   echo "OK"
   exit 0
   ;;
