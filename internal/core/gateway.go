@@ -25,8 +25,10 @@ func (n *Node) onClientRequest(from keys.NodeID, m *cluster.ClientRequest) {
 	}
 	if n.local.IsLeader() {
 		// Admission errors are deliberate drops: the client's reply timeout
-		// drives the retry, and the gateway counters record the reason.
+		// drives the retry, and the gateway counters record the reason. A
+		// queue this request fills is cut in this event.
 		_ = gw.Submit(m.Txn, cluster.VirtualTime(n.now()))
+		n.armCut(true)
 		return
 	}
 	if from.Group >= 0 {

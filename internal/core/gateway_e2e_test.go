@@ -245,23 +245,23 @@ func TestGatewayFingerprints(t *testing.T) {
 	}{
 		{
 			name: "steady", cfg: steady,
-			counters:  map[string]int64{"gateway-verified": 2748, "gateway-executed": 32976},
-			committed: 2748,
-			height:    184,
-			head:      "e7e417ccc392f849ca9443ae2ae0d8c05a0e6a8318010bf081a741a962bc99c7",
-			state:     "f1f09c0ae1b3ccc6f83cb58c1c6d3c14ac73e95f8170e528940561ad818d36aa",
+			counters:  map[string]int64{"gateway-verified": 3067, "gateway-executed": 36804},
+			committed: 3067,
+			height:    246,
+			head:      "37e45f0a747661071645c423a33b677aac4c92e928131d275da1f5d0c2bbd93c",
+			state:     "a9d3d65d5c97a230e807ae00e0e3c804bf4b88394b3b68a6ca94b6954c2e0bfd",
 		},
 		{
 			name: "overload", cfg: overload,
 			counters: map[string]int64{
-				"gateway-rejected-overload": 2928,
+				"gateway-rejected-overload": 1358,
 				"gateway-queue-peak":        512,
-				"gateway-dedup-cached":      476,
+				"gateway-dedup-cached":      0,
 			},
-			committed: 13147, resubmits: 1689, gaveUp: 0,
-			height: 676,
-			head:   "662e0b01fc16430fce2ec41e7bb2991290f7c2012534a4ec7e07fbaf8dc5e793",
-			state:  "d250e9c12326d4b380865ca5768b519efb0506ff980836d276db07db7d0d329e",
+			committed: 25007, resubmits: 712, gaveUp: 0,
+			height: 1251,
+			head:   "e4b6924d3d47a94bb579b0074a9d3497aba020bae95774b030a8fb0ad522ecc3",
+			state:  "7baa6210bd1c441f49ed9370fadf34001d5ebd4a27f359384d57293481a96f01",
 		},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

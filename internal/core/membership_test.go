@@ -271,5 +271,5 @@ func TestMembershipDeterministic(t *testing.T) {
 	if a.clientOK == 0 || a.height == 0 || a.epoch != 2 {
 		t.Fatalf("degenerate fingerprint: %+v", a)
 	}
-	assertCensus(t, c, "61becf2ab6854af2")
+	assertCensus(t, c, "62c9676eab0fbd7b")
 }

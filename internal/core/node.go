@@ -164,6 +164,11 @@ type Node struct {
 	backlog       float64
 	lastTick      time.Duration
 	lastProposeAt time.Duration
+	// The gateway cut's one armed deadline (armCut): its time, and the
+	// generation that retires a timer an earlier deadline replaced.
+	cutArmed bool
+	cutAt    time.Duration
+	cutGen   uint64
 	// lastLocalProgress / lastMetaProgress timestamp the most recent
 	// delivery on each instance (leader-silence detection).
 	lastLocalProgress time.Duration
@@ -427,6 +432,8 @@ func (n *Node) armTicks() {
 	// phase-locked).
 	phase := time.Duration(n.g) * n.cfg.BatchTimeout / time.Duration(n.ng)
 	n.everyAfter(n.cfg.BatchTimeout+phase, n.cfg.BatchTimeout, n.batchTick)
+	n.cutArmed = false // a deadline armed under the old generation is dead
+	n.armCut(false)
 	n.everyAfter(n.cfg.BatchTimeout/2, n.cfg.BatchTimeout/2, n.flushTick)
 	if n.cfg.TakeoverTimeout > 0 {
 		n.everyAfter(n.cfg.TakeoverTimeout, n.cfg.TakeoverTimeout/2, n.takeoverTick)
@@ -482,11 +489,12 @@ func (n *Node) livenessTick() {
 
 // observeLocal hands the local instance's events to the sink. A view
 // installed resets the proposer's pipeline count: the new leader proposes
-// from the instance's next slot.
+// from the instance's next slot, and arms its gateway's cut deadline.
 func (n *Node) observeLocal(ev pbft.Event, at uint64, payload []byte) {
 	if ev == pbft.ViewInstalled {
 		n.inFlight = 0
 		n.lastLocalProgress = n.now()
+		n.armCut(false) // a new leader takes over the queue's deadline
 	}
 	n.transition(cluster.Transition{Kind: cluster.TransLocalView + cluster.TransitionKind(ev), Group: n.g, Origin: n.g, At: at, Epoch: n.groups.epoch}, payload)
 }

@@ -537,7 +537,7 @@ func (n *Node) archiveEntry(id types.EntryID, st *entrySt) {
 
 // freeWindow releases the proposer pipeline slot of an own-group entry
 // exactly once (at global commit or execution, whichever this node sees
-// first).
+// first). The reopened gate may let a queued gateway cut through.
 func (n *Node) freeWindow(id types.EntryID, st *entrySt) {
 	if id.GID != n.g || st.windowFreed {
 		return
@@ -546,6 +546,7 @@ func (n *Node) freeWindow(id types.EntryID, st *entrySt) {
 	if n.inFlight > 0 {
 		n.inFlight--
 	}
+	n.armCut(false)
 }
 
 // sealBlock appends one executed entry to the node's ledger, folding the

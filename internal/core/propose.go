@@ -13,7 +13,9 @@ import (
 )
 
 // batchTick fires every BatchTimeout on every node; the current local leader
-// cuts a batch when the protocol gate allows (§II-A "Batching").
+// proposes when the protocol gate allows (§II-A "Batching"). A gateway
+// group's batches are cut at their deadline (cutDue), not here: the tick
+// only proposes idle heartbeats on an empty queue and flushes at drain time.
 func (n *Node) batchTick() {
 	now := n.now()
 	dt := now - n.lastTick
@@ -34,34 +36,34 @@ func (n *Node) batchTick() {
 	if !n.local.IsLeader() || !n.gateOpen() {
 		return
 	}
-	size := n.cfg.MaxBatch
-	var gwTxns []types.Transaction
-	if n.cfg.Draining {
+	idle := now-n.lastProposeAt >= 5*n.cfg.BatchTimeout
+	gw := n.ctx.Gateway
+	switch rate := n.groupRate(); {
+	case n.cfg.Draining:
 		// Heartbeats only: no client transactions, clocks keep advancing.
-		if now-n.lastProposeAt < 5*n.cfg.BatchTimeout {
+		if !idle {
 			return
 		}
-		size = 0
-		if n.ctx.Gateway != nil {
+		var txns []types.Transaction
+		if gw != nil {
 			// Flush requests still queued at drain time so every admitted
 			// client request reaches execution before the run settles.
-			gwTxns = n.ctx.Gateway.TakeBatch(cluster.VirtualTime(now), n.cfg.MaxBatch, true)
+			txns = gw.TakeBatch(cluster.VirtualTime(now), n.cfg.MaxBatch, true)
 		}
-	} else if n.ctx.Gateway != nil {
-		// Gateway mode: the proposal is whatever the adaptive batcher cuts
-		// under its latency/size dual bound. With nothing admitted, propose
-		// only idle heartbeats — the group clock must keep advancing so other
-		// groups' tails can be ordered.
-		gwTxns = n.ctx.Gateway.TakeBatch(cluster.VirtualTime(now), size, false)
-		if len(gwTxns) == 0 && now-n.lastProposeAt < 5*n.cfg.BatchTimeout {
-			return
+		n.propose(txns)
+	case gw != nil:
+		// Gateway mode: queued requests wait for their deadline, which is
+		// re-armed here should it have fired while the gate was shut. With
+		// nothing admitted, propose only idle heartbeats — the group clock
+		// must keep advancing so other groups' tails can be ordered.
+		if gw.Pending() > 0 {
+			n.armCut(false)
+		} else if idle {
+			n.propose(nil)
 		}
-		size = len(gwTxns)
-	} else if rate := n.groupRate(); rate > 0 {
-		if int(n.backlog) < size {
-			size = int(n.backlog)
-		}
-		if size < n.cfg.MaxBatch && now-n.lastProposeAt < 5*n.cfg.BatchTimeout {
+	case rate > 0:
+		size := min(int(n.backlog), n.cfg.MaxBatch)
+		if size < n.cfg.MaxBatch && !idle {
 			// Wait to fill the batch: a rate-limited group proposes full
 			// entries less often (the Fig 2 entry-rate model), with partial
 			// heartbeat entries only after an idle period — those keep the
@@ -70,7 +72,78 @@ func (n *Node) batchTick() {
 			return
 		}
 		n.backlog -= float64(size)
+		n.propose(n.generate(size))
+	default:
+		n.propose(n.generate(n.cfg.MaxBatch))
 	}
+}
+
+// generate draws size transactions from the workload for a group without a
+// gateway.
+func (n *Node) generate(size int) []types.Transaction {
+	if size <= 0 {
+		return nil
+	}
+	txns := make([]types.Transaction, size)
+	for i := range txns {
+		txns[i] = n.ctx.Gen.Next(uint64(n.id.Index))
+	}
+	return txns
+}
+
+// armCut keeps at most one deadline armed for the gateway's next forced cut
+// (gateway.CutDue) on the local leader; an earlier due time replaces the
+// armed one. A cut already due runs at once when inline is set — the caller
+// is a message's own handler — else on a zero-delay timer, as from inside
+// PBFT or execution, which must not propose in the middle of their work.
+func (n *Node) armCut(inline bool) {
+	gw := n.ctx.Gateway
+	if gw == nil || !n.local.IsLeader() {
+		return
+	}
+	due, ok := gw.CutDue()
+	if !ok {
+		return
+	}
+	now := n.now()
+	at := max(time.Duration(due.UnixNano()), now)
+	if inline && at == now {
+		n.cutDue()
+		return
+	}
+	if n.cutArmed && n.cutAt <= at {
+		return
+	}
+	n.cutArmed, n.cutAt = true, at
+	n.cutGen++
+	gen, tick := n.cutGen, n.tickGen
+	n.ctx.Net.After(at-now, func() {
+		if n.cutGen != gen || n.tickGen != tick {
+			return // replaced by an earlier deadline, or a rejoin re-armed
+		}
+		n.cutArmed = false
+		n.cutDue()
+	})
+}
+
+// cutDue is the gateway cut at its deadline: batchTick's guards, then the
+// cut and its proposal. Requests the cut leaves queued get a deadline of
+// their own; one the gate holds back waits for freeWindow or the next tick.
+func (n *Node) cutDue() {
+	if n.groups.absent(n.g) || n.leaving || n.rejoining || n.cfg.Draining ||
+		!n.local.IsLeader() || !n.gateOpen() {
+		return
+	}
+	if txns := n.ctx.Gateway.TakeBatch(cluster.VirtualTime(n.now()), n.cfg.MaxBatch, false); len(txns) > 0 {
+		n.propose(txns)
+	}
+	n.armCut(false)
+}
+
+// propose builds the group's next entry from txns and starts local
+// consensus on it. The caller checked leadership and the gate.
+func (n *Node) propose(txns []types.Transaction) {
+	now := n.now()
 	n.lastProposeAt = now
 	// An entry's seq is its local PBFT slot + 1: PBFT certifies one payload
 	// per slot, so one entry ID never names two payloads.
@@ -78,14 +151,7 @@ func (n *Node) batchTick() {
 	e := &types.Entry{
 		ID:   types.EntryID{GID: n.g, Seq: slot + 1},
 		Term: uint64(now), // propose time, for end-to-end latency measurement
-	}
-	if gwTxns != nil {
-		e.Txns = gwTxns
-	} else if size > 0 {
-		e.Txns = make([]types.Transaction, size)
-		for i := range e.Txns {
-			e.Txns[i] = n.ctx.Gen.Next(uint64(n.id.Index))
-		}
+		Txns: txns,
 	}
 	n.inFlight++
 	enc := e.Encode()
@@ -95,7 +161,7 @@ func (n *Node) batchTick() {
 	// decoding the payload (localEntry).
 	n.proposed[slot] = &proposalSt{enc: enc, txns: e.Txns}
 	n.ctx.DecodeMemo.Put(e.ID, cluster.Decoded{Payload: enc, Entry: e})
-	_ = n.local.Propose(enc) // cannot fail: leadership was checked above
+	_ = n.local.Propose(enc) // cannot fail: leadership was checked by the caller
 	n.ctx.Metrics.EntriesProposed++
 	n.ctx.Metrics.TxnsProposed += int64(len(e.Txns))
 	if n.ctx.Trace != nil {

@@ -8,6 +8,11 @@
 //	                                                                  │
 //	client ◀──f+1 signed receipts── execute ◀──Executed───────────────┘
 //
+// The cut is event-driven: CutDue reports when the dual bound next forces
+// one — at once when MaxBatch requests are queued, else when the oldest has
+// waited MaxWait — and the owning node keeps one deadline armed for it, so a
+// request waits at most MaxWait at the leader while its pipeline has room.
+//
 // Intake only keeps the books; the cut verifies. TakeBatch puts the Ed25519
 // client signatures of the requests it is about to propose through one batch
 // equation — the one every follower checks the proposal with (VerifyTxns) —
@@ -56,7 +61,9 @@ type Config struct {
 	// requests are pending regardless of age.
 	MaxBatch int
 	// MaxWait is the latency bound: TakeBatch flushes a partial batch once
-	// the oldest pending request has waited this long.
+	// the oldest pending request has waited this long. CutDue names that
+	// instant, so a proposer that arms a deadline for it holds a request at
+	// most this long.
 	MaxWait time.Duration
 	// QueueLimit bounds the intake FIFO. 0 means 4096.
 	QueueLimit int
@@ -277,13 +284,29 @@ func (g *Gateway) stage(t *types.Transaction) ([]byte, bool) {
 // Pending returns the number of requests awaiting a batch.
 func (g *Gateway) Pending() int { return len(g.q) }
 
+// CutDue reports when the dual bound next forces a cut, or false on an empty
+// queue: at once when MaxBatch requests are queued (the returned time, the
+// oldest request's admission, is past), else when the oldest request has
+// waited MaxWait. The owner keeps a deadline armed for it, so a request waits
+// at most MaxWait for its cut while the proposer can take one.
+func (g *Gateway) CutDue() (time.Time, bool) {
+	if len(g.q) == 0 {
+		return time.Time{}, false
+	}
+	if g.cfg.MaxBatch > 0 && len(g.q) >= g.cfg.MaxBatch {
+		return g.q[0].at, true
+	}
+	return g.q[0].at.Add(g.cfg.MaxWait), true
+}
+
 // TakeBatch cuts up to size requests for a proposal under the latency/size
 // dual bound: it cuts when size (or Config.MaxBatch, whichever is smaller)
 // requests are pending, when the oldest pending request has waited MaxWait,
 // or when force is set (draining); otherwise it holds the partial batch back
-// and returns nil. It returns the cut's requests whose signatures verify,
-// one copy of a nonce: bad ones are evicted (gateway-verify-fail), copies of
-// a nonce already taken dropped (gateway-dup-pending).
+// and returns nil. The owner calls it at CutDue's time, not on a poll. It
+// returns the cut's requests whose signatures verify, one copy of a nonce:
+// bad ones are evicted (gateway-verify-fail), copies of a nonce already taken
+// dropped (gateway-dup-pending).
 func (g *Gateway) TakeBatch(now time.Time, size int, force bool) []types.Transaction {
 	if len(g.q) == 0 {
 		return nil

@@ -368,6 +368,65 @@ func TestBatcherDualBound(t *testing.T) {
 	}
 }
 
+// TestCutDue: the dual bound's next forced cut — none on an empty queue, the
+// oldest request's admission plus MaxWait on a partial one, at once (a time
+// already past) on a full one — after intake, PushFront and a cut that
+// leaves a remainder.
+func TestCutDue(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		setup func(env *testEnv)
+		due   time.Time // zero: no cut due
+	}{
+		{name: "empty queue", setup: func(*testEnv) {}},
+		{name: "partial queue", setup: func(env *testEnv) {
+			env.gw.Submit(req(env.cks[0], 1, "a"), at(5))
+			env.gw.Submit(req(env.cks[1], 1, "b"), at(9))
+		}, due: at(25)},
+		{name: "full queue", setup: func(env *testEnv) {
+			for i := 0; i < 4; i++ {
+				env.gw.Submit(req(env.cks[i], 1, "a"), at(3+i))
+			}
+		}, due: at(3)},
+		{name: "after PushFront", setup: func(env *testEnv) {
+			env.gw.Submit(req(env.cks[0], 1, "a"), at(0))
+			b := env.gw.TakeBatch(at(1), 4, true)
+			env.gw.Submit(req(env.cks[1], 1, "b"), at(2))
+			env.gw.PushFront(b, at(4))
+		}, due: at(24)},
+		{name: "after a cut with a remainder", setup: func(env *testEnv) {
+			for i := 0; i < 6; i++ {
+				env.gw.Submit(req(env.cks[i], 1, "a"), at(i))
+			}
+			if b := env.gw.TakeBatch(at(6), 4, false); len(b) != 4 {
+				t.Fatalf("cut %d requests, want 4", len(b))
+			}
+		}, due: at(24)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			env := newEnv(t, nil) // MaxBatch 4, MaxWait 20 ms
+			tc.setup(env)
+			due, ok := env.gw.CutDue()
+			if ok != !tc.due.IsZero() || !due.Equal(tc.due) {
+				t.Fatalf("CutDue() = %v, %v; want %v, %v", due, ok, tc.due, !tc.due.IsZero())
+			}
+			if !ok {
+				return
+			}
+			// The bound holds a partial queue back until due, and cuts any
+			// queue then.
+			if env.gw.Pending() < 4 {
+				if b := env.gw.TakeBatch(due.Add(-time.Nanosecond), 4, false); b != nil {
+					t.Fatalf("cut %d requests before the due time", len(b))
+				}
+			}
+			if b := env.gw.TakeBatch(due, 4, false); len(b) == 0 {
+				t.Fatal("nothing cut at the due time")
+			}
+		})
+	}
+}
+
 func TestPushFrontPreservesOrder(t *testing.T) {
 	env := newEnv(t, nil)
 	g := env.gw

@@ -306,7 +306,7 @@ func (in *Instance) proposeAt(slot uint64, payload []byte) {
 		Sig:     in.sign(phaseMsg(phasePrePrepare, in.view, slot, d)),
 	}
 	in.broadcast(pp)
-	in.onPrePrepare(pp, true)
+	in.onPrePrepare(pp, true, true)
 }
 
 func (in *Instance) sign(msg []byte) keys.Signature {
@@ -371,7 +371,7 @@ func (in *Instance) Handle(from keys.NodeID, m Msg) {
 		if from != in.Leader(msg.View) {
 			return // only the leader may pre-prepare
 		}
-		in.onPrePrepare(msg, false)
+		in.onPrePrepare(msg, false, false)
 	case *Prepare:
 		in.noteView(msg.View)
 		in.onPrepare(msg, false)
@@ -398,7 +398,10 @@ func (in *Instance) noteView(v uint64) {
 	}
 }
 
-func (in *Instance) onPrePrepare(pp *PrePrepare, own bool) {
+// onPrePrepare takes a pre-prepare; hashed says its digest was just computed
+// from its payload here (a fresh own proposal), so the payload is not hashed
+// again.
+func (in *Instance) onPrePrepare(pp *PrePrepare, own, hashed bool) {
 	if pp.View != in.view || pp.Slot < in.execSlot {
 		return // stale view, or a slot already delivered (state was GC'd)
 	}
@@ -415,9 +418,10 @@ func (in *Instance) onPrePrepare(pp *PrePrepare, own bool) {
 		!in.verify(pp.Sig, phaseMsg(phasePrePrepare, pp.View, pp.Slot, pp.Digest))) {
 		return
 	}
-	if keys.Hash(pp.Payload) != pp.Digest {
-		// Payload does not match digest. Checked on own pre-prepares too: a
-		// new leader's re-proposal carries a payload from a peer's vote.
+	if !hashed && keys.Hash(pp.Payload) != pp.Digest {
+		// Payload does not match digest. Checked on own re-proposals too: a
+		// new leader's carries a payload from a peer's vote. A fresh own
+		// proposal's digest was computed from its payload in proposeAt.
 		return
 	}
 	if in.cfg.Validate != nil && !in.cfg.Validate(pp.Slot, pp.Payload) {
@@ -792,7 +796,7 @@ func (in *Instance) installNewView(view uint64, votes map[keys.NodeID]*ViewChang
 	in.lastNewView = nv
 	in.broadcast(nv)
 	for _, pp := range nv.Reproposals {
-		in.onPrePrepare(pp, true)
+		in.onPrePrepare(pp, true, false)
 	}
 }
 
@@ -810,7 +814,7 @@ func (in *Instance) onNewView(nv *NewView) {
 	in.enterView(nv.View)
 	in.lastNewView = nv
 	for _, pp := range nv.Reproposals {
-		in.onPrePrepare(pp, false)
+		in.onPrePrepare(pp, false, false)
 	}
 }
 

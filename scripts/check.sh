@@ -25,11 +25,13 @@
 #   node-smoke       just the multi-process TCP smoke test — a 4-node loopback
 #                    cluster of massbft-node OS processes with a kill/rejoin
 #                    round trip — for iterating on transport changes
-#   gateway-smoke    just the external-client path — the 4-node cluster driven
-#                    by massbft-client through the per-node gateways, with a
-#                    mid-run SIGKILL — for iterating on gateway changes (the
-#                    simulated side is go test -run TestGatewayFingerprints
-#                    ./internal/core/)
+#   gateway-smoke    just the external-client path, on both fabrics: over
+#                    simnet the pinned gateway runs and the cut's MaxWait
+#                    bound (TestGatewayFingerprints,
+#                    TestGatewayCutHonoursMaxWait), over TCP the 4-node
+#                    cluster driven by massbft-client through the per-node
+#                    gateways, with a mid-run SIGKILL — for iterating on
+#                    gateway changes (CI: gateway-smoke)
 #   divergence-sweep just the agreement-forensics sweep — the combined-fault
 #                    demo preset (WAN drop + LAN drop + dup + jitter) across a
 #                    seed range, each run drained to a classified verdict
@@ -49,7 +51,9 @@
 #                    HEAD, i.e. the uncommitted work against its base) and on
 #                    this tree; commit_tps, both latencies, net_bytes_per_txn
 #                    and the operation counts must be equal to the last digit
-#                    (scripts/equal-seed.sh takes a seed and a run length too)
+#                    (scripts/equal-seed.sh takes a seed, a run length and the
+#                    workloads to gate too: a change that moves one
+#                    workload's schedule still gates the others)
 #   size [ref]       the non-test Go line count outside bench/ (generated
 #                    files included) and the five largest packages: the
 #                    number ROADMAP and CHANGES.md quote; with a ref, also
@@ -210,6 +214,9 @@ node-smoke)
   exit 0
   ;;
 gateway-smoke)
+  echo "== gateway over simnet (pinned runs, the cut's MaxWait bound)"
+  go test -count=1 -run 'TestGatewayFingerprints|TestGatewayCutHonoursMaxWait' ./internal/core/
+  echo "== gateway over TCP (massbft-client, mid-run kill)"
   bash scripts/node_smoke.sh client
   echo "OK"
   exit 0

@@ -3,24 +3,32 @@
 # latencies, net_bytes_per_txn and the operation counts are functions of the
 # seed alone, so a change that claims to leave virtual behaviour alone (an
 # allocation or CPU optimisation, a refactor) must reproduce them to the last
-# digit. This runs the three simulated workloads of the ledger at one seed on
-# a parent tree and on this tree and fails on any difference. Beside each
+# digit. This runs the simulated workloads of the ledger (all three, or those
+# named) at one seed on a parent tree and on this tree and fails on any
+# difference. Beside each
 # workload it prints both sides' host numbers (memory, time and allocations
 # per transaction): one sample each, shown for a host-only change to read
 # its effect by, never gated on.
 #
-# Usage: scripts/equal-seed.sh <parent> [seed] [seconds]
-#   parent   a git ref, checked out into a temporary worktree and removed
-#            afterwards; or a directory that already holds the parent tree
-#            (a clone), used as it is
-#   seed     default 1
-#   seconds  the benchmark's --seconds, default 20 (CI uses 5)
+# Usage: scripts/equal-seed.sh <parent> [seed] [seconds] [workload...]
+#   parent    a git ref, checked out into a temporary worktree and removed
+#             afterwards; or a directory that already holds the parent tree
+#             (a clone), used as it is
+#   seed      default 1
+#   seconds   the benchmark's --seconds, default 20 (CI uses 5)
+#   workload  the workloads to gate, default sim-sat-3x7 sim-gw-crypto-3x4
+#             sim-faults-3x4; a change that means to move one workload's
+#             schedule (the gateway cut moves sim-gw-crypto-3x4's) still gates
+#             the others by naming them
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-parent="${1:?usage: scripts/equal-seed.sh <parent-ref|parent-dir> [seed] [seconds]}"
+parent="${1:?usage: scripts/equal-seed.sh <parent-ref|parent-dir> [seed] [seconds] [workload...]}"
 seed="${2:-1}"
 seconds="${3:-20}"
+shift $(($# < 3 ? $# : 3))
+workloads=("$@")
+[ ${#workloads[@]} -gt 0 ] || workloads=(sim-sat-3x7 sim-gw-crypto-3x4 sim-faults-3x4)
 
 if [ -d "$parent" ]; then
   parent_dir="$(cd "$parent" && pwd)"
@@ -40,7 +48,7 @@ run() { # run <tree> <workload>: the result object, or nothing if the run failed
 }
 
 status=0
-for w in sim-sat-3x7 sim-gw-crypto-3x4 sim-faults-3x4; do
+for w in "${workloads[@]}"; do
   echo "== $w, seed $seed, --seconds $seconds"
   before="$(run "$parent_dir" "$w")" || { echo "FAIL: the parent's run of $w failed"; status=1; continue; }
   after="$(run "$PWD" "$w")" || { echo "FAIL: this tree's run of $w failed"; status=1; continue; }
