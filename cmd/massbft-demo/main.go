@@ -57,7 +57,6 @@ func main() {
 		cfg.ViewChangeTimeout = 400 * time.Millisecond
 		cfg.TakeoverTimeout = 400 * time.Millisecond
 		cfg.RepairTimeout = 150 * time.Millisecond
-		cfg.CheckpointInterval = 500 * time.Millisecond
 	}
 	c, err := massbft.NewCluster(cfg)
 	if err != nil {

@@ -39,7 +39,6 @@ func TestTransportSeamBitIdentical(t *testing.T) {
 	faulty.ViewChangeTimeout = 400 * time.Millisecond
 	faulty.TakeoverTimeout = 400 * time.Millisecond
 	faulty.RepairTimeout = 150 * time.Millisecond
-	faulty.CheckpointInterval = 500 * time.Millisecond
 	baseline := base()
 	baseline.Protocol = ProtocolBaseline
 

@@ -142,18 +142,17 @@ func combinedFaultCluster(t *testing.T, seed int64) (*Cluster, *certWatch, *cutW
 
 func combinedFaultConfig(seed int64) Config {
 	return Config{
-		Groups:             []int{4, 4, 4},
-		Workload:           "ycsb-a",
-		Seed:               seed,
-		Warmup:             time.Second,
-		WANDropRate:        0.05,
-		LANDropRate:        0.01,
-		WANDupRate:         0.01,
-		FaultJitter:        0.1,
-		ViewChangeTimeout:  400 * time.Millisecond,
-		TakeoverTimeout:    400 * time.Millisecond,
-		RepairTimeout:      150 * time.Millisecond,
-		CheckpointInterval: 500 * time.Millisecond,
+		Groups:            []int{4, 4, 4},
+		Workload:          "ycsb-a",
+		Seed:              seed,
+		Warmup:            time.Second,
+		WANDropRate:       0.05,
+		LANDropRate:       0.01,
+		WANDupRate:        0.01,
+		FaultJitter:       0.1,
+		ViewChangeTimeout: 400 * time.Millisecond,
+		TakeoverTimeout:   400 * time.Millisecond,
+		RepairTimeout:     150 * time.Millisecond,
 	}
 }
 
@@ -293,14 +292,13 @@ func TestPartitionWANHealsAndConverges(t *testing.T) {
 		t.Skip("heavy integration test")
 	}
 	c, err := NewCluster(Config{
-		Groups:             []int{4, 4, 4},
-		Workload:           "ycsb-a",
-		Seed:               6,
-		Warmup:             500 * time.Millisecond,
-		ViewChangeTimeout:  400 * time.Millisecond,
-		TakeoverTimeout:    400 * time.Millisecond,
-		RepairTimeout:      150 * time.Millisecond,
-		CheckpointInterval: 500 * time.Millisecond,
+		Groups:            []int{4, 4, 4},
+		Workload:          "ycsb-a",
+		Seed:              6,
+		Warmup:            500 * time.Millisecond,
+		ViewChangeTimeout: 400 * time.Millisecond,
+		TakeoverTimeout:   400 * time.Millisecond,
+		RepairTimeout:     150 * time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -367,14 +365,13 @@ func TestAgreementReportSeesCrashedNodes(t *testing.T) {
 		t.Skip("heavy integration test")
 	}
 	c, err := NewCluster(Config{
-		Groups:             []int{4, 4},
-		Workload:           "ycsb-a",
-		Seed:               13,
-		Warmup:             500 * time.Millisecond,
-		ViewChangeTimeout:  400 * time.Millisecond,
-		TakeoverTimeout:    400 * time.Millisecond,
-		RepairTimeout:      150 * time.Millisecond,
-		CheckpointInterval: 500 * time.Millisecond,
+		Groups:            []int{4, 4},
+		Workload:          "ycsb-a",
+		Seed:              13,
+		Warmup:            500 * time.Millisecond,
+		ViewChangeTimeout: 400 * time.Millisecond,
+		TakeoverTimeout:   400 * time.Millisecond,
+		RepairTimeout:     150 * time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)

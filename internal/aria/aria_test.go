@@ -657,7 +657,7 @@ func TestEnginesShareOneCopyOfEachValue(t *testing.T) {
 }
 
 // TestReadersWhileExecuting is what ProcNode.Status does over TCP: other
-// goroutines call Get, Hash and a snapshot's Get while the node's own
+// goroutines call Get, Hash and a held clone's Get while the node's own
 // goroutine executes batches, under the read lock those readers also hold
 // and then the write lock of the commit. Run with -race.
 func TestReadersWhileExecuting(t *testing.T) {
@@ -674,13 +674,13 @@ func TestReadersWhileExecuting(t *testing.T) {
 	if _, err := e.ExecuteBatch(batch()); err != nil {
 		t.Fatal(err)
 	}
-	sn := db.Snapshot() // stays open: the writes below pay for its before-images
+	held := db.Clone() // shares the values and the index the writes below grow
 	want := db.Hash()
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
 	for _, read := range []func(k string){
 		func(k string) { db.Get(k) },
-		func(k string) { sn.Get(k) },
+		func(k string) { held.Get(k) },
 		func(string) { db.Hash() },
 		func(string) { db.Clone() },
 	} {
@@ -705,8 +705,8 @@ func TestReadersWhileExecuting(t *testing.T) {
 	}
 	close(stop)
 	wg.Wait()
-	if sn.Store().Hash() != want {
-		t.Fatal("the snapshot moved while batches executed")
+	if held.Hash() != want {
+		t.Fatal("the clone moved while batches executed")
 	}
 }
 

@@ -217,12 +217,6 @@ type Config struct {
 	// an alternate sender-group node; zero disables chunk repair.
 	RepairTimeout time.Duration
 
-	// CheckpointInterval is how often nodes fold their rolling checkpoint
-	// (ledger height + orderer clocks + consensus state by value, the state
-	// store as a statedb.Snapshot view: O(keys written since the last tick));
-	// zero disables periodic checkpoints (a rejoining node still gets a fresh
-	// fold, with a copy of the state, on demand).
-	CheckpointInterval time.Duration
 	// RejoinTimeout is how long a recovering node waits for a state-transfer
 	// response before retrying another group peer; defaults to
 	// 10*BatchTimeout.
@@ -293,6 +287,30 @@ func (c *Config) Validate() error {
 	}
 	if c.PipelineDepth < 0 {
 		return fmt.Errorf("invalid PipelineDepth %d", c.PipelineDepth)
+	}
+	// withDefaults replaces zeros only: a negative timeout would re-arm a
+	// timer that fires at once, forever, and a negative rate would never
+	// admit a transaction.
+	for _, d := range []struct {
+		name string
+		v    time.Duration
+	}{
+		{"BatchTimeout", c.BatchTimeout}, {"RunFor", c.RunFor}, {"Warmup", c.Warmup},
+		{"TakeoverTimeout", c.TakeoverTimeout}, {"SuspectTimeout", c.SuspectTimeout},
+		{"RepairTimeout", c.RepairTimeout}, {"RejoinTimeout", c.RejoinTimeout},
+		{"ViewChangeTimeout", c.ViewChangeTimeout}, {"EpochLength", c.Opts.EpochLength},
+		{"SigVerifyPerTxn", c.Cost.SigVerifyPerTxn}, {"ExecPerTxn", c.Cost.ExecPerTxn},
+		{"EncodePerByte", c.Cost.EncodePerByte}, {"RebuildPerByte", c.Cost.RebuildPerByte},
+		{"MsgOverhead", c.Cost.MsgOverhead},
+	} {
+		if d.v < 0 {
+			return fmt.Errorf("negative %s %v", d.name, d.v)
+		}
+	}
+	for g, r := range c.GroupRate {
+		if !(r >= 0) { // NaN as well
+			return fmt.Errorf("invalid GroupRate %v for group %d", r, g)
+		}
 	}
 	if c.Topology != nil && c.Topology.Regions() < len(c.GroupSizes) {
 		return fmt.Errorf("a topology of %d regions for %d groups", c.Topology.Regions(), len(c.GroupSizes))

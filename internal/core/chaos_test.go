@@ -14,23 +14,22 @@ import (
 // duplication, LAN loss, latency jitter, and every recovery knob armed.
 func chaosCfg(opts cluster.Options, seed int64) cluster.Config {
 	return cluster.Config{
-		GroupSizes:         []int{4, 4, 4},
-		Opts:               opts,
-		Workload:           "ycsb-a",
-		Seed:               seed,
-		MaxBatch:           20,
-		BatchTimeout:       10 * time.Millisecond,
-		PipelineDepth:      8,
-		RunFor:             8 * time.Second,
-		Warmup:             500 * time.Millisecond,
-		TakeoverTimeout:    400 * time.Millisecond,
-		ViewChangeTimeout:  400 * time.Millisecond,
-		RepairTimeout:      150 * time.Millisecond,
-		CheckpointInterval: 500 * time.Millisecond,
-		WANDropRate:        0.05,
-		WANDupRate:         0.01,
-		LANDropRate:        0.01,
-		FaultJitter:        0.1,
+		GroupSizes:        []int{4, 4, 4},
+		Opts:              opts,
+		Workload:          "ycsb-a",
+		Seed:              seed,
+		MaxBatch:          20,
+		BatchTimeout:      10 * time.Millisecond,
+		PipelineDepth:     8,
+		RunFor:            8 * time.Second,
+		Warmup:            500 * time.Millisecond,
+		TakeoverTimeout:   400 * time.Millisecond,
+		ViewChangeTimeout: 400 * time.Millisecond,
+		RepairTimeout:     150 * time.Millisecond,
+		WANDropRate:       0.05,
+		WANDupRate:        0.01,
+		LANDropRate:       0.01,
+		FaultJitter:       0.1,
 	}
 }
 
@@ -435,20 +434,19 @@ func TestPartitionChaosFailover(t *testing.T) {
 func TestSimultaneousGroupDeathsCertifyTogether(t *testing.T) {
 	t.Parallel()
 	cfg := cluster.Config{
-		GroupSizes:         []int{3, 3, 3, 3},
-		Opts:               cluster.PresetMassBFT(),
-		Workload:           "ycsb-a",
-		Seed:               54,
-		MaxBatch:           10,
-		BatchTimeout:       10 * time.Millisecond,
-		PipelineDepth:      4,
-		RunFor:             4 * time.Second,
-		Warmup:             300 * time.Millisecond,
-		TakeoverTimeout:    200 * time.Millisecond,
-		ViewChangeTimeout:  300 * time.Millisecond,
-		RepairTimeout:      100 * time.Millisecond,
-		CheckpointInterval: 400 * time.Millisecond,
-		TrustAll:           true,
+		GroupSizes:        []int{3, 3, 3, 3},
+		Opts:              cluster.PresetMassBFT(),
+		Workload:          "ycsb-a",
+		Seed:              54,
+		MaxBatch:          10,
+		BatchTimeout:      10 * time.Millisecond,
+		PipelineDepth:     4,
+		RunFor:            4 * time.Second,
+		Warmup:            300 * time.Millisecond,
+		TakeoverTimeout:   200 * time.Millisecond,
+		ViewChangeTimeout: 300 * time.Millisecond,
+		RepairTimeout:     100 * time.Millisecond,
+		TrustAll:          true,
 	}
 	c, err := cluster.New(cfg, NewNode)
 	if err != nil {
@@ -527,12 +525,11 @@ func TestMembershipCrashOverlapEpochSwitch(t *testing.T) {
 		ViewChangeTimeout: 400 * time.Millisecond,
 		// Longer than group 1's stall: this schedule is about crash overlap
 		// during an epoch switch, not about certifying a group death.
-		SuspectTimeout:     4 * time.Second,
-		RepairTimeout:      150 * time.Millisecond,
-		CheckpointInterval: 300 * time.Millisecond,
-		RejoinTimeout:      300 * time.Millisecond,
-		TrustAll:           true,
-		StandbyGroups:      1,
+		SuspectTimeout: 4 * time.Second,
+		RepairTimeout:  150 * time.Millisecond,
+		RejoinTimeout:  300 * time.Millisecond,
+		TrustAll:       true,
+		StandbyGroups:  1,
 	}
 	c, err := cluster.New(cfg, NewNode)
 	if err != nil {
@@ -587,20 +584,19 @@ func TestMembershipCrashOverlapEpochSwitch(t *testing.T) {
 func TestPartitionFailoverReduced(t *testing.T) {
 	t.Parallel()
 	cfg := cluster.Config{
-		GroupSizes:         []int{3, 3, 3},
-		Opts:               cluster.PresetBaseline(),
-		Workload:           "ycsb-a",
-		Seed:               53,
-		MaxBatch:           10,
-		BatchTimeout:       10 * time.Millisecond,
-		PipelineDepth:      4,
-		RunFor:             4 * time.Second,
-		Warmup:             300 * time.Millisecond,
-		TakeoverTimeout:    200 * time.Millisecond,
-		ViewChangeTimeout:  300 * time.Millisecond,
-		RepairTimeout:      100 * time.Millisecond,
-		CheckpointInterval: 400 * time.Millisecond,
-		TrustAll:           true,
+		GroupSizes:        []int{3, 3, 3},
+		Opts:              cluster.PresetBaseline(),
+		Workload:          "ycsb-a",
+		Seed:              53,
+		MaxBatch:          10,
+		BatchTimeout:      10 * time.Millisecond,
+		PipelineDepth:     4,
+		RunFor:            4 * time.Second,
+		Warmup:            300 * time.Millisecond,
+		TakeoverTimeout:   200 * time.Millisecond,
+		ViewChangeTimeout: 300 * time.Millisecond,
+		RepairTimeout:     100 * time.Millisecond,
+		TrustAll:          true,
 	}
 	c, err := cluster.New(cfg, NewNode)
 	if err != nil {

@@ -56,20 +56,19 @@ func TestByzantineChunkTampering(t *testing.T) {
 	assertConsistency(t, c, nil)
 }
 
-// TestTamperedBucketBlacklistsSupplier: §VI-E's defence at one node. Peer X
-// sends chunk batches of the tamper encoding under the honest certificate,
-// enough to fill one bucket to n_data. The rebuild fails, X is blacklisted,
-// and X's next batch, honest this time, never reaches the collector, while
-// the same batch from another peer does.
-func TestTamperedBucketBlacklistsSupplier(t *testing.T) {
+// bucketFixture is node N1,0 of a fresh realCryptoCfg cluster, whose sends
+// are recorded, and entry e0,1 with its honest certificate; batch makes the
+// chunk batch of index idx of an encoding of e under that certificate, as
+// N1,0's plan for group 0 cuts it.
+func bucketFixture(t *testing.T) (n *Node, e *types.Entry, batch func(entryEnc []byte, idx int) *replication.ChunkBatch, data int) {
+	t.Helper()
 	c, err := cluster.New(realCryptoCfg(), NewNode)
 	if err != nil {
 		t.Fatal(err)
 	}
-	n := c.Nodes[keys.NodeID{Group: 1, Index: 0}].(*Node)
+	n = c.Nodes[keys.NodeID{Group: 1, Index: 0}].(*Node)
 	n.ctx.Net = &recordingEndpoint{Endpoint: n.ctx.Net}
-	x, y := keys.NodeID{Group: 0, Index: 1}, keys.NodeID{Group: 0, Index: 2}
-	e := &types.Entry{ID: types.EntryID{GID: 0, Seq: 1}, Txns: []types.Transaction{
+	e = &types.Entry{ID: types.EntryID{GID: 0, Seq: 1}, Txns: []types.Transaction{
 		{Client: 1, Payload: []byte("payload"), Sig: make([]byte, 64)},
 	}}
 	d := keys.Hash(e.Encode())
@@ -78,7 +77,7 @@ func TestTamperedBucketBlacklistsSupplier(t *testing.T) {
 		cert.Sigs = append(cert.Sigs, keys.SignCertificate(c.Pairs[0][j], 0, d))
 	}
 	p := n.recvPlan(0)
-	batch := func(entryEnc []byte, idx int) *replication.ChunkBatch {
+	batch = func(entryEnc []byte, idx int) *replication.ChunkBatch {
 		t.Helper()
 		encd, err := replication.Encode(entryEnc, p)
 		if err != nil {
@@ -90,16 +89,27 @@ func TestTamperedBucketBlacklistsSupplier(t *testing.T) {
 		}
 		return &b
 	}
-	for idx := 0; idx < p.Data; idx++ {
+	return n, e, batch, p.Data
+}
+
+// TestTamperedBucketBlacklistsSupplier: §VI-E's defence at one node. Peer X
+// sends chunk batches of the tamper encoding under the honest certificate,
+// enough to fill one bucket to n_data. The rebuild fails, X is blacklisted,
+// and X's next batch, honest this time, never reaches the collector, while
+// the same batch from another peer does.
+func TestTamperedBucketBlacklistsSupplier(t *testing.T) {
+	n, e, batch, data := bucketFixture(t)
+	x, y := keys.NodeID{Group: 0, Index: 1}, keys.NodeID{Group: 0, Index: 2}
+	for idx := 0; idx < data; idx++ {
 		n.onChunkBatch(x, batch(n.tamper(e), idx), true)
 	}
 	if rebuilds, failed, _ := n.collector.Stats(); rebuilds != 0 || failed != 1 {
-		t.Fatalf("after a tampered bucket of %d chunks: %d rebuilds, %d failed; want 0, 1", p.Data, rebuilds, failed)
+		t.Fatalf("after a tampered bucket of %d chunks: %d rebuilds, %d failed; want 0, 1", data, rebuilds, failed)
 	}
 	if !n.blacklist[x] || len(n.blacklist) != 1 {
 		t.Fatalf("blacklist %v, want only %v", n.blacklist, x)
 	}
-	honest := batch(e.Encode(), p.Data) // an index the failed bucket did not ban
+	honest := batch(e.Encode(), data) // an index the failed bucket did not ban
 	n.onChunkBatch(x, honest, true)
 	if root, _, _ := n.collector.Missing(e.ID); root != (merkle.Root{}) {
 		t.Fatalf("the blacklisted peer's batch reached the collector (bucket %v)", root)
@@ -107,6 +117,28 @@ func TestTamperedBucketBlacklistsSupplier(t *testing.T) {
 	n.onChunkBatch(y, honest, true)
 	if root, _, _ := n.collector.Missing(e.ID); root != honest.Root {
 		t.Fatalf("another peer's honest batch did not reach the collector (bucket %v)", root)
+	}
+}
+
+// TestFakeBucketBlamesAnHonestRelay pins ROADMAP item 5's defect at one node:
+// a failed rebuild blames the first supplier of each index of the fake
+// bucket, whichever bucket that supplier's chunk went to. Honest N1,1 relays
+// chunk 0 of e0,1 to N1,0; Byzantine N0,1 then sends a tampered bucket under
+// the honest certificate. Its rebuild fails and N1,0 blacklists the honest
+// relay beside the liar, cutting it off for good. Item 5 flips the
+// assertion: the blacklist must become {N0,1}.
+func TestFakeBucketBlamesAnHonestRelay(t *testing.T) {
+	n, e, batch, data := bucketFixture(t)
+	relay, liar := keys.NodeID{Group: 1, Index: 1}, keys.NodeID{Group: 0, Index: 1}
+	n.onChunkBatch(relay, batch(e.Encode(), 0), false)
+	for idx := 0; idx < data; idx++ {
+		n.onChunkBatch(liar, batch(n.tamper(e), idx), true)
+	}
+	if rebuilds, failed, _ := n.collector.Stats(); rebuilds != 0 || failed != 1 {
+		t.Fatalf("after a tampered bucket of %d chunks: %d rebuilds, %d failed; want 0, 1", data, rebuilds, failed)
+	}
+	if !n.blacklist[liar] || !n.blacklist[relay] || len(n.blacklist) != 2 {
+		t.Fatalf("blacklist %v, want {%v, %v} (item 5's defect)", n.blacklist, liar, relay)
 	}
 }
 
@@ -353,43 +385,6 @@ func TestBaselineGroupCrashRoundSkip(t *testing.T) {
 	assertCensus(t, c, "1ce6761f3adb69a3")
 }
 
-// TestRollingCheckpointIsAViewOfTheFold: the periodic fold holds the state as
-// a copy-on-write view, so what a node's rolling checkpoint describes is the
-// store as of its last tick — recorded here through the tick hook — and not
-// the live store, which kept executing until the run stopped well after it.
-func TestRollingCheckpointIsAViewOfTheFold(t *testing.T) {
-	t.Parallel()
-	cfg := smallCfg()
-	cfg.GroupSizes = []int{4, 4}
-	cfg.RunFor = 1500 * time.Millisecond
-	cfg.CheckpointInterval = 400 * time.Millisecond // last tick at 1.2 s
-	c, err := cluster.New(cfg, NewNode)
-	if err != nil {
-		t.Fatal(err)
-	}
-	n := c.Nodes[keys.NodeID{Group: 1, Index: 2}].(*Node)
-	var atFold [][32]byte
-	n.checkpointHook = func() { atFold = append(atFold, n.DB().Hash()) }
-	c.Run()
-	delta, ticks := c.Metrics.Counter("checkpoint-delta-keys"), c.Metrics.Counter("checkpoints")
-	if len(atFold) != 3 || ticks == 0 {
-		t.Fatalf("%d ticks on the node, checkpoints = %d; want 3 and > 0", len(atFold), ticks)
-	}
-	if n.latestCheckpoint == nil || n.latestCheckpoint.State != nil {
-		t.Fatal("the rolling checkpoint carries a state copy (or is missing); it should carry none")
-	}
-	last := atFold[len(atFold)-1]
-	if live := n.DB().Hash(); live == last {
-		t.Fatal("nothing executed after the last tick; the test shows nothing")
-	}
-	if got := n.latestState.Store().Hash(); got != last {
-		t.Fatal("the rolling checkpoint's view is not the state as of its fold")
-	}
-	if delta == 0 || delta >= ticks*int64(n.DB().Len()) {
-		t.Fatalf("checkpoint-delta-keys = %d over %d ticks of a %d-key store", delta, ticks, n.DB().Len())
-	}
-}
-
 // TestNodeRejoinViaStateTransfer crashes a follower node mid-run and revives
 // it. The emulator discards every timer that fired while the node was down,
 // so a revived node is inert unless the checkpointed-rejoin path re-arms its
@@ -404,7 +399,6 @@ func TestNodeRejoinViaStateTransfer(t *testing.T) {
 	cfg.RunFor = 6 * time.Second
 	cfg.TakeoverTimeout = 300 * time.Millisecond
 	cfg.RepairTimeout = 300 * time.Millisecond
-	cfg.CheckpointInterval = 500 * time.Millisecond
 	c, err := cluster.New(cfg, NewNode)
 	if err != nil {
 		t.Fatal(err)
@@ -423,9 +417,6 @@ func TestNodeRejoinViaStateTransfer(t *testing.T) {
 	}
 	if m.Counter("rejoin-served") == 0 {
 		t.Fatalf("no peer served the rejoin request: %s", m.Summary())
-	}
-	if m.Counter("checkpoints") == 0 {
-		t.Fatalf("periodic checkpoint fold never ran: %s", m.Summary())
 	}
 	// The recovered node participates in the consistency check: it must have
 	// caught up completely, not just resumed.
@@ -566,7 +557,6 @@ func TestRejoinRejectsCorruptSuffix(t *testing.T) {
 	cfg.RunFor = 6 * time.Second
 	cfg.TakeoverTimeout = 300 * time.Millisecond
 	cfg.RepairTimeout = 300 * time.Millisecond
-	cfg.CheckpointInterval = 500 * time.Millisecond
 	c, err := cluster.New(cfg, NewNode)
 	if err != nil {
 		t.Fatal(err)
@@ -634,7 +624,6 @@ func TestRejoinRejectsForgedPendingEntry(t *testing.T) {
 	cfg.RunFor = 4500 * time.Millisecond
 	cfg.TakeoverTimeout = 300 * time.Millisecond
 	cfg.RepairTimeout = 300 * time.Millisecond
-	cfg.CheckpointInterval = 500 * time.Millisecond
 	c, err := cluster.New(cfg, NewNode)
 	if err != nil {
 		t.Fatal(err)
@@ -708,7 +697,6 @@ func TestRejoinRejectsForgedGroupTable(t *testing.T) {
 	cfg.RunFor = 4500 * time.Millisecond
 	cfg.TakeoverTimeout = 300 * time.Millisecond
 	cfg.RepairTimeout = 300 * time.Millisecond
-	cfg.CheckpointInterval = 500 * time.Millisecond
 	c, err := cluster.New(cfg, NewNode)
 	if err != nil {
 		t.Fatal(err)

@@ -288,7 +288,6 @@ func TestCheckpointInstallsAlikeOnBothFabrics(t *testing.T) {
 		c.RunUntil(at)
 	}
 	ck := server.foldCheckpoint(0)
-	ck.State = server.DB().Clone()
 	wire := throughCodec(t, &cluster.RejoinResp{C: ck}).(*cluster.RejoinResp)
 
 	install := func(resp *cluster.RejoinResp) *Node {

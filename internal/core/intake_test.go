@@ -104,7 +104,6 @@ func TestHostileIDsDoNotPanic(t *testing.T) {
 	}
 	n.ctx.Net = &recordingEndpoint{Endpoint: n.ctx.Net}
 	ck := n.foldCheckpoint(n.ledger.Height())
-	ck.State = n.DB().Clone()
 	for _, g := range []int{n.ng, 1<<31 - 1} {
 		for _, p := range hostileEnvelopes(g, ck) {
 			p := throughCodec(t, p)
@@ -205,7 +204,6 @@ func TestRejoinResetsOriginRows(t *testing.T) {
 	c.Run()
 	n := c.Nodes[keys.NodeID{Group: 1, Index: 2}].(*Node)
 	ck := n.foldCheckpoint(n.ledger.Height())
-	ck.State = n.DB().Clone()
 	ck.Local.Slots, ck.Meta.Slots, ck.Batches = nil, nil, nil
 	if part := ck.Groups[0]; part.Executed == 0 || part.TS == 0 || part.Next == 0 {
 		t.Fatalf("the checkpoint holds empty rows: %+v", part)

@@ -14,23 +14,22 @@ import (
 // group death certifies unless a schedule wants one.
 func membershipCfg(sizes []int, standby int, seed int64) cluster.Config {
 	cfg := cluster.Config{
-		GroupSizes:         sizes,
-		Opts:               cluster.PresetMassBFT(),
-		Workload:           "ycsb-a",
-		Seed:               seed,
-		MaxBatch:           10,
-		BatchTimeout:       10 * time.Millisecond,
-		PipelineDepth:      4,
-		RunFor:             5 * time.Second,
-		Warmup:             300 * time.Millisecond,
-		TakeoverTimeout:    200 * time.Millisecond,
-		ViewChangeTimeout:  300 * time.Millisecond,
-		SuspectTimeout:     3 * time.Second,
-		RepairTimeout:      100 * time.Millisecond,
-		CheckpointInterval: 300 * time.Millisecond,
-		RejoinTimeout:      300 * time.Millisecond,
-		TrustAll:           true,
-		StandbyGroups:      standby,
+		GroupSizes:        sizes,
+		Opts:              cluster.PresetMassBFT(),
+		Workload:          "ycsb-a",
+		Seed:              seed,
+		MaxBatch:          10,
+		BatchTimeout:      10 * time.Millisecond,
+		PipelineDepth:     4,
+		RunFor:            5 * time.Second,
+		Warmup:            300 * time.Millisecond,
+		TakeoverTimeout:   200 * time.Millisecond,
+		ViewChangeTimeout: 300 * time.Millisecond,
+		SuspectTimeout:    3 * time.Second,
+		RepairTimeout:     100 * time.Millisecond,
+		RejoinTimeout:     300 * time.Millisecond,
+		TrustAll:          true,
+		StandbyGroups:     standby,
 	}
 	return cfg
 }

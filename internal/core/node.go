@@ -263,15 +263,6 @@ type Node struct {
 	rejoining      bool
 	rejoinAttempts int
 	rejoinBuf      []transport.Message
-	// latestCheckpoint is the periodic fold (CheckpointInterval) with State
-	// nil, and latestState the store's view as of the same tick — valid until
-	// the next tick or a state-transfer install, both of which replace the
-	// pair. Rejoin serving folds fresh, but the periodic fold models the
-	// persistence a real deployment would restart from. checkpointHook, set
-	// only by tests, runs at the end of each tick.
-	latestCheckpoint *cluster.Checkpoint
-	latestState      *statedb.Snapshot
-	checkpointHook   func()
 }
 
 // archived is the post-execution remnant of an entry kept for recovery
@@ -449,9 +440,6 @@ func (n *Node) armTicks() {
 	}
 	if cadence > 0 {
 		n.everyAfter(cadence, cadence/2, n.repairTick)
-	}
-	if n.cfg.CheckpointInterval > 0 {
-		n.everyAfter(n.cfg.CheckpointInterval, n.cfg.CheckpointInterval, n.checkpointTick)
 	}
 }
 

@@ -40,7 +40,6 @@ func TestRetentionIsBounded(t *testing.T) {
 	cfg.ViewChangeTimeout = 400 * time.Millisecond
 	cfg.TakeoverTimeout = 400 * time.Millisecond
 	cfg.RepairTimeout = 150 * time.Millisecond
-	cfg.CheckpointInterval = 500 * time.Millisecond
 	c, err := cluster.New(cfg, NewNode)
 	if err != nil {
 		t.Fatal(err)

@@ -38,11 +38,6 @@ type Counts struct {
 	// The serving side: chunk repairs, stream fetches and state transfers
 	// answered.
 	RepairServed, StreamRepairServed, RejoinServed int64
-	// The periodic checkpoint folds (Config.CheckpointInterval, summed over
-	// nodes) and the distinct keys written under the view each fold replaced:
-	// their quotient is what one fold cost, against a state of Store.Len()
-	// keys that it no longer copies.
-	Checkpoints, CheckpointDeltaKeys int64
 	// Offered checkpoints a rejoining node refused: a ledger suffix that does
 	// not chain to its own, a pending entry its certificate does not cover,
 	// or a group table with an id out of range, a cut list that does not

@@ -2,20 +2,17 @@
 // prototype uses to hold database state (§VI "Implementation"). It offers a
 // point-lookup/update interface for the Aria executor, a deterministic
 // digest so tests can assert that every node converged to an identical
-// state, and an O(1) copy-on-write Snapshot — a read-only view "as of now"
-// whose cost is paid by the writes that follow it, which is what a periodic
-// checkpoint holds (snapshot.go).
+// state, and Clone, the point-in-time copy a state transfer ships: its own
+// records, sharing the immutable values.
 //
 // The hash table comes in two halves (table.go). Keys are hashed once and
 // filed in an Index, which gives each a dense process-local id at first
 // sight and which the stores of one process share, so a key is copied once
 // per process however many stores hold it. Each store keeps its own
-// 16-byte Record per id: a reference to the value, and the mark that lets a
-// snapshot's before-image be reached through the record the lookup already
-// touched; committed writes come back by id. Ids, hashes and record layout
-// depend on the order a process happened to file keys in; nothing
-// observable does — Hash, Save, ByteSize and state transfer are defined
-// over sorted keys.
+// 16-byte Record per id, a reference to the value; committed writes come
+// back by id. Ids, hashes and record layout depend on the order a process
+// happened to file keys in; nothing observable does — Hash, Save, ByteSize
+// and state transfer are defined over sorted keys.
 package statedb
 
 import (
@@ -51,13 +48,6 @@ type Store struct {
 	ix   *Index
 	recs records
 	live int // records that are present: Len()
-
-	// snap is the open Snapshot, nil when there is none; before holds what
-	// each record written since snap was taken held at that moment, found
-	// through Record.image. The slice outlives the snapshots (emptied, not
-	// reallocated, when one closes), and is empty whenever snap is nil.
-	snap   *Snapshot
-	before []image
 }
 
 // New returns an empty store on an index of its own.
@@ -231,16 +221,13 @@ func (s *Store) write(key string, val []byte, present bool) {
 	s.set(id, val, present)
 }
 
-// set is the one place a record's value changes: it keeps the open
-// snapshot's before-image and the live count. Caller holds s.mu for writing.
+// set is the one place a record's value changes: it keeps the live count.
+// Caller holds s.mu for writing.
 func (s *Store) set(id int32, val []byte, present bool) {
 	r := s.recs.at(id)
 	_, was := r.Value()
 	if !present && !was {
 		return // deleting what is not there writes nothing, record or no record
-	}
-	if s.snap != nil {
-		s.remember(id, r)
 	}
 	if present != was {
 		if present {
@@ -298,8 +285,7 @@ func (s *Store) Hash() [32]byte {
 // Clone returns an independent store with the same contents on the same
 // index: its own records, sharing the (immutable) value slices — an O(keys)
 // copy. A checkpoint that leaves the node (state transfer) and tests that
-// fork identical initial states use it; a checkpoint the node keeps takes a
-// Snapshot instead.
+// fork identical initial states use it.
 func (s *Store) Clone() *Store {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
@@ -310,14 +296,12 @@ func (s *Store) Clone() *Store {
 // as Clone does; the receiver pointer stays valid, so holders (e.g. an
 // execution engine) see the transferred state without rewiring. Each of
 // from's keys is filed in this store's index, which finds it already there
-// when the two share one. It closes the open Snapshot, if any: the installed
-// state is not the one the view described. Used by checkpointed node rejoin.
+// when the two share one. Used by checkpointed node rejoin.
 func (s *Store) Restore(from *Store) {
 	c := from.Clone()
 	keys := c.ix.filed()
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.closeSnapshot()
 	s.recs, s.live = records{}, 0
 	for id := int32(0); int(id) < c.recs.n; id++ {
 		if val, ok := c.recs.at(id).Value(); ok {

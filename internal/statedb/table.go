@@ -235,19 +235,14 @@ func (ix *Index) file(key []byte, h uint32) int32 {
 	return ix.k.insert(key, h)
 }
 
-// Record is what a store keeps per key id, in 16 bytes: a reference to the
-// key's value, which says whether the key is present, and the open
-// snapshot's before-image mark. A simulated cluster holds a record per key
-// per node, so every byte here is paid once per key per store. A key that is
-// deleted keeps its record (absent, no value), ready for the next insert.
+// Record is what a store keeps per key id, in 16 bytes (12 and the pointer's
+// alignment): a reference to the key's value, which says whether the key is
+// present. A simulated cluster holds a record per key per node, so every
+// byte here is paid once per key per store. A key that is deleted keeps its
+// record (absent, no value), ready for the next insert.
 type Record struct {
 	p *byte  // the value's first byte (ref)
 	n uint32 // len(value) | presentBit
-
-	// image is the before-image mark: the index in Store.before of what the
-	// key held when the open snapshot was taken, valid only if that entry
-	// names this record.
-	image uint32
 }
 
 // presentBit is the bit of a value reference's length word that says the key
@@ -294,7 +289,7 @@ func (rs *records) at(id int32) *Record {
 	return &rs.chunks[id>>recChunkBits][id&(recChunkSize-1)]
 }
 
-// cover makes ids up to id have a record, absent and unmarked.
+// cover makes ids up to id have a record, absent.
 func (rs *records) cover(id int32) {
 	for ; rs.n <= int(id); rs.n++ {
 		if rs.n>>recChunkBits == len(rs.chunks) {
@@ -305,9 +300,7 @@ func (rs *records) cover(id int32) {
 }
 
 // clone returns independent records holding the same values, sharing the
-// (immutable) values: a copy of each chunk. Before-image marks come along:
-// a mark counts only if the store's open snapshot has the image it names
-// (imageOf), and a copy starts with no snapshot.
+// (immutable) values: a copy of each chunk.
 func (rs *records) clone() records {
 	c := records{n: rs.n}
 	for _, src := range rs.chunks {

@@ -5,6 +5,7 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
+	"maps"
 	"runtime"
 	"sort"
 	"strings"
@@ -29,38 +30,20 @@ var fuzzKeys = func() []string {
 var fuzzVals = [][]byte{nil, {}, []byte("a"), []byte("bb"), bytes.Repeat([]byte{7}, 100)}
 
 // mapModel is the store FuzzStoreAgainstMap compares against: a map of the
-// present keys, with the open snapshot as a copy of the map taken then and
-// the set of keys written since.
+// present keys.
 type mapModel struct {
-	data    map[string][]byte
-	snap    map[string][]byte // nil: no open snapshot
-	written map[string]bool
+	data map[string][]byte
 }
 
 func newModel() *mapModel { return &mapModel{data: map[string][]byte{}} }
 
 func (m *mapModel) write(k string, v []byte, present bool) {
-	if _, held := m.data[k]; !held && !present {
-		return // deleting an absent key is not a write
-	}
-	if m.snap != nil {
-		m.written[k] = true
-	}
 	if present {
 		m.data[k] = v
 	} else {
 		delete(m.data, k)
 	}
 }
-
-func (m *mapModel) openSnapshot() {
-	m.snap, m.written = make(map[string][]byte, len(m.data)), map[string]bool{}
-	for k, v := range m.data {
-		m.snap[k] = v
-	}
-}
-
-func (m *mapModel) closeSnapshot() { m.snap, m.written = nil, nil }
 
 func sortedRecs(data map[string][]byte) []rec {
 	out := make([]rec, 0, len(data))
@@ -121,11 +104,12 @@ func agree(t *testing.T, what string, s *Store, data map[string][]byte) {
 // FuzzStoreAgainstMap drives two stores on one index and two map models
 // through the same random sequence of every mutator — the executor's Commit
 // among them — and every way a store is copied, and after each step compares
-// everything observable: Get over the whole key space, Len, ByteSize, Hash,
-// Save bytes, and the open snapshot's Get, Delta and materialisation. The
-// stores file keys in each other's index, Restore from each other on it, and
-// leave it for one of their own by Load, so Restore crosses indexes too.
-// Three input bytes make one step.
+// everything observable: Get over the whole key space, Len, ByteSize, Hash
+// and Save bytes, of the current store and of a clone held since an earlier
+// step, which must still hold what its source did then. The stores file keys
+// in each other's index, Restore from each other on it, and leave it for one
+// of their own by Load, so Restore crosses indexes too. Three input bytes
+// make one step.
 func FuzzStoreAgainstMap(f *testing.F) {
 	var grow, churn []byte
 	for i := range fuzzKeys {
@@ -133,7 +117,7 @@ func FuzzStoreAgainstMap(f *testing.F) {
 		churn = append(churn, byte(i%11), byte(i*7), byte(i))
 	}
 	f.Add(grow)
-	f.Add(append(append([]byte{5, 0, 0}, grow...), churn...)) // all of it under a snapshot
+	f.Add(append(append([]byte{5, 0, 0}, grow...), churn...)) // all of it beside a held clone
 	f.Add([]byte{0, 0, 0, 5, 0, 0, 2, 0, 0, 0, 0, 2, 6, 0, 0})
 	f.Add([]byte{1, 3, 0, 5, 0, 0, 3, 3, 0, 8, 0, 0, 9, 0, 0, 10, 0, 0, 7, 0, 0})
 	f.Add([]byte{12, 0, 2, 7, 0, 0, 12, 0, 3, 0, 9, 1, 7, 0, 0, 5, 0, 0, 12, 9, 4, 9, 0, 0, 10, 0, 0, 7, 0, 0, 9, 0, 0})
@@ -141,7 +125,8 @@ func FuzzStoreAgainstMap(f *testing.F) {
 		ix := NewIndex()
 		s, m := NewOn(ix), newModel()
 		other, otherM := NewOn(ix), newModel()
-		var sn *Snapshot
+		var held *Store // a clone of an earlier step's store, and what it held then
+		var heldData map[string][]byte
 		for step := 0; len(in) >= 3 && step < 400; step++ {
 			op, ki, v := in[0]%13, int(in[1]), fuzzVals[int(in[2])%len(fuzzVals)]
 			k := fuzzKeys[ki]
@@ -173,32 +158,16 @@ func FuzzStoreAgainstMap(f *testing.F) {
 					s.ApplyBatch(w)
 				}
 			case 5:
-				sn = s.Snapshot()
-				m.openSnapshot()
+				held, heldData = s.Clone(), maps.Clone(m.data)
 			case 6:
-				if sn != nil {
-					sn.Release()
-					sn = nil
-					m.closeSnapshot()
-				}
-			case 7: // carry on with the other pair; only the current one has a view open
-				if sn != nil {
-					sn.Release()
-					sn = nil
-					m.closeSnapshot()
-				}
+				held, heldData = nil, nil
+			case 7: // carry on with the other pair
 				s, other, m, otherM = other, s, otherM, m
 			case 8:
-				s, sn = s.Clone(), nil
-				m.closeSnapshot()
+				s = s.Clone()
 			case 9:
 				s.Restore(other)
-				sn = nil
-				m.closeSnapshot()
-				m.data = make(map[string][]byte, len(otherM.data))
-				for k, v := range otherM.data {
-					m.data[k] = v
-				}
+				m.data = maps.Clone(otherM.data)
 			case 10:
 				var buf bytes.Buffer
 				if err := s.Save(&buf); err != nil {
@@ -208,13 +177,11 @@ func FuzzStoreAgainstMap(f *testing.F) {
 				if err != nil {
 					t.Fatalf("step %d: Load of Save: %v", step, err)
 				}
-				s, sn = loaded, nil
-				m.closeSnapshot()
+				s = loaded
 			case 11:
-				if sn != nil { // a materialised snapshot is a store like any other
-					s, sn = sn.Store(), nil
-					m.data = m.snap
-					m.closeSnapshot()
+				if held != nil { // a held clone is a store like any other
+					s, m.data = held, heldData
+					held, heldData = nil, nil
 				}
 			case 12: // three keys from k on, the second deleted, committed as the executor does
 				commit(s, fuzzKeys[ki], fuzzKeys[(ki+5)%len(fuzzKeys)], fuzzKeys[(ki+10)%len(fuzzKeys)], v)
@@ -224,20 +191,9 @@ func FuzzStoreAgainstMap(f *testing.F) {
 			}
 			what := fmt.Sprintf("step %d (op %d, key %q)", step, op, k)
 			agree(t, what, s, m.data)
-			if sn == nil {
-				continue
+			if held != nil {
+				agree(t, what+" held clone", held, heldData)
 			}
-			if sn.Delta() != len(m.written) {
-				t.Fatalf("%s: Delta %d, model %d", what, sn.Delta(), len(m.written))
-			}
-			for _, k := range fuzzKeys {
-				got, ok := sn.Get(k)
-				want, wok := m.snap[k]
-				if ok != wok || !bytes.Equal(got, want) {
-					t.Fatalf("%s: snapshot Get(%q) = %q, %v; model %q, %v", what, k, got, ok, want, wok)
-				}
-			}
-			agree(t, what+" materialised", sn.Store(), m.snap)
 		}
 	})
 }
@@ -293,74 +249,17 @@ func TestKeyIDsAreNotObservable(t *testing.T) {
 	}
 
 	sameStores(t, "live", a, b)
-	sa, sb := a.Snapshot(), b.Snapshot()
-	for i := 0; i < n; i += 3 { // the views must not see these, in either order
+	sa, sb := a.Clone(), b.Clone()
+	for i := 0; i < n; i += 3 { // the clones must not see these, in either order
 		a.Delete(keys[i])
 		b.Put(keys[n-1-i], nil)
 	}
-	sameStores(t, "Snapshot.Store()", sa.Store(), sb.Store())
+	sameStores(t, "Clone", sa, sb)
 	ra, rb := New(), New()
-	ra.Restore(sa.Store().Clone())
-	rb.Restore(sb.Store().Clone())
+	ra.Restore(sa)
+	rb.Restore(sb)
 	sameStores(t, "Clone→Restore", ra, rb)
-	sameStores(t, "Clone→Restore against the source", ra, sb.Store())
-}
-
-// TestMarksDoNotSurviveACopy: the before-image marks describe one store's
-// open snapshot. Every way of copying a store — onto its own index or onto
-// another — must leave the snapshot behind, and a mark a copy carries must
-// count for nothing, in the copy's own next snapshot as well.
-func TestMarksDoNotSurviveACopy(t *testing.T) {
-	ix := NewIndex()
-	sibling := NewOn(ix)
-	for i := 0; i < 300; i++ {
-		sibling.Put(fmt.Sprintf("sibling%d", i), []byte{3}) // ids the store below never holds
-	}
-	s := NewOn(ix)
-	for i := 0; i < 600; i++ {
-		s.Put(fmt.Sprintf("k%d", i), []byte{1})
-	}
-	sn := s.Snapshot()
-	for i := 0; i < 600; i++ {
-		s.Put(fmt.Sprintf("k%d", i), []byte{2}) // every record gets a before-image mark
-	}
-	var buf bytes.Buffer
-	if err := s.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	loaded, err := Load(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	restored, onIndex, reloaded := New(), NewOn(ix), NewOn(ix)
-	restored.Restore(s)
-	onIndex.Restore(s)
-	reloaded.Restore(loaded)
-	for name, c := range map[string]*Store{
-		"Clone": s.Clone(), "Restore": restored, "Load": loaded, "Snapshot.Store": sn.Store(),
-		"Restore on the index": onIndex, "Restore of a Load on the index": reloaded,
-	} {
-		if c.snap != nil || len(c.before) != 0 {
-			t.Fatalf("%s: the copy has an open snapshot", name)
-		}
-		want := make([][]byte, 600)
-		for i := range want {
-			want[i], _ = c.Get(fmt.Sprintf("k%d", i))
-		}
-		csn := c.Snapshot()
-		for i := 599; i >= 0; i-- { // against the order the marks were set in
-			c.Put(fmt.Sprintf("k%d", i), []byte{4})
-		}
-		for i := range want {
-			if got, ok := csn.Get(fmt.Sprintf("k%d", i)); !ok || !bytes.Equal(got, want[i]) {
-				t.Fatalf("%s: the copy's snapshot holds %q for k%d, want %q", name, got, i, want[i])
-			}
-		}
-		if csn.Delta() != 600 {
-			t.Fatalf("%s: the copy's snapshot holds %d before-images for 600 keys written", name, csn.Delta())
-		}
-		csn.Release()
-	}
+	sameStores(t, "Clone→Restore against the source", ra, sb)
 }
 
 // TestPerKeyFootprint: a simulated cluster holds a record per key per node,
@@ -447,22 +346,22 @@ func TestSharedIndexStoresAgree(t *testing.T) {
 	sameStores(t, "live", a, b)
 	sameStores(t, "live, against a private index", a, private)
 
-	sa, sb, sp := a.Snapshot(), b.Snapshot(), private.Snapshot()
-	for i := 0; i < n; i += 3 { // the views must not see these
+	sa, sb, sp := a.Clone(), b.Clone(), private.Clone()
+	for i := 0; i < n; i += 3 { // the clones must not see these
 		a.Delete(keys[i])
 		b.Put(keys[n-1-i], nil)
 		private.Put(fmt.Sprintf("new%d", i), nil)
 	}
-	sameStores(t, "Snapshot.Store()", sa.Store(), sb.Store())
-	sameStores(t, "Snapshot.Store(), against a private index", sa.Store(), sp.Store())
+	sameStores(t, "Clone", sa, sb)
+	sameStores(t, "Clone, against a private index", sa, sp)
 
 	ra, rb, rp := NewOn(ix), NewOn(ix), New()
-	ra.Restore(sa.Store().Clone())
-	rb.Restore(sb.Store().Clone())
-	rp.Restore(sp.Store().Clone())
+	ra.Restore(sa)
+	rb.Restore(sb)
+	rp.Restore(sp)
 	sameStores(t, "Clone→Restore", ra, rb)
 	sameStores(t, "Clone→Restore, against a private index", ra, rp)
-	sameStores(t, "Clone→Restore against the source", ra, sb.Store())
+	sameStores(t, "Clone→Restore against the source", ra, sb)
 }
 
 // TestKeyFiledElsewhereIsNeverHeld: a key another store filed in the shared
@@ -478,14 +377,13 @@ func TestKeyFiledElsewhereIsNeverHeld(t *testing.T) {
 	want := New()
 	want.Put("b0", []byte("v"))
 	want.Put("b1", []byte("w"))
-	sn := b.Snapshot()
-	defer sn.Release()
+	c := b.Clone()
 	for _, k := range []string{"gap", "beyond"} {
 		if v, ok := b.Get(k); ok {
 			t.Errorf("Get(%q) = %q in a store that never held it", k, v)
 		}
-		if v, ok := sn.Get(k); ok {
-			t.Errorf("Snapshot.Get(%q) = %q in a store that never held it", k, v)
+		if v, ok := c.Get(k); ok {
+			t.Errorf("Clone().Get(%q) = %q in a store that never held it", k, v)
 		}
 		b.View(func(r Reader) {
 			if v, ok := r.Get(k); ok {
@@ -504,7 +402,7 @@ func TestKeyFiledElsewhereIsNeverHeld(t *testing.T) {
 		})
 	}
 	sameStores(t, "a store beside the one that filed the keys", b, want)
-	sameStores(t, "its snapshot", sn.Store(), want)
+	sameStores(t, "its clone", c, want)
 	if b.Records() > 3 {
 		t.Errorf("b keeps %d records: reading a key must not make the store hold it", b.Records())
 	}
@@ -523,7 +421,6 @@ func TestRestoreLoadedIntoSharedIndex(t *testing.T) {
 		src.Delete(fmt.Sprintf("k%03d%s", i, strings.Repeat("y", i%35)))
 		dst.Put(fmt.Sprintf("dst%d", i), []byte{1}) // keys only dst holds, to be replaced
 	}
-	dst.Snapshot() // Restore closes it
 	var buf bytes.Buffer
 	if err := src.Save(&buf); err != nil {
 		t.Fatal(err)

@@ -145,12 +145,9 @@ type Config struct {
 	// RepairTimeout arms the recovery scans (chunk-gap repair, entry fetch
 	// retry with peer rotation, stream-gap repair); zero disables them.
 	RepairTimeout time.Duration
-	// CheckpointInterval is how often nodes fold their rolling checkpoint:
-	// ledger height, orderer clocks and consensus state by value, the state
-	// store as a copy-on-write view, so a tick costs what was written since
-	// the previous one, not the size of the state. Zero disables periodic
-	// checkpoints, though a rejoining node still gets a fresh fold (with a
-	// copy of the state) on demand.
+	// Deprecated: CheckpointInterval is read by nothing. Nodes keep no
+	// rolling checkpoint; a rejoining node gets a fresh fold, with a copy of
+	// the state, on demand.
 	CheckpointInterval time.Duration
 	// RejoinTimeout bounds one state-transfer attempt of a recovering node
 	// before it retries another group peer.
@@ -249,14 +246,13 @@ func NewCluster(cfg Config) (*Cluster, error) {
 		TakeoverTimeout:   cfg.TakeoverTimeout,
 		SuspectTimeout:    cfg.SuspectTimeout,
 
-		RepairTimeout:      cfg.RepairTimeout,
-		CheckpointInterval: cfg.CheckpointInterval,
-		RejoinTimeout:      cfg.RejoinTimeout,
-		WANDropRate:        cfg.WANDropRate,
-		WANDupRate:         cfg.WANDupRate,
-		LANDropRate:        cfg.LANDropRate,
-		FaultJitter:        cfg.FaultJitter,
-		TraceEnabled:       cfg.TracePath != "",
+		RepairTimeout: cfg.RepairTimeout,
+		RejoinTimeout: cfg.RejoinTimeout,
+		WANDropRate:   cfg.WANDropRate,
+		WANDupRate:    cfg.WANDupRate,
+		LANDropRate:   cfg.LANDropRate,
+		FaultJitter:   cfg.FaultJitter,
+		TraceEnabled:  cfg.TracePath != "",
 	}
 	if cfg.Custom != nil {
 		registerCustom(&inner, cfg.Custom, cfg.Seed)

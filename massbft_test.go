@@ -4,6 +4,9 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -39,9 +42,12 @@ func TestNewClusterValidation(t *testing.T) {
 	}
 }
 
-// TestLayoutValidationBothFabrics: the group-layout, proposer-bound and
-// StandbyGroups rules are one cluster.Config.Validate, so the simulator's NewCluster and the
+// TestLayoutValidationBothFabrics: the group-layout, proposer-bound, timeout
+// and StandbyGroups rules are one cluster.Config.Validate, so the simulator's NewCluster and the
 // process deployment's Topology reject the same layouts with the same words.
+// withDefaults replaces zeros only, so a negative timeout or rate would reach
+// the nodes (a negative BatchTimeout re-arms its timer at the instant it
+// fires, and Run never returns): the knobs rows.
 // The rules about addresses have no simulated counterpart (addrs rows): there
 // LoadTopology's validate, StartNode and DialClients say the same words.
 func TestLayoutValidationBothFabrics(t *testing.T) {
@@ -53,7 +59,8 @@ func TestLayoutValidationBothFabrics(t *testing.T) {
 		protocol Protocol
 		maxBatch int
 		depth    int
-		addrs    func(*Topology) // edits a full address list; the row is Topology-only
+		knobs    func(*Config, *Topology) // sets one knob alike on both
+		addrs    func(*Topology)          // edits a full address list; the row is Topology-only
 		ok       bool
 	}{
 		{name: "no groups"},
@@ -64,6 +71,26 @@ func TestLayoutValidationBothFabrics(t *testing.T) {
 		{name: "standby without takeover timeout", groups: []int{4, 4, 4}, standby: 1},
 		{name: "standby under geobft", groups: []int{4, 4, 4}, standby: 1, takeover: time.Second, protocol: ProtocolGeoBFT},
 		{name: "two active groups and a standby", groups: []int{4, 4, 4}, standby: 1, takeover: time.Second, ok: true},
+		{name: "negative batch timeout", groups: []int{4, 4},
+			knobs: func(c *Config, tp *Topology) { c.BatchTimeout, tp.BatchTimeoutMS = -20*time.Millisecond, -20 }},
+		{name: "negative view-change timeout", groups: []int{4, 4},
+			knobs: func(c *Config, tp *Topology) { c.ViewChangeTimeout, tp.ViewChangeTimeoutMS = -time.Second, -1000 }},
+		{name: "negative takeover timeout", groups: []int{4, 4}, takeover: -time.Second},
+		{name: "negative suspect timeout", groups: []int{4, 4}, takeover: time.Second,
+			knobs: func(c *Config, tp *Topology) { c.SuspectTimeout, tp.SuspectTimeoutMS = -time.Second, -1000 }},
+		{name: "negative repair timeout", groups: []int{4, 4},
+			knobs: func(c *Config, tp *Topology) { c.RepairTimeout, tp.RepairTimeoutMS = -time.Millisecond, -1 }},
+		{name: "negative rejoin timeout", groups: []int{4, 4},
+			knobs: func(c *Config, tp *Topology) { c.RejoinTimeout, tp.RejoinTimeoutMS = -time.Second, -1000 }},
+		{name: "negative group rate", groups: []int{4, 4},
+			knobs: func(c *Config, tp *Topology) { c.GroupRate, tp.GroupRate = []float64{100, -1}, []float64{100, -1} }},
+		{name: "every timeout and rate positive", groups: []int{4, 4}, takeover: time.Second, ok: true,
+			knobs: func(c *Config, tp *Topology) {
+				c.BatchTimeout, c.ViewChangeTimeout, c.SuspectTimeout = 20*time.Millisecond, time.Second, time.Second
+				c.RepairTimeout, c.RejoinTimeout, c.GroupRate = time.Millisecond, time.Second, []float64{100, 0}
+				tp.BatchTimeoutMS, tp.ViewChangeTimeoutMS, tp.SuspectTimeoutMS = 20, 1000, 1000
+				tp.RepairTimeoutMS, tp.RejoinTimeoutMS, tp.GroupRate = 1, 1000, []float64{100, 0}
+			}},
 		{name: "gateway addresses and clients", groups: []int{2, 2}, ok: true,
 			addrs: func(tp *Topology) { tp.Clients, tp.Nodes[0].Gateway = 4, "h:9" }},
 		{name: "gateway address without clients", groups: []int{2, 2},
@@ -71,11 +98,15 @@ func TestLayoutValidationBothFabrics(t *testing.T) {
 		{name: "one address as addr and gateway", groups: []int{2, 2},
 			addrs: func(tp *Topology) { tp.Clients, tp.Nodes[3].Gateway = 4, tp.Nodes[0].Addr }},
 	} {
-		_, simErr := NewCluster(Config{Groups: tc.groups, StandbyGroups: tc.standby,
-			TakeoverTimeout: tc.takeover, Protocol: tc.protocol, MaxBatch: tc.maxBatch, PipelineDepth: tc.depth})
+		cfg := Config{Groups: tc.groups, StandbyGroups: tc.standby,
+			TakeoverTimeout: tc.takeover, Protocol: tc.protocol, MaxBatch: tc.maxBatch, PipelineDepth: tc.depth}
 		topo := &Topology{Groups: tc.groups, StandbyGroups: tc.standby,
 			TakeoverTimeoutMS: int(tc.takeover / time.Millisecond), Protocol: tc.protocol,
 			MaxBatch: tc.maxBatch, PipelineDepth: tc.depth}
+		if tc.knobs != nil {
+			tc.knobs(&cfg, topo)
+		}
+		_, simErr := NewCluster(cfg)
 		_, topoErr := topo.clusterConfig()
 		if tc.addrs != nil {
 			for g, size := range tc.groups {
@@ -105,6 +136,16 @@ func TestLayoutValidationBothFabrics(t *testing.T) {
 		} else if simErr.Error() != "massbft: "+topoErr.Error() {
 			t.Errorf("%s: NewCluster says %q, Topology %q", tc.name, simErr, topoErr)
 		}
+	}
+
+	// A topology file is outside input: the knob reaches Validate from JSON.
+	path := filepath.Join(t.TempDir(), "topology.json")
+	file := `{"groups": [1, 1], "nodes": [{"group": 0, "index": 0, "addr": "h:0"}, {"group": 1, "index": 0, "addr": "h:1"}], "batch_timeout_ms": -20}`
+	if err := os.WriteFile(path, []byte(file), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := LoadTopology(path); err == nil || !strings.Contains(err.Error(), "negative BatchTimeout") {
+		t.Errorf("LoadTopology of a negative batch_timeout_ms says %v", err)
 	}
 }
 

@@ -50,16 +50,18 @@ type Topology struct {
 	Protocol Protocol `json:"protocol,omitempty"`
 	Workload string   `json:"workload,omitempty"`
 
-	BatchTimeoutMS       int       `json:"batch_timeout_ms,omitempty"`
-	MaxBatch             int       `json:"max_batch,omitempty"`
-	PipelineDepth        int       `json:"pipeline_depth,omitempty"`
-	GroupRate            []float64 `json:"group_rate,omitempty"`
-	ViewChangeTimeoutMS  int       `json:"view_change_timeout_ms,omitempty"`
-	TakeoverTimeoutMS    int       `json:"takeover_timeout_ms,omitempty"`
-	SuspectTimeoutMS     int       `json:"suspect_timeout_ms,omitempty"`
-	RepairTimeoutMS      int       `json:"repair_timeout_ms,omitempty"`
-	CheckpointIntervalMS int       `json:"checkpoint_interval_ms,omitempty"`
-	RejoinTimeoutMS      int       `json:"rejoin_timeout_ms,omitempty"`
+	BatchTimeoutMS      int       `json:"batch_timeout_ms,omitempty"`
+	MaxBatch            int       `json:"max_batch,omitempty"`
+	PipelineDepth       int       `json:"pipeline_depth,omitempty"`
+	GroupRate           []float64 `json:"group_rate,omitempty"`
+	ViewChangeTimeoutMS int       `json:"view_change_timeout_ms,omitempty"`
+	TakeoverTimeoutMS   int       `json:"takeover_timeout_ms,omitempty"`
+	SuspectTimeoutMS    int       `json:"suspect_timeout_ms,omitempty"`
+	RepairTimeoutMS     int       `json:"repair_timeout_ms,omitempty"`
+	RejoinTimeoutMS     int       `json:"rejoin_timeout_ms,omitempty"`
+	// Deprecated: CheckpointIntervalMS is read by nothing (nodes keep no
+	// rolling checkpoint).
+	CheckpointIntervalMS int `json:"checkpoint_interval_ms,omitempty"`
 	// RealCrypto verifies Ed25519 signatures for real (recommended off
 	// loopback; on a real WAN you want it).
 	RealCrypto bool `json:"real_crypto,omitempty"`
@@ -168,22 +170,21 @@ func (t *Topology) clusterConfig() (cluster.Config, error) {
 	}
 	ms := func(v int) time.Duration { return time.Duration(v) * time.Millisecond }
 	cfg := cluster.Config{
-		GroupSizes:         t.Groups,
-		Opts:               opts,
-		Workload:           t.Workload,
-		Seed:               t.Seed,
-		BatchTimeout:       ms(t.BatchTimeoutMS),
-		MaxBatch:           t.MaxBatch,
-		PipelineDepth:      t.PipelineDepth,
-		GroupRate:          t.GroupRate,
-		TrustAll:           !t.RealCrypto,
-		ViewChangeTimeout:  ms(t.ViewChangeTimeoutMS),
-		TakeoverTimeout:    ms(t.TakeoverTimeoutMS),
-		SuspectTimeout:     ms(t.SuspectTimeoutMS),
-		RepairTimeout:      ms(t.RepairTimeoutMS),
-		CheckpointInterval: ms(t.CheckpointIntervalMS),
-		RejoinTimeout:      ms(t.RejoinTimeoutMS),
-		StandbyGroups:      t.StandbyGroups,
+		GroupSizes:        t.Groups,
+		Opts:              opts,
+		Workload:          t.Workload,
+		Seed:              t.Seed,
+		BatchTimeout:      ms(t.BatchTimeoutMS),
+		MaxBatch:          t.MaxBatch,
+		PipelineDepth:     t.PipelineDepth,
+		GroupRate:         t.GroupRate,
+		TrustAll:          !t.RealCrypto,
+		ViewChangeTimeout: ms(t.ViewChangeTimeoutMS),
+		TakeoverTimeout:   ms(t.TakeoverTimeoutMS),
+		SuspectTimeout:    ms(t.SuspectTimeoutMS),
+		RepairTimeout:     ms(t.RepairTimeoutMS),
+		RejoinTimeout:     ms(t.RejoinTimeoutMS),
+		StandbyGroups:     t.StandbyGroups,
 		Gateway: cluster.GatewayConfig{
 			Clients:       t.Clients,
 			QueueLimit:    t.GatewayQueue,

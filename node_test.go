@@ -24,16 +24,15 @@ func testTopology(t *testing.T, groups ...int) *Topology {
 		nodes[i].Addr = a
 	}
 	return &Topology{
-		Groups:               groups,
-		Seed:                 7,
-		Nodes:                nodes,
-		Workload:             "ycsb-a",
-		BatchTimeoutMS:       50,
-		MaxBatch:             20,
-		GroupRate:            rate,
-		RepairTimeoutMS:      200,
-		CheckpointIntervalMS: 300,
-		RejoinTimeoutMS:      1000,
+		Groups:          groups,
+		Seed:            7,
+		Nodes:           nodes,
+		Workload:        "ycsb-a",
+		BatchTimeoutMS:  50,
+		MaxBatch:        20,
+		GroupRate:       rate,
+		RepairTimeoutMS: 200,
+		RejoinTimeoutMS: 1000,
 	}
 }
 

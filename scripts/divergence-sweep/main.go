@@ -85,17 +85,16 @@ func main() {
 		os.Exit(2)
 	}
 	cfg := massbft.Config{
-		Groups:             make([]int, *groups),
-		Workload:           *workload,
-		Warmup:             time.Second,
-		WANDropRate:        *wanDrop,
-		LANDropRate:        *lanDrop,
-		WANDupRate:         *dup,
-		FaultJitter:        *jitter,
-		ViewChangeTimeout:  400 * time.Millisecond,
-		TakeoverTimeout:    400 * time.Millisecond,
-		RepairTimeout:      150 * time.Millisecond,
-		CheckpointInterval: 500 * time.Millisecond,
+		Groups:            make([]int, *groups),
+		Workload:          *workload,
+		Warmup:            time.Second,
+		WANDropRate:       *wanDrop,
+		LANDropRate:       *lanDrop,
+		WANDupRate:        *dup,
+		FaultJitter:       *jitter,
+		ViewChangeTimeout: 400 * time.Millisecond,
+		TakeoverTimeout:   400 * time.Millisecond,
+		RepairTimeout:     150 * time.Millisecond,
 	}
 	for g := range cfg.Groups {
 		cfg.Groups[g] = *nodes

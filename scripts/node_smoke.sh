@@ -152,7 +152,6 @@ if [[ "$mode" == membership ]]; then
   "takeover_timeout_ms": 500,
   "suspect_timeout_ms": 60000,
   "repair_timeout_ms": 200,
-  "checkpoint_interval_ms": 300,
   "rejoin_timeout_ms": 1000,
   "nodes": [
     {"group": 0, "index": 0, "addr": "127.0.0.1:$((base))"},
@@ -225,7 +224,6 @@ if [[ "$mode" == client ]]; then
   "max_batch": 20,
   "clients": 64,
   "repair_timeout_ms": 200,
-  "checkpoint_interval_ms": 300,
   "rejoin_timeout_ms": 1000,
   "nodes": [
     {"group": 0, "index": 0, "addr": "127.0.0.1:$((base))", "gateway": "127.0.0.1:$((base+4))"},
@@ -305,7 +303,6 @@ cat > "$workdir/topo.json" <<EOF
   "max_batch": 20,
   "group_rate": [200, 200],
   "repair_timeout_ms": 200,
-  "checkpoint_interval_ms": 300,
   "rejoin_timeout_ms": 1000,
   "nodes": [
     {"group": 0, "index": 0, "addr": "127.0.0.1:$((base))"},
