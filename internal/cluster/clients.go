@@ -103,7 +103,6 @@ func (c *Cluster) StartClients(n int) *ClientHub {
 				Verify:  c.Reg.VerifyMemo,
 				Timeout: replyTimeout + jitter,
 				Down:    down,
-				Jitter:  c.Cfg.Gateway.ResubmitJitter,
 			}),
 		}
 		h.clients = append(h.clients, sc)

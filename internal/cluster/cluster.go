@@ -10,6 +10,7 @@ import (
 	"massbft/internal/keys"
 	"massbft/internal/ledger"
 	"massbft/internal/metrics"
+	"massbft/internal/plan"
 	"massbft/internal/replication"
 	"massbft/internal/simnet"
 	"massbft/internal/statedb"
@@ -29,24 +30,6 @@ type Node interface {
 
 // Factory constructs a protocol node for one cluster position.
 type Factory func(ctx *NodeCtx) Node
-
-// FaultPlan is the cluster-wide fault schedule, shared by reference with
-// every node (the simulation is single-threaded).
-type FaultPlan struct {
-	// ByzantineFrom, when non-zero, activates the Byzantine nodes at that
-	// virtual time (§VI-E "Node Failures").
-	ByzantineFrom time.Duration
-	// ByzantineNodes marks which nodes behave Byzantine once active.
-	ByzantineNodes map[keys.NodeID]bool
-}
-
-// IsByzantine reports whether id is actively Byzantine at virtual time now.
-func (f *FaultPlan) IsByzantine(id keys.NodeID, now time.Duration) bool {
-	if f == nil || f.ByzantineFrom == 0 || now < f.ByzantineFrom {
-		return false
-	}
-	return f.ByzantineNodes[id]
-}
 
 // NodeCtx is everything a protocol node needs from its environment: the
 // parts its process shares, and its own.
@@ -86,7 +69,6 @@ type Process struct {
 	*Identities
 	// Metrics is the process's collector; every node counts into it.
 	Metrics *metrics.Collector
-	Faults  *FaultPlan
 	// Trace is the span recorder; nil when tracing is off (all recorder
 	// methods are nil-safe no-ops, so nodes record unconditionally).
 	Trace *trace.Recorder
@@ -126,13 +108,12 @@ type Decoded struct {
 	Entry   *types.Entry
 }
 
-// NewProcess returns a process's shared parts: an empty fault plan, a fresh
-// key index and fresh memos.
+// NewProcess returns a process's shared parts: a fresh key index and fresh
+// memos.
 func NewProcess(cfg Config, ids *Identities, col *metrics.Collector) *Process {
 	inFlight := len(cfg.GroupSizes) * cfg.PipelineDepth
 	return &Process{
 		Cfg: cfg, Identities: ids, Metrics: col,
-		Faults:      &FaultPlan{ByzantineNodes: make(map[keys.NodeID]bool)},
 		EncodeMemo:  replication.NewEncodeMemo(inFlight),
 		RebuildMemo: replication.NewRebuildMemo(2 * inFlight),
 		DecodeMemo:  fifo.NewMemo[types.EntryID, Decoded](inFlight),
@@ -368,52 +349,108 @@ func (c *Cluster) SchedulePartition(at, healAt time.Duration, a, b int) {
 	c.Net.SchedulePartition(at, healAt, a, b)
 }
 
-// ScheduleByzantineSender makes one node corrupt a fraction of its outgoing
-// MetaBatch messages in flight from virtual time `at`: a deep-copied batch
-// with one record's timestamp perturbed, so the receiver's certificate check
-// must reject it (the cert binds the records' canonical encoding). Because
-// the corruption samples per copy of a broadcast, the same batch also leaves
-// the sender in differing versions for different peers — wire-level
-// equivocation. Counters: simnet's ByzantineStats plus the receivers'
-// batch-cert-rejected.
-func (c *Cluster) ScheduleByzantineSender(at time.Duration, id keys.NodeID, rate float64) {
+// ScheduleByzantine makes followers 1..perGroup of every group Byzantine
+// from virtual time `at`, 0 included (§VI-E "Node Failures"): each becomes a
+// simnet.ByzantineSender that rewrites every chunk batch it sends — its
+// Algorithm-1 share, a LAN forward, a repair reply — into the same indexes
+// of its entry's Tamper encoding, under the honest certificate. Leaders
+// (index 0) stay correct so local consensus continues; the paper's
+// Byzantine nodes likewise "always strictly follow the local consensus
+// process".
+func (c *Cluster) ScheduleByzantine(at time.Duration, perGroup int) {
+	// One tamper encoding per receiver geometry of each entry in flight.
+	ng := len(c.Cfg.GroupSizes)
+	memo := fifo.NewMemo[tamperKey, *replication.Encoded](ng * ng * c.Cfg.PipelineDepth)
+	t := &tamperer{decoded: c.DecodeMemo, memo: memo}
 	c.Net.Schedule(at, func() {
-		c.Net.SetByzantineSender(id, simnet.ByzantineSender{
-			CorruptRate: rate,
-			Corrupt:     corruptMetaBatch,
-		})
+		for g, n := range c.Cfg.GroupSizes {
+			for j := 1; j <= perGroup && j < n; j++ {
+				c.Net.SetByzantineSender(keys.NodeID{Group: g, Index: j},
+					simnet.ByzantineSender{CorruptRate: 1, Corrupt: t.corrupt})
+			}
+		}
 	})
 }
 
-// corruptMetaBatch returns a tampered copy of a MetaBatch payload (nil for
-// other payload types, leaving them untouched). The records slice is copied
-// before one timestamp is perturbed — the original is shared with every
-// other recipient of the broadcast. The draw picks the record (its low half)
-// and the bump of 1 to 7 (its high half).
-func corruptMetaBatch(payload any, draw uint64) any {
-	b, ok := payload.(*MetaBatch)
-	if !ok || len(b.Records) == 0 {
-		return nil
+// Tamper is the entry a §VI-E Byzantine node replicates in e's place, encoded:
+// the same ID, its first transaction's payload prefixed with "tampered".
+func Tamper(e *types.Entry) []byte {
+	evil := *e
+	evil.Txns = append([]types.Transaction(nil), e.Txns...)
+	if len(evil.Txns) > 0 {
+		t := evil.Txns[0]
+		t.Payload = append([]byte("tampered"), t.Payload...)
+		evil.Txns[0] = t
 	}
-	cp := *b
-	cp.Records = append([]Record(nil), b.Records...)
-	i := uint32(draw) % uint32(len(cp.Records))
-	cp.Records[i].TS += 1 + (draw>>32)%7
-	return &cp
+	return evil.Encode()
 }
 
-// ScheduleByzantine makes the first `perGroup` follower nodes of every group
-// Byzantine from virtual time `at`: they replicate a tampered entry instead
-// of the correct one (§VI-E "Node Failures"). Leaders (index 0) stay correct
-// so local consensus continues; the paper's Byzantine nodes likewise "always
-// strictly follow the local consensus process".
-func (c *Cluster) ScheduleByzantine(at time.Duration, perGroup int) {
-	c.Faults.ByzantineFrom = at
-	for g, n := range c.Cfg.GroupSizes {
-		for j := 1; j <= perGroup && j < n; j++ {
-			c.Faults.ByzantineNodes[keys.NodeID{Group: g, Index: j}] = true
+// tamperKey names a tamper encoding: the entry, the digest its certificate
+// carries and the geometry of the batch it replaces.
+type tamperKey struct {
+	id          types.EntryID
+	digest      keys.Digest
+	total, data int
+}
+
+// tamperer is the Corrupt of every ScheduleByzantine sender of a cluster: the
+// tamper encodings are memoized once for all of them, and the payload of one
+// broadcast leaves as one tampered copy (last), so these senders never
+// equivocate.
+type tamperer struct {
+	decoded         *fifo.Memo[types.EntryID, Decoded]
+	memo            *fifo.Memo[tamperKey, *replication.Encoded]
+	lastIn, lastOut any
+}
+
+// corrupt returns the tampered copy of a ChunkBatch or BatchFwd payload, nil
+// for any other payload or for an entry the decode memo does not hold.
+func (t *tamperer) corrupt(payload any, _ uint64) any {
+	if payload == t.lastIn {
+		return t.lastOut
+	}
+	var out any
+	switch m := payload.(type) {
+	case *replication.ChunkBatch:
+		if b := t.batch(m); b != nil {
+			out = b
+		}
+	case *BatchFwd:
+		if b := t.batch(m.B); b != nil {
+			// A forward claims the honest entry's length, not the tamper
+			// encoding's own.
+			b.DataLen = m.B.DataLen
+			out = &BatchFwd{B: b}
 		}
 	}
+	t.lastIn, t.lastOut = payload, out
+	return out
+}
+
+// batch is b's indexes of its entry's tamper encoding under b's certificate.
+// The entry is the decode memo's, once its bytes hash to the certified
+// digest; the geometry is b's own Total and Data, all of a plan that Encode
+// and Batch read.
+func (t *tamperer) batch(b *replication.ChunkBatch) *replication.ChunkBatch {
+	k := tamperKey{id: b.Entry, digest: b.Cert.Digest, total: b.Total, data: b.Data}
+	encd, ok := t.memo.Get(k)
+	if !ok {
+		d, ok := t.decoded.Get(b.Entry)
+		if !ok || keys.Hash(d.Payload) != b.Cert.Digest {
+			return nil
+		}
+		var err error
+		encd, err = replication.Encode(Tamper(d.Entry), &plan.Plan{Total: b.Total, Data: b.Data, Parity: b.Total - b.Data})
+		if err != nil {
+			return nil
+		}
+		t.memo.Put(k, encd)
+	}
+	evil, err := encd.Batch(b.Indices, b.Entry, b.Cert)
+	if err != nil {
+		return nil
+	}
+	return &evil
 }
 
 // Run starts every node and processes events until Cfg.RunFor of virtual

@@ -1,12 +1,16 @@
 package cluster
 
 import (
+	"reflect"
 	"testing"
 	"time"
 
 	"massbft/internal/keys"
+	"massbft/internal/plan"
+	"massbft/internal/replication"
 	"massbft/internal/simnet"
 	"massbft/internal/transport"
+	"massbft/internal/types"
 )
 
 func TestConfigDefaults(t *testing.T) {
@@ -125,21 +129,92 @@ func TestWireSizes(t *testing.T) {
 	}
 }
 
+// tamperedSenders runs a 2×4 stub cluster set up by schedule and, at each
+// of sendAt, has every node send its group's next node an honest chunk batch
+// of an entry the decode memo holds. It returns, per send time, the senders
+// whose batch arrived tampered: another Merkle root over the same geometry.
+func tamperedSenders(t *testing.T, schedule func(c *Cluster), sendAt ...time.Duration) []map[keys.NodeID]bool {
+	t.Helper()
+	nodes := make(map[keys.NodeID]*stubNode)
+	c, err := New(Config{GroupSizes: []int{4, 4}, RunFor: time.Second},
+		func(ctx *NodeCtx) Node {
+			n := &stubNode{ctx: ctx}
+			nodes[ctx.ID] = n
+			return n
+		})
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := &types.Entry{ID: types.EntryID{GID: 0, Seq: 1}, Txns: []types.Transaction{
+		{Client: 1, Payload: []byte("payload"), Sig: make([]byte, 64)},
+	}}
+	enc := e.Encode()
+	c.DecodeMemo.Put(e.ID, Decoded{Payload: enc, Entry: e})
+	encd, err := replication.Encode(enc, &plan.Plan{Total: 4, Data: 2, Parity: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	honest, err := encd.Batch([]int{0, 1}, e.ID, &keys.Certificate{Group: 0, Digest: keys.Hash(enc)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	schedule(c)
+	for _, at := range sendAt {
+		c.Net.Schedule(at, func() {
+			for id, n := range nodes {
+				b := honest
+				n.ctx.Net.Send(keys.NodeID{Group: id.Group, Index: (id.Index + 1) % 4}, &b, b.WireSize())
+			}
+		})
+	}
+	c.RunUntil(sendAt[len(sendAt)-1] + 500*time.Millisecond)
+	tampered := make([]map[keys.NodeID]bool, len(sendAt))
+	for k := range tampered {
+		tampered[k] = make(map[keys.NodeID]bool)
+	}
+	received := 0
+	for _, n := range nodes {
+		for i, m := range n.got {
+			b, ok := m.Payload.(*replication.ChunkBatch)
+			if !ok || b.Entry != e.ID || b.Total != honest.Total || b.Data != honest.Data {
+				t.Fatalf("%v delivered %T %+v", m.From, m.Payload, m.Payload)
+			}
+			received++
+			if b.Root != honest.Root {
+				// The send it belongs to is the last one before it arrived.
+				k := len(sendAt) - 1
+				for k > 0 && sendAt[k] > n.gotAt[i] {
+					k--
+				}
+				tampered[k][m.From] = true
+			}
+		}
+	}
+	if received != len(sendAt)*len(nodes) {
+		t.Fatalf("%d batches delivered, want %d", received, len(sendAt)*len(nodes))
+	}
+	return tampered
+}
+
+// TestFaultPlan: the Byzantine followers activate at the scheduled virtual
+// time, 0 included, and not before; with nothing scheduled no node tampers.
 func TestFaultPlan(t *testing.T) {
-	var nilPlan *FaultPlan
-	if nilPlan.IsByzantine(keys.NodeID{}, time.Second) {
-		t.Fatal("nil plan Byzantine")
+	followers := map[keys.NodeID]bool{{Group: 0, Index: 1}: true, {Group: 1, Index: 1}: true}
+	none := tamperedSenders(t, func(*Cluster) {}, 100*time.Millisecond)
+	if len(none[0]) != 0 {
+		t.Fatalf("no fault scheduled, yet %v tampered", none[0])
 	}
-	fp := &FaultPlan{ByzantineNodes: map[keys.NodeID]bool{{Group: 0, Index: 1}: true}}
-	if fp.IsByzantine(keys.NodeID{Group: 0, Index: 1}, time.Second) {
-		t.Fatal("Byzantine before activation time")
+	got := tamperedSenders(t, func(c *Cluster) { c.ScheduleByzantine(500*time.Millisecond, 1) },
+		100*time.Millisecond, 600*time.Millisecond)
+	if len(got[0]) != 0 {
+		t.Fatalf("%v tampered before activation", got[0])
 	}
-	fp.ByzantineFrom = 500 * time.Millisecond
-	if !fp.IsByzantine(keys.NodeID{Group: 0, Index: 1}, time.Second) {
-		t.Fatal("not Byzantine after activation")
+	if !reflect.DeepEqual(got[1], followers) {
+		t.Fatalf("after activation %v tampered, want %v", got[1], followers)
 	}
-	if fp.IsByzantine(keys.NodeID{Group: 0, Index: 2}, time.Second) {
-		t.Fatal("unmarked node Byzantine")
+	fromStart := tamperedSenders(t, func(c *Cluster) { c.ScheduleByzantine(0, 1) }, 0)
+	if !reflect.DeepEqual(fromStart[0], followers) {
+		t.Fatalf("scheduled at 0, %v tampered, want %v", fromStart[0], followers)
 	}
 }
 
@@ -156,14 +231,20 @@ func TestNewClusterErrors(t *testing.T) {
 	}
 }
 
-// stubNode lets the harness be tested without protocol logic.
+// stubNode lets the harness be tested without protocol logic; it records
+// what it is delivered, and when.
 type stubNode struct {
 	started int
 	ctx     *NodeCtx
+	got     []transport.Message
+	gotAt   []time.Duration
 }
 
-func (s *stubNode) Start()                            { s.started++ }
-func (s *stubNode) HandleMessage(m transport.Message) {}
+func (s *stubNode) Start() { s.started++ }
+func (s *stubNode) HandleMessage(m transport.Message) {
+	s.got = append(s.got, m)
+	s.gotAt = append(s.gotAt, s.ctx.Net.Now())
+}
 
 func TestClusterWiring(t *testing.T) {
 	var nodes []*stubNode
@@ -212,20 +293,18 @@ func TestClusterWiring(t *testing.T) {
 }
 
 func TestScheduleByzantineSkipsLeaders(t *testing.T) {
-	c, err := New(Config{GroupSizes: []int{4, 4}, RunFor: time.Second},
-		func(ctx *NodeCtx) Node { return &stubNode{ctx: ctx} })
-	if err != nil {
-		t.Fatal(err)
-	}
-	c.ScheduleByzantine(time.Millisecond, 2)
-	if c.Faults.ByzantineNodes[keys.NodeID{Group: 0, Index: 0}] {
-		t.Fatal("leader marked Byzantine")
-	}
+	got := tamperedSenders(t, func(c *Cluster) { c.ScheduleByzantine(time.Millisecond, 2) }, 10*time.Millisecond)[0]
 	for g := 0; g < 2; g++ {
+		if got[keys.NodeID{Group: g, Index: 0}] {
+			t.Fatalf("leader of group %d tampered", g)
+		}
 		for j := 1; j <= 2; j++ {
-			if !c.Faults.ByzantineNodes[keys.NodeID{Group: g, Index: j}] {
-				t.Fatalf("node %d,%d not marked", g, j)
+			if !got[keys.NodeID{Group: g, Index: j}] {
+				t.Fatalf("node %d,%d not Byzantine", g, j)
 			}
+		}
+		if got[keys.NodeID{Group: g, Index: 3}] {
+			t.Fatalf("node %d,3 tampered beyond perGroup", g)
 		}
 	}
 }

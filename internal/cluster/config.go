@@ -1,10 +1,10 @@
 // Package cluster wires protocol nodes onto the network emulator and runs
 // timed experiments: it owns the cluster-wide configuration (group sizes,
 // WAN/LAN characteristics, batching, the CPU cost model), the shared message
-// envelope types, fault injection (Byzantine chunk tampering, group
-// crashes), and metrics collection. Protocol logic itself lives in
-// internal/core (MassBFT and the protocols derived from it by switching its
-// replication/ordering modes).
+// envelope types, fault schedules (§VI-E's chunk-tampering followers as
+// wire-level simnet Byzantine senders, node and group crashes), and metrics
+// collection. Protocol logic itself lives in internal/core (MassBFT and the
+// protocols derived from it by switching its replication/ordering modes).
 package cluster
 
 import (
@@ -144,11 +144,6 @@ type GatewayConfig struct {
 	QueueLimit    int
 	RatePerClient float64
 	RateBurst     int
-	// ResubmitJitter spreads resubmission deadlines by a deterministic
-	// per-(client, nonce, attempt) fraction of the timeout (up to +25%), so
-	// the mass retry wave after a group loss does not retransmit in
-	// lockstep. Off by default: committed bench baselines predate it.
-	ResubmitJitter bool
 }
 
 // Enabled reports whether the proposers take the gateway intake path: some

@@ -54,6 +54,79 @@ func TestByzantineChunkTampering(t *testing.T) {
 	// since they follow local consensus; their only deviation is tampered
 	// chunk transmission).
 	assertConsistency(t, c, nil)
+	assertCensus(t, c, "b423a65f654b07d7")
+}
+
+// TestScheduleByzantine: ScheduleByzantine(at, perGroup) tampers the chunk
+// batches that followers 1..perGroup send from `at` on, 0 included, and no
+// other node's. A batch is tampered when its Merkle root differs from the
+// one its entry's leader sent under the same geometry: the leaders stay
+// honest.
+func TestScheduleByzantine(t *testing.T) {
+	t.Parallel()
+	for _, tc := range []struct {
+		at       time.Duration
+		perGroup int
+	}{{0, 1}, {0, 2}, {time.Second, 1}, {time.Second, 2}} {
+		t.Run(fmt.Sprintf("at=%v/perGroup=%d", tc.at, tc.perGroup), func(t *testing.T) {
+			t.Parallel()
+			cfg := smallCfg()
+			cfg.RunFor = 2 * time.Second
+			c, err := cluster.New(cfg, NewNode)
+			if err != nil {
+				t.Fatal(err)
+			}
+			type geometry struct {
+				id          types.EntryID
+				total, data int
+			}
+			type sent struct {
+				from keys.NodeID
+				at   time.Duration
+				g    geometry
+				root merkle.Root
+			}
+			leaderRoot := make(map[geometry]merkle.Root)
+			var batches []sent
+			c.Net.SetSendProbe(func(s simnet.ProbeSample) {
+				var b *replication.ChunkBatch
+				switch p := s.Payload.(type) {
+				case *replication.ChunkBatch:
+					b = p
+				case *cluster.BatchFwd:
+					b = p.B
+				default:
+					return
+				}
+				g := geometry{b.Entry, b.Total, b.Data}
+				if s.From == (keys.NodeID{Group: b.Entry.GID}) {
+					leaderRoot[g] = b.Root
+				}
+				batches = append(batches, sent{s.From, s.Enqueue, g, b.Root})
+			})
+			c.ScheduleByzantine(tc.at, tc.perGroup)
+			c.Run()
+			tampered, honest := 0, 0
+			for _, b := range batches {
+				want, ok := leaderRoot[b.g]
+				if !ok {
+					continue
+				}
+				byz := b.from.Index >= 1 && b.from.Index <= tc.perGroup && b.at >= tc.at
+				switch {
+				case b.root != want && !byz:
+					t.Fatalf("%v sent a tampered batch of %v at %v", b.from, b.g.id, b.at)
+				case b.root != want:
+					tampered++
+				case byz:
+					honest++
+				}
+			}
+			if tampered == 0 || honest != 0 {
+				t.Fatalf("the Byzantine followers sent %d tampered and %d honest batches: %s", tampered, honest, c.Metrics.Summary())
+			}
+		})
+	}
 }
 
 // bucketFixture is node N1,0 of a fresh realCryptoCfg cluster, whose sends
@@ -101,7 +174,7 @@ func TestTamperedBucketBlacklistsSupplier(t *testing.T) {
 	n, e, batch, data := bucketFixture(t)
 	x, y := keys.NodeID{Group: 0, Index: 1}, keys.NodeID{Group: 0, Index: 2}
 	for idx := 0; idx < data; idx++ {
-		n.onChunkBatch(x, batch(n.tamper(e), idx), true)
+		n.onChunkBatch(x, batch(cluster.Tamper(e), idx), true)
 	}
 	if rebuilds, failed, _ := n.collector.Stats(); rebuilds != 0 || failed != 1 {
 		t.Fatalf("after a tampered bucket of %d chunks: %d rebuilds, %d failed; want 0, 1", data, rebuilds, failed)
@@ -132,7 +205,7 @@ func TestFakeBucketBlamesAnHonestRelay(t *testing.T) {
 	relay, liar := keys.NodeID{Group: 1, Index: 1}, keys.NodeID{Group: 0, Index: 1}
 	n.onChunkBatch(relay, batch(e.Encode(), 0), false)
 	for idx := 0; idx < data; idx++ {
-		n.onChunkBatch(liar, batch(n.tamper(e), idx), true)
+		n.onChunkBatch(liar, batch(cluster.Tamper(e), idx), true)
 	}
 	if rebuilds, failed, _ := n.collector.Stats(); rebuilds != 0 || failed != 1 {
 		t.Fatalf("after a tampered bucket of %d chunks: %d rebuilds, %d failed; want 0, 1", data, rebuilds, failed)
@@ -505,7 +578,9 @@ func TestFetchRetryRecoversFromCrashedTarget(t *testing.T) {
 // stream then heals through rebroadcast/repair and the cluster keeps
 // committing. Because corruption samples per copy, the same broadcast also
 // leaves the sender in differing versions — wire equivocation, surfaced via
-// net-equivocated.
+// net-equivocated. The draw picks the record (its low half) and the bump of 1
+// to 7 (its high half); the records are copied first, as the original is
+// shared with every other recipient of the broadcast.
 func TestByzantineSenderBatchRejection(t *testing.T) {
 	t.Parallel()
 	cfg := smallCfg()
@@ -516,7 +591,22 @@ func TestByzantineSenderBatchRejection(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c.ScheduleByzantineSender(500*time.Millisecond, keys.NodeID{Group: 0, Index: 0}, 0.3)
+	c.Net.Schedule(500*time.Millisecond, func() {
+		c.Net.SetByzantineSender(keys.NodeID{Group: 0, Index: 0}, simnet.ByzantineSender{
+			CorruptRate: 0.3,
+			Corrupt: func(p any, draw uint64) any {
+				b, ok := p.(*cluster.MetaBatch)
+				if !ok || len(b.Records) == 0 {
+					return nil
+				}
+				cp := *b
+				cp.Records = append([]cluster.Record(nil), b.Records...)
+				i := uint32(draw) % uint32(len(cp.Records))
+				cp.Records[i].TS += 1 + (draw>>32)%7
+				return &cp
+			},
+		})
+	})
 	c.Run()
 	c.Drain(2 * time.Second)
 	m := c.Metrics

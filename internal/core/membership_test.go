@@ -173,10 +173,7 @@ type membershipFingerprint struct {
 func runMembershipSchedule(t *testing.T) (*cluster.Cluster, membershipFingerprint) {
 	t.Helper()
 	cfg := membershipCfg([]int{3, 3, 3, 3}, 1, 63)
-	cfg.Gateway = cluster.GatewayConfig{
-		SimClients:     16,
-		ResubmitJitter: true,
-	}
+	cfg.Gateway = cluster.GatewayConfig{SimClients: 16}
 	c, err := cluster.New(cfg, NewNode)
 	if err != nil {
 		t.Fatal(err)

@@ -233,7 +233,7 @@ type Node struct {
 	leaving       bool
 	epochEmitted  uint64
 
-	// Byzantine defence: identified tampering senders (§VI-E).
+	// Byzantine defence: the suppliers of a bucket whose rebuild failed (§VI-E).
 	blacklist map[keys.NodeID]bool
 	// chunkFrom remembers which transport peer supplied each chunk.
 	chunkFrom map[types.EntryID]map[int]keys.NodeID

@@ -345,17 +345,6 @@ func (n *Node) replicate(e *types.Entry, cert *keys.Certificate, enc []byte, min
 // replicateEncoded is the paper's encoded bijective log replication (§IV-B):
 // every node sends its Algorithm-1 chunk assignment to each receiver group.
 func (n *Node) replicateEncoded(e *types.Entry, cert *keys.Certificate, enc []byte, mine bool) {
-	byz := n.ctx.Faults.IsByzantine(n.id, n.now())
-	// enc is the payload local consensus certified, so its digest is the
-	// certificate's.
-	src, digest := enc, cert.Digest
-	id := e.ID
-	if byz {
-		// Byzantine senders encode a tampered entry instead (§VI-E); the
-		// honest certificate is replayed with it.
-		src = n.tamper(e)
-		digest = keys.Hash(src)
-	}
 	encStart := n.now()
 	var encCost time.Duration
 	for r := 0; r < n.ng; r++ {
@@ -363,22 +352,24 @@ func (n *Node) replicateEncoded(e *types.Entry, cert *keys.Certificate, enc []by
 			continue
 		}
 		p := n.sendPlan(r)
-		encd := n.encodeCached(digest, p, src)
+		// enc is the payload local consensus certified, so its digest is
+		// the certificate's.
+		encd := n.encodeCached(cert.Digest, p, enc)
 		if encd == nil {
 			continue
 		}
-		if !byz && !mine {
+		if !mine {
 			// Every receiver bucket under this encoding's root decodes to
 			// exactly the certified payload: hand the receivers the entry
 			// and the payload instead of one decode and one copy. The
 			// followers seed; their entry is the decode memo's, in the
 			// simulator the one the proposer built, so the proposer's own
 			// seed would add nothing.
-			replication.Seed(n.ctx.RebuildMemo, encd, e, enc, digest)
+			replication.Seed(n.ctx.RebuildMemo, encd, e, enc, cert.Digest)
 		}
-		n.charge(time.Duration(len(src)) * n.cfg.Cost.EncodePerByte)
-		encCost += time.Duration(len(src)) * n.cfg.Cost.EncodePerByte
-		batches, recvs, err := encd.Batches(n.id.Index, id, cert)
+		n.charge(time.Duration(len(enc)) * n.cfg.Cost.EncodePerByte)
+		encCost += time.Duration(len(enc)) * n.cfg.Cost.EncodePerByte
+		batches, recvs, err := encd.Batches(n.id.Index, e.ID, cert)
 		if err != nil {
 			continue
 		}
@@ -389,23 +380,10 @@ func (n *Node) replicateEncoded(e *types.Entry, cert *keys.Certificate, enc []by
 	}
 	if mine && encCost > 0 && n.ctx.Trace != nil {
 		n.ctx.Trace.Record(trace.Span{
-			Entry: id, Stage: trace.StageEncode, Node: n.id,
-			Start: encStart, End: encStart + encCost, Bytes: int64(len(src)),
+			Entry: e.ID, Stage: trace.StageEncode, Node: n.id,
+			Start: encStart, End: encStart + encCost, Bytes: int64(len(enc)),
 		})
 	}
-}
-
-// tamper deterministically corrupts the entry body (same ID) the way the
-// paper's colluding Byzantine nodes do.
-func (n *Node) tamper(e *types.Entry) []byte {
-	evil := *e
-	evil.Txns = append([]types.Transaction(nil), e.Txns...)
-	if len(evil.Txns) > 0 {
-		t := evil.Txns[0]
-		t.Payload = append([]byte("tampered"), t.Payload...)
-		evil.Txns[0] = t
-	}
-	return evil.Encode()
 }
 
 // encodeCached returns the deterministic encoding under plan p of enc, the

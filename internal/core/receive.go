@@ -98,14 +98,7 @@ func (n *Node) onChunkBatch(from keys.NodeID, b *replication.ChunkBatch, fromRem
 		return
 	}
 	if fwd && fromRemote {
-		out := b
-		if n.ctx.Faults.IsByzantine(n.id, n.now()) {
-			if evil := n.tamperedBatch(b); evil != nil {
-				out = evil
-			}
-		}
-		env := &cluster.BatchFwd{B: out}
-		n.broadcastLocal(env)
+		n.broadcastLocal(&cluster.BatchFwd{B: b})
 	}
 }
 
@@ -120,31 +113,6 @@ func (n *Node) noteChunkArrival(id types.EntryID) {
 	if !st.content && st.firstChunkAt == 0 {
 		st.firstChunkAt = n.now()
 	}
-}
-
-// tamperedBatch substitutes the matching chunks of the tampered entry into a
-// batch a Byzantine receiver re-broadcasts (§VI-E).
-func (n *Node) tamperedBatch(b *replication.ChunkBatch) *replication.ChunkBatch {
-	st := n.entries[b.Entry]
-	if st == nil || st.entry == nil {
-		return nil
-	}
-	p := n.recvPlan(b.Entry.GID)
-	if p == nil {
-		return nil
-	}
-	evilEnc := n.tamper(st.entry)
-	encd := n.encodeCached(keys.Hash(evilEnc), p, evilEnc)
-	if encd == nil {
-		return nil
-	}
-	evil, err := encd.Batch(b.Indices, b.Entry, b.Cert)
-	if err != nil {
-		return nil
-	}
-	// It claims the honest entry's length, not the tampered encoding's own.
-	evil.DataLen = b.DataLen
-	return &evil
 }
 
 // onRebuilt fires when the collector delivers a rebuilt, certificate-valid

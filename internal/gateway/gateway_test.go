@@ -592,49 +592,3 @@ func TestRequesterDownOracle(t *testing.T) {
 		t.Fatalf("all-down rotation targeted %d, want plain successor 0", g)
 	}
 }
-
-// TestRequesterJitter pins the resubmission jitter: the stretched wait stays
-// within [wait, 1.25*wait), is nonzero for this (client, nonce), and is
-// a pure function of (client, nonce, attempt) — two identical requesters
-// remain in lockstep, which the simulation determinism tests depend on.
-func TestRequesterJitter(t *testing.T) {
-	_, reg, err := keys.GenerateCluster([]int{4, 4, 4}, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mk := func() *Requester {
-		return NewRequester(RequesterConfig{
-			Client: 1, Groups: 3,
-			Faulty: reg.Faulty, Verify: reg.Verify,
-			Timeout: 100 * time.Millisecond, MaxAttempts: 8,
-			Jitter: true,
-		})
-	}
-	a, b := mk(), mk()
-	if a.Begin(1, at(0)) != b.Begin(1, at(0)) {
-		t.Fatal("identical requesters diverged at Begin")
-	}
-	// The first attempt's deadline is unjittered.
-	if re, _, _ := a.OnTick(at(99)); re {
-		t.Fatal("resubmitted before the base deadline")
-	}
-	re, _, _ := a.OnTick(at(100))
-	if !re {
-		t.Fatal("no resubmission at the base deadline")
-	}
-	b.OnTick(at(100))
-	// The second attempt's 200 ms wait is jittered: for (client 1, nonce 1,
-	// attempt 2) the hash lands at +152/1024, so the deadline falls in
-	// (329ms, 330ms] — after the base 300ms, before the +25% cap 350ms.
-	if re, _, _ := a.OnTick(at(329)); re {
-		t.Fatal("jitter did not stretch the wait")
-	}
-	re, ga, _ := a.OnTick(at(330))
-	if !re {
-		t.Fatal("jittered deadline overshot the +25% bound")
-	}
-	reB, gb, _ := b.OnTick(at(330))
-	if !reB || ga != gb {
-		t.Fatalf("identical requesters diverged under jitter: %d vs %d", ga, gb)
-	}
-}

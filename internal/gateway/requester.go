@@ -58,11 +58,6 @@ type RequesterConfig struct {
 	// wrong about a group: skipping only reorders the rotation, and when
 	// every group reads down the rotation falls back to plain round-robin.
 	Down func(group int) bool
-	// Jitter desynchronizes resubmission deadlines: each attempt's wait is
-	// stretched by up to +25%, derived deterministically from (client,
-	// nonce, attempt) so simulation runs stay reproducible while clients
-	// that timed out together do not retry in lockstep.
-	Jitter bool
 }
 
 // Result is an accepted, f+1-certified execution outcome.
@@ -247,12 +242,7 @@ func (r *Requester) OnTick(now time.Time) (resubmit bool, group int, gaveUp bool
 	}
 	r.attempts++
 	r.group = r.nextUp((r.group + 1) % r.cfg.Groups)
-	wait := r.cfg.Timeout << min(r.attempts-1, 3)
-	if r.cfg.Jitter {
-		h := r.cfg.Client*2654435761 + r.nonce*40503 + uint64(r.attempts)*9176
-		wait += wait * time.Duration(h%256) / 1024
-	}
-	r.deadline = now.Add(wait)
+	r.deadline = now.Add(r.cfg.Timeout << min(r.attempts-1, 3))
 	return true, r.group, false
 }
 

@@ -39,9 +39,9 @@ func (fc FaultConfig) enabled() bool {
 }
 
 // ByzantineSender configures payload corruption on one node's outgoing
-// messages — the sender-side counterpart of the receiver-side tampering in
-// core: it exercises the certificate/fence rejection paths with traffic that
-// was corrupted in flight rather than at origin.
+// messages: the one mechanism of every Byzantine behaviour in the tree, the
+// §VI-E tampering nodes (cluster.ScheduleByzantine) included. The node's
+// protocol code stays honest; what leaves it is rewritten on the wire.
 type ByzantineSender struct {
 	// CorruptRate is the per-message probability that the outgoing payload is
 	// replaced by Corrupt's result.

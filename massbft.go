@@ -172,11 +172,6 @@ type Config struct {
 	// boundary. Requires TakeoverTimeout > 0 and a protocol with global
 	// consensus and per-seq commit records (MassBFT, Baseline, BR, EBR).
 	StandbyGroups int
-	// ResubmitJitter stretches gateway clients' resubmission backoff by a
-	// deterministic per-(client, nonce, attempt) factor of up to +25%, so
-	// clients that timed out together do not retry in lockstep. Off by
-	// default to keep existing benchmark runs bit-identical.
-	ResubmitJitter bool
 
 	// TracePath, when non-empty, enables per-entry lifecycle tracing;
 	// Cluster.WriteTrace writes the spans there as a Chrome trace-event JSON
@@ -237,8 +232,7 @@ func NewCluster(cfg Config) (*Cluster, error) {
 		GroupRate:     cfg.GroupRate,
 		TrustAll:      !cfg.RealCrypto,
 		Gateway: cluster.GatewayConfig{
-			SimClients:     cfg.GatewayClients,
-			ResubmitJitter: cfg.ResubmitJitter,
+			SimClients: cfg.GatewayClients,
 		},
 		StandbyGroups:     cfg.StandbyGroups,
 		Warmup:            cfg.Warmup,
@@ -313,8 +307,10 @@ func (c *Cluster) CrashGroup(at time.Duration, group int) {
 	c.inner.ScheduleGroupCrash(at, group)
 }
 
-// MakeByzantine schedules `perGroup` nodes of every group to start
-// replicating tampered entries at virtual time `at` (§VI-E).
+// MakeByzantine makes followers 1..perGroup of every group Byzantine from
+// virtual time `at`, 0 included (§VI-E): every chunk batch they send — their
+// share of an entry, a forward, a repair reply — carries a tampered entry's
+// chunks under the honest certificate. Their counter is "net-corrupted".
 func (c *Cluster) MakeByzantine(at time.Duration, perGroup int) {
 	c.inner.ScheduleByzantine(at, perGroup)
 }

@@ -295,6 +295,28 @@ func TestFaultInjectionThroughPublicAPI(t *testing.T) {
 	}
 }
 
+// TestMakeByzantineFromTheStart: MakeByzantine at 0 is active from the
+// start (0 is a time, not "off"); its senders tamper without equivocating,
+// and the correct nodes converge.
+func TestMakeByzantineFromTheStart(t *testing.T) {
+	t.Parallel()
+	c, err := NewCluster(quickCfg())
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.MakeByzantine(0, 1)
+	c.Run(2 * time.Second)
+	if c.Counter("net-corrupted") == 0 {
+		t.Fatal("no chunk batch was tampered")
+	}
+	if n := c.Counter("net-equivocated"); n != 0 {
+		t.Fatalf("%d equivocations from the tampering senders", n)
+	}
+	if rep := c.DrainToAgreement(500*time.Millisecond, 5*time.Second); rep.Verdict != AgreementConverged {
+		t.Fatalf("agreement: %v", rep)
+	}
+}
+
 func TestLatencyModels(t *testing.T) {
 	if Nationwide(0, 1) == 0 || Worldwide(0, 1) == 0 {
 		t.Fatal("latency presets returned zero between distinct groups")

@@ -41,7 +41,9 @@
 #                    (ROADMAP item 10's re-capture rules): the simnet
 #                    scheduler fingerprints and wheel-vs-heap oracle, the
 #                    partition-chaos census, the Byzantine meta-batch replay
-#                    fork, the faulty transport-seam fingerprint, the pinned
+#                    fork, the §VI-E tampering census
+#                    (TestByzantineChunkTampering), the faulty
+#                    transport-seam fingerprint, the pinned
 #                    fork seeds and the fault runs that assert a silent
 #                    certWatch — the list a change to what a draw decides,
 #                    or to one link's send order, re-captures and states in
@@ -54,6 +56,13 @@
 #                    (scripts/equal-seed.sh takes a seed, a run length and the
 #                    workloads to gate too: a change that moves one
 #                    workload's schedule still gates the others)
+#   fault-timeline [ref]
+#                    the fault-timeline equality gate: `go run
+#                    ./examples/geoledger` (Byzantine tampering, then a
+#                    data-center outage) on `ref` (default HEAD) and on this
+#                    tree must print the same bytes; no benchmark workload
+#                    runs a Byzantine node, so the equal-seed gate cannot see
+#                    that path (~25 s a side)
 #   size [ref]       the non-test Go line count outside bench/ (generated
 #                    files included) and the five largest packages: the
 #                    number ROADMAP and CHANGES.md quote; with a ref, also
@@ -194,6 +203,22 @@ size() {
   printf "at %s: %d lines; this tree: %+d\n" "$1" "$there" "$((here - there))"
 }
 
+# The geoledger example's output on ref and on this tree, compared byte for
+# byte.
+fault_timeline() {
+  local tmp status=0
+  tmp="$(mktemp -d)"
+  git archive "$1" | tar -x -C "$tmp"
+  (cd "$tmp" && go run ./examples/geoledger) >"$tmp/ref.out"
+  go run ./examples/geoledger >"$tmp/here.out"
+  diff -u "$tmp/ref.out" "$tmp/here.out" || status=$?
+  rm -rf "$tmp"
+  if [ "$status" -ne 0 ]; then
+    echo "examples/geoledger prints differently from $1" >&2
+    exit 1
+  fi
+}
+
 case "$preset" in
 size)
   size "${2:-}"
@@ -230,13 +255,19 @@ divergence-sweep)
 recapture)
   echo "== draw-dependent pins"
   go test -count=1 -run 'TestSchedulerFingerprints|TestScaleScenarioWheelMatchesHeap' ./internal/simnet/
-  go test -count=1 -timeout 300s -run 'TestPartitionChaosFailover|TestMetaBatchReplayedUnderAnotherSeq' ./internal/core/
+  go test -count=1 -timeout 300s -run 'TestPartitionChaosFailover|TestMetaBatchReplayedUnderAnotherSeq|TestByzantineChunkTampering' ./internal/core/
   go test -count=1 -timeout 300s -run 'TestTransportSeamBitIdentical/massbft-faults|TestFalseDeathForkSeeds|TestPayloadForkSeed|TestCombinedFaultSeedsConverge|TestPartitionWANHealsAndConverges' .
   echo "OK"
   exit 0
   ;;
 equal-seed)
   bash scripts/equal-seed.sh "${2:-HEAD}"
+  exit 0
+  ;;
+fault-timeline)
+  echo "== fault timeline (examples/geoledger against ${2:-HEAD})"
+  fault_timeline "${2:-HEAD}"
+  echo "OK"
   exit 0
   ;;
 tier1)
@@ -251,7 +282,7 @@ race)
   ;;
 full) ;;
 *)
-  echo "unknown preset: $preset (want: full, tier1, race, groups, node-smoke, gateway-smoke, divergence-sweep, recapture, equal-seed, size)" >&2
+  echo "unknown preset: $preset (want: full, tier1, race, groups, node-smoke, gateway-smoke, divergence-sweep, recapture, equal-seed, fault-timeline, size)" >&2
   exit 2
   ;;
 esac
