@@ -33,7 +33,6 @@ type ClientHub struct {
 	gen     workload.Workload
 	clients []*simClient
 	byID    map[uint64]*simClient
-	stopped bool
 }
 
 type simClient struct {
@@ -113,9 +112,6 @@ func (c *Cluster) StartClients(n int) *ClientHub {
 	interval := replyTimeout / 2
 	var tick func()
 	tick = func() {
-		if h.stopped {
-			return
-		}
 		h.tick()
 		c.Net.Schedule(c.Net.Now()+interval, tick)
 	}
@@ -132,7 +128,7 @@ func (h *ClientHub) now() time.Time { return VirtualTime(h.c.Net.Now()) }
 // submitNew signs the client's next request and begins its certificate
 // collection.
 func (h *ClientHub) submitNew(sc *simClient) {
-	if h.c.Cfg.Draining || h.stopped {
+	if h.c.Cfg.Draining {
 		return
 	}
 	sc.nonce++
@@ -217,7 +213,3 @@ func (h *ClientHub) tick() {
 		}
 	}
 }
-
-// Stop halts new submissions and the tick loop (Drain sets Draining, which
-// also stops new submissions; Stop additionally silences resubmissions).
-func (h *ClientHub) Stop() { h.stopped = true }

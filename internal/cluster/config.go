@@ -242,7 +242,8 @@ type Config struct {
 	// provisioned-but-inactive: their keys, transport endpoints, and stream
 	// slots exist from genesis, but they hold no state, propose nothing, and
 	// count in no quorum until a certified RecEpoch join admits them
-	// (DESIGN.md §11). Zero keeps every group active from the start.
+	// (DESIGN.md §11). Zero keeps every group active from the start; more
+	// needs the MassBFT preset (Validate).
 	StandbyGroups int
 
 	// Draining, set by Cluster.Drain, stops client load: leaders propose
@@ -262,10 +263,11 @@ func (c *Config) StandbyAtGenesis(g int) bool {
 // cluster and massbft.Topology for a process deployment, each prefixing the
 // error with where the layout came from. Dynamic membership rides on the
 // failover machinery (standby groups are fenced exactly like certified-dead
-// ones until their join) and on per-seq commit records (the certified join
-// boundary is derived from the commit watermark): GeoBFT has no global
-// records at all, and Steward/ISS proposal gates cannot tolerate skipped
-// rounds.
+// ones until their join) and on the overlapped VTS ordering of the MassBFT
+// preset: a joined group's orderer head jumps to its certified boundary
+// (DESIGN.md §11). The round-ordered presets model static-membership
+// protocols, and the serial VTS variant is an ablation; neither admits a
+// standby group.
 func (c *Config) Validate() error {
 	if len(c.GroupSizes) == 0 {
 		return errors.New("no groups configured")
@@ -317,8 +319,8 @@ func (c *Config) Validate() error {
 		if c.TakeoverTimeout <= 0 {
 			return errors.New("standby groups require a takeover timeout > 0")
 		}
-		if !c.Opts.GlobalConsensus || c.Opts.Serial || c.Opts.EpochLength > 0 {
-			return errors.New("standby groups are not supported by this protocol (they need global consensus, concurrent proposers and no epochs)")
+		if c.Opts != PresetMassBFT() {
+			return errors.New("standby groups run on MassBFT only")
 		}
 	}
 	return nil

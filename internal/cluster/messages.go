@@ -353,8 +353,8 @@ type GroupRow struct {
 // CheckpointGroup is one group's part of a Checkpoint: the folding node's
 // cursors on the group's stream — next-expected MetaBatch seq, view fence
 // (highest Record.View processed), clock high-water, the highest own-entry
-// commit seq certified in it (the watermark bounding pre-join round skips
-// and the join boundary a coordinator may certify), executed seq — and the
+// commit seq certified in it (on the folding node's own group, the bound on
+// the join boundary a coordinator may certify), executed seq — and the
 // group's row of its group table.
 type CheckpointGroup struct {
 	Next, View, TS, CommitHi, Executed uint64

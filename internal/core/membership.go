@@ -15,21 +15,20 @@ import (
 // member set; every transition is a certified record on a per-group FIFO
 // stream that the table's step consumes, so it replays identically on every
 // node. What stays here reads the rest of the node: the admin intents, the
-// leader-gated vote and epoch scans (which read the commit watermarks), the
-// join activation and the standby round skips.
+// leader-gated vote and epoch scans (which read the commit watermarks) and
+// the join activation. Standby groups exist under the MassBFT preset only
+// (cluster.Config.Validate), so a join always runs on the overlapped VTS
+// orderer.
 //
 // Join (target B, coordinator = successor(B)): each member group certifies
 // a RecGroupJoin vote; B bootstraps through a cross-group rejoin and
 // certifies its own RecGroupJoin (origin == B, the readiness attestation);
 // at a vote quorum plus readiness the coordinator certifies RecEpoch with
 // TS = S, and B's row becomes member. B proposes its first entry at S+1,
-// and every node skips B's rounds (or re-seats B's orderer head) up to S
-// when it processes the RecEpoch. S is sound because the coordinator
-// computes it from its own stream: no commit of the coordinator's group
-// with seq >= S can precede the RecEpoch in its FIFO stream, and the
-// pre-join standby round skips are bounded by the certified commit
-// watermark (standbySkipBound), which that FIFO property keeps at or below
-// S.
+// and every node re-seats B's orderer head past S when it processes the
+// RecEpoch. S is sound because the coordinator computes it from its own
+// stream: no commit of the coordinator's group with seq >= S can precede the
+// RecEpoch in its FIFO stream.
 //
 // Leave (target L): the other groups certify RecGroupLeave votes; at a
 // quorum L certifies its farewell (RecGroupLeave with origin == L, its
@@ -170,10 +169,9 @@ func (n *Node) epochScan() {
 		}
 		// Join boundary: one past the highest own-group commit this leader
 		// has processed from its own stream or queued for it. No commit with
-		// seq >= S can precede the RecEpoch on our FIFO stream, which is
-		// exactly what makes the pre-join standby skips (bounded by the
-		// certified commit watermark) and the joined group's first proposal
-		// at S+1 agree on every node.
+		// seq >= S can precede the RecEpoch on our FIFO stream, so the joined
+		// group's first proposal at S+1 lands where every node's orderer
+		// head for it is re-seated.
 		s := n.streams[n.g].commitHi
 		if n.ownCommitHi > s {
 			s = n.ownCommitHi
@@ -211,20 +209,10 @@ func (n *Node) emitEpoch(t int, op byte, ts uint64) bool {
 // from s+1, and this node advances its ordering cursor for t past the void
 // seqs that will never exist.
 func (n *Node) admit(t int, s uint64) {
-	if n.orderer != nil {
-		// The async head for t is parked on a seq in the void prefix; jump
-		// it to (t, s+1) or it can never be proven minimal and the drain
-		// wedges (order.SkipTo).
-		n.orderer.SkipTo(t, s)
-	}
-	if n.rounds != nil {
-		// Complete the bounded pre-join skips up to the boundary. Rounds
-		// beyond s belong to t now and are never pre-skipped — the standby
-		// skip bound could not exceed s (see epochScan).
-		for r := n.rounds.Round(); r <= s; r++ {
-			n.rounds.Skip(types.EntryID{GID: t, Seq: r})
-		}
-	}
+	// The async head for t is parked on a seq in the void prefix; jump it to
+	// (t, s+1) or it can never be proven minimal and the drain wedges
+	// (order.SkipTo).
+	n.orderer.SkipTo(t, s)
 	if t == n.g {
 		n.activateJoined(s)
 	}
@@ -232,9 +220,9 @@ func (n *Node) admit(t int, s uint64) {
 
 // activateJoined turns this freshly admitted group live: adopt the join
 // boundary as the group clock, start the local PBFT at slot s so the stream
-// resumes at seq s+1, and emit the stamps/accepts the standby gate swallowed
-// for entries that arrived during the bootstrap window (only the meta leader
-// actually queues; emitStamp/emitRecord are leader-gated).
+// resumes at seq s+1, and emit the stamps the standby gate swallowed for
+// entries that arrived during the bootstrap window (only the meta leader
+// actually queues; emitStamp is leader-gated).
 func (n *Node) activateJoined(s uint64) {
 	n.clk = s
 	if n.local.NextDeliverSlot() < s {
@@ -251,65 +239,7 @@ func (n *Node) activateJoined(s uint64) {
 		if st == nil || id.GID == n.g || !st.content {
 			continue
 		}
-		switch {
-		case n.opts.Ordering == cluster.OrderAsync && n.opts.OverlapVTS:
-			n.emitStamp(id)
-		case n.opts.Ordering == cluster.OrderAsync:
-			n.emitRecord(cluster.Record{Kind: cluster.RecAccept, Stream: n.g, Entry: id})
-			if st.committed {
-				n.emitStamp(id)
-			}
-		case n.opts.GlobalConsensus:
-			n.emitRecord(cluster.Record{Kind: cluster.RecAccept, Stream: n.g, Entry: id})
-		}
-	}
-}
-
-// standbySkipBound returns the highest round a standby group's slot may be
-// skipped for before its certified join: one past the minimum certified
-// own-commit watermark across the member groups. Any future coordinator is
-// a member now (the dead set only grows), and pre-RecEpoch this node's watermark
-// for it cannot exceed the join boundary the RecEpoch will carry minus one
-// (FIFO stream prefix) — so no round the joining group will own is ever
-// pre-skipped.
-func (n *Node) standbySkipBound() uint64 {
-	bound := ^uint64(0)
-	for g := 0; g < n.ng; g++ {
-		if n.groups.absent(g) {
-			continue
-		}
-		if n.streams[g].commitHi < bound {
-			bound = n.streams[g].commitHi
-		}
-	}
-	if bound == ^uint64(0) {
-		return 0
-	}
-	return bound + 1
-}
-
-// skipStandbyRounds advances round-based ordering past a standby group's
-// slots up to the certified bound (round mode's counterpart to the frozen
-// takeover stamps async mode already gets from the dead-group machinery).
-func (n *Node) skipStandbyRounds(s int) {
-	bound := n.standbySkipBound()
-	base := n.rounds.Round()
-	for r := base; r < base+512 && r <= bound; r++ {
-		n.rounds.Skip(types.EntryID{GID: s, Seq: r})
-	}
-}
-
-// maybeSkipStandbyRounds keeps the standby skips at pace with the commit
-// watermark between takeover ticks (called from onCommitRecord; the tick
-// cadence alone would throttle round progress to the failover cadence).
-func (n *Node) maybeSkipStandbyRounds() {
-	if n.rounds == nil || n.groups.rows[n.g].State == standby {
-		return
-	}
-	for s, row := range n.groups.rows {
-		if row.State == standby {
-			n.skipStandbyRounds(s)
-		}
+		n.emitStamp(id)
 	}
 }
 

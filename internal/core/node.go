@@ -108,8 +108,9 @@ type streamSt struct {
 	// bulkAt is when a chunk of this group's entries last arrived: the
 	// receiver-side progress evidence of the progress gate (retry.go).
 	bulkAt time.Duration
-	// commitHi is the highest own-entry commit seq processed from the stream
-	// — the watermark that bounds pre-join round skips (membership.go).
+	// commitHi is the highest own-entry commit seq processed from the stream.
+	// Our own row's bounds a coordinator's join boundary (membership.go); a
+	// foreign row's only rides in the checkpoint fold and restore.
 	commitHi uint64
 	// executed is the highest executed seq of the group's entries: late
 	// records for entries at or below it are dropped, not resurrected.

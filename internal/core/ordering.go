@@ -347,11 +347,10 @@ func (n *Node) advanceClock() {
 func (n *Node) onCommitRecord(origin int, rec cluster.Record) {
 	n.noteHolder(origin, rec.Entry)
 	if row := &n.streams[origin]; rec.Entry.GID == origin && rec.Entry.Seq > row.commitHi {
-		// Highest own-entry commit certified in origin's own stream: the
-		// FIFO watermark that bounds how far a standby group's rounds may be
-		// pre-skipped before its certified join (membership.go).
+		// Highest own-entry commit certified in origin's own stream; our own
+		// row's bounds the join boundary a coordinator certifies
+		// (membership.go).
 		row.commitHi = rec.Entry.Seq
-		n.maybeSkipStandbyRounds()
 	}
 	if rec.Entry.Seq <= n.streams[rec.Entry.GID].executed {
 		return
@@ -436,14 +435,9 @@ func (n *Node) takeoverTick() {
 		// Round mode: skip a removed group's uncommitted round slots — but
 		// only once this node holds the group's full agreed prefix [0, cut),
 		// so the committed set (and therefore the skip set) is identical on
-		// every node. A standby group's rounds are instead skipped up to the
-		// certified-commit watermark, which the eventual join boundary can
-		// never undercut (skipStandbyRounds).
+		// every node. No round-ordered run has a standby group (Validate).
 		for s, row := range n.groups.rows {
-			switch {
-			case row.State == standby:
-				n.skipStandbyRounds(s)
-			case n.groups.removed(s) && n.streamCursor(s) >= row.Cut:
+			if n.groups.removed(s) && n.streamCursor(s) >= row.Cut {
 				n.skipDeadRounds(s)
 			}
 		}

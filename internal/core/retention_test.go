@@ -12,14 +12,21 @@ import (
 	"massbft/internal/types"
 )
 
-// recordingEndpoint keeps what a node sends instead of sending it.
+// recordingEndpoint keeps what a node sends instead of sending it: sent[i]
+// went to to[i], on the priority lane if priority[i].
 type recordingEndpoint struct {
 	transport.Endpoint
-	sent []any
+	sent     []any
+	to       []keys.NodeID
+	priority []bool
 }
 
-func (r *recordingEndpoint) Send(_ keys.NodeID, p any, _ int)         { r.sent = append(r.sent, p) }
-func (r *recordingEndpoint) SendPriority(_ keys.NodeID, p any, _ int) { r.sent = append(r.sent, p) }
+func (r *recordingEndpoint) record(to keys.NodeID, p any, priority bool) {
+	r.sent, r.to, r.priority = append(r.sent, p), append(r.to, to), append(r.priority, priority)
+}
+
+func (r *recordingEndpoint) Send(to keys.NodeID, p any, _ int)         { r.record(to, p, false) }
+func (r *recordingEndpoint) SendPriority(to keys.NodeID, p any, _ int) { r.record(to, p, true) }
 
 // TestRetentionIsBounded runs past partitionHorizon under WAN faults and a
 // crash with a checkpointed rejoin, then checks that every per-node map and

@@ -79,14 +79,6 @@ type clientPub struct {
 // the verification cost is charged to the simulated CPU model instead.
 func (r *ClientRegistry) SetTrustAll(v bool) { r.trustAll = v }
 
-// Size returns the number of registered clients.
-func (r *ClientRegistry) Size() int {
-	if r == nil {
-		return 0
-	}
-	return len(r.clients)
-}
-
 func (r *ClientRegistry) client(id uint64) *clientPub {
 	if r == nil || id == 0 || id > uint64(len(r.clients)) {
 		return nil

@@ -1,6 +1,8 @@
 package replication
 
 import (
+	"bytes"
+	"slices"
 	"sort"
 	"testing"
 
@@ -237,5 +239,62 @@ func TestMissingPrefersLargestBucket(t *testing.T) {
 	root, _, ok := c.Missing(f.entry.ID)
 	if !ok || root != f.encoded.Tree.Root() {
 		t.Fatalf("Missing picked root %x, want the larger honest bucket", root[:4])
+	}
+}
+
+// TestMissingTieBreakIsArrivalFree: among buckets of equal size, Missing
+// repairs the one with the smaller key — the smaller Merkle root, then the
+// smaller claimed data length — whatever order the chunks arrived in, so
+// every replica NACKs the same chunks. Map iteration order changes run to
+// run, hence the repetitions.
+func TestMissingTieBreakIsArrivalFree(t *testing.T) {
+	f := newFixture(t, 4, 7, 20)
+	evil := evilEncoding(t, f)
+	batch := func(enc *Encoded, idx int) ChunkBatch {
+		b, err := enc.Batch([]int{idx}, f.entry.ID, f.cert)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	// Two roots, one chunk each, at different indexes.
+	honest, other := batch(f.encoded, 0), batch(evil, 1)
+	if bytes.Compare(other.Root[:], honest.Root[:]) < 0 {
+		honest, other = other, honest
+	}
+	// One root, two claimed data lengths (the proof does not cover the
+	// length), one chunk each.
+	short, long := batch(f.encoded, 2), batch(f.encoded, 3)
+	long.DataLen++
+
+	for _, tc := range []struct {
+		name      string
+		win, lose ChunkBatch
+	}{
+		{"smaller root", honest, other},
+		{"same root, smaller data length", short, long},
+	} {
+		want := make([]int, 0, f.plan.Total-1)
+		for idx := 0; idx < f.plan.Total; idx++ {
+			if idx != tc.win.Indices[0] {
+				want = append(want, idx)
+			}
+		}
+		for rep := 0; rep < 20; rep++ {
+			for _, order := range [][]ChunkBatch{{tc.win, tc.lose}, {tc.lose, tc.win}} {
+				var got []Rebuilt
+				c := collectorFor(f, &got)
+				for k := range order {
+					if _, err := c.AddBatch(&order[k]); err != nil {
+						t.Fatalf("%s: chunk %d: %v", tc.name, order[k].Indices[0], err)
+					}
+				}
+				root, missing, ok := c.Missing(f.entry.ID)
+				if !ok || root != tc.win.Root || !slices.Equal(missing, want) {
+					t.Fatalf("%s, chunk %d first: Missing = %x… %v (ok %v), want %x… %v",
+						tc.name, order[0].Indices[0], root[:4], missing, ok, tc.win.Root[:4], want)
+				}
+			}
+		}
 	}
 }

@@ -357,9 +357,6 @@ func (nw *Network) RunAll() int {
 	return processed
 }
 
-// Pending returns the number of scheduled events not yet processed.
-func (nw *Network) Pending() int { return nw.sched.len() }
-
 func (nw *Network) latency(from, to keys.NodeID) Time {
 	t := nw.cfg.Topology
 	return t.lat[from.Group*t.regions+to.Group]

@@ -169,8 +169,8 @@ type Config struct {
 	// reconfiguration (Reconfigure with ReconfigJoin): it bootstraps state
 	// from the active groups, a Byzantine quorum of active groups certifies
 	// the join, and every node switches epochs at the identical certified
-	// boundary. Requires TakeoverTimeout > 0 and a protocol with global
-	// consensus and per-seq commit records (MassBFT, Baseline, BR, EBR).
+	// boundary. Requires TakeoverTimeout > 0, ProtocolMassBFT and the
+	// overlapped VTS assignment (SerialVTS unset).
 	StandbyGroups int
 
 	// TracePath, when non-empty, enables per-entry lifecycle tracing;

@@ -70,6 +70,9 @@ func TestLayoutValidationBothFabrics(t *testing.T) {
 		{name: "standby leaves one active group", groups: []int{4, 4}, standby: 1, takeover: time.Second},
 		{name: "standby without takeover timeout", groups: []int{4, 4, 4}, standby: 1},
 		{name: "standby under geobft", groups: []int{4, 4, 4}, standby: 1, takeover: time.Second, protocol: ProtocolGeoBFT},
+		{name: "standby under baseline", groups: []int{4, 4, 4}, standby: 1, takeover: time.Second, protocol: ProtocolBaseline},
+		{name: "standby under br", groups: []int{4, 4, 4}, standby: 1, takeover: time.Second, protocol: ProtocolBR},
+		{name: "standby under ebr", groups: []int{4, 4, 4}, standby: 1, takeover: time.Second, protocol: ProtocolEBR},
 		{name: "two active groups and a standby", groups: []int{4, 4, 4}, standby: 1, takeover: time.Second, ok: true},
 		{name: "negative batch timeout", groups: []int{4, 4},
 			knobs: func(c *Config, tp *Topology) { c.BatchTimeout, tp.BatchTimeoutMS = -20*time.Millisecond, -20 }},
@@ -138,6 +141,13 @@ func TestLayoutValidationBothFabrics(t *testing.T) {
 		}
 	}
 
+	// Topology has no SerialVTS: the serial VTS ablation refuses a standby
+	// group on the simulator alone, because NewCluster clears OverlapVTS
+	// before it validates.
+	serial := Config{Groups: []int{4, 4, 4}, StandbyGroups: 1, TakeoverTimeout: time.Second, SerialVTS: true}
+	if _, err := NewCluster(serial); err == nil || err.Error() != "massbft: standby groups run on MassBFT only" {
+		t.Errorf("standby under SerialVTS: NewCluster says %v", err)
+	}
 	// A topology file is outside input: the knob reaches Validate from JSON.
 	path := filepath.Join(t.TempDir(), "topology.json")
 	file := `{"groups": [1, 1], "nodes": [{"group": 0, "index": 0, "addr": "h:0"}, {"group": 1, "index": 0, "addr": "h:1"}], "batch_timeout_ms": -20}`

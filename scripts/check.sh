@@ -69,6 +69,11 @@
 #                    the count at ref (its committed files) and the
 #                    difference (CI prints it against the merge base; not a
 #                    gate)
+#   cover            the production functions no test runs: the whole suite
+#                    under -coverpkg=./..., then every function at 0.0 %
+#                    outside cmd/, examples/, scripts/ and edwards25519
+#                    (~2.5 min on two cores; a list to start a deletion from,
+#                    not a gate and not a CI job)
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -203,6 +208,19 @@ size() {
   printf "at %s: %d lines; this tree: %+d\n" "$1" "$there" "$((here - there))"
 }
 
+# Every production function that the full test suite never enters, as
+# `go tool cover -func` prints it.
+cover() {
+  local tmp
+  tmp="$(mktemp)"
+  go test -count=1 -timeout 900s -coverpkg=./... -coverprofile="$tmp" ./... |
+    { grep -vE '^ok |coverage: [0-9.]+% of statements' || true; }
+  echo "== functions at 0.0 % (outside cmd/, examples/, scripts/, edwards25519)"
+  go tool cover -func="$tmp" | awk '$NF == "0.0%"' |
+    grep -vE '^massbft/(cmd|examples|scripts)/|/edwards25519/' || true
+  rm -f "$tmp"
+}
+
 # The geoledger example's output on ref and on this tree, compared byte for
 # byte.
 fault_timeline() {
@@ -222,6 +240,10 @@ fault_timeline() {
 case "$preset" in
 size)
   size "${2:-}"
+  exit 0
+  ;;
+cover)
+  cover
   exit 0
   ;;
 groups)
@@ -282,7 +304,7 @@ race)
   ;;
 full) ;;
 *)
-  echo "unknown preset: $preset (want: full, tier1, race, groups, node-smoke, gateway-smoke, divergence-sweep, recapture, equal-seed, fault-timeline, size)" >&2
+  echo "unknown preset: $preset (want: full, tier1, race, groups, node-smoke, gateway-smoke, divergence-sweep, recapture, equal-seed, fault-timeline, size, cover)" >&2
   exit 2
   ;;
 esac
