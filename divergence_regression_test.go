@@ -399,17 +399,17 @@ func TestAgreementReportSeesCrashedNodes(t *testing.T) {
 	}
 }
 
-// TestSaturatedJoinStalls pins a known liveness defect (ROADMAP item 22): a
-// standby group that joins at saturation (the default MaxBatch 400) wedges.
-// On a 4×4 MassBFT cluster, group 3 is admitted from 1 s; the run lasts 3 s,
-// then drains for up to 3 s. Each joining node asks an active group for a
-// multi-megabyte checkpoint that takes longer than the 200 ms default
-// RejoinTimeout over the 20 Mbps WAN, so it asks again and again, and the
-// copies flood the serving uplinks that chunk replication shares: 51 served
-// transfers for 4 joining nodes, and the joined group stuck at height 78
-// while the rest reach 167. The fix turns this run into a converged one with
-// about one transfer per joining node, and flips this test with it.
-func TestSaturatedJoinStalls(t *testing.T) {
+// TestSaturatedJoinConverges: a standby group that joins at saturation (the
+// default MaxBatch 400) converges, each joining node installing one
+// checkpoint. On a 4×4 MassBFT cluster, group 3 is admitted from 1 s; the run
+// lasts 3 s, then drains for up to 12 s. Each joining node asks an active
+// group for a multi-megabyte checkpoint that takes longer than the 200 ms
+// default RejoinTimeout over the 20 Mbps WAN. The transfer's retry clock backs
+// off from RejoinTimeout to 16×, so the copies in flight stay few instead of
+// flooding the serving uplinks that chunk replication shares; and an install
+// is final — a stall after it is the fetch and repair paths' to retry, not a
+// reason to wipe the node and transfer again.
+func TestSaturatedJoinConverges(t *testing.T) {
 	t.Parallel()
 	if testing.Short() {
 		t.Skip("heavy integration test")
@@ -421,12 +421,15 @@ func TestSaturatedJoinStalls(t *testing.T) {
 	}
 	c.Reconfigure(time.Second, ReconfigJoin, 3)
 	c.Run(3 * time.Second)
-	rep := c.DrainToAgreement(500*time.Millisecond, 3*time.Second)
-	const joining = 4
-	if served := c.Counter("rejoin-served"); served < 10*joining {
-		t.Errorf("rejoin-served = %d, want at least %d: the joining nodes no longer re-ask for their checkpoint", served, 10*joining)
+	rep := c.DrainToAgreement(500*time.Millisecond, 12*time.Second)
+	if rep.Verdict != AgreementConverged {
+		t.Errorf("want converged, got: %v", rep)
 	}
-	if rep.Verdict != AgreementWedged {
-		t.Errorf("want wedged, got: %v", rep)
+	const joining = 4
+	if got := c.Counter("state-transfers"); got != joining {
+		t.Errorf("state-transfers = %d, want %d: one install per joining node", got, joining)
+	}
+	if served := c.Counter("rejoin-served"); served > 5*joining {
+		t.Errorf("rejoin-served = %d, want at most %d", served, 5*joining)
 	}
 }

@@ -212,8 +212,9 @@ type Config struct {
 	// an alternate sender-group node; zero disables chunk repair.
 	RepairTimeout time.Duration
 
-	// RejoinTimeout is how long a recovering node waits for a state-transfer
-	// response before retrying another group peer; defaults to
+	// RejoinTimeout is the backoff base of a recovering node's state
+	// transfer: it asks the next peer after RejoinTimeout, then after 2x,
+	// 4x, ... up to 16x, until a checkpoint installs; defaults to
 	// 10*BatchTimeout.
 	RejoinTimeout time.Duration
 

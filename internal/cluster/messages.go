@@ -379,9 +379,12 @@ func (g *CheckpointGroup) wireSize() int {
 // instant: the sealed ledger (suffix), the state store, the ordering
 // machinery, both PBFT instances, and every in-flight entry. A recovering
 // node installs it wholesale and resumes from there (checkpointed rejoin).
-// The installer does not trust the serving LAN peer: it recomputes the
-// suffix's hash chain and state-roll links against its own certified ledger
-// head before appending anything (rejoin-badsuffix on mismatch).
+// Before appending anything the installer checks the suffix's hash chain from
+// its own sealed head and the roll recomputed from the blocks' fields up to
+// StateRoll (rejoin-badsuffix), the group tables (rejoin-badgroups) and each
+// pending entry's certificate (rejoin-badpending). State installs unchecked
+// until ROADMAP item 23 binds it to the chain: StateRoll rolls entry digests
+// and outcome counts, not the store.
 type Checkpoint struct {
 	Height    uint64
 	Blocks    []*ledger.Block

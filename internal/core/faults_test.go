@@ -507,6 +507,82 @@ func TestNodeRejoinViaStateTransfer(t *testing.T) {
 	}
 }
 
+// TestTransferRetryClock: a revived node's state transfer runs on the retry
+// clock. Its group peers drop the first three checkpoints they serve it, so
+// it asks four times: the re-asks go out after RejoinTimeout, then 2x, then
+// 4x, each to the next lanPeer, and the fourth answer installs and ends the
+// asks for the rest of the run.
+func TestTransferRetryClock(t *testing.T) {
+	t.Parallel()
+	if testing.Short() {
+		t.Skip("heavy integration test")
+	}
+	cfg := smallCfg()
+	cfg.RunFor = 5 * time.Second
+	cfg.TakeoverTimeout = 300 * time.Millisecond
+	cfg.RepairTimeout = 300 * time.Millisecond
+	cfg.RejoinTimeout = 100 * time.Millisecond
+	c, err := cluster.New(cfg, NewNode)
+	if err != nil {
+		t.Fatal(err)
+	}
+	victim := keys.NodeID{Group: 1, Index: 2}
+	type ask struct {
+		at time.Duration
+		to keys.NodeID
+	}
+	var asks []ask
+	c.Net.SetOutboundFilter(victim, func(m *transport.Message) bool {
+		if _, ok := m.Payload.(*cluster.RejoinReq); ok {
+			asks = append(asks, ask{c.Net.Now(), m.To})
+		}
+		return true
+	})
+	const dropped = 3
+	drops := 0
+	for j := 0; j < cfg.GroupSizes[victim.Group]; j++ {
+		if j == victim.Index {
+			continue
+		}
+		c.Net.SetOutboundFilter(keys.NodeID{Group: victim.Group, Index: j}, func(m *transport.Message) bool {
+			if _, ok := m.Payload.(*cluster.RejoinResp); ok && m.To == victim && drops < dropped {
+				drops++
+				return false
+			}
+			return true
+		})
+	}
+	c.ScheduleNodeCrash(2*time.Second, victim)
+	c.ScheduleNodeRecover(3*time.Second, victim)
+	c.Run()
+	c.Drain(2 * time.Second)
+	if drops != dropped {
+		t.Fatalf("dropped %d checkpoints, want %d", drops, dropped)
+	}
+	if got := c.Metrics.Counter("state-transfers"); got != 1 {
+		t.Fatalf("state-transfers = %d, want 1: %s", got, c.Metrics.Summary())
+	}
+	if len(asks) != dropped+1 {
+		t.Fatalf("%d asks, want %d (one per dropped checkpoint, then the one that installs): %v", len(asks), dropped+1, asks)
+	}
+	n := c.Nodes[victim].(*Node)
+	for a, q := range asks {
+		if want, _ := n.lanPeer(a); q.to != want {
+			t.Errorf("ask %d went to %v, want lanPeer(%d) = %v", a, q.to, a, want)
+		}
+		if a == 0 {
+			if q.at != 3*time.Second {
+				t.Errorf("first ask at %v, want at the revival, 3s", q.at)
+			}
+			continue
+		}
+		if gap, want := q.at-asks[a-1].at, cfg.RejoinTimeout<<(a-1); gap != want {
+			t.Errorf("re-ask %d came %v after the previous ask, want %v", a, gap, want)
+		}
+	}
+	assertConsistency(t, c, nil)
+}
+
 // TestFetchRetryRecoversFromCrashedTarget is the regression test for the
 // Lemma V.1 entry-fetch path. Group 2 never receives group 0's chunks (they
 // are dropped in flight), so fetched copies are its only way to obtain group

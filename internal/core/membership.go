@@ -64,8 +64,13 @@ func (n *Node) onReconfigure(m *cluster.ReconfigureMsg) {
 		}
 		if g == n.g {
 			n.joinTriggered = true
+			// A cold standby node enters by a cross-group state transfer
+			// from an active group, installed without the server group's
+			// proposer or PBFT state. Only after every member installs does
+			// the group's meta leader certify the readiness attestation that
+			// lets the join quorum complete.
 			if n.selfStandby && !n.rejoining {
-				n.startStandbyBootstrap()
+				n.startTransfer()
 			}
 			return
 		}
@@ -79,21 +84,6 @@ func (n *Node) onReconfigure(m *cluster.ReconfigureMsg) {
 		}
 		n.wantLeave[g] = true
 	}
-}
-
-// startStandbyBootstrap begins a cold standby node's entry into the cluster:
-// a cross-group checkpointed state transfer from an active group (the same
-// verifiable rejoin exchange a crashed node uses, but served across the WAN
-// and installed without adopting the server group's proposer or PBFT state).
-// Only after every member installs does the group's meta leader certify the
-// readiness attestation that lets the join quorum complete.
-func (n *Node) startStandbyBootstrap() {
-	n.ctx.Metrics.StandbyBootstraps++
-	n.rejoining = true
-	n.rejoinAttempts = 0
-	n.rejoinBuf = nil
-	n.armTicks()
-	n.sendTransferReq()
 }
 
 // membershipScan is the meta-leader half of the membership protocol, driven

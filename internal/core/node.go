@@ -260,10 +260,11 @@ type Node struct {
 	// emulator, so Rejoin re-arms them all under a new generation). rejoining
 	// gates message handling to the state-transfer exchange; consensus
 	// traffic that arrives meanwhile is buffered and replayed after install.
-	tickGen        uint64
-	rejoining      bool
-	rejoinAttempts int
-	rejoinBuf      []transport.Message
+	// transfer is the exchange's retry clock (sendTransferReq).
+	tickGen   uint64
+	rejoining bool
+	transfer  retry
+	rejoinBuf []transport.Message
 }
 
 // archived is the post-execution remnant of an entry kept for recovery

@@ -99,7 +99,7 @@ func (n *Node) Rejoin() {
 		// bootstrap; otherwise stay deaf until it arrives (membership.go).
 		n.rejoining = false
 		if n.joinTriggered {
-			n.startStandbyBootstrap()
+			n.startTransfer()
 			return
 		}
 		n.armTicks()
@@ -110,22 +110,36 @@ func (n *Node) Rejoin() {
 		n.armTicks()
 		return
 	}
+	n.startTransfer()
+}
+
+// startTransfer enters the state-transfer exchange, for a revived node
+// (Rejoin) and a cold standby node (the join trigger, membership.go) alike:
+// consensus traffic is buffered from here until a checkpoint installs, the
+// periodic loops re-arm under a fresh generation, and the first request goes
+// out on a fresh retry clock.
+func (n *Node) startTransfer() {
+	if n.selfStandby {
+		n.ctx.Metrics.StandbyBootstraps++
+	}
 	n.rejoining = true
-	n.rejoinAttempts = 0
+	n.transfer.reset()
 	n.rejoinBuf = nil
 	n.armTicks()
 	n.sendTransferReq()
 }
 
-// sendTransferReq asks the next peer (rotating per attempt) for a state
-// transfer, and re-fires every RejoinTimeout until a checkpoint installs. A
-// crashed node asks its own group's peers; a cold standby node has none that
-// hold state and asks the active groups across the WAN (membership.go).
+// sendTransferReq books one attempt on the transfer's retry clock, asks the
+// attempt's peer for a state transfer, and re-arms for the attempt's backoff
+// (RejoinTimeout, then 2x, 4x, ... 16x) until a checkpoint installs. A crashed
+// node asks its own group's peers; a cold standby node has none that hold
+// state and asks the active groups across the WAN (membership.go).
 func (n *Node) sendTransferReq() {
 	if !n.rejoining {
 		return
 	}
-	peer, _ := n.lanPeer(n.rejoinAttempts)
+	now := n.now()
+	var peer keys.NodeID
 	if n.selfStandby {
 		var active []int
 		for g := 0; g < n.ng; g++ {
@@ -136,13 +150,14 @@ func (n *Node) sendTransferReq() {
 		if len(active) == 0 {
 			return
 		}
-		peer, _ = n.remotePeer(active, n.rejoinAttempts)
+		peer, _ = n.remotePeer(active, n.transfer.next(now, n.cfg.RejoinTimeout))
+	} else {
+		peer, _ = n.lanPeer(n.transfer.next(now, n.cfg.RejoinTimeout))
 	}
-	n.rejoinAttempts++
 	req := &cluster.RejoinReq{Have: n.ledger.Height()}
 	n.ctx.Net.SendPriority(peer, req, req.WireSize())
 	gen := n.tickGen
-	n.ctx.Net.After(n.cfg.RejoinTimeout, func() {
+	n.ctx.Net.After(n.transfer.nextAt-now, func() {
 		if n.tickGen == gen && n.rejoining {
 			n.sendTransferReq()
 		}
@@ -151,8 +166,9 @@ func (n *Node) sendTransferReq() {
 
 // onRejoinReq serves a state transfer to a recovering group peer: a fresh
 // fold, carrying only the ledger suffix the requester lacks. The requester
-// verifies the suffix against its own certified chain before installing
-// (see verifySuffix) — serving honestly is not load-bearing for safety.
+// checks the suffix, the group tables and the pending certificates before
+// installing, but not the state (ROADMAP item 23): an honest server is
+// still load-bearing for what a rejoined node executes on.
 func (n *Node) onRejoinReq(from keys.NodeID, m *cluster.RejoinReq) {
 	if from == n.id || n.groups.rows[n.g].State == standby {
 		return
@@ -178,7 +194,7 @@ func (n *Node) onRejoinReq(from keys.NodeID, m *cluster.RejoinReq) {
 
 // onRejoinResp installs a received checkpoint wholesale and resumes normal
 // operation. A checkpoint behind our own sealed height is rejected (a lagging
-// peer answered); the retry timer rotates to another peer.
+// peer answered); the transfer's retry clock asks the next peer.
 //
 // When the installing node is a cold standby member (bootstrap), the
 // checkpoint comes from an ACTIVE group: the global state installs the same
@@ -196,13 +212,13 @@ func (n *Node) onRejoinResp(from keys.NodeID, resp *cluster.RejoinResp) {
 	if ck.Height < n.ledger.Height() {
 		return
 	}
-	// Verify the whole offered suffix against our own certified chain BEFORE
+	// Verify the whole offered suffix against our own sealed head BEFORE
 	// installing anything: appending as we validate would leave a partially
 	// extended ledger behind when a later block fails, poisoning the next
 	// transfer attempt.
 	if !n.verifySuffix(ck) {
 		n.ctx.Metrics.RejoinBadsuffix++
-		return // reject; the retry timer rotates to another peer
+		return // reject; the retry clock asks the next peer
 	}
 	// The pending entries are not on the chain: each carried content must be
 	// certified the way a fetched copy is, or the serving peer could have us
@@ -345,37 +361,18 @@ func (n *Node) onRejoinResp(from keys.NodeID, resp *cluster.RejoinResp) {
 		n.HandleMessage(buf[i])
 	}
 
-	// Watchdog: if execution makes no progress for a long while after the
-	// install (e.g. the transfer raced a leader change and this node wedged),
-	// rejoin again rather than stay stuck forever. The patience must exceed
-	// the slowest normal recovery path — a follower's Lemma V.1 fetch waits
-	// 3x TakeoverTimeout before its first attempt — or the watchdog thrashes,
-	// wiping nodes that were about to recover on their own.
-	wd := 4 * n.cfg.RejoinTimeout
-	if m := 8 * n.cfg.TakeoverTimeout; m > wd {
-		wd = m
-	}
-	gen := n.tickGen
-	execAt := n.execCount
-	n.ctx.Net.After(wd, func() {
-		if n.tickGen != gen || n.rejoining {
-			return
-		}
-		if n.execCount == execAt {
-			n.Rejoin()
-		}
-	})
 }
 
 // verifySuffix cross-checks an offered checkpoint's ledger suffix against
-// this node's own certified chain — the transfer does NOT trust the serving
-// LAN peer. Heights must run contiguously from our sealed head, prev-hashes
-// must chain from it, and every block's state digest must equal the rolling
-// execution digest recomputed from our own roll with the same fold sealBlock
-// applies. The final roll must also match the checkpoint's claimed
-// StateRoll, binding the state store being installed to the verified chain.
-// (n.stateRoll always equals the head block's StateDigest: both are written
-// only by sealBlock and restored together.)
+// this node's own sealed head. Heights must run contiguously from the head,
+// prev-hashes must chain from it, and every block's StateDigest must equal
+// the rolling execution digest recomputed from our own roll with the same
+// fold sealBlock applies; the final roll must match the checkpoint's
+// StateRoll. The roll is recomputed from the offered blocks' own fields and
+// no block's certificate is checked, and it rolls entry digests and outcome
+// counts, not the store: the checkpoint's State is not bound by it (ROADMAP
+// item 23). (n.stateRoll always equals the head block's StateDigest: both
+// are written only by sealBlock and restored together.)
 func (n *Node) verifySuffix(ck *cluster.Checkpoint) bool {
 	h := n.ledger.Height()
 	prev := n.ledger.Head()

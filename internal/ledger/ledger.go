@@ -39,8 +39,10 @@ type Block struct {
 	EntryDigest keys.Digest
 	// Committed and Aborted count the entry's transaction outcomes.
 	Committed, Aborted uint32
-	// StateDigest is the state store's digest after applying the entry.
-	// Including it makes divergence detectable at the block level.
+	// StateDigest is the rolling execution digest after the entry: the
+	// previous block's StateDigest folded with EntryDigest, Committed and
+	// Aborted. It is not a digest of the state store, so it exposes a
+	// divergence in what executed and how it ended, not in the stored values.
 	StateDigest [32]byte
 
 	hash    BlockHash

@@ -149,8 +149,9 @@ type Config struct {
 	// rolling checkpoint; a rejoining node gets a fresh fold, with a copy of
 	// the state, on demand.
 	CheckpointInterval time.Duration
-	// RejoinTimeout bounds one state-transfer attempt of a recovering node
-	// before it retries another group peer.
+	// RejoinTimeout is the backoff base of a recovering node's state
+	// transfer: it asks the next peer after RejoinTimeout, then after 2x,
+	// 4x, ... up to 16x, until a checkpoint installs.
 	RejoinTimeout time.Duration
 
 	// Fault injection (deterministic, seeded from Seed): per-message WAN
